@@ -80,6 +80,8 @@ func (p *Process) Cast(proto Protocol, dests []Address, entry EntryID, m *Messag
 	if m == nil {
 		m = NewMessage()
 	}
+	// The one copy on the send side: the daemon takes ownership of this
+	// stripped clone, and the caller keeps its message.
 	payload := m.Clone()
 	payload.StripSystemFields()
 
@@ -95,7 +97,7 @@ func (p *Process) Cast(proto Protocol, dests []Address, entry EntryID, m *Messag
 	p.mu.Lock()
 	p.session++
 	session := p.session
-	call := &pendingCall{replies: make(chan *Message, 64)}
+	call := &pendingCall{wake: make(chan struct{}, 1)}
 	p.pending[session] = call
 	p.mu.Unlock()
 	defer func() {
@@ -129,75 +131,57 @@ func (p *Process) Query(proto Protocol, dests []Address, entry EntryID, m *Messa
 	return replies[0], nil
 }
 
+// recheckEvery is how often a waiting Cast re-examines its destinations
+// without having been woken by a reply or a view change: it bounds how long a
+// failure among destinations this process has no membership callbacks for
+// goes unnoticed. Every thirtieth recheck also refreshes the cached views of
+// groups this site does not host, so remote failures are noticed too.
+const recheckEvery = 5 * time.Millisecond
+
 // collectReplies waits until the desired number of normal replies has
 // arrived, or every remaining destination has failed or declined (null
-// replies), or the reply timeout expires.
+// replies), or the reply timeout expires. Replies are recorded by onDeliver;
+// this side sleeps until a reply or a view change wakes it.
 func (p *Process) collectReplies(call *pendingCall, dests []Address, want int, timeout time.Duration) ([]*Message, error) {
-	var replies []*Message
-	responded := make(map[Address]bool)
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	recheck := time.NewTicker(5 * time.Millisecond)
-	defer recheck.Stop()
-	lastRefresh := time.Now()
-
+	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(min(timeout, recheckEvery))
+	defer timer.Stop()
 	expected := p.expectedResponders(dests)
-	for {
-		if want != All && len(replies) >= want {
+	for rechecks := 1; ; {
+		p.mu.Lock()
+		replies, responded := call.replies[:len(call.replies):len(call.replies)], len(call.responded)
+		p.mu.Unlock()
+		switch {
+		case want != All && len(replies) >= want:
 			return replies, nil
-		}
-		if want == All && expected > 0 && len(responded) >= expected {
-			return replies, nil
-		}
-		if expected == 0 {
-			if len(replies) > 0 || want == All {
+		case responded >= expected:
+			// Everyone who can still answer has; null replies and failures
+			// may have left too few normal replies.
+			if want == All {
 				return replies, nil
 			}
 			return replies, ErrNoResponders
 		}
 		select {
-		case r := <-call.replies:
-			sender := r.Sender()
-			if responded[sender] {
-				continue // duplicate replies are discarded silently
+		case <-call.wake:
+		case <-timer.C:
+			left := time.Until(deadline)
+			if left <= 0 {
+				return replies, ErrReplyTimeout
 			}
-			responded[sender] = true
-			if r.GetInt(msg.FReply, replyNormal) == replyNormal {
-				replies = append(replies, r)
-			}
-			// A null reply just marks the destination as having responded.
-			if len(responded) >= expected {
-				if want == All || len(replies) >= want {
-					return replies, nil
-				}
-				// Everyone responded but too many were null replies.
-				return replies, ErrNoResponders
-			}
-		case <-recheck.C:
-			// Destinations may have failed: recompute how many can still
-			// answer. Members that already responded stay counted. Cached
-			// views of groups this site does not host are refreshed
-			// periodically so remote failures are noticed too.
-			if time.Since(lastRefresh) > 150*time.Millisecond {
-				lastRefresh = time.Now()
+			if rechecks++; rechecks%30 == 0 {
 				for _, dst := range dests {
 					if dst.IsGroup() {
 						_, _ = p.site.daemon.RefreshGroupView(dst)
 					}
 				}
 			}
-			live := p.expectedResponders(dests)
-			if live < expected {
-				expected = live
-			}
-			if len(responded) >= expected {
-				if want == All || len(replies) >= want {
-					return replies, nil
-				}
-				return replies, ErrNoResponders
-			}
-		case <-deadline.C:
-			return replies, ErrReplyTimeout
+			timer.Reset(min(left, recheckEvery))
+		}
+		// Destinations may have failed: recompute how many can still answer.
+		// Members that already responded stay counted.
+		if live := p.expectedResponders(dests); live < expected {
+			expected = live
 		}
 	}
 }

@@ -239,7 +239,7 @@ func (c *Cluster) CrashSite(id SiteID) error {
 	if !ok {
 		return ErrNoSuchSite
 	}
-	s.daemon.Close()
+	s.close()
 	return nil
 }
 
@@ -284,7 +284,7 @@ func (c *Cluster) EventStats() EventStats {
 // Close shuts down every site and the network.
 func (c *Cluster) Close() {
 	for _, s := range c.Sites() {
-		s.daemon.Close()
+		s.close()
 	}
 	c.fabric.Close()
 }
@@ -295,6 +295,23 @@ type Site struct {
 	id          SiteID
 	incarnation addr.Incarnation
 	daemon      *protos.Daemon
+
+	mu    sync.Mutex
+	procs map[*Process]struct{} // the live processes spawned here, for close
+}
+
+// close stops the site's daemon and the task managers of the processes
+// spawned at it, whose entry workers would otherwise outlive the site (and
+// pin, through their handlers, whatever the application hung on them).
+func (s *Site) close() {
+	s.daemon.Close()
+	s.mu.Lock()
+	procs := s.procs
+	s.procs = nil
+	s.mu.Unlock()
+	for p := range procs {
+		p.tasks.Close()
+	}
 }
 
 // ID returns the site identifier.
@@ -362,5 +379,11 @@ func (s *Site) Spawn() (*Process, error) {
 		return nil, err
 	}
 	p.addr = a
+	s.mu.Lock()
+	if s.procs == nil {
+		s.procs = make(map[*Process]struct{})
+	}
+	s.procs[p] = struct{}{}
+	s.mu.Unlock()
 	return p, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -37,16 +38,20 @@ import (
 // Encoding is deterministic: fields are written in sorted name order (the
 // in-memory representation already keeps them sorted), so two structurally
 // equal messages produce byte-identical encodings. Several tests and the
-// stable-storage log rely on this, and it is what makes the cached encoding
-// of CachedMarshal sharable across destinations: the daemon marshals a
-// multicast data packet exactly once and hands the same []byte to the
-// transport for every destination site.
+// stable-storage log rely on this, and it is what makes one encoding
+// sharable across destinations: the daemon marshals a multicast data packet
+// exactly once (straight into its enveloped buffer) and hands the same
+// []byte to the transport for every destination site.
 //
 // Decoders accept fields in any order (defensively re-sorting), but only the
-// sorted form is ever produced. UnmarshalInto additionally reuses the field
-// storage of a recycled message, giving an allocation-free decode when the
-// incoming packet has the shape of the previous one (the steady state of a
-// multicast stream).
+// sorted form is ever produced. A decode makes one private copy of the
+// packet and points every field name and variable-length value into it, so a
+// fresh decode allocates the message, its exact-size field table (the count
+// is on the wire) and that one copy — plus a message and table per nested
+// message. UnmarshalInto decodes into a scratch message instead, reusing its
+// table, its nested messages and its copy of the previous packet: a stream of
+// same-shaped packets then decodes without allocating, and what leaves a
+// scratch message (strings, clones) is copied out of its buffer.
 
 // Marshalling errors.
 var (
@@ -109,18 +114,17 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 // per mutation: repeated calls on an unchanged message (including unchanged
 // nested messages) return the same shared slice. The returned bytes are
 // owned by the message and MUST be treated as read-only; they remain valid
-// until the next mutation. This is the marshal-once handle the daemon uses
-// to fan a multicast out to many destination sites.
+// until the next mutation.
 func (m *Message) CachedMarshal() ([]byte, error) {
-	if g := m.treeGen(); m.enc == nil || m.encGen != g {
+	c := m.aside()
+	if g := m.treeGen(); c.enc == nil || c.encGen != g {
 		enc, err := m.AppendMarshal(make([]byte, 0, m.MarshaledSize()))
 		if err != nil {
 			return nil, err
 		}
-		m.enc = enc
-		m.encGen = m.treeGen()
+		c.enc, c.encGen = enc, g
 	}
-	return m.enc, nil
+	return c.enc, nil
 }
 
 // appendTo is the recursive encoder. Payloads are appended directly (their
@@ -140,23 +144,15 @@ func (m *Message) appendTo(dst []byte) ([]byte, error) {
 		dst = append(dst, f.name...)
 		dst = append(dst, byte(f.typ))
 		switch f.typ {
-		case TypeBytes:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.bytes)))
-			dst = append(dst, f.bytes...)
-		case TypeString:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.str)))
-			dst = append(dst, f.str...)
+		case TypeBytes, TypeString, TypeAddressList:
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.ref)))
+			dst = append(dst, f.ref...)
 		case TypeInt:
 			dst = binary.BigEndian.AppendUint32(dst, 8)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(f.i))
+			dst = binary.BigEndian.AppendUint64(dst, f.num)
 		case TypeAddress:
 			dst = binary.BigEndian.AppendUint32(dst, addr.EncodedSize)
-			dst = f.adr.AppendEncoded(dst)
-		case TypeAddressList:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.adrs)*addr.EncodedSize))
-			for _, a := range f.adrs {
-				dst = a.AppendEncoded(dst)
-			}
+			dst = f.address().AppendEncoded(dst)
 		case TypeMessage:
 			dst = binary.BigEndian.AppendUint32(dst, uint32(f.sub.MarshaledSize()))
 			var err error
@@ -171,22 +167,34 @@ func (m *Message) appendTo(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes a message from b. The entire slice must be consumed.
+// Unmarshal decodes a message from b. The entire slice must be consumed. b
+// is copied, so the caller may reuse it.
 func Unmarshal(b []byte) (*Message, error) {
 	m := New()
-	if err := UnmarshalInto(m, b); err != nil {
+	if err := m.unmarshal(string(b)); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// UnmarshalInto decodes a message from b into m, replacing m's fields. The
-// entire slice must be consumed. Field storage held by m (byte buffers,
-// address lists, nested messages) is reused where the incoming fields match
-// m's existing layout, so decoding a stream of same-shaped packets into a
-// recycled message does not allocate. On error m may hold a partial decode.
+// UnmarshalInto decodes a message from b into the scratch message m,
+// replacing m's fields. The entire slice must be consumed. Everything m
+// holds is reused — the field table and the nested messages where the
+// incoming fields match m's existing layout, and m's copy of the previous
+// packet for the copy of b — so decoding a stream of same-shaped packets into
+// a recycled message does not allocate. Nested messages and byte views
+// obtained from m earlier are overwritten. On error m may hold a partial
+// decode.
 func UnmarshalInto(m *Message, b []byte) error {
-	rest, err := m.unmarshalPrefix(b)
+	st := m.aside()
+	st.scratch = true
+	st.buf = append(st.buf[:0], b...)
+	return m.unmarshal(unsafe.String(unsafe.SliceData(st.buf), len(st.buf)))
+}
+
+// unmarshal decodes all of s, the decoder's own copy of a packet, into m.
+func (m *Message) unmarshal(s string) error {
+	rest, err := m.unmarshalPrefix(s)
 	if err != nil {
 		return err
 	}
@@ -196,47 +204,84 @@ func UnmarshalInto(m *Message, b []byte) error {
 	return nil
 }
 
-// unmarshalPrefix decodes one message from the front of b into m and returns
-// the remaining bytes.
-//
-// The decoder scans positionally against m's existing (sorted) fields: while
-// incoming names match the resident slot at the same index, payloads are
-// decoded in place. The first mismatch truncates the leftovers and falls
-// back to sorted insertion, which also handles adversarial inputs whose
-// fields are unsorted or duplicated.
-func (m *Message) unmarshalPrefix(b []byte) ([]byte, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: missing field count", ErrCorrupt)
+// minFieldBytes is the shortest encoding of one field: an empty name, the
+// type, and the length of an empty payload.
+const minFieldBytes = 1 + 1 + 4
+
+// The decoder reads a string — the private copy of the packet — so that
+// names and values can be kept as substrings of it.
+
+func beUint16(s string) uint16 { return uint16(s[0])<<8 | uint16(s[1]) }
+
+func beUint32(s string) uint32 {
+	return uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
+}
+
+func beUint64(s string) uint64 { return uint64(beUint32(s))<<32 | uint64(beUint32(s[4:])) }
+
+// decodeAddress reads an address from the first addr.EncodedSize bytes of s,
+// without checking its kind.
+func decodeAddress(s string) addr.Address {
+	return addr.Address{
+		Site:    addr.SiteID(beUint16(s)),
+		Incarn:  addr.Incarnation(s[2]),
+		Kind:    addr.Kind(s[3]),
+		Entry:   addr.EntryID(s[4]),
+		LocalID: uint32(s[5])<<16 | uint32(s[6])<<8 | uint32(s[7]),
 	}
-	n := int(binary.BigEndian.Uint16(b[:2]))
-	b = b[2:]
+}
+
+// unmarshalPrefix decodes one message from the front of s into m and returns
+// the remainder.
+//
+// While the incoming names ascend, fields are decoded over m's resident
+// table slot by slot, and a nested message found in a slot is decoded into
+// again. The first name out of order truncates the leftovers and falls back
+// to sorted insertion, which also handles adversarial inputs whose fields
+// are unsorted or duplicated.
+func (m *Message) unmarshalPrefix(s string) (string, error) {
+	if len(s) < 2 {
+		return "", fmt.Errorf("%w: missing field count", ErrCorrupt)
+	}
+	n := int(beUint16(s))
+	s = s[2:]
+	if n*minFieldBytes > len(s) {
+		// Checked before the table is sized: two bytes of input must not
+		// command a 65535-slot allocation.
+		return "", fmt.Errorf("%w: %d fields in %d bytes", ErrCorrupt, n, len(s))
+	}
 	m.invalidate()
+	if len(m.fields) == 0 && cap(m.fields) < n {
+		m.fields = make([]field, 0, n)
+	}
 	idx, inPlace := 0, true
 	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: truncated field name length", ErrCorrupt)
+		if len(s) < 1 {
+			return "", fmt.Errorf("%w: truncated field name length", ErrCorrupt)
 		}
-		nameLen := int(b[0])
-		b = b[1:]
-		if len(b) < nameLen+1+4 {
-			return nil, fmt.Errorf("%w: truncated field header", ErrCorrupt)
+		nameLen := int(s[0])
+		s = s[1:]
+		if len(s) < nameLen+1+4 {
+			return "", fmt.Errorf("%w: truncated field header", ErrCorrupt)
 		}
-		rawName := b[:nameLen]
-		typ := FieldType(b[nameLen])
-		payloadLen := int(binary.BigEndian.Uint32(b[nameLen+1 : nameLen+5]))
-		b = b[nameLen+5:]
-		if len(b) < payloadLen {
-			return nil, fmt.Errorf("%w: truncated field payload", ErrCorrupt)
+		name := s[:nameLen]
+		typ := FieldType(s[nameLen])
+		payloadLen := int(beUint32(s[nameLen+1:]))
+		s = s[nameLen+5:]
+		if len(s) < payloadLen {
+			return "", fmt.Errorf("%w: truncated field payload", ErrCorrupt)
 		}
-		payload := b[:payloadLen]
-		b = b[payloadLen:]
+		payload := s[:payloadLen]
+		s = s[payloadLen:]
 
 		var f *field
-		if inPlace && idx < len(m.fields) && m.fields[idx].name == string(rawName) {
+		if inPlace && idx < len(m.fields) && (idx == 0 || m.fields[idx-1].name < name) {
 			f = &m.fields[idx]
-			sub := f.sub // keep the nested message for reuse
-			f.reset(typ)
-			f.sub = sub
+			sub := f.sub
+			*f = field{name: name, typ: typ}
+			if typ == TypeMessage {
+				f.sub = sub // decoded into again rather than reallocated
+			}
 			idx++
 		} else {
 			if inPlace {
@@ -244,70 +289,64 @@ func (m *Message) unmarshalPrefix(b []byte) ([]byte, error) {
 				m.truncateFields(idx)
 				inPlace = false
 			}
-			f = m.slot(string(rawName), typ)
+			f = m.slot(name, typ)
 		}
-		if err := decodePayload(f, typ, payload); err != nil {
-			return nil, err
+		if err := m.decodePayload(f, payload); err != nil {
+			return "", err
 		}
 	}
 	if inPlace {
 		m.truncateFields(idx)
 	}
-	return b, nil
+	return s, nil
 }
 
 // truncateFields drops every field at index i and beyond.
 func (m *Message) truncateFields(i int) {
-	for j := i; j < len(m.fields); j++ {
-		m.fields[j] = field{}
-	}
+	clear(m.fields[i:])
 	m.fields = m.fields[:i]
 }
 
-// decodePayload fills one field from its wire payload, reusing the field's
-// existing storage where possible.
-func decodePayload(f *field, typ FieldType, payload []byte) error {
-	switch typ {
-	case TypeBytes:
-		f.bytes = append(f.bytes[:0], payload...)
-	case TypeString:
-		// Avoid re-allocating the string when a recycled field already holds
-		// the same value (the common case for protocol constants).
-		if f.str != string(payload) {
-			f.str = string(payload)
-		}
+// decodePayload fills one field from its wire payload, a substring of the
+// decoder's private copy of the packet.
+func (m *Message) decodePayload(f *field, payload string) error {
+	switch f.typ {
+	case TypeBytes, TypeString:
+		f.ref = payload
 	case TypeInt:
 		if len(payload) != 8 {
 			return fmt.Errorf("%w: int field %q has %d bytes", ErrCorrupt, f.name, len(payload))
 		}
-		f.i = int64(binary.BigEndian.Uint64(payload))
+		f.num = beUint64(payload)
 	case TypeAddress:
-		a, err := addr.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if len(payload) < addr.EncodedSize {
+			return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrShortAddress)
 		}
-		f.adr = a
+		a := decodeAddress(payload)
+		if a.Kind > addr.KindGroup {
+			return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
+		}
+		f.kind, f.num = a.Kind, packAddress(a)
 	case TypeAddressList:
 		if len(payload)%addr.EncodedSize != 0 {
 			return fmt.Errorf("%w: address list field %q has %d bytes", ErrCorrupt, f.name, len(payload))
 		}
-		f.adrs = f.adrs[:0]
-		for off := 0; off < len(payload); off += addr.EncodedSize {
-			a, err := addr.Decode(payload[off:])
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		for off := 3; off < len(payload); off += addr.EncodedSize {
+			if addr.Kind(payload[off]) > addr.KindGroup {
+				return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
 			}
-			f.adrs = append(f.adrs, a)
 		}
+		f.ref = payload
 	case TypeMessage:
 		if f.sub == nil {
 			f.sub = New()
 		}
-		if err := UnmarshalInto(f.sub, payload); err != nil {
-			return err
+		if m.side != nil && m.side.scratch {
+			f.sub.aside().scratch = true
 		}
+		return f.sub.unmarshal(payload)
 	default:
-		return fmt.Errorf("%w: unknown field type %d", ErrCorrupt, typ)
+		return fmt.Errorf("%w: unknown field type %d", ErrCorrupt, f.typ)
 	}
 	return nil
 }
@@ -321,16 +360,12 @@ func (m *Message) MarshaledSize() int {
 		f := &m.fields[i]
 		size += 1 + len(f.name) + 1 + 4
 		switch f.typ {
-		case TypeBytes:
-			size += len(f.bytes)
-		case TypeString:
-			size += len(f.str)
+		case TypeBytes, TypeString, TypeAddressList:
+			size += len(f.ref)
 		case TypeInt:
 			size += 8
 		case TypeAddress:
 			size += addr.EncodedSize
-		case TypeAddressList:
-			size += len(f.adrs) * addr.EncodedSize
 		case TypeMessage:
 			size += f.sub.MarshaledSize()
 		}

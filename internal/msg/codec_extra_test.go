@@ -78,17 +78,64 @@ func TestUnmarshalIntoReusesStorage(t *testing.T) {
 	if err := UnmarshalInto(dst, enc); err != nil {
 		t.Fatal(err)
 	}
-	vtBefore := dst.GetBytes("&vt")
+	vtBefore := dst.BytesView("&vt")
 	if err := UnmarshalInto(dst, enc); err != nil {
 		t.Fatal(err)
 	}
-	vtAfter := dst.GetBytes("&vt")
+	vtAfter := dst.BytesView("&vt")
 	if &vtBefore[0] != &vtAfter[0] {
 		t.Error("same-shape re-decode did not reuse the bytes field storage")
 	}
 	re, _ := dst.Marshal()
 	if !bytes.Equal(re, enc) {
 		t.Error("re-decode corrupted the message")
+	}
+}
+
+// Whatever left a scratch message before a re-decode — strings, byte copies,
+// clones — must not change when the message's buffer is overwritten.
+func TestUnmarshalIntoLeavesEarlierReadersAlone(t *testing.T) {
+	build := func(v string) []byte {
+		enc, _ := New().PutBytes("b", []byte(v)).PutString("s", v).
+			PutMessage("n", New().PutString("t", v)).Marshal()
+		return enc
+	}
+	first, second := build("first"), build("other")
+	dst := New()
+	if err := UnmarshalInto(dst, first); err != nil {
+		t.Fatal(err)
+	}
+	str, by, names, clone := dst.GetString("s", ""), dst.GetBytes("b"), dst.Names(), dst.Clone()
+	inner := dst.GetMessage("n").GetString("t", "")
+	if err := UnmarshalInto(dst, second); err != nil {
+		t.Fatal(err)
+	}
+	if str != "first" || string(by) != "first" || inner != "first" || names[0] != "b" || names[2] != "s" {
+		t.Errorf("re-decode changed values read earlier: %q %q %q %v", str, by, inner, names)
+	}
+	if got, _ := clone.Marshal(); !bytes.Equal(got, first) {
+		t.Errorf("re-decode changed an earlier clone: %s", clone.Format())
+	}
+	if got, _ := dst.Marshal(); !bytes.Equal(got, second) {
+		t.Errorf("re-decode produced %s", dst.Format())
+	}
+}
+
+// A re-decode whose names sit where the previous packet's did, but out of
+// order, must not be taken for the same shape.
+func TestUnmarshalIntoSameLayoutUnsorted(t *testing.T) {
+	sorted, _ := New().PutInt("a", 1).PutInt("b", 2).Marshal()
+	swapped := bytes.Clone(sorted)
+	ia, ib := bytes.IndexByte(swapped, 'a'), bytes.IndexByte(swapped, 'b')
+	swapped[ia], swapped[ib] = 'b', 'a'
+	dst := New()
+	for _, enc := range [][]byte{sorted, swapped, sorted, swapped} {
+		if err := UnmarshalInto(dst, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dst.GetInt("a", 0) != 2 || dst.GetInt("b", 0) != 1 || dst.Names()[0] != "a" {
+		t.Errorf("unsorted re-decode: %s", dst.Format())
 	}
 }
 

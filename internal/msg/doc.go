@@ -7,10 +7,19 @@
 // match a reply with a pending call, and so on. A field can even contain
 // another message.
 //
-// The symbol table is stored as a slice of fields kept sorted by name rather
-// than a map: iteration in marshalling order is then allocation-free, field
-// storage can be reused when a message is overwritten in place, and the wire
-// encoding of an unchanged message can be computed once and cached (see
-// CachedMarshal in codec.go). Lookups use binary search; daemon packets have
-// at most a dozen fields, so this is also faster than hashing in practice.
+// The symbol table is stored as a slice of compact fields kept sorted by name
+// rather than a map: iteration in marshalling order is then allocation-free,
+// a decoder can size the table exactly, and the wire encoding of an unchanged
+// message can be computed once and cached (see CachedMarshal in codec.go).
+// Lookups use binary search; daemon packets have at most a dozen fields, so
+// this is also faster than hashing in practice.
+//
+// Ownership: a message's table is its own, but variable-length values
+// (bytes, strings, address lists) are immutable once stored and may be shared
+// — by Clone, by the per-member deliveries the protocols process builds from
+// one received packet, and by the fields of one decoded packet, which all
+// point into a single private copy of it. A Put therefore never disturbs
+// another holder. Bytes and GetBytes return copies the caller owns; BytesView
+// is the read-only no-copy accessor. ARCHITECTURE.md ("Message ownership and
+// copies") has the full table.
 package msg

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/addr"
@@ -32,6 +33,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		PutMessage("sub", New().PutMessage("subsub", New().PutInt("deep", 9))))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 'a', 99, 0, 0, 0, 0})
+	// Non-canonical inputs the encoder never produces: fields out of order,
+	// a name repeated (in the top-level and in a nested message), and the
+	// reserved names every packet repeats.
+	i64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	raw := binary.BigEndian.AppendUint16(nil, 3)
+	raw = appendRawField(raw, "zz", TypeInt, i64(1))
+	raw = appendRawField(raw, "aa", TypeBytes, []byte{1, 2, 3})
+	raw = appendRawField(raw, "mm", TypeString, []byte("s"))
+	f.Add(raw)
+	dup := binary.BigEndian.AppendUint16(nil, 3)
+	dup = appendRawField(dup, "x", TypeInt, i64(1))
+	dup = appendRawField(dup, "x", TypeBytes, []byte("later wins"))
+	dup = appendRawField(dup, "a", TypeInt, i64(2))
+	f.Add(dup)
+	nested := binary.BigEndian.AppendUint16(nil, 2)
+	nested = appendRawField(nested, "sub", TypeMessage, dup)
+	nested = appendRawField(nested, "sub", TypeMessage, raw)
+	f.Add(nested)
+	seed(New().PutAddress(FSender, addr.NewProcess(1, 0, 0xffffff)).PutInt(FSession, 7).
+		PutAddress(FGroup, addr.NewGroup(2, 3, 4)).PutInt(FViewID, 9).PutInt(FProtocol, 2).PutInt(FReply, 1).
+		PutMessage("&payload", New().PutInt(FSession, 7)))
+	f.Add(binary.BigEndian.AppendUint16(nil, 0xffff)) // a count the input cannot hold
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
@@ -54,17 +77,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("encoding is not canonical:\n first: %x\nsecond: %x", enc, enc2)
 		}
 		// Decoding into a dirty recycled message must agree with a fresh
-		// decode.
+		// decode, also over the buffer and table of an earlier decode of the
+		// same fields laid out canonically.
 		dst := New().PutInt("warm", 1).PutBytes("stale", []byte{9, 9})
-		if err := UnmarshalInto(dst, data); err != nil {
-			t.Fatalf("UnmarshalInto rejected input Unmarshal accepted: %v", err)
-		}
-		enc3, err := dst.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, enc3) {
-			t.Fatalf("recycled decode diverges:\n fresh: %x\nreused: %x", enc, enc3)
+		for _, in := range [][]byte{data, enc, data} {
+			if err := UnmarshalInto(dst, in); err != nil {
+				t.Fatalf("UnmarshalInto rejected input Unmarshal accepted: %v", err)
+			}
+			enc3, err := dst.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, enc3) {
+				t.Fatalf("recycled decode diverges:\n fresh: %x\nreused: %x", enc, enc3)
+			}
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package msg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -70,52 +72,126 @@ func IsSystemField(name string) bool {
 	return len(name) > 0 && name[0] == SystemPrefix
 }
 
-// field is one entry of the symbol table.
+// field is one entry of the symbol table, in a tagged compact form: one
+// scalar word, one string and the nested pointer, of which typ says which is
+// in use.
+//
+// Variable-length values are immutable once stored: a Put replaces ref, it
+// never writes through it. That is what lets Clone, the per-member
+// deliveries and a decoded packet's fields share storage without copying.
 type field struct {
-	name  string
-	typ   FieldType
-	bytes []byte
-	str   string
-	i     int64
-	adr   addr.Address
-	adrs  addr.List
-	sub   *Message
+	name string
+	typ  FieldType
+	kind addr.Kind // TypeAddress: the address kind; the other parts are packed in num
+	num  uint64    // TypeInt: the value; TypeAddress: see packAddress
+	ref  string    // TypeString: the value; TypeBytes: the payload; TypeAddressList: the wire encoding
+	sub  *Message  // TypeMessage: the nested message
 }
 
-// reset clears a field's payload members while keeping its name and the
-// backing storage of its slices, so an overwrite can reuse their capacity.
-func (f *field) reset(typ FieldType) {
-	f.typ = typ
-	f.bytes = f.bytes[:0]
-	f.str = ""
-	f.i = 0
-	f.adr = addr.Nil
-	f.adrs = f.adrs[:0]
-	f.sub = nil
+// packAddress folds every part of an address except its kind into one word.
+func packAddress(a addr.Address) uint64 {
+	return uint64(a.Site)<<48 | uint64(a.Incarn)<<40 | uint64(a.Entry)<<32 | uint64(a.LocalID)
+}
+
+// address rebuilds the address of a TypeAddress field.
+func (f *field) address() addr.Address {
+	return addr.Address{
+		Site:    addr.SiteID(f.num >> 48),
+		Incarn:  addr.Incarnation(f.num >> 40),
+		Kind:    f.kind,
+		Entry:   addr.EntryID(f.num >> 32),
+		LocalID: uint32(f.num),
+	}
+}
+
+// view returns the bytes of a stored value without copying. The slice is
+// read-only: the storage is shared with clones of the message and, for a
+// decoded message, with the rest of the packet.
+func view(s string) []byte {
+	if s == "" {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
+// frozenAddresses returns the wire encoding of an address list.
+func frozenAddresses(v addr.List) string {
+	if len(v) == 0 {
+		return ""
+	}
+	b := make([]byte, 0, len(v)*addr.EncodedSize)
+	for _, a := range v {
+		b = a.AppendEncoded(b)
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// addresses decodes the value of a TypeAddressList field into a fresh list.
+// The encoding was validated when it was stored, so decoding cannot fail.
+func (f *field) addresses() addr.List {
+	if f.ref == "" {
+		return nil
+	}
+	out := make(addr.List, 0, len(f.ref)/addr.EncodedSize)
+	for off := 0; off < len(f.ref); off += addr.EncodedSize {
+		out = append(out, decodeAddress(f.ref[off:]))
+	}
+	return out
 }
 
 // Message is a mutable symbol table of named, typed fields. The zero value
 // is not usable; call New.
 type Message struct {
 	fields []field // sorted by name
+	gen    uint64  // counts mutations of this message (not of nested ones)
+	// side holds what only CachedMarshal and UnmarshalInto use, so that the
+	// data path's messages, which use neither, stay small.
+	side *sideState
+}
 
-	// gen counts mutations of this message (not of nested ones); enc holds
-	// the cached wire encoding, valid while encGen == treeGen(). See
+// sideState is the rarely used part of a Message.
+type sideState struct {
+	// enc is the cached wire encoding, valid while encGen == treeGen(). See
 	// CachedMarshal.
-	gen    uint64
 	enc    []byte
 	encGen uint64
+	// scratch is set on a message (and its nested messages) filled by
+	// UnmarshalInto: names and values then point into buf, which the next
+	// UnmarshalInto overwrites, so they are copied before they leave.
+	scratch bool
+	buf     []byte
 }
+
+// aside returns the message's side state, allocating it on first use.
+func (m *Message) aside() *sideState {
+	if m.side == nil {
+		m.side = new(sideState)
+	}
+	return m.side
+}
+
+// firstFields is the capacity a field table starts with on its first Put,
+// and the headroom Clone leaves for the fields its caller is about to add
+// (the toolkit's system fields).
+const firstFields = 4
 
 // New returns an empty message.
 func New() *Message {
 	return &Message{}
 }
 
+// NewSized returns an empty message with room for n fields, for builders
+// that know how many they are about to put.
+func NewSized(n int) *Message {
+	return &Message{fields: make([]field, 0, n)}
+}
+
 // invalidate records a mutation, discarding any cached encoding.
 func (m *Message) invalidate() {
 	m.gen++
-	m.enc = nil
+	if m.side != nil {
+		m.side.enc = nil
+	}
 }
 
 // treeGen sums the mutation counters of this message and every nested
@@ -135,23 +211,58 @@ func (m *Message) treeGen() uint64 {
 // find returns the index where name is or would be stored, and whether it is
 // present.
 func (m *Message) find(name string) (int, bool) {
-	i := sort.Search(len(m.fields), func(i int) bool { return m.fields[i].name >= name })
-	return i, i < len(m.fields) && m.fields[i].name == name
+	lo, hi := 0, len(m.fields)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.fields[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.fields) && m.fields[lo].name == name
+}
+
+// lookup returns the named field if it is present with the given type, and
+// nil otherwise. It is the error-free path under Has and the Get* getters.
+func (m *Message) lookup(name string, typ FieldType) *field {
+	if i, ok := m.find(name); ok && m.fields[i].typ == typ {
+		return &m.fields[i]
+	}
+	return nil
+}
+
+// out returns a name or value in a form that may leave the message: as it is,
+// or copied out of a scratch message's buffer.
+func (m *Message) out(s string) string {
+	if m.side != nil && m.side.scratch {
+		return strings.Clone(s)
+	}
+	return s
 }
 
 // slot returns a pointer to the (possibly freshly inserted) field for name,
-// with its payload members cleared but slice capacity retained. Every Put
-// goes through here, so it also invalidates the cached encoding.
+// cleared except for its name. Every Put goes through here, so it also
+// invalidates the cached encoding.
 func (m *Message) slot(name string, typ FieldType) *field {
 	m.invalidate()
-	i, ok := m.find(name)
+	n := len(m.fields)
+	// Builders and the decoder mostly add fields in ascending order.
+	i, ok := n, false
+	if n > 0 && m.fields[n-1].name >= name {
+		i, ok = m.find(name)
+	}
 	if !ok {
-		m.fields = append(m.fields, field{})
+		if n == cap(m.fields) {
+			grown := make([]field, n, n+max(firstFields, n/2))
+			copy(grown, m.fields)
+			m.fields = grown
+		}
+		m.fields = m.fields[:n+1]
 		copy(m.fields[i+1:], m.fields[i:])
-		m.fields[i] = field{name: name}
 	}
 	f := &m.fields[i]
-	f.reset(typ)
+	*f = field{name: name, typ: typ}
 	return f
 }
 
@@ -189,53 +300,46 @@ func (m *Message) Delete(name string) {
 func (m *Message) Names() []string {
 	out := make([]string, len(m.fields))
 	for i := range m.fields {
-		out[i] = m.fields[i].name
+		out[i] = m.out(m.fields[i].name)
 	}
 	return out
 }
 
-// PutBytes sets a bytes field. The slice is copied (the copy reuses the
-// field's previous storage when possible, so overwriting a field of a
-// recycled message does not allocate).
+// PutBytes sets a bytes field. The slice is copied.
 func (m *Message) PutBytes(name string, v []byte) *Message {
-	f := m.slot(name, TypeBytes)
-	f.bytes = append(f.bytes, v...)
+	m.slot(name, TypeBytes).ref = string(v)
 	return m
 }
 
 // PutString sets a string field.
 func (m *Message) PutString(name, v string) *Message {
-	f := m.slot(name, TypeString)
-	f.str = v
+	m.slot(name, TypeString).ref = v
 	return m
 }
 
 // PutInt sets an integer field.
 func (m *Message) PutInt(name string, v int64) *Message {
-	f := m.slot(name, TypeInt)
-	f.i = v
+	m.slot(name, TypeInt).num = uint64(v)
 	return m
 }
 
 // PutAddress sets an address field.
 func (m *Message) PutAddress(name string, v addr.Address) *Message {
 	f := m.slot(name, TypeAddress)
-	f.adr = v
+	f.kind, f.num = v.Kind, packAddress(v)
 	return m
 }
 
 // PutAddressList sets an address list field. The list is copied.
 func (m *Message) PutAddressList(name string, v addr.List) *Message {
-	f := m.slot(name, TypeAddressList)
-	f.adrs = append(f.adrs, v...)
+	m.slot(name, TypeAddressList).ref = frozenAddresses(v)
 	return m
 }
 
 // PutMessage sets a nested message field. The nested message is stored by
 // reference; callers that will keep mutating it should Put a Clone instead.
 func (m *Message) PutMessage(name string, v *Message) *Message {
-	f := m.slot(name, TypeMessage)
-	f.sub = v
+	m.slot(name, TypeMessage).sub = v
 	return m
 }
 
@@ -247,24 +351,23 @@ var (
 
 // get returns the field for name, or an error when absent or of another type.
 func (m *Message) get(name string, typ FieldType) (*field, error) {
-	i, ok := m.find(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoField, name)
+	if f := m.lookup(name, typ); f != nil {
+		return f, nil
 	}
-	f := &m.fields[i]
-	if f.typ != typ {
-		return nil, fmt.Errorf("%w: %q is %v", ErrWrongType, name, f.typ)
+	if t, ok := m.Type(name); ok {
+		return nil, fmt.Errorf("%w: %q is %v", ErrWrongType, name, t)
 	}
-	return f, nil
+	return nil, fmt.Errorf("%w: %q", ErrNoField, name)
 }
 
-// Bytes returns the bytes field, or an error if missing or of another type.
+// Bytes returns a copy of the bytes field, or an error if missing or of
+// another type.
 func (m *Message) Bytes(name string) ([]byte, error) {
 	f, err := m.get(name, TypeBytes)
 	if err != nil {
 		return nil, err
 	}
-	return f.bytes, nil
+	return bytes.Clone(view(f.ref)), nil
 }
 
 // String returns the string field.
@@ -273,7 +376,7 @@ func (m *Message) String(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return f.str, nil
+	return m.out(f.ref), nil
 }
 
 // Int returns the integer field.
@@ -282,7 +385,7 @@ func (m *Message) Int(name string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.i, nil
+	return int64(f.num), nil
 }
 
 // Address returns the address field.
@@ -291,16 +394,16 @@ func (m *Message) Address(name string) (addr.Address, error) {
 	if err != nil {
 		return addr.Nil, err
 	}
-	return f.adr, nil
+	return f.address(), nil
 }
 
-// AddressList returns the address list field.
+// AddressList returns a fresh copy of the address list field.
 func (m *Message) AddressList(name string) (addr.List, error) {
 	f, err := m.get(name, TypeAddressList)
 	if err != nil {
 		return nil, err
 	}
-	return f.adrs, nil
+	return f.addresses(), nil
 }
 
 // Message returns the nested message field.
@@ -317,48 +420,57 @@ func (m *Message) Message(name string) (*Message, error) {
 
 // GetInt returns the integer field or def when absent or mistyped.
 func (m *Message) GetInt(name string, def int64) int64 {
-	if v, err := m.Int(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeInt); f != nil {
+		return int64(f.num)
 	}
 	return def
 }
 
 // GetString returns the string field or def when absent or mistyped.
 func (m *Message) GetString(name, def string) string {
-	if v, err := m.String(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeString); f != nil {
+		return m.out(f.ref)
 	}
 	return def
 }
 
-// GetBytes returns the bytes field or nil when absent or mistyped.
+// GetBytes returns a copy of the bytes field, which the caller owns, or nil
+// when absent or mistyped.
 func (m *Message) GetBytes(name string) []byte {
-	if v, err := m.Bytes(name); err == nil {
-		return v
+	return bytes.Clone(m.BytesView(name))
+}
+
+// BytesView is GetBytes without the copy, for callers that only read: the
+// slice must not be written to (its storage is shared with clones of the
+// message and the other deliveries of a multicast) and, on a message filled
+// by UnmarshalInto, is only valid until the next decode.
+func (m *Message) BytesView(name string) []byte {
+	if f := m.lookup(name, TypeBytes); f != nil {
+		return view(f.ref)
 	}
 	return nil
 }
 
 // GetAddress returns the address field or addr.Nil when absent or mistyped.
 func (m *Message) GetAddress(name string) addr.Address {
-	if v, err := m.Address(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeAddress); f != nil {
+		return f.address()
 	}
 	return addr.Nil
 }
 
-// GetAddressList returns the address list field or nil.
+// GetAddressList returns a fresh copy of the address list field, or nil.
 func (m *Message) GetAddressList(name string) addr.List {
-	if v, err := m.AddressList(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeAddressList); f != nil {
+		return f.addresses()
 	}
 	return nil
 }
 
 // GetMessage returns the nested message field or nil.
 func (m *Message) GetMessage(name string) *Message {
-	if v, err := m.Message(name); err == nil {
-		return v
+	if f := m.lookup(name, TypeMessage); f != nil {
+		return f.sub
 	}
 	return nil
 }
@@ -395,25 +507,24 @@ func (m *Message) StripSystemFields() {
 	}
 }
 
-// Clone returns a deep copy of the message.
-func (m *Message) Clone() *Message {
+// Clone returns a copy of the message that shares nothing mutable with it:
+// the field table is copied (with headroom for a few more fields), nested
+// messages are cloned, and variable-length values — immutable once stored —
+// are shared.
+func (m *Message) Clone() *Message { return m.clone(firstFields) }
+
+func (m *Message) clone(room int) *Message {
 	out := &Message{}
-	if len(m.fields) == 0 {
+	if len(m.fields)+room == 0 {
 		return out
 	}
-	out.fields = make([]field, len(m.fields))
+	out.fields = make([]field, len(m.fields), len(m.fields)+room)
 	copy(out.fields, m.fields)
 	for i := range out.fields {
 		f := &out.fields[i]
-		switch f.typ {
-		case TypeBytes:
-			f.bytes = append([]byte(nil), f.bytes...)
-		case TypeAddressList:
-			f.adrs = append(addr.List(nil), f.adrs...)
-		case TypeMessage:
-			if f.sub != nil {
-				f.sub = f.sub.Clone()
-			}
+		f.name, f.ref = m.out(f.name), m.out(f.ref)
+		if f.sub != nil {
+			f.sub = f.sub.clone(0)
 		}
 	}
 	return out
@@ -430,15 +541,15 @@ func (m *Message) Format() string {
 		f := &m.fields[i]
 		switch f.typ {
 		case TypeBytes:
-			s += fmt.Sprintf("%s=bytes[%d]", f.name, len(f.bytes))
+			s += fmt.Sprintf("%s=bytes[%d]", f.name, len(f.ref))
 		case TypeString:
-			s += fmt.Sprintf("%s=%q", f.name, f.str)
+			s += fmt.Sprintf("%s=%q", f.name, f.ref)
 		case TypeInt:
-			s += fmt.Sprintf("%s=%d", f.name, f.i)
+			s += fmt.Sprintf("%s=%d", f.name, int64(f.num))
 		case TypeAddress:
-			s += fmt.Sprintf("%s=%v", f.name, f.adr)
+			s += fmt.Sprintf("%s=%v", f.name, f.address())
 		case TypeAddressList:
-			s += fmt.Sprintf("%s=%v", f.name, f.adrs)
+			s += fmt.Sprintf("%s=%v", f.name, f.addresses())
 		case TypeMessage:
 			s += fmt.Sprintf("%s=%s", f.name, f.sub.Format())
 		}

@@ -313,3 +313,69 @@ func TestMarshalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Values are immutable once stored and clones share them, so no mutation of
+// one message may show through another.
+func TestCloneSharesNothingMutable(t *testing.T) {
+	orig := New().PutBytes("b", []byte("original")).PutString("s", "text").
+		PutAddressList("l", addr.List{addr.NewProcess(1, 0, 1)}).
+		PutMessage("sub", New().PutBytes("b", []byte("nested")))
+	want, _ := orig.Marshal()
+	c := orig.Clone()
+
+	c.PutBytes("b", []byte("replaced"))
+	c.PutString("s", "other")
+	c.PutAddressList("l", nil)
+	c.GetMessage("sub").PutBytes("b", []byte("changed")).PutInt("extra", 1)
+	c.Delete("s")
+	c.PutInt("@new", 1)
+	if got, _ := orig.Marshal(); !bytes.Equal(got, want) {
+		t.Errorf("mutating a clone changed the original: %s", orig.Format())
+	}
+
+	c = orig.Clone()
+	cwant, _ := c.Marshal()
+	orig.PutBytes("b", []byte("xx")).GetMessage("sub").PutBytes("b", nil)
+	orig.StripSystemFields()
+	orig.Delete("l")
+	if got, _ := c.Marshal(); !bytes.Equal(got, cwant) {
+		t.Errorf("mutating the original changed its clone: %s", c.Format())
+	}
+
+	l := c.GetAddressList("l")
+	l[0] = addr.NewGroup(9, 9, 9)
+	if c.GetAddressList("l")[0] != addr.NewProcess(1, 0, 1) {
+		t.Error("GetAddressList handed out the message's own storage")
+	}
+}
+
+// The caller may reuse the buffer it put or decoded from.
+func TestInputBuffersAreCopied(t *testing.T) {
+	in := []byte("payload")
+	m := New().PutBytes("b", in).PutBytes("one", in[:1])
+	enc, _ := m.Marshal()
+	dec, err := Unmarshal(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(in)
+	clear(enc)
+	for _, got := range []*Message{m, dec} {
+		if string(got.GetBytes("b")) != "payload" || string(got.GetBytes("one")) != "p" || !got.Has("one") {
+			t.Errorf("message changed with its input buffer: %s", got.Format())
+		}
+	}
+}
+
+func TestAddressPackingIsLossless(t *testing.T) {
+	for _, a := range []addr.Address{
+		addr.Nil,
+		addr.NewProcess(0xffff, 0xff, 0xffffffff).WithEntry(0xff),
+		addr.NewGroup(1, 2, 1<<24), // beyond the 24 bits the wire carries
+		addr.NewProcess(7, 0, 3).WithEntry(addr.EntryUserBase),
+	} {
+		if got := New().PutAddress("a", a).GetAddress("a"); got != a {
+			t.Errorf("PutAddress/GetAddress: got %v, want %v", got, a)
+		}
+	}
+}

@@ -240,14 +240,18 @@ const recentLimit = 256
 // abSendState is the initiator-side state of one ABCAST (phase 1 responses
 // still outstanding).
 type abSendState struct {
-	id      core.MsgID
-	group   addr.Address
-	sender  addr.Address
-	waiting map[addr.SiteID]bool
-	targets []addr.SiteID
-	maxPrio uint64
-	packet  *msg.Message
-	done    bool
+	id     core.MsgID
+	group  addr.Address
+	sender addr.Address
+	// targets lists the remote member sites phase 1 and the commit go to; it
+	// is fixed when the round is set up. waiting holds those that have not
+	// proposed (or failed) yet.
+	targets  []addr.SiteID
+	waiting  []addr.SiteID
+	maxPrio  uint64
+	packet   *msg.Message
+	done     bool
+	watchdog *time.Timer // completes the round at CallTimeout; stopped when it is retired
 
 	// attempt qualifies the phase-1/proposal exchange: a GBCAST flush that
 	// fences this ABCAST behind a view change restarts it with a higher
@@ -332,8 +336,8 @@ type Daemon struct {
 	counters Counters
 	closed   bool
 
-	unwatchLinks func() // unregisters the heal-probe link watcher on Close
-	stopScan     chan struct{}
+	unwatchLinks func()        // unregisters the heal-probe link watcher on Close
+	stopScan     chan struct{} // closed by Close: stops the scan loop and fails calls still waiting
 
 	wg sync.WaitGroup
 }
@@ -477,9 +481,11 @@ func (d *Daemon) Close() {
 	for _, p := range d.procs {
 		procs = append(procs, p)
 	}
+	for _, st := range d.pendingAb {
+		d.retireAbcastLocked(st)
+	}
 	d.mu.Unlock()
 
-	close(d.stopScan)
 	d.bus.Close()
 	if d.unwatchLinks != nil {
 		d.unwatchLinks()
@@ -489,6 +495,10 @@ func (d *Daemon) Close() {
 	}
 	d.tr.Close()
 	d.ep.Close()
+	// Only now, with the site off the network: whatever the released waiters
+	// do next cannot reach a peer as this site's dying words (a crashed
+	// coordinator answers nobody; its requesters time out and fail over).
+	close(d.stopScan)
 	for _, p := range procs {
 		close(p.queue)
 	}
@@ -633,19 +643,13 @@ func (d *Daemon) AnnounceRestart() {
 // Transport plumbing and call helper
 
 // encodePacket builds the wire bytes of a daemon-to-daemon packet: the
-// two-byte envelope followed by the marshalled body. The body comes from
-// the message's cached-encoding handle, so a packet is marshalled at most
-// once no matter how many times it is encoded or to how many destination
-// sites the resulting bytes are fanned out.
+// two-byte envelope followed by the body, marshalled straight into the one
+// exactly sized buffer. Senders encode a packet once and fan the same bytes
+// out to every destination site.
 func encodePacket(pt byte, p *msg.Message) ([]byte, error) {
-	body, err := p.CachedMarshal()
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]byte, envelopeBytes+len(body))
+	raw := make([]byte, envelopeBytes, envelopeBytes+p.MarshaledSize())
 	raw[0], raw[1] = wireVersion, pt
-	copy(raw[envelopeBytes:], body)
-	return raw, nil
+	return p.AppendMarshal(raw)
 }
 
 // sendRaw transmits pre-encoded packet bytes to a site.
@@ -814,6 +818,8 @@ func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, 
 		return resp, nil
 	case <-time.After(d.cfg.CallTimeout):
 		return nil, ErrTimeout
+	case <-d.stopScan:
+		return nil, ErrClosed
 	}
 }
 

@@ -80,6 +80,8 @@ func (d *Daemon) localGbRequest(gid addr.Address, req *msg.Message) (*msg.Messag
 		return resp, nil
 	case <-time.After(2 * d.cfg.CallTimeout):
 		return nil, ErrTimeout
+	case <-d.stopScan:
+		return nil, ErrClosed
 	}
 }
 
@@ -865,6 +867,15 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 			d.removeGhosts(gid.Base(), ghosts)
 			return
 		}
+		if known, ok := d.remoteViews[gid.Base()]; ok && newView.ID < known.ID {
+			// A pre-partition commit retransmitted across a heal, arriving
+			// after the merge discarded this site's copy: the primary has
+			// long moved past this view. Installing it would resurrect the
+			// stale membership (and swallow the merge's pending join with its
+			// state receiver); the merge's own join commit is on its way.
+			d.mu.Unlock()
+			return
+		}
 		// The view itself is installed by applyViewChangeLocked below; the
 		// stub starts at view id 0 so the commit's view is never mistaken
 		// for already-installed.
@@ -945,8 +956,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// retire keeps the sender's outstanding count (the Flush API) exact
 		// and stops the watchdog from fanning out a conflicting commit.
 		if st, ok := d.pendingAb[ab.ID]; ok && st.group == gid.Base() {
-			st.done = true
-			delete(d.pendingAb, ab.ID)
+			d.retireAbcastLocked(st)
 			d.releaseAbSenderLocked(st)
 		}
 	}
@@ -991,8 +1001,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	var restarts []*abSendState
 	var restartPkts []*msg.Message
 	for _, st := range fenced {
-		delete(d.pendingAb, st.id)
-		st.done = true
+		d.retireAbcastLocked(st)
 		if len(gs.members) == 0 {
 			d.releaseAbSenderLocked(st)
 			continue
@@ -1016,7 +1025,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 
 	// A site left with no members drops the group state entirely.
 	if len(gs.members) == 0 {
-		delete(d.groups, gid.Base())
+		d.dropGroupLocked(gid.Base())
 		d.remoteViews[gid.Base()] = newView.Clone()
 	}
 	d.mu.Unlock()
@@ -1542,12 +1551,8 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
 	var toFinish []*abSendState
 	for _, st := range d.pendingAb {
-		if st.waiting[s] {
-			delete(st.waiting, s)
-			if len(st.waiting) == 0 && !st.done {
-				st.done = true
-				toFinish = append(toFinish, st)
-			}
+		if st.proposalInLocked(s) {
+			toFinish = append(toFinish, st)
 		}
 	}
 	type removal struct {
@@ -1604,7 +1609,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Unlock()
 
 	for _, st := range toFinish {
-		d.finishAbcast(st)
+		d.completeAbcast(st)
 	}
 	for _, r := range removals {
 		if r.force {

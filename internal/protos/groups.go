@@ -505,3 +505,17 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 		_, _ = d.coordinatorCall(gid, req)
 	}()
 }
+
+// dropGroupLocked forgets a group this site no longer hosts. An ABCAST round
+// this site still has open for it is over too: there is no local copy left to
+// commit into, and the flush or merge that emptied the site has settled the
+// message's fate at the sites that remain. Caller holds d.mu.
+func (d *Daemon) dropGroupLocked(gid addr.Address) {
+	delete(d.groups, gid)
+	for _, st := range d.pendingAb {
+		if st.group == gid {
+			d.retireAbcastLocked(st)
+			d.releaseAbSenderLocked(st)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package protos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/addr"
@@ -28,6 +29,11 @@ const fRelay = "&relay"
 // ABCAST are asynchronous: the call returns as soon as the message has been
 // handed to the network. GBCAST is synchronous: it returns once the
 // globally-ordered delivery has been committed at the group.
+//
+// The daemon takes ownership of payload: it travels inside the wire packets
+// and every local delivery is built from it, without another copy, so the
+// caller must not touch it after the call (Process.Cast hands over its own
+// stripped clone of the application's message).
 func (d *Daemon) Multicast(sender addr.Address, proto Protocol, dests addr.List, entry addr.EntryID, payload *msg.Message) (core.MsgID, error) {
 	id, _, err := d.MulticastRequest(sender, proto, dests, entry, payload)
 	return id, err
@@ -111,7 +117,7 @@ func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, pa
 	req.PutAddress(fGroup, gid)
 	req.PutAddress(fSender, sender.Base())
 	req.PutInt(fEntry, int64(entry))
-	req.PutMessage(fPayload, payload.Clone())
+	req.PutMessage(fPayload, payload)
 	_, err := d.coordinatorCall(gid, req)
 	return req.GetInt(fReqID, 0), err
 }
@@ -123,27 +129,26 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	if len(dests) == 0 {
 		return nil
 	}
-	pkt := msg.New()
-	pkt.PutInt(fProto, int64(CBCAST))
-	putMsgID(pkt, id)
-	pkt.PutAddress(fSender, sender.Base())
-	pkt.PutInt(fEntry, int64(entry))
+	pkt := msg.NewSized(7)
 	pkt.PutAddressList(fDests, dests)
-	pkt.PutMessage(fPayload, payload.Clone())
+	pkt.PutInt(fEntry, int64(entry))
+	putMsgID(pkt, id)
+	pkt.PutMessage(fPayload, payload)
+	pkt.PutInt(fProto, int64(CBCAST))
+	pkt.PutAddress(fSender, sender.Base())
 
 	d.mu.Lock()
 	d.counters.PointToPoints++
 	d.mu.Unlock()
 
-	remoteSites := make(map[addr.SiteID]bool)
-	for _, a := range dests {
-		if a.Site == d.site {
-			continue
-		}
-		remoteSites[a.Site] = true
-	}
 	// Local destinations are delivered immediately.
-	d.deliverPointToPoint(pkt)
+	d.deliverPointToPoint(pkt, dests)
+	var remoteSites []addr.SiteID // a handful at most
+	for _, a := range dests {
+		if a.Site != d.site && !slices.Contains(remoteSites, a.Site) {
+			remoteSites = append(remoteSites, a.Site)
+		}
+	}
 	if len(remoteSites) == 0 {
 		return nil
 	}
@@ -152,7 +157,7 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	if err != nil {
 		return err
 	}
-	for s := range remoteSites {
+	for _, s := range remoteSites {
 		if err := d.sendRaw(s, raw); err != nil {
 			return err
 		}
@@ -160,9 +165,9 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	return nil
 }
 
-// deliverPointToPoint hands a direct message to its local destinations.
-func (d *Daemon) deliverPointToPoint(pkt *msg.Message) {
-	dests := pkt.GetAddressList(fDests)
+// deliverPointToPoint hands a direct message to those of its destinations
+// (the packet's fDests) that live at this site.
+func (d *Daemon) deliverPointToPoint(pkt *msg.Message, dests addr.List) {
 	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
 	sender := pkt.GetAddress(fSender)
 	payload := pkt.GetMessage(fPayload)
@@ -234,15 +239,18 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 // body, so the body built here is destination-independent: encodePacket
 // marshals it exactly once per multicast regardless of fan-out width.
 func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.ViewID, id core.MsgID, sender addr.Address, rank int, entry addr.EntryID, payload *msg.Message) *msg.Message {
-	pkt := msg.New()
-	pkt.PutInt(fProto, int64(proto))
-	pkt.PutAddress(fGroup, gid)
-	pkt.PutInt(fViewID, int64(viewID))
-	putMsgID(pkt, id)
-	pkt.PutAddress(fSender, sender.Base())
-	pkt.PutInt(fRank, int64(rank))
+	// Sized for the fields put here (in name order, so each lands at the
+	// end of the table) plus the two a sender may add: a timestamp, a relay
+	// mark or an attempt number.
+	pkt := msg.NewSized(11)
 	pkt.PutInt(fEntry, int64(entry))
-	pkt.PutMessage(fPayload, payload.Clone())
+	pkt.PutAddress(fGroup, gid)
+	putMsgID(pkt, id)
+	pkt.PutMessage(fPayload, payload)
+	pkt.PutInt(fProto, int64(proto))
+	pkt.PutInt(fRank, int64(rank))
+	pkt.PutAddress(fSender, sender.Base())
+	pkt.PutInt(fViewID, int64(viewID))
 	return pkt
 }
 
@@ -466,19 +474,16 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 	st := &abSendState{
 		id:      id,
 		group:   gs.view.Group,
-		waiting: make(map[addr.SiteID]bool),
 		maxPrio: maxPrio,
 		packet:  pkt,
 		attempt: attempt,
 	}
-	st.targets = append(st.targets, d.site)
 	for _, s := range gs.view.SitesOf() {
-		if s == d.site || d.suspected[s] {
-			continue
+		if s != d.site && !d.suspected[s] {
+			st.targets = append(st.targets, s)
 		}
-		st.waiting[s] = true
-		st.targets = append(st.targets, s)
 	}
+	st.waiting = append(st.waiting, st.targets...)
 	d.pendingAb[id] = st
 	if senderLP != nil {
 		senderLP.outstanding++
@@ -495,41 +500,73 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 // transmitAbcast ships phase 1 to the remote member sites and completes the
 // protocol immediately if there is nobody to wait for. A watchdog completes
 // the protocol even if some site never answers (it will have been declared
-// failed by then, or the timeout acts as a backstop).
+// failed by then, or the timeout acts as a backstop); whatever retires the
+// round first stops it (retireAbcastLocked).
 func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
-	d.mu.Lock()
-	remote := make([]addr.SiteID, 0, len(st.waiting))
-	for s := range st.waiting {
-		remote = append(remote, s)
-	}
-	ready := len(st.waiting) == 0 && !st.done
-	if ready {
-		st.done = true
-	}
-	d.mu.Unlock()
-
-	if len(remote) > 0 {
-		// Phase 1 is marshalled once and shared by every remote member site.
-		if raw, err := encodePacket(ptData, pkt); err == nil {
-			for _, s := range remote {
-				_ = d.sendRaw(s, raw)
-			}
-		}
-	}
-	if ready {
-		d.completeAbcast(st)
-		return
-	}
-	time.AfterFunc(d.cfg.CallTimeout, func() {
+	if len(st.targets) == 0 {
 		d.mu.Lock()
-		if _, still := d.pendingAb[st.id]; !still || st.done {
-			d.mu.Unlock()
-			return
-		}
+		ready := !st.done
 		st.done = true
 		d.mu.Unlock()
-		d.completeAbcast(st)
-	})
+		if ready {
+			d.completeAbcast(st)
+		}
+		return
+	}
+	d.mu.Lock()
+	if d.pendingAb[st.id] == st && !d.closed {
+		st.watchdog = time.AfterFunc(d.cfg.CallTimeout, func() {
+			d.mu.Lock()
+			expired := d.pendingAb[st.id] == st && !st.done
+			if expired {
+				st.done = true
+			}
+			d.mu.Unlock()
+			if expired {
+				d.completeAbcast(st)
+			}
+		})
+	}
+	d.mu.Unlock()
+	// Phase 1 is marshalled once and shared by every remote member site
+	// (the target list is fixed once the round is set up).
+	if raw, err := encodePacket(ptData, pkt); err == nil {
+		for _, s := range st.targets {
+			_ = d.sendRaw(s, raw)
+		}
+	}
+}
+
+// retireAbcastLocked ends an initiator round on every path but the normal
+// completion's bookkeeping: the state leaves pendingAb, is marked done, and
+// its watchdog is stopped so a retired round (and the packet it holds) is
+// garbage at once rather than CallTimeout later. Caller holds d.mu.
+func (d *Daemon) retireAbcastLocked(st *abSendState) {
+	if d.pendingAb[st.id] == st {
+		delete(d.pendingAb, st.id)
+	}
+	st.done = true
+	if st.watchdog != nil {
+		st.watchdog.Stop()
+	}
+}
+
+// proposalInLocked records that site s answered phase 1 (or will never
+// answer, having failed) and reports whether that completed the round: the
+// caller must then call completeAbcast. Caller holds d.mu.
+func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
+	i := slices.Index(st.waiting, s)
+	if i < 0 {
+		return false
+	}
+	last := len(st.waiting) - 1
+	st.waiting[i] = st.waiting[last]
+	st.waiting = st.waiting[:last]
+	if last == 0 && !st.done {
+		st.done = true
+		return true
+	}
+	return false
 }
 
 // handleAbPropose processes a phase-1 response at the initiator. Proposals
@@ -549,20 +586,12 @@ func (d *Daemon) handleAbPropose(from addr.SiteID, p *msg.Message) {
 	if prio > st.maxPrio {
 		st.maxPrio = prio
 	}
-	delete(st.waiting, from)
-	finish := len(st.waiting) == 0 && !st.done
-	if finish {
-		st.done = true
-	}
+	finish := st.proposalInLocked(from)
 	d.mu.Unlock()
 	if finish {
 		d.completeAbcast(st)
 	}
 }
-
-// finishAbcast is invoked when a site failure removes the last outstanding
-// proposal for an ABCAST.
-func (d *Daemon) finishAbcast(st *abSendState) { d.completeAbcast(st) }
 
 // releaseAbSenderLocked credits the sending process's outstanding-ABCAST
 // count when a protocol round ends (completed, retired by a flush, or
@@ -598,22 +627,27 @@ func (d *Daemon) completeAbcast(st *abSendState) {
 		time.AfterFunc(2*time.Millisecond, func() { d.completeAbcast(st) })
 		return
 	}
-	delete(d.pendingAb, st.id)
+	d.retireAbcastLocked(st)
 	final := st.maxPrio
 	d.releaseAbSenderLocked(st)
-	targets := append([]addr.SiteID(nil), st.targets...)
-	gid := st.group
 	d.mu.Unlock()
 
-	commit := msg.New()
-	commit.PutAddress(fGroup, gid)
-	putMsgID(commit, st.id)
-	commit.PutInt(fPriority, int64(final))
+	commit := newAbCommit(st.group, st.id, final)
 	// Phase 2 is marshalled once for all destination sites.
 	if raw, err := encodePacket(ptAbCommit, commit); err == nil {
-		d.fanoutRaw(targets, raw)
+		d.fanoutRaw(st.targets, raw)
 	}
 	d.handleAbCommit(d.site, commit)
+}
+
+// newAbCommit builds an ABCAST phase-2 packet: the final priority of one
+// message of one group.
+func newAbCommit(gid addr.Address, id core.MsgID, final uint64) *msg.Message {
+	commit := msg.NewSized(4)
+	commit.PutAddress(fGroup, gid)
+	putMsgID(commit, id)
+	commit.PutInt(fPriority, int64(final))
+	return commit
 }
 
 // handleAbCommit applies an ABCAST final priority at a destination site.
@@ -697,11 +731,7 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
 	if !done {
 		return
 	}
-	commit := msg.New()
-	commit.PutAddress(fGroup, gid.Base())
-	putMsgID(commit, id)
-	commit.PutInt(fPriority, int64(final))
-	_ = d.sendPacket(from, ptAbCommit, commit)
+	_ = d.sendPacket(from, ptAbCommit, newAbCommit(gid.Base(), id, final))
 }
 
 // runResolicitScan periodically checks every local member's total-order
@@ -768,11 +798,7 @@ func (d *Daemon) resolicitStragglers() {
 			if final, ok := d.abDone[id]; ok {
 				// Another local member (or a past commit within the bounded
 				// record) already knows the outcome: apply it directly.
-				commit := msg.New()
-				commit.PutAddress(fGroup, gid)
-				putMsgID(commit, id)
-				commit.PutInt(fPriority, int64(final))
-				selfFix = append(selfFix, commit)
+				selfFix = append(selfFix, newAbCommit(gid, id, final))
 				continue
 			}
 			to := d.resolicitTargetLocked(gs, payload, ms.resolicits)
@@ -836,7 +862,7 @@ func (d *Daemon) resolicitTargetLocked(gs *groupState, payload any, attempt int)
 func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 	gid := pkt.GetAddress(fGroup)
 	if gid.IsNil() {
-		d.deliverPointToPoint(pkt)
+		d.deliverPointToPoint(pkt, pkt.GetAddressList(fDests))
 		return
 	}
 	if pkt.GetInt(fRelay, 0) == 1 {
@@ -887,7 +913,7 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 			}
 		}
 		d.mu.Unlock()
-		resp := msg.New()
+		resp := msg.NewSized(5)
 		resp.PutAddress(fGroup, gid)
 		putMsgID(resp, id)
 		resp.PutInt(fPriority, int64(maxPrio))
@@ -932,7 +958,10 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 // Delivery helpers
 
 // buildDelivery constructs the application-visible message: the payload plus
-// the toolkit system fields.
+// the toolkit system fields. Each destination gets a table of its own (Clone
+// leaves room for the system fields), so a handler may mutate what it was
+// handed; the payload's values are immutable and shared by every delivery,
+// the wire packet and the flush's re-dissemination record.
 func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address, viewID core.ViewID, proto Protocol) *msg.Message {
 	m := payload.Clone()
 	m.PutAddress(msg.FSender, sender.Base())

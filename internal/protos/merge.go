@@ -171,7 +171,7 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 		}
 		rejoins = append(rejoins, rejoin{a, ms.stateRecv, primView.Contains(a)})
 	}
-	delete(d.groups, gid)
+	d.dropGroupLocked(gid)
 	d.remoteViews[gid] = primView.Clone()
 	if primView.Name != "" {
 		d.nameCache[primView.Name] = gid

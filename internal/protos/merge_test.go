@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -74,4 +76,57 @@ func TestMergeRejoinExhaustionParksAndRetries(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		return procs[2].got("post-park")
 	})
+}
+
+// TestStaleCommitAfterMergeDropIsIgnored pins a merge race: a pre-partition
+// view commit, retransmitted across the heal, reaches the minority site after
+// the merge has discarded its group copy and cached the primary's (newer)
+// view. The commit lists the site's member, so it used to be installed as if
+// it were the member's join — resurrecting the stale membership and consuming
+// the pending join (with its state receiver) the merge had just registered;
+// the state transfer of the real rejoin then found nobody waiting for it.
+func TestStaleCommitAfterMergeDropIsIgnored(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	p := tc.newProc(2)
+	d := tc.daemons[2]
+	gid := addr.NewGroup(1, 0, 1)
+	other := addr.NewProcess(1, 0, 1)
+	view := func(id core.ViewID, members ...addr.Address) core.View {
+		return core.View{Group: gid, Name: "bank", ID: id, Members: members}
+	}
+	commit := func(v core.View, kind int64, procs ...addr.Address) *msg.Message {
+		c := msg.New()
+		c.PutAddress(fGroup, gid)
+		c.PutInt(fGbID, int64(v.ID))
+		c.PutInt(fKind, kind)
+		c.PutAddressList(fProcs, procs)
+		c.PutMessage(fView, encodeView(v))
+		c.PutMessage(fRebcast, encodePendingReport(pendingReport{}))
+		return c
+	}
+	hosted := func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		_, ok := d.groups[gid]
+		return ok
+	}
+
+	// What the merge leaves behind: no local copy, the primary's view 7.
+	d.mu.Lock()
+	d.remoteViews[gid] = view(7, other)
+	d.mu.Unlock()
+
+	// View 6 removed somebody else and still lists our member.
+	d.applyGbCommit(1, commit(view(6, other, p.addr), gbFail, addr.NewProcess(1, 0, 9)))
+	if hosted() {
+		t.Fatal("a commit older than the known primary view was installed")
+	}
+	// The merge's own join commit is newer and must land.
+	d.applyGbCommit(1, commit(view(8, other, p.addr), gbJoin, p.addr))
+	if !hosted() {
+		t.Fatal("the join commit that follows was not installed")
+	}
+	if v, ok := d.CurrentView(gid); !ok || v.ID != 8 {
+		t.Fatalf("installed view = %v, want view 8", v)
+	}
 }

@@ -181,7 +181,7 @@ func putVT(p *msg.Message, vt vclock.VC) {
 }
 
 func getVT(p *msg.Message) vclock.VC {
-	vt, err := vclock.Decode(p.GetBytes(fVT))
+	vt, err := vclock.Decode(p.BytesView(fVT))
 	if err != nil {
 		return nil
 	}

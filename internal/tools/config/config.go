@@ -128,7 +128,7 @@ func (t *Tool) Install(snapshot []byte) error {
 		if e == nil {
 			continue
 		}
-		values[e.GetString("k", "")] = append([]byte(nil), e.GetBytes("v")...)
+		values[e.GetString("k", "")] = e.GetBytes("v")
 	}
 	t.mu.Lock()
 	t.values = values

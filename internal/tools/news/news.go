@@ -129,7 +129,7 @@ func (s *Server) forward(subject string, post *isis.Message) {
 	feed.PutString(fOp, opFeed)
 	feed.PutString(fSubject, subject)
 	feed.PutString("body", post.GetString("body", ""))
-	if b := post.GetBytes("data"); b != nil {
+	if b := post.BytesView("data"); b != nil {
 		feed.PutBytes("data", b)
 	}
 	feed.PutAddress("news-poster", post.Sender())

@@ -1,5 +1,6 @@
 // Package transport provides reliable, FIFO, fragmenting site-to-site
-// message channels on top of the lossy datagram service of internal/simnet.
+// message channels on top of the lossy datagram service of a
+// internal/netback fabric.
 //
 // The paper's system model (Section 2.1) tolerates message loss but not
 // partitioning; the ISIS protocols process therefore assumes an underlying
@@ -28,6 +29,16 @@
 //     needs no dedicated ack packets. A short ack timer (Config.AckDelay)
 //     sends a pure ack only when no reverse traffic shows up in time.
 //
+// The data path allocates one thing per message: the sender's copy of each
+// fragment, kept in a sequence-indexed send window until its ack arrives (an
+// ack retires a prefix of the window and touches nothing else). Frames are
+// built in one reusable buffer per peer flusher — the backend is done with
+// it when Send returns — and a received single-fragment message reaches the
+// handler as a sub-slice of the frame it arrived in, which the backend handed
+// to the receiver; only fragmented messages are copied together. Each window
+// record remembers when it was last transmitted, and the retransmission sweep
+// resends only records whose ack is at least RetransmitInterval overdue.
+//
 // Sequence numbers are qualified by a stream epoch so that a site restart
 // (new incarnation, sequence numbers starting over at 1) is not mistaken
 // for duplicate traffic, and so that stale acks from a previous incarnation
@@ -47,7 +58,8 @@
 //	    bytes 9-16  cumulative ack: highest sequence delivered in order
 //
 //	data frame:
-//	    byte 0      kindFrame
+//	    byte 0      kindFrame, or kindFrameLow when the first record is the
+//	                sender's lowest outstanding sequence
 //	    bytes 1-8   sender's stream epoch for this link
 //	    bytes 9-16  piggybacked ack: epoch of the reverse data stream
 //	    bytes 17-24 piggybacked cumulative ack (0: nothing received yet)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -99,26 +98,62 @@ var (
 	ErrTooSmall = errors.New("transport: MaxPacket too small for header")
 )
 
-// peerSend tracks the sending half of a connection to one peer site.
+// sendRec is one sub-packet record in a peer's send window.
+type sendRec struct {
+	rec    []byte    // sub-packet header and fragment
+	sentAt time.Time // last transmission; zero until the flusher first sends it
+}
+
+// peerSend tracks the sending half of a connection to one peer site. The
+// window holds every record not yet acknowledged, indexed by sequence:
+// window[head+i] carries sequence base+i. Records up to sentUpTo have been on
+// the wire and wait for their ack (or a retransmission); the rest await their
+// first transmission by the flusher.
 type peerSend struct {
 	epoch    uint64 // stream epoch stamped on outgoing frames
 	nextSeq  uint64
-	unacked  map[uint64][]byte // seq -> sub-packet record (header included)
-	queue    [][]byte          // records awaiting their first transmission
-	sentUpTo uint64            // highest sequence handed to a frame so far
-	kick     chan struct{}     // wakes the per-peer flusher
-	started  bool              // flusher goroutine running
+	window   []sendRec
+	head     int           // index of the lowest unacknowledged record
+	base     uint64        // its sequence number (nextSeq when the window is empty)
+	sentUpTo uint64        // highest sequence handed to a frame so far
+	kick     chan struct{} // wakes the per-peer flusher
+	started  bool          // flusher goroutine running
 }
 
-// pendingAck is the receive-side ack bookkeeping for one peer.
+// outstanding returns the number of records awaiting an ack.
+func (ps *peerSend) outstanding() int { return len(ps.window) - ps.head }
+
+// at returns the window record carrying sequence seq, which must lie in
+// [base, nextSeq).
+func (ps *peerSend) at(seq uint64) *sendRec { return &ps.window[ps.head+int(seq-ps.base)] }
+
+// retire drops the n lowest records from the window.
+func (ps *peerSend) retire(n int) {
+	clear(ps.window[ps.head : ps.head+n])
+	ps.head += n
+	ps.base += uint64(n)
+	switch {
+	case ps.head == len(ps.window):
+		ps.window, ps.head = ps.window[:0], 0
+	case ps.head >= 64 && ps.head >= len(ps.window)/2:
+		// Keep the dead prefix from growing without bound under a standing
+		// backlog.
+		n := copy(ps.window, ps.window[ps.head:])
+		clear(ps.window[n:])
+		ps.window, ps.head = ps.window[:n], 0
+	}
+}
+
+// peerRecv is the receive-side bookkeeping for one peer.
 type peerRecv struct {
 	epoch        uint64            // stream epoch of the incoming stream
 	nextExpected uint64            // next in-order sequence number
-	buffered     map[uint64]subRec // out-of-order records awaiting gap fill
-	assembling   []byte            // fragments of the current message
+	buffered     map[uint64]subRec // out-of-order records awaiting gap fill; nil until one arrives
+	assembling   []byte            // earlier fragments of the message being reassembled
 	delivered    bool              // any record of this epoch delivered in order
 	ackOwed      bool              // a (re-)ack must reach the peer
 	ackTimerSet  bool              // a delayed pure-ack is scheduled
+	ackTimer     *time.Timer       // the delayed pure-ack timer, re-armed for every cycle
 	ackCh        chan ackNote      // latest-wins mailbox for the ack sender
 	ackStarted   bool              // ack-sender goroutine running
 }
@@ -205,7 +240,7 @@ func (t *Transport) Unacked() int {
 	defer t.mu.Unlock()
 	n := 0
 	for _, ps := range t.sends {
-		n += len(ps.unacked)
+		n += ps.outstanding()
 	}
 	return n
 }
@@ -220,6 +255,11 @@ func (t *Transport) Close() {
 	}
 	t.closed = true
 	close(t.done)
+	for _, pr := range t.recvs {
+		if pr.ackTimer != nil {
+			pr.ackTimer.Stop()
+		}
+	}
 	t.mu.Unlock()
 	t.wg.Wait()
 }
@@ -236,7 +276,7 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 	}
 	ps, ok := t.sends[to]
 	if !ok {
-		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, unacked: make(map[uint64][]byte), kick: make(chan struct{}, 1)}
+		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, base: 1, kick: make(chan struct{}, 1)}
 		t.sends[to] = ps
 	}
 	maxFrag := t.cfg.MaxPacket - frameHeaderSize - subHeaderSize
@@ -259,8 +299,7 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 		rec[8] = flags
 		binary.BigEndian.PutUint32(rec[9:13], uint32(len(frag)))
 		copy(rec[subHeaderSize:], frag)
-		ps.unacked[ps.nextSeq] = rec
-		ps.queue = append(ps.queue, rec)
+		ps.window = append(ps.window, sendRec{rec: rec})
 		ps.nextSeq++
 		n++
 	}
@@ -283,9 +322,11 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 // runFlusher drains one peer's queue, coalescing queued records into frames.
 // While a frame is on the (simulated) wire, newly queued records accumulate
 // and share the next frame — batching emerges under load with no idle-path
-// latency cost.
+// latency cost. Every frame is built in the flusher's one buffer: the backend
+// is done with it when Send returns (netback contract).
 func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 	defer t.wg.Done()
+	frame := make([]byte, 0, t.cfg.MaxPacket)
 	for {
 		select {
 		case <-t.done:
@@ -310,33 +351,28 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 		}
 		for {
 			t.mu.Lock()
-			if len(ps.queue) == 0 {
+			if ps.sentUpTo+1 == ps.nextSeq {
 				t.mu.Unlock()
 				break
 			}
-			frame := t.buildFrameLocked(to, ps, maxRecs)
+			frame = t.buildFrameLocked(to, ps, frame[:0], ps.sentUpTo+1, ps.nextSeq-1, maxRecs, time.Now())
 			t.mu.Unlock()
 			_ = t.ep.Send(to, frame)
 		}
 	}
 }
 
-// buildFrameLocked pops queued records into one frame of at most MaxPacket
-// bytes (or at most maxRecs records when maxRecs > 0) and stamps the
-// piggybacked ack. Caller holds t.mu and guarantees the queue is non-empty.
-func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, maxRecs int) []byte {
-	frame := make([]byte, 0, t.cfg.MaxPacket)
-	// Sequences are contiguous, so the queue head is sentUpTo+1: it is the
-	// stream's lowest outstanding sequence exactly when nothing older is
-	// still awaiting an ack. Receivers may adopt a mid-flight stream only at
-	// such a frame (see handleFrame); the map scan exits on the first older
-	// record, so a deep unacked backlog costs one probe.
-	kind := byte(kindFrameLow)
-	for seq := range ps.unacked {
-		if seq <= ps.sentUpTo {
-			kind = kindFrame
-			break
-		}
+// buildFrameLocked appends to frame (which is empty) one data frame of at
+// most MaxPacket bytes carrying the window records from sequence first up to
+// at most last (and at most maxRecs of them when maxRecs > 0), stamps the
+// piggybacked ack and the records' transmission time, and counts the frame.
+// Caller holds t.mu and guarantees base <= first <= last < nextSeq.
+func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, first, last uint64, maxRecs int, now time.Time) []byte {
+	// Receivers may adopt a mid-flight stream only at a frame that leads with
+	// the sender's lowest outstanding sequence (see handleFrame).
+	kind := byte(kindFrame)
+	if first == ps.base {
+		kind = kindFrameLow
 	}
 	frame = append(frame, kind)
 	frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
@@ -344,19 +380,17 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, maxRecs int) []byt
 	frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
 	frame = binary.BigEndian.AppendUint64(frame, ackCum)
 	n := 0
-	for len(ps.queue) > 0 {
-		rec := ps.queue[0]
-		if n > 0 && (len(frame)+len(rec) > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
+	for seq := first; seq <= last; seq++ {
+		r := ps.at(seq)
+		if n > 0 && (len(frame)+len(r.rec) > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
 			break
 		}
-		frame = append(frame, rec...)
-		ps.sentUpTo = binary.BigEndian.Uint64(rec[0:8])
-		ps.queue[0] = nil
-		ps.queue = ps.queue[1:]
+		frame = append(frame, r.rec...)
+		r.sentAt = now
 		n++
 	}
-	if len(ps.queue) == 0 {
-		ps.queue = nil // release the drained backing array
+	if sent := first + uint64(n) - 1; sent > ps.sentUpTo {
+		ps.sentUpTo = sent
 	}
 	t.stats.FramesSent++
 	if n > 1 {
@@ -393,86 +427,75 @@ func (t *Transport) recvLoop() {
 	}
 }
 
-// retransmitLoop periodically resends unacknowledged packets.
+// retransmitLoop periodically resends records whose ack is overdue. It ticks
+// twice per RetransmitInterval, so an unacknowledged record is resent between
+// one and one and a half intervals after its last transmission.
 func (t *Transport) retransmitLoop() {
 	defer t.wg.Done()
-	ticker := time.NewTicker(t.cfg.RetransmitInterval)
+	ticker := time.NewTicker((t.cfg.RetransmitInterval + 1) / 2)
 	defer ticker.Stop()
+	frame := make([]byte, 0, t.cfg.MaxPacket)
 	for {
 		select {
 		case <-t.done:
 			return
 		case <-ticker.C:
-			t.retransmit()
+			t.retransmit(frame)
 		}
 	}
 }
 
-// retransmit rebuilds frames from every peer's unacked records (in sequence
-// order, re-coalescing them) and resends them.
-func (t *Transport) retransmit() {
-	type resend struct {
-		to     SiteID
-		frames [][]byte
+// retransmit resends, for every peer, the records that were last transmitted
+// at least RetransmitInterval ago and are still unacknowledged, re-coalescing
+// them into frames built in the caller's buffer. Transmission times never
+// decrease along the window, so the overdue records are a prefix of it and
+// the sweep's first frame leads with the stream's lowest outstanding sequence.
+func (t *Transport) retransmit(frame []byte) {
+	type overdue struct {
+		to SiteID
+		ps *peerSend
 	}
-	var pending []resend
+	now := time.Now()
+	var peers []overdue
 	t.mu.Lock()
 	for to, ps := range t.sends {
-		if len(ps.unacked) == 0 {
-			continue
+		if t.overdueLocked(ps, ps.base, now) {
+			peers = append(peers, overdue{to, ps})
 		}
-		// Only records that have already been on the wire are retransmitted;
-		// anything past sentUpTo is still queued for its first transmission
-		// by the flusher.
-		seqs := make([]uint64, 0, len(ps.unacked))
-		for seq := range ps.unacked {
-			if seq <= ps.sentUpTo {
-				seqs = append(seqs, seq)
-			}
-		}
-		if len(seqs) == 0 {
-			continue
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		var ackEpoch, cum uint64
-		if pr, ok := t.recvs[to]; ok {
-			ackEpoch, cum = pr.epoch, pr.nextExpected-1
-		}
-		r := resend{to: to}
-		var frame []byte
-		// The sweep runs in sequence order, so its first frame leads with the
-		// stream's lowest outstanding sequence (queued records are all above
-		// sentUpTo) and carries the adoption flag.
-		kind := byte(kindFrameLow)
-		for _, seq := range seqs {
-			rec := ps.unacked[seq]
-			if frame != nil && len(frame)+len(rec) > t.cfg.MaxPacket {
-				r.frames = append(r.frames, frame)
-				frame = nil
-				kind = kindFrame
-			}
-			if frame == nil {
-				frame = make([]byte, 0, t.cfg.MaxPacket)
-				frame = append(frame, kind)
-				frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
-				frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
-				frame = binary.BigEndian.AppendUint64(frame, cum)
-			}
-			frame = append(frame, rec...)
-		}
-		if frame != nil {
-			r.frames = append(r.frames, frame)
-		}
-		t.stats.Retransmissions += uint64(len(seqs))
-		t.stats.FramesSent += uint64(len(r.frames))
-		pending = append(pending, r)
 	}
 	t.mu.Unlock()
-	for _, r := range pending {
-		for _, f := range r.frames {
-			_ = t.ep.Send(r.to, f)
+	for _, p := range peers {
+		// One frame per lock hold: the network send must not run under t.mu.
+		for next := uint64(0); ; {
+			t.mu.Lock()
+			if next < p.ps.base {
+				next = p.ps.base // acks (or a stream reset) moved the window on
+			}
+			if !t.overdueLocked(p.ps, next, now) {
+				t.mu.Unlock()
+				break
+			}
+			last, size := next, frameHeaderSize+len(p.ps.at(next).rec)
+			for t.overdueLocked(p.ps, last+1, now) {
+				if size += len(p.ps.at(last + 1).rec); size > t.cfg.MaxPacket {
+					break
+				}
+				last++
+			}
+			frame = t.buildFrameLocked(p.to, p.ps, frame[:0], next, last, 0, now)
+			t.stats.Retransmissions += last - next + 1
+			next = last + 1
+			t.mu.Unlock()
+			_ = t.ep.Send(p.to, frame)
 		}
 	}
+}
+
+// overdueLocked reports whether sequence seq has been transmitted, is still
+// unacknowledged, and was last sent at least RetransmitInterval before now.
+// Caller holds t.mu.
+func (t *Transport) overdueLocked(ps *peerSend, seq uint64, now time.Time) bool {
+	return seq >= ps.base && seq <= ps.sentUpTo && now.Sub(ps.at(seq).sentAt) >= t.cfg.RetransmitInterval
 }
 
 func (t *Transport) handlePacket(pkt netback.Packet) {
@@ -493,8 +516,8 @@ func (t *Transport) handlePacket(pkt netback.Packet) {
 	}
 }
 
-// applyAck retires unacked records covered by a cumulative ack. The ack only
-// applies to the stream epoch it names: an ack minted for a previous
+// applyAck retires the window records covered by a cumulative ack. The ack
+// only applies to the stream epoch it names: an ack minted for a previous
 // incarnation's numbering must not retire the current stream's records.
 func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 	t.mu.Lock()
@@ -503,10 +526,11 @@ func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 	if !ok || ps.epoch != ackEpoch {
 		return
 	}
-	for seq := range ps.unacked {
-		if seq <= cumSeq {
-			delete(ps.unacked, seq)
-		}
+	if cumSeq > ps.sentUpTo {
+		cumSeq = ps.sentUpTo // only what has been on the wire can have arrived
+	}
+	if cumSeq >= ps.base {
+		ps.retire(int(cumSeq - ps.base + 1))
 	}
 }
 
@@ -521,7 +545,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	t.mu.Lock()
 	pr, ok := t.recvs[from]
 	if !ok {
-		pr = &peerRecv{epoch: senderEpoch, nextExpected: 1, buffered: make(map[uint64]subRec)}
+		pr = &peerRecv{epoch: senderEpoch, nextExpected: 1}
 		t.recvs[from] = pr
 	}
 	if senderEpoch < pr.epoch {
@@ -538,7 +562,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		restarted := senderEpoch>>32 > pr.epoch>>32
 		pr.epoch = senderEpoch
 		pr.nextExpected = 1
-		pr.buffered = make(map[uint64]subRec)
+		pr.buffered = nil
 		pr.assembling = nil
 		pr.delivered = false
 		if restarted {
@@ -564,10 +588,36 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		// gap-fill machinery owns ordering.
 		if first := binary.BigEndian.Uint64(body[0:8]); first > pr.nextExpected {
 			pr.nextExpected = first
-			// Records between the old and new expectation may already sit in
-			// the buffer (from unflagged frames that arrived first); count the
-			// adoption as progress so they drain now.
+			// Records beyond the new expectation may already sit in the buffer
+			// (from unflagged frames that arrived first); count the adoption as
+			// progress so they drain now. Older ones will never be asked for.
 			progress = true
+			for seq := range pr.buffered {
+				if seq < first {
+					delete(pr.buffered, seq)
+				}
+			}
+		}
+	}
+	// Messages completed by this frame; the array keeps the common few off
+	// the heap.
+	var completeArr [8][]byte
+	complete := completeArr[:0]
+	// accept consumes the record carrying nextExpected. A single-fragment
+	// message is handed on as the sub-slice of the received frame it arrived
+	// in — the backend gave the frame to the receiver (netback contract) —
+	// and only a fragmented one is copied together.
+	accept := func(flags byte, payload []byte) {
+		pr.nextExpected++
+		pr.delivered = true
+		switch {
+		case flags&flagLastFragment == 0:
+			pr.assembling = append(pr.assembling, payload...)
+		case len(pr.assembling) == 0:
+			complete = append(complete, payload)
+		default:
+			complete = append(complete, append(pr.assembling, payload...))
+			pr.assembling = nil
 		}
 	}
 	for len(body) >= subHeaderSize {
@@ -580,39 +630,41 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		payload := body[subHeaderSize : subHeaderSize+payloadLen]
 		body = body[subHeaderSize+payloadLen:]
 
-		if seq < pr.nextExpected {
+		switch {
+		case seq < pr.nextExpected:
 			// Duplicate of something already delivered: re-ack so the sender
 			// stops retransmitting it.
 			t.stats.DuplicatesDropped++
 			pr.ackOwed = true
-			continue
+		case seq == pr.nextExpected:
+			// In order, the steady state: no detour through the gap buffer.
+			if len(pr.buffered) > 0 {
+				delete(pr.buffered, seq) // an earlier out-of-order copy
+			}
+			accept(flags, payload)
+			progress = true
+		default:
+			if _, dup := pr.buffered[seq]; dup {
+				t.stats.DuplicatesDropped++
+				continue
+			}
+			if pr.buffered == nil {
+				pr.buffered = make(map[uint64]subRec)
+			}
+			pr.buffered[seq] = subRec{flags: flags, payload: payload}
 		}
-		if _, dup := pr.buffered[seq]; dup {
-			t.stats.DuplicatesDropped++
-			continue
-		}
-		// The backend hands ownership of the delivered payload to the
-		// receiver (netback contract), so sub-slices can be kept directly.
-		pr.buffered[seq] = subRec{flags: flags, payload: payload}
-		progress = true
 	}
 
-	// Deliver every in-order record now available.
-	var complete [][]byte
+	// Drain the gap buffer of everything the frame (or an adoption) put in
+	// order.
 	if progress {
-		for {
+		for len(pr.buffered) > 0 {
 			rec, ok := pr.buffered[pr.nextExpected]
 			if !ok {
 				break
 			}
 			delete(pr.buffered, pr.nextExpected)
-			pr.nextExpected++
-			pr.delivered = true
-			pr.assembling = append(pr.assembling, rec.payload...)
-			if rec.flags&flagLastFragment != 0 {
-				complete = append(complete, pr.assembling)
-				pr.assembling = nil
-			}
+			accept(rec.flags, rec.payload)
 		}
 		pr.ackOwed = true
 	}
@@ -626,7 +678,11 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 			t.queueAckLocked(from, pr, pr.epoch, pr.nextExpected-1)
 		} else if !pr.ackTimerSet {
 			pr.ackTimerSet = true
-			time.AfterFunc(t.cfg.AckDelay, func() { t.ackTimerFire(from) })
+			if pr.ackTimer == nil {
+				pr.ackTimer = time.AfterFunc(t.cfg.AckDelay, func() { t.ackTimerFire(from) })
+			} else {
+				pr.ackTimer.Reset(t.cfg.AckDelay)
+			}
 		}
 	}
 	handler := t.handler
@@ -650,10 +706,8 @@ func (t *Transport) resetSendLocked(to SiteID) {
 		return
 	}
 	ps.epoch++
-	ps.nextSeq = 1
-	ps.sentUpTo = 0
-	ps.unacked = make(map[uint64][]byte)
-	ps.queue = nil
+	ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
+	ps.window, ps.head = nil, 0
 }
 
 // ackTimerFire sends the delayed dedicated ack unless a data frame has

@@ -49,7 +49,10 @@ type (
 	SiteID = addr.SiteID
 	// EntryID identifies an entry point within a process.
 	EntryID = addr.EntryID
-	// Message is the symbol-table message of Section 4.1.
+	// Message is the symbol-table message of Section 4.1. A handler owns the
+	// message it is delivered and the slices Bytes and GetBytes return; only
+	// a BytesView is read-only (it shares storage with the other members'
+	// deliveries).
 	Message = msg.Message
 	// View is a process-group membership view, ranked by age.
 	View = core.View

@@ -2,6 +2,7 @@ package isis
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -553,5 +554,76 @@ func TestSiteCrashRemovesMembersFromViews(t *testing.T) {
 	}
 	if len(replies) != 2 {
 		t.Errorf("replies after crash = %d, want 2", len(replies))
+	}
+}
+
+// TestClusterCloseStopsEverything: Close used to leave the spawned
+// processes' task managers (an entry worker per bound entry) running, and
+// each pinned its handler's closure — in practice the whole dead cluster.
+func TestClusterCloseStopsEverything(t *testing.T) {
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		return n
+	}
+	before := runtime.NumGoroutine()
+	for _, backend := range []string{BackendSimnet, BackendTCP} {
+		c, err := NewCluster(ClusterConfig{Sites: 3, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gid Address
+		procs := make([]*Process, 3)
+		for i := range procs {
+			p := spawn(t, c, SiteID(i+1))
+			procs[i] = p
+			p.BindEntry(EntryUserBase, func(m *Message) { _ = p.Reply(m, NewMessage()) })
+			if i == 0 {
+				v, err := p.CreateGroup("closing")
+				if err != nil {
+					t.Fatal(err)
+				}
+				gid = v.Group
+			} else if _, err := p.Join(gid, JoinOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := procs[0].Cast(ABCAST, []Address{gid}, EntryUserBase, Text("x"), Replies(All)); err != nil {
+			t.Fatal(err)
+		}
+		if err := procs[2].Kill(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if after := settle(before); after > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%v: %d goroutines before NewCluster, %d after Close\n%s", backend, before, after, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// A site keeps track of its processes only to stop their task managers when
+// it closes; a killed process has stopped its own and must not stay pinned.
+func TestSiteForgetsKilledProcesses(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Sites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keep := spawn(t, c, 1)
+	for i := 0; i < 20; i++ {
+		if err := spawn(t, c, 1).Kill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.Site(1)
+	s.mu.Lock()
+	_, kept := s.procs[keep]
+	n := len(s.procs)
+	s.mu.Unlock()
+	if n != 1 || !kept {
+		t.Errorf("site tracks %d processes after 20 spawn/kill pairs, want only the live one", n)
 	}
 }

@@ -2,6 +2,7 @@ package isis
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,9 +44,27 @@ type Process struct {
 	providers   map[Address]func() [][]byte
 }
 
-// pendingCall tracks one Cast waiting for replies.
+// pendingCall tracks one Cast waiting for replies. The process's mu guards
+// the two lists; wake nudges the waiting Cast after a reply was recorded.
 type pendingCall struct {
-	replies chan *Message
+	replies   []*Message // normal replies, in arrival order
+	responded []Address  // every destination heard from, normally or with a null reply
+	wake      chan struct{}
+}
+
+// record files a reply under p.mu and reports whether it was the first from
+// its sender; duplicate replies are discarded silently. A null reply just
+// marks the destination as having responded.
+func (c *pendingCall) record(r *Message) bool {
+	sender := r.Sender()
+	if slices.Contains(c.responded, sender) {
+		return false
+	}
+	c.responded = append(c.responded, sender)
+	if r.GetInt(msg.FReply, replyNormal) == replyNormal {
+		c.replies = append(c.replies, r)
+	}
+	return true
 }
 
 // Address returns the process's ISIS address.
@@ -84,6 +103,9 @@ func (p *Process) Kill() error {
 	p.killed = true
 	p.mu.Unlock()
 	p.tasks.Close()
+	p.site.mu.Lock()
+	delete(p.site.procs, p)
+	p.site.mu.Unlock()
 	return p.site.daemon.KillProcess(p.addr)
 }
 
@@ -99,16 +121,14 @@ func (p *Process) Alive() bool {
 // destination entry point.
 func (p *Process) onDeliver(entry EntryID, m *Message) {
 	if m.Has(msg.FReply) {
-		session := m.Session()
 		p.mu.Lock()
-		call := p.pending[session]
-		p.mu.Unlock()
-		if call != nil {
+		if call := p.pending[m.Session()]; call != nil && call.record(m) {
 			select {
-			case call.replies <- m:
-			default:
+			case call.wake <- struct{}{}:
+			default: // one pending wake-up is enough
 			}
 		}
+		p.mu.Unlock()
 		return
 	}
 	_ = p.tasks.Dispatch(entry, m)
