@@ -1,136 +1,19 @@
 package isis_test
 
-// Benchmark harness: one benchmark per evaluation artifact of the paper
-// (Table 1, Figure 2, Figure 3, the Section 5 twenty-questions rates, the
-// Section 7 CPU-utilisation observation) plus micro-benchmarks of the three
-// primitives and two design-choice ablations. The same harnesses are
-// exposed as a command-line tool, cmd/isis-bench, which prints the paper's
-// tables and series in text form; EXPERIMENTS.md records paper-vs-measured.
+// Ablation benchmarks: each isolates one mechanism of the stack (transport
+// batching, ordering strength, execution style) on a zero-delay network.
+// They are plain, ungated benchmarks for use while working. The repository's
+// yardstick is `go run ./bench` (BENCHMARK.json), and the paper's tables and
+// figures are regenerated by cmd/isis-bench; EXPERIMENTS.md records both.
 
 import (
 	"testing"
 	"time"
 
 	isis "repro"
-	"repro/internal/bench"
-	"repro/internal/simnet"
 	"repro/internal/tools/replica"
 	"repro/internal/transport"
 )
-
-// paperSizes are the message sizes of Figure 2.
-var paperSizes = []int{10, 100, 1000, 10000}
-
-// BenchmarkTable1 regenerates Table 1: the multicast cost of each toolkit
-// routine. The counts are reported as benchmark metrics and printed.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", bench.FormatTable1(rows))
-		}
-	}
-}
-
-// BenchmarkFigure2Throughput regenerates the asynchronous-CBCAST throughput
-// panel of Figure 2 (bytes/second versus message size, 2 destinations) on
-// the paper-calibrated network.
-func BenchmarkFigure2Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := bench.RunFigure2Throughput(bench.SimChoice(simnet.PaperConfig()), 2, paperSizes, 200*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", bench.FormatFigure2(points))
-			for _, p := range points {
-				if p.SizeBytes == 1000 {
-					b.ReportMetric(p.Throughput, "bytes/s@1KB")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFigure2Latency regenerates the latency panels of Figure 2: the
-// latency of CBCAST, ABCAST and GBCAST versus message size with one reply
-// from a local destination.
-func BenchmarkFigure2Latency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var all []bench.Fig2Point
-		for _, proto := range []isis.Protocol{isis.CBCAST, isis.ABCAST, isis.GBCAST} {
-			points, err := bench.RunFigure2Latency(bench.SimChoice(simnet.PaperConfig()), proto, 2, paperSizes, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			all = append(all, points...)
-		}
-		if i == 0 {
-			b.Logf("\n%s", bench.FormatFigure2(all))
-		}
-	}
-}
-
-// BenchmarkFigure3Breakdown regenerates Figure 3: the decomposition of one
-// ABCAST's execution time on the paper-calibrated network, dominated by the
-// three inter-site packets of the two-phase protocol.
-func BenchmarkFigure3Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		breakdown, err := bench.RunFigure3(simnet.PaperConfig(), 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", bench.FormatFigure3(breakdown))
-			b.ReportMetric(breakdown.TotalMs, "ms/abcast")
-			b.ReportMetric(float64(breakdown.CriticalPackets), "intersite-msgs")
-		}
-	}
-}
-
-// BenchmarkTwentyQuestions regenerates the Section 5 end-to-end numbers: the
-// aggregate query and replicated-update rates of the twenty-questions
-// service with members at 4 sites (the paper reports ~30 queries/s or ~5
-// updates/s on 1987 hardware).
-func BenchmarkTwentyQuestions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTwentyQuestions(simnet.PaperConfig(), 500*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("twenty questions: %.1f queries/s, %.1f updates/s (paper: ~30 and ~5)",
-				res.QueriesPerSec, res.UpdatesPerSec)
-			b.ReportMetric(res.QueriesPerSec, "queries/s")
-			b.ReportMetric(res.UpdatesPerSec, "updates/s")
-		}
-	}
-}
-
-// BenchmarkSenderUtilization regenerates the Section 7 CPU observation:
-// asynchronous CBCAST keeps the sending site busy, ABCAST leaves it idle
-// waiting for remote proposals.
-func BenchmarkSenderUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := bench.RunSenderUtilization(simnet.PaperConfig(), 300*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range results {
-				b.Logf("%-35s sender utilisation %.0f%%", r.Workload, 100*r.Utilization)
-			}
-			b.ReportMetric(100*results[0].Utilization, "%async")
-			b.ReportMetric(100*results[1].Utilization, "%abcast")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks of the primitives (fast network, per-operation cost).
 
 func primitiveCluster(b *testing.B, sites int) (*isis.Cluster, []*isis.Process, isis.Address) {
 	return primitiveClusterTr(b, sites, transport.Config{})
@@ -174,68 +57,6 @@ func primitiveClusterTr(b *testing.B, sites int, trCfg transport.Config) (*isis.
 	time.Sleep(50 * time.Millisecond)
 	return c, procs, gid
 }
-
-// BenchmarkCBCASTAsync measures the sender-side cost of an asynchronous
-// CBCAST to a 3-member group (no artificial network delays).
-func BenchmarkCBCASTAsync(b *testing.B) {
-	_, procs, gid := primitiveCluster(b, 3)
-	payload := isis.Text("x")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := procs[0].Cast(isis.CBCAST, []isis.Address{gid}, isis.EntryUserBase, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	_ = procs[0].Flush()
-}
-
-// BenchmarkABCASTRoundTrip measures an ABCAST followed by one reply.
-func BenchmarkABCASTRoundTrip(b *testing.B) {
-	_, procs, gid := primitiveCluster(b, 3)
-	payload := isis.Text("x")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := procs[0].Cast(isis.ABCAST, []isis.Address{gid}, isis.EntryUserBase, payload, isis.Replies(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGBCAST measures a user-level GBCAST to a 3-member group.
-func BenchmarkGBCAST(b *testing.B) {
-	_, procs, gid := primitiveCluster(b, 3)
-	payload := isis.Text("x")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := procs[0].Cast(isis.GBCAST, []isis.Address{gid}, isis.EntryUserBase, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupRPCOneReply measures a full group RPC (query + one reply)
-// issued by a non-member client.
-func BenchmarkGroupRPCOneReply(b *testing.B) {
-	c, _, gid := primitiveCluster(b, 3)
-	client, err := c.Site(2).Spawn()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := client.Lookup("micro"); err != nil {
-		b.Fatal(err)
-	}
-	payload := isis.Text("q")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Query(isis.CBCAST, []isis.Address{gid}, isis.EntryUserBase, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (design-choice experiments listed in DESIGN.md).
 
 // BenchmarkAblationBatching compares the asynchronous CBCAST hot path with
 // transport packet coalescing on (the default) and off (one frame per

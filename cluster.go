@@ -69,7 +69,6 @@ type ClusterConfig struct {
 type Cluster struct {
 	cfg    ClusterConfig
 	fabric netback.Network
-	sim    *simnet.Network // non-nil only under BackendSimnet
 
 	mu      sync.Mutex
 	sites   map[SiteID]*Site
@@ -101,8 +100,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	switch cfg.Backend {
 	case "", BackendSimnet:
-		c.sim = simnet.New(cfg.Net)
-		c.fabric = c.sim
+		c.fabric = simnet.New(cfg.Net)
 	case BackendTCP:
 		c.fabric = tcpnet.New(cfg.TCP)
 	default:
@@ -117,15 +115,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Network exposes the simulated LAN (for statistics and simnet-specific
-// fault injection). The boolean reports whether the cluster actually runs on
-// the simnet backend; under BackendTCP it is false and the pointer nil, so
-// callers must check it rather than dereference blindly. Backend-neutral
-// fault injection is available through Fabric (both backends implement
-// netback.FaultInjector).
-func (c *Cluster) Network() (*simnet.Network, bool) { return c.sim, c.sim != nil }
-
-// Fabric exposes the cluster's network backend, whichever kind it is.
+// Fabric exposes the cluster's network backend, whichever kind it is. Both
+// backends implement netback.FaultInjector, which is how tests and examples
+// partition and heal the cluster.
 func (c *Cluster) Fabric() netback.Network { return c.fabric }
 
 // Events subscribes to the merged operational event stream of every live
@@ -331,25 +323,6 @@ func (s *Site) Cluster() *Cluster { return s.cluster }
 // protocols; the per-event Seq field makes gaps detectable.
 func (s *Site) Events(f EventFilter) (<-chan Event, func()) {
 	return s.daemon.Events(f, 0)
-}
-
-// WatchSites invokes the callback for failure-detector events observed at
-// this site (used by the recovery manager and the news service). The
-// returned cancel stops the subscription.
-//
-// Deprecated: subscribe to Events with kinds EventSiteDown / EventSiteUp.
-func (s *Site) WatchSites(cb func(SiteEvent)) (cancel func()) { return s.daemon.WatchSites(cb) }
-
-// WatchPrimary invokes the callback for primary-status transitions of the
-// groups hosted at this site: (gid, false) when a partition strands this
-// site's copy of a group in a read-only minority, (gid, true) when the copy
-// resumes or merges back into the primary partition. The returned cancel
-// stops the subscription.
-//
-// Deprecated: subscribe to Events with kinds EventPrimaryLost /
-// EventPrimaryResumed.
-func (s *Site) WatchPrimary(cb func(gid Address, primary bool)) (cancel func()) {
-	return s.daemon.WatchPrimary(cb)
 }
 
 // GroupPrimary reports whether this site's copy of the group is in the

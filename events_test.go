@@ -303,34 +303,29 @@ func TestMonitorCancel(t *testing.T) {
 	}
 }
 
-// TestWatchSitesCancel pins that the deprecated watch wrapper both delivers
-// and honours its cancel.
-func TestWatchSitesCancel(t *testing.T) {
+// TestSiteDownEventThenCancel pins that a site's crash reaches a Site.Events
+// subscriber as EventSiteDown naming the crashed peer, and that cancel closes
+// the channel.
+func TestSiteDownEventThenCancel(t *testing.T) {
 	c := newTestCluster(t, 3)
 	// Sites only monitor peers they have exchanged traffic with: put a group
 	// across the cluster before crashing a member site.
-	_, _ = echoService(t, c, "watchsites", 1, 2, 3)
-	var mu sync.Mutex
-	var seen []SiteEvent
-	cancel := c.Site(1).WatchSites(func(ev SiteEvent) {
-		mu.Lock()
-		seen = append(seen, ev)
-		mu.Unlock()
-	})
+	_, _ = echoService(t, c, "sitedown", 1, 2, 3)
+	ch, cancel := c.Site(1).Events(EventFilter{Kinds: []EventKind{EventSiteDown}})
+	get, wait := collectEvents(ch)
 	if err := c.CrashSite(3); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "failure event reaches the watcher", 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ev := range seen {
-			if ev.Site == 3 && ev.Kind == SiteFailed {
+	waitUntil(t, "site-down event reaches the subscriber", 10*time.Second, func() bool {
+		for _, e := range get() {
+			if e.Peer == 3 {
 				return true
 			}
 		}
 		return false
 	})
 	cancel()
+	wait() // returns only once the channel is closed
 }
 
 // TestEventStringsAreReadable smoke-checks the trace rendering used by the

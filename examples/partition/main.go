@@ -21,6 +21,7 @@ import (
 	"time"
 
 	isis "repro"
+	"repro/internal/netback"
 )
 
 // ledger is the replicated application state: an ordered log of entries.
@@ -89,10 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cluster.Close()
-	net, ok := cluster.Network()
-	if !ok {
-		log.Fatal("partition example requires the simnet backend")
-	}
+	net := cluster.Fabric().(netback.FaultInjector) // both backends implement it
 
 	// A five-member replicated ledger, one member per site. Every member is
 	// both a state provider (it can seed a joiner) and a state receiver (a
@@ -141,8 +139,7 @@ func main() {
 	})
 
 	// Trace the minority site's view of the partition lifecycle through the
-	// operational event stream (this replaces the old WatchPrimary idiom —
-	// and unlike it, the subscription can be cancelled).
+	// operational event stream.
 	events, cancelEvents := cluster.Site(5).Events(isis.EventFilter{Group: gid})
 	var traceMu sync.Mutex
 	var trace []isis.Event

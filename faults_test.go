@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netback"
 )
 
 // ledger is the replicated application state used by the partition tests:
@@ -69,7 +71,7 @@ func (l *ledger) receiver() func([]byte, bool) {
 // processes, no RestartSite — with their state rebuilt from the primary.
 func TestPrimaryPartitionMajorityCommitsMinorityMerges(t *testing.T) {
 	c := newTestCluster(t, 5)
-	net, _ := c.Network()
+	net := c.Fabric().(netback.FaultInjector)
 
 	members := make([]*Process, 5)
 	ledgers := make([]*ledger, 5)
@@ -404,9 +406,16 @@ func TestRestartAfterCrashRejoinsWithStateTransfer(t *testing.T) {
 // restarting it, discarding its split-brain state (partition merge is
 // outside the paper's fault model; restart is the prescribed recovery).
 func TestPartitionedSiteRestartsAndRejoins(t *testing.T) {
-	c := newTestCluster(t, 3)
+	for _, backend := range []string{BackendSimnet, BackendTCP} {
+		t.Run(backend, func(t *testing.T) {
+			partitionedSiteRestartsAndRejoins(t, newBackendCluster(t, backend, 3))
+		})
+	}
+}
+
+func partitionedSiteRestartsAndRejoins(t *testing.T, c *Cluster) {
 	members, gid := echoService(t, c, "part", 1, 2, 3)
-	net, _ := c.Network()
+	net := c.Fabric().(netback.FaultInjector)
 
 	net.Partition(3, 1)
 	net.Partition(3, 2)

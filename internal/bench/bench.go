@@ -445,7 +445,7 @@ func RunFigure3(netCfg simnet.Config, iters int) (Fig3Breakdown, error) {
 	defer env.cluster.Close()
 
 	rec := simnet.NewRecorder()
-	sim, ok := env.cluster.Network()
+	sim, ok := env.cluster.Fabric().(*simnet.Network)
 	if !ok {
 		return Fig3Breakdown{}, fmt.Errorf("bench: figure-3 run requires the simnet backend")
 	}
@@ -611,7 +611,7 @@ func RunSenderUtilization(netCfg simnet.Config, window time.Duration) ([]CPUResu
 			return CPUResult{}, err
 		}
 		defer env.cluster.Close()
-		net, ok := env.cluster.Network()
+		net, ok := env.cluster.Fabric().(*simnet.Network)
 		if !ok {
 			return CPUResult{}, fmt.Errorf("bench: cpu run requires the simnet backend")
 		}

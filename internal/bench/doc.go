@@ -3,7 +3,7 @@
 // routines), Figure 2 (throughput of asynchronous CBCAST and latency of the
 // three primitives versus message size), Figure 3 (breakdown of ABCAST
 // execution time), the Section 5 end-to-end twenty-questions throughput, and
-// the Section 7 CPU-utilisation observation. The same harnesses back both
-// the testing.B benchmarks in the repository root and the cmd/isis-bench
-// binary.
+// the Section 7 CPU-utilisation observation. Their one entry point is the
+// cmd/isis-bench binary. The repository's performance yardstick is a
+// different program, the bench directory at the repository root.
 package bench

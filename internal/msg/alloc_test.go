@@ -15,6 +15,9 @@ func TestFieldIsCompact(t *testing.T) {
 	if got := unsafe.Sizeof(field{}); got > 56 {
 		t.Errorf("field is %d bytes, want at most 56", got)
 	}
+	if got := unsafe.Sizeof(Message{}); got > 24 {
+		t.Errorf("Message is %d bytes, want at most 24", got)
+	}
 }
 
 func TestAbsentFieldLookupsDoNotAllocate(t *testing.T) {

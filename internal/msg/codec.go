@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -48,10 +47,7 @@ import (
 // packet and points every field name and variable-length value into it, so a
 // fresh decode allocates the message, its exact-size field table (the count
 // is on the wire) and that one copy — plus a message and table per nested
-// message. UnmarshalInto decodes into a scratch message instead, reusing its
-// table, its nested messages and its copy of the previous packet: a stream of
-// same-shaped packets then decodes without allocating, and what leaves a
-// scratch message (strings, clones) is copied out of its buffer.
+// message.
 
 // Marshalling errors.
 var (
@@ -63,9 +59,8 @@ var (
 // maxFields bounds the field count in one message.
 const maxFields = math.MaxUint16
 
-// encodeCalls counts actual wire encodings (cache misses included, cache
-// hits excluded). Tests use it to assert that a multicast packet fanned out
-// to N destinations is marshalled exactly once.
+// encodeCalls counts wire encodings. Tests use it to assert that a multicast
+// packet fanned out to N destinations is marshalled exactly once.
 var encodeCalls atomic.Uint64
 
 // EncodeCount returns the number of times a message encoding has actually
@@ -110,22 +105,10 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	return m.appendTo(dst)
 }
 
-// CachedMarshal returns the wire encoding of m, computing it at most once
-// per mutation: repeated calls on an unchanged message (including unchanged
-// nested messages) return the same shared slice. The returned bytes are
-// owned by the message and MUST be treated as read-only; they remain valid
-// until the next mutation.
-func (m *Message) CachedMarshal() ([]byte, error) {
-	c := m.aside()
-	if g := m.treeGen(); c.enc == nil || c.encGen != g {
-		enc, err := m.AppendMarshal(make([]byte, 0, m.MarshaledSize()))
-		if err != nil {
-			return nil, err
-		}
-		c.enc, c.encGen = enc, g
-	}
-	return c.enc, nil
-}
+// CachedMarshal is Marshal. There is no encoding cache: the daemon marshals
+// a multicast packet once and shares the bytes itself. The name remains only
+// because bench/layers.go compiles against it.
+func (m *Message) CachedMarshal() ([]byte, error) { return m.Marshal() }
 
 // appendTo is the recursive encoder. Payloads are appended directly (their
 // sizes are known up front), so no intermediate buffers are built even for
@@ -177,20 +160,11 @@ func Unmarshal(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// UnmarshalInto decodes a message from b into the scratch message m,
-// replacing m's fields. The entire slice must be consumed. Everything m
-// holds is reused — the field table and the nested messages where the
-// incoming fields match m's existing layout, and m's copy of the previous
-// packet for the copy of b — so decoding a stream of same-shaped packets into
-// a recycled message does not allocate. Nested messages and byte views
-// obtained from m earlier are overwritten. On error m may hold a partial
-// decode.
-func UnmarshalInto(m *Message, b []byte) error {
-	st := m.aside()
-	st.scratch = true
-	st.buf = append(st.buf[:0], b...)
-	return m.unmarshal(unsafe.String(unsafe.SliceData(st.buf), len(st.buf)))
-}
+// UnmarshalInto replaces m's fields with a plain decode of b, exactly as
+// Unmarshal fills a new message: the decode starts a new table, so nothing m
+// held is reused. On error m may hold a partial decode. The name remains only
+// because bench/layers.go compiles against it.
+func UnmarshalInto(m *Message, b []byte) error { return m.unmarshal(string(b)) }
 
 // unmarshal decodes all of s, the decoder's own copy of a packet, into m.
 func (m *Message) unmarshal(s string) error {
@@ -232,13 +206,9 @@ func decodeAddress(s string) addr.Address {
 }
 
 // unmarshalPrefix decodes one message from the front of s into m and returns
-// the remainder.
-//
-// While the incoming names ascend, fields are decoded over m's resident
-// table slot by slot, and a nested message found in a slot is decoded into
-// again. The first name out of order truncates the leftovers and falls back
-// to sorted insertion, which also handles adversarial inputs whose fields
-// are unsorted or duplicated.
+// the remainder. Fields go in by sorted insertion, which appends while the
+// incoming names ascend and also handles adversarial inputs whose fields are
+// unsorted or duplicated.
 func (m *Message) unmarshalPrefix(s string) (string, error) {
 	if len(s) < 2 {
 		return "", fmt.Errorf("%w: missing field count", ErrCorrupt)
@@ -250,11 +220,7 @@ func (m *Message) unmarshalPrefix(s string) (string, error) {
 		// command a 65535-slot allocation.
 		return "", fmt.Errorf("%w: %d fields in %d bytes", ErrCorrupt, n, len(s))
 	}
-	m.invalidate()
-	if len(m.fields) == 0 && cap(m.fields) < n {
-		m.fields = make([]field, 0, n)
-	}
-	idx, inPlace := 0, true
+	m.fields = make([]field, 0, n)
 	for i := 0; i < n; i++ {
 		if len(s) < 1 {
 			return "", fmt.Errorf("%w: truncated field name length", ErrCorrupt)
@@ -274,42 +240,16 @@ func (m *Message) unmarshalPrefix(s string) (string, error) {
 		payload := s[:payloadLen]
 		s = s[payloadLen:]
 
-		var f *field
-		if inPlace && idx < len(m.fields) && (idx == 0 || m.fields[idx-1].name < name) {
-			f = &m.fields[idx]
-			sub := f.sub
-			*f = field{name: name, typ: typ}
-			if typ == TypeMessage {
-				f.sub = sub // decoded into again rather than reallocated
-			}
-			idx++
-		} else {
-			if inPlace {
-				// Mismatch: drop the stale tail, then insert sorted.
-				m.truncateFields(idx)
-				inPlace = false
-			}
-			f = m.slot(name, typ)
-		}
-		if err := m.decodePayload(f, payload); err != nil {
+		if err := decodePayload(m.slot(name, typ), payload); err != nil {
 			return "", err
 		}
-	}
-	if inPlace {
-		m.truncateFields(idx)
 	}
 	return s, nil
 }
 
-// truncateFields drops every field at index i and beyond.
-func (m *Message) truncateFields(i int) {
-	clear(m.fields[i:])
-	m.fields = m.fields[:i]
-}
-
 // decodePayload fills one field from its wire payload, a substring of the
 // decoder's private copy of the packet.
-func (m *Message) decodePayload(f *field, payload string) error {
+func decodePayload(f *field, payload string) error {
 	switch f.typ {
 	case TypeBytes, TypeString:
 		f.ref = payload
@@ -338,12 +278,7 @@ func (m *Message) decodePayload(f *field, payload string) error {
 		}
 		f.ref = payload
 	case TypeMessage:
-		if f.sub == nil {
-			f.sub = New()
-		}
-		if m.side != nil && m.side.scratch {
-			f.sub.aside().scratch = true
-		}
+		f.sub = New()
 		return f.sub.unmarshal(payload)
 	default:
 		return fmt.Errorf("%w: unknown field type %d", ErrCorrupt, f.typ)

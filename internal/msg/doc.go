@@ -8,11 +8,10 @@
 // another message.
 //
 // The symbol table is stored as a slice of compact fields kept sorted by name
-// rather than a map: iteration in marshalling order is then allocation-free,
-// a decoder can size the table exactly, and the wire encoding of an unchanged
-// message can be computed once and cached (see CachedMarshal in codec.go).
-// Lookups use binary search; daemon packets have at most a dozen fields, so
-// this is also faster than hashing in practice.
+// rather than a map: iteration in marshalling order is then allocation-free
+// and a decoder can size the table exactly. Lookups use binary search; daemon
+// packets have at most a dozen fields, so this is also faster than hashing in
+// practice.
 //
 // Ownership: a message's table is its own, but variable-length values
 // (bytes, strings, address lists) are immutable once stored and may be shared

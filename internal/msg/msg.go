@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"unsafe"
 
 	"repro/internal/addr"
@@ -143,31 +142,6 @@ func (f *field) addresses() addr.List {
 // is not usable; call New.
 type Message struct {
 	fields []field // sorted by name
-	gen    uint64  // counts mutations of this message (not of nested ones)
-	// side holds what only CachedMarshal and UnmarshalInto use, so that the
-	// data path's messages, which use neither, stay small.
-	side *sideState
-}
-
-// sideState is the rarely used part of a Message.
-type sideState struct {
-	// enc is the cached wire encoding, valid while encGen == treeGen(). See
-	// CachedMarshal.
-	enc    []byte
-	encGen uint64
-	// scratch is set on a message (and its nested messages) filled by
-	// UnmarshalInto: names and values then point into buf, which the next
-	// UnmarshalInto overwrites, so they are copied before they leave.
-	scratch bool
-	buf     []byte
-}
-
-// aside returns the message's side state, allocating it on first use.
-func (m *Message) aside() *sideState {
-	if m.side == nil {
-		m.side = new(sideState)
-	}
-	return m.side
 }
 
 // firstFields is the capacity a field table starts with on its first Put,
@@ -184,28 +158,6 @@ func New() *Message {
 // that know how many they are about to put.
 func NewSized(n int) *Message {
 	return &Message{fields: make([]field, 0, n)}
-}
-
-// invalidate records a mutation, discarding any cached encoding.
-func (m *Message) invalidate() {
-	m.gen++
-	if m.side != nil {
-		m.side.enc = nil
-	}
-}
-
-// treeGen sums the mutation counters of this message and every nested
-// message. Counters only increase, so the sum changes whenever any message
-// in the tree is mutated; this is what keeps the cached encoding honest when
-// a caller mutates a nested message after PutMessage.
-func (m *Message) treeGen() uint64 {
-	g := m.gen
-	for i := range m.fields {
-		if f := &m.fields[i]; f.typ == TypeMessage && f.sub != nil {
-			g += f.sub.treeGen()
-		}
-	}
-	return g
 }
 
 // find returns the index where name is or would be stored, and whether it is
@@ -232,20 +184,9 @@ func (m *Message) lookup(name string, typ FieldType) *field {
 	return nil
 }
 
-// out returns a name or value in a form that may leave the message: as it is,
-// or copied out of a scratch message's buffer.
-func (m *Message) out(s string) string {
-	if m.side != nil && m.side.scratch {
-		return strings.Clone(s)
-	}
-	return s
-}
-
 // slot returns a pointer to the (possibly freshly inserted) field for name,
-// cleared except for its name. Every Put goes through here, so it also
-// invalidates the cached encoding.
+// cleared except for its name and type.
 func (m *Message) slot(name string, typ FieldType) *field {
-	m.invalidate()
 	n := len(m.fields)
 	// Builders and the decoder mostly add fields in ascending order.
 	i, ok := n, false
@@ -290,7 +231,6 @@ func (m *Message) Delete(name string) {
 	if !ok {
 		return
 	}
-	m.invalidate()
 	copy(m.fields[i:], m.fields[i+1:])
 	m.fields[len(m.fields)-1] = field{}
 	m.fields = m.fields[:len(m.fields)-1]
@@ -300,7 +240,7 @@ func (m *Message) Delete(name string) {
 func (m *Message) Names() []string {
 	out := make([]string, len(m.fields))
 	for i := range m.fields {
-		out[i] = m.out(m.fields[i].name)
+		out[i] = m.fields[i].name
 	}
 	return out
 }
@@ -376,7 +316,7 @@ func (m *Message) String(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return m.out(f.ref), nil
+	return f.ref, nil
 }
 
 // Int returns the integer field.
@@ -429,7 +369,7 @@ func (m *Message) GetInt(name string, def int64) int64 {
 // GetString returns the string field or def when absent or mistyped.
 func (m *Message) GetString(name, def string) string {
 	if f := m.lookup(name, TypeString); f != nil {
-		return m.out(f.ref)
+		return f.ref
 	}
 	return def
 }
@@ -442,8 +382,7 @@ func (m *Message) GetBytes(name string) []byte {
 
 // BytesView is GetBytes without the copy, for callers that only read: the
 // slice must not be written to (its storage is shared with clones of the
-// message and the other deliveries of a multicast) and, on a message filled
-// by UnmarshalInto, is only valid until the next decode.
+// message and the other deliveries of a multicast).
 func (m *Message) BytesView(name string) []byte {
 	if f := m.lookup(name, TypeBytes); f != nil {
 		return view(f.ref)
@@ -490,21 +429,13 @@ func (m *Message) Group() addr.Address { return m.GetAddress(FGroup) }
 // set by the toolkit itself.
 func (m *Message) StripSystemFields() {
 	kept := m.fields[:0]
-	removed := false
 	for i := range m.fields {
-		if IsSystemField(m.fields[i].name) {
-			removed = true
-			continue
+		if !IsSystemField(m.fields[i].name) {
+			kept = append(kept, m.fields[i])
 		}
-		kept = append(kept, m.fields[i])
 	}
-	if removed {
-		for i := len(kept); i < len(m.fields); i++ {
-			m.fields[i] = field{}
-		}
-		m.fields = kept
-		m.invalidate()
-	}
+	clear(m.fields[len(kept):])
+	m.fields = kept
 }
 
 // Clone returns a copy of the message that shares nothing mutable with it:
@@ -521,9 +452,7 @@ func (m *Message) clone(room int) *Message {
 	out.fields = make([]field, len(m.fields), len(m.fields)+room)
 	copy(out.fields, m.fields)
 	for i := range out.fields {
-		f := &out.fields[i]
-		f.name, f.ref = m.out(f.name), m.out(f.ref)
-		if f.sub != nil {
+		if f := &out.fields[i]; f.sub != nil {
 			f.sub = f.sub.clone(0)
 		}
 	}

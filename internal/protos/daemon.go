@@ -178,15 +178,9 @@ type groupState struct {
 	wedged   bool         // a GBCAST flush is in progress
 	wedgeSeq uint64       // increments per wedge; lets the watchdog spot stale wedges
 	heldPkts []heldPacket // data packets held while wedged
-	recent   map[core.MsgID]*msg.Message
-	order    []core.MsgID // insertion order of recent, for bounding
-
-	// recentPrio records, for ABCAST entries in recent, the final priority
-	// they were delivered at. Its lifetime is exactly the recent entry's, so
-	// a flush report's Recent line can always name the final a delivered
-	// straggler must be completed at elsewhere (the daemon-global abDone
-	// record churns across groups and may have evicted it).
-	recentPrio map[core.MsgID]uint64
+	// recent holds the last delivered data packets, which a flush
+	// re-disseminates to members that missed them.
+	recent boundedLog[core.MsgID, recentEntry]
 
 	// nonPrimary marks a copy of the group stranded in a minority partition:
 	// the acting coordinator could not reach a majority of the last agreed
@@ -230,12 +224,30 @@ type groupState struct {
 	// gap ids an in-order commit jumped over (requests the requester
 	// abandoned). The dedupe check treats a skipped id at or below the mark
 	// as already handled, so it can never execute later — which is what
-	// makes an Aborted answer definitive. Bounded FIFO.
-	gbSkipped      map[int64]bool
-	gbSkippedOrder []int64
+	// makes an Aborted answer definitive.
+	gbSkipped boundedLog[int64, struct{}]
+}
+
+// recentEntry is one delivered data packet. For an ABCAST, prio is the final
+// priority it was delivered at (0 otherwise): kept with the packet, so a
+// flush report's Recent line can always name the final a delivered straggler
+// must be completed at elsewhere (the daemon-global abDone record churns
+// across groups and may have evicted it).
+type recentEntry struct {
+	pkt  *msg.Message
+	prio uint64
 }
 
 const recentLimit = 256
+
+func newGroupState(view core.View) *groupState {
+	return &groupState{
+		view:      view,
+		members:   make(map[addr.Address]*memberState),
+		recent:    boundedLog[core.MsgID, recentEntry]{limit: recentLimit},
+		gbSkipped: boundedLog[int64, struct{}]{limit: gbSkipLimit},
+	}
+}
 
 // abSendState is the initiator-side state of one ABCAST (phase 1 responses
 // still outstanding).
@@ -294,8 +306,7 @@ type Daemon struct {
 	nextCall    int64
 	nextReqID   int64
 	pendingAb   map[core.MsgID]*abSendState
-	abDone      map[core.MsgID]uint64 // final priorities of applied ABCAST commits
-	abDoneOrder []core.MsgID          // insertion order of abDone, for bounding
+	abDone      boundedLog[core.MsgID, uint64] // final priorities of applied ABCAST commits
 	pendingJoin map[joinKey]pendingJoin
 	merging     map[addr.Address]bool // groups with a merge in progress
 	reqSerial   map[addr.Address]*sync.Mutex
@@ -309,9 +320,8 @@ type Daemon struct {
 	// minted: which group each went to and whether the call committed, is
 	// still pending, or was given up on (timed out / errored with the
 	// outcome unresolved). RequestOutcome consults it and, for given-up
-	// ids, settles the outcome with a gbSeal round. Bounded FIFO.
-	reqLog      map[int64]reqRecord
-	reqLogOrder []int64
+	// ids, settles the outcome with a gbSeal round.
+	reqLog boundedLog[int64, reqRecord]
 
 	// Relayed-CBCAST FIFO repair (see relayrepair.go). lostRelays tracks
 	// relay calls whose outcome is unknown — the call timed out or was
@@ -320,8 +330,7 @@ type Daemon struct {
 	// reconciled against the FIFO sequence the relay consumed. relayHoles
 	// holds sequence numbers confirmed refused after later numbers were
 	// handed out; each needs a null filler before receivers can progress.
-	lostRelays     map[int64]lostRelay
-	lostRelayOrder []int64
+	lostRelays     boundedLog[int64, lostRelay]
 	relayHoles     map[relayHoleKey]lostRelay
 	repairingHoles bool
 
@@ -394,15 +403,15 @@ func New(cfg Config) (*Daemon, error) {
 		calls:        make(map[int64]chan *msg.Message),
 		callSite:     make(map[int64]addr.SiteID),
 		pendingAb:    make(map[core.MsgID]*abSendState),
-		abDone:       make(map[core.MsgID]uint64),
+		abDone:       boundedLog[core.MsgID, uint64]{limit: abDoneLimit},
 		pendingJoin:  make(map[joinKey]pendingJoin),
 		merging:      make(map[addr.Address]bool),
 		reqSerial:    make(map[addr.Address]*sync.Mutex),
-		lostRelays:   make(map[int64]lostRelay),
+		lostRelays:   boundedLog[int64, lostRelay]{limit: maxLostRelays},
 		relayHoles:   make(map[relayHoleKey]lostRelay),
 		parkedMerges: make(map[parkKey]parkedRejoin),
 		bus:          events.NewBus(cfg.Site),
-		reqLog:       make(map[int64]reqRecord),
+		reqLog:       boundedLog[int64, reqRecord]{limit: reqLogLimit},
 		stopScan:     make(chan struct{}),
 	}
 	ep, err := cfg.Network.Attach(cfg.Site, trCfg.Epoch)
@@ -596,31 +605,6 @@ func (d *Daemon) ProcessAlive(p addr.Address) bool {
 	return ok && lp.alive
 }
 
-// WatchSites invokes the callback on every failure-detector event (site
-// failure or recovery). It is a compatibility wrapper over the event stream:
-// events are delivered asynchronously from a forwarding goroutine, and the
-// returned cancel stops the subscription.
-//
-// Deprecated: subscribe to the event stream (Events) with kinds SiteDown and
-// SiteUp instead.
-func (d *Daemon) WatchSites(cb func(fdetect.Event)) (cancel func()) {
-	ch, cancel := d.bus.Subscribe(events.Filter{
-		Kinds: []events.Kind{events.SiteDown, events.SiteUp},
-	}, 0)
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		for e := range ch {
-			kind := fdetect.SiteFailed
-			if e.Kind == events.SiteUp {
-				kind = fdetect.SiteRecovered
-			}
-			cb(fdetect.Event{Site: e.Peer, Kind: kind, When: e.Time})
-		}
-	}()
-	return cancel
-}
-
 // Events subscribes to this site's operational event stream. The filter
 // restricts the stream (the zero Filter matches everything); buf sizes the
 // subscriber's bounded queue (<=0 selects events.DefaultQueue). The returned
@@ -781,8 +765,8 @@ func (d *Daemon) respond(callID int64, m *msg.Message) {
 	d.mu.Lock()
 	ch, ok := d.calls[callID]
 	if !ok {
-		if lr, tracked := d.lostRelays[callID]; tracked {
-			delete(d.lostRelays, callID)
+		if lr, tracked := d.lostRelays.Get(callID); tracked {
+			d.lostRelays.Delete(callID)
 			d.mu.Unlock()
 			d.reconcileLostRelay(lr, m)
 			return

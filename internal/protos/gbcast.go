@@ -702,12 +702,12 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 		idx[id] = len(rep.Abcasts)
 		rep.Abcasts = append(rep.Abcasts, abPendingWire{ID: id, Priority: st.maxPrio, Packet: st.packet, Init: true})
 	}
-	for _, id := range gs.order {
-		prio := gs.recentPrio[id]
-		if prio == 0 {
-			prio = d.abDone[id]
+	for _, id := range gs.recent.Keys() {
+		e, _ := gs.recent.Get(id)
+		if e.prio == 0 {
+			e.prio, _ = d.abDone.Get(id)
 		}
-		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: gs.recent[id], Priority: prio})
+		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: e.pkt, Priority: e.prio})
 	}
 	return rep
 }
@@ -879,11 +879,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// The view itself is installed by applyViewChangeLocked below; the
 		// stub starts at view id 0 so the commit's view is never mistaken
 		// for already-installed.
-		gs = &groupState{
-			view:    core.View{Group: gid.Base(), Name: newView.Name},
-			members: make(map[addr.Address]*memberState),
-			recent:  make(map[core.MsgID]*msg.Message),
-		}
+		gs = newGroupState(core.View{Group: gid.Base(), Name: newView.Name})
 		d.groups[gid.Base()] = gs
 		if newView.Name != "" {
 			d.nameCache[newView.Name] = gid.Base()
@@ -904,7 +900,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// already delivered here and any member that joined after the message
 	// was sent (its state-transfer cut covers it).
 	for _, rc := range rec.Recent {
-		if rc.Packet == nil || gs.recent[rc.ID] != nil {
+		if _, have := gs.recent.Get(rc.ID); have || rc.Packet == nil {
 			continue
 		}
 		d.recordRecentLocked(gs, rc.ID, rc.Packet, rc.Priority)
@@ -983,9 +979,9 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// never commit after being reported aborted.
 		if sealReq != 0 {
 			if sealOutcome == voteCommitted {
-				delete(gs.gbSkipped, sealReq)
+				gs.gbSkipped.Delete(sealReq)
 			} else {
-				markSkippedLocked(gs, sealReq)
+				gs.gbSkipped.Put(sealReq, struct{}{})
 			}
 			recordGbDoneLocked(gs, sealReq)
 		}
@@ -1105,23 +1101,6 @@ const (
 	gbSkipGapCap = 1024
 )
 
-// markSkippedLocked records one request id that advanced past the high-water
-// mark without committing at this site. Caller holds d.mu.
-func markSkippedLocked(gs *groupState, reqID int64) {
-	if gs.gbSkipped == nil {
-		gs.gbSkipped = make(map[int64]bool)
-	}
-	if gs.gbSkipped[reqID] {
-		return
-	}
-	gs.gbSkipped[reqID] = true
-	gs.gbSkippedOrder = append(gs.gbSkippedOrder, reqID)
-	for len(gs.gbSkippedOrder) > gbSkipLimit {
-		delete(gs.gbSkipped, gs.gbSkippedOrder[0])
-		gs.gbSkippedOrder = gs.gbSkippedOrder[1:]
-	}
-}
-
 // gbOutcomeVoteLocked reports this site's first-hand knowledge of a request
 // id's outcome. Committed requires positive evidence: the counter must lie
 // inside the window this site has actually tracked for the requester
@@ -1129,7 +1108,7 @@ func markSkippedLocked(gs *groupState, reqID int64) {
 // group after the id was minted has no history below its base and must
 // answer unknown, not committed. Caller holds d.mu.
 func gbOutcomeVoteLocked(gs *groupState, reqID int64) int64 {
-	if gs.gbSkipped[reqID] {
+	if _, skipped := gs.gbSkipped.Get(reqID); skipped {
 		return voteAborted
 	}
 	requester, counter := reqIDParts(reqID)
@@ -1166,7 +1145,7 @@ func recordGbDoneLocked(gs *groupState, reqID int64) {
 	}
 	if prev > 0 && counter-prev-1 <= gbSkipGapCap {
 		for c := prev + 1; c < counter; c++ {
-			markSkippedLocked(gs, requester<<32|c)
+			gs.gbSkipped.Put(requester<<32|c, struct{}{})
 		}
 	}
 	gs.gbSeen[requester] = counter

@@ -41,11 +41,7 @@ func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, erro
 		ID:      1,
 		Members: []addr.Address{creator.Base()},
 	}
-	gs := &groupState{
-		view:    view,
-		members: make(map[addr.Address]*memberState),
-		recent:  make(map[core.MsgID]*msg.Message),
-	}
+	gs := newGroupState(view)
 	gs.members[creator.Base()] = &memberState{
 		proc:       lp,
 		causal:     core.NewCausalQueue(0, 1),

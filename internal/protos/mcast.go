@@ -704,15 +704,8 @@ func (d *Daemon) deliverTotalLocked(gs *groupState, ms *memberState, dels []core
 // commit (bounded memory), so this site can answer a re-solicitation for it
 // even after the initiator is gone. Caller holds d.mu.
 func (d *Daemon) recordAbDoneLocked(id core.MsgID, final uint64) {
-	if _, ok := d.abDone[id]; ok {
-		return
-	}
-	d.abDone[id] = final
-	d.abDoneOrder = append(d.abDoneOrder, id)
-	if len(d.abDoneOrder) > abDoneLimit {
-		old := d.abDoneOrder[0]
-		d.abDoneOrder = d.abDoneOrder[1:]
-		delete(d.abDone, old)
+	if _, ok := d.abDone.Get(id); !ok {
+		d.abDone.Put(id, final)
 	}
 }
 
@@ -726,7 +719,7 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	id := getMsgID(p)
 	d.mu.Lock()
-	final, done := d.abDone[id]
+	final, done := d.abDone.Get(id)
 	d.mu.Unlock()
 	if !done {
 		return
@@ -795,7 +788,7 @@ func (d *Daemon) resolicitStragglers() {
 				continue
 			}
 			ms.blockedSince = now // rate-limit: one solicitation per period
-			if final, ok := d.abDone[id]; ok {
+			if final, ok := d.abDone.Get(id); ok {
 				// Another local member (or a past commit within the bounded
 				// record) already knows the outcome: apply it directly.
 				selfFix = append(selfFix, newAbCommit(gid, id, final))
@@ -1016,25 +1009,11 @@ func (d *Daemon) enqueueMember(ms *memberState, fn func()) {
 
 // recordRecentLocked remembers a delivered data packet so a GBCAST flush can
 // re-disseminate it to members that missed it. For an ABCAST, prio is the
-// final priority it was delivered at (0 for CBCAST and point-to-point),
-// kept for exactly as long as the recent entry itself. Caller holds d.mu.
+// final priority it was delivered at (0 for CBCAST and point-to-point).
+// Caller holds d.mu.
 func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, pkt *msg.Message, prio uint64) {
-	if _, ok := gs.recent[id]; ok {
-		return
-	}
-	gs.recent[id] = pkt
-	if prio != 0 {
-		if gs.recentPrio == nil {
-			gs.recentPrio = make(map[core.MsgID]uint64)
-		}
-		gs.recentPrio[id] = prio
-	}
-	gs.order = append(gs.order, id)
-	if len(gs.order) > recentLimit {
-		old := gs.order[0]
-		gs.order = gs.order[1:]
-		delete(gs.recent, old)
-		delete(gs.recentPrio, old)
+	if _, ok := gs.recent.Get(id); !ok {
+		gs.recent.Put(id, recentEntry{pkt: pkt, prio: prio})
 	}
 }
 

@@ -39,29 +39,6 @@ func (d *Daemon) GroupPrimary(gid addr.Address) bool {
 	return true
 }
 
-// WatchPrimary invokes the callback whenever a locally hosted group copy
-// transitions between primary and non-primary status: (gid, false) when the
-// copy wedges into a minority partition, (gid, true) when it resumes or
-// completes a merge back into the primary. It is a compatibility wrapper
-// over the event stream: transitions are delivered asynchronously from a
-// forwarding goroutine, and the returned cancel stops the subscription.
-//
-// Deprecated: subscribe to the event stream (Events) with kinds PrimaryLost
-// and PrimaryResumed instead.
-func (d *Daemon) WatchPrimary(cb func(gid addr.Address, primary bool)) (cancel func()) {
-	ch, cancel := d.bus.Subscribe(events.Filter{
-		Kinds: []events.Kind{events.PrimaryLost, events.PrimaryResumed},
-	}, 0)
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		for e := range ch {
-			cb(e.Group, e.Kind == events.PrimaryResumed)
-		}
-	}()
-	return cancel
-}
-
 // notifyPrimary publishes a primary-status transition on the event stream.
 func (d *Daemon) notifyPrimary(gid addr.Address, primary bool) {
 	kind := events.PrimaryLost

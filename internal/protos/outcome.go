@@ -70,23 +70,18 @@ func (d *Daemon) noteRequest(rid int64, gid addr.Address, st reqState) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if prev, ok := d.reqLog[rid]; ok {
+	if prev, ok := d.reqLog.Get(rid); ok {
 		// Committed and aborted are terminal; pending advances to anything;
 		// gave-up advances only to a settled state. A late note must never
 		// regress a record.
 		terminal := prev.state == reqCommitted || prev.state == reqAborted
 		settles := st == reqCommitted || st == reqAborted
 		if !terminal && (settles || prev.state == reqPending && st == reqGaveUp) {
-			d.reqLog[rid] = reqRecord{gid: prev.gid, state: st}
+			d.reqLog.Put(rid, reqRecord{gid: prev.gid, state: st})
 		}
 		return
 	}
-	d.reqLog[rid] = reqRecord{gid: gid.Base(), state: st}
-	d.reqLogOrder = append(d.reqLogOrder, rid)
-	for len(d.reqLogOrder) > reqLogLimit {
-		delete(d.reqLog, d.reqLogOrder[0])
-		d.reqLogOrder = d.reqLogOrder[1:]
-	}
+	d.reqLog.Put(rid, reqRecord{gid: gid.Base(), state: st})
 }
 
 // RequestOutcome answers what happened to a GBCAST request this daemon
@@ -109,7 +104,7 @@ func (d *Daemon) noteRequest(rid int64, gid addr.Address, st reqState) {
 // the partition heals.
 func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	d.mu.Lock()
-	rec, ok := d.reqLog[rid]
+	rec, ok := d.reqLog.Get(rid)
 	if !ok {
 		d.mu.Unlock()
 		return OutcomeUnknown, ErrUnknownRequest
@@ -130,11 +125,11 @@ func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	if gs, hosted := d.groups[rec.gid]; hosted && !gs.nonPrimary {
 		switch gbOutcomeVoteLocked(gs, rid) {
 		case voteCommitted:
-			d.reqLog[rid] = reqRecord{gid: rec.gid, state: reqCommitted}
+			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqCommitted})
 			d.mu.Unlock()
 			return OutcomeCommitted, nil
 		case voteAborted:
-			d.reqLog[rid] = reqRecord{gid: rec.gid, state: reqAborted}
+			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqAborted})
 			d.mu.Unlock()
 			return OutcomeAborted, nil
 		}

@@ -137,7 +137,8 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 		}
 		for _, d := range tc.daemons {
 			d.mu.Lock()
-			pkt := d.groups[gid.Base()].recent[id]
+			e, _ := d.groups[gid.Base()].recent.Get(id)
+			pkt := e.pkt
 			d.mu.Unlock()
 			if pkt == nil {
 				t.Fatalf("%v: site %d kept no recent record", proto, d.site)

@@ -9,11 +9,11 @@ package protos
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/events"
 	"repro/internal/msg"
 	"repro/internal/simnet"
 )
@@ -29,15 +29,12 @@ func TestMinorityPartitionWedgesThenMerges(t *testing.T) {
 	procs := buildGroup(t, tc, "prim", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "prim")
 
-	var tmu sync.Mutex
-	var transitions []bool
-	tc.daemons[3].WatchPrimary(func(g addr.Address, primary bool) {
-		if g == gid {
-			tmu.Lock()
-			transitions = append(transitions, primary)
-			tmu.Unlock()
-		}
-	})
+	// The minority's primary-status transitions; few enough to wait in the
+	// subscription's queue until the end of the test.
+	transitions, cancel := tc.daemons[3].Events(events.Filter{
+		Kinds: []events.Kind{events.PrimaryLost, events.PrimaryResumed},
+		Group: gid,
+	}, 0)
 
 	tc.net.Partition(3, 1)
 	tc.net.Partition(3, 2)
@@ -96,10 +93,13 @@ func TestMinorityPartitionWedgesThenMerges(t *testing.T) {
 		return procs[0].got("after-merge") && procs[1].got("after-merge") && procs[2].got("after-merge")
 	})
 
-	tmu.Lock()
-	defer tmu.Unlock()
-	if len(transitions) < 2 || transitions[0] != false || transitions[len(transitions)-1] != true {
-		t.Errorf("primary-status transitions at the minority = %v, want false ... true", transitions)
+	cancel() // closes the channel; what is queued stays readable
+	var kinds []events.Kind
+	for e := range transitions {
+		kinds = append(kinds, e.Kind)
+	}
+	if len(kinds) < 2 || kinds[0] != events.PrimaryLost || kinds[len(kinds)-1] != events.PrimaryResumed {
+		t.Errorf("primary-status transitions at the minority = %v, want primary-lost ... primary-resumed", kinds)
 	}
 }
 

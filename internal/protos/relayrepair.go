@@ -61,33 +61,9 @@ func (lr lostRelay) key() relayHoleKey {
 // against a long-partitioned coordinator, not a working-set size.
 const maxLostRelays = 512
 
-// trackLostRelayLocked registers a relay call whose sequence number must be
-// reconciled if a response arrives after the caller gave up. Caller holds
-// d.mu.
-func (d *Daemon) trackLostRelayLocked(id int64, lr lostRelay) {
-	d.lostRelays[id] = lr
-	d.lostRelayOrder = append(d.lostRelayOrder, id)
-	for len(d.lostRelays) > maxLostRelays && len(d.lostRelayOrder) > 0 {
-		old := d.lostRelayOrder[0]
-		d.lostRelayOrder = d.lostRelayOrder[1:]
-		delete(d.lostRelays, old)
-	}
-	// The order slice keeps ids of entries untracked on a synchronous
-	// outcome; compact it before it outgrows the map it bounds.
-	if len(d.lostRelayOrder) > 4*maxLostRelays {
-		live := d.lostRelayOrder[:0]
-		for _, oid := range d.lostRelayOrder {
-			if _, ok := d.lostRelays[oid]; ok {
-				live = append(live, oid)
-			}
-		}
-		d.lostRelayOrder = live
-	}
-}
-
 func (d *Daemon) untrackLostRelay(id int64) {
 	d.mu.Lock()
-	delete(d.lostRelays, id)
+	d.lostRelays.Delete(id)
 	d.mu.Unlock()
 }
 
@@ -112,9 +88,10 @@ func (d *Daemon) relayCBCASTCall(site addr.SiteID, pkt *msg.Message, lp *localPr
 	id, ch := d.newCall()
 	d.mu.Lock()
 	d.callSite[id] = site
-	// Track before the request can reach the wire: a response cannot race
-	// past a registration that precedes the send.
-	d.trackLostRelayLocked(id, lostRelay{lp: lp, gid: gid, seq: seq})
+	// Track the call, whose sequence number must be reconciled if a response
+	// arrives after the caller gave up, before the request can reach the
+	// wire: a response cannot race past a registration that precedes the send.
+	d.lostRelays.Put(id, lostRelay{lp: lp, gid: gid, seq: seq})
 	d.mu.Unlock()
 	pkt.PutInt(fCall, id)
 	if err := d.sendPacket(site, ptData, pkt); err != nil {

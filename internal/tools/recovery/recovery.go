@@ -142,9 +142,12 @@ func (m *Manager) AutoRestartOnSiteRecovery() {
 	}
 	m.auto = true
 	m.mu.Unlock()
-	m.site.WatchSites(func(ev isis.SiteEvent) {
-		if ev.Kind == isis.SiteRecovered {
-			go func() { _, _ = m.RecoverAll() }()
+	// The channel closes when the site's daemon shuts down, which ends the
+	// goroutine; recoveries run one at a time.
+	ups, _ := m.site.Events(isis.EventFilter{Kinds: []isis.EventKind{isis.EventSiteUp}})
+	go func() {
+		for range ups {
+			_, _ = m.RecoverAll()
 		}
-	})
+	}()
 }

@@ -183,3 +183,60 @@ func TestEndToEndPartialRecoveryRejoinsAndTransfersState(t *testing.T) {
 		t.Errorf("recovered state = %q", recoveredState)
 	}
 }
+
+// TestAutoRestartOnSiteRecovery: once armed, the manager runs the registered
+// restart functions when its site sees another site come back.
+func TestAutoRestartOnSiteRecovery(t *testing.T) {
+	c := cluster(t, 2)
+	// Sites only monitor peers they have exchanged traffic with.
+	svc, err := c.Site(1).Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateGroup("ledger"); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := c.Site(2).Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.JoinByName("ledger", isis.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(c.Site(1))
+	restarted := make(chan Advice, 16) // more than the site-up events one restart can raise
+	m.Register("ledger", nil, func(a Advice, _ stable.Store) error {
+		restarted <- a
+		return nil
+	})
+	m.AutoRestartOnSiteRecovery()
+	m.AutoRestartOnSiteRecovery() // arming again is a no-op
+
+	down, cancel := c.Site(1).Events(isis.EventFilter{Kinds: []isis.EventKind{isis.EventSiteDown}})
+	defer cancel()
+	if err := c.CrashSite(2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-down:
+	case <-time.After(10 * time.Second):
+		t.Fatal("site 1 never saw site 2 fail")
+	}
+	select {
+	case a := <-restarted:
+		t.Fatalf("restart function ran with advice %v before any site recovered", a)
+	default:
+	}
+	if _, err := c.AddSite(2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-restarted:
+		if a != Rejoin {
+			t.Errorf("advice = %v, want Rejoin (the group lives on at site 1)", a)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no restart after site 2 came back")
+	}
+}

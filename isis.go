@@ -35,7 +35,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/fdetect"
 	"repro/internal/msg"
 	"repro/internal/protos"
 	"repro/internal/simnet"
@@ -60,8 +59,6 @@ type (
 	Protocol = protos.Protocol
 	// Counters tallies protocol activity (used by the benchmark harness).
 	Counters = protos.Counters
-	// SiteEvent is a failure-detector notification about a site.
-	SiteEvent = fdetect.Event
 	// MergePolicy selects how the cluster handles network partitions (the
 	// primary-partition rule and the merge trigger).
 	MergePolicy = protos.MergePolicy
@@ -140,12 +137,6 @@ const (
 	EntryConfig        = addr.EntryConfig
 	EntryNews          = addr.EntryNews
 	EntryUserBase      = addr.EntryUserBase
-)
-
-// Site-event kinds.
-const (
-	SiteFailed    = fdetect.SiteFailed
-	SiteRecovered = fdetect.SiteRecovered
 )
 
 // Partition-handling policies (ClusterConfig.Merge).

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netback"
 )
 
 // newTestCluster builds a fast cluster for tests.
@@ -102,8 +104,16 @@ func TestClusterLifecycle(t *testing.T) {
 	if err := c.CrashSite(10); err != ErrNoSuchSite {
 		t.Errorf("double crash err = %v", err)
 	}
-	if sim, ok := c.Network(); !ok || sim == nil {
-		t.Error("Network() not available on simnet backend")
+}
+
+// Fabric is the one way to the network, and fault injection must not depend
+// on which backend is behind it.
+func TestFabricInjectsFaultsOnBothBackends(t *testing.T) {
+	for _, backend := range []string{BackendSimnet, BackendTCP} {
+		c := newBackendCluster(t, backend, 1)
+		if _, ok := c.Fabric().(netback.FaultInjector); !ok {
+			t.Errorf("%s: Fabric() is a %T, which is no netback.FaultInjector", backend, c.Fabric())
+		}
 	}
 }
 
