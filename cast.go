@@ -5,12 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/msg"
-	"repro/internal/protos"
 )
-
-// protosJoinOptions aliases the daemon's join options so process.go does not
-// import the protos package directly in its public signatures.
-type protosJoinOptions = protos.JoinOptions
 
 // All requests replies from every destination of a Cast (Replies(All)).
 const All = -1

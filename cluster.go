@@ -13,6 +13,7 @@ import (
 	"repro/internal/netback"
 	"repro/internal/protos"
 	"repro/internal/simnet"
+	"repro/internal/task"
 	"repro/internal/tcpnet"
 	"repro/internal/transport"
 )
@@ -345,8 +346,8 @@ func (s *Site) Spawn() (*Process, error) {
 		monitors:     make(map[Address]map[int]func(View)),
 		pending:      make(map[int64]*pendingCall),
 		providers:    make(map[Address]func() [][]byte),
+		tasks:        task.NewManager(),
 	}
-	p.tasks = newTaskManager()
 	a, err := s.daemon.RegisterProcess(p.onDeliver, p.onView)
 	if err != nil {
 		return nil, err

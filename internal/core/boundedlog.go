@@ -1,27 +1,35 @@
-package protos
+package core
 
 import "slices"
 
-// boundedLog is a map that remembers at most limit entries: putting a new
-// key into a full log forgets the oldest one. It is the daemon's one
-// bounded-memory record — recent deliveries, ABCAST finals, request states,
-// lost relays, skipped request ids — and has no lock of its own: d.mu guards
-// it with the rest of the daemon's state.
-type boundedLog[K comparable, V any] struct {
+// BoundedLog is a map that remembers at most limit entries: putting a new
+// key into a full log forgets the oldest one. It is the stack's one
+// bounded-memory record — the total-order queue's delivered ids here, and in
+// internal/protos recent deliveries, ABCAST finals, request states, lost
+// relays and skipped request ids (where its table test lives, with the five
+// uses it was written for). It has no lock of its own: whoever owns the
+// state it belongs to serializes access.
+type BoundedLog[K comparable, V any] struct {
 	limit int
 	vals  map[K]V // made by the first Put
 	order []K     // exactly the keys of vals, oldest first
 }
 
+// NewBoundedLog returns an empty log of the given limit. It is a value: a
+// log nobody has Put into yet costs its owner no allocation.
+func NewBoundedLog[K comparable, V any](limit int) BoundedLog[K, V] {
+	return BoundedLog[K, V]{limit: limit}
+}
+
 // Get returns the value recorded for k, if it is still remembered.
-func (l *boundedLog[K, V]) Get(k K) (V, bool) {
+func (l *BoundedLog[K, V]) Get(k K) (V, bool) {
 	v, ok := l.vals[k]
 	return v, ok
 }
 
 // Put records v for k. A key already in the log keeps its age; a new key is
 // the youngest, and pushes out the oldest once the log is full.
-func (l *boundedLog[K, V]) Put(k K, v V) {
+func (l *BoundedLog[K, V]) Put(k K, v V) {
 	if l.vals == nil {
 		l.vals = make(map[K]V)
 	}
@@ -37,7 +45,7 @@ func (l *boundedLog[K, V]) Put(k K, v V) {
 
 // Delete forgets k. The search runs from the young end: nearly every delete
 // is of a relay call answered in time, put a moment ago.
-func (l *boundedLog[K, V]) Delete(k K) {
+func (l *BoundedLog[K, V]) Delete(k K) {
 	if _, ok := l.vals[k]; !ok {
 		return
 	}
@@ -52,4 +60,4 @@ func (l *boundedLog[K, V]) Delete(k K) {
 
 // Keys returns the remembered keys, oldest first. The slice is the log's
 // own: it is only valid until the next Put or Delete.
-func (l *boundedLog[K, V]) Keys() []K { return l.order }
+func (l *BoundedLog[K, V]) Keys() []K { return l.order }

@@ -41,9 +41,7 @@ type abPending struct {
 type TotalQueue struct {
 	clock     uint64 // largest priority proposed or observed
 	pending   map[MsgID]*abPending
-	delivered map[MsgID]bool // dedup of already-delivered ids (bounded)
-	history   []MsgID        // insertion order of delivered, for bounding
-	maxHist   int
+	delivered BoundedLog[MsgID, struct{}] // dedup of already-delivered ids
 }
 
 // NewTotalQueue returns an empty queue. historyLimit bounds the
@@ -54,8 +52,7 @@ func NewTotalQueue(historyLimit int) *TotalQueue {
 	}
 	return &TotalQueue{
 		pending:   make(map[MsgID]*abPending),
-		delivered: make(map[MsgID]bool),
-		maxHist:   historyLimit,
+		delivered: NewBoundedLog[MsgID, struct{}](historyLimit),
 	}
 }
 
@@ -66,7 +63,7 @@ func (q *TotalQueue) Propose(id MsgID, payload any) uint64 {
 	if p, ok := q.pending[id]; ok {
 		return p.priority
 	}
-	if q.delivered[id] {
+	if q.Delivered(id) {
 		// Already delivered (a late duplicate); re-propose its old priority
 		// is impossible, but any value is safe because the sender has
 		// already committed. Return the current clock.
@@ -102,7 +99,7 @@ func (q *TotalQueue) drain() []TotalDelivery {
 			return out
 		}
 		delete(q.pending, head.id)
-		q.markDelivered(head.id)
+		q.delivered.Put(head.id, struct{}{})
 		out = append(out, TotalDelivery{ID: head.id, Payload: head.payload, Priority: head.priority})
 	}
 }
@@ -123,19 +120,12 @@ func (q *TotalQueue) minPending() *abPending {
 	return best
 }
 
-func (q *TotalQueue) markDelivered(id MsgID) {
-	q.delivered[id] = true
-	q.history = append(q.history, id)
-	if len(q.history) > q.maxHist {
-		old := q.history[0]
-		q.history = q.history[1:]
-		delete(q.delivered, old)
-	}
-}
-
 // Delivered reports whether the queue has already delivered the message
 // (within its bounded memory).
-func (q *TotalQueue) Delivered(id MsgID) bool { return q.delivered[id] }
+func (q *TotalQueue) Delivered(id MsgID) bool {
+	_, ok := q.delivered.Get(id)
+	return ok
+}
 
 // HeadBlocked returns the message at the head of the priority order when it
 // is still uncommitted — the entry whose missing final priority is blocking
@@ -179,7 +169,7 @@ func (q *TotalQueue) Pending() []PendingState {
 // and commits a message at the given final priority, returning any newly
 // deliverable messages. Already-delivered messages are ignored.
 func (q *TotalQueue) ForceCommit(id MsgID, payload any, final uint64) []TotalDelivery {
-	if q.delivered[id] {
+	if q.Delivered(id) {
 		return q.drain()
 	}
 	p, ok := q.pending[id]

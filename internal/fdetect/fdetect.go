@@ -64,9 +64,6 @@ type Config struct {
 	// to the observed mean inter-arrival time (the adaptive rule is
 	// timeout = mean + DeviationFactor*dev, in the spirit of TCP's RTO).
 	DeviationFactor float64
-	// CheckInterval is how often peers are examined for timeout; defaults
-	// to HeartbeatInterval.
-	CheckInterval time.Duration
 }
 
 // DefaultConfig returns parameters suitable for unit tests and the simulated
@@ -106,9 +103,6 @@ type Detector struct {
 
 // New creates a detector. Call Start to begin monitoring.
 func New(self SiteID, cfg Config, send SendHeartbeat, notify Notify) *Detector {
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = cfg.HeartbeatInterval
-	}
 	if cfg.DeviationFactor <= 0 {
 		cfg.DeviationFactor = 4
 	}
@@ -266,7 +260,8 @@ func (d *Detector) heartbeatLoop() {
 
 func (d *Detector) checkLoop() {
 	defer d.wg.Done()
-	ticker := time.NewTicker(d.cfg.CheckInterval)
+	// Peers are examined for timeout as often as they are expected to beat.
+	ticker := time.NewTicker(d.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -3,8 +3,12 @@ package protos
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
+// TestBoundedLog pins core.BoundedLog, through its exported methods, from the
+// package that leans on it hardest: five of its six uses are the daemon's.
 func TestBoundedLog(t *testing.T) {
 	type op struct {
 		del bool
@@ -67,15 +71,15 @@ func TestBoundedLog(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := boundedLog[int, string]{limit: tc.limit}
+			l := core.NewBoundedLog[int, string](tc.limit)
 			for i, o := range tc.ops {
 				if o.del {
 					l.Delete(o.k)
 				} else {
 					l.Put(o.k, o.v)
 				}
-				if len(l.order) != len(l.vals) || len(l.vals) > tc.limit {
-					t.Fatalf("after op %d: %d keys in order, %d values, limit %d", i, len(l.order), len(l.vals), tc.limit)
+				if n := len(l.Keys()); n > tc.limit {
+					t.Fatalf("after op %d: %d keys, limit %d", i, n, tc.limit)
 				}
 			}
 			if got := l.Keys(); !slices.Equal(got, tc.keys) {

@@ -161,32 +161,23 @@ type memberState struct {
 }
 
 // groupState is the per-group state kept at every site hosting members.
-// heldPacket is a packet whose processing is deferred while the group is
-// wedged by a GBCAST flush; pt remembers its envelope type so it can be
-// re-dispatched when the group unwedges.
-type heldPacket struct {
-	from addr.SiteID
-	pt   byte
-	pkt  *msg.Message
-}
-
 type groupState struct {
 	view     core.View
 	prevView core.View                     // the view this site held before the current one
 	members  map[addr.Address]*memberState // local members only
 
-	wedged   bool         // a GBCAST flush is in progress
-	wedgeSeq uint64       // increments per wedge; lets the watchdog spot stale wedges
-	heldPkts []heldPacket // data packets held while wedged
+	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
+	// alone; parked is what the open flush holds back; watchdog is the copy's
+	// one stale-flush timer, armed while flushing, and flushDeadline is when
+	// the flush now open counts as stale.
+	phase         phase
+	parked        parked
+	watchdog      *time.Timer
+	flushDeadline time.Time
+
 	// recent holds the last delivered data packets, which a flush
 	// re-disseminates to members that missed them.
-	recent boundedLog[core.MsgID, recentEntry]
-
-	// nonPrimary marks a copy of the group stranded in a minority partition:
-	// the acting coordinator could not reach a majority of the last agreed
-	// view, so no new view may be installed and local writes are refused
-	// until the partition heals and the merge protocol rejoins the primary.
-	nonPrimary bool
+	recent core.BoundedLog[core.MsgID, recentEntry]
 
 	// pendingXfer is the set of joiners whose requested state transfer has
 	// not been confirmed complete (by their site's ptStateAck). Every member
@@ -200,32 +191,9 @@ type groupState struct {
 	gbBusy  bool
 	gbQueue []*gbWork
 
-	// gbSeen records, per requester (the site|incarnation high word of the
-	// stable request id), the highest request counter whose commit this site
-	// has applied. Every member site keeps it, not just the coordinator, so
-	// that after a coordinator failure the successor can recognise a
-	// re-submitted request that already committed and answer it instead of
-	// running the protocol a second time. A high-water mark per requester —
-	// rather than a bounded history of individual ids — means a slow
-	// retrier can never slip past the record no matter how many GBCASTs
-	// intervene; soundness relies on each daemon serializing its request
-	// submissions per group (coordinatorCall), which makes a requester's
-	// commit order match its id order.
-	gbSeen map[int64]int64
-
-	// gbSeenBase records, per requester, the first counter this site ever
-	// tracked — the lower edge of its first-hand history. An outcome query
-	// about an id below the base is answered unknown: a site that joined
-	// (or merged back) late has no evidence either way about older ids.
-	gbSeenBase map[int64]int64
-
-	// gbSkipped marks individual request ids that advanced the gbSeen mark
-	// without committing: ids sealed as aborted by a gbSeal round, and the
-	// gap ids an in-order commit jumped over (requests the requester
-	// abandoned). The dedupe check treats a skipped id at or below the mark
-	// as already handled, so it can never execute later — which is what
-	// makes an Aborted answer definitive.
-	gbSkipped boundedLog[int64, struct{}]
+	// marks is the site's record of which GBCAST request ids have been
+	// settled here (requestmarks.go).
+	marks requestMarks
 }
 
 // recentEntry is one delivered data packet. For an ABCAST, prio is the final
@@ -242,10 +210,10 @@ const recentLimit = 256
 
 func newGroupState(view core.View) *groupState {
 	return &groupState{
-		view:      view,
-		members:   make(map[addr.Address]*memberState),
-		recent:    boundedLog[core.MsgID, recentEntry]{limit: recentLimit},
-		gbSkipped: boundedLog[int64, struct{}]{limit: gbSkipLimit},
+		view:    view,
+		members: make(map[addr.Address]*memberState),
+		recent:  core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
+		marks:   newRequestMarks(),
 	}
 }
 
@@ -276,12 +244,9 @@ type abSendState struct {
 // priorities kept for re-solicitation answers.
 const abDoneLimit = 1024
 
-// pendingJoin remembers the state-transfer receiver callback registered when
-// a local process asked to join a group, so it can be attached to the member
-// state once the view change that adds it is installed.
-type pendingJoin struct {
-	stateRecv func(block []byte, last bool)
-}
+// memberKey names a local process in its role as a member (present, future or
+// parked) of one group.
+type memberKey struct{ gid, proc addr.Address }
 
 // Daemon is the protocols process of one site.
 type Daemon struct {
@@ -301,14 +266,14 @@ type Daemon struct {
 	failedProcs map[addr.Address]bool
 	suspected   map[addr.SiteID]bool
 	monitored   map[addr.SiteID]bool
-	calls       map[int64]chan *msg.Message
-	callSite    map[int64]addr.SiteID // destination of each pending call
+	calls       map[int64]pendingCall
 	nextCall    int64
 	nextReqID   int64
 	pendingAb   map[core.MsgID]*abSendState
-	abDone      boundedLog[core.MsgID, uint64] // final priorities of applied ABCAST commits
-	pendingJoin map[joinKey]pendingJoin
-	merging     map[addr.Address]bool // groups with a merge in progress
+	abDone      core.BoundedLog[core.MsgID, uint64] // final priorities of applied ABCAST commits
+	// pendingJoin holds the state receiver a local process registered when
+	// it asked to join, until the view change that adds it is installed.
+	pendingJoin map[memberKey]func(block []byte, last bool)
 	reqSerial   map[addr.Address]*sync.Mutex
 
 	// bus carries the operational event stream for this site; emitters
@@ -321,7 +286,7 @@ type Daemon struct {
 	// still pending, or was given up on (timed out / errored with the
 	// outcome unresolved). RequestOutcome consults it and, for given-up
 	// ids, settles the outcome with a gbSeal round.
-	reqLog boundedLog[int64, reqRecord]
+	reqLog core.BoundedLog[int64, reqRecord]
 
 	// Relayed-CBCAST FIFO repair (see relayrepair.go). lostRelays tracks
 	// relay calls whose outcome is unknown — the call timed out or was
@@ -330,7 +295,7 @@ type Daemon struct {
 	// reconciled against the FIFO sequence the relay consumed. relayHoles
 	// holds sequence numbers confirmed refused after later numbers were
 	// handed out; each needs a null filler before receivers can progress.
-	lostRelays     boundedLog[int64, lostRelay]
+	lostRelays     core.BoundedLog[int64, lostRelay]
 	relayHoles     map[relayHoleKey]lostRelay
 	repairingHoles bool
 
@@ -339,8 +304,13 @@ type Daemon struct {
 	// primary then fails every retry, the member is parked here and the
 	// rejoin re-attempted on recovery events and scan ticks — the
 	// alternative is a live process left unhosted forever.
-	parkedMerges   map[parkKey]parkedRejoin
+	parkedMerges   map[memberKey]func(block []byte, last bool) // by parked member: its state receiver
 	retryingMerges bool
+
+	// flushEnd (on mu) is signalled whenever a group copy leaves its
+	// flushing phase, and on Close: senders blocked by a flush wait on it
+	// (settledGroupLocked).
+	flushEnd sync.Cond
 
 	counters Counters
 	closed   bool
@@ -400,20 +370,19 @@ func New(cfg Config) (*Daemon, error) {
 		failedProcs:  make(map[addr.Address]bool),
 		suspected:    make(map[addr.SiteID]bool),
 		monitored:    make(map[addr.SiteID]bool),
-		calls:        make(map[int64]chan *msg.Message),
-		callSite:     make(map[int64]addr.SiteID),
+		calls:        make(map[int64]pendingCall),
 		pendingAb:    make(map[core.MsgID]*abSendState),
-		abDone:       boundedLog[core.MsgID, uint64]{limit: abDoneLimit},
-		pendingJoin:  make(map[joinKey]pendingJoin),
-		merging:      make(map[addr.Address]bool),
+		abDone:       core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
+		pendingJoin:  make(map[memberKey]func(block []byte, last bool)),
 		reqSerial:    make(map[addr.Address]*sync.Mutex),
-		lostRelays:   boundedLog[int64, lostRelay]{limit: maxLostRelays},
+		lostRelays:   core.NewBoundedLog[int64, lostRelay](maxLostRelays),
 		relayHoles:   make(map[relayHoleKey]lostRelay),
-		parkedMerges: make(map[parkKey]parkedRejoin),
+		parkedMerges: make(map[memberKey]func(block []byte, last bool)),
 		bus:          events.NewBus(cfg.Site),
-		reqLog:       boundedLog[int64, reqRecord]{limit: reqLogLimit},
+		reqLog:       core.NewBoundedLog[int64, reqRecord](reqLogLimit),
 		stopScan:     make(chan struct{}),
 	}
+	d.flushEnd.L = &d.mu
 	ep, err := cfg.Network.Attach(cfg.Site, trCfg.Epoch)
 	if err != nil {
 		return nil, err
@@ -493,6 +462,12 @@ func (d *Daemon) Close() {
 	for _, st := range d.pendingAb {
 		d.retireAbcastLocked(st)
 	}
+	for _, gs := range d.groups {
+		if gs.watchdog != nil {
+			gs.watchdog.Stop()
+		}
+	}
+	d.flushEnd.Broadcast()
 	d.mu.Unlock()
 
 	d.bus.Close()
@@ -597,14 +572,6 @@ func (d *Daemon) KillProcess(p addr.Address) error {
 	return nil
 }
 
-// ProcessAlive reports whether the process is registered and alive.
-func (d *Daemon) ProcessAlive(p addr.Address) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lp, ok := d.procs[p.Base()]
-	return ok && lp.alive
-}
-
 // Events subscribes to this site's operational event stream. The filter
 // restricts the stream (the zero Filter matches everything); buf sizes the
 // subscriber's bounded queue (<=0 selects events.DefaultQueue). The returned
@@ -689,16 +656,26 @@ func (d *Daemon) sendHeartbeat(to addr.SiteID) {
 	_ = d.sendRaw(to, heartbeatRaw)
 }
 
-// newCall registers a pending request/response exchange and returns its id
-// and response channel.
-func (d *Daemon) newCall() (int64, chan *msg.Message) {
+// pendingCall is one request/response exchange awaiting its answer: where
+// the answer is delivered, and the site it was asked of (so a failure of that
+// site can abort the wait).
+type pendingCall struct {
+	ch   chan *msg.Message
+	site addr.SiteID // 0: a broadcast question, answered by whoever can
+}
+
+// newCall registers a pending exchange with a site and returns its id and
+// response channel.
+func (d *Daemon) newCall(to addr.SiteID) (int64, chan *msg.Message) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextCall++
-	id := d.nextCall
+	// Deeper than the one answer a call gets: the answers to a broadcast
+	// question (a lookup) queue here while the asker works through them. One
+	// that finds the buffer full is dropped, as a lost packet would be.
 	ch := make(chan *msg.Message, 8)
-	d.calls[id] = ch
-	return id, ch
+	d.calls[d.nextCall] = pendingCall{ch: ch, site: to}
+	return d.nextCall, ch
 }
 
 // dropCall removes a pending call.
@@ -706,7 +683,6 @@ func (d *Daemon) dropCall(id int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.calls, id)
-	delete(d.callSite, id)
 }
 
 // newReqID mints a stable, globally unique GBCAST request id. The id
@@ -736,22 +712,16 @@ var errSiteFailed = errors.New("protos: site failed")
 // timeout.
 func (d *Daemon) failCallsTo(s addr.SiteID) {
 	d.mu.Lock()
-	var chans []chan *msg.Message
-	for id, target := range d.callSite {
-		if target != s {
+	defer d.mu.Unlock()
+	for _, c := range d.calls {
+		if c.site != s {
 			continue
 		}
-		if ch, ok := d.calls[id]; ok {
-			chans = append(chans, ch)
-		}
-	}
-	d.mu.Unlock()
-	for _, ch := range chans {
 		m := msg.New()
 		m.PutString(fErr, errSiteFailed.Error())
 		select {
-		case ch <- m:
-		default:
+		case c.ch <- m:
+		default: // the caller already has an answer waiting
 		}
 	}
 }
@@ -763,7 +733,7 @@ func (d *Daemon) failCallsTo(s addr.SiteID) {
 // message no receiver will ever see, and the hole must be repaired.
 func (d *Daemon) respond(callID int64, m *msg.Message) {
 	d.mu.Lock()
-	ch, ok := d.calls[callID]
+	c, ok := d.calls[callID]
 	if !ok {
 		if lr, tracked := d.lostRelays.Get(callID); tracked {
 			d.lostRelays.Delete(callID)
@@ -775,29 +745,30 @@ func (d *Daemon) respond(callID int64, m *msg.Message) {
 	d.mu.Unlock()
 	if ok {
 		select {
-		case ch <- m:
+		case c.ch <- m:
 		default:
 		}
 	}
 }
 
 // call sends a request to a site and waits for its response or a timeout.
-// Error responses (ptError) carry an fErr field, which is how they are told
-// apart from the matching positive response type.
 func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
-	id, ch := d.newCall()
+	id, ch := d.newCall(to)
 	defer d.dropCall(id)
-	d.mu.Lock()
-	d.callSite[id] = to
-	d.mu.Unlock()
+	return d.exchange(id, ch, to, pt, req)
+}
+
+// exchange stamps a registered call's id into the request, sends it, and
+// waits for the response or a timeout.
+func (d *Daemon) exchange(id int64, ch chan *msg.Message, to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
 	req.PutInt(fCall, id)
 	if err := d.sendPacket(to, pt, req); err != nil {
 		return nil, err
 	}
 	select {
 	case resp := <-ch:
-		if resp.Has(fErr) {
-			return nil, wireError("protos: remote error: %s", resp.GetString(fErr, "unknown"))
+		if err := respError(resp); err != nil {
+			return nil, err
 		}
 		return resp, nil
 	case <-time.After(d.cfg.CallTimeout):
@@ -805,6 +776,16 @@ func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, 
 	case <-d.stopScan:
 		return nil, ErrClosed
 	}
+}
+
+// respError returns the error a response carries, if it is a negative one:
+// error responses (ptError) have an fErr field, which is how they are told
+// apart from the matching positive response type.
+func respError(resp *msg.Message) error {
+	if !resp.Has(fErr) {
+		return nil
+	}
+	return wireError("protos: remote error: %s", resp.GetString(fErr, "unknown"))
 }
 
 // wireError reconstructs an error that travelled as text in an fErr field,
@@ -864,7 +845,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	case ptAbResolicit:
 		d.handleAbResolicit(from, p)
 	case ptGbCommit:
-		d.handleGbCommit(from, p)
+		d.applyGbCommit(from, p)
 	case ptLookup:
 		d.handleLookup(from, p)
 	case ptStateBlock:
@@ -876,28 +857,21 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 
 // onDetectorEvent reacts to site failures and recoveries.
 func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
-	d.mu.Lock()
 	switch ev.Kind {
 	case fdetect.SiteFailed:
+		d.mu.Lock()
 		d.suspected[ev.Site] = true
-	case fdetect.SiteRecovered:
-		delete(d.suspected, ev.Site)
-	}
-	d.mu.Unlock()
-
-	switch ev.Kind {
-	case fdetect.SiteFailed:
+		d.mu.Unlock()
 		d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: ev.Site})
-	case fdetect.SiteRecovered:
-		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
-	}
-	switch ev.Kind {
-	case fdetect.SiteFailed:
 		// Abort in-flight calls to the dead site first so their callers
 		// re-route to the successor while the failure is handled.
 		d.failCallsTo(ev.Site)
 		d.handleSiteFailure(ev.Site)
 	case fdetect.SiteRecovered:
+		d.mu.Lock()
+		delete(d.suspected, ev.Site)
+		d.mu.Unlock()
+		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
 		// A healed partition: any group copy stranded in a non-primary
 		// partition can now try to find the primary and merge back.
 		if d.cfg.Merge == MergeAuto {

@@ -2,6 +2,8 @@ package protos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,12 +33,12 @@ type gbWork struct {
 	done       chan *msg.Message // local requester waits here (nil otherwise)
 }
 
-// handleGbRequest processes a request addressed to this site in its role as
-// the group's (acting) coordinator.
-func (d *Daemon) handleGbRequest(from addr.SiteID, p *msg.Message) {
-	w := &gbWork{
+// decodeGbWork reads a unit of work from a ptGbRequest body (or from the
+// request message a local caller built, which has the same fields).
+func decodeGbWork(p *msg.Message) *gbWork {
+	return &gbWork{
 		kind:       p.GetInt(fKind, 0),
-		gid:        p.GetAddress(fGroup),
+		gid:        p.GetAddress(fGroup).Base(),
 		procs:      p.GetAddressList(fProcs),
 		wantState:  p.GetInt(fWantState, 0) == 1,
 		payload:    p.GetMessage(fPayload),
@@ -45,9 +47,14 @@ func (d *Daemon) handleGbRequest(from addr.SiteID, p *msg.Message) {
 		reqID:      p.GetInt(fReqID, 0),
 		sealTarget: p.GetInt(fSealReq, 0),
 		force:      p.GetInt(fForce, 0) == 1,
-		replyTo:    from,
-		replyCall:  p.GetInt(fCall, 0),
 	}
+}
+
+// handleGbRequest processes a request addressed to this site in its role as
+// the group's (acting) coordinator.
+func (d *Daemon) handleGbRequest(from addr.SiteID, p *msg.Message) {
+	w := decodeGbWork(p)
+	w.replyTo, w.replyCall = from, p.GetInt(fCall, 0)
 	if err := d.enqueueGb(w); err != nil {
 		d.replyError(from, w.replyCall, err.Error())
 	}
@@ -56,19 +63,8 @@ func (d *Daemon) handleGbRequest(from addr.SiteID, p *msg.Message) {
 // localGbRequest executes a gb request originated by a local caller and
 // waits for its completion.
 func (d *Daemon) localGbRequest(gid addr.Address, req *msg.Message) (*msg.Message, error) {
-	w := &gbWork{
-		kind:       req.GetInt(fKind, 0),
-		gid:        gid.Base(),
-		procs:      req.GetAddressList(fProcs),
-		wantState:  req.GetInt(fWantState, 0) == 1,
-		payload:    req.GetMessage(fPayload),
-		entry:      addr.EntryID(req.GetInt(fEntry, 0)),
-		sender:     req.GetAddress(fSender),
-		reqID:      req.GetInt(fReqID, 0),
-		sealTarget: req.GetInt(fSealReq, 0),
-		force:      req.GetInt(fForce, 0) == 1,
-		done:       make(chan *msg.Message, 1),
-	}
+	w := decodeGbWork(req)
+	w.gid, w.done = gid.Base(), make(chan *msg.Message, 1)
 	if err := d.enqueueGb(w); err != nil {
 		return nil, err
 	}
@@ -124,7 +120,16 @@ func (d *Daemon) runGbWorker(gid addr.Address) {
 	}
 }
 
-// executeGb runs the two-phase GBCAST protocol for one unit of work.
+// viewReply builds the coordinator's positive answer: the view the request
+// ended in.
+func viewReply(v core.View) *msg.Message {
+	resp := msg.New()
+	resp.PutMessage(fView, encodeView(v))
+	return resp
+}
+
+// executeGb runs the two-phase GBCAST protocol for one unit of work: admit,
+// collect phase 1, decide (decideFlush — the rules), commit.
 func (d *Daemon) executeGb(w *gbWork) {
 	d.mu.Lock()
 	gs, ok := d.groups[w.gid]
@@ -133,7 +138,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 		d.gbReply(w, nil, ErrUnknownGroup.Error())
 		return
 	}
-	if gs.nonPrimary {
+	if !gs.phase.primary() {
 		// This copy of the group is stranded in a minority partition: no
 		// view may be installed and no GBCAST committed until the merge
 		// protocol rejoins the primary.
@@ -141,268 +146,61 @@ func (d *Daemon) executeGb(w *gbWork) {
 		d.gbReply(w, nil, ErrNonPrimary.Error())
 		return
 	}
-	if w.reqID != 0 && gbCommittedLocked(gs, w.reqID) {
-		// The request already committed — typically under a previous
-		// coordinator that died after sending its commit but before
-		// answering the requester. Answer with the current view instead of
-		// executing the protocol a second time.
-		resp := msg.New()
-		resp.PutMessage(fView, encodeView(gs.view))
-		d.mu.Unlock()
-		d.gbReply(w, resp, "")
+	oldView := gs.view.Clone()
+	// Answer with the current view, instead of executing the protocol, a
+	// request that already committed — typically under a previous
+	// coordinator that died after sending its commit but before answering
+	// the requester — and a membership change that is a no-op here (a
+	// failure already handled, a re-submitted join whose commit reached this
+	// site). A forced takeover flush is exempt from the second: it must run
+	// the full protocol precisely because other members may not have seen
+	// the commit that made it a no-op here.
+	answered := w.reqID != 0 && gs.marks.Committed(w.reqID)
+	var seq uint64
+	if !answered {
+		gs.gbSeq++
+		seq = gs.gbSeq
+		d.counters.GBCASTs++
+		switch {
+		case w.force:
+		case w.kind == gbFail, w.kind == gbLeave:
+			answered = !anyContained(oldView, w.procs)
+		case w.kind == gbJoin:
+			answered = allContained(oldView, w.procs)
+		}
+	}
+	d.mu.Unlock()
+	if answered {
+		d.gbReply(w, viewReply(oldView), "")
 		return
 	}
-	oldView := gs.view.Clone()
-	gs.gbSeq++
-	seq := gs.gbSeq
-	d.counters.GBCASTs++
-	d.mu.Unlock()
 
-	// Skip no-op membership changes (a failure already handled, or a
-	// re-submitted join whose commit already reached this site) — unless
-	// the work is a forced takeover flush, which must run the full
-	// protocol precisely because other members may not have seen the
-	// commit that made it a no-op here.
-	if !w.force {
-		switch w.kind {
-		case gbFail, gbLeave:
-			all := true
-			for _, p := range w.procs {
-				if oldView.Contains(p) {
-					all = false
-					break
-				}
-			}
-			if all {
-				resp := msg.New()
-				resp.PutMessage(fView, encodeView(oldView))
-				d.gbReply(w, resp, "")
-				return
-			}
-		case gbJoin:
-			all := true
-			for _, p := range w.procs {
-				if !oldView.Contains(p) {
-					all = false
-					break
-				}
-			}
-			if all {
-				resp := msg.New()
-				resp.PutMessage(fView, encodeView(oldView))
-				d.gbReply(w, resp, "")
-				return
-			}
-		}
+	acks := d.collectAcks(w, seq, oldView)
+	dec := decideFlush(flushRound{
+		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks,
+		primaryRule: d.cfg.Merge != MergeNone,
+	})
+	if dec.nonPrimary {
+		d.enterNonPrimary(w.gid, acks)
+		d.gbReply(w, nil, ErrNonPrimary.Error())
+		return
 	}
-
-	// Phase 1: wedge every member site of the old view and collect pending
-	// state reports, along with each member's current view.
-	prepare := msg.New()
-	prepare.PutAddress(fGroup, w.gid)
-	prepare.PutInt(fGbID, int64(seq))
-	prepare.PutInt(fViewID, int64(oldView.ID))
-	if w.kind == gbFail && len(w.procs) > 0 {
-		// Failure removals name their targets in the prepare, so each
-		// member site can corroborate (or dispute) the claimed deaths of the
-		// processes it hosts.
-		prepare.PutAddressList(fProcs, w.procs)
-	}
-	if w.kind == gbSeal && w.sealTarget != 0 {
-		// Outcome settlement: each member site reports its first-hand
-		// knowledge of the target request id in its ack. One positive
-		// report suffices — a commit that reached any survivor counts as
-		// committed, even when this (successor) coordinator missed it.
-		prepare.PutInt(fSealReq, w.sealTarget)
-	}
-	sealCommitted := false
-
-	reports := make(map[addr.SiteID]pendingReport)
-	views := make(map[addr.SiteID]core.View)
-	deadAck := make(map[addr.SiteID]addr.List)
-	var repMu sync.Mutex
-	var wg sync.WaitGroup
-	for _, site := range oldView.SitesOf() {
-		if site == d.site {
-			rep, _ := d.prepareLocal(w.gid)
-			repMu.Lock()
-			reports[d.site] = rep
-			repMu.Unlock()
-			if w.kind == gbSeal && w.sealTarget != 0 {
-				d.mu.Lock()
-				if own, ok := d.groups[w.gid]; ok && gbOutcomeVoteLocked(own, w.sealTarget) == voteCommitted {
-					sealCommitted = true
-				}
-				d.mu.Unlock()
-			}
-			continue
-		}
-		d.mu.Lock()
-		dead := d.suspected[site]
-		d.mu.Unlock()
-		if dead {
-			continue
-		}
-		wg.Add(1)
-		go func(site addr.SiteID) {
-			defer wg.Done()
-			// Retry a failed prepare while the member site is still believed
-			// alive: silently treating a transient call failure as a site
-			// death would let this coordinator mint a view id the unreached
-			// member may already hold with different contents (it would then
-			// drop the commit as stale and diverge). Once the detector
-			// declares the site dead, its members are removed later and the
-			// missing report is legitimate. Calls to a site declared dead
-			// mid-exchange abort immediately (failCallsTo), so the retries
-			// never outlive the suspicion.
-			var resp *msg.Message
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				// Clone per call: d.call stamps a per-exchange call id into
-				// the body, and these calls run concurrently.
-				resp, err = d.call(site, ptGbPrepare, prepare.Clone())
-				if err == nil {
-					break
-				}
-				d.mu.Lock()
-				dead := d.suspected[site]
-				d.mu.Unlock()
-				if dead {
-					return // treat as failed; its members will be removed later
-				}
-			}
-			if err != nil {
-				return
-			}
-			repMu.Lock()
-			reports[site] = decodePendingReport(resp.GetMessage(fPending))
-			if v := decodeView(resp.GetMessage(fView)); v.ID > 0 {
-				views[site] = v
-			}
-			deadAck[site] = resp.GetAddressList(fDead)
-			if resp.GetInt(fOutcome, 0) == voteCommitted {
-				sealCommitted = true
-			}
-			repMu.Unlock()
-		}(site)
-	}
-	wg.Wait()
-
-	// Corroborate failure removals: a target whose hosting site answered the
-	// prepare and vouches for the process must not be removed. A failure
-	// claim is honoured only when the hosting site is unreachable, confirms
-	// the death itself (a locally detected process crash, or a ghost of a
-	// previous incarnation), or the coordinator has its own evidence. This
-	// is what stops a stale takeover request — e.g. one a wedged minority
-	// sent toward a presumed-dead coordinator, queued in the reliable
-	// transport and retransmitted across the partition heal — from removing
-	// perfectly healthy members.
-	if w.kind == gbFail {
-		kept := make([]addr.Address, 0, len(w.procs))
-		d.mu.Lock()
-		for _, pr := range w.procs {
-			if _, reached := reports[pr.Site]; !reached {
-				kept = append(kept, pr)
-				continue
-			}
-			confirmed := d.failedProcs[pr.Base()]
-			if pr.Site == d.site {
-				lp, ok := d.procs[pr.Base()]
-				if !ok || !lp.alive {
-					confirmed = true
-				}
-			} else if deadAck[pr.Site].Contains(pr) {
-				confirmed = true
-			}
-			if confirmed {
-				kept = append(kept, pr)
-			}
-		}
-		d.mu.Unlock()
-		w.procs = kept
-	}
-
-	// A coordinator taking over from one that died mid-commit may find
-	// members already at a later view than its own: base the change on the
-	// most advanced view any member reports, so the dead coordinator's
-	// partially completed commit is finished (re-run, idempotently) rather
-	// than contradicted by a conflicting view with the same id.
-	base := oldView
-	for _, v := range views {
-		if v.Group == base.Group && v.ID > base.ID {
-			base = v.Clone()
-		}
-	}
-
-	// Primary-partition rule: only the partition holding at least half of
-	// the last agreed view's members may commit. A coordinator that reached
-	// fewer wedges its side of the group into non-primary mode instead of
-	// minting a split-brain view; the partition that retains the majority
-	// keeps committing, and the minority rejoins through the merge protocol
-	// once the partition heals. Exactly half passes, so a group that loses
-	// half its members to a genuine crash (the paper's 2-member fail-over
-	// scenarios) stays available; the cost is that an exactly-even split is
-	// resolved in favour of availability on both sides — deploy odd
-	// replication degrees where strict primary-partition semantics matter.
-	if d.cfg.Merge != MergeNone {
-		votes := 0
-		for _, m := range base.Members {
-			if _, reached := reports[m.Site]; reached {
-				votes++
-			}
-		}
-		if votes*2 < len(base.Members) {
-			d.enterNonPrimary(w.gid, reports)
-			d.gbReply(w, nil, ErrNonPrimary.Error())
-			return
-		}
-	}
-
-	// Compute the new view.
-	newView := base
-	switch w.kind {
-	case gbJoin:
-		if !allContained(base, w.procs) {
-			newView = base.WithJoined(w.procs...)
-		}
-	case gbLeave, gbFail:
-		if anyContained(base, w.procs) {
-			newView = base.WithRemoved(w.procs...)
-		}
-		// Otherwise every member being removed is already gone from the
-		// most advanced view: this is a pure re-synchronising flush, so the
-		// commit re-announces that view without minting a new id (members
-		// already there treat it as stale and only unwedge; members behind
-		// catch up to it).
-	case gbUser, gbConfigHint, gbSeal:
-		newView = base // unchanged; the GBCAST only carries a payload
-	}
-
-	// Reconcile pending state across members so that the atomicity rule
-	// holds: an ABCAST committed anywhere is committed everywhere; an
-	// ABCAST from a failed sender that no member committed is discarded; a
-	// message delivered at some member but missed by another is
-	// re-disseminated before the GBCAST point.
-	rec := reconcile(reports, w.kind == gbFail, w.procs)
 
 	// Phase 2: commit at every member site of old, base, and new views.
+	sealing := w.kind == gbSeal && w.sealTarget != 0
 	commit := msg.New()
 	commit.PutAddress(fGroup, w.gid)
 	commit.PutInt(fGbID, int64(seq))
 	commit.PutInt(fKind, w.kind)
-	commit.PutAddressList(fProcs, w.procs)
-	commit.PutMessage(fView, encodeView(newView))
-	commit.PutMessage(fRebcast, encodePendingReport(rec))
+	commit.PutAddressList(fProcs, dec.procs)
+	commit.PutMessage(fView, encodeView(dec.newView))
+	commit.PutMessage(fRebcast, encodePendingReport(dec.rebcast))
 	if w.reqID != 0 {
 		commit.PutInt(fReqID, w.reqID)
 	}
-	if w.kind == gbSeal && w.sealTarget != 0 {
+	if sealing {
 		commit.PutInt(fSealReq, w.sealTarget)
-		if sealCommitted {
-			commit.PutInt(fOutcome, voteCommitted)
-		} else {
-			commit.PutInt(fOutcome, voteAborted)
-		}
+		commit.PutInt(fOutcome, dec.outcome)
 	}
 	if w.wantState {
 		commit.PutInt(fWantState, 1)
@@ -412,40 +210,23 @@ func (d *Daemon) executeGb(w *gbWork) {
 		commit.PutInt(fEntry, int64(w.entry))
 		commit.PutAddress(fSender, w.sender)
 	}
-
-	targets := map[addr.SiteID]bool{}
-	for _, s := range oldView.SitesOf() {
-		targets[s] = true
-	}
-	for _, s := range base.SitesOf() {
-		targets[s] = true
-	}
-	for _, s := range newView.SitesOf() {
-		targets[s] = true
-	}
 	// The commit is marshalled once; all member sites share the encoding.
+	// It goes to the youngest site first: a joiner's site holds no copy yet,
+	// so nobody learns the new view from it, whereas an older site can report
+	// the view to a second coordinator (requesters that disagree on who is
+	// suspected pick different ones — a known race, EXPERIMENTS.md PR 17),
+	// whose next commit may then overtake this one on its way to the joiner.
 	if raw, err := encodePacket(ptGbCommit, commit); err == nil {
-		for site := range targets {
-			if site == d.site {
-				continue
-			}
-			_ = d.sendRaw(site, raw)
-		}
+		d.fanoutRaw(unionSites(dec.newView, dec.base, oldView), raw)
 	}
 	d.applyGbCommit(d.site, commit)
 
-	if newView.ID > oldView.ID {
-		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.gid, View: newView.ID})
+	if dec.newView.ID > oldView.ID {
+		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.gid, View: dec.newView.ID})
 	}
-
-	resp := msg.New()
-	resp.PutMessage(fView, encodeView(newView))
-	if w.kind == gbSeal && w.sealTarget != 0 {
-		if sealCommitted {
-			resp.PutInt(fOutcome, voteCommitted)
-		} else {
-			resp.PutInt(fOutcome, voteAborted)
-		}
+	resp := viewReply(dec.newView)
+	if sealing {
+		resp.PutInt(fOutcome, dec.outcome)
 	}
 	d.gbReply(w, resp, "")
 }
@@ -478,173 +259,132 @@ func (d *Daemon) gbReply(w *gbWork, resp *msg.Message, errText string) {
 	_ = d.sendPacket(w.replyTo, ptGbDone, out)
 }
 
-// reconcile merges the member sites' pending reports into the rebroadcast
-// instructions carried by the commit. Every in-flight ABCAST the reports
-// surface is resolved to one side of the GBCAST point (the paper treats
-// in-progress ABCASTs as part of the flushed state):
-//
-//   - committed at any member: force-commit everywhere at the final priority
-//     (the "all" branch of the atomicity rule);
-//   - already delivered at some member but still pending uncommitted
-//     elsewhere: complete everywhere at the final priority the delivering
-//     site recorded (carried by its Recent report entry);
-//   - uncommitted from a failed sender: discard everywhere (the "none"
-//     branch);
-//   - uncommitted from a live sender, present in every report: complete —
-//     every member site has proposed, so the maximum reported priority
-//     dominates every proposal and the flush commits it before the view
-//     change at every site (the initiator's own round is retired when the
-//     commit reaches it);
-//   - uncommitted from a live sender, missing from some report: fence — the
-//     message cannot be completed on this side of the view change, so every
-//     site discards its phase-1 state and the initiator restarts the
-//     protocol under the new view, delivering it after the GBCAST point at
-//     every site.
-func reconcile(reports map[addr.SiteID]pendingReport, removingFailed bool, removed []addr.Address) pendingReport {
-	type abAgg struct {
-		committed bool
-		priority  uint64 // final priority when committed
-		maxProp   uint64 // highest proposed priority when uncommitted
-		packet    *msg.Message
-		seen      int  // member sites whose report lists the entry
-		initiator bool // some reporting site still holds the initiator round
-	}
-	abs := make(map[core.MsgID]*abAgg)
-	recentCount := make(map[core.MsgID]int)
-	recentPkt := make(map[core.MsgID]*msg.Message)
-	recentFinal := make(map[core.MsgID]uint64)
-	removedSet := make(map[addr.Address]bool)
-	for _, p := range removed {
-		removedSet[p.Base()] = true
-	}
-
-	for _, rep := range reports {
-		for _, a := range rep.Abcasts {
-			agg := abs[a.ID]
-			if agg == nil {
-				agg = &abAgg{}
-				abs[a.ID] = agg
-			}
-			agg.seen++
-			if a.Init {
-				agg.initiator = true
-			}
-			if a.Packet != nil && agg.packet == nil {
-				agg.packet = a.Packet
-			}
-			if a.Committed {
-				agg.committed = true
-				if a.Priority > agg.priority {
-					agg.priority = a.Priority
-				}
-			} else if a.Priority > agg.maxProp {
-				agg.maxProp = a.Priority
-			}
-		}
-		for _, r := range rep.Recent {
-			recentCount[r.ID]++
-			if r.Packet != nil && recentPkt[r.ID] == nil {
-				recentPkt[r.ID] = r.Packet
-			}
-			if r.Priority > recentFinal[r.ID] {
-				recentFinal[r.ID] = r.Priority
+// unionSites lists each member site of the given views once, the sites of
+// the youngest members first.
+func unionSites(views ...core.View) []addr.SiteID {
+	var sites []addr.SiteID
+	for _, v := range views {
+		for _, m := range slices.Backward(v.Members) {
+			if !slices.Contains(sites, m.Site) {
+				sites = append(sites, m.Site)
 			}
 		}
 	}
-
-	var out pendingReport
-	nSites := len(reports)
-	for id, agg := range abs {
-		switch {
-		case agg.committed:
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: agg.priority, Packet: agg.packet,
-			})
-		case recentFinal[id] != 0:
-			// Delivered at some member site, still an uncommitted pending
-			// entry here and there: complete it everywhere at the exact
-			// final priority the delivering site used (its commit record
-			// travelled in the Recent report). Left unresolved, the entry
-			// would block completions driven below until its own in-flight
-			// commit thawed — after the view change, on the wrong side.
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: recentFinal[id], Packet: agg.packet,
-			})
-		case removingFailed && removedSet[id.Sender.Base()]:
-			// The sender failed and no member learned a final priority:
-			// the "none" branch of the atomicity rule — discard everywhere.
-			out.Abcasts = append(out.Abcasts, abPendingWire{ID: id, Committed: false})
-		case agg.seen == nSites && agg.packet != nil:
-			// Complete: drive the in-flight ABCAST to commit before the view
-			// change. Every report contributed a proposal, so the maximum
-			// dominates anything a member has used or seen.
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: agg.maxProp, Packet: agg.packet,
-			})
-		case recentCount[id] == 0 && agg.initiator:
-			// Fence behind the new view — but only while some reporting site
-			// still holds the initiator round, which guarantees the restart
-			// that re-delivers the message. Without that guarantee the fence
-			// discard could lose a message outright (e.g. one delivered at a
-			// site whose bounded recent buffer has since evicted it, with
-			// the commit still in flight here); such a straggler is left
-			// pending for its own commit or the re-solicitation watchdog to
-			// resolve. A message some member already delivered is likewise
-			// never fenced: the Recent re-dissemination carries it to
-			// everyone before the view change instead.
-			out.Fenced = append(out.Fenced, id)
-		}
-	}
-	// A message delivered at some member sites but not all of them must be
-	// re-disseminated so every survivor delivers it before the GBCAST point.
-	for id, count := range recentCount {
-		if count < nSites {
-			out.Recent = append(out.Recent, recentWire{ID: id, Packet: recentPkt[id]})
-		}
-	}
-	return out
+	return sites
 }
 
-// prepareLocal wedges the group at this site and returns its pending-state
-// report (the coordinator's own contribution to phase 1) together with the
-// site's current view of the group. Every wedge arms a watchdog: a wedge
-// whose commit never arrives — a prepare retransmitted by the reliable
-// transport long after its coordinator's round ended, e.g. across a
-// partition heal — would otherwise freeze the group forever.
-func (d *Daemon) prepareLocal(gid addr.Address) (pendingReport, core.View) {
+// collectAcks runs phase 1: it wedges every member site of the view and
+// collects their answers — each site's pending-state report and current
+// view, its word on the removal targets it hosts, and its vote in an
+// outcome-settling flush. A site missing from the result did not answer.
+func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.SiteID]prepareAck {
+	prepare := msg.New()
+	prepare.PutAddress(fGroup, w.gid)
+	prepare.PutInt(fGbID, int64(seq))
+	prepare.PutInt(fViewID, int64(view.ID))
+	var targets []addr.Address
+	if w.kind == gbFail && len(w.procs) > 0 {
+		// Failure removals name their targets in the prepare, so each
+		// member site can corroborate (or dispute) the claimed deaths of the
+		// processes it hosts.
+		targets = w.procs
+		prepare.PutAddressList(fProcs, targets)
+	}
+	var sealTarget int64
+	if w.kind == gbSeal && w.sealTarget != 0 {
+		// Outcome settlement: each member site reports its first-hand
+		// knowledge of the target request id in its ack.
+		sealTarget = w.sealTarget
+		prepare.PutInt(fSealReq, sealTarget)
+	}
+
+	acks := make(map[addr.SiteID]prepareAck)
+	var ackMu sync.Mutex
+	var wg sync.WaitGroup
+	for _, site := range view.SitesOf() {
+		if site == d.site {
+			own := d.prepareLocal(w.gid, targets, sealTarget, true)
+			ackMu.Lock()
+			acks[d.site] = own
+			ackMu.Unlock()
+			continue
+		}
+		d.mu.Lock()
+		dead := d.suspected[site]
+		d.mu.Unlock()
+		if dead {
+			continue
+		}
+		wg.Add(1)
+		go func(site addr.SiteID) {
+			defer wg.Done()
+			// Retry a failed prepare while the member site is still believed
+			// alive: silently treating a transient call failure as a site
+			// death would let this coordinator mint a view id the unreached
+			// member may already hold with different contents (it would then
+			// drop the commit as stale and diverge). Once the detector
+			// declares the site dead, its members are removed later and the
+			// missing report is legitimate. Calls to a site declared dead
+			// mid-exchange abort immediately (failCallsTo), so the retries
+			// never outlive the suspicion.
+			for attempt := 0; attempt < 3; attempt++ {
+				// Clone per call: d.call stamps a per-exchange call id into
+				// the body, and these calls run concurrently.
+				resp, err := d.call(site, ptGbPrepare, prepare.Clone())
+				if err == nil {
+					ackMu.Lock()
+					acks[site] = prepareAck{
+						report: decodePendingReport(resp.GetMessage(fPending)),
+						view:   decodeView(resp.GetMessage(fView)),
+						dead:   resp.GetAddressList(fDead),
+						vote:   resp.GetInt(fOutcome, 0),
+					}
+					ackMu.Unlock()
+					return
+				}
+				d.mu.Lock()
+				dead := d.suspected[site]
+				d.mu.Unlock()
+				if dead {
+					return // treat as failed; its members will be removed later
+				}
+			}
+		}(site)
+	}
+	wg.Wait()
+	return acks
+}
+
+// prepareLocal is phase 1 at this site: it feeds the prepare to the group
+// copy's lifecycle (a primary copy wedges) and returns the site's answer.
+// targets are the failure removal's processes and sealTarget the request id
+// an outcome-settling flush asks about (zero values when the flush is
+// neither). A member site vouches only for the targets it hosts; the
+// coordinator (own) also counts every process it has recorded as failed.
+func (d *Daemon) prepareLocal(gid addr.Address, targets []addr.Address, sealTarget int64, own bool) prepareAck {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var ack prepareAck
+	for _, pr := range targets {
+		if pr.Site == d.site {
+			if lp, ok := d.procs[pr.Base()]; ok && lp.alive && !d.failedProcs[pr.Base()] {
+				continue
+			}
+		} else if !own || !d.failedProcs[pr.Base()] {
+			continue
+		}
+		ack.dead = append(ack.dead, pr.Base())
+	}
 	gs, ok := d.groups[gid]
 	if !ok {
-		return pendingReport{}, core.View{}
+		return ack
 	}
-	gs.wedged = true
-	gs.wedgeSeq++
-	seq := gs.wedgeSeq
-	d.bus.Publish(events.Event{Kind: events.FlushBegin, Group: gid, View: gs.view.ID})
-	// 4x the call timeout comfortably exceeds the longest legitimate flush
-	// (concurrent prepares retry up to 3 calls before the commit follows).
-	time.AfterFunc(4*d.cfg.CallTimeout, func() { d.unwedgeStale(gid, seq) })
-	return d.buildReportLocked(gs), gs.view.Clone()
-}
-
-// unwedgeStale releases a wedge whose flush never completed (the watchdog
-// armed by prepareLocal). A commit or a newer wedge advances the state, so
-// the stale timer is a no-op in every healthy flow.
-func (d *Daemon) unwedgeStale(gid addr.Address, seq uint64) {
-	d.mu.Lock()
-	gs, ok := d.groups[gid]
-	if !ok || !gs.wedged || gs.wedgeSeq != seq {
-		d.mu.Unlock()
-		return
+	d.step(gs, inPrepare) // entering (or staying in) a flush releases nothing
+	ack.report, ack.view = d.buildReportLocked(gs), gs.view.Clone()
+	if sealTarget != 0 {
+		ack.vote = gs.marks.Vote(sealTarget)
 	}
-	gs.wedged = false
-	held := gs.heldPkts
-	gs.heldPkts = nil
-	d.mu.Unlock()
-	for _, h := range held {
-		d.dispatchHeld(h)
-	}
+	return ack
 }
 
 // buildReportLocked summarises the pending and recently delivered messages
@@ -727,111 +467,55 @@ func (d *Daemon) handleGbPrepare(from addr.SiteID, p *msg.Message) {
 		// unwedges it. The takeover flush owns the group now.
 		return
 	}
-	gid := p.GetAddress(fGroup)
-	rep, view := d.prepareLocal(gid.Base())
+	ack := d.prepareLocal(p.GetAddress(fGroup).Base(), p.GetAddressList(fProcs), p.GetInt(fSealReq, 0), false)
 	resp := msg.New()
 	resp.PutInt(fCall, p.GetInt(fCall, 0))
-	resp.PutMessage(fPending, encodePendingReport(rep))
-	if view.ID > 0 {
-		resp.PutMessage(fView, encodeView(view))
+	resp.PutMessage(fPending, encodePendingReport(ack.report))
+	if ack.view.ID > 0 {
+		resp.PutMessage(fView, encodeView(ack.view))
 	}
-	// An outcome-settling flush: report this site's first-hand knowledge of
-	// the target request id.
-	if target := p.GetInt(fSealReq, 0); target != 0 {
-		d.mu.Lock()
-		if gs, ok := d.groups[gid.Base()]; ok {
-			if v := gbOutcomeVoteLocked(gs, target); v != voteUnknown {
-				resp.PutInt(fOutcome, v)
-			}
-		}
-		d.mu.Unlock()
+	if ack.vote != voteUnknown {
+		resp.PutInt(fOutcome, ack.vote)
 	}
-	// Corroborate (or dispute) the claimed deaths of removal targets hosted
-	// at this site: the coordinator drops targets whose hosting site vouches
-	// for them.
-	if targets := p.GetAddressList(fProcs); len(targets) > 0 {
-		var deadHere addr.List
-		d.mu.Lock()
-		for _, pr := range targets {
-			if pr.Site != d.site {
-				continue
-			}
-			lp, ok := d.procs[pr.Base()]
-			if !ok || !lp.alive || d.failedProcs[pr.Base()] {
-				deadHere = append(deadHere, pr.Base())
-			}
-		}
-		d.mu.Unlock()
-		if len(deadHere) > 0 {
-			resp.PutAddressList(fDead, deadHere)
-		}
+	if len(ack.dead) > 0 {
+		resp.PutAddressList(fDead, ack.dead)
 	}
 	_ = d.sendPacket(from, ptGbAck, resp)
 }
 
-// handleGbCommit processes phase 2 arriving from a remote coordinator.
-func (d *Daemon) handleGbCommit(from addr.SiteID, p *msg.Message) {
-	d.applyGbCommit(from, p)
-}
-
 // applyGbCommit installs the effect of a GBCAST at this site: re-delivers
 // reconciled messages, applies the membership change or delivers the user
-// payload, notifies local members, and unwedges the group.
+// payload, notifies local members, and ends the flush.
 func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
-	gid := p.GetAddress(fGroup)
+	gid := p.GetAddress(fGroup).Base()
 	kind := p.GetInt(fKind, 0)
 	newView := decodeView(p.GetMessage(fView))
-	rec := decodePendingReport(p.GetMessage(fRebcast))
-	procs := p.GetAddressList(fProcs)
-	wantState := p.GetInt(fWantState, 0) == 1
-	reqID := p.GetInt(fReqID, 0)
-	sealReq := p.GetInt(fSealReq, 0)
-	sealOutcome := p.GetInt(fOutcome, 0)
 
 	d.mu.Lock()
-	gs, hosted := d.groups[gid.Base()]
-	if kind == gbNonPrimary {
+	gs, hosted := d.groups[gid]
+	switch {
+	case kind == gbNonPrimary:
 		// The minority coordinator's notice: this partition failed to reach
-		// a majority. Wedge into read-only mode (unwedging the flush so held
-		// reads drain) and wait for the merge protocol.
-		if hosted && !gs.nonPrimary {
-			gs.nonPrimary = true
-			gs.wedged = false
-			held := gs.heldPkts
-			gs.heldPkts = nil
-			d.bus.Publish(events.Event{Kind: events.PartitionWedge, Group: gid.Base(), View: gs.view.ID})
-			d.mu.Unlock()
-			for _, h := range held {
-				d.dispatchHeld(h)
-			}
-			d.notifyPrimary(gid.Base(), false)
-			return
+		// a majority. The copy goes read-only (which ends the flush, so held
+		// reads drain) and waits for the merge protocol.
+		var rel parked
+		if hosted {
+			rel = d.step(gs, inNonPrimary)
 		}
 		d.mu.Unlock()
+		d.redispatch(rel)
 		return
-	}
-	if kind == gbResume {
+	case kind == gbResume:
 		// Total-wedge recovery: no partition held a majority, nothing can
 		// have committed past the last agreed view anywhere, and the resume
-		// initiator verified the reachable copies still agree on it — so
-		// this copy simply stops being non-primary (and drops any stale
-		// wedge a straggling prepare may have left behind).
-		if hosted && gs.nonPrimary && newView.ID == gs.view.ID {
-			gs.nonPrimary = false
-			gs.wedged = false
-			held := gs.heldPkts
-			gs.heldPkts = nil
-			d.mu.Unlock()
-			for _, h := range held {
-				d.dispatchHeld(h)
-			}
-			d.notifyPrimary(gid.Base(), true)
-			return
+		// initiator verified the reachable copies still agree on it — so a
+		// non-primary copy holding that view simply becomes primary again.
+		if hosted && newView.ID == gs.view.ID {
+			d.step(gs, inResume) // a non-primary copy has nothing parked
 		}
 		d.mu.Unlock()
 		return
-	}
-	if hosted && gs.nonPrimary {
+	case hosted && !gs.phase.primary():
 		// A commit reaching a non-primary copy comes from the primary
 		// partition (typically a pre-partition packet retransmitted across
 		// the heal). It must not be applied piecemeal — this copy's state is
@@ -840,17 +524,9 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		auto := d.cfg.Merge == MergeAuto
 		d.mu.Unlock()
 		if auto {
-			go d.mergeGroup(gid.Base())
+			go d.mergeGroup(gid)
 		}
 		return
-	}
-	hostsNewMember := false
-	for _, m := range newView.Members {
-		if m.Site == d.site {
-			if _, ok := d.procs[m.Base()]; ok {
-				hostsNewMember = true
-			}
-		}
 	}
 	// Members listed at this site that this daemon does not know are ghosts
 	// of a previous incarnation: they joined (or merged back) moments before
@@ -858,16 +534,16 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// failures are detected locally, and the restarted site answers
 	// heartbeats, so no timeout will ever fire for them. Request their
 	// removal.
-	ghosts := d.ghostMembersLocked(newView)
+	ghosts, hostsMember := d.localMembersLocked(newView)
 	if !hosted {
-		if !hostsNewMember {
+		if !hostsMember {
 			// We host nobody in this group: just refresh the cached view.
 			d.mu.Unlock()
 			d.cacheRemoteView(newView)
-			d.removeGhosts(gid.Base(), ghosts)
+			d.removeGhosts(gid, ghosts)
 			return
 		}
-		if known, ok := d.remoteViews[gid.Base()]; ok && newView.ID < known.ID {
+		if known, ok := d.remoteViews[gid]; ok && newView.ID < known.ID {
 			// A pre-partition commit retransmitted across a heal, arriving
 			// after the merge discarded this site's copy: the primary has
 			// long moved past this view. Installing it would resurrect the
@@ -879,10 +555,10 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// The view itself is installed by applyViewChangeLocked below; the
 		// stub starts at view id 0 so the commit's view is never mistaken
 		// for already-installed.
-		gs = newGroupState(core.View{Group: gid.Base(), Name: newView.Name})
-		d.groups[gid.Base()] = gs
+		gs = newGroupState(core.View{Group: gid, Name: newView.Name})
+		d.groups[gid] = gs
 		if newView.Name != "" {
-			d.nameCache[newView.Name] = gid.Base()
+			d.nameCache[newView.Name] = gid
 		}
 	}
 
@@ -890,15 +566,86 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// request this site already applied (re-sent by a coordinator that died
 	// mid-fan-out, or re-run by its successor) must not deliver its user
 	// payload a second time. View changes are deduplicated by view id.
-	dupReq := reqID != 0 && gbCommittedLocked(gs, reqID)
+	reqID := p.GetInt(fReqID, 0)
+	dupReq := reqID != 0 && gs.marks.Committed(reqID)
 	if reqID != 0 {
-		recordGbDoneLocked(gs, reqID)
+		gs.marks.Record(reqID)
 	}
 
-	// Step 1: re-disseminated messages are delivered before the GBCAST
-	// point, to every member of the *old* local view, skipping anything
-	// already delivered here and any member that joined after the message
-	// was sent (its state-transfer cut covers it).
+	// Step 1: everything the flush resolved is delivered (or discarded)
+	// before the GBCAST point.
+	fenced := d.applyRebcastLocked(gs, decodePendingReport(p.GetMessage(fRebcast)))
+
+	// Step 2: apply the membership change or deliver the user payload.
+	var wrong []wrongRemoval
+	switch kind {
+	case gbUser:
+		payload := p.GetMessage(fPayload)
+		entry := addr.EntryID(p.GetInt(fEntry, 0))
+		sender := p.GetAddress(fSender)
+		if payload != nil && !dupReq {
+			for _, ms := range gs.members {
+				d.deliverPayloadLocked(gs, ms, sender, GBCAST, entry, payload)
+			}
+		}
+	case gbJoin, gbLeave, gbFail, 0:
+		wrong = d.applyViewChangeLocked(gs, newView, kind, p.GetAddressList(fProcs), p.GetInt(fWantState, 0) == 1)
+	case gbSeal:
+		if sealReq := p.GetInt(fSealReq, 0); sealReq != 0 {
+			gs.marks.Seal(sealReq, p.GetInt(fOutcome, 0) == voteCommitted)
+		}
+	}
+
+	// Restart fenced ABCASTs this site initiated: a fresh protocol round
+	// (higher attempt — stale proposals to the old round are filtered) under
+	// the view just installed. Replacing the pending state under the same
+	// lock closes the race with the old round's watchdog: its deferred
+	// completion finds the state replaced and stands down. A site whose last
+	// member was removed by this very change retires the round instead — the
+	// message is dropped, exactly as if its sender had failed.
+	var restarts []*abSendState
+	for _, st := range fenced {
+		d.retireAbcastLocked(st)
+		if len(gs.members) == 0 {
+			d.releaseAbSenderLocked(st)
+			continue
+		}
+		pkt := st.packet.Clone()
+		pkt.PutInt(fViewID, int64(gs.view.ID))
+		pkt.PutInt(fAttempt, st.attempt+1)
+		nst := d.initiateAbcastLocked(gs, st.id, pkt, nil, st.attempt+1)
+		nst.sender = st.sender // carry the Flush accounting without re-counting
+		restarts = append(restarts, nst)
+	}
+
+	// Step 3: the flush is over; what it held back is reprocessed below.
+	rel := d.step(gs, inCommit)
+
+	// A site left with no members drops the group state entirely.
+	if len(gs.members) == 0 {
+		d.dropGroupLocked(gid)
+		d.remoteViews[gid] = newView.Clone()
+	}
+	d.mu.Unlock()
+
+	d.redispatch(rel)
+	for _, nst := range restarts {
+		d.transmitAbcast(nst, nst.packet)
+	}
+	d.removeGhosts(gid, ghosts)
+	for _, w := range wrong {
+		go d.rejoinOrPark(gid, w.proc, w.recv, false)
+	}
+}
+
+// applyRebcastLocked carries out a commit's reconciliation instructions at
+// this site and returns the fenced ABCAST rounds this site initiated (the
+// caller restarts them under the new view). Caller holds d.mu.
+func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced []*abSendState) {
+	gid := gs.view.Group
+	// Re-disseminated messages go to every member of the *old* local view,
+	// skipping anything already delivered here and any member that joined
+	// after the message was sent (its state-transfer cut covers it).
 	for _, rc := range rec.Recent {
 		if _, have := gs.recent.Get(rc.ID); have || rc.Packet == nil {
 			continue
@@ -917,21 +664,20 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		}
 	}
 	// Fenced ABCASTs next: the message could not be completed on this side
-	// of the view change, so every member discards its phase-1 state; if
-	// this site initiated one, its round is restarted under the new view
-	// below (after the membership change installs it), so every member
-	// delivers the message after the GBCAST point. The discards run before
-	// the completions driven underneath: a driven commit must not stay
-	// blocked behind an entry the flush is about to fence (the site-local
-	// queue would deliver it after the GBCAST point while other sites
-	// deliver it before — the very divergence this protocol closes).
-	var fenced []*abSendState
+	// of the view change, so every member discards its phase-1 state; the
+	// site that initiated one restarts its round once the membership change
+	// is installed, so every member delivers the message after the GBCAST
+	// point. The discards run before the completions driven underneath: a
+	// driven commit must not stay blocked behind an entry the flush is about
+	// to fence (the site-local queue would deliver it after the GBCAST point
+	// while other sites deliver it before — the very divergence this
+	// protocol closes).
 	for _, id := range rec.Fenced {
-		d.bus.Publish(events.Event{Kind: events.AbcastFenced, Group: gid.Base(), Msg: id})
+		d.bus.Publish(events.Event{Kind: events.AbcastFenced, Group: gid, Msg: id})
 		for _, ms := range gs.members {
 			d.deliverTotalLocked(gs, ms, ms.total.Discard(id))
 		}
-		if st, ok := d.pendingAb[id]; ok && st.group == gid.Base() {
+		if st, ok := d.pendingAb[id]; ok && st.group == gid {
 			fenced = append(fenced, st)
 		}
 	}
@@ -941,8 +687,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		}
 		for _, ms := range gs.members {
 			if ab.Committed {
-				var payload any = ab.Packet
-				d.deliverTotalLocked(gs, ms, ms.total.ForceCommit(ab.ID, payload, ab.Priority))
+				d.deliverTotalLocked(gs, ms, ms.total.ForceCommit(ab.ID, ab.Packet, ab.Priority))
 			} else {
 				d.deliverTotalLocked(gs, ms, ms.total.Discard(ab.ID))
 			}
@@ -951,108 +696,29 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// if this site initiated it, its own protocol round is over. The
 		// retire keeps the sender's outstanding count (the Flush API) exact
 		// and stops the watchdog from fanning out a conflicting commit.
-		if st, ok := d.pendingAb[ab.ID]; ok && st.group == gid.Base() {
+		if st, ok := d.pendingAb[ab.ID]; ok && st.group == gid {
 			d.retireAbcastLocked(st)
 			d.releaseAbSenderLocked(st)
 		}
 	}
-
-	// Step 2: apply the membership change or deliver the user payload.
-	var wrong []wrongRemoval
-	switch kind {
-	case gbUser, gbConfigHint:
-		payload := p.GetMessage(fPayload)
-		entry := addr.EntryID(p.GetInt(fEntry, 0))
-		sender := p.GetAddress(fSender)
-		if payload != nil && !dupReq {
-			for _, ms := range gs.members {
-				d.deliverPayloadLocked(gs, ms, sender, GBCAST, entry, payload)
-			}
-		}
-	case gbJoin, gbLeave, gbFail, 0:
-		wrong = d.applyViewChangeLocked(gs, newView, kind, procs, wantState)
-	case gbSeal:
-		// Outcome settlement for an earlier request id. An abort marks the
-		// target skipped before the mark advances past it; either way the
-		// mark advance makes the answer final — the dedupe check will treat
-		// any straggling copy of the target as already handled, so it can
-		// never commit after being reported aborted.
-		if sealReq != 0 {
-			if sealOutcome == voteCommitted {
-				gs.gbSkipped.Delete(sealReq)
-			} else {
-				gs.gbSkipped.Put(sealReq, struct{}{})
-			}
-			recordGbDoneLocked(gs, sealReq)
-		}
-	}
-
-	// Restart fenced ABCASTs this site initiated: a fresh protocol round
-	// (higher attempt — stale proposals to the old round are filtered) under
-	// the view just installed. Replacing the pending state under the same
-	// lock closes the race with the old round's watchdog: its deferred
-	// completion finds the state replaced and stands down. A site whose last
-	// member was removed by this very change retires the round instead — the
-	// message is dropped, exactly as if its sender had failed.
-	var restarts []*abSendState
-	var restartPkts []*msg.Message
-	for _, st := range fenced {
-		d.retireAbcastLocked(st)
-		if len(gs.members) == 0 {
-			d.releaseAbSenderLocked(st)
-			continue
-		}
-		pkt := st.packet.Clone()
-		pkt.PutInt(fViewID, int64(gs.view.ID))
-		pkt.PutInt(fAttempt, st.attempt+1)
-		nst := d.initiateAbcastLocked(gs, st.id, pkt, nil, st.attempt+1)
-		nst.sender = st.sender // carry the Flush accounting without re-counting
-		restarts = append(restarts, nst)
-		restartPkts = append(restartPkts, pkt)
-	}
-
-	// Step 3: unwedge and reprocess any data packets held during the flush.
-	if gs.wedged {
-		d.bus.Publish(events.Event{Kind: events.FlushComplete, Group: gid.Base(), View: gs.view.ID})
-	}
-	gs.wedged = false
-	held := gs.heldPkts
-	gs.heldPkts = nil
-
-	// A site left with no members drops the group state entirely.
-	if len(gs.members) == 0 {
-		d.dropGroupLocked(gid.Base())
-		d.remoteViews[gid.Base()] = newView.Clone()
-	}
-	d.mu.Unlock()
-
-	for _, h := range held {
-		d.dispatchHeld(h)
-	}
-	for i, nst := range restarts {
-		d.transmitAbcast(nst, restartPkts[i])
-	}
-	d.removeGhosts(gid.Base(), ghosts)
-	for _, w := range wrong {
-		w := w
-		go d.rejoinRemovedMember(gid.Base(), w.proc, w.recv)
-	}
+	return fenced
 }
 
-// ghostMembersLocked returns the view members listed at this site that this
-// daemon does not host — processes of a previous incarnation of the site.
-// Caller holds d.mu.
-func (d *Daemon) ghostMembersLocked(v core.View) []addr.Address {
-	var ghosts []addr.Address
+// localMembersLocked splits the view members listed at this site into those
+// this daemon hosts (reported as hosted: there is at least one) and ghosts —
+// processes of a previous incarnation of the site. Caller holds d.mu.
+func (d *Daemon) localMembersLocked(v core.View) (ghosts []addr.Address, hosted bool) {
 	for _, m := range v.Members {
 		if m.Site != d.site {
 			continue
 		}
-		if _, ok := d.procs[m.Base()]; !ok {
+		if _, ok := d.procs[m.Base()]; ok {
+			hosted = true
+		} else {
 			ghosts = append(ghosts, m.Base())
 		}
 	}
-	return ghosts
+	return ghosts, hosted
 }
 
 // removeGhosts asks the group coordinator to remove dead previous-incarnation
@@ -1067,100 +733,6 @@ func (d *Daemon) removeGhosts(gid addr.Address, ghosts []addr.Address) {
 	}
 	d.mu.Unlock()
 	d.requestRemoval(gid, ghosts, gbFail, false)
-}
-
-// reqIDParts splits a stable request id into its requester key (site and
-// incarnation, the high word) and per-requester counter (the low word).
-func reqIDParts(reqID int64) (requester, counter int64) {
-	return reqID >> 32, reqID & 0xffffffff
-}
-
-// gbCommittedLocked reports whether a GBCAST request id has already committed
-// at this site: its counter is at or below the requester's high-water mark.
-// Caller holds d.mu.
-func gbCommittedLocked(gs *groupState, reqID int64) bool {
-	requester, counter := reqIDParts(reqID)
-	return counter <= gs.gbSeen[requester]
-}
-
-// Per-site first-hand knowledge of a request id's outcome, carried in gbSeal
-// acks (fOutcome) and commits.
-const (
-	voteUnknown   = int64(0) // no first-hand knowledge
-	voteCommitted = int64(1) // this site applied the request's commit
-	voteAborted   = int64(2) // the id was sealed aborted / jumped by the mark
-)
-
-// gbSkipLimit bounds the per-group memory of individually skipped request
-// ids; gbSkipGapCap bounds how large a jump of the high-water mark still
-// records each jumped id (a larger jump would mean the requester abandoned
-// over a thousand consecutive requests — the remaining ambiguity is accepted
-// rather than recorded unboundedly).
-const (
-	gbSkipLimit  = 4096
-	gbSkipGapCap = 1024
-)
-
-// gbOutcomeVoteLocked reports this site's first-hand knowledge of a request
-// id's outcome. Committed requires positive evidence: the counter must lie
-// inside the window this site has actually tracked for the requester
-// (gbSeenBase..gbSeen) and not be marked skipped — a site that joined the
-// group after the id was minted has no history below its base and must
-// answer unknown, not committed. Caller holds d.mu.
-func gbOutcomeVoteLocked(gs *groupState, reqID int64) int64 {
-	if _, skipped := gs.gbSkipped.Get(reqID); skipped {
-		return voteAborted
-	}
-	requester, counter := reqIDParts(reqID)
-	base, tracked := gs.gbSeenBase[requester]
-	if !tracked || counter < base {
-		return voteUnknown
-	}
-	if counter <= gs.gbSeen[requester] {
-		return voteCommitted
-	}
-	return voteUnknown
-}
-
-// recordGbDoneLocked advances the requester's high-water mark past a
-// committed GBCAST request id. Because a requester's commits happen in id
-// order (coordinatorCall serializes per group), any id the mark jumps over
-// was abandoned by the requester before this one was minted; each jumped id
-// is recorded as skipped so an outcome query never mistakes it for
-// committed. Caller holds d.mu.
-func recordGbDoneLocked(gs *groupState, reqID int64) {
-	requester, counter := reqIDParts(reqID)
-	if gs.gbSeen == nil {
-		gs.gbSeen = make(map[int64]int64)
-	}
-	if gs.gbSeenBase == nil {
-		gs.gbSeenBase = make(map[int64]int64)
-	}
-	if _, tracked := gs.gbSeenBase[requester]; !tracked {
-		gs.gbSeenBase[requester] = counter
-	}
-	prev := gs.gbSeen[requester]
-	if counter <= prev {
-		return
-	}
-	if prev > 0 && counter-prev-1 <= gbSkipGapCap {
-		for c := prev + 1; c < counter; c++ {
-			gs.gbSkipped.Put(requester<<32|c, struct{}{})
-		}
-	}
-	gs.gbSeen[requester] = counter
-}
-
-// dispatchHeld reprocesses a packet whose handling was deferred while the
-// group was wedged, routing it by the envelope type remembered at hold time
-// (data packets and ABCAST commits can both be held).
-func (d *Daemon) dispatchHeld(h heldPacket) {
-	switch h.pt {
-	case ptAbCommit:
-		d.handleAbCommit(h.from, h.pkt)
-	default:
-		d.handleData(h.from, h.pkt)
-	}
 }
 
 // wrongRemoval records a local, live member that a failure view removed —
@@ -1246,7 +818,6 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 	}
 	// Add newly hosted members.
-	joinedHere := make([]*memberState, 0, 2)
 	for _, m := range newView.Members {
 		if m.Site != d.site {
 			continue
@@ -1265,18 +836,16 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 			joinedView: newView.ID,
 		}
 		// Was this an explicit join from this site with a state request?
-		key := joinKey{gs.view.Group, m.Base()}
-		if pj, ok := d.pendingJoin[key]; ok {
-			ms.stateRecv = pj.stateRecv
+		key := memberKey{gs.view.Group, m.Base()}
+		if recv, ok := d.pendingJoin[key]; ok {
+			ms.stateRecv = recv
 			delete(d.pendingJoin, key)
 		}
-		if wantState && !old.Contains(m) && contains(procs, m) {
+		if wantState && !old.Contains(m) && addr.List(procs).Contains(m) {
 			ms.awaitingState = true
 		}
 		gs.members[m.Base()] = ms
-		joinedHere = append(joinedHere, ms)
 	}
-	_ = joinedHere
 	// Continuing members: reset per-view ordering state to their new rank.
 	for a, ms := range gs.members {
 		if old.Contains(a) {
@@ -1295,74 +864,39 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		d.enqueueMember(ms, func() { cb(v) })
 	}
 
-	// State transfer: if this site hosts the oldest member and the change
-	// added members that asked for state, capture and ship the state from
-	// the oldest member's task queue (so the snapshot reflects exactly the
-	// deliveries that precede the new view).
-	if wantState && kind == gbJoin && newView.Size() > 0 {
-		oldest := newView.Coordinator()
-		if oldest.Site == d.site && !contains(procs, oldest) {
-			if ms, ok := gs.members[oldest.Base()]; ok {
-				gid := newView.Group
-				joiners := append([]addr.Address(nil), procs...)
-				prov := ms.stateProv
-				xid := uint64(newView.ID)
-				d.enqueue(ms.proc, func() { d.sendStateBlocks(gid, joiners, prov, xid) })
-			}
+	// State transfer: the oldest member ships the state to the joiners that
+	// asked for it. Provider fail-over: if instead this change replaced the
+	// group's oldest member (the provider) while transfers were still
+	// pending, the new oldest member re-ships the state from the beginning;
+	// the joiner discards any partial transfer from the dead provider (the
+	// blocks carry the attempt id) so it never assembles a mixed state.
+	switch {
+	case kind == gbJoin && wantState:
+		if !addr.List(procs).Contains(newView.Coordinator()) {
+			d.shipStateLocked(gs, procs)
 		}
-	}
-
-	// Provider fail-over: if this change replaced the group's oldest member
-	// (the state-transfer provider) while transfers were still pending, the
-	// new oldest member re-ships the state from the beginning. The joiner
-	// discards any partial transfer from the dead provider (the blocks carry
-	// the attempt id) so it never assembles a mixed state.
-	if kind != gbJoin && len(gs.pendingXfer) > 0 && newView.Size() > 0 && old.Size() > 0 &&
-		old.Coordinator().Base() != newView.Coordinator().Base() {
-		oldest := newView.Coordinator()
-		if oldest.Site == d.site {
-			if ms, ok := gs.members[oldest.Base()]; ok {
-				gid := newView.Group
-				joiners := make([]addr.Address, 0, len(gs.pendingXfer))
-				for j := range gs.pendingXfer {
-					joiners = append(joiners, j)
-				}
-				prov := ms.stateProv
-				xid := uint64(newView.ID)
-				d.enqueue(ms.proc, func() { d.sendStateBlocks(gid, joiners, prov, xid) })
-			}
+	case kind != gbJoin && len(gs.pendingXfer) > 0 && old.Size() > 0 &&
+		old.Coordinator().Base() != newView.Coordinator().Base():
+		joiners := make([]addr.Address, 0, len(gs.pendingXfer))
+		for j := range gs.pendingXfer {
+			joiners = append(joiners, j)
 		}
+		d.shipStateLocked(gs, joiners)
 	}
 	return wrong
 }
 
-func contains(list []addr.Address, a addr.Address) bool {
-	for _, x := range list {
-		if x.Base() == a.Base() {
-			return true
-		}
+// shipStateLocked has the group's oldest member, if this site hosts it, send
+// the group state to the joiners. The capture runs on that member's task
+// queue, so the snapshot reflects exactly the deliveries that precede the
+// view just installed. Caller holds d.mu.
+func (d *Daemon) shipStateLocked(gs *groupState, joiners []addr.Address) {
+	ms, ok := gs.members[gs.view.Coordinator().Base()]
+	if !ok {
+		return
 	}
-	return false
-}
-
-// allContained reports whether every listed process is a member of the view.
-func allContained(v core.View, ps []addr.Address) bool {
-	for _, p := range ps {
-		if !v.Contains(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// anyContained reports whether any listed process is a member of the view.
-func anyContained(v core.View, ps []addr.Address) bool {
-	for _, p := range ps {
-		if v.Contains(p) {
-			return true
-		}
-	}
-	return false
+	gid, prov, xid := gs.view.Group, ms.stateProv, uint64(gs.view.ID)
+	d.enqueue(ms.proc, func() { d.sendStateBlocks(gid, joiners, prov, xid) })
 }
 
 // sendStateBlocks captures the group state from the provider and ships it to
@@ -1375,21 +909,17 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	if provider != nil {
 		blocks = provider()
 	}
+	if len(blocks) == 0 {
+		blocks = [][]byte{nil} // an empty state still needs its final block
+	}
 	for _, j := range joiners {
-		if len(blocks) == 0 {
-			pkt := msg.New()
-			pkt.PutAddress(fGroup, gid)
-			pkt.PutAddress(fSender, j)
-			pkt.PutInt(fStateLast, 1)
-			pkt.PutInt(fXferID, int64(xferID))
-			_ = d.sendPacket(j.Site, ptStateBlock, pkt)
-			continue
-		}
 		for i, b := range blocks {
 			pkt := msg.New()
 			pkt.PutAddress(fGroup, gid)
 			pkt.PutAddress(fSender, j)
-			pkt.PutBytes(fStateData, b)
+			if len(b) > 0 {
+				pkt.PutBytes(fStateData, b)
+			}
 			if i == len(blocks)-1 {
 				pkt.PutInt(fStateLast, 1)
 			}
@@ -1474,12 +1004,7 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	ack.PutAddress(fGroup, gid.Base())
 	ack.PutAddress(fSender, target.Base())
 	if raw, err := encodePacket(ptStateAck, ack); err == nil {
-		for _, s := range sites {
-			if s == d.site {
-				continue
-			}
-			_ = d.sendRaw(s, raw)
-		}
+		d.fanoutRaw(sites, raw)
 	}
 }
 
@@ -1495,21 +1020,16 @@ func (d *Daemon) handleStateAck(from addr.SiteID, p *msg.Message) {
 	d.mu.Unlock()
 }
 
-// enterNonPrimary wedges this partition's copy of a group into read-only
+// enterNonPrimary puts this partition's copy of a group into read-only
 // non-primary mode after a failed majority check, and tells the member sites
-// the prepare reached to do the same. The gbNonPrimary commit unwedges the
-// flush (held reads drain) without installing a view.
-func (d *Daemon) enterNonPrimary(gid addr.Address, reports map[addr.SiteID]pendingReport) {
+// whose acks it holds to do the same. The gbNonPrimary notice ends the flush
+// (held reads drain) without installing a view.
+func (d *Daemon) enterNonPrimary(gid addr.Address, acks map[addr.SiteID]prepareAck) {
 	notice := msg.New()
 	notice.PutAddress(fGroup, gid)
 	notice.PutInt(fKind, gbNonPrimary)
 	if raw, err := encodePacket(ptGbCommit, notice); err == nil {
-		for site := range reports {
-			if site == d.site {
-				continue
-			}
-			_ = d.sendRaw(site, raw)
-		}
+		d.fanoutRaw(slices.Collect(maps.Keys(acks)), raw)
 	}
 	d.applyGbCommit(d.site, notice)
 }
@@ -1541,12 +1061,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	}
 	var removals []removal
 	for gid, gs := range d.groups {
-		var atSite []addr.Address
-		for _, m := range gs.view.Members {
-			if m.Site == s {
-				atSite = append(atSite, m)
-			}
-		}
+		atSite := gs.view.MembersAtSite(s)
 		force := false
 		if len(atSite) == 0 {
 			// No members of the dead site in our current view — but it may
@@ -1554,16 +1069,10 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 			// its commit reached every member. If it hosted members one view
 			// ago, run a forced re-sync flush anyway so any member still
 			// holding (or wedged under) the previous view catches up.
-			for _, m := range gs.prevView.Members {
-				if m.Site == s {
-					atSite = append(atSite, m)
-					force = true
-					break
-				}
-			}
-			if len(atSite) == 0 {
+			if atSite = gs.prevView.MembersAtSite(s); len(atSite) == 0 {
 				continue
 			}
+			atSite, force = atSite[:1], true
 		}
 		coord := d.actingCoordinator(gs.view)
 		if coord.IsNil() || coord.Site != d.site {

@@ -12,27 +12,15 @@ import (
 	"repro/internal/msg"
 )
 
-// joinKey identifies a pending join (group, joiner).
-type joinKey struct {
-	gid    addr.Address
-	joiner addr.Address
-}
-
 // CreateGroup creates a new process group with the given symbolic name and
 // the creator as its only (and therefore oldest) member. The creator's view
 // callback is invoked with the initial view.
 func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return core.View{}, ErrClosed
-	}
-	lp, ok := d.procs[creator.Base()]
-	if !ok {
-		return core.View{}, ErrUnknownProc
-	}
-	if !lp.alive {
-		return core.View{}, ErrDeadProcess
+	lp, err := d.liveProcLocked(creator)
+	if err != nil {
+		return core.View{}, err
 	}
 	gid := d.gen.NextGroup()
 	view := core.View{
@@ -77,17 +65,6 @@ func (d *Daemon) CurrentView(gid addr.Address) (core.View, bool) {
 	return core.View{}, false
 }
 
-// GroupsHosted returns the groups with members at this site.
-func (d *Daemon) GroupsHosted() []addr.Address {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]addr.Address, 0, len(d.groups))
-	for gid := range d.groups {
-		out = append(out, gid)
-	}
-	return out
-}
-
 // Lookup resolves a symbolic group name to its group address, querying other
 // sites when the group is not hosted locally (the paper's pg_lookup). The
 // current view of the group is cached as a side effect.
@@ -99,11 +76,9 @@ func (d *Daemon) Lookup(name string) (addr.Address, error) {
 	}
 	// A locally hosted group, or a previously resolved name.
 	if gid, ok := d.nameCache[name]; ok {
-		if _, hosted := d.groups[gid]; hosted {
-			d.mu.Unlock()
-			return gid, nil
-		}
-		if _, cached := d.remoteViews[gid]; cached {
+		_, hosted := d.groups[gid]
+		_, cached := d.remoteViews[gid]
+		if hosted || cached {
 			d.mu.Unlock()
 			return gid, nil
 		}
@@ -121,18 +96,6 @@ func (d *Daemon) Lookup(name string) (addr.Address, error) {
 		return addr.Nil, err
 	}
 	return view.Group, nil
-}
-
-// LookupView resolves a name and returns the (possibly cached) view.
-func (d *Daemon) LookupView(name string) (core.View, error) {
-	gid, err := d.Lookup(name)
-	if err != nil {
-		return core.View{}, err
-	}
-	if v, ok := d.CurrentView(gid); ok {
-		return v, nil
-	}
-	return d.lookupRemote(name, gid)
 }
 
 // refreshView fetches a fresh copy of a group's view from the sites that
@@ -159,7 +122,33 @@ func (d *Daemon) RefreshGroupView(gid addr.Address) (core.View, error) {
 // lookupRemote queries every other attached site for a group, by name or by
 // group id, and caches the first positive answer.
 func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) {
-	callID, ch := d.newCall()
+	var view core.View
+	found := false
+	_, err := d.lookupAll(name, gid, func(resp *msg.Message) bool {
+		if resp.GetInt(fFound, 0) != 1 {
+			return false
+		}
+		view, found = decodeView(resp.GetMessage(fView)), true
+		return true
+	})
+	switch {
+	case found:
+		d.cacheRemoteView(view)
+		return view, nil
+	case err != nil:
+		return core.View{}, fmt.Errorf("%w: lookup %q", err, name)
+	default: // nobody to ask, or nobody knows it
+		return core.View{}, fmt.Errorf("%w: %q", ErrUnknownGroup, name)
+	}
+}
+
+// lookupAll broadcasts one ptLookup — by name, by group id, or both — to
+// every other attached site and feeds the answers to each, as they arrive,
+// until each reports it has seen enough, every site asked has answered, or
+// CallTimeout passes (ErrTimeout: the caller decides whether what arrived
+// is enough). It also returns how many sites it could ask.
+func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Message) (done bool)) (asked int, err error) {
+	callID, ch := d.newCall(0)
 	defer d.dropCall(callID)
 
 	// One request message serves every queried site: it is marshalled once
@@ -174,39 +163,27 @@ func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) 
 	}
 	raw, err := encodePacket(ptLookup, req)
 	if err != nil {
-		return core.View{}, err
+		return 0, err
 	}
-	sites := d.net.Sites()
-	asked := 0
-	for _, s := range sites {
-		if s == d.site {
-			continue
-		}
-		if err := d.sendRaw(s, raw); err == nil {
+	for _, s := range d.net.Sites() {
+		if s != d.site && d.sendRaw(s, raw) == nil {
 			asked++
 		}
 	}
-	if asked == 0 {
-		return core.View{}, fmt.Errorf("%w: %q", ErrUnknownGroup, name)
-	}
 	deadline := time.After(d.cfg.CallTimeout)
-	negatives := 0
-	for {
+	for answers := 0; answers < asked; answers++ {
 		select {
 		case resp := <-ch:
-			if resp.GetInt(fFound, 0) == 1 {
-				view := decodeView(resp.GetMessage(fView))
-				d.cacheRemoteView(view)
-				return view, nil
-			}
-			negatives++
-			if negatives >= asked {
-				return core.View{}, fmt.Errorf("%w: %q", ErrUnknownGroup, name)
+			if each(resp) {
+				return asked, nil
 			}
 		case <-deadline:
-			return core.View{}, fmt.Errorf("%w: lookup %q", ErrTimeout, name)
+			return asked, ErrTimeout
+		case <-d.stopScan:
+			return asked, ErrClosed
 		}
 	}
+	return asked, nil
 }
 
 // cacheRemoteView stores a view learned from another site.
@@ -232,40 +209,28 @@ func (d *Daemon) cacheRemoteView(v core.View) {
 // protocol can tell the primary partition apart from a fellow minority.
 func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
 	name := p.GetString(fName, "")
-	gid := p.GetAddress(fGroup)
 	resp := msg.New()
 	resp.PutInt(fCall, p.GetInt(fCall, 0))
+	resp.PutInt(fSite, int64(d.site))
+	resp.PutInt(fFound, 0)
 	d.mu.Lock()
-	var found *core.View
-	primary := false
-	if !gid.IsNil() {
-		if gs, ok := d.groups[gid.Base()]; ok {
-			v := gs.view.Clone()
-			found = &v
-			primary = !gs.nonPrimary
-		}
-	}
-	if found == nil && name != "" {
-		for _, gs := range d.groups {
-			if gs.view.Name == name {
-				v := gs.view.Clone()
-				found = &v
-				primary = !gs.nonPrimary
+	gs := d.groups[p.GetAddress(fGroup).Base()] // nil when asked by name alone
+	if gs == nil && name != "" {
+		for _, named := range d.groups {
+			if named.view.Name == name {
+				gs = named
 				break
 			}
 		}
 	}
-	d.mu.Unlock()
-	resp.PutInt(fSite, int64(d.site))
-	if found != nil {
+	if gs != nil {
 		resp.PutInt(fFound, 1)
-		resp.PutMessage(fView, encodeView(*found))
-		if primary {
+		resp.PutMessage(fView, encodeView(gs.view))
+		if gs.phase.primary() {
 			resp.PutInt(fPrimary, 1)
 		}
-	} else {
-		resp.PutInt(fFound, 0)
 	}
+	d.mu.Unlock()
 	_ = d.sendPacket(from, ptLookupResp, resp)
 }
 
@@ -289,21 +254,12 @@ type JoinOptions struct {
 // join_and_xfer). It returns the first view that includes the new member.
 func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (core.View, error) {
 	d.mu.Lock()
-	if d.closed {
+	if _, err := d.liveProcLocked(joiner); err != nil {
 		d.mu.Unlock()
-		return core.View{}, ErrClosed
-	}
-	lp, ok := d.procs[joiner.Base()]
-	if !ok {
-		d.mu.Unlock()
-		return core.View{}, ErrUnknownProc
-	}
-	if !lp.alive {
-		d.mu.Unlock()
-		return core.View{}, ErrDeadProcess
+		return core.View{}, err
 	}
 	if opts.WantState || opts.StateReceiver != nil {
-		d.pendingJoin[joinKey{gid.Base(), joiner.Base()}] = pendingJoin{stateRecv: opts.StateReceiver}
+		d.pendingJoin[memberKey{gid.Base(), joiner.Base()}] = opts.StateReceiver
 	}
 	d.mu.Unlock()
 
@@ -319,7 +275,7 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 	resp, err := d.coordinatorCall(gid, req)
 	if err != nil {
 		d.mu.Lock()
-		delete(d.pendingJoin, joinKey{gid.Base(), joiner.Base()})
+		delete(d.pendingJoin, memberKey{gid.Base(), joiner.Base()})
 		d.mu.Unlock()
 		return core.View{}, err
 	}
@@ -343,16 +299,11 @@ func (d *Daemon) Leave(member addr.Address, gid addr.Address) error {
 func (d *Daemon) SetStateProvider(member, gid addr.Address, provider func() [][]byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gs, ok := d.groups[gid.Base()]
-	if !ok {
-		return ErrUnknownGroup
+	ms, err := d.memberLocked(member, gid)
+	if err == nil {
+		ms.stateProv = provider
 	}
-	ms, ok := gs.members[member.Base()]
-	if !ok {
-		return ErrNotMember
-	}
-	ms.stateProv = provider
-	return nil
+	return err
 }
 
 // SetStateReceiver registers (or replaces) the routine that receives the
@@ -363,16 +314,42 @@ func (d *Daemon) SetStateProvider(member, gid addr.Address, provider func() [][]
 func (d *Daemon) SetStateReceiver(member, gid addr.Address, recv func(block []byte, last bool)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	ms, err := d.memberLocked(member, gid)
+	if err == nil {
+		ms.stateRecv = recv
+	}
+	return err
+}
+
+// memberLocked returns the state of a local member of a hosted group.
+// Caller holds d.mu.
+func (d *Daemon) memberLocked(member, gid addr.Address) (*memberState, error) {
 	gs, ok := d.groups[gid.Base()]
 	if !ok {
-		return ErrUnknownGroup
+		return nil, ErrUnknownGroup
 	}
 	ms, ok := gs.members[member.Base()]
 	if !ok {
-		return ErrNotMember
+		return nil, ErrNotMember
 	}
-	ms.stateRecv = recv
-	return nil
+	return ms, nil
+}
+
+// liveProcLocked returns a local process that may act, or why it may not:
+// the daemon is closed, the address names no process registered here, or
+// the process has failed. Caller holds d.mu.
+func (d *Daemon) liveProcLocked(a addr.Address) (*localProc, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	lp, ok := d.procs[a.Base()]
+	if !ok {
+		return nil, ErrUnknownProc
+	}
+	if !lp.alive {
+		return nil, ErrDeadProcess
+	}
+	return lp, nil
 }
 
 // actingCoordinator returns the oldest member of the view whose site is not
@@ -413,10 +390,8 @@ func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
 //
 // Submissions are serialized per group: a daemon has at most one GBCAST
 // request for a given group in flight at a time, and ids are minted under
-// the same lock, so a requester's commits happen in request-id order. The
-// per-requester high-water dedupe (groupState.gbSeen) depends on this — an
-// id below the high-water mark is only guaranteed to have committed if a
-// later id can never commit while an earlier one is still in flight.
+// the same lock, so a requester's commits happen in request-id order — the
+// property the per-requester high-water dedupe (requestMarks) rests on.
 func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Message, error) {
 	mu := d.groupReqMu(gid)
 	mu.Lock()
@@ -507,6 +482,11 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 // commit into, and the flush or merge that emptied the site has settled the
 // message's fate at the sites that remain. Caller holds d.mu.
 func (d *Daemon) dropGroupLocked(gid addr.Address) {
+	if gs, ok := d.groups[gid]; ok {
+		// What a dropped copy had parked has nowhere to go: its packets would
+		// find no group and its rounds are retired below.
+		d.step(gs, inDrop)
+	}
 	delete(d.groups, gid)
 	for _, st := range d.pendingAb {
 		if st.group == gid {

@@ -1,0 +1,239 @@
+package protos
+
+// Group lifecycle. Every hosted copy of a group is in exactly one phase, and
+// the phase is assigned in exactly one place: Daemon.step, which looks the
+// move up in the pure transition function next and performs the effects the
+// move owes. Everything else in the package only reads the phase.
+// ARCHITECTURE.md "Group lifecycle" holds next rendered as a table; a test
+// keeps the two identical.
+
+import (
+	"time"
+
+	"repro/internal/addr"
+	"repro/internal/events"
+	"repro/internal/msg"
+)
+
+// phase is where a hosted group copy stands.
+type phase uint8
+
+const (
+	// phaseNormal: primary and open; multicasts are sent and delivered.
+	phaseNormal phase = iota
+	// phaseFlushing: wedged by a GBCAST prepare. Senders block, incoming data
+	// and ABCAST commits and this site's own ABCAST completions are parked,
+	// until the commit (or a notice, or the watchdog) ends the flush.
+	phaseFlushing
+	// phaseNonPrimary: stranded in a minority partition, read-only. Writes
+	// are refused at once; what arrives is still delivered.
+	phaseNonPrimary
+	// phaseMerging: non-primary, with the copy's one merge attempt running.
+	phaseMerging
+	// phaseDropped: this site no longer hosts the copy. Terminal: a goroutine
+	// still holding the pointer (a merge, the watchdog) can do it no harm.
+	phaseDropped
+	numPhases
+)
+
+// primary reports whether a copy in this phase belongs to the primary
+// partition (a flush is a primary copy's business).
+func (p phase) primary() bool { return p == phaseNormal || p == phaseFlushing }
+
+// input is something that happens to a group copy.
+type input uint8
+
+const (
+	inPrepare      input = iota // a flush prepare, from this site's coordinator or a remote one
+	inCommit                    // a GBCAST commit was applied to the copy
+	inNonPrimary                // gbNonPrimary notice: the coordinator reached no majority
+	inResume                    // gbResume notice: total-wedge recovery resumes the agreed view
+	inWatchdog                  // the flush has been open 4x CallTimeout: its commit is not coming
+	inMergeStart                // a merge attempt begins
+	inMergeResume               // the merge found the primary still at this copy's view
+	inMergeAbandon              // the merge attempt ended without resuming or dropping the copy
+	inDrop                      // the last local member left, or a merge discards the copy
+	numInputs
+)
+
+// effects is what a transition owes besides the new phase. A bit set, so
+// taking a transition allocates nothing.
+type effects uint8
+
+const (
+	fxFlushBegin     effects = 1 << iota // publish FlushBegin
+	fxArmWatchdog                        // (re)start the copy's stale-flush timer
+	fxEndFlush                           // publish FlushComplete, stop the timer, release what the flush parked, wake blocked senders
+	fxPrimaryLost                        // publish PartitionWedge and PrimaryLost
+	fxPrimaryResumed                     // publish PrimaryResumed
+	fxMergeStart                         // publish MergeStart
+)
+
+// next is the lifecycle: the phase a copy moves to on an input, and what the
+// move owes. Every pair not listed leaves the copy where it is and owes
+// nothing — a resume notice at a primary copy, the watchdog of a flush that
+// already ended, anything at all at a dropped copy.
+func next(p phase, in input) (phase, effects) {
+	switch p {
+	case phaseNormal:
+		switch in {
+		case inPrepare:
+			return phaseFlushing, fxFlushBegin | fxArmWatchdog
+		case inNonPrimary:
+			return phaseNonPrimary, fxPrimaryLost
+		case inDrop:
+			return phaseDropped, 0
+		}
+	case phaseFlushing:
+		switch in {
+		case inPrepare:
+			// A takeover's prepare finds the dead coordinator's flush still
+			// open: the same flush goes on, with a fresh clock.
+			return phaseFlushing, fxArmWatchdog
+		case inCommit, inWatchdog:
+			return phaseNormal, fxEndFlush
+		case inNonPrimary:
+			return phaseNonPrimary, fxEndFlush | fxPrimaryLost
+		case inDrop:
+			return phaseDropped, fxEndFlush
+		}
+	case phaseNonPrimary, phaseMerging:
+		// A prepare is answered — the report and view count toward the
+		// coordinator's vote — but does not wedge: the commit that would end
+		// the flush is never applied to a non-primary copy (it only triggers
+		// the merge), so a wedge here could end only by the watchdog, with
+		// every write waiting it out to be refused anyway.
+		switch {
+		case in == inResume:
+			return phaseNormal, fxPrimaryResumed
+		case in == inDrop:
+			return phaseDropped, 0
+		case in == inMergeStart && p == phaseNonPrimary:
+			return phaseMerging, fxMergeStart
+		case in == inMergeResume && p == phaseMerging:
+			return phaseNormal, fxPrimaryResumed
+		case in == inMergeAbandon && p == phaseMerging:
+			return phaseNonPrimary, 0
+		}
+	}
+	return p, 0
+}
+
+// heldPacket is a packet whose processing is deferred while the group is
+// flushing; pt remembers its envelope type so it can be re-dispatched.
+type heldPacket struct {
+	from addr.SiteID
+	pt   byte
+	pkt  *msg.Message
+}
+
+// parked is the work a flush holds back at one group copy: data packets and
+// ABCAST commits that arrived, and ABCAST rounds this site initiated whose
+// completion came due (completeAbcast runs on the transport's handler
+// goroutine and may not wait). step hands it all back when the flush ends.
+type parked struct {
+	pkts   []heldPacket
+	rounds []*abSendState
+}
+
+// step feeds one input to a group copy's lifecycle and performs the effects
+// of the transition. It is the only writer of groupState.phase. Caller holds
+// d.mu and, once it has unlocked, passes the result to redispatch.
+func (d *Daemon) step(gs *groupState, in input) (rel parked) {
+	to, fx := next(gs.phase, in)
+	gs.phase = to
+	gid := gs.view.Group
+	if fx&fxFlushBegin != 0 {
+		d.bus.Publish(events.Event{Kind: events.FlushBegin, Group: gid, View: gs.view.ID})
+	}
+	if fx&fxArmWatchdog != 0 && !d.closed {
+		// A flush whose commit never arrives — a prepare retransmitted long
+		// after its coordinator's round ended, e.g. across a partition heal —
+		// would freeze the group forever. 4x the call timeout comfortably
+		// exceeds the longest legitimate flush (concurrent prepares retry up
+		// to 3 calls before the commit follows).
+		limit := 4 * d.cfg.CallTimeout
+		gs.flushDeadline = time.Now().Add(limit)
+		if gs.watchdog == nil {
+			gs.watchdog = time.AfterFunc(limit, func() { d.flushExpired(gs) })
+		} else {
+			gs.watchdog.Reset(limit)
+		}
+	}
+	if fx&fxEndFlush != 0 {
+		d.bus.Publish(events.Event{Kind: events.FlushComplete, Group: gid, View: gs.view.ID, Detail: flushEndDetail[in]})
+		if gs.watchdog != nil {
+			gs.watchdog.Stop()
+		}
+		rel, gs.parked = gs.parked, parked{}
+		d.flushEnd.Broadcast()
+	}
+	if fx&fxPrimaryLost != 0 {
+		d.bus.Publish(events.Event{Kind: events.PartitionWedge, Group: gid, View: gs.view.ID})
+		d.notifyPrimary(gid, false)
+	}
+	if fx&fxPrimaryResumed != 0 {
+		d.notifyPrimary(gid, true)
+	}
+	if fx&fxMergeStart != 0 {
+		d.bus.Publish(events.Event{Kind: events.MergeStart, Group: gid, View: gs.view.ID})
+	}
+	return rel
+}
+
+// flushEndDetail tells the FlushComplete events of the abnormal ways out of
+// a flush from the commit's.
+var flushEndDetail = [numInputs]string{
+	inWatchdog:   "released by watchdog",
+	inNonPrimary: "non-primary",
+	inDrop:       "group dropped",
+}
+
+// redispatch reprocesses what a flush held back, routing packets by the
+// envelope type remembered at hold time. Runs without d.mu: each item takes
+// the normal path again, and is parked again if a new flush has begun.
+func (d *Daemon) redispatch(rel parked) {
+	for _, h := range rel.pkts {
+		switch h.pt {
+		case ptAbCommit:
+			d.handleAbCommit(h.from, h.pkt)
+		default:
+			d.handleData(h.from, h.pkt)
+		}
+	}
+	for _, st := range rel.rounds {
+		d.completeAbcast(st)
+	}
+}
+
+// flushExpired is the copy's stale-flush timer firing. A run that lost a
+// race with a re-arm (the timer had fired, then a commit and a new prepare
+// got to d.mu first) finds the deadline moved into the future and leaves the
+// new flush to the new run; one for a flush that has ended finds a phase in
+// which the watchdog input changes nothing.
+func (d *Daemon) flushExpired(gs *groupState) {
+	d.mu.Lock()
+	var rel parked
+	if !time.Now().Before(gs.flushDeadline) {
+		rel = d.step(gs, inWatchdog)
+	}
+	d.mu.Unlock()
+	d.redispatch(rel)
+}
+
+// settledGroupLocked returns the hosted copy of a group (nil if there is
+// none) once no flush is open on it. It is the one way a sender waits for a
+// flush: blocked on the condition step signals when a flush ends, and Close
+// when the daemon stops. Caller holds d.mu, which the wait releases.
+func (d *Daemon) settledGroupLocked(gid addr.Address) (*groupState, error) {
+	for {
+		if d.closed {
+			return nil, ErrClosed
+		}
+		gs := d.groups[gid]
+		if gs == nil || gs.phase != phaseFlushing {
+			return gs, nil
+		}
+		d.flushEnd.Wait()
+	}
+}

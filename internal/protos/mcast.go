@@ -13,8 +13,8 @@ import (
 )
 
 // errRelayHeld reports that a relayed multicast was parked while its group is
-// wedged by a GBCAST flush; it is re-dispatched (and acknowledged) when the
-// flush completes, so no acknowledgement is sent yet.
+// flushing; it is re-dispatched (and acknowledged) when the flush ends, so no
+// acknowledgement is sent yet.
 var errRelayHeld = errors.New("protos: relay held during flush")
 
 // fRelay marks a group multicast submitted by a non-member sender; such
@@ -52,18 +52,10 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 		payload = msg.New()
 	}
 	d.mu.Lock()
-	if d.closed {
+	lp, err := d.liveProcLocked(sender)
+	if err != nil {
 		d.mu.Unlock()
-		return core.MsgID{}, 0, ErrClosed
-	}
-	lp, ok := d.procs[sender.Base()]
-	if !ok {
-		d.mu.Unlock()
-		return core.MsgID{}, 0, ErrUnknownProc
-	}
-	if !lp.alive {
-		d.mu.Unlock()
-		return core.MsgID{}, 0, ErrDeadProcess
+		return core.MsgID{}, 0, err
 	}
 	lp.nextSeq++
 	id := core.MsgID{Sender: sender.Base(), Seq: lp.nextSeq}
@@ -189,48 +181,44 @@ func (d *Daemon) deliverPointToPoint(pkt *msg.Message, dests addr.List) {
 }
 
 // sendGroupMulticast runs the sender side of CBCAST or ABCAST for a group
-// destination.
+// destination. While a GBCAST flush is in progress the send waits, so the
+// message is unambiguously ordered after the GBCAST point.
 func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Protocol, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) error {
-	for {
-		d.mu.Lock()
-		gs, hosted := d.groups[gid]
-		if hosted && gs.wedged {
-			// A GBCAST flush is in progress: sends wait so the message is
-			// unambiguously ordered after the GBCAST point.
-			d.mu.Unlock()
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		if !hosted {
-			d.mu.Unlock()
-			return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
-		}
-		if gs.nonPrimary {
-			// A minority partition is read-only: no multicast may originate
-			// here until the merge protocol rejoins the primary.
-			d.mu.Unlock()
-			return ErrNonPrimary
-		}
-		ms, isMember := gs.members[sender.Base()]
-		if !isMember {
-			d.mu.Unlock()
-			return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
-		}
-		switch proto {
-		case CBCAST:
-			d.sendMemberCbcastLocked(gs, ms, sender, gid, id, entry, payload)
-			d.mu.Unlock()
-			return nil
-		case ABCAST:
-			pkt := d.buildDataPacket(ABCAST, gid, gs.view.ID, id, sender, gs.view.RankOf(sender), entry, payload)
-			st := d.initiateAbcastLocked(gs, id, pkt, lp, 0)
-			d.mu.Unlock()
-			d.transmitAbcast(st, pkt)
-			return nil
-		default:
-			d.mu.Unlock()
-			return ErrBadProtocol
-		}
+	d.mu.Lock()
+	gs, err := d.settledGroupLocked(gid)
+	if err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	if gs == nil {
+		d.mu.Unlock()
+		return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
+	}
+	if !gs.phase.primary() {
+		// A minority partition is read-only: no multicast may originate
+		// here until the merge protocol rejoins the primary.
+		d.mu.Unlock()
+		return ErrNonPrimary
+	}
+	ms, isMember := gs.members[sender.Base()]
+	if !isMember {
+		d.mu.Unlock()
+		return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
+	}
+	switch proto {
+	case CBCAST:
+		d.sendMemberCbcastLocked(gs, ms, sender, gid, id, entry, payload)
+		d.mu.Unlock()
+		return nil
+	case ABCAST:
+		pkt := d.buildDataPacket(ABCAST, gid, gs.view.ID, id, sender, gs.view.RankOf(sender), entry, payload)
+		st := d.initiateAbcastLocked(gs, id, pkt, lp, 0)
+		d.mu.Unlock()
+		d.transmitAbcast(st, pkt)
+		return nil
+	default:
+		d.mu.Unlock()
+		return ErrBadProtocol
 	}
 }
 
@@ -379,22 +367,15 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 }
 
 // relayCall ships a relayed multicast to the coordinator site and waits for
-// its acknowledgement. A remote relay parked by a flush wedge counts as
-// accepted — it is re-dispatched when the flush completes and acknowledged
-// then. A local relay instead waits the wedge out (mirroring the member
-// send path): if the caller were told "accepted" while the packet sat in
-// heldPkts and the flush then wedged the copy non-primary, the refusal
-// would have nobody to report to and the consumed FIFO sequence would
-// stall every later relay from this sender.
+// its acknowledgement. A remote relay parked by a flush counts as accepted —
+// it is re-dispatched when the flush ends and acknowledged then. A local
+// relay instead waits the flush out (mirroring the member send path): if the
+// caller were told "accepted" while the packet sat parked and the flush then
+// left the copy non-primary, the refusal would have nobody to report to and
+// the consumed FIFO sequence would stall every later relay from this sender.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) error {
 	if site == d.site {
-		for {
-			err := d.relayMulticast(d.site, pkt, false)
-			if !errors.Is(err, errRelayHeld) {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
+		return d.relayMulticast(d.site, pkt, false)
 	}
 	_, err := d.call(site, ptData, pkt)
 	return err
@@ -407,31 +388,33 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) error {
 // message: ErrUnknownGroup when this site does not host the group — the
 // sender's cached view was stale — and ErrNonPrimary when this copy is
 // stranded read-only in a minority partition and must not fan anything out
-// under its stale (possibly split-brain) view. While the group is wedged by
-// a flush the relay returns errRelayHeld; with park set the packet is also
-// parked in heldPkts for re-dispatch after the flush (the remote-relay
-// path, whose acknowledgement is deferred with it), without park the caller
-// retries (the local path, which must see the post-flush outcome itself).
+// under its stale (possibly split-brain) view. While the group is flushing,
+// a relay with park set is parked for re-dispatch after the flush and
+// errRelayHeld returned (the remote-relay path, on the transport's handler
+// goroutine, whose acknowledgement is deferred with the packet); without
+// park the call waits the flush out (the local path, which must see the
+// post-flush outcome itself).
 func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) error {
-	gid := pkt.GetAddress(fGroup)
+	gid := pkt.GetAddress(fGroup).Base()
 	proto := Protocol(pkt.GetInt(fProto, 0))
 
 	d.mu.Lock()
-	gs, ok := d.groups[gid.Base()]
-	if !ok {
-		d.mu.Unlock()
-		return ErrUnknownGroup
-	}
-	if gs.wedged {
-		if park {
-			gs.heldPkts = append(gs.heldPkts, heldPacket{from, ptData, pkt})
-		}
+	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
 		d.mu.Unlock()
 		return errRelayHeld
 	}
-	if gs.nonPrimary {
+	gs, err := d.settledGroupLocked(gid)
+	switch {
+	case err != nil:
+	case gs == nil:
+		err = ErrUnknownGroup
+	case !gs.phase.primary():
+		err = ErrNonPrimary
+	}
+	if err != nil {
 		d.mu.Unlock()
-		return ErrNonPrimary
+		return err
 	}
 	fanout := pkt.Clone()
 	fanout.Delete(fRelay)
@@ -531,9 +514,7 @@ func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
 	// Phase 1 is marshalled once and shared by every remote member site
 	// (the target list is fixed once the round is set up).
 	if raw, err := encodePacket(ptData, pkt); err == nil {
-		for _, s := range st.targets {
-			_ = d.sendRaw(s, raw)
-		}
+		d.fanoutRaw(st.targets, raw)
 	}
 }
 
@@ -607,13 +588,14 @@ func (d *Daemon) releaseAbSenderLocked(st *abSendState) {
 }
 
 // completeAbcast sends phase 2 (the final priority) to every destination
-// site and applies it locally. While the local group copy is wedged by a
-// GBCAST flush the completion is deferred: the flush owns the fate of every
-// in-flight ABCAST (it either drives the commit itself or fences the message
-// behind the new view), and a commit fanned out mid-flush would be held at
-// every wedged site and then discarded, losing the message. The deferred
-// retry finds the state retired (flush committed it), replaced (flush fenced
-// and restarted it), or still its own, in which case it proceeds normally.
+// site and applies it locally. While the local group copy is flushing the
+// completion is parked on it: the flush owns the fate of every in-flight
+// ABCAST (it either drives the commit itself or fences the message behind
+// the new view), and a commit fanned out mid-flush would be held at every
+// wedged site and then discarded, losing the message. When the flush ends
+// the round comes back here and is found retired (the flush committed it),
+// replaced (the flush fenced and restarted it), or still its own, in which
+// case it proceeds normally.
 func (d *Daemon) completeAbcast(st *abSendState) {
 	d.mu.Lock()
 	if d.pendingAb[st.id] != st {
@@ -622,9 +604,9 @@ func (d *Daemon) completeAbcast(st *abSendState) {
 		d.mu.Unlock()
 		return
 	}
-	if gs, ok := d.groups[st.group]; ok && gs.wedged && !d.closed {
+	if gs, ok := d.groups[st.group]; ok && gs.phase == phaseFlushing && !d.closed {
+		gs.parked.rounds = append(gs.parked.rounds, st)
 		d.mu.Unlock()
-		time.AfterFunc(2*time.Millisecond, func() { d.completeAbcast(st) })
 		return
 	}
 	d.retireAbcastLocked(st)
@@ -662,8 +644,8 @@ func (d *Daemon) handleAbCommit(from addr.SiteID, p *msg.Message) {
 		d.mu.Unlock()
 		return
 	}
-	if gs.wedged {
-		gs.heldPkts = append(gs.heldPkts, heldPacket{from, ptAbCommit, p})
+	if gs.phase == phaseFlushing {
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptAbCommit, p})
 		d.mu.Unlock()
 		return
 	}
@@ -751,8 +733,18 @@ func (d *Daemon) runResolicitScan() {
 			return
 		case <-t.C:
 			d.resolicitStragglers()
-			d.kickRelayRepair()
-			d.kickMergeRetry()
+			// Parked work gets another try: a filler lost to a coordinator
+			// crash, a rejoin whose primary has become reachable without a
+			// fresh recovery event. Each drain runs at most once at a time.
+			d.mu.Lock()
+			holes, parked := len(d.relayHoles) > 0, len(d.parkedMerges) > 0
+			d.mu.Unlock()
+			if holes {
+				go d.repairRelayHoles()
+			}
+			if parked {
+				go d.retryParkedMerges()
+			}
 		}
 	}
 }
@@ -769,7 +761,7 @@ func (d *Daemon) resolicitStragglers() {
 	now := time.Now()
 	d.mu.Lock()
 	for gid, gs := range d.groups {
-		if gs.wedged || gs.nonPrimary {
+		if gs.phase != phaseNormal {
 			continue
 		}
 		for _, ms := range gs.members {
@@ -888,8 +880,8 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 		d.mu.Unlock()
 		return
 	}
-	if gs.wedged {
-		gs.heldPkts = append(gs.heldPkts, heldPacket{from, ptData, pkt})
+	if gs.phase == phaseFlushing {
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
 		d.mu.Unlock()
 		return
 	}

@@ -105,47 +105,38 @@ func (d *Daemon) noteRequest(rid int64, gid addr.Address, st reqState) {
 func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	d.mu.Lock()
 	rec, ok := d.reqLog.Get(rid)
-	if !ok {
-		d.mu.Unlock()
-		return OutcomeUnknown, ErrUnknownRequest
-	}
-	switch rec.state {
-	case reqCommitted:
-		d.mu.Unlock()
-		return OutcomeCommitted, nil
-	case reqAborted:
-		d.mu.Unlock()
-		return OutcomeAborted, nil
-	case reqPending:
-		d.mu.Unlock()
-		return OutcomeUnknown, nil
-	}
-	// Given up. Fast path: this site may host a (primary) copy of the group
-	// with first-hand knowledge of the id.
-	if gs, hosted := d.groups[rec.gid]; hosted && !gs.nonPrimary {
-		switch gbOutcomeVoteLocked(gs, rid) {
-		case voteCommitted:
-			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqCommitted})
-			d.mu.Unlock()
-			return OutcomeCommitted, nil
-		case voteAborted:
-			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqAborted})
-			d.mu.Unlock()
-			return OutcomeAborted, nil
+	vote := voteUnknown
+	if ok && rec.state == reqGaveUp {
+		// Fast path: this site may host a (primary) copy of the group with
+		// first-hand knowledge of the id.
+		if gs, hosted := d.groups[rec.gid]; hosted && gs.phase.primary() {
+			vote = gs.marks.Vote(rid)
 		}
 	}
 	d.mu.Unlock()
-
-	// Settle remotely with a gbSeal round.
-	req := msg.New()
-	req.PutInt(fKind, gbSeal)
-	req.PutAddress(fGroup, rec.gid)
-	req.PutInt(fSealReq, rid)
-	resp, err := d.coordinatorCall(rec.gid, req)
-	if err != nil {
-		return OutcomeUnknown, err
+	switch {
+	case !ok:
+		return OutcomeUnknown, ErrUnknownRequest
+	case rec.state == reqCommitted:
+		return OutcomeCommitted, nil
+	case rec.state == reqAborted:
+		return OutcomeAborted, nil
+	case rec.state == reqPending:
+		return OutcomeUnknown, nil
 	}
-	switch resp.GetInt(fOutcome, 0) {
+	if vote == voteUnknown {
+		// Settle remotely with a gbSeal round.
+		req := msg.New()
+		req.PutInt(fKind, gbSeal)
+		req.PutAddress(fGroup, rec.gid)
+		req.PutInt(fSealReq, rid)
+		resp, err := d.coordinatorCall(rec.gid, req)
+		if err != nil {
+			return OutcomeUnknown, err
+		}
+		vote = resp.GetInt(fOutcome, 0)
+	}
+	switch vote {
 	case voteCommitted:
 		d.noteRequest(rid, rec.gid, reqCommitted)
 		return OutcomeCommitted, nil

@@ -24,7 +24,9 @@ import (
 // split-brain view and reject writes (ErrNonPrimary); and after the
 // partition heals, the stranded member must rejoin automatically — same
 // process, no restart — and carry traffic again.
-func TestMinorityPartitionWedgesThenMerges(t *testing.T) {
+func TestMinorityPartitionWedgesThenMerges(t *testing.T) { minorityPartitionWedgesThenMerges(t) }
+
+func minorityPartitionWedgesThenMerges(t *testing.T) *testCluster {
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
 	procs := buildGroup(t, tc, "prim", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "prim")
@@ -101,6 +103,7 @@ func TestMinorityPartitionWedgesThenMerges(t *testing.T) {
 	if len(kinds) < 2 || kinds[0] != events.PrimaryLost || kinds[len(kinds)-1] != events.PrimaryResumed {
 		t.Errorf("primary-status transitions at the minority = %v, want primary-lost ... primary-resumed", kinds)
 	}
+	return tc
 }
 
 // TestGbDedupeSurvivesLongHistory pins the per-requester high-water dedupe:
@@ -161,7 +164,9 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 // since nothing can have committed past it — must resume in place,
 // coordinated by the site hosting the oldest member, and carry traffic
 // again.
-func TestTotalWedgeResumesAfterHeal(t *testing.T) {
+func TestTotalWedgeResumesAfterHeal(t *testing.T) { totalWedgeResumesAfterHeal(t) }
+
+func totalWedgeResumesAfterHeal(t *testing.T) *testCluster {
 	tc := newFaultCluster(t, 5, simnet.FastConfig(), time.Second, scenarioDetector())
 	procs := buildGroup(t, tc, "wedge", 1, 2, 3, 4, 5)
 	gid := groupOf(t, tc, procs[0], "wedge")
@@ -218,6 +223,7 @@ func TestTotalWedgeResumesAfterHeal(t *testing.T) {
 		}
 		return true
 	})
+	return tc
 }
 
 // TestAsymmetricPartitionRejoinsRemovedMember cuts only the link between
@@ -250,4 +256,98 @@ func TestAsymmetricPartitionRejoinsRemovedMember(t *testing.T) {
 	waitFor(t, "rejoined member's traffic delivered", 5*time.Second, func() bool {
 		return procs[0].got("back") && procs[1].got("back")
 	})
+}
+
+// TestWriteToNonPrimaryCopyNeverWaitsOnWedge hands a non-primary copy the one
+// packet the reliable transport is sure to retransmit across a heal: a flush
+// prepare from the majority's coordinator. The prepare is answered, but the
+// copy must stay what it is — read-only, nothing held — so a write is refused
+// at once. (It used to wedge the copy as well; the commit that ends a flush
+// is never applied to a non-primary copy, so only the 4x CallTimeout watchdog
+// released it, and the refusal took that long.)
+func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
+	const callTimeout = time.Second
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), callTimeout, scenarioDetector())
+	procs := buildGroup(t, tc, "stale-prepare", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "stale-prepare")
+	d3 := tc.daemons[3]
+
+	tc.net.Partition(3, 1)
+	tc.net.Partition(3, 2)
+	waitFor(t, "minority goes non-primary", 10*time.Second, func() bool { return !d3.GroupPrimary(gid) })
+
+	// The first heartbeat across a heal clears the suspicion; the prepare is
+	// right behind it.
+	d3.mu.Lock()
+	delete(d3.suspected, 1)
+	d3.mu.Unlock()
+	prepare := msg.New()
+	prepare.PutAddress(fGroup, gid)
+	prepare.PutInt(fGbID, 99)
+	prepare.PutInt(fCall, 4242)
+	begun := d3.EventStats().ByKind[events.FlushBegin]
+	d3.handleGbPrepare(1, prepare)
+	if now := d3.EventStats().ByKind[events.FlushBegin]; now != begun {
+		t.Errorf("the prepare opened a flush at the non-primary copy (%d FlushBegin, then %d)", begun, now)
+	}
+
+	start := time.Now()
+	_, err := d3.Multicast(procs[2].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("refused"))
+	took := time.Since(start)
+	if !errors.Is(err, ErrNonPrimary) || took >= callTimeout {
+		t.Errorf("write at the non-primary copy: err = %v after %v, want ErrNonPrimary at once", err, took)
+	}
+	t.Logf("refused after %v", took)
+	if d3.GroupPrimary(gid) {
+		t.Error("the prepare took the copy out of non-primary mode")
+	}
+}
+
+// TestEveryFlushBeginIsClosed runs the partition and takeover scenarios and
+// then counts, at every site still up: each FlushBegin the site published
+// must have its FlushComplete — whether the flush ended by its commit, a
+// non-primary notice or the watchdog — and a takeover's prepare reaching a
+// copy already flushing must not have opened a second one. (Each scenario
+// has one group, so a site's counts are the group's.)
+func TestEveryFlushBeginIsClosed(t *testing.T) {
+	for name, scenario := range map[string]func(*testing.T) *testCluster{
+		"minority partition merges":   minorityPartitionWedgesThenMerges,
+		"total wedge resumes":         totalWedgeResumesAfterHeal,
+		"coordinator crash mid-flush": coordinatorCrashMidFlushJoinCompletes,
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			tc := scenario(t)
+			var open string
+			flushes := uint64(0)
+			balanced := func() bool {
+				open, flushes = "", 0
+				for site, d := range tc.daemons {
+					d.mu.Lock()
+					closed := d.closed
+					d.mu.Unlock()
+					if closed {
+						continue // crashed mid-scenario, possibly mid-flush
+					}
+					by := d.EventStats().ByKind
+					flushes += by[events.FlushBegin]
+					if by[events.FlushBegin] != by[events.FlushComplete] {
+						open += fmt.Sprintf(" site %d: %d begun, %d completed;", site, by[events.FlushBegin], by[events.FlushComplete])
+					}
+				}
+				return open == ""
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for !balanced() && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if open != "" {
+				t.Errorf("flushes left open at quiescence:%s", open)
+			}
+			if flushes == 0 {
+				t.Error("the scenario published no FlushBegin at all: the check saw nothing")
+			}
+			t.Logf("%d flushes begun at the sites still up", flushes)
+		})
+	}
 }

@@ -826,6 +826,7 @@ func TestGroupVanishesWhenLastMemberLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "group state dropped", 2*time.Second, func() bool {
-		return len(tc.daemons[1].GroupsHosted()) == 0
+		v, _ := tc.daemons[1].CurrentView(gid)
+		return v.Size() == 0
 	})
 }

@@ -29,7 +29,6 @@ package protos
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -61,12 +60,6 @@ func (lr lostRelay) key() relayHoleKey {
 // against a long-partitioned coordinator, not a working-set size.
 const maxLostRelays = 512
 
-func (d *Daemon) untrackLostRelay(id int64) {
-	d.mu.Lock()
-	d.lostRelays.Delete(id)
-	d.mu.Unlock()
-}
-
 // relayCBCASTCall ships a relayed CBCAST (which has consumed FIFO sequence
 // seq) to the coordinator site and waits for the acknowledgement. Unlike the
 // generic call path it keeps the exchange tracked in d.lostRelays whenever
@@ -77,59 +70,37 @@ func (d *Daemon) relayCBCASTCall(site addr.SiteID, pkt *msg.Message, lp *localPr
 	if site == d.site {
 		// The local path is synchronous: the outcome is known before the
 		// call returns, so no tracking is needed (mirrors relayCall).
-		for {
-			err := d.relayMulticast(d.site, pkt, false)
-			if !errors.Is(err, errRelayHeld) {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
+		return d.relayMulticast(d.site, pkt, false)
 	}
-	id, ch := d.newCall()
-	d.mu.Lock()
-	d.callSite[id] = site
+	id, ch := d.newCall(site)
 	// Track the call, whose sequence number must be reconciled if a response
 	// arrives after the caller gave up, before the request can reach the
 	// wire: a response cannot race past a registration that precedes the send.
+	d.mu.Lock()
 	d.lostRelays.Put(id, lostRelay{lp: lp, gid: gid, seq: seq})
 	d.mu.Unlock()
-	pkt.PutInt(fCall, id)
-	if err := d.sendPacket(site, ptData, pkt); err != nil {
-		d.untrackLostRelay(id)
-		d.dropCall(id)
-		return err
-	}
-	settle := func(resp *msg.Message) error {
-		if !resp.Has(fErr) {
-			d.untrackLostRelay(id)
-			return nil
-		}
-		err := wireError("protos: remote error: %s", resp.GetString(fErr, "unknown"))
-		if errors.Is(err, errSiteFailed) {
-			// Detector abort: the request is still queued in the reliable
-			// transport and may yet be delivered either way. Keep the entry
-			// tracked so the real response reconciles the sequence.
-			return err
-		}
-		d.untrackLostRelay(id)
-		return err
-	}
-	select {
-	case resp := <-ch:
-		d.dropCall(id)
-		return settle(resp)
-	case <-time.After(d.cfg.CallTimeout):
-		// Unregister the call first, then drain: a response delivered to the
-		// channel in the race window is handled here, and anything later is
-		// routed through d.lostRelays by respond.
-		d.dropCall(id)
+	_, err := d.exchange(id, ch, site, ptData, pkt)
+	// Unregister the call first, then drain: a response delivered to the
+	// channel in the race window of a timeout is handled here, and anything
+	// later is routed through d.lostRelays by respond.
+	d.dropCall(id)
+	if errors.Is(err, ErrTimeout) {
 		select {
 		case resp := <-ch:
-			return settle(resp)
+			err = respError(resp)
 		default:
-			return ErrTimeout
 		}
 	}
+	if !errors.Is(err, ErrTimeout) && !errors.Is(err, errSiteFailed) {
+		// The outcome is known. After a timeout, or a detector abort (the
+		// request is still queued in the reliable transport and may yet be
+		// delivered either way), the entry stays tracked so the real response
+		// reconciles the sequence.
+		d.mu.Lock()
+		d.lostRelays.Delete(id)
+		d.mu.Unlock()
+	}
+	return err
 }
 
 // reconcileLostRelay handles a relay response that arrived after its caller
@@ -156,17 +127,6 @@ func (d *Daemon) reconcileLostRelay(lr lostRelay, resp *msg.Message) {
 	d.relayHoles[lr.key()] = lr
 	d.mu.Unlock()
 	go d.repairRelayHoles()
-}
-
-// kickRelayRepair retries parked holes; called from the resolicit scan so a
-// filler lost to a coordinator crash is eventually re-sent.
-func (d *Daemon) kickRelayRepair() {
-	d.mu.Lock()
-	pending := len(d.relayHoles) > 0 && !d.repairingHoles && !d.closed
-	d.mu.Unlock()
-	if pending {
-		go d.repairRelayHoles()
-	}
 }
 
 // repairRelayHoles drains d.relayHoles. At most one drain runs at a time

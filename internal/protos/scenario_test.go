@@ -98,6 +98,10 @@ type joinResult struct {
 // re-submitted by the requester with its stable request id — must complete at
 // the survivors with exactly one view installation per change.
 func TestScenarioCoordinatorCrashMidFlushJoinCompletes(t *testing.T) {
+	coordinatorCrashMidFlushJoinCompletes(t)
+}
+
+func coordinatorCrashMidFlushJoinCompletes(t *testing.T) *testCluster {
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
 	procs := buildGroup(t, tc, "takeover", 1, 2)
 	gid := groupOf(t, tc, procs[0], "takeover")
@@ -147,6 +151,7 @@ func TestScenarioCoordinatorCrashMidFlushJoinCompletes(t *testing.T) {
 	waitFor(t, "post-takeover delivery at the joiner", 5*time.Second, func() bool {
 		return joiner.got("post-takeover")
 	})
+	return tc
 }
 
 // TestScenarioCoordinatorCrashAfterPartialCommitDedupes crashes the

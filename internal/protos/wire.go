@@ -130,7 +130,7 @@ const (
 	gbLeave                        // remove a member voluntarily
 	gbFail                         // remove failed members
 	gbUser                         // user-level GBCAST delivery to an entry
-	gbConfigHint                   // reserved for the configuration tool (delivered like gbUser)
+	_                              // 5 was reserved and never sent; skipped so the kinds below keep their wire values
 	gbNonPrimary                   // minority notice: wedge into read-only non-primary mode
 	gbResume                       // total-wedge recovery: resume the last agreed view in place
 	gbSeal                         // settle the outcome of an earlier request id (commit or abort it)

@@ -160,9 +160,6 @@ func New(cfg Config) *Network {
 	}
 }
 
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // SetTracer installs an event tracer (may be nil). Used by the Figure 3
 // breakdown harness.
 func (n *Network) SetTracer(t Tracer) {
@@ -247,16 +244,6 @@ func (n *Network) BusyTime(id SiteID) time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.busy[id]
-}
-
-// chargeBusy adds CPU time to a site's busy counter.
-func (n *Network) chargeBusy(id SiteID, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.mu.Lock()
-	n.busy[id] += d
-	n.mu.Unlock()
 }
 
 // Close detaches all sites and stops the per-link delivery goroutines.

@@ -34,23 +34,6 @@ type Config struct {
 	// MaxPacket is the largest payload one Send may carry (and the frame
 	// size cap enforced by receivers). Defaults to 16384.
 	MaxPacket int
-	// DialTimeout bounds connection establishment and the handshake.
-	// Defaults to 2s.
-	DialTimeout time.Duration
-	// RedialBackoff is the minimum gap between dial attempts to an
-	// unreachable peer; frames queued in between are dropped (the
-	// transport retransmits). Defaults to 50ms.
-	RedialBackoff time.Duration
-	// WriteTimeout bounds one frame write; a peer that stops reading long
-	// enough to fill the kernel buffers costs a dropped connection, not a
-	// wedged sender. Defaults to 10s.
-	WriteTimeout time.Duration
-	// QueueLen is the capacity of each endpoint's receive channel.
-	// Defaults to 4096.
-	QueueLen int
-	// SendQueueLen is the capacity of each per-peer send queue; when it
-	// overflows the newest frame is dropped. Defaults to 1024.
-	SendQueueLen int
 	// ListenHost is the interface listeners bind to (port is always
 	// ephemeral). Defaults to 127.0.0.1 — the loopback deployment the
 	// in-process fabric is built for.
@@ -61,26 +44,29 @@ func (c Config) withDefaults() Config {
 	if c.MaxPacket <= 0 {
 		c.MaxPacket = 16384
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 50 * time.Millisecond
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 4096
-	}
-	if c.SendQueueLen <= 0 {
-		c.SendQueueLen = 1024
-	}
 	if c.ListenHost == "" {
 		c.ListenHost = "127.0.0.1"
 	}
 	return c
 }
+
+const (
+	// dialTimeout bounds connection establishment and the handshake.
+	dialTimeout = 2 * time.Second
+	// redialBackoff is the minimum gap between dial attempts to an
+	// unreachable peer; frames queued in between are dropped (the
+	// transport retransmits).
+	redialBackoff = 50 * time.Millisecond
+	// writeTimeout bounds one frame write; a peer that stops reading long
+	// enough to fill the kernel buffers costs a dropped connection, not a
+	// wedged sender.
+	writeTimeout = 10 * time.Second
+	// recvQueueLen is the capacity of each endpoint's receive channel.
+	recvQueueLen = 4096
+	// sendQueueLen is the capacity of each per-peer send queue; when it
+	// overflows the newest frame is dropped.
+	sendQueueLen = 1024
+)
 
 // Errors returned by the backend.
 var (
@@ -219,9 +205,6 @@ func (n *Network) WatchLinks(cb func(netback.LinkEvent)) (cancel func()) {
 	}
 }
 
-// Config returns the fabric's configuration (with defaults applied).
-func (n *Network) Config() Config { return n.cfg }
-
 // Stats returns a snapshot of the fabric's activity counters.
 func (n *Network) Stats() Stats {
 	return Stats{
@@ -250,7 +233,7 @@ func (n *Network) Attach(id SiteID, epoch uint64) (netback.Endpoint, error) {
 		id:    id,
 		epoch: epoch,
 		ln:    ln,
-		recv:  make(chan netback.Packet, n.cfg.QueueLen),
+		recv:  make(chan netback.Packet, recvQueueLen),
 		done:  make(chan struct{}),
 		peers: make(map[SiteID]*peer),
 	}
@@ -391,7 +374,7 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 	}
 	p, ok := e.peers[to]
 	if !ok {
-		p = &peer{id: to, sendQ: make(chan []byte, e.net.cfg.SendQueueLen)}
+		p = &peer{id: to, sendQ: make(chan []byte, sendQueueLen)}
 		e.peers[to] = p
 		e.wg.Add(1)
 		go e.runSender(p)
@@ -473,7 +456,7 @@ func (e *Endpoint) acceptHandshake(c net.Conn) {
 	}
 	p, ok := e.peers[peerID]
 	if !ok {
-		p = &peer{id: peerID, sendQ: make(chan []byte, e.net.cfg.SendQueueLen)}
+		p = &peer{id: peerID, sendQ: make(chan []byte, sendQueueLen)}
 		e.peers[peerID] = p
 		e.wg.Add(1)
 		go e.runSender(p)
@@ -493,7 +476,7 @@ func (e *Endpoint) handshake(c net.Conn) (SiteID, uint64, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	deadline := time.Now().Add(e.net.cfg.DialTimeout)
+	deadline := time.Now().Add(dialTimeout)
 	_ = c.SetDeadline(deadline)
 	var hello [helloSize]byte
 	binary.BigEndian.PutUint32(hello[0:4], helloMagic)
@@ -588,7 +571,7 @@ func (e *Endpoint) runSender(p *peer) {
 // timeout. Only the peer's sender goroutine writes frames, so writes are
 // never interleaved.
 func (e *Endpoint) writeFrame(p *peer, c net.Conn, frame []byte) bool {
-	_ = c.SetWriteDeadline(time.Now().Add(e.net.cfg.WriteTimeout))
+	_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := c.Write(frame); err != nil {
 		e.forgetConn(p, c)
 		c.Close()
@@ -610,7 +593,7 @@ func (e *Endpoint) connFor(p *peer) net.Conn {
 		e.mu.Unlock()
 		return c
 	}
-	if time.Since(p.lastFail) < e.net.cfg.RedialBackoff {
+	if time.Since(p.lastFail) < redialBackoff {
 		e.mu.Unlock()
 		return nil
 	}
@@ -632,7 +615,7 @@ func (e *Endpoint) dialPeer(p *peer) net.Conn {
 	if !ok {
 		return fail()
 	}
-	c, err := net.DialTimeout("tcp", addr, e.net.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return fail()
 	}

@@ -20,8 +20,7 @@
 //     flusher goroutine. Under backpressure — while one frame is being
 //     transmitted, more Sends arrive — subsequent fragments share frames,
 //     amortising the per-packet send cost without adding latency when the
-//     link is idle. Config.FlushDelay optionally trades latency for deeper
-//     batches; Config.DisableBatching (one fragment per frame) is the
+//     link is idle. Config.DisableBatching (one fragment per frame) is the
 //     ablation baseline.
 //
 //   - Piggybacked acks: every outgoing data frame carries the cumulative

@@ -29,8 +29,7 @@ type Config struct {
 	RetransmitInterval time.Duration
 	// AckDelay is how long the receiver may wait before sending a dedicated
 	// ack packet, giving reverse-direction data frames a chance to carry the
-	// ack for free. Zero selects a default of 1ms; negative means ack
-	// immediately (the pre-piggybacking behaviour).
+	// ack for free. Zero (or less) selects the default of 1ms.
 	AckDelay time.Duration
 	// Epoch distinguishes restarts of the same site: it seeds the high bits
 	// of every outgoing stream's epoch, so peers recognise a restarted
@@ -38,11 +37,6 @@ type Config struct {
 	// duplicates. It must increase across restarts; the protocols daemon
 	// derives it from the site incarnation. Zero selects 1.
 	Epoch uint64
-	// FlushDelay is how long the per-peer flusher waits after a fragment is
-	// queued before building frames, to aggregate more traffic. Zero (the
-	// default) flushes immediately; coalescing still happens whenever sends
-	// outpace the link.
-	FlushDelay time.Duration
 	// DisableBatching sends one fragment per frame on the caller's
 	// goroutine, with immediate dedicated acks: the unbatched baseline the
 	// benchmark ablation compares against.
@@ -200,7 +194,7 @@ func New(ep netback.Endpoint, cfg Config, handler Handler) (*Transport, error) {
 	if cfg.RetransmitInterval <= 0 {
 		cfg.RetransmitInterval = 20 * time.Millisecond
 	}
-	if cfg.AckDelay == 0 {
+	if cfg.AckDelay <= 0 {
 		cfg.AckDelay = time.Millisecond
 	}
 	if cfg.Epoch == 0 {
@@ -332,15 +326,6 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 		case <-t.done:
 			return
 		case <-ps.kick:
-		}
-		if d := t.cfg.FlushDelay; d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-t.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
 		}
 		// The ablation baseline caps every frame at one record (one wire
 		// packet per fragment — no coalescing); the flusher still does the
@@ -670,10 +655,10 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	}
 	t.stats.MessagesDelivered += uint64(len(complete))
 
-	// Ack policy: immediately when configured so, otherwise via a short
-	// timer that a reverse-direction data frame can beat (piggybacking).
+	// Ack policy: immediately in the unbatched ablation, otherwise via a
+	// short timer that a reverse-direction data frame can beat (piggybacking).
 	if pr.ackOwed {
-		if t.cfg.AckDelay < 0 || t.cfg.DisableBatching {
+		if t.cfg.DisableBatching {
 			pr.ackOwed = false
 			t.queueAckLocked(from, pr, pr.epoch, pr.nextExpected-1)
 		} else if !pr.ackTimerSet {

@@ -8,12 +8,9 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/protos"
 	"repro/internal/task"
 )
-
-// newTaskManager is a small indirection so Site.Spawn does not import the
-// task package directly.
-func newTaskManager() *task.Manager { return task.NewManager() }
 
 // Errors returned by Process operations.
 var (
@@ -192,7 +189,11 @@ func (p *Process) Join(gid Address, opts JoinOptions) (View, error) {
 	if !p.Alive() {
 		return View{}, ErrProcessKilled
 	}
-	v, err := p.site.daemon.Join(p.addr, gid, toProtosJoin(opts))
+	v, err := p.site.daemon.Join(p.addr, gid, protos.JoinOptions{
+		WantState:     opts.StateReceiver != nil,
+		StateReceiver: opts.StateReceiver,
+		Credentials:   opts.Credentials,
+	})
 	if err != nil {
 		return View{}, err
 	}
@@ -305,12 +306,4 @@ func (p *Process) Flush() error {
 		return ErrProcessKilled
 	}
 	return p.site.daemon.Flush(p.addr)
-}
-
-func toProtosJoin(opts JoinOptions) protosJoinOptions {
-	return protosJoinOptions{
-		WantState:     opts.StateReceiver != nil,
-		StateReceiver: opts.StateReceiver,
-		Credentials:   opts.Credentials,
-	}
 }
