@@ -7,8 +7,9 @@ import "slices"
 // bounded-memory record — the total-order queue's delivered ids here, and in
 // internal/protos recent deliveries, ABCAST finals, request states, lost
 // relays and skipped request ids (where its table test lives, with the five
-// uses it was written for). It has no lock of its own: whoever owns the
-// state it belongs to serializes access.
+// uses it was written for; the test of its two fields against each other is
+// beside it here). It has no lock of its own: whoever owns the state it
+// belongs to serializes access.
 type BoundedLog[K comparable, V any] struct {
 	limit int
 	vals  map[K]V // made by the first Put

@@ -81,6 +81,13 @@ func TestBoundedLog(t *testing.T) {
 				if n := len(l.Keys()); n > tc.limit {
 					t.Fatalf("after op %d: %d keys, limit %d", i, n, tc.limit)
 				}
+				// An evicted or deleted key is really gone, not just unlisted
+				// (core's own test checks the two fields against each other).
+				for _, p := range tc.ops[:i+1] {
+					if _, ok := l.Get(p.k); ok != slices.Contains(l.Keys(), p.k) {
+						t.Fatalf("after op %d: Get(%d) found = %v, but Keys() = %v", i, p.k, ok, l.Keys())
+					}
+				}
 			}
 			if got := l.Keys(); !slices.Equal(got, tc.keys) {
 				t.Fatalf("Keys() = %v, want %v", got, tc.keys)

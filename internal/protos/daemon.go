@@ -169,11 +169,13 @@ type groupState struct {
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
 	// alone; parked is what the open flush holds back; watchdog is the copy's
 	// one stale-flush timer, armed while flushing, and flushDeadline is when
-	// the flush now open counts as stale.
+	// the flush now open counts as stale; mergeAttempt counts the merge
+	// attempts begun, so each can tell whether it is still the latest.
 	phase         phase
 	parked        parked
 	watchdog      *time.Timer
 	flushDeadline time.Time
+	mergeAttempt  uint64
 
 	// recent holds the last delivered data packets, which a flush
 	// re-disseminates to members that missed them.
@@ -244,9 +246,12 @@ type abSendState struct {
 // priorities kept for re-solicitation answers.
 const abDoneLimit = 1024
 
-// memberKey names a local process in its role as a member (present, future or
-// parked) of one group.
-type memberKey struct{ gid, proc addr.Address }
+// pendingJoin remembers the state-transfer receiver callback registered when
+// a local process asked to join a group, so it can be attached to the member
+// state once the view change that adds it is installed.
+type pendingJoin struct {
+	stateRecv func(block []byte, last bool)
+}
 
 // Daemon is the protocols process of one site.
 type Daemon struct {
@@ -271,9 +276,7 @@ type Daemon struct {
 	nextReqID   int64
 	pendingAb   map[core.MsgID]*abSendState
 	abDone      core.BoundedLog[core.MsgID, uint64] // final priorities of applied ABCAST commits
-	// pendingJoin holds the state receiver a local process registered when
-	// it asked to join, until the view change that adds it is installed.
-	pendingJoin map[memberKey]func(block []byte, last bool)
+	pendingJoin map[joinKey]pendingJoin
 	reqSerial   map[addr.Address]*sync.Mutex
 
 	// bus carries the operational event stream for this site; emitters
@@ -304,7 +307,7 @@ type Daemon struct {
 	// primary then fails every retry, the member is parked here and the
 	// rejoin re-attempted on recovery events and scan ticks — the
 	// alternative is a live process left unhosted forever.
-	parkedMerges   map[memberKey]func(block []byte, last bool) // by parked member: its state receiver
+	parkedMerges   map[parkKey]parkedRejoin
 	retryingMerges bool
 
 	// flushEnd (on mu) is signalled whenever a group copy leaves its
@@ -373,11 +376,11 @@ func New(cfg Config) (*Daemon, error) {
 		calls:        make(map[int64]pendingCall),
 		pendingAb:    make(map[core.MsgID]*abSendState),
 		abDone:       core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
-		pendingJoin:  make(map[memberKey]func(block []byte, last bool)),
+		pendingJoin:  make(map[joinKey]pendingJoin),
 		reqSerial:    make(map[addr.Address]*sync.Mutex),
 		lostRelays:   core.NewBoundedLog[int64, lostRelay](maxLostRelays),
 		relayHoles:   make(map[relayHoleKey]lostRelay),
-		parkedMerges: make(map[memberKey]func(block []byte, last bool)),
+		parkedMerges: make(map[parkKey]parkedRejoin),
 		bus:          events.NewBus(cfg.Site),
 		reqLog:       core.NewBoundedLog[int64, reqRecord](reqLogLimit),
 		stopScan:     make(chan struct{}),
@@ -670,12 +673,13 @@ func (d *Daemon) newCall(to addr.SiteID) (int64, chan *msg.Message) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextCall++
+	id := d.nextCall
 	// Deeper than the one answer a call gets: the answers to a broadcast
 	// question (a lookup) queue here while the asker works through them. One
 	// that finds the buffer full is dropped, as a lost packet would be.
 	ch := make(chan *msg.Message, 8)
-	d.calls[d.nextCall] = pendingCall{ch: ch, site: to}
-	return d.nextCall, ch
+	d.calls[id] = pendingCall{ch: ch, site: to}
+	return id, ch
 }
 
 // dropCall removes a pending call.
@@ -712,16 +716,19 @@ var errSiteFailed = errors.New("protos: site failed")
 // timeout.
 func (d *Daemon) failCallsTo(s addr.SiteID) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	var chans []chan *msg.Message
 	for _, c := range d.calls {
-		if c.site != s {
-			continue
+		if c.site == s {
+			chans = append(chans, c.ch)
 		}
+	}
+	d.mu.Unlock()
+	for _, ch := range chans {
 		m := msg.New()
 		m.PutString(fErr, errSiteFailed.Error())
 		select {
-		case c.ch <- m:
-		default: // the caller already has an answer waiting
+		case ch <- m:
+		default:
 		}
 	}
 }
@@ -857,21 +864,28 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 
 // onDetectorEvent reacts to site failures and recoveries.
 func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
+	d.mu.Lock()
 	switch ev.Kind {
 	case fdetect.SiteFailed:
-		d.mu.Lock()
 		d.suspected[ev.Site] = true
-		d.mu.Unlock()
+	case fdetect.SiteRecovered:
+		delete(d.suspected, ev.Site)
+	}
+	d.mu.Unlock()
+
+	switch ev.Kind {
+	case fdetect.SiteFailed:
 		d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: ev.Site})
+	case fdetect.SiteRecovered:
+		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
+	}
+	switch ev.Kind {
+	case fdetect.SiteFailed:
 		// Abort in-flight calls to the dead site first so their callers
 		// re-route to the successor while the failure is handled.
 		d.failCallsTo(ev.Site)
 		d.handleSiteFailure(ev.Site)
 	case fdetect.SiteRecovered:
-		d.mu.Lock()
-		delete(d.suspected, ev.Site)
-		d.mu.Unlock()
-		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
 		// A healed partition: any group copy stranded in a non-primary
 		// partition can now try to find the primary and merge back.
 		if d.cfg.Merge == MergeAuto {

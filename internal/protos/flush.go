@@ -5,8 +5,6 @@ package protos
 // decideFlush, and commits (I/O); the rules live here.
 
 import (
-	"slices"
-
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/msg"
@@ -131,12 +129,22 @@ func decideFlush(r flushRound) flushDecision {
 
 // allContained reports whether every listed process is a member of the view.
 func allContained(v core.View, ps []addr.Address) bool {
-	return !slices.ContainsFunc(ps, func(p addr.Address) bool { return !v.Contains(p) })
+	for _, p := range ps {
+		if !v.Contains(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // anyContained reports whether any listed process is a member of the view.
 func anyContained(v core.View, ps []addr.Address) bool {
-	return slices.ContainsFunc(ps, v.Contains)
+	for _, p := range ps {
+		if v.Contains(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // reconcile merges the member sites' pending reports into the rebroadcast

@@ -38,7 +38,7 @@ type gbWork struct {
 func decodeGbWork(p *msg.Message) *gbWork {
 	return &gbWork{
 		kind:       p.GetInt(fKind, 0),
-		gid:        p.GetAddress(fGroup).Base(),
+		gid:        p.GetAddress(fGroup),
 		procs:      p.GetAddressList(fProcs),
 		wantState:  p.GetInt(fWantState, 0) == 1,
 		payload:    p.GetMessage(fPayload),
@@ -211,11 +211,6 @@ func (d *Daemon) executeGb(w *gbWork) {
 		commit.PutAddress(fSender, w.sender)
 	}
 	// The commit is marshalled once; all member sites share the encoding.
-	// It goes to the youngest site first: a joiner's site holds no copy yet,
-	// so nobody learns the new view from it, whereas an older site can report
-	// the view to a second coordinator (requesters that disagree on who is
-	// suspected pick different ones — a known race, EXPERIMENTS.md PR 17),
-	// whose next commit may then overtake this one on its way to the joiner.
 	if raw, err := encodePacket(ptGbCommit, commit); err == nil {
 		d.fanoutRaw(unionSites(dec.newView, dec.base, oldView), raw)
 	}
@@ -259,18 +254,16 @@ func (d *Daemon) gbReply(w *gbWork, resp *msg.Message, errText string) {
 	_ = d.sendPacket(w.replyTo, ptGbDone, out)
 }
 
-// unionSites lists each member site of the given views once, the sites of
-// the youngest members first.
+// unionSites lists each member site of the given views once, in no
+// particular order.
 func unionSites(views ...core.View) []addr.SiteID {
-	var sites []addr.SiteID
+	sites := make(map[addr.SiteID]bool)
 	for _, v := range views {
-		for _, m := range slices.Backward(v.Members) {
-			if !slices.Contains(sites, m.Site) {
-				sites = append(sites, m.Site)
-			}
+		for _, m := range v.Members {
+			sites[m.Site] = true
 		}
 	}
-	return sites
+	return slices.Collect(maps.Keys(sites))
 }
 
 // collectAcks runs phase 1: it wedges every member site of the view and
@@ -490,6 +483,12 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	gid := p.GetAddress(fGroup).Base()
 	kind := p.GetInt(fKind, 0)
 	newView := decodeView(p.GetMessage(fView))
+	rec := decodePendingReport(p.GetMessage(fRebcast))
+	procs := p.GetAddressList(fProcs)
+	wantState := p.GetInt(fWantState, 0) == 1
+	reqID := p.GetInt(fReqID, 0)
+	sealReq := p.GetInt(fSealReq, 0)
+	sealOutcome := p.GetInt(fOutcome, 0)
 
 	d.mu.Lock()
 	gs, hosted := d.groups[gid]
@@ -528,15 +527,23 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		}
 		return
 	}
+	hostsNewMember := false
+	for _, m := range newView.Members {
+		if m.Site == d.site {
+			if _, ok := d.procs[m.Base()]; ok {
+				hostsNewMember = true
+			}
+		}
+	}
 	// Members listed at this site that this daemon does not know are ghosts
 	// of a previous incarnation: they joined (or merged back) moments before
 	// the site restarted, and nobody else can tell they are gone — process
 	// failures are detected locally, and the restarted site answers
 	// heartbeats, so no timeout will ever fire for them. Request their
 	// removal.
-	ghosts, hostsMember := d.localMembersLocked(newView)
+	ghosts := d.ghostMembersLocked(newView)
 	if !hosted {
-		if !hostsMember {
+		if !hostsNewMember {
 			// We host nobody in this group: just refresh the cached view.
 			d.mu.Unlock()
 			d.cacheRemoteView(newView)
@@ -566,7 +573,6 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// request this site already applied (re-sent by a coordinator that died
 	// mid-fan-out, or re-run by its successor) must not deliver its user
 	// payload a second time. View changes are deduplicated by view id.
-	reqID := p.GetInt(fReqID, 0)
 	dupReq := reqID != 0 && gs.marks.Committed(reqID)
 	if reqID != 0 {
 		gs.marks.Record(reqID)
@@ -574,7 +580,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 
 	// Step 1: everything the flush resolved is delivered (or discarded)
 	// before the GBCAST point.
-	fenced := d.applyRebcastLocked(gs, decodePendingReport(p.GetMessage(fRebcast)))
+	fenced := d.applyRebcastLocked(gs, rec)
 
 	// Step 2: apply the membership change or deliver the user payload.
 	var wrong []wrongRemoval
@@ -589,10 +595,10 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 			}
 		}
 	case gbJoin, gbLeave, gbFail, 0:
-		wrong = d.applyViewChangeLocked(gs, newView, kind, p.GetAddressList(fProcs), p.GetInt(fWantState, 0) == 1)
+		wrong = d.applyViewChangeLocked(gs, newView, kind, procs, wantState)
 	case gbSeal:
-		if sealReq := p.GetInt(fSealReq, 0); sealReq != 0 {
-			gs.marks.Seal(sealReq, p.GetInt(fOutcome, 0) == voteCommitted)
+		if sealReq != 0 {
+			gs.marks.Seal(sealReq, sealOutcome == voteCommitted)
 		}
 	}
 
@@ -604,6 +610,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// member was removed by this very change retires the round instead — the
 	// message is dropped, exactly as if its sender had failed.
 	var restarts []*abSendState
+	var restartPkts []*msg.Message
 	for _, st := range fenced {
 		d.retireAbcastLocked(st)
 		if len(gs.members) == 0 {
@@ -616,6 +623,7 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		nst := d.initiateAbcastLocked(gs, st.id, pkt, nil, st.attempt+1)
 		nst.sender = st.sender // carry the Flush accounting without re-counting
 		restarts = append(restarts, nst)
+		restartPkts = append(restartPkts, pkt)
 	}
 
 	// Step 3: the flush is over; what it held back is reprocessed below.
@@ -629,12 +637,13 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	d.mu.Unlock()
 
 	d.redispatch(rel)
-	for _, nst := range restarts {
-		d.transmitAbcast(nst, nst.packet)
+	for i, nst := range restarts {
+		d.transmitAbcast(nst, restartPkts[i])
 	}
 	d.removeGhosts(gid, ghosts)
 	for _, w := range wrong {
-		go d.rejoinOrPark(gid, w.proc, w.recv, false)
+		w := w
+		go d.rejoinRemovedMember(gid, w.proc, w.recv)
 	}
 }
 
@@ -687,7 +696,8 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 		}
 		for _, ms := range gs.members {
 			if ab.Committed {
-				d.deliverTotalLocked(gs, ms, ms.total.ForceCommit(ab.ID, ab.Packet, ab.Priority))
+				var payload any = ab.Packet
+				d.deliverTotalLocked(gs, ms, ms.total.ForceCommit(ab.ID, payload, ab.Priority))
 			} else {
 				d.deliverTotalLocked(gs, ms, ms.total.Discard(ab.ID))
 			}
@@ -704,21 +714,20 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	return fenced
 }
 
-// localMembersLocked splits the view members listed at this site into those
-// this daemon hosts (reported as hosted: there is at least one) and ghosts —
-// processes of a previous incarnation of the site. Caller holds d.mu.
-func (d *Daemon) localMembersLocked(v core.View) (ghosts []addr.Address, hosted bool) {
+// ghostMembersLocked returns the view members listed at this site that this
+// daemon does not host — processes of a previous incarnation of the site.
+// Caller holds d.mu.
+func (d *Daemon) ghostMembersLocked(v core.View) []addr.Address {
+	var ghosts []addr.Address
 	for _, m := range v.Members {
 		if m.Site != d.site {
 			continue
 		}
-		if _, ok := d.procs[m.Base()]; ok {
-			hosted = true
-		} else {
+		if _, ok := d.procs[m.Base()]; !ok {
 			ghosts = append(ghosts, m.Base())
 		}
 	}
-	return ghosts, hosted
+	return ghosts
 }
 
 // removeGhosts asks the group coordinator to remove dead previous-incarnation
@@ -836,12 +845,12 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 			joinedView: newView.ID,
 		}
 		// Was this an explicit join from this site with a state request?
-		key := memberKey{gs.view.Group, m.Base()}
-		if recv, ok := d.pendingJoin[key]; ok {
-			ms.stateRecv = recv
+		key := joinKey{gs.view.Group, m.Base()}
+		if pj, ok := d.pendingJoin[key]; ok {
+			ms.stateRecv = pj.stateRecv
 			delete(d.pendingJoin, key)
 		}
-		if wantState && !old.Contains(m) && addr.List(procs).Contains(m) {
+		if wantState && !old.Contains(m) && contains(procs, m) {
 			ms.awaitingState = true
 		}
 		gs.members[m.Base()] = ms
@@ -872,7 +881,7 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 	// blocks carry the attempt id) so it never assembles a mixed state.
 	switch {
 	case kind == gbJoin && wantState:
-		if !addr.List(procs).Contains(newView.Coordinator()) {
+		if !contains(procs, newView.Coordinator()) {
 			d.shipStateLocked(gs, procs)
 		}
 	case kind != gbJoin && len(gs.pendingXfer) > 0 && old.Size() > 0 &&
@@ -884,6 +893,15 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		d.shipStateLocked(gs, joiners)
 	}
 	return wrong
+}
+
+func contains(list []addr.Address, a addr.Address) bool {
+	for _, x := range list {
+		if x.Base() == a.Base() {
+			return true
+		}
+	}
+	return false
 }
 
 // shipStateLocked has the group's oldest member, if this site hosts it, send
@@ -909,17 +927,21 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	if provider != nil {
 		blocks = provider()
 	}
-	if len(blocks) == 0 {
-		blocks = [][]byte{nil} // an empty state still needs its final block
-	}
 	for _, j := range joiners {
+		if len(blocks) == 0 {
+			pkt := msg.New()
+			pkt.PutAddress(fGroup, gid)
+			pkt.PutAddress(fSender, j)
+			pkt.PutInt(fStateLast, 1)
+			pkt.PutInt(fXferID, int64(xferID))
+			_ = d.sendPacket(j.Site, ptStateBlock, pkt)
+			continue
+		}
 		for i, b := range blocks {
 			pkt := msg.New()
 			pkt.PutAddress(fGroup, gid)
 			pkt.PutAddress(fSender, j)
-			if len(b) > 0 {
-				pkt.PutBytes(fStateData, b)
-			}
+			pkt.PutBytes(fStateData, b)
 			if i == len(blocks)-1 {
 				pkt.PutInt(fStateLast, 1)
 			}
@@ -1061,7 +1083,12 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	}
 	var removals []removal
 	for gid, gs := range d.groups {
-		atSite := gs.view.MembersAtSite(s)
+		var atSite []addr.Address
+		for _, m := range gs.view.Members {
+			if m.Site == s {
+				atSite = append(atSite, m)
+			}
+		}
 		force := false
 		if len(atSite) == 0 {
 			// No members of the dead site in our current view — but it may
@@ -1069,10 +1096,16 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 			// its commit reached every member. If it hosted members one view
 			// ago, run a forced re-sync flush anyway so any member still
 			// holding (or wedged under) the previous view catches up.
-			if atSite = gs.prevView.MembersAtSite(s); len(atSite) == 0 {
+			for _, m := range gs.prevView.Members {
+				if m.Site == s {
+					atSite = append(atSite, m)
+					force = true
+					break
+				}
+			}
+			if len(atSite) == 0 {
 				continue
 			}
-			atSite, force = atSite[:1], true
 		}
 		coord := d.actingCoordinator(gs.view)
 		if coord.IsNil() || coord.Site != d.site {

@@ -12,6 +12,12 @@ import (
 	"repro/internal/msg"
 )
 
+// joinKey identifies a pending join (group, joiner).
+type joinKey struct {
+	gid    addr.Address
+	joiner addr.Address
+}
+
 // CreateGroup creates a new process group with the given symbolic name and
 // the creator as its only (and therefore oldest) member. The creator's view
 // callback is invoked with the initial view.
@@ -76,9 +82,11 @@ func (d *Daemon) Lookup(name string) (addr.Address, error) {
 	}
 	// A locally hosted group, or a previously resolved name.
 	if gid, ok := d.nameCache[name]; ok {
-		_, hosted := d.groups[gid]
-		_, cached := d.remoteViews[gid]
-		if hosted || cached {
+		if _, hosted := d.groups[gid]; hosted {
+			d.mu.Unlock()
+			return gid, nil
+		}
+		if _, cached := d.remoteViews[gid]; cached {
 			d.mu.Unlock()
 			return gid, nil
 		}
@@ -166,7 +174,10 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Me
 		return 0, err
 	}
 	for _, s := range d.net.Sites() {
-		if s != d.site && d.sendRaw(s, raw) == nil {
+		if s == d.site {
+			continue
+		}
+		if err := d.sendRaw(s, raw); err == nil {
 			asked++
 		}
 	}
@@ -179,8 +190,6 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Me
 			}
 		case <-deadline:
 			return asked, ErrTimeout
-		case <-d.stopScan:
-			return asked, ErrClosed
 		}
 	}
 	return asked, nil
@@ -209,28 +218,40 @@ func (d *Daemon) cacheRemoteView(v core.View) {
 // protocol can tell the primary partition apart from a fellow minority.
 func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
 	name := p.GetString(fName, "")
+	gid := p.GetAddress(fGroup)
 	resp := msg.New()
 	resp.PutInt(fCall, p.GetInt(fCall, 0))
-	resp.PutInt(fSite, int64(d.site))
-	resp.PutInt(fFound, 0)
 	d.mu.Lock()
-	gs := d.groups[p.GetAddress(fGroup).Base()] // nil when asked by name alone
-	if gs == nil && name != "" {
-		for _, named := range d.groups {
-			if named.view.Name == name {
-				gs = named
+	var found *core.View
+	primary := false
+	if !gid.IsNil() {
+		if gs, ok := d.groups[gid.Base()]; ok {
+			v := gs.view.Clone()
+			found = &v
+			primary = gs.phase.primary()
+		}
+	}
+	if found == nil && name != "" {
+		for _, gs := range d.groups {
+			if gs.view.Name == name {
+				v := gs.view.Clone()
+				found = &v
+				primary = gs.phase.primary()
 				break
 			}
 		}
 	}
-	if gs != nil {
+	d.mu.Unlock()
+	resp.PutInt(fSite, int64(d.site))
+	if found != nil {
 		resp.PutInt(fFound, 1)
-		resp.PutMessage(fView, encodeView(gs.view))
-		if gs.phase.primary() {
+		resp.PutMessage(fView, encodeView(*found))
+		if primary {
 			resp.PutInt(fPrimary, 1)
 		}
+	} else {
+		resp.PutInt(fFound, 0)
 	}
-	d.mu.Unlock()
 	_ = d.sendPacket(from, ptLookupResp, resp)
 }
 
@@ -259,7 +280,7 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 		return core.View{}, err
 	}
 	if opts.WantState || opts.StateReceiver != nil {
-		d.pendingJoin[memberKey{gid.Base(), joiner.Base()}] = opts.StateReceiver
+		d.pendingJoin[joinKey{gid.Base(), joiner.Base()}] = pendingJoin{stateRecv: opts.StateReceiver}
 	}
 	d.mu.Unlock()
 
@@ -275,7 +296,7 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 	resp, err := d.coordinatorCall(gid, req)
 	if err != nil {
 		d.mu.Lock()
-		delete(d.pendingJoin, memberKey{gid.Base(), joiner.Base()})
+		delete(d.pendingJoin, joinKey{gid.Base(), joiner.Base()})
 		d.mu.Unlock()
 		return core.View{}, err
 	}

@@ -29,6 +29,9 @@ const (
 	// are refused at once; what arrives is still delivered.
 	phaseNonPrimary
 	// phaseMerging: non-primary, with the copy's one merge attempt running.
+	// A resume notice can end the phase while the attempt's goroutine is
+	// still out surveying, so attempts are numbered (groupState.mergeAttempt)
+	// and one that is no longer the copy's latest feeds it no more inputs.
 	phaseMerging
 	// phaseDropped: this site no longer hosts the copy. Terminal: a goroutine
 	// still holding the pointer (a merge, the watchdog) can do it no harm.
@@ -66,7 +69,7 @@ const (
 	fxEndFlush                           // publish FlushComplete, stop the timer, release what the flush parked, wake blocked senders
 	fxPrimaryLost                        // publish PartitionWedge and PrimaryLost
 	fxPrimaryResumed                     // publish PrimaryResumed
-	fxMergeStart                         // publish MergeStart
+	fxMergeStart                         // publish MergeStart, number the attempt
 )
 
 // next is the lifecycle: the phase a copy moves to on an input, and what the
@@ -176,6 +179,7 @@ func (d *Daemon) step(gs *groupState, in input) (rel parked) {
 		d.notifyPrimary(gid, true)
 	}
 	if fx&fxMergeStart != 0 {
+		gs.mergeAttempt++
 		d.bus.Publish(events.Event{Kind: events.MergeStart, Group: gid, View: gs.view.ID})
 	}
 	return rel

@@ -514,7 +514,9 @@ func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
 	// Phase 1 is marshalled once and shared by every remote member site
 	// (the target list is fixed once the round is set up).
 	if raw, err := encodePacket(ptData, pkt); err == nil {
-		d.fanoutRaw(st.targets, raw)
+		for _, s := range st.targets {
+			_ = d.sendRaw(s, raw)
+		}
 	}
 }
 
@@ -733,18 +735,8 @@ func (d *Daemon) runResolicitScan() {
 			return
 		case <-t.C:
 			d.resolicitStragglers()
-			// Parked work gets another try: a filler lost to a coordinator
-			// crash, a rejoin whose primary has become reachable without a
-			// fresh recovery event. Each drain runs at most once at a time.
-			d.mu.Lock()
-			holes, parked := len(d.relayHoles) > 0, len(d.parkedMerges) > 0
-			d.mu.Unlock()
-			if holes {
-				go d.repairRelayHoles()
-			}
-			if parked {
-				go d.retryParkedMerges()
-			}
+			d.kickRelayRepair()
+			d.kickMergeRetry()
 		}
 	}
 }

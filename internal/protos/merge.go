@@ -90,33 +90,40 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 		return nil
 	}
 	d.step(gs, inMergeStart)
+	attempt := gs.mergeAttempt
 	staleView := gs.view.Clone()
 	d.mu.Unlock()
 	defer func() {
 		// An attempt that neither resumed the copy nor discarded it leaves it
 		// non-primary for the next recovery event; after either, the input
-		// changes nothing.
+		// changes nothing. One the copy has outlived (see below) must not
+		// abandon its successor's merge.
 		d.mu.Lock()
-		d.step(gs, inMergeAbandon)
+		if gs.mergeAttempt == attempt {
+			d.step(gs, inMergeAbandon)
+		}
 		d.mu.Unlock()
 	}()
 
-	primary, wedged, err := d.surveyGroup(gid, staleView.Name)
+	sv, err := d.surveyGroup(gid, staleView.Name)
 	if err != nil {
 		return err
 	}
-	if primary == nil {
+	if sv.primary == nil {
 		// No partition anywhere holds a primary copy (e.g. a three-way
 		// split wedged every side). If the reachable wedged copies agree,
 		// resume the last agreed view in place.
-		return d.resumeWedged(gid, staleView, wedged)
+		return d.resumeWedged(gid, staleView, sv.wedged)
 	}
-	primView := *primary
+	primView := *sv.primary
 
 	d.mu.Lock()
-	if gs.phase != phaseMerging {
+	if gs.phase != phaseMerging || gs.mergeAttempt != attempt {
+		// A gbResume notice resumed the copy while the survey ran. If it has
+		// gone non-primary again since, a later attempt owns it now; this
+		// one's view of it is stale either way.
 		d.mu.Unlock()
-		return nil // resumed by a gbResume notice while the survey ran
+		return nil
 	}
 	if primView.ID == staleView.ID {
 		// The partition healed before the primary handled any failure: both
@@ -133,11 +140,17 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 	// member from scratch. The join commit rebuilds the member state with
 	// fresh ordering queues, and the state transfer replaces the
 	// application's speculative state with the primary's.
-	rejoins := make(map[addr.Address]func(block []byte, last bool))
+	type rejoin struct {
+		proc      addr.Address
+		recv      func(block []byte, last bool)
+		inPrimary bool
+	}
+	var rejoins []rejoin
 	for a, ms := range gs.members {
-		if ms.proc.alive {
-			rejoins[a] = ms.stateRecv
+		if !ms.proc.alive {
+			continue
 		}
+		rejoins = append(rejoins, rejoin{a, ms.stateRecv, primView.Contains(a)})
 	}
 	d.dropGroupLocked(gid)
 	d.remoteViews[gid] = primView.Clone()
@@ -147,9 +160,16 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 	d.mu.Unlock()
 
 	var firstErr error
-	for proc, recv := range rejoins {
-		if err := d.rejoinOrPark(gid, proc, recv, primView.Contains(proc)); err != nil && firstErr == nil {
-			firstErr = err
+	for _, r := range rejoins {
+		if err := d.rejoinMember(gid, r.proc, r.recv, r.inPrimary); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			// The local copy is gone and the rejoin exhausted its retries:
+			// without parking, this live process would stay unhosted until
+			// an application-level intervention. Recovery events and the
+			// periodic scan re-attempt parked rejoins.
+			d.parkRejoin(gid, r.proc, r.recv)
 		}
 	}
 	if firstErr == nil {
@@ -191,25 +211,30 @@ func (d *Daemon) rejoinMember(gid, proc addr.Address, recv func(block []byte, la
 	return fmt.Errorf("protos: merge rejoin of %v: %w", proc, err)
 }
 
-// rejoinOrPark rejoins a live local process that has no group copy to belong
-// to — its copy was discarded by a merge, or a failure view wrongly removed
-// it (a stale suspicion that slipped past the corroboration, e.g. the
-// member's site was unreachable at prepare time but its copy never wedged).
-// A rejoin that exhausts its retries parks the member, so a later recovery
-// event or scan tick tries again: without parking the process would stay
-// unhosted until an application-level intervention.
-func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
-	err := d.rejoinMember(gid, proc, recv, listed)
-	if err != nil {
-		d.mu.Lock()
-		if !d.closed {
-			k := memberKey{gid.Base(), proc.Base()}
-			d.parkedMerges[k] = recv
-			d.bus.Publish(events.Event{Kind: events.MergePark, Group: k.gid, Detail: k.proc.String()})
-		}
-		d.mu.Unlock()
+// parkKey identifies one parked rejoin: a member left unhosted after its
+// group copy was discarded by a merge whose rejoin phase failed.
+type parkKey struct {
+	gid  addr.Address
+	proc addr.Address
+}
+
+// parkedRejoin is the retained context of a failed rejoin.
+type parkedRejoin struct {
+	gid  addr.Address
+	proc addr.Address
+	recv func(block []byte, last bool)
+}
+
+// parkRejoin records a member whose merge rejoin exhausted its retries so a
+// later recovery event or scan tick can try again.
+func (d *Daemon) parkRejoin(gid, proc addr.Address, recv func(block []byte, last bool)) {
+	d.mu.Lock()
+	if !d.closed {
+		k := parkKey{gid: gid.Base(), proc: proc.Base()}
+		d.parkedMerges[k] = parkedRejoin{gid: k.gid, proc: k.proc, recv: recv}
+		d.bus.Publish(events.Event{Kind: events.MergePark, Group: k.gid, Detail: k.proc.String()})
 	}
-	return err
+	d.mu.Unlock()
 }
 
 // PendingMerges returns the groups with members parked after a failed merge
@@ -217,19 +242,31 @@ func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, la
 func (d *Daemon) PendingMerges() []addr.Address {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	seen := make(map[addr.Address]bool)
 	var gids []addr.Address
 	for k := range d.parkedMerges {
-		if !slices.Contains(gids, k.gid) {
+		if !seen[k.gid] {
+			seen[k.gid] = true
 			gids = append(gids, k.gid)
 		}
 	}
 	return gids
 }
 
-// retryParkedMerges re-runs the rejoin protocol for every parked member; the
-// scan tick and every recovery event call it, so a primary that becomes
-// reachable (or resumes from a total wedge) is picked up either way. At most
-// one retry pass runs at a time; members that rejoin (or turn out to be
+// kickMergeRetry re-attempts parked rejoins; called from the resolicit scan
+// tick so a primary that becomes reachable (or resumes from a total wedge)
+// without a fresh recovery event is still picked up.
+func (d *Daemon) kickMergeRetry() {
+	d.mu.Lock()
+	pending := len(d.parkedMerges) > 0 && !d.retryingMerges && !d.closed
+	d.mu.Unlock()
+	if pending {
+		go d.retryParkedMerges()
+	}
+}
+
+// retryParkedMerges re-runs the rejoin protocol for every parked member. At
+// most one retry pass runs at a time; members that rejoin (or turn out to be
 // hosted again, or dead) are unparked, the rest stay for the next pass.
 func (d *Daemon) retryParkedMerges() {
 	d.mu.Lock()
@@ -238,26 +275,32 @@ func (d *Daemon) retryParkedMerges() {
 		return
 	}
 	d.retryingMerges = true
-	parked := maps.Clone(d.parkedMerges)
+	parked := make([]parkedRejoin, 0, len(d.parkedMerges))
+	for _, p := range d.parkedMerges {
+		parked = append(parked, p)
+	}
 	d.mu.Unlock()
 
-	for k, recv := range parked {
-		d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: k.gid, Detail: k.proc.String()})
-		done, notify := d.retryParkedRejoin(k, recv)
+	for _, p := range parked {
+		d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: p.gid, Detail: p.proc.String()})
+		done, notify := d.retryParkedRejoin(p)
 		if !done {
 			continue
 		}
 		d.mu.Lock()
-		delete(d.parkedMerges, k)
+		delete(d.parkedMerges, parkKey{gid: p.gid, proc: p.proc})
 		last := true
-		for other := range d.parkedMerges {
-			last = last && other.gid != k.gid
+		for k := range d.parkedMerges {
+			if k.gid == p.gid {
+				last = false
+				break
+			}
 		}
 		d.mu.Unlock()
 		if notify && last {
 			// The group's merge is finally whole: deliver the primary-status
 			// transition the original merge withheld while rejoins failed.
-			d.notifyPrimary(k.gid, true)
+			d.notifyPrimary(p.gid, true)
 		}
 	}
 
@@ -269,56 +312,78 @@ func (d *Daemon) retryParkedMerges() {
 // retryParkedRejoin re-attempts one parked rejoin. It reports whether the
 // entry is resolved (rejoined, already hosted, or moot) and whether the
 // resolution was an actual rejoin worth a primary-status notification.
-func (d *Daemon) retryParkedRejoin(k memberKey, recv func(block []byte, last bool)) (done, notify bool) {
+func (d *Daemon) retryParkedRejoin(p parkedRejoin) (done, notify bool) {
 	d.mu.Lock()
-	_, gone := d.liveProcLocked(k.proc)
-	_, unhosted := d.memberLocked(k.proc, k.gid)
-	d.mu.Unlock()
-	if gone != nil || unhosted == nil {
-		// The process died while parked and its membership with it (or the
-		// daemon closed); or it is hosted again — an earlier retry or an
-		// application-level join got there first.
+	if d.closed {
+		d.mu.Unlock()
 		return true, false
 	}
+	if lp, ok := d.procs[p.proc]; !ok || !lp.alive {
+		// The process died while parked; its membership died with it.
+		d.mu.Unlock()
+		return true, false
+	}
+	if gs, ok := d.groups[p.gid]; ok {
+		if _, member := gs.members[p.proc]; member {
+			// Hosted again — an earlier retry or an application-level join
+			// got there first.
+			d.mu.Unlock()
+			return true, false
+		}
+	}
+	d.mu.Unlock()
+
 	// The membership listing must be re-evaluated against the primary's
 	// current view: the removal that was pending at park time may have
 	// committed (or not) since.
-	view, err := d.refreshView(k.gid)
-	if err != nil || d.rejoinMember(k.gid, k.proc, recv, view.Contains(k.proc)) != nil {
+	view, err := d.refreshView(p.gid)
+	if err != nil {
+		return false, false
+	}
+	if err := d.rejoinMember(p.gid, p.proc, p.recv, view.Contains(p.proc)); err != nil {
 		return false, false
 	}
 	return true, true
 }
 
-// surveyGroup polls every attached site for its copy of a group: it returns
-// a primary copy's view as soon as one answers; otherwise the views of the
-// wedged (non-primary) copies that answered, by site, collected until every
-// queried site has answered or the call times out. Answers from fellow
-// minority sites report primary=0, so a minority cannot masquerade as the
-// primary.
-func (d *Daemon) surveyGroup(gid addr.Address, name string) (primary *core.View, wedged map[addr.SiteID]core.View, err error) {
-	wedged = make(map[addr.SiteID]core.View)
+// groupSurvey is the outcome of polling every attached site for a group: a
+// primary copy's view if any site holds one, and the views of the wedged
+// (non-primary) copies that answered, by site.
+type groupSurvey struct {
+	primary *core.View
+	wedged  map[addr.SiteID]core.View
+}
+
+// surveyGroup polls every attached site for its copy of a group. It returns
+// as soon as a primary copy answers; otherwise it collects the wedged
+// copies' views until every queried site has answered or the call times
+// out. Answers from fellow minority sites report primary=0, so a minority
+// cannot masquerade as the primary.
+func (d *Daemon) surveyGroup(gid addr.Address, name string) (groupSurvey, error) {
+	sv := groupSurvey{wedged: make(map[addr.SiteID]core.View)}
 	asked, err := d.lookupAll(name, gid, func(resp *msg.Message) bool {
 		if resp.GetInt(fFound, 0) != 1 {
 			return false
 		}
 		v := decodeView(resp.GetMessage(fView))
 		if resp.GetInt(fPrimary, 0) == 1 {
-			primary = &v
-		} else if s := addr.SiteID(resp.GetInt(fSite, 0)); s != 0 {
-			wedged[s] = v
+			sv.primary = &v
+			return true
 		}
-		return primary != nil
+		if s := addr.SiteID(resp.GetInt(fSite, 0)); s != 0 {
+			sv.wedged[s] = v
+		}
+		return false
 	})
-	if asked > 0 {
-		// Partial answers after a timeout: the caller decides whether what
-		// arrived is enough (the resume path requires half the membership).
-		return primary, wedged, nil
+	if asked == 0 {
+		if err == nil {
+			err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
+		}
+		return sv, err
 	}
-	if err == nil {
-		err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
-	}
-	return nil, nil, err
+	// Partial answers after a timeout: the caller decides whether what
+	// arrived is enough (the resume path requires half the membership).
+	return sv, nil
 }
 
 // resumeWedged handles total wedge: no partition anywhere retained half of
@@ -338,22 +403,30 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 				ErrNonPrimary, v.ID, staleView.ID)
 		}
 	}
-	var reached, unreached []addr.Address // staleView's members, by whether their site answered
+	reachable := map[addr.SiteID]bool{d.site: true}
+	for s := range wedged {
+		reachable[s] = true
+	}
+	votes := 0
 	for _, m := range staleView.Members {
-		if _, answered := wedged[m.Site]; answered || m.Site == d.site {
-			reached = append(reached, m)
-		} else {
-			unreached = append(unreached, m.Base())
+		if reachable[m.Site] {
+			votes++
 		}
 	}
-	if len(reached)*2 < staleView.Size() {
+	if votes*2 < staleView.Size() {
 		return fmt.Errorf("%w: reachable wedged copies cover only %d of %d members",
-			ErrNonPrimary, len(reached), staleView.Size())
+			ErrNonPrimary, votes, staleView.Size())
 	}
-	if len(reached) == 0 || reached[0].Site != d.site {
-		// Another reachable site hosts an older member: its own merge
-		// attempt initiates the resume, keeping the initiator unique.
-		return nil
+	for _, m := range staleView.Members {
+		if reachable[m.Site] {
+			if m.Site != d.site {
+				// Another reachable site hosts an older member: its own
+				// merge attempt initiates the resume, keeping the initiator
+				// unique.
+				return nil
+			}
+			break
+		}
 	}
 
 	notice := msg.New()
@@ -364,8 +437,28 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 		d.fanoutRaw(slices.Collect(maps.Keys(wedged)), raw)
 	}
 	d.applyGbCommit(d.site, notice)
+
+	var unreached []addr.Address
+	for _, m := range staleView.Members {
+		if !reachable[m.Site] {
+			unreached = append(unreached, m.Base())
+		}
+	}
 	if len(unreached) > 0 {
 		d.requestRemoval(gid, unreached, gbFail, false)
 	}
 	return nil
+}
+
+// rejoinRemovedMember restores the membership of a local, live process that
+// a failure view wrongly removed (a stale suspicion that slipped past the
+// corroboration — e.g. the member's site was unreachable at prepare time
+// but its copy of the group never wedged). The member rejoins through the
+// ordinary join machinery, pulling fresh state if it has a receiver.
+func (d *Daemon) rejoinRemovedMember(gid addr.Address, proc addr.Address, recv func(block []byte, last bool)) {
+	if err := d.rejoinMember(gid, proc, recv, false); err != nil {
+		// Same exposure as a failed merge rejoin: the process is live but
+		// unhosted. Park it for the recovery-event / scan-tick retry.
+		d.parkRejoin(gid, proc, recv)
+	}
 }

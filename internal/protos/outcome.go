@@ -105,38 +105,47 @@ func (d *Daemon) noteRequest(rid int64, gid addr.Address, st reqState) {
 func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	d.mu.Lock()
 	rec, ok := d.reqLog.Get(rid)
-	vote := voteUnknown
-	if ok && rec.state == reqGaveUp {
-		// Fast path: this site may host a (primary) copy of the group with
-		// first-hand knowledge of the id.
-		if gs, hosted := d.groups[rec.gid]; hosted && gs.phase.primary() {
-			vote = gs.marks.Vote(rid)
+	if !ok {
+		d.mu.Unlock()
+		return OutcomeUnknown, ErrUnknownRequest
+	}
+	switch rec.state {
+	case reqCommitted:
+		d.mu.Unlock()
+		return OutcomeCommitted, nil
+	case reqAborted:
+		d.mu.Unlock()
+		return OutcomeAborted, nil
+	case reqPending:
+		d.mu.Unlock()
+		return OutcomeUnknown, nil
+	}
+	// Given up. Fast path: this site may host a (primary) copy of the group
+	// with first-hand knowledge of the id.
+	if gs, hosted := d.groups[rec.gid]; hosted && gs.phase.primary() {
+		switch gs.marks.Vote(rid) {
+		case voteCommitted:
+			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqCommitted})
+			d.mu.Unlock()
+			return OutcomeCommitted, nil
+		case voteAborted:
+			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqAborted})
+			d.mu.Unlock()
+			return OutcomeAborted, nil
 		}
 	}
 	d.mu.Unlock()
-	switch {
-	case !ok:
-		return OutcomeUnknown, ErrUnknownRequest
-	case rec.state == reqCommitted:
-		return OutcomeCommitted, nil
-	case rec.state == reqAborted:
-		return OutcomeAborted, nil
-	case rec.state == reqPending:
-		return OutcomeUnknown, nil
+
+	// Settle remotely with a gbSeal round.
+	req := msg.New()
+	req.PutInt(fKind, gbSeal)
+	req.PutAddress(fGroup, rec.gid)
+	req.PutInt(fSealReq, rid)
+	resp, err := d.coordinatorCall(rec.gid, req)
+	if err != nil {
+		return OutcomeUnknown, err
 	}
-	if vote == voteUnknown {
-		// Settle remotely with a gbSeal round.
-		req := msg.New()
-		req.PutInt(fKind, gbSeal)
-		req.PutAddress(fGroup, rec.gid)
-		req.PutInt(fSealReq, rid)
-		resp, err := d.coordinatorCall(rec.gid, req)
-		if err != nil {
-			return OutcomeUnknown, err
-		}
-		vote = resp.GetInt(fOutcome, 0)
-	}
-	switch vote {
+	switch resp.GetInt(fOutcome, 0) {
 	case voteCommitted:
 		d.noteRequest(rid, rec.gid, reqCommitted)
 		return OutcomeCommitted, nil

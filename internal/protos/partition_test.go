@@ -303,6 +303,59 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 	}
 }
 
+// TestLifecycleResumeDuringMergeRetiresTheAttempt pins what the merging phase
+// alone cannot say: that a merge goroutine may still be running after the
+// phase has ended. A resume notice reaches a copy whose merge attempt is out
+// surveying; the copy goes non-primary again and a second attempt starts
+// before the first comes back. The first must then leave the copy alone — its
+// abandon would otherwise cancel the second's merge mid-run.
+func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
+	const callTimeout = time.Second
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), callTimeout, scenarioDetector())
+	procs := buildGroup(t, tc, "two-merges", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "two-merges")
+	d3 := tc.daemons[3]
+	phaseIs := func(want phase) func() bool {
+		return func() bool {
+			d3.mu.Lock()
+			defer d3.mu.Unlock()
+			return d3.groups[gid].phase == want
+		}
+	}
+	notice := func(kind int64) {
+		view, _ := d3.CurrentView(gid)
+		n := msg.New()
+		n.PutAddress(fGroup, gid)
+		n.PutInt(fKind, kind)
+		n.PutMessage(fView, encodeView(view))
+		d3.applyGbCommit(1, n)
+	}
+
+	// The partition holds throughout: every survey reaches nobody, lasts
+	// CallTimeout and ends in an abandoned attempt.
+	tc.net.Partition(3, 1)
+	tc.net.Partition(3, 2)
+	waitFor(t, "minority goes non-primary", 10*time.Second, phaseIs(phaseNonPrimary))
+
+	firstDone := make(chan struct{})
+	go func() { _ = d3.mergeGroup(gid); close(firstDone) }()
+	waitFor(t, "first attempt surveying", time.Second, phaseIs(phaseMerging))
+	notice(gbResume)
+	if !phaseIs(phaseNormal)() {
+		t.Fatal("the resume notice did not resume the merging copy")
+	}
+	notice(gbNonPrimary)
+	time.Sleep(callTimeout / 4) // the second attempt outlasts the first by this much
+	go d3.mergeGroup(gid)
+	waitFor(t, "second attempt surveying", time.Second, phaseIs(phaseMerging))
+
+	<-firstDone
+	if !phaseIs(phaseMerging)() {
+		t.Error("the first attempt, back from its survey, ended the second attempt's merging phase")
+	}
+	waitFor(t, "second attempt abandons its own merge", 2*callTimeout, phaseIs(phaseNonPrimary))
+}
+
 // TestEveryFlushBeginIsClosed runs the partition and takeover scenarios and
 // then counts, at every site still up: each FlushBegin the site published
 // must have its FlushComplete — whether the flush ended by its commit, a

@@ -129,6 +129,17 @@ func (d *Daemon) reconcileLostRelay(lr lostRelay, resp *msg.Message) {
 	go d.repairRelayHoles()
 }
 
+// kickRelayRepair retries parked holes; called from the resolicit scan so a
+// filler lost to a coordinator crash is eventually re-sent.
+func (d *Daemon) kickRelayRepair() {
+	d.mu.Lock()
+	pending := len(d.relayHoles) > 0 && !d.repairingHoles && !d.closed
+	d.mu.Unlock()
+	if pending {
+		go d.repairRelayHoles()
+	}
+}
+
 // repairRelayHoles drains d.relayHoles. At most one drain runs at a time
 // (repairingHoles), so concurrent late refusals and scan ticks cannot race
 // two repairs of the same hole.

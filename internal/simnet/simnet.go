@@ -246,6 +246,16 @@ func (n *Network) BusyTime(id SiteID) time.Duration {
 	return n.busy[id]
 }
 
+// chargeBusy adds CPU time to a site's busy counter.
+func (n *Network) chargeBusy(id SiteID, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	n.mu.Lock()
+	n.busy[id] += d
+	n.mu.Unlock()
+}
+
 // Close detaches all sites and stops the per-link delivery goroutines.
 // Packets still queued on links are silently dropped.
 func (n *Network) Close() {

@@ -189,11 +189,7 @@ func (p *Process) Join(gid Address, opts JoinOptions) (View, error) {
 	if !p.Alive() {
 		return View{}, ErrProcessKilled
 	}
-	v, err := p.site.daemon.Join(p.addr, gid, protos.JoinOptions{
-		WantState:     opts.StateReceiver != nil,
-		StateReceiver: opts.StateReceiver,
-		Credentials:   opts.Credentials,
-	})
+	v, err := p.site.daemon.Join(p.addr, gid, toProtosJoin(opts))
 	if err != nil {
 		return View{}, err
 	}
@@ -306,4 +302,12 @@ func (p *Process) Flush() error {
 		return ErrProcessKilled
 	}
 	return p.site.daemon.Flush(p.addr)
+}
+
+func toProtosJoin(opts JoinOptions) protos.JoinOptions {
+	return protos.JoinOptions{
+		WantState:     opts.StateReceiver != nil,
+		StateReceiver: opts.StateReceiver,
+		Credentials:   opts.Credentials,
+	}
 }
