@@ -38,9 +38,6 @@ type ClusterConfig struct {
 	// FastNetConfig (no artificial delays), which is what tests want.
 	// Benchmarks pass PaperNetConfig. Ignored under BackendTCP.
 	Net simnet.Config
-	// TCP configures the TCP backend; the zero value selects its defaults.
-	// Ignored under BackendSimnet.
-	TCP tcpnet.Config
 	// Detector configures the failure detector at every site; the zero
 	// value picks settings suited to the Net configuration.
 	Detector fdetect.Config
@@ -56,12 +53,6 @@ type ClusterConfig struct {
 	// DisableHeartbeats silences the failure detector's periodic traffic;
 	// benchmarks use it to keep the measured links quiet.
 	DisableHeartbeats bool
-	// Merge selects the partition-handling policy at every site. The zero
-	// value MergeAuto enforces the primary-partition rule (only the
-	// partition holding at least half of a group's last agreed view may
-	// install views; a minority wedges read-only) and merges minority sites
-	// back automatically when the partition heals.
-	Merge MergePolicy
 }
 
 // Cluster is a simulated distributed system: a LAN plus one ISIS site
@@ -103,7 +94,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	case "", BackendSimnet:
 		c.fabric = simnet.New(cfg.Net)
 	case BackendTCP:
-		c.fabric = tcpnet.New(cfg.TCP)
+		c.fabric = tcpnet.New(tcpnet.Config{})
 	default:
 		return nil, fmt.Errorf("isis: unknown backend %q", cfg.Backend)
 	}
@@ -186,7 +177,6 @@ func (c *Cluster) AddSite(id SiteID) (*Site, error) {
 		Detector:          c.cfg.Detector,
 		CallTimeout:       c.cfg.CallTimeout,
 		DisableHeartbeats: c.cfg.DisableHeartbeats,
-		Merge:             c.cfg.Merge,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("isis: add site %d: %w", id, err)
@@ -332,10 +322,9 @@ func (s *Site) GroupPrimary(gid Address) bool { return s.daemon.GroupPrimary(gid
 
 // MergeGroup merges this site's non-primary copy of a group back into the
 // primary partition: the stale local state is discarded and every local
-// member rejoins with a state transfer. Under the default MergeAuto policy
-// the toolkit does this automatically when the partition heals; MergeManual
-// deployments call it when the application decides the time is right. A
-// no-op if the group is not in non-primary mode at this site.
+// member rejoins with a state transfer. The toolkit does this by itself when
+// the partition heals; an application may ask earlier. A no-op if the group
+// is not in non-primary mode at this site.
 func (s *Site) MergeGroup(gid Address) error { return s.daemon.MergeGroup(gid) }
 
 // Spawn creates a new client process at this site.
@@ -345,7 +334,6 @@ func (s *Site) Spawn() (*Process, error) {
 		replyTimeout: s.cluster.cfg.ReplyTimeout,
 		monitors:     make(map[Address]map[int]func(View)),
 		pending:      make(map[int64]*pendingCall),
-		providers:    make(map[Address]func() [][]byte),
 		tasks:        task.NewManager(),
 	}
 	a, err := s.daemon.RegisterProcess(p.onDeliver, p.onView)

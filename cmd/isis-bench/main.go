@@ -6,9 +6,7 @@
 //	isis-bench -figure3   Figure 3 — breakdown of ABCAST execution time
 //	isis-bench -twenty    Section 5 — twenty-questions aggregate query/update rates
 //	isis-bench -cpu       Section 7 — sender CPU utilisation, async vs waiting protocols
-//	isis-bench -events    dump the operational event stream of a scripted partition/merge cycle
-//	isis-bench -all       every experiment (the -events dump is a diagnostic, not an experiment,
-//	                      and is only run when asked for)
+//	isis-bench -all       every experiment
 //
 // The network uses the paper-calibrated parameters (10 µs intra-site, 16 ms
 // inter-site, 10 Mbit/s, 4 KB fragmentation) unless -fast is given. With
@@ -23,13 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	isis "repro"
 	"repro/internal/bench"
-	"repro/internal/fdetect"
-	"repro/internal/netback"
 	"repro/internal/simnet"
 )
 
@@ -44,10 +39,9 @@ func main() {
 		fast      = flag.Bool("fast", false, "use a zero-delay network instead of the paper-calibrated one")
 		tcp       = flag.Bool("tcp", false, "run the Figure 2 experiments over real TCP-loopback sockets instead of the simulated LAN")
 		unbatched = flag.Bool("unbatched", false, "disable transport packet coalescing in the Figure 2 throughput run (ablation)")
-		events    = flag.Bool("events", false, "dump the operational event stream of a scripted partition/merge cycle")
 	)
 	flag.Parse()
-	if !*table1 && !*figure2 && !*figure3 && !*twenty && !*cpu && !*events {
+	if !*table1 && !*figure2 && !*figure3 && !*twenty && !*cpu {
 		*all = true
 	}
 	netCfg := simnet.PaperConfig()
@@ -138,126 +132,4 @@ func main() {
 		}
 		fmt.Println("(paper: 96-98% for asynchronous/local multicasts, 30-35% when waiting on remote sites)")
 	}
-
-	if *events {
-		fmt.Println("== Operational event stream: scripted partition/merge cycle ==")
-		if err := runEventDump(); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runEventDump partitions the minority site of a three-member group, heals
-// it, and prints the full cluster-wide operational event stream of the
-// cycle, followed by the per-site publish/drop totals. It exercises exactly
-// the API an operator would point at a production cluster: subscribe first,
-// inject nothing the protocols would not see anyway, read the story back.
-func runEventDump() error {
-	cluster, err := isis.NewCluster(isis.ClusterConfig{
-		Sites: 3,
-		Detector: fdetect.Config{
-			HeartbeatInterval: 10 * time.Millisecond,
-			InitialTimeout:    150 * time.Millisecond,
-			MinTimeout:        100 * time.Millisecond,
-			MaxTimeout:        500 * time.Millisecond,
-			DeviationFactor:   4,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-
-	stream, cancel := cluster.Events(isis.EventFilter{})
-	var mu sync.Mutex
-	var trace []isis.Event
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for e := range stream {
-			mu.Lock()
-			trace = append(trace, e)
-			mu.Unlock()
-		}
-	}()
-
-	members := make([]*isis.Process, 3)
-	var gid isis.Address
-	for i := 0; i < 3; i++ {
-		p, err := cluster.Site(isis.SiteID(i + 1)).Spawn()
-		if err != nil {
-			return err
-		}
-		members[i] = p
-		p.BindEntry(isis.EntryUserBase, func(*isis.Message) {})
-		if i == 0 {
-			v, err := p.CreateGroup("evdump")
-			if err != nil {
-				return err
-			}
-			gid = v.Group
-		} else if _, err := p.JoinByName("evdump", isis.JoinOptions{}); err != nil {
-			return err
-		}
-	}
-
-	wait := func(what string, pred func() bool) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if pred() {
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return fmt.Errorf("event dump: timed out waiting for %s", what)
-	}
-	if err := wait("full membership", func() bool {
-		v, ok := members[0].CurrentView(gid)
-		return ok && v.Size() == 3
-	}); err != nil {
-		return err
-	}
-
-	fi, ok := cluster.Fabric().(netback.FaultInjector)
-	if !ok {
-		return fmt.Errorf("event dump: backend does not support fault injection")
-	}
-	fi.Partition(3, 1)
-	fi.Partition(3, 2)
-	if err := wait("minority wedged", func() bool { return !members[2].GroupPrimary(gid) }); err != nil {
-		return err
-	}
-	fi.HealAll()
-	if err := wait("minority merged back", func() bool {
-		v, ok := members[2].CurrentView(gid)
-		return ok && v.Size() == 3 && members[2].GroupPrimary(gid)
-	}); err != nil {
-		return err
-	}
-	// Let the trailing events land before closing the stream.
-	_ = wait("primary-resumed in the trace", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, e := range trace {
-			if e.Kind == isis.EventPrimaryResumed {
-				return true
-			}
-		}
-		return false
-	})
-	cancel()
-	<-drained
-
-	mu.Lock()
-	final := append([]isis.Event(nil), trace...)
-	mu.Unlock()
-	if len(final) == 0 {
-		return fmt.Errorf("event dump: empty trace")
-	}
-	for _, e := range final {
-		fmt.Println(" ", e)
-	}
-	st := cluster.EventStats()
-	fmt.Printf("published %d events, dropped %d at slow subscribers\n", st.Published, st.Dropped)
-	return nil
 }

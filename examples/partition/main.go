@@ -85,7 +85,7 @@ func waitFor(what string, pred func() bool) {
 }
 
 func main() {
-	cluster, err := isis.NewCluster(isis.ClusterConfig{Sites: 5}) // Merge: isis.MergeAuto is the default
+	cluster, err := isis.NewCluster(isis.ClusterConfig{Sites: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

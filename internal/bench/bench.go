@@ -367,15 +367,10 @@ func RunFigure2Latency(nc NetChoice, primitive isis.Protocol, dests int, sizes [
 	return out, nil
 }
 
-// RunFigure2Throughput measures asynchronous CBCAST throughput in payload
-// bytes per second: the sender never waits for replies.
-func RunFigure2Throughput(nc NetChoice, dests int, sizes []int, perSize time.Duration) ([]Fig2Point, error) {
-	return RunFigure2ThroughputAblation(nc, dests, sizes, perSize, false)
-}
-
-// RunFigure2ThroughputAblation is RunFigure2Throughput with the transport's
-// packet coalescing optionally disabled, so the batching win on the Figure 2
-// panel stays measurable.
+// RunFigure2ThroughputAblation measures asynchronous CBCAST throughput in
+// payload bytes per second: the sender never waits for replies. The
+// transport's packet coalescing is optionally disabled, so the batching win
+// on the Figure 2 panel stays measurable.
 func RunFigure2ThroughputAblation(nc NetChoice, dests int, sizes []int, perSize time.Duration, unbatched bool) ([]Fig2Point, error) {
 	env, err := newFig2Env(nc, dests, transport.Config{DisableBatching: unbatched})
 	if err != nil {

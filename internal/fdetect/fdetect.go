@@ -5,11 +5,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/addr"
 )
 
-// SiteID aliases the network site identifier.
-type SiteID = simnet.SiteID
+// SiteID aliases the address package's site identifier.
+type SiteID = addr.SiteID
 
 // EventKind distinguishes failure from recovery notifications.
 type EventKind uint8
@@ -116,15 +116,17 @@ func New(self SiteID, cfg Config, send SendHeartbeat, notify Notify) *Detector {
 	}
 }
 
-// AddPeer begins monitoring a site. Adding an already-monitored site resets
-// its failure state (used when a site rejoins).
+// AddPeer begins monitoring a site; a site already monitored is left as it
+// is.
 func (d *Detector) AddPeer(site SiteID) {
 	if site == d.self {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.peers[site] = &peerState{lastSeen: time.Now()}
+	if _, ok := d.peers[site]; !ok {
+		d.peers[site] = &peerState{lastSeen: time.Now()}
+	}
 }
 
 // RemovePeer stops monitoring a site (e.g. after its failure has been fully
@@ -226,20 +228,21 @@ func (d *Detector) clampTimeout(p *peerState) time.Duration {
 	return t
 }
 
-// Start launches the heartbeat and timeout-check loops.
+// Start launches the detector's loop.
 func (d *Detector) Start() {
-	d.wg.Add(2)
-	go d.heartbeatLoop()
-	go d.checkLoop()
+	d.wg.Add(1)
+	go d.run()
 }
 
-// Stop terminates the background loops.
+// Stop terminates the background loop.
 func (d *Detector) Stop() {
 	d.stopped.Do(func() { close(d.done) })
 	d.wg.Wait()
 }
 
-func (d *Detector) heartbeatLoop() {
+// run beats and checks on one ticker: peers are examined for timeout as
+// often as they are expected to beat.
+func (d *Detector) run() {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.cfg.HeartbeatInterval)
 	defer ticker.Stop()
@@ -248,26 +251,11 @@ func (d *Detector) heartbeatLoop() {
 		case <-d.done:
 			return
 		case <-ticker.C:
-			if d.send == nil {
-				continue
+			if d.send != nil {
+				for _, peer := range d.Peers() {
+					d.send(peer)
+				}
 			}
-			for _, peer := range d.Peers() {
-				d.send(peer)
-			}
-		}
-	}
-}
-
-func (d *Detector) checkLoop() {
-	defer d.wg.Done()
-	// Peers are examined for timeout as often as they are expected to beat.
-	ticker := time.NewTicker(d.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-ticker.C:
 			d.checkTimeouts()
 		}
 	}

@@ -22,4 +22,8 @@
 //     receivers all lean on this.
 //   - Delivery may block briefly for backpressure but must unblock when
 //     the endpoint or the fabric closes.
+//
+// Partition testing needs links that can be cut: Faults is the one fault
+// injector, a value both implementations embed, so the simulated and the
+// real wire sever, heal and report link transitions identically.
 package netback

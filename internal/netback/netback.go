@@ -1,6 +1,9 @@
 package netback
 
 import (
+	"maps"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/addr"
@@ -70,9 +73,8 @@ type Network interface {
 
 // LinkEvent reports a fabric-level link transition on the undirected (A, B)
 // pair: Up=false when the link goes down (an injected partition), Up=true
-// when it heals. Only fabrics that can observe such transitions (the
-// simulated LAN's fault injection) emit them; real networks surface outages
-// through loss and the failure detector instead.
+// when it heals. Only injected faults (Faults) produce them; real networks
+// surface outages through loss and the failure detector instead.
 type LinkEvent struct {
 	A, B SiteID
 	Up   bool
@@ -90,8 +92,7 @@ type LinkWatcher interface {
 
 // FaultInjector is the optional capability of a Network to sever and restore
 // individual site-to-site links, for partition testing. Both in-tree
-// backends implement it (the simulated LAN natively; the TCP fabric by
-// discarding frames on blocked pairs), so tests written against
+// backends have it by embedding Faults, so tests written against
 // Fabric().(FaultInjector) run unchanged on either. A blocked pair drops
 // traffic in both directions; the reliable transport's retransmissions
 // recover whatever was in flight once the pair heals.
@@ -102,4 +103,93 @@ type FaultInjector interface {
 	Heal(a, b SiteID)
 	// HealAll restores every severed link.
 	HealAll()
+}
+
+// Faults is the fault injector both in-tree fabrics embed: the set of
+// severed undirected site pairs and the watchers told when a pair goes down
+// or comes back. It is a FaultInjector and a LinkWatcher; the fabric asks
+// Blocked on its packet path and decides for itself where a blocked packet
+// is lost (the simulated LAN at send, the TCP fabric at both ends of the
+// socket). A transition is reported once per undirected pair, lower site id
+// first; severing a severed pair or healing a healthy one is not a
+// transition. The zero value is ready for use.
+type Faults struct {
+	mu        sync.Mutex
+	severed   map[[2]SiteID]bool
+	watchers  map[int]func(LinkEvent)
+	nextWatch int
+}
+
+// pairOf normalizes an undirected site pair.
+func pairOf(a, b SiteID) [2]SiteID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]SiteID{a, b}
+}
+
+// Partition severs the undirected link between two sites.
+func (f *Faults) Partition(a, b SiteID) { f.set(a, b, true) }
+
+// Heal restores the undirected link between two sites.
+func (f *Faults) Heal(a, b SiteID) { f.set(a, b, false) }
+
+// HealAll restores every severed link.
+func (f *Faults) HealAll() {
+	f.mu.Lock()
+	pairs := slices.Collect(maps.Keys(f.severed))
+	f.mu.Unlock()
+	for _, k := range pairs {
+		f.set(k[0], k[1], false)
+	}
+}
+
+// set moves one pair to the given state and, if that changed anything,
+// tells the watchers. Callbacks run outside the lock.
+func (f *Faults) set(a, b SiteID, down bool) {
+	k := pairOf(a, b)
+	f.mu.Lock()
+	if down == f.severed[k] {
+		f.mu.Unlock()
+		return
+	}
+	if down {
+		if f.severed == nil {
+			f.severed = make(map[[2]SiteID]bool)
+		}
+		f.severed[k] = true
+	} else {
+		delete(f.severed, k)
+	}
+	cbs := slices.Collect(maps.Values(f.watchers))
+	f.mu.Unlock()
+	ev := LinkEvent{A: k[0], B: k[1], Up: !down}
+	for _, cb := range cbs {
+		cb(ev)
+	}
+}
+
+// Blocked reports whether the link between two sites is severed.
+func (f *Faults) Blocked(a, b SiteID) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.severed[pairOf(a, b)]
+}
+
+// WatchLinks registers a callback invoked on every link transition and
+// returns a function that unregisters it. Callbacks must be quick.
+func (f *Faults) WatchLinks(cb func(LinkEvent)) (cancel func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.nextWatch++
+	id := f.nextWatch
+	if f.watchers == nil {
+		f.watchers = make(map[int]func(LinkEvent))
+	}
+	f.watchers[id] = cb
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		delete(f.watchers, id)
+	}
 }

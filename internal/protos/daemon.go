@@ -26,26 +26,6 @@ type DeliverFunc func(entry addr.EntryID, m *msg.Message)
 // deliveries, which is what makes the ranking trick of Section 3.2 safe.
 type ViewFunc func(view core.View)
 
-// MergePolicy selects how the daemon treats network partitions: whether the
-// primary-partition majority rule gates view changes, and whether a minority
-// partition merges back automatically once the partition heals.
-type MergePolicy uint8
-
-const (
-	// MergeAuto (the default) enforces the primary-partition rule and
-	// automatically merges a minority partition back into the primary as
-	// soon as the failure detector observes the partition healing.
-	MergeAuto MergePolicy = iota
-	// MergeManual enforces the primary-partition rule but leaves the merge
-	// to the application, which triggers it with Daemon.MergeGroup.
-	MergeManual
-	// MergeNone disables the primary-partition rule entirely: any partition
-	// may install views (the paper's original crash-only fault model, in
-	// which a partitioned minority forms a split-brain view and recovers by
-	// restarting).
-	MergeNone
-)
-
 // Config parameterizes a Daemon.
 type Config struct {
 	// Site is this daemon's site identifier.
@@ -74,10 +54,6 @@ type Config struct {
 	// DisableHeartbeats turns off the failure detector's periodic traffic;
 	// used by benchmarks that want quiet links.
 	DisableHeartbeats bool
-	// Merge selects the partition-handling policy; the zero value MergeAuto
-	// enforces the primary-partition rule and merges minorities back
-	// automatically when the partition heals.
-	Merge MergePolicy
 }
 
 // Counters tallies protocol activity; the Table 1 harness reads them before
@@ -167,13 +143,12 @@ type groupState struct {
 	members  map[addr.Address]*memberState // local members only
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
-	// alone; parked is what the open flush holds back; watchdog is the copy's
-	// one stale-flush timer, armed while flushing, and flushDeadline is when
-	// the flush now open counts as stale; mergeAttempt counts the merge
-	// attempts begun, so each can tell whether it is still the latest.
+	// alone; parked is what the open flush holds back; flushDeadline is when
+	// the flush now open counts as stale (the scan tick then feeds the copy
+	// inWatchdog); mergeAttempt counts the merge attempts begun, so each can
+	// tell whether it is still the latest.
 	phase         phase
 	parked        parked
-	watchdog      *time.Timer
 	flushDeadline time.Time
 	mergeAttempt  uint64
 
@@ -233,7 +208,7 @@ type abSendState struct {
 	maxPrio  uint64
 	packet   *msg.Message
 	done     bool
-	watchdog *time.Timer // completes the round at CallTimeout; stopped when it is retired
+	deadline time.Time // the scan tick completes a round still open at CallTimeout
 
 	// attempt qualifies the phase-1/proposal exchange: a GBCAST flush that
 	// fences this ABCAST behind a view change restarts it with a higher
@@ -270,7 +245,6 @@ type Daemon struct {
 	nameCache   map[string]addr.Address
 	failedProcs map[addr.Address]bool
 	suspected   map[addr.SiteID]bool
-	monitored   map[addr.SiteID]bool
 	calls       map[int64]pendingCall
 	nextCall    int64
 	nextReqID   int64
@@ -295,20 +269,15 @@ type Daemon struct {
 	// relay calls whose outcome is unknown — the call timed out or was
 	// aborted by the failure detector while the request may still be queued
 	// in the reliable transport — keyed by call id so a late response can be
-	// reconciled against the FIFO sequence the relay consumed. relayHoles
-	// holds sequence numbers confirmed refused after later numbers were
-	// handed out; each needs a null filler before receivers can progress.
-	lostRelays     core.BoundedLog[int64, lostRelay]
-	relayHoles     map[relayHoleKey]lostRelay
-	repairingHoles bool
+	// reconciled against the FIFO sequence the relay consumed.
+	lostRelays core.BoundedLog[int64, lostRelay]
 
-	// Parked partition merges (see merge.go). When a merge has discarded
-	// the minority's local group copy and a member's rejoin into the
-	// primary then fails every retry, the member is parked here and the
-	// rejoin re-attempted on recovery events and scan ticks — the
-	// alternative is a live process left unhosted forever.
-	parkedMerges   map[parkKey]parkedRejoin
-	retryingMerges bool
+	// repairs (repairs.go) holds what must be tried again until it works:
+	// members parked when a merge discarded the local group copy and their
+	// rejoin then failed every retry, and relay sequence numbers confirmed
+	// refused after later numbers were handed out, each needing a null
+	// filler before receivers can progress.
+	repairs repairs
 
 	// flushEnd (on mu) is signalled whenever a group copy leaves its
 	// flushing phase, and on Close: senders blocked by a flush wait on it
@@ -362,28 +331,25 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	d := &Daemon{
-		cfg:          cfg,
-		site:         cfg.Site,
-		gen:          addr.NewGenerator(cfg.Site, cfg.Incarnation),
-		net:          cfg.Network,
-		procs:        make(map[addr.Address]*localProc),
-		groups:       make(map[addr.Address]*groupState),
-		remoteViews:  make(map[addr.Address]core.View),
-		nameCache:    make(map[string]addr.Address),
-		failedProcs:  make(map[addr.Address]bool),
-		suspected:    make(map[addr.SiteID]bool),
-		monitored:    make(map[addr.SiteID]bool),
-		calls:        make(map[int64]pendingCall),
-		pendingAb:    make(map[core.MsgID]*abSendState),
-		abDone:       core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
-		pendingJoin:  make(map[joinKey]pendingJoin),
-		reqSerial:    make(map[addr.Address]*sync.Mutex),
-		lostRelays:   core.NewBoundedLog[int64, lostRelay](maxLostRelays),
-		relayHoles:   make(map[relayHoleKey]lostRelay),
-		parkedMerges: make(map[parkKey]parkedRejoin),
-		bus:          events.NewBus(cfg.Site),
-		reqLog:       core.NewBoundedLog[int64, reqRecord](reqLogLimit),
-		stopScan:     make(chan struct{}),
+		cfg:         cfg,
+		site:        cfg.Site,
+		gen:         addr.NewGenerator(cfg.Site, cfg.Incarnation),
+		net:         cfg.Network,
+		procs:       make(map[addr.Address]*localProc),
+		groups:      make(map[addr.Address]*groupState),
+		remoteViews: make(map[addr.Address]core.View),
+		nameCache:   make(map[string]addr.Address),
+		failedProcs: make(map[addr.Address]bool),
+		suspected:   make(map[addr.SiteID]bool),
+		calls:       make(map[int64]pendingCall),
+		pendingAb:   make(map[core.MsgID]*abSendState),
+		abDone:      core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
+		pendingJoin: make(map[joinKey]pendingJoin),
+		reqSerial:   make(map[addr.Address]*sync.Mutex),
+		lostRelays:  core.NewBoundedLog[int64, lostRelay](maxLostRelays),
+		bus:         events.NewBus(cfg.Site),
+		reqLog:      core.NewBoundedLog[int64, reqRecord](reqLogLimit),
+		stopScan:    make(chan struct{}),
 	}
 	d.flushEnd.L = &d.mu
 	ep, err := cfg.Network.Attach(cfg.Site, trCfg.Epoch)
@@ -465,13 +431,9 @@ func (d *Daemon) Close() {
 	for _, st := range d.pendingAb {
 		d.retireAbcastLocked(st)
 	}
-	for _, gs := range d.groups {
-		if gs.watchdog != nil {
-			gs.watchdog.Stop()
-		}
-	}
 	d.flushEnd.Broadcast()
 	d.mu.Unlock()
+	d.repairs.close()
 
 	d.bus.Close()
 	if d.unwatchLinks != nil {
@@ -608,7 +570,7 @@ func encodePacket(pt byte, p *msg.Message) ([]byte, error) {
 
 // sendRaw transmits pre-encoded packet bytes to a site.
 func (d *Daemon) sendRaw(to addr.SiteID, raw []byte) error {
-	d.observeSite(to)
+	d.det.AddPeer(to)
 	return d.tr.Send(to, raw)
 }
 
@@ -632,22 +594,6 @@ func (d *Daemon) sendPacket(to addr.SiteID, pt byte, p *msg.Message) error {
 		return err
 	}
 	return d.sendRaw(to, raw)
-}
-
-// observeSite starts monitoring a site the daemon has learned about.
-func (d *Daemon) observeSite(s addr.SiteID) {
-	if s == d.site {
-		return
-	}
-	d.mu.Lock()
-	already := d.monitored[s]
-	if !already {
-		d.monitored[s] = true
-	}
-	d.mu.Unlock()
-	if !already {
-		d.det.AddPeer(s)
-	}
 }
 
 // heartbeatRaw is the complete wire form of a heartbeat: envelope only, no
@@ -827,7 +773,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		return
 	}
 	pt := raw[1]
-	d.observeSite(from)
+	d.det.AddPeer(from)
 	if pt == ptHeartbeat {
 		d.det.OnHeartbeat(from)
 		return
@@ -864,37 +810,26 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 
 // onDetectorEvent reacts to site failures and recoveries.
 func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
-	d.mu.Lock()
 	switch ev.Kind {
 	case fdetect.SiteFailed:
+		d.mu.Lock()
 		d.suspected[ev.Site] = true
-	case fdetect.SiteRecovered:
-		delete(d.suspected, ev.Site)
-	}
-	d.mu.Unlock()
-
-	switch ev.Kind {
-	case fdetect.SiteFailed:
+		d.mu.Unlock()
 		d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: ev.Site})
-	case fdetect.SiteRecovered:
-		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
-	}
-	switch ev.Kind {
-	case fdetect.SiteFailed:
 		// Abort in-flight calls to the dead site first so their callers
 		// re-route to the successor while the failure is handled.
 		d.failCallsTo(ev.Site)
 		d.handleSiteFailure(ev.Site)
 	case fdetect.SiteRecovered:
+		d.mu.Lock()
+		delete(d.suspected, ev.Site)
+		d.mu.Unlock()
+		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
 		// A healed partition: any group copy stranded in a non-primary
-		// partition can now try to find the primary and merge back.
-		if d.cfg.Merge == MergeAuto {
-			d.mergeNonPrimaryGroups()
-		}
-		// Parked rejoins retry regardless of the merge policy: each one
-		// continues a merge that was already initiated (automatically or by
-		// an explicit MergeGroup call) and then stalled.
-		go d.retryParkedMerges()
+		// partition can now try to find the primary and merge back, and a
+		// parked rejoin may find the primary it could not reach.
+		d.mergeNonPrimaryGroups()
+		d.repairs.kick()
 	}
 }
 

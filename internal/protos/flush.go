@@ -21,12 +21,11 @@ type prepareAck struct {
 
 // flushRound is what a coordinator knows once phase 1 has been collected.
 type flushRound struct {
-	kind        int64
-	procs       []addr.Address             // the processes the change names
-	view        core.View                  // the coordinator's view when the round began
-	self        addr.SiteID                // the coordinator's site
-	acks        map[addr.SiteID]prepareAck // every site that answered, self included
-	primaryRule bool                       // the primary-partition rule applies (all policies but MergeNone)
+	kind  int64
+	procs []addr.Address             // the processes the change names
+	view  core.View                  // the coordinator's view when the round began
+	self  addr.SiteID                // the coordinator's site
+	acks  map[addr.SiteID]prepareAck // every site that answered, self included
 }
 
 // flushDecision is what phase 2 must carry out.
@@ -92,17 +91,15 @@ func decideFlush(r flushRound) flushDecision {
 	// scenarios) stays available; the cost is that an exactly-even split is
 	// resolved in favour of availability on both sides — deploy odd
 	// replication degrees where strict primary-partition semantics matter.
-	if r.primaryRule {
-		votes := 0
-		for _, m := range dec.base.Members {
-			if _, reached := r.acks[m.Site]; reached {
-				votes++
-			}
+	votes := 0
+	for _, m := range dec.base.Members {
+		if _, reached := r.acks[m.Site]; reached {
+			votes++
 		}
-		if votes*2 < len(dec.base.Members) {
-			dec.nonPrimary = true
-			return dec
-		}
+	}
+	if votes*2 < len(dec.base.Members) {
+		dec.nonPrimary = true
+		return dec
 	}
 
 	// The new view. A join whose members are all present, or a removal whose

@@ -148,25 +148,16 @@ func TestDecideFlush(t *testing.T) {
 	t.Run("a minority goes non-primary and decides nothing else", func(t *testing.T) {
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p1, p2}, view: view(3, p1, p2, p3),
-			self: 3, acks: answered(3), primaryRule: true,
+			self: 3, acks: answered(3),
 		})
 		if !dec.nonPrimary {
 			t.Fatal("1 of 3 members reached, and the round was allowed to commit")
 		}
 	})
-	t.Run("without the primary-partition rule the same round commits", func(t *testing.T) {
-		dec := decideFlush(flushRound{
-			kind: gbFail, procs: []addr.Address{p1, p2}, view: view(3, p1, p2, p3),
-			self: 3, acks: answered(3), primaryRule: false,
-		})
-		if dec.nonPrimary || dec.newView.ID != 4 || !slices.Equal(dec.newView.Members, []addr.Address{p3}) {
-			t.Fatalf("MergeNone round: nonPrimary=%v newView=%v, want view 4 of p3 alone", dec.nonPrimary, dec.newView)
-		}
-	})
 	t.Run("exactly half passes", func(t *testing.T) {
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p1}, view: view(2, p1, p2),
-			self: 2, acks: answered(2), primaryRule: true,
+			self: 2, acks: answered(2),
 		})
 		if dec.nonPrimary || dec.newView.ID != 3 || !slices.Equal(dec.newView.Members, []addr.Address{p2}) {
 			t.Fatalf("nonPrimary=%v newView=%v, want view 3 of p2 alone", dec.nonPrimary, dec.newView)
@@ -179,7 +170,7 @@ func TestDecideFlush(t *testing.T) {
 		delete(acks, 3)                           // p3's host is unreachable: the claim stands
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p1, p2, p3, p4}, view: view(5, p1, p2, p3, p4),
-			self: 1, acks: acks, primaryRule: true,
+			self: 1, acks: acks,
 		})
 		// p1 is hosted by the coordinator itself, which answered and does not
 		// list it dead.
@@ -193,7 +184,7 @@ func TestDecideFlush(t *testing.T) {
 	t.Run("a removal nobody corroborates re-announces the view without minting an id", func(t *testing.T) {
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p2}, view: view(5, p1, p2),
-			self: 1, acks: answered(1, 2), primaryRule: true,
+			self: 1, acks: answered(1, 2),
 		})
 		if len(dec.procs) != 0 || dec.newView.ID != 5 || dec.newView.Size() != 2 {
 			t.Fatalf("procs=%v newView=%v, want nobody removed and view 5 as it was", dec.procs, dec.newView)
@@ -206,7 +197,7 @@ func TestDecideFlush(t *testing.T) {
 		acks[3] = prepareAck{view: view(3, p1, p2, p3)}
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p1}, view: view(3, p1, p2, p3),
-			self: 3, acks: acks, primaryRule: true,
+			self: 3, acks: acks,
 		})
 		if dec.base.ID != 4 {
 			t.Fatalf("base = %v, want the view 4 site 2 reported", dec.base)
@@ -220,14 +211,14 @@ func TestDecideFlush(t *testing.T) {
 		acks[2] = prepareAck{view: view(4, p2, p3)} // the dead coordinator's leave reached site 2
 		dec := decideFlush(flushRound{
 			kind: gbFail, procs: []addr.Address{p1}, view: view(3, p1, p2, p3),
-			self: 3, acks: acks, primaryRule: true,
+			self: 3, acks: acks,
 		})
 		if !dec.newView.Equal(view(4, p2, p3)) {
 			t.Fatalf("newView = %v, want view 4 re-announced", dec.newView)
 		}
 	})
 	t.Run("a join of present members mints no id, of a new one does", func(t *testing.T) {
-		r := flushRound{kind: gbJoin, procs: []addr.Address{p2}, view: view(2, p1, p2), self: 1, acks: answered(1, 2), primaryRule: true}
+		r := flushRound{kind: gbJoin, procs: []addr.Address{p2}, view: view(2, p1, p2), self: 1, acks: answered(1, 2)}
 		if dec := decideFlush(r); dec.newView.ID != 2 {
 			t.Fatalf("re-joined member: newView = %v, want view 2", dec.newView)
 		}
@@ -238,7 +229,7 @@ func TestDecideFlush(t *testing.T) {
 	})
 	t.Run("one committed vote settles a seal, none aborts it", func(t *testing.T) {
 		acks := answered(1, 2, 3)
-		r := flushRound{kind: gbSeal, view: view(2, p1, p2, p3), self: 1, acks: acks, primaryRule: true}
+		r := flushRound{kind: gbSeal, view: view(2, p1, p2, p3), self: 1, acks: acks}
 		if dec := decideFlush(r); dec.outcome != voteAborted || dec.newView.ID != 2 {
 			t.Fatalf("outcome=%d newView=%v, want aborted and the view unchanged", dec.outcome, dec.newView)
 		}
@@ -253,7 +244,7 @@ func TestDecideFlush(t *testing.T) {
 		pkt := msg.New()
 		acks := answered(1, 2)
 		acks[1] = prepareAck{report: pendingReport{Recent: []recentWire{{ID: id, Packet: pkt}}}}
-		dec := decideFlush(flushRound{kind: gbUser, view: view(2, p1, p2), self: 1, acks: acks, primaryRule: true})
+		dec := decideFlush(flushRound{kind: gbUser, view: view(2, p1, p2), self: 1, acks: acks})
 		if len(dec.rebcast.Recent) != 1 || dec.rebcast.Recent[0].ID != id {
 			t.Fatalf("rebcast = %+v, want the message site 2 missed re-disseminated", dec.rebcast)
 		}

@@ -178,7 +178,6 @@ func (d *Daemon) executeGb(w *gbWork) {
 	acks := d.collectAcks(w, seq, oldView)
 	dec := decideFlush(flushRound{
 		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks,
-		primaryRule: d.cfg.Merge != MergeNone,
 	})
 	if dec.nonPrimary {
 		d.enterNonPrimary(w.gid, acks)
@@ -233,8 +232,6 @@ func (d *Daemon) gbReply(w *gbWork, resp *msg.Message, errText string) {
 		if errText != "" {
 			resp = msg.New()
 			resp.PutString(fErr, errText)
-			// localGbRequest treats any response as success; encode errors
-			// as a missing view, which callers check.
 		}
 		select {
 		case w.done <- resp:
@@ -520,11 +517,8 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// the heal). It must not be applied piecemeal — this copy's state is
 		// speculative and will be discarded wholesale — but its arrival
 		// proves the primary is reachable again, so it triggers the merge.
-		auto := d.cfg.Merge == MergeAuto
 		d.mu.Unlock()
-		if auto {
-			go d.mergeGroup(gid)
-		}
+		go d.mergeGroup(gid)
 		return
 	}
 	hostsNewMember := false
@@ -605,8 +599,8 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	// Restart fenced ABCASTs this site initiated: a fresh protocol round
 	// (higher attempt — stale proposals to the old round are filtered) under
 	// the view just installed. Replacing the pending state under the same
-	// lock closes the race with the old round's watchdog: its deferred
-	// completion finds the state replaced and stands down. A site whose last
+	// lock closes the race with the old round's completion: one already
+	// under way finds the state replaced and stands down. A site whose last
 	// member was removed by this very change retires the round instead — the
 	// message is dropped, exactly as if its sender had failed.
 	var restarts []*abSendState
@@ -642,8 +636,9 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	}
 	d.removeGhosts(gid, ghosts)
 	for _, w := range wrong {
-		w := w
-		go d.rejoinRemovedMember(gid, w.proc, w.recv)
+		// The member rejoins through the ordinary join machinery, pulling
+		// fresh state if it has a receiver.
+		go d.rejoinOrPark(gid, w.proc, w.recv, false)
 	}
 }
 
@@ -705,7 +700,7 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 		// The flush resolved this in-flight ABCAST (completed or discarded);
 		// if this site initiated it, its own protocol round is over. The
 		// retire keeps the sender's outstanding count (the Flush API) exact
-		// and stops the watchdog from fanning out a conflicting commit.
+		// and stops its deadline from fanning out a conflicting commit.
 		if st, ok := d.pendingAb[ab.ID]; ok && st.group == gid {
 			d.retireAbcastLocked(st)
 			d.releaseAbSenderLocked(st)

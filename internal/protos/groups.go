@@ -266,9 +266,6 @@ type JoinOptions struct {
 	// blocks are discarded (but delivery is still held until the transfer
 	// finishes, preserving the virtual-synchrony cut).
 	StateReceiver func(block []byte, last bool)
-	// Credentials is an opaque string checked by the group's join
-	// validation routine (the protection tool), if one is installed.
-	Credentials string
 }
 
 // Join adds a local process to an existing group (the paper's pg_join /
@@ -289,7 +286,6 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 	req.PutAddress(fGroup, gid.Base())
 	req.PutAddressList(fProcs, addr.List{joiner.Base()})
 	req.PutAddress(fSender, joiner.Base())
-	req.PutString(fName, opts.Credentials)
 	if opts.WantState {
 		req.PutInt(fWantState, 1)
 	}

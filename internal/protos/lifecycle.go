@@ -34,7 +34,7 @@ const (
 	// and one that is no longer the copy's latest feeds it no more inputs.
 	phaseMerging
 	// phaseDropped: this site no longer hosts the copy. Terminal: a goroutine
-	// still holding the pointer (a merge, the watchdog) can do it no harm.
+	// still holding the pointer (a merge) can do it no harm.
 	phaseDropped
 	numPhases
 )
@@ -65,8 +65,8 @@ type effects uint8
 
 const (
 	fxFlushBegin     effects = 1 << iota // publish FlushBegin
-	fxArmWatchdog                        // (re)start the copy's stale-flush timer
-	fxEndFlush                           // publish FlushComplete, stop the timer, release what the flush parked, wake blocked senders
+	fxArmWatchdog                        // (re)set the deadline past which the open flush counts as stale
+	fxEndFlush                           // publish FlushComplete, release what the flush parked, wake blocked senders
 	fxPrimaryLost                        // publish PartitionWedge and PrimaryLost
 	fxPrimaryResumed                     // publish PrimaryResumed
 	fxMergeStart                         // publish MergeStart, number the attempt
@@ -149,25 +149,17 @@ func (d *Daemon) step(gs *groupState, in input) (rel parked) {
 	if fx&fxFlushBegin != 0 {
 		d.bus.Publish(events.Event{Kind: events.FlushBegin, Group: gid, View: gs.view.ID})
 	}
-	if fx&fxArmWatchdog != 0 && !d.closed {
+	if fx&fxArmWatchdog != 0 {
 		// A flush whose commit never arrives — a prepare retransmitted long
 		// after its coordinator's round ended, e.g. across a partition heal —
 		// would freeze the group forever. 4x the call timeout comfortably
 		// exceeds the longest legitimate flush (concurrent prepares retry up
-		// to 3 calls before the commit follows).
-		limit := 4 * d.cfg.CallTimeout
-		gs.flushDeadline = time.Now().Add(limit)
-		if gs.watchdog == nil {
-			gs.watchdog = time.AfterFunc(limit, func() { d.flushExpired(gs) })
-		} else {
-			gs.watchdog.Reset(limit)
-		}
+		// to 3 calls before the commit follows). The scan tick
+		// (resolicitStragglers) feeds inWatchdog once the deadline has passed.
+		gs.flushDeadline = time.Now().Add(4 * d.cfg.CallTimeout)
 	}
 	if fx&fxEndFlush != 0 {
 		d.bus.Publish(events.Event{Kind: events.FlushComplete, Group: gid, View: gs.view.ID, Detail: flushEndDetail[in]})
-		if gs.watchdog != nil {
-			gs.watchdog.Stop()
-		}
 		rel, gs.parked = gs.parked, parked{}
 		d.flushEnd.Broadcast()
 	}
@@ -208,21 +200,6 @@ func (d *Daemon) redispatch(rel parked) {
 	for _, st := range rel.rounds {
 		d.completeAbcast(st)
 	}
-}
-
-// flushExpired is the copy's stale-flush timer firing. A run that lost a
-// race with a re-arm (the timer had fired, then a commit and a new prepare
-// got to d.mu first) finds the deadline moved into the future and leaves the
-// new flush to the new run; one for a flush that has ended finds a phase in
-// which the watchdog input changes nothing.
-func (d *Daemon) flushExpired(gs *groupState) {
-	d.mu.Lock()
-	var rel parked
-	if !time.Now().Before(gs.flushDeadline) {
-		rel = d.step(gs, inWatchdog)
-	}
-	d.mu.Unlock()
-	d.redispatch(rel)
 }
 
 // settledGroupLocked returns the hosted copy of a group (nil if there is

@@ -455,11 +455,12 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 		}
 	}
 	st := &abSendState{
-		id:      id,
-		group:   gs.view.Group,
-		maxPrio: maxPrio,
-		packet:  pkt,
-		attempt: attempt,
+		id:       id,
+		group:    gs.view.Group,
+		maxPrio:  maxPrio,
+		packet:   pkt,
+		attempt:  attempt,
+		deadline: time.Now().Add(d.cfg.CallTimeout),
 	}
 	for _, s := range gs.view.SitesOf() {
 		if s != d.site && !d.suspected[s] {
@@ -481,10 +482,10 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 }
 
 // transmitAbcast ships phase 1 to the remote member sites and completes the
-// protocol immediately if there is nobody to wait for. A watchdog completes
-// the protocol even if some site never answers (it will have been declared
-// failed by then, or the timeout acts as a backstop); whatever retires the
-// round first stops it (retireAbcastLocked).
+// protocol immediately if there is nobody to wait for. The scan tick
+// completes the protocol at the round's deadline even if some site never
+// answers (it will have been declared failed by then, or the timeout acts as
+// a backstop).
 func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
 	if len(st.targets) == 0 {
 		d.mu.Lock()
@@ -496,21 +497,6 @@ func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
 		}
 		return
 	}
-	d.mu.Lock()
-	if d.pendingAb[st.id] == st && !d.closed {
-		st.watchdog = time.AfterFunc(d.cfg.CallTimeout, func() {
-			d.mu.Lock()
-			expired := d.pendingAb[st.id] == st && !st.done
-			if expired {
-				st.done = true
-			}
-			d.mu.Unlock()
-			if expired {
-				d.completeAbcast(st)
-			}
-		})
-	}
-	d.mu.Unlock()
 	// Phase 1 is marshalled once and shared by every remote member site
 	// (the target list is fixed once the round is set up).
 	if raw, err := encodePacket(ptData, pkt); err == nil {
@@ -521,17 +507,14 @@ func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
 }
 
 // retireAbcastLocked ends an initiator round on every path but the normal
-// completion's bookkeeping: the state leaves pendingAb, is marked done, and
-// its watchdog is stopped so a retired round (and the packet it holds) is
-// garbage at once rather than CallTimeout later. Caller holds d.mu.
+// completion's bookkeeping: the state leaves pendingAb and is marked done, so
+// a retired round (and the packet it holds) is garbage at once. Caller holds
+// d.mu.
 func (d *Daemon) retireAbcastLocked(st *abSendState) {
 	if d.pendingAb[st.id] == st {
 		delete(d.pendingAb, st.id)
 	}
 	st.done = true
-	if st.watchdog != nil {
-		st.watchdog.Stop()
-	}
 }
 
 // proposalInLocked records that site s answered phase 1 (or will never
@@ -718,6 +701,10 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
 // from the initiator's site first, rotating to the other member sites if the
 // initiator does not answer — so a slow or lost proposal round no longer
 // stalls the member until the next flush.
+//
+// Its tick is also the daemon's one clock: the deadlines of ABCAST rounds and
+// open flushes are read on it (no timer is armed for either), and the repair
+// table is kicked.
 func (d *Daemon) runResolicitScan() {
 	defer d.wg.Done()
 	interval := d.cfg.ResolicitAfter / 4
@@ -735,13 +722,15 @@ func (d *Daemon) runResolicitScan() {
 			return
 		case <-t.C:
 			d.resolicitStragglers()
-			d.kickRelayRepair()
-			d.kickMergeRetry()
+			d.repairs.kick()
 		}
 	}
 }
 
-// resolicitStragglers performs one scan round of runResolicitScan.
+// resolicitStragglers performs one scan round of runResolicitScan. Besides
+// the stragglers it completes an ABCAST round still waiting for proposals at
+// its deadline, and feeds inWatchdog to a copy whose flush has been open past
+// flushDeadline.
 func (d *Daemon) resolicitStragglers() {
 	type ask struct {
 		to  addr.SiteID
@@ -750,9 +739,24 @@ func (d *Daemon) resolicitStragglers() {
 	}
 	var asks []ask
 	var selfFix []*msg.Message
+	var expired []*abSendState
+	var released []parked
 	now := time.Now()
 	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
+	}
+	for _, st := range d.pendingAb {
+		if !st.done && !now.Before(st.deadline) {
+			st.done = true
+			expired = append(expired, st)
+		}
+	}
 	for gid, gs := range d.groups {
+		if gs.phase == phaseFlushing && !now.Before(gs.flushDeadline) {
+			released = append(released, d.step(gs, inWatchdog))
+		}
 		if gs.phase != phaseNormal {
 			continue
 		}
@@ -786,6 +790,12 @@ func (d *Daemon) resolicitStragglers() {
 		}
 	}
 	d.mu.Unlock()
+	for _, st := range expired {
+		d.completeAbcast(st)
+	}
+	for _, rel := range released {
+		d.redispatch(rel)
+	}
 	for _, c := range selfFix {
 		d.handleAbCommit(d.site, c)
 	}

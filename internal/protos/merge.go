@@ -51,10 +51,9 @@ func (d *Daemon) notifyPrimary(gid addr.Address, primary bool) {
 }
 
 // MergeGroup merges this site's non-primary copy of a group back into the
-// primary partition. Under MergeAuto the daemon calls it by itself when the
-// failure detector observes the partition healing; under MergeManual the
-// application decides when. Merging a group that is not in non-primary mode
-// is a no-op.
+// primary partition. The daemon does so by itself when the failure detector
+// observes the partition healing; an application may ask earlier. Merging a
+// group that is not in non-primary mode is a no-op.
 func (d *Daemon) MergeGroup(gid addr.Address) error {
 	return d.mergeGroup(gid.Base())
 }
@@ -161,15 +160,8 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 
 	var firstErr error
 	for _, r := range rejoins {
-		if err := d.rejoinMember(gid, r.proc, r.recv, r.inPrimary); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			// The local copy is gone and the rejoin exhausted its retries:
-			// without parking, this live process would stay unhosted until
-			// an application-level intervention. Recovery events and the
-			// periodic scan re-attempt parked rejoins.
-			d.parkRejoin(gid, r.proc, r.recv)
+		if err := d.rejoinOrPark(gid, r.proc, r.recv, r.inPrimary); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr == nil {
@@ -211,124 +203,49 @@ func (d *Daemon) rejoinMember(gid, proc addr.Address, recv func(block []byte, la
 	return fmt.Errorf("protos: merge rejoin of %v: %w", proc, err)
 }
 
-// parkKey identifies one parked rejoin: a member left unhosted after its
-// group copy was discarded by a merge whose rejoin phase failed.
-type parkKey struct {
-	gid  addr.Address
-	proc addr.Address
-}
-
-// parkedRejoin is the retained context of a failed rejoin.
-type parkedRejoin struct {
-	gid  addr.Address
-	proc addr.Address
-	recv func(block []byte, last bool)
-}
-
-// parkRejoin records a member whose merge rejoin exhausted its retries so a
-// later recovery event or scan tick can try again.
-func (d *Daemon) parkRejoin(gid, proc addr.Address, recv func(block []byte, last bool)) {
-	d.mu.Lock()
-	if !d.closed {
-		k := parkKey{gid: gid.Base(), proc: proc.Base()}
-		d.parkedMerges[k] = parkedRejoin{gid: k.gid, proc: k.proc, recv: recv}
-		d.bus.Publish(events.Event{Kind: events.MergePark, Group: k.gid, Detail: k.proc.String()})
+// rejoinOrPark rejoins one member and, if the rejoin exhausts its retries,
+// parks it as a repair: the local copy is gone (a merge discarded it, or a
+// failure view wrongly removed the member), so without parking this live
+// process would stay unhosted until an application-level intervention.
+// Recovery events and the periodic scan re-attempt parked rejoins.
+func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
+	err := d.rejoinMember(gid, proc, recv, listed)
+	if err != nil {
+		gid, proc := gid.Base(), proc.Base()
+		d.bus.Publish(events.Event{Kind: events.MergePark, Group: gid, Detail: proc.String()})
+		d.repairs.add(repairKey{gid: gid, proc: proc}, func() bool { return d.retryRejoin(gid, proc, recv) })
 	}
-	d.mu.Unlock()
+	return err
 }
 
 // PendingMerges returns the groups with members parked after a failed merge
 // rejoin, awaiting the automatic retry.
 func (d *Daemon) PendingMerges() []addr.Address {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seen := make(map[addr.Address]bool)
 	var gids []addr.Address
-	for k := range d.parkedMerges {
-		if !seen[k.gid] {
-			seen[k.gid] = true
+	for _, k := range d.repairs.filed() {
+		if k.seq == 0 && !slices.Contains(gids, k.gid) {
 			gids = append(gids, k.gid)
 		}
 	}
 	return gids
 }
 
-// kickMergeRetry re-attempts parked rejoins; called from the resolicit scan
-// tick so a primary that becomes reachable (or resumes from a total wedge)
-// without a fresh recovery event is still picked up.
-func (d *Daemon) kickMergeRetry() {
+// retryRejoin is the repair attempt of a parked rejoin. It reports whether
+// the entry is resolved: rejoined, already hosted, or moot.
+func (d *Daemon) retryRejoin(gid, proc addr.Address, recv func(block []byte, last bool)) (done bool) {
+	d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: gid, Detail: proc.String()})
 	d.mu.Lock()
-	pending := len(d.parkedMerges) > 0 && !d.retryingMerges && !d.closed
-	d.mu.Unlock()
-	if pending {
-		go d.retryParkedMerges()
-	}
-}
-
-// retryParkedMerges re-runs the rejoin protocol for every parked member. At
-// most one retry pass runs at a time; members that rejoin (or turn out to be
-// hosted again, or dead) are unparked, the rest stay for the next pass.
-func (d *Daemon) retryParkedMerges() {
-	d.mu.Lock()
-	if d.retryingMerges || d.closed || len(d.parkedMerges) == 0 {
-		d.mu.Unlock()
-		return
-	}
-	d.retryingMerges = true
-	parked := make([]parkedRejoin, 0, len(d.parkedMerges))
-	for _, p := range d.parkedMerges {
-		parked = append(parked, p)
-	}
-	d.mu.Unlock()
-
-	for _, p := range parked {
-		d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: p.gid, Detail: p.proc.String()})
-		done, notify := d.retryParkedRejoin(p)
-		if !done {
-			continue
-		}
-		d.mu.Lock()
-		delete(d.parkedMerges, parkKey{gid: p.gid, proc: p.proc})
-		last := true
-		for k := range d.parkedMerges {
-			if k.gid == p.gid {
-				last = false
-				break
-			}
-		}
-		d.mu.Unlock()
-		if notify && last {
-			// The group's merge is finally whole: deliver the primary-status
-			// transition the original merge withheld while rejoins failed.
-			d.notifyPrimary(p.gid, true)
-		}
-	}
-
-	d.mu.Lock()
-	d.retryingMerges = false
-	d.mu.Unlock()
-}
-
-// retryParkedRejoin re-attempts one parked rejoin. It reports whether the
-// entry is resolved (rejoined, already hosted, or moot) and whether the
-// resolution was an actual rejoin worth a primary-status notification.
-func (d *Daemon) retryParkedRejoin(p parkedRejoin) (done, notify bool) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return true, false
-	}
-	if lp, ok := d.procs[p.proc]; !ok || !lp.alive {
+	if lp, ok := d.procs[proc]; !ok || !lp.alive {
 		// The process died while parked; its membership died with it.
 		d.mu.Unlock()
-		return true, false
+		return true
 	}
-	if gs, ok := d.groups[p.gid]; ok {
-		if _, member := gs.members[p.proc]; member {
+	if gs, ok := d.groups[gid]; ok {
+		if _, member := gs.members[proc]; member {
 			// Hosted again — an earlier retry or an application-level join
 			// got there first.
 			d.mu.Unlock()
-			return true, false
+			return true
 		}
 	}
 	d.mu.Unlock()
@@ -336,14 +253,20 @@ func (d *Daemon) retryParkedRejoin(p parkedRejoin) (done, notify bool) {
 	// The membership listing must be re-evaluated against the primary's
 	// current view: the removal that was pending at park time may have
 	// committed (or not) since.
-	view, err := d.refreshView(p.gid)
+	view, err := d.refreshView(gid)
 	if err != nil {
-		return false, false
+		return false
 	}
-	if err := d.rejoinMember(p.gid, p.proc, p.recv, view.Contains(p.proc)); err != nil {
-		return false, false
+	if err := d.rejoinMember(gid, proc, recv, view.Contains(proc)); err != nil {
+		return false
 	}
-	return true, true
+	stillParked := func(k repairKey) bool { return k.seq == 0 && k.gid == gid && k.proc != proc }
+	if !slices.ContainsFunc(d.repairs.filed(), stillParked) {
+		// The group's merge is finally whole: deliver the primary-status
+		// transition the original merge withheld while rejoins failed.
+		d.notifyPrimary(gid, true)
+	}
+	return true
 }
 
 // groupSurvey is the outcome of polling every attached site for a group: a
@@ -448,17 +371,4 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 		d.requestRemoval(gid, unreached, gbFail, false)
 	}
 	return nil
-}
-
-// rejoinRemovedMember restores the membership of a local, live process that
-// a failure view wrongly removed (a stale suspicion that slipped past the
-// corroboration — e.g. the member's site was unreachable at prepare time
-// but its copy of the group never wedged). The member rejoins through the
-// ordinary join machinery, pulling fresh state if it has a receiver.
-func (d *Daemon) rejoinRemovedMember(gid addr.Address, proc addr.Address, recv func(block []byte, last bool)) {
-	if err := d.rejoinMember(gid, proc, recv, false); err != nil {
-		// Same exposure as a failed merge rejoin: the process is live but
-		// unhosted. Park it for the recovery-event / scan-tick retry.
-		d.parkRejoin(gid, proc, recv)
-	}
 }

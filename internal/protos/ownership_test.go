@@ -21,33 +21,20 @@ func pendingRounds(d *Daemon) []*abSendState {
 	return sts
 }
 
-// liveWatchdogs counts the rounds whose watchdog is still armed. Stop
-// reports whether the call disarmed the timer, so a false means somebody
-// stopped it before (the test is over long before the test cluster's 2 s
-// CallTimeout could fire one).
-func liveWatchdogs(sts []*abSendState) int {
-	live := 0
-	for _, st := range sts {
-		if st.watchdog != nil && st.watchdog.Stop() {
-			live++
-		}
-	}
-	return live
-}
-
-// TestAbcastWatchdogStopsWithItsRound is the un-stopped watchdog regression:
-// every ABCAST used to leave a CallTimeout timer behind that kept its send
-// state and packet reachable (and, after Close, the whole daemon) until it
-// fired. Rounds are held open by pausing the link the proposals come back
-// on, their states captured, and then every way a round ends must have
-// disarmed the timer.
+// TestAbcastWatchdogStopsWithItsRound is what is left of the un-stopped
+// watchdog regression: every ABCAST used to leave a CallTimeout timer behind
+// that kept its send state and packet reachable (and, after Close, the whole
+// daemon) until it fired. A round's deadline is now a field the scan tick
+// reads, so a round is reachable exactly as long as it is in pendingAb.
+// Rounds are held open by pausing the link the proposals come back on, and
+// then neither way a round ends may leave it there.
 func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
 	const rounds = 25
 	tc := newTestCluster(t, 2)
 	procs := buildGroup(t, tc, "watchdog", 1, 2)
 	gid := groupOf(t, tc, procs[0], "watchdog")
 	d := tc.daemons[1]
-	open := func(tag string) []*abSendState {
+	open := func(tag string) {
 		t.Helper()
 		// Brief enough that the failure detector never notices.
 		tc.net.PauseLink(2, 1)
@@ -56,38 +43,22 @@ func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sts := pendingRounds(d)
-		if len(sts) != rounds {
-			t.Fatalf("%d rounds open, want %d", len(sts), rounds)
+		if n := len(pendingRounds(d)); n != rounds {
+			t.Fatalf("%d rounds open, want %d", n, rounds)
 		}
-		for _, st := range sts {
-			d.mu.Lock()
-			armed := st.watchdog != nil
-			d.mu.Unlock()
-			if !armed {
-				t.Fatal("an open round has no watchdog")
-			}
-		}
-		return sts
 	}
 
 	// Normal completion.
-	sts := open("a")
+	open("a")
 	tc.net.ResumeLink(2, 1)
 	waitFor(t, "the rounds to complete", 5*time.Second, func() bool { return len(pendingRounds(d)) == 0 })
-	if live := liveWatchdogs(sts); live != 0 {
-		t.Errorf("%d of %d watchdogs still armed after their ABCASTs completed", live, rounds)
-	}
 	waitFor(t, "delivery everywhere", 5*time.Second, func() bool {
 		return procs[0].numMsgs() == rounds && procs[1].numMsgs() == rounds
 	})
 
 	// Close with rounds in flight.
-	sts = open("b")
+	open("b")
 	d.Close()
-	if live := liveWatchdogs(sts); live != 0 {
-		t.Errorf("%d of %d watchdogs still armed after Close", live, rounds)
-	}
 	if n := len(pendingRounds(d)); n != 0 {
 		t.Errorf("%d rounds still pending after Close", n)
 	}

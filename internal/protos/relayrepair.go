@@ -23,9 +23,10 @@ package protos
 //     refusal would have been, otherwise a null filler message (fNull) is
 //     relayed carrying the orphaned sequence number — it advances every
 //     receiver's expected sequence but is never handed to the application;
-//   - a filler whose own outcome is unknown parks the hole in d.relayHoles
-//     and the resolicit scan retries it; duplicate fillers are harmless
-//     because receivers drop external sequences below their expectation.
+//   - a filler whose own outcome is unknown leaves the hole filed in the
+//     repair table (repairs.go) and the scan tick retries it; duplicate
+//     fillers are harmless because receivers drop external sequences below
+//     their expectation.
 import (
 	"errors"
 	"fmt"
@@ -41,18 +42,6 @@ type lostRelay struct {
 	lp  *localProc
 	gid addr.Address
 	seq uint64
-}
-
-// relayHoleKey dedupes parked holes: at most one repair is outstanding per
-// consumed sequence number.
-type relayHoleKey struct {
-	proc addr.Address
-	gid  addr.Address
-	seq  uint64
-}
-
-func (lr lostRelay) key() relayHoleKey {
-	return relayHoleKey{proc: lr.lp.addr.Base(), gid: lr.gid, seq: lr.seq}
 }
 
 // maxLostRelays bounds the tracking table. Entries persist only for calls
@@ -118,59 +107,11 @@ func (d *Daemon) reconcileLostRelay(lr lostRelay, resp *msg.Message) {
 		// outcome would still be unknown and repairing would be wrong.
 		return
 	}
-	// A confirmed refusal: no receiver will ever consume the sequence.
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.relayHoles[lr.key()] = lr
-	d.mu.Unlock()
-	go d.repairRelayHoles()
-}
-
-// kickRelayRepair retries parked holes; called from the resolicit scan so a
-// filler lost to a coordinator crash is eventually re-sent.
-func (d *Daemon) kickRelayRepair() {
-	d.mu.Lock()
-	pending := len(d.relayHoles) > 0 && !d.repairingHoles && !d.closed
-	d.mu.Unlock()
-	if pending {
-		go d.repairRelayHoles()
-	}
-}
-
-// repairRelayHoles drains d.relayHoles. At most one drain runs at a time
-// (repairingHoles), so concurrent late refusals and scan ticks cannot race
-// two repairs of the same hole.
-func (d *Daemon) repairRelayHoles() {
-	d.mu.Lock()
-	if d.repairingHoles || d.closed || len(d.relayHoles) == 0 {
-		d.mu.Unlock()
-		return
-	}
-	d.repairingHoles = true
-	holes := make([]lostRelay, 0, len(d.relayHoles))
-	for _, lr := range d.relayHoles {
-		holes = append(holes, lr)
-	}
-	d.mu.Unlock()
-	for _, lr := range holes {
-		if d.repairRelayHole(lr) {
-			d.mu.Lock()
-			delete(d.relayHoles, lr.key())
-			d.mu.Unlock()
-		}
-	}
-	d.mu.Lock()
-	d.repairingHoles = false
-	more := len(d.relayHoles) > 0 && !d.closed
-	d.mu.Unlock()
-	if more {
-		// A refusal parked a new hole while this drain ran; the scan tick
-		// would get to it, but there is no reason to wait.
-		go d.repairRelayHoles()
-	}
+	// A confirmed refusal: no receiver will ever consume the sequence. At
+	// most one repair is filed per consumed sequence number, and the table's
+	// single drain keeps concurrent late refusals and scan ticks from racing
+	// two repairs of the same hole.
+	d.repairs.add(repairKey{gid: lr.gid, proc: lr.lp.addr.Base(), seq: lr.seq}, func() bool { return d.repairRelayHole(lr) })
 }
 
 // repairRelayHole resolves one confirmed-refused sequence number. Returns

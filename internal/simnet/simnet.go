@@ -113,19 +113,22 @@ type Stats struct {
 type Network struct {
 	cfg Config
 
-	mu           sync.Mutex
-	endpoints    map[SiteID]*Endpoint
-	links        map[linkKey]*link         // per-directed-link FIFO delivery queues
-	blocked      map[linkKey]bool          // injected partitions (packets dropped at send)
-	paused       map[linkKey]chan struct{} // injected pauses (packets held in order)
-	rng          *rand.Rand
-	stats        Stats
-	busy         map[SiteID]time.Duration
-	tracer       Tracer
-	linkWatch    map[uint64]func(LinkEvent)
-	linkWatchSeq uint64
-	closed       bool
-	done         chan struct{} // closed when the network shuts down
+	// Injected partitions and their watchers. A packet submitted on a
+	// severed pair is silently dropped at send, exactly as if the wire were
+	// unplugged; packets already in flight still arrive. The reliable
+	// transport retransmits across the outage, so Heal lets traffic resume.
+	netback.Faults
+
+	mu        sync.Mutex
+	endpoints map[SiteID]*Endpoint
+	links     map[linkKey]*link         // per-directed-link FIFO delivery queues
+	paused    map[linkKey]chan struct{} // injected pauses (packets held in order)
+	rng       *rand.Rand
+	stats     Stats
+	busy      map[SiteID]time.Duration
+	tracer    Tracer
+	closed    bool
+	done      chan struct{} // closed when the network shuts down
 }
 
 type linkKey struct{ from, to SiteID }
@@ -152,7 +155,6 @@ func New(cfg Config) *Network {
 		cfg:       cfg,
 		endpoints: make(map[SiteID]*Endpoint),
 		links:     make(map[linkKey]*link),
-		blocked:   make(map[linkKey]bool),
 		paused:    make(map[linkKey]chan struct{}),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		busy:      make(map[SiteID]time.Duration),
@@ -246,16 +248,6 @@ func (n *Network) BusyTime(id SiteID) time.Duration {
 	return n.busy[id]
 }
 
-// chargeBusy adds CPU time to a site's busy counter.
-func (n *Network) chargeBusy(id SiteID, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.mu.Lock()
-	n.busy[id] += d
-	n.mu.Unlock()
-}
-
 // Close detaches all sites and stops the per-link delivery goroutines.
 // Packets still queued on links are silently dropped.
 func (n *Network) Close() {
@@ -278,96 +270,17 @@ func (n *Network) Close() {
 // the protocols through coordinator crashes, lost flushes, and recovery.
 
 // LinkEvent reports an injected partition being installed (Up=false) or
-// healed (Up=true) on the undirected (A, B) link. Watchers registered with
-// WatchLinks receive one event per pair, not per direction. It aliases the
-// backend-neutral event type, so the simulated network satisfies
-// netback.LinkWatcher.
+// healed (Up=true) on an undirected link. It aliases the backend-neutral
+// event type.
 type LinkEvent = netback.LinkEvent
 
-// The simulated LAN is both a link watcher and a fault injector; partition
-// tests written against the netback capabilities run on it unchanged.
+// The simulated LAN is both a link watcher and a fault injector (through the
+// embedded netback.Faults); partition tests written against the netback
+// capabilities run on it unchanged.
 var (
 	_ netback.FaultInjector = (*Network)(nil)
 	_ netback.LinkWatcher   = (*Network)(nil)
 )
-
-// WatchLinks registers a callback invoked whenever a partition is injected
-// or healed, and returns a function that unregisters it. The protocols
-// daemon uses heal events to probe the peer immediately (an instant
-// heartbeat) so that the failure detector — and the partition-merge
-// machinery above it — reacts to the heal right away instead of waiting out
-// a heartbeat round trip, and unregisters on Close so retired daemons are
-// not kept alive by the network. Callbacks run outside the network's lock
-// but must still be quick.
-func (n *Network) WatchLinks(cb func(LinkEvent)) (cancel func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkWatchSeq++
-	id := n.linkWatchSeq
-	if n.linkWatch == nil {
-		n.linkWatch = make(map[uint64]func(LinkEvent))
-	}
-	n.linkWatch[id] = cb
-	return func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		delete(n.linkWatch, id)
-	}
-}
-
-// notifyLinks delivers a link event to every watcher. Caller must NOT hold
-// n.mu.
-func (n *Network) notifyLinks(ev LinkEvent) {
-	n.mu.Lock()
-	watchers := make([]func(LinkEvent), 0, len(n.linkWatch))
-	for _, w := range n.linkWatch {
-		watchers = append(watchers, w)
-	}
-	n.mu.Unlock()
-	for _, w := range watchers {
-		w(ev)
-	}
-}
-
-// Partition cuts both directions of the (a, b) link: packets submitted while
-// the partition is in place are silently dropped, exactly as if the wire
-// were unplugged. Packets already in flight still arrive. The reliable
-// transport retransmits across the outage, so Heal lets traffic resume.
-func (n *Network) Partition(a, b SiteID) {
-	n.mu.Lock()
-	n.blocked[linkKey{a, b}] = true
-	n.blocked[linkKey{b, a}] = true
-	n.mu.Unlock()
-	n.notifyLinks(LinkEvent{A: a, B: b, Up: false})
-}
-
-// Heal removes the partition between a and b.
-func (n *Network) Heal(a, b SiteID) {
-	n.mu.Lock()
-	_, was := n.blocked[linkKey{a, b}]
-	delete(n.blocked, linkKey{a, b})
-	delete(n.blocked, linkKey{b, a})
-	n.mu.Unlock()
-	if was {
-		n.notifyLinks(LinkEvent{A: a, B: b, Up: true})
-	}
-}
-
-// HealAll removes every injected partition.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	healed := make([]linkKey, 0, len(n.blocked))
-	for k := range n.blocked {
-		if k.from < k.to { // one event per undirected pair
-			healed = append(healed, k)
-		}
-	}
-	n.blocked = make(map[linkKey]bool)
-	n.mu.Unlock()
-	for _, k := range healed {
-		n.notifyLinks(LinkEvent{A: k.from, B: k.to, Up: true})
-	}
-}
 
 // PauseLink suspends delivery on the directed link from → to: packets
 // already in flight and packets sent while paused are held, in order, and
@@ -463,7 +376,7 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte) error {
 	n.busy[from] += n.cfg.SendCPU
 
 	// Injected partition: the wire is cut, the packet vanishes.
-	if n.blocked[linkKey{from, to}] {
+	if n.Blocked(from, to) {
 		n.stats.PacketsBlocked++
 		tr := n.tracer
 		n.mu.Unlock()

@@ -11,8 +11,8 @@
 // processed in arrival order unless the handler explicitly waited. Here each
 // task is a goroutine, and that ordering property is preserved by running
 // the tasks of each entry point sequentially (one worker per entry);
-// different entry points execute concurrently, and Run starts explicitly
-// concurrent work. A handler that blocks therefore delays only later
-// messages for its own entry, which matches how the toolkit's tools use
-// entries (one entry per tool or per replicated item).
+// different entry points execute concurrently. A handler that blocks
+// therefore delays only later messages for its own entry, which matches how
+// the toolkit's tools use entries (one entry per tool or per replicated
+// item).
 package task

@@ -3,7 +3,6 @@ package task
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/msg"
@@ -33,10 +32,6 @@ type Manager struct {
 	workers map[addr.EntryID]chan queued
 	closed  bool
 	done    chan struct{}
-
-	active sync.WaitGroup
-	nTasks int64
-	total  uint64
 }
 
 // queued is one message awaiting its entry worker.
@@ -64,14 +59,6 @@ func (g *Manager) BindEntry(e addr.EntryID, h Handler) {
 		return
 	}
 	g.entries[e] = h
-}
-
-// Bound reports whether an entry currently has a handler.
-func (g *Manager) Bound(e addr.EntryID) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.entries[e]
-	return ok
 }
 
 // AddFilter appends a filter to the chain.
@@ -119,9 +106,6 @@ func (g *Manager) Dispatch(entry addr.EntryID, m *msg.Message) error {
 		g.workers[entry] = w
 		go g.runEntryWorker(w)
 	}
-	g.active.Add(1)
-	g.nTasks++
-	g.total++
 	// Enqueue under the lock so queue order equals dispatch order.
 	select {
 	case w <- queued{h: h, m: m}:
@@ -130,10 +114,7 @@ func (g *Manager) Dispatch(entry addr.EntryID, m *msg.Message) error {
 		// The entry's queue is saturated: fall back to an unordered task
 		// rather than blocking the caller (which is the protocols process).
 		g.mu.Unlock()
-		go func() {
-			defer g.taskDone()
-			h(m)
-		}()
+		go h(m)
 	}
 	return nil
 }
@@ -144,86 +125,14 @@ func (g *Manager) runEntryWorker(w chan queued) {
 		select {
 		case q := <-w:
 			q.h(q.m)
-			g.taskDone()
 		case <-g.done:
-			// Drain whatever was enqueued before shutdown so WaitIdle
-			// callers are released.
-			for {
-				select {
-				case <-w:
-					g.taskDone()
-				default:
-					return
-				}
-			}
+			return
 		}
 	}
 }
 
-func (g *Manager) taskDone() {
-	g.mu.Lock()
-	g.nTasks--
-	g.mu.Unlock()
-	g.active.Done()
-}
-
-// Run executes fn as a tracked task without going through the entry table;
-// the toolkit uses it for internally generated work (e.g. monitor
-// callbacks) so that WaitIdle covers it too.
-func (g *Manager) Run(fn func()) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrClosed
-	}
-	g.active.Add(1)
-	g.nTasks++
-	g.total++
-	g.mu.Unlock()
-	go func() {
-		defer func() {
-			g.mu.Lock()
-			g.nTasks--
-			g.mu.Unlock()
-			g.active.Done()
-		}()
-		fn()
-	}()
-	return nil
-}
-
-// ActiveTasks returns the number of currently running tasks.
-func (g *Manager) ActiveTasks() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return int(g.nTasks)
-}
-
-// TotalTasks returns the number of tasks ever started.
-func (g *Manager) TotalTasks() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.total
-}
-
-// WaitIdle blocks until all running tasks finish or the timeout elapses,
-// and reports whether the manager became idle.
-func (g *Manager) WaitIdle(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		g.active.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-// Close stops the manager: subsequent Dispatch and Run calls fail. Running
-// tasks are allowed to finish; queued tasks are discarded.
+// Close stops the manager: subsequent Dispatch calls fail. Running tasks are
+// allowed to finish; queued tasks are discarded.
 func (g *Manager) Close() {
 	g.mu.Lock()
 	if !g.closed {

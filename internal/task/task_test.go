@@ -11,23 +11,28 @@ import (
 	"repro/internal/msg"
 )
 
+// recv returns what the handler under test sent, or fails the test after a
+// second.
+func recv[T any](t *testing.T, ch <-chan T) T {
+	t.Helper()
+	var v T
+	select {
+	case v = <-ch:
+	case <-time.After(time.Second):
+		t.Fatal("the handler did not run")
+	}
+	return v
+}
+
 func TestDispatchRunsHandler(t *testing.T) {
 	g := NewManager()
-	var got atomic.Int64
-	g.BindEntry(addr.EntryUserBase, func(m *msg.Message) {
-		got.Store(m.GetInt("x", 0))
-	})
+	got := make(chan int64, 1)
+	g.BindEntry(addr.EntryUserBase, func(m *msg.Message) { got <- m.GetInt("x", 0) })
 	if err := g.Dispatch(addr.EntryUserBase, msg.New().PutInt("x", 7)); err != nil {
 		t.Fatal(err)
 	}
-	if !g.WaitIdle(time.Second) {
-		t.Fatal("tasks did not drain")
-	}
-	if got.Load() != 7 {
-		t.Errorf("handler saw x = %d", got.Load())
-	}
-	if g.TotalTasks() != 1 {
-		t.Errorf("TotalTasks = %d", g.TotalTasks())
+	if x := recv(t, got); x != 7 {
+		t.Errorf("handler saw x = %d", x)
 	}
 }
 
@@ -42,34 +47,30 @@ func TestDispatchNoEntry(t *testing.T) {
 func TestBindNilUnbinds(t *testing.T) {
 	g := NewManager()
 	g.BindEntry(5, func(*msg.Message) {})
-	if !g.Bound(5) {
-		t.Fatal("entry not bound")
+	if err := g.Dispatch(5, msg.New()); err != nil {
+		t.Fatalf("entry not bound: %v", err)
 	}
 	g.BindEntry(5, nil)
-	if g.Bound(5) {
-		t.Fatal("entry still bound after nil bind")
-	}
 	if err := g.Dispatch(5, msg.New()); !errors.Is(err, ErrNoEntry) {
-		t.Errorf("err = %v", err)
+		t.Errorf("after nil bind err = %v", err)
 	}
 }
 
 func TestRebindReplacesHandler(t *testing.T) {
 	g := NewManager()
-	var first, second atomic.Int64
-	g.BindEntry(1, func(*msg.Message) { first.Add(1) })
-	g.BindEntry(1, func(*msg.Message) { second.Add(1) })
+	ran := make(chan string, 2)
+	g.BindEntry(1, func(*msg.Message) { ran <- "first" })
+	g.BindEntry(1, func(*msg.Message) { ran <- "second" })
 	_ = g.Dispatch(1, msg.New())
-	g.WaitIdle(time.Second)
-	if first.Load() != 0 || second.Load() != 1 {
-		t.Errorf("first=%d second=%d", first.Load(), second.Load())
+	if who := recv(t, ran); who != "second" {
+		t.Errorf("the %s binding ran", who)
 	}
 }
 
 func TestFilterDropsMessage(t *testing.T) {
 	g := NewManager()
-	var ran atomic.Int64
-	g.BindEntry(1, func(*msg.Message) { ran.Add(1) })
+	ran := make(chan string, 2)
+	g.BindEntry(1, func(m *msg.Message) { ran <- m.GetString("allowed", "") })
 	g.AddFilter(func(e addr.EntryID, m *msg.Message) bool {
 		return m.GetString("allowed", "") == "yes"
 	})
@@ -79,9 +80,10 @@ func TestFilterDropsMessage(t *testing.T) {
 	if err := g.Dispatch(1, msg.New().PutString("allowed", "yes")); err != nil {
 		t.Fatal(err)
 	}
-	g.WaitIdle(time.Second)
-	if ran.Load() != 1 {
-		t.Errorf("handler ran %d times, want 1", ran.Load())
+	// One entry runs its tasks in dispatch order: had the first message got
+	// through, it would be here first.
+	if got := recv(t, ran); got != "yes" {
+		t.Errorf("the handler ran for the message the filter dropped (allowed=%q)", got)
 	}
 }
 
@@ -154,16 +156,7 @@ func TestConcurrentTasksAcrossEntries(t *testing.T) {
 			t.Fatalf("only %d tasks started concurrently", i)
 		}
 	}
-	if g.ActiveTasks() != 10 {
-		t.Errorf("ActiveTasks = %d", g.ActiveTasks())
-	}
 	close(release)
-	if !g.WaitIdle(time.Second) {
-		t.Fatal("tasks did not drain")
-	}
-	if g.ActiveTasks() != 0 {
-		t.Errorf("ActiveTasks after drain = %d", g.ActiveTasks())
-	}
 }
 
 func TestSameEntryTasksRunInDispatchOrder(t *testing.T) {
@@ -172,30 +165,17 @@ func TestSameEntryTasksRunInDispatchOrder(t *testing.T) {
 	// is what lets the replicated-data tool apply ABCAST updates in the
 	// delivery order.
 	g := NewManager()
-	var mu sync.Mutex
-	var order []int64
-	g.BindEntry(1, func(m *msg.Message) {
-		mu.Lock()
-		order = append(order, m.GetInt("i", -1))
-		mu.Unlock()
-	})
 	const k = 200
+	order := make(chan int64, k)
+	g.BindEntry(1, func(m *msg.Message) { order <- m.GetInt("i", -1) })
 	for i := 0; i < k; i++ {
 		if err := g.Dispatch(1, msg.New().PutInt("i", int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !g.WaitIdle(5 * time.Second) {
-		t.Fatal("tasks did not drain")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != k {
-		t.Fatalf("ran %d tasks, want %d", len(order), k)
-	}
-	for i, v := range order {
-		if v != int64(i) {
-			t.Fatalf("order violated at %d: %v", i, order[:i+1])
+	for i := 0; i < k; i++ {
+		if v := recv(t, order); v != int64(i) {
+			t.Fatalf("task %d ran in place %d", v, i)
 		}
 	}
 }
@@ -203,32 +183,13 @@ func TestSameEntryTasksRunInDispatchOrder(t *testing.T) {
 func TestBlockedEntryDoesNotStallOtherEntries(t *testing.T) {
 	g := NewManager()
 	block := make(chan struct{})
+	defer close(block)
 	g.BindEntry(1, func(*msg.Message) { <-block })
-	var ran atomic.Bool
-	g.BindEntry(2, func(*msg.Message) { ran.Store(true) })
+	ran := make(chan struct{}, 1)
+	g.BindEntry(2, func(*msg.Message) { ran <- struct{}{} })
 	_ = g.Dispatch(1, msg.New())
 	_ = g.Dispatch(2, msg.New())
-	deadline := time.Now().Add(time.Second)
-	for !ran.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !ran.Load() {
-		t.Fatal("a blocked entry stalled an unrelated entry")
-	}
-	close(block)
-	g.WaitIdle(time.Second)
-}
-
-func TestRun(t *testing.T) {
-	g := NewManager()
-	var ran atomic.Bool
-	if err := g.Run(func() { ran.Store(true) }); err != nil {
-		t.Fatal(err)
-	}
-	g.WaitIdle(time.Second)
-	if !ran.Load() {
-		t.Error("Run did not execute the function")
-	}
+	recv(t, ran) // fails if the blocked entry stalled the unrelated one
 }
 
 func TestCloseRejectsNewWork(t *testing.T) {
@@ -237,22 +198,5 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	g.Close()
 	if err := g.Dispatch(1, msg.New()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Dispatch after close = %v", err)
-	}
-	if err := g.Run(func() {}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Run after close = %v", err)
-	}
-}
-
-func TestWaitIdleTimeout(t *testing.T) {
-	g := NewManager()
-	block := make(chan struct{})
-	g.BindEntry(1, func(*msg.Message) { <-block })
-	_ = g.Dispatch(1, msg.New())
-	if g.WaitIdle(20 * time.Millisecond) {
-		t.Error("WaitIdle returned true while a task was blocked")
-	}
-	close(block)
-	if !g.WaitIdle(time.Second) {
-		t.Error("WaitIdle timed out after the task unblocked")
 	}
 }

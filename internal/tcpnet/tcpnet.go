@@ -87,7 +87,8 @@ type Stats struct {
 }
 
 // The TCP fabric supports the same injected-partition capabilities as the
-// simulated LAN, so partition tests run against either backend.
+// simulated LAN (through the embedded netback.Faults), so partition tests
+// run against either backend.
 var (
 	_ netback.FaultInjector = (*Network)(nil)
 	_ netback.LinkWatcher   = (*Network)(nil)
@@ -100,13 +101,19 @@ var (
 type Network struct {
 	cfg Config
 
-	mu        sync.Mutex
-	addrs     map[SiteID]string
-	eps       map[SiteID]*Endpoint
-	blocked   map[[2]SiteID]bool // severed undirected pairs (fault injection)
-	watchers  map[int]func(netback.LinkEvent)
-	nextWatch int
-	closed    bool
+	// Injected partitions and their watchers. Frames between a severed pair
+	// are dropped at both the sender (never queued) and the receiver
+	// (connections established before the cut keep carrying frames, which
+	// are discarded on arrival). The TCP connections themselves are left
+	// alone — a real partition does not reset established sockets promptly
+	// either; the failure detector, not the socket layer, is what notices
+	// the outage.
+	netback.Faults
+
+	mu     sync.Mutex
+	addrs  map[SiteID]string
+	eps    map[SiteID]*Endpoint
+	closed bool
 
 	framesSent    atomic.Uint64
 	framesDropped atomic.Uint64
@@ -120,88 +127,9 @@ type Network struct {
 // New creates an empty TCP fabric.
 func New(cfg Config) *Network {
 	return &Network{
-		cfg:      cfg.withDefaults(),
-		addrs:    make(map[SiteID]string),
-		eps:      make(map[SiteID]*Endpoint),
-		blocked:  make(map[[2]SiteID]bool),
-		watchers: make(map[int]func(netback.LinkEvent)),
-	}
-}
-
-// pairKey normalizes an undirected site pair.
-func pairKey(a, b SiteID) [2]SiteID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]SiteID{a, b}
-}
-
-// Partition severs the undirected link between two sites: frames between
-// them are dropped at both the sender (never queued) and the receiver
-// (connections established before the cut keep carrying frames, which are
-// discarded on arrival). The TCP connections themselves are left alone —
-// a real partition does not reset established sockets promptly either; the
-// failure detector, not the socket layer, is what notices the outage.
-func (n *Network) Partition(a, b SiteID) { n.setBlocked(a, b, true) }
-
-// Heal restores the undirected link between two sites.
-func (n *Network) Heal(a, b SiteID) { n.setBlocked(a, b, false) }
-
-// HealAll restores every severed link.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	pairs := make([][2]SiteID, 0, len(n.blocked))
-	for k := range n.blocked {
-		pairs = append(pairs, k)
-	}
-	n.mu.Unlock()
-	for _, k := range pairs {
-		n.setBlocked(k[0], k[1], false)
-	}
-}
-
-func (n *Network) setBlocked(a, b SiteID, down bool) {
-	k := pairKey(a, b)
-	n.mu.Lock()
-	was := n.blocked[k]
-	if down == was {
-		n.mu.Unlock()
-		return
-	}
-	if down {
-		n.blocked[k] = true
-	} else {
-		delete(n.blocked, k)
-	}
-	cbs := make([]func(netback.LinkEvent), 0, len(n.watchers))
-	for _, cb := range n.watchers {
-		cbs = append(cbs, cb)
-	}
-	n.mu.Unlock()
-	ev := netback.LinkEvent{A: k[0], B: k[1], Up: !down}
-	for _, cb := range cbs {
-		cb(ev)
-	}
-}
-
-func (n *Network) isBlocked(a, b SiteID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.blocked[pairKey(a, b)]
-}
-
-// WatchLinks registers a callback invoked on every injected link transition
-// and returns a function that unregisters it (netback.LinkWatcher).
-func (n *Network) WatchLinks(cb func(netback.LinkEvent)) (cancel func()) {
-	n.mu.Lock()
-	n.nextWatch++
-	id := n.nextWatch
-	n.watchers[id] = cb
-	n.mu.Unlock()
-	return func() {
-		n.mu.Lock()
-		delete(n.watchers, id)
-		n.mu.Unlock()
+		cfg:   cfg.withDefaults(),
+		addrs: make(map[SiteID]string),
+		eps:   make(map[SiteID]*Endpoint),
 	}
 }
 
@@ -381,7 +309,7 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 	}
 	e.mu.Unlock()
 
-	if e.net.isBlocked(e.id, to) {
+	if e.net.Blocked(e.id, to) {
 		// Injected partition: drop at the source, like a lost datagram.
 		e.net.framesDropped.Add(1)
 		return nil
@@ -670,7 +598,7 @@ func (e *Endpoint) runReader(p *peer, c net.Conn) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			break
 		}
-		if e.net.isBlocked(e.id, p.id) {
+		if e.net.Blocked(e.id, p.id) {
 			// Injected partition: frames already in flight on a connection
 			// established before the cut are discarded on arrival.
 			e.net.framesDropped.Add(1)

@@ -59,9 +59,6 @@ type (
 	Protocol = protos.Protocol
 	// Counters tallies protocol activity (used by the benchmark harness).
 	Counters = protos.Counters
-	// MergePolicy selects how the cluster handles network partitions (the
-	// primary-partition rule and the merge trigger).
-	MergePolicy = protos.MergePolicy
 	// Event is one operational event from a site's event stream.
 	Event = events.Event
 	// EventKind classifies an operational event.
@@ -137,20 +134,6 @@ const (
 	EntryConfig        = addr.EntryConfig
 	EntryNews          = addr.EntryNews
 	EntryUserBase      = addr.EntryUserBase
-)
-
-// Partition-handling policies (ClusterConfig.Merge).
-const (
-	// MergeAuto enforces the primary-partition rule and merges a minority
-	// partition back automatically once it heals. The default.
-	MergeAuto = protos.MergeAuto
-	// MergeManual enforces the primary-partition rule but leaves the merge
-	// to the application (Site.MergeGroup).
-	MergeManual = protos.MergeManual
-	// MergeNone disables the primary-partition rule: the paper's original
-	// crash-only fault model, in which a partitioned minority forms a
-	// split-brain view and recovers by restarting.
-	MergeNone = protos.MergeNone
 )
 
 // ErrNonPrimary is returned by writes (Cast, Join, Leave, group creation

@@ -474,6 +474,21 @@ func TestCastWaitsForRepliesAcrossMemberFailure(t *testing.T) {
 	}
 }
 
+// TestViewChangeWakesWaitingCast pins the wake-up collectReplies documents: a
+// view delivered to the process nudges every Cast that is waiting, so a
+// failed destination is recounted at the view change and not at the next
+// recheck tick.
+func TestViewChangeWakesWaitingCast(t *testing.T) {
+	call := &pendingCall{wake: make(chan struct{}, 1)}
+	p := &Process{pending: map[int64]*pendingCall{1: call}}
+	p.onView(View{})
+	select {
+	case <-call.wake:
+	default:
+		t.Error("a view change left the waiting Cast asleep")
+	}
+}
+
 func TestFlushFromPublicAPI(t *testing.T) {
 	c := newTestCluster(t, 2)
 	members, gid := echoService(t, c, "flushable", 1, 2)

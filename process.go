@@ -38,15 +38,23 @@ type Process struct {
 	monitors    map[Address]map[int]func(View)
 	nextMonitor int
 	lastViews   map[Address]View
-	providers   map[Address]func() [][]byte
 }
 
 // pendingCall tracks one Cast waiting for replies. The process's mu guards
-// the two lists; wake nudges the waiting Cast after a reply was recorded.
+// the two lists; wake nudges the waiting Cast after a reply was recorded or a
+// view installed.
 type pendingCall struct {
 	replies   []*Message // normal replies, in arrival order
 	responded []Address  // every destination heard from, normally or with a null reply
 	wake      chan struct{}
+}
+
+// nudge wakes the waiting Cast; one pending wake-up is enough.
+func (c *pendingCall) nudge() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
 }
 
 // record files a reply under p.mu and reports whether it was the first from
@@ -120,10 +128,7 @@ func (p *Process) onDeliver(entry EntryID, m *Message) {
 	if m.Has(msg.FReply) {
 		p.mu.Lock()
 		if call := p.pending[m.Session()]; call != nil && call.record(m) {
-			select {
-			case call.wake <- struct{}{}:
-			default: // one pending wake-up is enough
-			}
+			call.nudge()
 		}
 		p.mu.Unlock()
 		return
@@ -139,6 +144,10 @@ func (p *Process) onView(v View) {
 		p.lastViews = make(map[Address]View)
 	}
 	p.lastViews[v.Group] = v
+	// A destination some waiting Cast counts on may be gone with this view.
+	for _, call := range p.pending {
+		call.nudge()
+	}
 	ids := make([]int, 0, len(p.monitors[v.Group]))
 	for id := range p.monitors[v.Group] {
 		ids = append(ids, id)
@@ -173,9 +182,6 @@ func (p *Process) Lookup(name string) (Address, error) {
 
 // JoinOptions configures Join.
 type JoinOptions struct {
-	// Credentials are presented to the group's join-validation routine, if
-	// the protection tool has installed one.
-	Credentials string
 	// StateReceiver, when non-nil, requests a state transfer from the
 	// group's oldest member (join_and_xfer); the callback receives the
 	// state blocks, the last one flagged with last=true. Deliveries to the
@@ -271,9 +277,6 @@ func (p *Process) CurrentView(gid Address) (View, bool) {
 // the group state when another process joins with a state transfer. Only
 // the group's oldest member is asked to provide state.
 func (p *Process) SetStateProvider(gid Address, provider func() [][]byte) error {
-	p.mu.Lock()
-	p.providers[gid.Base()] = provider
-	p.mu.Unlock()
 	return p.site.daemon.SetStateProvider(p.addr, gid, provider)
 }
 
@@ -308,6 +311,5 @@ func toProtosJoin(opts JoinOptions) protos.JoinOptions {
 	return protos.JoinOptions{
 		WantState:     opts.StateReceiver != nil,
 		StateReceiver: opts.StateReceiver,
-		Credentials:   opts.Credentials,
 	}
 }
