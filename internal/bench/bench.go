@@ -121,61 +121,60 @@ func RunTable1() ([]Table1Row, error) {
 	defer env.cluster.Close()
 
 	var rows []Table1Row
-	add := func(tool, op, paper string, c isis.Counters) {
+	var failed error
+	// row measures one routine and adds its line to the table. The first
+	// routine that fails ends the table: the rows after it are skipped and
+	// RunTable1 returns the error, naming the row — a failed call has no
+	// counters, and a row of zeros would read as "no cost".
+	row := func(tool, op, paper string, call func() error) {
+		if failed != nil {
+			return
+		}
+		c, err := env.measure(call)
+		if err != nil {
+			failed = fmt.Errorf("bench: table 1 row %q: %w", op, err)
+			return
+		}
 		rows = append(rows, Table1Row{Tool: tool, Operation: op,
 			CBCASTs: c.CBCASTs, ABCASTs: c.ABCASTs, GBCASTs: c.GBCASTs, P2P: c.PointToPoints,
 			PaperCost: paper})
 	}
 
 	// Group RPC: bc_mcast collecting one reply; the reply itself.
-	c, err := env.measure(func() error {
+	row("group RPC", "bc_mcast(dests,msg,1 reply)", "multicast + collect replies", func() error {
 		_, err := env.client.Query(isis.CBCAST, []isis.Address{env.gid}, entryEcho, isis.Text("q"))
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	add("group RPC", "bc_mcast(dests,msg,1 reply)", "multicast + collect replies", c)
-
-	c, _ = env.measure(func() error {
+	row("group RPC", "reply(msg,answ)", "1 async CBCAST", func() error {
 		_, err := env.members[0].Cast(isis.CBCAST, []isis.Address{env.client.Address()}, entryEcho, isis.Text("r"))
 		return err
 	})
-	add("group RPC", "reply(msg,answ)", "1 async CBCAST", c)
 
 	// Process groups.
 	var tempGid isis.Address
-	c, _ = env.measure(func() error {
+	row("process groups", "pg_create", "1 local RPC", func() error {
 		v, err := env.members[0].CreateGroup("table1-temp")
 		tempGid = v.Group
 		return err
 	})
-	add("process groups", "pg_create", "1 local RPC", c)
-
-	c, _ = env.measure(func() error {
+	row("process groups", "pg_lookup", "1 local RPC (+1 query when remote)", func() error {
 		_, err := env.client.Lookup("table1-temp")
 		return err
 	})
-	add("process groups", "pg_lookup", "1 local RPC (+1 query when remote)", c)
-
 	joiner, _ := env.cluster.Site(2).Spawn()
-	c, _ = env.measure(func() error {
+	row("process groups", "pg_join", "1 CBCAST, 1 pg_addmember, 1 reply (GBCAST here)", func() error {
 		_, err := joiner.Join(tempGid, isis.JoinOptions{})
 		return err
 	})
-	add("process groups", "pg_join", "1 CBCAST, 1 pg_addmember, 1 reply (GBCAST here)", c)
-
-	c, _ = env.measure(func() error { return joiner.Leave(tempGid) })
-	add("process groups", "pg_leave", "1 GBCAST", c)
+	row("process groups", "pg_leave", "1 GBCAST", func() error { return joiner.Leave(tempGid) })
 
 	// State transfer: join_and_xfer.
 	_ = statexfer.Provide(env.members[0], env.gid, 0, func() []byte { return []byte("state") })
 	xferJoiner, _ := env.cluster.Site(4).Spawn()
-	c, _ = env.measure(func() error {
+	row("state transfer", "join_and_xfer", "1 GBCAST + transfer", func() error {
 		_, err := statexfer.JoinWithState(xferJoiner, env.gid, 5*time.Second, nil)
 		return err
 	})
-	add("state transfer", "join_and_xfer", "1 GBCAST + transfer", c)
 	_ = xferJoiner.Leave(env.gid)
 	time.Sleep(50 * time.Millisecond)
 
@@ -188,11 +187,10 @@ func RunTable1() ([]Table1Row, error) {
 			tool.Handle(req, plist, func(*isis.Message) *isis.Message { return isis.Text("done") }, nil)
 		})
 	}
-	c, _ = env.measure(func() error {
+	row("coordinator-cohort", "coord_cohort(...)", "request + reply + cohort copy", func() error {
 		_, err := env.client.Query(isis.CBCAST, []isis.Address{env.gid}, entryCC, isis.Text("work"))
 		return err
 	})
-	add("coordinator-cohort", "coord_cohort(...)", "request + reply + cohort copy", c)
 
 	// Replicated data.
 	items := make([]*replica.Item, len(env.members))
@@ -203,49 +201,46 @@ func RunTable1() ([]Table1Row, error) {
 			func(*isis.Message) *isis.Message { return isis.NewMessage().PutInt("v", v) },
 			replica.Options{Mode: replica.Causal, Entry: isis.EntryUserBase + 7})
 	}
-	c, _ = env.measure(func() error { return items[0].Update(isis.NewMessage().PutInt("d", 1)) })
-	add("replicated data", "update (async mode)", "1 async CBCAST or 1 ABCAST", c)
-	c, _ = env.measure(func() error { _, err := items[0].ReadLocal(isis.NewMessage()); return err })
-	add("replicated data", "read (by manager)", "no cost", c)
+	row("replicated data", "update (async mode)", "1 async CBCAST or 1 ABCAST",
+		func() error { return items[0].Update(isis.NewMessage().PutInt("d", 1)) })
+	row("replicated data", "read (by manager)", "no cost",
+		func() error { _, err := items[0].ReadLocal(isis.NewMessage()); return err })
 	rc := replica.NewClient(env.client, env.gid, "bench-item", isis.EntryUserBase+7, replica.Causal)
-	c, _ = env.measure(func() error { _, err := rc.Read(isis.NewMessage()); return err })
-	add("replicated data", "read (by other client)", "CBCAST + 1 reply", c)
+	row("replicated data", "read (by other client)", "CBCAST + 1 reply",
+		func() error { _, err := rc.Read(isis.NewMessage()); return err })
 
 	// Synchronization (replicated semaphore).
 	for _, m := range env.members {
 		sema.NewManager(m, env.gid, "bench-sem", sema.Options{Entry: isis.EntryUserBase + 8})
 	}
 	sc := sema.NewClient(env.client, env.gid, "bench-sem", isis.EntryUserBase+8)
-	c, _ = env.measure(func() error { return sc.P() })
-	add("synchronization", "P(gid,name)", "1 ABCAST, replies", c)
-	c, _ = env.measure(func() error { return sc.V() })
-	add("synchronization", "V(gid,name)", "1 async CBCAST (ABCAST here)", c)
+	row("synchronization", "P(gid,name)", "1 ABCAST, replies", sc.P)
+	row("synchronization", "V(gid,name)", "1 async CBCAST (ABCAST here)", sc.V)
 
 	// Configuration tool.
 	cfgTools := make([]*config.Tool, len(env.members))
 	for i, m := range env.members {
 		cfgTools[i] = config.New(m, env.gid)
 	}
-	c, _ = env.measure(func() error { return cfgTools[0].Update("k", []byte("v")) })
-	add("configuration", "conf_update(item,value)", "1 GBCAST", c)
-	c, _ = env.measure(func() error { cfgTools[0].Read("k"); return nil })
-	add("configuration", "conf_read(item)", "no cost", c)
+	row("configuration", "conf_update(item,value)", "1 GBCAST",
+		func() error { return cfgTools[0].Update("k", []byte("v")) })
+	row("configuration", "conf_read(item)", "no cost", func() error { cfgTools[0].Read("k"); return nil })
 
 	// News service.
 	newsHost, _ := env.cluster.Site(1).Spawn()
 	if _, err := news.StartServer(newsHost); err != nil {
-		return rows, nil
+		return rows, failed
 	}
 	sub, err := news.NewClient(env.client)
 	if err != nil {
-		return rows, nil
+		return rows, failed
 	}
-	c, _ = env.measure(func() error { return sub.Subscribe("bench", func(news.Posting) {}) })
-	add("news", "subscribe(subject)", "1 local RPC per posting (enrol: 1 mcast)", c)
-	c, _ = env.measure(func() error { return sub.Post("bench", "hello", nil) })
-	add("news", "post_news(subject)", "1 async CBCAST or ABCAST", c)
+	row("news", "subscribe(subject)", "1 local RPC per posting (enrol: 1 mcast)",
+		func() error { return sub.Subscribe("bench", func(news.Posting) {}) })
+	row("news", "post_news(subject)", "1 async CBCAST or ABCAST",
+		func() error { return sub.Post("bench", "hello", nil) })
 
-	return rows, nil
+	return rows, failed
 }
 
 // FormatTable1 renders the rows as a text table.

@@ -3,21 +3,18 @@ package core
 import (
 	"sort"
 
-	"repro/internal/addr"
 	"repro/internal/vclock"
 )
 
 // CausalIncoming is one CBCAST as seen by a receiving member: the message
-// identifier, the rank of the sender in the view the message was sent in
-// (-1 when the sender is not a group member), the sender's vector timestamp
-// (ranked senders) or per-sender sequence number (external senders), and the
-// opaque payload the protocols process will eventually hand to the
-// application.
+// identifier, the rank in the view the message was sent in of the member that
+// stamped it (the sender, or for a non-member's cast the member that relayed
+// it), that member's vector timestamp, and the opaque payload the protocols
+// process will eventually hand to the application.
 type CausalIncoming struct {
 	ID         MsgID
 	SenderRank int
 	VT         vclock.VC
-	Seq        uint64
 	Payload    any
 }
 
@@ -34,23 +31,15 @@ type CausalQueue struct {
 	selfRank int
 	vc       vclock.VC
 
-	pending []CausalIncoming // messages from ranked senders, not yet deliverable
-
-	// External (non-member) senders get FIFO ordering: the queue tracks the
-	// next expected sequence number per sender and buffers out-of-order
-	// arrivals. This state survives view changes.
-	extNext    map[addr.Address]uint64
-	extPending map[addr.Address]map[uint64]CausalIncoming
+	pending []CausalIncoming // not yet deliverable
 }
 
 // NewCausalQueue creates the receiver state for a member with the given rank
 // in a view of the given size.
 func NewCausalQueue(selfRank, viewSize int) *CausalQueue {
 	return &CausalQueue{
-		selfRank:   selfRank,
-		vc:         vclock.New(viewSize),
-		extNext:    make(map[addr.Address]uint64),
-		extPending: make(map[addr.Address]map[uint64]CausalIncoming),
+		selfRank: selfRank,
+		vc:       vclock.New(viewSize),
 	}
 }
 
@@ -74,44 +63,11 @@ func (q *CausalQueue) PrepareSend() vclock.VC {
 // Messages from the member itself are ignored (they were delivered at send
 // time).
 func (q *CausalQueue) Receive(in CausalIncoming) []CausalIncoming {
-	if in.SenderRank == q.selfRank && in.SenderRank >= 0 {
+	if in.SenderRank == q.selfRank {
 		return nil
-	}
-	if in.SenderRank < 0 {
-		return q.receiveExternal(in)
 	}
 	q.pending = append(q.pending, in)
 	return q.drain()
-}
-
-// receiveExternal handles FIFO ordering for non-member senders.
-func (q *CausalQueue) receiveExternal(in CausalIncoming) []CausalIncoming {
-	sender := in.ID.Sender.Base()
-	next, ok := q.extNext[sender]
-	if !ok {
-		next = 1
-		q.extNext[sender] = 1
-	}
-	if in.Seq < next {
-		return nil // duplicate
-	}
-	buf := q.extPending[sender]
-	if buf == nil {
-		buf = make(map[uint64]CausalIncoming)
-		q.extPending[sender] = buf
-	}
-	buf[in.Seq] = in
-	var out []CausalIncoming
-	for {
-		m, ok := buf[q.extNext[sender]]
-		if !ok {
-			break
-		}
-		delete(buf, q.extNext[sender])
-		q.extNext[sender]++
-		out = append(out, m)
-	}
-	return out
 }
 
 // drain repeatedly scans the pending buffer for deliverable messages until
@@ -136,8 +92,8 @@ func (q *CausalQueue) drain() []CausalIncoming {
 	}
 }
 
-// Pending returns the messages from ranked senders that are buffered but not
-// yet deliverable, sorted by message id. The GBCAST flush collects these for
+// Pending returns the messages that are buffered but not yet deliverable,
+// sorted by message id. The GBCAST flush collects these for
 // reconciliation during a view change.
 func (q *CausalQueue) Pending() []CausalIncoming {
 	out := append([]CausalIncoming(nil), q.pending...)
@@ -145,8 +101,7 @@ func (q *CausalQueue) Pending() []CausalIncoming {
 	return out
 }
 
-// PendingCount returns the number of buffered, undeliverable messages from
-// ranked senders.
+// PendingCount returns the number of buffered, undeliverable messages.
 func (q *CausalQueue) PendingCount() int { return len(q.pending) }
 
 // InstallView resets the per-view state for a new view in which the member

@@ -105,31 +105,6 @@ func TestOwnMessagesAreSkipped(t *testing.T) {
 	}
 }
 
-func TestExternalSenderFIFO(t *testing.T) {
-	q := NewCausalQueue(0, 2)
-	ext := addr.NewProcess(9, 0, 99)
-	mk := func(seq uint64, pay string) CausalIncoming {
-		return CausalIncoming{ID: MsgID{Sender: ext, Seq: seq}, SenderRank: -1, Seq: seq, Payload: pay}
-	}
-	if out := q.Receive(mk(2, "second")); len(out) != 0 {
-		t.Fatal("out-of-order external message delivered early")
-	}
-	out := q.Receive(mk(1, "first"))
-	if len(out) != 2 || out[0].Payload != "first" || out[1].Payload != "second" {
-		t.Fatalf("external FIFO violated: %v", out)
-	}
-	// Duplicate of an already-delivered message is dropped.
-	if out := q.Receive(mk(1, "dup")); len(out) != 0 {
-		t.Errorf("duplicate external message delivered: %v", out)
-	}
-	// Two distinct external senders are independent.
-	ext2 := addr.NewProcess(8, 0, 88)
-	out = q.Receive(CausalIncoming{ID: MsgID{Sender: ext2, Seq: 1}, SenderRank: -1, Seq: 1, Payload: "other"})
-	if len(out) != 1 {
-		t.Errorf("independent external sender blocked: %v", out)
-	}
-}
-
 func TestInstallViewResetsState(t *testing.T) {
 	q := NewCausalQueue(1, 3)
 	// Buffer an undeliverable message (depends on an unseen one).

@@ -2,8 +2,7 @@
 // site-local record of the protocol decisions that an operator (or a fault
 // injector) needs to see as they happen — view installs, primary loss and
 // resumption, partition wedges, merges, flushes, ABCAST fences and
-// re-solicitations, coordinator takeovers, relay repair, and site up/down
-// transitions.
+// re-solicitations, coordinator takeovers, and site up/down transitions.
 //
 // Each protocols daemon owns one Bus. Emitters publish without blocking:
 // every subscriber has a bounded queue, and when a subscriber falls behind

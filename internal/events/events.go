@@ -62,13 +62,6 @@ const (
 	// unresponsive peers after a coordinator failure.
 	Takeover
 
-	// RelayRollback marks an external sender rolling back a relayed
-	// multicast's sequence number after its relay failed.
-	RelayRollback
-	// RelayNullFill marks a null message filling the FIFO sequence of a
-	// relayed multicast lost with its relay.
-	RelayNullFill
-
 	// SiteDown marks the failure detector declaring a site faulty.
 	SiteDown
 	// SiteUp marks the failure detector observing a site (re)appear.
@@ -100,8 +93,6 @@ var kindNames = [...]string{
 	FlushComplete:   "flush-complete",
 	AbcastResolicit: "abcast-resolicit",
 	Takeover:        "takeover",
-	RelayRollback:   "relay-rollback",
-	RelayNullFill:   "relay-null-fill",
 	SiteDown:        "site-down",
 	SiteUp:          "site-up",
 	SiteRestart:     "site-restart",

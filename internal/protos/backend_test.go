@@ -95,6 +95,16 @@ func TestBackendGroupScenario(t *testing.T) {
 				}
 			}
 
+			// A process that is no member casts to the group through the
+			// coordinator's site.
+			client := tc.newProc(2)
+			if err := relay(tc, client, gid, "ext-before"); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "relayed CBCAST delivery", 5*time.Second, func() bool {
+				return procs[0].got("ext-before") && procs[1].got("ext-before") && procs[2].got("ext-before")
+			})
+
 			// Site 3 crashes; the survivors install the 2-member view.
 			tc.daemons[3].Close()
 			waitFor(t, "crash view", 10*time.Second, func() bool {
@@ -125,6 +135,15 @@ func TestBackendGroupScenario(t *testing.T) {
 			}
 			waitFor(t, "post-restart delivery", 5*time.Second, func() bool {
 				return procs[0].got("after-restart") && procs[1].got("after-restart") && reborn.got("after-restart")
+			})
+
+			// The member that joined after the client's first cast receives its
+			// later ones.
+			if err := relay(tc, client, gid, "ext-after"); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "relayed CBCAST at the late joiner", 5*time.Second, func() bool {
+				return procs[0].got("ext-after") && procs[1].got("ext-after") && reborn.got("ext-after")
 			})
 		})
 	}

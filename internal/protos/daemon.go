@@ -82,15 +82,15 @@ type localProc struct {
 	deliver     DeliverFunc
 	deliverView ViewFunc
 	alive       bool
-	nextSeq     uint64                  // multicast sequence (msg ids)
-	extSeq      map[addr.Address]uint64 // per-destination-group sequence for non-member CBCASTs
-	outstanding int                     // ABCASTs initiated and not yet committed (for flush)
+	nextSeq     uint64 // multicast sequence (msg ids)
+	outstanding int    // ABCASTs initiated and not yet committed (for flush)
 
-	// relayMu serializes this process's relayed CBCASTs so an extSeq number
-	// is only ever consumed by a relay that reached the wire (a failed
-	// relay rolls the counter back; without the serialization the rollback
-	// could strand a concurrently assigned later number).
+	// relayMu serializes this process's relayed CBCASTs across the
+	// acknowledged exchange and guards relayed: per destination group, the
+	// stamp of the last one acknowledged, which the next relay names as the
+	// cast it must come after.
 	relayMu sync.Mutex
+	relayed map[addr.Address]relayStamp
 
 	queue chan func() // per-process delivery queue, drained by one goroutine
 }
@@ -265,18 +265,9 @@ type Daemon struct {
 	// ids, settles the outcome with a gbSeal round.
 	reqLog core.BoundedLog[int64, reqRecord]
 
-	// Relayed-CBCAST FIFO repair (see relayrepair.go). lostRelays tracks
-	// relay calls whose outcome is unknown — the call timed out or was
-	// aborted by the failure detector while the request may still be queued
-	// in the reliable transport — keyed by call id so a late response can be
-	// reconciled against the FIFO sequence the relay consumed.
-	lostRelays core.BoundedLog[int64, lostRelay]
-
 	// repairs (repairs.go) holds what must be tried again until it works:
 	// members parked when a merge discarded the local group copy and their
-	// rejoin then failed every retry, and relay sequence numbers confirmed
-	// refused after later numbers were handed out, each needing a null
-	// filler before receivers can progress.
+	// rejoin then failed every retry.
 	repairs repairs
 
 	// flushEnd (on mu) is signalled whenever a group copy leaves its
@@ -346,7 +337,6 @@ func New(cfg Config) (*Daemon, error) {
 		abDone:      core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
 		pendingJoin: make(map[joinKey]pendingJoin),
 		reqSerial:   make(map[addr.Address]*sync.Mutex),
-		lostRelays:  core.NewBoundedLog[int64, lostRelay](maxLostRelays),
 		bus:         events.NewBus(cfg.Site),
 		reqLog:      core.NewBoundedLog[int64, reqRecord](reqLogLimit),
 		stopScan:    make(chan struct{}),
@@ -469,7 +459,7 @@ func (d *Daemon) RegisterProcess(deliver DeliverFunc, view ViewFunc) (addr.Addre
 		deliver:     deliver,
 		deliverView: view,
 		alive:       true,
-		extSeq:      make(map[addr.Address]uint64),
+		relayed:     make(map[addr.Address]relayStamp),
 		queue:       make(chan func(), 1024),
 	}
 	d.procs[a] = p
@@ -650,10 +640,7 @@ func (d *Daemon) newReqID() int64 {
 }
 
 // errSiteFailed aborts pending calls to a site the failure detector declared
-// dead. It travels as the fErr text of the injected response and is
-// reconstructed by wireError, so callers can tell a detector abort (the
-// request is still queued in the reliable transport and may yet be
-// delivered) from an explicit refusal by the remote site.
+// dead, as the fErr text of the injected response.
 var errSiteFailed = errors.New("protos: site failed")
 
 // failCallsTo aborts every pending call addressed to a site the failure
@@ -679,22 +666,10 @@ func (d *Daemon) failCallsTo(s addr.SiteID) {
 	}
 }
 
-// respond delivers a response to a pending call, if it still exists. A
-// response for a call that already gave up — a relayed CBCAST whose caller
-// timed out — is routed to the relay-repair reconciler instead of being
-// dropped: a late refusal means a FIFO sequence number was consumed for a
-// message no receiver will ever see, and the hole must be repaired.
+// respond delivers a response to a pending call, if it still exists.
 func (d *Daemon) respond(callID int64, m *msg.Message) {
 	d.mu.Lock()
 	c, ok := d.calls[callID]
-	if !ok {
-		if lr, tracked := d.lostRelays.Get(callID); tracked {
-			d.lostRelays.Delete(callID)
-			d.mu.Unlock()
-			d.reconcileLostRelay(lr, m)
-			return
-		}
-	}
 	d.mu.Unlock()
 	if ok {
 		select {
@@ -748,7 +723,7 @@ func respError(resp *msg.Message) error {
 func wireError(format, text string) error {
 	for _, sentinel := range []error{
 		ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed,
-		errSiteFailed,
+		errRelayEarly,
 	} {
 		if text == sentinel.Error() {
 			return sentinel

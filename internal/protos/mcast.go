@@ -17,6 +17,13 @@ import (
 // acknowledgement is sent yet.
 var errRelayHeld = errors.New("protos: relay held during flush")
 
+// errRelayEarly refuses a relayed CBCAST that would not yet be ordered after
+// its sender's previous one (relayCbcastLocked); the sender's daemon asks
+// again after relayEarlyPause.
+var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
+
+const relayEarlyPause = 5 * time.Millisecond
+
 // fRelay marks a group multicast submitted by a non-member sender; such
 // multicasts are routed to the group's coordinator site, which fans them out
 // using its authoritative view (so that clients never need to track group
@@ -207,7 +214,8 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 	}
 	switch proto {
 	case CBCAST:
-		d.sendMemberCbcastLocked(gs, ms, sender, gid, id, entry, payload)
+		d.counters.CBCASTs++
+		d.sendMemberCbcastLocked(gs, ms, sender, id, entry, payload)
 		d.mu.Unlock()
 		return nil
 	case ABCAST:
@@ -242,23 +250,26 @@ func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.V
 	return pkt
 }
 
-// sendMemberCbcastLocked performs a CBCAST send by a group member: the
+// sendMemberCbcastLocked performs a CBCAST send by the local member ms: the
 // message is stamped with the member's vector timestamp, delivered locally
 // at once (the sender never waits), and shipped to every other member site.
-// Caller holds d.mu; the packet transmission happens asynchronously.
-func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) {
+// sender is who the application sees as the sender: the member itself, or
+// the non-member whose cast it relays, which a flush then reconciles and a
+// joiner understands like any other CBCAST of the member. Returns the stamp
+// the cast went out with. Caller holds d.mu; the packet transmission happens
+// asynchronously.
+func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) relayStamp {
 	vt := ms.causal.PrepareSend()
-	rank := gs.view.RankOf(sender)
-	pkt := d.buildDataPacket(CBCAST, gid, gs.view.ID, id, sender, rank, entry, payload)
+	rank := ms.causal.SelfRank()
+	pkt := d.buildDataPacket(CBCAST, gs.view.Group, gs.view.ID, id, sender, rank, entry, payload)
 	putVT(pkt, vt)
-	d.counters.CBCASTs++
 	d.recordRecentLocked(gs, id, pkt, 0)
 
-	// Deliver to the sender itself immediately.
+	// Deliver to the stamping member itself immediately.
 	d.deliverDataLocked(ms, pkt)
 	// Other members at this site order it through their own causal queues.
-	for a, other := range gs.members {
-		if a == sender.Base() {
+	for _, other := range gs.members {
+		if other == ms {
 			continue
 		}
 		in := core.CausalIncoming{ID: id, SenderRank: rank, VT: vt, Payload: pkt}
@@ -278,6 +289,7 @@ func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender,
 		}
 		d.fanoutRaw(sites, raw)
 	}()
+	return relayStamp{view: gs.view.ID, rank: rank, seq: vt.Get(rank)}
 }
 
 // relayExternalMulticast handles a group multicast whose sender is not a
@@ -287,14 +299,10 @@ func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender,
 // copy is wedged in a non-primary partition, or the addressed site no longer
 // hosts the group — travels back as the sentinel error instead of being
 // silently dropped; a stale cached view is refreshed and the relay retried
-// once. FIFO order per sender is preserved by a per-sender sequence number
-// assigned here.
+// once. A relayed CBCAST is sent as the relaying member's own; the order of
+// one sender's CBCASTs across relay sites is kept by naming, in each relay,
+// the stamp the previous one was acknowledged with (relayCbcastLocked).
 func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, proto Protocol, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) error {
-	// View resolution happens before any FIFO sequence is consumed: it is
-	// the step most likely to fail (remote lookup of an unknown or
-	// unreachable group), and a sequence number consumed by a failed relay
-	// would leave a permanent hole that stalls every later relayed CBCAST
-	// from this sender in the receivers' causal queues.
 	view, ok := d.CurrentView(gid)
 	if !ok {
 		v, err := d.refreshView(gid)
@@ -305,8 +313,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 	}
 	if proto == CBCAST {
 		// Serialize this sender's relays across the acknowledged exchange:
-		// a refused relay's sequence number can only be rolled back while no
-		// later number has been handed out.
+		// each names the stamp of the one before it.
 		lp.relayMu.Lock()
 		defer lp.relayMu.Unlock()
 	}
@@ -320,38 +327,19 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 
 		pkt := d.buildDataPacket(proto, gid, view.ID, id, sender, -1, entry, payload)
 		pkt.PutInt(fRelay, 1)
-
-		var err error
-		if proto != CBCAST {
-			// ABCAST ordering is established by the priority agreement, so it
-			// never consumes a FIFO number (a gap would stall the receivers'
-			// expected sequence). ABCAST relays are counted by the coordinator
-			// that initiates the two-phase protocol.
-			err = d.relayCall(coord.Site, pkt)
-		} else {
-			d.mu.Lock()
-			lp.extSeq[gid]++
-			extSeq := lp.extSeq[gid]
-			d.counters.CBCASTs++
-			d.mu.Unlock()
-			pkt.PutInt(fExtSeq, int64(extSeq))
-			err = d.relayCBCASTCall(coord.Site, pkt, lp, gid, extSeq)
-			if err != nil && !errors.Is(err, ErrTimeout) && !errors.Is(err, errSiteFailed) {
-				// An explicit refusal (or a send failure): no receiver
-				// consumed the sequence, so roll the counter back. On a
-				// timeout or a detector abort the relay is still queued in
-				// the reliable transport and may yet be delivered, so its
-				// number must stand — the call remains tracked in
-				// d.lostRelays and a late refusal is reconciled there
-				// (rollback, or a null filler once later numbers exist; see
-				// relayrepair.go).
+		if proto == CBCAST {
+			putStamp(pkt, lp.relayed[gid])
+		}
+		stamp, err := d.relayCall(coord.Site, pkt)
+		if err == nil {
+			if proto == CBCAST {
+				// Counted here, at the sender's site; an ABCAST relay is counted
+				// by the coordinator that initiates the two-phase protocol.
+				lp.relayed[gid] = stamp
 				d.mu.Lock()
-				lp.extSeq[gid]--
-				d.counters.CBCASTs--
+				d.counters.CBCASTs++
 				d.mu.Unlock()
 			}
-		}
-		if err == nil {
 			return nil
 		}
 		if errors.Is(err, ErrUnknownGroup) && attempt == 0 {
@@ -367,18 +355,31 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 }
 
 // relayCall ships a relayed multicast to the coordinator site and waits for
-// its acknowledgement. A remote relay parked by a flush counts as accepted —
-// it is re-dispatched when the flush ends and acknowledged then. A local
-// relay instead waits the flush out (mirroring the member send path): if the
-// caller were told "accepted" while the packet sat parked and the flush then
-// left the copy non-primary, the refusal would have nobody to report to and
-// the consumed FIFO sequence would stall every later relay from this sender.
-func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) error {
-	if site == d.site {
-		return d.relayMulticast(d.site, pkt, false)
+// its acknowledgement, which for a CBCAST carries the stamp it was sent with.
+// A remote relay parked by a flush counts as accepted — it is re-dispatched
+// when the flush ends and acknowledged then. A local relay instead waits the
+// flush out (mirroring the member send path): if the caller were told
+// "accepted" while the packet sat parked and the flush then left the copy
+// non-primary, the refusal would have nobody to report to. A relay refused as
+// early is asked again, for as long as one call may take.
+func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, error) {
+	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
+		var stamp relayStamp
+		var err error
+		if site == d.site {
+			stamp, err = d.relayMulticast(d.site, pkt, false)
+		} else if resp, cerr := d.call(site, ptData, pkt); cerr == nil {
+			stamp = getStamp(resp)
+		} else {
+			err = cerr
+		}
+		if !errors.Is(err, errRelayEarly) {
+			return stamp, err
+		}
+		if !time.Now().Before(deadline) {
+			return relayStamp{}, ErrTimeout
+		}
 	}
-	_, err := d.call(site, ptData, pkt)
-	return err
 }
 
 // relayMulticast runs at the coordinator site: it fans an external sender's
@@ -393,8 +394,9 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) error {
 // errRelayHeld returned (the remote-relay path, on the transport's handler
 // goroutine, whose acknowledgement is deferred with the packet); without
 // park the call waits the flush out (the local path, which must see the
-// post-flush outcome itself).
-func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) error {
+// post-flush outcome itself). A CBCAST's stamp is returned for the
+// acknowledgement.
+func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) (relayStamp, error) {
 	gid := pkt.GetAddress(fGroup).Base()
 	proto := Protocol(pkt.GetInt(fProto, 0))
 
@@ -402,7 +404,7 @@ func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) e
 	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
 		d.mu.Unlock()
-		return errRelayHeld
+		return relayStamp{}, errRelayHeld
 	}
 	gs, err := d.settledGroupLocked(gid)
 	switch {
@@ -414,30 +416,54 @@ func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) e
 	}
 	if err != nil {
 		d.mu.Unlock()
-		return err
+		return relayStamp{}, err
 	}
-	fanout := pkt.Clone()
-	fanout.Delete(fRelay)
-	fanout.Delete(fCall)
-	id := getMsgID(pkt)
 
 	switch proto {
 	case CBCAST:
-		d.processCbcastLocked(gs, fanout)
-		sites := gs.view.SitesOf()
+		stamp, err := d.relayCbcastLocked(gs, pkt)
 		d.mu.Unlock()
-		if raw, err := encodePacket(ptData, fanout); err == nil {
-			d.fanoutRaw(sites, raw)
-		}
+		return stamp, err
 	case ABCAST:
-		st := d.initiateAbcastLocked(gs, id, fanout, nil, 0)
+		fanout := pkt.Clone()
+		fanout.Delete(fRelay)
+		fanout.Delete(fCall)
+		st := d.initiateAbcastLocked(gs, getMsgID(pkt), fanout, nil, 0)
 		d.mu.Unlock()
 		d.transmitAbcast(st, fanout)
 	default:
 		d.mu.Unlock()
-		return ErrBadProtocol
+		return relayStamp{}, ErrBadProtocol
 	}
-	return nil
+	return relayStamp{}, nil
+}
+
+// relayCbcastLocked sends an external sender's CBCAST as a CBCAST of the
+// oldest live member hosted here, so two relays through one member are
+// ordered by its clock. Across relay sites the request names the stamp of the
+// sender's previous acknowledged cast, and the relay is refused as early until
+// that cast has been delivered to the member: every timestamp the member
+// issues from then on orders the new cast after it. A stamp from a view
+// already closed holds nothing back — the flush that closed the view delivered
+// the cast wherever it will ever be. Caller holds d.mu.
+func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp, error) {
+	for _, m := range gs.view.Members {
+		ms := gs.members[m.Base()]
+		if ms == nil || !ms.proc.alive {
+			continue
+		}
+		if after := getStamp(pkt); after.view > gs.view.ID ||
+			after.view == gs.view.ID && ms.causal.Clock().Get(after.rank) < after.seq {
+			return relayStamp{}, errRelayEarly
+		}
+		payload := pkt.GetMessage(fPayload)
+		if payload == nil {
+			payload = msg.New()
+		}
+		entry := addr.EntryID(pkt.GetInt(fEntry, 0))
+		return d.sendMemberCbcastLocked(gs, ms, pkt.GetAddress(fSender), getMsgID(pkt), entry, payload), nil
+	}
+	return relayStamp{}, ErrUnknownGroup
 }
 
 // ---------------------------------------------------------------------------
@@ -853,7 +879,7 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 		return
 	}
 	if pkt.GetInt(fRelay, 0) == 1 {
-		err := d.relayMulticast(from, pkt, true)
+		stamp, err := d.relayMulticast(from, pkt, true)
 		if callID := pkt.GetInt(fCall, 0); callID != 0 && !errors.Is(err, errRelayHeld) {
 			// Acknowledge the relay so the sender's daemon learns its fate;
 			// a held relay is acknowledged when the flush re-dispatches it.
@@ -862,6 +888,7 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 			} else {
 				ack := msg.New()
 				ack.PutInt(fCall, callID)
+				putStamp(ack, stamp)
 				_ = d.sendPacket(from, ptRelayAck, ack)
 			}
 		}
@@ -876,9 +903,11 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 		d.mu.Unlock()
 		return
 	}
-	if d.failedProcs[sender.Base()] {
+	if d.failedProcs[sender.Base()] && (proto != CBCAST || gs.view.Contains(sender)) {
 		// A failure that has already been observed: messages from the
 		// failed process must never be delivered afterwards (Section 2.2).
+		// A CBCAST relayed for it goes in all the same: it holds a slot in the
+		// relaying member's clock, and processCbcastLocked withholds the callback.
 		d.mu.Unlock()
 		return
 	}
@@ -889,7 +918,13 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 	}
 	switch proto {
 	case CBCAST:
-		d.processCbcastLocked(gs, pkt)
+		// A CBCAST of a view this copy has closed — parked by the flush, or
+		// still in the transport at the commit — was settled by that flush. Fed
+		// to the new view's clock its timestamp could read as its member's next
+		// message, and the real one would then never be delivered.
+		if core.ViewID(pkt.GetInt(fViewID, 0)) >= gs.view.ID {
+			d.processCbcastLocked(gs, pkt)
+		}
 		d.mu.Unlock()
 	case ABCAST:
 		id := getMsgID(pkt)
@@ -919,12 +954,7 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 	id := getMsgID(pkt)
 	rank := int(pkt.GetInt(fRank, -1))
 	for _, ms := range gs.members {
-		var in core.CausalIncoming
-		if rank >= 0 {
-			in = core.CausalIncoming{ID: id, SenderRank: rank, VT: getVT(pkt), Payload: pkt}
-		} else {
-			in = core.CausalIncoming{ID: id, SenderRank: -1, Seq: uint64(pkt.GetInt(fExtSeq, 0)), Payload: pkt}
-		}
+		in := core.CausalIncoming{ID: id, SenderRank: rank, VT: getVT(pkt), Payload: pkt}
 		for _, out := range ms.causal.Receive(in) {
 			if ms.redelivered[out.ID] {
 				// Already delivered to this member by a GBCAST flush
@@ -933,7 +963,9 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 				delete(ms.redelivered, out.ID)
 				continue
 			}
-			if opkt, ok := out.Payload.(*msg.Message); ok {
+			// Relayed for a process since observed to fail, it is as if dropped at
+			// the door, but for the clock Receive has advanced.
+			if opkt, ok := out.Payload.(*msg.Message); ok && !d.failedProcs[opkt.GetAddress(fSender).Base()] {
 				d.recordRecentLocked(gs, out.ID, opkt, 0)
 				d.deliverDataLocked(ms, opkt)
 			}
@@ -961,12 +993,8 @@ func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address,
 }
 
 // deliverDataLocked delivers a group data packet to one local member. Caller
-// holds d.mu. A null hole-filler (fNull) consumes its place in the ordering
-// queues — that is its entire job — but is never handed to the application.
+// holds d.mu.
 func (d *Daemon) deliverDataLocked(ms *memberState, pkt *msg.Message) {
-	if pkt.GetInt(fNull, 0) == 1 {
-		return
-	}
 	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
 	payload := pkt.GetMessage(fPayload)
 	if payload == nil {

@@ -223,7 +223,7 @@ func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, la
 func (d *Daemon) PendingMerges() []addr.Address {
 	var gids []addr.Address
 	for _, k := range d.repairs.filed() {
-		if k.seq == 0 && !slices.Contains(gids, k.gid) {
+		if !slices.Contains(gids, k.gid) {
 			gids = append(gids, k.gid)
 		}
 	}
@@ -260,7 +260,7 @@ func (d *Daemon) retryRejoin(gid, proc addr.Address, recv func(block []byte, las
 	if err := d.rejoinMember(gid, proc, recv, view.Contains(proc)); err != nil {
 		return false
 	}
-	stillParked := func(k repairKey) bool { return k.seq == 0 && k.gid == gid && k.proc != proc }
+	stillParked := func(k repairKey) bool { return k.gid == gid && k.proc != proc }
 	if !slices.ContainsFunc(d.repairs.filed(), stillParked) {
 		// The group's merge is finally whole: deliver the primary-status
 		// transition the original merge withheld while rejoins failed.

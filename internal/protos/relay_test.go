@@ -1,21 +1,43 @@
 package protos
 
-// Regression tests for the relayed-multicast acknowledgement: a relay
+// Regression tests for the relayed multicast. The acknowledgement: a relay
 // arriving at a coordinator that cannot fan it out — a non-primary minority
 // copy, or a site that no longer hosts the group — is refused with the
 // sentinel error travelling back over the wire, instead of being dropped
-// with the sender none the wiser. A refused CBCAST relay also rolls its
-// per-sender FIFO sequence back, so the refusal leaves no hole that would
-// stall later relays in the receivers' causal queues.
+// with the sender none the wiser. The order: a relayed CBCAST is a CBCAST of
+// the member that relays it, so a joiner, a flush and a crashed relay site
+// need nothing of their own, and one sender's casts stay in order across
+// relay sites because each relay names the stamp of the one before it.
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/fdetect"
 	"repro/internal/simnet"
 )
+
+// relay sends one CBCAST to the group from a process that is not a member.
+func relay(tc *testCluster, client *testProc, gid addr.Address, b string) error {
+	_, err := client.d.Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body(b))
+	return err
+}
+
+// slowDetector never suspects anybody within a test, so a paused link shows
+// as nothing worse than silence.
+func slowDetector() fdetect.Config {
+	return fdetect.Config{
+		HeartbeatInterval: 20 * time.Millisecond,
+		InitialTimeout:    time.Minute,
+		MinTimeout:        time.Minute,
+		MaxTimeout:        2 * time.Minute,
+		DeviationFactor:   4,
+	}
+}
 
 // TestRelayRefusedByNonPrimaryCoordinator strands a group member and an
 // external client together in a minority partition. The client's relay
@@ -75,133 +97,6 @@ func TestRelayRefusedByNonPrimaryCoordinator(t *testing.T) {
 	}
 }
 
-// TestRelayTimeoutLateRefusalRollsBack pins the FIFO reconciliation for a
-// relay whose refusal arrives only after the caller timed out. The client's
-// relay to the coordinator is cut off mid-flight, so the call gives up while
-// the request sits queued in the reliable transport; when the link heals the
-// isolated coordinator — wedged non-primary by then — finally refuses it.
-// No later sequence number was handed out, so the late refusal must roll the
-// client's FIFO counter back (observable as the CBCAST counter returning to
-// zero), and the client's next relay must reuse the number and be delivered.
-// Before the repair machinery the late refusal was silently dropped and the
-// consumed number stalled every later relay in the receivers' causal queues.
-func TestRelayTimeoutLateRefusalRollsBack(t *testing.T) {
-	tc := newFaultCluster(t, 4, simnet.FastConfig(), 500*time.Millisecond, scenarioDetector())
-	procs := buildGroup(t, tc, "latehole", 1, 2, 3)
-	gid := groupOf(t, tc, procs[0], "latehole")
-
-	client := tc.newProc(4)
-	if _, err := tc.daemons[4].Lookup("latehole"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Isolate the coordinator site and relay immediately, before the client's
-	// detector can suspect it: the relay is addressed to site 1, queued in the
-	// transport, and the call fails with timeout or a detector abort — either
-	// way the sequence number stands and the call remains tracked.
-	for _, s := range []simnet.SiteID{2, 3, 4} {
-		tc.net.Partition(1, s)
-	}
-	if _, err := tc.daemons[4].Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("lost")); err == nil {
-		t.Fatal("relay to an isolated coordinator unexpectedly succeeded")
-	}
-	if got := tc.daemons[4].Counters().CBCASTs; got != 1 {
-		t.Fatalf("timed-out relay consumed %d sequence numbers, want 1 (kept pending the outcome)", got)
-	}
-
-	// The majority excises the member at site 1; the isolated copy wedges
-	// non-primary, which is what will refuse the queued relay.
-	waitFor(t, "majority reforms without site 1", 10*time.Second, func() bool {
-		return procs[1].lastView().Size() == 2 && !tc.daemons[1].GroupPrimary(gid)
-	})
-
-	// Heal only the client↔coordinator link: the transport retransmits the
-	// relay, the wedged minority copy refuses it, and the late refusal must
-	// roll the client's FIFO sequence back.
-	tc.net.Heal(4, 1)
-	waitFor(t, "late refusal rolls the FIFO sequence back", 10*time.Second, func() bool {
-		return tc.daemons[4].Counters().CBCASTs == 0
-	})
-
-	// Full heal: after the minority merges back the client's next relay must
-	// reuse the rolled-back number and reach the members.
-	tc.net.HealAll()
-	waitFor(t, "minority merges back into the primary", 20*time.Second, func() bool {
-		v := procs[0].lastView()
-		return v.Size() == 3 && tc.daemons[1].GroupPrimary(gid)
-	})
-	waitFor(t, "post-repair relay delivered", 10*time.Second, func() bool {
-		if _, err := tc.daemons[4].Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("after-repair")); err != nil {
-			return false
-		}
-		time.Sleep(50 * time.Millisecond)
-		return procs[0].got("after-repair") && procs[1].got("after-repair")
-	})
-	if procs[0].got("lost") || procs[1].got("lost") {
-		t.Error("the refused relay was delivered anyway")
-	}
-}
-
-// TestRelayTimeoutLateRefusalFillsHole pins the null-filler path: by the
-// time the late refusal lands, the client has already relayed again through
-// the surviving coordinator, so its FIFO counter cannot be rolled back. The
-// second relay sits undeliverable in every receiver's external-sender queue
-// behind the orphaned first number until the repair machinery relays a null
-// filler that consumes the hole without delivering anything.
-func TestRelayTimeoutLateRefusalFillsHole(t *testing.T) {
-	tc := newFaultCluster(t, 4, simnet.FastConfig(), 500*time.Millisecond, scenarioDetector())
-	procs := buildGroup(t, tc, "fillhole", 1, 2, 3)
-	gid := groupOf(t, tc, procs[0], "fillhole")
-
-	client := tc.newProc(4)
-	if _, err := tc.daemons[4].Lookup("fillhole"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Relay #1 (sequence 1) dies against the freshly isolated coordinator.
-	for _, s := range []simnet.SiteID{2, 3, 4} {
-		tc.net.Partition(1, s)
-	}
-	if _, err := tc.daemons[4].Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("first")); err == nil {
-		t.Fatal("relay to an isolated coordinator unexpectedly succeeded")
-	}
-
-	waitFor(t, "majority reforms without site 1", 10*time.Second, func() bool {
-		return procs[1].lastView().Size() == 2 && !tc.daemons[1].GroupPrimary(gid)
-	})
-	waitFor(t, "client suspects the isolated coordinator", 10*time.Second, func() bool {
-		for _, s := range tc.daemons[4].SuspectedSites() {
-			if s == 1 {
-				return true
-			}
-		}
-		return false
-	})
-
-	// Relay #2 (sequence 2) routes around the suspected coordinator to the
-	// surviving members and is accepted — but cannot be delivered: every
-	// receiver is waiting for sequence 1.
-	if _, err := tc.daemons[4].Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("second")); err != nil {
-		t.Fatalf("relay via the surviving coordinator: %v", err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	if procs[1].got("second") || procs[2].got("second") {
-		t.Fatal("sequence 2 delivered before sequence 1 was resolved: FIFO order broken")
-	}
-
-	// Heal only the client↔old-coordinator link. The queued relay #1 is
-	// refused by the wedged minority copy; the counter is at 2, so the repair
-	// must fill sequence 1 with a null message, which unblocks relay #2 at
-	// every receiver without delivering relay #1 anywhere.
-	tc.net.Heal(4, 1)
-	waitFor(t, "null filler unblocks the held relay", 15*time.Second, func() bool {
-		return procs[1].got("second") && procs[2].got("second")
-	})
-	if procs[1].got("first") || procs[2].got("first") {
-		t.Error("the refused relay was delivered anyway")
-	}
-}
-
 // TestRelayToVanishedGroupSurfacesError relays to a group whose only member
 // has left: the stale cached view routes the relay to a site that no longer
 // hosts the group, the refusal comes back as ErrUnknownGroup, the automatic
@@ -224,4 +119,189 @@ func TestRelayToVanishedGroupSurfacesError(t *testing.T) {
 	if _, err := tc.daemons[2].Multicast(client.addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("ghost")); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("relay to a vanished group returned %v, want ErrUnknownGroup", err)
 	}
+}
+
+// TestLateJoinerReceivesExternalCbcast has a member join after a client has
+// already cast to the group: the client's later CBCASTs must reach it. (Under
+// the per-sender sequence a joiner expected number 1 and stalled on every later
+// relay for good.)
+func TestLateJoinerReceivesExternalCbcast(t *testing.T) {
+	tc := newTestCluster(t, 4)
+	procs := buildGroup(t, tc, "latejoin", 1, 2)
+	gid := groupOf(t, tc, procs[0], "latejoin")
+	client := tc.newProc(4)
+	if err := relay(tc, client, gid, "before"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the first relay at the members", 5*time.Second, func() bool {
+		return procs[0].got("before") && procs[1].got("before")
+	})
+
+	joiner := tc.newProc(3)
+	if _, err := tc.daemons[3].Lookup("latejoin"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.daemons[3].Join(joiner.addr, gid, JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay(tc, client, gid, "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the relay sent after the join at every member, the joiner included", 5*time.Second, func() bool {
+		return procs[0].got("after") && procs[1].got("after") && joiner.got("after")
+	})
+	if joiner.got("before") {
+		t.Error("the joiner was handed a cast from before it joined")
+	}
+}
+
+// TestRelaySiteCrashDoesNotStallSender crashes the relay site with a relay
+// in flight. That relay's outcome is unknown and its Multicast said so; the
+// sender's next relay, through the surviving coordinator, must be delivered
+// all the same — nothing may wait for an answer the dead site will never send.
+func TestRelaySiteCrashDoesNotStallSender(t *testing.T) {
+	tc := newFaultCluster(t, 4, simnet.FastConfig(), 500*time.Millisecond, scenarioDetector())
+	procs := buildGroup(t, tc, "relaycrash", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "relaycrash")
+	client := tc.newProc(4)
+	if _, err := tc.daemons[4].Lookup("relaycrash"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, s := range []simnet.SiteID{2, 3, 4} {
+		tc.net.Partition(1, s)
+	}
+	if err := relay(tc, client, gid, "in-flight"); err == nil {
+		t.Fatal("relay to an isolated coordinator unexpectedly succeeded")
+	}
+	tc.daemons[1].Close()
+	waitFor(t, "majority reforms without site 1", 10*time.Second, func() bool {
+		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
+	})
+	waitFor(t, "client suspects the crashed coordinator", 10*time.Second, func() bool {
+		return slices.Contains(tc.daemons[4].SuspectedSites(), 1)
+	})
+
+	if err := relay(tc, client, gid, "next"); err != nil {
+		t.Fatalf("relay via the surviving coordinator: %v", err)
+	}
+	waitFor(t, "the next relay at the survivors", 5*time.Second, func() bool {
+		return procs[1].got("next") && procs[2].got("next")
+	})
+}
+
+// TestRelaySiteSwitchKeepsSenderOrder moves a client from one relay site to
+// another while its previous cast has not reached the new one: the second
+// cast must not be fanned out — by a member whose clock has not seen the
+// first — until it has, and every member then delivers the two in the order
+// sent. This is the rule that replaces the per-sender sequence and its repair
+// protocol; without the predecessor check in relayCbcastLocked it fails.
+func TestRelaySiteSwitchKeepsSenderOrder(t *testing.T) {
+	tc := newFaultCluster(t, 4, simnet.FastConfig(), 3*time.Second, slowDetector())
+	procs := buildGroup(t, tc, "switch", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "switch")
+	client := tc.newProc(4)
+	if _, err := tc.daemons[4].Lookup("switch"); err != nil {
+		t.Fatal(err)
+	}
+
+	tc.net.PauseLink(1, 2)
+	if err := relay(tc, client, gid, "a"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a where the relay site can reach", 5*time.Second, func() bool {
+		return procs[0].got("a") && procs[2].got("a")
+	})
+	// The client's daemon comes to believe site 1 failed and relays through
+	// the next-oldest member's site.
+	tc.daemons[4].mu.Lock()
+	tc.daemons[4].suspected[1] = true
+	tc.daemons[4].mu.Unlock()
+	sent := make(chan error, 1)
+	go func() { sent <- relay(tc, client, gid, "b") }()
+	time.Sleep(200 * time.Millisecond)
+	for i, p := range procs {
+		if bs := p.bodies(); len(bs) > 0 && bs[0] != "a" {
+			t.Fatalf("member %d delivered %v while a had not reached the site relaying b", i, bs)
+		}
+	}
+
+	tc.net.ResumeAll()
+	if err := <-sent; err != nil {
+		t.Fatalf("relay through the second site: %v", err)
+	}
+	waitFor(t, "both casts everywhere", 5*time.Second, func() bool {
+		return procs[0].numMsgs() == 2 && procs[1].numMsgs() == 2 && procs[2].numMsgs() == 2
+	})
+	for i, p := range procs {
+		if bs := p.bodies(); bs[0] != "a" || bs[1] != "b" {
+			t.Errorf("member %d delivered %v, want [a b]", i, bs)
+		}
+	}
+}
+
+// TestRelayFromKilledClientKeepsMemberClock kills a client while its relayed
+// cast is on its way back to the client's own site, which also hosts a
+// member. That site has observed the failure and must not hand the cast to
+// the application — but the cast holds a slot in the relaying member's clock,
+// and dropped at the door it would leave every later CBCAST of that member
+// undeliverable there until some unrelated view change.
+func TestRelayFromKilledClientKeepsMemberClock(t *testing.T) {
+	tc := newFaultCluster(t, 2, simnet.FastConfig(), 3*time.Second, slowDetector())
+	procs := buildGroup(t, tc, "killed", 1, 2)
+	gid := groupOf(t, tc, procs[0], "killed")
+	client := tc.newProc(2)
+
+	tc.net.PauseLink(1, 2) // holds the fan-out to site 2, and the acknowledgement
+	sent := make(chan error, 1)
+	go func() { sent <- relay(tc, client, gid, "x") }()
+	waitFor(t, "x at the relay site", 5*time.Second, func() bool { return procs[0].got("x") })
+	if err := tc.daemons[2].KillProcess(client.addr); err != nil {
+		t.Fatal(err)
+	}
+	tc.net.ResumeAll()
+	<-sent // acknowledged or not, the cast was fanned out
+
+	if _, err := tc.daemons[1].Multicast(procs[0].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("y")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the relay member's next cast at the killed client's site", 5*time.Second, func() bool {
+		return procs[1].got("y")
+	})
+	if procs[1].got("x") {
+		t.Error("a cast from a process observed to have failed was delivered")
+	}
+}
+
+// TestRelayMalformedPredecessorStamp feeds a relay site predecessor stamps no
+// daemon would send. One that names the current view is a claim about a clock
+// entry and is refused until the clock says so — an entry that does not exist
+// never will; one from no view at all holds nothing back. Neither may panic.
+func TestRelayMalformedPredecessorStamp(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	procs := buildGroup(t, tc, "stamp", 1)
+	gid := groupOf(t, tc, procs[0], "stamp")
+	d := tc.daemons[1]
+	view, _ := d.CurrentView(gid)
+	client := addr.NewProcess(9, 0, 1)
+	for i, tt := range []struct {
+		after relayStamp
+		want  error
+	}{
+		{relayStamp{view: view.ID, rank: 99, seq: 1}, errRelayEarly},
+		{relayStamp{view: view.ID, rank: -3, seq: 1}, errRelayEarly},
+		{relayStamp{view: view.ID + 7, rank: 0, seq: 0}, errRelayEarly},
+		{relayStamp{view: view.ID, rank: 99, seq: 0}, nil},
+		{relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
+	} {
+		pkt := d.buildDataPacket(CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, client, -1, addr.EntryUserBase, body("m"))
+		pkt.PutInt(fRelay, 1)
+		pkt.PutInt(fStampView, int64(tt.after.view))
+		pkt.PutInt(fStampRank, int64(tt.after.rank))
+		pkt.PutInt(fStampSeq, int64(tt.after.seq))
+		if _, err := d.relayMulticast(9, pkt, true); !errors.Is(err, tt.want) {
+			t.Errorf("stamp %+v: relay returned %v, want %v", tt.after, err, tt.want)
+		}
+	}
+	waitFor(t, "the two relays that were let through", 2*time.Second, func() bool { return procs[0].numMsgs() == 2 })
 }

@@ -2,10 +2,8 @@ package protos
 
 // The daemon's one park-and-retry table. Some work can neither be finished
 // where it fails nor be dropped: a member whose merge rejoin exhausted its
-// retries is a live process hosted nowhere (merge.go), and a relayed-CBCAST
-// sequence number confirmed refused after later ones were handed out stalls
-// every later relay from its sender (relayrepair.go). Each is filed here as
-// an attempt to run again, and one drain runs them all.
+// retries is a live process hosted nowhere (merge.go). It is filed here as an
+// attempt to run again, and one drain runs them all.
 
 import (
 	"maps"
@@ -16,11 +14,9 @@ import (
 )
 
 // repairKey names one repair, so that filing it twice keeps one entry: the
-// member to rejoin to a group (seq 0), or the relay sequence of a sender to
-// fill at a group (relay sequences start at 1).
+// member to rejoin to a group.
 type repairKey struct {
 	gid, proc addr.Address
-	seq       uint64
 }
 
 // repairs maps each filed repair to its attempt, which reports whether the

@@ -8,7 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/addr"
 )
+
+// key names the n-th of a test's repairs.
+func key(n int) repairKey { return repairKey{proc: addr.NewProcess(1, 0, uint32(n))} }
 
 // tried receives from an attempt's channel, or fails the test.
 func tried(t *testing.T, ch <-chan struct{}, what string) {
@@ -45,7 +50,7 @@ func TestRepairsFailedEntryWaitsForAKick(t *testing.T) {
 	var r repairs
 	ran := make(chan struct{}, 8)
 	var works atomic.Bool
-	r.add(repairKey{seq: 1}, func() bool { ran <- struct{}{}; return works.Load() })
+	r.add(key(1), func() bool { ran <- struct{}{}; return works.Load() })
 	tried(t, ran, "the attempt filing starts")
 	r.idle(t)
 	notTried(t, ran, "a failed attempt was retried with no kick")
@@ -74,10 +79,10 @@ func TestRepairsFailedEntryWaitsForAKick(t *testing.T) {
 func TestRepairsEntryAddedMidPassNeedsNoKick(t *testing.T) {
 	var r repairs
 	started, release := make(chan struct{}), make(chan struct{})
-	r.add(repairKey{seq: 1}, func() bool { close(started); <-release; return true })
+	r.add(key(1), func() bool { close(started); <-release; return true })
 	tried(t, started, "the first attempt")
 	late := make(chan struct{}, 1)
-	r.add(repairKey{seq: 2}, func() bool { late <- struct{}{}; return true })
+	r.add(key(2), func() bool { late <- struct{}{}; return true })
 	notTried(t, late, "a second pass started while the first was out")
 	close(release)
 	tried(t, late, "the entry filed mid-pass to get its pass")
@@ -104,7 +109,7 @@ func TestRepairsNeverTwoPassesAtOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				r.add(repairKey{seq: uint64(g*50 + i + 1)}, attempt)
+				r.add(key(g*50+i+1), attempt)
 				r.kick()
 			}
 		}()
@@ -123,14 +128,14 @@ func TestRepairsNothingRunsAfterClose(t *testing.T) {
 	var r repairs
 	started, release := make(chan struct{}), make(chan struct{})
 	ran := make(chan struct{}, 8)
-	r.add(repairKey{seq: 1}, func() bool { close(started); <-release; return false })
+	r.add(key(1), func() bool { close(started); <-release; return false })
 	tried(t, started, "the first attempt")
 	// Filed behind the running pass: owed a pass of its own, but for close.
-	r.add(repairKey{seq: 2}, func() bool { ran <- struct{}{}; return true })
+	r.add(key(2), func() bool { ran <- struct{}{}; return true })
 	r.close()
 	close(release)
 	r.idle(t)
 	r.kick()
-	r.add(repairKey{seq: 3}, func() bool { ran <- struct{}{}; return true })
+	r.add(key(3), func() bool { ran <- struct{}{}; return true })
 	notTried(t, ran, "an attempt ran after close")
 }

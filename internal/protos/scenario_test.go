@@ -10,6 +10,7 @@ package protos
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -510,5 +511,46 @@ func TestFailedRelayDoesNotConsumeSequence(t *testing.T) {
 	bs := member.bodies()
 	if bs[0] != "first" || bs[1] != "second" {
 		t.Fatalf("relayed deliveries = %v (a hole in the FIFO sequence stalls the causal queue)", bs)
+	}
+}
+
+// TestClosedViewCbcastIsDropped delivers a CBCAST twice across a view change:
+// first through the flush, which re-disseminates it to the site its own
+// packet has not reached, then — in the new view — the packet itself, stamped
+// in the view the flush closed. The stale copy must be dropped at the door: as
+// its sender's first message of the old view it reads as the sender's first of
+// the new one, and once it has advanced the new clock the real first message
+// is a duplicate for good.
+func TestClosedViewCbcastIsDropped(t *testing.T) {
+	tc := newFaultCluster(t, 4, simnet.FastConfig(), 2*time.Second, slowDetector())
+	procs := buildGroup(t, tc, "closedview", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "closedview")
+	cast := func(b string) {
+		t.Helper()
+		if _, err := tc.daemons[2].Multicast(procs[1].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tc.net.PauseLink(2, 3)
+	cast("x")
+	waitFor(t, "x at the sites its packet reaches", 5*time.Second, func() bool { return procs[0].got("x") })
+	joiner := tc.newProc(4)
+	if _, err := tc.daemons[4].Lookup("closedview"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.daemons[4].Join(joiner.addr, gid, JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the join's flush to carry x to site 3", 5*time.Second, func() bool {
+		return procs[2].got("x") && procs[2].lastView().Size() == 4
+	})
+
+	tc.net.ResumeAll() // x's own packet, stamped in the closed view, arrives now
+	cast("y")
+	cast("z")
+	waitFor(t, "z, and so y before it, at site 3", 5*time.Second, func() bool { return procs[2].got("z") })
+	if bs := procs[2].bodies(); !slices.Equal(bs, []string{"x", "y", "z"}) {
+		t.Errorf("site 3 delivered %v, want [x y z]", bs)
 	}
 }

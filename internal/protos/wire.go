@@ -92,9 +92,8 @@ const (
 	fMsgID     = "&msgid"   // multicast id: sender address + sequence
 	fMsgSeq    = "&msgseq"  // sequence part of the multicast id
 	fSender    = "&sender"  // originating process
-	fRank      = "&rank"    // sender's rank in the view (-1 external)
+	fRank      = "&rank"    // rank in the view of the member that stamped the packet (-1: none, a relay request)
 	fVT        = "&vt"      // vector timestamp (CBCAST)
-	fExtSeq    = "&extseq"  // per-sender sequence for external senders
 	fProto     = "&proto"   // Protocol value
 	fEntry     = "&entry"   // destination entry point
 	fPayload   = "&payload" // nested application message
@@ -116,7 +115,9 @@ const (
 	fXferID    = "&xferid"  // state-transfer attempt id (the view id the provider shipped under)
 	fDead      = "&dead"    // prepare ack: removal targets this site confirms dead
 	fAttempt   = "&attempt" // ABCAST protocol attempt (bumped by a fence restart)
-	fNull      = "&nullseq" // null relayed CBCAST: consumes its FIFO sequence, carries no app message
+	fStampView = "&sview"   // relay stamp: the view the stamped CBCAST was sent in
+	fStampRank = "&srank"   // relay stamp: rank of the member that stamped it
+	fStampSeq  = "&sseq"    // relay stamp: that member's own entry of the timestamp
 	fPrimary   = "&primary" // lookup response: the answering site's copy is primary
 	fFound     = "&found"   // lookup response: the answering site hosts the group
 	fSite      = "&site"    // lookup response: the answering site's id
@@ -186,6 +187,34 @@ func getVT(p *msg.Message) vclock.VC {
 		return nil
 	}
 	return vt
+}
+
+// relayStamp places a relayed CBCAST in its group's causal order: the view it
+// was sent in, the rank of the member that stamped it, and that member's own
+// entry of the timestamp. The relay's acknowledgement carries it, and the
+// sender's next relay request names it as the cast to come after. The zero
+// stamp names nothing and is left off the wire.
+type relayStamp struct {
+	view core.ViewID
+	rank int
+	seq  uint64
+}
+
+func putStamp(p *msg.Message, s relayStamp) {
+	if s.view == 0 {
+		return
+	}
+	p.PutInt(fStampView, int64(s.view))
+	p.PutInt(fStampRank, int64(s.rank))
+	p.PutInt(fStampSeq, int64(s.seq))
+}
+
+func getStamp(p *msg.Message) relayStamp {
+	return relayStamp{
+		view: core.ViewID(p.GetInt(fStampView, 0)),
+		rank: int(p.GetInt(fStampRank, 0)),
+		seq:  uint64(p.GetInt(fStampSeq, 0)),
+	}
 }
 
 // pendingReport is one member-site's contribution to a GBCAST flush: the

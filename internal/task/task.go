@@ -30,6 +30,8 @@ type Manager struct {
 	entries map[addr.EntryID]Handler
 	filters []Filter
 	workers map[addr.EntryID]chan queued
+	running int       // tasks scheduled and not yet finished
+	idle    sync.Cond // on mu: running reached zero, or the manager closed
 	closed  bool
 	done    chan struct{}
 }
@@ -42,11 +44,13 @@ type queued struct {
 
 // NewManager returns an empty manager.
 func NewManager() *Manager {
-	return &Manager{
+	g := &Manager{
 		entries: make(map[addr.EntryID]Handler),
 		workers: make(map[addr.EntryID]chan queued),
 		done:    make(chan struct{}),
 	}
+	g.idle.L = &g.mu
+	return g
 }
 
 // BindEntry binds handler h to entry point e, replacing any previous
@@ -106,6 +110,7 @@ func (g *Manager) Dispatch(entry addr.EntryID, m *msg.Message) error {
 		g.workers[entry] = w
 		go g.runEntryWorker(w)
 	}
+	g.running++
 	// Enqueue under the lock so queue order equals dispatch order.
 	select {
 	case w <- queued{h: h, m: m}:
@@ -114,7 +119,7 @@ func (g *Manager) Dispatch(entry addr.EntryID, m *msg.Message) error {
 		// The entry's queue is saturated: fall back to an unordered task
 		// rather than blocking the caller (which is the protocols process).
 		g.mu.Unlock()
-		go h(m)
+		go g.run(queued{h: h, m: m})
 	}
 	return nil
 }
@@ -124,10 +129,34 @@ func (g *Manager) runEntryWorker(w chan queued) {
 	for {
 		select {
 		case q := <-w:
-			q.h(q.m)
+			g.run(q)
 		case <-g.done:
 			return
 		}
+	}
+}
+
+// run executes one task and counts it finished.
+func (g *Manager) run(q queued) {
+	q.h(q.m)
+	g.mu.Lock()
+	g.running--
+	if g.running == 0 {
+		g.idle.Broadcast()
+	}
+	g.mu.Unlock()
+}
+
+// Barrier returns once every task scheduled before the call has finished, or
+// the manager is closed. It waits until no task is queued or running, so one
+// scheduled while it waits holds it back too; called from the goroutine that
+// dispatches (the process's delivery queue), it waits for exactly the earlier
+// ones.
+func (g *Manager) Barrier() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.running > 0 && !g.closed {
+		g.idle.Wait()
 	}
 }
 
@@ -138,6 +167,7 @@ func (g *Manager) Close() {
 	if !g.closed {
 		g.closed = true
 		close(g.done)
+		g.idle.Broadcast()
 	}
 	g.mu.Unlock()
 }

@@ -200,3 +200,54 @@ func TestCloseRejectsNewWork(t *testing.T) {
 		t.Errorf("Dispatch after close = %v", err)
 	}
 }
+
+// barrierDone runs Barrier in the background and returns a channel closed
+// when it returns.
+func barrierDone(g *Manager) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		g.Barrier()
+		close(done)
+	}()
+	return done
+}
+
+func TestBarrierWaitsForEarlierTasks(t *testing.T) {
+	g := NewManager()
+	recv(t, barrierDone(g)) // idle: returns at once
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Int32
+	g.BindEntry(1, func(*msg.Message) { close(started); <-release; finished.Add(1) })
+	g.BindEntry(2, func(*msg.Message) { finished.Add(1) })
+	for _, e := range []addr.EntryID{1, 2} {
+		if err := g.Dispatch(e, msg.New()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv(t, started)
+	done := barrierDone(g)
+	select {
+	case <-done:
+		t.Fatal("Barrier returned while an earlier task was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	recv(t, done)
+	if n := finished.Load(); n != 2 {
+		t.Errorf("Barrier returned with %d of 2 tasks finished", n)
+	}
+}
+
+func TestBarrierReturnsOnClose(t *testing.T) {
+	g := NewManager()
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	g.BindEntry(1, func(*msg.Message) { close(started); <-release })
+	if err := g.Dispatch(1, msg.New()); err != nil {
+		t.Fatal(err)
+	}
+	recv(t, started)
+	done := barrierDone(g)
+	g.Close()
+	recv(t, done)
+}

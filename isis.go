@@ -88,8 +88,6 @@ const (
 	EventFlushComplete   = events.FlushComplete
 	EventAbcastResolicit = events.AbcastResolicit
 	EventTakeover        = events.Takeover
-	EventRelayRollback   = events.RelayRollback
-	EventRelayNullFill   = events.RelayNullFill
 	EventSiteDown        = events.SiteDown
 	EventSiteUp          = events.SiteUp
 	EventSiteRestart     = events.SiteRestart

@@ -3,7 +3,9 @@ package isis
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,6 +400,62 @@ func TestStateTransferThroughPublicAPI(t *testing.T) {
 	defer mu.Unlock()
 	if len(rows) != 3 || rows[0] != "row1" || rows[2] != "row3" {
 		t.Errorf("rows = %v", rows)
+	}
+}
+
+// TestStateTransferIsConsistentCut joins a member while the provider's
+// handlers for updates delivered before the join are still queued behind a
+// slow one. The transferred state must include every one of them: they are
+// never delivered to the joiner, so a snapshot taken ahead of the handlers
+// would leave the two copies apart for good.
+func TestStateTransferIsConsistentCut(t *testing.T) {
+	c := newTestCluster(t, 2)
+	counter := func(p *Process) *atomic.Int64 {
+		n := new(atomic.Int64)
+		p.BindEntry(EntryUserBase, func(*Message) {
+			time.Sleep(time.Millisecond)
+			n.Add(1)
+		})
+		return n
+	}
+	first := spawn(t, c, 1)
+	firstN := counter(first)
+	v, err := first.CreateGroup("cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.SetStateProvider(v.Group, func() [][]byte {
+		return [][]byte{[]byte(strconv.FormatInt(firstN.Load(), 10))}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 50
+	for i := 0; i < updates; i++ {
+		if _, err := first.Cast(CBCAST, []Address{v.Group}, EntryUserBase, NewMessage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := spawn(t, c, 2)
+	secondN := counter(second)
+	received := make(chan struct{})
+	if _, err := second.Join(v.Group, JoinOptions{StateReceiver: func(b []byte, last bool) {
+		if n, err := strconv.ParseInt(string(b), 10, 64); err == nil {
+			secondN.Store(n)
+		}
+		if last {
+			close(received)
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-received:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the state transfer never completed")
+	}
+	waitUntil(t, "the provider's handlers", 5*time.Second, func() bool { return firstN.Load() == updates })
+	if got := secondN.Load(); got != updates {
+		t.Fatalf("the joiner's copy is at %d and the provider's at %d: the state was not a cut", got, updates)
 	}
 }
 

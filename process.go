@@ -275,8 +275,21 @@ func (p *Process) CurrentView(gid Address) (View, bool) {
 
 // SetStateProvider registers the routine that encodes this member's copy of
 // the group state when another process joins with a state transfer. Only
-// the group's oldest member is asked to provide state.
+// the group's oldest member is asked to provide state. The provider runs
+// once the handlers of every message delivered before the join have returned,
+// so the state is a consistent cut. Nothing is delivered to the process while
+// it waits for them: a handler blocked on a reply delays the transfer until
+// its Cast gives up, and with slow handlers under steady traffic the
+// deliveries held back meanwhile can fill the process's delivery queue, past
+// which the daemon delivers out of order rather than drop (ROADMAP,
+// backpressure).
 func (p *Process) SetStateProvider(gid Address, provider func() [][]byte) error {
+	if capture := provider; capture != nil {
+		provider = func() [][]byte {
+			p.tasks.Barrier()
+			return capture()
+		}
+	}
 	return p.site.daemon.SetStateProvider(p.addr, gid, provider)
 }
 
