@@ -139,6 +139,16 @@ func RunTable1() ([]Table1Row, error) {
 			CBCASTs: c.CBCASTs, ABCASTs: c.ABCASTs, GBCASTs: c.GBCASTs, P2P: c.PointToPoints,
 			PaperCost: paper})
 	}
+	// setup runs a preparation step no row measures, under the same rule: the
+	// first that fails ends the table, and the error names the step.
+	setup := func(step string, do func() error) {
+		if failed != nil {
+			return
+		}
+		if err := do(); err != nil {
+			failed = fmt.Errorf("bench: table 1 set-up %q: %w", step, err)
+		}
+	}
 
 	// Group RPC: bc_mcast collecting one reply; the reply itself.
 	row("group RPC", "bc_mcast(dests,msg,1 reply)", "multicast + collect replies", func() error {
@@ -161,7 +171,8 @@ func RunTable1() ([]Table1Row, error) {
 		_, err := env.client.Lookup("table1-temp")
 		return err
 	})
-	joiner, _ := env.cluster.Site(2).Spawn()
+	var joiner, xferJoiner, newsHost *isis.Process
+	setup("spawn the joiner", func() (err error) { joiner, err = env.cluster.Site(2).Spawn(); return })
 	row("process groups", "pg_join", "1 CBCAST, 1 pg_addmember, 1 reply (GBCAST here)", func() error {
 		_, err := joiner.Join(tempGid, isis.JoinOptions{})
 		return err
@@ -169,13 +180,15 @@ func RunTable1() ([]Table1Row, error) {
 	row("process groups", "pg_leave", "1 GBCAST", func() error { return joiner.Leave(tempGid) })
 
 	// State transfer: join_and_xfer.
-	_ = statexfer.Provide(env.members[0], env.gid, 0, func() []byte { return []byte("state") })
-	xferJoiner, _ := env.cluster.Site(4).Spawn()
+	setup("statexfer.Provide", func() error {
+		return statexfer.Provide(env.members[0], env.gid, 0, func() []byte { return []byte("state") })
+	})
+	setup("spawn the state-transfer joiner", func() (err error) { xferJoiner, err = env.cluster.Site(4).Spawn(); return })
 	row("state transfer", "join_and_xfer", "1 GBCAST + transfer", func() error {
 		_, err := statexfer.JoinWithState(xferJoiner, env.gid, 5*time.Second, nil)
 		return err
 	})
-	_ = xferJoiner.Leave(env.gid)
+	setup("the state-transfer joiner leaves", func() error { return xferJoiner.Leave(env.gid) })
 	time.Sleep(50 * time.Millisecond)
 
 	// Coordinator-cohort.
@@ -227,14 +240,10 @@ func RunTable1() ([]Table1Row, error) {
 	row("configuration", "conf_read(item)", "no cost", func() error { cfgTools[0].Read("k"); return nil })
 
 	// News service.
-	newsHost, _ := env.cluster.Site(1).Spawn()
-	if _, err := news.StartServer(newsHost); err != nil {
-		return rows, failed
-	}
-	sub, err := news.NewClient(env.client)
-	if err != nil {
-		return rows, failed
-	}
+	var sub *news.Client
+	setup("spawn the news host", func() (err error) { newsHost, err = env.cluster.Site(1).Spawn(); return })
+	setup("news.StartServer", func() error { _, err := news.StartServer(newsHost); return err })
+	setup("news.NewClient", func() (err error) { sub, err = news.NewClient(env.client); return })
 	row("news", "subscribe(subject)", "1 local RPC per posting (enrol: 1 mcast)",
 		func() error { return sub.Subscribe("bench", func(news.Posting) {}) })
 	row("news", "post_news(subject)", "1 async CBCAST or ABCAST",

@@ -8,7 +8,8 @@ import "slices"
 // internal/protos recent deliveries, ABCAST finals, request states, lost
 // relays and skipped request ids (where its table test lives, with the five
 // uses it was written for; the test of its two fields against each other is
-// beside it here). It has no lock of its own: whoever owns the state it
+// beside it here), and in internal/tools/coordcohort the reply copies that
+// overtook their request. It has no lock of its own: whoever owns the state it
 // belongs to serializes access.
 type BoundedLog[K comparable, V any] struct {
 	limit int

@@ -18,7 +18,8 @@ type CausalIncoming struct {
 	Payload    any
 }
 
-// CausalQueue is the per-member receiver state of the CBCAST protocol. It
+// CausalQueue is the receiver state of the CBCAST protocol — of one member,
+// or of a site ordering on behalf of every member it hosts. It
 // buffers messages that are not yet causally deliverable and releases them
 // as their causal predecessors arrive. Vector timestamps are per view: the
 // GBCAST flush that precedes every view change guarantees that no CBCAST
@@ -35,7 +36,8 @@ type CausalQueue struct {
 }
 
 // NewCausalQueue creates the receiver state for a member with the given rank
-// in a view of the given size.
+// in a view of the given size. A queue that stamps for several ranks (Stamp)
+// has none of its own and passes -1.
 func NewCausalQueue(selfRank, viewSize int) *CausalQueue {
 	return &CausalQueue{
 		selfRank: selfRank,
@@ -43,28 +45,35 @@ func NewCausalQueue(selfRank, viewSize int) *CausalQueue {
 	}
 }
 
-// Clock returns a copy of the member's current vector clock.
+// Clock returns a copy of the queue's current vector clock.
 func (q *CausalQueue) Clock() vclock.VC { return q.vc.Clone() }
 
-// SelfRank returns the member's rank in the current view.
-func (q *CausalQueue) SelfRank() int { return q.selfRank }
-
-// PrepareSend advances the member's own clock entry and returns the vector
-// timestamp to stamp on an outgoing CBCAST. The caller must deliver the
-// message locally right away (a sender always sees its own multicast
-// immediately; this is what makes asynchronous use safe — Section 3.4).
-func (q *CausalQueue) PrepareSend() vclock.VC {
-	q.vc.Tick(q.selfRank)
+// Stamp advances the clock entry of the member at the given rank and returns
+// the vector timestamp to stamp on its outgoing CBCAST. The caller must
+// deliver the message locally right away (a sender always sees its own
+// multicast immediately; this is what makes asynchronous use safe — Section
+// 3.4).
+func (q *CausalQueue) Stamp(rank int) vclock.VC {
+	q.vc.Tick(rank)
 	return q.vc.Clone()
 }
 
+// PrepareSend is Stamp for the queue's own member.
+func (q *CausalQueue) PrepareSend() vclock.VC { return q.Stamp(q.selfRank) }
+
 // Receive buffers an incoming CBCAST and returns every message (including
-// possibly this one) that has now become deliverable, in causal order.
-// Messages from the member itself are ignored (they were delivered at send
-// time).
+// possibly this one) that has now become deliverable, in causal order. A
+// second copy is turned away: of a message the clock already covers — one
+// delivered, or stamped here and so delivered at send time — and of one that
+// is already waiting.
 func (q *CausalQueue) Receive(in CausalIncoming) []CausalIncoming {
-	if in.SenderRank == q.selfRank {
+	if in.VT.Get(in.SenderRank) <= q.vc.Get(in.SenderRank) {
 		return nil
+	}
+	for i := range q.pending {
+		if q.pending[i].ID == in.ID {
+			return nil
+		}
 	}
 	q.pending = append(q.pending, in)
 	return q.drain()

@@ -105,6 +105,49 @@ func TestOwnMessagesAreSkipped(t *testing.T) {
 	}
 }
 
+// A second copy of a message — one a flush re-disseminates beside the
+// original — is turned away whether the original was delivered or still
+// waits, and the waiting original is released in its place all the same.
+func TestSecondCopyIsTurnedAway(t *testing.T) {
+	sender := NewCausalQueue(0, 2)
+	recv := NewCausalQueue(1, 2)
+	var msgs []CausalIncoming
+	for i := 1; i <= 3; i++ {
+		msgs = append(msgs, CausalIncoming{ID: mkID(0, uint64(i)), SenderRank: 0, VT: sender.PrepareSend(), Payload: i})
+	}
+	if out := recv.Receive(msgs[0]); len(out) != 1 {
+		t.Fatalf("message 1 not delivered: %v", out)
+	}
+	if out := recv.Receive(msgs[0]); out != nil {
+		t.Errorf("second copy of a delivered message released %v", out)
+	}
+	if out := recv.Receive(msgs[2]); len(out) != 0 {
+		t.Fatalf("message 3 delivered before 2: %v", out)
+	}
+	if out := recv.Receive(msgs[2]); out != nil || recv.PendingCount() != 1 {
+		t.Errorf("second copy of a waiting message released %v, %d waiting", out, recv.PendingCount())
+	}
+	out := recv.Receive(msgs[1])
+	if len(out) != 2 || out[0].Payload != 2 || out[1].Payload != 3 {
+		t.Errorf("after the copies, message 2 released %v, want 2 then 3", out)
+	}
+}
+
+// A queue ordering for several members of one site stamps for whichever of
+// them sends: only that member's entry moves.
+func TestStampTicksTheGivenRankOnly(t *testing.T) {
+	q := NewCausalQueue(-1, 3)
+	if vt := q.Stamp(2); !vt.Equal(vclock.VC{0, 0, 1}) {
+		t.Errorf("Stamp(2) = %v", vt)
+	}
+	if vt := q.Stamp(0); !vt.Equal(vclock.VC{1, 0, 1}) {
+		t.Errorf("Stamp(0) after Stamp(2) = %v", vt)
+	}
+	if vt := q.Stamp(2); !vt.Equal(vclock.VC{1, 0, 2}) || !q.Clock().Equal(vt) {
+		t.Errorf("second Stamp(2) = %v, clock %v", vt, q.Clock())
+	}
+}
+
 func TestInstallViewResetsState(t *testing.T) {
 	q := NewCausalQueue(1, 3)
 	// Buffer an undeliverable message (depends on an unseen one).
@@ -117,7 +160,7 @@ func TestInstallViewResetsState(t *testing.T) {
 	if len(dropped) != 1 || dropped[0].Payload != "late" {
 		t.Errorf("InstallView dropped = %v", dropped)
 	}
-	if q.PendingCount() != 0 || q.SelfRank() != 0 {
+	if q.PendingCount() != 0 || q.selfRank != 0 {
 		t.Error("InstallView did not reset state")
 	}
 	if !q.Clock().Equal(vclock.New(2)) {

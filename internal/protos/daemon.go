@@ -95,11 +95,10 @@ type localProc struct {
 	queue chan func() // per-process delivery queue, drained by one goroutine
 }
 
-// memberState is the per-(group, local member) protocol state.
+// memberState is the per-(group, local member) state: what is handed to the
+// member, and when. The order is the copy's (groupState.causal, .total).
 type memberState struct {
-	proc   *localProc
-	causal *core.CausalQueue
-	total  *core.TotalQueue
+	proc *localProc
 
 	// joinedView is the view in which this member entered the group at this
 	// site. A GBCAST flush re-disseminates messages some member sites
@@ -121,19 +120,6 @@ type memberState struct {
 	// discards the partial buffer instead of delivering duplicate blocks.
 	xferID  uint64
 	xferBuf [][]byte
-
-	// redelivered records messages this member received through a GBCAST
-	// flush re-dissemination; when the original copy later drains from the
-	// causal queue it is suppressed so the member does not see it twice.
-	redelivered map[core.MsgID]bool
-
-	// Straggler tracking for the re-solicitation watchdog: the uncommitted
-	// message currently blocking the head of the member's total-order queue,
-	// when it started blocking, and how many re-solicitations have been sent
-	// for it (used to rotate the target away from an unreachable initiator).
-	blockedID    core.MsgID
-	blockedSince time.Time
-	resolicits   int
 }
 
 // groupState is the per-group state kept at every site hosting members.
@@ -141,6 +127,22 @@ type groupState struct {
 	view     core.View
 	prevView core.View                     // the view this site held before the current one
 	members  map[addr.Address]*memberState // local members only
+
+	// The copy's one ordering state. The site runs CBCAST and ABCAST once on
+	// behalf of every member it hosts and hands each released message to all
+	// of them (deliverDataLocked): they see the same inputs under one lock and
+	// a view installs for all of them at once, so a queue each would only
+	// repeat this one. Re-disseminated messages go in through the same queues.
+	causal *core.CausalQueue
+	total  *core.TotalQueue
+
+	// Straggler tracking for the re-solicitation watchdog: the uncommitted
+	// message currently blocking the head of the copy's total-order queue,
+	// when it started blocking, and how many re-solicitations have been sent
+	// for it (used to rotate the target away from an unreachable initiator).
+	blockedID    core.MsgID
+	blockedSince time.Time
+	resolicits   int
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
 	// alone; parked is what the open flush holds back; flushDeadline is when
@@ -185,10 +187,15 @@ type recentEntry struct {
 
 const recentLimit = 256
 
+// newGroupState makes a group copy. It stamps for whichever local member
+// sends, so its causal queue has no rank of its own; one made for a view yet
+// to be installed (no members) gets its clock at the install.
 func newGroupState(view core.View) *groupState {
 	return &groupState{
 		view:    view,
 		members: make(map[addr.Address]*memberState),
+		causal:  core.NewCausalQueue(-1, view.Size()),
+		total:   core.NewTotalQueue(0),
 		recent:  core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
 		marks:   newRequestMarks(),
 	}

@@ -262,10 +262,12 @@ func reconcile(reports map[addr.SiteID]pendingReport, removingFailed bool, remov
 		}
 	}
 	// A message delivered at some member sites but not all of them must be
-	// re-disseminated so every survivor delivers it before the GBCAST point.
+	// re-disseminated so every survivor delivers it before the GBCAST point —
+	// an ABCAST at the final it was delivered at, so it takes the same place in
+	// every site's order.
 	for id, count := range recentCount {
 		if count < nSites {
-			out.Recent = append(out.Recent, recentWire{ID: id, Packet: recentPkt[id]})
+			out.Recent = append(out.Recent, recentWire{ID: id, Packet: recentPkt[id], Priority: recentFinal[id]})
 		}
 	}
 	return out

@@ -35,6 +35,7 @@ func TestReconcile(t *testing.T) {
 		abcasts []abPendingWire
 		fenced  []core.MsgID
 		recent  []core.MsgID
+		finals  []uint64 // the final each Recent entry carries, when any does
 	}{
 		{
 			name: "committed anywhere: forced everywhere at the final priority",
@@ -54,6 +55,17 @@ func TestReconcile(t *testing.T) {
 			},
 			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 7, Packet: pkt}},
 			recent:  []core.MsgID{a},
+			finals:  []uint64{7},
+		},
+		{
+			name: "delivered somewhere, unknown elsewhere: re-disseminated at the recorded final",
+			reports: map[addr.SiteID]pendingReport{
+				1: {Recent: []recentWire{{ID: a, Packet: pkt, Priority: 7}}},
+				2: {},
+				3: {},
+			},
+			recent: []core.MsgID{a},
+			finals: []uint64{7},
 		},
 		{
 			name: "uncommitted from the failed sender: discarded everywhere",
@@ -118,14 +130,21 @@ func TestReconcile(t *testing.T) {
 				t.Errorf("Fenced = %v, want %v", out.Fenced, tc.fenced)
 			}
 			var recent []core.MsgID
+			var finals []uint64
 			for _, r := range out.Recent {
 				if r.Packet != pkt {
 					t.Errorf("Recent entry %v carries no packet to re-deliver", r.ID)
 				}
 				recent = append(recent, r.ID)
+				if r.Priority != 0 {
+					finals = append(finals, r.Priority)
+				}
 			}
 			if !slices.Equal(recent, tc.recent) {
 				t.Errorf("Recent = %v, want %v", recent, tc.recent)
+			}
+			if !slices.Equal(finals, tc.finals) {
+				t.Errorf("finals carried by Recent = %v, want %v", finals, tc.finals)
 			}
 		})
 	}

@@ -377,42 +377,20 @@ func (d *Daemon) prepareLocal(gid addr.Address, targets []addr.Address, sealTarg
 	return ack
 }
 
-// buildReportLocked summarises the pending and recently delivered messages
-// of every local member, plus the phase-2 state of any ABCAST this site is
-// initiating (the priorities collected so far), so a GBCAST flush sees every
-// in-flight ABCAST the site knows about. For an entry pending at several
-// local members the report carries the highest proposed priority (the final
-// priority must dominate every proposal); a committed entry reports its
-// final priority. Caller holds d.mu.
+// buildReportLocked summarises the copy's pending and recently delivered
+// messages, plus the phase-2 state of any ABCAST this site is initiating (the
+// priorities collected so far), so a GBCAST flush sees every in-flight ABCAST
+// the site knows about. An uncommitted entry reports the priority proposed
+// for it, a committed entry its final priority. Caller holds d.mu.
 func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 	var rep pendingReport
 	idx := make(map[core.MsgID]int)
-	for _, ms := range gs.members {
-		for _, p := range ms.total.Pending() {
-			var pkt *msg.Message
-			if m, ok := p.Payload.(*msg.Message); ok {
-				pkt = m
-			}
-			i, ok := idx[p.ID]
-			if !ok {
-				idx[p.ID] = len(rep.Abcasts)
-				rep.Abcasts = append(rep.Abcasts, abPendingWire{
-					ID: p.ID, Committed: p.Committed, Priority: p.Priority, Packet: pkt,
-				})
-				continue
-			}
-			e := &rep.Abcasts[i]
-			switch {
-			case p.Committed && !e.Committed:
-				e.Committed = true
-				e.Priority = p.Priority
-			case p.Committed == e.Committed && p.Priority > e.Priority:
-				e.Priority = p.Priority
-			}
-			if e.Packet == nil {
-				e.Packet = pkt
-			}
-		}
+	for _, p := range gs.total.Pending() {
+		pkt, _ := p.Payload.(*msg.Message)
+		idx[p.ID] = len(rep.Abcasts)
+		rep.Abcasts = append(rep.Abcasts, abPendingWire{
+			ID: p.ID, Committed: p.Committed, Priority: p.Priority, Packet: pkt,
+		})
 	}
 	for id, st := range d.pendingAb {
 		if st.group != gs.view.Group {
@@ -647,24 +625,29 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 // caller restarts them under the new view). Caller holds d.mu.
 func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced []*abSendState) {
 	gid := gs.view.Group
-	// Re-disseminated messages go to every member of the *old* local view,
-	// skipping anything already delivered here and any member that joined
-	// after the message was sent (its state-transfer cut covers it).
+	// Re-disseminated messages take the one way into delivery, the queue of
+	// their protocol, skipping anything already delivered here. Handed to the
+	// members as the list has them — reconcile builds it by ranging over a map
+	// — they arrived out of sender order, and an ABCAST ahead of its place. An
+	// ABCAST is committed at the final the delivering site recorded and comes
+	// out in its turn; a CBCAST of the installed view waits for its causal
+	// predecessors, which the list also holds (one whose predecessor has left
+	// every site's recent log waits until the view goes). Only a CBCAST of
+	// another view — closed, or one a lagging copy never installed — is handed
+	// straight over: its timestamp means nothing to this view's clock, and
+	// handleData turns such a packet away from now on.
 	for _, rc := range rec.Recent {
 		if _, have := gs.recent.Get(rc.ID); have || rc.Packet == nil {
 			continue
 		}
-		d.recordRecentLocked(gs, rc.ID, rc.Packet, rc.Priority)
-		pv := core.ViewID(rc.Packet.GetInt(fViewID, 0))
-		for _, ms := range gs.members {
-			if pv != 0 && pv < ms.joinedView {
-				continue
-			}
-			if ms.redelivered == nil {
-				ms.redelivered = make(map[core.MsgID]bool)
-			}
-			ms.redelivered[rc.ID] = true
-			d.deliverDataLocked(ms, rc.Packet)
+		switch {
+		case Protocol(rc.Packet.GetInt(fProto, 0)) == ABCAST:
+			d.deliverTotalLocked(gs, gs.total.ForceCommit(rc.ID, rc.Packet, rc.Priority))
+		case core.ViewID(rc.Packet.GetInt(fViewID, 0)) == gs.view.ID:
+			d.processCbcastLocked(gs, rc.Packet)
+		default:
+			d.recordRecentLocked(gs, rc.ID, rc.Packet, 0)
+			d.deliverDataLocked(gs, rc.Packet)
 		}
 	}
 	// Fenced ABCASTs next: the message could not be completed on this side
@@ -678,9 +661,7 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	// protocol closes).
 	for _, id := range rec.Fenced {
 		d.bus.Publish(events.Event{Kind: events.AbcastFenced, Group: gid, Msg: id})
-		for _, ms := range gs.members {
-			d.deliverTotalLocked(gs, ms, ms.total.Discard(id))
-		}
+		d.deliverTotalLocked(gs, gs.total.Discard(id))
 		if st, ok := d.pendingAb[id]; ok && st.group == gid {
 			fenced = append(fenced, st)
 		}
@@ -688,14 +669,9 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	for _, ab := range rec.Abcasts {
 		if ab.Committed {
 			d.recordAbDoneLocked(ab.ID, ab.Priority)
-		}
-		for _, ms := range gs.members {
-			if ab.Committed {
-				var payload any = ab.Packet
-				d.deliverTotalLocked(gs, ms, ms.total.ForceCommit(ab.ID, payload, ab.Priority))
-			} else {
-				d.deliverTotalLocked(gs, ms, ms.total.Discard(ab.ID))
-			}
+			d.deliverTotalLocked(gs, gs.total.ForceCommit(ab.ID, ab.Packet, ab.Priority))
+		} else {
+			d.deliverTotalLocked(gs, gs.total.Discard(ab.ID))
 		}
 		// The flush resolved this in-flight ABCAST (completed or discarded);
 		// if this site initiated it, its own protocol round is over. The
@@ -835,8 +811,6 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 		ms := &memberState{
 			proc:       lp,
-			causal:     core.NewCausalQueue(newView.RankOf(m), newView.Size()),
-			total:      core.NewTotalQueue(0),
 			joinedView: newView.ID,
 		}
 		// Was this an explicit join from this site with a state request?
@@ -850,11 +824,10 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 		gs.members[m.Base()] = ms
 	}
-	// Continuing members: reset per-view ordering state to their new rank.
-	for a, ms := range gs.members {
-		if old.Contains(a) {
-			ms.causal.InstallView(newView.RankOf(a), newView.Size())
-		}
+	// Reset the per-view ordering state to the new view's size. A copy left
+	// with no members is about to be dropped and is spared the new clock.
+	if len(gs.members) > 0 {
+		gs.causal.InstallView(-1, newView.Size())
 	}
 
 	// Notify every local member of the new view, in order relative to

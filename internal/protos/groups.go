@@ -38,8 +38,6 @@ func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, erro
 	gs := newGroupState(view)
 	gs.members[creator.Base()] = &memberState{
 		proc:       lp,
-		causal:     core.NewCausalQueue(0, 1),
-		total:      core.NewTotalQueue(0),
 		joinedView: view.ID,
 	}
 	d.groups[gid] = gs

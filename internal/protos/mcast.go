@@ -193,6 +193,12 @@ func (d *Daemon) deliverPointToPoint(pkt *msg.Message, dests addr.List) {
 func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Protocol, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) error {
 	d.mu.Lock()
 	gs, err := d.settledGroupLocked(gid)
+	if err == nil && !lp.alive {
+		// Killed since Multicast looked, perhaps while waiting out the very
+		// flush that removed it: sent now, the cast would go out as a
+		// non-member's, and the other sites turn a failed process's away.
+		err = ErrDeadProcess
+	}
 	if err != nil {
 		d.mu.Unlock()
 		return err
@@ -251,34 +257,24 @@ func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.V
 }
 
 // sendMemberCbcastLocked performs a CBCAST send by the local member ms: the
-// message is stamped with the member's vector timestamp, delivered locally
-// at once (the sender never waits), and shipped to every other member site.
+// message is stamped with the copy's vector timestamp ticked for the member,
+// delivered to every local member at once (the sender never waits), and
+// shipped to every other member site.
 // sender is who the application sees as the sender: the member itself, or
 // the non-member whose cast it relays, which a flush then reconciles and a
 // joiner understands like any other CBCAST of the member. Returns the stamp
 // the cast went out with. Caller holds d.mu; the packet transmission happens
 // asynchronously.
 func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) relayStamp {
-	vt := ms.causal.PrepareSend()
-	rank := ms.causal.SelfRank()
+	rank := gs.view.RankOf(ms.proc.addr)
+	vt := gs.causal.Stamp(rank)
 	pkt := d.buildDataPacket(CBCAST, gs.view.Group, gs.view.ID, id, sender, rank, entry, payload)
 	putVT(pkt, vt)
 	d.recordRecentLocked(gs, id, pkt, 0)
 
-	// Deliver to the stamping member itself immediately.
-	d.deliverDataLocked(ms, pkt)
-	// Other members at this site order it through their own causal queues.
-	for _, other := range gs.members {
-		if other == ms {
-			continue
-		}
-		in := core.CausalIncoming{ID: id, SenderRank: rank, VT: vt, Payload: pkt}
-		for _, out := range other.causal.Receive(in) {
-			if opkt, ok := out.Payload.(*msg.Message); ok {
-				d.deliverDataLocked(other, opkt)
-			}
-		}
-	}
+	// To the stamping member and the members beside it alike: the clock just
+	// stamped covers exactly what the copy has released, to all of them.
+	d.deliverDataLocked(gs, pkt)
 	// Ship one copy to every other member site, asynchronously. The packet
 	// is marshalled exactly once; all destinations share the encoding.
 	sites := gs.view.SitesOf()
@@ -453,7 +449,7 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp
 			continue
 		}
 		if after := getStamp(pkt); after.view > gs.view.ID ||
-			after.view == gs.view.ID && ms.causal.Clock().Get(after.rank) < after.seq {
+			after.view == gs.view.ID && gs.causal.Clock().Get(after.rank) < after.seq {
 			return relayStamp{}, errRelayEarly
 		}
 		payload := pkt.GetMessage(fPayload)
@@ -470,20 +466,14 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp
 // ABCAST initiator side
 
 // initiateAbcastLocked sets up the initiator-side state for one ABCAST and
-// performs the local phase-1 proposals. Caller holds d.mu and must call
+// performs the local phase-1 proposal. Caller holds d.mu and must call
 // transmitAbcast afterwards. attempt is 0 for a fresh ABCAST and counts up
 // when a GBCAST flush fences the message and restarts it.
 func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Message, senderLP *localProc, attempt int64) *abSendState {
-	maxPrio := uint64(0)
-	for _, ms := range gs.members {
-		if p := ms.total.Propose(id, pkt); p > maxPrio {
-			maxPrio = p
-		}
-	}
 	st := &abSendState{
 		id:       id,
 		group:    gs.view.Group,
-		maxPrio:  maxPrio,
+		maxPrio:  gs.total.Propose(id, pkt),
 		packet:   pkt,
 		attempt:  attempt,
 		deadline: time.Now().Add(d.cfg.CallTimeout),
@@ -661,32 +651,20 @@ func (d *Daemon) handleAbCommit(from addr.SiteID, p *msg.Message) {
 		return
 	}
 	d.recordAbDoneLocked(id, final)
-	for _, ms := range gs.members {
-		d.deliverTotalLocked(gs, ms, ms.total.Commit(id, final))
-	}
+	d.deliverTotalLocked(gs, gs.total.Commit(id, final))
 	d.mu.Unlock()
 }
 
-// deliverTotalLocked hands messages drained from a member's total-order
-// queue to the member. A message a GBCAST flush already re-disseminated to
-// the member is suppressed (the drain only advances the queue state), and a
-// message sent before the member joined is skipped — its state-transfer cut
-// covers it. Caller holds d.mu.
-func (d *Daemon) deliverTotalLocked(gs *groupState, ms *memberState, dels []core.TotalDelivery) {
+// deliverTotalLocked hands messages drained from the copy's total-order
+// queue to its members. Caller holds d.mu.
+func (d *Daemon) deliverTotalLocked(gs *groupState, dels []core.TotalDelivery) {
 	for _, del := range dels {
-		if ms.redelivered[del.ID] {
-			delete(ms.redelivered, del.ID)
-			continue
-		}
 		pkt, ok := del.Payload.(*msg.Message)
 		if !ok || pkt == nil {
 			continue
 		}
-		if pv := core.ViewID(pkt.GetInt(fViewID, 0)); pv != 0 && pv < ms.joinedView {
-			continue
-		}
 		d.recordRecentLocked(gs, del.ID, pkt, del.Priority)
-		d.deliverDataLocked(ms, pkt)
+		d.deliverDataLocked(gs, pkt)
 	}
 }
 
@@ -720,13 +698,13 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
 	_ = d.sendPacket(from, ptAbCommit, newAbCommit(gid.Base(), id, final))
 }
 
-// runResolicitScan periodically checks every local member's total-order
+// runResolicitScan periodically checks every group copy's total-order
 // queue for a straggler: an uncommitted message that has blocked the head of
 // the queue (and therefore every later committed delivery) for longer than
 // ResolicitAfter. For each straggler it re-solicits the commit record —
 // from the initiator's site first, rotating to the other member sites if the
 // initiator does not answer — so a slow or lost proposal round no longer
-// stalls the member until the next flush.
+// stalls the copy until the next flush.
 //
 // Its tick is also the daemon's one clock: the deadlines of ABCAST rounds and
 // open flushes are read on it (no timer is armed for either), and the repair
@@ -786,33 +764,32 @@ func (d *Daemon) resolicitStragglers() {
 		if gs.phase != phaseNormal {
 			continue
 		}
-		for _, ms := range gs.members {
-			id, payload, blocked := ms.total.HeadBlocked()
-			if !blocked {
-				ms.blockedID = core.MsgID{}
-				continue
-			}
-			if id != ms.blockedID {
-				ms.blockedID = id
-				ms.blockedSince = now
-				ms.resolicits = 0
-				continue
-			}
-			if now.Sub(ms.blockedSince) < d.cfg.ResolicitAfter {
-				continue
-			}
-			ms.blockedSince = now // rate-limit: one solicitation per period
-			if final, ok := d.abDone.Get(id); ok {
-				// Another local member (or a past commit within the bounded
-				// record) already knows the outcome: apply it directly.
-				selfFix = append(selfFix, newAbCommit(gid, id, final))
-				continue
-			}
-			to := d.resolicitTargetLocked(gs, payload, ms.resolicits)
-			ms.resolicits++
-			if to != 0 {
-				asks = append(asks, ask{to, gid, id})
-			}
+		id, payload, blocked := gs.total.HeadBlocked()
+		if !blocked {
+			gs.blockedID = core.MsgID{}
+			continue
+		}
+		if id != gs.blockedID {
+			gs.blockedID = id
+			gs.blockedSince = now
+			gs.resolicits = 0
+			continue
+		}
+		if now.Sub(gs.blockedSince) < d.cfg.ResolicitAfter {
+			continue
+		}
+		gs.blockedSince = now // rate-limit: one solicitation per period
+		if final, ok := d.abDone.Get(id); ok {
+			// A past commit within the bounded record (one that reached this
+			// site ahead of the message) already knows the outcome: apply it
+			// directly.
+			selfFix = append(selfFix, newAbCommit(gid, id, final))
+			continue
+		}
+		to := d.resolicitTargetLocked(gs, payload, gs.resolicits)
+		gs.resolicits++
+		if to != 0 {
+			asks = append(asks, ask{to, gid, id})
 		}
 	}
 	d.mu.Unlock()
@@ -928,17 +905,12 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 		d.mu.Unlock()
 	case ABCAST:
 		id := getMsgID(pkt)
-		maxPrio := uint64(0)
-		for _, ms := range gs.members {
-			if p := ms.total.Propose(id, pkt); p > maxPrio {
-				maxPrio = p
-			}
-		}
+		prio := gs.total.Propose(id, pkt)
 		d.mu.Unlock()
 		resp := msg.NewSized(5)
 		resp.PutAddress(fGroup, gid)
 		putMsgID(resp, id)
-		resp.PutInt(fPriority, int64(maxPrio))
+		resp.PutInt(fPriority, int64(prio))
 		if att := pkt.GetInt(fAttempt, 0); att != 0 {
 			resp.PutInt(fAttempt, att)
 		}
@@ -948,27 +920,18 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 	}
 }
 
-// processCbcastLocked feeds a CBCAST into every local member's causal queue
-// and delivers whatever becomes deliverable. Caller holds d.mu.
+// processCbcastLocked feeds a CBCAST into the copy's causal queue and
+// delivers whatever becomes deliverable. Caller holds d.mu.
 func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 	id := getMsgID(pkt)
 	rank := int(pkt.GetInt(fRank, -1))
-	for _, ms := range gs.members {
-		in := core.CausalIncoming{ID: id, SenderRank: rank, VT: getVT(pkt), Payload: pkt}
-		for _, out := range ms.causal.Receive(in) {
-			if ms.redelivered[out.ID] {
-				// Already delivered to this member by a GBCAST flush
-				// re-dissemination; the causal clock has been advanced by
-				// Receive, so just suppress the duplicate callback.
-				delete(ms.redelivered, out.ID)
-				continue
-			}
-			// Relayed for a process since observed to fail, it is as if dropped at
-			// the door, but for the clock Receive has advanced.
-			if opkt, ok := out.Payload.(*msg.Message); ok && !d.failedProcs[opkt.GetAddress(fSender).Base()] {
-				d.recordRecentLocked(gs, out.ID, opkt, 0)
-				d.deliverDataLocked(ms, opkt)
-			}
+	in := core.CausalIncoming{ID: id, SenderRank: rank, VT: getVT(pkt), Payload: pkt}
+	for _, out := range gs.causal.Receive(in) {
+		// Relayed for a process since observed to fail, it is as if dropped at
+		// the door, but for the clock Receive has advanced.
+		if opkt, ok := out.Payload.(*msg.Message); ok && !d.failedProcs[opkt.GetAddress(fSender).Base()] {
+			d.recordRecentLocked(gs, out.ID, opkt, 0)
+			d.deliverDataLocked(gs, opkt)
 		}
 	}
 }
@@ -992,9 +955,10 @@ func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address,
 	return m
 }
 
-// deliverDataLocked delivers a group data packet to one local member. Caller
-// holds d.mu.
-func (d *Daemon) deliverDataLocked(ms *memberState, pkt *msg.Message) {
+// deliverDataLocked delivers a group data packet the copy's ordering has
+// released to each local member that was in the group when it was sent; one
+// that joined later is skipped (memberState.joinedView). Caller holds d.mu.
+func (d *Daemon) deliverDataLocked(gs *groupState, pkt *msg.Message) {
 	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
 	payload := pkt.GetMessage(fPayload)
 	if payload == nil {
@@ -1004,10 +968,15 @@ func (d *Daemon) deliverDataLocked(ms *memberState, pkt *msg.Message) {
 	gid := pkt.GetAddress(fGroup)
 	proto := Protocol(pkt.GetInt(fProto, 0))
 	viewID := core.ViewID(pkt.GetInt(fViewID, 0))
-	m := d.buildDelivery(payload, sender, gid, viewID, proto)
-	d.counters.Delivered++
-	lp := ms.proc
-	d.enqueueMember(ms, func() { lp.deliver(entry, m) })
+	for _, ms := range gs.members {
+		if viewID != 0 && viewID < ms.joinedView {
+			continue
+		}
+		m := d.buildDelivery(payload, sender, gid, viewID, proto)
+		d.counters.Delivered++
+		lp := ms.proc
+		d.enqueueMember(ms, func() { lp.deliver(entry, m) })
+	}
 }
 
 // deliverPayloadLocked delivers an application payload (used by user-level

@@ -100,6 +100,7 @@ type testProc struct {
 	entries  []addr.EntryID
 	views    []core.View
 	received map[string]bool
+	trace    []string // bodies and "view N" marks, in the one order the callbacks ran
 }
 
 func (tc *testCluster) newProc(site addr.SiteID) *testProc {
@@ -112,11 +113,13 @@ func (tc *testCluster) newProc(site addr.SiteID) *testProc {
 			p.msgs = append(p.msgs, m)
 			p.entries = append(p.entries, entry)
 			p.received[m.GetString("body", "")] = true
+			p.trace = append(p.trace, m.GetString("body", ""))
 		},
 		func(v core.View) {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			p.views = append(p.views, v)
+			p.trace = append(p.trace, fmt.Sprintf("view %d", v.ID))
 		},
 	)
 	if err != nil {

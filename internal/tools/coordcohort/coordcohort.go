@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	isis "repro"
+	"repro/internal/core"
 )
 
 // Action computes the reply to a request. It runs in the coordinator only
@@ -26,8 +27,7 @@ type Tool struct {
 	// completed remembers recently observed reply copies whose request had
 	// not yet been handled locally (the copy can overtake the request when
 	// they travel to this site over different paths); bounded FIFO.
-	completed      map[int64]*isis.Message
-	completedOrder []int64
+	completed core.BoundedLog[int64, *isis.Message]
 }
 
 const completedLimit = 256
@@ -45,7 +45,8 @@ type watch struct {
 // GENERIC_CC_REPLY entry point and monitors the group so cohorts learn about
 // coordinator failures.
 func New(p *isis.Process, gid isis.Address) *Tool {
-	t := &Tool{p: p, gid: gid, watches: make(map[int64]*watch), completed: make(map[int64]*isis.Message)}
+	t := &Tool{p: p, gid: gid, watches: make(map[int64]*watch),
+		completed: core.NewBoundedLog[int64, *isis.Message](completedLimit)}
 	p.BindEntry(isis.EntryGenericCCRply, t.onReplyCopy)
 	p.Monitor(gid, t.onViewChange)
 	return t
@@ -79,8 +80,8 @@ func (t *Tool) Handle(req *isis.Message, plist []isis.Address, action Action, go
 	// overtake the request), complete immediately.
 	session := req.Session()
 	t.mu.Lock()
-	if reply, ok := t.completed[session]; ok {
-		delete(t.completed, session)
+	if reply, ok := t.completed.Get(session); ok {
+		t.completed.Delete(session)
 		t.mu.Unlock()
 		if gotReply != nil {
 			gotReply(reply)
@@ -118,14 +119,8 @@ func (t *Tool) onReplyCopy(m *isis.Message) {
 	} else {
 		// The copy overtook the request: remember it so Handle can complete
 		// the computation the moment the request arrives.
-		if _, dup := t.completed[session]; !dup {
-			t.completed[session] = m
-			t.completedOrder = append(t.completedOrder, session)
-			if len(t.completedOrder) > completedLimit {
-				old := t.completedOrder[0]
-				t.completedOrder = t.completedOrder[1:]
-				delete(t.completed, old)
-			}
+		if _, dup := t.completed.Get(session); !dup {
+			t.completed.Put(session, m)
 		}
 	}
 	t.mu.Unlock()
