@@ -320,9 +320,12 @@ func (b *Bus) Close() {
 
 // Counters tallies protocol activity at one site. It is event-derived in
 // spirit — every increment corresponds to a protocol step the event stream
-// can also report — and is aggregated across sites by the public API.
+// can also report — and is aggregated across sites by the public API. A
+// multicast is counted at the site that stamps and sends it, when it is sent:
+// a member's at its own site, a non-member's at the site that relays it — not
+// at the sender's, and whether or not the relay's acknowledgement gets back.
 type Counters struct {
-	CBCASTs       uint64 // causal multicasts initiated
+	CBCASTs       uint64 // causal multicasts sent
 	ABCASTs       uint64 // total-order multicasts initiated
 	GBCASTs       uint64 // global multicasts / view changes initiated
 	PointToPoints uint64 // point-to-point packets sent

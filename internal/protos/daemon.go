@@ -676,9 +676,8 @@ func (d *Daemon) failCallsTo(s addr.SiteID) {
 // respond delivers a response to a pending call, if it still exists.
 func (d *Daemon) respond(callID int64, m *msg.Message) {
 	d.mu.Lock()
-	c, ok := d.calls[callID]
-	d.mu.Unlock()
-	if ok {
+	defer d.mu.Unlock()
+	if c, ok := d.calls[callID]; ok {
 		select {
 		case c.ch <- m:
 		default:

@@ -11,7 +11,7 @@ import (
 )
 
 // prepareAck is one member site's answer to a flush prepare. It travels in a
-// ptGbAck; the coordinator's own is produced by the same prepareLocal call.
+// ptGbAck; the coordinator's own is produced by the same prepareLocalLocked call.
 type prepareAck struct {
 	report pendingReport
 	view   core.View // the site's current view of the group (zero: it hosts no copy)

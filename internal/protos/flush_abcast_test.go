@@ -12,6 +12,7 @@ package protos
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,6 +185,93 @@ func TestScenarioFlushFencesUndeliveredAbcast(t *testing.T) {
 		}
 	}
 	assertSameSideOfMarker(t, procs, "fenced", "marker")
+}
+
+// TestFencedAbcastReachesJoiner fences an ABCAST behind the view change that
+// adds a member and holds the round's first phase 1 on the wire to the
+// joiner's site until the view is installed there. The stale packet then
+// arrives ahead of the restart's: filed, it would shadow the restart, the
+// message would be delivered as one of the closed view, and the joiner — alone
+// among the members — would be refused it.
+func TestFencedAbcastReachesJoiner(t *testing.T) {
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), 2*time.Second, quietDetector())
+	procs := buildGroup(t, tc, "fencejoin", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "fencejoin")
+
+	tc.net.PauseLink(2, 3)
+	if err := cast(procs[1], ABCAST, gid, "fenced"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "phase 1 at site 1", 5*time.Second, func() bool {
+		d := tc.daemons[1]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.groups[gid].total.PendingCount() == 1
+	})
+	joiner := tc.newProc(3)
+	if _, err := tc.daemons[3].Join(joiner.addr, gid, JoinOptions{}); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	tc.net.ResumeLink(2, 3)
+
+	all := append(slices.Clone(procs), joiner)
+	waitFor(t, "the fenced ABCAST at every member, the joiner included", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(all, func(p *testProc) bool { return !p.got("fenced") })
+	})
+	// One more from the same sender flushes out a second delivery, if any.
+	if err := cast(procs[1], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the next ABCAST everywhere", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(all, func(p *testProc) bool { return !p.got("after") })
+	})
+	for _, p := range all {
+		if n := countBody(p, "fenced"); n != 1 {
+			t.Errorf("%v delivered the fenced ABCAST %d times, want 1", p.addr, n)
+		}
+	}
+}
+
+// TestCompletedRoundIsPendingOrApplied pins the window a flush report could
+// once look into: between an initiator retiring its round and applying its own
+// commit, the message was vouched for by nobody. With both in one hold of the
+// lock, what the report is built from shows the commit applied — delivered and
+// in recent with its final, or committed in the queue behind an older entry —
+// the moment the round has left pendingAb.
+func TestCompletedRoundIsPendingOrApplied(t *testing.T) {
+	for _, blocked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("behind an uncommitted entry=%v", blocked), func(t *testing.T) {
+			tc := newFaultCluster(t, 2, simnet.FastConfig(), 2*time.Second, quietDetector())
+			procs := buildGroup(t, tc, "window", 1, 2)
+			gid := groupOf(t, tc, procs[0], "window")
+			d := tc.daemons[1]
+
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			gs := d.groups[gid]
+			if blocked {
+				other := core.MsgID{Sender: procs[1].addr, Seq: 900}
+				gs.total.Propose(other, d.buildDataPacket(ABCAST, gid, gs.view.ID, other, procs[1].addr, 1, addr.EntryUserBase, body("older")))
+			}
+			id := core.MsgID{Sender: procs[0].addr, Seq: 901}
+			d.initiateAbcastLocked(gs, id, d.buildDataPacket(ABCAST, gid, gs.view.ID, id, procs[0].addr, 0, addr.EntryUserBase, body("m")), procs[0].addr, 0)
+			st := d.pendingAb[id]
+			if st == nil || st.done {
+				t.Fatal("the round completed with site 2's proposal still out")
+			}
+			st.done = true
+			d.completeAbcastLocked(st)
+
+			if _, pending := d.pendingAb[id]; pending {
+				t.Error("the completed round is still in pendingAb")
+			}
+			rec, delivered := gs.recent.Get(id)
+			committed := slices.ContainsFunc(d.buildReportLocked(gs).Abcasts, func(ab abPendingWire) bool { return ab.ID == id && ab.Committed && ab.Priority == st.maxPrio })
+			if delivered == blocked || committed != blocked || delivered && rec.prio != st.maxPrio {
+				t.Errorf("after completeAbcastLocked: delivered=%v (final %d, want %d), reported committed=%v", delivered, rec.prio, st.maxPrio, committed)
+			}
+		})
+	}
 }
 
 // TestScenarioFlushCompletesDeliveredStraggler pins the limbo class the

@@ -293,7 +293,9 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 	var wg sync.WaitGroup
 	for _, site := range view.SitesOf() {
 		if site == d.site {
-			own := d.prepareLocal(w.gid, targets, sealTarget, true)
+			d.mu.Lock()
+			own := d.prepareLocalLocked(w.gid, targets, sealTarget, true)
+			d.mu.Unlock()
 			ackMu.Lock()
 			acks[d.site] = own
 			ackMu.Unlock()
@@ -345,15 +347,14 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 	return acks
 }
 
-// prepareLocal is phase 1 at this site: it feeds the prepare to the group
+// prepareLocalLocked is phase 1 at this site: it feeds the prepare to the group
 // copy's lifecycle (a primary copy wedges) and returns the site's answer.
 // targets are the failure removal's processes and sealTarget the request id
 // an outcome-settling flush asks about (zero values when the flush is
 // neither). A member site vouches only for the targets it hosts; the
 // coordinator (own) also counts every process it has recorded as failed.
-func (d *Daemon) prepareLocal(gid addr.Address, targets []addr.Address, sealTarget int64, own bool) prepareAck {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Caller holds d.mu.
+func (d *Daemon) prepareLocalLocked(gid addr.Address, targets []addr.Address, sealTarget int64, own bool) prepareAck {
 	var ack prepareAck
 	for _, pr := range targets {
 		if pr.Site == d.site {
@@ -369,7 +370,7 @@ func (d *Daemon) prepareLocal(gid addr.Address, targets []addr.Address, sealTarg
 	if !ok {
 		return ack
 	}
-	d.step(gs, inPrepare) // entering (or staying in) a flush releases nothing
+	d.step(gs, inPrepare)
 	ack.report, ack.view = d.buildReportLocked(gs), gs.view.Clone()
 	if sealTarget != 0 {
 		ack.vote = gs.marks.Vote(sealTarget)
@@ -426,16 +427,15 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 // advanced copy any survivor holds.
 func (d *Daemon) handleGbPrepare(from addr.SiteID, p *msg.Message) {
 	d.mu.Lock()
-	dead := d.suspected[from]
-	d.mu.Unlock()
-	if dead {
+	defer d.mu.Unlock()
+	if d.suspected[from] {
 		// A straggling prepare from a coordinator already declared failed
 		// (e.g. held in the network across the crash): wedging for it would
 		// freeze the group with nobody left to run the commit that
 		// unwedges it. The takeover flush owns the group now.
 		return
 	}
-	ack := d.prepareLocal(p.GetAddress(fGroup).Base(), p.GetAddressList(fProcs), p.GetInt(fSealReq, 0), false)
+	ack := d.prepareLocalLocked(p.GetAddress(fGroup).Base(), p.GetAddressList(fProcs), p.GetInt(fSealReq, 0), false)
 	resp := msg.New()
 	resp.PutInt(fCall, p.GetInt(fCall, 0))
 	resp.PutMessage(fPending, encodePendingReport(ack.report))
@@ -466,18 +466,16 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	sealOutcome := p.GetInt(fOutcome, 0)
 
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	gs, hosted := d.groups[gid]
 	switch {
 	case kind == gbNonPrimary:
 		// The minority coordinator's notice: this partition failed to reach
 		// a majority. The copy goes read-only (which ends the flush, so held
 		// reads drain) and waits for the merge protocol.
-		var rel parked
 		if hosted {
-			rel = d.step(gs, inNonPrimary)
+			d.step(gs, inNonPrimary)
 		}
-		d.mu.Unlock()
-		d.redispatch(rel)
 		return
 	case kind == gbResume:
 		// Total-wedge recovery: no partition held a majority, nothing can
@@ -485,9 +483,8 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// initiator verified the reachable copies still agree on it — so a
 		// non-primary copy holding that view simply becomes primary again.
 		if hosted && newView.ID == gs.view.ID {
-			d.step(gs, inResume) // a non-primary copy has nothing parked
+			d.step(gs, inResume)
 		}
-		d.mu.Unlock()
 		return
 	case hosted && !gs.phase.primary():
 		// A commit reaching a non-primary copy comes from the primary
@@ -495,7 +492,6 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		// the heal). It must not be applied piecemeal — this copy's state is
 		// speculative and will be discarded wholesale — but its arrival
 		// proves the primary is reachable again, so it triggers the merge.
-		d.mu.Unlock()
 		go d.mergeGroup(gid)
 		return
 	}
@@ -517,9 +513,8 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	if !hosted {
 		if !hostsNewMember {
 			// We host nobody in this group: just refresh the cached view.
-			d.mu.Unlock()
-			d.cacheRemoteView(newView)
-			d.removeGhosts(gid, ghosts)
+			d.cacheRemoteViewLocked(newView)
+			d.removeGhostsLocked(gid, ghosts)
 			return
 		}
 		if known, ok := d.remoteViews[gid]; ok && newView.ID < known.ID {
@@ -528,7 +523,6 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 			// long moved past this view. Installing it would resurrect the
 			// stale membership (and swallow the merge's pending join with its
 			// state receiver); the merge's own join commit is on its way.
-			d.mu.Unlock()
 			return
 		}
 		// The view itself is installed by applyViewChangeLocked below; the
@@ -576,13 +570,10 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 
 	// Restart fenced ABCASTs this site initiated: a fresh protocol round
 	// (higher attempt — stale proposals to the old round are filtered) under
-	// the view just installed. Replacing the pending state under the same
-	// lock closes the race with the old round's completion: one already
-	// under way finds the state replaced and stands down. A site whose last
+	// the view just installed. The old round's completion, if this flush
+	// parked it, finds the state replaced and stands down. A site whose last
 	// member was removed by this very change retires the round instead — the
 	// message is dropped, exactly as if its sender had failed.
-	var restarts []*abSendState
-	var restartPkts []*msg.Message
 	for _, st := range fenced {
 		d.retireAbcastLocked(st)
 		if len(gs.members) == 0 {
@@ -592,27 +583,21 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		pkt := st.packet.Clone()
 		pkt.PutInt(fViewID, int64(gs.view.ID))
 		pkt.PutInt(fAttempt, st.attempt+1)
-		nst := d.initiateAbcastLocked(gs, st.id, pkt, nil, st.attempt+1)
-		nst.sender = st.sender // carry the Flush accounting without re-counting
-		restarts = append(restarts, nst)
-		restartPkts = append(restartPkts, pkt)
+		// The sender's Flush accounting is carried over, not counted again.
+		d.initiateAbcastLocked(gs, st.id, pkt, st.sender, st.attempt+1)
 	}
 
-	// Step 3: the flush is over; what it held back is reprocessed below.
-	rel := d.step(gs, inCommit)
-
-	// A site left with no members drops the group state entirely.
+	// Step 3: the flush is over, and what it held back is taken up again. A
+	// site left with no members drops the group state entirely first, so what
+	// it held back finds no copy; its flush ends as the commit's all the same.
 	if len(gs.members) == 0 {
-		d.dropGroupLocked(gid)
+		d.dropGroupLocked(gid, inCommit)
 		d.remoteViews[gid] = newView.Clone()
+	} else {
+		d.step(gs, inCommit)
 	}
-	d.mu.Unlock()
 
-	d.redispatch(rel)
-	for i, nst := range restarts {
-		d.transmitAbcast(nst, restartPkts[i])
-	}
-	d.removeGhosts(gid, ghosts)
+	d.removeGhostsLocked(gid, ghosts)
 	for _, w := range wrong {
 		// The member rejoins through the ordinary join machinery, pulling
 		// fresh state if it has a receiver.
@@ -701,17 +686,15 @@ func (d *Daemon) ghostMembersLocked(v core.View) []addr.Address {
 	return ghosts
 }
 
-// removeGhosts asks the group coordinator to remove dead previous-incarnation
-// members hosted at this site.
-func (d *Daemon) removeGhosts(gid addr.Address, ghosts []addr.Address) {
+// removeGhostsLocked asks the group coordinator to remove dead
+// previous-incarnation members hosted at this site. Caller holds d.mu.
+func (d *Daemon) removeGhostsLocked(gid addr.Address, ghosts []addr.Address) {
 	if len(ghosts) == 0 {
 		return
 	}
-	d.mu.Lock()
 	for _, g := range ghosts {
 		d.failedProcs[g] = true
 	}
-	d.mu.Unlock()
 	d.requestRemoval(gid, ghosts, gbFail, false)
 }
 
@@ -935,20 +918,18 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	xid := uint64(p.GetInt(fXferID, 0))
 
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	gs, ok := d.groups[gid.Base()]
 	if !ok {
-		d.mu.Unlock()
 		return
 	}
 	ms, ok := gs.members[target.Base()]
 	if !ok || !ms.awaitingState {
 		// The member never asked for state, or its transfer already
 		// completed: a duplicate fail-over re-send changes nothing.
-		d.mu.Unlock()
 		return
 	}
 	if xid < ms.xferID {
-		d.mu.Unlock()
 		return // straggler from a provider that has been failed over
 	}
 	if xid > ms.xferID {
@@ -960,7 +941,6 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 		ms.xferBuf = append(ms.xferBuf, append([]byte(nil), data...))
 	}
 	if !last {
-		d.mu.Unlock()
 		return
 	}
 
@@ -985,8 +965,6 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 		d.enqueue(ms.proc, fn)
 	}
 	delete(gs.pendingXfer, target.Base())
-	sites := gs.view.SitesOf()
-	d.mu.Unlock()
 
 	// Tell every member site the transfer completed, so a later coordinator
 	// change does not re-trigger it.
@@ -994,7 +972,7 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	ack.PutAddress(fGroup, gid.Base())
 	ack.PutAddress(fSender, target.Base())
 	if raw, err := encodePacket(ptStateAck, ack); err == nil {
-		d.fanoutRaw(sites, raw)
+		d.fanoutRaw(gs.view.SitesOf(), raw)
 	}
 }
 
@@ -1004,10 +982,10 @@ func (d *Daemon) handleStateAck(from addr.SiteID, p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	joiner := p.GetAddress(fSender)
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if gs, ok := d.groups[gid.Base()]; ok {
 		delete(gs.pendingXfer, joiner.Base())
 	}
-	d.mu.Unlock()
 }
 
 // enterNonPrimary puts this partition's copy of a group into read-only
@@ -1038,18 +1016,12 @@ func (d *Daemon) enterNonPrimary(gid addr.Address, acks map[addr.SiteID]prepareA
 // commit-time dedupe keeps re-execution idempotent.
 func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
-	var toFinish []*abSendState
+	defer d.mu.Unlock()
 	for _, st := range d.pendingAb {
 		if st.proposalInLocked(s) {
-			toFinish = append(toFinish, st)
+			d.completeAbcastLocked(st)
 		}
 	}
-	type removal struct {
-		gid   addr.Address
-		procs []addr.Address
-		force bool
-	}
-	var removals []removal
 	for gid, gs := range d.groups {
 		var atSite []addr.Address
 		for _, m := range gs.view.Members {
@@ -1093,20 +1065,12 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 				}
 			}
 		}
-		removals = append(removals, removal{gid, atSite, force})
-	}
-	d.mu.Unlock()
-
-	for _, st := range toFinish {
-		d.completeAbcast(st)
-	}
-	for _, r := range removals {
-		if r.force {
+		if force {
 			// This site is stepping in for a coordinator that died
 			// mid-protocol (or mid-fan-out): the forced flush finishes the
 			// dead coordinator's work.
-			d.bus.Publish(events.Event{Kind: events.Takeover, Group: r.gid, Peer: s})
+			d.bus.Publish(events.Event{Kind: events.Takeover, Group: gid, Peer: s})
 		}
-		d.requestRemoval(r.gid, r.procs, gbFail, r.force)
+		d.requestRemoval(gid, atSite, gbFail, force)
 	}
 }

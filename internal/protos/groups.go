@@ -139,7 +139,9 @@ func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) 
 	})
 	switch {
 	case found:
-		d.cacheRemoteView(view)
+		d.mu.Lock()
+		d.cacheRemoteViewLocked(view)
+		d.mu.Unlock()
 		return view, nil
 	case err != nil:
 		return core.View{}, fmt.Errorf("%w: lookup %q", err, name)
@@ -193,13 +195,11 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Me
 	return asked, nil
 }
 
-// cacheRemoteView stores a view learned from another site.
-func (d *Daemon) cacheRemoteView(v core.View) {
+// cacheRemoteViewLocked stores a view learned from another site. Caller holds d.mu.
+func (d *Daemon) cacheRemoteViewLocked(v core.View) {
 	if v.Group.IsNil() {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, hosted := d.groups[v.Group]; hosted {
 		return
 	}
@@ -220,6 +220,7 @@ func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
 	resp := msg.New()
 	resp.PutInt(fCall, p.GetInt(fCall, 0))
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	var found *core.View
 	primary := false
 	if !gid.IsNil() {
@@ -239,7 +240,6 @@ func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
 			}
 		}
 	}
-	d.mu.Unlock()
 	resp.PutInt(fSite, int64(d.site))
 	if found != nil {
 		resp.PutInt(fFound, 1)
@@ -495,18 +495,21 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 // dropGroupLocked forgets a group this site no longer hosts. An ABCAST round
 // this site still has open for it is over too: there is no local copy left to
 // commit into, and the flush or merge that emptied the site has settled the
-// message's fate at the sites that remain. Caller holds d.mu.
-func (d *Daemon) dropGroupLocked(gid addr.Address) {
-	if gs, ok := d.groups[gid]; ok {
-		// What a dropped copy had parked has nowhere to go: its packets would
-		// find no group and its rounds are retired below.
-		d.step(gs, inDrop)
-	}
+// message's fate at the sites that remain. The copy's lifecycle ends last, a
+// flush still open on it by the input given — inCommit when the commit that
+// removed the site's last member ends it, as it ends every other copy's — so
+// what the flush parked finds no group and no round. Caller holds d.mu.
+func (d *Daemon) dropGroupLocked(gid addr.Address, flushEnd input) {
+	gs, ok := d.groups[gid]
 	delete(d.groups, gid)
 	for _, st := range d.pendingAb {
 		if st.group == gid {
 			d.retireAbcastLocked(st)
 			d.releaseAbSenderLocked(st)
 		}
+	}
+	if ok {
+		d.step(gs, flushEnd)
+		d.step(gs, inDrop)
 	}
 }

@@ -123,7 +123,7 @@ func next(p phase, in input) (phase, effects) {
 }
 
 // heldPacket is a packet whose processing is deferred while the group is
-// flushing; pt remembers its envelope type so it can be re-dispatched.
+// flushing; pt remembers its envelope type so it can be re-fed.
 type heldPacket struct {
 	from addr.SiteID
 	pt   byte
@@ -132,17 +132,19 @@ type heldPacket struct {
 
 // parked is the work a flush holds back at one group copy: data packets and
 // ABCAST commits that arrived, and ABCAST rounds this site initiated whose
-// completion came due (completeAbcast runs on the transport's handler
-// goroutine and may not wait). step hands it all back when the flush ends.
+// completion came due (a packet handler, the scan tick and the failure handler
+// finish in one hold of d.mu and may not wait). step feeds it all back in when
+// the flush ends.
 type parked struct {
 	pkts   []heldPacket
 	rounds []*abSendState
 }
 
 // step feeds one input to a group copy's lifecycle and performs the effects
-// of the transition. It is the only writer of groupState.phase. Caller holds
-// d.mu and, once it has unlocked, passes the result to redispatch.
-func (d *Daemon) step(gs *groupState, in input) (rel parked) {
+// of the transition, all of them before it returns: what an ending flush had
+// parked has been taken up again by then. It is the only writer of
+// groupState.phase. Caller holds d.mu.
+func (d *Daemon) step(gs *groupState, in input) {
 	to, fx := next(gs.phase, in)
 	gs.phase = to
 	gid := gs.view.Group
@@ -160,7 +162,6 @@ func (d *Daemon) step(gs *groupState, in input) (rel parked) {
 	}
 	if fx&fxEndFlush != 0 {
 		d.bus.Publish(events.Event{Kind: events.FlushComplete, Group: gid, View: gs.view.ID, Detail: flushEndDetail[in]})
-		rel, gs.parked = gs.parked, parked{}
 		d.flushEnd.Broadcast()
 	}
 	if fx&fxPrimaryLost != 0 {
@@ -174,7 +175,9 @@ func (d *Daemon) step(gs *groupState, in input) (rel parked) {
 		gs.mergeAttempt++
 		d.bus.Publish(events.Event{Kind: events.MergeStart, Group: gid, View: gs.view.ID})
 	}
-	return rel
+	if fx&fxEndFlush != 0 {
+		d.refeedLocked(gs)
+	}
 }
 
 // flushEndDetail tells the FlushComplete events of the abnormal ways out of
@@ -185,20 +188,26 @@ var flushEndDetail = [numInputs]string{
 	inDrop:       "group dropped",
 }
 
-// redispatch reprocesses what a flush held back, routing packets by the
-// envelope type remembered at hold time. Runs without d.mu: each item takes
-// the normal path again, and is parked again if a new flush has begun.
-func (d *Daemon) redispatch(rel parked) {
+// refeedLocked takes up again what the flush that just ended at a copy held
+// back, routing packets by the envelope type remembered at hold time. The
+// copy's flush is over and no other can begin inside this hold of d.mu, so
+// nothing is parked twice; what belonged to a copy since dropped
+// (dropGroupLocked) finds no group — a relay is refused, as by any site that
+// hosts none — and no round left to complete. Called by step alone; caller
+// holds d.mu.
+func (d *Daemon) refeedLocked(gs *groupState) {
+	rel := gs.parked
+	gs.parked = parked{}
 	for _, h := range rel.pkts {
 		switch h.pt {
 		case ptAbCommit:
-			d.handleAbCommit(h.from, h.pkt)
+			d.handleAbCommitLocked(h.from, h.pkt)
 		default:
-			d.handleData(h.from, h.pkt)
+			d.handleDataLocked(h.from, h.pkt)
 		}
 	}
 	for _, st := range rel.rounds {
-		d.completeAbcast(st)
+		d.completeAbcastLocked(st)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // errRelayHeld reports that a relayed multicast was parked while its group is
-// flushing; it is re-dispatched (and acknowledged) when the flush ends, so no
+// flushing; it is re-fed (and acknowledged) when the flush ends, so no
 // acknowledgement is sent yet.
 var errRelayHeld = errors.New("protos: relay held during flush")
 
@@ -137,11 +137,10 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	pkt.PutAddress(fSender, sender.Base())
 
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.counters.PointToPoints++
-	d.mu.Unlock()
-
 	// Local destinations are delivered immediately.
-	d.deliverPointToPoint(pkt, dests)
+	d.deliverPointToPointLocked(pkt, dests)
 	var remoteSites []addr.SiteID // a handful at most
 	for _, a := range dests {
 		if a.Site != d.site && !slices.Contains(remoteSites, a.Site) {
@@ -164,14 +163,12 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 	return nil
 }
 
-// deliverPointToPoint hands a direct message to those of its destinations
-// (the packet's fDests) that live at this site.
-func (d *Daemon) deliverPointToPoint(pkt *msg.Message, dests addr.List) {
+// deliverPointToPointLocked hands a direct message to those of its
+// destinations (the packet's fDests) that live at this site. Caller holds d.mu.
+func (d *Daemon) deliverPointToPointLocked(pkt *msg.Message, dests addr.List) {
 	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
 	sender := pkt.GetAddress(fSender)
 	payload := pkt.GetMessage(fPayload)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, a := range dests {
 		if a.Site != d.site {
 			continue
@@ -226,9 +223,8 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 		return nil
 	case ABCAST:
 		pkt := d.buildDataPacket(ABCAST, gid, gs.view.ID, id, sender, gs.view.RankOf(sender), entry, payload)
-		st := d.initiateAbcastLocked(gs, id, pkt, lp, 0)
+		d.initiateAbcastLocked(gs, id, pkt, lp.addr, 0)
 		d.mu.Unlock()
-		d.transmitAbcast(st, pkt)
 		return nil
 	default:
 		d.mu.Unlock()
@@ -263,8 +259,8 @@ func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.V
 // sender is who the application sees as the sender: the member itself, or
 // the non-member whose cast it relays, which a flush then reconciles and a
 // joiner understands like any other CBCAST of the member. Returns the stamp
-// the cast went out with. Caller holds d.mu; the packet transmission happens
-// asynchronously.
+// the cast went out with. Caller holds d.mu, so a member's casts enter each
+// peer's transport window in the order the copy stamped them.
 func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) relayStamp {
 	rank := gs.view.RankOf(ms.proc.addr)
 	vt := gs.causal.Stamp(rank)
@@ -275,16 +271,11 @@ func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender 
 	// To the stamping member and the members beside it alike: the clock just
 	// stamped covers exactly what the copy has released, to all of them.
 	d.deliverDataLocked(gs, pkt)
-	// Ship one copy to every other member site, asynchronously. The packet
-	// is marshalled exactly once; all destinations share the encoding.
-	sites := gs.view.SitesOf()
-	go func() {
-		raw, err := encodePacket(ptData, pkt)
-		if err != nil {
-			return
-		}
-		d.fanoutRaw(sites, raw)
-	}()
+	// Ship one copy to every other member site. The packet is marshalled
+	// exactly once; all destinations share the encoding.
+	if raw, err := encodePacket(ptData, pkt); err == nil {
+		d.fanoutRaw(gs.view.SitesOf(), raw)
+	}
 	return relayStamp{view: gs.view.ID, rank: rank, seq: vt.Get(rank)}
 }
 
@@ -329,12 +320,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 		stamp, err := d.relayCall(coord.Site, pkt)
 		if err == nil {
 			if proto == CBCAST {
-				// Counted here, at the sender's site; an ABCAST relay is counted
-				// by the coordinator that initiates the two-phase protocol.
 				lp.relayed[gid] = stamp
-				d.mu.Lock()
-				d.counters.CBCASTs++
-				d.mu.Unlock()
 			}
 			return nil
 		}
@@ -352,18 +338,20 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 
 // relayCall ships a relayed multicast to the coordinator site and waits for
 // its acknowledgement, which for a CBCAST carries the stamp it was sent with.
-// A remote relay parked by a flush counts as accepted — it is re-dispatched
-// when the flush ends and acknowledged then. A local relay instead waits the
-// flush out (mirroring the member send path): if the caller were told
-// "accepted" while the packet sat parked and the flush then left the copy
-// non-primary, the refusal would have nobody to report to. A relay refused as
-// early is asked again, for as long as one call may take.
+// A remote relay parked by a flush counts as accepted — it is re-fed when the
+// flush ends and acknowledged then. A local relay instead waits the flush out
+// (mirroring the member send path): if the caller were told "accepted" while
+// the packet sat parked and the flush then left the copy non-primary, the
+// refusal would have nobody to report to. A relay refused as early is asked
+// again, for as long as one call may take.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, error) {
 	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
 		var stamp relayStamp
 		var err error
 		if site == d.site {
-			stamp, err = d.relayMulticast(d.site, pkt, false)
+			d.mu.Lock()
+			stamp, err = d.relayMulticastLocked(d.site, pkt, false)
+			d.mu.Unlock()
 		} else if resp, cerr := d.call(site, ptData, pkt); cerr == nil {
 			stamp = getStamp(resp)
 		} else {
@@ -378,60 +366,49 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, erro
 	}
 }
 
-// relayMulticast runs at the coordinator site: it fans an external sender's
+// relayMulticastLocked runs at the coordinator site: it fans an external sender's
 // multicast out to the group using the current view. A refusal is returned
 // to the caller (and, for a relay that arrived over the wire, acknowledged
-// back to the sending daemon by handleData) instead of silently dropping the
-// message: ErrUnknownGroup when this site does not host the group — the
+// back to the sending daemon by handleDataLocked) instead of silently dropping
+// the message: ErrUnknownGroup when this site does not host the group — the
 // sender's cached view was stale — and ErrNonPrimary when this copy is
 // stranded read-only in a minority partition and must not fan anything out
 // under its stale (possibly split-brain) view. While the group is flushing,
-// a relay with park set is parked for re-dispatch after the flush and
-// errRelayHeld returned (the remote-relay path, on the transport's handler
-// goroutine, whose acknowledgement is deferred with the packet); without
-// park the call waits the flush out (the local path, which must see the
-// post-flush outcome itself). A CBCAST's stamp is returned for the
-// acknowledgement.
-func (d *Daemon) relayMulticast(from addr.SiteID, pkt *msg.Message, park bool) (relayStamp, error) {
+// a relay with park set is parked to be re-fed after the flush and
+// errRelayHeld returned (the remote-relay path, a packet handler that may not
+// wait, whose acknowledgement is deferred with the packet); without park the
+// call waits the flush out (the local path, which must see the post-flush
+// outcome itself). A CBCAST's stamp is returned for the acknowledgement.
+// Caller holds d.mu, which only that wait releases.
+func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *msg.Message, park bool) (relayStamp, error) {
 	gid := pkt.GetAddress(fGroup).Base()
-	proto := Protocol(pkt.GetInt(fProto, 0))
-
-	d.mu.Lock()
 	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
-		d.mu.Unlock()
 		return relayStamp{}, errRelayHeld
 	}
 	gs, err := d.settledGroupLocked(gid)
 	switch {
 	case err != nil:
-	case gs == nil:
-		err = ErrUnknownGroup
-	case !gs.phase.primary():
-		err = ErrNonPrimary
-	}
-	if err != nil {
-		d.mu.Unlock()
 		return relayStamp{}, err
+	case gs == nil:
+		return relayStamp{}, ErrUnknownGroup
+	case !gs.phase.primary():
+		return relayStamp{}, ErrNonPrimary
 	}
-
-	switch proto {
+	switch Protocol(pkt.GetInt(fProto, 0)) {
 	case CBCAST:
-		stamp, err := d.relayCbcastLocked(gs, pkt)
-		d.mu.Unlock()
-		return stamp, err
+		return d.relayCbcastLocked(gs, pkt)
 	case ABCAST:
+		// The round runs under this site's view, whatever view the sender had
+		// cached: the member sites turn away phase 1 of a view they have closed.
 		fanout := pkt.Clone()
 		fanout.Delete(fRelay)
 		fanout.Delete(fCall)
-		st := d.initiateAbcastLocked(gs, getMsgID(pkt), fanout, nil, 0)
-		d.mu.Unlock()
-		d.transmitAbcast(st, fanout)
-	default:
-		d.mu.Unlock()
-		return relayStamp{}, ErrBadProtocol
+		fanout.PutInt(fViewID, int64(gs.view.ID))
+		d.initiateAbcastLocked(gs, getMsgID(pkt), fanout, addr.Nil, 0)
+		return relayStamp{}, nil
 	}
-	return relayStamp{}, nil
+	return relayStamp{}, ErrBadProtocol
 }
 
 // relayCbcastLocked sends an external sender's CBCAST as a CBCAST of the
@@ -457,6 +434,7 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp
 			payload = msg.New()
 		}
 		entry := addr.EntryID(pkt.GetInt(fEntry, 0))
+		d.counters.CBCASTs++ // at the site that sends it, like a relayed ABCAST
 		return d.sendMemberCbcastLocked(gs, ms, pkt.GetAddress(fSender), getMsgID(pkt), entry, payload), nil
 	}
 	return relayStamp{}, ErrUnknownGroup
@@ -465,14 +443,19 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp
 // ---------------------------------------------------------------------------
 // ABCAST initiator side
 
-// initiateAbcastLocked sets up the initiator-side state for one ABCAST and
-// performs the local phase-1 proposal. Caller holds d.mu and must call
-// transmitAbcast afterwards. attempt is 0 for a fresh ABCAST and counts up
-// when a GBCAST flush fences the message and restarts it.
-func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Message, senderLP *localProc, attempt int64) *abSendState {
+// initiateAbcastLocked runs the initiator's side of phase 1 for one ABCAST:
+// it sets up the round, proposes locally and ships the packet to the remote
+// member sites, or — with nobody to wait for — completes the round at once.
+// sender is the local process whose Flush waits on the round (nil for a
+// relay). attempt is 0 for a fresh ABCAST and counts up when a GBCAST flush
+// fences the message and restarts it. The scan tick completes the round at its
+// deadline even if some site never answers (it will have been declared failed
+// by then, or the timeout acts as a backstop). Caller holds d.mu.
+func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Message, sender addr.Address, attempt int64) {
 	st := &abSendState{
 		id:       id,
 		group:    gs.view.Group,
+		sender:   sender,
 		maxPrio:  gs.total.Propose(id, pkt),
 		packet:   pkt,
 		attempt:  attempt,
@@ -485,40 +468,24 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 	}
 	st.waiting = append(st.waiting, st.targets...)
 	d.pendingAb[id] = st
-	if senderLP != nil {
-		senderLP.outstanding++
-		st.sender = senderLP.addr
-	}
 	if attempt == 0 {
-		// A fence restart re-runs the protocol for a message already counted
-		// when it was first initiated.
+		// A fence restart re-runs the protocol for a message already counted,
+		// against the protocol counter and its sender's Flush, when it was
+		// first initiated.
 		d.counters.ABCASTs++
-	}
-	return st
-}
-
-// transmitAbcast ships phase 1 to the remote member sites and completes the
-// protocol immediately if there is nobody to wait for. The scan tick
-// completes the protocol at the round's deadline even if some site never
-// answers (it will have been declared failed by then, or the timeout acts as
-// a backstop).
-func (d *Daemon) transmitAbcast(st *abSendState, pkt *msg.Message) {
-	if len(st.targets) == 0 {
-		d.mu.Lock()
-		ready := !st.done
-		st.done = true
-		d.mu.Unlock()
-		if ready {
-			d.completeAbcast(st)
+		if lp, ok := d.procs[sender]; ok {
+			lp.outstanding++
 		}
+	}
+	if len(st.targets) == 0 {
+		st.done = true
+		d.completeAbcastLocked(st)
 		return
 	}
 	// Phase 1 is marshalled once and shared by every remote member site
 	// (the target list is fixed once the round is set up).
 	if raw, err := encodePacket(ptData, pkt); err == nil {
-		for _, s := range st.targets {
-			_ = d.sendRaw(s, raw)
-		}
+		d.fanoutRaw(st.targets, raw)
 	}
 }
 
@@ -535,7 +502,7 @@ func (d *Daemon) retireAbcastLocked(st *abSendState) {
 
 // proposalInLocked records that site s answered phase 1 (or will never
 // answer, having failed) and reports whether that completed the round: the
-// caller must then call completeAbcast. Caller holds d.mu.
+// caller must then call completeAbcastLocked. Caller holds d.mu.
 func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
 	i := slices.Index(st.waiting, s)
 	if i < 0 {
@@ -560,18 +527,16 @@ func (d *Daemon) handleAbPropose(from addr.SiteID, p *msg.Message) {
 	id := getMsgID(p)
 	prio := uint64(p.GetInt(fPriority, 0))
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	st, ok := d.pendingAb[id]
 	if !ok || p.GetInt(fAttempt, 0) != st.attempt {
-		d.mu.Unlock()
 		return
 	}
 	if prio > st.maxPrio {
 		st.maxPrio = prio
 	}
-	finish := st.proposalInLocked(from)
-	d.mu.Unlock()
-	if finish {
-		d.completeAbcast(st)
+	if st.proposalInLocked(from) {
+		d.completeAbcastLocked(st)
 	}
 }
 
@@ -588,39 +553,39 @@ func (d *Daemon) releaseAbSenderLocked(st *abSendState) {
 	}
 }
 
-// completeAbcast sends phase 2 (the final priority) to every destination
-// site and applies it locally. While the local group copy is flushing the
-// completion is parked on it: the flush owns the fate of every in-flight
-// ABCAST (it either drives the commit itself or fences the message behind
-// the new view), and a commit fanned out mid-flush would be held at every
-// wedged site and then discarded, losing the message. When the flush ends
-// the round comes back here and is found retired (the flush committed it),
-// replaced (the flush fenced and restarted it), or still its own, in which
-// case it proceeds normally.
-func (d *Daemon) completeAbcast(st *abSendState) {
-	d.mu.Lock()
+// completeAbcastLocked ends a round whose proposals are in (or whose deadline
+// has passed): it retires the round, sends phase 2 (the final priority) to
+// every destination site and applies it to the local copy, all in the hold
+// that retired it — a flush report built at this site finds the round pending
+// or its commit applied, never neither. While the local copy is flushing the
+// completion is parked on it instead: the flush owns the fate of every
+// in-flight ABCAST (it either drives the commit itself or fences the message
+// behind the new view), and a commit fanned out mid-flush would be held at
+// every wedged site and then discarded, losing the message. When the flush
+// ends the round comes back here and is found retired (the flush committed
+// it), replaced (the flush fenced and restarted it), or still its own, in
+// which case it proceeds normally. Caller holds d.mu.
+func (d *Daemon) completeAbcastLocked(st *abSendState) {
 	if d.pendingAb[st.id] != st {
 		// Retired by a flush's drive branch, or restarted by its fence
 		// branch; either way this protocol round is over.
-		d.mu.Unlock()
 		return
 	}
-	if gs, ok := d.groups[st.group]; ok && gs.phase == phaseFlushing && !d.closed {
+	gs, hosted := d.groups[st.group]
+	if hosted && gs.phase == phaseFlushing && !d.closed {
 		gs.parked.rounds = append(gs.parked.rounds, st)
-		d.mu.Unlock()
 		return
 	}
 	d.retireAbcastLocked(st)
-	final := st.maxPrio
 	d.releaseAbSenderLocked(st)
-	d.mu.Unlock()
-
-	commit := newAbCommit(st.group, st.id, final)
+	commit := newAbCommit(st.group, st.id, st.maxPrio)
 	// Phase 2 is marshalled once for all destination sites.
 	if raw, err := encodePacket(ptAbCommit, commit); err == nil {
 		d.fanoutRaw(st.targets, raw)
 	}
-	d.handleAbCommit(d.site, commit)
+	if hosted {
+		d.applyAbCommitLocked(gs, st.id, st.maxPrio)
+	}
 }
 
 // newAbCommit builds an ABCAST phase-2 packet: the final priority of one
@@ -635,24 +600,29 @@ func newAbCommit(gid addr.Address, id core.MsgID, final uint64) *msg.Message {
 
 // handleAbCommit applies an ABCAST final priority at a destination site.
 func (d *Daemon) handleAbCommit(from addr.SiteID, p *msg.Message) {
-	gid := p.GetAddress(fGroup)
-	id := getMsgID(p)
-	final := uint64(p.GetInt(fPriority, 0))
-
 	d.mu.Lock()
-	gs, ok := d.groups[gid.Base()]
-	if !ok {
-		d.mu.Unlock()
-		return
-	}
-	if gs.phase == phaseFlushing {
+	defer d.mu.Unlock()
+	d.handleAbCommitLocked(from, p)
+}
+
+// handleAbCommitLocked is handleAbCommit for a packet just arrived or re-fed
+// by the flush that parked it. Caller holds d.mu.
+func (d *Daemon) handleAbCommitLocked(from addr.SiteID, p *msg.Message) {
+	gs, ok := d.groups[p.GetAddress(fGroup).Base()]
+	switch {
+	case !ok:
+	case gs.phase == phaseFlushing:
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptAbCommit, p})
-		d.mu.Unlock()
-		return
+	default:
+		d.applyAbCommitLocked(gs, getMsgID(p), uint64(p.GetInt(fPriority, 0)))
 	}
+}
+
+// applyAbCommitLocked records an ABCAST's final priority and delivers what it
+// releases from the copy's total-order queue. Caller holds d.mu.
+func (d *Daemon) applyAbCommitLocked(gs *groupState, id core.MsgID, final uint64) {
 	d.recordAbDoneLocked(id, final)
 	d.deliverTotalLocked(gs, gs.total.Commit(id, final))
-	d.mu.Unlock()
 }
 
 // deliverTotalLocked hands messages drained from the copy's total-order
@@ -690,12 +660,10 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	id := getMsgID(p)
 	d.mu.Lock()
-	final, done := d.abDone.Get(id)
-	d.mu.Unlock()
-	if !done {
-		return
+	defer d.mu.Unlock()
+	if final, done := d.abDone.Get(id); done {
+		_ = d.sendPacket(from, ptAbCommit, newAbCommit(gid.Base(), id, final))
 	}
-	_ = d.sendPacket(from, ptAbCommit, newAbCommit(gid.Base(), id, final))
 }
 
 // runResolicitScan periodically checks every group copy's total-order
@@ -736,30 +704,21 @@ func (d *Daemon) runResolicitScan() {
 // its deadline, and feeds inWatchdog to a copy whose flush has been open past
 // flushDeadline.
 func (d *Daemon) resolicitStragglers() {
-	type ask struct {
-		to  addr.SiteID
-		gid addr.Address
-		id  core.MsgID
-	}
-	var asks []ask
-	var selfFix []*msg.Message
-	var expired []*abSendState
-	var released []parked
 	now := time.Now()
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return
 	}
 	for _, st := range d.pendingAb {
 		if !st.done && !now.Before(st.deadline) {
 			st.done = true
-			expired = append(expired, st)
+			d.completeAbcastLocked(st)
 		}
 	}
 	for gid, gs := range d.groups {
 		if gs.phase == phaseFlushing && !now.Before(gs.flushDeadline) {
-			released = append(released, d.step(gs, inWatchdog))
+			d.step(gs, inWatchdog)
 		}
 		if gs.phase != phaseNormal {
 			continue
@@ -783,31 +742,18 @@ func (d *Daemon) resolicitStragglers() {
 			// A past commit within the bounded record (one that reached this
 			// site ahead of the message) already knows the outcome: apply it
 			// directly.
-			selfFix = append(selfFix, newAbCommit(gid, id, final))
+			d.applyAbCommitLocked(gs, id, final)
 			continue
 		}
 		to := d.resolicitTargetLocked(gs, payload, gs.resolicits)
 		gs.resolicits++
 		if to != 0 {
-			asks = append(asks, ask{to, gid, id})
+			d.bus.Publish(events.Event{Kind: events.AbcastResolicit, Group: gid, Peer: to, Msg: id})
+			req := msg.New()
+			req.PutAddress(fGroup, gid)
+			putMsgID(req, id)
+			_ = d.sendPacket(to, ptAbResolicit, req)
 		}
-	}
-	d.mu.Unlock()
-	for _, st := range expired {
-		d.completeAbcast(st)
-	}
-	for _, rel := range released {
-		d.redispatch(rel)
-	}
-	for _, c := range selfFix {
-		d.handleAbCommit(d.site, c)
-	}
-	for _, a := range asks {
-		d.bus.Publish(events.Event{Kind: events.AbcastResolicit, Group: a.gid, Peer: a.to, Msg: a.id})
-		req := msg.New()
-		req.PutAddress(fGroup, a.gid)
-		putMsgID(req, a.id)
-		_ = d.sendPacket(a.to, ptAbResolicit, req)
 	}
 }
 
@@ -850,16 +796,24 @@ func (d *Daemon) resolicitTargetLocked(gs *groupState, payload any, attempt int)
 // handleData processes an incoming ptData packet: a point-to-point message,
 // a relayed external multicast, a CBCAST, or ABCAST phase 1.
 func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.handleDataLocked(from, pkt)
+}
+
+// handleDataLocked is handleData for a packet just arrived or re-fed by the
+// flush that parked it. Caller holds d.mu.
+func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
 	gid := pkt.GetAddress(fGroup)
 	if gid.IsNil() {
-		d.deliverPointToPoint(pkt, pkt.GetAddressList(fDests))
+		d.deliverPointToPointLocked(pkt, pkt.GetAddressList(fDests))
 		return
 	}
 	if pkt.GetInt(fRelay, 0) == 1 {
-		stamp, err := d.relayMulticast(from, pkt, true)
+		stamp, err := d.relayMulticastLocked(from, pkt, true)
 		if callID := pkt.GetInt(fCall, 0); callID != 0 && !errors.Is(err, errRelayHeld) {
 			// Acknowledge the relay so the sender's daemon learns its fate;
-			// a held relay is acknowledged when the flush re-dispatches it.
+			// a held relay is acknowledged when the flush re-feeds it.
 			if err != nil {
 				d.replyError(from, callID, err.Error())
 			} else {
@@ -874,10 +828,8 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 	proto := Protocol(pkt.GetInt(fProto, 0))
 	sender := pkt.GetAddress(fSender)
 
-	d.mu.Lock()
 	gs, ok := d.groups[gid.Base()]
 	if !ok {
-		d.mu.Unlock()
 		return
 	}
 	if d.failedProcs[sender.Base()] && (proto != CBCAST || gs.view.Contains(sender)) {
@@ -885,28 +837,28 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 		// failed process must never be delivered afterwards (Section 2.2).
 		// A CBCAST relayed for it goes in all the same: it holds a slot in the
 		// relaying member's clock, and processCbcastLocked withholds the callback.
-		d.mu.Unlock()
 		return
 	}
 	if gs.phase == phaseFlushing {
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
-		d.mu.Unlock()
+		return
+	}
+	if core.ViewID(pkt.GetInt(fViewID, 0)) < gs.view.ID {
+		// A packet of a view this copy has closed — parked by the flush, or
+		// still in the transport at the commit — was settled by that flush. A
+		// CBCAST fed to the new view's clock could read as its member's next
+		// message, and the real one would then never be delivered; an ABCAST's
+		// phase 1 would be filed ahead of the restart the flush ordered, which
+		// then delivers the old packet, closed view id and all, and a member
+		// that joined in the new view is refused it.
 		return
 	}
 	switch proto {
 	case CBCAST:
-		// A CBCAST of a view this copy has closed — parked by the flush, or
-		// still in the transport at the commit — was settled by that flush. Fed
-		// to the new view's clock its timestamp could read as its member's next
-		// message, and the real one would then never be delivered.
-		if core.ViewID(pkt.GetInt(fViewID, 0)) >= gs.view.ID {
-			d.processCbcastLocked(gs, pkt)
-		}
-		d.mu.Unlock()
+		d.processCbcastLocked(gs, pkt)
 	case ABCAST:
 		id := getMsgID(pkt)
 		prio := gs.total.Propose(id, pkt)
-		d.mu.Unlock()
 		resp := msg.NewSized(5)
 		resp.PutAddress(fGroup, gid)
 		putMsgID(resp, id)
@@ -915,8 +867,6 @@ func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
 			resp.PutInt(fAttempt, att)
 		}
 		_ = d.sendPacket(from, ptAbPropose, resp)
-	default:
-		d.mu.Unlock()
 	}
 }
 

@@ -151,7 +151,7 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 		}
 		rejoins = append(rejoins, rejoin{a, ms.stateRecv, primView.Contains(a)})
 	}
-	d.dropGroupLocked(gid)
+	d.dropGroupLocked(gid, inDrop)
 	d.remoteViews[gid] = primView.Clone()
 	if primView.Name != "" {
 		d.nameCache[primView.Name] = gid

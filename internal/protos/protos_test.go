@@ -1,6 +1,7 @@
 package protos
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/fdetect"
 	"repro/internal/msg"
 	"repro/internal/netback"
@@ -621,6 +623,42 @@ func TestLeaveShrinksView(t *testing.T) {
 	}
 }
 
+// TestLastMemberLeaveEndsFlushLikeAnyCommit watches the site whose only member
+// leaves: the commit that removes it ends that copy's flush as it ends every
+// other copy's — one FlushBegin, one FlushComplete with no abnormal-exit
+// detail — and only then is the copy dropped.
+func TestLastMemberLeaveEndsFlushLikeAnyCommit(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	procs := buildGroup(t, tc, "lastout", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "lastout")
+	flushes, cancel := tc.daemons[2].Events(events.Filter{Kinds: []events.Kind{events.FlushBegin, events.FlushComplete}, Group: gid}, 0)
+	defer cancel()
+
+	if err := tc.daemons[2].Leave(procs[1].addr, gid); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the leaver's site to drop its copy", 3*time.Second, func() bool {
+		tc.daemons[2].mu.Lock()
+		defer tc.daemons[2].mu.Unlock()
+		return tc.daemons[2].groups[gid] == nil
+	})
+	for _, want := range []events.Kind{events.FlushBegin, events.FlushComplete} {
+		select {
+		case ev := <-flushes:
+			if ev.Kind != want || ev.Detail != "" {
+				t.Errorf("the leave's flush published %v, want a bare %v", ev, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no %v from the leave's flush", want)
+		}
+	}
+	select {
+	case ev := <-flushes:
+		t.Errorf("a further flush event at the dropped copy: %v", ev)
+	default:
+	}
+}
+
 func TestProcessFailureRemovesMember(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	procs := buildGroup(t, tc, "crashy", 1, 2, 3)
@@ -752,8 +790,52 @@ func TestFlushWaitsForOutstandingABCASTs(t *testing.T) {
 	})
 }
 
+// TestFlushCoversCastJustSent pins flush-before-external-action (Section 3.2,
+// footnote 3) for the cast sent the moment before: when Multicast returns, the
+// cast is in every peer's transport window, so a Flush that follows cannot
+// read an empty window and answer for a message that has not left yet. With
+// the peers' links held it must time out instead.
+func TestFlushCoversCastJustSent(t *testing.T) {
+	net := simnet.New(simnet.FastConfig())
+	tc := &testCluster{t: t, net: net, daemons: make(map[addr.SiteID]*Daemon)}
+	t.Cleanup(func() {
+		for _, d := range tc.daemons {
+			d.Close()
+		}
+		net.Close()
+	})
+	for s := addr.SiteID(1); s <= 3; s++ {
+		d, err := New(Config{Site: s, Network: net, CallTimeout: 150 * time.Millisecond, DisableHeartbeats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.daemons[s] = d
+	}
+	procs := buildGroup(t, tc, "flushcast", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "flushcast")
+	d := tc.daemons[1]
+	if err := d.Flush(procs[0].addr); err != nil {
+		t.Fatalf("quiescing flush: %v", err)
+	}
+
+	net.PauseLink(1, 2)
+	net.PauseLink(1, 3)
+	before := d.tr.Stats().MessagesSent
+	if err := cast(procs[0], CBCAST, gid, "just sent"); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.tr.Stats().MessagesSent - before; got != 2 {
+		t.Errorf("%d of 2 copies handed to the transport when Multicast returned", got)
+	}
+	if err := d.Flush(procs[0].addr); !errors.Is(err, ErrTimeout) {
+		t.Errorf("Flush = %v with the cast held on both links, want ErrTimeout", err)
+	}
+	net.ResumeAll()
+	waitFor(t, "the cast at the remote members", 5*time.Second, func() bool { return procs[1].got("just sent") && procs[2].got("just sent") })
+}
+
 func TestCountersTrackPrimitives(t *testing.T) {
-	tc := newTestCluster(t, 2)
+	tc := newTestCluster(t, 3)
 	procs := buildGroup(t, tc, "counted", 1, 2)
 	gid := groupOf(t, tc, procs[0], "counted")
 	d := tc.daemons[1]
@@ -778,6 +860,20 @@ func TestCountersTrackPrimitives(t *testing.T) {
 	}
 	if after.PointToPoints-before.PointToPoints != 1 {
 		t.Errorf("point-to-point count delta = %d", after.PointToPoints-before.PointToPoints)
+	}
+
+	// A non-member's CBCAST is counted where it is stamped and sent, at the
+	// coordinator's site, not at the site that asked for the relay.
+	client := tc.newProc(3)
+	clientBefore := tc.daemons[3].Counters()
+	if err := cast(client, CBCAST, gid, "relayed"); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Counters().CBCASTs - after.CBCASTs; got != 1 {
+		t.Errorf("relay site's CBCAST count delta = %d for one relayed cast", got)
+	}
+	if got := tc.daemons[3].Counters().CBCASTs - clientBefore.CBCASTs; got != 0 {
+		t.Errorf("sender's site's CBCAST count delta = %d for a cast it only relayed", got)
 	}
 }
 

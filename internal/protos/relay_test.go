@@ -155,6 +155,38 @@ func TestLateJoinerReceivesExternalCbcast(t *testing.T) {
 	}
 }
 
+// TestLateJoinerReceivesExternalAbcast is the same for an ABCAST whose sender
+// still holds the view cached before the join: the round runs under the relay
+// site's view, not the one the client named, or the member sites would turn
+// its phase 1 away as a closed view's (and, delivered under that view's id,
+// the joiner would be refused it).
+func TestLateJoinerReceivesExternalAbcast(t *testing.T) {
+	tc := newTestCluster(t, 4)
+	procs := buildGroup(t, tc, "latejoinab", 1, 2)
+	gid := groupOf(t, tc, procs[0], "latejoinab")
+	client := tc.newProc(4)
+	if _, err := tc.daemons[4].Lookup("latejoinab"); err != nil {
+		t.Fatal(err)
+	}
+	joiner := tc.newProc(3)
+	if _, err := tc.daemons[3].Lookup("latejoinab"); err != nil {
+		t.Fatal(err)
+	}
+	joined, err := tc.daemons[3].Join(joiner.addr, gid, JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, _ := tc.daemons[4].CurrentView(gid); cached.ID >= joined.ID {
+		t.Fatalf("the client's site already knows view %d: the relay below would not name a closed view", cached.ID)
+	}
+	if err := cast(client, ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the relayed ABCAST at every member, the joiner included", 5*time.Second, func() bool {
+		return procs[0].got("after") && procs[1].got("after") && joiner.got("after")
+	})
+}
+
 // TestRelaySiteCrashDoesNotStallSender crashes the relay site with a relay
 // in flight. That relay's outcome is unknown and its Multicast said so; the
 // sender's next relay, through the surviving coordinator, must be delivered
@@ -299,7 +331,10 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 		pkt.PutInt(fStampView, int64(tt.after.view))
 		pkt.PutInt(fStampRank, int64(tt.after.rank))
 		pkt.PutInt(fStampSeq, int64(tt.after.seq))
-		if _, err := d.relayMulticast(9, pkt, true); !errors.Is(err, tt.want) {
+		d.mu.Lock()
+		_, err := d.relayMulticastLocked(9, pkt, true)
+		d.mu.Unlock()
+		if !errors.Is(err, tt.want) {
 			t.Errorf("stamp %+v: relay returned %v, want %v", tt.after, err, tt.want)
 		}
 	}

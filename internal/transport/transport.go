@@ -37,9 +37,10 @@ type Config struct {
 	// duplicates. It must increase across restarts; the protocols daemon
 	// derives it from the site incarnation. Zero selects 1.
 	Epoch uint64
-	// DisableBatching sends one fragment per frame on the caller's
-	// goroutine, with immediate dedicated acks: the unbatched baseline the
-	// benchmark ablation compares against.
+	// DisableBatching caps every frame at one fragment and acknowledges each
+	// at once with a dedicated ack: the unbatched baseline the benchmark
+	// ablation compares against. The per-peer flusher does the sending in
+	// both modes, so Send never blocks on the link.
 	DisableBatching bool
 }
 
