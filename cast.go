@@ -219,20 +219,17 @@ func (p *Process) ReplyWithCopies(req *Message, reply *Message, copies []Address
 	return p.replyInternal(req, reply, replyNormal, copies, copyEntry)
 }
 
-func (p *Process) replyInternal(req, reply *Message, kind int64, copies []Address, copyEntry EntryID) error {
+func (p *Process) replyInternal(req, reply *Message, kind uint8, copies []Address, copyEntry EntryID) error {
 	if !p.Alive() {
 		return ErrProcessKilled
 	}
 	if req == nil || !req.Has(msg.FSession) {
 		return ErrNotARequest
 	}
-	caller := req.Sender()
 	session := req.Session()
 	out := reply.Clone()
 	out.StripSystemFields()
-	out.PutInt(msg.FSession, session)
-	out.PutInt(msg.FReply, kind)
-	if _, err := p.site.daemon.Multicast(p.addr, CBCAST, addr.List{caller}, 0, out); err != nil {
+	if err := p.site.daemon.Reply(p.addr, req.Sender(), session, kind, out); err != nil {
 		return err
 	}
 	if len(copies) > 0 {

@@ -236,9 +236,13 @@ func (l List) Clone() List {
 	return out
 }
 
-// Dedup returns a copy of the list with duplicate entities removed,
-// preserving the order of first occurrence.
+// Dedup returns the list with duplicate entities removed, preserving the order
+// of first occurrence: a copy, except that a list of fewer than two entries is
+// returned as it is (the one caller, protos.MulticastRequest, only ranges over it).
 func (l List) Dedup() List {
+	if len(l) < 2 {
+		return l
+	}
 	seen := make(map[Address]bool, len(l))
 	out := make(List, 0, len(l))
 	for _, a := range l {

@@ -230,6 +230,22 @@ func TestListCloneAndDedup(t *testing.T) {
 	}
 }
 
+// TestDedupShortListAllocatesNothing pins the case every Cast to one group
+// passes: a list that cannot hold a duplicate comes back as it is.
+func TestDedupShortListAllocatesNothing(t *testing.T) {
+	one := List{NewGroup(1, 0, 3)}
+	var got List
+	if n := testing.AllocsPerRun(100, func() { got = one.Dedup() }); n != 0 {
+		t.Errorf("Dedup of a one-element list allocates %.0f times, want 0", n)
+	}
+	if len(got) != 1 || got[0] != one[0] {
+		t.Errorf("Dedup = %v, want %v", got, one)
+	}
+	if d := (List{}).Dedup(); len(d) != 0 {
+		t.Errorf("Dedup of the empty list = %v", d)
+	}
+}
+
 func TestGenerator(t *testing.T) {
 	g := NewGenerator(4, 1)
 	p := g.NextProcess()

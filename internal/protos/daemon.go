@@ -748,36 +748,48 @@ func (d *Daemon) replyError(to addr.SiteID, callID int64, why string) {
 
 // handleTransport dispatches an incoming daemon-to-daemon packet. The packet
 // type sits at a fixed offset in the envelope, so dispatch does not decode
-// the body; heartbeats carry no body at all.
+// the body; heartbeats carry no body at all and an abRecord builds no message.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
 	}
-	pt := raw[1]
+	pt, body := raw[1], raw[envelopeBytes:]
 	d.det.AddPeer(from)
-	if pt == ptHeartbeat {
+	switch pt {
+	case ptHeartbeat:
 		d.det.OnHeartbeat(from)
 		return
+	case ptAbPropose, ptAbCommit, ptAbResolicit:
+		if r, ok := parseAbRecord(body); ok {
+			switch pt {
+			case ptAbPropose:
+				d.handleAbPropose(from, r)
+			case ptAbCommit:
+				d.handleAbCommit(from, r)
+			default:
+				d.handleAbResolicit(from, r)
+			}
+		}
+		return
+	case ptReply:
+		if h, m, ok := parseReply(body); ok {
+			d.handleReply(h, m)
+		}
+		return
 	}
-	p, err := msg.Unmarshal(raw[envelopeBytes:])
+	p, err := msg.Unmarshal(body)
 	if err != nil {
 		return
 	}
 	switch pt {
 	case ptData:
 		d.handleData(from, p)
-	case ptAbPropose:
-		d.handleAbPropose(from, p)
-	case ptAbCommit:
-		d.handleAbCommit(from, p)
 	case ptGbRequest:
 		d.handleGbRequest(from, p)
 	case ptGbPrepare:
 		d.handleGbPrepare(from, p)
 	case ptGbAck, ptGbDone, ptLookupResp, ptError, ptRelayAck:
 		d.respond(p.GetInt(fCall, 0), p)
-	case ptAbResolicit:
-		d.handleAbResolicit(from, p)
 	case ptGbCommit:
 		d.applyGbCommit(from, p)
 	case ptLookup:

@@ -19,7 +19,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/fdetect"
-	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -113,11 +112,7 @@ func TestScenarioFlushDrivesFullySeenAbcast(t *testing.T) {
 
 	// A late commit from the (imaginary) initiator's watchdog — with a
 	// priority below the one the flush chose — must be a no-op.
-	late := msg.New()
-	late.PutAddress(fGroup, gid)
-	putMsgID(late, id)
-	late.PutInt(fPriority, 1)
-	tc.daemons[2].handleAbCommit(1, late)
+	tc.daemons[2].handleAbCommit(1, abRecord{group: gid, id: id, prio: 1})
 	time.Sleep(100 * time.Millisecond)
 	for i, p := range procs {
 		if n := countBody(p, "undelivered"); n != 1 {
@@ -301,10 +296,7 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	tc.daemons[1].handleData(2, pktA.Clone())
 	tc.daemons[2].handleData(1, pktA.Clone())
 	tc.daemons[3].handleData(2, pktA.Clone())
-	commitA := msg.New()
-	commitA.PutAddress(fGroup, gid)
-	putMsgID(commitA, idA)
-	commitA.PutInt(fPriority, 1)
+	commitA := abRecord{group: gid, id: idA, prio: 1}
 	tc.daemons[2].handleAbCommit(2, commitA)
 	waitFor(t, "A delivered at site 2", 2*time.Second, func() bool { return procs[1].got("limbo-a") })
 
@@ -339,8 +331,8 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	}
 
 	// The straggler's in-flight commit finally thaws: no duplicates.
-	tc.daemons[1].handleAbCommit(2, commitA.Clone())
-	tc.daemons[3].handleAbCommit(2, commitA.Clone())
+	tc.daemons[1].handleAbCommit(2, commitA)
+	tc.daemons[3].handleAbCommit(2, commitA)
 	time.Sleep(100 * time.Millisecond)
 	for i, p := range procs {
 		if n := countBody(p, "limbo-a"); n != 1 {

@@ -30,9 +30,6 @@ var goldenWire = map[string]string{
 		"0c68656c6c6f2c20776f726c640173020000000474657874062670726f746f0300000008000000000000000105267261" +
 		"6e6b03000000080000000000000001072673656e64657204000000080002010100000007072676696577696403000000" +
 		"080000000000000005032676740100000018000000000000000300000000000000000000000000000009",
-	"commit": "" +
-		"01010004062667726f75700400000008000100020000000306266d736769640400000008000201010000000707266d73" +
-		"677365710300000008000000000000002a05267072696f0300000008000000000000004d",
 	"view": "" +
 		"0101000401670400000008000100020000000302696403000000080000000000000006016d0500000018000201010000" +
 		"000700010001000000010003020100abcdef016e020000000562656e6368",
@@ -126,7 +123,7 @@ func goldenPackets() map[string]*msg.Message {
 	ack.PutInt(fCall, 31)
 	putStamp(ack, relayStamp{view: 5, rank: 1, seq: 9})
 	return map[string]*msg.Message{
-		"data": data, "cbcast": cb, "commit": newAbCommit(gid, id, 77), "view": view, "report": rep, "p2p": p2p,
+		"data": data, "cbcast": cb, "view": view, "report": rep, "p2p": p2p,
 		"relay": relay, "relayack": ack,
 	}
 }
@@ -162,5 +159,74 @@ func TestWireEncodingMatchesGolden(t *testing.T) {
 		if size := m.MarshaledSize(); size != len(old)-envelopeBytes {
 			t.Errorf("%s: MarshaledSize = %d, want %d", name, size, len(old)-envelopeBytes)
 		}
+	}
+}
+
+// goldenFixed holds the packets that travel in a fixed layout instead of as a
+// marshalled message (PR 22): envelope, then the fields at fixed offsets.
+var goldenFixed = map[string]string{
+	"propose":   "0111" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000002",
+	"commit":    "0112" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000000",
+	"resolicit": "0113" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "0000000000000000" + "0000000000000000",
+	"reply":     "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "01" + "00010173020000000474657874",
+	"nullreply": "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "02" + "0000",
+}
+
+// TestFixedLayoutMatchesGolden checks the fixed-layout packets both ways:
+// today's encoders produce the golden bytes, and the golden bytes parse to the
+// record they were built from and encode to themselves again.
+func TestFixedLayoutMatchesGolden(t *testing.T) {
+	sender, gid := addr.NewProcess(2, 1, 7), addr.NewGroup(1, 0, 3)
+	id := core.MsgID{Sender: sender, Seq: 42}
+	records := map[string]abRecord{
+		"propose":   {group: gid, id: id, prio: 77, attempt: 2},
+		"commit":    {group: gid, id: id, prio: 77},
+		"resolicit": {group: gid, id: id},
+	}
+	types := map[string]byte{"propose": ptAbPropose, "commit": ptAbCommit, "resolicit": ptAbResolicit}
+	for name, r := range records {
+		want := goldenFixed[name]
+		if got := hex.EncodeToString(r.encode(types[name])); got != want {
+			t.Errorf("%s: encoding moved\n got %s\nwant %s", name, got, want)
+		}
+		old, _ := hex.DecodeString(want)
+		back, ok := parseAbRecord(old[envelopeBytes:])
+		if !ok || back != r {
+			t.Errorf("%s: golden bytes parse to %+v (ok=%v), want %+v", name, back, ok, r)
+		}
+		if got := hex.EncodeToString(back.encode(old[1])); got != want {
+			t.Errorf("%s: parse and re-encode moved the bytes\n got %s\nwant %s", name, got, want)
+		}
+	}
+	replies := map[string]struct {
+		h    replyHeader
+		body *msg.Message
+	}{
+		"reply":     {replyHeader{caller: addr.NewProcess(1, 0, 1), responder: sender, session: 9, kind: 1}, msg.New().PutString("s", "text")},
+		"nullreply": {replyHeader{caller: addr.NewProcess(1, 0, 1), responder: sender, session: 9, kind: 2}, msg.New()},
+	}
+	for name, r := range replies {
+		want := goldenFixed[name]
+		raw, err := encodeReply(r.h, r.body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := hex.EncodeToString(raw); got != want {
+			t.Errorf("%s: encoding moved\n got %s\nwant %s", name, got, want)
+		}
+		old, _ := hex.DecodeString(want)
+		h, body, ok := parseReply(old[envelopeBytes:])
+		if !ok || h != r.h {
+			t.Fatalf("%s: golden bytes parse to %+v (ok=%v), want %+v", name, h, ok, r.h)
+		}
+		if again, err := encodeReply(h, body); err != nil || hex.EncodeToString(again) != want {
+			t.Errorf("%s: parse and re-encode moved the bytes (err %v)\n got %x\nwant %s", name, err, again, want)
+		}
+	}
+	if len(records)+len(replies) != len(goldenFixed) {
+		t.Errorf("%d cases for %d golden encodings", len(records)+len(replies), len(goldenFixed))
+	}
+	if wireVersion != 1 || ptRelayAck != 16 || ptAbPropose != 17 || ptReply != 20 {
+		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

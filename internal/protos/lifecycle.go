@@ -123,11 +123,11 @@ func next(p phase, in input) (phase, effects) {
 }
 
 // heldPacket is a packet whose processing is deferred while the group is
-// flushing; pt remembers its envelope type so it can be re-fed.
+// flushing: a ptData packet, or (pkt nil) an ABCAST commit record.
 type heldPacket struct {
-	from addr.SiteID
-	pt   byte
-	pkt  *msg.Message
+	from   addr.SiteID
+	pkt    *msg.Message
+	commit abRecord
 }
 
 // parked is the work a flush holds back at one group copy: data packets and
@@ -189,7 +189,7 @@ var flushEndDetail = [numInputs]string{
 }
 
 // refeedLocked takes up again what the flush that just ended at a copy held
-// back, routing packets by the envelope type remembered at hold time. The
+// back, data packets and commit records each to their own handler. The
 // copy's flush is over and no other can begin inside this hold of d.mu, so
 // nothing is parked twice; what belonged to a copy since dropped
 // (dropGroupLocked) finds no group — a relay is refused, as by any site that
@@ -199,10 +199,9 @@ func (d *Daemon) refeedLocked(gs *groupState) {
 	rel := gs.parked
 	gs.parked = parked{}
 	for _, h := range rel.pkts {
-		switch h.pt {
-		case ptAbCommit:
-			d.handleAbCommitLocked(h.from, h.pkt)
-		default:
+		if h.pkt == nil {
+			d.handleAbCommitLocked(h.from, h.commit)
+		} else {
 			d.handleDataLocked(h.from, h.pkt)
 		}
 	}

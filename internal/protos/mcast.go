@@ -121,9 +121,8 @@ func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, pa
 	return req.GetInt(fReqID, 0), err
 }
 
-// sendPointToPoint delivers a message directly to a list of processes; the
-// reply mechanism of the group RPC facility uses this path (a reply is "one
-// asynchronous CBCAST" in Table 1 terms).
+// sendPointToPoint delivers a message directly to a list of processes: a cast
+// addressed to processes, or the copies of a reply (the reply itself goes by Reply).
 func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr.List, entry addr.EntryID, payload *msg.Message) error {
 	if len(dests) == 0 {
 		return nil
@@ -181,6 +180,48 @@ func (d *Daemon) deliverPointToPointLocked(pkt *msg.Message, dests addr.List) {
 		d.counters.Delivered++
 		e := entry
 		d.enqueue(lp, func() { lp.deliver(e, m) })
+	}
+}
+
+// Reply sends a process's answer (kind: the @reply value) to the caller whose
+// Cast, numbered session there, it answers: Table 1's "one asynchronous CBCAST",
+// counted as a point-to-point send, that no flush holds. The daemon takes over
+// payload: a local caller is handed that very message, a remote one its decode.
+func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, payload *msg.Message) error {
+	h := replyHeader{caller: caller.Base(), responder: sender.Base(), session: session, kind: kind}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, err := d.liveProcLocked(sender); err != nil {
+		return err
+	}
+	d.counters.PointToPoints++
+	if h.caller.Site == d.site {
+		d.deliverReplyLocked(h, payload)
+		return nil
+	}
+	raw, err := encodeReply(h, payload)
+	if err != nil {
+		return err
+	}
+	return d.sendRaw(h.caller.Site, raw)
+}
+
+// handleReply delivers a reply that arrived from another site.
+func (d *Daemon) handleReply(h replyHeader, body *msg.Message) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.deliverReplyLocked(h, body)
+}
+
+// deliverReplyLocked puts on a reply the system fields its header stands for
+// and queues it, as the delivery itself, behind what the caller's process was
+// delivered before; that process finds the waiting Cast by session. Caller holds d.mu.
+func (d *Daemon) deliverReplyLocked(h replyHeader, m *msg.Message) {
+	if lp := d.procs[h.caller]; lp != nil && lp.alive {
+		m.PutAddress(msg.FSender, h.responder).PutInt(msg.FProtocol, int64(CBCAST)).
+			PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))
+		d.counters.Delivered++
+		d.enqueue(lp, func() { lp.deliver(0, m) })
 	}
 }
 
@@ -383,7 +424,7 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, erro
 func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *msg.Message, park bool) (relayStamp, error) {
 	gid := pkt.GetAddress(fGroup).Base()
 	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
 		return relayStamp{}, errRelayHeld
 	}
 	gs, err := d.settledGroupLocked(gid)
@@ -523,17 +564,15 @@ func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
 // a previous attempt (sent before a GBCAST flush fenced and restarted the
 // ABCAST) is ignored, so the final priority is always the maximum over one
 // coherent proposal round.
-func (d *Daemon) handleAbPropose(from addr.SiteID, p *msg.Message) {
-	id := getMsgID(p)
-	prio := uint64(p.GetInt(fPriority, 0))
+func (d *Daemon) handleAbPropose(from addr.SiteID, r abRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.pendingAb[id]
-	if !ok || p.GetInt(fAttempt, 0) != st.attempt {
+	st, ok := d.pendingAb[r.id]
+	if !ok || r.attempt != st.attempt {
 		return
 	}
-	if prio > st.maxPrio {
-		st.maxPrio = prio
+	if r.prio > st.maxPrio {
+		st.maxPrio = r.prio
 	}
 	if st.proposalInLocked(from) {
 		d.completeAbcastLocked(st)
@@ -578,43 +617,29 @@ func (d *Daemon) completeAbcastLocked(st *abSendState) {
 	}
 	d.retireAbcastLocked(st)
 	d.releaseAbSenderLocked(st)
-	commit := newAbCommit(st.group, st.id, st.maxPrio)
-	// Phase 2 is marshalled once for all destination sites.
-	if raw, err := encodePacket(ptAbCommit, commit); err == nil {
-		d.fanoutRaw(st.targets, raw)
-	}
+	d.fanoutRaw(st.targets, abRecord{group: st.group, id: st.id, prio: st.maxPrio}.encode(ptAbCommit))
 	if hosted {
 		d.applyAbCommitLocked(gs, st.id, st.maxPrio)
 	}
 }
 
-// newAbCommit builds an ABCAST phase-2 packet: the final priority of one
-// message of one group.
-func newAbCommit(gid addr.Address, id core.MsgID, final uint64) *msg.Message {
-	commit := msg.NewSized(4)
-	commit.PutAddress(fGroup, gid)
-	putMsgID(commit, id)
-	commit.PutInt(fPriority, int64(final))
-	return commit
-}
-
 // handleAbCommit applies an ABCAST final priority at a destination site.
-func (d *Daemon) handleAbCommit(from addr.SiteID, p *msg.Message) {
+func (d *Daemon) handleAbCommit(from addr.SiteID, r abRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.handleAbCommitLocked(from, p)
+	d.handleAbCommitLocked(from, r)
 }
 
-// handleAbCommitLocked is handleAbCommit for a packet just arrived or re-fed
+// handleAbCommitLocked is handleAbCommit for a commit just arrived or re-fed
 // by the flush that parked it. Caller holds d.mu.
-func (d *Daemon) handleAbCommitLocked(from addr.SiteID, p *msg.Message) {
-	gs, ok := d.groups[p.GetAddress(fGroup).Base()]
+func (d *Daemon) handleAbCommitLocked(from addr.SiteID, r abRecord) {
+	gs, ok := d.groups[r.group.Base()]
 	switch {
 	case !ok:
 	case gs.phase == phaseFlushing:
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptAbCommit, p})
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, commit: r})
 	default:
-		d.applyAbCommitLocked(gs, getMsgID(p), uint64(p.GetInt(fPriority, 0)))
+		d.applyAbCommitLocked(gs, r.id, r.prio)
 	}
 }
 
@@ -656,13 +681,11 @@ func (d *Daemon) recordAbDoneLocked(id core.MsgID, final uint64) {
 // commit record. While the protocol is genuinely still in progress the
 // request is ignored — the commit will arrive on its own — and an unknown id
 // is left for the next GBCAST flush to resolve.
-func (d *Daemon) handleAbResolicit(from addr.SiteID, p *msg.Message) {
-	gid := p.GetAddress(fGroup)
-	id := getMsgID(p)
+func (d *Daemon) handleAbResolicit(from addr.SiteID, r abRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if final, done := d.abDone.Get(id); done {
-		_ = d.sendPacket(from, ptAbCommit, newAbCommit(gid.Base(), id, final))
+	if final, done := d.abDone.Get(r.id); done {
+		_ = d.sendRaw(from, abRecord{group: r.group.Base(), id: r.id, prio: final}.encode(ptAbCommit))
 	}
 }
 
@@ -749,10 +772,7 @@ func (d *Daemon) resolicitStragglers() {
 		gs.resolicits++
 		if to != 0 {
 			d.bus.Publish(events.Event{Kind: events.AbcastResolicit, Group: gid, Peer: to, Msg: id})
-			req := msg.New()
-			req.PutAddress(fGroup, gid)
-			putMsgID(req, id)
-			_ = d.sendPacket(to, ptAbResolicit, req)
+			_ = d.sendRaw(to, abRecord{group: gid, id: id}.encode(ptAbResolicit))
 		}
 	}
 }
@@ -840,7 +860,7 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
 		return
 	}
 	if gs.phase == phaseFlushing {
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from, ptData, pkt})
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
 		return
 	}
 	if core.ViewID(pkt.GetInt(fViewID, 0)) < gs.view.ID {
@@ -858,15 +878,8 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
 		d.processCbcastLocked(gs, pkt)
 	case ABCAST:
 		id := getMsgID(pkt)
-		prio := gs.total.Propose(id, pkt)
-		resp := msg.NewSized(5)
-		resp.PutAddress(fGroup, gid)
-		putMsgID(resp, id)
-		resp.PutInt(fPriority, int64(prio))
-		if att := pkt.GetInt(fAttempt, 0); att != 0 {
-			resp.PutInt(fAttempt, att)
-		}
-		_ = d.sendPacket(from, ptAbPropose, resp)
+		resp := abRecord{group: gid, id: id, prio: gs.total.Propose(id, pkt), attempt: pkt.GetInt(fAttempt, 0)}
+		_ = d.sendRaw(from, resp.encode(ptAbPropose))
 	}
 }
 

@@ -463,11 +463,7 @@ func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 
 	// The late commit for the still-pending entry must only advance the
 	// queue state, not deliver a second copy.
-	late := msg.New()
-	late.PutAddress(fGroup, gid)
-	putMsgID(late, id)
-	late.PutInt(fPriority, 9)
-	d2.handleAbCommit(1, late)
+	d2.handleAbCommit(1, abRecord{group: gid, id: id, prio: 9})
 	time.Sleep(100 * time.Millisecond)
 	if n := countBody(procs[1], "exactly-once"); n != 1 {
 		t.Errorf("member delivered the flushed ABCAST %d times, want exactly 1", n)

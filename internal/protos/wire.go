@@ -1,8 +1,10 @@
 package protos
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/vclock"
@@ -44,7 +46,7 @@ func (p Protocol) String() string {
 //
 //	byte 0   wireVersion
 //	byte 1   packet type (one of the pt* constants below)
-//	bytes 2+ marshalled msg.Message body (absent for heartbeats)
+//	bytes 2+ marshalled msg.Message body (none for heartbeats, abRecord or replyHeader for four types)
 //
 // Keeping the packet type at a fixed offset (rather than in a "&type" body
 // field, as earlier revisions did) lets handleTransport dispatch without
@@ -59,6 +61,8 @@ func (p Protocol) String() string {
 const (
 	wireVersion   = 1
 	envelopeBytes = 2
+
+	abRecordBytes, replyHeaderBytes = 40, 25 // the two fixed layouts (abRecord, replyHeader)
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
@@ -67,8 +71,8 @@ const (
 // toolkit sets.
 const (
 	ptData        = byte(iota + 1) // CBCAST data / ABCAST phase 1 / point-to-point
-	ptAbPropose                    // ABCAST phase 1 response: proposed priority
-	ptAbCommit                     // ABCAST phase 2: final priority
+	_                              // 2 was the message-built ABCAST proposal; retired, never reused
+	_                              // 3 was the message-built ABCAST commit; retired, never reused
 	ptGbRequest                    // request to the group coordinator (join/leave/fail/user gbcast/config)
 	ptGbPrepare                    // GBCAST phase 1: wedge and report pending state
 	ptGbAck                        // GBCAST phase 1 response
@@ -80,8 +84,12 @@ const (
 	ptStateBlock                   // state transfer block for a joining member
 	ptError                        // negative response to a call
 	ptStateAck                     // joiner's site announces its state transfer completed
-	ptAbResolicit                  // receiver asks for a straggler ABCAST's commit record
+	_                              // 15 was the message-built re-solicitation; retired, never reused
 	ptRelayAck                     // positive acknowledgement of a relayed multicast
+	ptAbPropose                    // ABCAST phase 1 response: proposed priority (abRecord)
+	ptAbCommit                     // ABCAST phase 2: final priority (abRecord)
+	ptAbResolicit                  // receiver asks for a straggler ABCAST's commit record (abRecord)
+	ptReply                        // a reply on its way to the caller's process (reply header + body)
 )
 
 // Field names used in daemon-to-daemon packet bodies.
@@ -98,7 +106,6 @@ const (
 	fEntry     = "&entry"   // destination entry point
 	fPayload   = "&payload" // nested application message
 	fDests     = "&dests"   // explicit destination processes
-	fPriority  = "&prio"    // ABCAST priority
 	fKind      = "&kind"    // gb request kind
 	fProcs     = "&procs"   // processes affected by a gb request
 	fName      = "&name"    // symbolic group name
@@ -136,6 +143,64 @@ const (
 	gbResume                       // total-wedge recovery: resume the last agreed view in place
 	gbSeal                         // settle the outcome of an earlier request id (commit or abort it)
 )
+
+// The fixed layouts, big endian (ARCHITECTURE.md has them as tables). abRecord is
+// the whole body of ptAbPropose, ptAbCommit and ptAbResolicit: group (bytes 0-7),
+// message id (sender 8-15, sequence 16-23), priority (24-31), attempt (32-39, of
+// the phase 1 a proposal answers). replyHeader leads ptReply's body, before the
+// marshalled reply: caller (0-7), responder (8-15), session (16-23), kind (24).
+type (
+	abRecord struct {
+		group   addr.Address
+		id      core.MsgID
+		prio    uint64
+		attempt int64
+	}
+	replyHeader struct {
+		caller, responder addr.Address
+		session           int64
+		kind              uint8
+	}
+)
+
+// encode builds the wire bytes of the record as a packet of type pt.
+func (r abRecord) encode(pt byte) []byte {
+	raw := append(make([]byte, 0, envelopeBytes+abRecordBytes), wireVersion, pt)
+	raw = binary.BigEndian.AppendUint64(r.id.Sender.AppendEncoded(r.group.AppendEncoded(raw)), r.id.Seq)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(raw, r.prio), uint64(r.attempt))
+}
+
+// parseAbRecord reads a record from a packet body of exactly its length.
+func parseAbRecord(b []byte) (r abRecord, ok bool) {
+	if len(b) != abRecordBytes {
+		return r, false
+	}
+	var gerr, serr error
+	r.group, gerr = addr.Decode(b)
+	r.id.Sender, serr = addr.Decode(b[8:])
+	r.id.Seq, r.prio, r.attempt = binary.BigEndian.Uint64(b[16:]), binary.BigEndian.Uint64(b[24:]), int64(binary.BigEndian.Uint64(b[32:]))
+	return r, gerr == nil && serr == nil
+}
+
+// encodeReply builds the wire bytes of a ptReply packet.
+func encodeReply(h replyHeader, body *msg.Message) ([]byte, error) {
+	raw := append(make([]byte, 0, envelopeBytes+replyHeaderBytes+body.MarshaledSize()), wireVersion, ptReply)
+	raw = binary.BigEndian.AppendUint64(h.responder.AppendEncoded(h.caller.AppendEncoded(raw)), uint64(h.session))
+	return body.AppendMarshal(append(raw, h.kind))
+}
+
+// parseReply reads a ptReply body: the header, and the reply decoded once.
+func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
+	if len(b) < replyHeaderBytes {
+		return h, nil, false
+	}
+	var cerr, rerr, berr error
+	h.caller, cerr = addr.Decode(b)
+	h.responder, rerr = addr.Decode(b[8:])
+	h.session, h.kind = int64(binary.BigEndian.Uint64(b[16:])), b[24]
+	body, berr = msg.Unmarshal(b[replyHeaderBytes:])
+	return h, body, cerr == nil && rerr == nil && berr == nil
+}
 
 // encodeView stores a view in a nested message.
 func encodeView(v core.View) *msg.Message {

@@ -1,0 +1,180 @@
+package protos
+
+import (
+	"encoding/hex"
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/msg"
+	"repro/internal/simnet"
+)
+
+// wireFixture is a daemon at site 1 hosting one group with one member, beside
+// an idle daemon at site 2 for the packets it answers to go to. Tests feed its
+// handleTransport by hand, as site 2's packets.
+type wireFixture struct {
+	d      *Daemon
+	gid    addr.Address
+	view   core.ViewID
+	member addr.Address
+	got    atomic.Int64 // deliveries the member's callback has run
+}
+
+func newWireFixture(tb testing.TB) *wireFixture {
+	tb.Helper()
+	net := simnet.New(simnet.FastConfig())
+	var ds [2]*Daemon
+	for i := range ds {
+		d, err := New(Config{Site: addr.SiteID(i + 1), Network: net, CallTimeout: 2 * time.Second, DisableHeartbeats: true})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ds[i] = d
+	}
+	tb.Cleanup(func() {
+		ds[0].Close()
+		ds[1].Close()
+		net.Close()
+	})
+	fx := &wireFixture{d: ds[0]}
+	var err error
+	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, nil); err != nil {
+		tb.Fatal(err)
+	}
+	v, err := fx.d.CreateGroup(fx.member, "wire")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx.gid, fx.view = v.Group, v.ID
+	return fx
+}
+
+// state renders everything a control packet could move: the initiator rounds,
+// the copy's total-order queue, the counters and the member's deliveries.
+func (fx *wireFixture) state() string {
+	fx.d.mu.Lock()
+	defer fx.d.mu.Unlock()
+	s := fmt.Sprintf("pendingAb=%d total=%d counters=%+v got=%d", len(fx.d.pendingAb),
+		fx.d.groups[fx.gid].total.PendingCount(), fx.d.counters, fx.got.Load())
+	for id, st := range fx.d.pendingAb {
+		s += fmt.Sprintf(" %v:waiting=%v,max=%d", id, st.waiting, st.maxPrio)
+	}
+	return s
+}
+
+// reply builds a ptReply packet for the fixture's member from a responder at
+// site 2.
+func (fx *wireFixture) reply(tb testing.TB, kind uint8, body *msg.Message) []byte {
+	raw, err := encodeReply(replyHeader{caller: fx.member, responder: addr.NewProcess(2, 0, 9), session: 4, kind: kind}, body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestMalformedControlPacketsAreDropped feeds handleTransport every way a
+// fixed-layout packet can be wrong, at a daemon where the well-formed packet
+// would act (an open initiator round, an uncommitted message, a live caller):
+// nothing moves. The well-formed packets then do act, so the check has teeth.
+func TestMalformedControlPacketsAreDropped(t *testing.T) {
+	fx := newWireFixture(t)
+	d := fx.d
+	remote := addr.NewProcess(2, 0, 9)
+
+	// A: phase 1 arrived from site 2, no commit yet. B: a round this site
+	// initiated, waiting for site 2's proposal.
+	idA, idB := core.MsgID{Sender: remote, Seq: 1}, core.MsgID{Sender: fx.member, Seq: 1}
+	d.handleData(2, d.buildDataPacket(ABCAST, fx.gid, fx.view, idA, remote, -1, addr.EntryUserBase, body("a")))
+	pktB := d.buildDataPacket(ABCAST, fx.gid, fx.view, idB, fx.member, 0, addr.EntryUserBase, body("b"))
+	d.mu.Lock()
+	d.pendingAb[idB] = &abSendState{id: idB, group: fx.gid, targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
+		maxPrio: d.groups[fx.gid].total.Propose(idB, pktB), packet: pktB, deadline: time.Now().Add(time.Hour)}
+	d.mu.Unlock()
+
+	good := map[string][]byte{
+		"propose":   abRecord{group: fx.gid, id: idB, prio: 9}.encode(ptAbPropose),
+		"commit":    abRecord{group: fx.gid, id: idA, prio: 9}.encode(ptAbCommit),
+		"resolicit": abRecord{group: fx.gid, id: idA}.encode(ptAbResolicit),
+		"reply":     fx.reply(t, 1, body("r")),
+		"nullreply": fx.reply(t, 2, msg.New()),
+	}
+	bad := map[string][]byte{}
+	for name, raw := range good {
+		bad[name+" truncated"] = raw[:len(raw)-1]
+		bad[name+" extended"] = append(append([]byte{}, raw...), 0)
+		for _, off := range []int{3, 11} { // the kind bytes of the two leading addresses
+			k := append([]byte{}, raw...)
+			k[envelopeBytes+off] = byte(addr.KindGroup) + 1
+			bad[fmt.Sprintf("%s kind at %d", name, off)] = k
+		}
+	}
+	bad["reply header alone"] = good["reply"][:envelopeBytes+replyHeaderBytes]
+	bad["reply corrupt body"] = append(append([]byte{}, good["reply"][:envelopeBytes+replyHeaderBytes]...), 0, 1, 3, 'x')
+	// The retired numbers: with the body an old site would send (the parent's
+	// golden "commit" packet), and with today's fixed layout.
+	oldCommit, _ := hex.DecodeString("01030004062667726f75700400000008000100020000000306266d736769640400000008000201010000000707266d73" +
+		"677365710300000008000000000000002a05267072696f0300000008000000000000004d")
+	bad["retired 3, old body"] = oldCommit
+	for _, pt := range []byte{2, 3, 15} {
+		k := append([]byte{}, good["commit"]...)
+		k[1] = pt
+		bad[fmt.Sprintf("retired %d, fixed body", pt)] = k
+	}
+
+	before := fx.state()
+	for name, raw := range bad {
+		d.handleTransport(2, raw)
+		if after := fx.state(); after != before {
+			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
+		}
+	}
+
+	d.handleTransport(2, good["commit"])
+	d.handleTransport(2, good["propose"])
+	d.handleTransport(2, good["resolicit"])
+	d.handleTransport(2, good["reply"])
+	d.handleTransport(2, good["nullreply"])
+	waitFor(t, "A, B and the two replies at the member", 2*time.Second, func() bool { return fx.got.Load() == 4 })
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n, p := len(d.pendingAb), d.groups[fx.gid].total.PendingCount(); n != 0 || p != 0 {
+		t.Errorf("after the well-formed packets: %d rounds open, %d messages pending, want none", n, p)
+	}
+	if d.counters.Delivered != 4 {
+		t.Errorf("Delivered = %d, want 4", d.counters.Delivered)
+	}
+}
+
+// FuzzControlPacket feeds arbitrary bytes to handleTransport as the body of a
+// fixed-layout (or retired) packet type at a daemon hosting one group. Nothing
+// may panic; a body that does not parse must not count as a delivery; and the
+// daemon must still deliver a well-formed reply afterwards.
+func FuzzControlPacket(f *testing.F) {
+	for _, h := range goldenFixed {
+		raw, _ := hex.DecodeString(h)
+		f.Add(raw[1], raw[envelopeBytes:])
+		f.Add(raw[1], raw[envelopeBytes:len(raw)-1])
+	}
+	f.Add(byte(3), []byte{0, 0})
+	fx := newWireFixture(f)
+	types := []byte{ptAbPropose, ptAbCommit, ptAbResolicit, ptReply, 2, 3, 15}
+	delivered := func() uint64 { return fx.d.Counters().Delivered }
+	f.Fuzz(func(t *testing.T, pt byte, data []byte) {
+		pt = types[int(pt)%len(types)]
+		before := delivered()
+		fx.d.handleTransport(2, append([]byte{wireVersion, pt}, data...))
+		_, _, isReply := parseReply(data)
+		if after := delivered(); after != before && !(pt == ptReply && isReply) {
+			t.Fatalf("type %d body %x: Delivered %d -> %d", pt, data, before, after)
+		}
+		before = delivered()
+		fx.d.handleTransport(2, fx.reply(t, 1, msg.New()))
+		if after := delivered(); after != before+1 {
+			t.Fatalf("after type %d body %x a well-formed reply is no longer delivered", pt, data)
+		}
+	})
+}
