@@ -71,9 +71,11 @@ func perOp(warm, n int, op func(i int)) (allocs, bytes float64) {
 // TestAbcastRPCAllocBudget: a 100-byte ABCAST to three members at three
 // sites plus one reply (the abcast_rpc workload). Before the data path was
 // made lean (PR 14) this cost 320 allocations and 83 KB; before ABCAST's
-// control packets and the reply left the message codec (PR 22), 123.5 and 18.9 KB.
+// control packets and the reply left the message codec (PR 22), 123.5 and
+// 18.9 KB; before the send window and the decoder stopped copying what they
+// were handed (PR 23), 78.0 and 10.9 KB.
 func TestAbcastRPCAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 86, 12000 // measured 78.0 and 10.9 KB
+	const maxAllocs, maxBytes = 73, 10050 // measured 66.5 and 9.1 KB
 	var got atomic.Int64
 	p, gid := allocCluster(t, &got)
 	payload := make([]byte, 100)
@@ -91,9 +93,9 @@ func TestAbcastRPCAllocBudget(t *testing.T) {
 
 // TestCbcastAllocBudget: a 64-deep window of asynchronous 1 KB CBCASTs to
 // the same group (the cbcast_stream workload; 112 allocations and 45 KB per
-// cast before).
+// cast before PR 14, 37.8 and 15.1 KB before PR 23).
 func TestCbcastAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 42, 16600 // measured 37.8 and 15.1 KB
+	const maxAllocs, maxBytes = 36, 10400 // measured 32.6 and 9.4 KB
 	var got atomic.Int64
 	p, gid := allocCluster(t, &got)
 	payload := make([]byte, 1024)

@@ -39,9 +39,10 @@ func TestAbsentFieldLookupsDoNotAllocate(t *testing.T) {
 	_, _, _ = i, a, h
 }
 
-// A fresh decode allocates the message, its exact-size table and one private
-// copy of the packet that every name and variable-length value points into;
-// a nested message adds its own message and table.
+// A decode allocates the message and its exact-size table, and points every
+// name and variable-length value into the packet; a nested message adds its
+// own message and table. Unmarshal adds the private copy of the packet that
+// the owning decode does without.
 func TestDecodeAllocations(t *testing.T) {
 	flat := New().PutInt("a", 1).PutAddress("b", addr.NewProcess(1, 0, 2)).
 		PutBytes("c", make([]byte, 100)).PutString("d", "text").
@@ -65,6 +66,9 @@ func TestDecodeAllocations(t *testing.T) {
 		}
 		if allocs != tc.want {
 			t.Errorf("%s: decode allocates %.1f times, want %.0f", tc.name, allocs, tc.want)
+		}
+		if owned := testing.AllocsPerRun(200, func() { _, err = UnmarshalOwned(enc, 0) }); err != nil || owned != tc.want-1 {
+			t.Errorf("%s: the owning decode allocates %.1f times (%v), want %.0f", tc.name, owned, err, tc.want-1)
 		}
 		if cap(got.fields) != len(got.fields) {
 			t.Errorf("%s: table has %d slots for %d fields", tc.name, cap(got.fields), len(got.fields))

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,11 +44,11 @@ import (
 // []byte to the transport for every destination site.
 //
 // Decoders accept fields in any order (defensively re-sorting), but only the
-// sorted form is ever produced. A decode makes one private copy of the
-// packet and points every field name and variable-length value into it, so a
-// fresh decode allocates the message, its exact-size field table (the count
-// is on the wire) and that one copy — plus a message and table per nested
-// message.
+// sorted form is ever produced. A decode keeps the packet it is given and
+// points every field name and variable-length value into it, so it allocates
+// the message and its exact-size field table (the count is on the wire) —
+// plus a message and table per nested message. Unmarshal, for callers that
+// keep their buffer, adds the one private copy.
 
 // Marshalling errors.
 var (
@@ -150,25 +151,31 @@ func (m *Message) appendTo(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes a message from b. The entire slice must be consumed. b
-// is copied, so the caller may reuse it.
-func Unmarshal(b []byte) (*Message, error) {
+// UnmarshalOwned decodes a message from b, all of which must be consumed, and
+// keeps b: names and variable-length values are substrings of it, so b (a
+// received frame, say) must never be written again. The decoded table has
+// room for room more fields.
+func UnmarshalOwned(b []byte, room int) (*Message, error) {
 	m := New()
-	if err := m.unmarshal(string(b)); err != nil {
+	if err := m.unmarshal(frozen(b), room); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
+// Unmarshal is UnmarshalOwned of a private copy of b, for callers that keep
+// their buffer.
+func Unmarshal(b []byte) (*Message, error) { return UnmarshalOwned(bytes.Clone(b), 0) }
+
 // UnmarshalInto replaces m's fields with a plain decode of b, exactly as
 // Unmarshal fills a new message: the decode starts a new table, so nothing m
 // held is reused. On error m may hold a partial decode. The name remains only
 // because bench/layers.go compiles against it.
-func UnmarshalInto(m *Message, b []byte) error { return m.unmarshal(string(b)) }
+func UnmarshalInto(m *Message, b []byte) error { return m.unmarshal(string(b), 0) }
 
-// unmarshal decodes all of s, the decoder's own copy of a packet, into m.
-func (m *Message) unmarshal(s string) error {
-	rest, err := m.unmarshalPrefix(s)
+// unmarshal decodes all of s, a packet the decoder owns, into m.
+func (m *Message) unmarshal(s string, room int) error {
+	rest, err := m.unmarshalPrefix(s, room)
 	if err != nil {
 		return err
 	}
@@ -182,8 +189,8 @@ func (m *Message) unmarshal(s string) error {
 // type, and the length of an empty payload.
 const minFieldBytes = 1 + 1 + 4
 
-// The decoder reads a string — the private copy of the packet — so that
-// names and values can be kept as substrings of it.
+// The decoder reads a string — the packet it owns — so that names and values
+// can be kept as substrings of it.
 
 func beUint16(s string) uint16 { return uint16(s[0])<<8 | uint16(s[1]) }
 
@@ -209,7 +216,7 @@ func decodeAddress(s string) addr.Address {
 // the remainder. Fields go in by sorted insertion, which appends while the
 // incoming names ascend and also handles adversarial inputs whose fields are
 // unsorted or duplicated.
-func (m *Message) unmarshalPrefix(s string) (string, error) {
+func (m *Message) unmarshalPrefix(s string, room int) (string, error) {
 	if len(s) < 2 {
 		return "", fmt.Errorf("%w: missing field count", ErrCorrupt)
 	}
@@ -220,7 +227,7 @@ func (m *Message) unmarshalPrefix(s string) (string, error) {
 		// command a 65535-slot allocation.
 		return "", fmt.Errorf("%w: %d fields in %d bytes", ErrCorrupt, n, len(s))
 	}
-	m.fields = make([]field, 0, n)
+	m.fields = make([]field, 0, n+room)
 	for i := 0; i < n; i++ {
 		if len(s) < 1 {
 			return "", fmt.Errorf("%w: truncated field name length", ErrCorrupt)
@@ -248,7 +255,7 @@ func (m *Message) unmarshalPrefix(s string) (string, error) {
 }
 
 // decodePayload fills one field from its wire payload, a substring of the
-// decoder's private copy of the packet.
+// decoder's packet.
 func decodePayload(f *field, payload string) error {
 	switch f.typ {
 	case TypeBytes, TypeString:
@@ -279,7 +286,7 @@ func decodePayload(f *field, payload string) error {
 		f.ref = payload
 	case TypeMessage:
 		f.sub = New()
-		return f.sub.unmarshal(payload)
+		return f.sub.unmarshal(payload, 0)
 	default:
 		return fmt.Errorf("%w: unknown field type %d", ErrCorrupt, f.typ)
 	}

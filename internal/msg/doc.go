@@ -17,7 +17,8 @@
 // (bytes, strings, address lists) are immutable once stored and may be shared
 // — by Clone, by the per-member deliveries the protocols process builds from
 // one received packet, and by the fields of one decoded packet, which all
-// point into a single private copy of it. A Put therefore never disturbs
+// point into the buffer it was decoded from (UnmarshalOwned keeps the one it
+// is given, Unmarshal a private copy). A Put therefore never disturbs
 // another holder. Bytes and GetBytes return copies the caller owns; BytesView
 // is the read-only no-copy accessor. ARCHITECTURE.md ("Message ownership and
 // copies") has the full table.

@@ -10,7 +10,9 @@ import (
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to the decoder. Inputs the
 // decoder accepts must re-marshal successfully, and the re-marshalled form
-// must be a fixed point (canonical: sorted fields, duplicates collapsed).
+// must be a fixed point (canonical: sorted fields, duplicates collapsed). The
+// owning decode, given its own copy of the input, must say what Unmarshal
+// says: the same message or the same error.
 func FuzzCodecRoundTrip(f *testing.F) {
 	seed := func(m *Message) {
 		enc, err := m.Marshal()
@@ -57,12 +59,19 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
+		owned, oerr := UnmarshalOwned(bytes.Clone(data), 3)
+		if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
+			t.Fatalf("Unmarshal says %v, UnmarshalOwned %v", err, oerr)
+		}
 		if err != nil {
 			return // rejected input: fine, as long as we did not panic
 		}
 		enc, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("accepted message failed to marshal: %v", err)
+		}
+		if oenc, err := owned.Marshal(); err != nil || !bytes.Equal(enc, oenc) {
+			t.Fatalf("the owning decode read another message (%v):\n copying: %x\n  owning: %x", err, enc, oenc)
 		}
 		m2, err := Unmarshal(enc)
 		if err != nil {

@@ -113,16 +113,17 @@ func view(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
+// frozen returns b as a string without copying. The caller gives b up: it
+// must never be written again.
+func frozen(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // frozenAddresses returns the wire encoding of an address list.
 func frozenAddresses(v addr.List) string {
-	if len(v) == 0 {
-		return ""
-	}
 	b := make([]byte, 0, len(v)*addr.EncodedSize)
 	for _, a := range v {
 		b = a.AppendEncoded(b)
 	}
-	return unsafe.String(&b[0], len(b))
+	return frozen(b)
 }
 
 // addresses decodes the value of a TypeAddressList field into a fresh list.

@@ -367,6 +367,44 @@ func TestInputBuffersAreCopied(t *testing.T) {
 	}
 }
 
+// TestOwningDecodeKeepsItsBuffer is the other half of the ownership rule: the
+// owning decode reads the same message as Unmarshal, out of the buffer it was
+// given — which is why that buffer is never written again — and what a caller
+// takes out of it to write into (GetBytes) is a copy.
+func TestOwningDecodeKeepsItsBuffer(t *testing.T) {
+	m := New().PutBytes("b", []byte("payload")).PutString("s", "text").
+		PutAddressList("l", addr.List{addr.NewProcess(1, 0, 2)}).
+		PutMessage("sub", New().PutBytes("b", []byte("nested")))
+	enc, _ := m.Marshal()
+	want := bytes.Clone(enc)
+	dec, err := UnmarshalOwned(enc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dec.Marshal(); !bytes.Equal(got, want) {
+		t.Fatalf("owning decode read %x, want %x", got, want)
+	}
+	if c := cap(dec.fields); c != dec.Len()+2 {
+		t.Errorf("table has %d slots for %d fields and room for 2", c, dec.Len())
+	}
+	// aliases reports whether v is the place in enc where text sits.
+	aliases := func(v []byte, text string) bool { return &v[0] == &enc[bytes.Index(enc, []byte(text))] }
+	if !aliases(dec.BytesView("b"), "payload") || !aliases(dec.GetMessage("sub").BytesView("b"), "nested") {
+		t.Error("the owning decode copied a value out of its buffer")
+	}
+	got := dec.GetBytes("b")
+	if aliases(got, "payload") {
+		t.Fatal("GetBytes handed out the decoder's buffer")
+	}
+	clear(got)
+	if !bytes.Equal(enc, want) || string(dec.BytesView("b")) != "payload" {
+		t.Error("writing to a GetBytes copy reached the decoded packet")
+	}
+	if _, err := UnmarshalOwned(nil, 0); err == nil {
+		t.Error("an empty buffer decoded")
+	}
+}
+
 func TestAddressPackingIsLossless(t *testing.T) {
 	for _, a := range []addr.Address{
 		addr.Nil,

@@ -29,21 +29,22 @@ func TestAbRecordCodecAllocations(t *testing.T) {
 }
 
 // TestRemoteReplyReceiveAllocations pins the receive path of a reply from
-// another site against the decode of its body alone: beyond that decode it
-// grows the decoded table once, for the four system fields, and queues the
-// delivery — no second message, no clone.
+// another site against the owning decode of its body alone: beyond that
+// decode, which leaves room in the table for the four system fields, it
+// queues the delivery — no copy of the frame, no grown table, no second
+// message, no clone.
 func TestRemoteReplyReceiveAllocations(t *testing.T) {
 	fx := newWireFixture(t)
 	raw := fx.reply(t, 1, msg.New().PutInt("n", 1).PutBytes("p", make([]byte, 100)))
 	fx.d.handleTransport(2, raw) // the first packet from a site registers the peer
 	decode := testing.AllocsPerRun(200, func() {
-		if _, err := msg.Unmarshal(raw[envelopeBytes+replyHeaderBytes:]); err != nil {
+		if _, err := msg.UnmarshalOwned(raw[envelopeBytes+replyHeaderBytes:], 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	receive := testing.AllocsPerRun(200, func() { fx.d.handleTransport(2, raw) })
-	if receive > decode+2 {
-		t.Errorf("receiving a reply allocates %.1f times, decoding its body %.1f: want at most 2 more", receive, decode)
+	if receive > decode+1 {
+		t.Errorf("receiving a reply allocates %.1f times, decoding its body %.1f: want at most 1 more", receive, decode)
 	}
 	if got := fx.d.Counters().Delivered; got != 202 {
 		t.Errorf("Delivered = %d, want 202", got)

@@ -354,13 +354,20 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d.ep = ep
-	tr, err := transport.New(d.ep, trCfg, d.handleTransport)
+	d.det = fdetect.New(cfg.Site, detCfg, d.sendHeartbeat, d.onDetectorEvent)
+	// The transport's receive loop may hand over a packet at once (one already
+	// on its way to a restarting site): it waits until the daemon is whole.
+	whole := make(chan struct{})
+	tr, err := transport.New(d.ep, trCfg, func(from addr.SiteID, raw []byte) {
+		<-whole
+		d.handleTransport(from, raw)
+	})
 	if err != nil {
 		d.ep.Close()
 		return nil, err
 	}
 	d.tr = tr
-	d.det = fdetect.New(cfg.Site, detCfg, d.sendHeartbeat, d.onDetectorEvent)
+	close(whole)
 	if !cfg.DisableHeartbeats {
 		d.det.Start()
 	}
@@ -565,15 +572,15 @@ func encodePacket(pt byte, p *msg.Message) ([]byte, error) {
 	return p.AppendMarshal(raw)
 }
 
-// sendRaw transmits pre-encoded packet bytes to a site.
+// sendRaw transmits pre-encoded packet bytes, which the transport keeps, to a site.
 func (d *Daemon) sendRaw(to addr.SiteID, raw []byte) error {
 	d.det.AddPeer(to)
 	return d.tr.Send(to, raw)
 }
 
 // fanoutRaw ships the same encoded packet to every listed site except this
-// one. The slice is shared across destinations; the transport copies it into
-// its frames, so the caller may release it afterwards.
+// one. Every destination's send window refers to the one slice until its ack
+// arrives, so the caller gives it up: it is never written again.
 func (d *Daemon) fanoutRaw(sites []addr.SiteID, raw []byte) {
 	for _, s := range sites {
 		if s == d.site {
@@ -749,6 +756,7 @@ func (d *Daemon) replyError(to addr.SiteID, callID int64, why string) {
 // handleTransport dispatches an incoming daemon-to-daemon packet. The packet
 // type sits at a fixed offset in the envelope, so dispatch does not decode
 // the body; heartbeats carry no body at all and an abRecord builds no message.
+// A decoded body keeps raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
@@ -777,7 +785,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		}
 		return
 	}
-	p, err := msg.Unmarshal(body)
+	p, err := msg.UnmarshalOwned(body, 0)
 	if err != nil {
 		return
 	}

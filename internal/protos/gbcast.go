@@ -187,7 +187,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 
 	// Phase 2: commit at every member site of old, base, and new views.
 	sealing := w.kind == gbSeal && w.sealTarget != 0
-	commit := msg.New()
+	commit := msg.NewSized(8) // a join's commit; only a user GBCAST's or a seal's grows
 	commit.PutAddress(fGroup, w.gid)
 	commit.PutInt(fGbID, int64(seq))
 	commit.PutInt(fKind, w.kind)
@@ -880,7 +880,7 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	}
 	for _, j := range joiners {
 		if len(blocks) == 0 {
-			pkt := msg.New()
+			pkt := msg.NewSized(4)
 			pkt.PutAddress(fGroup, gid)
 			pkt.PutAddress(fSender, j)
 			pkt.PutInt(fStateLast, 1)
@@ -889,7 +889,7 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 			continue
 		}
 		for i, b := range blocks {
-			pkt := msg.New()
+			pkt := msg.NewSized(5)
 			pkt.PutAddress(fGroup, gid)
 			pkt.PutAddress(fSender, j)
 			pkt.PutBytes(fStateData, b)
@@ -913,7 +913,7 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	target := p.GetAddress(fSender)
-	data := p.GetBytes(fStateData)
+	data := p.GetBytes(fStateData) // the one copy: the StateReceiver may write into it
 	last := p.GetInt(fStateLast, 0) == 1
 	xid := uint64(p.GetInt(fXferID, 0))
 
@@ -938,7 +938,7 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 		ms.xferBuf = nil
 	}
 	if len(data) > 0 {
-		ms.xferBuf = append(ms.xferBuf, append([]byte(nil), data...))
+		ms.xferBuf = append(ms.xferBuf, data)
 	}
 	if !last {
 		return

@@ -279,7 +279,7 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 	}
 	d.mu.Unlock()
 
-	req := msg.New()
+	req := msg.NewSized(7) // with the request and call ids put on the way out
 	req.PutInt(fKind, gbJoin)
 	req.PutAddress(fGroup, gid.Base())
 	req.PutAddressList(fProcs, addr.List{joiner.Base()})
@@ -299,7 +299,7 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 
 // Leave removes a local process from a group voluntarily (pg_leave).
 func (d *Daemon) Leave(member addr.Address, gid addr.Address) error {
-	req := msg.New()
+	req := msg.NewSized(6)
 	req.PutInt(fKind, gbLeave)
 	req.PutAddress(fGroup, gid.Base())
 	req.PutAddressList(fProcs, addr.List{member.Base()})

@@ -111,7 +111,7 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 // It returns the stable request id minted for the call — even on error, so
 // the caller can later query the request's outcome.
 func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, payload *msg.Message) (int64, error) {
-	req := msg.New()
+	req := msg.NewSized(7)
 	req.PutInt(fKind, gbUser)
 	req.PutAddress(fGroup, gid)
 	req.PutAddress(fSender, sender.Base())

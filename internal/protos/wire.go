@@ -198,7 +198,7 @@ func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
 	h.caller, cerr = addr.Decode(b)
 	h.responder, rerr = addr.Decode(b[8:])
 	h.session, h.kind = int64(binary.BigEndian.Uint64(b[16:])), b[24]
-	body, berr = msg.Unmarshal(b[replyHeaderBytes:])
+	body, berr = msg.UnmarshalOwned(b[replyHeaderBytes:], 4) // room for deliverReplyLocked's system fields
 	return h, body, cerr == nil && rerr == nil && berr == nil
 }
 

@@ -28,15 +28,17 @@
 //     needs no dedicated ack packets. A short ack timer (Config.AckDelay)
 //     sends a pure ack only when no reverse traffic shows up in time.
 //
-// The data path allocates one thing per message: the sender's copy of each
-// fragment, kept in a sequence-indexed send window until its ack arrives (an
-// ack retires a prefix of the window and touches nothing else). Frames are
-// built in one reusable buffer per peer flusher — the backend is done with
-// it when Send returns — and a received single-fragment message reaches the
-// handler as a sub-slice of the frame it arrived in, which the backend handed
-// to the receiver; only fragmented messages are copied together. Each window
-// record remembers when it was last transmitted, and the retransmission sweep
-// resends only records whose ack is at least RetransmitInterval overdue.
+// The data path copies a message once on each side of the wire. Send keeps
+// the caller's bytes by reference, in a sequence-indexed send window, until
+// their ack arrives (an ack retires a prefix of the window and touches nothing
+// else); a fan-out is one buffer in N windows. Sub-headers are written as
+// records are copied into a frame, built in one reusable buffer per peer
+// flusher — the backend is done with it when Send returns — and a received
+// single-fragment message reaches the handler as a sub-slice of the frame it
+// arrived in, which the backend handed to the receiver; only fragmented
+// messages are copied together. Each window record remembers when it was last
+// transmitted, and the retransmission sweep resends only records whose ack is
+// at least RetransmitInterval overdue.
 //
 // Sequence numbers are qualified by a stream epoch so that a site restart
 // (new incarnation, sequence numbers starting over at 1) is not mistaken

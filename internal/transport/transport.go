@@ -15,7 +15,8 @@ import (
 type SiteID = addr.SiteID
 
 // Handler receives a fully reassembled message from a peer site. Handlers
-// are invoked sequentially per source site, preserving FIFO order.
+// are invoked sequentially per source site, preserving FIFO order. The handler
+// may keep data but never write to it: other messages share the frame under it.
 type Handler func(from SiteID, data []byte)
 
 // Config holds transport parameters.
@@ -93,11 +94,16 @@ var (
 	ErrTooSmall = errors.New("transport: MaxPacket too small for header")
 )
 
-// sendRec is one sub-packet record in a peer's send window.
+// sendRec is one sub-packet record in a peer's send window. Its sub-header is
+// written as the record is copied into a frame.
 type sendRec struct {
-	rec    []byte    // sub-packet header and fragment
+	frag   []byte    // a sub-slice of the bytes Send was given; never written
+	flags  byte      // flagLastFragment on a message's final fragment
 	sentAt time.Time // last transmission; zero until the flusher first sends it
 }
+
+// size is the record's length in a frame.
+func (r *sendRec) size() int { return subHeaderSize + len(r.frag) }
 
 // peerSend tracks the sending half of a connection to one peer site. The
 // window holds every record not yet acknowledged, indexed by sequence:
@@ -262,20 +268,18 @@ func (t *Transport) Close() {
 // Send reliably transmits data to the destination site, fragmenting as
 // needed. The fragments are queued for the destination's flusher, which
 // coalesces whatever has accumulated into MaxPacket-sized frames; delivery
-// is asynchronous and guaranteed (unless either site crashes).
+// is asynchronous and guaranteed (unless either site crashes). The window
+// refers to data until the peer acknowledges it, so data is the transport's
+// from here on — the caller never writes it again — and Send allocates nothing.
 func (t *Transport) Send(to SiteID, data []byte) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return ErrClosed
 	}
-	ps, ok := t.sends[to]
-	if !ok {
-		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, base: 1, kick: make(chan struct{}, 1)}
-		t.sends[to] = ps
-	}
+	ps := t.peerSendLocked(to)
 	maxFrag := t.cfg.MaxPacket - frameHeaderSize - subHeaderSize
-	// Build all records under the lock so their sequence numbers are
+	// Queue all records under the lock so their sequence numbers are
 	// contiguous even with concurrent senders.
 	remaining := data
 	n := 0
@@ -289,12 +293,7 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 		if len(remaining) == 0 {
 			flags = flagLastFragment
 		}
-		rec := make([]byte, subHeaderSize+len(frag))
-		binary.BigEndian.PutUint64(rec[0:8], ps.nextSeq)
-		rec[8] = flags
-		binary.BigEndian.PutUint32(rec[9:13], uint32(len(frag)))
-		copy(rec[subHeaderSize:], frag)
-		ps.window = append(ps.window, sendRec{rec: rec})
+		ps.window = append(ps.window, sendRec{frag: frag, flags: flags})
 		ps.nextSeq++
 		n++
 	}
@@ -314,11 +313,22 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 	return nil
 }
 
+// peerSendLocked returns the sending half of the connection to a peer, opened
+// on first use. Caller holds t.mu.
+func (t *Transport) peerSendLocked(to SiteID) *peerSend {
+	ps, ok := t.sends[to]
+	if !ok {
+		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, base: 1, kick: make(chan struct{}, 1)}
+		t.sends[to] = ps
+	}
+	return ps
+}
+
 // runFlusher drains one peer's queue, coalescing queued records into frames.
 // While a frame is on the (simulated) wire, newly queued records accumulate
 // and share the next frame — batching emerges under load with no idle-path
-// latency cost. Every frame is built in the flusher's one buffer: the backend
-// is done with it when Send returns (netback contract).
+// latency cost. Every frame is built, from the bytes the window refers to, in
+// the flusher's one buffer: the backend is done with it when Send returns.
 func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 	defer t.wg.Done()
 	frame := make([]byte, 0, t.cfg.MaxPacket)
@@ -368,10 +378,13 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 	n := 0
 	for seq := first; seq <= last; seq++ {
 		r := ps.at(seq)
-		if n > 0 && (len(frame)+len(r.rec) > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
+		if n > 0 && (len(frame)+r.size() > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
 			break
 		}
-		frame = append(frame, r.rec...)
+		frame = binary.BigEndian.AppendUint64(frame, seq)
+		frame = append(frame, r.flags)
+		frame = binary.BigEndian.AppendUint32(frame, uint32(len(r.frag)))
+		frame = append(frame, r.frag...)
 		r.sentAt = now
 		n++
 	}
@@ -461,9 +474,9 @@ func (t *Transport) retransmit(frame []byte) {
 				t.mu.Unlock()
 				break
 			}
-			last, size := next, frameHeaderSize+len(p.ps.at(next).rec)
+			last, size := next, frameHeaderSize+p.ps.at(next).size()
 			for t.overdueLocked(p.ps, last+1, now) {
-				if size += len(p.ps.at(last + 1).rec); size > t.cfg.MaxPacket {
+				if size += p.ps.at(last + 1).size(); size > t.cfg.MaxPacket {
 					break
 				}
 				last++
@@ -592,12 +605,16 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	// accept consumes the record carrying nextExpected. A single-fragment
 	// message is handed on as the sub-slice of the received frame it arrived
 	// in — the backend gave the frame to the receiver (netback contract) —
-	// and only a fragmented one is copied together.
+	// and only a fragmented one is copied together, in a buffer its first
+	// (full) fragment sizes for the common two.
 	accept := func(flags byte, payload []byte) {
 		pr.nextExpected++
 		pr.delivered = true
 		switch {
 		case flags&flagLastFragment == 0:
+			if pr.assembling == nil {
+				pr.assembling = make([]byte, 0, 2*len(payload))
+			}
 			pr.assembling = append(pr.assembling, payload...)
 		case len(pr.assembling) == 0:
 			complete = append(complete, payload)
