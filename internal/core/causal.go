@@ -33,6 +33,7 @@ type CausalQueue struct {
 	vc       vclock.VC
 
 	pending []CausalIncoming // not yet deliverable
+	out     []CausalIncoming // what the last Receive released; reused by the next
 }
 
 // NewCausalQueue creates the receiver state for a member with the given rank
@@ -62,10 +63,10 @@ func (q *CausalQueue) Stamp(rank int) vclock.VC {
 func (q *CausalQueue) PrepareSend() vclock.VC { return q.Stamp(q.selfRank) }
 
 // Receive buffers an incoming CBCAST and returns every message (including
-// possibly this one) that has now become deliverable, in causal order. A
-// second copy is turned away: of a message the clock already covers — one
-// delivered, or stamped here and so delivered at send time — and of one that
-// is already waiting.
+// possibly this one) that has now become deliverable, in causal order, in a
+// buffer the queue owns: it is valid until the next Receive. A second copy is
+// turned away: of a message the clock already covers — one delivered, or
+// stamped here and so delivered at send time — and of one already waiting.
 func (q *CausalQueue) Receive(in CausalIncoming) []CausalIncoming {
 	if in.VT.Get(in.SenderRank) <= q.vc.Get(in.SenderRank) {
 		return nil
@@ -80,9 +81,10 @@ func (q *CausalQueue) Receive(in CausalIncoming) []CausalIncoming {
 }
 
 // drain repeatedly scans the pending buffer for deliverable messages until
-// none remains deliverable, returning them in delivery order.
+// none remains deliverable, returning them in delivery order in q.out.
 func (q *CausalQueue) drain() []CausalIncoming {
-	var out []CausalIncoming
+	clear(q.out)
+	q.out = q.out[:0]
 	for {
 		idx := -1
 		for i, m := range q.pending {
@@ -92,12 +94,12 @@ func (q *CausalQueue) drain() []CausalIncoming {
 			}
 		}
 		if idx < 0 {
-			return out
+			return q.out
 		}
 		m := q.pending[idx]
 		q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
 		q.vc.Merge(m.VT)
-		out = append(out, m)
+		q.out = append(q.out, m)
 	}
 }
 

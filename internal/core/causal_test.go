@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -90,7 +91,8 @@ func TestConcurrentMessagesDeliverInAnyOrder(t *testing.T) {
 	a := CausalIncoming{ID: mkID(0, 1), SenderRank: 0, VT: q0.PrepareSend(), Payload: "a"}
 	b := CausalIncoming{ID: mkID(1, 1), SenderRank: 1, VT: q1.PrepareSend(), Payload: "b"}
 
-	out := append(q2.Receive(b), q2.Receive(a)...)
+	out := slices.Clone(q2.Receive(b)) // a result is the queue's until its next Receive
+	out = append(out, q2.Receive(a)...)
 	if len(out) != 2 {
 		t.Fatalf("expected both concurrent messages delivered, got %v", out)
 	}

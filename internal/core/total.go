@@ -37,11 +37,13 @@ type abPending struct {
 
 // TotalQueue is the per-member receiver state of the ABCAST protocol. It is
 // not safe for concurrent use; the owning protocols process serializes
-// access.
+// access. The deliveries a call (Commit, ForceCommit, Discard) returns live in
+// a buffer the queue owns: they are valid until its next such call.
 type TotalQueue struct {
 	clock     uint64 // largest priority proposed or observed
 	pending   map[MsgID]*abPending
 	delivered BoundedLog[MsgID, struct{}] // dedup of already-delivered ids
+	out       []TotalDelivery             // what the last call released; reused by the next
 }
 
 // NewTotalQueue returns an empty queue. historyLimit bounds the
@@ -92,15 +94,16 @@ func (q *TotalQueue) Commit(id MsgID, final uint64) []TotalDelivery {
 
 // drain delivers committed messages from the head of the priority order.
 func (q *TotalQueue) drain() []TotalDelivery {
-	var out []TotalDelivery
+	clear(q.out)
+	q.out = q.out[:0]
 	for {
 		head := q.minPending()
 		if head == nil || !head.committed {
-			return out
+			return q.out
 		}
 		delete(q.pending, head.id)
 		q.delivered.Put(head.id, struct{}{})
-		out = append(out, TotalDelivery{ID: head.id, Payload: head.payload, Priority: head.priority})
+		q.out = append(q.out, TotalDelivery{ID: head.id, Payload: head.payload, Priority: head.priority})
 	}
 }
 

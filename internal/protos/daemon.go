@@ -92,7 +92,25 @@ type localProc struct {
 	relayMu sync.Mutex
 	relayed map[addr.Address]relayStamp
 
-	queue chan func() // per-process delivery queue, drained by one goroutine
+	queue chan queued // per-process delivery queue, drained by one goroutine
+}
+
+// queued is one item of a process's delivery queue: the message m for entry (a
+// data or reply delivery, which allocates nothing to queue), or a call fn (a
+// view callback, a state block, a state capture).
+type queued struct {
+	entry addr.EntryID
+	m     *msg.Message
+	fn    func()
+}
+
+// run hands the item to the process.
+func (q queued) run(p *localProc) {
+	if q.fn != nil {
+		q.fn()
+	} else {
+		p.deliver(q.entry, q.m)
+	}
 }
 
 // memberState is the per-(group, local member) state: what is handed to the
@@ -109,7 +127,7 @@ type memberState struct {
 	joinedView core.ViewID
 
 	awaitingState bool     // a joiner that has not yet received the group state
-	held          []func() // deliveries deferred until the state arrives
+	held          []queued // deliveries deferred until the state arrives
 	stateRecv     func(block []byte, last bool)
 	stateProv     func() [][]byte
 
@@ -175,13 +193,13 @@ type groupState struct {
 	marks requestMarks
 }
 
-// recentEntry is one delivered data packet. For an ABCAST, prio is the final
-// priority it was delivered at (0 otherwise): kept with the packet, so a
-// flush report's Recent line can always name the final a delivered straggler
-// must be completed at elsewhere (the daemon-global abDone record churns
-// across groups and may have evicted it).
+// recentEntry is one delivered data packet, as the bytes it travelled as. For
+// an ABCAST, prio is the final priority it was delivered at (0 otherwise): kept
+// with the packet, so a flush report's Recent line can always name the final a
+// delivered straggler must be completed at elsewhere (the daemon-global abDone
+// record churns across groups and may have evicted it).
 type recentEntry struct {
-	pkt  *msg.Message
+	raw  []byte
 	prio uint64
 }
 
@@ -213,15 +231,15 @@ type abSendState struct {
 	targets  []addr.SiteID
 	waiting  []addr.SiteID
 	maxPrio  uint64
-	packet   *msg.Message
 	done     bool
 	deadline time.Time // the scan tick completes a round still open at CallTimeout
 
-	// attempt qualifies the phase-1/proposal exchange: a GBCAST flush that
-	// fences this ABCAST behind a view change restarts it with a higher
-	// attempt, and proposals stamped with an older attempt are ignored so the
-	// final priority is always the maximum over one coherent proposal round.
-	attempt int64
+	// packet is phase 1 as it was sent. Its attempt qualifies the
+	// phase-1/proposal exchange: a GBCAST flush that fences this ABCAST behind
+	// a view change restarts it with a higher attempt, and proposals stamped
+	// with an older one are ignored so the final priority is always the
+	// maximum over one coherent proposal round.
+	packet *dataPacket
 }
 
 // abDoneLimit bounds the per-daemon memory of committed ABCAST final
@@ -474,7 +492,7 @@ func (d *Daemon) RegisterProcess(deliver DeliverFunc, view ViewFunc) (addr.Addre
 		deliverView: view,
 		alive:       true,
 		relayed:     make(map[addr.Address]relayStamp),
-		queue:       make(chan func(), 1024),
+		queue:       make(chan queued, 1024),
 	}
 	d.procs[a] = p
 	d.wg.Add(1)
@@ -486,26 +504,26 @@ func (d *Daemon) RegisterProcess(deliver DeliverFunc, view ViewFunc) (addr.Addre
 // sequentially and in order.
 func (d *Daemon) runProcQueue(p *localProc) {
 	defer d.wg.Done()
-	for fn := range p.queue {
-		fn()
+	for q := range p.queue {
+		q.run(p)
 	}
 }
 
-// enqueue schedules a delivery callback for a process. Must be called with
+// enqueue schedules a delivery for a process. Must be called with
 // d.mu held (so that queue order equals delivery order; the daemon-closed
 // check under the same lock also guarantees the queue channel is never
 // written after Close has closed it).
-func (d *Daemon) enqueue(p *localProc, fn func()) {
+func (d *Daemon) enqueue(p *localProc, q queued) {
 	if !p.alive || d.closed {
 		return
 	}
 	select {
-	case p.queue <- fn:
+	case p.queue <- q:
 	default:
 		// Queue overflow: fall back to a goroutine rather than dropping the
 		// delivery; ordering may suffer under extreme overload but messages
 		// are never lost.
-		go fn()
+		go q.run(p)
 	}
 }
 
@@ -692,20 +710,20 @@ func (d *Daemon) respond(callID int64, m *msg.Message) {
 	}
 }
 
-// call sends a request to a site and waits for its response or a timeout.
+// call sends a request to a site, its call id stamped into it, and waits for
+// the response or a timeout.
 func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
 	id, ch := d.newCall(to)
 	defer d.dropCall(id)
-	return d.exchange(id, ch, to, pt, req)
-}
-
-// exchange stamps a registered call's id into the request, sends it, and
-// waits for the response or a timeout.
-func (d *Daemon) exchange(id int64, ch chan *msg.Message, to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
 	req.PutInt(fCall, id)
 	if err := d.sendPacket(to, pt, req); err != nil {
 		return nil, err
 	}
+	return d.await(ch)
+}
+
+// await waits for the response to a registered call already sent, or a timeout.
+func (d *Daemon) await(ch chan *msg.Message) (*msg.Message, error) {
 	select {
 	case resp := <-ch:
 		if err := respError(resp); err != nil {
@@ -756,7 +774,7 @@ func (d *Daemon) replyError(to addr.SiteID, callID int64, why string) {
 // handleTransport dispatches an incoming daemon-to-daemon packet. The packet
 // type sits at a fixed offset in the envelope, so dispatch does not decode
 // the body; heartbeats carry no body at all and an abRecord builds no message.
-// A decoded body keeps raw, a frame the receiver owns.
+// A decoded body, and a data packet, keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
@@ -784,14 +802,19 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 			d.handleReply(h, m)
 		}
 		return
+	case ptData:
+		if p, ok := parseDataPacket(raw); ok {
+			d.mu.Lock()
+			d.handleDataLocked(from, p)
+			d.mu.Unlock()
+		}
+		return
 	}
 	p, err := msg.UnmarshalOwned(body, 0)
 	if err != nil {
 		return
 	}
 	switch pt {
-	case ptData:
-		d.handleData(from, p)
 	case ptGbRequest:
 		d.handleGbRequest(from, p)
 	case ptGbPrepare:

@@ -7,7 +7,6 @@ package protos
 import (
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/msg"
 )
 
 // prepareAck is one member site's answer to a flush prepare. It travels in a
@@ -171,13 +170,13 @@ func reconcile(reports map[addr.SiteID]pendingReport, removingFailed bool, remov
 		committed bool
 		priority  uint64 // final priority when committed
 		maxProp   uint64 // highest proposed priority when uncommitted
-		packet    *msg.Message
+		packet    []byte
 		seen      int  // member sites whose report lists the entry
 		initiator bool // some reporting site still holds the initiator round
 	}
 	abs := make(map[core.MsgID]*abAgg)
 	recentCount := make(map[core.MsgID]int)
-	recentPkt := make(map[core.MsgID]*msg.Message)
+	recentPkt := make(map[core.MsgID][]byte)
 	recentFinal := make(map[core.MsgID]uint64)
 	removedSet := make(map[addr.Address]bool)
 	for _, p := range removed {

@@ -81,11 +81,10 @@ func TestScenarioFlushDrivesFullySeenAbcast(t *testing.T) {
 		t.Fatal("no view at site 1")
 	}
 	id := core.MsgID{Sender: procs[0].addr, Seq: 400}
-	pkt := tc.daemons[1].buildDataPacket(ABCAST, gid, view.ID, id,
-		procs[0].addr, view.RankOf(procs[0].addr), addr.EntryUserBase, body("undelivered"))
-	tc.daemons[1].handleData(3, pkt.Clone())
-	tc.daemons[2].handleData(1, pkt.Clone())
-	tc.daemons[3].handleData(1, pkt.Clone())
+	pkt := dataPkt(t, ABCAST, gid, view.ID, id, view.RankOf(procs[0].addr), body("undelivered"))
+	tc.daemons[1].handleTransport(3, pkt.raw)
+	tc.daemons[2].handleTransport(1, pkt.raw)
+	tc.daemons[3].handleTransport(1, pkt.raw)
 	time.Sleep(50 * time.Millisecond)
 	for i, p := range procs {
 		if p.got("undelivered") {
@@ -246,10 +245,10 @@ func TestCompletedRoundIsPendingOrApplied(t *testing.T) {
 			gs := d.groups[gid]
 			if blocked {
 				other := core.MsgID{Sender: procs[1].addr, Seq: 900}
-				gs.total.Propose(other, d.buildDataPacket(ABCAST, gid, gs.view.ID, other, procs[1].addr, 1, addr.EntryUserBase, body("older")))
+				gs.total.Propose(other, dataPkt(t, ABCAST, gid, gs.view.ID, other, 1, body("older")))
 			}
 			id := core.MsgID{Sender: procs[0].addr, Seq: 901}
-			d.initiateAbcastLocked(gs, id, d.buildDataPacket(ABCAST, gid, gs.view.ID, id, procs[0].addr, 0, addr.EntryUserBase, body("m")), procs[0].addr, 0)
+			d.initiateAbcastLocked(gs, dataPkt(t, ABCAST, gid, gs.view.ID, id, 0, body("m")), procs[0].addr)
 			st := d.pendingAb[id]
 			if st == nil || st.done {
 				t.Fatal("the round completed with site 2's proposal still out")
@@ -291,11 +290,10 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	// ABCAST A from the site-2 member: phase 1 everywhere, commit applied at
 	// site 2 only (sites 1 and 3 hold uncommitted entries).
 	idA := core.MsgID{Sender: procs[1].addr, Seq: 77}
-	pktA := tc.daemons[1].buildDataPacket(ABCAST, gid, view.ID, idA,
-		procs[1].addr, view.RankOf(procs[1].addr), addr.EntryUserBase, body("limbo-a"))
-	tc.daemons[1].handleData(2, pktA.Clone())
-	tc.daemons[2].handleData(1, pktA.Clone())
-	tc.daemons[3].handleData(2, pktA.Clone())
+	pktA := dataPkt(t, ABCAST, gid, view.ID, idA, view.RankOf(procs[1].addr), body("limbo-a"))
+	tc.daemons[1].handleTransport(2, pktA.raw)
+	tc.daemons[2].handleTransport(1, pktA.raw)
+	tc.daemons[3].handleTransport(2, pktA.raw)
 	commitA := abRecord{group: gid, id: idA, prio: 1}
 	tc.daemons[2].handleAbCommit(2, commitA)
 	waitFor(t, "A delivered at site 2", 2*time.Second, func() bool { return procs[1].got("limbo-a") })
@@ -303,11 +301,10 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	// ABCAST B: phase 1 at every site, no commit — the flush will drive it.
 	// Its proposals land above A's, so at sites 1 and 3 it queues behind A.
 	idB := core.MsgID{Sender: procs[0].addr, Seq: 78}
-	pktB := tc.daemons[1].buildDataPacket(ABCAST, gid, view.ID, idB,
-		procs[0].addr, view.RankOf(procs[0].addr), addr.EntryUserBase, body("limbo-b"))
-	tc.daemons[1].handleData(3, pktB.Clone())
-	tc.daemons[2].handleData(1, pktB.Clone())
-	tc.daemons[3].handleData(1, pktB.Clone())
+	pktB := dataPkt(t, ABCAST, gid, view.ID, idB, view.RankOf(procs[0].addr), body("limbo-b"))
+	tc.daemons[1].handleTransport(3, pktB.raw)
+	tc.daemons[2].handleTransport(1, pktB.raw)
+	tc.daemons[3].handleTransport(1, pktB.raw)
 
 	if _, err := tc.daemons[1].Multicast(procs[0].addr, GBCAST, addr.List{gid}, addr.EntryUserBase, body("marker")); err != nil {
 		t.Fatalf("marker GBCAST: %v", err)
@@ -429,9 +426,7 @@ func TestScenarioStragglerResolicitation(t *testing.T) {
 	// Hand site 3 the phase-1 packet directly (as if it had squeaked through
 	// just before the pause): its member proposes, and the proposal reaches
 	// the initiator — which commits, but whose commit is now frozen.
-	pkt := tc.daemons[3].buildDataPacket(ABCAST, gid, view.ID, mid,
-		procs[0].addr, view.RankOf(procs[0].addr), addr.EntryUserBase, body("slow"))
-	tc.daemons[3].handleData(1, pkt)
+	tc.daemons[3].handleTransport(1, dataPkt(t, ABCAST, gid, view.ID, mid, view.RankOf(procs[0].addr), body("slow")).raw)
 
 	waitFor(t, "commit at sites 1 and 2", 5*time.Second, func() bool {
 		return procs[0].got("slow") && procs[1].got("slow")

@@ -4,19 +4,19 @@ package protos
 // reconcile — with no daemon and no network.
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/msg"
 )
 
 func TestReconcile(t *testing.T) {
 	sender := addr.NewProcess(1, 0, 1)
 	failed := addr.NewProcess(2, 0, 1)
 	id := func(from addr.Address, seq uint64) core.MsgID { return core.MsgID{Sender: from, Seq: seq} }
-	pkt := msg.New().PutString("body", "x")
+	pkt := []byte("the packet, as encoded")
 	pending := func(id core.MsgID, prio uint64) abPendingWire {
 		return abPendingWire{ID: id, Priority: prio, Packet: pkt}
 	}
@@ -122,7 +122,7 @@ func TestReconcile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			out := reconcile(tc.reports, tc.failed != nil, tc.failed)
 			if !slices.EqualFunc(out.Abcasts, tc.abcasts, func(x, y abPendingWire) bool {
-				return x.ID == y.ID && x.Committed == y.Committed && x.Priority == y.Priority && x.Packet == y.Packet
+				return x.ID == y.ID && x.Committed == y.Committed && x.Priority == y.Priority && bytes.Equal(x.Packet, y.Packet)
 			}) {
 				t.Errorf("Abcasts = %+v, want %+v", out.Abcasts, tc.abcasts)
 			}
@@ -132,7 +132,7 @@ func TestReconcile(t *testing.T) {
 			var recent []core.MsgID
 			var finals []uint64
 			for _, r := range out.Recent {
-				if r.Packet != pkt {
+				if !bytes.Equal(r.Packet, pkt) {
 					t.Errorf("Recent entry %v carries no packet to re-deliver", r.ID)
 				}
 				recent = append(recent, r.ID)
@@ -260,7 +260,7 @@ func TestDecideFlush(t *testing.T) {
 	})
 	t.Run("the rebroadcast set is the reconciliation of the acks' reports", func(t *testing.T) {
 		id := core.MsgID{Sender: p1, Seq: 1}
-		pkt := msg.New()
+		pkt := []byte{wireVersion, ptData}
 		acks := answered(1, 2)
 		acks[1] = prepareAck{report: pendingReport{Recent: []recentWire{{ID: id, Packet: pkt}}}}
 		dec := decideFlush(flushRound{kind: gbUser, view: view(2, p1, p2), self: 1, acks: acks})

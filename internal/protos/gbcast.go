@@ -387,11 +387,12 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 	var rep pendingReport
 	idx := make(map[core.MsgID]int)
 	for _, p := range gs.total.Pending() {
-		pkt, _ := p.Payload.(*msg.Message)
+		e := abPendingWire{ID: p.ID, Committed: p.Committed, Priority: p.Priority}
+		if pkt, _ := p.Payload.(*dataPacket); pkt != nil {
+			e.Packet = pkt.raw
+		}
 		idx[p.ID] = len(rep.Abcasts)
-		rep.Abcasts = append(rep.Abcasts, abPendingWire{
-			ID: p.ID, Committed: p.Committed, Priority: p.Priority, Packet: pkt,
-		})
+		rep.Abcasts = append(rep.Abcasts, e)
 	}
 	for id, st := range d.pendingAb {
 		if st.group != gs.view.Group {
@@ -403,20 +404,20 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 				e.Priority = st.maxPrio
 			}
 			if e.Packet == nil {
-				e.Packet = st.packet
+				e.Packet = st.packet.raw
 			}
 			e.Init = true
 			continue
 		}
 		idx[id] = len(rep.Abcasts)
-		rep.Abcasts = append(rep.Abcasts, abPendingWire{ID: id, Priority: st.maxPrio, Packet: st.packet, Init: true})
+		rep.Abcasts = append(rep.Abcasts, abPendingWire{ID: id, Priority: st.maxPrio, Packet: st.packet.raw, Init: true})
 	}
 	for _, id := range gs.recent.Keys() {
 		e, _ := gs.recent.Get(id)
 		if e.prio == 0 {
 			e.prio, _ = d.abDone.Get(id)
 		}
-		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: e.pkt, Priority: e.prio})
+		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: e.raw, Priority: e.prio})
 	}
 	return rep
 }
@@ -557,7 +558,8 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 		sender := p.GetAddress(fSender)
 		if payload != nil && !dupReq {
 			for _, ms := range gs.members {
-				d.deliverPayloadLocked(gs, ms, sender, GBCAST, entry, payload)
+				d.counters.Delivered++
+				d.enqueueMember(ms, queued{entry: entry, m: d.buildDelivery(payload, sender, gs.view.Group, gs.view.ID, GBCAST)})
 			}
 		}
 	case gbJoin, gbLeave, gbFail, 0:
@@ -580,11 +582,12 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 			d.releaseAbSenderLocked(st)
 			continue
 		}
-		pkt := st.packet.Clone()
-		pkt.PutInt(fViewID, int64(gs.view.ID))
-		pkt.PutInt(fAttempt, st.attempt+1)
-		// The sender's Flush accounting is carried over, not counted again.
-		d.initiateAbcastLocked(gs, st.id, pkt, st.sender, st.attempt+1)
+		// A new header in front of the payload bytes the fenced packet went out
+		// with. The sender's Flush accounting is carried over, not counted again.
+		pkt := *st.packet
+		pkt.view, pkt.attempt = gs.view.ID, pkt.attempt+1
+		_ = pkt.encode() // nothing is marshalled, nothing can fail
+		d.initiateAbcastLocked(gs, &pkt, st.sender)
 	}
 
 	// Step 3: the flush is over, and what it held back is taken up again. A
@@ -620,19 +623,22 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	// every site's recent log waits until the view goes). Only a CBCAST of
 	// another view — closed, or one a lagging copy never installed — is handed
 	// straight over: its timestamp means nothing to this view's clock, and
-	// handleData turns such a packet away from now on.
+	// handleDataLocked turns such a packet away from now on. A packet travels in
+	// the commit as the bytes it was sent as and is decoded here, to be delivered.
 	for _, rc := range rec.Recent {
-		if _, have := gs.recent.Get(rc.ID); have || rc.Packet == nil {
+		if _, have := gs.recent.Get(rc.ID); have {
 			continue
 		}
+		pkt, ok := parseDataPacket(rc.Packet)
 		switch {
-		case Protocol(rc.Packet.GetInt(fProto, 0)) == ABCAST:
-			d.deliverTotalLocked(gs, gs.total.ForceCommit(rc.ID, rc.Packet, rc.Priority))
-		case core.ViewID(rc.Packet.GetInt(fViewID, 0)) == gs.view.ID:
-			d.processCbcastLocked(gs, rc.Packet)
+		case !ok:
+		case pkt.proto == ABCAST:
+			d.deliverTotalLocked(gs, gs.total.ForceCommit(rc.ID, pkt, rc.Priority))
+		case pkt.view == gs.view.ID:
+			d.processCbcastLocked(gs, pkt)
 		default:
-			d.recordRecentLocked(gs, rc.ID, rc.Packet, 0)
-			d.deliverDataLocked(gs, rc.Packet)
+			d.recordRecentLocked(gs, rc.ID, pkt.raw, 0)
+			d.deliverDataLocked(gs, pkt)
 		}
 	}
 	// Fenced ABCASTs next: the message could not be completed on this side
@@ -654,7 +660,8 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	for _, ab := range rec.Abcasts {
 		if ab.Committed {
 			d.recordAbDoneLocked(ab.ID, ab.Priority)
-			d.deliverTotalLocked(gs, gs.total.ForceCommit(ab.ID, ab.Packet, ab.Priority))
+			pkt, _ := parseDataPacket(ab.Packet) // used only where the message is not yet pending
+			d.deliverTotalLocked(gs, gs.total.ForceCommit(ab.ID, pkt, ab.Priority))
 		} else {
 			d.deliverTotalLocked(gs, gs.total.Discard(ab.ID))
 		}
@@ -821,7 +828,7 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 			continue
 		}
 		cb := ms.proc.deliverView
-		d.enqueueMember(ms, func() { cb(v) })
+		d.enqueueMember(ms, queued{fn: func() { cb(v) }})
 	}
 
 	// State transfer: the oldest member ships the state to the joiners that
@@ -865,7 +872,7 @@ func (d *Daemon) shipStateLocked(gs *groupState, joiners []addr.Address) {
 		return
 	}
 	gid, prov, xid := gs.view.Group, ms.stateProv, uint64(gs.view.ID)
-	d.enqueue(ms.proc, func() { d.sendStateBlocks(gid, joiners, prov, xid) })
+	d.enqueue(ms.proc, queued{fn: func() { d.sendStateBlocks(gid, joiners, prov, xid) }})
 }
 
 // sendStateBlocks captures the group state from the provider and ships it to
@@ -954,15 +961,15 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	ms.held = nil
 	if recv != nil {
 		if len(blocks) == 0 {
-			d.enqueue(ms.proc, func() { recv(nil, true) })
+			d.enqueue(ms.proc, queued{fn: func() { recv(nil, true) }})
 		}
 		for i, b := range blocks {
 			b, lastBlock := b, i == len(blocks)-1
-			d.enqueue(ms.proc, func() { recv(b, lastBlock) })
+			d.enqueue(ms.proc, queued{fn: func() { recv(b, lastBlock) }})
 		}
 	}
-	for _, fn := range held {
-		d.enqueue(ms.proc, fn)
+	for _, q := range held {
+		d.enqueue(ms.proc, q)
 	}
 	delete(gs.pendingXfer, target.Base())
 

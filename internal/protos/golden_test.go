@@ -1,7 +1,9 @@
 package protos
 
 import (
+	"bytes"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
@@ -10,77 +12,68 @@ import (
 	"repro/internal/vclock"
 )
 
-// goldenWire holds the enveloped encodings of representative packets as the
-// code before the compact field table (PR 14, commit 84d0f7f) produced them;
-// "relay" and "relayack" as PR 19 defined them.
+// goldenWire holds the enveloped encodings of representative message-built
+// packets as the code before the compact field table (PR 14, commit 84d0f7f)
+// produced them; "relayack" as PR 19 defined it. "report" moved with PR 24: a
+// report nests each packet as the bytes it travelled as (a bytes field holding
+// a goldenData packet) where it used to nest the ten-field wrapper message;
+// its own fields are where they were.
 // The in-memory representation of a message is free to change; these bytes
 // are not: a site running the old encoder must interoperate with the new one.
 var goldenWire = map[string]string{
-	"data": "" +
-		"010100090626656e74727903000000080000000000000010062667726f75700400000008000100020000000306266d73" +
-		"6769640400000008000201010000000707266d73677365710300000008000000000000002a08267061796c6f61640600" +
-		"0000450004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
-		"0c68656c6c6f2c20776f726c640173020000000474657874062670726f746f0300000008000000000000000205267261" +
-		"6e6b03000000080000000000000001072673656e64657204000000080002010100000007072676696577696403000000" +
-		"080000000000000005",
-	"cbcast": "" +
-		"0101000a0626656e74727903000000080000000000000010062667726f75700400000008000100020000000306266d73" +
-		"6769640400000008000201010000000707266d73677365710300000008000000000000002a08267061796c6f61640600" +
-		"0000450004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
-		"0c68656c6c6f2c20776f726c640173020000000474657874062670726f746f0300000008000000000000000105267261" +
-		"6e6b03000000080000000000000001072673656e64657204000000080002010100000007072676696577696403000000" +
-		"080000000000000005032676740100000018000000000000000300000000000000000000000000000009",
 	"view": "" +
 		"0101000401670400000008000100020000000302696403000000080000000000000006016d0500000018000201010000" +
 		"000700010001000000010003020100abcdef016e020000000562656e6368",
 	"report": "" +
-		"01010008036162300600000158000606266d736769640400000008000201010000000707266d73677365710300000008" +
+		"010100080361623006000000cd000606266d736769640400000008000201010000000707266d73677365710300000008" +
 		"000000000000002a01630300000008000000000000000101690300000008000000000000000101700300000008000000" +
-		"000000004d03706b7406000000f700090626656e74727903000000080000000000000010062667726f75700400000008" +
-		"000100020000000306266d736769640400000008000201010000000707266d7367736571030000000800000000000000" +
-		"2a08267061796c6f616406000000450004084073657373696f6e03000000080000000000000009016e03000000080000" +
-		"0000000030390170010000000c68656c6c6f2c20776f726c640173020000000474657874062670726f746f0300000008" +
-		"0000000000000002052672616e6b03000000080000000000000001072673656e64657204000000080002010100000007" +
-		"072676696577696403000000080000000000000005036162310600000049000406266d73676964040000000800020101" +
-		"0000000707266d73677365710300000008000000000000002b0163030000000800000000000000000170030000000800" +
-		"0000000000000303666330060000002b000206266d736769640400000008000201010000000707266d73677365710300" +
-		"000008000000000000002c036e616203000000080000000000000002036e666303000000080000000000000001036e72" +
-		"630300000008000000000000000203726330060000014c000306266d736769640400000008000201010000000707266d" +
-		"73677365710300000008000000000000002a03706b740600000118000a0626656e747279030000000800000000000000" +
-		"10062667726f75700400000008000100020000000306266d736769640400000008000201010000000707266d73677365" +
-		"710300000008000000000000002a08267061796c6f616406000000450004084073657373696f6e030000000800000000" +
-		"00000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c6401730200000004746578" +
-		"74062670726f746f03000000080000000000000001052672616e6b03000000080000000000000001072673656e646572" +
-		"040000000800020101000000070726766965776964030000000800000000000000050326767401000000180000000000" +
-		"0000030000000000000000000000000000000903726331060000013a000406266d736769640400000008000201010000" +
-		"000707266d73677365710300000008000000000000002901700300000008000000000000000c03706b7406000000f700" +
-		"090626656e74727903000000080000000000000010062667726f75700400000008000100020000000306266d73676964" +
-		"0400000008000201010000000707266d73677365710300000008000000000000002a08267061796c6f61640600000045" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874062670726f746f03000000080000000000000002052672616e6b03" +
-		"000000080000000000000001072673656e64657204000000080002010100000007072676696577696403000000080000" +
-		"000000000005",
-	"p2p": "" +
-		"0101000706266465737473050000000800010001000000010626656e7472790300000008000000000000000006266d73" +
-		"6769640400000008000201010000000707266d73677365710300000008000000000000002a08267061796c6f61640600" +
-		"00002c000206407265706c7903000000080000000000000001084073657373696f6e0300000008000000000000000906" +
-		"2670726f746f03000000080000000000000001072673656e64657204000000080002010100000007",
-	"relay": "" +
-		"0101000e052663616c6c0300000008000000000000001f0626656e74727903000000080000000000000010062667726f" +
-		"75700400000008000100020000000306266d736769640400000008000201010000000707266d73677365710300000008" +
-		"000000000000002a08267061796c6f616406000000450004084073657373696f6e03000000080000000000000009016e" +
-		"030000000800000000000030390170010000000c68656c6c6f2c20776f726c640173020000000474657874062670726f" +
-		"746f03000000080000000000000001052672616e6b0300000008ffffffffffffffff062672656c617903000000080000" +
-		"000000000001072673656e6465720400000008000201010000000706267372616e6b0300000008000000000000000105" +
-		"267373657103000000080000000000000008062673766965770300000008000000000000000507267669657769640300" +
-		"0000080000000000000005",
+		"000000004d03706b74010000006c01150002100001000100020000000300000000000000050002010100000007000000" +
+		"000000002a0004084073657373696f6e03000000080000000000000009016e0300000008000000000000303901700100" +
+		"00000c68656c6c6f2c20776f726c640173020000000474657874036162310600000049000406266d7367696404000000" +
+		"08000201010000000707266d73677365710300000008000000000000002b016303000000080000000000000000017003" +
+		"00000008000000000000000303666330060000002b000206266d736769640400000008000201010000000707266d7367" +
+		"7365710300000008000000000000002c036e616203000000080000000000000002036e66630300000008000000000000" +
+		"0001036e7263030000000800000000000000020372633006000000ba000306266d736769640400000008000201010000" +
+		"000707266d73677365710300000008000000000000002a03706b74010000008601150101100001000100020000000300" +
+		"000000000000050002010100000007000000000000002a00030000000000000003000000000000000000000000000000" +
+		"090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68" +
+		"656c6c6f2c20776f726c6401730200000004746578740372633106000000af000406266d736769640400000008000201" +
+		"010000000707266d73677365710300000008000000000000002901700300000008000000000000000c03706b74010000" +
+		"006c01150002100001000100020000000300000000000000050002010100000007000000000000002a00040840736573" +
+		"73696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f" +
+		"726c640173020000000474657874",
 	"relayack": "" +
 		"01010004052663616c6c0300000008000000000000001f06267372616e6b030000000800000000000000010526737365" +
 		"71030000000800000000000000090626737669657703000000080000000000000005",
 }
 
-// goldenPackets rebuilds the packets of goldenWire through today's builders.
-func goldenPackets() map[string]*msg.Message {
+// goldenData holds the ptData packets in their fixed layout (PR 24): envelope,
+// flags, protocol, entry, rank, group, view, id, the sections the flags select,
+// then the payload as it is marshalled. They replace the message-built "data",
+// "cbcast", "p2p" and "relay" of goldenWire, whose type number 1 is retired.
+var goldenData = map[string]string{
+	"data": "0115" + "000210" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"cbcast": "0115" + "010110" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0003000000000000000300000000000000000000000000000009" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"restart": "0115" + "020210" + "0001" + "0001000200000003" + "0000000000000006" + "0002010100000007" + "000000000000002a" +
+		"0000000000000002" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"p2p": "0115" + "080100" + "0000" + "0000000000000000" + "0000000000000000" + "0002010100000007" + "000000000000002a" +
+		"00010001000100000001" +
+		"000206407265706c7903000000080000000000000001084073657373696f6e03000000080000000000000009",
+	"relay": "0115" + "040110" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"000000000000000500010000000000000008000000000000001f" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+}
+
+// goldenDataPackets rebuilds the packets of goldenData.
+func goldenDataPackets() map[string]*dataPacket {
 	sender := addr.NewProcess(2, 1, 7)
 	gid := addr.NewGroup(1, 0, 3)
 	id := core.MsgID{Sender: sender, Seq: 42}
@@ -88,10 +81,33 @@ func goldenPackets() map[string]*msg.Message {
 		return msg.New().PutInt("n", 12345).PutBytes("p", []byte("hello, world")).PutString("s", "text").
 			PutInt(msg.FSession, 9)
 	}
-	d := &Daemon{}
-	data := d.buildDataPacket(ABCAST, gid, 5, id, sender, 1, addr.EntryUserBase, app())
-	cb := d.buildDataPacket(CBCAST, gid, 5, id, sender, 1, addr.EntryUserBase, app())
-	putVT(cb, vclock.VC{3, 0, 9})
+	return map[string]*dataPacket{
+		"data":   {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, payload: app()},
+		"cbcast": {proto: CBCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, vt: vclock.VC{3, 0, 9}, payload: app()},
+		// The ABCAST again, as its initiator restarts it after a fence.
+		"restart": {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 6, id: id, rank: 1, attempt: 2, payload: app()},
+		"p2p": {proto: CBCAST, id: id, dests: addr.List{addr.NewProcess(1, 0, 1)},
+			payload: msg.New().PutInt(msg.FSession, 9).PutInt(msg.FReply, 1)},
+		// A non-member's CBCAST on its way to the relay site, naming the stamp its
+		// previous one was acknowledged with (PR 19); the acknowledgement is
+		// goldenWire's "relayack". What the relay site fans out is "cbcast".
+		"relay": {proto: CBCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: -1,
+			after: relayStamp{view: 5, rank: 1, seq: 8}, call: 31, payload: app()},
+	}
+}
+
+// goldenPackets rebuilds the packets of goldenWire through today's builders.
+func goldenPackets(t *testing.T) map[string]*msg.Message {
+	sender := addr.NewProcess(2, 1, 7)
+	gid := addr.NewGroup(1, 0, 3)
+	id := core.MsgID{Sender: sender, Seq: 42}
+	pkts := goldenDataPackets()
+	for _, p := range pkts {
+		if err := p.encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, cb := pkts["data"].raw, pkts["cbcast"].raw
 	view := encodeView(core.View{Group: gid, Name: "bench", ID: 6,
 		Members: addr.List{sender, addr.NewProcess(1, 0, 1), addr.NewProcess(3, 2, 0xabcdef)}})
 	rep := encodePendingReport(pendingReport{
@@ -105,39 +121,24 @@ func goldenPackets() map[string]*msg.Message {
 		},
 		Fenced: []core.MsgID{{Sender: sender, Seq: 44}},
 	})
-	p2p := msg.New()
-	p2p.PutInt(fProto, int64(CBCAST))
-	putMsgID(p2p, id)
-	p2p.PutAddress(fSender, sender)
-	p2p.PutInt(fEntry, 0)
-	p2p.PutAddressList(fDests, addr.List{addr.NewProcess(1, 0, 1)})
-	p2p.PutMessage(fPayload, msg.New().PutInt(msg.FSession, 9).PutInt(msg.FReply, 1))
-	// A non-member's CBCAST on its way to the relay site, naming the stamp its
-	// previous one was acknowledged with, and the acknowledgement with this
-	// one's (PR 19). What the relay site fans out is the "cbcast" packet above.
-	relay := d.buildDataPacket(CBCAST, gid, 5, id, sender, -1, addr.EntryUserBase, app())
-	relay.PutInt(fRelay, 1)
-	putStamp(relay, relayStamp{view: 5, rank: 1, seq: 8})
-	relay.PutInt(fCall, 31)
 	ack := msg.New()
 	ack.PutInt(fCall, 31)
 	putStamp(ack, relayStamp{view: 5, rank: 1, seq: 9})
-	return map[string]*msg.Message{
-		"data": data, "cbcast": cb, "view": view, "report": rep, "p2p": p2p,
-		"relay": relay, "relayack": ack,
-	}
+	return map[string]*msg.Message{"view": view, "report": rep, "relayack": ack}
 }
 
 // TestWireEncodingMatchesGolden proves the wire format did not move with the
 // message representation: today's builders marshal to the parent's bytes,
-// and the parent's bytes decode and re-encode to themselves.
+// and the parent's bytes decode and re-encode to themselves. (The envelope's
+// type byte is 1, as when these strings were recorded: the test wraps a body
+// of any type in it.)
 func TestWireEncodingMatchesGolden(t *testing.T) {
-	packets := goldenPackets()
+	packets := goldenPackets(t)
 	if len(packets) != len(goldenWire) {
 		t.Fatalf("%d packets for %d golden encodings", len(packets), len(goldenWire))
 	}
 	for name, want := range goldenWire {
-		raw, err := encodePacket(ptData, packets[name])
+		raw, err := encodePacket(1, packets[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -149,7 +150,7 @@ func TestWireEncodingMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: golden bytes do not decode: %v", name, err)
 		}
-		again, err := encodePacket(ptData, m)
+		again, err := encodePacket(1, m)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,6 +160,49 @@ func TestWireEncodingMatchesGolden(t *testing.T) {
 		if size := m.MarshaledSize(); size != len(old)-envelopeBytes {
 			t.Errorf("%s: MarshaledSize = %d, want %d", name, size, len(old)-envelopeBytes)
 		}
+	}
+}
+
+// TestDataPacketMatchesGolden checks the data packet's layout both ways: a
+// packet encodes to its golden bytes, and the golden bytes parse to that packet
+// and encode to themselves again — re-marshalled from the decoded payload, and
+// re-headed in front of the payload bytes they came with.
+func TestDataPacketMatchesGolden(t *testing.T) {
+	packets := goldenDataPackets()
+	if len(packets) != len(goldenData) {
+		t.Fatalf("%d packets for %d golden encodings", len(packets), len(goldenData))
+	}
+	for name, p := range packets {
+		want := goldenData[name]
+		if err := p.encode(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := hex.EncodeToString(p.raw); got != want {
+			t.Errorf("%s: encoding moved\n got %s\nwant %s", name, got, want)
+		}
+		old, _ := hex.DecodeString(want)
+		back, ok := parseDataPacket(old)
+		if !ok {
+			t.Fatalf("%s: golden bytes do not parse", name)
+		}
+		wantPayload, _ := p.payload.Marshal()
+		if gotPayload, _ := back.payload.Marshal(); !bytes.Equal(gotPayload, wantPayload) || !bytes.Equal(old[back.body:], wantPayload) {
+			t.Errorf("%s: payload %s at offset %d, want %s", name, back.payload.Format(), back.body, p.payload.Format())
+		}
+		hdr, wantHdr := *back, *p
+		hdr.payload, hdr.raw, wantHdr.payload, wantHdr.raw = nil, nil, nil, nil
+		if !reflect.DeepEqual(hdr, wantHdr) {
+			t.Errorf("%s: golden bytes parse to %+v, want %+v", name, hdr, wantHdr)
+		}
+		if err := back.encode(); err != nil || hex.EncodeToString(back.raw) != want {
+			t.Errorf("%s: parse and re-head moved the bytes (err %v)\n got %x\nwant %s", name, err, back.raw, want)
+		}
+		if back.raw = nil; back.encode() != nil || hex.EncodeToString(back.raw) != want {
+			t.Errorf("%s: parse and re-marshal moved the bytes\n got %x\nwant %s", name, back.raw, want)
+		}
+	}
+	if dataHeaderBytes != 37 || envelopeBytes+dataHeaderBytes+2+3*8 != 65 {
+		t.Error("the data header moved: 39 bytes lead an ABCAST's payload, 65 a three-member CBCAST's")
 	}
 }
 
@@ -226,7 +270,7 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 	if len(records)+len(replies) != len(goldenFixed) {
 		t.Errorf("%d cases for %d golden encodings", len(records)+len(replies), len(goldenFixed))
 	}
-	if wireVersion != 1 || ptRelayAck != 16 || ptAbPropose != 17 || ptReply != 20 {
+	if wireVersion != 1 || ptGbRequest != 4 || ptRelayAck != 16 || ptAbPropose != 17 || ptReply != 20 || ptData != 21 {
 		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

@@ -49,7 +49,7 @@ func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, erro
 	v := view.Clone()
 	if lp.deliverView != nil {
 		cb := lp.deliverView
-		d.enqueue(lp, func() { cb(v) })
+		d.enqueue(lp, queued{fn: func() { cb(v) }})
 	}
 	return view.Clone(), nil
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/events"
-	"repro/internal/msg"
 )
 
 // phase is where a hosted group copy stands.
@@ -126,7 +125,7 @@ func next(p phase, in input) (phase, effects) {
 // flushing: a ptData packet, or (pkt nil) an ABCAST commit record.
 type heldPacket struct {
 	from   addr.SiteID
-	pkt    *msg.Message
+	pkt    *dataPacket
 	commit abRecord
 }
 

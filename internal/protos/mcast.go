@@ -24,12 +24,6 @@ var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
 
 const relayEarlyPause = 5 * time.Millisecond
 
-// fRelay marks a group multicast submitted by a non-member sender; such
-// multicasts are routed to the group's coordinator site, which fans them out
-// using its authoritative view (so that clients never need to track group
-// membership themselves).
-const fRelay = "&relay"
-
 // Multicast sends an application message to a destination list using the
 // selected primitive (Section 3.2 "bc_mcast"). The destination list may
 // contain one group address and any number of process addresses. CBCAST and
@@ -37,10 +31,10 @@ const fRelay = "&relay"
 // handed to the network. GBCAST is synchronous: it returns once the
 // globally-ordered delivery has been committed at the group.
 //
-// The daemon takes ownership of payload: it travels inside the wire packets
-// and every local delivery is built from it, without another copy, so the
-// caller must not touch it after the call (Process.Cast hands over its own
-// stripped clone of the application's message).
+// The daemon takes ownership of payload: it is marshalled into the wire packet
+// once and then handed, itself, to the last local destination (the others get
+// a Clone), so the caller must not touch it after the call (Process.Cast hands
+// over its own stripped clone of the application's message).
 func (d *Daemon) Multicast(sender addr.Address, proto Protocol, dests addr.List, entry addr.EntryID, payload *msg.Message) (core.MsgID, error) {
 	id, _, err := d.MulticastRequest(sender, proto, dests, entry, payload)
 	return id, err
@@ -85,7 +79,7 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 		if proto == GBCAST || proto == ABCAST {
 			return core.MsgID{}, 0, fmt.Errorf("%w: %v requires a group destination", ErrBadProtocol, proto)
 		}
-		return id, 0, d.sendPointToPoint(sender, id, procDests, entry, payload)
+		return id, 0, d.sendPointToPoint(id, procDests, entry, payload)
 	}
 
 	if proto == GBCAST {
@@ -96,13 +90,15 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 		return id, rid, err
 	}
 
+	var direct *msg.Message
+	if len(procDests) > 0 {
+		direct = payload.Clone() // the group send hands payload over to a member
+	}
 	if err := d.sendGroupMulticast(sender, lp, proto, group, id, entry, payload); err != nil {
 		return core.MsgID{}, 0, err
 	}
-	if len(procDests) > 0 {
-		if err := d.sendPointToPoint(sender, id, procDests, entry, payload); err != nil {
-			return core.MsgID{}, 0, err
-		}
+	if err := d.sendPointToPoint(id, procDests, entry, direct); err != nil {
+		return core.MsgID{}, 0, err
 	}
 	return id, 0, nil
 }
@@ -123,39 +119,29 @@ func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, pa
 
 // sendPointToPoint delivers a message directly to a list of processes: a cast
 // addressed to processes, or the copies of a reply (the reply itself goes by Reply).
-func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr.List, entry addr.EntryID, payload *msg.Message) error {
+func (d *Daemon) sendPointToPoint(id core.MsgID, dests addr.List, entry addr.EntryID, payload *msg.Message) error {
 	if len(dests) == 0 {
 		return nil
 	}
-	pkt := msg.NewSized(7)
-	pkt.PutAddressList(fDests, dests)
-	pkt.PutInt(fEntry, int64(entry))
-	putMsgID(pkt, id)
-	pkt.PutMessage(fPayload, payload)
-	pkt.PutInt(fProto, int64(CBCAST))
-	pkt.PutAddress(fSender, sender.Base())
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.counters.PointToPoints++
-	// Local destinations are delivered immediately.
-	d.deliverPointToPointLocked(pkt, dests)
+	pkt := &dataPacket{proto: CBCAST, entry: entry, id: id, dests: dests, payload: payload}
 	var remoteSites []addr.SiteID // a handful at most
 	for _, a := range dests {
 		if a.Site != d.site && !slices.Contains(remoteSites, a.Site) {
 			remoteSites = append(remoteSites, a.Site)
 		}
 	}
-	if len(remoteSites) == 0 {
-		return nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.counters.PointToPoints++
+	// Marshalled before a local handler, handed the payload, can scribble on it.
+	if len(remoteSites) > 0 {
+		if err := pkt.encode(); err != nil {
+			return err
+		}
 	}
-	// Marshal once; every remote site receives the same bytes.
-	raw, err := encodePacket(ptData, pkt)
-	if err != nil {
-		return err
-	}
+	d.deliverPointToPointLocked(pkt)
 	for _, s := range remoteSites {
-		if err := d.sendRaw(s, raw); err != nil {
+		if err := d.sendRaw(s, pkt.raw); err != nil {
 			return err
 		}
 	}
@@ -163,23 +149,19 @@ func (d *Daemon) sendPointToPoint(sender addr.Address, id core.MsgID, dests addr
 }
 
 // deliverPointToPointLocked hands a direct message to those of its
-// destinations (the packet's fDests) that live at this site. Caller holds d.mu.
-func (d *Daemon) deliverPointToPointLocked(pkt *msg.Message, dests addr.List) {
-	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
-	sender := pkt.GetAddress(fSender)
-	payload := pkt.GetMessage(fPayload)
-	for _, a := range dests {
-		if a.Site != d.site {
-			continue
+// destinations that live at this site (see deliveryLocked). Caller holds d.mu.
+func (d *Daemon) deliverPointToPointLocked(pkt *dataPacket) {
+	var last *localProc
+	for _, a := range pkt.dests {
+		if lp := d.procs[a.Base()]; a.Site == d.site && lp != nil && lp.alive {
+			if last != nil {
+				d.enqueue(last, d.deliveryLocked(pkt, false))
+			}
+			last = lp
 		}
-		lp, ok := d.procs[a.Base()]
-		if !ok || !lp.alive {
-			continue
-		}
-		m := d.buildDelivery(payload, sender, addr.Nil, 0, CBCAST)
-		d.counters.Delivered++
-		e := entry
-		d.enqueue(lp, func() { lp.deliver(e, m) })
+	}
+	if last != nil {
+		d.enqueue(last, d.deliveryLocked(pkt, true))
 	}
 }
 
@@ -218,10 +200,9 @@ func (d *Daemon) handleReply(h replyHeader, body *msg.Message) {
 // delivered before; that process finds the waiting Cast by session. Caller holds d.mu.
 func (d *Daemon) deliverReplyLocked(h replyHeader, m *msg.Message) {
 	if lp := d.procs[h.caller]; lp != nil && lp.alive {
-		m.PutAddress(msg.FSender, h.responder).PutInt(msg.FProtocol, int64(CBCAST)).
-			PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))
+		systemFields(m, h.responder, addr.Nil, 0, CBCAST).PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))
 		d.counters.Delivered++
-		d.enqueue(lp, func() { lp.deliver(0, m) })
+		d.enqueue(lp, queued{m: m})
 	}
 }
 
@@ -256,68 +237,43 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 		d.mu.Unlock()
 		return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
 	}
+	defer d.mu.Unlock()
+	pkt := &dataPacket{proto: proto, entry: entry, group: gid, view: gs.view.ID, id: id, rank: gs.view.RankOf(sender), payload: payload}
 	switch proto {
 	case CBCAST:
 		d.counters.CBCASTs++
-		d.sendMemberCbcastLocked(gs, ms, sender, id, entry, payload)
-		d.mu.Unlock()
-		return nil
+		_, err = d.sendMemberCbcastLocked(gs, ms, pkt)
 	case ABCAST:
-		pkt := d.buildDataPacket(ABCAST, gid, gs.view.ID, id, sender, gs.view.RankOf(sender), entry, payload)
-		d.initiateAbcastLocked(gs, id, pkt, lp.addr, 0)
-		d.mu.Unlock()
-		return nil
+		if err = pkt.encode(); err == nil {
+			d.initiateAbcastLocked(gs, pkt, lp.addr)
+		}
 	default:
-		d.mu.Unlock()
-		return ErrBadProtocol
+		err = ErrBadProtocol
 	}
+	return err
 }
 
-// buildDataPacket assembles the ptData wire packet body for a group
-// multicast. The packet type travels in the fixed-offset envelope, not the
-// body, so the body built here is destination-independent: encodePacket
-// marshals it exactly once per multicast regardless of fan-out width.
-func (d *Daemon) buildDataPacket(proto Protocol, gid addr.Address, viewID core.ViewID, id core.MsgID, sender addr.Address, rank int, entry addr.EntryID, payload *msg.Message) *msg.Message {
-	// Sized for the fields put here (in name order, so each lands at the
-	// end of the table) plus the two a sender may add: a timestamp, a relay
-	// mark or an attempt number.
-	pkt := msg.NewSized(11)
-	pkt.PutInt(fEntry, int64(entry))
-	pkt.PutAddress(fGroup, gid)
-	putMsgID(pkt, id)
-	pkt.PutMessage(fPayload, payload)
-	pkt.PutInt(fProto, int64(proto))
-	pkt.PutInt(fRank, int64(rank))
-	pkt.PutAddress(fSender, sender.Base())
-	pkt.PutInt(fViewID, int64(viewID))
-	return pkt
-}
-
-// sendMemberCbcastLocked performs a CBCAST send by the local member ms: the
-// message is stamped with the copy's vector timestamp ticked for the member,
-// delivered to every local member at once (the sender never waits), and
-// shipped to every other member site.
-// sender is who the application sees as the sender: the member itself, or
-// the non-member whose cast it relays, which a flush then reconciles and a
-// joiner understands like any other CBCAST of the member. Returns the stamp
-// the cast went out with. Caller holds d.mu, so a member's casts enter each
-// peer's transport window in the order the copy stamped them.
-func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, sender addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) relayStamp {
-	rank := gs.view.RankOf(ms.proc.addr)
-	vt := gs.causal.Stamp(rank)
-	pkt := d.buildDataPacket(CBCAST, gs.view.Group, gs.view.ID, id, sender, rank, entry, payload)
-	putVT(pkt, vt)
-	d.recordRecentLocked(gs, id, pkt, 0)
-
+// sendMemberCbcastLocked performs a CBCAST send by the local member ms of pkt,
+// its own cast or the request of a non-member whose cast it relays (which a
+// flush then reconciles and a joiner understands like any other CBCAST of the
+// member): the packet is put under the copy's view and its vector timestamp
+// ticked for the member, encoded — once, before anybody is handed its payload —,
+// shipped to every other member site and delivered to every local member at
+// once (the sender never waits). Returns the stamp the cast went out with.
+// Caller holds d.mu, so a member's casts enter each peer's transport window in
+// the order the copy stamped them.
+func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, pkt *dataPacket) (relayStamp, error) {
+	pkt.group, pkt.view, pkt.rank = gs.view.Group, gs.view.ID, gs.view.RankOf(ms.proc.addr)
+	pkt.vt, pkt.call = gs.causal.Stamp(pkt.rank), 0
+	if err := pkt.encode(); err != nil {
+		return relayStamp{}, err
+	}
+	d.recordRecentLocked(gs, pkt.id, pkt.raw, 0)
+	d.fanoutRaw(gs.view.SitesOf(), pkt.raw)
 	// To the stamping member and the members beside it alike: the clock just
 	// stamped covers exactly what the copy has released, to all of them.
 	d.deliverDataLocked(gs, pkt)
-	// Ship one copy to every other member site. The packet is marshalled
-	// exactly once; all destinations share the encoding.
-	if raw, err := encodePacket(ptData, pkt); err == nil {
-		d.fanoutRaw(gs.view.SitesOf(), raw)
-	}
-	return relayStamp{view: gs.view.ID, rank: rank, seq: vt.Get(rank)}
+	return relayStamp{view: pkt.view, rank: pkt.rank, seq: pkt.vt.Get(pkt.rank)}, nil
 }
 
 // relayExternalMulticast handles a group multicast whose sender is not a
@@ -353,10 +309,9 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 			return ErrGroupVanished
 		}
 
-		pkt := d.buildDataPacket(proto, gid, view.ID, id, sender, -1, entry, payload)
-		pkt.PutInt(fRelay, 1)
+		pkt := &dataPacket{proto: proto, entry: entry, group: gid, view: view.ID, id: id, rank: -1, payload: payload}
 		if proto == CBCAST {
-			putStamp(pkt, lp.relayed[gid])
+			pkt.after = lp.relayed[gid]
 		}
 		stamp, err := d.relayCall(coord.Site, pkt)
 		if err == nil {
@@ -385,7 +340,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 // the packet sat parked and the flush then left the copy non-primary, the
 // refusal would have nobody to report to. A relay refused as early is asked
 // again, for as long as one call may take.
-func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, error) {
+func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
 	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
 		var stamp relayStamp
 		var err error
@@ -393,10 +348,19 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, erro
 			d.mu.Lock()
 			stamp, err = d.relayMulticastLocked(d.site, pkt, false)
 			d.mu.Unlock()
-		} else if resp, cerr := d.call(site, ptData, pkt); cerr == nil {
-			stamp = getStamp(resp)
 		} else {
-			err = cerr
+			var ch chan *msg.Message
+			pkt.call, ch = d.newCall(site)
+			if err = pkt.encode(); err == nil {
+				err = d.sendRaw(site, pkt.raw)
+			}
+			if err == nil {
+				var resp *msg.Message
+				if resp, err = d.await(ch); err == nil {
+					stamp = getStamp(resp)
+				}
+			}
+			d.dropCall(pkt.call)
 		}
 		if !errors.Is(err, errRelayEarly) {
 			return stamp, err
@@ -421,8 +385,8 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *msg.Message) (relayStamp, erro
 // call waits the flush out (the local path, which must see the post-flush
 // outcome itself). A CBCAST's stamp is returned for the acknowledgement.
 // Caller holds d.mu, which only that wait releases.
-func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *msg.Message, park bool) (relayStamp, error) {
-	gid := pkt.GetAddress(fGroup).Base()
+func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket, park bool) (relayStamp, error) {
+	gid := pkt.group.Base()
 	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
 		return relayStamp{}, errRelayHeld
@@ -436,17 +400,17 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *msg.Message, park b
 	case !gs.phase.primary():
 		return relayStamp{}, ErrNonPrimary
 	}
-	switch Protocol(pkt.GetInt(fProto, 0)) {
+	switch pkt.proto {
 	case CBCAST:
 		return d.relayCbcastLocked(gs, pkt)
 	case ABCAST:
 		// The round runs under this site's view, whatever view the sender had
 		// cached: the member sites turn away phase 1 of a view they have closed.
-		fanout := pkt.Clone()
-		fanout.Delete(fRelay)
-		fanout.Delete(fCall)
-		fanout.PutInt(fViewID, int64(gs.view.ID))
-		d.initiateAbcastLocked(gs, getMsgID(pkt), fanout, addr.Nil, 0)
+		pkt.view, pkt.call = gs.view.ID, 0 // a new header, no longer a request
+		if err := pkt.encode(); err != nil {
+			return relayStamp{}, err
+		}
+		d.initiateAbcastLocked(gs, pkt, addr.Nil)
 		return relayStamp{}, nil
 	}
 	return relayStamp{}, ErrBadProtocol
@@ -460,23 +424,18 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *msg.Message, park b
 // issues from then on orders the new cast after it. A stamp from a view
 // already closed holds nothing back — the flush that closed the view delivered
 // the cast wherever it will ever be. Caller holds d.mu.
-func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp, error) {
+func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp, error) {
 	for _, m := range gs.view.Members {
 		ms := gs.members[m.Base()]
 		if ms == nil || !ms.proc.alive {
 			continue
 		}
-		if after := getStamp(pkt); after.view > gs.view.ID ||
+		if after := pkt.after; after.view > gs.view.ID ||
 			after.view == gs.view.ID && gs.causal.Clock().Get(after.rank) < after.seq {
 			return relayStamp{}, errRelayEarly
 		}
-		payload := pkt.GetMessage(fPayload)
-		if payload == nil {
-			payload = msg.New()
-		}
-		entry := addr.EntryID(pkt.GetInt(fEntry, 0))
 		d.counters.CBCASTs++ // at the site that sends it, like a relayed ABCAST
-		return d.sendMemberCbcastLocked(gs, ms, pkt.GetAddress(fSender), getMsgID(pkt), entry, payload), nil
+		return d.sendMemberCbcastLocked(gs, ms, pkt)
 	}
 	return relayStamp{}, ErrUnknownGroup
 }
@@ -485,21 +444,20 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *msg.Message) (relayStamp
 // ABCAST initiator side
 
 // initiateAbcastLocked runs the initiator's side of phase 1 for one ABCAST:
-// it sets up the round, proposes locally and ships the packet to the remote
-// member sites, or — with nobody to wait for — completes the round at once.
-// sender is the local process whose Flush waits on the round (nil for a
-// relay). attempt is 0 for a fresh ABCAST and counts up when a GBCAST flush
-// fences the message and restarts it. The scan tick completes the round at its
-// deadline even if some site never answers (it will have been declared failed
-// by then, or the timeout acts as a backstop). Caller holds d.mu.
-func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Message, sender addr.Address, attempt int64) {
+// it sets up the round, proposes locally and ships the encoded packet to the
+// remote member sites, or — with nobody to wait for — completes the round at
+// once. sender is the local process whose Flush waits on the round (nil for a
+// relay). The packet's attempt is 0 for a fresh ABCAST and counts up when a
+// GBCAST flush fences the message and restarts it. The scan tick completes the
+// round at its deadline even if some site never answers (it will have been
+// declared failed by then, or the timeout acts as a backstop). Caller holds d.mu.
+func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender addr.Address) {
 	st := &abSendState{
-		id:       id,
+		id:       pkt.id,
 		group:    gs.view.Group,
 		sender:   sender,
-		maxPrio:  gs.total.Propose(id, pkt),
+		maxPrio:  gs.total.Propose(pkt.id, pkt),
 		packet:   pkt,
-		attempt:  attempt,
 		deadline: time.Now().Add(d.cfg.CallTimeout),
 	}
 	for _, s := range gs.view.SitesOf() {
@@ -508,8 +466,8 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 		}
 	}
 	st.waiting = append(st.waiting, st.targets...)
-	d.pendingAb[id] = st
-	if attempt == 0 {
+	d.pendingAb[st.id] = st
+	if pkt.attempt == 0 {
 		// A fence restart re-runs the protocol for a message already counted,
 		// against the protocol counter and its sender's Flush, when it was
 		// first initiated.
@@ -523,11 +481,9 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, id core.MsgID, pkt *msg.Me
 		d.completeAbcastLocked(st)
 		return
 	}
-	// Phase 1 is marshalled once and shared by every remote member site
+	// Phase 1 was marshalled once and is shared by every remote member site
 	// (the target list is fixed once the round is set up).
-	if raw, err := encodePacket(ptData, pkt); err == nil {
-		d.fanoutRaw(st.targets, raw)
-	}
+	d.fanoutRaw(st.targets, pkt.raw)
 }
 
 // retireAbcastLocked ends an initiator round on every path but the normal
@@ -568,7 +524,7 @@ func (d *Daemon) handleAbPropose(from addr.SiteID, r abRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st, ok := d.pendingAb[r.id]
-	if !ok || r.attempt != st.attempt {
+	if !ok || r.attempt != st.packet.attempt {
 		return
 	}
 	if r.prio > st.maxPrio {
@@ -654,12 +610,10 @@ func (d *Daemon) applyAbCommitLocked(gs *groupState, id core.MsgID, final uint64
 // queue to its members. Caller holds d.mu.
 func (d *Daemon) deliverTotalLocked(gs *groupState, dels []core.TotalDelivery) {
 	for _, del := range dels {
-		pkt, ok := del.Payload.(*msg.Message)
-		if !ok || pkt == nil {
-			continue
+		if pkt, _ := del.Payload.(*dataPacket); pkt != nil {
+			d.recordRecentLocked(gs, del.ID, pkt.raw, del.Priority)
+			d.deliverDataLocked(gs, pkt)
 		}
-		d.recordRecentLocked(gs, del.ID, pkt, del.Priority)
-		d.deliverDataLocked(gs, pkt)
 	}
 }
 
@@ -746,7 +700,7 @@ func (d *Daemon) resolicitStragglers() {
 		if gs.phase != phaseNormal {
 			continue
 		}
-		id, payload, blocked := gs.total.HeadBlocked()
+		id, _, blocked := gs.total.HeadBlocked()
 		if !blocked {
 			gs.blockedID = core.MsgID{}
 			continue
@@ -768,7 +722,7 @@ func (d *Daemon) resolicitStragglers() {
 			d.applyAbCommitLocked(gs, id, final)
 			continue
 		}
-		to := d.resolicitTargetLocked(gs, payload, gs.resolicits)
+		to := d.resolicitTargetLocked(gs, id.Sender, gs.resolicits)
 		gs.resolicits++
 		if to != 0 {
 			d.bus.Publish(events.Event{Kind: events.AbcastResolicit, Group: gid, Peer: to, Msg: id})
@@ -783,14 +737,12 @@ func (d *Daemon) resolicitStragglers() {
 // answer from its record, which is what lets a receiver route around a
 // paused or dead initiator link. Suspected sites are skipped. Caller holds
 // d.mu.
-func (d *Daemon) resolicitTargetLocked(gs *groupState, payload any, attempt int) addr.SiteID {
+func (d *Daemon) resolicitTargetLocked(gs *groupState, sender addr.Address, attempt int) addr.SiteID {
 	seen := map[addr.SiteID]bool{d.site: true}
 	var cands []addr.SiteID
-	if pkt, ok := payload.(*msg.Message); ok && pkt != nil {
-		if s := pkt.GetAddress(fSender); !s.IsNil() && s.Site != d.site {
-			seen[s.Site] = true
-			cands = append(cands, s.Site)
-		}
+	if sender.Site != d.site {
+		seen[sender.Site] = true
+		cands = append(cands, sender.Site)
 	}
 	for _, s := range gs.view.SitesOf() {
 		if !seen[s] {
@@ -813,46 +765,33 @@ func (d *Daemon) resolicitTargetLocked(gs *groupState, payload any, attempt int)
 // ---------------------------------------------------------------------------
 // Receive path
 
-// handleData processes an incoming ptData packet: a point-to-point message,
-// a relayed external multicast, a CBCAST, or ABCAST phase 1.
-func (d *Daemon) handleData(from addr.SiteID, pkt *msg.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.handleDataLocked(from, pkt)
-}
-
-// handleDataLocked is handleData for a packet just arrived or re-fed by the
-// flush that parked it. Caller holds d.mu.
-func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
-	gid := pkt.GetAddress(fGroup)
-	if gid.IsNil() {
-		d.deliverPointToPointLocked(pkt, pkt.GetAddressList(fDests))
+// handleDataLocked processes a ptData packet — a point-to-point message, a
+// relayed external multicast, a CBCAST, or ABCAST phase 1 — just arrived or
+// re-fed by the flush that parked it. Caller holds d.mu.
+func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
+	if pkt.group.IsNil() {
+		d.deliverPointToPointLocked(pkt)
 		return
 	}
-	if pkt.GetInt(fRelay, 0) == 1 {
-		stamp, err := d.relayMulticastLocked(from, pkt, true)
-		if callID := pkt.GetInt(fCall, 0); callID != 0 && !errors.Is(err, errRelayHeld) {
-			// Acknowledge the relay so the sender's daemon learns its fate;
-			// a held relay is acknowledged when the flush re-feeds it.
-			if err != nil {
-				d.replyError(from, callID, err.Error())
-			} else {
-				ack := msg.New()
-				ack.PutInt(fCall, callID)
-				putStamp(ack, stamp)
-				_ = d.sendPacket(from, ptRelayAck, ack)
-			}
+	if callID := pkt.call; callID != 0 {
+		// Acknowledge the relay (it clears pkt.call) so the sender's daemon learns
+		// its fate; a held relay is acknowledged when the flush re-feeds it.
+		switch stamp, err := d.relayMulticastLocked(from, pkt, true); {
+		case errors.Is(err, errRelayHeld):
+		case err != nil:
+			d.replyError(from, callID, err.Error())
+		default:
+			ack := msg.New().PutInt(fCall, callID)
+			putStamp(ack, stamp)
+			_ = d.sendPacket(from, ptRelayAck, ack)
 		}
 		return
 	}
-	proto := Protocol(pkt.GetInt(fProto, 0))
-	sender := pkt.GetAddress(fSender)
-
-	gs, ok := d.groups[gid.Base()]
+	gs, ok := d.groups[pkt.group.Base()]
 	if !ok {
 		return
 	}
-	if d.failedProcs[sender.Base()] && (proto != CBCAST || gs.view.Contains(sender)) {
+	if sender := pkt.id.Sender; d.failedProcs[sender.Base()] && (pkt.proto != CBCAST || gs.view.Contains(sender)) {
 		// A failure that has already been observed: messages from the
 		// failed process must never be delivered afterwards (Section 2.2).
 		// A CBCAST relayed for it goes in all the same: it holds a slot in the
@@ -863,7 +802,7 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
 		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
 		return
 	}
-	if core.ViewID(pkt.GetInt(fViewID, 0)) < gs.view.ID {
+	if pkt.view < gs.view.ID {
 		// A packet of a view this copy has closed — parked by the flush, or
 		// still in the transport at the commit — was settled by that flush. A
 		// CBCAST fed to the new view's clock could read as its member's next
@@ -873,27 +812,28 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *msg.Message) {
 		// that joined in the new view is refused it.
 		return
 	}
-	switch proto {
+	switch pkt.proto {
 	case CBCAST:
 		d.processCbcastLocked(gs, pkt)
 	case ABCAST:
-		id := getMsgID(pkt)
-		resp := abRecord{group: gid, id: id, prio: gs.total.Propose(id, pkt), attempt: pkt.GetInt(fAttempt, 0)}
+		resp := abRecord{group: pkt.group, id: pkt.id, prio: gs.total.Propose(pkt.id, pkt), attempt: pkt.attempt}
 		_ = d.sendRaw(from, resp.encode(ptAbPropose))
 	}
 }
 
 // processCbcastLocked feeds a CBCAST into the copy's causal queue and
-// delivers whatever becomes deliverable. Caller holds d.mu.
-func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
-	id := getMsgID(pkt)
-	rank := int(pkt.GetInt(fRank, -1))
-	in := core.CausalIncoming{ID: id, SenderRank: rank, VT: getVT(pkt), Payload: pkt}
+// delivers whatever becomes deliverable. One whose timestamp is not the size
+// of the view it names is malformed, and dropped. Caller holds d.mu.
+func (d *Daemon) processCbcastLocked(gs *groupState, pkt *dataPacket) {
+	if pkt.view == gs.view.ID && len(pkt.vt) != gs.view.Size() {
+		return
+	}
+	in := core.CausalIncoming{ID: pkt.id, SenderRank: pkt.rank, VT: pkt.vt, Payload: pkt}
 	for _, out := range gs.causal.Receive(in) {
 		// Relayed for a process since observed to fail, it is as if dropped at
 		// the door, but for the clock Receive has advanced.
-		if opkt, ok := out.Payload.(*msg.Message); ok && !d.failedProcs[opkt.GetAddress(fSender).Base()] {
-			d.recordRecentLocked(gs, out.ID, opkt, 0)
+		if opkt := out.Payload.(*dataPacket); !d.failedProcs[opkt.id.Sender.Base()] {
+			d.recordRecentLocked(gs, out.ID, opkt.raw, 0)
 			d.deliverDataLocked(gs, opkt)
 		}
 	}
@@ -902,72 +842,70 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *msg.Message) {
 // ---------------------------------------------------------------------------
 // Delivery helpers
 
-// buildDelivery constructs the application-visible message: the payload plus
-// the toolkit system fields. Each destination gets a table of its own (Clone
-// leaves room for the system fields), so a handler may mutate what it was
-// handed; the payload's values are immutable and shared by every delivery,
-// the wire packet and the flush's re-dissemination record.
-func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address, viewID core.ViewID, proto Protocol) *msg.Message {
-	m := payload.Clone()
+// systemFields puts the toolkit's system fields on a message about to be
+// delivered and returns it.
+func systemFields(m *msg.Message, sender, group addr.Address, viewID core.ViewID, proto Protocol) *msg.Message {
 	m.PutAddress(msg.FSender, sender.Base())
 	if !group.IsNil() {
 		m.PutAddress(msg.FGroup, group)
 		m.PutInt(msg.FViewID, int64(viewID))
 	}
-	m.PutInt(msg.FProtocol, int64(proto))
-	return m
+	return m.PutInt(msg.FProtocol, int64(proto))
+}
+
+// buildDelivery constructs the application-visible message for a recipient
+// that is not a packet's last: a Clone of the payload (a table of its own over
+// values that are immutable and shared), so a handler may mutate what it got.
+func (d *Daemon) buildDelivery(payload *msg.Message, sender, group addr.Address, viewID core.ViewID, proto Protocol) *msg.Message {
+	return systemFields(payload.Clone(), sender, group, viewID, proto)
+}
+
+// deliveryLocked counts and returns one local recipient's delivery of a data
+// packet: for the last the packet's payload itself — nothing reads it after
+// this; the record is the packet's bytes —, for one before it a clone.
+func (d *Daemon) deliveryLocked(pkt *dataPacket, last bool) queued {
+	d.counters.Delivered++
+	if last {
+		return queued{entry: pkt.entry, m: systemFields(pkt.payload, pkt.id.Sender, pkt.group, pkt.view, pkt.proto)}
+	}
+	return queued{entry: pkt.entry, m: d.buildDelivery(pkt.payload, pkt.id.Sender, pkt.group, pkt.view, pkt.proto)}
 }
 
 // deliverDataLocked delivers a group data packet the copy's ordering has
 // released to each local member that was in the group when it was sent; one
 // that joined later is skipped (memberState.joinedView). Caller holds d.mu.
-func (d *Daemon) deliverDataLocked(gs *groupState, pkt *msg.Message) {
-	entry := addr.EntryID(pkt.GetInt(fEntry, 0))
-	payload := pkt.GetMessage(fPayload)
-	if payload == nil {
-		payload = msg.New()
-	}
-	sender := pkt.GetAddress(fSender)
-	gid := pkt.GetAddress(fGroup)
-	proto := Protocol(pkt.GetInt(fProto, 0))
-	viewID := core.ViewID(pkt.GetInt(fViewID, 0))
+func (d *Daemon) deliverDataLocked(gs *groupState, pkt *dataPacket) {
+	var last *memberState
 	for _, ms := range gs.members {
-		if viewID != 0 && viewID < ms.joinedView {
-			continue
+		if pkt.view == 0 || pkt.view >= ms.joinedView {
+			if last != nil {
+				d.enqueueMember(last, d.deliveryLocked(pkt, false))
+			}
+			last = ms
 		}
-		m := d.buildDelivery(payload, sender, gid, viewID, proto)
-		d.counters.Delivered++
-		lp := ms.proc
-		d.enqueueMember(ms, func() { lp.deliver(entry, m) })
 	}
-}
-
-// deliverPayloadLocked delivers an application payload (used by user-level
-// GBCASTs) to one local member. Caller holds d.mu.
-func (d *Daemon) deliverPayloadLocked(gs *groupState, ms *memberState, sender addr.Address, proto Protocol, entry addr.EntryID, payload *msg.Message) {
-	m := d.buildDelivery(payload, sender, gs.view.Group, gs.view.ID, proto)
-	d.counters.Delivered++
-	lp := ms.proc
-	d.enqueueMember(ms, func() { lp.deliver(entry, m) })
+	if last != nil {
+		d.enqueueMember(last, d.deliveryLocked(pkt, true))
+	}
 }
 
 // enqueueMember schedules a delivery for a member, holding it if the member
 // is still waiting for its state transfer. Caller holds d.mu.
-func (d *Daemon) enqueueMember(ms *memberState, fn func()) {
+func (d *Daemon) enqueueMember(ms *memberState, q queued) {
 	if ms.awaitingState {
-		ms.held = append(ms.held, fn)
+		ms.held = append(ms.held, q)
 		return
 	}
-	d.enqueue(ms.proc, fn)
+	d.enqueue(ms.proc, q)
 }
 
-// recordRecentLocked remembers a delivered data packet so a GBCAST flush can
-// re-disseminate it to members that missed it. For an ABCAST, prio is the
-// final priority it was delivered at (0 for CBCAST and point-to-point).
-// Caller holds d.mu.
-func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, pkt *msg.Message, prio uint64) {
+// recordRecentLocked remembers a delivered data packet, as its bytes, so a
+// GBCAST flush can re-disseminate it to members that missed it. For an ABCAST,
+// prio is the final priority it was delivered at (0 for CBCAST and
+// point-to-point). Caller holds d.mu.
+func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, prio uint64) {
 	if _, ok := gs.recent.Get(id); !ok {
-		gs.recent.Put(id, recentEntry{pkt: pkt, prio: prio})
+		gs.recent.Put(id, recentEntry{raw: raw, prio: prio})
 	}
 }
 

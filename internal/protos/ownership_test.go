@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/msg"
+	"repro/internal/simnet"
 )
 
 // pendingRounds snapshots the initiator rounds a daemon has open.
@@ -64,59 +65,117 @@ func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
 	}
 }
 
+// scribbleDelivery mutates a delivered message every way a handler can: in
+// place, through the slices the getters hand out, then through the Put calls.
+func scribbleDelivery(m *msg.Message) {
+	for _, b := range [][]byte{m.GetBytes("p"), m.GetMessage("sub").GetBytes("p")} {
+		copy(b, "XXXXXXXX")
+	}
+	m.PutBytes("p", []byte("scribbled")).PutString("body", "gone").PutInt("extra", 1)
+	m.GetMessage("sub").PutBytes("p", nil)
+	m.Delete(msg.FSender)
+}
+
+// userBytes marshals a delivery without the system fields the toolkit added.
+func userBytes(m *msg.Message) []byte {
+	c := m.Clone()
+	c.StripSystemFields()
+	raw, _ := c.Marshal()
+	return raw
+}
+
 // TestHandlerMutationDoesNotReachRecentBuffer covers the ownership rule the
-// flush depends on: the packet kept for re-dissemination (gs.recent) shares
-// its payload's values with every local delivery, so nothing a handler does
-// to the message it was handed may change what a later flush re-sends, nor
-// what the member next to it received.
+// flush depends on: a delivered packet's record (gs.recent) is the bytes it
+// travelled as, and its one decoded payload is handed to the site's last
+// member (a clone to each before it), so nothing a handler does to the message
+// it was handed may change what a later flush re-sends, what the member next
+// to it received, or what a retransmission carries. The sender (site 2) hosts
+// two members and site 1 one, so the scribbled deliveries are the sender's own
+// payload or its clone, and a decoded payload itself; site 3's link from the
+// sender is held throughout, and the join's flush must carry it the original.
 func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
-	tc := newTestCluster(t, 2)
-	procs := buildGroup(t, tc, "recent", 1, 2, 2)
-	gid := groupOf(t, tc, procs[0], "recent")
 	payload := func() *msg.Message {
 		return body("kept").PutBytes("p", []byte("original")).
 			PutMessage("sub", msg.New().PutBytes("p", []byte("nested")))
 	}
 	want, _ := payload().Marshal()
 	for _, proto := range []Protocol{CBCAST, ABCAST} {
-		before := procs[1].numMsgs()
-		id, err := procs[0].d.Multicast(procs[0].addr, proto, addr.List{gid}, addr.EntryUserBase, payload())
-		if err != nil {
+		t.Run(proto.String(), func(t *testing.T) {
+			tc := newFaultCluster(t, 3, simnet.FastConfig(), 2*time.Second, quietDetector())
+			procs := buildGroup(t, tc, "recent", 1, 2, 2, 3)
+			gid := groupOf(t, tc, procs[0], "recent")
+			tc.net.PauseLink(2, 3)
+			id, err := procs[1].d.Multicast(procs[1].addr, proto, addr.List{gid}, addr.EntryUserBase, payload())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if proto == ABCAST {
+				// Site 3 cannot propose; its answer is supplied, and the commit
+				// joins phase 1 on the held link.
+				tc.daemons[2].handleAbPropose(3, abRecord{group: gid, id: id, prio: 1})
+			}
+			waitFor(t, "delivery at sites 1 and 2", 5*time.Second, func() bool {
+				return procs[0].numMsgs() == 1 && procs[1].numMsgs() == 1 && procs[2].numMsgs() == 1
+			})
+			for _, p := range procs[:2] {
+				p.mu.Lock()
+				scribbleDelivery(p.msgs[0])
+				p.mu.Unlock()
+			}
+			procs[2].mu.Lock()
+			neighbour := procs[2].msgs[0]
+			procs[2].mu.Unlock()
+			if got := userBytes(neighbour); !bytes.Equal(got, want) {
+				t.Errorf("the neighbouring member's delivery changed: %s", neighbour.Format())
+			}
+			for _, s := range []addr.SiteID{1, 2} {
+				d := tc.daemons[s]
+				d.mu.Lock()
+				e, _ := d.groups[gid.Base()].recent.Get(id)
+				d.mu.Unlock()
+				pkt, ok := parseDataPacket(e.raw)
+				if !ok {
+					t.Fatalf("site %d kept no recent record (%x)", s, e.raw)
+				}
+				if !bytes.Equal(e.raw[pkt.body:], want) {
+					t.Errorf("site %d would re-disseminate %s", s, pkt.payload.Format())
+				}
+			}
+			if procs[3].numMsgs() != 0 {
+				t.Fatal("site 3 was delivered the cast over a held link")
+			}
+			joiner := tc.newProc(1)
+			if _, err := joiner.d.Join(joiner.addr, gid, JoinOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the flush's re-dissemination at site 3", 5*time.Second, func() bool { return procs[3].numMsgs() == 1 })
+			procs[3].mu.Lock()
+			late := procs[3].msgs[0]
+			procs[3].mu.Unlock()
+			if got := userBytes(late); !bytes.Equal(got, want) {
+				t.Errorf("the flush carried site 3 %s", late.Format())
+			}
+			tc.net.ResumeLink(2, 3)
+		})
+	}
+	t.Run("retransmission", func(t *testing.T) {
+		tc := newFaultCluster(t, 2, simnet.FastConfig(), 2*time.Second, quietDetector())
+		procs := buildGroup(t, tc, "resend", 1, 2)
+		gid := groupOf(t, tc, procs[0], "resend")
+		tc.net.Partition(1, 2)
+		if _, err := procs[0].d.Multicast(procs[0].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, payload()); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "delivery at both members of site 2", 5*time.Second, func() bool {
-			return procs[1].numMsgs() > before && procs[2].numMsgs() > before
-		})
+		waitFor(t, "the sender's own delivery", 5*time.Second, func() bool { return procs[0].numMsgs() == 1 })
+		procs[0].mu.Lock()
+		scribbleDelivery(procs[0].msgs[0]) // the very message Multicast was given
+		procs[0].mu.Unlock()
+		tc.net.Heal(1, 2)
+		waitFor(t, "the retransmission at site 2", 5*time.Second, func() bool { return procs[1].numMsgs() == 1 })
 		procs[1].mu.Lock()
-		m := procs[1].msgs[before]
-		procs[1].mu.Unlock()
-		// First in place, through the slices the getters hand out...
-		for _, b := range [][]byte{m.GetBytes("p"), m.GetMessage("sub").GetBytes("p")} {
-			copy(b, "XXXXXXXX")
+		defer procs[1].mu.Unlock()
+		if got := userBytes(procs[1].msgs[0]); !bytes.Equal(got, want) {
+			t.Errorf("the retransmission delivered %s", procs[1].msgs[0].Format())
 		}
-		// ...then through the Put calls.
-		m.PutBytes("p", []byte("scribbled")).PutString("body", "gone").PutInt("extra", 1)
-		m.GetMessage("sub").PutBytes("p", nil)
-		m.Delete(msg.FSender)
-
-		procs[2].mu.Lock()
-		neighbour := procs[2].msgs[before].Clone()
-		procs[2].mu.Unlock()
-		neighbour.StripSystemFields()
-		if got, _ := neighbour.Marshal(); !bytes.Equal(got, want) {
-			t.Errorf("%v: the neighbouring member's delivery changed: %s", proto, neighbour.Format())
-		}
-		for _, d := range tc.daemons {
-			d.mu.Lock()
-			e, _ := d.groups[gid.Base()].recent.Get(id)
-			pkt := e.pkt
-			d.mu.Unlock()
-			if pkt == nil {
-				t.Fatalf("%v: site %d kept no recent record", proto, d.site)
-			}
-			if got, _ := pkt.GetMessage(fPayload).Marshal(); !bytes.Equal(got, want) {
-				t.Errorf("%v: site %d would re-disseminate %s", proto, d.site, pkt.GetMessage(fPayload).Format())
-			}
-		}
-	}
+	})
 }

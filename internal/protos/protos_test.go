@@ -192,6 +192,18 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 
 func body(s string) *msg.Message { return msg.New().PutString("body", s) }
 
+// dataPkt builds a group data packet by hand, encoded as a member's send (or,
+// with rank -1, a relay site's ABCAST fan-out) leaves it: tests feed its raw
+// bytes to handleTransport, once per site, or the packet itself to a handler.
+func dataPkt(tb testing.TB, proto Protocol, gid addr.Address, view core.ViewID, id core.MsgID, rank int, payload *msg.Message) *dataPacket {
+	tb.Helper()
+	p := &dataPacket{proto: proto, entry: addr.EntryUserBase, group: gid, view: view, id: id, rank: rank, payload: payload}
+	if err := p.encode(); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 // buildGroup creates a group on site 1 and joins one member per additional
 // site, returning the members in rank order.
 func buildGroup(t *testing.T, tc *testCluster, name string, sites ...addr.SiteID) []*testProc {

@@ -326,11 +326,8 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 		{relayStamp{view: view.ID, rank: 99, seq: 0}, nil},
 		{relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
 	} {
-		pkt := d.buildDataPacket(CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, client, -1, addr.EntryUserBase, body("m"))
-		pkt.PutInt(fRelay, 1)
-		pkt.PutInt(fStampView, int64(tt.after.view))
-		pkt.PutInt(fStampRank, int64(tt.after.rank))
-		pkt.PutInt(fStampSeq, int64(tt.after.seq))
+		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, -1, body("m"))
+		pkt.call, pkt.after = 1, tt.after
 		d.mu.Lock()
 		_, err := d.relayMulticastLocked(9, pkt, true)
 		d.mu.Unlock()

@@ -34,17 +34,19 @@ func scenarioDetector() fdetect.Config {
 }
 
 // newFaultCluster is newTestCluster with the network, call timeout, and
-// detector under the test's control.
+// detector under the test's control. The zero detector is one the test steps:
+// heartbeats are off and nobody is suspected until crash says so.
 func newFaultCluster(t *testing.T, sites int, netCfg simnet.Config, callTimeout time.Duration, det fdetect.Config) *testCluster {
 	t.Helper()
 	net := simnet.New(netCfg)
 	tc := &testCluster{t: t, net: net, daemons: make(map[addr.SiteID]*Daemon)}
 	for i := 1; i <= sites; i++ {
 		d, err := New(Config{
-			Site:        addr.SiteID(i),
-			Network:     net,
-			CallTimeout: callTimeout,
-			Detector:    det,
+			Site:              addr.SiteID(i),
+			Network:           net,
+			CallTimeout:       callTimeout,
+			Detector:          det,
+			DisableHeartbeats: det == fdetect.Config{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +60,17 @@ func newFaultCluster(t *testing.T, sites int, netCfg simnet.Config, callTimeout 
 		net.Close()
 	})
 	return tc
+}
+
+// crash closes a site's daemon and has every other site's failure detector
+// report it at once, for clusters whose detector the test steps.
+func (tc *testCluster) crash(site addr.SiteID) {
+	tc.daemons[site].Close()
+	for s, d := range tc.daemons {
+		if s != site {
+			d.onDetectorEvent(fdetect.Event{Site: site, Kind: fdetect.SiteFailed})
+		}
+	}
 }
 
 // assertViewIDsStrictlyIncreasing fails if the process observed the same (or
@@ -273,7 +286,9 @@ func TestScenarioCoordinatorLeaveCrashResyncsStaleMember(t *testing.T) {
 // takeover flush must apply the "none" branch of the atomicity rule: the
 // message is discarded everywhere and never delivered.
 func TestScenarioAbcastFromCrashedSenderDiscarded(t *testing.T) {
-	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
+	// Nobody is suspected while the link is held (a detector timing out on the
+	// silent link used to race the round): the crash is the only event.
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "atomic", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "atomic")
 
@@ -283,8 +298,13 @@ func TestScenarioAbcastFromCrashedSenderDiscarded(t *testing.T) {
 	if _, err := tc.daemons[1].Multicast(procs[0].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
-	tc.daemons[1].Close()
+	waitFor(t, "phase 1 at site 2", 5*time.Second, func() bool {
+		d := tc.daemons[2]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.groups[gid].total.PendingCount() == 1
+	})
+	tc.crash(1)
 
 	waitFor(t, "failure views at the survivors", 10*time.Second, func() bool {
 		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
@@ -312,7 +332,10 @@ func TestScenarioAbcastFromCrashedSenderDiscarded(t *testing.T) {
 // member that missed the commit delivers the message (exactly once) through
 // the flush's re-dissemination, before the failure view.
 func TestScenarioAbcastPartialCommitFinishedByTakeoverFlush(t *testing.T) {
-	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
+	// Nobody is suspected while the link is held (a detector timing out on the
+	// silent link used to race the watchdog): only the round's deadline can end
+	// the round, and only the crash the view.
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "finish", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "finish")
 
@@ -323,7 +346,7 @@ func TestScenarioAbcastPartialCommitFinishedByTakeoverFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "commit at site 2", 5*time.Second, func() bool { return procs[1].got("keep") })
-	tc.daemons[1].Close()
+	tc.crash(1)
 
 	waitFor(t, "failure views at the survivors", 10*time.Second, func() bool {
 		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
@@ -446,8 +469,8 @@ func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 	if !ok {
 		t.Fatal("no view at site 2")
 	}
-	pkt := d2.buildDataPacket(ABCAST, gid, v.ID, id, procs[0].addr, v.RankOf(procs[0].addr), addr.EntryUserBase, body("exactly-once"))
-	d2.handleData(1, pkt.Clone())
+	pkt := dataPkt(t, ABCAST, gid, v.ID, id, v.RankOf(procs[0].addr), body("exactly-once")).raw
+	d2.handleTransport(1, pkt)
 
 	// The flush re-disseminates it because some member site delivered it
 	// before the flush point, so the commit's report lists it under Recent.

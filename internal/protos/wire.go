@@ -46,7 +46,7 @@ func (p Protocol) String() string {
 //
 //	byte 0   wireVersion
 //	byte 1   packet type (one of the pt* constants below)
-//	bytes 2+ marshalled msg.Message body (none for heartbeats, abRecord or replyHeader for four types)
+//	bytes 2+ marshalled msg.Message body (none for heartbeats; a fixed layout for five types)
 //
 // Keeping the packet type at a fixed offset (rather than in a "&type" body
 // field, as earlier revisions did) lets handleTransport dispatch without
@@ -63,6 +63,19 @@ const (
 	envelopeBytes = 2
 
 	abRecordBytes, replyHeaderBytes = 40, 25 // the two fixed layouts (abRecord, replyHeader)
+
+	// The data header, then the sections its flags byte selects: with the
+	// envelope 39 bytes lead an ABCAST's payload and 65 a CBCAST's in a view of
+	// three (the message-built wrapper they replace, PR 24, spent 180 and 213).
+	dataHeaderBytes, dataRelayBytes = 37, 26
+)
+
+// The optional sections of a data packet, in the order they follow the header.
+const (
+	dataHasVT      = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST)
+	dataHasAttempt             // attempt, 8 bytes (an ABCAST a fence restarted)
+	dataIsRelay                // relay stamp (view 8, rank 2, seq 8) and call id 8: a request to the relay site
+	dataHasDests               // destination processes: uint16 count, count × 8 bytes (point-to-point)
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
@@ -70,7 +83,7 @@ const (
 // collide with the application's fields or with the "@" system fields the
 // toolkit sets.
 const (
-	ptData        = byte(iota + 1) // CBCAST data / ABCAST phase 1 / point-to-point
+	_             = byte(iota + 1) // 1 was the message-built data packet; retired, never reused
 	_                              // 2 was the message-built ABCAST proposal; retired, never reused
 	_                              // 3 was the message-built ABCAST commit; retired, never reused
 	ptGbRequest                    // request to the group coordinator (join/leave/fail/user gbcast/config)
@@ -90,6 +103,7 @@ const (
 	ptAbCommit                     // ABCAST phase 2: final priority (abRecord)
 	ptAbResolicit                  // receiver asks for a straggler ABCAST's commit record (abRecord)
 	ptReply                        // a reply on its way to the caller's process (reply header + body)
+	ptData                         // CBCAST data / ABCAST phase 1 / point-to-point / relay request (data header + payload)
 )
 
 // Field names used in daemon-to-daemon packet bodies.
@@ -97,15 +111,9 @@ const (
 	fCall      = "&call"    // call id for request/response matching
 	fGroup     = "&group"   // group address
 	fViewID    = "&viewid"  // view id the packet refers to
-	fMsgID     = "&msgid"   // multicast id: sender address + sequence
-	fMsgSeq    = "&msgseq"  // sequence part of the multicast id
 	fSender    = "&sender"  // originating process
-	fRank      = "&rank"    // rank in the view of the member that stamped the packet (-1: none, a relay request)
-	fVT        = "&vt"      // vector timestamp (CBCAST)
-	fProto     = "&proto"   // Protocol value
 	fEntry     = "&entry"   // destination entry point
 	fPayload   = "&payload" // nested application message
-	fDests     = "&dests"   // explicit destination processes
 	fKind      = "&kind"    // gb request kind
 	fProcs     = "&procs"   // processes affected by a gb request
 	fName      = "&name"    // symbolic group name
@@ -121,7 +129,6 @@ const (
 	fForce     = "&force"   // run the full wedge/flush even for a no-op change
 	fXferID    = "&xferid"  // state-transfer attempt id (the view id the provider shipped under)
 	fDead      = "&dead"    // prepare ack: removal targets this site confirms dead
-	fAttempt   = "&attempt" // ABCAST protocol attempt (bumped by a fence restart)
 	fStampView = "&sview"   // relay stamp: the view the stamped CBCAST was sent in
 	fStampRank = "&srank"   // relay stamp: rank of the member that stamped it
 	fStampSeq  = "&sseq"    // relay stamp: that member's own entry of the timestamp
@@ -225,33 +232,139 @@ func decodeView(m *msg.Message) core.View {
 	}
 }
 
-// putMsgID stores a multicast id on a packet.
-func putMsgID(p *msg.Message, id core.MsgID) {
-	p.PutAddress(fMsgID, id.Sender)
-	p.PutInt(fMsgSeq, int64(id.Seq))
+// dataPacket is a ptData packet — a CBCAST, phase 1 of an ABCAST, a
+// point-to-point message, or a non-member's request to the relay site — as a
+// value over the bytes it travels as. raw is the packet's record: what the send
+// windows and a received frame already hold, what recent keeps and a flush
+// report nests. payload is its one decode (at the sender, what was marshalled
+// into raw) and belongs to whoever the packet is delivered to: nothing reads it
+// after delivery. The id's sender is the sender the application sees.
+type dataPacket struct {
+	proto   Protocol
+	entry   addr.EntryID
+	group   addr.Address // nil: point-to-point, to dests
+	view    core.ViewID
+	id      core.MsgID
+	rank    int        // in view, of the member that stamped the packet (-1: none, a relay request)
+	attempt int64      // ABCAST protocol attempt (bumped by a fence restart)
+	vt      vclock.VC  // CBCAST: the stamping member's timestamp
+	after   relayStamp // relay request: the stamp of the sender's previous CBCAST
+	call    int64      // relay request (non-zero): the call the relay site acknowledges
+	dests   addr.List
+	payload *msg.Message
+	raw     []byte
+	body    int // where the marshalled payload starts in raw
 }
 
-// getMsgID reads a multicast id from a packet.
-func getMsgID(p *msg.Message) core.MsgID {
-	return core.MsgID{Sender: p.GetAddress(fMsgID), Seq: uint64(p.GetInt(fMsgSeq, 0))}
-}
-
-// putVT / getVT move a vector timestamp through a packet. The encode side
-// stamps through pooled scratch so the CBCAST hot path does not allocate for
-// the timestamp bytes (PutBytes copies into the field's own storage).
-func putVT(p *msg.Message, vt vclock.VC) {
-	buf := msg.GetBuffer()
-	*buf = vt.AppendEncode(*buf)
-	p.PutBytes(fVT, *buf)
-	msg.PutBuffer(buf)
-}
-
-func getVT(p *msg.Message) vclock.VC {
-	vt, err := vclock.Decode(p.BytesView(fVT))
-	if err != nil {
-		return nil
+// encode writes the packet's bytes into one exactly sized buffer: the header
+// and the sections the packet has (built in scratch, on the stack up to a view
+// of ten, each setting its flag), then the payload — marshalled here, once, or,
+// for a packet sent on under a new header (a relayed cast under the relay site's
+// view, a fenced ABCAST's restart), the payload bytes it came with.
+func (p *dataPacket) encode() (err error) {
+	var scratch [128]byte
+	be, h := binary.BigEndian, append(scratch[:0], wireVersion, ptData, 0, byte(p.proto), byte(p.entry))
+	h = be.AppendUint64(p.group.AppendEncoded(be.AppendUint16(h, uint16(p.rank))), uint64(p.view))
+	h = be.AppendUint64(p.id.Sender.AppendEncoded(h), p.id.Seq)
+	if len(p.vt) > 0 {
+		h[envelopeBytes] |= dataHasVT
+		h = p.vt.AppendEncode(be.AppendUint16(h, uint16(len(p.vt))))
 	}
-	return vt
+	if p.attempt != 0 {
+		h[envelopeBytes] |= dataHasAttempt
+		h = be.AppendUint64(h, uint64(p.attempt))
+	}
+	if p.call != 0 {
+		h[envelopeBytes] |= dataIsRelay
+		h = be.AppendUint16(be.AppendUint64(h, uint64(p.after.view)), uint16(p.after.rank))
+		h = be.AppendUint64(be.AppendUint64(h, p.after.seq), uint64(p.call))
+	}
+	if len(p.dests) > 0 {
+		h[envelopeBytes] |= dataHasDests
+		h = be.AppendUint16(h, uint16(len(p.dests)))
+		for _, a := range p.dests {
+			h = a.AppendEncoded(h)
+		}
+	}
+	if p.raw != nil {
+		p.raw = append(append(make([]byte, 0, len(h)+len(p.raw)-p.body), h...), p.raw[p.body:]...)
+	} else {
+		p.raw, err = p.payload.AppendMarshal(append(make([]byte, 0, len(h)+p.payload.MarshaledSize()), h...))
+	}
+	p.body = len(h)
+	return err
+}
+
+// parseHeader reads the fixed part of a ptData body into p and returns the
+// flags and what follows the header. It allocates nothing.
+func (p *dataPacket) parseHeader(b []byte) (flags byte, rest []byte, ok bool) {
+	if len(b) < dataHeaderBytes || b[0] >= dataHasDests<<1 { // short, or a flags bit no section defines
+		return 0, nil, false
+	}
+	var gerr, serr error
+	p.proto, p.entry, p.rank = Protocol(b[1]), addr.EntryID(b[2]), int(int16(binary.BigEndian.Uint16(b[3:])))
+	p.group, gerr = addr.Decode(b[5:])
+	p.id.Sender, serr = addr.Decode(b[21:])
+	p.view, p.id.Seq = core.ViewID(binary.BigEndian.Uint64(b[13:])), binary.BigEndian.Uint64(b[29:])
+	return b[0], b[dataHeaderBytes:], gerr == nil && serr == nil
+}
+
+// cut splits the first n bytes off b, and cutList a uint16 count and as many
+// 8-byte entries (returning the entries); ok is false when b is too short.
+func cut(b []byte, n int) (s, rest []byte, ok bool) {
+	if len(b) < n {
+		return nil, nil, false
+	}
+	return b[:n], b[n:], true
+}
+
+func cutList(b []byte) (list, rest []byte, ok bool) {
+	if len(b) < 2 {
+		return nil, nil, false
+	}
+	return cut(b[2:], 8*int(binary.BigEndian.Uint16(b)))
+}
+
+// parseDataPacket reads a whole ptData packet, which it keeps (a frame the
+// receiver owns, or a packet nested in a flush report): each section within
+// exact bounds, the payload decoded in place with room for the four system
+// fields its delivery adds.
+func parseDataPacket(raw []byte) (*dataPacket, bool) {
+	if len(raw) < envelopeBytes || raw[0] != wireVersion || raw[1] != ptData {
+		return nil, false
+	}
+	p, be := &dataPacket{raw: raw}, binary.BigEndian
+	flags, b, ok := p.parseHeader(raw[envelopeBytes:])
+	var s []byte
+	if ok && flags&dataHasVT != 0 {
+		if s, b, ok = cutList(b); ok {
+			p.vt, _ = vclock.Decode(s)
+		}
+	}
+	if ok && flags&dataHasAttempt != 0 {
+		if s, b, ok = cut(b, 8); ok {
+			p.attempt = int64(be.Uint64(s))
+		}
+	}
+	if ok && flags&dataIsRelay != 0 {
+		if s, b, ok = cut(b, dataRelayBytes); ok {
+			p.after = relayStamp{view: core.ViewID(be.Uint64(s)), rank: int(int16(be.Uint16(s[8:]))), seq: be.Uint64(s[10:])}
+			p.call = int64(be.Uint64(s[18:]))
+		}
+	}
+	if ok && flags&dataHasDests != 0 {
+		for s, b, ok = cutList(b); ok && len(s) > 0; s = s[addr.EncodedSize:] {
+			a, err := addr.Decode(s)
+			p.dests, ok = append(p.dests, a), err == nil
+		}
+	}
+	if !ok {
+		return nil, false
+	}
+	var err error
+	p.body = len(raw) - len(b)
+	p.payload, err = msg.UnmarshalOwned(b, 4)
+	return p, err == nil
 }
 
 // relayStamp places a relayed CBCAST in its group's causal order: the view it
@@ -300,8 +413,8 @@ type abPendingWire struct {
 	ID        core.MsgID
 	Committed bool
 	Priority  uint64
-	Packet    *msg.Message // the original ptData packet, so it can be re-disseminated
-	Init      bool         // the reporting site holds the initiator round (pendingAb)
+	Packet    []byte // the encoded ptData packet, so it can be re-disseminated
+	Init      bool   // the reporting site holds the initiator round (pendingAb)
 }
 
 // recentWire is one recently delivered message in a flush report. For an
@@ -312,89 +425,65 @@ type abPendingWire struct {
 // or a record already evicted).
 type recentWire struct {
 	ID       core.MsgID
-	Packet   *msg.Message
+	Packet   []byte // the encoded ptData packet
 	Priority uint64
 }
 
-// encodePendingReport flattens a report into a nested message.
+// encodePendingReport flattens a report into a nested message, each list as
+// its length ("nab") and numbered entries ("ab0", ...); a packet goes in as the
+// bytes it travelled as, and comes out as a view of the report's frame.
 func encodePendingReport(r pendingReport) *msg.Message {
 	m := msg.New()
+	entry := func(list string, i int, id core.MsgID, pkt []byte) *msg.Message {
+		e := msg.New().PutAddress("&msgid", id.Sender).PutInt("&msgseq", int64(id.Seq))
+		if pkt != nil {
+			e.PutBytes("pkt", pkt)
+		}
+		m.PutMessage(fmt.Sprintf("%s%d", list, i), e)
+		return e
+	}
 	m.PutInt("nab", int64(len(r.Abcasts)))
 	for i, a := range r.Abcasts {
-		e := msg.New()
-		putMsgID(e, a.ID)
+		e := entry("ab", i, a.ID, a.Packet).PutInt("p", int64(a.Priority)).PutInt("c", 0)
 		if a.Committed {
 			e.PutInt("c", 1)
-		} else {
-			e.PutInt("c", 0)
-		}
-		e.PutInt("p", int64(a.Priority))
-		if a.Packet != nil {
-			e.PutMessage("pkt", a.Packet)
 		}
 		if a.Init {
 			e.PutInt("i", 1)
 		}
-		m.PutMessage(fmt.Sprintf("ab%d", i), e)
 	}
 	m.PutInt("nrc", int64(len(r.Recent)))
 	for i, rc := range r.Recent {
-		e := msg.New()
-		putMsgID(e, rc.ID)
-		if rc.Packet != nil {
-			e.PutMessage("pkt", rc.Packet)
-		}
-		if rc.Priority != 0 {
+		if e := entry("rc", i, rc.ID, rc.Packet); rc.Priority != 0 {
 			e.PutInt("p", int64(rc.Priority))
 		}
-		m.PutMessage(fmt.Sprintf("rc%d", i), e)
 	}
 	m.PutInt("nfc", int64(len(r.Fenced)))
 	for i, id := range r.Fenced {
-		e := msg.New()
-		putMsgID(e, id)
-		m.PutMessage(fmt.Sprintf("fc%d", i), e)
+		entry("fc", i, id, nil)
 	}
 	return m
 }
 
 // decodePendingReport reverses encodePendingReport.
-func decodePendingReport(m *msg.Message) pendingReport {
-	var r pendingReport
+func decodePendingReport(m *msg.Message) (r pendingReport) {
+	each := func(list string, add func(e *msg.Message, id core.MsgID)) {
+		for i, n := 0, int(m.GetInt("n"+list, 0)); i < n; i++ {
+			if e := m.GetMessage(fmt.Sprintf("%s%d", list, i)); e != nil {
+				add(e, core.MsgID{Sender: e.GetAddress("&msgid"), Seq: uint64(e.GetInt("&msgseq", 0))})
+			}
+		}
+	}
 	if m == nil {
 		return r
 	}
-	nab := int(m.GetInt("nab", 0))
-	for i := 0; i < nab; i++ {
-		e := m.GetMessage(fmt.Sprintf("ab%d", i))
-		if e == nil {
-			continue
-		}
-		r.Abcasts = append(r.Abcasts, abPendingWire{
-			ID:        getMsgID(e),
-			Committed: e.GetInt("c", 0) == 1,
-			Priority:  uint64(e.GetInt("p", 0)),
-			Packet:    e.GetMessage("pkt"),
-			Init:      e.GetInt("i", 0) == 1,
-		})
-	}
-	nrc := int(m.GetInt("nrc", 0))
-	for i := 0; i < nrc; i++ {
-		e := m.GetMessage(fmt.Sprintf("rc%d", i))
-		if e == nil {
-			continue
-		}
-		r.Recent = append(r.Recent, recentWire{
-			ID: getMsgID(e), Packet: e.GetMessage("pkt"), Priority: uint64(e.GetInt("p", 0)),
-		})
-	}
-	nfc := int(m.GetInt("nfc", 0))
-	for i := 0; i < nfc; i++ {
-		e := m.GetMessage(fmt.Sprintf("fc%d", i))
-		if e == nil {
-			continue
-		}
-		r.Fenced = append(r.Fenced, getMsgID(e))
-	}
+	each("ab", func(e *msg.Message, id core.MsgID) {
+		r.Abcasts = append(r.Abcasts, abPendingWire{ID: id, Committed: e.GetInt("c", 0) == 1,
+			Priority: uint64(e.GetInt("p", 0)), Packet: e.BytesView("pkt"), Init: e.GetInt("i", 0) == 1})
+	})
+	each("rc", func(e *msg.Message, id core.MsgID) {
+		r.Recent = append(r.Recent, recentWire{ID: id, Packet: e.BytesView("pkt"), Priority: uint64(e.GetInt("p", 0))})
+	})
+	each("fc", func(_ *msg.Message, id core.MsgID) { r.Fenced = append(r.Fenced, id) })
 	return r
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/simnet"
+	"repro/internal/vclock"
 )
 
 // wireFixture is a daemon at site 1 hosting one group with one member, beside
@@ -53,13 +54,15 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	return fx
 }
 
-// state renders everything a control packet could move: the initiator rounds,
-// the copy's total-order queue, the counters and the member's deliveries.
+// state renders everything a control or data packet could move: the initiator
+// rounds, the copy's two ordering queues and its recent record, the counters and
+// the member's deliveries.
 func (fx *wireFixture) state() string {
 	fx.d.mu.Lock()
 	defer fx.d.mu.Unlock()
-	s := fmt.Sprintf("pendingAb=%d total=%d counters=%+v got=%d", len(fx.d.pendingAb),
-		fx.d.groups[fx.gid].total.PendingCount(), fx.d.counters, fx.got.Load())
+	gs := fx.d.groups[fx.gid]
+	s := fmt.Sprintf("pendingAb=%d total=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(fx.d.pendingAb),
+		gs.total.PendingCount(), gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
 	for id, st := range fx.d.pendingAb {
 		s += fmt.Sprintf(" %v:waiting=%v,max=%d", id, st.waiting, st.maxPrio)
 	}
@@ -88,8 +91,8 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	// A: phase 1 arrived from site 2, no commit yet. B: a round this site
 	// initiated, waiting for site 2's proposal.
 	idA, idB := core.MsgID{Sender: remote, Seq: 1}, core.MsgID{Sender: fx.member, Seq: 1}
-	d.handleData(2, d.buildDataPacket(ABCAST, fx.gid, fx.view, idA, remote, -1, addr.EntryUserBase, body("a")))
-	pktB := d.buildDataPacket(ABCAST, fx.gid, fx.view, idB, fx.member, 0, addr.EntryUserBase, body("b"))
+	d.handleTransport(2, dataPkt(t, ABCAST, fx.gid, fx.view, idA, -1, body("a")).raw)
+	pktB := dataPkt(t, ABCAST, fx.gid, fx.view, idB, 0, body("b"))
 	d.mu.Lock()
 	d.pendingAb[idB] = &abSendState{id: idB, group: fx.gid, targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
 		maxPrio: d.groups[fx.gid].total.Propose(idB, pktB), packet: pktB, deadline: time.Now().Add(time.Hour)}
@@ -112,6 +115,46 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 			bad[fmt.Sprintf("%s kind at %d", name, off)] = k
 		}
 	}
+	// The data packets: a CBCAST that is the next of rank 0 (the view has one
+	// member), phase 1 of an ABCAST nobody has proposed for, a direct message.
+	idC := core.MsgID{Sender: remote, Seq: 7}
+	cb := &dataPacket{proto: CBCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idC, vt: vclock.VC{1}, payload: body("c")}
+	p2p := &dataPacket{proto: CBCAST, id: idC, dests: addr.List{fx.member}, payload: body("d")}
+	ab := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 8}, -1, body("e"))
+	for _, p := range []*dataPacket{cb, p2p} {
+		if err := p.encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := func(raw []byte, edit func(k []byte)) []byte {
+		k := append([]byte{}, raw...)
+		edit(k)
+		return k
+	}
+	for name, p := range map[string]*dataPacket{"cbcast": cb, "abcast": ab, "p2p": p2p} {
+		bad[name+" cut inside the header"] = p.raw[:envelopeBytes+dataHeaderBytes-1]
+		bad[name+" cut inside the sections"] = p.raw[:p.body-1]
+		bad[name+" cut inside the payload"] = p.raw[:len(p.raw)-1]
+		bad[name+" extended"] = append(clone(p.raw, func([]byte) {}), 0)
+		bad[name+" undefined flag"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= 0x80 })
+		bad[name+" section flagged but absent"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= dataIsRelay })
+		bad[name+" retired type 1"] = clone(p.raw, func(k []byte) { k[1] = 1 })
+		for _, off := range []int{5 + 3, 21 + 3} { // the kind bytes of the group and the sender
+			bad[fmt.Sprintf("%s kind at %d", name, off)] = clone(p.raw, func(k []byte) { k[envelopeBytes+off] = byte(addr.KindGroup) + 1 })
+		}
+	}
+	count := envelopeBytes + dataHeaderBytes // of the timestamp, of the destination list
+	bad["cbcast timestamp overruns the packet"] = clone(cb.raw, func(k []byte) { k[count], k[count+1] = 0xff, 0xff })
+	bad["p2p destinations overrun the packet"] = clone(p2p.raw, func(k []byte) { k[count+1] = 200 })
+	bad["p2p destination of no kind"] = clone(p2p.raw, func(k []byte) { k[count+2+3] = byte(addr.KindGroup) + 1 })
+	wide := *cb
+	wide.vt, wide.raw = vclock.VC{1, 0}, nil
+	if err := wide.encode(); err != nil {
+		t.Fatal(err)
+	}
+	bad["cbcast timestamp of another view's size"] = wide.raw
+	old, _ := hex.DecodeString("0101000106266465737473050000000800010001000000010")
+	bad["retired type 1, message body"] = old
 	bad["reply header alone"] = good["reply"][:envelopeBytes+replyHeaderBytes]
 	bad["reply corrupt body"] = append(append([]byte{}, good["reply"][:envelopeBytes+replyHeaderBytes]...), 0, 1, 3, 'x')
 	// The retired numbers: with the body an old site would send (the parent's
@@ -138,14 +181,17 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d.handleTransport(2, good["resolicit"])
 	d.handleTransport(2, good["reply"])
 	d.handleTransport(2, good["nullreply"])
-	waitFor(t, "A, B and the two replies at the member", 2*time.Second, func() bool { return fx.got.Load() == 4 })
+	d.handleTransport(2, cb.raw)
+	d.handleTransport(2, p2p.raw)
+	d.handleTransport(2, ab.raw)
+	waitFor(t, "A, B, the two replies, the CBCAST and the direct message at the member", 2*time.Second, func() bool { return fx.got.Load() == 6 })
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n, p := len(d.pendingAb), d.groups[fx.gid].total.PendingCount(); n != 0 || p != 0 {
-		t.Errorf("after the well-formed packets: %d rounds open, %d messages pending, want none", n, p)
+	if n, p := len(d.pendingAb), d.groups[fx.gid].total.PendingCount(); n != 0 || p != 1 {
+		t.Errorf("after the well-formed packets: %d rounds open, %d messages pending, want none and the last ABCAST", n, p)
 	}
-	if d.counters.Delivered != 4 {
-		t.Errorf("Delivered = %d, want 4", d.counters.Delivered)
+	if _, kept := d.groups[fx.gid].recent.Get(idC); !kept || d.counters.Delivered != 6 {
+		t.Errorf("Delivered = %d (CBCAST recorded: %v), want 6", d.counters.Delivered, kept)
 	}
 }
 
@@ -160,15 +206,22 @@ func FuzzControlPacket(f *testing.F) {
 		f.Add(raw[1], raw[envelopeBytes:len(raw)-1])
 	}
 	f.Add(byte(3), []byte{0, 0})
+	for _, h := range goldenData {
+		raw, _ := hex.DecodeString(h)
+		f.Add(byte(7), raw[envelopeBytes:]) // types[7]: ptData
+		f.Add(byte(7), raw[envelopeBytes:len(raw)-1])
+		f.Add(byte(8), raw[envelopeBytes:])
+	}
 	fx := newWireFixture(f)
-	types := []byte{ptAbPropose, ptAbCommit, ptAbResolicit, ptReply, 2, 3, 15}
+	types := []byte{ptAbPropose, ptAbCommit, ptAbResolicit, ptReply, 2, 3, 15, ptData, 1}
 	delivered := func() uint64 { return fx.d.Counters().Delivered }
 	f.Fuzz(func(t *testing.T, pt byte, data []byte) {
 		pt = types[int(pt)%len(types)]
 		before := delivered()
 		fx.d.handleTransport(2, append([]byte{wireVersion, pt}, data...))
 		_, _, isReply := parseReply(data)
-		if after := delivered(); after != before && !(pt == ptReply && isReply) {
+		_, isData := parseDataPacket(append([]byte{wireVersion, pt}, data...))
+		if after := delivered(); after != before && !(pt == ptReply && isReply) && !isData {
 			t.Fatalf("type %d body %x: Delivered %d -> %d", pt, data, before, after)
 		}
 		before = delivered()
