@@ -84,9 +84,6 @@ func NewGroup(site SiteID, inc Incarnation, local uint32) Address {
 // IsNil reports whether a is the zero address.
 func (a Address) IsNil() bool { return a == Address{} }
 
-// IsProcess reports whether a names a single process.
-func (a Address) IsProcess() bool { return a.Kind == KindProcess }
-
 // IsGroup reports whether a names a process group.
 func (a Address) IsGroup() bool { return a.Kind == KindGroup }
 

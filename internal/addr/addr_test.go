@@ -34,11 +34,11 @@ func TestNilAddress(t *testing.T) {
 
 func TestProcessAndGroupConstructors(t *testing.T) {
 	p := NewProcess(3, 2, 99)
-	if !p.IsProcess() || p.IsGroup() {
+	if p.Kind != KindProcess || p.IsGroup() {
 		t.Errorf("NewProcess kind wrong: %+v", p)
 	}
 	g := NewGroup(3, 2, 100)
-	if !g.IsGroup() || g.IsProcess() {
+	if !g.IsGroup() || g.Kind == KindProcess {
 		t.Errorf("NewGroup kind wrong: %+v", g)
 	}
 	if p.Site != 3 || p.Incarn != 2 || p.LocalID != 99 {
@@ -260,7 +260,7 @@ func TestGenerator(t *testing.T) {
 	if p.Site != 4 || p.Incarn != 1 {
 		t.Errorf("generator site/incarnation wrong: %v", p)
 	}
-	if !grp.IsGroup() || !p.IsProcess() {
+	if !grp.IsGroup() || p.Kind != KindProcess {
 		t.Error("generator kinds wrong")
 	}
 }

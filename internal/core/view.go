@@ -134,14 +134,3 @@ func (v View) SitesOf() []addr.SiteID {
 	}
 	return out
 }
-
-// MembersAtSite returns the members hosted at the given site, in rank order.
-func (v View) MembersAtSite(s addr.SiteID) []addr.Address {
-	var out []addr.Address
-	for _, m := range v.Members {
-		if m.Site == s {
-			out = append(out, m)
-		}
-	}
-	return out
-}

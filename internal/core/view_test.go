@@ -126,7 +126,7 @@ func TestViewString(t *testing.T) {
 	}
 }
 
-func TestSitesOfAndMembersAtSite(t *testing.T) {
+func TestSitesOf(t *testing.T) {
 	v := View{
 		Group: addr.NewGroup(1, 0, 1),
 		ID:    1,
@@ -137,13 +137,6 @@ func TestSitesOfAndMembersAtSite(t *testing.T) {
 	sites := v.SitesOf()
 	if len(sites) != 3 || sites[0] != 1 || sites[1] != 2 || sites[2] != 3 {
 		t.Errorf("SitesOf = %v", sites)
-	}
-	at1 := v.MembersAtSite(1)
-	if len(at1) != 2 || at1[0] != p(1, 1) || at1[1] != p(1, 3) {
-		t.Errorf("MembersAtSite(1) = %v", at1)
-	}
-	if len(v.MembersAtSite(9)) != 0 {
-		t.Error("MembersAtSite of absent site should be empty")
 	}
 }
 

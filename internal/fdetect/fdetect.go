@@ -129,14 +129,6 @@ func (d *Detector) AddPeer(site SiteID) {
 	}
 }
 
-// RemovePeer stops monitoring a site (e.g. after its failure has been fully
-// handled and it is no longer part of any view).
-func (d *Detector) RemovePeer(site SiteID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.peers, site)
-}
-
 // Peers returns the monitored sites in ascending order.
 func (d *Detector) Peers() []SiteID {
 	d.mu.Lock()

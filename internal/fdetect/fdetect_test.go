@@ -231,22 +231,6 @@ func TestHeartbeatFromUnknownSiteStartsMonitoring(t *testing.T) {
 	}
 }
 
-func TestRemovePeerStopsMonitoring(t *testing.T) {
-	sink := &eventSink{}
-	d := New(1, fastConfig(), func(SiteID) {}, sink.notify)
-	d.AddPeer(2)
-	d.RemovePeer(2)
-	d.Start()
-	defer d.Stop()
-	time.Sleep(100 * time.Millisecond)
-	if evs := sink.snapshot(); len(evs) != 0 {
-		t.Errorf("removed peer produced events: %+v", evs)
-	}
-	if len(d.Peers()) != 0 {
-		t.Errorf("Peers = %v", d.Peers())
-	}
-}
-
 func TestStopIsIdempotent(t *testing.T) {
 	d := New(1, fastConfig(), nil, nil)
 	d.Start()

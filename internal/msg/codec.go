@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/addr"
@@ -68,28 +67,6 @@ var encodeCalls atomic.Uint64
 // been computed process-wide. The fan-out tests snapshot it around a
 // multicast to verify the marshal-once property.
 func EncodeCount() uint64 { return encodeCalls.Load() }
-
-// bufPool recycles encode scratch buffers. GetBuffer/PutBuffer expose it to
-// the transport and protocol layers so hot-path encodes need not allocate.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// GetBuffer fetches a pooled scratch buffer. The returned slice has zero
-// length and unspecified capacity; append to it and return it to the pool
-// with PutBuffer when done.
-func GetBuffer() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuffer returns a scratch buffer to the pool. The caller must not use
-// the slice afterwards.
-func PutBuffer(b *[]byte) {
-	if b == nil || cap(*b) > 1<<20 {
-		return // don't pool pathological buffers
-	}
-	bufPool.Put(b)
-}
 
 // Marshal encodes the message into a fresh byte slice owned by the caller.
 func (m *Message) Marshal() ([]byte, error) {

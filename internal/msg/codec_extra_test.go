@@ -67,16 +67,15 @@ func TestUnmarshalUnsortedAndDuplicateFields(t *testing.T) {
 }
 
 // TestAppendMarshalWarmBufferZeroAllocs pins the send side's contract:
-// marshalling into a pooled buffer that is already large enough does not
-// allocate, and produces the bytes Marshal does.
+// marshalling into a buffer that is already large enough does not allocate,
+// and produces the bytes Marshal does.
 func TestAppendMarshalWarmBufferZeroAllocs(t *testing.T) {
 	m := sampleMessage()
-	buf := GetBuffer()
-	defer PutBuffer(buf)
+	buf := make([]byte, 0, m.MarshaledSize())
 
 	var err error
 	allocs := testing.AllocsPerRun(200, func() {
-		*buf, err = m.AppendMarshal((*buf)[:0])
+		buf, err = m.AppendMarshal(buf[:0])
 		if err != nil {
 			panic(err)
 		}
@@ -84,7 +83,7 @@ func TestAppendMarshalWarmBufferZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("marshal into a warm buffer allocates %.1f times per run, want 0", allocs)
 	}
-	if fresh, _ := m.Marshal(); !bytes.Equal(*buf, fresh) {
+	if fresh, _ := m.Marshal(); !bytes.Equal(buf, fresh) {
 		t.Error("AppendMarshal and Marshal disagree")
 	}
 }
@@ -102,15 +101,14 @@ func BenchmarkMarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkAppendMarshalPooled(b *testing.B) {
+func BenchmarkAppendMarshalWarmBuffer(b *testing.B) {
 	m := sampleMessage()
-	buf := GetBuffer()
-	defer PutBuffer(buf)
+	buf := make([]byte, 0, m.MarshaledSize())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		*buf, err = m.AppendMarshal((*buf)[:0])
+		buf, err = m.AppendMarshal(buf[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -290,10 +290,9 @@ type Daemon struct {
 	// ids, settles the outcome with a gbSeal round.
 	reqLog core.BoundedLog[int64, reqRecord]
 
-	// repairs (repairs.go) holds what must be tried again until it works:
-	// members parked when a merge discarded the local group copy and their
-	// rejoin then failed every retry.
-	repairs repairs
+	// parked is the set of members whose rejoin failed every retry after their
+	// group copy was discarded (merge.go): each has one goroutine retrying it.
+	parked map[joinKey]bool
 
 	// flushEnd (on mu) is signalled whenever a group copy leaves its
 	// flushing phase, and on Close: senders blocked by a flush wait on it
@@ -361,6 +360,7 @@ func New(cfg Config) (*Daemon, error) {
 		pendingAb:   make(map[core.MsgID]*abSendState),
 		abDone:      core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
 		pendingJoin: make(map[joinKey]pendingJoin),
+		parked:      make(map[joinKey]bool),
 		reqSerial:   make(map[addr.Address]*sync.Mutex),
 		bus:         events.NewBus(cfg.Site),
 		reqLog:      core.NewBoundedLog[int64, reqRecord](reqLogLimit),
@@ -455,7 +455,6 @@ func (d *Daemon) Close() {
 	}
 	d.flushEnd.Broadcast()
 	d.mu.Unlock()
-	d.repairs.close()
 
 	d.bus.Close()
 	if d.unwatchLinks != nil {
@@ -675,33 +674,9 @@ func (d *Daemon) newReqID() int64 {
 // dead, as the fErr text of the injected response.
 var errSiteFailed = errors.New("protos: site failed")
 
-// failCallsTo aborts every pending call addressed to a site the failure
-// detector has declared dead, so callers (coordinator requests, lookups)
-// retry against a successor immediately instead of waiting out the call
-// timeout.
-func (d *Daemon) failCallsTo(s addr.SiteID) {
-	d.mu.Lock()
-	var chans []chan *msg.Message
-	for _, c := range d.calls {
-		if c.site == s {
-			chans = append(chans, c.ch)
-		}
-	}
-	d.mu.Unlock()
-	for _, ch := range chans {
-		m := msg.New()
-		m.PutString(fErr, errSiteFailed.Error())
-		select {
-		case ch <- m:
-		default:
-		}
-	}
-}
-
-// respond delivers a response to a pending call, if it still exists.
-func (d *Daemon) respond(callID int64, m *msg.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// respondLocked hands an answer to a pending call, if it still exists. Caller
+// holds d.mu.
+func (d *Daemon) respondLocked(callID int64, m *msg.Message) {
 	if c, ok := d.calls[callID]; ok {
 		select {
 		case c.ch <- m:
@@ -710,48 +685,64 @@ func (d *Daemon) respond(callID int64, m *msg.Message) {
 	}
 }
 
+// answerLocked answers the request numbered call that site to made of this
+// one: the answer is sent back as a packet of type pt or, when this site
+// asked itself, handed to the waiting caller. Caller holds d.mu.
+func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, resp *msg.Message) {
+	resp.PutInt(fCall, call)
+	if to == d.site {
+		d.respondLocked(call, resp)
+	} else {
+		_ = d.sendPacket(to, pt, resp)
+	}
+}
+
+// errorResp is the body of a ptError answer.
+func errorResp(err error) *msg.Message { return msg.New().PutString(fErr, err.Error()) }
+
 // call sends a request to a site, its call id stamped into it, and waits for
-// the response or a timeout.
+// the answer or a timeout. A request to this site is not sent: it goes to the
+// message switch in one hold of d.mu and is answered there as a peer's is
+// (answerLocked) — one call table and one wait for both.
 func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
 	id, ch := d.newCall(to)
 	defer d.dropCall(id)
 	req.PutInt(fCall, id)
-	if err := d.sendPacket(to, pt, req); err != nil {
+	if to == d.site {
+		d.mu.Lock()
+		d.handleMessageLocked(to, pt, req)
+		d.mu.Unlock()
+	} else if err := d.sendPacket(to, pt, req); err != nil {
 		return nil, err
 	}
-	return d.await(ch)
+	return d.await(ch, time.After(d.cfg.CallTimeout))
 }
 
-// await waits for the response to a registered call already sent, or a timeout.
-func (d *Daemon) await(ch chan *msg.Message) (*msg.Message, error) {
+// await waits for the answer to a registered call until deadline; it is the one
+// reader of a call's channel. An answer that carries an error returns it.
+func (d *Daemon) await(ch chan *msg.Message, deadline <-chan time.Time) (*msg.Message, error) {
 	select {
 	case resp := <-ch:
 		if err := respError(resp); err != nil {
 			return nil, err
 		}
 		return resp, nil
-	case <-time.After(d.cfg.CallTimeout):
+	case <-deadline:
 		return nil, ErrTimeout
 	case <-d.stopScan:
 		return nil, ErrClosed
 	}
 }
 
-// respError returns the error a response carries, if it is a negative one:
-// error responses (ptError) have an fErr field, which is how they are told
-// apart from the matching positive response type.
+// respError returns the error a negative answer (ptError, told apart by its
+// fErr field) carries, restoring the package's sentinel errors so callers can
+// match them with errors.Is across the wire (a Join refused by a minority
+// coordinator must surface as ErrNonPrimary, not as opaque text).
 func respError(resp *msg.Message) error {
 	if !resp.Has(fErr) {
 		return nil
 	}
-	return wireError("protos: remote error: %s", resp.GetString(fErr, "unknown"))
-}
-
-// wireError reconstructs an error that travelled as text in an fErr field,
-// restoring the package's sentinel errors so callers can match them with
-// errors.Is across the request/response wire (a Join refused by a minority
-// coordinator must surface as ErrNonPrimary, not as opaque text).
-func wireError(format, text string) error {
+	text := resp.GetString(fErr, "unknown")
 	for _, sentinel := range []error{
 		ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed,
 		errRelayEarly,
@@ -760,75 +751,82 @@ func wireError(format, text string) error {
 			return sentinel
 		}
 	}
-	return fmt.Errorf(format, text)
+	return fmt.Errorf("protos: remote error: %s", text)
 }
 
-// replyError sends a ptError response for a request.
-func (d *Daemon) replyError(to addr.SiteID, callID int64, why string) {
-	p := msg.New()
-	p.PutInt(fCall, callID)
-	p.PutString(fErr, why)
-	_ = d.sendPacket(to, ptError, p)
-}
-
-// handleTransport dispatches an incoming daemon-to-daemon packet. The packet
-// type sits at a fixed offset in the envelope, so dispatch does not decode
-// the body; heartbeats carry no body at all and an abRecord builds no message.
-// A decoded body, and a data packet, keep raw, a frame the receiver owns.
+// handleTransport is the one way a peer's packet enters the daemon. It checks
+// the envelope, whose packet type sits at a fixed offset, answers a heartbeat
+// (no body), decodes the body outside the lock — a fixed layout by offset, or
+// a message — and then hands it to its handler in one hold of d.mu. A decoded
+// body, and a data packet, keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
 	}
 	pt, body := raw[1], raw[envelopeBytes:]
 	d.det.AddPeer(from)
+	var (
+		r   abRecord
+		h   replyHeader
+		pkt *dataPacket
+		p   *msg.Message
+		ok  bool
+	)
 	switch pt {
 	case ptHeartbeat:
 		d.det.OnHeartbeat(from)
 		return
 	case ptAbPropose, ptAbCommit, ptAbResolicit:
-		if r, ok := parseAbRecord(body); ok {
-			switch pt {
-			case ptAbPropose:
-				d.handleAbPropose(from, r)
-			case ptAbCommit:
-				d.handleAbCommit(from, r)
-			default:
-				d.handleAbResolicit(from, r)
-			}
-		}
-		return
+		r, ok = parseAbRecord(body)
 	case ptReply:
-		if h, m, ok := parseReply(body); ok {
-			d.handleReply(h, m)
-		}
-		return
+		h, p, ok = parseReply(body)
 	case ptData:
-		if p, ok := parseDataPacket(raw); ok {
-			d.mu.Lock()
-			d.handleDataLocked(from, p)
-			d.mu.Unlock()
-		}
+		pkt, ok = parseDataPacket(raw)
+	default:
+		var err error
+		p, err = msg.UnmarshalOwned(body, 0)
+		ok = err == nil
+	}
+	if !ok {
 		return
 	}
-	p, err := msg.UnmarshalOwned(body, 0)
-	if err != nil {
-		return
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch pt {
+	case ptAbPropose:
+		d.handleAbProposeLocked(from, r)
+	case ptAbCommit:
+		d.handleAbCommitLocked(from, r)
+	case ptAbResolicit:
+		d.handleAbResolicitLocked(from, r)
+	case ptReply:
+		d.deliverReplyLocked(h, p)
+	case ptData:
+		d.handleDataLocked(from, pkt)
+	default:
+		d.handleMessageLocked(from, pt, p)
 	}
+}
+
+// handleMessageLocked is the switch a message-bodied packet goes through: one
+// a peer sent (handleTransport), or a request this site makes of itself
+// (call). Caller holds d.mu.
+func (d *Daemon) handleMessageLocked(from addr.SiteID, pt byte, p *msg.Message) {
 	switch pt {
 	case ptGbRequest:
-		d.handleGbRequest(from, p)
+		d.handleGbRequestLocked(from, p)
 	case ptGbPrepare:
-		d.handleGbPrepare(from, p)
+		d.handleGbPrepareLocked(from, p)
 	case ptGbAck, ptGbDone, ptLookupResp, ptError, ptRelayAck:
-		d.respond(p.GetInt(fCall, 0), p)
+		d.respondLocked(p.GetInt(fCall, 0), p)
 	case ptGbCommit:
-		d.applyGbCommit(from, p)
+		d.applyGbCommitLocked(p)
 	case ptLookup:
-		d.handleLookup(from, p)
+		d.handleLookupLocked(from, p)
 	case ptStateBlock:
-		d.handleStateBlock(from, p)
+		d.handleStateBlockLocked(p)
 	case ptStateAck:
-		d.handleStateAck(from, p)
+		d.handleStateAckLocked(p)
 	}
 }
 
@@ -836,13 +834,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
 	switch ev.Kind {
 	case fdetect.SiteFailed:
-		d.mu.Lock()
-		d.suspected[ev.Site] = true
-		d.mu.Unlock()
-		d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: ev.Site})
-		// Abort in-flight calls to the dead site first so their callers
-		// re-route to the successor while the failure is handled.
-		d.failCallsTo(ev.Site)
 		d.handleSiteFailure(ev.Site)
 	case fdetect.SiteRecovered:
 		d.mu.Lock()
@@ -850,10 +841,8 @@ func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
 		d.mu.Unlock()
 		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
 		// A healed partition: any group copy stranded in a non-primary
-		// partition can now try to find the primary and merge back, and a
-		// parked rejoin may find the primary it could not reach.
+		// partition can now try to find the primary and merge back.
 		d.mergeNonPrimaryGroups()
-		d.repairs.kick()
 	}
 }
 

@@ -82,7 +82,7 @@ func TestScanReleasesCommitlessFlush(t *testing.T) {
 	prepare.PutInt(fGbID, 99)
 	prepare.PutInt(fCall, 4242)
 	start := time.Now()
-	d.handleGbPrepare(1, prepare)
+	d.handleTransport(1, encoded(t, ptGbPrepare, prepare))
 	if ev := next(); ev.Kind != events.FlushBegin {
 		t.Fatalf("the prepare published %v, want FlushBegin", ev)
 	}

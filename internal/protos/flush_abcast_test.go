@@ -111,7 +111,7 @@ func TestScenarioFlushDrivesFullySeenAbcast(t *testing.T) {
 
 	// A late commit from the (imaginary) initiator's watchdog — with a
 	// priority below the one the flush chose — must be a no-op.
-	tc.daemons[2].handleAbCommit(1, abRecord{group: gid, id: id, prio: 1})
+	tc.daemons[2].handleTransport(1, abRecord{group: gid, id: id, prio: 1}.encode(ptAbCommit))
 	time.Sleep(100 * time.Millisecond)
 	for i, p := range procs {
 		if n := countBody(p, "undelivered"); n != 1 {
@@ -295,7 +295,7 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	tc.daemons[2].handleTransport(1, pktA.raw)
 	tc.daemons[3].handleTransport(2, pktA.raw)
 	commitA := abRecord{group: gid, id: idA, prio: 1}
-	tc.daemons[2].handleAbCommit(2, commitA)
+	tc.daemons[2].handleTransport(2, commitA.encode(ptAbCommit))
 	waitFor(t, "A delivered at site 2", 2*time.Second, func() bool { return procs[1].got("limbo-a") })
 
 	// ABCAST B: phase 1 at every site, no commit — the flush will drive it.
@@ -328,8 +328,8 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	}
 
 	// The straggler's in-flight commit finally thaws: no duplicates.
-	tc.daemons[1].handleAbCommit(2, commitA)
-	tc.daemons[3].handleAbCommit(2, commitA)
+	tc.daemons[1].handleTransport(2, commitA.encode(ptAbCommit))
+	tc.daemons[3].handleTransport(2, commitA.encode(ptAbCommit))
 	time.Sleep(100 * time.Millisecond)
 	for i, p := range procs {
 		if n := countBody(p, "limbo-a"); n != 1 {

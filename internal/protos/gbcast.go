@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -28,17 +27,15 @@ type gbWork struct {
 	reqID      int64       // stable request id; survives coordinator fail-over
 	sealTarget int64       // gbSeal: the request id whose outcome is being settled
 	force      bool        // run the full wedge/flush even if the change is a no-op
-	replyTo    addr.SiteID // requester site (0 when local)
+	replyTo    addr.SiteID // requester site (this one for its own request)
 	replyCall  int64
-	done       chan *msg.Message // local requester waits here (nil otherwise)
 }
 
-// decodeGbWork reads a unit of work from a ptGbRequest body (or from the
-// request message a local caller built, which has the same fields).
+// decodeGbWork reads a unit of work from a ptGbRequest body.
 func decodeGbWork(p *msg.Message) *gbWork {
 	return &gbWork{
 		kind:       p.GetInt(fKind, 0),
-		gid:        p.GetAddress(fGroup),
+		gid:        p.GetAddress(fGroup).Base(),
 		procs:      p.GetAddressList(fProcs),
 		wantState:  p.GetInt(fWantState, 0) == 1,
 		payload:    p.GetMessage(fPayload),
@@ -50,55 +47,25 @@ func decodeGbWork(p *msg.Message) *gbWork {
 	}
 }
 
-// handleGbRequest processes a request addressed to this site in its role as
-// the group's (acting) coordinator.
-func (d *Daemon) handleGbRequest(from addr.SiteID, p *msg.Message) {
+// handleGbRequestLocked queues a request addressed to this site, a peer's or
+// its own, in its role as the group's (acting) coordinator, and starts the
+// group's worker if it is not already running. Caller holds d.mu.
+func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *msg.Message) {
 	w := decodeGbWork(p)
 	w.replyTo, w.replyCall = from, p.GetInt(fCall, 0)
-	if err := d.enqueueGb(w); err != nil {
-		d.replyError(from, w.replyCall, err.Error())
-	}
-}
-
-// localGbRequest executes a gb request originated by a local caller and
-// waits for its completion.
-func (d *Daemon) localGbRequest(gid addr.Address, req *msg.Message) (*msg.Message, error) {
-	w := decodeGbWork(req)
-	w.gid, w.done = gid.Base(), make(chan *msg.Message, 1)
-	if err := d.enqueueGb(w); err != nil {
-		return nil, err
-	}
-	select {
-	case resp := <-w.done:
-		if resp != nil && resp.Has(fErr) {
-			return nil, wireError("protos: %s", resp.GetString(fErr, "gbcast failed"))
-		}
-		return resp, nil
-	case <-time.After(2 * d.cfg.CallTimeout):
-		return nil, ErrTimeout
-	case <-d.stopScan:
-		return nil, ErrClosed
-	}
-}
-
-// enqueueGb appends work to the group's queue and starts the per-group
-// worker if it is not already running.
-func (d *Daemon) enqueueGb(w *gbWork) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	gs, ok := d.groups[w.gid]
-	if !ok {
-		return ErrUnknownGroup
+	switch {
+	case d.closed:
+		d.answerLocked(from, w.replyCall, ptError, errorResp(ErrClosed))
+	case !ok:
+		d.answerLocked(from, w.replyCall, ptError, errorResp(ErrUnknownGroup))
+	default:
+		gs.gbQueue = append(gs.gbQueue, w)
+		if !gs.gbBusy {
+			gs.gbBusy = true
+			go d.runGbWorker(w.gid)
+		}
 	}
-	gs.gbQueue = append(gs.gbQueue, w)
-	if !gs.gbBusy {
-		gs.gbBusy = true
-		go d.runGbWorker(w.gid)
-	}
-	return nil
 }
 
 // runGbWorker drains one group's GBCAST queue.
@@ -135,7 +102,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 	gs, ok := d.groups[w.gid]
 	if !ok {
 		d.mu.Unlock()
-		d.gbReply(w, nil, ErrUnknownGroup.Error())
+		d.gbReply(w, ptError, errorResp(ErrUnknownGroup))
 		return
 	}
 	if !gs.phase.primary() {
@@ -143,7 +110,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 		// view may be installed and no GBCAST committed until the merge
 		// protocol rejoins the primary.
 		d.mu.Unlock()
-		d.gbReply(w, nil, ErrNonPrimary.Error())
+		d.gbReply(w, ptError, errorResp(ErrNonPrimary))
 		return
 	}
 	oldView := gs.view.Clone()
@@ -171,7 +138,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 	}
 	d.mu.Unlock()
 	if answered {
-		d.gbReply(w, viewReply(oldView), "")
+		d.gbReply(w, ptGbDone, viewReply(oldView))
 		return
 	}
 
@@ -180,8 +147,14 @@ func (d *Daemon) executeGb(w *gbWork) {
 		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks,
 	})
 	if dec.nonPrimary {
-		d.enterNonPrimary(w.gid, acks)
-		d.gbReply(w, nil, ErrNonPrimary.Error())
+		// The copy goes read-only, and so do those of the member sites whose
+		// acks it holds: the gbNonPrimary notice ends the flush (held reads
+		// drain) without installing a view.
+		notice := msg.New()
+		notice.PutAddress(fGroup, w.gid)
+		notice.PutInt(fKind, gbNonPrimary)
+		d.commitGb(slices.Collect(maps.Keys(acks)), notice)
+		d.gbReply(w, ptError, errorResp(ErrNonPrimary))
 		return
 	}
 
@@ -209,11 +182,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 		commit.PutInt(fEntry, int64(w.entry))
 		commit.PutAddress(fSender, w.sender)
 	}
-	// The commit is marshalled once; all member sites share the encoding.
-	if raw, err := encodePacket(ptGbCommit, commit); err == nil {
-		d.fanoutRaw(unionSites(dec.newView, dec.base, oldView), raw)
-	}
-	d.applyGbCommit(d.site, commit)
+	d.commitGb(unionSites(dec.newView, dec.base, oldView), commit)
 
 	if dec.newView.ID > oldView.ID {
 		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.gid, View: dec.newView.ID})
@@ -222,33 +191,26 @@ func (d *Daemon) executeGb(w *gbWork) {
 	if sealing {
 		resp.PutInt(fOutcome, dec.outcome)
 	}
-	d.gbReply(w, resp, "")
+	d.gbReply(w, ptGbDone, resp)
 }
 
-// gbReply delivers the coordinator's final answer to whoever asked for the
-// GBCAST.
-func (d *Daemon) gbReply(w *gbWork, resp *msg.Message, errText string) {
-	if w.done != nil {
-		if errText != "" {
-			resp = msg.New()
-			resp.PutString(fErr, errText)
-		}
-		select {
-		case w.done <- resp:
-		default:
-		}
-		return
+// commitGb commits a GBCAST (or a notice) on this site's own account: encoded
+// once, fanned out to the listed member sites and applied here, in one hold.
+func (d *Daemon) commitGb(sites []addr.SiteID, commit *msg.Message) {
+	raw, err := encodePacket(ptGbCommit, commit)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err == nil {
+		d.fanoutRaw(sites, raw)
 	}
-	if w.replyTo == 0 && w.replyCall == 0 {
-		return // fire-and-forget internal work (failure removals)
-	}
-	if errText != "" {
-		d.replyError(w.replyTo, w.replyCall, errText)
-		return
-	}
-	out := resp.Clone()
-	out.PutInt(fCall, w.replyCall)
-	_ = d.sendPacket(w.replyTo, ptGbDone, out)
+	d.applyGbCommitLocked(commit)
+}
+
+// gbReply answers whoever asked for the GBCAST: a peer, or this site itself.
+func (d *Daemon) gbReply(w *gbWork, pt byte, resp *msg.Message) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.answerLocked(w.replyTo, w.replyCall, pt, resp)
 }
 
 // unionSites lists each member site of the given views once, in no
@@ -317,7 +279,7 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 			// drop the commit as stale and diverge). Once the detector
 			// declares the site dead, its members are removed later and the
 			// missing report is legitimate. Calls to a site declared dead
-			// mid-exchange abort immediately (failCallsTo), so the retries
+			// mid-exchange abort immediately (handleSiteFailure), so the retries
 			// never outlive the suspicion.
 			for attempt := 0; attempt < 3; attempt++ {
 				// Clone per call: d.call stamps a per-exchange call id into
@@ -422,13 +384,11 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 	return rep
 }
 
-// handleGbPrepare processes phase 1 at a non-coordinator member site. The
-// ack carries this site's current view alongside its pending report so that
-// a coordinator taking over mid-protocol can base the new view on the most
-// advanced copy any survivor holds.
-func (d *Daemon) handleGbPrepare(from addr.SiteID, p *msg.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// handleGbPrepareLocked processes phase 1 at a non-coordinator member site.
+// The ack carries this site's current view alongside its pending report so
+// that a coordinator taking over mid-protocol can base the new view on the
+// most advanced copy any survivor holds. Caller holds d.mu.
+func (d *Daemon) handleGbPrepareLocked(from addr.SiteID, p *msg.Message) {
 	if d.suspected[from] {
 		// A straggling prepare from a coordinator already declared failed
 		// (e.g. held in the network across the crash): wedging for it would
@@ -438,7 +398,6 @@ func (d *Daemon) handleGbPrepare(from addr.SiteID, p *msg.Message) {
 	}
 	ack := d.prepareLocalLocked(p.GetAddress(fGroup).Base(), p.GetAddressList(fProcs), p.GetInt(fSealReq, 0), false)
 	resp := msg.New()
-	resp.PutInt(fCall, p.GetInt(fCall, 0))
 	resp.PutMessage(fPending, encodePendingReport(ack.report))
 	if ack.view.ID > 0 {
 		resp.PutMessage(fView, encodeView(ack.view))
@@ -449,13 +408,14 @@ func (d *Daemon) handleGbPrepare(from addr.SiteID, p *msg.Message) {
 	if len(ack.dead) > 0 {
 		resp.PutAddressList(fDead, ack.dead)
 	}
-	_ = d.sendPacket(from, ptGbAck, resp)
+	d.answerLocked(from, p.GetInt(fCall, 0), ptGbAck, resp)
 }
 
-// applyGbCommit installs the effect of a GBCAST at this site: re-delivers
-// reconciled messages, applies the membership change or delivers the user
-// payload, notifies local members, and ends the flush.
-func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
+// applyGbCommitLocked installs the effect of a GBCAST at this site:
+// re-delivers reconciled messages, applies the membership change or delivers
+// the user payload, notifies local members, and ends the flush. Caller holds
+// d.mu.
+func (d *Daemon) applyGbCommitLocked(p *msg.Message) {
 	gid := p.GetAddress(fGroup).Base()
 	kind := p.GetInt(fKind, 0)
 	newView := decodeView(p.GetMessage(fView))
@@ -466,8 +426,6 @@ func (d *Daemon) applyGbCommit(from addr.SiteID, p *msg.Message) {
 	sealReq := p.GetInt(fSealReq, 0)
 	sealOutcome := p.GetInt(fOutcome, 0)
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	gs, hosted := d.groups[gid]
 	switch {
 	case kind == gbNonPrimary:
@@ -881,25 +839,20 @@ func (d *Daemon) shipStateLocked(gs *groupState, joiners []addr.Address) {
 // from the original provider's stragglers. Runs on the providing member's
 // task queue.
 func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provider func() [][]byte, xferID uint64) {
-	var blocks [][]byte
+	blocks := [][]byte{nil} // an empty state is one final block with no data
 	if provider != nil {
-		blocks = provider()
+		if b := provider(); len(b) > 0 {
+			blocks = b
+		}
 	}
 	for _, j := range joiners {
-		if len(blocks) == 0 {
-			pkt := msg.NewSized(4)
-			pkt.PutAddress(fGroup, gid)
-			pkt.PutAddress(fSender, j)
-			pkt.PutInt(fStateLast, 1)
-			pkt.PutInt(fXferID, int64(xferID))
-			_ = d.sendPacket(j.Site, ptStateBlock, pkt)
-			continue
-		}
 		for i, b := range blocks {
 			pkt := msg.NewSized(5)
 			pkt.PutAddress(fGroup, gid)
 			pkt.PutAddress(fSender, j)
-			pkt.PutBytes(fStateData, b)
+			if b != nil {
+				pkt.PutBytes(fStateData, b)
+			}
 			if i == len(blocks)-1 {
 				pkt.PutInt(fStateLast, 1)
 			}
@@ -909,23 +862,21 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	}
 }
 
-// handleStateBlock buffers a state-transfer block for a joining member and,
-// on the final block, delivers the complete state to the receiver, releases
-// the deliveries held while the transfer was in progress, and announces the
-// completion so no site re-triggers the transfer. Buffering until the final
-// block (rather than streaming) is what makes provider fail-over safe: a
-// transfer restarted by the new oldest member simply discards the dead
-// provider's partial buffer instead of handing the application a mix of two
-// providers' blocks.
-func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
+// handleStateBlockLocked buffers a state-transfer block for a joining member
+// and, on the final block, delivers the complete state to the receiver,
+// releases the deliveries held while the transfer was in progress, and
+// announces the completion so no site re-triggers the transfer. Buffering
+// until the final block (rather than streaming) is what makes provider
+// fail-over safe: a transfer restarted by the new oldest member simply
+// discards the dead provider's partial buffer instead of handing the
+// application a mix of two providers' blocks. Caller holds d.mu.
+func (d *Daemon) handleStateBlockLocked(p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	target := p.GetAddress(fSender)
 	data := p.GetBytes(fStateData) // the one copy: the StateReceiver may write into it
 	last := p.GetInt(fStateLast, 0) == 1
 	xid := uint64(p.GetInt(fXferID, 0))
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	gs, ok := d.groups[gid.Base()]
 	if !ok {
 		return
@@ -983,47 +934,44 @@ func (d *Daemon) handleStateBlock(from addr.SiteID, p *msg.Message) {
 	}
 }
 
-// handleStateAck records that a joiner's state transfer completed, so this
-// site will not re-trigger it if it later hosts the new oldest member.
-func (d *Daemon) handleStateAck(from addr.SiteID, p *msg.Message) {
+// handleStateAckLocked records that a joiner's state transfer completed, so
+// this site will not re-trigger it if it later hosts the new oldest member.
+// Caller holds d.mu.
+func (d *Daemon) handleStateAckLocked(p *msg.Message) {
 	gid := p.GetAddress(fGroup)
 	joiner := p.GetAddress(fSender)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if gs, ok := d.groups[gid.Base()]; ok {
 		delete(gs.pendingXfer, joiner.Base())
 	}
 }
 
-// enterNonPrimary puts this partition's copy of a group into read-only
-// non-primary mode after a failed majority check, and tells the member sites
-// whose acks it holds to do the same. The gbNonPrimary notice ends the flush
-// (held reads drain) without installing a view.
-func (d *Daemon) enterNonPrimary(gid addr.Address, acks map[addr.SiteID]prepareAck) {
-	notice := msg.New()
-	notice.PutAddress(fGroup, gid)
-	notice.PutInt(fKind, gbNonPrimary)
-	if raw, err := encodePacket(ptGbCommit, notice); err == nil {
-		d.fanoutRaw(slices.Collect(maps.Keys(acks)), raw)
-	}
-	d.applyGbCommit(d.site, notice)
-}
-
-// handleSiteFailure reacts to the failure detector declaring a site dead:
-// ABCASTs waiting on its proposals complete without it, and if this daemon
-// hosts the acting coordinator of a group with members at the dead site, it
-// initiates their removal. When the dead site hosted the group's previous
-// acting coordinator, the removal is forced: the old coordinator may have
-// died mid-flush — members wedged by its prepare, its commit delivered to
-// only some of them, its gbQueue lost — so the successor must re-run the
+// handleSiteFailure reacts to the failure detector declaring a site dead.
+// Calls in flight to it are aborted first, so their callers (coordinator
+// requests, lookups) re-route to a successor instead of waiting out the call
+// timeout. ABCASTs waiting on its proposals complete without it, and if this
+// daemon hosts the acting coordinator of a group with members at the dead
+// site, it initiates their removal. When the dead site hosted the group's
+// previous acting coordinator, the removal is forced: the old coordinator may
+// have died mid-flush — members wedged by its prepare, its commit delivered
+// to only some of them, its gbQueue lost — so the successor must re-run the
 // full wedge/flush even if the membership change itself turns out to be a
 // no-op at this site. Requests orphaned at the dead coordinator are
 // re-submitted by their requesters (coordinatorCall retries with a stable
-// request id once failCallsTo aborts the in-flight exchange), and the
-// commit-time dedupe keeps re-execution idempotent.
+// request id once the in-flight exchange is aborted), and the commit-time
+// dedupe keeps re-execution idempotent.
 func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.suspected[s] = true
+	d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: s})
+	for _, c := range d.calls {
+		if c.site == s {
+			select {
+			case c.ch <- errorResp(errSiteFailed):
+			default:
+			}
+		}
+	}
 	for _, st := range d.pendingAb {
 		if st.proposalInLocked(s) {
 			d.completeAbcastLocked(st)

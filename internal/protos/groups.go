@@ -104,16 +104,11 @@ func (d *Daemon) Lookup(name string) (addr.Address, error) {
 	return view.Group, nil
 }
 
-// refreshView fetches a fresh copy of a group's view from the sites that
-// host it. Used when a cached view appears stale (e.g. its coordinator has
-// stopped responding).
-func (d *Daemon) refreshView(gid addr.Address) (core.View, error) {
-	return d.lookupRemote("", gid)
-}
-
 // RefreshGroupView returns the group's current view, bypassing any cached
-// copy when the group is not hosted locally. Reply collection uses it to
-// notice that destinations have failed while the caller was waiting.
+// copy when the group is not hosted locally: it asks the sites that host it.
+// Reply collection uses it to notice that destinations have failed while the
+// caller was waiting, and the daemon when a cached view appears stale (e.g.
+// its coordinator has stopped responding).
 func (d *Daemon) RefreshGroupView(gid addr.Address) (core.View, error) {
 	d.mu.Lock()
 	if gs, ok := d.groups[gid.Base()]; ok {
@@ -154,7 +149,8 @@ func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) 
 // every other attached site and feeds the answers to each, as they arrive,
 // until each reports it has seen enough, every site asked has answered, or
 // CallTimeout passes (ErrTimeout: the caller decides whether what arrived
-// is enough). It also returns how many sites it could ask.
+// is enough) or the daemon closes. It also returns how many sites it could
+// ask.
 func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Message) (done bool)) (asked int, err error) {
 	callID, ch := d.newCall(0)
 	defer d.dropCall(callID)
@@ -183,13 +179,12 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Me
 	}
 	deadline := time.After(d.cfg.CallTimeout)
 	for answers := 0; answers < asked; answers++ {
-		select {
-		case resp := <-ch:
-			if each(resp) {
-				return asked, nil
-			}
-		case <-deadline:
-			return asked, ErrTimeout
+		resp, err := d.await(ch, deadline)
+		if err != nil {
+			return asked, err
+		}
+		if each(resp) {
+			return asked, nil
 		}
 	}
 	return asked, nil
@@ -211,16 +206,14 @@ func (d *Daemon) cacheRemoteViewLocked(v core.View) {
 	}
 }
 
-// handleLookup answers a name/gid lookup from another site. The response
+// handleLookupLocked answers a name/gid lookup from another site. The response
 // carries whether this site's copy of the group is primary, so the merge
-// protocol can tell the primary partition apart from a fellow minority.
-func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
+// protocol can tell the primary partition apart from a fellow minority. Caller
+// holds d.mu.
+func (d *Daemon) handleLookupLocked(from addr.SiteID, p *msg.Message) {
 	name := p.GetString(fName, "")
 	gid := p.GetAddress(fGroup)
 	resp := msg.New()
-	resp.PutInt(fCall, p.GetInt(fCall, 0))
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var found *core.View
 	primary := false
 	if !gid.IsNil() {
@@ -250,7 +243,7 @@ func (d *Daemon) handleLookup(from addr.SiteID, p *msg.Message) {
 	} else {
 		resp.PutInt(fFound, 0)
 	}
-	_ = d.sendPacket(from, ptLookupResp, resp)
+	d.answerLocked(from, p.GetInt(fCall, 0), ptLookupResp, resp)
 }
 
 // JoinOptions configures a Join call.
@@ -421,7 +414,7 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 	for attempt := 0; attempt < 4; attempt++ {
 		view, ok := d.CurrentView(gid)
 		if !ok || view.Size() == 0 {
-			if v, err := d.refreshView(gid); err == nil {
+			if v, err := d.RefreshGroupView(gid); err == nil {
 				view = v
 			} else {
 				lastErr = err
@@ -437,32 +430,22 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if coord.Site == d.site {
-			// Execute locally: enqueue the work and wait for completion.
-			resp, err := d.localGbRequest(gid, req)
-			if err == nil {
-				d.noteRequest(rid, gid, reqCommitted)
-				return resp, nil
-			}
-			lastErr = err
-		} else {
-			resp, err := d.call(coord.Site, ptGbRequest, req)
-			if err == nil {
-				d.noteRequest(rid, gid, reqCommitted)
-				return resp, nil
-			}
-			lastErr = err
-			// The coordinator may have failed: force a view refresh next
-			// time round.
-			d.mu.Lock()
-			delete(d.remoteViews, gid.Base())
-			d.mu.Unlock()
+		resp, err := d.call(coord.Site, ptGbRequest, req)
+		if err == nil {
+			d.noteRequest(rid, gid, reqCommitted)
+			return resp, nil
 		}
-		if errors.Is(lastErr, ErrNonPrimary) {
+		lastErr = err
+		// The coordinator may have failed: force a view refresh next time
+		// round.
+		d.mu.Lock()
+		delete(d.remoteViews, gid.Base())
+		d.mu.Unlock()
+		if errors.Is(err, ErrNonPrimary) {
 			// The coordinator is wedged in a minority partition; retrying
 			// the same partition cannot succeed until the merge runs.
 			d.noteRequest(rid, gid, reqGaveUp)
-			return nil, lastErr
+			return nil, err
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

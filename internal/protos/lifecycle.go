@@ -129,8 +129,9 @@ type heldPacket struct {
 	commit abRecord
 }
 
-// parked is the work a flush holds back at one group copy: data packets and
-// ABCAST commits that arrived, and ABCAST rounds this site initiated whose
+// parked is the work a flush holds back at one group copy: data packets (a
+// relay this site asked of itself among them) and ABCAST commits that arrived,
+// and ABCAST rounds this site initiated whose
 // completion came due (a packet handler, the scan tick and the failure handler
 // finish in one hold of d.mu and may not wait). step feeds it all back in when
 // the flush ends.

@@ -10,6 +10,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"slices"
 	"strings"
@@ -212,11 +213,14 @@ func TestPhaseHasOneWriter(t *testing.T) {
 }
 
 // TestOneLockHoldPerStep parses the package and pins how a protocol step uses
-// the daemon mutex: a packet handler, the scan tick and the failure handler
-// take it once and let go only by returning, so whatever they decide they send,
-// deliver and publish before any other step runs; nothing that is handed the
-// lock gives it up; the send path starts no goroutine; and what a flush parked
-// is taken up again by the transition that ends the flush, nowhere else.
+// the daemon mutex: handleTransport takes it once for every packet and lets go
+// only by returning, and so do the scan tick and the failure handler, so
+// whatever they decide they send, deliver and publish before any other step
+// runs; everything a packet is dispatched to is handed the lock, and nothing
+// that is handed the lock gives it up or waits out a flush; a call's answer is
+// read in one place; the send path starts no goroutine; and what a flush
+// parked is taken up again by the transition that ends the flush, nowhere
+// else.
 func TestOneLockHoldPerStep(t *testing.T) {
 	fset, files := parsePackage(t)
 	// muCall reports whether n is the call d.mu.<method>().
@@ -256,6 +260,9 @@ func TestOneLockHoldPerStep(t *testing.T) {
 	// daemonCalls lists the methods a function calls on d itself.
 	daemonCalls := func(fn *ast.FuncDecl) []string {
 		var names []string
+		if fn == nil {
+			return nil
+		}
 		ast.Inspect(fn, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
@@ -278,14 +285,30 @@ func TestOneLockHoldPerStep(t *testing.T) {
 			return true
 		})
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				funcs[fn.Name.Name] = fn
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
 			}
+			funcs[fn.Name.Name] = fn
+			// A call's answer is read by await alone: elsewhere the only channels
+			// received from are the stop signal, a ticker and New's start gate.
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW && fn.Name.Name != "await" {
+					if ch := types.ExprString(u.X); ch != "d.stopScan" && ch != "t.C" && ch != "whole" {
+						t.Errorf("%s: %s receives from %s; only await reads a call's answer", fset.Position(u.Pos()), fn.Name.Name, ch)
+					}
+				}
+				return true
+			})
 		}
 	}
 	for name, fn := range funcs {
-		if locks, unlocks, _ := muUse(fn); strings.HasSuffix(name, "Locked") && locks+unlocks > 0 {
+		locked := strings.HasSuffix(name, "Locked")
+		if locks, unlocks, _ := muUse(fn); locked && locks+unlocks > 0 {
 			t.Errorf("%s is handed d.mu and locks or unlocks it", name)
+		}
+		if locked && slices.Contains(daemonCalls(fn), "settledGroupLocked") {
+			t.Errorf("%s is handed d.mu and waits out a flush with it (settledGroupLocked)", name)
 		}
 		if name != "step" && slices.Contains(daemonCalls(fn), "refeedLocked") {
 			t.Errorf("%s calls refeedLocked: only step may", name)
@@ -295,15 +318,20 @@ func TestOneLockHoldPerStep(t *testing.T) {
 		t.Error("step must return nothing and re-feed what the flush parked itself")
 	}
 
-	steps := append(daemonCalls(funcs["handleTransport"]), "resolicitStragglers", "handleSiteFailure")
-	if len(steps) < 12 {
-		t.Fatalf("found only %v: the check is not looking at handleTransport's dispatch", steps)
+	// handleTransport holds d.mu once for every packet, by defer, and
+	// dispatches — itself, and through the message switch a site's own
+	// requests share — only to handlers that are handed the lock.
+	handlers := append(daemonCalls(funcs["handleTransport"]), daemonCalls(funcs["handleMessageLocked"])...)
+	if len(handlers) < 12 {
+		t.Fatalf("found only %v: the check is not looking at handleTransport's dispatch", handlers)
 	}
-	for _, name := range steps {
-		// A handler that names no lock at all (handleGbRequest) only queues
-		// work: its step is the one hold of the function it hands to.
-		locks, unlocks, deferred := muUse(funcs[name])
-		if locks+unlocks > 0 && (locks != 1 || unlocks != 1 || deferred != 1) {
+	for _, name := range handlers {
+		if !strings.HasSuffix(name, "Locked") {
+			t.Errorf("a packet is dispatched to %s, which is not handed d.mu", name)
+		}
+	}
+	for _, name := range []string{"handleTransport", "resolicitStragglers", "handleSiteFailure"} {
+		if locks, unlocks, deferred := muUse(funcs[name]); locks != 1 || unlocks != 1 || deferred != 1 {
 			t.Errorf("%s: %d d.mu.Lock(), %d d.mu.Unlock(), %d deferred; a step locks once and unlocks by defer", name, locks, unlocks, deferred)
 		}
 	}

@@ -188,13 +188,6 @@ func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, p
 	return d.sendRaw(h.caller.Site, raw)
 }
 
-// handleReply delivers a reply that arrived from another site.
-func (d *Daemon) handleReply(h replyHeader, body *msg.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.deliverReplyLocked(h, body)
-}
-
 // deliverReplyLocked puts on a reply the system fields its header stands for
 // and queues it, as the delivery itself, behind what the caller's process was
 // delivered before; that process finds the waiting Cast by session. Caller holds d.mu.
@@ -289,7 +282,7 @@ func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, pkt *da
 func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, proto Protocol, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) error {
 	view, ok := d.CurrentView(gid)
 	if !ok {
-		v, err := d.refreshView(gid)
+		v, err := d.RefreshGroupView(gid)
 		if err != nil {
 			return err
 		}
@@ -323,7 +316,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 		if errors.Is(err, ErrUnknownGroup) && attempt == 0 {
 			// The cached view is stale: the addressed site no longer hosts
 			// the group. Refresh from the sites that do and retry once.
-			if v, rerr := d.refreshView(gid); rerr == nil {
+			if v, rerr := d.RefreshGroupView(gid); rerr == nil {
 				view = v
 				continue
 			}
@@ -332,38 +325,35 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 	}
 }
 
-// relayCall ships a relayed multicast to the coordinator site and waits for
+// relayCall ships a relayed multicast to the coordinator site — or, when that
+// is this site, hands it to the same handler a peer's goes to — and waits for
 // its acknowledgement, which for a CBCAST carries the stamp it was sent with.
-// A remote relay parked by a flush counts as accepted — it is re-fed when the
-// flush ends and acknowledged then. A local relay instead waits the flush out
-// (mirroring the member send path): if the caller were told "accepted" while
-// the packet sat parked and the flush then left the copy non-primary, the
-// refusal would have nobody to report to. A relay refused as early is asked
-// again, for as long as one call may take.
+// A relay parked by a flush is acknowledged when the flush re-feeds it, so the
+// caller learns the post-flush outcome, a refusal by a copy the flush left
+// non-primary included. A relay refused as early is asked again, for as long
+// as one call may take.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
 	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
-		var stamp relayStamp
+		id, ch := d.newCall(site)
+		pkt.call = id
 		var err error
 		if site == d.site {
 			d.mu.Lock()
-			stamp, err = d.relayMulticastLocked(d.site, pkt, false)
+			d.handleDataLocked(site, pkt)
 			d.mu.Unlock()
-		} else {
-			var ch chan *msg.Message
-			pkt.call, ch = d.newCall(site)
-			if err = pkt.encode(); err == nil {
-				err = d.sendRaw(site, pkt.raw)
-			}
-			if err == nil {
-				var resp *msg.Message
-				if resp, err = d.await(ch); err == nil {
-					stamp = getStamp(resp)
-				}
-			}
-			d.dropCall(pkt.call)
+		} else if err = pkt.encode(); err == nil {
+			err = d.sendRaw(site, pkt.raw)
+		}
+		var resp *msg.Message
+		if err == nil {
+			resp, err = d.await(ch, time.After(d.cfg.CallTimeout))
+		}
+		d.dropCall(id)
+		if err == nil {
+			return getStamp(resp), nil
 		}
 		if !errors.Is(err, errRelayEarly) {
-			return stamp, err
+			return relayStamp{}, err
 		}
 		if !time.Now().Before(deadline) {
 			return relayStamp{}, ErrTimeout
@@ -373,30 +363,22 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error
 
 // relayMulticastLocked runs at the coordinator site: it fans an external sender's
 // multicast out to the group using the current view. A refusal is returned
-// to the caller (and, for a relay that arrived over the wire, acknowledged
-// back to the sending daemon by handleDataLocked) instead of silently dropping
-// the message: ErrUnknownGroup when this site does not host the group — the
-// sender's cached view was stale — and ErrNonPrimary when this copy is
-// stranded read-only in a minority partition and must not fan anything out
-// under its stale (possibly split-brain) view. While the group is flushing,
-// a relay with park set is parked to be re-fed after the flush and
-// errRelayHeld returned (the remote-relay path, a packet handler that may not
-// wait, whose acknowledgement is deferred with the packet); without park the
-// call waits the flush out (the local path, which must see the post-flush
-// outcome itself). A CBCAST's stamp is returned for the acknowledgement.
-// Caller holds d.mu, which only that wait releases.
-func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket, park bool) (relayStamp, error) {
-	gid := pkt.group.Base()
-	if gs := d.groups[gid]; park && gs != nil && gs.phase == phaseFlushing {
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
-		return relayStamp{}, errRelayHeld
-	}
-	gs, err := d.settledGroupLocked(gid)
+// (and acknowledged back to the sending daemon by handleDataLocked) instead of
+// silently dropping the message: ErrUnknownGroup when this site does not host
+// the group — the sender's cached view was stale — and ErrNonPrimary when this
+// copy is stranded read-only in a minority partition and must not fan anything
+// out under its stale (possibly split-brain) view. While the group is
+// flushing, the relay is parked to be re-fed after the flush and errRelayHeld
+// returned: its acknowledgement is deferred with the packet. A CBCAST's stamp
+// is returned for the acknowledgement. Caller holds d.mu.
+func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayStamp, error) {
+	gs := d.groups[pkt.group.Base()]
 	switch {
-	case err != nil:
-		return relayStamp{}, err
 	case gs == nil:
 		return relayStamp{}, ErrUnknownGroup
+	case gs.phase == phaseFlushing:
+		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
+		return relayStamp{}, errRelayHeld
 	case !gs.phase.primary():
 		return relayStamp{}, ErrNonPrimary
 	}
@@ -515,14 +497,12 @@ func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
 	return false
 }
 
-// handleAbPropose processes a phase-1 response at the initiator. Proposals
-// carry the attempt number of the phase-1 packet they answer; a response to
-// a previous attempt (sent before a GBCAST flush fenced and restarted the
-// ABCAST) is ignored, so the final priority is always the maximum over one
-// coherent proposal round.
-func (d *Daemon) handleAbPropose(from addr.SiteID, r abRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// handleAbProposeLocked processes a phase-1 response at the initiator.
+// Proposals carry the attempt number of the phase-1 packet they answer; a
+// response to a previous attempt (sent before a GBCAST flush fenced and
+// restarted the ABCAST) is ignored, so the final priority is always the
+// maximum over one coherent proposal round. Caller holds d.mu.
+func (d *Daemon) handleAbProposeLocked(from addr.SiteID, r abRecord) {
 	st, ok := d.pendingAb[r.id]
 	if !ok || r.attempt != st.packet.attempt {
 		return
@@ -579,15 +559,9 @@ func (d *Daemon) completeAbcastLocked(st *abSendState) {
 	}
 }
 
-// handleAbCommit applies an ABCAST final priority at a destination site.
-func (d *Daemon) handleAbCommit(from addr.SiteID, r abRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.handleAbCommitLocked(from, r)
-}
-
-// handleAbCommitLocked is handleAbCommit for a commit just arrived or re-fed
-// by the flush that parked it. Caller holds d.mu.
+// handleAbCommitLocked applies an ABCAST final priority at a destination site,
+// a commit just arrived or re-fed by the flush that parked it. Caller holds
+// d.mu.
 func (d *Daemon) handleAbCommitLocked(from addr.SiteID, r abRecord) {
 	gs, ok := d.groups[r.group.Base()]
 	switch {
@@ -629,15 +603,13 @@ func (d *Daemon) recordAbDoneLocked(id core.MsgID, final uint64) {
 	}
 }
 
-// handleAbResolicit answers a member site stuck behind an uncommitted
+// handleAbResolicitLocked answers a member site stuck behind an uncommitted
 // straggler at the head of its total-order queue: if this site has applied
 // the commit (or completed the protocol as its initiator), it re-sends the
 // commit record. While the protocol is genuinely still in progress the
 // request is ignored — the commit will arrive on its own — and an unknown id
-// is left for the next GBCAST flush to resolve.
-func (d *Daemon) handleAbResolicit(from addr.SiteID, r abRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// is left for the next GBCAST flush to resolve. Caller holds d.mu.
+func (d *Daemon) handleAbResolicitLocked(from addr.SiteID, r abRecord) {
 	if final, done := d.abDone.Get(r.id); done {
 		_ = d.sendRaw(from, abRecord{group: r.group.Base(), id: r.id, prio: final}.encode(ptAbCommit))
 	}
@@ -652,18 +624,11 @@ func (d *Daemon) handleAbResolicit(from addr.SiteID, r abRecord) {
 // stalls the copy until the next flush.
 //
 // Its tick is also the daemon's one clock: the deadlines of ABCAST rounds and
-// open flushes are read on it (no timer is armed for either), and the repair
-// table is kicked.
+// open flushes are read on it (no timer is armed for either), and a parked
+// rejoin is retried at its period.
 func (d *Daemon) runResolicitScan() {
 	defer d.wg.Done()
-	interval := d.cfg.ResolicitAfter / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	if interval > 250*time.Millisecond {
-		interval = 250 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(d.scanInterval())
 	defer t.Stop()
 	for {
 		select {
@@ -671,9 +636,13 @@ func (d *Daemon) runResolicitScan() {
 			return
 		case <-t.C:
 			d.resolicitStragglers()
-			d.repairs.kick()
 		}
 	}
+}
+
+// scanInterval is the scan tick's period: ResolicitAfter/4, within 1 to 250 ms.
+func (d *Daemon) scanInterval() time.Duration {
+	return min(max(d.cfg.ResolicitAfter/4, time.Millisecond), 250*time.Millisecond)
 }
 
 // resolicitStragglers performs one scan round of runResolicitScan. Besides
@@ -776,14 +745,14 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	if callID := pkt.call; callID != 0 {
 		// Acknowledge the relay (it clears pkt.call) so the sender's daemon learns
 		// its fate; a held relay is acknowledged when the flush re-feeds it.
-		switch stamp, err := d.relayMulticastLocked(from, pkt, true); {
+		switch stamp, err := d.relayMulticastLocked(from, pkt); {
 		case errors.Is(err, errRelayHeld):
 		case err != nil:
-			d.replyError(from, callID, err.Error())
+			d.answerLocked(from, callID, ptError, errorResp(err))
 		default:
-			ack := msg.New().PutInt(fCall, callID)
+			ack := msg.New()
 			putStamp(ack, stamp)
-			_ = d.sendPacket(from, ptRelayAck, ack)
+			d.answerLocked(from, callID, ptRelayAck, ack)
 		}
 		return
 	}

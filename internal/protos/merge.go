@@ -204,16 +204,41 @@ func (d *Daemon) rejoinMember(gid, proc addr.Address, recv func(block []byte, la
 }
 
 // rejoinOrPark rejoins one member and, if the rejoin exhausts its retries,
-// parks it as a repair: the local copy is gone (a merge discarded it, or a
-// failure view wrongly removed the member), so without parking this live
-// process would stay unhosted until an application-level intervention.
-// Recovery events and the periodic scan re-attempt parked rejoins.
+// parks it: the local copy is gone (a merge discarded it, or a failure view
+// wrongly removed the member), so without parking this live process would
+// stay unhosted until an application-level intervention. A member parked
+// anew gets one goroutine, which retries the rejoin at the scan tick's period
+// until it is done or moot, or the daemon closes; whichever ends it unparks
+// the member in the hold that decides it.
 func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
 	err := d.rejoinMember(gid, proc, recv, listed)
-	if err != nil {
-		gid, proc := gid.Base(), proc.Base()
-		d.bus.Publish(events.Event{Kind: events.MergePark, Group: gid, Detail: proc.String()})
-		d.repairs.add(repairKey{gid: gid, proc: proc}, func() bool { return d.retryRejoin(gid, proc, recv) })
+	if err == nil {
+		return nil
+	}
+	k := joinKey{gid.Base(), proc.Base()}
+	d.bus.Publish(events.Event{Kind: events.MergePark, Group: k.gid, Detail: k.joiner.String()})
+	d.mu.Lock()
+	filed := d.parked[k]
+	d.parked[k] = true
+	d.mu.Unlock()
+	if !filed {
+		go func() {
+			t := time.NewTicker(d.scanInterval())
+			defer t.Stop()
+			for {
+				select {
+				case <-d.stopScan:
+					d.mu.Lock()
+					delete(d.parked, k)
+					d.mu.Unlock()
+					return
+				case <-t.C:
+				}
+				if d.retryRejoin(k, recv) {
+					return
+				}
+			}
+		}()
 	}
 	return err
 }
@@ -221,8 +246,10 @@ func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, la
 // PendingMerges returns the groups with members parked after a failed merge
 // rejoin, awaiting the automatic retry.
 func (d *Daemon) PendingMerges() []addr.Address {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var gids []addr.Address
-	for _, k := range d.repairs.filed() {
+	for k := range d.parked {
 		if !slices.Contains(gids, k.gid) {
 			gids = append(gids, k.gid)
 		}
@@ -230,13 +257,16 @@ func (d *Daemon) PendingMerges() []addr.Address {
 	return gids
 }
 
-// retryRejoin is the repair attempt of a parked rejoin. It reports whether
-// the entry is resolved: rejoined, already hosted, or moot.
-func (d *Daemon) retryRejoin(gid, proc addr.Address, recv func(block []byte, last bool)) (done bool) {
+// retryRejoin is one retry of a parked rejoin. It reports whether the member
+// left the parked set — rejoined, already hosted, or moot — and unparks it
+// then.
+func (d *Daemon) retryRejoin(k joinKey, recv func(block []byte, last bool)) (done bool) {
+	gid, proc := k.gid, k.joiner
 	d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: gid, Detail: proc.String()})
 	d.mu.Lock()
 	if lp, ok := d.procs[proc]; !ok || !lp.alive {
 		// The process died while parked; its membership died with it.
+		delete(d.parked, k)
 		d.mu.Unlock()
 		return true
 	}
@@ -244,6 +274,7 @@ func (d *Daemon) retryRejoin(gid, proc addr.Address, recv func(block []byte, las
 		if _, member := gs.members[proc]; member {
 			// Hosted again — an earlier retry or an application-level join
 			// got there first.
+			delete(d.parked, k)
 			d.mu.Unlock()
 			return true
 		}
@@ -253,15 +284,23 @@ func (d *Daemon) retryRejoin(gid, proc addr.Address, recv func(block []byte, las
 	// The membership listing must be re-evaluated against the primary's
 	// current view: the removal that was pending at park time may have
 	// committed (or not) since.
-	view, err := d.refreshView(gid)
+	view, err := d.RefreshGroupView(gid)
 	if err != nil {
 		return false
 	}
 	if err := d.rejoinMember(gid, proc, recv, view.Contains(proc)); err != nil {
 		return false
 	}
-	stillParked := func(k repairKey) bool { return k.gid == gid && k.proc != proc }
-	if !slices.ContainsFunc(d.repairs.filed(), stillParked) {
+	// Unpark and look for the group's other parked members in one hold: two
+	// of them rejoining together must not each find the other still parked.
+	d.mu.Lock()
+	delete(d.parked, k)
+	last := true
+	for o := range d.parked {
+		last = last && o.gid != gid
+	}
+	d.mu.Unlock()
+	if last {
 		// The group's merge is finally whole: deliver the primary-status
 		// transition the original merge withheld while rejoins failed.
 		d.notifyPrimary(gid, true)
@@ -356,10 +395,7 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 	notice.PutAddress(fGroup, gid)
 	notice.PutInt(fKind, gbResume)
 	notice.PutMessage(fView, encodeView(staleView))
-	if raw, err := encodePacket(ptGbCommit, notice); err == nil {
-		d.fanoutRaw(slices.Collect(maps.Keys(wedged)), raw)
-	}
-	d.applyGbCommit(d.site, notice)
+	d.commitGb(slices.Collect(maps.Keys(wedged)), notice)
 
 	var unreached []addr.Address
 	for _, m := range staleView.Members {

@@ -9,11 +9,14 @@ package protos
 // itself once a recovery event or scan tick finds the primary again.
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/events"
+	"repro/internal/fdetect"
 	"repro/internal/msg"
 	"repro/internal/simnet"
 )
@@ -78,6 +81,110 @@ func TestMergeRejoinExhaustionParksAndRetries(t *testing.T) {
 	})
 }
 
+// TestParkedRejoinHasOneRetrierThatStopsAtClose parks members at once — their
+// group is hosted nowhere, so every rejoin fails — and watches the parked set.
+// A member parked twice at the same moment gets one retrier: its process is
+// dead, so the first retry finds the parking moot (one MergeRetry) and unparks
+// it. A live member is retried until the daemon closes; then its retrier stops
+// and unparks it too.
+func TestParkedRejoinHasOneRetrierThatStopsAtClose(t *testing.T) {
+	tc := newFaultCluster(t, 1, simnet.FastConfig(), time.Second, fdetect.Config{})
+	d := tc.daemons[1]
+	gid := addr.NewGroup(9, 0, 1)
+	dead, live := tc.newProc(1), tc.newProc(1)
+	retries, cancel := d.Events(events.Filter{Kinds: []events.Kind{events.MergeRetry}}, 0)
+	defer cancel()
+	if err := d.KillProcess(dead.addr); err != nil {
+		t.Fatal(err)
+	}
+	// The three rejoins fail within a few milliseconds of each other, well
+	// inside the 250 ms the first retry waits (the scan tick's period).
+	var wg sync.WaitGroup
+	for _, p := range []addr.Address{dead.addr, dead.addr, live.addr} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := d.rejoinOrPark(gid, p, nil, false); err == nil {
+				t.Errorf("%v rejoined a group nobody hosts", p)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := d.PendingMerges(); len(got) != 1 || got[0] != gid {
+		t.Fatalf("PendingMerges = %v with the live member parked, want [%v]", got, gid)
+	}
+	parked := func(p addr.Address) func() bool {
+		return func() bool {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return d.parked[joinKey{gid, p}]
+		}
+	}
+	waitFor(t, "the dead member's moot parking to end", 5*time.Second, func() bool { return !parked(dead.addr)() })
+	if !parked(live.addr)() {
+		t.Fatal("the live member left the parked set with its rejoin still failing")
+	}
+	d.Close()
+	waitFor(t, "the live member's retrier to stop at Close", 5*time.Second, func() bool { return len(d.PendingMerges()) == 0 })
+	n := 0
+	for ev := range retries { // Close closed the stream
+		if ev.Detail == dead.addr.String() {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("the member parked twice was retried %d times, want once by one retrier", n)
+	}
+}
+
+// TestParkedMembersRejoiningTogetherReportOnce parks two live members of one
+// group and retries both at once, as two retriers parked at the same moment
+// do on the same tick. Both rejoins succeed; the group's merge is whole once,
+// so exactly one PrimaryResumed is published. Each retry used to look for the
+// group's other parked members before its retrier unparked its own, so two
+// finishing together each found the other and neither reported it.
+func TestParkedMembersRejoiningTogetherReportOnce(t *testing.T) {
+	tc := newFaultCluster(t, 2, simnet.FastConfig(), time.Second, fdetect.Config{})
+	creator := tc.newProc(1)
+	view, err := tc.daemons[1].CreateGroup(creator.addr, "whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gid := view.Group
+	d := tc.daemons[2]
+	members := []addr.Address{tc.newProc(2).addr, tc.newProc(2).addr}
+	resumed, cancel := d.Events(events.Filter{Kinds: []events.Kind{events.PrimaryResumed}}, 0)
+	defer cancel()
+	d.mu.Lock()
+	for _, p := range members {
+		d.parked[joinKey{gid, p}] = true
+	}
+	d.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for _, p := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !d.retryRejoin(joinKey{gid, p}, nil) {
+				t.Errorf("the retry of %v did not rejoin it", p)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := d.PendingMerges(); len(got) != 0 {
+		t.Fatalf("PendingMerges = %v after both rejoins, want none", got)
+	}
+	d.Close()
+	n := 0
+	for range resumed { // Close closed the stream
+		n++
+	}
+	if n != 1 {
+		t.Errorf("the merge was reported whole %d times, want once", n)
+	}
+}
+
 // TestStaleCommitAfterMergeDropIsIgnored pins a merge race: a pre-partition
 // view commit, retransmitted across the heal, reaches the minority site after
 // the merge has discarded its group copy and cached the primary's (newer)
@@ -117,12 +224,12 @@ func TestStaleCommitAfterMergeDropIsIgnored(t *testing.T) {
 	d.mu.Unlock()
 
 	// View 6 removed somebody else and still lists our member.
-	d.applyGbCommit(1, commit(view(6, other, p.addr), gbFail, addr.NewProcess(1, 0, 9)))
+	d.handleTransport(1, encoded(t, ptGbCommit, commit(view(6, other, p.addr), gbFail, addr.NewProcess(1, 0, 9))))
 	if hosted() {
 		t.Fatal("a commit older than the known primary view was installed")
 	}
 	// The merge's own join commit is newer and must land.
-	d.applyGbCommit(1, commit(view(8, other, p.addr), gbJoin, p.addr))
+	d.handleTransport(1, encoded(t, ptGbCommit, commit(view(8, other, p.addr), gbJoin, p.addr)))
 	if !hosted() {
 		t.Fatal("the join commit that follows was not installed")
 	}

@@ -112,7 +112,7 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 			if proto == ABCAST {
 				// Site 3 cannot propose; its answer is supplied, and the commit
 				// joins phase 1 on the held link.
-				tc.daemons[2].handleAbPropose(3, abRecord{group: gid, id: id, prio: 1})
+				tc.daemons[2].handleTransport(3, abRecord{group: gid, id: id, prio: 1}.encode(ptAbPropose))
 			}
 			waitFor(t, "delivery at sites 1 and 2", 5*time.Second, func() bool {
 				return procs[0].numMsgs() == 1 && procs[1].numMsgs() == 1 && procs[2].numMsgs() == 1

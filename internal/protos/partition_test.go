@@ -129,7 +129,7 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	}
 
 	first := int64(77)<<32 | 1
-	if _, err := d1.localGbRequest(gid, mkReq(first, "hw-once")); err != nil {
+	if _, err := d1.call(d1.site, ptGbRequest, mkReq(first, "hw-once")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "first GBCAST delivery", 5*time.Second, func() bool {
@@ -140,13 +140,13 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	// history — land in between.
 	for k := 0; k < 300; k++ {
 		id := int64(100+k)<<32 | 1
-		if _, err := d1.localGbRequest(gid, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
+		if _, err := d1.call(d1.site, ptGbRequest, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
 			t.Fatalf("filler %d: %v", k, err)
 		}
 	}
 
 	// The slow retrier re-submits the committed request.
-	if _, err := d1.localGbRequest(gid, mkReq(first, "hw-once")); err != nil {
+	if _, err := d1.call(d1.site, ptGbRequest, mkReq(first, "hw-once")); err != nil {
 		t.Fatalf("re-submission: %v", err)
 	}
 	time.Sleep(200 * time.Millisecond)
@@ -286,7 +286,7 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 	prepare.PutInt(fGbID, 99)
 	prepare.PutInt(fCall, 4242)
 	begun := d3.EventStats().ByKind[events.FlushBegin]
-	d3.handleGbPrepare(1, prepare)
+	d3.handleTransport(1, encoded(t, ptGbPrepare, prepare))
 	if now := d3.EventStats().ByKind[events.FlushBegin]; now != begun {
 		t.Errorf("the prepare opened a flush at the non-primary copy (%d FlushBegin, then %d)", begun, now)
 	}
@@ -328,7 +328,7 @@ func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
 		n.PutAddress(fGroup, gid)
 		n.PutInt(fKind, kind)
 		n.PutMessage(fView, encodeView(view))
-		d3.applyGbCommit(1, n)
+		d3.handleTransport(1, encoded(t, ptGbCommit, n))
 	}
 
 	// The partition holds throughout: every survey reaches nobody, lasts

@@ -204,6 +204,17 @@ func dataPkt(tb testing.TB, proto Protocol, gid addr.Address, view core.ViewID, 
 	return p
 }
 
+// encoded builds the wire bytes of a message-bodied packet as a peer sends it:
+// tests feed them to handleTransport, the one way a packet enters a daemon.
+func encoded(tb testing.TB, pt byte, m *msg.Message) []byte {
+	tb.Helper()
+	raw, err := encodePacket(pt, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
 // buildGroup creates a group on site 1 and joins one member per additional
 // site, returning the members in rank order.
 func buildGroup(t *testing.T, tc *testCluster, name string, sites ...addr.SiteID) []*testProc {

@@ -327,10 +327,14 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 		{relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
 	} {
 		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, -1, body("m"))
-		pkt.call, pkt.after = 1, tt.after
-		d.mu.Lock()
-		_, err := d.relayMulticastLocked(9, pkt, true)
-		d.mu.Unlock()
+		id, ch := d.newCall(d.site)
+		pkt.call, pkt.after = id, tt.after
+		if err := pkt.encode(); err != nil {
+			t.Fatal(err)
+		}
+		d.handleTransport(d.site, pkt.raw) // answered as a request of this site's own
+		_, err := d.await(ch, time.After(time.Second))
+		d.dropCall(id)
 		if !errors.Is(err, tt.want) {
 			t.Errorf("stamp %+v: relay returned %v, want %v", tt.after, err, tt.want)
 		}

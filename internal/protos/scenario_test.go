@@ -429,7 +429,7 @@ func TestDuplicateGbCommitReplayIsStale(t *testing.T) {
 	commit.PutInt(fKind, gbJoin)
 	commit.PutAddressList(fProcs, addr.List{procs[1].addr})
 	commit.PutMessage(fView, encodeView(v))
-	d2.applyGbCommit(1, commit)
+	d2.handleTransport(1, encoded(t, ptGbCommit, commit))
 	time.Sleep(100 * time.Millisecond)
 	if got := procs[1].numViews(); got != before {
 		t.Errorf("replayed view commit re-notified the member: %d views -> %d", before, got)
@@ -442,8 +442,8 @@ func TestDuplicateGbCommitReplayIsStale(t *testing.T) {
 	uc.PutAddress(fSender, procs[0].addr)
 	uc.PutInt(fEntry, int64(addr.EntryUserBase))
 	uc.PutMessage(fPayload, body("once"))
-	d2.applyGbCommit(1, uc)
-	d2.applyGbCommit(1, uc.Clone())
+	d2.handleTransport(1, encoded(t, ptGbCommit, uc))
+	d2.handleTransport(1, encoded(t, ptGbCommit, uc))
 	waitFor(t, "user GBCAST payload", 2*time.Second, func() bool { return procs[1].got("once") })
 	time.Sleep(100 * time.Millisecond)
 	if n := countBody(procs[1], "once"); n != 1 {
@@ -479,14 +479,14 @@ func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 	commit.PutAddress(fGroup, gid)
 	commit.PutInt(fKind, gbUser)
 	commit.PutMessage(fRebcast, encodePendingReport(rec))
-	d2.applyGbCommit(1, commit)
+	d2.handleTransport(1, encoded(t, ptGbCommit, commit))
 	waitFor(t, "flush re-dissemination", 2*time.Second, func() bool {
 		return procs[1].got("exactly-once")
 	})
 
 	// The late commit for the still-pending entry must only advance the
 	// queue state, not deliver a second copy.
-	d2.handleAbCommit(1, abRecord{group: gid, id: id, prio: 9})
+	d2.handleTransport(1, abRecord{group: gid, id: id, prio: 9}.encode(ptAbCommit))
 	time.Sleep(100 * time.Millisecond)
 	if n := countBody(procs[1], "exactly-once"); n != 1 {
 		t.Errorf("member delivered the flushed ABCAST %d times, want exactly 1", n)

@@ -204,17 +204,6 @@ func (n *Network) Profile() netback.Profile {
 	return netback.Profile{MaxPacket: n.cfg.MaxPacket, Delay: n.cfg.InterSiteDelay}
 }
 
-// RemoveSite detaches a site, modelling a site crash. Packets already in
-// flight toward it are discarded at delivery time.
-func (n *Network) RemoveSite(id SiteID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ep, ok := n.endpoints[id]; ok {
-		ep.markClosed()
-		delete(n.endpoints, id)
-	}
-}
-
 // Sites returns the ids of currently attached sites.
 func (n *Network) Sites() []SiteID {
 	n.mu.Lock()

@@ -101,17 +101,17 @@ func TestSendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestRemoveSiteDiscardsInFlight(t *testing.T) {
+func TestDetachDiscardsInFlight(t *testing.T) {
 	cfg := FastConfig()
 	cfg.InterSiteDelay = 30 * time.Millisecond
 	n := New(cfg)
 	defer n.Close()
 	a := n.AddSite(1)
-	n.AddSite(2)
+	b := n.AddSite(2)
 	if err := a.Send(2, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	n.RemoveSite(2)
+	b.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if n.Stats().PacketsDiscarded == 1 {
@@ -413,7 +413,7 @@ func TestDetachUnblocksOverflowedDelivery(t *testing.T) {
 	n := New(cfg)
 	defer n.Close()
 	a := n.AddSite(1)
-	n.AddSite(2)
+	b := n.AddSite(2)
 	// One packet fills the queue, the second blocks the link goroutine, the
 	// third waits behind it.
 	for i := 0; i < 3; i++ {
@@ -425,7 +425,7 @@ func TestDetachUnblocksOverflowedDelivery(t *testing.T) {
 	for time.Now().Before(deadline) && n.Stats().PacketsDelivered < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	n.RemoveSite(2)
+	b.Close()
 	for time.Now().Before(deadline) {
 		if n.Stats().PacketsDiscarded >= 2 {
 			// Exactly one packet actually reached the receive queue; the
