@@ -116,3 +116,59 @@ func TestCbcastAllocBudget(t *testing.T) {
 		t.Errorf("a streamed CBCAST costs %.1f allocs and %.0f bytes, budget %v and %v", allocs, bytes, maxAllocs, maxBytes)
 	}
 }
+
+// TestJoinLeaveAllocBudget: a join with 16 KB of state in four 4 KB blocks,
+// then a leave, with three members on a four-site zero-delay simnet (the
+// churn_lan workload without its link delay). Before membership, lookup and
+// state transfer left the message codec (PR 26) this cost 424 allocations and
+// 144.8 KB.
+func TestJoinLeaveAllocBudget(t *testing.T) {
+	const maxAllocs, maxBytes = 281.5, 98700 // measured 255.7 and 89.7 KB
+	c, err := NewCluster(ClusterConfig{Sites: 4, CallTimeout: 5 * time.Second, DisableHeartbeats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	state := make([][]byte, 4)
+	for i := range state {
+		state[i] = make([]byte, 4096)
+	}
+	var gid Address
+	for s := SiteID(1); s <= 3; s++ {
+		p := spawn(t, c, s)
+		if s == 1 {
+			v, err := p.CreateGroup("churn")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gid = v.Group
+		} else if _, err := p.Join(gid, JoinOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetStateProvider(gid, func() [][]byte { return state }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joiner := spawn(t, c, 4)
+	done := make(chan int, 1)
+	allocs, bytes := perOp(20, 200, func(int) {
+		got := 0
+		if _, err := joiner.Join(gid, JoinOptions{StateReceiver: func(block []byte, last bool) {
+			if got += len(block); last {
+				done <- got
+			}
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if n := <-done; n != 4*4096 {
+			t.Fatalf("the joiner received %d bytes of state, want %d", n, 4*4096)
+		}
+		if err := joiner.Leave(gid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("join with 16 KB of state, then leave: %.1f allocs, %.0f bytes per op", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a join+leave costs %.1f allocs and %.0f bytes, budget %v and %v", allocs, bytes, maxAllocs, maxBytes)
+	}
+}

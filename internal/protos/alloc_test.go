@@ -3,6 +3,7 @@
 package protos
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
@@ -26,6 +27,38 @@ func TestAbRecordCodecAllocations(t *testing.T) {
 	}
 	if !ok || back != r {
 		t.Errorf("parsed %+v (ok=%v), want %+v", back, ok, r)
+	}
+}
+
+// TestControlCodecAllocations pins what the packets that left the message codec
+// cost: encoding any GBCAST-family packet allocates once (the packet), parsing
+// a state block nothing (the header is a value, the block a view of the frame),
+// and parsing a commit with a four-member view at most three objects (its
+// process list, its members and its view's name; the packet is a value).
+func TestControlCodecAllocations(t *testing.T) {
+	values, types := goldenWireValues(t)
+	for name, v := range values {
+		if p, ok := v.(gbPacket); ok {
+			if n := testing.AllocsPerRun(100, func() { _, _ = p.encode(types[name]) }); n != 1 {
+				t.Errorf("encoding %s allocates %.0f times, want 1", name, n)
+			}
+		}
+	}
+	raw := stateHeader{group: addr.NewGroup(1, 0, 3), joiner: addr.NewProcess(3, 2, 1), xferID: 6}.encode(ptStateBlock, make([]byte, 4096))
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = parseState(raw[envelopeBytes:]) }); n != 0 {
+		t.Errorf("parsing a state block allocates %.0f times, want 0", n)
+	}
+	gid := addr.NewGroup(1, 0, 3)
+	members := addr.List{addr.NewProcess(1, 0, 1), addr.NewProcess(2, 0, 1), addr.NewProcess(3, 0, 1), addr.NewProcess(4, 0, 1)}
+	commit := gbPacket{group: gid, seq: 9, kind: gbJoin, procs: members[3:], view: core.View{Group: gid, Name: "bench", ID: 8, Members: members},
+		reqID: 77<<32 | 1, wantState: true}
+	raw, _ = commit.encode(ptGbCommit)
+	var back gbPacket
+	if n := testing.AllocsPerRun(100, func() { back = gbPacket{}; back.parse(raw[envelopeBytes:]) }); n > 3 {
+		t.Errorf("parsing a commit with a four-member view allocates %.0f times, want at most 3", n)
+	}
+	if !reflect.DeepEqual(back, commit) {
+		t.Errorf("parsed %+v, want %+v", back, commit)
 	}
 }
 

@@ -186,7 +186,7 @@ type groupState struct {
 	// coordinator).
 	gbSeq   uint64
 	gbBusy  bool
-	gbQueue []*gbWork
+	gbQueue []gbWork
 
 	// marks is the site's record of which GBCAST request ids have been
 	// settled here (requestmarks.go).
@@ -579,16 +579,6 @@ func (d *Daemon) AnnounceRestart() {
 // ---------------------------------------------------------------------------
 // Transport plumbing and call helper
 
-// encodePacket builds the wire bytes of a daemon-to-daemon packet: the
-// two-byte envelope followed by the body, marshalled straight into the one
-// exactly sized buffer. Senders encode a packet once and fan the same bytes
-// out to every destination site.
-func encodePacket(pt byte, p *msg.Message) ([]byte, error) {
-	raw := make([]byte, envelopeBytes, envelopeBytes+p.MarshaledSize())
-	raw[0], raw[1] = wireVersion, pt
-	return p.AppendMarshal(raw)
-}
-
 // sendRaw transmits pre-encoded packet bytes, which the transport keeps, to a site.
 func (d *Daemon) sendRaw(to addr.SiteID, raw []byte) error {
 	d.det.AddPeer(to)
@@ -607,16 +597,6 @@ func (d *Daemon) fanoutRaw(sites []addr.SiteID, raw []byte) {
 	}
 }
 
-// sendPacket encodes and transmits a daemon-to-daemon packet of the given
-// type.
-func (d *Daemon) sendPacket(to addr.SiteID, pt byte, p *msg.Message) error {
-	raw, err := encodePacket(pt, p)
-	if err != nil {
-		return err
-	}
-	return d.sendRaw(to, raw)
-}
-
 // heartbeatRaw is the complete wire form of a heartbeat: envelope only, no
 // body. The receiver identifies the peer from the transport's source site.
 var heartbeatRaw = []byte{wireVersion, ptHeartbeat}
@@ -626,26 +606,35 @@ func (d *Daemon) sendHeartbeat(to addr.SiteID) {
 	_ = d.sendRaw(to, heartbeatRaw)
 }
 
-// pendingCall is one request/response exchange awaiting its answer: where
-// the answer is delivered, and the site it was asked of (so a failure of that
-// site can abort the wait).
+// answer is what a call is answered with: what its answer packet decoded to (or
+// the handler built, for a site's request of itself), or the error it carries.
+type answer struct {
+	gb    *gbPacket     // ptGbDone, ptGbAck
+	look  *lookupPacket // ptLookupResp
+	stamp relayStamp    // ptRelayAck
+	err   error         // ptError (restored to its sentinel), or errSiteFailed
+}
+
+// pendingCall is one exchange awaiting its answer: where it is delivered, the
+// type it comes as, and the site asked (whose failure aborts the wait).
 type pendingCall struct {
-	ch   chan *msg.Message
+	ch   chan answer
+	want byte
 	site addr.SiteID // 0: a broadcast question, answered by whoever can
 }
 
-// newCall registers a pending exchange with a site and returns its id and
-// response channel.
-func (d *Daemon) newCall(to addr.SiteID) (int64, chan *msg.Message) {
+// newCall registers an exchange with a site, answered by a packet of type want
+// (or ptError), and returns its id and response channel.
+func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, chan answer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextCall++
 	id := d.nextCall
-	// Deeper than the one answer a call gets: the answers to a broadcast
-	// question (a lookup) queue here while the asker works through them. One
-	// that finds the buffer full is dropped, as a lost packet would be.
-	ch := make(chan *msg.Message, 8)
-	d.calls[id] = pendingCall{ch: ch, site: to}
+	// A call gets one answer; a broadcast question (a lookup) gets one from
+	// each site, queued while the asker works through them. One that finds the
+	// buffer full is dropped, as a lost packet would be.
+	ch := make(chan answer, 1+7*int(bit(to == 0)))
+	d.calls[id] = pendingCall{ch: ch, want: want, site: to}
 	return id, ch
 }
 
@@ -671,15 +660,15 @@ func (d *Daemon) newReqID() int64 {
 }
 
 // errSiteFailed aborts pending calls to a site the failure detector declared
-// dead, as the fErr text of the injected response.
+// dead, as the error of the injected answer.
 var errSiteFailed = errors.New("protos: site failed")
 
-// respondLocked hands an answer to a pending call, if it still exists. Caller
-// holds d.mu.
-func (d *Daemon) respondLocked(callID int64, m *msg.Message) {
-	if c, ok := d.calls[callID]; ok {
+// respondLocked hands an answer, come as a packet of type pt, to a pending
+// call, if it still exists and asked for that type. Caller holds d.mu.
+func (d *Daemon) respondLocked(callID int64, pt byte, a answer) {
+	if c, ok := d.calls[callID]; ok && (pt == c.want || pt == ptError) {
 		select {
-		case c.ch <- m:
+		case c.ch <- a:
 		default:
 		}
 	}
@@ -687,78 +676,55 @@ func (d *Daemon) respondLocked(callID int64, m *msg.Message) {
 
 // answerLocked answers the request numbered call that site to made of this
 // one: the answer is sent back as a packet of type pt or, when this site
-// asked itself, handed to the waiting caller. Caller holds d.mu.
-func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, resp *msg.Message) {
-	resp.PutInt(fCall, call)
+// asked itself, handed to the waiting caller as it is. Caller holds d.mu.
+func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 	if to == d.site {
-		d.respondLocked(call, resp)
+		d.respondLocked(call, pt, a)
 	} else {
-		_ = d.sendPacket(to, pt, resp)
+		_ = d.sendRaw(to, a.encode(pt, call))
 	}
 }
 
-// errorResp is the body of a ptError answer.
-func errorResp(err error) *msg.Message { return msg.New().PutString(fErr, err.Error()) }
-
-// call sends a request to a site, its call id stamped into it, and waits for
-// the answer or a timeout. A request to this site is not sent: it goes to the
-// message switch in one hold of d.mu and is answered there as a peer's is
-// (answerLocked) — one call table and one wait for both.
-func (d *Daemon) call(to addr.SiteID, pt byte, req *msg.Message) (*msg.Message, error) {
-	id, ch := d.newCall(to)
+// call sends a GBCAST request or prepare to a site with its call id and waits
+// for the answer (of the type after pt) or a timeout. A request this site makes
+// of itself (it is never asked a prepare) goes to the handler a peer's goes to,
+// by reference, in one hold of d.mu, and is answered there as a peer's is
+// (answerLocked): one call table and one wait for both.
+func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) {
+	id, ch := d.newCall(to, pt+1)
 	defer d.dropCall(id)
-	req.PutInt(fCall, id)
+	req.call = id
 	if to == d.site {
 		d.mu.Lock()
-		d.handleMessageLocked(to, pt, req)
+		d.handleGbRequestLocked(to, &req)
 		d.mu.Unlock()
-	} else if err := d.sendPacket(to, pt, req); err != nil {
+	} else if raw, err := req.encode(pt); err != nil {
+		return nil, err
+	} else if err := d.sendRaw(to, raw); err != nil {
 		return nil, err
 	}
-	return d.await(ch, time.After(d.cfg.CallTimeout))
+	a, err := d.await(ch, time.After(d.cfg.CallTimeout))
+	return a.gb, err
 }
 
 // await waits for the answer to a registered call until deadline; it is the one
 // reader of a call's channel. An answer that carries an error returns it.
-func (d *Daemon) await(ch chan *msg.Message, deadline <-chan time.Time) (*msg.Message, error) {
+func (d *Daemon) await(ch chan answer, deadline <-chan time.Time) (answer, error) {
 	select {
-	case resp := <-ch:
-		if err := respError(resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
+	case a := <-ch:
+		return a, a.err
 	case <-deadline:
-		return nil, ErrTimeout
+		return answer{}, ErrTimeout
 	case <-d.stopScan:
-		return nil, ErrClosed
+		return answer{}, ErrClosed
 	}
-}
-
-// respError returns the error a negative answer (ptError, told apart by its
-// fErr field) carries, restoring the package's sentinel errors so callers can
-// match them with errors.Is across the wire (a Join refused by a minority
-// coordinator must surface as ErrNonPrimary, not as opaque text).
-func respError(resp *msg.Message) error {
-	if !resp.Has(fErr) {
-		return nil
-	}
-	text := resp.GetString(fErr, "unknown")
-	for _, sentinel := range []error{
-		ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed,
-		errRelayEarly,
-	} {
-		if text == sentinel.Error() {
-			return sentinel
-		}
-	}
-	return fmt.Errorf("protos: remote error: %s", text)
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks
-// the envelope, whose packet type sits at a fixed offset, answers a heartbeat
-// (no body), decodes the body outside the lock — a fixed layout by offset, or
-// a message — and then hands it to its handler in one hold of d.mu. A decoded
-// body, and a data packet, keep raw, a frame the receiver owns.
+// the envelope, answers a heartbeat (no body), decodes the body's fixed layout
+// outside the lock and hands it to its handler in one hold of d.mu. What a body
+// decodes to lives on this stack unless a handler or a call keeps it; a data
+// packet, a payload and a state block keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
@@ -766,11 +732,17 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	pt, body := raw[1], raw[envelopeBytes:]
 	d.det.AddPeer(from)
 	var (
-		r   abRecord
-		h   replyHeader
-		pkt *dataPacket
-		p   *msg.Message
-		ok  bool
+		r     abRecord
+		h     replyHeader
+		g     gbPacket
+		lk    lookupPacket
+		sh    stateHeader
+		pkt   *dataPacket
+		p     *msg.Message
+		block []byte
+		call  int64
+		a     answer
+		ok    bool
 	)
 	switch pt {
 	case ptHeartbeat:
@@ -782,10 +754,14 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		h, p, ok = parseReply(body)
 	case ptData:
 		pkt, ok = parseDataPacket(raw)
-	default:
-		var err error
-		p, err = msg.UnmarshalOwned(body, 0)
-		ok = err == nil
+	case ptGbRequest, ptGbPrepare, ptGbCommit:
+		ok = g.parse(body)
+	case ptLookup:
+		lk, ok = parseLookup(body)
+	case ptStateBlock, ptStateAck:
+		sh, block, ok = parseState(body)
+	case ptGbDone, ptGbAck, ptLookupResp, ptError, ptRelayAck:
+		call, a, ok = parseAnswer(pt, body)
 	}
 	if !ok {
 		return
@@ -803,30 +779,20 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		d.deliverReplyLocked(h, p)
 	case ptData:
 		d.handleDataLocked(from, pkt)
-	default:
-		d.handleMessageLocked(from, pt, p)
-	}
-}
-
-// handleMessageLocked is the switch a message-bodied packet goes through: one
-// a peer sent (handleTransport), or a request this site makes of itself
-// (call). Caller holds d.mu.
-func (d *Daemon) handleMessageLocked(from addr.SiteID, pt byte, p *msg.Message) {
-	switch pt {
 	case ptGbRequest:
-		d.handleGbRequestLocked(from, p)
+		d.handleGbRequestLocked(from, &g)
 	case ptGbPrepare:
-		d.handleGbPrepareLocked(from, p)
-	case ptGbAck, ptGbDone, ptLookupResp, ptError, ptRelayAck:
-		d.respondLocked(p.GetInt(fCall, 0), p)
+		d.handleGbPrepareLocked(from, &g)
 	case ptGbCommit:
-		d.applyGbCommitLocked(p)
+		d.applyGbCommitLocked(&g)
 	case ptLookup:
-		d.handleLookupLocked(from, p)
+		d.handleLookupLocked(from, lk)
 	case ptStateBlock:
-		d.handleStateBlockLocked(p)
+		d.handleStateBlockLocked(sh, block)
 	case ptStateAck:
-		d.handleStateAckLocked(p)
+		d.handleStateAckLocked(sh)
+	default: // an answer, decoded to what its caller keeps
+		d.respondLocked(call, pt, a)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/events"
 	"repro/internal/fdetect"
-	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -77,12 +76,8 @@ func TestScanReleasesCommitlessFlush(t *testing.T) {
 		return ev
 	}
 
-	prepare := msg.New()
-	prepare.PutAddress(fGroup, gid)
-	prepare.PutInt(fGbID, 99)
-	prepare.PutInt(fCall, 4242)
 	start := time.Now()
-	d.handleTransport(1, encoded(t, ptGbPrepare, prepare))
+	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
 	if ev := next(); ev.Kind != events.FlushBegin {
 		t.Fatalf("the prepare published %v, want FlushBegin", ev)
 	}

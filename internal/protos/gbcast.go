@@ -9,61 +9,34 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/msg"
 )
 
 // gbWork is one GBCAST to execute: a membership change (join, leave,
-// failure) or a user-level GBCAST (including configuration updates). The
-// group coordinator serializes these per group and runs the two-phase
-// flush/commit protocol for each.
+// failure) or a user-level GBCAST (including configuration updates), as the
+// request that asked for it. The group coordinator serializes these per group
+// and runs the two-phase flush/commit protocol for each.
 type gbWork struct {
-	kind       int64
-	gid        addr.Address
-	procs      []addr.Address
-	wantState  bool
-	payload    *msg.Message
-	entry      addr.EntryID
-	sender     addr.Address
-	reqID      int64       // stable request id; survives coordinator fail-over
-	sealTarget int64       // gbSeal: the request id whose outcome is being settled
-	force      bool        // run the full wedge/flush even if the change is a no-op
-	replyTo    addr.SiteID // requester site (this one for its own request)
-	replyCall  int64
-}
-
-// decodeGbWork reads a unit of work from a ptGbRequest body.
-func decodeGbWork(p *msg.Message) *gbWork {
-	return &gbWork{
-		kind:       p.GetInt(fKind, 0),
-		gid:        p.GetAddress(fGroup).Base(),
-		procs:      p.GetAddressList(fProcs),
-		wantState:  p.GetInt(fWantState, 0) == 1,
-		payload:    p.GetMessage(fPayload),
-		entry:      addr.EntryID(p.GetInt(fEntry, 0)),
-		sender:     p.GetAddress(fSender),
-		reqID:      p.GetInt(fReqID, 0),
-		sealTarget: p.GetInt(fSealReq, 0),
-		force:      p.GetInt(fForce, 0) == 1,
-	}
+	gbPacket             // the request; its call is the one the answer goes to
+	replyTo  addr.SiteID // requester site (this one for its own request)
 }
 
 // handleGbRequestLocked queues a request addressed to this site, a peer's or
 // its own, in its role as the group's (acting) coordinator, and starts the
 // group's worker if it is not already running. Caller holds d.mu.
-func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *msg.Message) {
-	w := decodeGbWork(p)
-	w.replyTo, w.replyCall = from, p.GetInt(fCall, 0)
-	gs, ok := d.groups[w.gid]
+func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *gbPacket) {
+	w := gbWork{gbPacket: *p, replyTo: from}
+	w.group = p.group.Base()
+	gs, ok := d.groups[w.group]
 	switch {
 	case d.closed:
-		d.answerLocked(from, w.replyCall, ptError, errorResp(ErrClosed))
+		d.answerLocked(from, p.call, ptError, answer{err: ErrClosed})
 	case !ok:
-		d.answerLocked(from, w.replyCall, ptError, errorResp(ErrUnknownGroup))
+		d.answerLocked(from, p.call, ptError, answer{err: ErrUnknownGroup})
 	default:
 		gs.gbQueue = append(gs.gbQueue, w)
 		if !gs.gbBusy {
 			gs.gbBusy = true
-			go d.runGbWorker(w.gid)
+			go d.runGbWorker(w.group)
 		}
 	}
 }
@@ -83,26 +56,18 @@ func (d *Daemon) runGbWorker(gid addr.Address) {
 		w := gs.gbQueue[0]
 		gs.gbQueue = gs.gbQueue[1:]
 		d.mu.Unlock()
-		d.executeGb(w)
+		d.executeGb(&w)
 	}
-}
-
-// viewReply builds the coordinator's positive answer: the view the request
-// ended in.
-func viewReply(v core.View) *msg.Message {
-	resp := msg.New()
-	resp.PutMessage(fView, encodeView(v))
-	return resp
 }
 
 // executeGb runs the two-phase GBCAST protocol for one unit of work: admit,
 // collect phase 1, decide (decideFlush — the rules), commit.
 func (d *Daemon) executeGb(w *gbWork) {
 	d.mu.Lock()
-	gs, ok := d.groups[w.gid]
+	gs, ok := d.groups[w.group]
 	if !ok {
 		d.mu.Unlock()
-		d.gbReply(w, ptError, errorResp(ErrUnknownGroup))
+		d.gbReply(w, ptError, answer{err: ErrUnknownGroup})
 		return
 	}
 	if !gs.phase.primary() {
@@ -110,7 +75,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 		// view may be installed and no GBCAST committed until the merge
 		// protocol rejoins the primary.
 		d.mu.Unlock()
-		d.gbReply(w, ptError, errorResp(ErrNonPrimary))
+		d.gbReply(w, ptError, answer{err: ErrNonPrimary})
 		return
 	}
 	oldView := gs.view.Clone()
@@ -138,7 +103,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 	}
 	d.mu.Unlock()
 	if answered {
-		d.gbReply(w, ptGbDone, viewReply(oldView))
+		d.gbReply(w, ptGbDone, answer{gb: &gbPacket{view: oldView}})
 		return
 	}
 
@@ -150,54 +115,31 @@ func (d *Daemon) executeGb(w *gbWork) {
 		// The copy goes read-only, and so do those of the member sites whose
 		// acks it holds: the gbNonPrimary notice ends the flush (held reads
 		// drain) without installing a view.
-		notice := msg.New()
-		notice.PutAddress(fGroup, w.gid)
-		notice.PutInt(fKind, gbNonPrimary)
-		d.commitGb(slices.Collect(maps.Keys(acks)), notice)
-		d.gbReply(w, ptError, errorResp(ErrNonPrimary))
+		d.commitGb(slices.Collect(maps.Keys(acks)), &gbPacket{group: w.group, kind: gbNonPrimary})
+		d.gbReply(w, ptError, answer{err: ErrNonPrimary})
 		return
 	}
 
-	// Phase 2: commit at every member site of old, base, and new views.
-	sealing := w.kind == gbSeal && w.sealTarget != 0
-	commit := msg.NewSized(8) // a join's commit; only a user GBCAST's or a seal's grows
-	commit.PutAddress(fGroup, w.gid)
-	commit.PutInt(fGbID, int64(seq))
-	commit.PutInt(fKind, w.kind)
-	commit.PutAddressList(fProcs, dec.procs)
-	commit.PutMessage(fView, encodeView(dec.newView))
-	commit.PutMessage(fRebcast, encodePendingReport(dec.rebcast))
-	if w.reqID != 0 {
-		commit.PutInt(fReqID, w.reqID)
-	}
-	if sealing {
-		commit.PutInt(fSealReq, w.sealTarget)
-		commit.PutInt(fOutcome, dec.outcome)
-	}
-	if w.wantState {
-		commit.PutInt(fWantState, 1)
-	}
-	if w.payload != nil {
-		commit.PutMessage(fPayload, w.payload)
-		commit.PutInt(fEntry, int64(w.entry))
-		commit.PutAddress(fSender, w.sender)
+	// Phase 2: commit at every member site of old, base, and new views. A
+	// seal's commit and answer carry the verdict.
+	commit := &gbPacket{group: w.group, seq: seq, kind: w.kind, procs: dec.procs, view: dec.newView,
+		report: dec.rebcast, reqID: w.reqID, wantState: w.wantState, entry: w.entry, sender: w.sender, payload: w.payload}
+	done := &gbPacket{view: dec.newView}
+	if w.kind == gbSeal && w.sealTarget != 0 {
+		commit.sealTarget, commit.outcome, done.outcome = w.sealTarget, dec.outcome, dec.outcome
 	}
 	d.commitGb(unionSites(dec.newView, dec.base, oldView), commit)
 
 	if dec.newView.ID > oldView.ID {
-		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.gid, View: dec.newView.ID})
+		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.group, View: dec.newView.ID})
 	}
-	resp := viewReply(dec.newView)
-	if sealing {
-		resp.PutInt(fOutcome, dec.outcome)
-	}
-	d.gbReply(w, ptGbDone, resp)
+	d.gbReply(w, ptGbDone, answer{gb: done})
 }
 
 // commitGb commits a GBCAST (or a notice) on this site's own account: encoded
 // once, fanned out to the listed member sites and applied here, in one hold.
-func (d *Daemon) commitGb(sites []addr.SiteID, commit *msg.Message) {
-	raw, err := encodePacket(ptGbCommit, commit)
+func (d *Daemon) commitGb(sites []addr.SiteID, commit *gbPacket) {
+	raw, err := commit.encode(ptGbCommit)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err == nil {
@@ -207,10 +149,10 @@ func (d *Daemon) commitGb(sites []addr.SiteID, commit *msg.Message) {
 }
 
 // gbReply answers whoever asked for the GBCAST: a peer, or this site itself.
-func (d *Daemon) gbReply(w *gbWork, pt byte, resp *msg.Message) {
+func (d *Daemon) gbReply(w *gbWork, pt byte, a answer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.answerLocked(w.replyTo, w.replyCall, pt, resp)
+	d.answerLocked(w.replyTo, w.call, pt, a)
 }
 
 // unionSites lists each member site of the given views once, in no
@@ -230,24 +172,13 @@ func unionSites(views ...core.View) []addr.SiteID {
 // view, its word on the removal targets it hosts, and its vote in an
 // outcome-settling flush. A site missing from the result did not answer.
 func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.SiteID]prepareAck {
-	prepare := msg.New()
-	prepare.PutAddress(fGroup, w.gid)
-	prepare.PutInt(fGbID, int64(seq))
-	prepare.PutInt(fViewID, int64(view.ID))
-	var targets []addr.Address
-	if w.kind == gbFail && len(w.procs) > 0 {
-		// Failure removals name their targets in the prepare, so each
-		// member site can corroborate (or dispute) the claimed deaths of the
-		// processes it hosts.
-		targets = w.procs
-		prepare.PutAddressList(fProcs, targets)
-	}
-	var sealTarget int64
-	if w.kind == gbSeal && w.sealTarget != 0 {
-		// Outcome settlement: each member site reports its first-hand
-		// knowledge of the target request id in its ack.
-		sealTarget = w.sealTarget
-		prepare.PutInt(fSealReq, sealTarget)
+	// Outcome settlement names the request id each member site reports its
+	// first-hand knowledge of in its ack. Failure removals name their targets,
+	// so each member site can corroborate (or dispute) the claimed deaths of
+	// the processes it hosts.
+	prepare := gbPacket{group: w.group, seq: seq, viewID: view.ID, sealTarget: w.sealTarget}
+	if w.kind == gbFail {
+		prepare.procs = w.procs
 	}
 
 	acks := make(map[addr.SiteID]prepareAck)
@@ -256,7 +187,7 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 	for _, site := range view.SitesOf() {
 		if site == d.site {
 			d.mu.Lock()
-			own := d.prepareLocalLocked(w.gid, targets, sealTarget, true)
+			own := d.prepareLocalLocked(w.group, prepare.procs, prepare.sealTarget, true)
 			d.mu.Unlock()
 			ackMu.Lock()
 			acks[d.site] = own
@@ -282,17 +213,11 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 			// mid-exchange abort immediately (handleSiteFailure), so the retries
 			// never outlive the suspicion.
 			for attempt := 0; attempt < 3; attempt++ {
-				// Clone per call: d.call stamps a per-exchange call id into
-				// the body, and these calls run concurrently.
-				resp, err := d.call(site, ptGbPrepare, prepare.Clone())
+				// By value: d.call stamps a per-exchange call id into its copy.
+				resp, err := d.call(site, ptGbPrepare, prepare)
 				if err == nil {
 					ackMu.Lock()
-					acks[site] = prepareAck{
-						report: decodePendingReport(resp.GetMessage(fPending)),
-						view:   decodeView(resp.GetMessage(fView)),
-						dead:   resp.GetAddressList(fDead),
-						vote:   resp.GetInt(fOutcome, 0),
-					}
+					acks[site] = prepareAck{report: resp.report, view: resp.view, dead: resp.dead, vote: resp.outcome}
 					ackMu.Unlock()
 					return
 				}
@@ -388,7 +313,7 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 // The ack carries this site's current view alongside its pending report so
 // that a coordinator taking over mid-protocol can base the new view on the
 // most advanced copy any survivor holds. Caller holds d.mu.
-func (d *Daemon) handleGbPrepareLocked(from addr.SiteID, p *msg.Message) {
+func (d *Daemon) handleGbPrepareLocked(from addr.SiteID, p *gbPacket) {
 	if d.suspected[from] {
 		// A straggling prepare from a coordinator already declared failed
 		// (e.g. held in the network across the crash): wedging for it would
@@ -396,35 +321,17 @@ func (d *Daemon) handleGbPrepareLocked(from addr.SiteID, p *msg.Message) {
 		// unwedges it. The takeover flush owns the group now.
 		return
 	}
-	ack := d.prepareLocalLocked(p.GetAddress(fGroup).Base(), p.GetAddressList(fProcs), p.GetInt(fSealReq, 0), false)
-	resp := msg.New()
-	resp.PutMessage(fPending, encodePendingReport(ack.report))
-	if ack.view.ID > 0 {
-		resp.PutMessage(fView, encodeView(ack.view))
-	}
-	if ack.vote != voteUnknown {
-		resp.PutInt(fOutcome, ack.vote)
-	}
-	if len(ack.dead) > 0 {
-		resp.PutAddressList(fDead, ack.dead)
-	}
-	d.answerLocked(from, p.GetInt(fCall, 0), ptGbAck, resp)
+	ack := d.prepareLocalLocked(p.group.Base(), p.procs, p.sealTarget, false)
+	resp := &gbPacket{report: ack.report, view: ack.view, dead: ack.dead, outcome: ack.vote}
+	d.answerLocked(from, p.call, ptGbAck, answer{gb: resp})
 }
 
 // applyGbCommitLocked installs the effect of a GBCAST at this site:
 // re-delivers reconciled messages, applies the membership change or delivers
 // the user payload, notifies local members, and ends the flush. Caller holds
 // d.mu.
-func (d *Daemon) applyGbCommitLocked(p *msg.Message) {
-	gid := p.GetAddress(fGroup).Base()
-	kind := p.GetInt(fKind, 0)
-	newView := decodeView(p.GetMessage(fView))
-	rec := decodePendingReport(p.GetMessage(fRebcast))
-	procs := p.GetAddressList(fProcs)
-	wantState := p.GetInt(fWantState, 0) == 1
-	reqID := p.GetInt(fReqID, 0)
-	sealReq := p.GetInt(fSealReq, 0)
-	sealOutcome := p.GetInt(fOutcome, 0)
+func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
+	gid, kind, newView, reqID := p.group.Base(), p.kind, p.view, p.reqID
 
 	gs, hosted := d.groups[gid]
 	switch {
@@ -505,26 +412,23 @@ func (d *Daemon) applyGbCommitLocked(p *msg.Message) {
 
 	// Step 1: everything the flush resolved is delivered (or discarded)
 	// before the GBCAST point.
-	fenced := d.applyRebcastLocked(gs, rec)
+	fenced := d.applyRebcastLocked(gs, p.report)
 
 	// Step 2: apply the membership change or deliver the user payload.
 	var wrong []wrongRemoval
 	switch kind {
 	case gbUser:
-		payload := p.GetMessage(fPayload)
-		entry := addr.EntryID(p.GetInt(fEntry, 0))
-		sender := p.GetAddress(fSender)
-		if payload != nil && !dupReq {
+		if p.payload != nil && !dupReq {
 			for _, ms := range gs.members {
 				d.counters.Delivered++
-				d.enqueueMember(ms, queued{entry: entry, m: d.buildDelivery(payload, sender, gs.view.Group, gs.view.ID, GBCAST)})
+				d.enqueueMember(ms, queued{entry: p.entry, m: d.buildDelivery(p.payload, p.sender, gs.view.Group, gs.view.ID, GBCAST)})
 			}
 		}
 	case gbJoin, gbLeave, gbFail, 0:
-		wrong = d.applyViewChangeLocked(gs, newView, kind, procs, wantState)
+		wrong = d.applyViewChangeLocked(gs, newView, kind, p.procs, p.wantState)
 	case gbSeal:
-		if sealReq != 0 {
-			gs.marks.Seal(sealReq, sealOutcome == voteCommitted)
+		if p.sealTarget != 0 {
+			gs.marks.Seal(p.sealTarget, p.outcome == voteCommitted)
 		}
 	}
 
@@ -847,17 +751,8 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	}
 	for _, j := range joiners {
 		for i, b := range blocks {
-			pkt := msg.NewSized(5)
-			pkt.PutAddress(fGroup, gid)
-			pkt.PutAddress(fSender, j)
-			if b != nil {
-				pkt.PutBytes(fStateData, b)
-			}
-			if i == len(blocks)-1 {
-				pkt.PutInt(fStateLast, 1)
-			}
-			pkt.PutInt(fXferID, int64(xferID))
-			_ = d.sendPacket(j.Site, ptStateBlock, pkt)
+			h := stateHeader{group: gid, joiner: j, xferID: xferID, last: i == len(blocks)-1}
+			_ = d.sendRaw(j.Site, h.encode(ptStateBlock, b))
 		}
 	}
 }
@@ -869,14 +764,12 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 // until the final block (rather than streaming) is what makes provider
 // fail-over safe: a transfer restarted by the new oldest member simply
 // discards the dead provider's partial buffer instead of handing the
-// application a mix of two providers' blocks. Caller holds d.mu.
-func (d *Daemon) handleStateBlockLocked(p *msg.Message) {
-	gid := p.GetAddress(fGroup)
-	target := p.GetAddress(fSender)
-	data := p.GetBytes(fStateData) // the one copy: the StateReceiver may write into it
-	last := p.GetInt(fStateLast, 0) == 1
-	xid := uint64(p.GetInt(fXferID, 0))
-
+// application a mix of two providers' blocks. data is the block as it
+// arrived, a capped range of the frame nothing else refers to: it is filed
+// and handed to the StateReceiver, which may write it, as it is. Caller holds
+// d.mu.
+func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
+	gid, target, xid := h.group, h.joiner, h.xferID
 	gs, ok := d.groups[gid.Base()]
 	if !ok {
 		return
@@ -898,7 +791,7 @@ func (d *Daemon) handleStateBlockLocked(p *msg.Message) {
 	if len(data) > 0 {
 		ms.xferBuf = append(ms.xferBuf, data)
 	}
-	if !last {
+	if !h.last {
 		return
 	}
 
@@ -926,22 +819,16 @@ func (d *Daemon) handleStateBlockLocked(p *msg.Message) {
 
 	// Tell every member site the transfer completed, so a later coordinator
 	// change does not re-trigger it.
-	ack := msg.New()
-	ack.PutAddress(fGroup, gid.Base())
-	ack.PutAddress(fSender, target.Base())
-	if raw, err := encodePacket(ptStateAck, ack); err == nil {
-		d.fanoutRaw(gs.view.SitesOf(), raw)
-	}
+	ack := stateHeader{group: gid.Base(), joiner: target.Base(), xferID: xid, last: true}
+	d.fanoutRaw(gs.view.SitesOf(), ack.encode(ptStateAck, nil))
 }
 
 // handleStateAckLocked records that a joiner's state transfer completed, so
 // this site will not re-trigger it if it later hosts the new oldest member.
 // Caller holds d.mu.
-func (d *Daemon) handleStateAckLocked(p *msg.Message) {
-	gid := p.GetAddress(fGroup)
-	joiner := p.GetAddress(fSender)
-	if gs, ok := d.groups[gid.Base()]; ok {
-		delete(gs.pendingXfer, joiner.Base())
+func (d *Daemon) handleStateAckLocked(h stateHeader) {
+	if gs, ok := d.groups[h.group.Base()]; ok {
+		delete(gs.pendingXfer, h.joiner.Base())
 	}
 }
 
@@ -967,7 +854,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	for _, c := range d.calls {
 		if c.site == s {
 			select {
-			case c.ch <- errorResp(errSiteFailed):
+			case c.ch <- answer{err: errSiteFailed}:
 			default:
 			}
 		}

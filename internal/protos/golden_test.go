@@ -12,39 +12,65 @@ import (
 	"repro/internal/vclock"
 )
 
-// goldenWire holds the enveloped encodings of representative message-built
-// packets as the code before the compact field table (PR 14, commit 84d0f7f)
-// produced them; "relayack" as PR 19 defined it. "report" moved with PR 24: a
-// report nests each packet as the bytes it travelled as (a bytes field holding
-// a goldenData packet) where it used to nest the ten-field wrapper message;
-// its own fields are where they were.
-// The in-memory representation of a message is free to change; these bytes
-// are not: a site running the old encoder must interoperate with the new one.
+// goldenWire holds the control packets that left the message codec in PR 26,
+// each in its fixed layout: the GBCAST family (one gbPacket layout: envelope,
+// call id, group, kind, gbcast sequence, view id, request id, seal target,
+// outcome, flags, then the sections the flags select), a lookup and its answer
+// (call id, site, primary, then a view), a state block and its ack (group,
+// joiner, transfer id, last, then the block), an error (call id, then the text)
+// and a relay's acknowledgement (stamp, call id). They replace the
+// message-built "view", "report" and "relayack" this map held before (PR 14,
+// commit 84d0f7f; PR 19; PR 24): a view and a flush report are now sections of
+// "ack" and "commit", and type numbers 4-10 and 12-16 are retired.
 var goldenWire = map[string]string{
-	"view": "" +
-		"0101000401670400000008000100020000000302696403000000080000000000000006016d0500000018000201010000" +
-		"000700010001000000010003020100abcdef016e020000000562656e6368",
-	"report": "" +
-		"010100080361623006000000cd000606266d736769640400000008000201010000000707266d73677365710300000008" +
-		"000000000000002a01630300000008000000000000000101690300000008000000000000000101700300000008000000" +
-		"000000004d03706b74010000006c01150002100001000100020000000300000000000000050002010100000007000000" +
-		"000000002a0004084073657373696f6e03000000080000000000000009016e0300000008000000000000303901700100" +
-		"00000c68656c6c6f2c20776f726c640173020000000474657874036162310600000049000406266d7367696404000000" +
-		"08000201010000000707266d73677365710300000008000000000000002b016303000000080000000000000000017003" +
-		"00000008000000000000000303666330060000002b000206266d736769640400000008000201010000000707266d7367" +
-		"7365710300000008000000000000002c036e616203000000080000000000000002036e66630300000008000000000000" +
-		"0001036e7263030000000800000000000000020372633006000000ba000306266d736769640400000008000201010000" +
-		"000707266d73677365710300000008000000000000002a03706b74010000008601150101100001000100020000000300" +
-		"000000000000050002010100000007000000000000002a00030000000000000003000000000000000000000000000000" +
-		"090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68" +
-		"656c6c6f2c20776f726c6401730200000004746578740372633106000000af000406266d736769640400000008000201" +
-		"010000000707266d73677365710300000008000000000000002901700300000008000000000000000c03706b74010000" +
-		"006c01150002100001000100020000000300000000000000050002010100000007000000000000002a00040840736573" +
-		"73696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f" +
-		"726c640173020000000474657874",
-	"relayack": "" +
-		"01010004052663616c6c0300000008000000000000001f06267372616e6b030000000800000000000000010526737365" +
-		"71030000000800000000000000090626737669657703000000080000000000000005",
+	"ack": "0119" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "02" + "38" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef00050002010100000007000000000000002a000000000000004d030000006c01150002100001000100020000000300" +
+		"000000000000050002010100000007000000000000002a0004084073657373696f6e0300000008000000000000000901" +
+		"6e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400020101" +
+		"00000007000000000000002b000000000000000300000000000002010100000007000000000000002a00000000000000" +
+		"00040000008601150101100001000100020000000300000000000000050002010100000007000000000000002a000300" +
+		"00000000000003000000000000000000000000000000090004084073657373696f6e0300000008000000000000000901" +
+		"6e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400020101" +
+		"000000070000000000000029000000000000000c040000006c0115000210000100010002000000030000000000000005" +
+		"0002010100000007000000000000002a0004084073657373696f6e03000000080000000000000009016e030000000800" +
+		"000000000030390170010000000c68656c6c6f2c20776f726c6401730200000004746578740002010100000007000000" +
+		"000000002c0000000000000000080000000000010002010100000007",
+	"commit": "011a" + "0000000000000000" + "0001000200000003" + "03" + "0000000000000009" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "1e" +
+		"00010003020100abcdef00010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"0000010003020100abcdef00050002010100000007000000000000002a000000000000004d030000006c011500021000" +
+		"01000100020000000300000000000000050002010100000007000000000000002a0004084073657373696f6e03000000" +
+		"080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c640173020000" +
+		"0004746578740002010100000007000000000000002b0000000000000003000000000000020101000000070000000000" +
+		"00002a000000000000000004000000860115010110000100010002000000030000000000000005000201010000000700" +
+		"0000000000002a00030000000000000003000000000000000000000000000000090004084073657373696f6e03000000" +
+		"080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c640173020000" +
+		"00047465787400020101000000070000000000000029000000000000000c040000006c01150002100001000100020000" +
+		"000300000000000000050002010100000007000000000000002a0004084073657373696f6e0300000008000000000000" +
+		"0009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400" +
+		"02010100000007000000000000002c00000000000000000800000000",
+	"done": "0117" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "01" + "08" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"error": "011f" + "000000000000001f" + "70726f746f733a2067726f757020697320696e2061206e6f6e2d7072696d61727920706172746974696f6e2028726561642d6f6e6c7929",
+	"lookup": "011b" + "000000000000001f" + "0000" + "00" +
+		"00010002000000030000000000000000000562656e63680000",
+	"lookupresp": "011c" + "000000000000001f" + "0002" + "01" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"nonprimary": "011a" + "0000000000000000" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "00" + "00",
+	"prepare": "0118" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000009" + "0000000000000006" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
+		"00010002010100000007",
+	"relayack": "0120" + "0000000000000005" + "0001" + "0000000000000009" + "000000000000001f",
+	"request": "0116" + "000000000000001f" + "0001000200000003" + "01" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
+		"00010003020100abcdef",
+	"resume": "011a" + "0000000000000000" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "00" + "08" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"stateack":   "011e" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "01",
+	"stateblock": "011d" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "00" + "726f772d31",
+	"usergb": "0116" + "000000000000001f" + "0001000200000003" + "04" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "40" +
+		"10000201010000000700010173020000000474657874",
 }
 
 // goldenData holds the ptData packets in their fixed layout (PR 24): envelope,
@@ -96,9 +122,22 @@ func goldenDataPackets() map[string]*dataPacket {
 	}
 }
 
-// goldenPackets rebuilds the packets of goldenWire through today's builders.
-func goldenPackets(t *testing.T) map[string]*msg.Message {
-	sender := addr.NewProcess(2, 1, 7)
+// A state block as its header and block, and an answer (an error, a relay's
+// acknowledgement) with the call it answers: goldenWire values.
+type (
+	goldenBlock struct {
+		stateHeader
+		block []byte
+	}
+	goldenAnswer struct {
+		a    answer
+		call int64
+	}
+)
+
+// goldenWireValues rebuilds the values of goldenWire, with their packet types.
+func goldenWireValues(t *testing.T) (map[string]any, map[string]byte) {
+	sender, joiner := addr.NewProcess(2, 1, 7), addr.NewProcess(3, 2, 0xabcdef)
 	gid := addr.NewGroup(1, 0, 3)
 	id := core.MsgID{Sender: sender, Seq: 42}
 	pkts := goldenDataPackets()
@@ -107,58 +146,96 @@ func goldenPackets(t *testing.T) map[string]*msg.Message {
 			t.Fatal(err)
 		}
 	}
-	data, cb := pkts["data"].raw, pkts["cbcast"].raw
-	view := encodeView(core.View{Group: gid, Name: "bench", ID: 6,
-		Members: addr.List{sender, addr.NewProcess(1, 0, 1), addr.NewProcess(3, 2, 0xabcdef)}})
-	rep := encodePendingReport(pendingReport{
+	view := core.View{Group: gid, Name: "bench", ID: 6, Members: addr.List{sender, addr.NewProcess(1, 0, 1), joiner}}
+	report := pendingReport{
 		Abcasts: []abPendingWire{
-			{ID: id, Committed: true, Priority: 77, Packet: data, Init: true},
+			{ID: id, Committed: true, Priority: 77, Packet: pkts["data"].raw, Init: true},
 			{ID: core.MsgID{Sender: sender, Seq: 43}, Priority: 3},
 		},
 		Recent: []recentWire{
-			{ID: id, Packet: cb, Priority: 0},
-			{ID: core.MsgID{Sender: sender, Seq: 41}, Packet: data, Priority: 12},
+			{ID: id, Packet: pkts["cbcast"].raw, Priority: 0},
+			{ID: core.MsgID{Sender: sender, Seq: 41}, Packet: pkts["data"].raw, Priority: 12},
 		},
 		Fenced: []core.MsgID{{Sender: sender, Seq: 44}},
-	})
-	ack := msg.New()
-	ack.PutInt(fCall, 31)
-	putStamp(ack, relayStamp{view: 5, rank: 1, seq: 9})
-	return map[string]*msg.Message{"view": view, "report": rep, "relayack": ack}
+	}
+	rid := int64(77)<<32 | 1
+	return map[string]any{
+			"request": gbPacket{call: 31, group: gid, kind: gbJoin, reqID: rid, wantState: true, procs: addr.List{joiner}},
+			"usergb": gbPacket{call: 31, group: gid, kind: gbUser, reqID: rid, entry: addr.EntryUserBase, sender: sender,
+				payload: msg.New().PutString("s", "text")},
+			"done":       gbPacket{call: 31, view: view, outcome: voteCommitted},
+			"prepare":    gbPacket{call: 31, group: gid, seq: 9, viewID: 6, procs: addr.List{sender}, sealTarget: rid},
+			"ack":        gbPacket{call: 31, view: view, report: report, dead: addr.List{sender}, outcome: voteAborted},
+			"commit":     gbPacket{group: gid, seq: 9, kind: gbFail, procs: addr.List{joiner}, view: view, report: report, reqID: rid, force: true},
+			"nonprimary": gbPacket{group: gid, kind: gbNonPrimary},
+			"resume":     gbPacket{group: gid, kind: gbResume, view: view},
+			"lookup":     lookupPacket{call: 31, view: core.View{Group: gid, Name: "bench"}},
+			"lookupresp": lookupPacket{call: 31, site: 2, primary: true, view: view},
+			"stateblock": goldenBlock{stateHeader{group: gid, joiner: joiner, xferID: 6}, []byte("row-1")},
+			"stateack":   stateHeader{group: gid, joiner: joiner, xferID: 6, last: true},
+			"error":      goldenAnswer{answer{err: ErrNonPrimary}, 31},
+			"relayack":   goldenAnswer{answer{stamp: relayStamp{view: 5, rank: 1, seq: 9}}, 31},
+		}, map[string]byte{"request": ptGbRequest, "usergb": ptGbRequest, "done": ptGbDone, "prepare": ptGbPrepare,
+			"ack": ptGbAck, "commit": ptGbCommit, "nonprimary": ptGbCommit, "resume": ptGbCommit, "lookup": ptLookup,
+			"lookupresp": ptLookupResp, "stateblock": ptStateBlock, "stateack": ptStateAck, "error": ptError, "relayack": ptRelayAck}
 }
 
-// TestWireEncodingMatchesGolden proves the wire format did not move with the
-// message representation: today's builders marshal to the parent's bytes,
-// and the parent's bytes decode and re-encode to themselves. (The envelope's
-// type byte is 1, as when these strings were recorded: the test wraps a body
-// of any type in it.)
+// TestWireEncodingMatchesGolden checks the control packets' layouts both ways:
+// today's encoders produce the golden bytes, and the golden bytes parse to the
+// value they were built from (an error to its sentinel) and encode to
+// themselves again.
 func TestWireEncodingMatchesGolden(t *testing.T) {
-	packets := goldenPackets(t)
-	if len(packets) != len(goldenWire) {
-		t.Fatalf("%d packets for %d golden encodings", len(packets), len(goldenWire))
+	values, types := goldenWireValues(t)
+	if len(values) != len(goldenWire) {
+		t.Fatalf("%d values for %d golden encodings", len(values), len(goldenWire))
 	}
-	for name, want := range goldenWire {
-		raw, err := encodePacket(1, packets[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := hex.EncodeToString(raw); got != want {
-			t.Errorf("%s: encoding moved\n got %s\nwant %s", name, got, want)
-		}
+	for name, v := range values {
+		want, pt := goldenWire[name], types[name]
 		old, _ := hex.DecodeString(want)
-		m, err := msg.Unmarshal(old[envelopeBytes:])
-		if err != nil {
-			t.Fatalf("%s: golden bytes do not decode: %v", name, err)
+		if len(old) < envelopeBytes || old[0] != wireVersion || old[1] != pt {
+			t.Fatalf("%s: golden envelope %x, want type %d", name, old[:min(len(old), envelopeBytes)], pt)
 		}
-		again, err := encodePacket(1, m)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		body := old[envelopeBytes:]
+		var got, again []byte
+		var back any
+		ok := true
+		switch v := v.(type) {
+		case gbPacket:
+			got, _ = v.encode(pt)
+			var p gbPacket
+			ok = p.parse(body)
+			again, _ = p.encode(pt)
+			if v.payload != nil { // compared as the bytes it marshals to, above
+				v.payload, p.payload = nil, nil
+			}
+			back, values[name] = p, v
+		case lookupPacket:
+			got = v.encode(pt)
+			var l lookupPacket
+			l, ok = parseLookup(body)
+			again, back = l.encode(pt), l
+		case stateHeader:
+			got = v.encode(pt, nil)
+			h, block, sok := parseState(body)
+			again, back, ok = h.encode(pt, block), h, sok && len(block) == 0
+		case goldenBlock:
+			got = v.encode(pt, v.block)
+			h, block, sok := parseState(body)
+			again, back, ok = h.encode(pt, block), goldenBlock{h, block}, sok
+		case goldenAnswer:
+			got = v.a.encode(pt, v.call)
+			var b goldenAnswer
+			b.call, b.a, ok = parseAnswer(pt, body)
+			again, back = b.a.encode(pt, b.call), b
 		}
-		if got := hex.EncodeToString(again); got != want {
-			t.Errorf("%s: decode and re-encode moved the bytes\n got %s\nwant %s", name, got, want)
+		if hex.EncodeToString(got) != want {
+			t.Errorf("%s: encoding moved\n got %x\nwant %s", name, got, want)
 		}
-		if size := m.MarshaledSize(); size != len(old)-envelopeBytes {
-			t.Errorf("%s: MarshaledSize = %d, want %d", name, size, len(old)-envelopeBytes)
+		if !ok || !reflect.DeepEqual(back, values[name]) {
+			t.Errorf("%s: golden bytes parse to %+v (ok=%v), want %+v", name, back, ok, values[name])
+		}
+		if hex.EncodeToString(again) != want {
+			t.Errorf("%s: parse and re-encode moved the bytes\n got %x\nwant %s", name, again, want)
 		}
 	}
 }
@@ -270,7 +347,7 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 	if len(records)+len(replies) != len(goldenFixed) {
 		t.Errorf("%d cases for %d golden encodings", len(records)+len(replies), len(goldenFixed))
 	}
-	if wireVersion != 1 || ptGbRequest != 4 || ptRelayAck != 16 || ptAbPropose != 17 || ptReply != 20 || ptData != 21 {
+	if wireVersion != 1 || ptHeartbeat != 11 || ptAbPropose != 17 || ptReply != 20 || ptData != 21 || ptGbRequest != 22 || ptRelayAck != 32 {
 		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/msg"
 )
 
 // joinKey identifies a pending join (group, joiner).
@@ -125,12 +124,9 @@ func (d *Daemon) RefreshGroupView(gid addr.Address) (core.View, error) {
 func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) {
 	var view core.View
 	found := false
-	_, err := d.lookupAll(name, gid, func(resp *msg.Message) bool {
-		if resp.GetInt(fFound, 0) != 1 {
-			return false
-		}
-		view, found = decodeView(resp.GetMessage(fView)), true
-		return true
+	_, err := d.lookupAll(name, gid, func(resp *lookupPacket) bool {
+		view, found = resp.view, !resp.view.Group.IsNil()
+		return found
 	})
 	switch {
 	case found:
@@ -151,24 +147,14 @@ func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) 
 // CallTimeout passes (ErrTimeout: the caller decides whether what arrived
 // is enough) or the daemon closes. It also returns how many sites it could
 // ask.
-func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Message) (done bool)) (asked int, err error) {
-	callID, ch := d.newCall(0)
+func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookupPacket) (done bool)) (asked int, err error) {
+	callID, ch := d.newCall(0, ptLookupResp)
 	defer d.dropCall(callID)
 
-	// One request message serves every queried site: it is marshalled once
-	// and the same bytes are broadcast.
-	req := msg.New()
-	req.PutInt(fCall, callID)
-	if name != "" {
-		req.PutString(fName, name)
-	}
-	if !gid.IsNil() {
-		req.PutAddress(fGroup, gid)
-	}
-	raw, err := encodePacket(ptLookup, req)
-	if err != nil {
-		return 0, err
-	}
+	// One request serves every queried site: it is encoded once and the same
+	// bytes are broadcast.
+	req := lookupPacket{call: callID, view: core.View{Group: gid, Name: name}}
+	raw := req.encode(ptLookup)
 	for _, s := range d.net.Sites() {
 		if s == d.site {
 			continue
@@ -179,11 +165,11 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *msg.Me
 	}
 	deadline := time.After(d.cfg.CallTimeout)
 	for answers := 0; answers < asked; answers++ {
-		resp, err := d.await(ch, deadline)
+		a, err := d.await(ch, deadline)
 		if err != nil {
 			return asked, err
 		}
-		if each(resp) {
+		if each(a.look) {
 			return asked, nil
 		}
 	}
@@ -210,40 +196,21 @@ func (d *Daemon) cacheRemoteViewLocked(v core.View) {
 // carries whether this site's copy of the group is primary, so the merge
 // protocol can tell the primary partition apart from a fellow minority. Caller
 // holds d.mu.
-func (d *Daemon) handleLookupLocked(from addr.SiteID, p *msg.Message) {
-	name := p.GetString(fName, "")
-	gid := p.GetAddress(fGroup)
-	resp := msg.New()
-	var found *core.View
-	primary := false
-	if !gid.IsNil() {
-		if gs, ok := d.groups[gid.Base()]; ok {
-			v := gs.view.Clone()
-			found = &v
-			primary = gs.phase.primary()
-		}
-	}
-	if found == nil && name != "" {
-		for _, gs := range d.groups {
-			if gs.view.Name == name {
-				v := gs.view.Clone()
-				found = &v
-				primary = gs.phase.primary()
+func (d *Daemon) handleLookupLocked(from addr.SiteID, q lookupPacket) {
+	gs := d.groups[q.view.Group.Base()]
+	if gs == nil && q.view.Name != "" {
+		for _, g := range d.groups {
+			if g.view.Name == q.view.Name {
+				gs = g
 				break
 			}
 		}
 	}
-	resp.PutInt(fSite, int64(d.site))
-	if found != nil {
-		resp.PutInt(fFound, 1)
-		resp.PutMessage(fView, encodeView(*found))
-		if primary {
-			resp.PutInt(fPrimary, 1)
-		}
-	} else {
-		resp.PutInt(fFound, 0)
+	resp := &lookupPacket{site: d.site}
+	if gs != nil {
+		resp.view, resp.primary = gs.view.Clone(), gs.phase.primary()
 	}
-	d.answerLocked(from, p.GetInt(fCall, 0), ptLookupResp, resp)
+	d.answerLocked(from, q.call, ptLookupResp, answer{look: resp})
 }
 
 // JoinOptions configures a Join call.
@@ -272,32 +239,19 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 	}
 	d.mu.Unlock()
 
-	req := msg.NewSized(7) // with the request and call ids put on the way out
-	req.PutInt(fKind, gbJoin)
-	req.PutAddress(fGroup, gid.Base())
-	req.PutAddressList(fProcs, addr.List{joiner.Base()})
-	req.PutAddress(fSender, joiner.Base())
-	if opts.WantState {
-		req.PutInt(fWantState, 1)
-	}
-	resp, err := d.coordinatorCall(gid, req)
+	resp, err := d.coordinatorCall(gid, &gbPacket{kind: gbJoin, group: gid.Base(), procs: addr.List{joiner.Base()}, wantState: opts.WantState})
 	if err != nil {
 		d.mu.Lock()
 		delete(d.pendingJoin, joinKey{gid.Base(), joiner.Base()})
 		d.mu.Unlock()
 		return core.View{}, err
 	}
-	return decodeView(resp.GetMessage(fView)), nil
+	return resp.view, nil
 }
 
 // Leave removes a local process from a group voluntarily (pg_leave).
 func (d *Daemon) Leave(member addr.Address, gid addr.Address) error {
-	req := msg.NewSized(6)
-	req.PutInt(fKind, gbLeave)
-	req.PutAddress(fGroup, gid.Base())
-	req.PutAddressList(fProcs, addr.List{member.Base()})
-	req.PutAddress(fSender, member.Base())
-	_, err := d.coordinatorCall(gid, req)
+	_, err := d.coordinatorCall(gid, &gbPacket{kind: gbLeave, group: gid.Base(), procs: addr.List{member.Base()}})
 	return err
 }
 
@@ -388,8 +342,8 @@ func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
 	return mu
 }
 
-// coordinatorCall routes a gbRequest to the group's acting coordinator and
-// waits for its gbDone response, retrying with a refreshed view if the
+// coordinatorCall routes a GBCAST request to the group's acting coordinator and
+// waits for its ptGbDone answer, retrying with a refreshed view if the
 // coordinator cannot be reached (it may have failed). The request carries a
 // stable request id minted once here: when a coordinator dies after
 // committing but before answering, the re-submission reaches the successor
@@ -400,16 +354,14 @@ func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
 // request for a given group in flight at a time, and ids are minted under
 // the same lock, so a requester's commits happen in request-id order — the
 // property the per-requester high-water dedupe (requestMarks) rests on.
-func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Message, error) {
+func (d *Daemon) coordinatorCall(gid addr.Address, req *gbPacket) (*gbPacket, error) {
 	mu := d.groupReqMu(gid)
 	mu.Lock()
 	defer mu.Unlock()
-	rid := req.GetInt(fReqID, 0)
-	if rid == 0 {
-		rid = d.newReqID()
-		req.PutInt(fReqID, rid)
+	if req.reqID == 0 {
+		req.reqID = d.newReqID()
 	}
-	d.noteRequest(rid, gid, reqPending)
+	d.noteRequest(req.reqID, gid, reqPending)
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		view, ok := d.CurrentView(gid)
@@ -430,9 +382,9 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		resp, err := d.call(coord.Site, ptGbRequest, req)
+		resp, err := d.call(coord.Site, ptGbRequest, *req)
 		if err == nil {
-			d.noteRequest(rid, gid, reqCommitted)
+			d.noteRequest(req.reqID, gid, reqCommitted)
 			return resp, nil
 		}
 		lastErr = err
@@ -444,7 +396,7 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 		if errors.Is(err, ErrNonPrimary) {
 			// The coordinator is wedged in a minority partition; retrying
 			// the same partition cannot succeed until the merge runs.
-			d.noteRequest(rid, gid, reqGaveUp)
+			d.noteRequest(req.reqID, gid, reqGaveUp)
 			return nil, err
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -452,7 +404,7 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 	if lastErr == nil {
 		lastErr = ErrTimeout
 	}
-	d.noteRequest(rid, gid, reqGaveUp)
+	d.noteRequest(req.reqID, gid, reqGaveUp)
 	return nil, lastErr
 }
 
@@ -463,16 +415,7 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *msg.Message) (*msg.Messa
 // takeover path uses it to finish a dead coordinator's partially completed
 // protocol.
 func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int64, force bool) {
-	req := msg.New()
-	req.PutInt(fKind, kind)
-	req.PutAddress(fGroup, gid.Base())
-	req.PutAddressList(fProcs, procs)
-	if force {
-		req.PutInt(fForce, 1)
-	}
-	go func() {
-		_, _ = d.coordinatorCall(gid, req)
-	}()
+	go d.coordinatorCall(gid, &gbPacket{kind: kind, group: gid.Base(), procs: procs, force: force})
 }
 
 // dropGroupLocked forgets a group this site no longer hosts. An ABCAST round

@@ -319,9 +319,8 @@ func TestOneLockHoldPerStep(t *testing.T) {
 	}
 
 	// handleTransport holds d.mu once for every packet, by defer, and
-	// dispatches — itself, and through the message switch a site's own
-	// requests share — only to handlers that are handed the lock.
-	handlers := append(daemonCalls(funcs["handleTransport"]), daemonCalls(funcs["handleMessageLocked"])...)
+	// dispatches only to handlers that are handed the lock.
+	handlers := daemonCalls(funcs["handleTransport"])
 	if len(handlers) < 12 {
 		t.Fatalf("found only %v: the check is not looking at handleTransport's dispatch", handlers)
 	}

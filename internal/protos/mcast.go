@@ -107,14 +107,9 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 // It returns the stable request id minted for the call — even on error, so
 // the caller can later query the request's outcome.
 func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, payload *msg.Message) (int64, error) {
-	req := msg.NewSized(7)
-	req.PutInt(fKind, gbUser)
-	req.PutAddress(fGroup, gid)
-	req.PutAddress(fSender, sender.Base())
-	req.PutInt(fEntry, int64(entry))
-	req.PutMessage(fPayload, payload)
+	req := &gbPacket{kind: gbUser, group: gid, sender: sender.Base(), entry: entry, payload: payload}
 	_, err := d.coordinatorCall(gid, req)
-	return req.GetInt(fReqID, 0), err
+	return req.reqID, err
 }
 
 // sendPointToPoint delivers a message directly to a list of processes: a cast
@@ -334,7 +329,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 // as one call may take.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
 	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
-		id, ch := d.newCall(site)
+		id, ch := d.newCall(site, ptRelayAck)
 		pkt.call = id
 		var err error
 		if site == d.site {
@@ -344,13 +339,13 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error
 		} else if err = pkt.encode(); err == nil {
 			err = d.sendRaw(site, pkt.raw)
 		}
-		var resp *msg.Message
+		var a answer
 		if err == nil {
-			resp, err = d.await(ch, time.After(d.cfg.CallTimeout))
+			a, err = d.await(ch, time.After(d.cfg.CallTimeout))
 		}
 		d.dropCall(id)
 		if err == nil {
-			return getStamp(resp), nil
+			return a.stamp, nil
 		}
 		if !errors.Is(err, errRelayEarly) {
 			return relayStamp{}, err
@@ -748,11 +743,9 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 		switch stamp, err := d.relayMulticastLocked(from, pkt); {
 		case errors.Is(err, errRelayHeld):
 		case err != nil:
-			d.answerLocked(from, callID, ptError, errorResp(err))
+			d.answerLocked(from, callID, ptError, answer{err: err})
 		default:
-			ack := msg.New()
-			putStamp(ack, stamp)
-			d.answerLocked(from, callID, ptRelayAck, ack)
+			d.answerLocked(from, callID, ptRelayAck, answer{stamp: stamp})
 		}
 		return
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/msg"
 )
 
 // mergeRetries bounds how often a merge rejoin is retried before the merge
@@ -323,17 +322,14 @@ type groupSurvey struct {
 // cannot masquerade as the primary.
 func (d *Daemon) surveyGroup(gid addr.Address, name string) (groupSurvey, error) {
 	sv := groupSurvey{wedged: make(map[addr.SiteID]core.View)}
-	asked, err := d.lookupAll(name, gid, func(resp *msg.Message) bool {
-		if resp.GetInt(fFound, 0) != 1 {
-			return false
-		}
-		v := decodeView(resp.GetMessage(fView))
-		if resp.GetInt(fPrimary, 0) == 1 {
+	asked, err := d.lookupAll(name, gid, func(resp *lookupPacket) bool {
+		switch v := resp.view; {
+		case v.Group.IsNil():
+		case resp.primary:
 			sv.primary = &v
 			return true
-		}
-		if s := addr.SiteID(resp.GetInt(fSite, 0)); s != 0 {
-			sv.wedged[s] = v
+		case resp.site != 0:
+			sv.wedged[resp.site] = v
 		}
 		return false
 	})
@@ -391,11 +387,7 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 		}
 	}
 
-	notice := msg.New()
-	notice.PutAddress(fGroup, gid)
-	notice.PutInt(fKind, gbResume)
-	notice.PutMessage(fView, encodeView(staleView))
-	d.commitGb(slices.Collect(maps.Keys(wedged)), notice)
+	d.commitGb(slices.Collect(maps.Keys(wedged)), &gbPacket{group: gid, kind: gbResume, view: staleView})
 
 	var unreached []addr.Address
 	for _, m := range staleView.Members {

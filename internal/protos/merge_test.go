@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/fdetect"
-	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -201,15 +200,8 @@ func TestStaleCommitAfterMergeDropIsIgnored(t *testing.T) {
 	view := func(id core.ViewID, members ...addr.Address) core.View {
 		return core.View{Group: gid, Name: "bank", ID: id, Members: members}
 	}
-	commit := func(v core.View, kind int64, procs ...addr.Address) *msg.Message {
-		c := msg.New()
-		c.PutAddress(fGroup, gid)
-		c.PutInt(fGbID, int64(v.ID))
-		c.PutInt(fKind, kind)
-		c.PutAddressList(fProcs, procs)
-		c.PutMessage(fView, encodeView(v))
-		c.PutMessage(fRebcast, encodePendingReport(pendingReport{}))
-		return c
+	commit := func(v core.View, kind int64, procs ...addr.Address) gbPacket {
+		return gbPacket{group: gid, seq: uint64(v.ID), kind: kind, procs: procs, view: v}
 	}
 	hosted := func() bool {
 		d.mu.Lock()

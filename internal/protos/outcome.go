@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/addr"
-	"repro/internal/msg"
 )
 
 // Outcome is the settled fate of a GBCAST request whose call raced a failure:
@@ -137,15 +136,11 @@ func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	d.mu.Unlock()
 
 	// Settle remotely with a gbSeal round.
-	req := msg.New()
-	req.PutInt(fKind, gbSeal)
-	req.PutAddress(fGroup, rec.gid)
-	req.PutInt(fSealReq, rid)
-	resp, err := d.coordinatorCall(rec.gid, req)
+	resp, err := d.coordinatorCall(rec.gid, &gbPacket{kind: gbSeal, group: rec.gid, sealTarget: rid})
 	if err != nil {
 		return OutcomeUnknown, err
 	}
-	switch resp.GetInt(fOutcome, 0) {
+	switch resp.outcome {
 	case voteCommitted:
 		d.noteRequest(rid, rec.gid, reqCommitted)
 		return OutcomeCommitted, nil

@@ -3,10 +3,13 @@ package protos
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/fdetect"
 	"repro/internal/msg"
 	"repro/internal/simnet"
 )
@@ -178,4 +181,141 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 			t.Errorf("the retransmission delivered %s", procs[1].msgs[0].Format())
 		}
 	})
+}
+
+// TestStateBlockIsTheReceiversToWrite pins from the outside who owns a state
+// block: the joiner's StateReceiver is handed each block as it arrived, a
+// range of the frame nothing else refers to, and overwrites every one (and
+// grows it, which must not reach past its end). One transfer ships to two
+// joiners at two sites; only site 3's receiver scribbles, and site 4's must
+// receive the blocks as the provider returned them, the provider keep its own.
+// Right after the join commit, from its state capture, the provider casts the
+// CBCASTs the joiners hold until the state lands: they must reach the joiners
+// intact and equal to the other member's deliveries. Blocks smaller than a
+// frame share frames with one another and with those casts (site 3's link is
+// cut while they go out, and the transport's retransmission coalesces them);
+// blocks larger than a frame arrive reassembled.
+func TestStateBlockIsTheReceiversToWrite(t *testing.T) {
+	for name, size := range map[string]int{"smaller than a frame": 100, "larger than a frame": 10000} {
+		t.Run(name, func(t *testing.T) {
+			tc := newFaultCluster(t, 4, simnet.FastConfig(), 2*time.Second, fdetect.Config{})
+			rec := simnet.NewRecorder()
+			tc.net.SetTracer(rec)
+			procs := buildGroup(t, tc, "scribble", 1, 2)
+			gid := groupOf(t, tc, procs[0], "scribble")
+			state, want := make([][]byte, 6), make([][]byte, 6)
+			for i := range state {
+				state[i] = bytes.Repeat([]byte{byte('a' + i)}, size)
+				want[i] = bytes.Clone(state[i])
+			}
+			capturing, release := make(chan struct{}), make(chan struct{})
+			const casts = 5
+			if err := procs[0].d.SetStateProvider(procs[0].addr, gid, func() [][]byte {
+				close(capturing)
+				<-release
+				for i := 0; i < casts; i++ {
+					m := body(fmt.Sprintf("c%d", i)).PutBytes("p", bytes.Repeat([]byte{'c'}, size))
+					if _, err := procs[0].d.Multicast(procs[0].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, m); err != nil {
+						t.Error(err)
+					}
+				}
+				return state
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			type received struct {
+				sync.Mutex
+				blocks [][]byte
+				done   bool
+			}
+			joiners := []*testProc{tc.newProc(3), tc.newProc(4)}
+			got := []*received{{}, {}}
+			for i, j := range joiners {
+				r, scribble := got[i], i == 0
+				j.d.mu.Lock()
+				j.d.pendingJoin[joinKey{gid, j.addr}] = pendingJoin{stateRecv: func(b []byte, last bool) {
+					r.Lock()
+					defer r.Unlock()
+					r.blocks, r.done = append(r.blocks, bytes.Clone(b)), last
+					if scribble {
+						for k := range b {
+							b[k] = 'X'
+						}
+						_ = append(b, bytes.Repeat([]byte{'Y'}, 64)...) // more than the next record's headers
+					}
+				}}
+				j.d.mu.Unlock()
+			}
+			joined := make(chan error, 1)
+			go func() {
+				_, err := tc.daemons[3].call(1, ptGbRequest, gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiners[0].addr, joiners[1].addr}, wantState: true})
+				joined <- err
+			}()
+			select {
+			case <-capturing:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the provider was never asked for the state")
+			}
+			tc.net.Partition(1, 3)
+			close(release)
+			waitFor(t, "the casts and blocks for site 3 transmitted twice into the cut", 5*time.Second, func() bool {
+				dropped := 0
+				for _, e := range rec.Events() {
+					if e.Kind == simnet.EventDrop && e.From == 1 && e.To == 3 {
+						dropped += e.Size
+					}
+				}
+				return dropped >= 2*len(state)*size
+			})
+			tc.net.Heal(1, 3)
+			if err := <-joined; err != nil {
+				t.Fatalf("the join of both joiners: %v", err)
+			}
+			waitFor(t, "both transfers and the held casts", 5*time.Second, func() bool {
+				for i, r := range got {
+					r.Lock()
+					done := r.done
+					r.Unlock()
+					if !done || joiners[i].numMsgs() < casts || procs[1].numMsgs() < casts {
+						return false
+					}
+				}
+				return true
+			})
+			for i, r := range got {
+				r.Lock()
+				if !slices.EqualFunc(r.blocks, want, bytes.Equal) {
+					t.Errorf("joiner %d received %d blocks, not the provider's %d as it returned them", i+1, len(r.blocks), len(want))
+				}
+				r.Unlock()
+			}
+			if !slices.EqualFunc(state, want, bytes.Equal) {
+				t.Error("the provider's own blocks changed")
+			}
+			castBytes := func(p *testProc) (out []string) {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				for _, m := range p.msgs {
+					out = append(out, m.GetString("body", "")+":"+string(m.GetBytes("p")))
+				}
+				return out
+			}
+			other := castBytes(procs[1])
+			for i, j := range joiners {
+				if got := castBytes(j); !slices.Equal(got, other) {
+					t.Errorf("joiner %d delivered %d casts that differ from the other member's %d", i+1, len(got), len(other))
+				}
+			}
+			if size < 4096 {
+				shared := false
+				for _, e := range rec.Events() {
+					shared = shared || e.Kind == simnet.EventDeliver && e.From == 1 && e.To == 3 && e.Size > 3*size
+				}
+				if !shared {
+					t.Error("no frame to site 3 carried more than two blocks' worth: the shared-frame path went untested")
+				}
+			}
+		})
+	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/events"
-	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -117,15 +116,8 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	gid := groupOf(t, tc, procs[0], "hw")
 	d1 := tc.daemons[1]
 
-	mkReq := func(reqID int64, text string) *msg.Message {
-		req := msg.New()
-		req.PutInt(fKind, gbUser)
-		req.PutAddress(fGroup, gid)
-		req.PutAddress(fSender, procs[0].addr)
-		req.PutInt(fEntry, int64(addr.EntryUserBase))
-		req.PutMessage(fPayload, body(text))
-		req.PutInt(fReqID, reqID)
-		return req
+	mkReq := func(reqID int64, text string) gbPacket {
+		return gbPacket{kind: gbUser, group: gid, sender: procs[0].addr, entry: addr.EntryUserBase, payload: body(text), reqID: reqID}
 	}
 
 	first := int64(77)<<32 | 1
@@ -281,12 +273,8 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 	d3.mu.Lock()
 	delete(d3.suspected, 1)
 	d3.mu.Unlock()
-	prepare := msg.New()
-	prepare.PutAddress(fGroup, gid)
-	prepare.PutInt(fGbID, 99)
-	prepare.PutInt(fCall, 4242)
 	begun := d3.EventStats().ByKind[events.FlushBegin]
-	d3.handleTransport(1, encoded(t, ptGbPrepare, prepare))
+	d3.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
 	if now := d3.EventStats().ByKind[events.FlushBegin]; now != begun {
 		t.Errorf("the prepare opened a flush at the non-primary copy (%d FlushBegin, then %d)", begun, now)
 	}
@@ -324,11 +312,7 @@ func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
 	}
 	notice := func(kind int64) {
 		view, _ := d3.CurrentView(gid)
-		n := msg.New()
-		n.PutAddress(fGroup, gid)
-		n.PutInt(fKind, kind)
-		n.PutMessage(fView, encodeView(view))
-		d3.handleTransport(1, encoded(t, ptGbCommit, n))
+		d3.handleTransport(1, encoded(t, ptGbCommit, gbPacket{group: gid, kind: kind, view: view}))
 	}
 
 	// The partition holds throughout: every survey reaches nobody, lasts

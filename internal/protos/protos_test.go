@@ -204,11 +204,11 @@ func dataPkt(tb testing.TB, proto Protocol, gid addr.Address, view core.ViewID, 
 	return p
 }
 
-// encoded builds the wire bytes of a message-bodied packet as a peer sends it:
+// encoded builds the wire bytes of a GBCAST-family packet as a peer sends it:
 // tests feed them to handleTransport, the one way a packet enters a daemon.
-func encoded(tb testing.TB, pt byte, m *msg.Message) []byte {
+func encoded(tb testing.TB, pt byte, p gbPacket) []byte {
 	tb.Helper()
-	raw, err := encodePacket(pt, m)
+	raw, err := p.encode(pt)
 	if err != nil {
 		tb.Fatal(err)
 	}

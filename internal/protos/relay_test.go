@@ -327,7 +327,7 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 		{relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
 	} {
 		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, -1, body("m"))
-		id, ch := d.newCall(d.site)
+		id, ch := d.newCall(d.site, ptRelayAck)
 		pkt.call, pkt.after = id, tt.after
 		if err := pkt.encode(); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/fdetect"
-	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
@@ -116,7 +115,9 @@ func TestScenarioCoordinatorCrashMidFlushJoinCompletes(t *testing.T) {
 }
 
 func coordinatorCrashMidFlushJoinCompletes(t *testing.T) *testCluster {
-	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
+	// Nobody is suspected until the crash (a detector timing out on the paused
+	// link used to race the flush): the crash is the only event.
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "takeover", 1, 2)
 	gid := groupOf(t, tc, procs[0], "takeover")
 
@@ -133,8 +134,18 @@ func coordinatorCrashMidFlushJoinCompletes(t *testing.T) *testCluster {
 		v, err := tc.daemons[3].Join(joiner.addr, gid, JoinOptions{})
 		done <- joinResult{v, err}
 	}()
-	time.Sleep(200 * time.Millisecond) // request reaches site 1; its prepare is held
-	tc.daemons[1].Close()
+	waitFor(t, "the coordinator's prepare held on its way to site 2", 5*time.Second, func() bool {
+		d := tc.daemons[1]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for _, c := range d.calls {
+			if c.site == 2 {
+				return true
+			}
+		}
+		return false
+	})
+	tc.crash(1)
 	tc.net.ResumeAll()
 
 	select {
@@ -175,7 +186,9 @@ func coordinatorCrashMidFlushJoinCompletes(t *testing.T) *testCluster {
 // additional times — and the requester's site must still converge on the
 // final view via the successor's forced takeover flush.
 func TestScenarioCoordinatorCrashAfterPartialCommitDedupes(t *testing.T) {
-	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
+	rec := simnet.NewRecorder()
+	tc.net.SetTracer(rec)
 	procs := buildGroup(t, tc, "dedupe", 1, 2)
 	gid := groupOf(t, tc, procs[0], "dedupe")
 
@@ -196,7 +209,7 @@ func TestScenarioCoordinatorCrashAfterPartialCommitDedupes(t *testing.T) {
 	waitFor(t, "join commit at the surviving member", 5*time.Second, func() bool {
 		return procs[1].lastView().Size() == 3
 	})
-	tc.daemons[1].Close()
+	tc.crash(1)
 
 	select {
 	case r := <-done:
@@ -227,21 +240,34 @@ func TestScenarioCoordinatorCrashAfterPartialCommitDedupes(t *testing.T) {
 
 	// Release the dead coordinator's held commit: it is a stale view (same
 	// id as one already superseded) and a completed request id, so it must
-	// change nothing.
+	// change nothing. Once every packet site 1 sent site 3 has arrived, a cast
+	// site 3 delivers after them was handled after them (one receive loop).
 	tc.net.ResumeAll()
-	time.Sleep(300 * time.Millisecond)
-	assertViewIDsStrictlyIncreasing(t, "survivor after stale commit", procs[1])
-	assertViewIDsStrictlyIncreasing(t, "joiner after stale commit", joiner)
-	if v := procs[1].lastView(); v.Size() != 2 {
-		t.Errorf("stale commit disturbed the final view: %v", v)
-	}
-
+	waitFor(t, "the held packets at site 3", 5*time.Second, func() bool {
+		held := 0
+		for _, e := range rec.Events() {
+			if e.From == 1 && e.To == 3 {
+				switch e.Kind {
+				case simnet.EventSend:
+					held++
+				case simnet.EventDeliver, simnet.EventDiscard:
+					held--
+				}
+			}
+		}
+		return held == 0
+	})
 	if _, err := tc.daemons[2].Multicast(procs[1].addr, CBCAST, addr.List{gid}, addr.EntryUserBase, body("settled")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "delivery at the joiner after settling", 5*time.Second, func() bool {
 		return joiner.got("settled")
 	})
+	assertViewIDsStrictlyIncreasing(t, "survivor after stale commit", procs[1])
+	assertViewIDsStrictlyIncreasing(t, "joiner after stale commit", joiner)
+	if v := procs[1].lastView(); v.Size() != 2 {
+		t.Errorf("stale commit disturbed the final view: %v", v)
+	}
 }
 
 // TestScenarioCoordinatorLeaveCrashResyncsStaleMember has the coordinator's
@@ -251,11 +277,13 @@ func TestScenarioCoordinatorCrashAfterPartialCommitDedupes(t *testing.T) {
 // forced re-sync flush (the dead site hosted members one view ago) so the
 // member left behind catches up instead of keeping the stale view forever.
 func TestScenarioCoordinatorLeaveCrashResyncsStaleMember(t *testing.T) {
-	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, scenarioDetector())
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "resync", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "resync")
 
-	// The commit removing the coordinator's member reaches site 2 only.
+	// The commit removing the coordinator's member reaches site 2 only (the
+	// prepare held for site 3 is retried until the coordinator decides without
+	// it, on the two of three acks it has).
 	tc.net.PauseLink(1, 3)
 	if err := tc.daemons[1].Leave(procs[0].addr, gid); err != nil {
 		t.Fatalf("leave: %v", err)
@@ -263,7 +291,7 @@ func TestScenarioCoordinatorLeaveCrashResyncsStaleMember(t *testing.T) {
 	waitFor(t, "leave commit at the successor", 5*time.Second, func() bool {
 		return procs[1].lastView().Size() == 2
 	})
-	tc.daemons[1].Close()
+	tc.crash(1)
 
 	waitFor(t, "stale member resynced by the takeover flush", 10*time.Second, func() bool {
 		v := procs[2].lastView()
@@ -423,25 +451,14 @@ func TestDuplicateGbCommitReplayIsStale(t *testing.T) {
 	if !ok {
 		t.Fatal("no current view at site 2")
 	}
-	commit := msg.New()
-	commit.PutAddress(fGroup, gid)
-	commit.PutInt(fGbID, 99)
-	commit.PutInt(fKind, gbJoin)
-	commit.PutAddressList(fProcs, addr.List{procs[1].addr})
-	commit.PutMessage(fView, encodeView(v))
+	commit := gbPacket{group: gid, seq: 99, kind: gbJoin, procs: addr.List{procs[1].addr}, view: v}
 	d2.handleTransport(1, encoded(t, ptGbCommit, commit))
 	time.Sleep(100 * time.Millisecond)
 	if got := procs[1].numViews(); got != before {
 		t.Errorf("replayed view commit re-notified the member: %d views -> %d", before, got)
 	}
 
-	uc := msg.New()
-	uc.PutAddress(fGroup, gid)
-	uc.PutInt(fKind, gbUser)
-	uc.PutInt(fReqID, 4242)
-	uc.PutAddress(fSender, procs[0].addr)
-	uc.PutInt(fEntry, int64(addr.EntryUserBase))
-	uc.PutMessage(fPayload, body("once"))
+	uc := gbPacket{group: gid, kind: gbUser, reqID: 4242, sender: procs[0].addr, entry: addr.EntryUserBase, payload: body("once")}
 	d2.handleTransport(1, encoded(t, ptGbCommit, uc))
 	d2.handleTransport(1, encoded(t, ptGbCommit, uc))
 	waitFor(t, "user GBCAST payload", 2*time.Second, func() bool { return procs[1].got("once") })
@@ -475,11 +492,7 @@ func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 	// The flush re-disseminates it because some member site delivered it
 	// before the flush point, so the commit's report lists it under Recent.
 	rec := pendingReport{Recent: []recentWire{{ID: id, Packet: pkt}}}
-	commit := msg.New()
-	commit.PutAddress(fGroup, gid)
-	commit.PutInt(fKind, gbUser)
-	commit.PutMessage(fRebcast, encodePendingReport(rec))
-	d2.handleTransport(1, encoded(t, ptGbCommit, commit))
+	d2.handleTransport(1, encoded(t, ptGbCommit, gbPacket{group: gid, kind: gbUser, report: rec}))
 	waitFor(t, "flush re-dissemination", 2*time.Second, func() bool {
 		return procs[1].got("exactly-once")
 	})

@@ -42,18 +42,17 @@ func (p Protocol) String() string {
 }
 
 // Daemon wire envelope. Every daemon-to-daemon packet begins with a small
-// fixed-offset header followed by the marshalled msg.Message body:
+// fixed-offset header followed by the fixed layout of its type:
 //
 //	byte 0   wireVersion
 //	byte 1   packet type (one of the pt* constants below)
-//	bytes 2+ marshalled msg.Message body (none for heartbeats; a fixed layout for five types)
+//	bytes 2+ the type's layout, big endian (none for heartbeats)
 //
-// Keeping the packet type at a fixed offset (rather than in a "&type" body
-// field, as earlier revisions did) lets handleTransport dispatch without
-// decoding the body, lets heartbeats skip message marshalling entirely, and
-// lets a multicast fan-out share one encoded body across every destination
-// site: the per-destination work is writing two header bytes, never
-// re-sorting and re-marshalling the symbol table.
+// Keeping the packet type at a fixed offset lets handleTransport dispatch
+// without decoding the body, lets heartbeats skip encoding entirely, and lets
+// a multicast fan-out share one encoded packet across every destination site.
+// A message (msg.Message) travels only as an application's payload: a data
+// packet's, a reply's, a user GBCAST's.
 //
 // The transport below this layer batches whole envelopes into frames and
 // piggybacks its cumulative acks on them; see internal/transport for that
@@ -62,7 +61,8 @@ const (
 	wireVersion   = 1
 	envelopeBytes = 2
 
-	abRecordBytes, replyHeaderBytes = 40, 25 // the two fixed layouts (abRecord, replyHeader)
+	// The fixed heads; ARCHITECTURE.md has each byte by byte.
+	abRecordBytes, replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 40, 25, 51, 11, 25
 
 	// The data header, then the sections its flags byte selects: with the
 	// envelope 39 bytes lead an ABCAST's payload and 65 a CBCAST's in a view of
@@ -79,67 +79,45 @@ const (
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
-// envelope. Daemon-internal body fields use the "&" prefix so they can never
-// collide with the application's fields or with the "@" system fields the
-// toolkit sets.
+// envelope. A retired number belonged to a packet with a message-built body;
+// it is never reused, and the type that replaced it is appended. An answer's
+// type follows its question's.
 const (
-	_             = byte(iota + 1) // 1 was the message-built data packet; retired, never reused
-	_                              // 2 was the message-built ABCAST proposal; retired, never reused
-	_                              // 3 was the message-built ABCAST commit; retired, never reused
-	ptGbRequest                    // request to the group coordinator (join/leave/fail/user gbcast/config)
-	ptGbPrepare                    // GBCAST phase 1: wedge and report pending state
-	ptGbAck                        // GBCAST phase 1 response
-	ptGbCommit                     // GBCAST phase 2: install view / deliver payload
-	ptGbDone                       // coordinator's response to the original requester
-	ptLookup                       // symbolic name lookup request
-	ptLookupResp                   // lookup response
+	_             = byte(iota + 1) // 1: data packet, now ptData
+	_                              // 2: ABCAST proposal, now ptAbPropose
+	_                              // 3: ABCAST commit, now ptAbCommit
+	_                              // 4: GBCAST request, now ptGbRequest
+	_                              // 5: GBCAST prepare, now ptGbPrepare
+	_                              // 6: GBCAST ack, now ptGbAck
+	_                              // 7: GBCAST commit, now ptGbCommit
+	_                              // 8: GBCAST done, now ptGbDone
+	_                              // 9: lookup, now ptLookup
+	_                              // 10: lookup response, now ptLookupResp
 	ptHeartbeat                    // failure-detector heartbeat (empty body)
-	ptStateBlock                   // state transfer block for a joining member
-	ptError                        // negative response to a call
-	ptStateAck                     // joiner's site announces its state transfer completed
-	_                              // 15 was the message-built re-solicitation; retired, never reused
-	ptRelayAck                     // positive acknowledgement of a relayed multicast
+	_                              // 12: state block, now ptStateBlock
+	_                              // 13: error, now ptError
+	_                              // 14: state ack, now ptStateAck
+	_                              // 15: re-solicitation, now ptAbResolicit
+	_                              // 16: relay ack, now ptRelayAck
 	ptAbPropose                    // ABCAST phase 1 response: proposed priority (abRecord)
 	ptAbCommit                     // ABCAST phase 2: final priority (abRecord)
 	ptAbResolicit                  // receiver asks for a straggler ABCAST's commit record (abRecord)
 	ptReply                        // a reply on its way to the caller's process (reply header + body)
-	ptData                         // CBCAST data / ABCAST phase 1 / point-to-point / relay request (data header + payload)
+	ptData                         // CBCAST data / ABCAST phase 1 / point-to-point / relay request (dataPacket)
+	ptGbRequest                    // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
+	ptGbDone                       // the coordinator's answer to a request (gbPacket)
+	ptGbPrepare                    // GBCAST phase 1: wedge and report pending state (gbPacket)
+	ptGbAck                        // a member site's answer to a prepare (gbPacket)
+	ptGbCommit                     // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
+	ptLookup                       // group lookup by name or id (lookupPacket)
+	ptLookupResp                   // a site's answer to a lookup (lookupPacket)
+	ptStateBlock                   // state transfer block: stateHeader, then the block to the end
+	ptStateAck                     // a joiner's state transfer completed (stateHeader alone)
+	ptError                        // negative answer to a call: call id 8, then the error text
+	ptRelayAck                     // positive answer to a relay request: relay stamp and call id
 )
 
-// Field names used in daemon-to-daemon packet bodies.
-const (
-	fCall      = "&call"    // call id for request/response matching
-	fGroup     = "&group"   // group address
-	fViewID    = "&viewid"  // view id the packet refers to
-	fSender    = "&sender"  // originating process
-	fEntry     = "&entry"   // destination entry point
-	fPayload   = "&payload" // nested application message
-	fKind      = "&kind"    // gb request kind
-	fProcs     = "&procs"   // processes affected by a gb request
-	fName      = "&name"    // symbolic group name
-	fView      = "&view"    // encoded view
-	fGbID      = "&gbid"    // gbcast sequence number at the coordinator
-	fPending   = "&pending" // encoded pending-state report (gbAck)
-	fRebcast   = "&rebcast" // encoded rebroadcast set (gbCommit)
-	fStateData = "&sdata"   // state transfer block payload
-	fStateLast = "&slast"   // last state block flag
-	fWantState = "&wantst"  // join wants a state transfer
-	fErr       = "&err"     // error text
-	fReqID     = "&reqid"   // stable GBCAST request id, survives coordinator fail-over
-	fForce     = "&force"   // run the full wedge/flush even for a no-op change
-	fXferID    = "&xferid"  // state-transfer attempt id (the view id the provider shipped under)
-	fDead      = "&dead"    // prepare ack: removal targets this site confirms dead
-	fStampView = "&sview"   // relay stamp: the view the stamped CBCAST was sent in
-	fStampRank = "&srank"   // relay stamp: rank of the member that stamped it
-	fStampSeq  = "&sseq"    // relay stamp: that member's own entry of the timestamp
-	fPrimary   = "&primary" // lookup response: the answering site's copy is primary
-	fFound     = "&found"   // lookup response: the answering site hosts the group
-	fSite      = "&site"    // lookup response: the answering site's id
-	fSealReq   = "&sealreq" // gbSeal: the request id whose outcome is being settled
-	fOutcome   = "&outcome" // gbSeal result: 1 committed, 2 aborted
-)
-
-// GB request kinds carried in ptGbRequest packets.
+// GB request kinds carried in the GBCAST family's kind byte.
 const (
 	gbJoin       = int64(iota + 1) // add a member
 	gbLeave                        // remove a member voluntarily
@@ -209,29 +187,6 @@ func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
 	return h, body, cerr == nil && rerr == nil && berr == nil
 }
 
-// encodeView stores a view in a nested message.
-func encodeView(v core.View) *msg.Message {
-	m := msg.New()
-	m.PutAddress("g", v.Group)
-	m.PutString("n", v.Name)
-	m.PutInt("id", int64(v.ID))
-	m.PutAddressList("m", v.Members)
-	return m
-}
-
-// decodeView reads a view from a nested message.
-func decodeView(m *msg.Message) core.View {
-	if m == nil {
-		return core.View{}
-	}
-	return core.View{
-		Group:   m.GetAddress("g"),
-		Name:    m.GetString("n", ""),
-		ID:      core.ViewID(m.GetInt("id", 0)),
-		Members: m.GetAddressList("m"),
-	}
-}
-
 // dataPacket is a ptData packet — a CBCAST, phase 1 of an ABCAST, a
 // point-to-point message, or a non-member's request to the relay site — as a
 // value over the bytes it travels as. raw is the packet's record: what the send
@@ -276,15 +231,11 @@ func (p *dataPacket) encode() (err error) {
 	}
 	if p.call != 0 {
 		h[envelopeBytes] |= dataIsRelay
-		h = be.AppendUint16(be.AppendUint64(h, uint64(p.after.view)), uint16(p.after.rank))
-		h = be.AppendUint64(be.AppendUint64(h, p.after.seq), uint64(p.call))
+		h = appendRelay(h, p.after, p.call)
 	}
 	if len(p.dests) > 0 {
 		h[envelopeBytes] |= dataHasDests
-		h = be.AppendUint16(h, uint16(len(p.dests)))
-		for _, a := range p.dests {
-			h = a.AppendEncoded(h)
-		}
+		h = appendAddrs(h, p.dests)
 	}
 	if p.raw != nil {
 		p.raw = append(append(make([]byte, 0, len(h)+len(p.raw)-p.body), h...), p.raw[p.body:]...)
@@ -325,6 +276,28 @@ func cutList(b []byte) (list, rest []byte, ok bool) {
 	return cut(b[2:], 8*int(binary.BigEndian.Uint16(b)))
 }
 
+// appendAddrs writes an address list as a uint16 count and 8 bytes each;
+// readAddrs reads one back into a list of its own (nil when empty).
+func appendAddrs(b []byte, l addr.List) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(l)))
+	for _, a := range l {
+		b = a.AppendEncoded(b)
+	}
+	return b
+}
+
+func readAddrs(b []byte) (l addr.List, rest []byte, ok bool) {
+	s, rest, ok := cutList(b)
+	if ok && len(s) > 0 {
+		l = make(addr.List, 0, len(s)/addr.EncodedSize)
+	}
+	for ; ok && len(s) > 0; s = s[addr.EncodedSize:] {
+		a, err := addr.Decode(s)
+		l, ok = append(l, a), err == nil
+	}
+	return l, rest, ok
+}
+
 // parseDataPacket reads a whole ptData packet, which it keeps (a frame the
 // receiver owns, or a packet nested in a flush report): each section within
 // exact bounds, the payload decoded in place with room for the four system
@@ -348,15 +321,11 @@ func parseDataPacket(raw []byte) (*dataPacket, bool) {
 	}
 	if ok && flags&dataIsRelay != 0 {
 		if s, b, ok = cut(b, dataRelayBytes); ok {
-			p.after = relayStamp{view: core.ViewID(be.Uint64(s)), rank: int(int16(be.Uint16(s[8:]))), seq: be.Uint64(s[10:])}
-			p.call = int64(be.Uint64(s[18:]))
+			p.after, p.call = readRelay(s)
 		}
 	}
 	if ok && flags&dataHasDests != 0 {
-		for s, b, ok = cutList(b); ok && len(s) > 0; s = s[addr.EncodedSize:] {
-			a, err := addr.Decode(s)
-			p.dests, ok = append(p.dests, a), err == nil
-		}
+		p.dests, b, ok = readAddrs(b)
 	}
 	if !ok {
 		return nil, false
@@ -371,28 +340,25 @@ func parseDataPacket(raw []byte) (*dataPacket, bool) {
 // was sent in, the rank of the member that stamped it, and that member's own
 // entry of the timestamp. The relay's acknowledgement carries it, and the
 // sender's next relay request names it as the cast to come after. The zero
-// stamp names nothing and is left off the wire.
+// stamp names nothing.
 type relayStamp struct {
 	view core.ViewID
 	rank int
 	seq  uint64
 }
 
-func putStamp(p *msg.Message, s relayStamp) {
-	if s.view == 0 {
-		return
-	}
-	p.PutInt(fStampView, int64(s.view))
-	p.PutInt(fStampRank, int64(s.rank))
-	p.PutInt(fStampSeq, int64(s.seq))
+// appendRelay writes a relay stamp and the call it goes with (view 8, rank 2,
+// seq 8, call 8): a relay request's section, and the whole of its ptRelayAck.
+func appendRelay(b []byte, s relayStamp, call int64) []byte {
+	be := binary.BigEndian
+	b = be.AppendUint16(be.AppendUint64(b, uint64(s.view)), uint16(s.rank))
+	return be.AppendUint64(be.AppendUint64(b, s.seq), uint64(call))
 }
 
-func getStamp(p *msg.Message) relayStamp {
-	return relayStamp{
-		view: core.ViewID(p.GetInt(fStampView, 0)),
-		rank: int(p.GetInt(fStampRank, 0)),
-		seq:  uint64(p.GetInt(fStampSeq, 0)),
-	}
+// readRelay reads what appendRelay wrote, from dataRelayBytes bytes.
+func readRelay(s []byte) (relayStamp, int64) {
+	be := binary.BigEndian
+	return relayStamp{view: core.ViewID(be.Uint64(s)), rank: int(int16(be.Uint16(s[8:]))), seq: be.Uint64(s[10:])}, int64(be.Uint64(s[18:]))
 }
 
 // pendingReport is one member-site's contribution to a GBCAST flush: the
@@ -429,61 +395,314 @@ type recentWire struct {
 	Priority uint64
 }
 
-// encodePendingReport flattens a report into a nested message, each list as
-// its length ("nab") and numbered entries ("ab0", ...); a packet goes in as the
-// bytes it travelled as, and comes out as a view of the report's frame.
-func encodePendingReport(r pendingReport) *msg.Message {
-	m := msg.New()
-	entry := func(list string, i int, id core.MsgID, pkt []byte) *msg.Message {
-		e := msg.New().PutAddress("&msgid", id.Sender).PutInt("&msgseq", int64(id.Seq))
-		if pkt != nil {
-			e.PutBytes("pkt", pkt)
-		}
-		m.PutMessage(fmt.Sprintf("%s%d", list, i), e)
-		return e
+// A report travels as a uint16 count of entries, then the entries — its
+// Abcasts, Recent and Fenced in turn — each the message id (sender 8,
+// sequence 8), a priority 8, a flags byte (bit 0 committed, bit 1 initiator,
+// bits 2-3 the list: 0 Abcasts, 1 Recent, 2 Fenced) and a uint32 length,
+// followed by that many bytes of the nested packet as it travelled (0: none).
+const reportEntryBytes = 29
+
+func (r *pendingReport) entries() int { return len(r.Abcasts) + len(r.Recent) + len(r.Fenced) }
+
+// size is the report's length on the wire.
+func (r *pendingReport) size() int {
+	n := 2 + r.entries()*reportEntryBytes
+	for _, a := range r.Abcasts {
+		n += len(a.Packet)
 	}
-	m.PutInt("nab", int64(len(r.Abcasts)))
-	for i, a := range r.Abcasts {
-		e := entry("ab", i, a.ID, a.Packet).PutInt("p", int64(a.Priority)).PutInt("c", 0)
-		if a.Committed {
-			e.PutInt("c", 1)
-		}
-		if a.Init {
-			e.PutInt("i", 1)
-		}
+	for _, rc := range r.Recent {
+		n += len(rc.Packet)
 	}
-	m.PutInt("nrc", int64(len(r.Recent)))
-	for i, rc := range r.Recent {
-		if e := entry("rc", i, rc.ID, rc.Packet); rc.Priority != 0 {
-			e.PutInt("p", int64(rc.Priority))
-		}
-	}
-	m.PutInt("nfc", int64(len(r.Fenced)))
-	for i, id := range r.Fenced {
-		entry("fc", i, id, nil)
-	}
-	return m
+	return n
 }
 
-// decodePendingReport reverses encodePendingReport.
-func decodePendingReport(m *msg.Message) (r pendingReport) {
-	each := func(list string, add func(e *msg.Message, id core.MsgID)) {
-		for i, n := 0, int(m.GetInt("n"+list, 0)); i < n; i++ {
-			if e := m.GetMessage(fmt.Sprintf("%s%d", list, i)); e != nil {
-				add(e, core.MsgID{Sender: e.GetAddress("&msgid"), Seq: uint64(e.GetInt("&msgseq", 0))})
-			}
+func (r *pendingReport) appendTo(b []byte) []byte {
+	be := binary.BigEndian
+	entry := func(id core.MsgID, prio uint64, flags byte, pkt []byte) {
+		b = append(be.AppendUint64(be.AppendUint64(id.Sender.AppendEncoded(b), id.Seq), prio), flags)
+		b = append(be.AppendUint32(b, uint32(len(pkt))), pkt...)
+	}
+	b = be.AppendUint16(b, uint16(r.entries()))
+	for _, a := range r.Abcasts {
+		entry(a.ID, a.Priority, bit(a.Committed)|bit(a.Init)<<1, a.Packet)
+	}
+	for _, rc := range r.Recent {
+		entry(rc.ID, rc.Priority, 1<<2, rc.Packet)
+	}
+	for _, id := range r.Fenced {
+		entry(id, 0, 2<<2, nil)
+	}
+	return b
+}
+
+// readReport reads a report back; its packets are views of b.
+func readReport(b []byte) (r pendingReport, rest []byte, ok bool) {
+	be := binary.BigEndian
+	n, b, ok := cut(b, 2)
+	for i := 0; ok && i < int(be.Uint16(n)); i++ {
+		var e, pkt []byte
+		if e, b, ok = cut(b, reportEntryBytes); !ok {
+			break
+		}
+		pkt, b, ok = cut(b, int(be.Uint32(e[25:])))
+		id, prio, f := core.MsgID{Seq: be.Uint64(e[8:])}, be.Uint64(e[16:]), e[24]
+		var err error
+		if id.Sender, err = addr.Decode(e); !ok || err != nil || f>>2 > 2 {
+			return r, nil, false
+		}
+		if len(pkt) == 0 {
+			pkt = nil
+		}
+		switch f >> 2 {
+		case 0:
+			r.Abcasts = append(r.Abcasts, abPendingWire{ID: id, Committed: f&1 != 0, Priority: prio, Packet: pkt, Init: f&2 != 0})
+		case 1:
+			r.Recent = append(r.Recent, recentWire{ID: id, Packet: pkt, Priority: prio})
+		default:
+			r.Fenced = append(r.Fenced, id)
 		}
 	}
-	if m == nil {
-		return r
+	return r, b, ok
+}
+
+// appendView writes a view: group 8, id 8, name (uint16 length, the bytes),
+// members (appendAddrs). viewBytes is its length, readView reads it back.
+func appendView(b []byte, v core.View) []byte {
+	b = binary.BigEndian.AppendUint64(v.Group.AppendEncoded(b), uint64(v.ID))
+	return appendAddrs(append(binary.BigEndian.AppendUint16(b, uint16(len(v.Name))), v.Name...), v.Members)
+}
+
+func viewBytes(v core.View) int { return 20 + len(v.Name) + addr.EncodedSize*len(v.Members) }
+
+func readView(b []byte) (v core.View, rest []byte, ok bool) {
+	if len(b) < 18 {
+		return v, nil, false
 	}
-	each("ab", func(e *msg.Message, id core.MsgID) {
-		r.Abcasts = append(r.Abcasts, abPendingWire{ID: id, Committed: e.GetInt("c", 0) == 1,
-			Priority: uint64(e.GetInt("p", 0)), Packet: e.BytesView("pkt"), Init: e.GetInt("i", 0) == 1})
-	})
-	each("rc", func(e *msg.Message, id core.MsgID) {
-		r.Recent = append(r.Recent, recentWire{ID: id, Packet: e.BytesView("pkt"), Priority: uint64(e.GetInt("p", 0))})
-	})
-	each("fc", func(_ *msg.Message, id core.MsgID) { r.Fenced = append(r.Fenced, id) })
-	return r
+	var err error
+	v.Group, err = addr.Decode(b)
+	v.ID = core.ViewID(binary.BigEndian.Uint64(b[8:]))
+	name, rest, ok := cut(b[18:], int(binary.BigEndian.Uint16(b[16:])))
+	if ok {
+		v.Name = string(name)
+		v.Members, rest, ok = readAddrs(rest)
+	}
+	return v, rest, ok && err == nil
+}
+
+// gbPacket is every packet of the GBCAST family: a request and its done, a
+// prepare and its ack, a commit (or a gbNonPrimary or gbResume notice). What a
+// type does not use stays zero, and a section off the wire. Its head: call id
+// 0-7, group 8-15, kind 16, gbcast sequence 17-24, view id 25-32, request id
+// 33-40, seal target 41-48, outcome 49, flags 50; then the flagged sections.
+type gbPacket struct {
+	call       int64        // request, prepare: the call the done or ack answers
+	group      addr.Address // the group (none on a done or an ack)
+	kind       int64        // gbJoin ... gbSeal
+	seq        uint64       // prepare, commit: the coordinator's GBCAST sequence
+	viewID     core.ViewID  // prepare: the coordinator's view id
+	reqID      int64        // stable request id; survives coordinator fail-over
+	sealTarget int64        // gbSeal: the request id whose outcome is being settled
+	outcome    int64        // ack: the site's vote on sealTarget; commit and done of a seal: the verdict
+	wantState  bool         // a join wants a state transfer
+	force      bool         // run the full wedge/flush even if the change is a no-op
+	procs      addr.List    // the processes a change names; a prepare's removal targets
+	view       core.View    // commit: the new view; ack: the site's; done: the request's
+	report     pendingReport
+	dead       addr.List // ack: removal targets the site confirms dead
+	entry      addr.EntryID
+	sender     addr.Address
+	payload    *msg.Message // user GBCAST: delivered at entry, from sender
+}
+
+// The flags byte of a gbPacket: two request flags, then the sections present.
+const (
+	gbWantState  = 1 << iota // a join wants a state transfer
+	gbForce                  // run the full wedge/flush even for a no-op change
+	gbHasProcs               // procs (appendAddrs)
+	gbHasView                // view (appendView)
+	gbHasReport              // report (appendTo)
+	gbHasDead                // dead (appendAddrs)
+	gbHasPayload             // entry 1, sender 8, then the marshalled payload to the end
+)
+
+// encode builds the packet of type pt in one buffer. Only a payload can fail.
+func (p *gbPacket) encode(pt byte) ([]byte, error) {
+	flags := bit(p.wantState)*gbWantState | bit(p.force)*gbForce | bit(len(p.procs) > 0)*gbHasProcs |
+		bit(!p.view.Group.IsNil())*gbHasView | bit(p.report.entries() > 0)*gbHasReport |
+		bit(len(p.dead) > 0)*gbHasDead | bit(p.payload != nil)*gbHasPayload
+	// Room for every section, present or not: a few bytes too many, one allocation.
+	size := envelopeBytes + gbHeadBytes + 13 + addr.EncodedSize*(len(p.procs)+len(p.dead)) + viewBytes(p.view) + p.report.size()
+	if p.payload != nil {
+		size += p.payload.MarshaledSize()
+	}
+	be := binary.BigEndian
+	b := be.AppendUint64(append(make([]byte, 0, size), wireVersion, pt), uint64(p.call))
+	b = be.AppendUint64(append(p.group.AppendEncoded(b), byte(p.kind)), p.seq)
+	b = be.AppendUint64(be.AppendUint64(be.AppendUint64(b, uint64(p.viewID)), uint64(p.reqID)), uint64(p.sealTarget))
+	b = append(b, byte(p.outcome), flags)
+	if flags&gbHasProcs != 0 {
+		b = appendAddrs(b, p.procs)
+	}
+	if flags&gbHasView != 0 {
+		b = appendView(b, p.view)
+	}
+	if flags&gbHasReport != 0 {
+		b = p.report.appendTo(b)
+	}
+	if flags&gbHasDead != 0 {
+		b = appendAddrs(b, p.dead)
+	}
+	if flags&gbHasPayload == 0 {
+		return b, nil
+	}
+	return p.payload.AppendMarshal(p.sender.AppendEncoded(append(b, byte(p.entry))))
+}
+
+// parse reads a body into p (a zero value), each section within exact bounds
+// and the payload decoded in place. The report's packets are views of b.
+func (p *gbPacket) parse(b []byte) bool {
+	if len(b) < gbHeadBytes || b[16] > byte(gbSeal) || b[50] >= gbHasPayload<<1 {
+		return false
+	}
+	be, flags := binary.BigEndian, b[50]
+	var err error
+	p.call, p.kind, p.seq = int64(be.Uint64(b)), int64(b[16]), be.Uint64(b[17:])
+	p.group, err = addr.Decode(b[8:])
+	p.viewID, p.reqID, p.sealTarget = core.ViewID(be.Uint64(b[25:])), int64(be.Uint64(b[33:])), int64(be.Uint64(b[41:]))
+	p.outcome, p.wantState, p.force = int64(b[49]), flags&gbWantState != 0, flags&gbForce != 0
+	ok, b := err == nil, b[gbHeadBytes:]
+	if ok && flags&gbHasProcs != 0 {
+		p.procs, b, ok = readAddrs(b)
+	}
+	if ok && flags&gbHasView != 0 {
+		p.view, b, ok = readView(b)
+	}
+	if ok && flags&gbHasReport != 0 {
+		p.report, b, ok = readReport(b)
+	}
+	if ok && flags&gbHasDead != 0 {
+		p.dead, b, ok = readAddrs(b)
+	}
+	if !ok || flags&gbHasPayload == 0 || len(b) < 9 {
+		return ok && len(b) == 0 && flags&gbHasPayload == 0
+	}
+	p.entry = addr.EntryID(b[0])
+	if p.sender, err = addr.Decode(b[1:]); err == nil {
+		p.payload, err = msg.UnmarshalOwned(b[9:], 0)
+	}
+	return err == nil
+}
+
+// lookupPacket is both a lookup (ptLookup: by its view's group or name, or
+// both) and a site's answer (ptLookupResp: the answering site, whether its copy
+// is primary, and the view it holds, the zero view for none). Layout: call id
+// 0-7, site 8-9, primary 10, then the view.
+type lookupPacket struct {
+	call    int64
+	site    addr.SiteID
+	primary bool
+	view    core.View
+}
+
+func (l lookupPacket) encode(pt byte) []byte {
+	b := append(make([]byte, 0, envelopeBytes+lookupHeadBytes+viewBytes(l.view)), wireVersion, pt)
+	b = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64(b, uint64(l.call)), uint16(l.site))
+	return appendView(append(b, bit(l.primary)), l.view)
+}
+
+func parseLookup(b []byte) (l lookupPacket, ok bool) {
+	if len(b) < lookupHeadBytes || b[10] > 1 {
+		return l, false
+	}
+	l.call, l.site, l.primary = int64(binary.BigEndian.Uint64(b)), addr.SiteID(binary.BigEndian.Uint16(b[8:])), b[10] == 1
+	l.view, b, ok = readView(b[lookupHeadBytes:])
+	return l, ok && len(b) == 0
+}
+
+// stateHeader leads a state block (ptStateBlock; the block follows to the end)
+// and is all of a state ack: group 0-7, joiner 8-15, transfer id 16-23, last 24.
+type stateHeader struct {
+	group, joiner addr.Address
+	xferID        uint64 // the view id the provider shipped under
+	last          bool
+}
+
+// encode builds the packet, writing the block into it: the one copy the
+// provider's bytes take on their way to the wire.
+func (h stateHeader) encode(pt byte, block []byte) []byte {
+	b := append(make([]byte, 0, envelopeBytes+stateHeaderBytes+len(block)), wireVersion, pt)
+	b = binary.BigEndian.AppendUint64(h.joiner.AppendEncoded(h.group.AppendEncoded(b)), h.xferID)
+	return append(append(b, bit(h.last)), block...)
+}
+
+// parseState reads a state header and returns the block after it as a capped
+// sub-slice of b: the receiver's to keep and write, nothing grows into what
+// follows it in the frame.
+func parseState(b []byte) (h stateHeader, block []byte, ok bool) {
+	if len(b) < stateHeaderBytes || b[24] > 1 {
+		return h, nil, false
+	}
+	var gerr, jerr error
+	h.group, gerr = addr.Decode(b)
+	h.joiner, jerr = addr.Decode(b[8:])
+	h.xferID, h.last = binary.BigEndian.Uint64(b[16:]), b[24] == 1
+	return h, b[stateHeaderBytes:len(b):len(b)], gerr == nil && jerr == nil
+}
+
+// encode builds the packet of type pt an answer to call travels as: an error is
+// the call id and its text, a relay's acknowledgement the relay section.
+func (a answer) encode(pt byte, call int64) []byte {
+	switch pt {
+	case ptError:
+		return append(binary.BigEndian.AppendUint64([]byte{wireVersion, ptError}, uint64(call)), a.err.Error()...)
+	case ptRelayAck:
+		return appendRelay([]byte{wireVersion, ptRelayAck}, a.stamp, call)
+	case ptLookupResp:
+		a.look.call = call
+		return a.look.encode(pt)
+	}
+	a.gb.call = call // ptGbDone, ptGbAck: no payload, nothing can fail
+	raw, _ := a.gb.encode(pt)
+	return raw
+}
+
+// parseAnswer reads an answer packet's body into the answer and the call it
+// answers. An error is restored to the sentinel its text names, so a caller
+// can match it with errors.Is across the wire (a Join refused by a minority
+// coordinator must surface as ErrNonPrimary, not as opaque text).
+func parseAnswer(pt byte, b []byte) (call int64, a answer, ok bool) {
+	switch pt {
+	case ptGbDone, ptGbAck:
+		a.gb = new(gbPacket)
+		ok = a.gb.parse(b)
+		return a.gb.call, a, ok
+	case ptLookupResp:
+		l, ok := parseLookup(b)
+		return l.call, answer{look: &l}, ok
+	case ptRelayAck:
+		if len(b) != dataRelayBytes {
+			return 0, a, false
+		}
+		a.stamp, call = readRelay(b)
+		return call, a, true
+	}
+	if len(b) < 8 {
+		return 0, a, false
+	}
+	text := string(b[8:])
+	a.err = fmt.Errorf("protos: remote error: %s", text)
+	for _, sentinel := range []error{ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed, errRelayEarly} {
+		if text == sentinel.Error() {
+			a.err = sentinel
+		}
+	}
+	return int64(binary.BigEndian.Uint64(b)), a, true
+}
+
+// bit is 1 for true.
+func bit(on bool) byte {
+	if on {
+		return 1
+	}
+	return 0
 }

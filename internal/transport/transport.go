@@ -15,8 +15,8 @@ import (
 type SiteID = addr.SiteID
 
 // Handler receives a fully reassembled message from a peer site. Handlers
-// are invoked sequentially per source site, preserving FIFO order. The handler
-// may keep data but never write to it: other messages share the frame under it.
+// are invoked sequentially per source site, preserving FIFO order. Data is the
+// handler's to keep and write, never to grow: other messages share its frame.
 type Handler func(from SiteID, data []byte)
 
 // Config holds transport parameters.
