@@ -227,7 +227,7 @@ type abSendState struct {
 	sender addr.Address
 	// targets lists the remote member sites phase 1 and the commit go to; it
 	// is fixed when the round is set up. waiting holds those that have not
-	// proposed (or failed) yet.
+	// proposed yet.
 	targets  []addr.SiteID
 	waiting  []addr.SiteID
 	maxPrio  uint64
@@ -659,9 +659,12 @@ func (d *Daemon) newReqID() int64 {
 	return (int64(d.site)<<16|int64(d.cfg.Incarnation)&0xffff)<<32 | d.nextReqID&0xffffffff
 }
 
-// errSiteFailed aborts pending calls to a site the failure detector declared
-// dead, as the error of the injected answer.
+// errSiteFailed fails a call to a site the failure detector declared dead,
+// aborted in flight (handleSiteFailure) or refused at once (call).
 var errSiteFailed = errors.New("protos: site failed")
+
+// errNotCoordinator refuses a GBCAST request at a site not acting as coordinator.
+var errNotCoordinator = errors.New("protos: not the group's acting coordinator")
 
 // respondLocked hands an answer, come as a packet of type pt, to a pending
 // call, if it still exists and asked for that type. Caller holds d.mu.
@@ -686,21 +689,30 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 }
 
 // call sends a GBCAST request or prepare to a site with its call id and waits
-// for the answer (of the type after pt) or a timeout. A request this site makes
-// of itself (it is never asked a prepare) goes to the handler a peer's goes to,
-// by reference, in one hold of d.mu, and is answered there as a peer's is
-// (answerLocked): one call table and one wait for both.
+// for the answer (of the type after pt) or a timeout; a suspected site is sent
+// nothing. A request this site makes of itself (it is never asked a prepare)
+// goes to the handler a peer's goes to, by reference, in one hold of d.mu, and
+// is answered there as a peer's is (answerLocked): one call table and one wait
+// for both.
 func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) {
 	id, ch := d.newCall(to, pt+1)
 	defer d.dropCall(id)
 	req.call = id
-	if to == d.site {
-		d.mu.Lock()
+	var err error
+	d.mu.Lock()
+	switch {
+	case d.suspected[to]:
+		err = errSiteFailed
+	case to == d.site:
 		d.handleGbRequestLocked(to, &req)
-		d.mu.Unlock()
-	} else if raw, err := req.encode(pt); err != nil {
-		return nil, err
-	} else if err := d.sendRaw(to, raw); err != nil {
+	default:
+		var raw []byte
+		if raw, err = req.encode(pt); err == nil {
+			err = d.sendRaw(to, raw)
+		}
+	}
+	d.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	a, err := d.await(ch, time.After(d.cfg.CallTimeout))

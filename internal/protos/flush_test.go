@@ -1,7 +1,7 @@
 package protos
 
-// Table tests for the pure half of the GBCAST flush — decideFlush and
-// reconcile — with no daemon and no network.
+// Table tests for the pure half of the GBCAST flush — decideFlush, reconcile
+// and the commit's fan-out order — with no daemon and no network.
 
 import (
 	"bytes"
@@ -86,6 +86,17 @@ func TestReconcile(t *testing.T) {
 			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 6, Packet: pkt}},
 		},
 		{
+			// A round targets a suspected site too; the flush that removes it
+			// drives the round on the acked sites' reports.
+			name: "a failed target that never proposed: driven at the maximum of the acked proposals",
+			reports: map[addr.SiteID]pendingReport{
+				1: {Abcasts: []abPendingWire{pending(a, 7)}},
+				2: {Abcasts: []abPendingWire{initiator(a, 3)}},
+			},
+			failed:  []addr.Address{addr.NewProcess(3, 0, 1)},
+			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 7, Packet: pkt}},
+		},
+		{
 			name: "seen in every report: completed at the maximum proposal",
 			reports: map[addr.SiteID]pendingReport{
 				1: {Abcasts: []abPendingWire{initiator(a, 2)}},
@@ -147,6 +158,19 @@ func TestReconcile(t *testing.T) {
 				t.Errorf("finals carried by Recent = %v, want %v", finals, tc.finals)
 			}
 		})
+	}
+}
+
+// TestCommitFansOutInRankOrder pins the commit's fan-out order: each member
+// site of the new, base and old views once, in the order the views rank their
+// members, so a site that only the old view lists comes last.
+func TestCommitFansOutInRankOrder(t *testing.T) {
+	gid := addr.NewGroup(1, 0, 1)
+	p := func(site addr.SiteID, seq uint32) addr.Address { return addr.NewProcess(site, 0, seq) }
+	old := core.View{Group: gid, ID: 4, Members: []addr.Address{p(3, 1), p(1, 1), p(3, 2), p(2, 1)}}
+	next := old.WithRemoved(p(2, 1)).WithJoined(p(4, 1))
+	if got, want := unionSites(next, old, old), []addr.SiteID{3, 1, 4, 2}; !slices.Equal(got, want) {
+		t.Errorf("unionSites = %v, want %v", got, want)
 	}
 }
 

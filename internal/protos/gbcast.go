@@ -78,6 +78,19 @@ func (d *Daemon) executeGb(w *gbWork) {
 		d.gbReply(w, ptError, answer{err: ErrNonPrimary})
 		return
 	}
+	// Only the acting coordinator by this site's view and suspicions runs a
+	// request; a requester is the authority on the failures of its own processes.
+	acting := gs.view
+	for _, p := range w.procs {
+		if w.kind == gbFail && p.Site == w.replyTo {
+			acting = acting.WithRemoved(p)
+		}
+	}
+	if d.actingCoordinator(acting).Site != d.site {
+		d.mu.Unlock()
+		d.gbReply(w, ptError, answer{err: errNotCoordinator})
+		return
+	}
 	oldView := gs.view.Clone()
 	// Answer with the current view, instead of executing the protocol, a
 	// request that already committed — typically under a previous
@@ -155,16 +168,18 @@ func (d *Daemon) gbReply(w *gbWork, pt byte, a answer) {
 	d.answerLocked(w.replyTo, w.call, pt, a)
 }
 
-// unionSites lists each member site of the given views once, in no
-// particular order.
-func unionSites(views ...core.View) []addr.SiteID {
-	sites := make(map[addr.SiteID]bool)
+// unionSites lists each member site of the given views once, in the order the
+// views rank their members, the oldest member's site first: a commit fans out
+// in the same order every run.
+func unionSites(views ...core.View) (sites []addr.SiteID) {
 	for _, v := range views {
 		for _, m := range v.Members {
-			sites[m.Site] = true
+			if !slices.Contains(sites, m.Site) {
+				sites = append(sites, m.Site)
+			}
 		}
 	}
-	return slices.Collect(maps.Keys(sites))
+	return sites
 }
 
 // collectAcks runs phase 1: it wedges every member site of the view and
@@ -194,24 +209,15 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 			ackMu.Unlock()
 			continue
 		}
-		d.mu.Lock()
-		dead := d.suspected[site]
-		d.mu.Unlock()
-		if dead {
-			continue
-		}
 		wg.Add(1)
 		go func(site addr.SiteID) {
 			defer wg.Done()
-			// Retry a failed prepare while the member site is still believed
-			// alive: silently treating a transient call failure as a site
-			// death would let this coordinator mint a view id the unreached
-			// member may already hold with different contents (it would then
-			// drop the commit as stale and diverge). Once the detector
-			// declares the site dead, its members are removed later and the
-			// missing report is legitimate. Calls to a site declared dead
-			// mid-exchange abort immediately (handleSiteFailure), so the retries
-			// never outlive the suspicion.
+			// Retry a failed prepare: silently treating a transient call
+			// failure as a site death would let this coordinator mint a view id
+			// the unreached member may already hold with different contents (it
+			// would then drop the commit as stale and diverge). A site the
+			// detector declares dead fails its calls at once (call), so the
+			// retries end with the suspicion, and its members are removed later.
 			for attempt := 0; attempt < 3; attempt++ {
 				// By value: d.call stamps a per-exchange call id into its copy.
 				resp, err := d.call(site, ptGbPrepare, prepare)
@@ -220,12 +226,6 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 					acks[site] = prepareAck{report: resp.report, view: resp.view, dead: resp.dead, vote: resp.outcome}
 					ackMu.Unlock()
 					return
-				}
-				d.mu.Lock()
-				dead := d.suspected[site]
-				d.mu.Unlock()
-				if dead {
-					return // treat as failed; its members will be removed later
 				}
 			}
 		}(site)
@@ -835,21 +835,20 @@ func (d *Daemon) handleStateAckLocked(h stateHeader) {
 // handleSiteFailure reacts to the failure detector declaring a site dead.
 // Calls in flight to it are aborted first, so their callers (coordinator
 // requests, lookups) re-route to a successor instead of waiting out the call
-// timeout. ABCASTs waiting on its proposals complete without it, and if this
-// daemon hosts the acting coordinator of a group with members at the dead
-// site, it initiates their removal. When the dead site hosted the group's
-// previous acting coordinator, the removal is forced: the old coordinator may
-// have died mid-flush — members wedged by its prepare, its commit delivered
-// to only some of them, its gbQueue lost — so the successor must re-run the
-// full wedge/flush even if the membership change itself turns out to be a
-// no-op at this site. Requests orphaned at the dead coordinator are
-// re-submitted by their requesters (coordinatorCall retries with a stable
-// request id once the in-flight exchange is aborted), and the commit-time
-// dedupe keeps re-execution idempotent.
+// timeout. If this daemon hosts the acting coordinator of a group with
+// members at the dead site, it requests their removal, whose flush drives or
+// fences the ABCASTs still waiting on the site. When the dead site hosted the
+// group's previous acting coordinator, the removal is forced: the old
+// coordinator may have died mid-flush — members wedged by its prepare, its
+// commit delivered to only some of them, its gbQueue lost — so the successor
+// must re-run the full wedge/flush even if the membership change itself
+// turns out to be a no-op at this site. Requests orphaned at the dead
+// coordinator are re-submitted by their requesters (coordinatorCall retries
+// with a stable request id once the in-flight exchange is aborted), and the
+// commit-time dedupe keeps re-execution idempotent.
 func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.suspected[s] = true
 	d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: s})
 	for _, c := range d.calls {
 		if c.site == s {
@@ -859,11 +858,6 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 			}
 		}
 	}
-	for _, st := range d.pendingAb {
-		if st.proposalInLocked(s) {
-			d.completeAbcastLocked(st)
-		}
-	}
 	for gid, gs := range d.groups {
 		var atSite []addr.Address
 		for _, m := range gs.view.Members {
@@ -871,7 +865,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 				atSite = append(atSite, m)
 			}
 		}
-		force := false
+		force := d.actingCoordinator(gs.view).Site == s // s is marked suspected below
 		if len(atSite) == 0 {
 			// No members of the dead site in our current view — but it may
 			// have coordinated the change that removed them, and died before
@@ -889,23 +883,8 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 				continue
 			}
 		}
-		coord := d.actingCoordinator(gs.view)
-		if coord.IsNil() || coord.Site != d.site {
+		if d.actingCoordinator(gs.view.WithRemoved(atSite...)).Site != d.site { // the successor
 			continue
-		}
-		// Was the previous acting coordinator hosted at the dead site? Walk
-		// the ranking as it stood before s was suspected (s is already in
-		// d.suspected here, so treat it as alive for this scan).
-		if !force {
-			for _, m := range gs.view.Members {
-				if m.Site == s {
-					force = true
-					break
-				}
-				if !d.suspected[m.Site] && !d.failedProcs[m.Base()] {
-					break
-				}
-			}
 		}
 		if force {
 			// This site is stepping in for a coordinator that died
@@ -915,4 +894,5 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 		}
 		d.requestRemoval(gid, atSite, gbFail, force)
 	}
+	d.suspected[s] = true
 }

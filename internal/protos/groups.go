@@ -315,7 +315,8 @@ func (d *Daemon) liveProcLocked(a addr.Address) (*localProc, error) {
 }
 
 // actingCoordinator returns the oldest member of the view whose site is not
-// suspected and that is not known to have failed. Caller holds d.mu.
+// suspected and that is not known to have failed, the one that runs GBCAST
+// requests (executeGb). Caller holds d.mu.
 func (d *Daemon) actingCoordinator(v core.View) addr.Address {
 	for _, m := range v.Members {
 		if d.suspected[m.Site] {
@@ -344,7 +345,8 @@ func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
 
 // coordinatorCall routes a GBCAST request to the group's acting coordinator and
 // waits for its ptGbDone answer, retrying with a refreshed view if the
-// coordinator cannot be reached (it may have failed). The request carries a
+// coordinator cannot be reached (it may have failed), and re-resolving it for
+// one CallTimeout after a refusal (errNotCoordinator). The request carries a
 // stable request id minted once here: when a coordinator dies after
 // committing but before answering, the re-submission reaches the successor
 // with the same id and is answered from the commit record instead of being
@@ -363,6 +365,7 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *gbPacket) (*gbPacket, er
 	}
 	d.noteRequest(req.reqID, gid, reqPending)
 	var lastErr error
+	deadline := time.Now().Add(d.cfg.CallTimeout)
 	for attempt := 0; attempt < 4; attempt++ {
 		view, ok := d.CurrentView(gid)
 		if !ok || view.Size() == 0 {
@@ -398,6 +401,9 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *gbPacket) (*gbPacket, er
 			// the same partition cannot succeed until the merge runs.
 			d.noteRequest(req.reqID, gid, reqGaveUp)
 			return nil, err
+		}
+		if errors.Is(err, errNotCoordinator) && time.Now().Before(deadline) {
+			attempt-- // not counted: the refusal is re-resolved until the deadline
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -425,9 +425,10 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp,
 // remote member sites, or — with nobody to wait for — completes the round at
 // once. sender is the local process whose Flush waits on the round (nil for a
 // relay). The packet's attempt is 0 for a fresh ABCAST and counts up when a
-// GBCAST flush fences the message and restarts it. The scan tick completes the
-// round at its deadline even if some site never answers (it will have been
-// declared failed by then, or the timeout acts as a backstop). Caller holds d.mu.
+// GBCAST flush fences the message and restarts it. Every other member site is
+// a target, a suspected one too: one that never answers holds the round until
+// the flush that removes it drives or fences the message (reconcile), or the
+// scan tick completes the round at its deadline. Caller holds d.mu.
 func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender addr.Address) {
 	st := &abSendState{
 		id:       pkt.id,
@@ -438,7 +439,7 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender ad
 		deadline: time.Now().Add(d.cfg.CallTimeout),
 	}
 	for _, s := range gs.view.SitesOf() {
-		if s != d.site && !d.suspected[s] {
+		if s != d.site {
 			st.targets = append(st.targets, s)
 		}
 	}
@@ -474,9 +475,9 @@ func (d *Daemon) retireAbcastLocked(st *abSendState) {
 	st.done = true
 }
 
-// proposalInLocked records that site s answered phase 1 (or will never
-// answer, having failed) and reports whether that completed the round: the
-// caller must then call completeAbcastLocked. Caller holds d.mu.
+// proposalInLocked records that site s answered phase 1 and reports whether
+// that completed the round: the caller must then call completeAbcastLocked.
+// Caller holds d.mu.
 func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
 	i := slices.Index(st.waiting, s)
 	if i < 0 {
@@ -699,8 +700,7 @@ func (d *Daemon) resolicitStragglers() {
 // site first (for a member ABCAST that is the initiator), then the group's
 // other member sites in view order — any site that applied the commit can
 // answer from its record, which is what lets a receiver route around a
-// paused or dead initiator link. Suspected sites are skipped. Caller holds
-// d.mu.
+// paused or dead initiator link. Caller holds d.mu.
 func (d *Daemon) resolicitTargetLocked(gs *groupState, sender addr.Address, attempt int) addr.SiteID {
 	seen := map[addr.SiteID]bool{d.site: true}
 	var cands []addr.SiteID
@@ -714,16 +714,10 @@ func (d *Daemon) resolicitTargetLocked(gs *groupState, sender addr.Address, atte
 			cands = append(cands, s)
 		}
 	}
-	var live []addr.SiteID
-	for _, s := range cands {
-		if !d.suspected[s] {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
+	if len(cands) == 0 {
 		return 0
 	}
-	return live[attempt%len(live)]
+	return cands[attempt%len(cands)]
 }
 
 // ---------------------------------------------------------------------------

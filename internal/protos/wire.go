@@ -691,7 +691,7 @@ func parseAnswer(pt byte, b []byte) (call int64, a answer, ok bool) {
 	}
 	text := string(b[8:])
 	a.err = fmt.Errorf("protos: remote error: %s", text)
-	for _, sentinel := range []error{ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed, errRelayEarly} {
+	for _, sentinel := range []error{ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed, errRelayEarly, errNotCoordinator} {
 		if text == sentinel.Error() {
 			a.err = sentinel
 		}
