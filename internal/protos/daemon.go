@@ -83,7 +83,6 @@ type localProc struct {
 	deliverView ViewFunc
 	alive       bool
 	nextSeq     uint64 // multicast sequence (msg ids)
-	outstanding int    // ABCASTs initiated and not yet committed (for flush)
 
 	// relayMu serializes this process's relayed CBCASTs across the
 	// acknowledged exchange and guards relayed: per destination group, the
@@ -176,6 +175,12 @@ type groupState struct {
 	// re-disseminates to members that missed them.
 	recent core.BoundedLog[core.MsgID, recentEntry]
 
+	// rounds are the ABCAST rounds this site initiated into the copy and has
+	// not yet retired, by message id; finals the final priorities of the
+	// commits applied to it, kept to answer re-solicitations.
+	rounds map[core.MsgID]*abSendState
+	finals core.BoundedLog[core.MsgID, uint64]
+
 	// pendingXfer is the set of joiners whose requested state transfer has
 	// not been confirmed complete (by their site's ptStateAck). Every member
 	// site tracks it so that whichever site finds itself hosting the new
@@ -196,8 +201,8 @@ type groupState struct {
 // recentEntry is one delivered data packet, as the bytes it travelled as. For
 // an ABCAST, prio is the final priority it was delivered at (0 otherwise): kept
 // with the packet, so a flush report's Recent line can always name the final a
-// delivered straggler must be completed at elsewhere (the daemon-global abDone
-// record churns across groups and may have evicted it).
+// delivered straggler must be completed at elsewhere (the copy's bounded finals
+// may have evicted it).
 type recentEntry struct {
 	raw  []byte
 	prio uint64
@@ -215,16 +220,15 @@ func newGroupState(view core.View) *groupState {
 		causal:  core.NewCausalQueue(-1, view.Size()),
 		total:   core.NewTotalQueue(0),
 		recent:  core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
+		rounds:  make(map[core.MsgID]*abSendState),
+		finals:  core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
 		marks:   newRequestMarks(),
 	}
 }
 
 // abSendState is the initiator-side state of one ABCAST (phase 1 responses
-// still outstanding).
+// still outstanding), held by the group copy it runs in under packet.id.
 type abSendState struct {
-	id     core.MsgID
-	group  addr.Address
-	sender addr.Address
 	// targets lists the remote member sites phase 1 and the commit go to; it
 	// is fixed when the round is set up. waiting holds those that have not
 	// proposed yet.
@@ -242,8 +246,8 @@ type abSendState struct {
 	packet *dataPacket
 }
 
-// abDoneLimit bounds the per-daemon memory of committed ABCAST final
-// priorities kept for re-solicitation answers.
+// abDoneLimit bounds a group copy's memory of committed ABCAST final
+// priorities kept for re-solicitation answers (groupState.finals).
 const abDoneLimit = 1024
 
 // pendingJoin remembers the state-transfer receiver callback registered when
@@ -273,8 +277,6 @@ type Daemon struct {
 	calls       map[int64]pendingCall
 	nextCall    int64
 	nextReqID   int64
-	pendingAb   map[core.MsgID]*abSendState
-	abDone      core.BoundedLog[core.MsgID, uint64] // final priorities of applied ABCAST commits
 	pendingJoin map[joinKey]pendingJoin
 	reqSerial   map[addr.Address]*sync.Mutex
 
@@ -357,8 +359,6 @@ func New(cfg Config) (*Daemon, error) {
 		failedProcs: make(map[addr.Address]bool),
 		suspected:   make(map[addr.SiteID]bool),
 		calls:       make(map[int64]pendingCall),
-		pendingAb:   make(map[core.MsgID]*abSendState),
-		abDone:      core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
 		pendingJoin: make(map[joinKey]pendingJoin),
 		parked:      make(map[joinKey]bool),
 		reqSerial:   make(map[addr.Address]*sync.Mutex),
@@ -450,8 +450,8 @@ func (d *Daemon) Close() {
 	for _, p := range d.procs {
 		procs = append(procs, p)
 	}
-	for _, st := range d.pendingAb {
-		d.retireAbcastLocked(st)
+	for _, gs := range d.groups {
+		clear(gs.rounds)
 	}
 	d.flushEnd.Broadcast()
 	d.mu.Unlock()

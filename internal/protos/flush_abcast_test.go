@@ -231,7 +231,7 @@ func TestFencedAbcastReachesJoiner(t *testing.T) {
 // commit, the message was vouched for by nobody. With both in one hold of the
 // lock, what the report is built from shows the commit applied — delivered and
 // in recent with its final, or committed in the queue behind an older entry —
-// the moment the round has left pendingAb.
+// the moment the round has left the copy's rounds.
 func TestCompletedRoundIsPendingOrApplied(t *testing.T) {
 	for _, blocked := range []bool{false, true} {
 		t.Run(fmt.Sprintf("behind an uncommitted entry=%v", blocked), func(t *testing.T) {
@@ -248,16 +248,16 @@ func TestCompletedRoundIsPendingOrApplied(t *testing.T) {
 				gs.total.Propose(other, dataPkt(t, ABCAST, gid, gs.view.ID, other, 1, body("older")))
 			}
 			id := core.MsgID{Sender: procs[0].addr, Seq: 901}
-			d.initiateAbcastLocked(gs, dataPkt(t, ABCAST, gid, gs.view.ID, id, 0, body("m")), procs[0].addr)
-			st := d.pendingAb[id]
+			d.initiateAbcastLocked(gs, dataPkt(t, ABCAST, gid, gs.view.ID, id, 0, body("m")))
+			st := gs.rounds[id]
 			if st == nil || st.done {
 				t.Fatal("the round completed with site 2's proposal still out")
 			}
 			st.done = true
-			d.completeAbcastLocked(st)
+			d.completeAbcastLocked(gs, st)
 
-			if _, pending := d.pendingAb[id]; pending {
-				t.Error("the completed round is still in pendingAb")
+			if _, pending := gs.rounds[id]; pending {
+				t.Error("the completed round is still in the copy's rounds")
 			}
 			rec, delivered := gs.recent.Get(id)
 			committed := slices.ContainsFunc(d.buildReportLocked(gs).Abcasts, func(ab abPendingWire) bool { return ab.ID == id && ab.Committed && ab.Priority == st.maxPrio })

@@ -281,10 +281,7 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 		idx[p.ID] = len(rep.Abcasts)
 		rep.Abcasts = append(rep.Abcasts, e)
 	}
-	for id, st := range d.pendingAb {
-		if st.group != gs.view.Group {
-			continue
-		}
+	for id, st := range gs.rounds {
 		if i, ok := idx[id]; ok {
 			e := &rep.Abcasts[i]
 			if !e.Committed && st.maxPrio > e.Priority {
@@ -302,7 +299,7 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 	for _, id := range gs.recent.Keys() {
 		e, _ := gs.recent.Get(id)
 		if e.prio == 0 {
-			e.prio, _ = d.abDone.Get(id)
+			e.prio, _ = gs.finals.Get(id)
 		}
 		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: e.raw, Priority: e.prio})
 	}
@@ -439,17 +436,16 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 	// member was removed by this very change retires the round instead — the
 	// message is dropped, exactly as if its sender had failed.
 	for _, st := range fenced {
-		d.retireAbcastLocked(st)
+		gs.retire(st)
 		if len(gs.members) == 0 {
-			d.releaseAbSenderLocked(st)
 			continue
 		}
 		// A new header in front of the payload bytes the fenced packet went out
-		// with. The sender's Flush accounting is carried over, not counted again.
+		// with.
 		pkt := *st.packet
 		pkt.view, pkt.attempt = gs.view.ID, pkt.attempt+1
 		_ = pkt.encode() // nothing is marshalled, nothing can fail
-		d.initiateAbcastLocked(gs, &pkt, st.sender)
+		d.initiateAbcastLocked(gs, &pkt)
 	}
 
 	// Step 3: the flush is over, and what it held back is taken up again. A
@@ -515,13 +511,13 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 	for _, id := range rec.Fenced {
 		d.bus.Publish(events.Event{Kind: events.AbcastFenced, Group: gid, Msg: id})
 		d.deliverTotalLocked(gs, gs.total.Discard(id))
-		if st, ok := d.pendingAb[id]; ok && st.group == gid {
+		if st, ok := gs.rounds[id]; ok {
 			fenced = append(fenced, st)
 		}
 	}
 	for _, ab := range rec.Abcasts {
 		if ab.Committed {
-			d.recordAbDoneLocked(ab.ID, ab.Priority)
+			gs.recordFinal(ab.ID, ab.Priority)
 			pkt, _ := parseDataPacket(ab.Packet) // used only where the message is not yet pending
 			d.deliverTotalLocked(gs, gs.total.ForceCommit(ab.ID, pkt, ab.Priority))
 		} else {
@@ -529,11 +525,10 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 		}
 		// The flush resolved this in-flight ABCAST (completed or discarded);
 		// if this site initiated it, its own protocol round is over. The
-		// retire keeps the sender's outstanding count (the Flush API) exact
-		// and stops its deadline from fanning out a conflicting commit.
-		if st, ok := d.pendingAb[ab.ID]; ok && st.group == gid {
-			d.retireAbcastLocked(st)
-			d.releaseAbSenderLocked(st)
+		// retire releases the sender's Flush and stops the round's deadline
+		// from fanning out a conflicting commit.
+		if st, ok := gs.rounds[ab.ID]; ok {
+			gs.retire(st)
 		}
 	}
 	return fenced
@@ -808,7 +803,7 @@ func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
 			d.enqueue(ms.proc, queued{fn: func() { recv(nil, true) }})
 		}
 		for i, b := range blocks {
-			b, lastBlock := b, i == len(blocks)-1
+			lastBlock := i == len(blocks)-1
 			d.enqueue(ms.proc, queued{fn: func() { recv(b, lastBlock) }})
 		}
 	}

@@ -425,8 +425,8 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 }
 
 // dropGroupLocked forgets a group this site no longer hosts. An ABCAST round
-// this site still has open for it is over too: there is no local copy left to
-// commit into, and the flush or merge that emptied the site has settled the
+// this site still has open in the copy is over too: there is no local copy left
+// to commit into, and the flush or merge that emptied the site has settled the
 // message's fate at the sites that remain. The copy's lifecycle ends last, a
 // flush still open on it by the input given — inCommit when the commit that
 // removed the site's last member ends it, as it ends every other copy's — so
@@ -434,13 +434,8 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 func (d *Daemon) dropGroupLocked(gid addr.Address, flushEnd input) {
 	gs, ok := d.groups[gid]
 	delete(d.groups, gid)
-	for _, st := range d.pendingAb {
-		if st.group == gid {
-			d.retireAbcastLocked(st)
-			d.releaseAbSenderLocked(st)
-		}
-	}
 	if ok {
+		clear(gs.rounds)
 		d.step(gs, flushEnd)
 		d.step(gs, inDrop)
 	}

@@ -206,7 +206,7 @@ func (d *Daemon) refeedLocked(gs *groupState) {
 		}
 	}
 	for _, st := range rel.rounds {
-		d.completeAbcastLocked(st)
+		d.completeAbcastLocked(gs, st)
 	}
 }
 

@@ -233,7 +233,7 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 		_, err = d.sendMemberCbcastLocked(gs, ms, pkt)
 	case ABCAST:
 		if err = pkt.encode(); err == nil {
-			d.initiateAbcastLocked(gs, pkt, lp.addr)
+			d.initiateAbcastLocked(gs, pkt)
 		}
 	default:
 		err = ErrBadProtocol
@@ -387,7 +387,7 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayS
 		if err := pkt.encode(); err != nil {
 			return relayStamp{}, err
 		}
-		d.initiateAbcastLocked(gs, pkt, addr.Nil)
+		d.initiateAbcastLocked(gs, pkt)
 		return relayStamp{}, nil
 	}
 	return relayStamp{}, ErrBadProtocol
@@ -421,19 +421,16 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp,
 // ABCAST initiator side
 
 // initiateAbcastLocked runs the initiator's side of phase 1 for one ABCAST:
-// it sets up the round, proposes locally and ships the encoded packet to the
-// remote member sites, or — with nobody to wait for — completes the round at
-// once. sender is the local process whose Flush waits on the round (nil for a
-// relay). The packet's attempt is 0 for a fresh ABCAST and counts up when a
-// GBCAST flush fences the message and restarts it. Every other member site is
-// a target, a suspected one too: one that never answers holds the round until
+// it sets up the round in the copy, proposes locally and ships the encoded
+// packet to the remote member sites, or — with nobody to wait for — completes
+// the round at once. Until it is retired the round holds its sender's Flush.
+// The packet's attempt is 0 for a fresh ABCAST and counts up when a GBCAST
+// flush fences the message and restarts it. Every other member site is a
+// target, a suspected one too: one that never answers holds the round until
 // the flush that removes it drives or fences the message (reconcile), or the
 // scan tick completes the round at its deadline. Caller holds d.mu.
-func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender addr.Address) {
+func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket) {
 	st := &abSendState{
-		id:       pkt.id,
-		group:    gs.view.Group,
-		sender:   sender,
 		maxPrio:  gs.total.Propose(pkt.id, pkt),
 		packet:   pkt,
 		deadline: time.Now().Add(d.cfg.CallTimeout),
@@ -444,19 +441,15 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender ad
 		}
 	}
 	st.waiting = append(st.waiting, st.targets...)
-	d.pendingAb[st.id] = st
+	gs.rounds[pkt.id] = st
 	if pkt.attempt == 0 {
-		// A fence restart re-runs the protocol for a message already counted,
-		// against the protocol counter and its sender's Flush, when it was
-		// first initiated.
+		// A fence restart re-runs the protocol for a message already counted
+		// when it was first initiated.
 		d.counters.ABCASTs++
-		if lp, ok := d.procs[sender]; ok {
-			lp.outstanding++
-		}
 	}
 	if len(st.targets) == 0 {
 		st.done = true
-		d.completeAbcastLocked(st)
+		d.completeAbcastLocked(gs, st)
 		return
 	}
 	// Phase 1 was marshalled once and is shared by every remote member site
@@ -464,13 +457,12 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket, sender ad
 	d.fanoutRaw(st.targets, pkt.raw)
 }
 
-// retireAbcastLocked ends an initiator round on every path but the normal
-// completion's bookkeeping: the state leaves pendingAb and is marked done, so
-// a retired round (and the packet it holds) is garbage at once. Caller holds
-// d.mu.
-func (d *Daemon) retireAbcastLocked(st *abSendState) {
-	if d.pendingAb[st.id] == st {
-		delete(d.pendingAb, st.id)
+// retire ends an initiator round, whichever way it ends: the round leaves the
+// copy and is marked done, so it (and the packet it holds) is garbage at once.
+// Caller holds d.mu.
+func (gs *groupState) retire(st *abSendState) {
+	if id := st.packet.id; gs.rounds[id] == st {
+		delete(gs.rounds, id)
 	}
 	st.done = true
 }
@@ -499,7 +491,11 @@ func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
 // restarted the ABCAST) is ignored, so the final priority is always the
 // maximum over one coherent proposal round. Caller holds d.mu.
 func (d *Daemon) handleAbProposeLocked(from addr.SiteID, r abRecord) {
-	st, ok := d.pendingAb[r.id]
+	gs, ok := d.groups[r.group.Base()]
+	if !ok {
+		return
+	}
+	st, ok := gs.rounds[r.id]
 	if !ok || r.attempt != st.packet.attempt {
 		return
 	}
@@ -507,52 +503,36 @@ func (d *Daemon) handleAbProposeLocked(from addr.SiteID, r abRecord) {
 		st.maxPrio = r.prio
 	}
 	if st.proposalInLocked(from) {
-		d.completeAbcastLocked(st)
+		d.completeAbcastLocked(gs, st)
 	}
 }
 
-// releaseAbSenderLocked credits the sending process's outstanding-ABCAST
-// count when a protocol round ends (completed, retired by a flush, or
-// dropped with its group): the Flush API blocks on this count, so every
-// path that ends a round must release it exactly once. Caller holds d.mu.
-func (d *Daemon) releaseAbSenderLocked(st *abSendState) {
-	if st.sender.IsNil() {
-		return
-	}
-	if lp, ok := d.procs[st.sender.Base()]; ok && lp.outstanding > 0 {
-		lp.outstanding--
-	}
-}
-
-// completeAbcastLocked ends a round whose proposals are in (or whose deadline
-// has passed): it retires the round, sends phase 2 (the final priority) to
-// every destination site and applies it to the local copy, all in the hold
-// that retired it — a flush report built at this site finds the round pending
-// or its commit applied, never neither. While the local copy is flushing the
+// completeAbcastLocked ends a round of the copy gs whose proposals are in (or
+// whose deadline has passed): it retires the round, sends phase 2 (the final
+// priority) to every destination site and applies it to the copy, all in the
+// hold that retired it — a flush report built at this site finds the round
+// pending or its commit applied, never neither. While the copy is flushing the
 // completion is parked on it instead: the flush owns the fate of every
 // in-flight ABCAST (it either drives the commit itself or fences the message
 // behind the new view), and a commit fanned out mid-flush would be held at
 // every wedged site and then discarded, losing the message. When the flush
 // ends the round comes back here and is found retired (the flush committed
-// it), replaced (the flush fenced and restarted it), or still its own, in
-// which case it proceeds normally. Caller holds d.mu.
-func (d *Daemon) completeAbcastLocked(st *abSendState) {
-	if d.pendingAb[st.id] != st {
-		// Retired by a flush's drive branch, or restarted by its fence
-		// branch; either way this protocol round is over.
+// it), replaced (the flush fenced and restarted it), dropped with its copy, or
+// still its own, in which case it proceeds normally. Caller holds d.mu.
+func (d *Daemon) completeAbcastLocked(gs *groupState, st *abSendState) {
+	id := st.packet.id
+	if gs.rounds[id] != st {
+		// Retired by a flush's drive branch, restarted by its fence branch, or
+		// dropped with the copy; either way this protocol round is over.
 		return
 	}
-	gs, hosted := d.groups[st.group]
-	if hosted && gs.phase == phaseFlushing && !d.closed {
+	if gs.phase == phaseFlushing && !d.closed {
 		gs.parked.rounds = append(gs.parked.rounds, st)
 		return
 	}
-	d.retireAbcastLocked(st)
-	d.releaseAbSenderLocked(st)
-	d.fanoutRaw(st.targets, abRecord{group: st.group, id: st.id, prio: st.maxPrio}.encode(ptAbCommit))
-	if hosted {
-		d.applyAbCommitLocked(gs, st.id, st.maxPrio)
-	}
+	gs.retire(st)
+	d.fanoutRaw(st.targets, abRecord{group: gs.view.Group, id: id, prio: st.maxPrio}.encode(ptAbCommit))
+	d.applyAbCommitLocked(gs, id, st.maxPrio)
 }
 
 // handleAbCommitLocked applies an ABCAST final priority at a destination site,
@@ -572,7 +552,7 @@ func (d *Daemon) handleAbCommitLocked(from addr.SiteID, r abRecord) {
 // applyAbCommitLocked records an ABCAST's final priority and delivers what it
 // releases from the copy's total-order queue. Caller holds d.mu.
 func (d *Daemon) applyAbCommitLocked(gs *groupState, id core.MsgID, final uint64) {
-	d.recordAbDoneLocked(id, final)
+	gs.recordFinal(id, final)
 	d.deliverTotalLocked(gs, gs.total.Commit(id, final))
 }
 
@@ -590,24 +570,27 @@ func (d *Daemon) deliverTotalLocked(gs *groupState, dels []core.TotalDelivery) {
 // ---------------------------------------------------------------------------
 // Straggler re-solicitation
 
-// recordAbDoneLocked remembers the final priority of an applied ABCAST
-// commit (bounded memory), so this site can answer a re-solicitation for it
-// even after the initiator is gone. Caller holds d.mu.
-func (d *Daemon) recordAbDoneLocked(id core.MsgID, final uint64) {
-	if _, ok := d.abDone.Get(id); !ok {
-		d.abDone.Put(id, final)
+// recordFinal remembers the final priority of an ABCAST commit applied to the
+// copy (bounded memory), so this site can answer a re-solicitation for it even
+// after the initiator is gone. Caller holds d.mu.
+func (gs *groupState) recordFinal(id core.MsgID, final uint64) {
+	if _, ok := gs.finals.Get(id); !ok {
+		gs.finals.Put(id, final)
 	}
 }
 
 // handleAbResolicitLocked answers a member site stuck behind an uncommitted
-// straggler at the head of its total-order queue: if this site has applied
-// the commit (or completed the protocol as its initiator), it re-sends the
-// commit record. While the protocol is genuinely still in progress the
-// request is ignored — the commit will arrive on its own — and an unknown id
-// is left for the next GBCAST flush to resolve. Caller holds d.mu.
+// straggler at the head of its total-order queue: if this site's copy of the
+// group has applied the commit (or completed the protocol as its initiator),
+// it re-sends the commit record. While the protocol is genuinely still in
+// progress the request is ignored — the commit will arrive on its own — and an
+// unknown id, or a group this site no longer hosts, is left for the next
+// GBCAST flush to resolve. Caller holds d.mu.
 func (d *Daemon) handleAbResolicitLocked(from addr.SiteID, r abRecord) {
-	if final, done := d.abDone.Get(r.id); done {
-		_ = d.sendRaw(from, abRecord{group: r.group.Base(), id: r.id, prio: final}.encode(ptAbCommit))
+	if gs, ok := d.groups[r.group.Base()]; ok {
+		if final, done := gs.finals.Get(r.id); done {
+			_ = d.sendRaw(from, abRecord{group: r.group.Base(), id: r.id, prio: final}.encode(ptAbCommit))
+		}
 	}
 }
 
@@ -652,13 +635,13 @@ func (d *Daemon) resolicitStragglers() {
 	if d.closed {
 		return
 	}
-	for _, st := range d.pendingAb {
-		if !st.done && !now.Before(st.deadline) {
-			st.done = true
-			d.completeAbcastLocked(st)
-		}
-	}
 	for gid, gs := range d.groups {
+		for _, st := range gs.rounds {
+			if !st.done && !now.Before(st.deadline) {
+				st.done = true
+				d.completeAbcastLocked(gs, st)
+			}
+		}
 		if gs.phase == phaseFlushing && !now.Before(gs.flushDeadline) {
 			d.step(gs, inWatchdog)
 		}
@@ -680,7 +663,7 @@ func (d *Daemon) resolicitStragglers() {
 			continue
 		}
 		gs.blockedSince = now // rate-limit: one solicitation per period
-		if final, ok := d.abDone.Get(id); ok {
+		if final, ok := gs.finals.Get(id); ok {
 			// A past commit within the bounded record (one that reached this
 			// site ahead of the message) already knows the outcome: apply it
 			// directly.
@@ -867,17 +850,20 @@ func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, p
 
 // Flush blocks until the sender's outstanding asynchronous multicasts have
 // been transmitted and committed (Section 3.2, footnote 3: flush is invoked
-// before interacting with the external world or writing stable storage).
+// before interacting with the external world or writing stable storage). Its
+// ABCASTs are outstanding while any copy at this site holds a round for one, a
+// relay through a copy here included.
 func (d *Daemon) Flush(sender addr.Address) error {
 	deadline := time.Now().Add(d.cfg.CallTimeout)
 	for {
 		d.mu.Lock()
-		lp, ok := d.procs[sender.Base()]
-		outstanding := 0
-		if ok {
-			outstanding = lp.outstanding
+		_, ok := d.procs[sender.Base()]
+		outstanding, closed := 0, d.closed
+		for _, gs := range d.groups {
+			for id := range gs.rounds {
+				outstanding += int(bit(id.Sender == sender.Base()))
+			}
 		}
-		closed := d.closed
 		d.mu.Unlock()
 		if !ok {
 			return ErrUnknownProc

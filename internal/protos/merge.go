@@ -69,7 +69,6 @@ func (d *Daemon) mergeNonPrimaryGroups() {
 	}
 	d.mu.Unlock()
 	for _, gid := range gids {
-		gid := gid
 		go func() { _ = d.mergeGroup(gid) }()
 	}
 }

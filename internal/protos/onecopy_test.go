@@ -177,7 +177,7 @@ func TestAbcastOrderIdenticalAcrossJoinFlush(t *testing.T) {
 						remote++
 					}
 				}
-				return remote == 2*n && len(d.pendingAb) == 0
+				return remote == 2*n && len(d.groups[gid].rounds) == 0
 			})
 			tc.net.PauseLink(2, 1)
 			tc.net.PauseLink(3, 1)

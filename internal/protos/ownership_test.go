@@ -2,25 +2,31 @@ package protos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"go/ast"
+	"go/types"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core"
 	"repro/internal/fdetect"
 	"repro/internal/msg"
 	"repro/internal/simnet"
 )
 
-// pendingRounds snapshots the initiator rounds a daemon has open.
+// pendingRounds snapshots the initiator rounds a daemon has open, in every copy.
 func pendingRounds(d *Daemon) []*abSendState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var sts []*abSendState
-	for _, st := range d.pendingAb {
-		sts = append(sts, st)
+	for _, gs := range d.groups {
+		for _, st := range gs.rounds {
+			sts = append(sts, st)
+		}
 	}
 	return sts
 }
@@ -29,7 +35,7 @@ func pendingRounds(d *Daemon) []*abSendState {
 // watchdog regression: every ABCAST used to leave a CallTimeout timer behind
 // that kept its send state and packet reachable (and, after Close, the whole
 // daemon) until it fired. A round's deadline is now a field the scan tick
-// reads, so a round is reachable exactly as long as it is in pendingAb.
+// reads, so a round is reachable exactly as long as its copy holds it.
 // Rounds are held open by pausing the link the proposals come back on, and
 // then neither way a round ends may leave it there.
 func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
@@ -65,6 +71,107 @@ func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
 	d.Close()
 	if n := len(pendingRounds(d)); n != 0 {
 		t.Errorf("%d rounds still pending after Close", n)
+	}
+}
+
+// TestFlushCountsTheSendersOpenRounds pins where Flush finds a sender's
+// outstanding ABCASTs: among the rounds of the copies at its site. A round held
+// open by hand keeps its sender's Flush waiting until the call times out, and
+// nobody else's; once the copy retires the round, or is dropped with it, the
+// sender's Flush returns at once.
+func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
+	for _, end := range []string{"retire", "drop"} {
+		t.Run(end, func(t *testing.T) {
+			fx := newWireFixture(t)
+			d := fx.d
+			other, err := d.RegisterProcess(func(addr.EntryID, *msg.Message) {}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := core.MsgID{Sender: fx.member, Seq: 1}
+			pkt := dataPkt(t, ABCAST, fx.gid, fx.view, id, 0, body("open"))
+			st := &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2}, packet: pkt, deadline: time.Now().Add(time.Hour)}
+			d.mu.Lock()
+			d.cfg.CallTimeout = 150 * time.Millisecond
+			gs := d.groups[fx.gid]
+			st.maxPrio = gs.total.Propose(id, pkt)
+			gs.rounds[id] = st
+			d.mu.Unlock()
+
+			if err := d.Flush(fx.member); !errors.Is(err, ErrTimeout) {
+				t.Errorf("the sender's Flush with its round open: %v, want ErrTimeout", err)
+			}
+			if err := d.Flush(other); err != nil {
+				t.Errorf("another process's Flush: %v, want nil", err)
+			}
+			d.mu.Lock()
+			if end == "retire" {
+				gs.retire(st)
+			} else {
+				d.dropGroupLocked(fx.gid, inDrop)
+			}
+			d.mu.Unlock()
+			if err := d.Flush(fx.member); err != nil {
+				t.Errorf("the sender's Flush after the %s: %v, want nil", end, err)
+			}
+		})
+	}
+}
+
+// TestCopyOwnsItsMessageState parses the package and pins who owns per-message
+// protocol state: the group copy the message runs in. No field of the Daemon or
+// of a localProc has a type keyed by a message id, a map or a bounded log, so
+// ABCAST rounds and commit finals cannot drift back onto the daemon to be
+// filtered by group again; and a round names neither its message, nor its
+// group, nor its sender, which its copy and its packet already say.
+func TestCopyOwnsItsMessageState(t *testing.T) {
+	_, files := parsePackage(t)
+	fields := make(map[string][]*ast.Field)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					fields[ts.Name.Name] = st.Fields.List
+				}
+			}
+			return true
+		})
+	}
+	// keyed lists the fields of a struct whose type is keyed by core.MsgID.
+	keyed := func(typ string) (names []string) {
+		for _, f := range fields[typ] {
+			var key ast.Expr
+			switch ty := f.Type.(type) {
+			case *ast.MapType:
+				key = ty.Key
+			case *ast.IndexExpr:
+				key = ty.Index
+			case *ast.IndexListExpr:
+				key = ty.Indices[0]
+			}
+			if key != nil && types.ExprString(key) == "core.MsgID" {
+				for _, n := range f.Names {
+					names = append(names, n.Name)
+				}
+			}
+		}
+		return names
+	}
+	if got := keyed("groupState"); !slices.Contains(got, "rounds") || !slices.Contains(got, "finals") {
+		t.Fatalf("groupState's message-keyed fields are %v: the check does not see rounds and finals", got)
+	}
+	for _, typ := range []string{"Daemon", "localProc"} {
+		if len(fields[typ]) == 0 {
+			t.Fatalf("no struct %s in the package", typ)
+		}
+		if got := keyed(typ); len(got) > 0 {
+			t.Errorf("%s.%v: per-message protocol state belongs to the group copy", typ, got)
+		}
+	}
+	for _, f := range fields["abSendState"] {
+		if ty := types.ExprString(f.Type); ty == "core.MsgID" || ty == "addr.Address" {
+			t.Errorf("abSendState.%s is a %s: the round's copy and packet say it", f.Names[0].Name, ty)
+		}
 	}
 }
 

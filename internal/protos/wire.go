@@ -380,7 +380,7 @@ type abPendingWire struct {
 	Committed bool
 	Priority  uint64
 	Packet    []byte // the encoded ptData packet, so it can be re-disseminated
-	Init      bool   // the reporting site holds the initiator round (pendingAb)
+	Init      bool   // the reporting site holds the initiator round (groupState.rounds)
 }
 
 // recentWire is one recently delivered message in a flush report. For an

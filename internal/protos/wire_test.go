@@ -65,9 +65,9 @@ func (fx *wireFixture) state() string {
 	fx.d.mu.Lock()
 	defer fx.d.mu.Unlock()
 	gs := fx.d.groups[fx.gid]
-	s := fmt.Sprintf("pendingAb=%d total=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(fx.d.pendingAb),
+	s := fmt.Sprintf("rounds=%d total=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.rounds),
 		gs.total.PendingCount(), gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
-	for id, st := range fx.d.pendingAb {
+	for id, st := range gs.rounds {
 		s += fmt.Sprintf(" %v:waiting=%v,max=%d", id, st.waiting, st.maxPrio)
 	}
 	// The lifecycle, the views, the state transfer, the calls waiting and the
@@ -107,8 +107,9 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d.handleTransport(2, dataPkt(t, ABCAST, fx.gid, fx.view, idA, -1, body("a")).raw)
 	pktB := dataPkt(t, ABCAST, fx.gid, fx.view, idB, 0, body("b"))
 	d.mu.Lock()
-	d.pendingAb[idB] = &abSendState{id: idB, group: fx.gid, targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
-		maxPrio: d.groups[fx.gid].total.Propose(idB, pktB), packet: pktB, deadline: time.Now().Add(time.Hour)}
+	gs := d.groups[fx.gid]
+	gs.rounds[idB] = &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
+		maxPrio: gs.total.Propose(idB, pktB), packet: pktB, deadline: time.Now().Add(time.Hour)}
 	d.mu.Unlock()
 
 	good := map[string][]byte{
@@ -199,7 +200,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d.handleTransport(2, ab.raw)
 	waitFor(t, "A, B, the two replies, the CBCAST and the direct message at the member", 2*time.Second, func() bool { return fx.got.Load() == 6 })
 	d.mu.Lock()
-	if n, p := len(d.pendingAb), d.groups[fx.gid].total.PendingCount(); n != 0 || p != 1 {
+	if n, p := len(gs.rounds), gs.total.PendingCount(); n != 0 || p != 1 {
 		t.Errorf("after the well-formed packets: %d rounds open, %d messages pending, want none and the last ABCAST", n, p)
 	}
 	if _, kept := d.groups[fx.gid].recent.Get(idC); !kept || d.counters.Delivered != 6 {
