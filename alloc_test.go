@@ -74,9 +74,10 @@ func perOp(warm, n int, op func(i int)) (allocs, bytes float64) {
 // control packets and the reply left the message codec (PR 22), 123.5 and
 // 18.9 KB; before the send window and the decoder stopped copying what they
 // were handed (PR 23), 78.0 and 10.9 KB; before a data packet had a fixed
-// header and its one decode went to the member (PR 24), 66.5 and 9.1 KB.
+// header and its one decode went to the member (PR 24), 66.5 and 9.1 KB;
+// before the backends carved their frames from slabs, 49.2 and 6.9 KB.
 func TestAbcastRPCAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 54.5, 7650 // measured 49.5 and 6.9 KB
+	const maxAllocs, maxBytes = 47.7, 7560 // measured 43.4 and 6.9 KB
 	var got atomic.Int64
 	p, gid := allocCluster(t, &got)
 	payload := make([]byte, 100)
@@ -121,9 +122,10 @@ func TestCbcastAllocBudget(t *testing.T) {
 // then a leave, with three members on a four-site zero-delay simnet (the
 // churn_lan workload without its link delay). Before membership, lookup and
 // state transfer left the message codec (PR 26) this cost 424 allocations and
-// 144.8 KB.
+// 144.8 KB; before the backends carved their frames from slabs and a
+// fragmented message was reassembled at its exact length, 257.3 and 89.8 KB.
 func TestJoinLeaveAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 281.5, 98700 // measured 255.7 and 89.7 KB
+	const maxAllocs, maxBytes = 257, 83950 // measured 233.6 and 76.3 KB
 	c, err := NewCluster(ClusterConfig{Sites: 4, CallTimeout: 5 * time.Second, DisableHeartbeats: true})
 	if err != nil {
 		t.Fatal(err)

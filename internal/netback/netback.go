@@ -43,12 +43,42 @@ type Endpoint interface {
 	// buffer after Send returns.
 	Send(to SiteID, payload []byte) error
 	// Recv returns the channel on which delivered packets arrive. A
-	// delivered Packet's payload buffer is owned by the receiver: the
-	// backend must not reuse it after delivery.
+	// delivered Packet's payload is the receiver's range: the backend never
+	// reuses it, and the receiver may write it. Its capacity ends at its
+	// length, because packets may share a backing array, so the receiver
+	// never grows it in place.
 	Recv() <-chan Packet
 	// Close detaches the endpoint from the fabric; in-flight packets
 	// toward it may be discarded, exactly as when a site crashes.
 	Close()
+}
+
+// Slab carves packet buffers out of shared backing arrays, so a packet costs
+// an allocation only when a backing array runs out. A backing array is never
+// reused: every range it gave out stays its taker's, and keeps at most the
+// one array alive. A Slab is not safe for concurrent use: its owner carves
+// under its own lock.
+type Slab struct {
+	size int    // length of a backing array
+	free []byte // the uncarved tail of the current one
+}
+
+// NewSlab returns a slab whose backing arrays are size bytes long; a fabric
+// passes its MaxPacket.
+func NewSlab(size int) Slab { return Slab{size: size} }
+
+// Take returns a zeroed range of n bytes whose capacity ends at its length.
+// A request over a quarter of the slab gets its own exact allocation.
+func (s *Slab) Take(n int) []byte {
+	if n > s.size/4 {
+		return make([]byte, n)
+	}
+	if len(s.free) < n {
+		s.free = make([]byte, s.size)
+	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
 }
 
 // Network is a fabric sites attach to. Implementations must be safe for

@@ -124,6 +124,7 @@ type Network struct {
 	links     map[linkKey]*link         // per-directed-link FIFO delivery queues
 	paused    map[linkKey]chan struct{} // injected pauses (packets held in order)
 	rng       *rand.Rand
+	slab      netback.Slab // every packet's copy is carved from it
 	stats     Stats
 	busy      map[SiteID]time.Duration
 	tracer    Tracer
@@ -157,6 +158,7 @@ func New(cfg Config) *Network {
 		links:     make(map[linkKey]*link),
 		paused:    make(map[linkKey]chan struct{}),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		slab:      netback.NewSlab(max(cfg.MaxPacket, 4096)),
 		busy:      make(map[SiteID]time.Duration),
 		done:      make(chan struct{}),
 	}
@@ -393,12 +395,12 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte) error {
 	}
 	now := time.Now()
 	tr := n.tracer
+	cp := n.slab.Take(len(payload))
 	n.mu.Unlock()
 
 	trace(tr, Event{Kind: EventSend, From: from, To: to, Size: len(payload), When: now, Latency: delay})
 
 	// Copy the payload so callers may reuse their buffer.
-	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	s := scheduled{
 		pkt:       Packet{From: from, To: to, Payload: cp},
@@ -413,14 +415,18 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte) error {
 }
 
 // runLink drains one directed link's queue, delivering each packet no
-// earlier than its scheduled time and never ahead of an earlier packet.
+// earlier than its scheduled time and never ahead of an earlier packet. The
+// link's one timer is re-armed for every packet that must wait.
 func (n *Network) runLink(lk *link) {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		select {
 		case s := <-lk.ch:
 			if wait := time.Until(s.deliverAt); wait > 0 {
+				timer.Reset(wait)
 				select {
-				case <-time.After(wait):
+				case <-timer.C:
 				case <-n.done:
 					return
 				}

@@ -164,6 +164,7 @@ func (n *Network) Attach(id SiteID, epoch uint64) (netback.Endpoint, error) {
 		recv:  make(chan netback.Packet, recvQueueLen),
 		done:  make(chan struct{}),
 		peers: make(map[SiteID]*peer),
+		slab:  netback.NewSlab(n.cfg.MaxPacket),
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -264,6 +265,7 @@ type Endpoint struct {
 
 	mu     sync.Mutex
 	peers  map[SiteID]*peer
+	slab   netback.Slab // Send's frames and intra-site copies are carved from it
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -290,9 +292,9 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 	}
 	if to == e.id {
 		// Intra-site traffic short-circuits the socket layer.
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
+		cp := e.slab.Take(len(payload))
 		e.mu.Unlock()
+		copy(cp, payload)
 		select {
 		case e.recv <- netback.Packet{From: e.id, To: e.id, Payload: cp}:
 			e.net.framesRecv.Add(1)
@@ -307,6 +309,7 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 		e.wg.Add(1)
 		go e.runSender(p)
 	}
+	frame := e.slab.Take(frameHdrSize + len(payload))
 	e.mu.Unlock()
 
 	if e.net.Blocked(e.id, to) {
@@ -317,7 +320,6 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 
 	// Frame = 4-byte big-endian length + payload, built here so the caller
 	// may reuse its buffer immediately.
-	frame := make([]byte, frameHdrSize+len(payload))
 	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
 	copy(frame[frameHdrSize:], payload)
 	select {
@@ -581,10 +583,12 @@ func (e *Endpoint) forgetConn(p *peer, c net.Conn) {
 
 // runReader delivers one connection's inbound frames until it dies. Frames
 // are length-checked against MaxPacket (with handshake slack) so a corrupt
-// or hostile length prefix cannot demand an unbounded allocation.
+// or hostile length prefix cannot demand an unbounded allocation. Every frame
+// is carved from the reader's own slab.
 func (e *Endpoint) runReader(p *peer, c net.Conn) {
 	defer e.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
+	slab := netback.NewSlab(e.net.cfg.MaxPacket)
 	var hdr [frameHdrSize]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -594,7 +598,7 @@ func (e *Endpoint) runReader(p *peer, c net.Conn) {
 		if n > e.net.cfg.MaxPacket {
 			break
 		}
-		buf := make([]byte, n)
+		buf := slab.Take(n)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			break
 		}

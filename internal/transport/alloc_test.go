@@ -126,10 +126,31 @@ func TestSendAllocatesNothing(t *testing.T) {
 }
 
 // TestTwoFragmentMessageIsAssembledInOneAllocation pins the receive half for
-// the commonest fragmented message (a state block behind its header): the
-// first fragment sizes the buffer both are copied into, and that buffer is
-// what the handler gets.
+// fragmented messages (the commonest is a state block behind its header):
+// the earlier fragments wait in the frames they arrived in, and the last one
+// copies them all into one buffer of the message's exact length, which is what
+// the handler gets. The buffer used to be sized at twice the first fragment:
+// 8 192 bytes for a 6 000-byte message.
 func TestTwoFragmentMessageIsAssembledInOneAllocation(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own bookkeeping would be counted
+	for _, c := range []struct {
+		size, frags int
+		maxBytes    float64 // the size class of an exact buffer
+	}{{6000, 2, 6144}, {10_000, 3, 10_240}} {
+		allocs, bytes := reassemblyCost(t, c.size, c.frags)
+		if allocs > 1.05 {
+			t.Errorf("%.2f allocations per %d-fragment message at the receiver, want 1", allocs, c.frags)
+		}
+		if bytes > c.maxBytes {
+			t.Errorf("%.0f bytes allocated per %d-byte message at the receiver, want at most %.0f", bytes, c.size, c.maxBytes)
+		}
+	}
+}
+
+// reassemblyCost sends messages of the given size, which take frags frames
+// each, and returns the allocations and bytes a receiver spends on one.
+func reassemblyCost(t *testing.T, size, frags int) (allocs, bytes float64) {
+	t.Helper()
 	a, _ := newPipe()
 	a.drop = true // frames are kept in a.sent and fed to the receiver by hand
 	cfg := Config{MaxPacket: 4096, RetransmitInterval: time.Hour, AckDelay: time.Hour}
@@ -139,7 +160,7 @@ func TestTwoFragmentMessageIsAssembledInOneAllocation(t *testing.T) {
 	}
 	defer ta.Close()
 	const warm, n = 10, 200
-	msg := make([]byte, 6000)
+	msg := make([]byte, size)
 	for i := range msg {
 		msg[i] = byte(i)
 	}
@@ -148,8 +169,11 @@ func TestTwoFragmentMessageIsAssembledInOneAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "every fragment to be framed", func() bool { return ta.Stats().FramesSent >= 2*(warm+n) })
+	waitUntil(t, "every fragment to be framed", func() bool { return ta.Stats().FramesSent >= uint64(frags*(warm+n)) })
 	frames := a.dataFrames()
+	if len(frames) != frags*(warm+n) {
+		t.Fatalf("%d frames for %d messages, want %d a message", len(frames), warm+n, frags)
+	}
 
 	delivered := 0
 	tb, err := New(&sinkEnd{recv: make(chan netback.Packet)}, cfg, func(_ SiteID, data []byte) {
@@ -167,16 +191,13 @@ func TestTwoFragmentMessageIsAssembledInOneAllocation(t *testing.T) {
 			tb.handlePacket(netback.Packet{From: 1, To: 2, Payload: f})
 		}
 	}
-	feed(frames[:2*warm])                            // receive state and ack timer in place
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own bookkeeping would be counted
+	feed(frames[:frags*warm]) // receive state and ack timer in place
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	feed(frames[2*warm:])
+	feed(frames[frags*warm:])
 	runtime.ReadMemStats(&m1)
 	if delivered != warm+n {
 		t.Fatalf("%d messages delivered, want %d", delivered, warm+n)
 	}
-	if allocs := float64(m1.Mallocs-m0.Mallocs) / n; allocs > 1.05 {
-		t.Errorf("%.2f allocations per two-fragment message at the receiver, want 1", allocs)
-	}
+	return float64(m1.Mallocs-m0.Mallocs) / n, float64(m1.TotalAlloc-m0.TotalAlloc) / n
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -150,7 +151,7 @@ type peerRecv struct {
 	epoch        uint64            // stream epoch of the incoming stream
 	nextExpected uint64            // next in-order sequence number
 	buffered     map[uint64]subRec // out-of-order records awaiting gap fill; nil until one arrives
-	assembling   []byte            // earlier fragments of the message being reassembled
+	frags        [][]byte          // earlier fragments of the message being reassembled, in received frames
 	delivered    bool              // any record of this epoch delivered in order
 	ackOwed      bool              // a (re-)ack must reach the peer
 	ackTimerSet  bool              // a delayed pure-ack is scheduled
@@ -562,7 +563,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		pr.epoch = senderEpoch
 		pr.nextExpected = 1
 		pr.buffered = nil
-		pr.assembling = nil
+		pr.frags = nil
 		pr.delivered = false
 		if restarted {
 			// The restarted peer's receive state for our stream is gone
@@ -605,22 +606,22 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	// accept consumes the record carrying nextExpected. A single-fragment
 	// message is handed on as the sub-slice of the received frame it arrived
 	// in — the backend gave the frame to the receiver (netback contract) —
-	// and only a fragmented one is copied together, in a buffer its first
-	// (full) fragment sizes for the common two.
+	// and only a fragmented one is copied together: its earlier fragments
+	// stay in their frames until the last arrives, and then one buffer of the
+	// message's exact length takes them all.
 	accept := func(flags byte, payload []byte) {
 		pr.nextExpected++
 		pr.delivered = true
 		switch {
 		case flags&flagLastFragment == 0:
-			if pr.assembling == nil {
-				pr.assembling = make([]byte, 0, 2*len(payload))
-			}
-			pr.assembling = append(pr.assembling, payload...)
-		case len(pr.assembling) == 0:
+			pr.frags = append(pr.frags, payload)
+		case len(pr.frags) == 0:
 			complete = append(complete, payload)
 		default:
-			complete = append(complete, append(pr.assembling, payload...))
-			pr.assembling = nil
+			pr.frags = append(pr.frags, payload)
+			complete = append(complete, slices.Concat(pr.frags...))
+			clear(pr.frags)
+			pr.frags = pr.frags[:0]
 		}
 	}
 	for len(body) >= subHeaderSize {
