@@ -300,10 +300,6 @@ func (s *Site) close() {
 // ID returns the site identifier.
 func (s *Site) ID() SiteID { return s.id }
 
-// Daemon exposes the site's protocols process; the toolkit tools and the
-// benchmark harness use it directly.
-func (s *Site) Daemon() *protos.Daemon { return s.daemon }
-
 // Cluster returns the owning cluster.
 func (s *Site) Cluster() *Cluster { return s.cluster }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,6 +127,60 @@ func TestDisableBatchingAblation(t *testing.T) {
 	st := t1.Stats()
 	if st.FramesSent != st.FragmentsSent || st.Coalesced != 0 {
 		t.Errorf("unbatched baseline coalesced anyway: %+v", st)
+	}
+}
+
+// TestUnbatchedFloodBothWaysDrains is the regression for a distributed buffer
+// deadlock (EXPERIMENTS.md, "a four-party buffer deadlock"): two sites flood
+// each other unbatched, every frame owing an immediate ack, over links whose
+// receive queues are short. A receive path that sent its own acks would block
+// on its full reverse link while the peer's blocked on the opposite one, both
+// links blocked delivering into queues nobody drains. With the flusher as the
+// only sender the receive loops never block, and every message arrives.
+func TestUnbatchedFloodBothWaysDrains(t *testing.T) {
+	netCfg := simnet.FastConfig()
+	netCfg.QueueLen = 8
+	n := simnet.New(netCfg)
+	cfg := DefaultConfig(n.Profile())
+	cfg.RetransmitInterval = time.Second // the flood, not retransmissions, fills the links
+	cfg.DisableBatching = true
+	const k = 20000
+	var got [2]atomic.Int64
+	var trs []*Transport
+	// Closing the network first releases a send blocked on a full link, so a
+	// deadlocked run still ends.
+	defer func() {
+		n.Close()
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
+	for i := range got {
+		tr, err := New(n.AddSite(SiteID(i+1)), cfg, func(SiteID, []byte) { got[i].Add(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	payload := []byte("flood")
+	var wg sync.WaitGroup
+	for i, tr := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < k; j++ {
+				if err := tr.Send(SiteID(2-i), payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(30 * time.Second); got[0].Load() < k || got[1].Load() < k; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("flood stalled: %d and %d of %d messages arrived", got[0].Load(), got[1].Load(), k)
+		}
 	}
 }
 

@@ -26,19 +26,31 @@
 //   - Piggybacked acks: every outgoing data frame carries the cumulative
 //     acknowledgement for the reverse direction, so bidirectional traffic
 //     needs no dedicated ack packets. A short ack timer (Config.AckDelay)
-//     sends a pure ack only when no reverse traffic shows up in time.
+//     has a pure ack sent only when no reverse traffic shows up in time.
+//
+// One sender per peer: the peer's flusher goroutine is the only code that
+// hands the backend a frame for that peer, so frames to one peer leave in the
+// order it builds them and a full link stalls that peer alone. Send, the
+// retransmission ticker and the ack timer only wake it, and the receive path
+// never sends — a receive loop that blocked on its full reverse link while
+// the peer's blocked on the opposite one would be a distributed buffer
+// deadlock. A pass of the flusher sends, one frame per lock hold, the records
+// whose ack is overdue, then the records queued since, then a dedicated ack if
+// one is owed that no frame carried and its delay is up (at once under
+// Config.DisableBatching). A peer that only receives gets a flusher too, for
+// its acks.
 //
 // The data path copies a message once on each side of the wire. Send keeps
 // the caller's bytes by reference, in a sequence-indexed send window, until
 // their ack arrives (an ack retires a prefix of the window and touches nothing
 // else); a fan-out is one buffer in N windows. Sub-headers are written as
-// records are copied into a frame, built in one reusable buffer per peer
-// flusher — the backend is done with it when Send returns — and a received
+// records are copied into a frame, built in the flusher's one reusable
+// buffer — the backend is done with it when Send returns — and a received
 // single-fragment message reaches the handler as a sub-slice of the frame it
 // arrived in, which the backend handed to the receiver; only fragmented
 // messages are copied together. Each window record remembers when it was last
-// transmitted, and the retransmission sweep resends only records whose ack is
-// at least RetransmitInterval overdue.
+// transmitted, and the flusher resends only records whose ack is at least
+// RetransmitInterval overdue.
 //
 // Sequence numbers are qualified by a stream epoch so that a site restart
 // (new incarnation, sequence numbers starting over at 1) is not mistaken

@@ -46,8 +46,8 @@ func records(frames [][]byte) [][]byte {
 	return recs
 }
 
-// TestRetransmissionRepeatsRecordBytes: every frame is lost, the sweep is
-// driven by hand, and the records it resends — headers written afresh from the
+// TestRetransmissionRepeatsRecordBytes: every frame is lost, the flusher's
+// pass is driven by hand, and the records it resends — headers written afresh from the
 // window, fragments read again from the sender's buffers — are byte for byte
 // the records of the first transmission, re-coalesced or not.
 func TestRetransmissionRepeatsRecordBytes(t *testing.T) {
@@ -68,12 +68,7 @@ func TestRetransmissionRepeatsRecordBytes(t *testing.T) {
 		}
 		want += max(1, (len(m)+maxFrag-1)/maxFrag)
 	}
-	waitUntil(t, "the first transmissions", func() bool {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return tr.sends[2].sentUpTo == uint64(want)
-	})
-	first := records(a.dataFrames())
+	first := records(a.takeRecords(t, want))
 	if len(first) != want {
 		t.Fatalf("%d records first sent, want %d", len(first), want)
 	}
@@ -85,21 +80,16 @@ func TestRetransmissionRepeatsRecordBytes(t *testing.T) {
 		t.Fatal("the first transmission does not carry the messages")
 	}
 
-	for sweep := 1; sweep <= 2; sweep++ {
-		tr.mu.Lock()
-		for seq := uint64(1); seq <= uint64(want); seq++ {
-			r := tr.sends[2].at(seq)
-			r.sentAt = r.sentAt.Add(-2 * time.Hour)
-		}
-		tr.mu.Unlock()
-		tr.retransmit(make([]byte, 0, cfg.MaxPacket))
-		again := records(a.dataFrames())
+	for pass := 1; pass <= 2; pass++ {
+		ageAll(tr, 1, uint64(want))
+		tick(tr)
+		again := records(a.takeRecords(t, want))
 		if len(again) != want {
-			t.Fatalf("sweep %d resent %d records, want %d", sweep, len(again), want)
+			t.Fatalf("pass %d resent %d records, want %d", pass, len(again), want)
 		}
 		for i := range again {
 			if !bytes.Equal(again[i], first[i]) {
-				t.Errorf("sweep %d: record %d differs from its first transmission", sweep, i+1)
+				t.Errorf("pass %d: record %d differs from its first transmission", pass, i+1)
 			}
 		}
 	}

@@ -39,10 +39,13 @@ type Config struct {
 	// duplicates. It must increase across restarts; the protocols daemon
 	// derives it from the site incarnation. Zero selects 1.
 	Epoch uint64
-	// DisableBatching caps every frame at one fragment and acknowledges each
-	// at once with a dedicated ack: the unbatched baseline the benchmark
-	// ablation compares against. The per-peer flusher does the sending in
-	// both modes, so Send never blocks on the link.
+	// DisableBatching caps every frame at one fragment and owes each received
+	// frame's ack at once, with no AckDelay: the unbatched baseline the
+	// benchmark ablation compares against. The immediate ack still rides the
+	// first data frame the peer's flusher sends back, if one is queued, and
+	// goes as a dedicated ack only when none is. The flusher does all the
+	// sending in both modes, so neither Send nor the receive path blocks on
+	// the link.
 	DisableBatching bool
 }
 
@@ -119,11 +122,18 @@ type peerSend struct {
 	base     uint64        // its sequence number (nextSeq when the window is empty)
 	sentUpTo uint64        // highest sequence handed to a frame so far
 	kick     chan struct{} // wakes the per-peer flusher
-	started  bool          // flusher goroutine running
 }
 
 // outstanding returns the number of records awaiting an ack.
 func (ps *peerSend) outstanding() int { return len(ps.window) - ps.head }
+
+// wake nudges the peer's flusher into a pass; it never blocks.
+func (ps *peerSend) wake() {
+	select {
+	case ps.kick <- struct{}{}:
+	default: // a pass is already due
+	}
+}
 
 // at returns the window record carrying sequence seq, which must lie in
 // [base, nextSeq).
@@ -154,15 +164,8 @@ type peerRecv struct {
 	frags        [][]byte          // earlier fragments of the message being reassembled, in received frames
 	delivered    bool              // any record of this epoch delivered in order
 	ackOwed      bool              // a (re-)ack must reach the peer
-	ackTimerSet  bool              // a delayed pure-ack is scheduled
-	ackTimer     *time.Timer       // the delayed pure-ack timer, re-armed for every cycle
-	ackCh        chan ackNote      // latest-wins mailbox for the ack sender
-	ackStarted   bool              // ack-sender goroutine running
-}
-
-// ackNote is one epoch-qualified cumulative ack awaiting transmission.
-type ackNote struct {
-	epoch, cum uint64
+	ackTimerSet  bool              // the owed ack's delay is not up yet
+	ackTimer     *time.Timer       // the ack-delay timer, re-armed for every cycle
 }
 
 type subRec struct {
@@ -300,36 +303,31 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 	}
 	t.stats.MessagesSent++
 	t.stats.FragmentsSent += uint64(n)
-
-	if !ps.started {
-		ps.started = true
-		t.wg.Add(1)
-		go t.runFlusher(to, ps)
-	}
 	t.mu.Unlock()
-	select {
-	case ps.kick <- struct{}{}:
-	default: // flusher already signalled
-	}
+	ps.wake()
 	return nil
 }
 
 // peerSendLocked returns the sending half of the connection to a peer, opened
-// on first use. Caller holds t.mu.
+// — with the flusher that is the only sender on its link — on first use, by
+// a Send or by the first frame from the peer, whose acks the flusher sends.
+// Caller holds t.mu, and the transport is not closed.
 func (t *Transport) peerSendLocked(to SiteID) *peerSend {
 	ps, ok := t.sends[to]
 	if !ok {
 		ps = &peerSend{epoch: t.epochBase, nextSeq: 1, base: 1, kick: make(chan struct{}, 1)}
 		t.sends[to] = ps
+		t.wg.Add(1)
+		go t.runFlusher(to, ps)
 	}
 	return ps
 }
 
-// runFlusher drains one peer's queue, coalescing queued records into frames.
-// While a frame is on the (simulated) wire, newly queued records accumulate
-// and share the next frame — batching emerges under load with no idle-path
-// latency cost. Every frame is built, from the bytes the window refers to, in
-// the flusher's one buffer: the backend is done with it when Send returns.
+// runFlusher runs a pass each time Send, the retransmission ticker or the ack
+// timer wakes it. While a frame is on the wire, newly queued records
+// accumulate and share the next frame — batching emerges under load with no
+// idle-path latency cost. Every frame is built in the flusher's one buffer:
+// the backend is done with it when Send returns.
 func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 	defer t.wg.Done()
 	frame := make([]byte, 0, t.cfg.MaxPacket)
@@ -339,32 +337,44 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 			return
 		case <-ps.kick:
 		}
-		// The ablation baseline caps every frame at one record (one wire
-		// packet per fragment — no coalescing); the flusher still does the
-		// sending, so callers never block on a backed-up link.
-		maxRecs := 0
-		if t.cfg.DisableBatching {
-			maxRecs = 1
+		frame = t.flush(to, ps, frame)
+	}
+}
+
+// flush is one pass of a peer's flusher, and the only code that puts a frame
+// on the peer's link. One frame per lock hold — the network send must not
+// run under t.mu — it sends, in order: the run of records, from the lowest
+// outstanding one, whose ack is at least RetransmitInterval overdue; the
+// records queued since; and a dedicated ack if one is owed and due.
+func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
+	// next never moves back within a stream, so a pass resends a record at
+	// most once however long it runs.
+	for next := uint64(0); ; {
+		now := time.Now()
+		t.mu.Lock()
+		next = max(next, ps.base) // acks (or a stream reset) moved the window on
+		if !t.overdueLocked(ps, next, now) {
+			next = ps.sentUpTo + 1
 		}
-		for {
-			t.mu.Lock()
-			if ps.sentUpTo+1 == ps.nextSeq {
-				t.mu.Unlock()
-				break
-			}
-			frame = t.buildFrameLocked(to, ps, frame[:0], ps.sentUpTo+1, ps.nextSeq-1, maxRecs, time.Now())
+		if next < ps.nextSeq {
+			frame, next = t.buildFrameLocked(to, ps, frame[:0], next, now)
+		} else if frame = t.appendAckLocked(to, frame[:0]); len(frame) == 0 {
 			t.mu.Unlock()
-			_ = t.ep.Send(to, frame)
+			return frame
 		}
+		t.mu.Unlock()
+		_ = t.ep.Send(to, frame)
 	}
 }
 
 // buildFrameLocked appends to frame (which is empty) one data frame of at
-// most MaxPacket bytes carrying the window records from sequence first up to
-// at most last (and at most maxRecs of them when maxRecs > 0), stamps the
-// piggybacked ack and the records' transmission time, and counts the frame.
-// Caller holds t.mu and guarantees base <= first <= last < nextSeq.
-func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, first, last uint64, maxRecs int, now time.Time) []byte {
+// most MaxPacket bytes carrying window records from sequence first on, as
+// long as each is overdue or not yet sent (and only one under
+// DisableBatching: one wire packet per fragment). It stamps the piggybacked
+// ack and the records' transmission time, counts the frame, and returns it
+// with the sequence after its last record. Caller holds t.mu and guarantees
+// base <= first < nextSeq.
+func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, first uint64, now time.Time) ([]byte, uint64) {
 	// Receivers may adopt a mid-flight stream only at a frame that leads with
 	// the sender's lowest outstanding sequence (see handleFrame).
 	kind := byte(kindFrame)
@@ -376,27 +386,26 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 	ackEpoch, ackCum := t.takeAckLocked(to)
 	frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
 	frame = binary.BigEndian.AppendUint64(frame, ackCum)
-	n := 0
-	for seq := first; seq <= last; seq++ {
+	seq := first
+	for ; seq < ps.nextSeq; seq++ {
 		r := ps.at(seq)
-		if n > 0 && (len(frame)+r.size() > t.cfg.MaxPacket || (maxRecs > 0 && n >= maxRecs)) {
+		resend := seq <= ps.sentUpTo
+		if seq > first && (len(frame)+r.size() > t.cfg.MaxPacket || t.cfg.DisableBatching || resend && !t.overdueLocked(ps, seq, now)) {
 			break
+		}
+		if resend {
+			t.stats.Retransmissions++
 		}
 		frame = binary.BigEndian.AppendUint64(frame, seq)
 		frame = append(frame, r.flags)
 		frame = binary.BigEndian.AppendUint32(frame, uint32(len(r.frag)))
 		frame = append(frame, r.frag...)
 		r.sentAt = now
-		n++
 	}
-	if sent := first + uint64(n) - 1; sent > ps.sentUpTo {
-		ps.sentUpTo = sent
-	}
+	ps.sentUpTo = max(ps.sentUpTo, seq-1)
 	t.stats.FramesSent++
-	if n > 1 {
-		t.stats.Coalesced += uint64(n - 1)
-	}
-	return frame
+	t.stats.Coalesced += seq - first - 1
+	return frame, seq
 }
 
 // takeAckLocked returns the epoch-qualified cumulative ack to piggyback on a
@@ -414,6 +423,21 @@ func (t *Transport) takeAckLocked(to SiteID) (epoch, cum uint64) {
 	return pr.epoch, pr.nextExpected - 1
 }
 
+// appendAckLocked appends to frame (which is empty) the dedicated ack frame
+// owed to the peer, if one is owed that no data frame has carried and its
+// delay is up, and clears the obligation. Caller holds t.mu.
+func (t *Transport) appendAckLocked(to SiteID, frame []byte) []byte {
+	pr, ok := t.recvs[to]
+	if !ok || !pr.ackOwed || pr.ackTimerSet {
+		return frame
+	}
+	pr.ackOwed = false
+	t.stats.AcksSent++
+	frame = append(frame, kindAck)
+	frame = binary.BigEndian.AppendUint64(frame, pr.epoch)
+	return binary.BigEndian.AppendUint64(frame, pr.nextExpected-1)
+}
+
 // recvLoop dispatches packets arriving from the network.
 func (t *Transport) recvLoop() {
 	defer t.wg.Done()
@@ -427,66 +451,26 @@ func (t *Transport) recvLoop() {
 	}
 }
 
-// retransmitLoop periodically resends records whose ack is overdue. It ticks
-// twice per RetransmitInterval, so an unacknowledged record is resent between
-// one and one and a half intervals after its last transmission.
+// retransmitLoop wakes the flusher of every peer whose lowest outstanding
+// record is overdue. It ticks twice per RetransmitInterval, so an
+// unacknowledged record is resent between one and one and a half intervals
+// after its last transmission.
 func (t *Transport) retransmitLoop() {
 	defer t.wg.Done()
 	ticker := time.NewTicker((t.cfg.RetransmitInterval + 1) / 2)
 	defer ticker.Stop()
-	frame := make([]byte, 0, t.cfg.MaxPacket)
 	for {
 		select {
 		case <-t.done:
 			return
-		case <-ticker.C:
-			t.retransmit(frame)
-		}
-	}
-}
-
-// retransmit resends, for every peer, the records that were last transmitted
-// at least RetransmitInterval ago and are still unacknowledged, re-coalescing
-// them into frames built in the caller's buffer. Transmission times never
-// decrease along the window, so the overdue records are a prefix of it and
-// the sweep's first frame leads with the stream's lowest outstanding sequence.
-func (t *Transport) retransmit(frame []byte) {
-	type overdue struct {
-		to SiteID
-		ps *peerSend
-	}
-	now := time.Now()
-	var peers []overdue
-	t.mu.Lock()
-	for to, ps := range t.sends {
-		if t.overdueLocked(ps, ps.base, now) {
-			peers = append(peers, overdue{to, ps})
-		}
-	}
-	t.mu.Unlock()
-	for _, p := range peers {
-		// One frame per lock hold: the network send must not run under t.mu.
-		for next := uint64(0); ; {
+		case now := <-ticker.C:
 			t.mu.Lock()
-			if next < p.ps.base {
-				next = p.ps.base // acks (or a stream reset) moved the window on
-			}
-			if !t.overdueLocked(p.ps, next, now) {
-				t.mu.Unlock()
-				break
-			}
-			last, size := next, frameHeaderSize+p.ps.at(next).size()
-			for t.overdueLocked(p.ps, last+1, now) {
-				if size += p.ps.at(last + 1).size(); size > t.cfg.MaxPacket {
-					break
+			for _, ps := range t.sends {
+				if t.overdueLocked(ps, ps.base, now) {
+					ps.wake()
 				}
-				last++
 			}
-			frame = t.buildFrameLocked(p.to, p.ps, frame[:0], next, last, 0, now)
-			t.stats.Retransmissions += last - next + 1
-			next = last + 1
 			t.mu.Unlock()
-			_ = t.ep.Send(p.to, frame)
 		}
 	}
 }
@@ -543,6 +527,13 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	body := raw[frameHeaderSize:]
 
 	t.mu.Lock()
+	if t.closed {
+		// A frame can still arrive between Close and the endpoint detaching;
+		// opening a flusher now would race wg.Add against Close's wg.Wait.
+		t.mu.Unlock()
+		return
+	}
+	ps := t.peerSendLocked(from)
 	pr, ok := t.recvs[from]
 	if !ok {
 		pr = &peerRecv{epoch: senderEpoch, nextExpected: 1}
@@ -568,8 +559,12 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		if restarted {
 			// The restarted peer's receive state for our stream is gone
 			// too: renumber our stream from 1 under a bumped epoch so the
-			// fresh peer accepts it. Unacked records died with the crash.
-			t.resetSendLocked(from)
+			// fresh peer accepts it, so stale frames of the old numbering
+			// can never be confused with the new stream. Unacked records
+			// died with the crash.
+			ps.epoch++
+			ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
+			ps.window, ps.head = nil, 0
 		}
 	}
 	progress := false
@@ -674,12 +669,15 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	}
 	t.stats.MessagesDelivered += uint64(len(complete))
 
-	// Ack policy: immediately in the unbatched ablation, otherwise via a
-	// short timer that a reverse-direction data frame can beat (piggybacking).
+	// Ack policy: the flusher sends it, at once in the unbatched ablation,
+	// otherwise when a short timer is up unless a reverse-direction data frame
+	// beats it (piggybacking). The receive path never sends: with per-fragment
+	// framing under flood, a receive loop blocked on its full reverse link
+	// while the peer's waits on the opposite pair is a distributed buffer
+	// deadlock.
 	if pr.ackOwed {
 		if t.cfg.DisableBatching {
-			pr.ackOwed = false
-			t.queueAckLocked(from, pr, pr.epoch, pr.nextExpected-1)
+			ps.wake()
 		} else if !pr.ackTimerSet {
 			pr.ackTimerSet = true
 			if pr.ackTimer == nil {
@@ -699,103 +697,14 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	}
 }
 
-// resetSendLocked restarts the outgoing stream to a peer after the peer is
-// known to have lost its receive state (site restart): queued and unacked
-// records are dropped and the numbering begins again at 1 under a bumped
-// epoch, so stale frames of the old numbering can never be confused with the
-// new stream. Caller holds t.mu.
-func (t *Transport) resetSendLocked(to SiteID) {
-	ps, ok := t.sends[to]
-	if !ok {
-		return
-	}
-	ps.epoch++
-	ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
-	ps.window, ps.head = nil, 0
-}
-
-// ackTimerFire sends the delayed dedicated ack unless a data frame has
-// already piggybacked it.
+// ackTimerFire ends an owed ack's delay: the peer's flusher sends the
+// dedicated ack unless a data frame has carried it meanwhile.
 func (t *Transport) ackTimerFire(from SiteID) {
 	t.mu.Lock()
-	pr, ok := t.recvs[from]
-	if !ok || t.closed {
-		if ok {
-			pr.ackTimerSet = false
-		}
-		t.mu.Unlock()
-		return
-	}
+	defer t.mu.Unlock()
+	pr := t.recvs[from]
 	pr.ackTimerSet = false
-	owed := pr.ackOwed
-	pr.ackOwed = false
-	epoch, cum := pr.epoch, pr.nextExpected-1
-	t.mu.Unlock()
-	if owed {
-		t.sendAck(from, epoch, cum)
+	if pr.ackOwed {
+		t.sends[from].wake()
 	}
-}
-
-// queueAckLocked hands a dedicated ack to the peer's ack-sender goroutine
-// instead of transmitting it from the receive loop. The receive loop must
-// never block on a network send: with per-fragment framing under flood, a
-// receive loop stuck on a full reverse link while the peer's receive loop
-// waits symmetrically on the opposite pair is a distributed buffer deadlock
-// (observed as a multi-minute hang of the unbatched ablation benchmark).
-// Cumulative acks are monotonic, so the one-slot mailbox keeps only the
-// newest — under backlog stale acks are superseded, never reordered.
-// Caller holds t.mu.
-func (t *Transport) queueAckLocked(to SiteID, pr *peerRecv, epoch, cum uint64) {
-	if t.closed {
-		// A frame can still arrive between Close and the endpoint detaching;
-		// starting the ack sender now would race wg.Add against Close's
-		// wg.Wait, and the peer no longer needs the ack.
-		return
-	}
-	if !pr.ackStarted {
-		pr.ackStarted = true
-		pr.ackCh = make(chan ackNote, 1)
-		t.wg.Add(1)
-		go t.runAckSender(to, pr.ackCh)
-	}
-	for {
-		select {
-		case pr.ackCh <- ackNote{epoch, cum}:
-			return
-		default:
-		}
-		select {
-		case <-pr.ackCh: // drop the superseded ack
-		default:
-		}
-	}
-}
-
-// runAckSender transmits one peer's dedicated acks from its mailbox.
-func (t *Transport) runAckSender(to SiteID, ch chan ackNote) {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-t.done:
-			return
-		case a := <-ch:
-			t.sendAck(to, a.epoch, a.cum)
-		}
-	}
-}
-
-// sendAck transmits a dedicated cumulative-ack frame for one stream epoch.
-func (t *Transport) sendAck(to SiteID, epoch, cumSeq uint64) {
-	var pkt [ackSize]byte
-	pkt[0] = kindAck
-	binary.BigEndian.PutUint64(pkt[1:9], epoch)
-	binary.BigEndian.PutUint64(pkt[9:17], cumSeq)
-	t.mu.Lock()
-	t.stats.AcksSent++
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return
-	}
-	_ = t.ep.Send(to, pkt[:])
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,10 +82,46 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRetransmitOnlyOverdueRecords drives the retransmission sweep by hand:
-// only records whose last transmission is at least RetransmitInterval old are
-// resent, the sweep leads with the lowest outstanding sequence (and says so),
-// and a resent record is not resent again until it has aged once more.
+// takeRecords waits until the data frames sent since the last call carry n
+// records between them, and returns those frames. It waits at the pipe, not
+// on the sender's bookkeeping: the flusher stamps a frame under the lock and
+// hands it to the backend only after letting go.
+func (e *pipeEnd) takeRecords(t *testing.T, n int) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	waitUntil(t, fmt.Sprintf("%d records at the pipe", n), func() bool {
+		frames = append(frames, e.dataFrames()...)
+		return len(records(frames)) >= n
+	})
+	return frames
+}
+
+// tick does for peer 2 what a retransmission tick does: it wakes the flusher,
+// whose pass resends whatever is overdue.
+func tick(tr *Transport) {
+	tr.mu.Lock()
+	ps := tr.sends[2]
+	tr.mu.Unlock()
+	ps.wake()
+}
+
+// ageAll backdates the last transmission of peer 2's records from..to by two
+// hours, twice the RetransmitInterval these tests use.
+func ageAll(tr *Transport, from, to uint64) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for seq := from; seq <= to; seq++ {
+		r := tr.sends[2].at(seq)
+		r.sentAt = r.sentAt.Add(-2 * time.Hour)
+	}
+}
+
+// TestRetransmitOnlyOverdueRecords drives the flusher's pass by hand: only
+// records whose last transmission is at least RetransmitInterval old are
+// resent, the pass leads with the lowest outstanding sequence (and says so),
+// and a resent record is not resent again until it has aged once more. A
+// record queued after a pass that found nothing overdue goes out alone, so
+// its frame at the pipe shows that the pass resent nothing.
 func TestRetransmitOnlyOverdueRecords(t *testing.T) {
 	a, _ := newPipe()
 	a.drop = true // nothing arrives, so nothing is ever acknowledged
@@ -93,67 +131,53 @@ func TestRetransmitOnlyOverdueRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-
-	sent := func() uint64 {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return tr.sends[2].sentUpTo
-	}
-	age := func(seq uint64) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		r := tr.sends[2].at(seq)
-		r.sentAt = r.sentAt.Add(-2 * time.Hour)
-	}
-	sweep := func() [][]byte {
-		tr.retransmit(make([]byte, 0, cfg.MaxPacket))
-		return a.dataFrames()
-	}
-
-	for i := 0; i < 3; i++ {
-		if err := tr.Send(2, []byte{byte(i)}); err != nil {
+	send := func(b byte) {
+		if err := tr.Send(2, []byte{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "the first transmissions", func() bool { return sent() == 3 })
-	a.dataFrames()
+	pass := func(what string, n int, kind byte, want ...uint64) {
+		t.Helper()
+		frames := a.takeRecords(t, n)
+		if len(frames) != 1 || frames[0][0] != kind {
+			t.Fatalf("%s: %d frames (kind %d), want one of kind %d", what, len(frames), frames[0][0], kind)
+		}
+		if seqs := frameSeqs(frames[0]); !slices.Equal(seqs, want) {
+			t.Fatalf("%s sent %v, want %v", what, seqs, want)
+		}
+	}
 
-	if frames := sweep(); len(frames) != 0 {
-		t.Fatalf("fresh records were retransmitted: %d frames", len(frames))
+	for i := 0; i < 3; i++ {
+		send(byte(i))
 	}
-	age(1)
-	age(2)
-	frames := sweep()
-	if len(frames) != 1 || frames[0][0] != kindFrameLow {
-		t.Fatalf("sweep sent %d frames (kind %d), want one leading with the lowest outstanding sequence", len(frames), frames[0][0])
-	}
-	if seqs := frameSeqs(frames[0]); len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
-		t.Fatalf("sweep resent %v, want [1 2]", seqs)
-	}
+	a.takeRecords(t, 3)
+
+	tick(tr)
+	send(3)
+	pass("a pass with nothing overdue", 1, kindFrame, 4)
+	ageAll(tr, 1, 2)
+	tick(tr)
+	pass("the pass", 2, kindFrameLow, 1, 2)
 	if n := tr.Stats().Retransmissions; n != 2 {
 		t.Fatalf("Retransmissions = %d, want 2", n)
 	}
-	if frames := sweep(); len(frames) != 0 {
-		t.Fatalf("records resent a moment ago were resent again")
-	}
+	tick(tr)
+	send(4)
+	pass("a pass after a resend", 1, kindFrame, 5)
 
-	// An ack retires exactly the records it covers; the next sweep starts at
-	// the new lowest outstanding sequence.
+	// An ack retires exactly the records it covers; the next pass starts at
+	// the new lowest outstanding sequence and stops at the first record
+	// that is not overdue.
 	tr.applyAck(2, tr.epochBase, 2)
-	if n := tr.Unacked(); n != 1 {
-		t.Fatalf("Unacked = %d after acking 2 of 3, want 1", n)
+	if n := tr.Unacked(); n != 3 {
+		t.Fatalf("Unacked = %d after acking 2 of 5, want 3", n)
 	}
-	age(3)
-	frames = sweep()
-	if len(frames) != 1 || frames[0][0] != kindFrameLow {
-		t.Fatalf("second sweep sent %d frames", len(frames))
-	}
-	if seqs := frameSeqs(frames[0]); len(seqs) != 1 || seqs[0] != 3 {
-		t.Fatalf("second sweep resent %v, want [3]", seqs)
-	}
+	ageAll(tr, 3, 3)
+	tick(tr)
+	pass("the second pass", 1, kindFrameLow, 3)
 	// Acks for another epoch, or beyond what was sent, retire nothing extra.
-	tr.applyAck(2, tr.epochBase+1, 3)
-	if n := tr.Unacked(); n != 1 {
+	tr.applyAck(2, tr.epochBase+1, 5)
+	if n := tr.Unacked(); n != 3 {
 		t.Fatalf("an ack for another epoch retired records: Unacked = %d", n)
 	}
 	tr.applyAck(2, tr.epochBase, 99)
@@ -163,8 +187,8 @@ func TestRetransmitOnlyOverdueRecords(t *testing.T) {
 }
 
 // TestRetransmitSweepSplitsFrames checks that a deep overdue backlog is
-// resent in sequence order across several full frames, only the first of
-// which claims to lead with the lowest outstanding sequence.
+// resent by one pass in sequence order across several full frames, only the
+// first of which claims to lead with the lowest outstanding sequence.
 func TestRetransmitSweepSplitsFrames(t *testing.T) {
 	a, _ := newPipe()
 	a.drop = true
@@ -180,20 +204,10 @@ func TestRetransmitSweepSplitsFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "the first transmissions", func() bool {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return tr.sends[2].sentUpTo == n
-	})
-	a.dataFrames()
-	tr.mu.Lock()
-	for seq := uint64(1); seq <= n; seq++ {
-		r := tr.sends[2].at(seq)
-		r.sentAt = r.sentAt.Add(-2 * time.Hour)
-	}
-	tr.mu.Unlock()
-	tr.retransmit(make([]byte, 0, cfg.MaxPacket))
-	frames := a.dataFrames()
+	a.takeRecords(t, n)
+	ageAll(tr, 1, n)
+	tick(tr)
+	frames := a.takeRecords(t, n)
 	if len(frames) < 2 {
 		t.Fatalf("backlog of %d records resent in %d frames", n, len(frames))
 	}
@@ -217,7 +231,7 @@ func TestRetransmitSweepSplitsFrames(t *testing.T) {
 		}
 	}
 	if next != n+1 {
-		t.Errorf("sweep resent sequences up to %d, want %d", next-1, n)
+		t.Errorf("pass resent sequences up to %d, want %d", next-1, n)
 	}
 	if got := tr.Stats().Retransmissions; got != n {
 		t.Errorf("Retransmissions = %d, want %d", got, n)
@@ -251,12 +265,7 @@ func TestOutOfOrderFramesReassemble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "the first transmissions", func() bool {
-		ta.mu.Lock()
-		defer ta.mu.Unlock()
-		return ta.sends[2].sentUpTo == 5
-	})
-	frames := a.dataFrames()
+	frames := a.takeRecords(t, 5)
 	if len(frames) != 5 {
 		t.Fatalf("captured %d frames, want 5 (one record each)", len(frames))
 	}
@@ -285,7 +294,7 @@ func TestZeroLossStreamNeverRetransmits(t *testing.T) {
 	defer n.Close()
 	cfg := DefaultConfig(n.Profile())
 	cfg.RetransmitInterval = 100 * time.Millisecond // slack for a loaded test machine
-	// At least 20000 messages, and long enough to span several sweeps.
+	// At least 20000 messages, and long enough to span several retransmission ticks.
 	const atLeast, window, minElapsed = 20000, 64, 350 * time.Millisecond
 	slots := make(chan struct{}, window)
 	t1, err := New(n.AddSite(1), cfg, nil)
