@@ -50,8 +50,9 @@ type ClusterConfig struct {
 	// ReplyTimeout bounds how long Cast waits for replies before giving up
 	// on destinations that have not answered. Defaults to 10 s.
 	ReplyTimeout time.Duration
-	// DisableHeartbeats silences the failure detector's periodic traffic;
-	// benchmarks use it to keep the measured links quiet.
+	// DisableHeartbeats leaves every site's failure detector stopped: no
+	// keepalive is sent and no site is suspected. Benchmarks use it to keep
+	// the measured links quiet.
 	DisableHeartbeats bool
 }
 

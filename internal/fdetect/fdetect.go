@@ -1,7 +1,8 @@
 package fdetect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,11 +16,11 @@ type SiteID = addr.SiteID
 type EventKind uint8
 
 const (
-	// SiteFailed is reported when a monitored site misses heartbeats for
-	// longer than the adaptive timeout.
+	// SiteFailed is reported when nothing has been heard from a monitored site
+	// for longer than the adaptive timeout.
 	SiteFailed EventKind = iota + 1
-	// SiteRecovered is reported when a heartbeat arrives from a site that
-	// had been declared failed.
+	// SiteRecovered is reported when a site that had been declared failed is
+	// heard from again.
 	SiteRecovered
 )
 
@@ -42,9 +43,10 @@ type Event struct {
 	When time.Time
 }
 
-// SendHeartbeat is the function the detector uses to emit a heartbeat to a
-// peer site; the protocols process wires it to the transport.
-type SendHeartbeat func(to SiteID)
+// Poll is how the detector hears from its peers: it calls heard once for
+// every peer site, with whether anything arrived from it since the previous
+// call. The protocols process wires it to the transport's Poll.
+type Poll func(heard func(site SiteID, any bool))
 
 // Notify receives detector events. It is called from the detector's
 // goroutine and must not block for long.
@@ -52,7 +54,8 @@ type Notify func(Event)
 
 // Config holds detector parameters.
 type Config struct {
-	// HeartbeatInterval is how often heartbeats are sent to every peer.
+	// HeartbeatInterval is how often the detector polls its peers; the
+	// transport sends an otherwise idle peer a keepalive at the same pace.
 	HeartbeatInterval time.Duration
 	// InitialTimeout is the failure timeout used before enough heartbeat
 	// history exists to adapt.
@@ -86,11 +89,11 @@ type peerState struct {
 	failed     bool
 }
 
-// Detector monitors a set of peer sites.
+// Detector monitors the peer sites its Poll reports.
 type Detector struct {
 	self   SiteID
 	cfg    Config
-	send   SendHeartbeat
+	poll   Poll
 	notify Notify
 
 	mu    sync.Mutex
@@ -102,99 +105,37 @@ type Detector struct {
 }
 
 // New creates a detector. Call Start to begin monitoring.
-func New(self SiteID, cfg Config, send SendHeartbeat, notify Notify) *Detector {
+func New(self SiteID, cfg Config, poll Poll, notify Notify) *Detector {
 	if cfg.DeviationFactor <= 0 {
 		cfg.DeviationFactor = 4
 	}
 	return &Detector{
 		self:   self,
 		cfg:    cfg,
-		send:   send,
+		poll:   poll,
 		notify: notify,
 		peers:  make(map[SiteID]*peerState),
 		done:   make(chan struct{}),
 	}
 }
 
-// AddPeer begins monitoring a site; a site already monitored is left as it
-// is.
-func (d *Detector) AddPeer(site SiteID) {
-	if site == d.self {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.peers[site]; !ok {
-		d.peers[site] = &peerState{lastSeen: time.Now()}
-	}
-}
-
-// Peers returns the monitored sites in ascending order.
-func (d *Detector) Peers() []SiteID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]SiteID, 0, len(d.peers))
-	for s := range d.peers {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Suspected returns the sites currently considered failed.
-func (d *Detector) Suspected() []SiteID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []SiteID
-	for s, p := range d.peers {
-		if p.failed {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// OnHeartbeat records a heartbeat received from a peer. If the peer had been
-// declared failed, a recovery event is emitted.
-func (d *Detector) OnHeartbeat(from SiteID) {
-	now := time.Now()
-	var recovered bool
-	d.mu.Lock()
-	p, ok := d.peers[from]
-	if !ok {
-		// Heartbeat from an unmonitored site: start monitoring it. This is
-		// how a freshly started site becomes known to its peers.
-		p = &peerState{lastSeen: now}
-		d.peers[from] = p
-		d.mu.Unlock()
-		return
-	}
+// heardLocked records that a peer was heard from at now and feeds the gap
+// since it was last heard to the estimator. It reports whether the peer had
+// been declared failed. Caller holds d.mu.
+func (d *Detector) heardLocked(p *peerState, now time.Time) (recovered bool) {
 	gap := now.Sub(p.lastSeen)
 	p.lastSeen = now
 	if p.haveSample {
 		// Exponentially weighted mean and mean deviation (alpha = 1/8,
 		// beta = 1/4), mirroring the classic RTO estimator.
-		diff := gap - p.meanGap
-		if diff < 0 {
-			diff = -diff
-		}
+		diff := max(gap-p.meanGap, p.meanGap-gap)
 		p.meanGap += (gap - p.meanGap) / 8
 		p.devGap += (diff - p.devGap) / 4
 	} else {
-		p.meanGap = gap
-		p.devGap = gap / 2
-		p.haveSample = true
+		p.meanGap, p.devGap, p.haveSample = gap, gap/2, true
 	}
-	if p.failed {
-		p.failed = false
-		recovered = true
-	}
-	notify := d.notify
-	d.mu.Unlock()
-	if recovered && notify != nil {
-		notify(Event{Site: from, Kind: SiteRecovered, When: now})
-	}
+	recovered, p.failed = p.failed, false
+	return recovered
 }
 
 // TimeoutFor returns the current adaptive timeout for a peer. Exposed for
@@ -211,13 +152,7 @@ func (d *Detector) TimeoutFor(site SiteID) time.Duration {
 
 func (d *Detector) clampTimeout(p *peerState) time.Duration {
 	t := p.meanGap + time.Duration(float64(p.devGap)*d.cfg.DeviationFactor)
-	if t < d.cfg.MinTimeout {
-		t = d.cfg.MinTimeout
-	}
-	if t > d.cfg.MaxTimeout {
-		t = d.cfg.MaxTimeout
-	}
-	return t
+	return min(max(t, d.cfg.MinTimeout), d.cfg.MaxTimeout)
 }
 
 // Start launches the detector's loop.
@@ -232,8 +167,7 @@ func (d *Detector) Stop() {
 	d.wg.Wait()
 }
 
-// run beats and checks on one ticker: peers are examined for timeout as
-// often as they are expected to beat.
+// run polls and checks on one ticker.
 func (d *Detector) run() {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.cfg.HeartbeatInterval)
@@ -242,41 +176,43 @@ func (d *Detector) run() {
 		select {
 		case <-d.done:
 			return
-		case <-ticker.C:
-			if d.send != nil {
-				for _, peer := range d.Peers() {
-					d.send(peer)
-				}
-			}
-			d.checkTimeouts()
+		case now := <-ticker.C:
+			d.tick(now)
 		}
 	}
 }
 
-func (d *Detector) checkTimeouts() {
-	now := time.Now()
-	var failures []SiteID
+// tick polls the peers — the first poll that reports a site starts monitoring
+// it — then declares failed every peer not heard from within its timeout, and
+// notifies the transitions in site order once it has let go of d.mu.
+func (d *Detector) tick(now time.Time) {
+	var evs []Event
 	d.mu.Lock()
-	for s, p := range d.peers {
-		if p.failed {
-			continue
+	d.poll(func(site SiteID, any bool) {
+		p, ok := d.peers[site]
+		switch {
+		case site == d.self: // never monitored
+		case !ok:
+			d.peers[site] = &peerState{lastSeen: now}
+		case any && d.heardLocked(p, now):
+			evs = append(evs, Event{Site: site, Kind: SiteRecovered, When: now})
 		}
+	})
+	for s, p := range d.peers {
 		timeout := d.cfg.InitialTimeout
 		if p.haveSample {
 			timeout = d.clampTimeout(p)
 		}
-		if now.Sub(p.lastSeen) > timeout {
+		if !p.failed && now.Sub(p.lastSeen) > timeout {
 			p.failed = true
-			failures = append(failures, s)
+			evs = append(evs, Event{Site: s, Kind: SiteFailed, When: now})
 		}
 	}
-	notify := d.notify
 	d.mu.Unlock()
-	if notify == nil {
-		return
-	}
-	sort.Slice(failures, func(i, j int) bool { return failures[i] < failures[j] })
-	for _, s := range failures {
-		notify(Event{Site: s, Kind: SiteFailed, When: now})
+	slices.SortFunc(evs, func(a, b Event) int { return cmp.Compare(a.Site, b.Site) })
+	for _, e := range evs {
+		if d.notify != nil {
+			d.notify(e)
+		}
 	}
 }

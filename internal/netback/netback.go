@@ -112,8 +112,9 @@ type LinkEvent struct {
 
 // LinkWatcher is the optional capability of a Network to report link
 // transitions. The protocols daemon type-asserts its fabric against this
-// interface and, when present, probes healed links immediately so partition
-// merges start without waiting out a heartbeat round trip.
+// interface and, when present, publishes each transition on its event stream;
+// recovery itself is observed by the failure detector, from the first frame
+// that crosses the healed link.
 type LinkWatcher interface {
 	// WatchLinks registers a callback invoked on every link transition and
 	// returns a function that unregisters it.

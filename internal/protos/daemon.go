@@ -3,6 +3,8 @@ package protos
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +53,9 @@ type Config struct {
 	// proposal can therefore no longer block later committed deliveries
 	// until the next flush.
 	ResolicitAfter time.Duration
-	// DisableHeartbeats turns off the failure detector's periodic traffic;
-	// used by benchmarks that want quiet links.
+	// DisableHeartbeats leaves the failure detector stopped: no peer is polled
+	// or sent a keepalive, and no site is suspected but by hand. Benchmarks use
+	// it for quiet links.
 	DisableHeartbeats bool
 }
 
@@ -304,7 +307,7 @@ type Daemon struct {
 	counters Counters
 	closed   bool
 
-	unwatchLinks func()        // unregisters the heal-probe link watcher on Close
+	unwatchLinks func()        // unregisters the link watcher on Close
 	stopScan     chan struct{} // closed by Close: stops the scan loop and fails calls still waiting
 
 	wg sync.WaitGroup
@@ -372,7 +375,6 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d.ep = ep
-	d.det = fdetect.New(cfg.Site, detCfg, d.sendHeartbeat, d.onDetectorEvent)
 	// The transport's receive loop may hand over a packet at once (one already
 	// on its way to a restarting site): it waits until the daemon is whole.
 	whole := make(chan struct{})
@@ -385,39 +387,25 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d.tr = tr
+	d.det = fdetect.New(cfg.Site, detCfg, tr.Poll, d.onDetectorEvent)
 	close(whole)
 	if !cfg.DisableHeartbeats {
 		d.det.Start()
 	}
-	// A healed link is probed immediately with a heartbeat, so the peer's
-	// failure detector observes the recovery — and triggers any pending
-	// partition merge — without waiting for the next heartbeat round. Only
-	// fabrics that can observe link transitions (the simulated LAN) offer
-	// the capability; on a real wire recovery is heartbeat-driven.
+	// A fabric that observes link transitions (both in-tree fabrics, through
+	// netback.Faults) has them published; a healed link needs no probe, as the
+	// next poll's keepalive crosses it.
 	if lw, ok := cfg.Network.(netback.LinkWatcher); ok {
 		d.unwatchLinks = lw.WatchLinks(func(ev netback.LinkEvent) {
-			var peer addr.SiteID
-			switch d.site {
-			case ev.A:
-				peer = ev.B
-			case ev.B:
+			peer, kind := ev.B, events.LinkDown
+			if d.site == ev.B {
 				peer = ev.A
-			default:
-				return
 			}
-			kind := events.LinkDown
 			if ev.Up {
 				kind = events.LinkUp
 			}
-			d.bus.Publish(events.Event{Kind: kind, Peer: peer})
-			if !ev.Up {
-				return
-			}
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if !closed {
-				d.sendHeartbeat(peer)
+			if d.site == ev.A || d.site == ev.B {
+				d.bus.Publish(events.Event{Kind: kind, Peer: peer})
 			}
 		})
 	}
@@ -460,9 +448,7 @@ func (d *Daemon) Close() {
 	if d.unwatchLinks != nil {
 		d.unwatchLinks()
 	}
-	if !d.cfg.DisableHeartbeats {
-		d.det.Stop()
-	}
+	d.det.Stop()
 	d.tr.Close()
 	d.ep.Close()
 	// Only now, with the site off the network: whatever the released waiters
@@ -581,7 +567,6 @@ func (d *Daemon) AnnounceRestart() {
 
 // sendRaw transmits pre-encoded packet bytes, which the transport keeps, to a site.
 func (d *Daemon) sendRaw(to addr.SiteID, raw []byte) error {
-	d.det.AddPeer(to)
 	return d.tr.Send(to, raw)
 }
 
@@ -595,15 +580,6 @@ func (d *Daemon) fanoutRaw(sites []addr.SiteID, raw []byte) {
 		}
 		_ = d.sendRaw(s, raw)
 	}
-}
-
-// heartbeatRaw is the complete wire form of a heartbeat: envelope only, no
-// body. The receiver identifies the peer from the transport's source site.
-var heartbeatRaw = []byte{wireVersion, ptHeartbeat}
-
-// sendHeartbeat is handed to the failure detector.
-func (d *Daemon) sendHeartbeat(to addr.SiteID) {
-	_ = d.sendRaw(to, heartbeatRaw)
 }
 
 // answer is what a call is answered with: what its answer packet decoded to (or
@@ -733,16 +709,15 @@ func (d *Daemon) await(ch chan answer, deadline <-chan time.Time) (answer, error
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks
-// the envelope, answers a heartbeat (no body), decodes the body's fixed layout
-// outside the lock and hands it to its handler in one hold of d.mu. What a body
-// decodes to lives on this stack unless a handler or a call keeps it; a data
-// packet, a payload and a state block keep raw, a frame the receiver owns.
+// the envelope, decodes the body's fixed layout outside the lock and hands it
+// to its handler in one hold of d.mu. What a body decodes to lives on this
+// stack unless a handler or a call keeps it; a data packet, a payload and a
+// state block keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
 	}
 	pt, body := raw[1], raw[envelopeBytes:]
-	d.det.AddPeer(from)
 	var (
 		r     abRecord
 		h     replyHeader
@@ -757,9 +732,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		ok    bool
 	)
 	switch pt {
-	case ptHeartbeat:
-		d.det.OnHeartbeat(from)
-		return
 	case ptAbPropose, ptAbCommit, ptAbResolicit:
 		r, ok = parseAbRecord(body)
 	case ptReply:
@@ -824,7 +796,9 @@ func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
 	}
 }
 
-// SuspectedSites returns the sites currently believed failed.
+// SuspectedSites returns the sites currently believed failed, in ascending order.
 func (d *Daemon) SuspectedSites() []addr.SiteID {
-	return d.det.Suspected()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Sorted(maps.Keys(d.suspected))
 }

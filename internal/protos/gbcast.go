@@ -369,9 +369,8 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 	// Members listed at this site that this daemon does not know are ghosts
 	// of a previous incarnation: they joined (or merged back) moments before
 	// the site restarted, and nobody else can tell they are gone — process
-	// failures are detected locally, and the restarted site answers
-	// heartbeats, so no timeout will ever fire for them. Request their
-	// removal.
+	// failures are detected locally, and the restarted site is heard from, so
+	// no timeout will ever fire for them. Request their removal.
 	ghosts := d.ghostMembersLocked(newView)
 	if !hosted {
 		if !hostsNewMember {

@@ -626,14 +626,25 @@ func (d *Daemon) scanInterval() time.Duration {
 
 // resolicitStragglers performs one scan round of runResolicitScan. Besides
 // the stragglers it completes an ABCAST round still waiting for proposals at
-// its deadline, and feeds inWatchdog to a copy whose flush has been open past
-// flushDeadline.
+// its deadline, feeds inWatchdog to a copy whose flush has been open past
+// flushDeadline, and has the transport forget a suspected site that no copy's
+// view lists: what waits for its ack never gets one, and resending it is all
+// a dead site would cost.
 func (d *Daemon) resolicitStragglers() {
 	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
+	}
+	for s := range d.suspected {
+		listed := false
+		for _, gs := range d.groups {
+			listed = listed || slices.ContainsFunc(gs.view.Members, func(m addr.Address) bool { return m.Site == s })
+		}
+		if !listed {
+			d.tr.Forget(s)
+		}
 	}
 	for gid, gs := range d.groups {
 		for _, st := range gs.rounds {

@@ -276,8 +276,8 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 	tc.net.Partition(3, 2)
 	waitFor(t, "minority goes non-primary", 10*time.Second, func() bool { return !d3.GroupPrimary(gid) })
 
-	// The first heartbeat across a heal clears the suspicion; the prepare is
-	// right behind it.
+	// The first frame across a heal clears the suspicion; the prepare is right
+	// behind it.
 	d3.mu.Lock()
 	delete(d3.suspected, 1)
 	d3.mu.Unlock()

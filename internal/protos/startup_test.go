@@ -62,7 +62,7 @@ func TestPacketInFlightToARestartingSite(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	tc.net.PauseLink(1, 2)
 	before := tc.net.Stats().PacketsSent
-	tc.daemons[1].sendHeartbeat(2)
+	_ = tc.daemons[1].sendRaw(2, lookupPacket{call: -1}.encode(ptLookupResp)) // answers no call
 	waitFor(t, "a packet held on its way to site 2", 2*time.Second, func() bool { return tc.net.Stats().PacketsSent > before })
 	tc.daemons[2].Close()
 

@@ -46,11 +46,12 @@ func (p Protocol) String() string {
 //
 //	byte 0   wireVersion
 //	byte 1   packet type (one of the pt* constants below)
-//	bytes 2+ the type's layout, big endian (none for heartbeats)
+//	bytes 2+ the type's layout, big endian
 //
 // Keeping the packet type at a fixed offset lets handleTransport dispatch
-// without decoding the body, lets heartbeats skip encoding entirely, and lets
-// a multicast fan-out share one encoded packet across every destination site.
+// without decoding the body, and lets a multicast fan-out share one encoded
+// packet across every destination site. Liveness is not a packet: any
+// transport frame from a site is a heartbeat.
 // A message (msg.Message) travels only as an application's payload: a data
 // packet's, a reply's, a user GBCAST's.
 //
@@ -93,7 +94,7 @@ const (
 	_                              // 8: GBCAST done, now ptGbDone
 	_                              // 9: lookup, now ptLookup
 	_                              // 10: lookup response, now ptLookupResp
-	ptHeartbeat                    // failure-detector heartbeat (empty body)
+	_                              // 11: heartbeat, now any transport frame (internal/fdetect)
 	_                              // 12: state block, now ptStateBlock
 	_                              // 13: error, now ptError
 	_                              // 14: state ack, now ptStateAck

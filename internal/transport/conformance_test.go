@@ -278,6 +278,78 @@ func TestPeerRestartMidStream(t *testing.T) {
 	}
 }
 
+// TestConformanceForgottenPeerStartsANewEpoch forgets a peer with records
+// outstanding behind a severed link — a drop (FaultInjector), not a pause,
+// which would deliver the held frames. Once the link heals the forgotten
+// records never arrive, and later messages arrive in order under the bumped
+// stream epoch, which the receiver adopts without restarting its own stream.
+func TestConformanceForgottenPeerStartsANewEpoch(t *testing.T) {
+	for _, fc := range fabricCases() {
+		t.Run(fc.name, func(t *testing.T) {
+			fab := fc.make(0)
+			defer fab.Close()
+			t1, c1 := confEndpoint(t, fab, 1, 1)
+			defer t1.Close()
+			t2, c2 := confEndpoint(t, fab, 2, 1)
+			defer t2.Close()
+			send := func(tr *Transport, to SiteID, format string, n int) {
+				for i := 0; i < n; i++ {
+					if err := tr.Send(to, []byte(fmt.Sprintf(format, i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			send(t1, 2, "before-%d", 3)
+			c2.waitFor(t, 3, 5*time.Second)
+			waitDrained(t, t1)
+
+			faults := fab.(netback.FaultInjector)
+			faults.Partition(1, 2)
+			send(t1, 2, "forgotten-%d", 5)
+			if n := t1.Unacked(); n != 5 {
+				t.Fatalf("Unacked = %d behind the cut, want 5", n)
+			}
+			t1.Forget(2)
+			if n := t1.Unacked(); n != 0 {
+				t.Fatalf("Unacked = %d after Forget, want 0", n)
+			}
+			faults.Heal(1, 2)
+
+			send(t1, 2, "after-%d", 10)
+			send(t2, 1, "back-%d", 1)
+			c1.waitFor(t, 1, 5*time.Second)
+			c2.waitFor(t, 13, 10*time.Second)
+			waitDrained(t, t1)
+			time.Sleep(50 * time.Millisecond) // five retransmission intervals
+			got := c2.snapshot()
+			for i, m := range got {
+				want := fmt.Sprintf("before-%d", i)
+				if i >= 3 {
+					want = fmt.Sprintf("after-%d", i-3)
+				}
+				if m != want {
+					t.Fatalf("position %d: got %q, want %q (all: %q)", i, m, want, got)
+				}
+			}
+			if len(got) != 13 {
+				t.Fatalf("delivered %d messages, want 13: %q", len(got), got)
+			}
+			t1.mu.Lock()
+			epoch := t1.sends[2].epoch
+			t1.mu.Unlock()
+			if epoch != t1.epochBase+1 {
+				t.Errorf("stream epoch %#x after one Forget, want %#x", epoch, t1.epochBase+1)
+			}
+		})
+	}
+}
+
+// waitDrained waits until every record the transport sent is acknowledged.
+func waitDrained(t *testing.T, tr *Transport) {
+	t.Helper()
+	waitUntil(t, "the send window to drain", func() bool { return tr.Unacked() == 0 })
+}
+
 // TestConformanceBatchCoalescing proves the batch flusher works identically
 // over both fabrics: a burst of small sends must coalesce into fewer frames
 // than fragments.

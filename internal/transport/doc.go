@@ -31,14 +31,22 @@
 // One sender per peer: the peer's flusher goroutine is the only code that
 // hands the backend a frame for that peer, so frames to one peer leave in the
 // order it builds them and a full link stalls that peer alone. Send, the
-// retransmission ticker and the ack timer only wake it, and the receive path
-// never sends — a receive loop that blocked on its full reverse link while
-// the peer's blocked on the opposite one would be a distributed buffer
+// retransmission ticker, the ack timer and Poll only wake it, and the receive
+// path never sends — a receive loop that blocked on its full reverse link
+// while the peer's blocked on the opposite one would be a distributed buffer
 // deadlock. A pass of the flusher sends, one frame per lock hold, the records
 // whose ack is overdue, then the records queued since, then a dedicated ack if
 // one is owed that no frame carried and its delay is up (at once under
-// Config.DisableBatching). A peer that only receives gets a flusher too, for
-// its acks.
+// Config.DisableBatching), or if Poll asked for a keepalive. A peer that only
+// receives gets a flusher too, for its acks.
+//
+// Liveness rides on the streams and adds nothing to them: any frame from a
+// peer, a bare ack included, is a heartbeat. Poll, called by the failure
+// detector once an interval, reports every peer and whether it was heard from
+// since the last poll, and has a peer that was sent nothing meanwhile sent a
+// bare ack — unsequenced, never retransmitted, idempotent. Forget drops a dead
+// peer's window and starts a new stream epoch to it, so a site that is gone
+// costs neither memory nor retransmissions.
 //
 // The data path copies a message once on each side of the wire. Send keeps
 // the caller's bytes by reference, in a sequence-indexed send window, until

@@ -122,10 +122,24 @@ type peerSend struct {
 	base     uint64        // its sequence number (nextSeq when the window is empty)
 	sentUpTo uint64        // highest sequence handed to a frame so far
 	kick     chan struct{} // wakes the per-peer flusher
+
+	// Liveness, read and cleared by Poll: heard is set by any frame from the
+	// peer, sent by any frame to it but a keepalive, and keepalive is a bare
+	// ack Poll asked the flusher for.
+	heard, sent, keepalive bool
 }
 
 // outstanding returns the number of records awaiting an ack.
 func (ps *peerSend) outstanding() int { return len(ps.window) - ps.head }
+
+// reset drops the window and renumbers the stream from 1 under a bumped
+// epoch, so the peer starts a fresh receive stream and no frame of the old
+// numbering can be confused with the new one.
+func (ps *peerSend) reset() {
+	ps.epoch++
+	ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
+	ps.window, ps.head = nil, 0
+}
 
 // wake nudges the peer's flusher into a pass; it never blocks.
 func (ps *peerSend) wake() {
@@ -250,6 +264,36 @@ func (t *Transport) Unacked() int {
 	return n
 }
 
+// Poll reports each peer the transport has a stream with, and whether any
+// frame (data or a bare ack) came from it since the last poll, and has each
+// peer that was sent nothing since then sent a bare ack: a keepalive,
+// unsequenced, never retransmitted, idempotent, and not counted as traffic by
+// the next poll. heard runs under the transport's lock.
+func (t *Transport) Poll(heard func(site SiteID, any bool)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for site, ps := range t.sends {
+		heard(site, ps.heard)
+		if !ps.sent {
+			ps.keepalive = true
+			ps.wake()
+		}
+		ps.heard, ps.sent = false, false
+	}
+}
+
+// Forget drops the send window to a site and starts a new stream epoch to it:
+// the records it held never arrive, and later ones are numbered from 1 under
+// the bumped epoch, which the peer adopts. The protocols daemon forgets a
+// suspected site that no view it hosts lists.
+func (t *Transport) Forget(site SiteID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ps, ok := t.sends[site]; ok && ps.outstanding() > 0 {
+		ps.reset()
+	}
+}
+
 // Close stops the transport's background goroutines. In-flight messages may
 // be lost, exactly as when a site crashes.
 func (t *Transport) Close() {
@@ -310,8 +354,9 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 
 // peerSendLocked returns the sending half of the connection to a peer, opened
 // — with the flusher that is the only sender on its link — on first use, by
-// a Send or by the first frame from the peer, whose acks the flusher sends.
-// Caller holds t.mu, and the transport is not closed.
+// a Send or by the first frame from the peer, a bare ack included, whose acks
+// and keepalives the flusher sends. Caller holds t.mu, and the transport is
+// not closed.
 func (t *Transport) peerSendLocked(to SiteID) *peerSend {
 	ps, ok := t.sends[to]
 	if !ok {
@@ -323,8 +368,8 @@ func (t *Transport) peerSendLocked(to SiteID) *peerSend {
 	return ps
 }
 
-// runFlusher runs a pass each time Send, the retransmission ticker or the ack
-// timer wakes it. While a frame is on the wire, newly queued records
+// runFlusher runs a pass each time Send, the retransmission ticker, the ack
+// timer or Poll wakes it. While a frame is on the wire, newly queued records
 // accumulate and share the next frame — batching emerges under load with no
 // idle-path latency cost. Every frame is built in the flusher's one buffer:
 // the backend is done with it when Send returns.
@@ -345,7 +390,8 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 // on the peer's link. One frame per lock hold — the network send must not
 // run under t.mu — it sends, in order: the run of records, from the lowest
 // outstanding one, whose ack is at least RetransmitInterval overdue; the
-// records queued since; and a dedicated ack if one is owed and due.
+// records queued since; and a dedicated ack if one is owed and due, or a
+// keepalive if Poll asked for one and no frame went since.
 func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 	// next never moves back within a stream, so a pass resends a record at
 	// most once however long it runs.
@@ -358,7 +404,7 @@ func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 		}
 		if next < ps.nextSeq {
 			frame, next = t.buildFrameLocked(to, ps, frame[:0], next, now)
-		} else if frame = t.appendAckLocked(to, frame[:0]); len(frame) == 0 {
+		} else if frame = t.appendAckLocked(to, ps, frame[:0]); len(frame) == 0 {
 			t.mu.Unlock()
 			return frame
 		}
@@ -403,6 +449,7 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 		r.sentAt = now
 	}
 	ps.sentUpTo = max(ps.sentUpTo, seq-1)
+	ps.sent, ps.keepalive = true, false
 	t.stats.FramesSent++
 	t.stats.Coalesced += seq - first - 1
 	return frame, seq
@@ -423,19 +470,27 @@ func (t *Transport) takeAckLocked(to SiteID) (epoch, cum uint64) {
 	return pr.epoch, pr.nextExpected - 1
 }
 
-// appendAckLocked appends to frame (which is empty) the dedicated ack frame
-// owed to the peer, if one is owed that no data frame has carried and its
-// delay is up, and clears the obligation. Caller holds t.mu.
-func (t *Transport) appendAckLocked(to SiteID, frame []byte) []byte {
-	pr, ok := t.recvs[to]
-	if !ok || !pr.ackOwed || pr.ackTimerSet {
+// appendAckLocked appends to frame (which is empty) a dedicated ack frame,
+// if one is owed that no data frame has carried and its delay is up, or if
+// Poll asked for a keepalive, and clears both. A peer nothing came from yet
+// is acked epoch 0, which retires nothing. Caller holds t.mu.
+func (t *Transport) appendAckLocked(to SiteID, ps *peerSend, frame []byte) []byte {
+	pr := t.recvs[to]
+	owed := pr != nil && pr.ackOwed && !pr.ackTimerSet
+	if !owed && !ps.keepalive {
 		return frame
 	}
-	pr.ackOwed = false
+	ps.sent = ps.sent || !ps.keepalive
+	ps.keepalive = false
 	t.stats.AcksSent++
+	var epoch, cum uint64
+	if pr != nil {
+		pr.ackOwed = false
+		epoch, cum = pr.epoch, pr.nextExpected-1
+	}
 	frame = append(frame, kindAck)
-	frame = binary.BigEndian.AppendUint64(frame, pr.epoch)
-	return binary.BigEndian.AppendUint64(frame, pr.nextExpected-1)
+	frame = binary.BigEndian.AppendUint64(frame, epoch)
+	return binary.BigEndian.AppendUint64(frame, cum)
 }
 
 // recvLoop dispatches packets arriving from the network.
@@ -502,12 +557,19 @@ func (t *Transport) handlePacket(pkt netback.Packet) {
 
 // applyAck retires the window records covered by a cumulative ack. The ack
 // only applies to the stream epoch it names: an ack minted for a previous
-// incarnation's numbering must not retire the current stream's records.
+// incarnation's numbering must not retire the current stream's records. Every
+// frame carries an ack, so this is where a peer is heard from, and where a
+// peer that sent only bare acks is opened: a site that forgot this one, or
+// restarted, is heard here and answered with keepalives of its own.
 func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps, ok := t.sends[from]
-	if !ok || ps.epoch != ackEpoch {
+	if t.closed {
+		return // opening a flusher now would race wg.Add against Close's wg.Wait
+	}
+	ps := t.peerSendLocked(from)
+	ps.heard = true
+	if ps.epoch != ackEpoch {
 		return
 	}
 	if cumSeq > ps.sentUpTo {
@@ -528,8 +590,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 
 	t.mu.Lock()
 	if t.closed {
-		// A frame can still arrive between Close and the endpoint detaching;
-		// opening a flusher now would race wg.Add against Close's wg.Wait.
+		// A frame can still arrive between Close and the endpoint detaching.
 		t.mu.Unlock()
 		return
 	}
@@ -562,9 +623,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 			// fresh peer accepts it, so stale frames of the old numbering
 			// can never be confused with the new stream. Unacked records
 			// died with the crash.
-			ps.epoch++
-			ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
-			ps.window, ps.head = nil, 0
+			ps.reset()
 		}
 	}
 	progress := false
