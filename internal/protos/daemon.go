@@ -157,21 +157,21 @@ type groupState struct {
 	total  *core.TotalQueue
 
 	// Straggler tracking for the re-solicitation watchdog: the uncommitted
-	// message currently blocking the head of the copy's total-order queue,
-	// when it started blocking, and how many re-solicitations have been sent
-	// for it (used to rotate the target away from an unreachable initiator).
-	blockedID    core.MsgID
-	blockedSince time.Time
-	resolicits   int
+	// message blocking the head of the copy's total-order queue, the scan tick
+	// to re-solicit it at, and how many re-solicitations have been sent for it
+	// (used to rotate the target away from an unreachable initiator).
+	blockedID   core.MsgID
+	resolicitAt uint64
+	resolicits  int
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
-	// alone; parked is what the open flush holds back; flushDeadline is when
-	// the flush now open counts as stale (the scan tick then feeds the copy
-	// inWatchdog); mergeAttempt counts the merge attempts begun, so each can
-	// tell whether it is still the latest.
+	// alone; parked is what the open flush holds back; flushDeadline is the
+	// scan tick at which the flush now open counts as stale (the tick then
+	// feeds the copy inWatchdog); mergeAttempt counts the merge attempts
+	// begun, so each can tell whether it is still the latest.
 	phase         phase
 	parked        parked
-	flushDeadline time.Time
+	flushDeadline uint64
 	mergeAttempt  uint64
 
 	// recent holds the last delivered data packets, which a flush
@@ -239,7 +239,7 @@ type abSendState struct {
 	waiting  []addr.SiteID
 	maxPrio  uint64
 	done     bool
-	deadline time.Time // the scan tick completes a round still open at CallTimeout
+	deadline uint64 // the scan tick that completes the round if it is still open
 
 	// packet is phase 1 as it was sent. Its attempt qualifies the
 	// phase-1/proposal exchange: a GBCAST flush that fences this ABCAST behind
@@ -277,7 +277,7 @@ type Daemon struct {
 	nameCache   map[string]addr.Address
 	failedProcs map[addr.Address]bool
 	suspected   map[addr.SiteID]bool
-	calls       map[int64]pendingCall
+	calls       map[int64]*pendingCall
 	nextCall    int64
 	nextReqID   int64
 	pendingJoin map[joinKey]pendingJoin
@@ -295,20 +295,24 @@ type Daemon struct {
 	// ids, settles the outcome with a gbSeal round.
 	reqLog core.BoundedLog[int64, reqRecord]
 
-	// parked is the set of members whose rejoin failed every retry after their
-	// group copy was discarded (merge.go): each has one goroutine retrying it.
+	// parked is the set of members whose rejoin failed after their group copy
+	// was discarded (merge.go): each has one goroutine retrying it every tick.
 	parked map[joinKey]bool
 
-	// flushEnd (on mu) is signalled whenever a group copy leaves its
-	// flushing phase, and on Close: senders blocked by a flush wait on it
-	// (settledGroupLocked).
-	flushEnd sync.Cond
+	// tick counts the scan ticks, the daemon's one clock, every scanInterval
+	// (min(ResolicitAfter, CallTimeout)/4, 1–50 ms): every deadline it keeps
+	// is a value of tick. wake (on mu) is broadcast by every tick, when a
+	// copy's flush ends and on Close: senders blocked by a flush
+	// (settledGroupLocked) and retries (nextTick) wait on it.
+	tick         uint64
+	scanInterval time.Duration
+	wake         sync.Cond
 
 	counters Counters
 	closed   bool
 
 	unwatchLinks func()        // unregisters the link watcher on Close
-	stopScan     chan struct{} // closed by Close: stops the scan loop and fails calls still waiting
+	stopScan     chan struct{} // closed by Close: stops the scan loop
 
 	wg sync.WaitGroup
 }
@@ -361,7 +365,7 @@ func New(cfg Config) (*Daemon, error) {
 		nameCache:   make(map[string]addr.Address),
 		failedProcs: make(map[addr.Address]bool),
 		suspected:   make(map[addr.SiteID]bool),
-		calls:       make(map[int64]pendingCall),
+		calls:       make(map[int64]*pendingCall),
 		pendingJoin: make(map[joinKey]pendingJoin),
 		parked:      make(map[joinKey]bool),
 		reqSerial:   make(map[addr.Address]*sync.Mutex),
@@ -369,7 +373,8 @@ func New(cfg Config) (*Daemon, error) {
 		reqLog:      core.NewBoundedLog[int64, reqRecord](reqLogLimit),
 		stopScan:    make(chan struct{}),
 	}
-	d.flushEnd.L = &d.mu
+	d.wake.L = &d.mu
+	d.scanInterval = min(max(min(cfg.ResolicitAfter, cfg.CallTimeout)/4, time.Millisecond), 50*time.Millisecond)
 	ep, err := cfg.Network.Attach(cfg.Site, trCfg.Epoch)
 	if err != nil {
 		return nil, err
@@ -441,7 +446,7 @@ func (d *Daemon) Close() {
 	for _, gs := range d.groups {
 		clear(gs.rounds)
 	}
-	d.flushEnd.Broadcast()
+	d.wake.Broadcast()
 	d.mu.Unlock()
 
 	d.bus.Close()
@@ -451,9 +456,12 @@ func (d *Daemon) Close() {
 	d.det.Stop()
 	d.tr.Close()
 	d.ep.Close()
-	// Only now, with the site off the network: whatever the released waiters
-	// do next cannot reach a peer as this site's dying words (a crashed
-	// coordinator answers nobody; its requesters time out and fail over).
+	// Only now, with the site off the network, do the calls still waiting end:
+	// whatever their callers do next cannot reach a peer as this site's dying
+	// words (a crashed coordinator answers nobody; its requesters fail over).
+	d.mu.Lock()
+	d.endCallsLocked(ErrClosed, func(*pendingCall) bool { return true })
+	d.mu.Unlock()
 	close(d.stopScan)
 	for _, p := range procs {
 		close(p.queue)
@@ -588,20 +596,22 @@ type answer struct {
 	gb    *gbPacket     // ptGbDone, ptGbAck
 	look  *lookupPacket // ptLookupResp
 	stamp relayStamp    // ptRelayAck
-	err   error         // ptError (restored to its sentinel), or errSiteFailed
+	err   error         // ptError, restored to its sentinel
 }
 
 // pendingCall is one exchange awaiting its answer: where it is delivered, the
-// type it comes as, and the site asked (whose failure aborts the wait).
+// type it comes as, the site asked and the scan tick it times out at.
 type pendingCall struct {
-	ch   chan answer
-	want byte
-	site addr.SiteID // 0: a broadcast question, answered by whoever can
+	ch       chan answer
+	want     byte
+	site     addr.SiteID // 0: a broadcast question, answered by whoever can
+	deadline uint64
+	err      error // why endCallsLocked ended the call, once ch is closed
 }
 
 // newCall registers an exchange with a site, answered by a packet of type want
-// (or ptError), and returns its id and response channel.
-func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, chan answer) {
+// (or ptError), and returns its id and the call, born ended on a closed daemon.
+func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, *pendingCall) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextCall++
@@ -609,9 +619,12 @@ func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, chan answer) {
 	// A call gets one answer; a broadcast question (a lookup) gets one from
 	// each site, queued while the asker works through them. One that finds the
 	// buffer full is dropped, as a lost packet would be.
-	ch := make(chan answer, 1+7*int(bit(to == 0)))
-	d.calls[id] = pendingCall{ch: ch, want: want, site: to}
-	return id, ch
+	c := &pendingCall{ch: make(chan answer, 1+7*int(bit(to == 0))), want: want, site: to, deadline: d.deadlineLocked(d.cfg.CallTimeout)}
+	d.calls[id] = c
+	if d.closed {
+		d.endCallsLocked(ErrClosed, func(o *pendingCall) bool { return o == c })
+	}
+	return id, c
 }
 
 // dropCall removes a pending call.
@@ -619,6 +632,20 @@ func (d *Daemon) dropCall(id int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.calls, id)
+}
+
+// endCallsLocked ends the matching calls with err, recorded on the call before
+// its channel closes and its entry goes, so a late answer finds none and await
+// returns err after the answers queued before: the scan tick's ErrTimeout, the
+// failure handler's errSiteFailed and Close's ErrClosed. Caller holds d.mu.
+func (d *Daemon) endCallsLocked(err error, match func(*pendingCall) bool) {
+	for id, c := range d.calls {
+		if match(c) {
+			c.err = err
+			close(c.ch)
+			delete(d.calls, id)
+		}
+	}
 }
 
 // newReqID mints a stable, globally unique GBCAST request id. The id
@@ -636,7 +663,7 @@ func (d *Daemon) newReqID() int64 {
 }
 
 // errSiteFailed fails a call to a site the failure detector declared dead,
-// aborted in flight (handleSiteFailure) or refused at once (call).
+// ended in flight (handleSiteFailure) or refused at once (call).
 var errSiteFailed = errors.New("protos: site failed")
 
 // errNotCoordinator refuses a GBCAST request at a site not acting as coordinator.
@@ -665,13 +692,13 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 }
 
 // call sends a GBCAST request or prepare to a site with its call id and waits
-// for the answer (of the type after pt) or a timeout; a suspected site is sent
-// nothing. A request this site makes of itself (it is never asked a prepare)
-// goes to the handler a peer's goes to, by reference, in one hold of d.mu, and
-// is answered there as a peer's is (answerLocked): one call table and one wait
-// for both.
+// for the answer (of the type after pt) or the call's end; a suspected site is
+// sent nothing. A request this site makes of itself (it is never asked a
+// prepare) goes to the handler a peer's goes to, by reference, in one hold of
+// d.mu, and is answered there as a peer's is (answerLocked): one call table
+// and one wait for both.
 func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) {
-	id, ch := d.newCall(to, pt+1)
+	id, c := d.newCall(to, pt+1)
 	defer d.dropCall(id)
 	req.call = id
 	var err error
@@ -691,21 +718,18 @@ func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) 
 	if err != nil {
 		return nil, err
 	}
-	a, err := d.await(ch, time.After(d.cfg.CallTimeout))
+	a, err := c.await()
 	return a.gb, err
 }
 
-// await waits for the answer to a registered call until deadline; it is the one
-// reader of a call's channel. An answer that carries an error returns it.
-func (d *Daemon) await(ch chan answer, deadline <-chan time.Time) (answer, error) {
-	select {
-	case a := <-ch:
+// await waits for a registered call's next answer; it is the one reader of a
+// call's channel. An answer that carries an error returns it, and a call that
+// has ended returns why, once the answers queued before its end are read.
+func (c *pendingCall) await() (answer, error) {
+	if a, ok := <-c.ch; ok {
 		return a, a.err
-	case <-deadline:
-		return answer{}, ErrTimeout
-	case <-d.stopScan:
-		return answer{}, ErrClosed
 	}
+	return answer{}, c.err
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks

@@ -826,32 +826,24 @@ func (d *Daemon) handleStateAckLocked(h stateHeader) {
 	}
 }
 
-// handleSiteFailure reacts to the failure detector declaring a site dead.
-// Calls in flight to it are aborted first, so their callers (coordinator
-// requests, lookups) re-route to a successor instead of waiting out the call
-// timeout. If this daemon hosts the acting coordinator of a group with
-// members at the dead site, it requests their removal, whose flush drives or
-// fences the ABCASTs still waiting on the site. When the dead site hosted the
-// group's previous acting coordinator, the removal is forced: the old
-// coordinator may have died mid-flush — members wedged by its prepare, its
-// commit delivered to only some of them, its gbQueue lost — so the successor
-// must re-run the full wedge/flush even if the membership change itself
-// turns out to be a no-op at this site. Requests orphaned at the dead
-// coordinator are re-submitted by their requesters (coordinatorCall retries
-// with a stable request id once the in-flight exchange is aborted), and the
-// commit-time dedupe keeps re-execution idempotent.
+// handleSiteFailure reacts to the failure detector declaring a site dead. Calls
+// in flight to it are ended first (endCallsLocked), so their callers re-route
+// to a successor instead of waiting out the call timeout. If this daemon hosts
+// the acting coordinator of a group with members at the dead site, it requests
+// their removal, whose flush drives or fences the ABCASTs still waiting on the
+// site. When the dead site hosted the group's previous acting coordinator, the
+// removal is forced: the old coordinator may have died mid-flush — members
+// wedged by its prepare, its commit delivered to only some of them, its gbQueue
+// lost — so the successor must re-run the full wedge/flush even if the
+// membership change itself turns out to be a no-op at this site. Requests
+// orphaned at the dead coordinator are re-submitted by their requesters
+// (coordinatorCall retries with a stable request id once the in-flight exchange
+// has ended), and the commit-time dedupe keeps re-execution idempotent.
 func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.bus.Publish(events.Event{Kind: events.SiteDown, Peer: s})
-	for _, c := range d.calls {
-		if c.site == s {
-			select {
-			case c.ch <- answer{err: errSiteFailed}:
-			default:
-			}
-		}
-	}
+	d.endCallsLocked(errSiteFailed, func(c *pendingCall) bool { return c.site == s })
 	for gid, gs := range d.groups {
 		var atSite []addr.Address
 		for _, m := range gs.view.Members {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -148,7 +147,7 @@ func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) 
 // is enough) or the daemon closes. It also returns how many sites it could
 // ask.
 func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookupPacket) (done bool)) (asked int, err error) {
-	callID, ch := d.newCall(0, ptLookupResp)
+	callID, c := d.newCall(0, ptLookupResp)
 	defer d.dropCall(callID)
 
 	// One request serves every queried site: it is encoded once and the same
@@ -163,9 +162,8 @@ func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookup
 			asked++
 		}
 	}
-	deadline := time.After(d.cfg.CallTimeout)
 	for answers := 0; answers < asked; answers++ {
-		a, err := d.await(ch, deadline)
+		a, err := c.await()
 		if err != nil {
 			return asked, err
 		}
@@ -344,13 +342,14 @@ func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
 }
 
 // coordinatorCall routes a GBCAST request to the group's acting coordinator and
-// waits for its ptGbDone answer, retrying with a refreshed view if the
-// coordinator cannot be reached (it may have failed), and re-resolving it for
-// one CallTimeout after a refusal (errNotCoordinator). The request carries a
-// stable request id minted once here: when a coordinator dies after
-// committing but before answering, the re-submission reaches the successor
-// with the same id and is answered from the commit record instead of being
-// executed twice.
+// waits for its ptGbDone answer. A failed try (the coordinator may have failed)
+// is tried again at the next scan tick, four tries in all; a refusal
+// (errNotCoordinator) is re-resolved at every tick for one CallTimeout, not
+// counted; ErrNonPrimary is final, as a wedged partition stays so until the
+// merge. The request carries a stable id minted once here: when a coordinator
+// dies after committing but before answering, the re-submission reaches the
+// successor with the same id and is answered from the commit record instead of
+// being executed twice.
 //
 // Submissions are serialized per group: a daemon has at most one GBCAST
 // request for a given group in flight at a time, and ids are minted under
@@ -364,54 +363,52 @@ func (d *Daemon) coordinatorCall(gid addr.Address, req *gbPacket) (*gbPacket, er
 		req.reqID = d.newReqID()
 	}
 	d.noteRequest(req.reqID, gid, reqPending)
-	var lastErr error
-	deadline := time.Now().Add(d.cfg.CallTimeout)
-	for attempt := 0; attempt < 4; attempt++ {
-		view, ok := d.CurrentView(gid)
-		if !ok || view.Size() == 0 {
-			if v, err := d.RefreshGroupView(gid); err == nil {
-				view = v
-			} else {
-				lastErr = err
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
+	d.mu.Lock()
+	refusals := d.deadlineLocked(d.cfg.CallTimeout) // the tick that starts counting refusals as tries
+	d.mu.Unlock()
+	resp, err := d.askCoordinator(gid, req)
+	for tries := 1; err != nil && tries < 4 && !errors.Is(err, ErrNonPrimary); {
+		refused := errors.Is(err, errNotCoordinator)
+		tick, werr := d.nextTick()
+		if werr != nil {
+			err = werr
+			break
 		}
-		d.mu.Lock()
-		coord := d.actingCoordinator(view)
-		d.mu.Unlock()
-		if coord.IsNil() {
-			lastErr = ErrGroupVanished
-			time.Sleep(10 * time.Millisecond)
-			continue
+		tries += int(bit(!refused || tick >= refusals))
+		resp, err = d.askCoordinator(gid, req)
+	}
+	if err != nil {
+		d.noteRequest(req.reqID, gid, reqGaveUp)
+		return nil, err
+	}
+	d.noteRequest(req.reqID, gid, reqCommitted)
+	return resp, nil
+}
+
+// askCoordinator is one try of coordinatorCall; a failed call drops the cached
+// view, so the next try looks the group up again.
+func (d *Daemon) askCoordinator(gid addr.Address, req *gbPacket) (*gbPacket, error) {
+	view, ok := d.CurrentView(gid)
+	if !ok || view.Size() == 0 {
+		v, err := d.RefreshGroupView(gid)
+		if err != nil {
+			return nil, err
 		}
-		resp, err := d.call(coord.Site, ptGbRequest, *req)
-		if err == nil {
-			d.noteRequest(req.reqID, gid, reqCommitted)
-			return resp, nil
-		}
-		lastErr = err
-		// The coordinator may have failed: force a view refresh next time
-		// round.
+		view = v
+	}
+	d.mu.Lock()
+	coord := d.actingCoordinator(view)
+	d.mu.Unlock()
+	if coord.IsNil() {
+		return nil, ErrGroupVanished
+	}
+	resp, err := d.call(coord.Site, ptGbRequest, *req)
+	if err != nil {
 		d.mu.Lock()
 		delete(d.remoteViews, gid.Base())
 		d.mu.Unlock()
-		if errors.Is(err, ErrNonPrimary) {
-			// The coordinator is wedged in a minority partition; retrying
-			// the same partition cannot succeed until the merge runs.
-			d.noteRequest(req.reqID, gid, reqGaveUp)
-			return nil, err
-		}
-		if errors.Is(err, errNotCoordinator) && time.Now().Before(deadline) {
-			attempt-- // not counted: the refusal is re-resolved until the deadline
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	d.noteRequest(req.reqID, gid, reqGaveUp)
-	return nil, lastErr
+	return resp, err
 }
 
 // requestRemoval initiates removal of members (voluntarily or by failure)

@@ -8,8 +8,6 @@ package protos
 // keeps the two identical.
 
 import (
-	"time"
-
 	"repro/internal/addr"
 	"repro/internal/events"
 )
@@ -158,11 +156,11 @@ func (d *Daemon) step(gs *groupState, in input) {
 		// exceeds the longest legitimate flush (concurrent prepares retry up
 		// to 3 calls before the commit follows). The scan tick
 		// (resolicitStragglers) feeds inWatchdog once the deadline has passed.
-		gs.flushDeadline = time.Now().Add(4 * d.cfg.CallTimeout)
+		gs.flushDeadline = d.deadlineLocked(4 * d.cfg.CallTimeout)
 	}
 	if fx&fxEndFlush != 0 {
 		d.bus.Publish(events.Event{Kind: events.FlushComplete, Group: gid, View: gs.view.ID, Detail: flushEndDetail[in]})
-		d.flushEnd.Broadcast()
+		d.wake.Broadcast()
 	}
 	if fx&fxPrimaryLost != 0 {
 		d.bus.Publish(events.Event{Kind: events.PartitionWedge, Group: gid, View: gs.view.ID})
@@ -223,6 +221,6 @@ func (d *Daemon) settledGroupLocked(gid addr.Address) (*groupState, error) {
 		if gs == nil || gs.phase != phaseFlushing {
 			return gs, nil
 		}
-		d.flushEnd.Wait()
+		d.wake.Wait()
 	}
 }

@@ -291,10 +291,12 @@ func TestOneLockHoldPerStep(t *testing.T) {
 			}
 			funcs[fn.Name.Name] = fn
 			// A call's answer is read by await alone: elsewhere the only channels
-			// received from are the stop signal, a ticker and New's start gate.
+			// received from are the scan loop's stop signal and ticker, and New's
+			// start gate.
+			receives := map[string]string{"d.stopScan": "runResolicitScan", "t.C": "runResolicitScan", "whole": "New"}
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW && fn.Name.Name != "await" {
-					if ch := types.ExprString(u.X); ch != "d.stopScan" && ch != "t.C" && ch != "whole" {
+					if ch := types.ExprString(u.X); receives[ch] != fn.Name.Name {
 						t.Errorf("%s: %s receives from %s; only await reads a call's answer", fset.Position(u.Pos()), fn.Name.Name, ch)
 					}
 				}

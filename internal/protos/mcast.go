@@ -1,6 +1,7 @@
 package protos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -19,10 +20,8 @@ var errRelayHeld = errors.New("protos: relay held during flush")
 
 // errRelayEarly refuses a relayed CBCAST that would not yet be ordered after
 // its sender's previous one (relayCbcastLocked); the sender's daemon asks
-// again after relayEarlyPause.
+// again at the next scan tick.
 var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
-
-const relayEarlyPause = 5 * time.Millisecond
 
 // Multicast sends an application message to a destination list using the
 // selected primitive (Section 3.2 "bc_mcast"). The destination list may
@@ -325,12 +324,13 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 // its acknowledgement, which for a CBCAST carries the stamp it was sent with.
 // A relay parked by a flush is acknowledged when the flush re-feeds it, so the
 // caller learns the post-flush outcome, a refusal by a copy the flush left
-// non-primary included. A relay refused as early is asked again, for as long
-// as one call may take.
+// non-primary included. A relay refused as early is asked again, in the same
+// call, at every scan tick until the call's deadline.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
-	for deadline := time.Now().Add(d.cfg.CallTimeout); ; time.Sleep(relayEarlyPause) {
-		id, ch := d.newCall(site, ptRelayAck)
-		pkt.call = id
+	id, c := d.newCall(site, ptRelayAck)
+	defer d.dropCall(id)
+	pkt.call = id
+	for {
 		var err error
 		if site == d.site {
 			d.mu.Lock()
@@ -341,17 +341,13 @@ func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error
 		}
 		var a answer
 		if err == nil {
-			a, err = d.await(ch, time.After(d.cfg.CallTimeout))
-		}
-		d.dropCall(id)
-		if err == nil {
-			return a.stamp, nil
+			a, err = c.await()
 		}
 		if !errors.Is(err, errRelayEarly) {
-			return relayStamp{}, err
+			return a.stamp, err
 		}
-		if !time.Now().Before(deadline) {
-			return relayStamp{}, ErrTimeout
+		if tick, err := d.nextTick(); err != nil || tick >= c.deadline {
+			return relayStamp{}, cmp.Or(err, ErrTimeout)
 		}
 	}
 }
@@ -433,7 +429,7 @@ func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket) {
 	st := &abSendState{
 		maxPrio:  gs.total.Propose(pkt.id, pkt),
 		packet:   pkt,
-		deadline: time.Now().Add(d.cfg.CallTimeout),
+		deadline: d.deadlineLocked(d.cfg.CallTimeout),
 	}
 	for _, s := range gs.view.SitesOf() {
 		if s != d.site {
@@ -602,12 +598,11 @@ func (d *Daemon) handleAbResolicitLocked(from addr.SiteID, r abRecord) {
 // initiator does not answer — so a slow or lost proposal round no longer
 // stalls the copy until the next flush.
 //
-// Its tick is also the daemon's one clock: the deadlines of ABCAST rounds and
-// open flushes are read on it (no timer is armed for either), and a parked
-// rejoin is retried at its period.
+// Its ticker is the daemon's one clock: every deadline is a count of its ticks
+// (deadlineLocked), and every retry waits for the next one (nextTick).
 func (d *Daemon) runResolicitScan() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.scanInterval())
+	t := time.NewTicker(d.scanInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -619,24 +614,42 @@ func (d *Daemon) runResolicitScan() {
 	}
 }
 
-// scanInterval is the scan tick's period: ResolicitAfter/4, within 1 to 250 ms.
-func (d *Daemon) scanInterval() time.Duration {
-	return min(max(d.cfg.ResolicitAfter/4, time.Millisecond), 250*time.Millisecond)
+// deadlineLocked is the scan tick a wait of dur starting now ends at. Ticks
+// are dropped, never added, and the first only ends the period under way, so
+// it fires late, never early (bar a tick due, uncounted). Caller holds d.mu.
+func (d *Daemon) deadlineLocked(dur time.Duration) uint64 {
+	return d.tick + uint64((dur+d.scanInterval-1)/d.scanInterval) + 1
 }
 
-// resolicitStragglers performs one scan round of runResolicitScan. Besides
-// the stragglers it completes an ABCAST round still waiting for proposals at
-// its deadline, feeds inWatchdog to a copy whose flush has been open past
-// flushDeadline, and has the transport forget a suspected site that no copy's
-// view lists: what waits for its ack never gets one, and resending it is all
-// a dead site would cost.
+// nextTick is how a retry waits: for the scan tick after the current one,
+// whose count it returns, or for Close (ErrClosed).
+func (d *Daemon) nextTick() (uint64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for t := d.tick; d.tick == t && !d.closed; {
+		d.wake.Wait()
+	}
+	if d.closed {
+		return 0, ErrClosed
+	}
+	return d.tick, nil
+}
+
+// resolicitStragglers performs one scan round of runResolicitScan: it counts
+// the tick and wakes what waits for it. Besides the stragglers it ends the
+// calls and the ABCAST rounds whose deadline has come, feeds inWatchdog to a
+// copy whose flush has been open to flushDeadline, and has the transport
+// forget a suspected site that no copy's view lists: what waits for its ack
+// never gets one, and resending it is all a dead site would cost.
 func (d *Daemon) resolicitStragglers() {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
+	d.tick++
+	d.wake.Broadcast()
+	d.endCallsLocked(ErrTimeout, func(c *pendingCall) bool { return d.tick >= c.deadline })
 	for s := range d.suspected {
 		listed := false
 		for _, gs := range d.groups {
@@ -648,12 +661,12 @@ func (d *Daemon) resolicitStragglers() {
 	}
 	for gid, gs := range d.groups {
 		for _, st := range gs.rounds {
-			if !st.done && !now.Before(st.deadline) {
+			if !st.done && d.tick >= st.deadline {
 				st.done = true
 				d.completeAbcastLocked(gs, st)
 			}
 		}
-		if gs.phase == phaseFlushing && !now.Before(gs.flushDeadline) {
+		if gs.phase == phaseFlushing && d.tick >= gs.flushDeadline {
 			d.step(gs, inWatchdog)
 		}
 		if gs.phase != phaseNormal {
@@ -666,14 +679,14 @@ func (d *Daemon) resolicitStragglers() {
 		}
 		if id != gs.blockedID {
 			gs.blockedID = id
-			gs.blockedSince = now
+			gs.resolicitAt = d.deadlineLocked(d.cfg.ResolicitAfter)
 			gs.resolicits = 0
 			continue
 		}
-		if now.Sub(gs.blockedSince) < d.cfg.ResolicitAfter {
+		if d.tick < gs.resolicitAt {
 			continue
 		}
-		gs.blockedSince = now // rate-limit: one solicitation per period
+		gs.resolicitAt = d.deadlineLocked(d.cfg.ResolicitAfter) // one solicitation per ResolicitAfter
 		if final, ok := gs.finals.Get(id); ok {
 			// A past commit within the bounded record (one that reached this
 			// site ahead of the message) already knows the outcome: apply it
@@ -861,9 +874,11 @@ func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, p
 
 // Flush blocks until the sender's outstanding asynchronous multicasts have
 // been transmitted and committed (Section 3.2, footnote 3: flush is invoked
-// before interacting with the external world or writing stable storage). Its
-// ABCASTs are outstanding while any copy at this site holds a round for one, a
-// relay through a copy here included.
+// before interacting with the external world or writing stable storage), or
+// for CallTimeout (ErrTimeout). Its ABCASTs are outstanding while any copy at
+// this site holds a round for one, a relay through a copy here included.
+// Transmitted is site-wide: it polls until all this site sent, whoever cast
+// it, is acknowledged, so beside a steady sender it may time out.
 func (d *Daemon) Flush(sender addr.Address) error {
 	deadline := time.Now().Add(d.cfg.CallTimeout)
 	for {

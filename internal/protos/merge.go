@@ -14,19 +14,11 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/events"
 )
-
-// mergeRetries bounds how often a merge rejoin is retried before the merge
-// attempt is abandoned (a later recovery event or MergeGroup call tries
-// again from scratch while the group copy is still non-primary; once the
-// local copy has been discarded the retries are the only safety net, so they
-// are generous).
-const mergeRetries = 5
 
 // GroupPrimary reports whether this site's copy of the group is in the
 // primary partition. Sites that host no members of the group — and therefore
@@ -176,38 +168,23 @@ func (d *Daemon) mergeGroup(gid addr.Address) error {
 // — instead of no-opping against the existing membership.
 func (d *Daemon) rejoinMember(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
 	if listed {
-		var lerr error
-		for attempt := 0; attempt < mergeRetries; attempt++ {
-			if lerr = d.Leave(proc, gid); lerr == nil {
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		if lerr != nil {
-			return fmt.Errorf("protos: merge purge of %v: %w", proc, lerr)
+		if err := d.Leave(proc, gid); err != nil {
+			return fmt.Errorf("protos: merge purge of %v: %w", proc, err)
 		}
 	}
-	var err error
-	for attempt := 0; attempt < mergeRetries; attempt++ {
-		_, err = d.Join(proc, gid, JoinOptions{
-			WantState:     recv != nil,
-			StateReceiver: recv,
-		})
-		if err == nil {
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
+	if _, err := d.Join(proc, gid, JoinOptions{WantState: recv != nil, StateReceiver: recv}); err != nil {
+		return fmt.Errorf("protos: merge rejoin of %v: %w", proc, err)
 	}
-	return fmt.Errorf("protos: merge rejoin of %v: %w", proc, err)
+	return nil
 }
 
-// rejoinOrPark rejoins one member and, if the rejoin exhausts its retries,
-// parks it: the local copy is gone (a merge discarded it, or a failure view
-// wrongly removed the member), so without parking this live process would
-// stay unhosted until an application-level intervention. A member parked
-// anew gets one goroutine, which retries the rejoin at the scan tick's period
-// until it is done or moot, or the daemon closes; whichever ends it unparks
-// the member in the hold that decides it.
+// rejoinOrPark rejoins one member and, if the rejoin fails, parks it at once:
+// the local copy is gone (a merge discarded it, or a failure view wrongly
+// removed the member), so without parking this live process would stay
+// unhosted until an application-level intervention. A member parked anew gets
+// one goroutine, which retries the rejoin at every scan tick until it is done
+// or moot, or the daemon closes; whichever ends it unparks the member in the
+// hold that decides it.
 func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
 	err := d.rejoinMember(gid, proc, recv, listed)
 	if err == nil {
@@ -221,21 +198,14 @@ func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, la
 	d.mu.Unlock()
 	if !filed {
 		go func() {
-			t := time.NewTicker(d.scanInterval())
-			defer t.Stop()
-			for {
-				select {
-				case <-d.stopScan:
-					d.mu.Lock()
-					delete(d.parked, k)
-					d.mu.Unlock()
-					return
-				case <-t.C:
-				}
+			for _, err := d.nextTick(); err == nil; _, err = d.nextTick() {
 				if d.retryRejoin(k, recv) {
 					return
 				}
 			}
+			d.mu.Lock() // Close ended the loop
+			delete(d.parked, k)
+			d.mu.Unlock()
 		}()
 	}
 	return err

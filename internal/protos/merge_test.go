@@ -96,8 +96,9 @@ func TestParkedRejoinHasOneRetrierThatStopsAtClose(t *testing.T) {
 	if err := d.KillProcess(dead.addr); err != nil {
 		t.Fatal(err)
 	}
-	// The three rejoins fail within a few milliseconds of each other, well
-	// inside the 250 ms the first retry waits (the scan tick's period).
+	// The dead member's two rejoins fail at once (Join refuses a dead
+	// process), well inside the 50 ms scan period its first retry waits out;
+	// the live member's fails after coordinatorCall's four tries.
 	var wg sync.WaitGroup
 	for _, p := range []addr.Address{dead.addr, dead.addr, live.addr} {
 		wg.Add(1)

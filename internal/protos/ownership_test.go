@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 			}
 			id := core.MsgID{Sender: fx.member, Seq: 1}
 			pkt := dataPkt(t, ABCAST, fx.gid, fx.view, id, 0, body("open"))
-			st := &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2}, packet: pkt, deadline: time.Now().Add(time.Hour)}
+			st := &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2}, packet: pkt, deadline: math.MaxUint64}
 			d.mu.Lock()
 			d.cfg.CallTimeout = 150 * time.Millisecond
 			gs := d.groups[fx.gid]

@@ -333,7 +333,7 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.handleTransport(d.site, pkt.raw) // answered as a request of this site's own
-		_, err := d.await(ch, time.After(time.Second))
+		_, err := ch.await()
 		d.dropCall(id)
 		if !errors.Is(err, tt.want) {
 			t.Errorf("stamp %+v: relay returned %v, want %v", tt.after, err, tt.want)

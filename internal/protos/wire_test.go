@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -109,7 +110,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d.mu.Lock()
 	gs := d.groups[fx.gid]
 	gs.rounds[idB] = &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
-		maxPrio: gs.total.Propose(idB, pktB), packet: pktB, deadline: time.Now().Add(time.Hour)}
+		maxPrio: gs.total.Propose(idB, pktB), packet: pktB, deadline: math.MaxUint64}
 	d.mu.Unlock()
 
 	good := map[string][]byte{

@@ -310,9 +310,9 @@ func (p *Process) GroupPrimary(gid Address) bool {
 	return p.site.daemon.GroupPrimary(gid)
 }
 
-// Flush blocks until the process's outstanding asynchronous multicasts have
-// been transmitted and committed; it is called automatically by the tools
-// that manage logs and stable storage (Section 3.2, footnote 3).
+// Flush blocks until the process's asynchronous multicasts are committed and
+// all its site has sent is acknowledged (a steady sender there can time it
+// out); the log and stable-storage tools call it (Section 3.2, footnote 3).
 func (p *Process) Flush() error {
 	if !p.Alive() {
 		return ErrProcessKilled
