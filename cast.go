@@ -182,13 +182,14 @@ func (p *Process) collectReplies(call *pendingCall, dests []Address, want int, t
 }
 
 // expectedResponders estimates how many destinations can still reply: the
-// current membership of any group destination plus the explicit process
-// destinations.
+// site's current membership of any group destination plus the explicit
+// process destinations. It reads the site's view, not the process's: a Cast
+// made by a handler waits for a view that is queued behind that handler.
 func (p *Process) expectedResponders(dests []Address) int {
 	n := 0
 	for _, d := range dests {
 		if d.IsGroup() {
-			if v, ok := p.CurrentView(d); ok {
+			if v, ok := p.site.daemon.CurrentView(d); ok {
 				n += v.Size()
 			}
 			continue

@@ -285,8 +285,8 @@ type Site struct {
 }
 
 // close stops the site's daemon and the task managers of the processes
-// spawned at it, whose entry workers would otherwise outlive the site (and
-// pin, through their handlers, whatever the application hung on them).
+// spawned at it, whose goroutines would otherwise outlive the site (and pin,
+// through their handlers, whatever the application hung on them).
 func (s *Site) close() {
 	s.daemon.Close()
 	s.mu.Lock()
@@ -333,7 +333,7 @@ func (s *Site) Spawn() (*Process, error) {
 		pending:      make(map[int64]*pendingCall),
 		tasks:        task.NewManager(),
 	}
-	a, err := s.daemon.RegisterProcess(p.onDeliver, p.onView)
+	a, err := s.daemon.RegisterProcess(p.onDeliver, p.tasks.Call, p.onView)
 	if err != nil {
 		return nil, err
 	}

@@ -17,14 +17,19 @@ import (
 	"repro/internal/transport"
 )
 
-// DeliverFunc receives an application message for a local process. The
-// message carries the toolkit system fields (sender, group, view id,
-// protocol, entry). Delivery callbacks for one process are invoked
-// sequentially, in delivery order.
+// DeliverFunc hands a local process an application message or a reply,
+// carrying the toolkit system fields (sender, group, view id, protocol, entry).
+// It is called under the daemon lock, in delivery order, and must not block or
+// call the daemon: it files a reply or queues the message, and nothing else.
 type DeliverFunc func(entry addr.EntryID, m *msg.Message)
 
+// CallFunc hands a local process a call (a view callback, a state block or a
+// state capture) to run after every item handed to it before and ahead of every
+// item after. It is called and must behave as DeliverFunc is.
+type CallFunc func(fn func())
+
 // ViewFunc receives a membership change notification for a group the
-// process belongs to. It is invoked in order relative to message
+// process belongs to. It runs as a call, so in order relative to message
 // deliveries, which is what makes the ranking trick of Section 3.2 safe.
 type ViewFunc func(view core.View)
 
@@ -83,6 +88,7 @@ var (
 type localProc struct {
 	addr        addr.Address
 	deliver     DeliverFunc
+	call        CallFunc
 	deliverView ViewFunc
 	alive       bool
 	nextSeq     uint64 // multicast sequence (msg ids)
@@ -93,26 +99,15 @@ type localProc struct {
 	// cast it must come after.
 	relayMu sync.Mutex
 	relayed map[addr.Address]relayStamp
-
-	queue chan queued // per-process delivery queue, drained by one goroutine
 }
 
-// queued is one item of a process's delivery queue: the message m for entry (a
-// data or reply delivery, which allocates nothing to queue), or a call fn (a
-// view callback, a state block, a state capture).
+// queued is one item handed to a process: the message m for entry (a data or
+// reply delivery), or a call fn (a view callback, a state block, a state
+// capture).
 type queued struct {
 	entry addr.EntryID
 	m     *msg.Message
 	fn    func()
-}
-
-// run hands the item to the process.
-func (q queued) run(p *localProc) {
-	if q.fn != nil {
-		q.fn()
-	} else {
-		p.deliver(q.entry, q.m)
-	}
 }
 
 // memberState is the per-(group, local member) state: what is handed to the
@@ -439,10 +434,6 @@ func (d *Daemon) Close() {
 		return
 	}
 	d.closed = true
-	procs := make([]*localProc, 0, len(d.procs))
-	for _, p := range d.procs {
-		procs = append(procs, p)
-	}
 	for _, gs := range d.groups {
 		clear(gs.rounds)
 	}
@@ -463,16 +454,13 @@ func (d *Daemon) Close() {
 	d.endCallsLocked(ErrClosed, func(*pendingCall) bool { return true })
 	d.mu.Unlock()
 	close(d.stopScan)
-	for _, p := range procs {
-		close(p.queue)
-	}
 	d.wg.Wait()
 }
 
-// RegisterProcess creates a new local process and returns its address. The
-// deliver callback receives application messages; the view callback (which
-// may be nil) receives membership changes of the groups the process joins.
-func (d *Daemon) RegisterProcess(deliver DeliverFunc, view ViewFunc) (addr.Address, error) {
+// RegisterProcess creates a new local process, handed its messages by deliver
+// and its calls by call, and returns its address. The view callback (which may
+// be nil) receives membership changes of the groups the process joins.
+func (d *Daemon) RegisterProcess(deliver DeliverFunc, call CallFunc, view ViewFunc) (addr.Address, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -482,41 +470,24 @@ func (d *Daemon) RegisterProcess(deliver DeliverFunc, view ViewFunc) (addr.Addre
 	p := &localProc{
 		addr:        a,
 		deliver:     deliver,
+		call:        call,
 		deliverView: view,
 		alive:       true,
 		relayed:     make(map[addr.Address]relayStamp),
-		queue:       make(chan queued, 1024),
 	}
 	d.procs[a] = p
-	d.wg.Add(1)
-	go d.runProcQueue(p)
 	return a, nil
 }
 
-// runProcQueue drains one process's delivery queue so that its callbacks run
-// sequentially and in order.
-func (d *Daemon) runProcQueue(p *localProc) {
-	defer d.wg.Done()
-	for q := range p.queue {
-		q.run(p)
-	}
-}
-
-// enqueue schedules a delivery for a process. Must be called with
-// d.mu held (so that queue order equals delivery order; the daemon-closed
-// check under the same lock also guarantees the queue channel is never
-// written after Close has closed it).
+// enqueue hands an item to a live process of an open daemon. Caller holds d.mu,
+// so the process is handed its items in delivery order.
 func (d *Daemon) enqueue(p *localProc, q queued) {
-	if !p.alive || d.closed {
-		return
-	}
-	select {
-	case p.queue <- q:
+	switch {
+	case !p.alive || d.closed:
+	case q.fn != nil:
+		p.call(q.fn)
 	default:
-		// Queue overflow: fall back to a goroutine rather than dropping the
-		// delivery; ordering may suffer under extreme overload but messages
-		// are never lost.
-		go q.run(p)
+		p.deliver(q.entry, q.m)
 	}
 }
 

@@ -719,9 +719,9 @@ func contains(list []addr.Address, a addr.Address) bool {
 }
 
 // shipStateLocked has the group's oldest member, if this site hosts it, send
-// the group state to the joiners. The capture runs on that member's task
-// queue, so the snapshot reflects exactly the deliveries that precede the
-// view just installed. Caller holds d.mu.
+// the group state to the joiners. The capture is a call on that member's
+// queue, run after the handlers of the deliveries that precede the view just
+// installed and before any after it: a cut. Caller holds d.mu.
 func (d *Daemon) shipStateLocked(gs *groupState, joiners []addr.Address) {
 	ms, ok := gs.members[gs.view.Coordinator().Base()]
 	if !ok {
@@ -734,8 +734,8 @@ func (d *Daemon) shipStateLocked(gs *groupState, joiners []addr.Address) {
 // sendStateBlocks captures the group state from the provider and ships it to
 // each joiner's site, stamping every block with the transfer attempt id (the
 // view id the provider ships under) so a joiner can tell a fail-over restart
-// from the original provider's stragglers. Runs on the providing member's
-// task queue.
+// from the original provider's stragglers. Runs as a call on the providing
+// member's queue.
 func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provider func() [][]byte, xferID uint64) {
 	blocks := [][]byte{nil} // an empty state is one final block with no data
 	if provider != nil {
@@ -790,7 +790,7 @@ func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
 	}
 
 	// Final block: hand the complete state to the receiver in order, then
-	// release the held deliveries behind it on the same queue.
+	// the held deliveries behind it.
 	recv := ms.stateRecv
 	blocks := ms.xferBuf
 	ms.xferBuf = nil

@@ -54,15 +54,16 @@ func (d *Daemon) CreateGroup(creator addr.Address, name string) (core.View, erro
 
 // CurrentView returns the daemon's notion of the group's current view: the
 // authoritative local view when the site hosts members, or the cached view
-// learned from lookups otherwise.
+// learned from lookups otherwise. It is the view itself, which nothing writes
+// once installed: the caller must not modify its members.
 func (d *Daemon) CurrentView(gid addr.Address) (core.View, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if gs, ok := d.groups[gid.Base()]; ok {
-		return gs.view.Clone(), true
+		return gs.view, true
 	}
 	if v, ok := d.remoteViews[gid.Base()]; ok {
-		return v.Clone(), true
+		return v, true
 	}
 	return core.View{}, false
 }

@@ -183,8 +183,8 @@ func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, p
 }
 
 // deliverReplyLocked puts on a reply the system fields its header stands for
-// and queues it, as the delivery itself, behind what the caller's process was
-// delivered before; that process finds the waiting Cast by session. Caller holds d.mu.
+// and hands it to the caller's process, which files it with the waiting Cast it
+// finds by session, ahead of anything queued there. Caller holds d.mu.
 func (d *Daemon) deliverReplyLocked(h replyHeader, m *msg.Message) {
 	if lp := d.procs[h.caller]; lp != nil && lp.alive {
 		systemFields(m, h.responder, addr.Nil, 0, CBCAST).PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))

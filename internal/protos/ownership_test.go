@@ -85,7 +85,7 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 		t.Run(end, func(t *testing.T) {
 			fx := newWireFixture(t)
 			d := fx.d
-			other, err := d.RegisterProcess(func(addr.EntryID, *msg.Message) {}, nil)
+			other, err := d.RegisterProcess(func(addr.EntryID, *msg.Message) {}, func(func()) {}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

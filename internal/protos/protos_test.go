@@ -14,6 +14,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/netback"
 	"repro/internal/simnet"
+	"repro/internal/task"
 )
 
 // testCluster wires up a network and a daemon per site. net is the simnet
@@ -92,14 +93,15 @@ func (tc *testCluster) addSite(id addr.SiteID) *Daemon {
 	return d
 }
 
-// testProc is a registered process that records what it receives.
+// testProc is a registered process that records what it receives: its messages
+// (at any entry) and views go through a task.Manager, the queue a toolkit
+// process has.
 type testProc struct {
 	addr addr.Address
 	d    *Daemon
 
 	mu       sync.Mutex
 	msgs     []*msg.Message
-	entries  []addr.EntryID
 	views    []core.View
 	received map[string]bool
 	trace    []string // bodies and "view N" marks, in the one order the callbacks ran
@@ -108,15 +110,21 @@ type testProc struct {
 func (tc *testCluster) newProc(site addr.SiteID) *testProc {
 	tc.t.Helper()
 	p := &testProc{d: tc.daemons[site], received: make(map[string]bool)}
+	tasks := task.NewManager()
+	tc.t.Cleanup(tasks.Close)
+	record := func(m *msg.Message) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.msgs = append(p.msgs, m)
+		p.received[m.GetString("body", "")] = true
+		p.trace = append(p.trace, m.GetString("body", ""))
+	}
+	for e := range 256 {
+		tasks.BindEntry(addr.EntryID(e), record)
+	}
 	a, err := tc.daemons[site].RegisterProcess(
-		func(entry addr.EntryID, m *msg.Message) {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			p.msgs = append(p.msgs, m)
-			p.entries = append(p.entries, entry)
-			p.received[m.GetString("body", "")] = true
-			p.trace = append(p.trace, m.GetString("body", ""))
-		},
+		func(entry addr.EntryID, m *msg.Message) { _ = tasks.Dispatch(entry, m) },
+		tasks.Call,
 		func(v core.View) {
 			p.mu.Lock()
 			defer p.mu.Unlock()

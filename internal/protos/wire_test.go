@@ -48,7 +48,7 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	})
 	fx := &wireFixture{d: ds[0]}
 	var err error
-	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, nil); err != nil {
+	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, func(func()) {}, nil); err != nil {
 		tb.Fatal(err)
 	}
 	v, err := fx.d.CreateGroup(fx.member, "wire")

@@ -11,10 +11,10 @@ import (
 // Handler is a routine bound to an entry point. It runs in its own task.
 type Handler func(m *msg.Message)
 
-// Filter examines an arriving message before a task is created for it. A
-// filter returns false to discard the message (for example, the protection
-// tool rejects messages from untrusted senders). Filters run in the order
-// they were added, on the dispatcher's goroutine.
+// Filter examines an arriving message before its handler runs. A filter
+// returns false to discard the message (for example, the protection tool
+// rejects messages from untrusted senders). Filters run in the order they were
+// added, on the entry's goroutine, just before the handler would.
 type Filter func(entry addr.EntryID, m *msg.Message) bool
 
 // Errors returned by Dispatch.
@@ -23,34 +23,61 @@ var (
 	ErrNoEntry = errors.New("task: no handler bound to entry")
 )
 
-// Manager owns one process's entry table, filter chain, and running tasks.
-// It is safe for concurrent use.
+// Manager owns one process's entry table, filter chain, and its one queue of
+// tasks and calls, which it runs in the order the package comment gives. It is
+// safe for concurrent use.
 type Manager struct {
 	mu      sync.Mutex
 	entries map[addr.EntryID]Handler
 	filters []Filter
-	workers map[addr.EntryID]chan queued
-	running int       // tasks scheduled and not yet finished
-	idle    sync.Cond // on mu: running reached zero, or the manager closed
+	lanes   map[int]*lane // by entry, and the calls' at callLane
 	closed  bool
-	done    chan struct{}
+
+	// How many tasks and calls have been scheduled and finished: a task may
+	// start once every call scheduled before it has finished, a call once
+	// every task scheduled before it has (queued.seq).
+	tasks, tasksDone, calls, callsDone uint64
 }
 
-// queued is one message awaiting its entry worker.
+// callLane is the lanes key of the calls.
+const callLane = -1
+
+// queued is a task (the handler h for m at entry) or a call fn. seq counts the
+// items of the other kind scheduled before it.
 type queued struct {
-	h Handler
-	m *msg.Message
+	entry addr.EntryID
+	h     Handler
+	m     *msg.Message
+	fn    func()
+	seq   uint64
+}
+
+// run runs a call, or a task's filters and, if they all pass, its handler.
+func (q queued) run(filters []Filter) {
+	if q.fn != nil {
+		q.fn()
+		return
+	}
+	for _, f := range filters {
+		if !f(q.entry, q.m) {
+			return
+		}
+	}
+	q.h(q.m)
+}
+
+// lane is one entry's tasks, or the calls, in the order they were scheduled
+// (q from head on), and the goroutine that runs them, parked on wake while its
+// head may not start.
+type lane struct {
+	q    []queued
+	head int
+	wake sync.Cond
 }
 
 // NewManager returns an empty manager.
 func NewManager() *Manager {
-	g := &Manager{
-		entries: make(map[addr.EntryID]Handler),
-		workers: make(map[addr.EntryID]chan queued),
-		done:    make(chan struct{}),
-	}
-	g.idle.L = &g.mu
-	return g
+	return &Manager{entries: make(map[addr.EntryID]Handler), lanes: make(map[int]*lane)}
 }
 
 // BindEntry binds handler h to entry point e, replacing any previous
@@ -72,102 +99,116 @@ func (g *Manager) AddFilter(f Filter) {
 	g.filters = append(g.filters, f)
 }
 
-// Dispatch runs the filter chain for the message and, if every filter
-// passes, schedules a task running the handler bound to the entry point.
-// Tasks for the same entry run sequentially in dispatch order; tasks for
-// different entries run concurrently. Dispatch returns ErrNoEntry when
-// nothing is bound to the entry, ErrClosed when the manager has been
-// closed, and nil when a task was scheduled or the message was (silently)
-// dropped by a filter.
+// Dispatch schedules a task for the message: the filter chain and, if every
+// filter passes, the handler bound to the entry point now. It only queues: it
+// neither blocks nor runs application code. Dispatch returns ErrNoEntry when
+// nothing is bound to the entry, ErrClosed when the manager has been closed,
+// and nil when the task was scheduled.
 func (g *Manager) Dispatch(entry addr.EntryID, m *msg.Message) error {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrClosed
-	}
-	filters := make([]Filter, len(g.filters))
-	copy(filters, g.filters)
+	defer g.mu.Unlock()
 	h, ok := g.entries[entry]
-	g.mu.Unlock()
-
-	for _, f := range filters {
-		if !f(entry, m) {
-			return nil // dropped by a filter; not an error
-		}
-	}
-	if !ok {
+	switch {
+	case g.closed:
+		return ErrClosed
+	case !ok:
 		return ErrNoEntry
 	}
-
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrClosed
-	}
-	w, exists := g.workers[entry]
-	if !exists {
-		w = make(chan queued, 4096)
-		g.workers[entry] = w
-		go g.runEntryWorker(w)
-	}
-	g.running++
-	// Enqueue under the lock so queue order equals dispatch order.
-	select {
-	case w <- queued{h: h, m: m}:
-		g.mu.Unlock()
-	default:
-		// The entry's queue is saturated: fall back to an unordered task
-		// rather than blocking the caller (which is the protocols process).
-		g.mu.Unlock()
-		go g.run(queued{h: h, m: m})
-	}
+	g.tasks++
+	g.scheduleLocked(int(entry), queued{entry: entry, h: h, m: m, seq: g.calls})
 	return nil
 }
 
-// runEntryWorker executes one entry point's tasks sequentially.
-func (g *Manager) runEntryWorker(w chan queued) {
-	for {
-		select {
-		case q := <-w:
-			g.run(q)
-		case <-g.done:
-			return
+// Call schedules fn to run once every task and call scheduled before it has
+// finished; tasks and calls scheduled after it wait for it. Like Dispatch it
+// only queues. A call scheduled on a closed manager, or still queued when it
+// closes, never runs.
+func (g *Manager) Call(fn func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.closed {
+		g.calls++
+		g.scheduleLocked(callLane, queued{fn: fn, seq: g.tasks})
+	}
+}
+
+// scheduleLocked queues q on a lane, starting the lane's goroutine at its first
+// item. Caller holds g.mu.
+func (g *Manager) scheduleLocked(key int, q queued) {
+	l := g.lanes[key]
+	if l == nil {
+		l = &lane{}
+		l.wake.L = &g.mu
+		g.lanes[key] = l
+		go g.run(l)
+	}
+	if l.head > len(l.q)/2 { // slide down over what was taken rather than grow
+		l.q, l.head = append(l.q[:0], l.q[l.head:]...), 0
+	}
+	l.q = append(l.q, q)
+	g.wakeLocked(l)
+}
+
+// run is a lane's goroutine: it takes the lane's head whenever it may start
+// (a lane that empties starts over at the front) and runs it, until the manager
+// closes.
+func (g *Manager) run(l *lane) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for !g.closed {
+		if !g.mayStartLocked(l) {
+			l.wake.Wait()
+			continue
+		}
+		q, filters := l.q[l.head], g.filters
+		l.q[l.head] = queued{}
+		if l.head++; l.head == len(l.q) {
+			l.q, l.head = l.q[:0], 0
+		}
+		g.mu.Unlock()
+		q.run(filters)
+		g.mu.Lock()
+		if q.fn == nil {
+			g.tasksDone++
+		} else {
+			g.callsDone++
+		}
+		for _, o := range g.lanes { // what waited for q: a call, or tasks after one
+			g.wakeLocked(o)
 		}
 	}
 }
 
-// run executes one task and counts it finished.
-func (g *Manager) run(q queued) {
-	q.h(q.m)
-	g.mu.Lock()
-	g.running--
-	if g.running == 0 {
-		g.idle.Broadcast()
+// mayStartLocked reports whether l's head may start: every item of the other
+// kind scheduled before it has finished. Caller holds g.mu.
+func (g *Manager) mayStartLocked(l *lane) bool {
+	if l.head == len(l.q) {
+		return false
 	}
-	g.mu.Unlock()
+	q, done := l.q[l.head], g.callsDone
+	if q.fn != nil {
+		done = g.tasksDone
+	}
+	return q.seq == done
 }
 
-// Barrier returns once every task scheduled before the call has finished, or
-// the manager is closed. It waits until no task is queued or running, so one
-// scheduled while it waits holds it back too; called from the goroutine that
-// dispatches (the process's delivery queue), it waits for exactly the earlier
-// ones.
-func (g *Manager) Barrier() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.running > 0 && !g.closed {
-		g.idle.Wait()
+// wakeLocked wakes l's goroutine if its head may start. Caller holds g.mu.
+func (g *Manager) wakeLocked(l *lane) {
+	if g.mayStartLocked(l) {
+		l.wake.Signal()
 	}
 }
 
-// Close stops the manager: subsequent Dispatch calls fail. Running tasks are
-// allowed to finish; queued tasks are discarded.
+// Close stops the manager: subsequent Dispatch calls fail and calls are
+// dropped. Running tasks and calls are allowed to finish; queued ones are
+// discarded, and every lane's goroutine ends, a running one once its task or
+// call returns.
 func (g *Manager) Close() {
 	g.mu.Lock()
-	if !g.closed {
-		g.closed = true
-		close(g.done)
-		g.idle.Broadcast()
+	defer g.mu.Unlock()
+	g.closed = true
+	for _, l := range g.lanes {
+		l.wake.Broadcast()
 	}
-	g.mu.Unlock()
+	g.lanes = nil
 }

@@ -2,6 +2,7 @@ package task
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,7 @@ func TestFilterChainOrder(t *testing.T) {
 	})
 	g.BindEntry(1, func(*msg.Message) {})
 	_ = g.Dispatch(1, msg.New())
+	called(t, g) // the filters run on the entry's goroutine, before the call
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -127,6 +129,7 @@ func TestFilterSeesEntry(t *testing.T) {
 	})
 	g.BindEntry(42, func(*msg.Message) {})
 	_ = g.Dispatch(42, msg.New())
+	called(t, g)
 	if seen.Load() != 42 {
 		t.Errorf("filter saw entry %d", seen.Load())
 	}
@@ -201,20 +204,19 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-// barrierDone runs Barrier in the background and returns a channel closed
-// when it returns.
-func barrierDone(g *Manager) <-chan struct{} {
+// called schedules a call and waits for it: every task scheduled before it,
+// its filters included, has then finished.
+func called(t *testing.T, g *Manager) {
+	t.Helper()
 	done := make(chan struct{})
-	go func() {
-		g.Barrier()
-		close(done)
-	}()
-	return done
+	g.Call(func() { close(done) })
+	recv(t, done)
 }
 
-func TestBarrierWaitsForEarlierTasks(t *testing.T) {
+func TestCallWaitsForEarlierTasks(t *testing.T) {
 	g := NewManager()
-	recv(t, barrierDone(g)) // idle: returns at once
+	defer g.Close()
+	called(t, g) // idle: runs at once
 	started, release := make(chan struct{}), make(chan struct{})
 	var finished atomic.Int32
 	g.BindEntry(1, func(*msg.Message) { close(started); <-release; finished.Add(1) })
@@ -225,20 +227,20 @@ func TestBarrierWaitsForEarlierTasks(t *testing.T) {
 		}
 	}
 	recv(t, started)
-	done := barrierDone(g)
+	done := make(chan int32, 1)
+	g.Call(func() { done <- finished.Load() })
 	select {
 	case <-done:
-		t.Fatal("Barrier returned while an earlier task was still running")
+		t.Fatal("the call ran while an earlier task was still running")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	recv(t, done)
-	if n := finished.Load(); n != 2 {
-		t.Errorf("Barrier returned with %d of 2 tasks finished", n)
+	if n := recv(t, done); n != 2 {
+		t.Errorf("the call ran with %d of 2 earlier tasks finished", n)
 	}
 }
 
-func TestBarrierReturnsOnClose(t *testing.T) {
+func TestCallDroppedOnClose(t *testing.T) {
 	g := NewManager()
 	started, release := make(chan struct{}), make(chan struct{})
 	defer close(release)
@@ -247,7 +249,113 @@ func TestBarrierReturnsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv(t, started)
-	done := barrierDone(g)
+	ran := make(chan struct{}, 2)
+	g.Call(func() { ran <- struct{}{} }) // queued behind the running task
 	g.Close()
-	recv(t, done)
+	g.Call(func() { ran <- struct{}{} }) // scheduled on a closed manager
+	release <- struct{}{}
+	select {
+	case <-ran:
+		t.Fatal("a call ran after Close")
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestLaterTasksWaitForACall: a call holds back every task scheduled after
+// it, at every entry, while tasks scheduled before it run.
+func TestLaterTasksWaitForACall(t *testing.T) {
+	g := NewManager()
+	defer g.Close()
+	ran := make(chan addr.EntryID, 3)
+	for e := addr.EntryID(1); e <= 3; e++ {
+		g.BindEntry(e, func(*msg.Message) { ran <- e })
+	}
+	inCall, release := make(chan struct{}), make(chan struct{})
+	_ = g.Dispatch(1, msg.New())
+	g.Call(func() { close(inCall); <-release })
+	_ = g.Dispatch(2, msg.New())
+	_ = g.Dispatch(3, msg.New())
+	if e := recv(t, ran); e != 1 {
+		t.Fatalf("entry %d ran ahead of the call", e)
+	}
+	recv(t, inCall)
+	select {
+	case e := <-ran:
+		t.Fatalf("entry %d ran while the call scheduled before it was running", e)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	recv(t, ran)
+	recv(t, ran)
+}
+
+// TestDispatchRunsNoFilter: filters are application code, and Dispatch is
+// called by the protocols process under its lock, so a filter that blocks
+// must not hold Dispatch.
+func TestDispatchRunsNoFilter(t *testing.T) {
+	g := NewManager()
+	defer g.Close()
+	release := make(chan struct{})
+	g.AddFilter(func(addr.EntryID, *msg.Message) bool { <-release; return true })
+	ran := make(chan struct{}, 1)
+	g.BindEntry(1, func(*msg.Message) { ran <- struct{}{} })
+	dispatched := make(chan error, 1)
+	go func() { dispatched <- g.Dispatch(1, msg.New()) }()
+	if err := recv(t, dispatched); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	recv(t, ran)
+}
+
+// TestBacklogKeepsDispatchOrder: an entry's queue grows instead of
+// overflowing, and keeps its order while it is filled and drained at once.
+func TestBacklogKeepsDispatchOrder(t *testing.T) {
+	g := NewManager()
+	defer g.Close()
+	const k = 10000
+	release := make(chan struct{})
+	order := make(chan int64, k)
+	g.BindEntry(1, func(m *msg.Message) {
+		if m.GetInt("i", -1) == 0 {
+			<-release
+		}
+		order <- m.GetInt("i", -1)
+	})
+	for i := 0; i < k; i++ {
+		if i == k/2 {
+			close(release)
+		}
+		if err := g.Dispatch(1, msg.New().PutInt("i", int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		if v := recv(t, order); v != int64(i) {
+			t.Fatalf("task %d ran in place %d", v, i)
+		}
+	}
+}
+
+// TestCloseEndsEveryLane: a manager has a goroutine per entry in use and one
+// for its calls, and none once it is closed.
+func TestCloseEndsEveryLane(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := NewManager()
+	for e := addr.EntryID(1); e <= 3; e++ {
+		g.BindEntry(e, func(*msg.Message) {})
+		for i := 0; i < 3; i++ {
+			_ = g.Dispatch(e, msg.New())
+		}
+	}
+	called(t, g)
+	if n := runtime.NumGoroutine() - before; n > 4 {
+		t.Errorf("%d goroutines for 3 entries and the calls", n)
+	}
+	g.Close()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Close", runtime.NumGoroutine()-before)
+		}
+	}
 }

@@ -91,9 +91,9 @@ func (p *Process) BindEntry(e EntryID, h func(*Message)) {
 	p.tasks.BindEntry(e, func(m *msg.Message) { h(m) })
 }
 
-// AddFilter appends a message filter; filters run before a task is created
-// and may drop the message (Section 4.1 "Filters", used by the protection
-// tool).
+// AddFilter appends a message filter; filters run on the entry's task just
+// before its handler and may drop the message (Section 4.1 "Filters", used by
+// the protection tool).
 func (p *Process) AddFilter(f func(EntryID, *Message) bool) {
 	p.tasks.AddFilter(func(e EntryID, m *msg.Message) bool { return f(e, m) })
 }
@@ -121,9 +121,9 @@ func (p *Process) Alive() bool {
 	return !p.killed
 }
 
-// onDeliver is the daemon's delivery callback: replies are routed to the
-// Cast that is waiting for them, everything else starts a task at the
-// destination entry point.
+// onDeliver is the daemon's delivery hand-off, called under its lock: a reply
+// is filed with the Cast waiting for it, anything else is queued as a task at
+// the destination entry point.
 func (p *Process) onDeliver(entry EntryID, m *Message) {
 	if m.Has(msg.FReply) {
 		p.mu.Lock()
@@ -136,8 +136,8 @@ func (p *Process) onDeliver(entry EntryID, m *Message) {
 	_ = p.tasks.Dispatch(entry, m)
 }
 
-// onView is the daemon's membership callback: it records the view and
-// notifies the process's monitor routines (pg_monitor).
+// onView is the daemon's membership callback, run as a call on the process's
+// queue: it records the view and notifies the monitor routines (pg_monitor).
 func (p *Process) onView(v View) {
 	p.mu.Lock()
 	if p.lastViews == nil {
@@ -195,17 +195,7 @@ func (p *Process) Join(gid Address, opts JoinOptions) (View, error) {
 	if !p.Alive() {
 		return View{}, ErrProcessKilled
 	}
-	v, err := p.site.daemon.Join(p.addr, gid, toProtosJoin(opts))
-	if err != nil {
-		return View{}, err
-	}
-	p.mu.Lock()
-	if p.lastViews == nil {
-		p.lastViews = make(map[Address]View)
-	}
-	p.lastViews[gid.Base()] = v
-	p.mu.Unlock()
-	return v, nil
+	return p.site.daemon.Join(p.addr, gid, toProtosJoin(opts))
 }
 
 // JoinByName looks the group up by name and joins it.
@@ -226,10 +216,11 @@ func (p *Process) Leave(gid Address) error {
 }
 
 // Monitor registers a routine invoked on every membership change of the
-// group (pg_monitor). Callbacks are invoked in delivery order relative to
-// the process's message deliveries — unlike the site-level event stream,
-// which is asynchronous. The returned cancel removes the registration; no
-// callback runs after cancel returns while p.mu is free.
+// group (pg_monitor). Callbacks run in delivery order relative to the
+// process's handlers: after the handlers of the messages delivered before the
+// view have returned, and before those of the messages after it start — unlike
+// the site-level event stream, which is asynchronous. The returned cancel removes
+// the registration; no callback runs after cancel returns while p.mu is free.
 func (p *Process) Monitor(gid Address, cb func(View)) (cancel func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,35 +252,27 @@ func (p *Process) Outcome(rid RequestID) (Outcome, error) {
 	return p.site.daemon.RequestOutcome(int64(rid))
 }
 
-// CurrentView returns the most recent view of a group known to this process
-// (its own membership callbacks, falling back to the site daemon's cache).
+// CurrentView returns the view of a group this process was last handed. Views
+// are handed in delivery order with the handlers, so a handler reads the view
+// its message was delivered in. For a group it has been handed no view of, it
+// returns the site daemon's.
 func (p *Process) CurrentView(gid Address) (View, bool) {
 	p.mu.Lock()
 	v, ok := p.lastViews[gid.Base()]
 	p.mu.Unlock()
-	if ok {
-		return v, true
+	if !ok {
+		v, ok = p.site.daemon.CurrentView(gid)
+		v = v.Clone() // the daemon's own is not the application's to write
 	}
-	return p.site.daemon.CurrentView(gid)
+	return v, ok
 }
 
 // SetStateProvider registers the routine that encodes this member's copy of
 // the group state when another process joins with a state transfer. Only
 // the group's oldest member is asked to provide state. The provider runs
 // once the handlers of every message delivered before the join have returned,
-// so the state is a consistent cut. Nothing is delivered to the process while
-// it waits for them: a handler blocked on a reply delays the transfer until
-// its Cast gives up, and with slow handlers under steady traffic the
-// deliveries held back meanwhile can fill the process's delivery queue, past
-// which the daemon delivers out of order rather than drop (ROADMAP,
-// backpressure).
+// and before any delivered after it starts, so the state is a consistent cut.
 func (p *Process) SetStateProvider(gid Address, provider func() [][]byte) error {
-	if capture := provider; capture != nil {
-		provider = func() [][]byte {
-			p.tasks.Barrier()
-			return capture()
-		}
-	}
 	return p.site.daemon.SetStateProvider(p.addr, gid, provider)
 }
 
