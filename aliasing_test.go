@@ -72,22 +72,20 @@ func TestDeliveriesShareNothingMutable(t *testing.T) {
 				i, p := i, spawn(t, c, s)
 				procs[i] = p
 				p.BindEntry(EntryUserBase, func(m *Message) {
+					var seen string
 					if i == 2 {
 						// The first member at site 2 mutates at once...
-						mu.Lock()
-						got[i] = userFields(m)
-						mu.Unlock()
+						seen = userFields(m)
 						scribble(m)
 						close(scribbled)
 					} else {
 						// ...and everybody else looks only afterwards.
 						<-scribbled
-						mu.Lock()
-						got[i] = userFields(m)
-						mu.Unlock()
+						seen = userFields(m)
 					}
+					// In one hold: the wait below reads after[i] once got[i] is set.
 					mu.Lock()
-					after[i] = m
+					got[i], after[i] = seen, m
 					mu.Unlock()
 				})
 				if i == 0 {

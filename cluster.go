@@ -115,8 +115,8 @@ func (c *Cluster) Fabric() netback.Network { return c.fabric }
 
 // Events subscribes to the merged operational event stream of every live
 // site: view installs and commits, primary loss and resumption, partition
-// wedges, merge progress, flushes, ABCAST fences and re-solicitations,
-// takeovers, and site up/down transitions. Each event's Site
+// wedges, merge progress, flushes, takeovers, and site up/down
+// transitions. Each event's Site
 // field names the site that observed it. The filter restricts the stream
 // (the zero EventFilter matches everything); the returned cancel
 // unsubscribes every per-site subscription and eventually closes the

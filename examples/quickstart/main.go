@@ -125,10 +125,11 @@ func main() {
 
 	// The GBCAST marker is ordered with respect to every other broadcast:
 	// the set of messages delivered before it must be identical at every
-	// member. This is a pinned invariant, not a demo — the GBCAST flush
-	// completes or fences ABCASTs still in flight when the group wedges, so
-	// a concurrent ABCAST can never land on different sides of the marker at
-	// different sites (CI runs this program and fails on a violation).
+	// member. This is a pinned invariant, not a demo — while the group is
+	// wedged the holder numbers no ABCAST, and the flush delivers at every
+	// member what any member delivered before it, so a concurrent ABCAST can
+	// never land on different sides of the marker at different sites (CI
+	// runs this program and fails on a violation).
 	const marker = "globally ordered marker"
 	markerAt := func(m *member) int {
 		m.mu.Lock()

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// runABCAST simulates the full two-phase protocol for a set of destination
-// queues: phase 1 proposes at every destination, the "sender" picks the max,
-// and phase 2 commits everywhere. Deliveries at each destination are
-// appended to the per-destination logs. The commit order across different
-// messages can be permuted by the caller via the apply function.
+// propose runs phase 1 of the two-phase protocol for a set of destination
+// queues and returns the maximum proposal, the final priority the sender
+// commits.
 func propose(queues []*TotalQueue, id MsgID, payload any) uint64 {
 	var max uint64
 	for _, q := range queues {
@@ -32,11 +30,8 @@ func TestSingleABCASTDelivery(t *testing.T) {
 	if len(out) != 1 || out[0].Payload != "hello" || out[0].ID != id {
 		t.Fatalf("deliveries = %v", out)
 	}
-	if !q.Delivered(id) {
-		t.Error("Delivered() false after delivery")
-	}
-	if q.PendingCount() != 0 {
-		t.Error("pending not drained")
+	if out := q.Commit(id, prio); len(out) != 0 {
+		t.Errorf("a second commit delivered %v again", out)
 	}
 }
 
@@ -106,8 +101,8 @@ func TestProposeIdempotent(t *testing.T) {
 	if p1 != p2 {
 		t.Errorf("duplicate proposal changed priority: %d vs %d", p1, p2)
 	}
-	if q.PendingCount() != 1 {
-		t.Errorf("duplicate proposal duplicated pending entry")
+	if out := q.Commit(id, p1); len(out) != 1 {
+		t.Errorf("duplicate proposal: the commit released %v, want the message once", out)
 	}
 }
 
@@ -125,8 +120,8 @@ func TestProposeAfterDelivery(t *testing.T) {
 	q.Commit(id, 1)
 	// A late duplicate of phase 1 must not resurrect the message.
 	q.Propose(id, "x")
-	if q.PendingCount() != 0 {
-		t.Error("late duplicate re-queued a delivered message")
+	if out := q.Commit(id, 2); len(out) != 0 {
+		t.Errorf("late duplicate re-queued a delivered message: %v", out)
 	}
 }
 
@@ -135,81 +130,11 @@ func TestClockAdvancesToFinalPriority(t *testing.T) {
 	a := mkID(0, 1)
 	q.Propose(a, "a")
 	q.Commit(a, 10) // some other destination proposed 10
-	if q.Clock() != 10 {
-		t.Errorf("clock = %d, want 10", q.Clock())
-	}
-	// The next proposal must exceed any priority this member has observed,
-	// otherwise total order could be violated.
+	// The next proposal must exceed any priority this destination has
+	// observed, otherwise total order could be violated.
 	b := mkID(1, 1)
 	if p := q.Propose(b, "b"); p != 11 {
 		t.Errorf("next proposal = %d, want 11", p)
-	}
-}
-
-func TestForceCommitAndDiscard(t *testing.T) {
-	q := NewTotalQueue(0)
-	known := mkID(0, 1)
-	q.Propose(known, "known")
-	// Reconciliation forces an unknown message through: it must be
-	// installed and delivered at the given priority.
-	unknown := mkID(1, 7)
-	out := q.ForceCommit(unknown, "recovered", 1)
-	// known (uncommitted, priority 1 proposed) may block depending on tie
-	// break: known has id sender rank 0 < unknown's sender rank 1 at the
-	// same priority, so nothing is deliverable yet.
-	if len(out) != 0 {
-		t.Fatalf("force-commit delivered ahead of a smaller pending id: %v", out)
-	}
-	// Discarding the blocking head unblocks — and delivers — the committed
-	// entry queued behind it.
-	out = q.Discard(known)
-	if len(out) != 1 || out[0].Payload != "recovered" {
-		t.Fatalf("discard did not unblock the committed entry behind it: %v", out)
-	}
-	// Force-committing an already delivered message is a no-op.
-	if out := q.ForceCommit(unknown, "dup", 1); len(out) != 0 {
-		t.Errorf("duplicate force-commit delivered: %v", out)
-	}
-	// Discarding a committed or unknown message is a no-op.
-	q.Discard(unknown)
-	q.Discard(mkID(5, 5))
-}
-
-func TestDiscardOnlyUncommitted(t *testing.T) {
-	q := NewTotalQueue(0)
-	id := mkID(0, 1)
-	q.Propose(id, "x")
-	q.Commit(id, 1)
-	q2 := NewTotalQueue(0)
-	id2 := mkID(0, 2)
-	q2.Propose(id2, "y")
-	// Commit with a priority that keeps it pending behind nothing: deliver.
-	q2.Commit(id2, 1)
-	q2.Discard(id2) // already delivered: no-op
-	if q2.PendingCount() != 0 {
-		t.Error("Discard corrupted state")
-	}
-}
-
-func TestPendingSnapshot(t *testing.T) {
-	q := NewTotalQueue(0)
-	a, b := mkID(1, 1), mkID(0, 1)
-	q.Propose(a, "a")
-	q.Propose(b, "b")
-	q.Commit(a, 5)
-	pend := q.Pending()
-	if len(pend) != 2 {
-		t.Fatalf("Pending = %v", pend)
-	}
-	// Sorted by id: b's sender (site 1) sorts before a's (site 2).
-	if pend[0].ID != b || pend[1].ID != a {
-		t.Errorf("Pending order = %v", pend)
-	}
-	if !pend[1].Committed || pend[0].Committed {
-		t.Error("commit flags wrong in snapshot")
-	}
-	if pend[1].Priority != 5 {
-		t.Error("priority wrong in snapshot")
 	}
 }
 
@@ -220,12 +145,13 @@ func TestHistoryBound(t *testing.T) {
 		p := q.Propose(id, i)
 		q.Commit(id, p)
 	}
-	// Only the last 3 ids are remembered.
-	if q.Delivered(mkID(0, 1)) {
-		t.Error("history not bounded")
-	}
-	if !q.Delivered(mkID(0, 5)) {
-		t.Error("recent delivery forgotten")
+	// Only the last 3 ids are remembered: a late phase 1 of the first is
+	// queued again, of the last it is not.
+	for i, forgotten := range map[uint64]bool{1: true, 5: false} {
+		id := mkID(0, i)
+		if out := q.Commit(id, q.Propose(id, i)); (len(out) == 1) != forgotten {
+			t.Errorf("id %d: a late duplicate released %v, want a release %v", i, out, forgotten)
+		}
 	}
 }
 

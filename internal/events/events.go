@@ -47,16 +47,9 @@ const (
 
 	// FlushBegin marks a member site wedging for a GBCAST flush.
 	FlushBegin
-	// AbcastFenced marks pending ABCASTs being fenced behind a new view
-	// during a flush (their initiators restart them).
-	AbcastFenced
 	// FlushComplete marks the flush ending: the view is installed and
 	// held-back traffic is released.
 	FlushComplete
-
-	// AbcastResolicit marks a site asking a peer for a straggler ABCAST's
-	// commit record.
-	AbcastResolicit
 
 	// Takeover marks a surviving member forcing a view change past
 	// unresponsive peers after a coordinator failure.
@@ -78,26 +71,24 @@ const (
 )
 
 var kindNames = [...]string{
-	KindNone:        "none",
-	ViewInstalled:   "view-installed",
-	ViewCommitted:   "view-committed",
-	PrimaryLost:     "primary-lost",
-	PrimaryResumed:  "primary-resumed",
-	PartitionWedge:  "partition-wedge",
-	MergeStart:      "merge-start",
-	MergePark:       "merge-park",
-	MergeRetry:      "merge-retry",
-	MergeLand:       "merge-land",
-	FlushBegin:      "flush-begin",
-	AbcastFenced:    "abcast-fenced",
-	FlushComplete:   "flush-complete",
-	AbcastResolicit: "abcast-resolicit",
-	Takeover:        "takeover",
-	SiteDown:        "site-down",
-	SiteUp:          "site-up",
-	SiteRestart:     "site-restart",
-	LinkDown:        "link-down",
-	LinkUp:          "link-up",
+	KindNone:       "none",
+	ViewInstalled:  "view-installed",
+	ViewCommitted:  "view-committed",
+	PrimaryLost:    "primary-lost",
+	PrimaryResumed: "primary-resumed",
+	PartitionWedge: "partition-wedge",
+	MergeStart:     "merge-start",
+	MergePark:      "merge-park",
+	MergeRetry:     "merge-retry",
+	MergeLand:      "merge-land",
+	FlushBegin:     "flush-begin",
+	FlushComplete:  "flush-complete",
+	Takeover:       "takeover",
+	SiteDown:       "site-down",
+	SiteUp:         "site-up",
+	SiteRestart:    "site-restart",
+	LinkDown:       "link-down",
+	LinkUp:         "link-up",
 }
 
 // String names the kind.

@@ -12,24 +12,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestAbRecordCodecAllocations pins what ABCAST's control packets cost: one
-// allocation to encode (the packet itself), none to parse.
-func TestAbRecordCodecAllocations(t *testing.T) {
-	r := abRecord{group: addr.NewGroup(1, 0, 3), id: core.MsgID{Sender: addr.NewProcess(2, 1, 7), Seq: 42}, prio: 77, attempt: 2}
-	var raw []byte
-	if n := testing.AllocsPerRun(100, func() { raw = r.encode(ptAbPropose) }); n != 1 {
-		t.Errorf("encoding a record allocates %.0f times, want 1", n)
-	}
-	var back abRecord
-	var ok bool
-	if n := testing.AllocsPerRun(100, func() { back, ok = parseAbRecord(raw[envelopeBytes:]) }); n != 0 {
-		t.Errorf("parsing a record allocates %.0f times, want 0", n)
-	}
-	if !ok || back != r {
-		t.Errorf("parsed %+v (ok=%v), want %+v", back, ok, r)
-	}
-}
-
 // TestControlCodecAllocations pins what the packets that left the message codec
 // cost: encoding any GBCAST-family packet allocates once (the packet), parsing
 // a state block nothing (the header is a value, the block a view of the frame),

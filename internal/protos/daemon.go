@@ -49,15 +49,8 @@ type Config struct {
 	// the zero value uses fdetect.DefaultConfig.
 	Detector fdetect.Config
 	// CallTimeout bounds internal request/response interactions (lookups,
-	// coordinator requests, proposal collection). Defaults to 5 s.
+	// coordinator requests, relays, flush prepares). Defaults to 5 s.
 	CallTimeout time.Duration
-	// ResolicitAfter is how long a member may hold an uncommitted ABCAST at
-	// the head of its total-order queue before it re-solicits the commit
-	// record from the initiator (rotating to other member sites if the
-	// initiator does not answer). Zero selects CallTimeout. A straggling
-	// proposal can therefore no longer block later committed deliveries
-	// until the next flush.
-	ResolicitAfter time.Duration
 	// DisableHeartbeats leaves the failure detector stopped: no peer is polled
 	// or sent a keepalive, and no site is suspected but by hand. Benchmarks use
 	// it for quiet links.
@@ -111,7 +104,7 @@ type queued struct {
 }
 
 // memberState is the per-(group, local member) state: what is handed to the
-// member, and when. The order is the copy's (groupState.causal, .total).
+// member, and when. The order is the copy's (groupState).
 type memberState struct {
 	proc *localProc
 
@@ -147,37 +140,33 @@ type groupState struct {
 	// behalf of every member it hosts and hands each released message to all
 	// of them (deliverDataLocked): they see the same inputs under one lock and
 	// a view installs for all of them at once, so a queue each would only
-	// repeat this one. Re-disseminated messages go in through the same queues.
-	causal *core.CausalQueue
-	total  *core.TotalQueue
-
-	// Straggler tracking for the re-solicitation watchdog: the uncommitted
-	// message blocking the head of the copy's total-order queue, the scan tick
-	// to re-solicit it at, and how many re-solicitations have been sent for it
-	// (used to rotate the target away from an unreachable initiator).
-	blockedID   core.MsgID
-	resolicitAt uint64
-	resolicits  int
+	// repeat this one. Re-disseminated messages go in the same way.
+	//
+	// ABCAST needs no queue: the view's holder (its oldest member's site)
+	// numbers every ABCAST of the view and the transport's FIFO stream brings
+	// them in that order. abView and abSeq are the place in that order of the
+	// last one delivered here (at the holder, the last it numbered): a packet
+	// at or before it is a second copy. submitted holds this site's casts the
+	// holder has not yet sent back numbered, by id.
+	causal    *core.CausalQueue
+	abView    core.ViewID
+	abSeq     uint64
+	submitted map[core.MsgID]*dataPacket
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
-	// alone; parked is what the open flush holds back; flushDeadline is the
+	// alone; parked is what the open flush holds back, which step feeds back
+	// in when the flush ends; flushDeadline is the
 	// scan tick at which the flush now open counts as stale (the tick then
 	// feeds the copy inWatchdog); mergeAttempt counts the merge attempts
 	// begun, so each can tell whether it is still the latest.
 	phase         phase
-	parked        parked
+	parked        []heldPacket
 	flushDeadline uint64
 	mergeAttempt  uint64
 
 	// recent holds the last delivered data packets, which a flush
 	// re-disseminates to members that missed them.
 	recent core.BoundedLog[core.MsgID, recentEntry]
-
-	// rounds are the ABCAST rounds this site initiated into the copy and has
-	// not yet retired, by message id; finals the final priorities of the
-	// commits applied to it, kept to answer re-solicitations.
-	rounds map[core.MsgID]*abSendState
-	finals core.BoundedLog[core.MsgID, uint64]
 
 	// pendingXfer is the set of joiners whose requested state transfer has
 	// not been confirmed complete (by their site's ptStateAck). Every member
@@ -196,14 +185,12 @@ type groupState struct {
 	marks requestMarks
 }
 
-// recentEntry is one delivered data packet, as the bytes it travelled as. For
-// an ABCAST, prio is the final priority it was delivered at (0 otherwise): kept
-// with the packet, so a flush report's Recent line can always name the final a
-// delivered straggler must be completed at elsewhere (the copy's bounded finals
-// may have evicted it).
+// recentEntry is one delivered data packet, as the bytes it travelled as, and
+// for an ABCAST the holder's number for it (0 otherwise), which a flush report
+// carries so re-dissemination can deliver in the holder's order.
 type recentEntry struct {
-	raw  []byte
-	prio uint64
+	raw []byte
+	seq uint64
 }
 
 const recentLimit = 256
@@ -213,40 +200,14 @@ const recentLimit = 256
 // to be installed (no members) gets its clock at the install.
 func newGroupState(view core.View) *groupState {
 	return &groupState{
-		view:    view,
-		members: make(map[addr.Address]*memberState),
-		causal:  core.NewCausalQueue(-1, view.Size()),
-		total:   core.NewTotalQueue(0),
-		recent:  core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
-		rounds:  make(map[core.MsgID]*abSendState),
-		finals:  core.NewBoundedLog[core.MsgID, uint64](abDoneLimit),
-		marks:   newRequestMarks(),
+		view:      view,
+		members:   make(map[addr.Address]*memberState),
+		causal:    core.NewCausalQueue(-1, view.Size()),
+		submitted: make(map[core.MsgID]*dataPacket),
+		recent:    core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
+		marks:     newRequestMarks(),
 	}
 }
-
-// abSendState is the initiator-side state of one ABCAST (phase 1 responses
-// still outstanding), held by the group copy it runs in under packet.id.
-type abSendState struct {
-	// targets lists the remote member sites phase 1 and the commit go to; it
-	// is fixed when the round is set up. waiting holds those that have not
-	// proposed yet.
-	targets  []addr.SiteID
-	waiting  []addr.SiteID
-	maxPrio  uint64
-	done     bool
-	deadline uint64 // the scan tick that completes the round if it is still open
-
-	// packet is phase 1 as it was sent. Its attempt qualifies the
-	// phase-1/proposal exchange: a GBCAST flush that fences this ABCAST behind
-	// a view change restarts it with a higher attempt, and proposals stamped
-	// with an older one are ignored so the final priority is always the
-	// maximum over one coherent proposal round.
-	packet *dataPacket
-}
-
-// abDoneLimit bounds a group copy's memory of committed ABCAST final
-// priorities kept for re-solicitation answers (groupState.finals).
-const abDoneLimit = 1024
 
 // pendingJoin remembers the state-transfer receiver callback registered when
 // a local process asked to join a group, so it can be attached to the member
@@ -295,7 +256,7 @@ type Daemon struct {
 	parked map[joinKey]bool
 
 	// tick counts the scan ticks, the daemon's one clock, every scanInterval
-	// (min(ResolicitAfter, CallTimeout)/4, 1–50 ms): every deadline it keeps
+	// (CallTimeout/4, 1–50 ms): every deadline it keeps
 	// is a value of tick. wake (on mu) is broadcast by every tick, when a
 	// copy's flush ends and on Close: senders blocked by a flush
 	// (settledGroupLocked) and retries (nextTick) wait on it.
@@ -319,9 +280,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 5 * time.Second
-	}
-	if cfg.ResolicitAfter <= 0 {
-		cfg.ResolicitAfter = cfg.CallTimeout
 	}
 	// Fill unset transport parameters from the network defaults while
 	// keeping explicit overrides (the batching ablation sets only flags).
@@ -369,7 +327,7 @@ func New(cfg Config) (*Daemon, error) {
 		stopScan:    make(chan struct{}),
 	}
 	d.wake.L = &d.mu
-	d.scanInterval = min(max(min(cfg.ResolicitAfter, cfg.CallTimeout)/4, time.Millisecond), 50*time.Millisecond)
+	d.scanInterval = min(max(cfg.CallTimeout/4, time.Millisecond), 50*time.Millisecond)
 	ep, err := cfg.Network.Attach(cfg.Site, trCfg.Epoch)
 	if err != nil {
 		return nil, err
@@ -410,7 +368,7 @@ func New(cfg Config) (*Daemon, error) {
 		})
 	}
 	d.wg.Add(1)
-	go d.runResolicitScan()
+	go d.runScan()
 	return d, nil
 }
 
@@ -434,9 +392,6 @@ func (d *Daemon) Close() {
 		return
 	}
 	d.closed = true
-	for _, gs := range d.groups {
-		clear(gs.rounds)
-	}
 	d.wake.Broadcast()
 	d.mu.Unlock()
 
@@ -714,7 +669,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	}
 	pt, body := raw[1], raw[envelopeBytes:]
 	var (
-		r     abRecord
 		h     replyHeader
 		g     gbPacket
 		lk    lookupPacket
@@ -727,8 +681,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		ok    bool
 	)
 	switch pt {
-	case ptAbPropose, ptAbCommit, ptAbResolicit:
-		r, ok = parseAbRecord(body)
 	case ptReply:
 		h, p, ok = parseReply(body)
 	case ptData:
@@ -748,12 +700,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch pt {
-	case ptAbPropose:
-		d.handleAbProposeLocked(from, r)
-	case ptAbCommit:
-		d.handleAbCommitLocked(from, r)
-	case ptAbResolicit:
-		d.handleAbResolicitLocked(from, r)
 	case ptReply:
 		d.deliverReplyLocked(h, p)
 	case ptData:

@@ -28,7 +28,7 @@ import (
 // have yet (a peer's ack retiring the site's last record).
 func TestClockReadOnScanTickAlone(t *testing.T) {
 	clock := []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick"}
-	allowed := []string{"runResolicitScan", "Flush"}
+	allowed := []string{"runScan", "Flush"}
 	fset, files := parsePackage(t)
 	var sites []string
 	outside := 0
@@ -194,33 +194,6 @@ func patientDetector() fdetect.Config {
 		MinTimeout:        time.Minute,
 		MaxTimeout:        time.Minute,
 	}
-}
-
-// TestScanCompletesUnansweredAbcastRound holds back the one proposal an
-// ABCAST round waits for. The round must complete on the initiator's own
-// proposal at its CallTimeout deadline, and not before.
-func TestScanCompletesUnansweredAbcastRound(t *testing.T) {
-	const callTimeout = 200 * time.Millisecond
-	tc := newFaultCluster(t, 2, simnet.FastConfig(), callTimeout, patientDetector())
-	procs := buildGroup(t, tc, "unanswered", 1, 2)
-	gid := groupOf(t, tc, procs[0], "unanswered")
-	d := tc.daemons[1]
-
-	tc.net.PauseLink(2, 1)
-	start := time.Now()
-	if _, err := d.Multicast(procs[0].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("late")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the scan to complete the round", 10*callTimeout, func() bool { return procs[0].got("late") })
-	if took := time.Since(start); took < callTimeout {
-		t.Errorf("the round completed after %v, before its %v deadline: something else ended it", took, callTimeout)
-	}
-	if n := len(pendingRounds(d)); n != 0 {
-		t.Errorf("%d rounds pending after the deadline completed the only one", n)
-	}
-	// The commit went out on the link that was never paused.
-	waitFor(t, "delivery at the member that was not heard", 5*time.Second, func() bool { return procs[1].got("late") })
-	tc.net.ResumeLink(2, 1)
 }
 
 // TestScanReleasesCommitlessFlush hands a primary copy a prepare no commit

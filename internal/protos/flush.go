@@ -33,7 +33,7 @@ type flushDecision struct {
 	procs      []addr.Address // the change's processes that survived corroboration
 	base       core.View      // the most advanced view any member reported
 	newView    core.View
-	rebcast    pendingReport // what to force, discard, fence and re-disseminate before the GBCAST point
+	rebcast    pendingReport // what to re-disseminate before the GBCAST point
 	outcome    int64         // gbSeal verdict: voteCommitted or voteAborted
 }
 
@@ -119,7 +119,7 @@ func decideFlush(r flushRound) flushDecision {
 		}
 	}
 
-	dec.rebcast = reconcile(reports, r.kind == gbFail, dec.procs)
+	dec.rebcast = reconcile(reports)
 	return dec
 }
 
@@ -143,130 +143,28 @@ func anyContained(v core.View, ps []addr.Address) bool {
 	return false
 }
 
-// reconcile merges the member sites' pending reports into the rebroadcast
-// instructions carried by the commit. Every in-flight ABCAST the reports
-// surface is resolved to one side of the GBCAST point (the paper treats
-// in-progress ABCASTs as part of the flushed state):
-//
-//   - committed at any member: force-commit everywhere at the final priority
-//     (the "all" branch of the atomicity rule);
-//   - already delivered at some member but still pending uncommitted
-//     elsewhere: complete everywhere at the final priority the delivering
-//     site recorded (carried by its Recent report entry);
-//   - uncommitted from a failed sender: discard everywhere (the "none"
-//     branch);
-//   - uncommitted from a live sender, present in every report: complete —
-//     every member site has proposed, so the maximum reported priority
-//     dominates every proposal and the flush commits it before the view
-//     change at every site (the initiator's own round is retired when the
-//     commit reaches it);
-//   - uncommitted from a live sender, missing from some report: fence — the
-//     message cannot be completed on this side of the view change, so every
-//     site discards its phase-1 state and the initiator restarts the
-//     protocol under the new view, delivering it after the GBCAST point at
-//     every site.
-func reconcile(reports map[addr.SiteID]pendingReport, removingFailed bool, removed []addr.Address) pendingReport {
-	type abAgg struct {
-		committed bool
-		priority  uint64 // final priority when committed
-		maxProp   uint64 // highest proposed priority when uncommitted
-		packet    []byte
-		seen      int  // member sites whose report lists the entry
-		initiator bool // some reporting site still holds the initiator round
-	}
-	abs := make(map[core.MsgID]*abAgg)
-	recentCount := make(map[core.MsgID]int)
-	recentPkt := make(map[core.MsgID][]byte)
-	recentFinal := make(map[core.MsgID]uint64)
-	removedSet := make(map[addr.Address]bool)
-	for _, p := range removed {
-		removedSet[p.Base()] = true
-	}
-
+// reconcile merges the member sites' reports into what the commit
+// re-disseminates: every message delivered at some reporting site but not at
+// all of them, so that every survivor delivers it before the GBCAST point. An
+// ABCAST travels with the holder's number for it, and the sites that missed it
+// deliver it in that place (applyRebcastLocked). Nothing else is decided: a
+// numbered ABCAST some site holds was delivered there on arrival, and a
+// submission no site delivered is still its submitter's, which sends it to the
+// holder of the view the commit installs.
+func reconcile(reports map[addr.SiteID]pendingReport) pendingReport {
+	count := make(map[core.MsgID]int)
+	first := make(map[core.MsgID]recentWire)
 	for _, rep := range reports {
-		for _, a := range rep.Abcasts {
-			agg := abs[a.ID]
-			if agg == nil {
-				agg = &abAgg{}
-				abs[a.ID] = agg
-			}
-			agg.seen++
-			if a.Init {
-				agg.initiator = true
-			}
-			if a.Packet != nil && agg.packet == nil {
-				agg.packet = a.Packet
-			}
-			if a.Committed {
-				agg.committed = true
-				if a.Priority > agg.priority {
-					agg.priority = a.Priority
-				}
-			} else if a.Priority > agg.maxProp {
-				agg.maxProp = a.Priority
-			}
-		}
-		for _, r := range rep.Recent {
-			recentCount[r.ID]++
-			if r.Packet != nil && recentPkt[r.ID] == nil {
-				recentPkt[r.ID] = r.Packet
-			}
-			if r.Priority > recentFinal[r.ID] {
-				recentFinal[r.ID] = r.Priority
+		for _, rc := range rep {
+			if count[rc.ID]++; count[rc.ID] == 1 {
+				first[rc.ID] = rc
 			}
 		}
 	}
-
 	var out pendingReport
-	nSites := len(reports)
-	for id, agg := range abs {
-		switch {
-		case agg.committed:
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: agg.priority, Packet: agg.packet,
-			})
-		case recentFinal[id] != 0:
-			// Delivered at some member site, still an uncommitted pending
-			// entry here and there: complete it everywhere at the exact
-			// final priority the delivering site used (its commit record
-			// travelled in the Recent report). Left unresolved, the entry
-			// would block completions driven below until its own in-flight
-			// commit thawed — after the view change, on the wrong side.
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: recentFinal[id], Packet: agg.packet,
-			})
-		case removingFailed && removedSet[id.Sender.Base()]:
-			// The sender failed and no member learned a final priority:
-			// the "none" branch of the atomicity rule — discard everywhere.
-			out.Abcasts = append(out.Abcasts, abPendingWire{ID: id, Committed: false})
-		case agg.seen == nSites && agg.packet != nil:
-			// Complete: drive the in-flight ABCAST to commit before the view
-			// change. Every report contributed a proposal, so the maximum
-			// dominates anything a member has used or seen.
-			out.Abcasts = append(out.Abcasts, abPendingWire{
-				ID: id, Committed: true, Priority: agg.maxProp, Packet: agg.packet,
-			})
-		case recentCount[id] == 0 && agg.initiator:
-			// Fence behind the new view — but only while some reporting site
-			// still holds the initiator round, which guarantees the restart
-			// that re-delivers the message. Without that guarantee the fence
-			// discard could lose a message outright (e.g. one delivered at a
-			// site whose bounded recent buffer has since evicted it, with
-			// the commit still in flight here); such a straggler is left
-			// pending for its own commit or the re-solicitation watchdog to
-			// resolve. A message some member already delivered is likewise
-			// never fenced: the Recent re-dissemination carries it to
-			// everyone before the view change instead.
-			out.Fenced = append(out.Fenced, id)
-		}
-	}
-	// A message delivered at some member sites but not all of them must be
-	// re-disseminated so every survivor delivers it before the GBCAST point —
-	// an ABCAST at the final it was delivered at, so it takes the same place in
-	// every site's order.
-	for id, count := range recentCount {
-		if count < nSites {
-			out.Recent = append(out.Recent, recentWire{ID: id, Packet: recentPkt[id], Priority: recentFinal[id]})
+	for id, n := range count {
+		if n < len(reports) {
+			out = append(out, first[id])
 		}
 	}
 	return out

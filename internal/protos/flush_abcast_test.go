@@ -1,24 +1,26 @@
 package protos
 
-// Scenario suite for the flush/ABCAST ordering guarantees: a GBCAST flush
-// treats in-progress ABCASTs as part of the flushed state (it completes them
-// before the view change when every member site has seen phase 1, and fences
-// them behind it otherwise), so an ABCAST in flight across a wedge is
-// delivered at every member site on the same side of the GBCAST — the
-// "shifted marker" of examples/quickstart can no longer occur. Also the
-// receiver-side re-solicitation of straggler commits, which stops a slow
-// proposal round from blocking later committed deliveries until the next
-// flush.
+// Scenario suite for ABCAST as the holder's FIFO stream: the view's oldest
+// member site numbers every ABCAST of the view in its data packet, and a
+// GBCAST flush only re-disseminates what some member delivered. So an ABCAST
+// in flight across a wedge is delivered at every member site on the same side
+// of the GBCAST — the "shifted marker" of examples/quickstart cannot occur —
+// and a cast the holder never numbered is numbered after the flush, under the
+// holder of the view the flush installed.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/fdetect"
+	"repro/internal/netback"
 	"repro/internal/simnet"
 )
 
@@ -65,110 +67,99 @@ func assertSameSideOfMarker(t *testing.T, procs []*testProc, body, marker string
 	}
 }
 
-// TestScenarioFlushDrivesFullySeenAbcast plants an uncommitted ABCAST
-// phase-1 entry at every member site (the initiator's commit never arrives —
-// the degenerate form of a watchdog that lost its race) and then runs a
-// user GBCAST. The flush must drive the in-flight ABCAST to commit before
-// the view-change point: every member delivers it exactly once, before the
-// marker, and a late low-priority commit changes nothing.
+// wedge hands a site a prepare no commit follows, as if from site 1: its copy
+// of the group flushes, and parks what arrives until a real flush commits.
+func wedge(t *testing.T, d *Daemon, gid addr.Address) {
+	t.Helper()
+	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+}
+
+// parkedAt counts the packets a site's copy of the group holds back.
+func parkedAt(d *Daemon, gid addr.Address) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.groups[gid].parked)
+}
+
+// numbered builds the data packet the holder sends an ABCAST on as, the seq-th
+// of its view.
+func numbered(t *testing.T, gid addr.Address, view core.ViewID, id core.MsgID, seq uint64, text string) *dataPacket {
+	t.Helper()
+	p := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: view, id: id, rank: 0, seq: seq, payload: body(text)}
+	if err := p.encode(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestScenarioFlushDrivesFullySeenAbcast has the holder's packet of an ABCAST
+// delivered at every member site (handed over by hand) when a user GBCAST runs.
+// Every report carries it, so the flush re-disseminates nothing: each member
+// delivers it exactly once, before the marker, and a late copy of the packet
+// changes nothing.
 func TestScenarioFlushDrivesFullySeenAbcast(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	procs := buildGroup(t, tc, "drive", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "drive")
+	view, _ := tc.daemons[1].CurrentView(gid)
 
-	view, ok := tc.daemons[1].CurrentView(gid)
-	if !ok {
-		t.Fatal("no view at site 1")
+	a := numbered(t, gid, view.ID, core.MsgID{Sender: procs[1].addr, Seq: 400}, 1, "seen")
+	for _, s := range []addr.SiteID{1, 2, 3} {
+		tc.daemons[s].handleTransport(1, a.raw)
 	}
-	id := core.MsgID{Sender: procs[0].addr, Seq: 400}
-	pkt := dataPkt(t, ABCAST, gid, view.ID, id, view.RankOf(procs[0].addr), body("undelivered"))
-	tc.daemons[1].handleTransport(3, pkt.raw)
-	tc.daemons[2].handleTransport(1, pkt.raw)
-	tc.daemons[3].handleTransport(1, pkt.raw)
-	time.Sleep(50 * time.Millisecond)
-	for i, p := range procs {
-		if p.got("undelivered") {
-			t.Fatalf("member %d delivered the uncommitted ABCAST before the flush", i)
-		}
-	}
+	waitFor(t, "the ABCAST at every member", 2*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("seen") })
+	})
 
 	if _, err := tc.daemons[1].Multicast(procs[0].addr, GBCAST, addr.List{gid}, addr.EntryUserBase, body("marker")); err != nil {
 		t.Fatalf("marker GBCAST: %v", err)
 	}
-	waitFor(t, "driven ABCAST and marker everywhere", 5*time.Second, func() bool {
-		for _, p := range procs {
-			if !p.got("undelivered") || !p.got("marker") {
-				return false
-			}
-		}
-		return true
+	waitFor(t, "the marker at every member", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("marker") })
 	})
-	for i, p := range procs {
-		if bi, mi := bodyIndex(p, "undelivered"), bodyIndex(p, "marker"); bi > mi {
-			t.Errorf("member %d delivered the driven ABCAST after the marker (%d > %d): flush must complete it before the view change", i, bi, mi)
-		}
+	// A late copy, as a retransmission would bring it: no second delivery.
+	tc.daemons[2].handleTransport(1, a.raw)
+	tc.daemons[3].handleTransport(1, a.raw)
+	if err := cast(procs[0], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
 	}
-
-	// A late commit from the (imaginary) initiator's watchdog — with a
-	// priority below the one the flush chose — must be a no-op.
-	tc.daemons[2].handleTransport(1, abRecord{group: gid, id: id, prio: 1}.encode(ptAbCommit))
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "the next ABCAST everywhere", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("after") })
+	})
+	want := []string{"seen", "marker", "after"}
 	for i, p := range procs {
-		if n := countBody(p, "undelivered"); n != 1 {
-			t.Errorf("member %d delivered the driven ABCAST %d times, want 1", i, n)
+		if got := p.bodies(); !slices.Equal(got, want) {
+			t.Errorf("member %d delivered %v, want %v", i, got, want)
 		}
 	}
 }
 
-// TestScenarioFlushFencesUndeliveredAbcast starts a real ABCAST whose
-// phase 1 cannot reach one member site (the initiator's link to it is
-// paused) and wedges the group with a user GBCAST while it is in flight.
-// The flush cannot complete the ABCAST — one report has never seen it — so
-// it must fence it behind the view change: every member delivers the marker
-// first and the ABCAST after it (via the initiator's deterministic restart),
-// exactly once, including the site whose phase 1 was frozen.
+// TestScenarioFlushFencesUndeliveredAbcast holds a member's ABCAST at the holder
+// (site 1, wedged by hand, parks the submission) while a user GBCAST runs. No
+// site has delivered it, so no report carries it: the holder, the same site
+// under the same view, numbers it once the flush is over, and every member
+// delivers it after the marker, exactly once.
 func TestScenarioFlushFencesUndeliveredAbcast(t *testing.T) {
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, quietDetector())
 	procs := buildGroup(t, tc, "fence", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "fence")
 
-	// Phase 1 from the site-2 member reaches site 1 but never site 3.
-	tc.net.PauseLink(2, 3)
-	if _, err := tc.daemons[2].Multicast(procs[1].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("fenced")); err != nil {
+	wedge(t, tc.daemons[1], gid)
+	if err := cast(procs[1], ABCAST, gid, "fenced"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // phase 1 reaches site 1; site 3 stays blind
-
-	// The wedge: a user GBCAST through the site-1 coordinator (whose links
-	// are all healthy, so the flush itself completes).
+	waitFor(t, "the submission parked at the holder", 5*time.Second, func() bool { return parkedAt(tc.daemons[1], gid) == 1 })
 	if _, err := tc.daemons[1].Multicast(procs[0].addr, GBCAST, addr.List{gid}, addr.EntryUserBase, body("marker")); err != nil {
 		t.Fatalf("marker GBCAST: %v", err)
 	}
-	waitFor(t, "marker at every member", 5*time.Second, func() bool {
-		for _, p := range procs {
-			if !p.got("marker") {
-				return false
-			}
-		}
-		return true
+	waitFor(t, "the fenced ABCAST everywhere", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("fenced") })
 	})
-	for i, p := range procs {
-		if p.got("fenced") {
-			t.Fatalf("member %d delivered the fenced ABCAST before (or with) the marker", i)
-		}
+	if err := cast(procs[1], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
 	}
-
-	// Release the frozen link: the restarted protocol round completes and
-	// every member — including site 3 — delivers the message after the
-	// marker.
-	tc.net.ResumeLink(2, 3)
-	waitFor(t, "fenced ABCAST everywhere after the restart", 10*time.Second, func() bool {
-		for _, p := range procs {
-			if !p.got("fenced") {
-				return false
-			}
-		}
-		return true
+	waitFor(t, "the next ABCAST everywhere", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("after") })
 	})
 	for i, p := range procs {
 		if n := countBody(p, "fenced"); n != 1 {
@@ -181,32 +172,23 @@ func TestScenarioFlushFencesUndeliveredAbcast(t *testing.T) {
 	assertSameSideOfMarker(t, procs, "fenced", "marker")
 }
 
-// TestFencedAbcastReachesJoiner fences an ABCAST behind the view change that
-// adds a member and holds the round's first phase 1 on the wire to the
-// joiner's site until the view is installed there. The stale packet then
-// arrives ahead of the restart's: filed, it would shadow the restart, the
-// message would be delivered as one of the closed view, and the joiner — alone
-// among the members — would be refused it.
+// TestFencedAbcastReachesJoiner holds a member's ABCAST at the holder while a
+// process joins. The holder numbers it under the view that adds the joiner,
+// so the joiner, too, delivers it, once.
 func TestFencedAbcastReachesJoiner(t *testing.T) {
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), 2*time.Second, quietDetector())
 	procs := buildGroup(t, tc, "fencejoin", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "fencejoin")
 
-	tc.net.PauseLink(2, 3)
+	wedge(t, tc.daemons[1], gid)
 	if err := cast(procs[1], ABCAST, gid, "fenced"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "phase 1 at site 1", 5*time.Second, func() bool {
-		d := tc.daemons[1]
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.groups[gid].total.PendingCount() == 1
-	})
+	waitFor(t, "the submission parked at the holder", 5*time.Second, func() bool { return parkedAt(tc.daemons[1], gid) == 1 })
 	joiner := tc.newProc(3)
 	if _, err := tc.daemons[3].Join(joiner.addr, gid, JoinOptions{}); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	tc.net.ResumeLink(2, 3)
 
 	all := append(slices.Clone(procs), joiner)
 	waitFor(t, "the fenced ABCAST at every member, the joiner included", 5*time.Second, func() bool {
@@ -226,114 +208,46 @@ func TestFencedAbcastReachesJoiner(t *testing.T) {
 	}
 }
 
-// TestCompletedRoundIsPendingOrApplied pins the window a flush report could
-// once look into: between an initiator retiring its round and applying its own
-// commit, the message was vouched for by nobody. With both in one hold of the
-// lock, what the report is built from shows the commit applied — delivered and
-// in recent with its final, or committed in the queue behind an older entry —
-// the moment the round has left the copy's rounds.
-func TestCompletedRoundIsPendingOrApplied(t *testing.T) {
-	for _, blocked := range []bool{false, true} {
-		t.Run(fmt.Sprintf("behind an uncommitted entry=%v", blocked), func(t *testing.T) {
-			tc := newFaultCluster(t, 2, simnet.FastConfig(), 2*time.Second, quietDetector())
-			procs := buildGroup(t, tc, "window", 1, 2)
-			gid := groupOf(t, tc, procs[0], "window")
-			d := tc.daemons[1]
-
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			gs := d.groups[gid]
-			if blocked {
-				other := core.MsgID{Sender: procs[1].addr, Seq: 900}
-				gs.total.Propose(other, dataPkt(t, ABCAST, gid, gs.view.ID, other, 1, body("older")))
-			}
-			id := core.MsgID{Sender: procs[0].addr, Seq: 901}
-			d.initiateAbcastLocked(gs, dataPkt(t, ABCAST, gid, gs.view.ID, id, 0, body("m")))
-			st := gs.rounds[id]
-			if st == nil || st.done {
-				t.Fatal("the round completed with site 2's proposal still out")
-			}
-			st.done = true
-			d.completeAbcastLocked(gs, st)
-
-			if _, pending := gs.rounds[id]; pending {
-				t.Error("the completed round is still in the copy's rounds")
-			}
-			rec, delivered := gs.recent.Get(id)
-			committed := slices.ContainsFunc(d.buildReportLocked(gs).Abcasts, func(ab abPendingWire) bool { return ab.ID == id && ab.Committed && ab.Priority == st.maxPrio })
-			if delivered == blocked || committed != blocked || delivered && rec.prio != st.maxPrio {
-				t.Errorf("after completeAbcastLocked: delivered=%v (final %d, want %d), reported committed=%v", delivered, rec.prio, st.maxPrio, committed)
-			}
-		})
-	}
-}
-
-// TestScenarioFlushCompletesDeliveredStraggler pins the limbo class the
-// quickstart marker invariant first exposed: ABCAST A was delivered at one
-// member site before the wedge but is still an uncommitted pending entry at
-// the others (its commit is in flight), while ABCAST B — which the flush
-// drives to commit — sits behind A in their priority queues. The delivering
-// site's Recent report carries A's final priority, so the flush must
-// complete A everywhere (not merely re-disseminate its payload) and deliver
-// both A and B before the marker at every member; without it, B stays
-// blocked behind A's unresolved entry and surfaces after the view change at
-// exactly the sites that missed A's commit.
+// TestScenarioFlushCompletesDeliveredStraggler has the holder's packets of two
+// ABCASTs delivered at sites 1 and 2 and missing at site 3 when a user GBCAST
+// runs (handed over by hand, as if held on the link to site 3). The flush must
+// deliver both at site 3 before the marker, in the holder's order, and the
+// late packets must change nothing there.
 func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	procs := buildGroup(t, tc, "limbo", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "limbo")
-	view, ok := tc.daemons[1].CurrentView(gid)
-	if !ok {
-		t.Fatal("no view at site 1")
+	view, _ := tc.daemons[1].CurrentView(gid)
+
+	a := numbered(t, gid, view.ID, core.MsgID{Sender: procs[1].addr, Seq: 77}, 1, "limbo-a")
+	b := numbered(t, gid, view.ID, core.MsgID{Sender: procs[2].addr, Seq: 78}, 2, "limbo-b")
+	for _, s := range []addr.SiteID{1, 2} {
+		tc.daemons[s].handleTransport(1, a.raw)
+		tc.daemons[s].handleTransport(1, b.raw)
 	}
-
-	// ABCAST A from the site-2 member: phase 1 everywhere, commit applied at
-	// site 2 only (sites 1 and 3 hold uncommitted entries).
-	idA := core.MsgID{Sender: procs[1].addr, Seq: 77}
-	pktA := dataPkt(t, ABCAST, gid, view.ID, idA, view.RankOf(procs[1].addr), body("limbo-a"))
-	tc.daemons[1].handleTransport(2, pktA.raw)
-	tc.daemons[2].handleTransport(1, pktA.raw)
-	tc.daemons[3].handleTransport(2, pktA.raw)
-	commitA := abRecord{group: gid, id: idA, prio: 1}
-	tc.daemons[2].handleTransport(2, commitA.encode(ptAbCommit))
-	waitFor(t, "A delivered at site 2", 2*time.Second, func() bool { return procs[1].got("limbo-a") })
-
-	// ABCAST B: phase 1 at every site, no commit — the flush will drive it.
-	// Its proposals land above A's, so at sites 1 and 3 it queues behind A.
-	idB := core.MsgID{Sender: procs[0].addr, Seq: 78}
-	pktB := dataPkt(t, ABCAST, gid, view.ID, idB, view.RankOf(procs[0].addr), body("limbo-b"))
-	tc.daemons[1].handleTransport(3, pktB.raw)
-	tc.daemons[2].handleTransport(1, pktB.raw)
-	tc.daemons[3].handleTransport(1, pktB.raw)
+	waitFor(t, "A and B at sites 1 and 2", 2*time.Second, func() bool {
+		return procs[0].got("limbo-b") && procs[1].got("limbo-b")
+	})
 
 	if _, err := tc.daemons[1].Multicast(procs[0].addr, GBCAST, addr.List{gid}, addr.EntryUserBase, body("marker")); err != nil {
 		t.Fatalf("marker GBCAST: %v", err)
 	}
 	waitFor(t, "A, B, and the marker at every member", 5*time.Second, func() bool {
-		for _, p := range procs {
-			if !p.got("limbo-a") || !p.got("limbo-b") || !p.got("marker") {
-				return false
-			}
-		}
-		return true
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("limbo-a") || !p.got("limbo-b") || !p.got("marker") })
 	})
-	for i, p := range procs {
-		mi := bodyIndex(p, "marker")
-		if ai := bodyIndex(p, "limbo-a"); ai > mi {
-			t.Errorf("member %d delivered the limbo straggler after the marker (%d > %d)", i, ai, mi)
-		}
-		if bi := bodyIndex(p, "limbo-b"); bi > mi {
-			t.Errorf("member %d delivered the driven ABCAST after the marker (%d > %d): blocked behind the unresolved straggler", i, bi, mi)
-		}
+	// The straggling packets finally arrive at site 3: no duplicates.
+	tc.daemons[3].handleTransport(1, a.raw)
+	tc.daemons[3].handleTransport(1, b.raw)
+	if err := cast(procs[0], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
 	}
-
-	// The straggler's in-flight commit finally thaws: no duplicates.
-	tc.daemons[1].handleTransport(2, commitA.encode(ptAbCommit))
-	tc.daemons[3].handleTransport(2, commitA.encode(ptAbCommit))
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "the next ABCAST everywhere", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got("after") })
+	})
+	want := []string{"limbo-a", "limbo-b", "marker", "after"}
 	for i, p := range procs {
-		if n := countBody(p, "limbo-a"); n != 1 {
-			t.Errorf("member %d delivered the straggler %d times, want 1", i, n)
+		if got := p.bodies(); !slices.Equal(got, want) {
+			t.Errorf("member %d delivered %v, want %v", i, got, want)
 		}
 	}
 }
@@ -379,81 +293,226 @@ func TestScenarioAbcastNeverStraddlesWedge(t *testing.T) {
 	}
 }
 
-// TestScenarioStragglerResolicitation reproduces the watchdog priority
-// divergence: a member site holds an uncommitted ABCAST at the head of its
-// total-order queue whose commit is frozen on the initiator's link, while a
-// later, fully committed ABCAST queues up behind it. The member must
-// re-solicit the commit record — and, because the initiator's link never
-// answers, rotate to another member site that has applied the commit — and
-// deliver both messages in priority order without waiting for a flush.
-func TestScenarioStragglerResolicitation(t *testing.T) {
-	net := simnet.New(simnet.FastConfig())
-	tc := &testCluster{t: t, net: net, daemons: make(map[addr.SiteID]*Daemon)}
-	for i := 1; i <= 3; i++ {
-		d, err := New(Config{
-			Site:           addr.SiteID(i),
-			Network:        net,
-			CallTimeout:    time.Second,
-			ResolicitAfter: 150 * time.Millisecond,
-			Detector:       quietDetector(),
+// heldFrom waits until every frame the recorder saw one site send another has
+// arrived or been thrown away: after that, what the receiver delivers next was
+// handled after them (one receive loop per site).
+func heldFrom(t *testing.T, rec *simnet.Recorder, from, to addr.SiteID) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("the frames held from site %d to site %d", from, to), 5*time.Second, func() bool {
+		held := 0
+		for _, e := range rec.Events() {
+			if e.From == from && e.To == to {
+				switch e.Kind {
+				case simnet.EventSend:
+					held++
+				case simnet.EventDeliver, simnet.EventDiscard, simnet.EventDrop:
+					held--
+				}
+			}
+		}
+		return held == 0
+	})
+}
+
+// beforeView reports whether a process's callbacks ran every listed body once,
+// and each before the first view with the given id.
+func beforeView(p *testProc, id core.ViewID, bodies ...string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v := slices.Index(p.trace, fmt.Sprintf("view %d", id))
+	for _, b := range bodies {
+		if i := slices.Index(p.trace, b); i < 0 || i > v || slices.Index(p.trace[i+1:], b) >= 0 {
+			return false
+		}
+	}
+	return v >= 0
+}
+
+// TestScenarioHolderCrashMidFanout holds everything the holder (site 1) sends
+// site 3 while it numbers its own two casts and site 2's, then crashes it. Site
+// 2 delivered all three; the failure flush must deliver them at site 3 once,
+// in site 2's order, before the failure view, and the held packets that
+// arrive later must change nothing.
+func TestScenarioHolderCrashMidFanout(t *testing.T) {
+	tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
+	rec := simnet.NewRecorder()
+	tc.net.SetTracer(rec)
+	procs := buildGroup(t, tc, "fanout", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "fanout")
+
+	tc.net.PauseLink(1, 3)
+	for i, c := range []struct {
+		p    *testProc
+		text string
+	}{{procs[0], "h1"}, {procs[1], "s1"}, {procs[0], "h2"}} {
+		if err := cast(c.p, ABCAST, gid, c.text); err != nil {
+			t.Fatalf("cast %d: %v", i, err)
+		}
+	}
+	waitFor(t, "all three at site 2", 5*time.Second, func() bool {
+		return procs[1].got("h1") && procs[1].got("s1") && procs[1].got("h2")
+	})
+	order := procs[1].bodies()
+	if len(order) != 3 || procs[2].numMsgs() != 0 {
+		t.Fatalf("site 2 delivered %v and site 3 %d casts before the crash, want the three and none", order, procs[2].numMsgs())
+	}
+	tc.crash(1)
+	waitFor(t, "the failure view at the survivors", 5*time.Second, func() bool {
+		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
+	})
+	failure := procs[2].lastView().ID
+	if !beforeView(procs[2], failure, order...) {
+		t.Fatalf("site 3 ran %v, want %v once each before view %d", procs[2].traced(), order, failure)
+	}
+	if got := procs[2].bodies(); !slices.Equal(got[:3], order) {
+		t.Errorf("site 3 delivered %v, site 2 %v", got, order)
+	}
+
+	tc.net.ResumeAll()
+	heldFrom(t, rec, 1, 3)
+	if err := cast(procs[1], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the next ABCAST at the survivors", 5*time.Second, func() bool { return procs[1].got("after") && procs[2].got("after") })
+	for _, p := range procs[1:] {
+		assertNoDuplicates(t, fmt.Sprint(p.addr), p)
+	}
+}
+
+// TestScenarioSubmissionToCrashedHolder holds a member's submission on its way
+// to the holder (site 1) and crashes the holder. The failure view's holder is
+// site 2 — the submitter itself, or another site — and the submission goes to
+// it: both survivors deliver the cast once, after the failure view, and the
+// held submission changes nothing when the links resume.
+func TestScenarioSubmissionToCrashedHolder(t *testing.T) {
+	for _, submitter := range []int{1, 2} {
+		t.Run(fmt.Sprintf("from site %d", submitter+1), func(t *testing.T) {
+			tc := newFaultCluster(t, 3, simnet.FastConfig(), time.Second, fdetect.Config{})
+			rec := simnet.NewRecorder()
+			tc.net.SetTracer(rec)
+			procs := buildGroup(t, tc, "resubmit", 1, 2, 3)
+			gid := groupOf(t, tc, procs[0], "resubmit")
+			from := procs[submitter].addr.Site
+
+			tc.net.PauseLink(from, 1)
+			if err := cast(procs[submitter], ABCAST, gid, "held"); err != nil {
+				t.Fatal(err)
+			}
+			tc.crash(1)
+			waitFor(t, "the cast at the survivors", 5*time.Second, func() bool { return procs[1].got("held") && procs[2].got("held") })
+			for _, p := range procs[1:] {
+				v := p.lastView()
+				p.mu.Lock()
+				trace := slices.Clone(p.trace)
+				p.mu.Unlock()
+				if i, j := slices.Index(trace, fmt.Sprintf("view %d", v.ID)), slices.Index(trace, "held"); v.Size() != 2 || i < 0 || j < i {
+					t.Errorf("%v ran %v: the cast before the failure view %v", p.addr, trace, v)
+				}
+			}
+
+			tc.net.ResumeAll()
+			heldFrom(t, rec, from, 1)
+			if err := cast(procs[1], ABCAST, gid, "after"); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the next ABCAST at the survivors", 5*time.Second, func() bool { return procs[1].got("after") && procs[2].got("after") })
+			for _, p := range procs[1:] {
+				assertNoDuplicates(t, fmt.Sprint(p.addr), p)
+				if n := countBody(p, "held"); n != 1 {
+					t.Errorf("%v delivered the cast %d times, want 1", p.addr, n)
+				}
+			}
 		})
-		if err != nil {
+	}
+}
+
+// shapeNet is a fabric that records, by sending site, receiving site and
+// transport sequence, what type of daemon packet every record a frame carries
+// is: retransmissions count once.
+type shapeNet struct {
+	netback.Network
+	mu   sync.Mutex
+	sent map[shapeKey]string
+}
+
+type shapeKey struct {
+	from, to netback.SiteID
+	seq      uint64
+}
+
+type shapeEndpoint struct {
+	netback.Endpoint
+	n *shapeNet
+}
+
+func (n *shapeNet) Attach(id netback.SiteID, epoch uint64) (netback.Endpoint, error) {
+	ep, err := n.Network.Attach(id, epoch)
+	return shapeEndpoint{ep, n}, err
+}
+
+// Send reads a data frame of the transport (kind 3 or 4: a 25-byte head, then
+// records of sequence 8, flags 1, length 4 and the bytes) before sending it.
+func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
+	if len(frame) >= 25 && (frame[0] == 3 || frame[0] == 4) {
+		e.n.mu.Lock()
+		for b := frame[25:]; len(b) >= 13; {
+			seq, size := binary.BigEndian.Uint64(b), int(binary.BigEndian.Uint32(b[9:]))
+			if len(b) < 13+size || size < envelopeBytes+1 {
+				break
+			}
+			pkt, kind := b[13:13+size], "submission"
+			switch {
+			case pkt[1] != ptData:
+				kind = fmt.Sprintf("type %d", pkt[1])
+			case pkt[2]&dataHasSeq != 0:
+				kind = "data"
+			}
+			e.n.sent[shapeKey{e.Site(), to, seq}] = kind
+			b = b[13+size:]
+		}
+		e.n.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, frame)
+}
+
+// TestAbcastPacketShape counts the daemon packets one ABCAST to a group of
+// three members at three sites puts on the wire. The holder's own cast is a
+// data packet to each other site and nothing else; another member's is one
+// submission to the holder and the holder's data packet to each other site,
+// the submitter's included.
+func TestAbcastPacketShape(t *testing.T) {
+	fab := &shapeNet{Network: simnet.New(simnet.FastConfig()), sent: make(map[shapeKey]string)}
+	tc := newTestClusterOn(t, fab, 3)
+	procs := buildGroup(t, tc, "shape", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "shape")
+
+	for i, c := range []struct {
+		from int
+		want []string
+	}{
+		{0, []string{"1>2 data", "1>3 data"}},
+		{1, []string{"1>2 data", "1>3 data", "2>1 submission"}},
+	} {
+		fab.mu.Lock()
+		before := maps.Clone(fab.sent)
+		fab.mu.Unlock()
+		text := fmt.Sprintf("cast %d", i)
+		if err := cast(procs[c.from], ABCAST, gid, text); err != nil {
 			t.Fatal(err)
 		}
-		tc.daemons[addr.SiteID(i)] = d
-	}
-	t.Cleanup(func() {
-		for _, d := range tc.daemons {
-			d.Close()
+		waitFor(t, text+" everywhere", 5*time.Second, func() bool {
+			return !slices.ContainsFunc(procs, func(p *testProc) bool { return !p.got(text) })
+		})
+		fab.mu.Lock()
+		var got []string
+		for k, kind := range fab.sent {
+			if _, old := before[k]; !old {
+				got = append(got, fmt.Sprintf("%d>%d %s", k.from, k.to, kind))
+			}
 		}
-		net.Close()
-	})
-
-	procs := buildGroup(t, tc, "straggle", 1, 2, 3)
-	gid := groupOf(t, tc, procs[0], "straggle")
-	view, ok := tc.daemons[1].CurrentView(gid)
-	if !ok {
-		t.Fatal("no view at site 1")
-	}
-
-	// Everything from site 1 toward site 3 freezes: site 3 will see neither
-	// the original phase 1 nor the commit from the site-1 initiator.
-	tc.net.PauseLink(1, 3)
-	mid, err := tc.daemons[1].Multicast(procs[0].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("slow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand site 3 the phase-1 packet directly (as if it had squeaked through
-	// just before the pause): its member proposes, and the proposal reaches
-	// the initiator — which commits, but whose commit is now frozen.
-	tc.daemons[3].handleTransport(1, dataPkt(t, ABCAST, gid, view.ID, mid, view.RankOf(procs[0].addr), body("slow")).raw)
-
-	waitFor(t, "commit at sites 1 and 2", 5*time.Second, func() bool {
-		return procs[0].got("slow") && procs[1].got("slow")
-	})
-
-	// A later ABCAST from site 2 commits everywhere, but at site 3 it queues
-	// behind the uncommitted straggler.
-	if _, err := tc.daemons[2].Multicast(procs[1].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("later")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-solicitation must unblock site 3 while the initiator link is STILL
-	// frozen: the first ask (to the sender's site 1) gets no answer back,
-	// the rotation reaches site 2, which answers from its commit record.
-	waitFor(t, "straggler resolved at site 3 via re-solicitation", 10*time.Second, func() bool {
-		return procs[2].got("slow") && procs[2].got("later")
-	})
-	if si, li := bodyIndex(procs[2], "slow"), bodyIndex(procs[2], "later"); si > li {
-		t.Errorf("site 3 delivered the straggler after the later ABCAST (%d > %d): total order violated", si, li)
-	}
-
-	// Releasing the frozen original commit must not re-deliver.
-	tc.net.ResumeLink(1, 3)
-	time.Sleep(200 * time.Millisecond)
-	for i, p := range procs {
-		if n := countBody(p, "slow"); n != 1 {
-			t.Errorf("member %d delivered the straggler %d times, want 1", i, n)
+		fab.mu.Unlock()
+		if slices.Sort(got); !slices.Equal(got, c.want) {
+			t.Errorf("an ABCAST from site %d sent %v, want %v", c.from+1, got, c.want)
 		}
 	}
 }

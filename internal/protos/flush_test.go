@@ -14,148 +14,67 @@ import (
 
 func TestReconcile(t *testing.T) {
 	sender := addr.NewProcess(1, 0, 1)
-	failed := addr.NewProcess(2, 0, 1)
-	id := func(from addr.Address, seq uint64) core.MsgID { return core.MsgID{Sender: from, Seq: seq} }
+	id := func(seq uint64) core.MsgID { return core.MsgID{Sender: sender, Seq: seq} }
 	pkt := []byte("the packet, as encoded")
-	pending := func(id core.MsgID, prio uint64) abPendingWire {
-		return abPendingWire{ID: id, Priority: prio, Packet: pkt}
-	}
-	initiator := func(id core.MsgID, prio uint64) abPendingWire {
-		return abPendingWire{ID: id, Priority: prio, Packet: pkt, Init: true}
-	}
-	committed := func(id core.MsgID, final uint64) abPendingWire {
-		return abPendingWire{ID: id, Committed: true, Priority: final, Packet: pkt}
-	}
-	a := id(sender, 1)
+	cb := func(seq uint64) recentWire { return recentWire{ID: id(seq), Packet: pkt} }
+	ab := func(seq, n uint64) recentWire { return recentWire{ID: id(seq), Packet: pkt, Seq: n} }
 
 	for _, tc := range []struct {
 		name    string
 		reports map[addr.SiteID]pendingReport
-		failed  []addr.Address // the removal's targets, when it is a failure removal
-		abcasts []abPendingWire
-		fenced  []core.MsgID
-		recent  []core.MsgID
-		finals  []uint64 // the final each Recent entry carries, when any does
+		want    pendingReport
 	}{
 		{
-			name: "committed anywhere: forced everywhere at the final priority",
+			name: "delivered at some sites only: re-disseminated, and never fenced",
 			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{committed(a, 9)}},
-				2: {Abcasts: []abPendingWire{pending(a, 4)}},
-				3: {},
+				1: {cb(1), cb(2)},
+				2: {cb(2)},
 			},
-			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 9, Packet: pkt}},
+			want: pendingReport{cb(1)}, // seq 2 reached everybody
 		},
 		{
-			name: "delivered somewhere, pending elsewhere: completed at the exact recorded final",
+			name: "an ABCAST delivered somewhere goes with the holder's number for it",
 			reports: map[addr.SiteID]pendingReport{
-				1: {Recent: []recentWire{{ID: a, Packet: pkt, Priority: 7}}},
-				2: {Abcasts: []abPendingWire{pending(a, 11)}}, // a higher proposal must not win
-				3: {Abcasts: []abPendingWire{pending(a, 3)}},
+				1: {ab(1, 7), ab(2, 8)},
+				2: {ab(1, 7)},
+				3: {},
 			},
-			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 7, Packet: pkt}},
-			recent:  []core.MsgID{a},
-			finals:  []uint64{7},
+			want: pendingReport{ab(1, 7), ab(2, 8)},
 		},
 		{
 			name: "delivered somewhere, unknown elsewhere: re-disseminated at the recorded final",
 			reports: map[addr.SiteID]pendingReport{
-				1: {Recent: []recentWire{{ID: a, Packet: pkt, Priority: 7}}},
+				1: {ab(1, 7)},
 				2: {},
 				3: {},
 			},
-			recent: []core.MsgID{a},
-			finals: []uint64{7},
+			want: pendingReport{ab(1, 7)},
 		},
 		{
-			name: "uncommitted from the failed sender: discarded everywhere",
+			// Site 3's copy is still on the holder's link to it.
+			name: "delivered somewhere, pending elsewhere: completed at the exact recorded final",
 			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{pending(id(failed, 1), 5)}},
-				3: {Abcasts: []abPendingWire{pending(id(failed, 1), 6)}},
+				1: {ab(1, 7), cb(2)},
+				2: {cb(2), ab(1, 7)},
+				3: {cb(2)},
 			},
-			failed:  []addr.Address{failed},
-			abcasts: []abPendingWire{{ID: id(failed, 1)}},
+			want: pendingReport{ab(1, 7)},
 		},
 		{
-			name: "a failure removal of somebody else does not discard",
+			name: "delivered everywhere: nothing to re-disseminate",
 			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{initiator(a, 5)}},
-				3: {Abcasts: []abPendingWire{pending(a, 6)}},
+				1: {ab(1, 7), cb(2)},
+				2: {cb(2), ab(1, 7)},
 			},
-			failed:  []addr.Address{failed},
-			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 6, Packet: pkt}},
-		},
-		{
-			// A round targets a suspected site too; the flush that removes it
-			// drives the round on the acked sites' reports.
-			name: "a failed target that never proposed: driven at the maximum of the acked proposals",
-			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{pending(a, 7)}},
-				2: {Abcasts: []abPendingWire{initiator(a, 3)}},
-			},
-			failed:  []addr.Address{addr.NewProcess(3, 0, 1)},
-			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 7, Packet: pkt}},
-		},
-		{
-			name: "seen in every report: completed at the maximum proposal",
-			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{initiator(a, 2)}},
-				2: {Abcasts: []abPendingWire{pending(a, 8)}},
-				3: {Abcasts: []abPendingWire{pending(a, 5)}},
-			},
-			abcasts: []abPendingWire{{ID: a, Committed: true, Priority: 8, Packet: pkt}},
-		},
-		{
-			name: "missing from a report, initiator present: fenced",
-			reports: map[addr.SiteID]pendingReport{
-				1: {Abcasts: []abPendingWire{initiator(a, 2)}},
-				2: {Abcasts: []abPendingWire{pending(a, 8)}},
-				3: {},
-			},
-			fenced: []core.MsgID{a},
-		},
-		{
-			name: "missing from a report, no initiator: left pending",
-			reports: map[addr.SiteID]pendingReport{
-				2: {Abcasts: []abPendingWire{pending(a, 8)}},
-				3: {},
-			},
-		},
-		{
-			name: "delivered at some sites only: re-disseminated, and never fenced",
-			reports: map[addr.SiteID]pendingReport{
-				1: {Recent: []recentWire{{ID: a, Packet: pkt}, {ID: id(sender, 2), Packet: pkt}}},
-				2: {Recent: []recentWire{{ID: id(sender, 2), Packet: pkt}}},
-			},
-			recent: []core.MsgID{a}, // seq 2 reached everybody
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out := reconcile(tc.reports, tc.failed != nil, tc.failed)
-			if !slices.EqualFunc(out.Abcasts, tc.abcasts, func(x, y abPendingWire) bool {
-				return x.ID == y.ID && x.Committed == y.Committed && x.Priority == y.Priority && bytes.Equal(x.Packet, y.Packet)
+			out := reconcile(tc.reports)
+			slices.SortFunc(out, func(x, y recentWire) int { return int(x.ID.Seq) - int(y.ID.Seq) })
+			if !slices.EqualFunc(out, tc.want, func(x, y recentWire) bool {
+				return x.ID == y.ID && x.Seq == y.Seq && bytes.Equal(x.Packet, y.Packet)
 			}) {
-				t.Errorf("Abcasts = %+v, want %+v", out.Abcasts, tc.abcasts)
-			}
-			if !slices.Equal(out.Fenced, tc.fenced) {
-				t.Errorf("Fenced = %v, want %v", out.Fenced, tc.fenced)
-			}
-			var recent []core.MsgID
-			var finals []uint64
-			for _, r := range out.Recent {
-				if !bytes.Equal(r.Packet, pkt) {
-					t.Errorf("Recent entry %v carries no packet to re-deliver", r.ID)
-				}
-				recent = append(recent, r.ID)
-				if r.Priority != 0 {
-					finals = append(finals, r.Priority)
-				}
-			}
-			if !slices.Equal(recent, tc.recent) {
-				t.Errorf("Recent = %v, want %v", recent, tc.recent)
-			}
-			if !slices.Equal(finals, tc.finals) {
-				t.Errorf("finals carried by Recent = %v, want %v", finals, tc.finals)
+				t.Errorf("re-disseminated %+v, want %+v", out, tc.want)
 			}
 		})
 	}
@@ -286,9 +205,9 @@ func TestDecideFlush(t *testing.T) {
 		id := core.MsgID{Sender: p1, Seq: 1}
 		pkt := []byte{wireVersion, ptData}
 		acks := answered(1, 2)
-		acks[1] = prepareAck{report: pendingReport{Recent: []recentWire{{ID: id, Packet: pkt}}}}
+		acks[1] = prepareAck{report: pendingReport{{ID: id, Packet: pkt}}}
 		dec := decideFlush(flushRound{kind: gbUser, view: view(2, p1, p2), self: 1, acks: acks})
-		if len(dec.rebcast.Recent) != 1 || dec.rebcast.Recent[0].ID != id {
+		if len(dec.rebcast) != 1 || dec.rebcast[0].ID != id {
 			t.Fatalf("rebcast = %+v, want the message site 2 missed re-disseminated", dec.rebcast)
 		}
 	})

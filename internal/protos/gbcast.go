@@ -1,6 +1,7 @@
 package protos
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -265,43 +266,15 @@ func (d *Daemon) prepareLocalLocked(gid addr.Address, targets []addr.Address, se
 	return ack
 }
 
-// buildReportLocked summarises the copy's pending and recently delivered
-// messages, plus the phase-2 state of any ABCAST this site is initiating (the
-// priorities collected so far), so a GBCAST flush sees every in-flight ABCAST
-// the site knows about. An uncommitted entry reports the priority proposed
-// for it, a committed entry its final priority. Caller holds d.mu.
+// buildReportLocked lists the copy's recent deliveries, each as the bytes it
+// travelled as, for a GBCAST flush to re-disseminate to the sites that missed
+// it. Caller holds d.mu.
 func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
-	var rep pendingReport
-	idx := make(map[core.MsgID]int)
-	for _, p := range gs.total.Pending() {
-		e := abPendingWire{ID: p.ID, Committed: p.Committed, Priority: p.Priority}
-		if pkt, _ := p.Payload.(*dataPacket); pkt != nil {
-			e.Packet = pkt.raw
-		}
-		idx[p.ID] = len(rep.Abcasts)
-		rep.Abcasts = append(rep.Abcasts, e)
-	}
-	for id, st := range gs.rounds {
-		if i, ok := idx[id]; ok {
-			e := &rep.Abcasts[i]
-			if !e.Committed && st.maxPrio > e.Priority {
-				e.Priority = st.maxPrio
-			}
-			if e.Packet == nil {
-				e.Packet = st.packet.raw
-			}
-			e.Init = true
-			continue
-		}
-		idx[id] = len(rep.Abcasts)
-		rep.Abcasts = append(rep.Abcasts, abPendingWire{ID: id, Priority: st.maxPrio, Packet: st.packet.raw, Init: true})
-	}
-	for _, id := range gs.recent.Keys() {
+	keys := gs.recent.Keys()
+	rep := make(pendingReport, len(keys))
+	for i, id := range keys {
 		e, _ := gs.recent.Get(id)
-		if e.prio == 0 {
-			e.prio, _ = gs.finals.Get(id)
-		}
-		rep.Recent = append(rep.Recent, recentWire{ID: id, Packet: e.raw, Priority: e.prio})
+		rep[i] = recentWire{ID: id, Packet: e.raw, Seq: e.seq}
 	}
 	return rep
 }
@@ -406,11 +379,12 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 		gs.marks.Record(reqID)
 	}
 
-	// Step 1: everything the flush resolved is delivered (or discarded)
-	// before the GBCAST point.
-	fenced := d.applyRebcastLocked(gs, p.report)
+	// Step 1: what some member delivered is delivered here too, before the
+	// GBCAST point.
+	d.applyRebcastLocked(gs, p.report)
 
 	// Step 2: apply the membership change or deliver the user payload.
+	prev := gs.view
 	var wrong []wrongRemoval
 	switch kind {
 	case gbUser:
@@ -428,32 +402,17 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 		}
 	}
 
-	// Restart fenced ABCASTs this site initiated: a fresh protocol round
-	// (higher attempt — stale proposals to the old round are filtered) under
-	// the view just installed. The old round's completion, if this flush
-	// parked it, finds the state replaced and stands down. A site whose last
-	// member was removed by this very change retires the round instead — the
-	// message is dropped, exactly as if its sender had failed.
-	for _, st := range fenced {
-		gs.retire(st)
-		if len(gs.members) == 0 {
-			continue
-		}
-		// A new header in front of the payload bytes the fenced packet went out
-		// with.
-		pkt := *st.packet
-		pkt.view, pkt.attempt = gs.view.ID, pkt.attempt+1
-		_ = pkt.encode() // nothing is marshalled, nothing can fail
-		d.initiateAbcastLocked(gs, &pkt)
-	}
-
-	// Step 3: the flush is over, and what it held back is taken up again. A
-	// site left with no members drops the group state entirely first, so what
-	// it held back finds no copy; its flush ends as the commit's all the same.
+	// Step 3: the flush is over. This site's submissions the flush did not
+	// deliver go to the holder the view names if it is another, and what the
+	// flush held back is taken up again. A site left with no members drops the
+	// group state entirely first, so what it held back finds no copy (its
+	// submissions go with it, as a failed sender's would); its flush ends as
+	// the commit's all the same.
 	if len(gs.members) == 0 {
 		d.dropGroupLocked(gid, inCommit)
 		d.remoteViews[gid] = newView.Clone()
 	} else {
+		d.resubmitLocked(gs, prev)
 		d.step(gs, inCommit)
 	}
 
@@ -465,24 +424,22 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 	}
 }
 
-// applyRebcastLocked carries out a commit's reconciliation instructions at
-// this site and returns the fenced ABCAST rounds this site initiated (the
-// caller restarts them under the new view). Caller holds d.mu.
-func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced []*abSendState) {
-	gid := gs.view.Group
-	// Re-disseminated messages take the one way into delivery, the queue of
-	// their protocol, skipping anything already delivered here. Handed to the
-	// members as the list has them — reconcile builds it by ranging over a map
-	// — they arrived out of sender order, and an ABCAST ahead of its place. An
-	// ABCAST is committed at the final the delivering site recorded and comes
-	// out in its turn; a CBCAST of the installed view waits for its causal
-	// predecessors, which the list also holds (one whose predecessor has left
-	// every site's recent log waits until the view goes). Only a CBCAST of
-	// another view — closed, or one a lagging copy never installed — is handed
-	// straight over: its timestamp means nothing to this view's clock, and
-	// handleDataLocked turns such a packet away from now on. A packet travels in
-	// the commit as the bytes it was sent as and is decoded here, to be delivered.
-	for _, rc := range rec.Recent {
+// applyRebcastLocked delivers what a commit re-disseminates that this site
+// missed, each packet the way its protocol takes into delivery, skipping
+// anything already delivered here. A packet travels in the commit as the bytes
+// it was sent as and is decoded here, to be delivered. The list comes in no
+// useful order — reconcile builds it by ranging over a map — so the ABCASTs,
+// always a suffix of the holder's stream this site did not get, are delivered
+// in the holder's order (view, then number); a CBCAST of the installed view
+// waits in the causal queue for its predecessors, which the list also holds
+// (one whose predecessor has left every site's recent log waits until the view
+// goes). Only a CBCAST of another view — closed, or one a lagging copy never
+// installed — is handed straight over: its timestamp means nothing to this
+// view's clock, and handleDataLocked turns such a packet away from now on.
+// Caller holds d.mu.
+func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) {
+	var abcasts []*dataPacket
+	for _, rc := range rec {
 		if _, have := gs.recent.Get(rc.ID); have {
 			continue
 		}
@@ -490,7 +447,7 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 		switch {
 		case !ok:
 		case pkt.proto == ABCAST:
-			d.deliverTotalLocked(gs, gs.total.ForceCommit(rc.ID, pkt, rc.Priority))
+			abcasts = append(abcasts, pkt)
 		case pkt.view == gs.view.ID:
 			d.processCbcastLocked(gs, pkt)
 		default:
@@ -498,39 +455,10 @@ func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) (fenced [
 			d.deliverDataLocked(gs, pkt)
 		}
 	}
-	// Fenced ABCASTs next: the message could not be completed on this side
-	// of the view change, so every member discards its phase-1 state; the
-	// site that initiated one restarts its round once the membership change
-	// is installed, so every member delivers the message after the GBCAST
-	// point. The discards run before the completions driven underneath: a
-	// driven commit must not stay blocked behind an entry the flush is about
-	// to fence (the site-local queue would deliver it after the GBCAST point
-	// while other sites deliver it before — the very divergence this
-	// protocol closes).
-	for _, id := range rec.Fenced {
-		d.bus.Publish(events.Event{Kind: events.AbcastFenced, Group: gid, Msg: id})
-		d.deliverTotalLocked(gs, gs.total.Discard(id))
-		if st, ok := gs.rounds[id]; ok {
-			fenced = append(fenced, st)
-		}
+	slices.SortFunc(abcasts, func(a, b *dataPacket) int { return cmp.Or(cmp.Compare(a.view, b.view), cmp.Compare(a.seq, b.seq)) })
+	for _, pkt := range abcasts {
+		d.deliverAbcastLocked(gs, pkt)
 	}
-	for _, ab := range rec.Abcasts {
-		if ab.Committed {
-			gs.recordFinal(ab.ID, ab.Priority)
-			pkt, _ := parseDataPacket(ab.Packet) // used only where the message is not yet pending
-			d.deliverTotalLocked(gs, gs.total.ForceCommit(ab.ID, pkt, ab.Priority))
-		} else {
-			d.deliverTotalLocked(gs, gs.total.Discard(ab.ID))
-		}
-		// The flush resolved this in-flight ABCAST (completed or discarded);
-		// if this site initiated it, its own protocol round is over. The
-		// retire releases the sender's Flush and stops the round's deadline
-		// from fanning out a conflicting commit.
-		if st, ok := gs.rounds[ab.ID]; ok {
-			gs.retire(st)
-		}
-	}
-	return fenced
 }
 
 // ghostMembersLocked returns the view members listed at this site that this
@@ -830,8 +758,8 @@ func (d *Daemon) handleStateAckLocked(h stateHeader) {
 // in flight to it are ended first (endCallsLocked), so their callers re-route
 // to a successor instead of waiting out the call timeout. If this daemon hosts
 // the acting coordinator of a group with members at the dead site, it requests
-// their removal, whose flush drives or fences the ABCASTs still waiting on the
-// site. When the dead site hosted the group's previous acting coordinator, the
+// their removal, whose flush carries to every survivor what any of them
+// delivered. When the dead site hosted the group's previous acting coordinator, the
 // removal is forced: the old coordinator may have died mid-flush — members
 // wedged by its prepare, its commit delivered to only some of them, its gbQueue
 // lost — so the successor must re-run the full wedge/flush even if the

@@ -25,30 +25,22 @@ import (
 var goldenWire = map[string]string{
 	"ack": "0119" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "02" + "38" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
-		"ef00050002010100000007000000000000002a000000000000004d030000006c01150002100001000100020000000300" +
-		"000000000000050002010100000007000000000000002a0004084073657373696f6e0300000008000000000000000901" +
-		"6e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400020101" +
-		"00000007000000000000002b000000000000000300000000000002010100000007000000000000002a00000000000000" +
-		"00040000008601150101100001000100020000000300000000000000050002010100000007000000000000002a000300" +
-		"00000000000003000000000000000000000000000000090004084073657373696f6e0300000008000000000000000901" +
-		"6e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400020101" +
-		"000000070000000000000029000000000000000c040000006c0115000210000100010002000000030000000000000005" +
-		"0002010100000007000000000000002a0004084073657373696f6e03000000080000000000000009016e030000000800" +
-		"000000000030390170010000000c68656c6c6f2c20776f726c6401730200000004746578740002010100000007000000" +
-		"000000002c0000000000000000080000000000010002010100000007",
+		"ef00020002010100000007000000000000002a0000000000000000040000008601210101100001000100020000000300" +
+		"000000000000050002010100000007000000000000002a00030000000000000003000000000000000000000000000000" +
+		"090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68" +
+		"656c6c6f2c20776f726c6401730200000004746578740002010100000007000000000000002900000000000000030400" +
+		"00007401210202100001000100020000000300000000000000050002010100000007000000000000002a000000000000" +
+		"00030004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c" +
+		"68656c6c6f2c20776f726c64017302000000047465787400010002010100000007",
 	"commit": "011a" + "0000000000000000" + "0001000200000003" + "03" + "0000000000000009" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "1e" +
 		"00010003020100abcdef00010002000000030000000000000006000562656e6368000300020101000000070001000100" +
-		"0000010003020100abcdef00050002010100000007000000000000002a000000000000004d030000006c011500021000" +
-		"01000100020000000300000000000000050002010100000007000000000000002a0004084073657373696f6e03000000" +
-		"080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c640173020000" +
-		"0004746578740002010100000007000000000000002b0000000000000003000000000000020101000000070000000000" +
-		"00002a000000000000000004000000860115010110000100010002000000030000000000000005000201010000000700" +
-		"0000000000002a00030000000000000003000000000000000000000000000000090004084073657373696f6e03000000" +
-		"080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c640173020000" +
-		"00047465787400020101000000070000000000000029000000000000000c040000006c01150002100001000100020000" +
-		"000300000000000000050002010100000007000000000000002a0004084073657373696f6e0300000008000000000000" +
-		"0009016e030000000800000000000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400" +
-		"02010100000007000000000000002c00000000000000000800000000",
+		"0000010003020100abcdef00020002010100000007000000000000002a00000000000000000400000086012101011000" +
+		"01000100020000000300000000000000050002010100000007000000000000002a000300000000000000030000000000" +
+		"00000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000000000" +
+		"30390170010000000c68656c6c6f2c20776f726c64017302000000047465787400020101000000070000000000000029" +
+		"000000000000000304000000740121020210000100010002000000030000000000000005000201010000000700000000" +
+		"0000002a00000000000000030004084073657373696f6e03000000080000000000000009016e03000000080000000000" +
+		"0030390170010000000c68656c6c6f2c20776f726c640173020000000474657874",
 	"done": "0117" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "01" + "08" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
 		"ef",
@@ -76,24 +68,45 @@ var goldenWire = map[string]string{
 // goldenData holds the ptData packets in their fixed layout (PR 24): envelope,
 // flags, protocol, entry, rank, group, view, id, the sections the flags select,
 // then the payload as it is marshalled. They replace the message-built "data",
-// "cbcast", "p2p" and "relay" of goldenWire, whose type number 1 is retired.
+// "cbcast", "p2p" and "relay" of goldenWire, whose type number 1 is retired,
+// and, under type 33, the same layouts under type 21, whose flag 2 section was
+// a fenced ABCAST's attempt and is now the holder's number for it.
 var goldenData = map[string]string{
-	"data": "0115" + "000210" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+	"data": "0121" + "000210" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
 		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
 		"6c6c6f2c20776f726c640173020000000474657874",
-	"cbcast": "0115" + "010110" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+	"sequenced": "0121" + "020210" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0000000000000003" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"cbcast": "0121" + "010110" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
 		"0003000000000000000300000000000000000000000000000009" +
 		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
 		"6c6c6f2c20776f726c640173020000000474657874",
-	"restart": "0115" + "020210" + "0001" + "0001000200000003" + "0000000000000006" + "0002010100000007" + "000000000000002a" +
-		"0000000000000002" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
-	"p2p": "0115" + "080100" + "0000" + "0000000000000000" + "0000000000000000" + "0002010100000007" + "000000000000002a" +
+	"p2p": "0121" + "080100" + "0000" + "0000000000000000" + "0000000000000000" + "0002010100000007" + "000000000000002a" +
 		"00010001000100000001" +
 		"000206407265706c7903000000080000000000000001084073657373696f6e03000000080000000000000009",
-	"relay": "0115" + "040110" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+	"relay": "0121" + "040110" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
 		"000000000000000500010000000000000008000000000000001f" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"abrelay": "0121" + "040210" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0000000000000000" + "0000" + "0000000000000000" + "000000000000001f" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+}
+
+// goldenRetired holds the last encodings the retired numbers 17, 18, 19 and 21
+// had: the proposal, commit and re-solicitation of the two-phase ABCAST (each
+// a 40-byte record: group, message id, priority, attempt) and a data packet
+// whose flag 2 section is a fenced ABCAST's attempt. A site drops each of them
+// unread.
+var goldenRetired = map[string]string{
+	"propose":   "0111" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000002",
+	"commit":    "0112" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000000",
+	"resolicit": "0113" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "0000000000000000" + "0000000000000000",
+	"restart": "0115" + "020210" + "0001" + "0001000200000003" + "0000000000000006" + "0002010100000007" + "000000000000002a" +
+		"0000000000000002" +
 		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
 		"6c6c6f2c20776f726c640173020000000474657874",
 }
@@ -108,10 +121,11 @@ func goldenDataPackets() map[string]*dataPacket {
 			PutInt(msg.FSession, 9)
 	}
 	return map[string]*dataPacket{
-		"data":   {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, payload: app()},
-		"cbcast": {proto: CBCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, vt: vclock.VC{3, 0, 9}, payload: app()},
-		// The ABCAST again, as its initiator restarts it after a fence.
-		"restart": {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 6, id: id, rank: 1, attempt: 2, payload: app()},
+		// An ABCAST as its sender submits it to the holder, and as the holder
+		// sends it on, third in the view.
+		"data":      {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, payload: app()},
+		"sequenced": {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, seq: 3, payload: app()},
+		"cbcast":    {proto: CBCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: 1, vt: vclock.VC{3, 0, 9}, payload: app()},
 		"p2p": {proto: CBCAST, id: id, dests: addr.List{addr.NewProcess(1, 0, 1)},
 			payload: msg.New().PutInt(msg.FSession, 9).PutInt(msg.FReply, 1)},
 		// A non-member's CBCAST on its way to the relay site, naming the stamp its
@@ -119,6 +133,9 @@ func goldenDataPackets() map[string]*dataPacket {
 		// goldenWire's "relayack". What the relay site fans out is "cbcast".
 		"relay": {proto: CBCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: -1,
 			after: relayStamp{view: 5, rank: 1, seq: 8}, call: 31, payload: app()},
+		// A non-member's ABCAST on its way to the relay site, which casts it as a
+		// member's there would be: "data" or "sequenced".
+		"abrelay": {proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: 5, id: id, rank: -1, call: 31, payload: app()},
 	}
 }
 
@@ -148,15 +165,8 @@ func goldenWireValues(t *testing.T) (map[string]any, map[string]byte) {
 	}
 	view := core.View{Group: gid, Name: "bench", ID: 6, Members: addr.List{sender, addr.NewProcess(1, 0, 1), joiner}}
 	report := pendingReport{
-		Abcasts: []abPendingWire{
-			{ID: id, Committed: true, Priority: 77, Packet: pkts["data"].raw, Init: true},
-			{ID: core.MsgID{Sender: sender, Seq: 43}, Priority: 3},
-		},
-		Recent: []recentWire{
-			{ID: id, Packet: pkts["cbcast"].raw, Priority: 0},
-			{ID: core.MsgID{Sender: sender, Seq: 41}, Packet: pkts["data"].raw, Priority: 12},
-		},
-		Fenced: []core.MsgID{{Sender: sender, Seq: 44}},
+		{ID: id, Packet: pkts["cbcast"].raw},
+		{ID: core.MsgID{Sender: sender, Seq: 41}, Packet: pkts["sequenced"].raw, Seq: 3},
 	}
 	rid := int64(77)<<32 | 1
 	return map[string]any{
@@ -278,47 +288,24 @@ func TestDataPacketMatchesGolden(t *testing.T) {
 			t.Errorf("%s: parse and re-marshal moved the bytes\n got %x\nwant %s", name, back.raw, want)
 		}
 	}
-	if dataHeaderBytes != 37 || envelopeBytes+dataHeaderBytes+2+3*8 != 65 {
-		t.Error("the data header moved: 39 bytes lead an ABCAST's payload, 65 a three-member CBCAST's")
+	if dataHeaderBytes != 37 || envelopeBytes+dataHeaderBytes+8 != 47 || envelopeBytes+dataHeaderBytes+2+3*8 != 65 {
+		t.Error("the data header moved: 47 bytes lead a sequenced ABCAST's payload, 65 a three-member CBCAST's")
 	}
 }
 
-// goldenFixed holds the packets that travel in a fixed layout instead of as a
-// marshalled message (PR 22): envelope, then the fields at fixed offsets.
+// goldenFixed holds the reply, the one packet with a fixed header before a
+// marshalled body that is not a data packet.
 var goldenFixed = map[string]string{
-	"propose":   "0111" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000002",
-	"commit":    "0112" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000000",
-	"resolicit": "0113" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "0000000000000000" + "0000000000000000",
 	"reply":     "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "01" + "00010173020000000474657874",
 	"nullreply": "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "02" + "0000",
 }
 
-// TestFixedLayoutMatchesGolden checks the fixed-layout packets both ways:
-// today's encoders produce the golden bytes, and the golden bytes parse to the
-// record they were built from and encode to themselves again.
+// TestFixedLayoutMatchesGolden checks the reply's layout both ways: today's
+// encoder produces the golden bytes, and the golden bytes parse to the header
+// they were built from and encode to themselves again. It also pins the type
+// numbers: retired ones stay retired, and a changed layout is appended.
 func TestFixedLayoutMatchesGolden(t *testing.T) {
-	sender, gid := addr.NewProcess(2, 1, 7), addr.NewGroup(1, 0, 3)
-	id := core.MsgID{Sender: sender, Seq: 42}
-	records := map[string]abRecord{
-		"propose":   {group: gid, id: id, prio: 77, attempt: 2},
-		"commit":    {group: gid, id: id, prio: 77},
-		"resolicit": {group: gid, id: id},
-	}
-	types := map[string]byte{"propose": ptAbPropose, "commit": ptAbCommit, "resolicit": ptAbResolicit}
-	for name, r := range records {
-		want := goldenFixed[name]
-		if got := hex.EncodeToString(r.encode(types[name])); got != want {
-			t.Errorf("%s: encoding moved\n got %s\nwant %s", name, got, want)
-		}
-		old, _ := hex.DecodeString(want)
-		back, ok := parseAbRecord(old[envelopeBytes:])
-		if !ok || back != r {
-			t.Errorf("%s: golden bytes parse to %+v (ok=%v), want %+v", name, back, ok, r)
-		}
-		if got := hex.EncodeToString(back.encode(old[1])); got != want {
-			t.Errorf("%s: parse and re-encode moved the bytes\n got %s\nwant %s", name, got, want)
-		}
-	}
+	sender := addr.NewProcess(2, 1, 7)
 	replies := map[string]struct {
 		h    replyHeader
 		body *msg.Message
@@ -344,10 +331,16 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 			t.Errorf("%s: parse and re-encode moved the bytes (err %v)\n got %x\nwant %s", name, err, again, want)
 		}
 	}
-	if len(records)+len(replies) != len(goldenFixed) {
-		t.Errorf("%d cases for %d golden encodings", len(records)+len(replies), len(goldenFixed))
+	if len(replies) != len(goldenFixed) {
+		t.Errorf("%d cases for %d golden encodings", len(replies), len(goldenFixed))
 	}
-	if wireVersion != 1 || ptAbPropose != 17 || ptReply != 20 || ptData != 21 || ptGbRequest != 22 || ptRelayAck != 32 {
+	for name, h := range goldenRetired {
+		raw, _ := hex.DecodeString(h)
+		if _, ok := parseDataPacket(raw); ok || raw[1] == ptReply || raw[1] >= ptGbRequest {
+			t.Errorf("%s: type %d is not retired", name, raw[1])
+		}
+	}
+	if wireVersion != 1 || ptReply != 20 || ptGbRequest != 22 || ptRelayAck != 32 || ptData != 33 {
 		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

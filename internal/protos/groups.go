@@ -422,18 +422,16 @@ func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int
 	go d.coordinatorCall(gid, &gbPacket{kind: kind, group: gid.Base(), procs: procs, force: force})
 }
 
-// dropGroupLocked forgets a group this site no longer hosts. An ABCAST round
-// this site still has open in the copy is over too: there is no local copy left
-// to commit into, and the flush or merge that emptied the site has settled the
-// message's fate at the sites that remain. The copy's lifecycle ends last, a
-// flush still open on it by the input given — inCommit when the commit that
-// removed the site's last member ends it, as it ends every other copy's — so
-// what the flush parked finds no group and no round. Caller holds d.mu.
+// dropGroupLocked forgets a group this site no longer hosts, and with the copy
+// its submissions, which no member here waits for any more. The copy's
+// lifecycle ends last, a flush still open on it by the input given — inCommit
+// when the commit that removed the site's last member ends it, as it ends
+// every other copy's — so what the flush parked finds no group. Caller holds
+// d.mu.
 func (d *Daemon) dropGroupLocked(gid addr.Address, flushEnd input) {
 	gs, ok := d.groups[gid]
 	delete(d.groups, gid)
 	if ok {
-		clear(gs.rounds)
 		d.step(gs, flushEnd)
 		d.step(gs, inDrop)
 	}

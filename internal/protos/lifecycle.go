@@ -18,9 +18,9 @@ type phase uint8
 const (
 	// phaseNormal: primary and open; multicasts are sent and delivered.
 	phaseNormal phase = iota
-	// phaseFlushing: wedged by a GBCAST prepare. Senders block, incoming data
-	// and ABCAST commits and this site's own ABCAST completions are parked,
-	// until the commit (or a notice, or the watchdog) ends the flush.
+	// phaseFlushing: wedged by a GBCAST prepare. Senders block and incoming
+	// data packets are parked, until the commit (or a notice, or the watchdog)
+	// ends the flush.
 	phaseFlushing
 	// phaseNonPrimary: stranded in a minority partition, read-only. Writes
 	// are refused at once; what arrives is still delivered.
@@ -119,23 +119,12 @@ func next(p phase, in input) (phase, effects) {
 	return p, 0
 }
 
-// heldPacket is a packet whose processing is deferred while the group is
-// flushing: a ptData packet, or (pkt nil) an ABCAST commit record.
+// heldPacket is a data packet whose processing is deferred while the group is
+// flushing (a packet handler finishes in one hold of d.mu and may not wait),
+// and the site it came from; a relay this site asked of itself is one.
 type heldPacket struct {
-	from   addr.SiteID
-	pkt    *dataPacket
-	commit abRecord
-}
-
-// parked is the work a flush holds back at one group copy: data packets (a
-// relay this site asked of itself among them) and ABCAST commits that arrived,
-// and ABCAST rounds this site initiated whose
-// completion came due (a packet handler, the scan tick and the failure handler
-// finish in one hold of d.mu and may not wait). step feeds it all back in when
-// the flush ends.
-type parked struct {
-	pkts   []heldPacket
-	rounds []*abSendState
+	from addr.SiteID
+	pkt  *dataPacket
 }
 
 // step feeds one input to a group copy's lifecycle and performs the effects
@@ -154,8 +143,8 @@ func (d *Daemon) step(gs *groupState, in input) {
 		// after its coordinator's round ended, e.g. across a partition heal —
 		// would freeze the group forever. 4x the call timeout comfortably
 		// exceeds the longest legitimate flush (concurrent prepares retry up
-		// to 3 calls before the commit follows). The scan tick
-		// (resolicitStragglers) feeds inWatchdog once the deadline has passed.
+		// to 3 calls before the commit follows). The scan tick (scanTick)
+		// feeds inWatchdog once the deadline has passed.
 		gs.flushDeadline = d.deadlineLocked(4 * d.cfg.CallTimeout)
 	}
 	if fx&fxEndFlush != 0 {
@@ -186,25 +175,16 @@ var flushEndDetail = [numInputs]string{
 	inDrop:       "group dropped",
 }
 
-// refeedLocked takes up again what the flush that just ended at a copy held
-// back, data packets and commit records each to their own handler. The
-// copy's flush is over and no other can begin inside this hold of d.mu, so
-// nothing is parked twice; what belonged to a copy since dropped
-// (dropGroupLocked) finds no group — a relay is refused, as by any site that
-// hosts none — and no round left to complete. Called by step alone; caller
-// holds d.mu.
+// refeedLocked takes up again the data packets the flush that just ended at a
+// copy held back. The copy's flush is over and no other can begin inside this
+// hold of d.mu, so nothing is parked twice; what belonged to a copy since
+// dropped (dropGroupLocked) finds no group — a relay is refused, as by any
+// site that hosts none. Called by step alone; caller holds d.mu.
 func (d *Daemon) refeedLocked(gs *groupState) {
 	rel := gs.parked
-	gs.parked = parked{}
-	for _, h := range rel.pkts {
-		if h.pkt == nil {
-			d.handleAbCommitLocked(h.from, h.commit)
-		} else {
-			d.handleDataLocked(h.from, h.pkt)
-		}
-	}
-	for _, st := range rel.rounds {
-		d.completeAbcastLocked(gs, st)
+	gs.parked = nil
+	for _, h := range rel {
+		d.handleDataLocked(h.from, h.pkt)
 	}
 }
 

@@ -293,7 +293,7 @@ func TestOneLockHoldPerStep(t *testing.T) {
 			// A call's answer is read by await alone: elsewhere the only channels
 			// received from are the scan loop's stop signal and ticker, and New's
 			// start gate.
-			receives := map[string]string{"d.stopScan": "runResolicitScan", "t.C": "runResolicitScan", "whole": "New"}
+			receives := map[string]string{"d.stopScan": "runScan", "t.C": "runScan", "whole": "New"}
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW && fn.Name.Name != "await" {
 					if ch := types.ExprString(u.X); receives[ch] != fn.Name.Name {
@@ -323,7 +323,7 @@ func TestOneLockHoldPerStep(t *testing.T) {
 	// handleTransport holds d.mu once for every packet, by defer, and
 	// dispatches only to handlers that are handed the lock.
 	handlers := daemonCalls(funcs["handleTransport"])
-	if len(handlers) < 12 {
+	if len(handlers) < 9 {
 		t.Fatalf("found only %v: the check is not looking at handleTransport's dispatch", handlers)
 	}
 	for _, name := range handlers {
@@ -331,7 +331,7 @@ func TestOneLockHoldPerStep(t *testing.T) {
 			t.Errorf("a packet is dispatched to %s, which is not handed d.mu", name)
 		}
 	}
-	for _, name := range []string{"handleTransport", "resolicitStragglers", "handleSiteFailure"} {
+	for _, name := range []string{"handleTransport", "scanTick", "handleSiteFailure"} {
 		if locks, unlocks, deferred := muUse(funcs[name]); locks != 1 || unlocks != 1 || deferred != 1 {
 			t.Errorf("%s: %d d.mu.Lock(), %d d.mu.Unlock(), %d deferred; a step locks once and unlocks by defer", name, locks, unlocks, deferred)
 		}

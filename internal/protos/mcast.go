@@ -4,12 +4,12 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/msg"
 )
 
@@ -27,8 +27,11 @@ var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
 // selected primitive (Section 3.2 "bc_mcast"). The destination list may
 // contain one group address and any number of process addresses. CBCAST and
 // ABCAST are asynchronous: the call returns as soon as the message has been
-// handed to the network. GBCAST is synchronous: it returns once the
-// globally-ordered delivery has been committed at the group.
+// handed to the network. An ABCAST cast at the site of the view's oldest member
+// (its holder) is numbered there and delivered at once, as a CBCAST is; one cast
+// anywhere else is submitted to the holder and delivered when the holder sends
+// it back numbered (Flush waits for that). GBCAST is synchronous: it returns
+// once the globally-ordered delivery has been committed at the group.
 //
 // The daemon takes ownership of payload: it is marshalled into the wire packet
 // once and then handed, itself, to the last local destination (the others get
@@ -231,9 +234,8 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 		d.counters.CBCASTs++
 		_, err = d.sendMemberCbcastLocked(gs, ms, pkt)
 	case ABCAST:
-		if err = pkt.encode(); err == nil {
-			d.initiateAbcastLocked(gs, pkt)
-		}
+		d.counters.ABCASTs++
+		err = d.castAbcastLocked(gs, pkt)
 	default:
 		err = ErrBadProtocol
 	}
@@ -368,7 +370,7 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayS
 	case gs == nil:
 		return relayStamp{}, ErrUnknownGroup
 	case gs.phase == phaseFlushing:
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
+		gs.parked = append(gs.parked, heldPacket{from: from, pkt: pkt})
 		return relayStamp{}, errRelayHeld
 	case !gs.phase.primary():
 		return relayStamp{}, ErrNonPrimary
@@ -377,14 +379,11 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayS
 	case CBCAST:
 		return d.relayCbcastLocked(gs, pkt)
 	case ABCAST:
-		// The round runs under this site's view, whatever view the sender had
-		// cached: the member sites turn away phase 1 of a view they have closed.
-		pkt.view, pkt.call = gs.view.ID, 0 // a new header, no longer a request
-		if err := pkt.encode(); err != nil {
-			return relayStamp{}, err
-		}
-		d.initiateAbcastLocked(gs, pkt)
-		return relayStamp{}, nil
+		// Cast as a member's here would be, under this site's view whatever view
+		// the sender had cached: the member sites turn away a numbered packet
+		// of a view they have closed.
+		d.counters.ABCASTs++
+		return relayStamp{}, d.castAbcastLocked(gs, pkt)
 	}
 	return relayStamp{}, ErrBadProtocol
 }
@@ -414,193 +413,90 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp,
 }
 
 // ---------------------------------------------------------------------------
-// ABCAST initiator side
+// ABCAST: the holder's FIFO stream
 
-// initiateAbcastLocked runs the initiator's side of phase 1 for one ABCAST:
-// it sets up the round in the copy, proposes locally and ships the encoded
-// packet to the remote member sites, or — with nobody to wait for — completes
-// the round at once. Until it is retired the round holds its sender's Flush.
-// The packet's attempt is 0 for a fresh ABCAST and counts up when a GBCAST
-// flush fences the message and restarts it. Every other member site is a
-// target, a suspected one too: one that never answers holds the round until
-// the flush that removes it drives or fences the message (reconcile), or the
-// scan tick completes the round at its deadline. Caller holds d.mu.
-func (d *Daemon) initiateAbcastLocked(gs *groupState, pkt *dataPacket) {
-	st := &abSendState{
-		maxPrio:  gs.total.Propose(pkt.id, pkt),
-		packet:   pkt,
-		deadline: d.deadlineLocked(d.cfg.CallTimeout),
-	}
-	for _, s := range gs.view.SitesOf() {
-		if s != d.site {
-			st.targets = append(st.targets, s)
+// holder is the site that numbers the ABCASTs of a view, its oldest member's:
+// the order of its FIFO stream to every member site is the total order.
+func holder(v core.View) addr.SiteID { return v.Coordinator().Site }
+
+// castAbcastLocked sends an ABCAST of the copy gs, a member's cast or one this
+// site relays for a non-member. The holder numbers it at once; any other site
+// keeps it among the copy's submissions and sends it to the holder alone,
+// which sends it back numbered with everybody else's. Caller holds d.mu.
+func (d *Daemon) castAbcastLocked(gs *groupState, pkt *dataPacket) error {
+	pkt.view, pkt.call = gs.view.ID, 0 // a relay's new header, no longer a request
+	if h := holder(gs.view); h != d.site {
+		if err := pkt.encode(); err != nil {
+			return err
 		}
+		gs.submitted[pkt.id] = pkt
+		return d.sendRaw(h, pkt.raw)
 	}
-	st.waiting = append(st.waiting, st.targets...)
-	gs.rounds[pkt.id] = st
-	if pkt.attempt == 0 {
-		// A fence restart re-runs the protocol for a message already counted
-		// when it was first initiated.
-		d.counters.ABCASTs++
+	return d.sequenceLocked(gs, pkt)
+}
+
+// sequenceLocked is the holder's step for an ABCAST of the copy gs, its own or
+// a submission: it numbers the packet next in the view (from 1 in each view,
+// so no count crosses a flush), encodes it once, fans it out to every other
+// member site, the submitter's included, and delivers it here, all in one
+// hold. Caller holds d.mu.
+func (d *Daemon) sequenceLocked(gs *groupState, pkt *dataPacket) error {
+	pkt.view, pkt.seq = gs.view.ID, 1
+	if gs.abView == gs.view.ID {
+		pkt.seq = gs.abSeq + 1
 	}
-	if len(st.targets) == 0 {
-		st.done = true
-		d.completeAbcastLocked(gs, st)
+	if err := pkt.encode(); err != nil {
+		return err
+	}
+	d.fanoutRaw(gs.view.SitesOf(), pkt.raw)
+	d.deliverAbcastLocked(gs, pkt)
+	return nil
+}
+
+// deliverAbcastLocked delivers a numbered ABCAST that comes after the last one
+// the copy delivered, and drops a second copy. What the holder numbered is
+// delivered as it arrives: its stream brings every packet of a view in order,
+// and a flush re-disseminates a missing suffix of it in order too. Caller
+// holds d.mu.
+func (d *Daemon) deliverAbcastLocked(gs *groupState, pkt *dataPacket) {
+	if pkt.view < gs.abView || pkt.view == gs.abView && pkt.seq <= gs.abSeq {
 		return
 	}
-	// Phase 1 was marshalled once and is shared by every remote member site
-	// (the target list is fixed once the round is set up).
-	d.fanoutRaw(st.targets, pkt.raw)
+	gs.abView, gs.abSeq = pkt.view, pkt.seq
+	delete(gs.submitted, pkt.id)
+	d.recordRecentLocked(gs, pkt.id, pkt.raw, pkt.seq)
+	d.deliverDataLocked(gs, pkt)
 }
 
-// retire ends an initiator round, whichever way it ends: the round leaves the
-// copy and is marked done, so it (and the packet it holds) is garbage at once.
-// Caller holds d.mu.
-func (gs *groupState) retire(st *abSendState) {
-	if id := st.packet.id; gs.rounds[id] == st {
-		delete(gs.rounds, id)
-	}
-	st.done = true
-}
-
-// proposalInLocked records that site s answered phase 1 and reports whether
-// that completed the round: the caller must then call completeAbcastLocked.
-// Caller holds d.mu.
-func (st *abSendState) proposalInLocked(s addr.SiteID) bool {
-	i := slices.Index(st.waiting, s)
-	if i < 0 {
-		return false
-	}
-	last := len(st.waiting) - 1
-	st.waiting[i] = st.waiting[last]
-	st.waiting = st.waiting[:last]
-	if last == 0 && !st.done {
-		st.done = true
-		return true
-	}
-	return false
-}
-
-// handleAbProposeLocked processes a phase-1 response at the initiator.
-// Proposals carry the attempt number of the phase-1 packet they answer; a
-// response to a previous attempt (sent before a GBCAST flush fenced and
-// restarted the ABCAST) is ignored, so the final priority is always the
-// maximum over one coherent proposal round. Caller holds d.mu.
-func (d *Daemon) handleAbProposeLocked(from addr.SiteID, r abRecord) {
-	gs, ok := d.groups[r.group.Base()]
-	if !ok {
+// resubmitLocked follows a view change at the copy gs: its submissions went to
+// the holder of prev, and when the view installed now names another holder
+// they go to it, in the order they were cast (this site numbers them itself
+// when it is the holder now). A submission of a process since observed to fail
+// is dropped, as the holder would refuse it. Caller holds d.mu.
+func (d *Daemon) resubmitLocked(gs *groupState, prev core.View) {
+	if len(gs.submitted) == 0 {
 		return
 	}
-	st, ok := gs.rounds[r.id]
-	if !ok || r.attempt != st.packet.attempt {
-		return
-	}
-	if r.prio > st.maxPrio {
-		st.maxPrio = r.prio
-	}
-	if st.proposalInLocked(from) {
-		d.completeAbcastLocked(gs, st)
-	}
-}
-
-// completeAbcastLocked ends a round of the copy gs whose proposals are in (or
-// whose deadline has passed): it retires the round, sends phase 2 (the final
-// priority) to every destination site and applies it to the copy, all in the
-// hold that retired it — a flush report built at this site finds the round
-// pending or its commit applied, never neither. While the copy is flushing the
-// completion is parked on it instead: the flush owns the fate of every
-// in-flight ABCAST (it either drives the commit itself or fences the message
-// behind the new view), and a commit fanned out mid-flush would be held at
-// every wedged site and then discarded, losing the message. When the flush
-// ends the round comes back here and is found retired (the flush committed
-// it), replaced (the flush fenced and restarted it), dropped with its copy, or
-// still its own, in which case it proceeds normally. Caller holds d.mu.
-func (d *Daemon) completeAbcastLocked(gs *groupState, st *abSendState) {
-	id := st.packet.id
-	if gs.rounds[id] != st {
-		// Retired by a flush's drive branch, restarted by its fence branch, or
-		// dropped with the copy; either way this protocol round is over.
-		return
-	}
-	if gs.phase == phaseFlushing && !d.closed {
-		gs.parked.rounds = append(gs.parked.rounds, st)
-		return
-	}
-	gs.retire(st)
-	d.fanoutRaw(st.targets, abRecord{group: gs.view.Group, id: id, prio: st.maxPrio}.encode(ptAbCommit))
-	d.applyAbCommitLocked(gs, id, st.maxPrio)
-}
-
-// handleAbCommitLocked applies an ABCAST final priority at a destination site,
-// a commit just arrived or re-fed by the flush that parked it. Caller holds
-// d.mu.
-func (d *Daemon) handleAbCommitLocked(from addr.SiteID, r abRecord) {
-	gs, ok := d.groups[r.group.Base()]
-	switch {
-	case !ok:
-	case gs.phase == phaseFlushing:
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, commit: r})
-	default:
-		d.applyAbCommitLocked(gs, r.id, r.prio)
-	}
-}
-
-// applyAbCommitLocked records an ABCAST's final priority and delivers what it
-// releases from the copy's total-order queue. Caller holds d.mu.
-func (d *Daemon) applyAbCommitLocked(gs *groupState, id core.MsgID, final uint64) {
-	gs.recordFinal(id, final)
-	d.deliverTotalLocked(gs, gs.total.Commit(id, final))
-}
-
-// deliverTotalLocked hands messages drained from the copy's total-order
-// queue to its members. Caller holds d.mu.
-func (d *Daemon) deliverTotalLocked(gs *groupState, dels []core.TotalDelivery) {
-	for _, del := range dels {
-		if pkt, _ := del.Payload.(*dataPacket); pkt != nil {
-			d.recordRecentLocked(gs, del.ID, pkt.raw, del.Priority)
-			d.deliverDataLocked(gs, pkt)
+	ids := slices.SortedFunc(maps.Keys(gs.submitted), func(a, b core.MsgID) int {
+		return cmp.Or(a.Sender.Compare(b.Sender), cmp.Compare(a.Seq, b.Seq))
+	})
+	h := holder(gs.view)
+	for _, id := range ids {
+		switch pkt := gs.submitted[id]; {
+		case d.failedProcs[id.Sender.Base()]:
+			delete(gs.submitted, id)
+		case h == holder(prev):
+		case h != d.site:
+			_ = d.sendRaw(h, pkt.raw)
+		default:
+			_ = d.sequenceLocked(gs, pkt) // re-headed, nothing is marshalled
 		}
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Straggler re-solicitation
-
-// recordFinal remembers the final priority of an ABCAST commit applied to the
-// copy (bounded memory), so this site can answer a re-solicitation for it even
-// after the initiator is gone. Caller holds d.mu.
-func (gs *groupState) recordFinal(id core.MsgID, final uint64) {
-	if _, ok := gs.finals.Get(id); !ok {
-		gs.finals.Put(id, final)
-	}
-}
-
-// handleAbResolicitLocked answers a member site stuck behind an uncommitted
-// straggler at the head of its total-order queue: if this site's copy of the
-// group has applied the commit (or completed the protocol as its initiator),
-// it re-sends the commit record. While the protocol is genuinely still in
-// progress the request is ignored — the commit will arrive on its own — and an
-// unknown id, or a group this site no longer hosts, is left for the next
-// GBCAST flush to resolve. Caller holds d.mu.
-func (d *Daemon) handleAbResolicitLocked(from addr.SiteID, r abRecord) {
-	if gs, ok := d.groups[r.group.Base()]; ok {
-		if final, done := gs.finals.Get(r.id); done {
-			_ = d.sendRaw(from, abRecord{group: r.group.Base(), id: r.id, prio: final}.encode(ptAbCommit))
-		}
-	}
-}
-
-// runResolicitScan periodically checks every group copy's total-order
-// queue for a straggler: an uncommitted message that has blocked the head of
-// the queue (and therefore every later committed delivery) for longer than
-// ResolicitAfter. For each straggler it re-solicits the commit record —
-// from the initiator's site first, rotating to the other member sites if the
-// initiator does not answer — so a slow or lost proposal round no longer
-// stalls the copy until the next flush.
-//
-// Its ticker is the daemon's one clock: every deadline is a count of its ticks
+// runScan ticks the daemon's one clock: every deadline is a count of its ticks
 // (deadlineLocked), and every retry waits for the next one (nextTick).
-func (d *Daemon) runResolicitScan() {
+func (d *Daemon) runScan() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.scanInterval)
 	defer t.Stop()
@@ -609,7 +505,7 @@ func (d *Daemon) runResolicitScan() {
 		case <-d.stopScan:
 			return
 		case <-t.C:
-			d.resolicitStragglers()
+			d.scanTick()
 		}
 	}
 }
@@ -635,13 +531,12 @@ func (d *Daemon) nextTick() (uint64, error) {
 	return d.tick, nil
 }
 
-// resolicitStragglers performs one scan round of runResolicitScan: it counts
-// the tick and wakes what waits for it. Besides the stragglers it ends the
-// calls and the ABCAST rounds whose deadline has come, feeds inWatchdog to a
-// copy whose flush has been open to flushDeadline, and has the transport
-// forget a suspected site that no copy's view lists: what waits for its ack
-// never gets one, and resending it is all a dead site would cost.
-func (d *Daemon) resolicitStragglers() {
+// scanTick is one tick of runScan: it counts the tick and wakes what waits for
+// it, ends the calls whose deadline has come, feeds inWatchdog to a copy whose
+// flush has been open to flushDeadline, and has the transport forget a
+// suspected site that no copy's view lists: what waits for its ack never gets
+// one, and resending it is all a dead site would cost.
+func (d *Daemon) scanTick() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -659,80 +554,19 @@ func (d *Daemon) resolicitStragglers() {
 			d.tr.Forget(s)
 		}
 	}
-	for gid, gs := range d.groups {
-		for _, st := range gs.rounds {
-			if !st.done && d.tick >= st.deadline {
-				st.done = true
-				d.completeAbcastLocked(gs, st)
-			}
-		}
+	for _, gs := range d.groups {
 		if gs.phase == phaseFlushing && d.tick >= gs.flushDeadline {
 			d.step(gs, inWatchdog)
 		}
-		if gs.phase != phaseNormal {
-			continue
-		}
-		id, _, blocked := gs.total.HeadBlocked()
-		if !blocked {
-			gs.blockedID = core.MsgID{}
-			continue
-		}
-		if id != gs.blockedID {
-			gs.blockedID = id
-			gs.resolicitAt = d.deadlineLocked(d.cfg.ResolicitAfter)
-			gs.resolicits = 0
-			continue
-		}
-		if d.tick < gs.resolicitAt {
-			continue
-		}
-		gs.resolicitAt = d.deadlineLocked(d.cfg.ResolicitAfter) // one solicitation per ResolicitAfter
-		if final, ok := gs.finals.Get(id); ok {
-			// A past commit within the bounded record (one that reached this
-			// site ahead of the message) already knows the outcome: apply it
-			// directly.
-			d.applyAbCommitLocked(gs, id, final)
-			continue
-		}
-		to := d.resolicitTargetLocked(gs, id.Sender, gs.resolicits)
-		gs.resolicits++
-		if to != 0 {
-			d.bus.Publish(events.Event{Kind: events.AbcastResolicit, Group: gid, Peer: to, Msg: id})
-			_ = d.sendRaw(to, abRecord{group: gid, id: id}.encode(ptAbResolicit))
-		}
 	}
-}
-
-// resolicitTargetLocked picks the site to ask about a straggler: the sender's
-// site first (for a member ABCAST that is the initiator), then the group's
-// other member sites in view order — any site that applied the commit can
-// answer from its record, which is what lets a receiver route around a
-// paused or dead initiator link. Caller holds d.mu.
-func (d *Daemon) resolicitTargetLocked(gs *groupState, sender addr.Address, attempt int) addr.SiteID {
-	seen := map[addr.SiteID]bool{d.site: true}
-	var cands []addr.SiteID
-	if sender.Site != d.site {
-		seen[sender.Site] = true
-		cands = append(cands, sender.Site)
-	}
-	for _, s := range gs.view.SitesOf() {
-		if !seen[s] {
-			seen[s] = true
-			cands = append(cands, s)
-		}
-	}
-	if len(cands) == 0 {
-		return 0
-	}
-	return cands[attempt%len(cands)]
 }
 
 // ---------------------------------------------------------------------------
 // Receive path
 
 // handleDataLocked processes a ptData packet — a point-to-point message, a
-// relayed external multicast, a CBCAST, or ABCAST phase 1 — just arrived or
-// re-fed by the flush that parked it. Caller holds d.mu.
+// relayed external multicast, a CBCAST, or an ABCAST, numbered or a submission
+// — just arrived or re-fed by the flush that parked it. Caller holds d.mu.
 func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	if pkt.group.IsNil() {
 		d.deliverPointToPointLocked(pkt)
@@ -754,33 +588,38 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	if !ok {
 		return
 	}
-	if sender := pkt.id.Sender; d.failedProcs[sender.Base()] && (pkt.proto != CBCAST || gs.view.Contains(sender)) {
-		// A failure that has already been observed: messages from the
-		// failed process must never be delivered afterwards (Section 2.2).
-		// A CBCAST relayed for it goes in all the same: it holds a slot in the
-		// relaying member's clock, and processCbcastLocked withholds the callback.
+	submission := pkt.proto == ABCAST && pkt.seq == 0
+	if sender := pkt.id.Sender; d.failedProcs[sender.Base()] && (submission || pkt.proto == CBCAST && gs.view.Contains(sender)) {
+		// A failure that has already been observed: messages from the failed
+		// process must never be delivered afterwards (Section 2.2). The rule is
+		// applied where the order is decided: the holder refuses a submission,
+		// and an ABCAST it numbered goes in wherever it arrives. A CBCAST
+		// relayed for it goes in all the same: it holds a slot in the relaying
+		// member's clock, and processCbcastLocked withholds the callback.
 		return
 	}
-	if gs.phase == phaseFlushing {
-		gs.parked.pkts = append(gs.parked.pkts, heldPacket{from: from, pkt: pkt})
-		return
-	}
-	if pkt.view < gs.view.ID {
+	switch {
+	case gs.phase == phaseFlushing:
+		gs.parked = append(gs.parked, heldPacket{from: from, pkt: pkt})
+	case submission:
+		// Numbered under the holder's view, whatever view its submitter had. A
+		// site that is not the holder (any more) drops it, and its submitter
+		// sends it to the holder the view change named; the holder drops one
+		// it has delivered, and a minority copy writes nothing.
+		if _, done := gs.recent.Get(pkt.id); !done && gs.phase == phaseNormal && holder(gs.view) == d.site {
+			_ = d.sequenceLocked(gs, pkt) // re-headed, nothing is marshalled
+		}
+	case pkt.view < gs.view.ID:
 		// A packet of a view this copy has closed — parked by the flush, or
-		// still in the transport at the commit — was settled by that flush. A
-		// CBCAST fed to the new view's clock could read as its member's next
-		// message, and the real one would then never be delivered; an ABCAST's
-		// phase 1 would be filed ahead of the restart the flush ordered, which
-		// then delivers the old packet, closed view id and all, and a member
-		// that joined in the new view is refused it.
-		return
-	}
-	switch pkt.proto {
-	case CBCAST:
+		// still in the transport at the commit — was settled by that flush,
+		// which carried it wherever any member had delivered it. A CBCAST fed
+		// to the new view's clock could read as its member's next message, and
+		// the real one would then never be delivered; a numbered ABCAST would
+		// be delivered after the view change here and nowhere else.
+	case pkt.proto == CBCAST:
 		d.processCbcastLocked(gs, pkt)
-	case ABCAST:
-		resp := abRecord{group: pkt.group, id: pkt.id, prio: gs.total.Propose(pkt.id, pkt), attempt: pkt.attempt}
-		_ = d.sendRaw(from, resp.encode(ptAbPropose))
+	default:
+		d.deliverAbcastLocked(gs, pkt)
 	}
 }
 
@@ -864,21 +703,22 @@ func (d *Daemon) enqueueMember(ms *memberState, q queued) {
 
 // recordRecentLocked remembers a delivered data packet, as its bytes, so a
 // GBCAST flush can re-disseminate it to members that missed it. For an ABCAST,
-// prio is the final priority it was delivered at (0 for CBCAST and
-// point-to-point). Caller holds d.mu.
-func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, prio uint64) {
+// seq is the holder's number for it (0 for CBCAST and point-to-point). Caller
+// holds d.mu.
+func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, seq uint64) {
 	if _, ok := gs.recent.Get(id); !ok {
-		gs.recent.Put(id, recentEntry{raw: raw, prio: prio})
+		gs.recent.Put(id, recentEntry{raw: raw, seq: seq})
 	}
 }
 
 // Flush blocks until the sender's outstanding asynchronous multicasts have
-// been transmitted and committed (Section 3.2, footnote 3: flush is invoked
+// been transmitted and ordered (Section 3.2, footnote 3: flush is invoked
 // before interacting with the external world or writing stable storage), or
 // for CallTimeout (ErrTimeout). Its ABCASTs are outstanding while any copy at
-// this site holds a round for one, a relay through a copy here included.
-// Transmitted is site-wide: it polls until all this site sent, whoever cast
-// it, is acknowledged, so beside a steady sender it may time out.
+// this site holds one as a submission the holder has not sent back numbered,
+// a relay through a copy here included. Transmitted is site-wide: it polls
+// until all this site sent, whoever cast it, is acknowledged, so beside a
+// steady sender it may time out.
 func (d *Daemon) Flush(sender addr.Address) error {
 	deadline := time.Now().Add(d.cfg.CallTimeout)
 	for {
@@ -886,7 +726,7 @@ func (d *Daemon) Flush(sender addr.Address) error {
 		_, ok := d.procs[sender.Base()]
 		outstanding, closed := 0, d.closed
 		for _, gs := range d.groups {
-			for id := range gs.rounds {
+			for id := range gs.submitted {
 				outstanding += int(bit(id.Sender == sender.Base()))
 			}
 		}

@@ -167,17 +167,8 @@ func TestAbcastOrderIdenticalAcrossJoinFlush(t *testing.T) {
 					t.Fatalf("sender %d got %d of %d casts accepted", s, got, n)
 				}
 			}
-			waitFor(t, "site 1 to complete its own rounds and propose for every remote one", 5*time.Second, func() bool {
-				d := tc.daemons[1]
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				remote := 0
-				for _, p := range d.buildReportLocked(d.groups[gid]).Abcasts {
-					if p.ID.Sender.Site != 1 {
-						remote++
-					}
-				}
-				return remote == 2*n && len(d.groups[gid].rounds) == 0
+			waitFor(t, "site 1 to deliver every cast", 5*time.Second, func() bool {
+				return !slices.ContainsFunc(procs, func(p *testProc) bool { return p.addr.Site == 1 && p.numMsgs() < 3*n })
 			})
 			tc.net.PauseLink(2, 1)
 			tc.net.PauseLink(3, 1)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -19,67 +18,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// pendingRounds snapshots the initiator rounds a daemon has open, in every copy.
-func pendingRounds(d *Daemon) []*abSendState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var sts []*abSendState
-	for _, gs := range d.groups {
-		for _, st := range gs.rounds {
-			sts = append(sts, st)
-		}
-	}
-	return sts
-}
-
-// TestAbcastWatchdogStopsWithItsRound is what is left of the un-stopped
-// watchdog regression: every ABCAST used to leave a CallTimeout timer behind
-// that kept its send state and packet reachable (and, after Close, the whole
-// daemon) until it fired. A round's deadline is now a field the scan tick
-// reads, so a round is reachable exactly as long as its copy holds it.
-// Rounds are held open by pausing the link the proposals come back on, and
-// then neither way a round ends may leave it there.
-func TestAbcastWatchdogStopsWithItsRound(t *testing.T) {
-	const rounds = 25
-	tc := newTestCluster(t, 2)
-	procs := buildGroup(t, tc, "watchdog", 1, 2)
-	gid := groupOf(t, tc, procs[0], "watchdog")
-	d := tc.daemons[1]
-	open := func(tag string) {
-		t.Helper()
-		// Brief enough that the failure detector never notices.
-		tc.net.PauseLink(2, 1)
-		for i := 0; i < rounds; i++ {
-			if _, err := d.Multicast(procs[0].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body(fmt.Sprintf("%s%d", tag, i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := len(pendingRounds(d)); n != rounds {
-			t.Fatalf("%d rounds open, want %d", n, rounds)
-		}
-	}
-
-	// Normal completion.
-	open("a")
-	tc.net.ResumeLink(2, 1)
-	waitFor(t, "the rounds to complete", 5*time.Second, func() bool { return len(pendingRounds(d)) == 0 })
-	waitFor(t, "delivery everywhere", 5*time.Second, func() bool {
-		return procs[0].numMsgs() == rounds && procs[1].numMsgs() == rounds
-	})
-
-	// Close with rounds in flight.
-	open("b")
-	d.Close()
-	if n := len(pendingRounds(d)); n != 0 {
-		t.Errorf("%d rounds still pending after Close", n)
-	}
-}
-
 // TestFlushCountsTheSendersOpenRounds pins where Flush finds a sender's
-// outstanding ABCASTs: among the rounds of the copies at its site. A round held
-// open by hand keeps its sender's Flush waiting until the call times out, and
-// nobody else's; once the copy retires the round, or is dropped with it, the
-// sender's Flush returns at once.
+// outstanding ABCASTs: among the submissions of the copies at its site. A
+// submission held by hand keeps its sender's Flush waiting until the call
+// times out, and nobody else's; once the holder's numbered copy retires it
+// ("retire"), or the copy is dropped with it ("drop"), the sender's Flush
+// returns at once.
 func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 	for _, end := range []string{"retire", "drop"} {
 		t.Run(end, func(t *testing.T) {
@@ -90,28 +34,28 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := core.MsgID{Sender: fx.member, Seq: 1}
-			pkt := dataPkt(t, ABCAST, fx.gid, fx.view, id, 0, body("open"))
-			st := &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2}, packet: pkt, deadline: math.MaxUint64}
 			d.mu.Lock()
 			d.cfg.CallTimeout = 150 * time.Millisecond
-			gs := d.groups[fx.gid]
-			st.maxPrio = gs.total.Propose(id, pkt)
-			gs.rounds[id] = st
+			d.groups[fx.gid].submitted[id] = dataPkt(t, ABCAST, fx.gid, fx.view, id, 0, body("open"))
 			d.mu.Unlock()
 
 			if err := d.Flush(fx.member); !errors.Is(err, ErrTimeout) {
-				t.Errorf("the sender's Flush with its round open: %v, want ErrTimeout", err)
+				t.Errorf("the sender's Flush with its submission open: %v, want ErrTimeout", err)
 			}
 			if err := d.Flush(other); err != nil {
 				t.Errorf("another process's Flush: %v, want nil", err)
 			}
-			d.mu.Lock()
 			if end == "retire" {
-				gs.retire(st)
+				numbered := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: id, seq: 1, payload: body("open")}
+				if err := numbered.encode(); err != nil {
+					t.Fatal(err)
+				}
+				d.handleTransport(2, numbered.raw)
 			} else {
+				d.mu.Lock()
 				d.dropGroupLocked(fx.gid, inDrop)
+				d.mu.Unlock()
 			}
-			d.mu.Unlock()
 			if err := d.Flush(fx.member); err != nil {
 				t.Errorf("the sender's Flush after the %s: %v, want nil", end, err)
 			}
@@ -122,9 +66,8 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 // TestCopyOwnsItsMessageState parses the package and pins who owns per-message
 // protocol state: the group copy the message runs in. No field of the Daemon or
 // of a localProc has a type keyed by a message id, a map or a bounded log, so
-// ABCAST rounds and commit finals cannot drift back onto the daemon to be
-// filtered by group again; and a round names neither its message, nor its
-// group, nor its sender, which its copy and its packet already say.
+// ABCAST submissions and the recent record cannot drift back onto the daemon to
+// be filtered by group again.
 func TestCopyOwnsItsMessageState(t *testing.T) {
 	_, files := parsePackage(t)
 	fields := make(map[string][]*ast.Field)
@@ -158,8 +101,8 @@ func TestCopyOwnsItsMessageState(t *testing.T) {
 		}
 		return names
 	}
-	if got := keyed("groupState"); !slices.Contains(got, "rounds") || !slices.Contains(got, "finals") {
-		t.Fatalf("groupState's message-keyed fields are %v: the check does not see rounds and finals", got)
+	if got := keyed("groupState"); !slices.Contains(got, "submitted") || !slices.Contains(got, "recent") {
+		t.Fatalf("groupState's message-keyed fields are %v: the check does not see submitted and recent", got)
 	}
 	for _, typ := range []string{"Daemon", "localProc"} {
 		if len(fields[typ]) == 0 {
@@ -167,11 +110,6 @@ func TestCopyOwnsItsMessageState(t *testing.T) {
 		}
 		if got := keyed(typ); len(got) > 0 {
 			t.Errorf("%s.%v: per-message protocol state belongs to the group copy", typ, got)
-		}
-	}
-	for _, f := range fields["abSendState"] {
-		if ty := types.ExprString(f.Type); ty == "core.MsgID" || ty == "addr.Address" {
-			t.Errorf("abSendState.%s is a %s: the round's copy and packet say it", f.Names[0].Name, ty)
 		}
 	}
 }
@@ -215,15 +153,17 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 			tc := newFaultCluster(t, 3, simnet.FastConfig(), 2*time.Second, quietDetector())
 			procs := buildGroup(t, tc, "recent", 1, 2, 2, 3)
 			gid := groupOf(t, tc, procs[0], "recent")
-			tc.net.PauseLink(2, 3)
+			if proto == ABCAST {
+				// The cast reaches site 3 from the holder, site 1, on the link
+				// the join's flush needs too: site 3 is wedged by hand instead,
+				// so it parks the cast, which its report then lacks.
+				tc.daemons[3].handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+			} else {
+				tc.net.PauseLink(2, 3)
+			}
 			id, err := procs[1].d.Multicast(procs[1].addr, proto, addr.List{gid}, addr.EntryUserBase, payload())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if proto == ABCAST {
-				// Site 3 cannot propose; its answer is supplied, and the commit
-				// joins phase 1 on the held link.
-				tc.daemons[2].handleTransport(3, abRecord{group: gid, id: id, prio: 1}.encode(ptAbPropose))
 			}
 			waitFor(t, "delivery at sites 1 and 2", 5*time.Second, func() bool {
 				return procs[0].numMsgs() == 1 && procs[1].numMsgs() == 1 && procs[2].numMsgs() == 1

@@ -310,48 +310,48 @@ func TestScenarioCoordinatorLeaveCrashResyncsStaleMember(t *testing.T) {
 }
 
 // TestScenarioAbcastFromCrashedSenderDiscarded crashes an ABCAST sender's
-// site during phase 1, before any member learned a final priority. The
-// takeover flush must apply the "none" branch of the atomicity rule: the
-// message is discarded everywhere and never delivered.
+// site while its submission is held on the way to the holder (site 1), before
+// any site delivered it. The survivors install the failure view, and the held
+// submission then reaches the holder: its sender is a known-failed process, so
+// the holder refuses it (Section 2.2, applied where the order is decided) and
+// it is never delivered.
 func TestScenarioAbcastFromCrashedSenderDiscarded(t *testing.T) {
-	// Nobody is suspected while the link is held (a detector timing out on the
-	// silent link used to race the round): the crash is the only event.
+	// Nobody is suspected while the link is held: the crash is the only event.
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "atomic", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "atomic")
 
-	// Phase 1 reaches site 2 (a pending, uncommitted proposal) but never
-	// site 3; the sender dies before its watchdog can commit.
-	tc.net.PauseLink(1, 3)
-	if _, err := tc.daemons[1].Multicast(procs[0].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("doomed")); err != nil {
+	tc.net.PauseLink(2, 1)
+	id, err := tc.daemons[2].Multicast(procs[1].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("doomed"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "phase 1 at site 2", 5*time.Second, func() bool {
-		d := tc.daemons[2]
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.groups[gid].total.PendingCount() == 1
-	})
-	tc.crash(1)
+	d := tc.daemons[2]
+	d.mu.Lock()
+	held := d.groups[gid].submitted[id]
+	d.mu.Unlock()
+	if held == nil {
+		t.Fatal("the cast is not among its site's submissions")
+	}
+	tc.crash(2)
 
 	waitFor(t, "failure views at the survivors", 10*time.Second, func() bool {
-		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
+		return procs[0].lastView().Size() == 2 && procs[2].lastView().Size() == 2
 	})
-	// Release the held phase-1 straggler: the sender is now a known-failed
-	// process, so it must be dropped on arrival.
+	// The held submission reaches the holder after the failure view.
+	tc.daemons[1].handleTransport(2, held.raw)
 	tc.net.ResumeAll()
-	time.Sleep(300 * time.Millisecond)
-	if procs[1].got("doomed") || procs[2].got("doomed") {
-		t.Error("uncommitted ABCAST from the crashed sender was delivered")
-	}
 
-	// The survivors' total order still works.
-	if _, err := tc.daemons[2].Multicast(procs[1].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("alive")); err != nil {
+	// The survivors' total order still works, and the refused cast is not in it.
+	if _, err := tc.daemons[3].Multicast(procs[2].addr, ABCAST, addr.List{gid}, addr.EntryUserBase, body("alive")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-crash ABCAST at the survivors", 10*time.Second, func() bool {
-		return procs[1].got("alive") && procs[2].got("alive")
+		return procs[0].got("alive") && procs[2].got("alive")
 	})
+	if procs[0].got("doomed") || procs[2].got("doomed") {
+		t.Error("the submission of the crashed sender was delivered")
+	}
 }
 
 // TestScenarioAbcastPartialCommitFinishedByTakeoverFlush crashes an ABCAST
@@ -468,41 +468,41 @@ func TestDuplicateGbCommitReplayIsStale(t *testing.T) {
 	}
 }
 
-// TestFlushRedeliveryDoesNotDuplicateAbcast injects a pending ABCAST at a
-// member site, applies a GBCAST flush commit that re-disseminates the same
-// message (another member site delivered it before the flush), and then
-// hands the member the late ABCAST commit that was in flight when the group
-// wedged: the member must see the message exactly once.
+// TestFlushRedeliveryDoesNotDuplicateAbcast applies at a member site a GBCAST
+// flush commit that re-disseminates an ABCAST the holder numbered (another
+// member site delivered it before the flush), and then hands the member the
+// holder's packet that was in flight when the group wedged: the member must
+// see the message exactly once.
 func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	procs := buildGroup(t, tc, "noDup", 1, 2)
 	gid := groupOf(t, tc, procs[0], "noDup")
 	d2 := tc.daemons[2]
-
-	// A phase-1 ABCAST from the member at site 1 leaves a pending,
-	// uncommitted entry in the site-2 member's total queue.
-	id := core.MsgID{Sender: procs[0].addr, Seq: 77}
 	v, ok := d2.CurrentView(gid)
 	if !ok {
 		t.Fatal("no view at site 2")
 	}
-	pkt := dataPkt(t, ABCAST, gid, v.ID, id, v.RankOf(procs[0].addr), body("exactly-once")).raw
-	d2.handleTransport(1, pkt)
+	// The first ABCAST the holder (site 1) numbered in the view, delivered
+	// there.
+	pkt := numbered(t, gid, v.ID, core.MsgID{Sender: procs[0].addr, Seq: 77}, 1, "exactly-once")
+	tc.daemons[1].handleTransport(1, pkt.raw)
 
 	// The flush re-disseminates it because some member site delivered it
-	// before the flush point, so the commit's report lists it under Recent.
-	rec := pendingReport{Recent: []recentWire{{ID: id, Packet: pkt}}}
+	// before the flush point, so the commit's report lists it.
+	rec := pendingReport{{ID: pkt.id, Packet: pkt.raw, Seq: pkt.seq}}
 	d2.handleTransport(1, encoded(t, ptGbCommit, gbPacket{group: gid, kind: gbUser, report: rec}))
 	waitFor(t, "flush re-dissemination", 2*time.Second, func() bool {
 		return procs[1].got("exactly-once")
 	})
 
-	// The late commit for the still-pending entry must only advance the
-	// queue state, not deliver a second copy.
-	d2.handleTransport(1, abRecord{group: gid, id: id, prio: 9}.encode(ptAbCommit))
-	time.Sleep(100 * time.Millisecond)
-	if n := countBody(procs[1], "exactly-once"); n != 1 {
-		t.Errorf("member delivered the flushed ABCAST %d times, want exactly 1", n)
+	// The holder's packet arrives late, then the holder's next ABCAST.
+	d2.handleTransport(1, pkt.raw)
+	if err := cast(procs[0], ABCAST, gid, "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the next ABCAST at site 2", 2*time.Second, func() bool { return procs[1].got("after") })
+	if got := procs[1].bodies(); !slices.Equal(got, []string{"exactly-once", "after"}) {
+		t.Errorf("member delivered %v, want the flushed ABCAST once, then the next", got)
 	}
 }
 

@@ -24,9 +24,10 @@ import (
 )
 
 // TestSuspectedMemberSiteStillProposes has one member site suspect another
-// that is alive and still listed in the view. A round its member starts must
-// target the suspected site all the same: left out, that site sees neither
-// phase 1 nor the commit and never delivers the message.
+// that is alive and still listed in the view. An ABCAST its member casts must
+// reach the suspected site all the same (the name is from the two-phase
+// protocol, whose rounds had to target it): a suspicion decides nothing about
+// who is sent a cast, and left out, that site would never deliver it.
 func TestSuspectedMemberSiteStillProposes(t *testing.T) {
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	procs := buildGroup(t, tc, "suspect", 1, 2, 3)

@@ -63,20 +63,21 @@ const (
 	envelopeBytes = 2
 
 	// The fixed heads; ARCHITECTURE.md has each byte by byte.
-	abRecordBytes, replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 40, 25, 51, 11, 25
+	replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 25, 51, 11, 25
 
 	// The data header, then the sections its flags byte selects: with the
-	// envelope 39 bytes lead an ABCAST's payload and 65 a CBCAST's in a view of
-	// three (the message-built wrapper they replace, PR 24, spent 180 and 213).
+	// envelope 47 bytes lead a sequenced ABCAST's payload and 65 a CBCAST's in
+	// a view of three (the message-built wrapper they replace spent 180 and
+	// 213).
 	dataHeaderBytes, dataRelayBytes = 37, 26
 )
 
 // The optional sections of a data packet, in the order they follow the header.
 const (
-	dataHasVT      = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST)
-	dataHasAttempt             // attempt, 8 bytes (an ABCAST a fence restarted)
-	dataIsRelay                // relay stamp (view 8, rank 2, seq 8) and call id 8: a request to the relay site
-	dataHasDests               // destination processes: uint16 count, count × 8 bytes (point-to-point)
+	dataHasVT    = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST)
+	dataHasSeq               // the holder's number for the ABCAST in its view, 8 bytes (0, a submission, is left off)
+	dataIsRelay              // relay stamp (view 8, rank 2, seq 8) and call id 8: a request to the relay site
+	dataHasDests             // destination processes: uint16 count, count × 8 bytes (point-to-point)
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
@@ -84,38 +85,39 @@ const (
 // it is never reused, and the type that replaced it is appended. An answer's
 // type follows its question's.
 const (
-	_             = byte(iota + 1) // 1: data packet, now ptData
-	_                              // 2: ABCAST proposal, now ptAbPropose
-	_                              // 3: ABCAST commit, now ptAbCommit
-	_                              // 4: GBCAST request, now ptGbRequest
-	_                              // 5: GBCAST prepare, now ptGbPrepare
-	_                              // 6: GBCAST ack, now ptGbAck
-	_                              // 7: GBCAST commit, now ptGbCommit
-	_                              // 8: GBCAST done, now ptGbDone
-	_                              // 9: lookup, now ptLookup
-	_                              // 10: lookup response, now ptLookupResp
-	_                              // 11: heartbeat, now any transport frame (internal/fdetect)
-	_                              // 12: state block, now ptStateBlock
-	_                              // 13: error, now ptError
-	_                              // 14: state ack, now ptStateAck
-	_                              // 15: re-solicitation, now ptAbResolicit
-	_                              // 16: relay ack, now ptRelayAck
-	ptAbPropose                    // ABCAST phase 1 response: proposed priority (abRecord)
-	ptAbCommit                     // ABCAST phase 2: final priority (abRecord)
-	ptAbResolicit                  // receiver asks for a straggler ABCAST's commit record (abRecord)
-	ptReply                        // a reply on its way to the caller's process (reply header + body)
-	ptData                         // CBCAST data / ABCAST phase 1 / point-to-point / relay request (dataPacket)
-	ptGbRequest                    // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
-	ptGbDone                       // the coordinator's answer to a request (gbPacket)
-	ptGbPrepare                    // GBCAST phase 1: wedge and report pending state (gbPacket)
-	ptGbAck                        // a member site's answer to a prepare (gbPacket)
-	ptGbCommit                     // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
-	ptLookup                       // group lookup by name or id (lookupPacket)
-	ptLookupResp                   // a site's answer to a lookup (lookupPacket)
-	ptStateBlock                   // state transfer block: stateHeader, then the block to the end
-	ptStateAck                     // a joiner's state transfer completed (stateHeader alone)
-	ptError                        // negative answer to a call: call id 8, then the error text
-	ptRelayAck                     // positive answer to a relay request: relay stamp and call id
+	_            = byte(iota + 1) // 1: data packet, now ptData
+	_                             // 2: ABCAST proposal, then 17
+	_                             // 3: ABCAST commit, then 18
+	_                             // 4: GBCAST request, now ptGbRequest
+	_                             // 5: GBCAST prepare, now ptGbPrepare
+	_                             // 6: GBCAST ack, now ptGbAck
+	_                             // 7: GBCAST commit, now ptGbCommit
+	_                             // 8: GBCAST done, now ptGbDone
+	_                             // 9: lookup, now ptLookup
+	_                             // 10: lookup response, now ptLookupResp
+	_                             // 11: heartbeat, now any transport frame (internal/fdetect)
+	_                             // 12: state block, now ptStateBlock
+	_                             // 13: error, now ptError
+	_                             // 14: state ack, now ptStateAck
+	_                             // 15: re-solicitation, then 19
+	_                             // 16: relay ack, now ptRelayAck
+	_                             // 17: ABCAST proposal, gone with the two-phase ABCAST
+	_                             // 18: ABCAST commit, gone with the two-phase ABCAST
+	_                             // 19: ABCAST re-solicitation, gone with the two-phase ABCAST
+	ptReply                       // a reply on its way to the caller's process (reply header + body)
+	_                             // 21: data packet whose flag 2 was a fenced ABCAST's attempt, now ptData
+	ptGbRequest                   // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
+	ptGbDone                      // the coordinator's answer to a request (gbPacket)
+	ptGbPrepare                   // GBCAST phase 1: wedge and report pending state (gbPacket)
+	ptGbAck                       // a member site's answer to a prepare (gbPacket)
+	ptGbCommit                    // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
+	ptLookup                      // group lookup by name or id (lookupPacket)
+	ptLookupResp                  // a site's answer to a lookup (lookupPacket)
+	ptStateBlock                  // state transfer block: stateHeader, then the block to the end
+	ptStateAck                    // a joiner's state transfer completed (stateHeader alone)
+	ptError                       // negative answer to a call: call id 8, then the error text
+	ptRelayAck                    // positive answer to a relay request: relay stamp and call id
+	ptData                        // CBCAST / ABCAST, sequenced or submitted / point-to-point / relay request (dataPacket)
 )
 
 // GB request kinds carried in the GBCAST family's kind byte.
@@ -130,42 +132,13 @@ const (
 	gbSeal                         // settle the outcome of an earlier request id (commit or abort it)
 )
 
-// The fixed layouts, big endian (ARCHITECTURE.md has them as tables). abRecord is
-// the whole body of ptAbPropose, ptAbCommit and ptAbResolicit: group (bytes 0-7),
-// message id (sender 8-15, sequence 16-23), priority (24-31), attempt (32-39, of
-// the phase 1 a proposal answers). replyHeader leads ptReply's body, before the
-// marshalled reply: caller (0-7), responder (8-15), session (16-23), kind (24).
-type (
-	abRecord struct {
-		group   addr.Address
-		id      core.MsgID
-		prio    uint64
-		attempt int64
-	}
-	replyHeader struct {
-		caller, responder addr.Address
-		session           int64
-		kind              uint8
-	}
-)
-
-// encode builds the wire bytes of the record as a packet of type pt.
-func (r abRecord) encode(pt byte) []byte {
-	raw := append(make([]byte, 0, envelopeBytes+abRecordBytes), wireVersion, pt)
-	raw = binary.BigEndian.AppendUint64(r.id.Sender.AppendEncoded(r.group.AppendEncoded(raw)), r.id.Seq)
-	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(raw, r.prio), uint64(r.attempt))
-}
-
-// parseAbRecord reads a record from a packet body of exactly its length.
-func parseAbRecord(b []byte) (r abRecord, ok bool) {
-	if len(b) != abRecordBytes {
-		return r, false
-	}
-	var gerr, serr error
-	r.group, gerr = addr.Decode(b)
-	r.id.Sender, serr = addr.Decode(b[8:])
-	r.id.Seq, r.prio, r.attempt = binary.BigEndian.Uint64(b[16:]), binary.BigEndian.Uint64(b[24:]), int64(binary.BigEndian.Uint64(b[32:]))
-	return r, gerr == nil && serr == nil
+// replyHeader leads ptReply's body, before the marshalled reply, big endian
+// (ARCHITECTURE.md has every layout as a table): caller (0-7), responder
+// (8-15), session (16-23), kind (24).
+type replyHeader struct {
+	caller, responder addr.Address
+	session           int64
+	kind              uint8
 }
 
 // encodeReply builds the wire bytes of a ptReply packet.
@@ -188,9 +161,9 @@ func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
 	return h, body, cerr == nil && rerr == nil && berr == nil
 }
 
-// dataPacket is a ptData packet — a CBCAST, phase 1 of an ABCAST, a
-// point-to-point message, or a non-member's request to the relay site — as a
-// value over the bytes it travels as. raw is the packet's record: what the send
+// dataPacket is a ptData packet — a CBCAST, an ABCAST (sequenced by its view's
+// holder, or submitted to it), a point-to-point message, or a non-member's
+// request to the relay site — as a value over the bytes it travels as. raw is the packet's record: what the send
 // windows and a received frame already hold, what recent keeps and a flush
 // report nests. payload is its one decode (at the sender, what was marshalled
 // into raw) and belongs to whoever the packet is delivered to: nothing reads it
@@ -202,7 +175,7 @@ type dataPacket struct {
 	view    core.ViewID
 	id      core.MsgID
 	rank    int        // in view, of the member that stamped the packet (-1: none, a relay request)
-	attempt int64      // ABCAST protocol attempt (bumped by a fence restart)
+	seq     uint64     // ABCAST: the holder's number for it in view (0: a submission to the holder)
 	vt      vclock.VC  // CBCAST: the stamping member's timestamp
 	after   relayStamp // relay request: the stamp of the sender's previous CBCAST
 	call    int64      // relay request (non-zero): the call the relay site acknowledges
@@ -216,7 +189,7 @@ type dataPacket struct {
 // and the sections the packet has (built in scratch, on the stack up to a view
 // of ten, each setting its flag), then the payload — marshalled here, once, or,
 // for a packet sent on under a new header (a relayed cast under the relay site's
-// view, a fenced ABCAST's restart), the payload bytes it came with.
+// view, a submission the holder sequences), the payload bytes it came with.
 func (p *dataPacket) encode() (err error) {
 	var scratch [128]byte
 	be, h := binary.BigEndian, append(scratch[:0], wireVersion, ptData, 0, byte(p.proto), byte(p.entry))
@@ -226,9 +199,9 @@ func (p *dataPacket) encode() (err error) {
 		h[envelopeBytes] |= dataHasVT
 		h = p.vt.AppendEncode(be.AppendUint16(h, uint16(len(p.vt))))
 	}
-	if p.attempt != 0 {
-		h[envelopeBytes] |= dataHasAttempt
-		h = be.AppendUint64(h, uint64(p.attempt))
+	if p.seq != 0 {
+		h[envelopeBytes] |= dataHasSeq
+		h = be.AppendUint64(h, p.seq)
 	}
 	if p.call != 0 {
 		h[envelopeBytes] |= dataIsRelay
@@ -315,9 +288,9 @@ func parseDataPacket(raw []byte) (*dataPacket, bool) {
 			p.vt, _ = vclock.Decode(s)
 		}
 	}
-	if ok && flags&dataHasAttempt != 0 {
+	if ok && flags&dataHasSeq != 0 {
 		if s, b, ok = cut(b, 8); ok {
-			p.attempt = int64(be.Uint64(s))
+			p.seq = be.Uint64(s)
 		}
 	}
 	if ok && flags&dataIsRelay != 0 {
@@ -362,76 +335,44 @@ func readRelay(s []byte) (relayStamp, int64) {
 	return relayStamp{view: core.ViewID(be.Uint64(s)), rank: int(int16(be.Uint16(s[8:]))), seq: be.Uint64(s[10:])}, int64(be.Uint64(s[18:]))
 }
 
-// pendingReport is one member-site's contribution to a GBCAST flush: the
-// ABCASTs it has received but not delivered (with commit status and, when the
-// site initiated them, the priorities collected so far) and the identifiers
-// of recent deliveries so the coordinator can rebroadcast messages some
-// members missed. On the commit, the same structure carries the
-// reconciliation instructions back: committed entries to force everywhere,
-// uncommitted entries to discard, recent messages to re-disseminate, and the
-// ids of ABCASTs fenced behind the new view (their initiators restart them).
-type pendingReport struct {
-	Abcasts []abPendingWire
-	Recent  []recentWire
-	Fenced  []core.MsgID
-}
+// pendingReport is one member site's contribution to a GBCAST flush, its
+// recent deliveries, so the coordinator can re-disseminate what some members
+// missed; on the commit, the same list carries back what to re-disseminate.
+// Nothing undelivered is reported: a submission the holder has not sequenced
+// stays with its submitter, and a sequenced ABCAST is delivered on arrival.
+type pendingReport []recentWire
 
-type abPendingWire struct {
-	ID        core.MsgID
-	Committed bool
-	Priority  uint64
-	Packet    []byte // the encoded ptData packet, so it can be re-disseminated
-	Init      bool   // the reporting site holds the initiator round (groupState.rounds)
-}
-
-// recentWire is one recently delivered message in a flush report. For an
-// ABCAST the reporting site also ships the final priority it delivered at
-// (from its bounded commit record), so the coordinator can complete the
-// message — at the exact final the protocol already used — at sites where it
-// is still an uncommitted pending entry; Priority 0 means unknown (a CBCAST,
-// or a record already evicted).
+// recentWire is one recently delivered message in a flush report: its id, the
+// data packet as it travelled, and for an ABCAST the holder's sequence number
+// in the packet's view (0 for a CBCAST), by which re-dissemination orders it.
 type recentWire struct {
-	ID       core.MsgID
-	Packet   []byte // the encoded ptData packet
-	Priority uint64
+	ID     core.MsgID
+	Packet []byte
+	Seq    uint64
 }
 
-// A report travels as a uint16 count of entries, then the entries — its
-// Abcasts, Recent and Fenced in turn — each the message id (sender 8,
-// sequence 8), a priority 8, a flags byte (bit 0 committed, bit 1 initiator,
-// bits 2-3 the list: 0 Abcasts, 1 Recent, 2 Fenced) and a uint32 length,
-// followed by that many bytes of the nested packet as it travelled (0: none).
-const reportEntryBytes = 29
-
-func (r *pendingReport) entries() int { return len(r.Abcasts) + len(r.Recent) + len(r.Fenced) }
+// A report travels as a uint16 count of entries, each the message id (sender
+// 8, sequence 8), the ABCAST sequence number 8, a flags byte that is always 4
+// (the tag of the recent list in the reports that also listed undelivered and
+// fenced ABCASTs; any other value is malformed) and a uint32 length, followed
+// by that many bytes of the nested packet as it travelled.
+const reportEntryBytes, reportRecent = 29, 1 << 2
 
 // size is the report's length on the wire.
-func (r *pendingReport) size() int {
-	n := 2 + r.entries()*reportEntryBytes
-	for _, a := range r.Abcasts {
-		n += len(a.Packet)
-	}
-	for _, rc := range r.Recent {
+func (r pendingReport) size() int {
+	n := 2 + len(r)*reportEntryBytes
+	for _, rc := range r {
 		n += len(rc.Packet)
 	}
 	return n
 }
 
-func (r *pendingReport) appendTo(b []byte) []byte {
+func (r pendingReport) appendTo(b []byte) []byte {
 	be := binary.BigEndian
-	entry := func(id core.MsgID, prio uint64, flags byte, pkt []byte) {
-		b = append(be.AppendUint64(be.AppendUint64(id.Sender.AppendEncoded(b), id.Seq), prio), flags)
-		b = append(be.AppendUint32(b, uint32(len(pkt))), pkt...)
-	}
-	b = be.AppendUint16(b, uint16(r.entries()))
-	for _, a := range r.Abcasts {
-		entry(a.ID, a.Priority, bit(a.Committed)|bit(a.Init)<<1, a.Packet)
-	}
-	for _, rc := range r.Recent {
-		entry(rc.ID, rc.Priority, 1<<2, rc.Packet)
-	}
-	for _, id := range r.Fenced {
-		entry(id, 0, 2<<2, nil)
+	b = be.AppendUint16(b, uint16(len(r)))
+	for _, rc := range r {
+		b = append(be.AppendUint64(be.AppendUint64(rc.ID.Sender.AppendEncoded(b), rc.ID.Seq), rc.Seq), reportRecent)
+		b = append(be.AppendUint32(b, uint32(len(rc.Packet))), rc.Packet...)
 	}
 	return b
 }
@@ -446,22 +387,12 @@ func readReport(b []byte) (r pendingReport, rest []byte, ok bool) {
 			break
 		}
 		pkt, b, ok = cut(b, int(be.Uint32(e[25:])))
-		id, prio, f := core.MsgID{Seq: be.Uint64(e[8:])}, be.Uint64(e[16:]), e[24]
+		rc := recentWire{ID: core.MsgID{Seq: be.Uint64(e[8:])}, Packet: pkt, Seq: be.Uint64(e[16:])}
 		var err error
-		if id.Sender, err = addr.Decode(e); !ok || err != nil || f>>2 > 2 {
+		if rc.ID.Sender, err = addr.Decode(e); !ok || err != nil || e[24] != reportRecent {
 			return r, nil, false
 		}
-		if len(pkt) == 0 {
-			pkt = nil
-		}
-		switch f >> 2 {
-		case 0:
-			r.Abcasts = append(r.Abcasts, abPendingWire{ID: id, Committed: f&1 != 0, Priority: prio, Packet: pkt, Init: f&2 != 0})
-		case 1:
-			r.Recent = append(r.Recent, recentWire{ID: id, Packet: pkt, Priority: prio})
-		default:
-			r.Fenced = append(r.Fenced, id)
-		}
+		r = append(r, rc)
 	}
 	return r, b, ok
 }
@@ -529,7 +460,7 @@ const (
 // encode builds the packet of type pt in one buffer. Only a payload can fail.
 func (p *gbPacket) encode(pt byte) ([]byte, error) {
 	flags := bit(p.wantState)*gbWantState | bit(p.force)*gbForce | bit(len(p.procs) > 0)*gbHasProcs |
-		bit(!p.view.Group.IsNil())*gbHasView | bit(p.report.entries() > 0)*gbHasReport |
+		bit(!p.view.Group.IsNil())*gbHasView | bit(len(p.report) > 0)*gbHasReport |
 		bit(len(p.dead) > 0)*gbHasDead | bit(p.payload != nil)*gbHasPayload
 	// Room for every section, present or not: a few bytes too many, one allocation.
 	size := envelopeBytes + gbHeadBytes + 13 + addr.EncodedSize*(len(p.procs)+len(p.dead)) + viewBytes(p.view) + p.report.size()

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
-	"math"
+	"maps"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -33,7 +33,7 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	net := simnet.New(simnet.FastConfig())
 	var ds [2]*Daemon
 	for i := range ds {
-		// No timer of the daemon's fires within a test: no re-solicitation, no
+		// No timer of the daemon's fires within a test: no call deadline, no
 		// flush watchdog.
 		d, err := New(Config{Site: addr.SiteID(i + 1), Network: net, CallTimeout: time.Minute, DisableHeartbeats: true})
 		if err != nil {
@@ -59,18 +59,15 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	return fx
 }
 
-// state renders everything a control or data packet could move: the initiator
-// rounds, the copy's two ordering queues and its recent record, the counters and
-// the member's deliveries.
+// state renders everything a control or data packet could move: the copy's
+// submissions, its place in the holder's order, its causal queue and its recent
+// record, the counters and the member's deliveries.
 func (fx *wireFixture) state() string {
 	fx.d.mu.Lock()
 	defer fx.d.mu.Unlock()
 	gs := fx.d.groups[fx.gid]
-	s := fmt.Sprintf("rounds=%d total=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.rounds),
-		gs.total.PendingCount(), gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
-	for id, st := range gs.rounds {
-		s += fmt.Sprintf(" %v:waiting=%v,max=%d", id, st.waiting, st.maxPrio)
-	}
+	s := fmt.Sprintf("submitted=%d ordered=%d/%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.submitted),
+		gs.abView, gs.abSeq, gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
 	// The lifecycle, the views, the state transfer, the calls waiting and the
 	// packets sent (a request or a lookup accepted is answered).
 	answered := 0
@@ -95,28 +92,22 @@ func (fx *wireFixture) reply(tb testing.TB, kind uint8, body *msg.Message) []byt
 
 // TestMalformedControlPacketsAreDropped feeds handleTransport every way a
 // fixed-layout packet can be wrong, at a daemon where the well-formed packet
-// would act (an open initiator round, an uncommitted message, a live caller):
-// nothing moves. The well-formed packets then do act, so the check has teeth.
+// would act (a submission waiting for its numbered copy, a live caller, the
+// holder of the group's view): nothing moves. The well-formed packets then do
+// act, so the check has teeth.
 func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	fx := newWireFixture(t)
 	d := fx.d
 	remote := addr.NewProcess(2, 0, 9)
 
-	// A: phase 1 arrived from site 2, no commit yet. B: a round this site
-	// initiated, waiting for site 2's proposal.
-	idA, idB := core.MsgID{Sender: remote, Seq: 1}, core.MsgID{Sender: fx.member, Seq: 1}
-	d.handleTransport(2, dataPkt(t, ABCAST, fx.gid, fx.view, idA, -1, body("a")).raw)
-	pktB := dataPkt(t, ABCAST, fx.gid, fx.view, idB, 0, body("b"))
+	// B: the member's cast, held as a submission until its numbered copy comes.
+	idB := core.MsgID{Sender: fx.member, Seq: 1}
 	d.mu.Lock()
 	gs := d.groups[fx.gid]
-	gs.rounds[idB] = &abSendState{targets: []addr.SiteID{2}, waiting: []addr.SiteID{2},
-		maxPrio: gs.total.Propose(idB, pktB), packet: pktB, deadline: math.MaxUint64}
+	gs.submitted[idB] = dataPkt(t, ABCAST, fx.gid, fx.view, idB, 0, body("b"))
 	d.mu.Unlock()
 
 	good := map[string][]byte{
-		"propose":   abRecord{group: fx.gid, id: idB, prio: 9}.encode(ptAbPropose),
-		"commit":    abRecord{group: fx.gid, id: idA, prio: 9}.encode(ptAbCommit),
-		"resolicit": abRecord{group: fx.gid, id: idA}.encode(ptAbResolicit),
 		"reply":     fx.reply(t, 1, body("r")),
 		"nullreply": fx.reply(t, 2, msg.New()),
 	}
@@ -131,12 +122,14 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		}
 	}
 	// The data packets: a CBCAST that is the next of rank 0 (the view has one
-	// member), phase 1 of an ABCAST nobody has proposed for, a direct message.
+	// member), B numbered by the holder, a remote member's submission to this
+	// site (the holder), a direct message.
 	idC := core.MsgID{Sender: remote, Seq: 7}
 	cb := &dataPacket{proto: CBCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idC, vt: vclock.VC{1}, payload: body("c")}
 	p2p := &dataPacket{proto: CBCAST, id: idC, dests: addr.List{fx.member}, payload: body("d")}
-	ab := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 8}, -1, body("e"))
-	for _, p := range []*dataPacket{cb, p2p} {
+	ab := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idB, seq: 1, payload: body("b")}
+	sub := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 8}, -1, body("e"))
+	for _, p := range []*dataPacket{cb, p2p, ab} {
 		if err := p.encode(); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +139,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		edit(k)
 		return k
 	}
-	for name, p := range map[string]*dataPacket{"cbcast": cb, "abcast": ab, "p2p": p2p} {
+	for name, p := range map[string]*dataPacket{"cbcast": cb, "abcast": ab, "submission": sub, "p2p": p2p} {
 		bad[name+" cut inside the header"] = p.raw[:envelopeBytes+dataHeaderBytes-1]
 		bad[name+" cut inside the sections"] = p.raw[:p.body-1]
 		bad[name+" cut inside the payload"] = p.raw[:len(p.raw)-1]
@@ -154,6 +147,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		bad[name+" undefined flag"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= 0x80 })
 		bad[name+" section flagged but absent"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= dataIsRelay })
 		bad[name+" retired type 1"] = clone(p.raw, func(k []byte) { k[1] = 1 })
+		bad[name+" retired type 21"] = clone(p.raw, func(k []byte) { k[1] = 21 })
 		for _, off := range []int{5 + 3, 21 + 3} { // the kind bytes of the group and the sender
 			bad[fmt.Sprintf("%s kind at %d", name, off)] = clone(p.raw, func(k []byte) { k[envelopeBytes+off] = byte(addr.KindGroup) + 1 })
 		}
@@ -172,15 +166,17 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	bad["retired type 1, message body"] = old
 	bad["reply header alone"] = good["reply"][:envelopeBytes+replyHeaderBytes]
 	bad["reply corrupt body"] = append(append([]byte{}, good["reply"][:envelopeBytes+replyHeaderBytes]...), 0, 1, 3, 'x')
-	// The retired numbers: with the body an old site would send (the parent's
-	// golden "commit" packet), and with today's fixed layout.
+	// The retired numbers: with the body an old site would send (the golden
+	// commit of the message-built layout), and with the last layouts they had.
 	oldCommit, _ := hex.DecodeString("01030004062667726f75700400000008000100020000000306266d736769640400000008000201010000000707266d73" +
 		"677365710300000008000000000000002a05267072696f0300000008000000000000004d")
 	bad["retired 3, old body"] = oldCommit
-	for _, pt := range []byte{2, 3, 15} {
-		k := append([]byte{}, good["commit"]...)
-		k[1] = pt
-		bad[fmt.Sprintf("retired %d, fixed body", pt)] = k
+	for name, h := range goldenRetired {
+		raw, _ := hex.DecodeString(h)
+		bad["retired "+name] = raw
+		for _, pt := range []byte{2, 3, 15} {
+			bad[fmt.Sprintf("retired %d, the body of %s", pt, name)] = clone(raw, func(k []byte) { k[1] = pt })
+		}
 	}
 
 	before := fx.state()
@@ -191,18 +187,16 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		}
 	}
 
-	d.handleTransport(2, good["commit"])
-	d.handleTransport(2, good["propose"])
-	d.handleTransport(2, good["resolicit"])
 	d.handleTransport(2, good["reply"])
 	d.handleTransport(2, good["nullreply"])
 	d.handleTransport(2, cb.raw)
 	d.handleTransport(2, p2p.raw)
 	d.handleTransport(2, ab.raw)
-	waitFor(t, "A, B, the two replies, the CBCAST and the direct message at the member", 2*time.Second, func() bool { return fx.got.Load() == 6 })
+	d.handleTransport(2, sub.raw)
+	waitFor(t, "the two replies, the CBCAST, the direct message, B and the submission at the member", 2*time.Second, func() bool { return fx.got.Load() == 6 })
 	d.mu.Lock()
-	if n, p := len(gs.rounds), gs.total.PendingCount(); n != 0 || p != 1 {
-		t.Errorf("after the well-formed packets: %d rounds open, %d messages pending, want none and the last ABCAST", n, p)
+	if n := len(gs.submitted); n != 0 || gs.abView != fx.view || gs.abSeq != 2 {
+		t.Errorf("after the well-formed packets: %d submissions open, last ABCAST delivered %d/%d, want none and %d/2", n, gs.abView, gs.abSeq, fx.view)
 	}
 	if _, kept := d.groups[fx.gid].recent.Get(idC); !kept || d.counters.Delivered != 6 {
 		t.Errorf("Delivered = %d (CBCAST recorded: %v), want 6", d.counters.Delivered, kept)
@@ -236,8 +230,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		call[want], _ = d.newCall(site, want)
 	}
 	nested := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 99}, -1, body("n")).raw
-	report := pendingReport{Abcasts: []abPendingWire{{ID: core.MsgID{Sender: remote, Seq: 99}, Priority: 4, Packet: nested}},
-		Fenced: []core.MsgID{{Sender: remote, Seq: 98}}}
+	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested, Seq: 4}}
 	gb := map[string]struct {
 		pt byte
 		p  gbPacket
@@ -320,6 +313,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 			bad[name+" cut inside a nested packet"] = raw[:i+len(nested)/2]
 			bad[name+" nested packet overruns"] = edit(raw, i-4, 0xff, 0xff)
 			bad[name+" report entry of no list"] = edit(raw, i-5, 3<<2)
+			bad[name+" report entry of a retired list"] = edit(raw, i-5, 0)
 		}
 	}
 	for _, name := range []string{"lookup", "lookupresp"} {
@@ -436,9 +430,9 @@ func FuzzControlPacket(f *testing.F) {
 		f.Add(byte(7), raw[envelopeBytes:len(raw)-1])
 		f.Add(byte(8), raw[envelopeBytes:])
 	}
-	types := []byte{ptAbPropose, ptAbCommit, ptAbResolicit, ptReply, 2, 3, 15, ptData, 1,
+	types := []byte{17, 18, 19, ptReply, 2, 3, 15, ptData, 1, 21,
 		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, ptStateAck, ptError, ptRelayAck, 4, 7, 12, 13, 16}
-	for _, h := range goldenWire {
+	for _, h := range append(slices.Collect(maps.Values(goldenRetired)), slices.Collect(maps.Values(goldenWire))...) {
 		raw, _ := hex.DecodeString(h)
 		if i := slices.Index(types, raw[1]); i >= 0 {
 			f.Add(byte(i), raw[envelopeBytes:])
@@ -454,8 +448,7 @@ func FuzzControlPacket(f *testing.F) {
 		_, _, isReply := parseReply(data)
 		_, isData := parseDataPacket(append([]byte{wireVersion, pt}, data...))
 		var g gbPacket
-		_, isAbCommit := parseAbRecord(data)
-		isCommit := pt == ptAbCommit && isAbCommit || pt == ptGbCommit && g.parse(data) // a commit may release deliveries
+		isCommit := pt == ptGbCommit && g.parse(data) // a commit may release deliveries
 		if after := delivered(); after != before && !(pt == ptReply && isReply) && !isData && !isCommit {
 			t.Fatalf("type %d body %x: Delivered %d -> %d", pt, data, before, after)
 		}

@@ -74,25 +74,23 @@ type (
 
 // Operational event kinds (Site.Events / Cluster.Events).
 const (
-	EventViewInstalled   = events.ViewInstalled
-	EventViewCommitted   = events.ViewCommitted
-	EventPrimaryLost     = events.PrimaryLost
-	EventPrimaryResumed  = events.PrimaryResumed
-	EventPartitionWedge  = events.PartitionWedge
-	EventMergeStart      = events.MergeStart
-	EventMergePark       = events.MergePark
-	EventMergeRetry      = events.MergeRetry
-	EventMergeLand       = events.MergeLand
-	EventFlushBegin      = events.FlushBegin
-	EventAbcastFenced    = events.AbcastFenced
-	EventFlushComplete   = events.FlushComplete
-	EventAbcastResolicit = events.AbcastResolicit
-	EventTakeover        = events.Takeover
-	EventSiteDown        = events.SiteDown
-	EventSiteUp          = events.SiteUp
-	EventSiteRestart     = events.SiteRestart
-	EventLinkDown        = events.LinkDown
-	EventLinkUp          = events.LinkUp
+	EventViewInstalled  = events.ViewInstalled
+	EventViewCommitted  = events.ViewCommitted
+	EventPrimaryLost    = events.PrimaryLost
+	EventPrimaryResumed = events.PrimaryResumed
+	EventPartitionWedge = events.PartitionWedge
+	EventMergeStart     = events.MergeStart
+	EventMergePark      = events.MergePark
+	EventMergeRetry     = events.MergeRetry
+	EventMergeLand      = events.MergeLand
+	EventFlushBegin     = events.FlushBegin
+	EventFlushComplete  = events.FlushComplete
+	EventTakeover       = events.Takeover
+	EventSiteDown       = events.SiteDown
+	EventSiteUp         = events.SiteUp
+	EventSiteRestart    = events.SiteRestart
+	EventLinkDown       = events.LinkDown
+	EventLinkUp         = events.LinkUp
 )
 
 // Request outcomes (Process.Outcome).
