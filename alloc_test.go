@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simnet"
 )
 
 // Allocation budgets of the two data paths the benchmark measures, taken the
@@ -126,8 +128,12 @@ func TestCbcastAllocBudget(t *testing.T) {
 // state transfer left the message codec (PR 26) this cost 424 allocations and
 // 144.8 KB; before the backends carved their frames from slabs and a
 // fragmented message was reassembled at its exact length, 257.3 and 89.8 KB.
+// The frames it puts on the wire are budgeted too: 28.8 when every message
+// was cut at MaxPacket-38 bytes before the flusher saw it, which sent each
+// state block's 65-byte tail in a frame of its own.
 func TestJoinLeaveAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 257, 83950 // measured 233.6 and 76.3 KB
+	const maxAllocs, maxBytes = 221, 81700 // measured 201.0 and 74.2 KB
+	const maxFrames = 27                   // measured 24.8
 	c, err := NewCluster(ClusterConfig{Sites: 4, CallTimeout: 5 * time.Second, DisableHeartbeats: true})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +161,13 @@ func TestJoinLeaveAllocBudget(t *testing.T) {
 	}
 	joiner := spawn(t, c, 4)
 	done := make(chan int, 1)
-	allocs, bytes := perOp(20, 200, func(int) {
+	net := c.Fabric().(*simnet.Network)
+	const warm, n = 20, 200
+	var frames0 uint64
+	allocs, bytes := perOp(warm, n, func(i int) {
+		if i == warm {
+			frames0 = net.Stats().PacketsSent
+		}
 		got := 0
 		if _, err := joiner.Join(gid, JoinOptions{StateReceiver: func(block []byte, last bool) {
 			if got += len(block); last {
@@ -171,8 +183,12 @@ func TestJoinLeaveAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("join with 16 KB of state, then leave: %.1f allocs, %.0f bytes per op", allocs, bytes)
+	frames := float64(net.Stats().PacketsSent-frames0) / n
+	t.Logf("join with 16 KB of state, then leave: %.1f allocs, %.0f bytes, %.1f frames per op", allocs, bytes, frames)
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("a join+leave costs %.1f allocs and %.0f bytes, budget %v and %v", allocs, bytes, maxAllocs, maxBytes)
+	}
+	if frames > maxFrames {
+		t.Errorf("a join+leave puts %.1f frames on the wire, budget %v", frames, maxFrames)
 	}
 }

@@ -3,7 +3,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -73,19 +72,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// sinkEnd is an endpoint that allocates nothing: what is sent vanishes, and
-// only the test feeds its receive channel.
-type sinkEnd struct{ recv chan netback.Packet }
-
-func (e *sinkEnd) Site() SiteID                { return 1 }
-func (e *sinkEnd) Recv() <-chan netback.Packet { return e.recv }
-func (e *sinkEnd) Close()                      {}
-func (e *sinkEnd) Send(SiteID, []byte) error   { return nil }
-
 // TestSendAllocatesNothing pins the send half of the ownership rule: Send
-// files references to the caller's bytes in a window that has reached its
-// working size, whether the message is one record or four, so neither it nor
-// the flusher behind it allocates.
+// files a reference to the caller's bytes in a queue that has reached its
+// working size, however long the message, and the flusher's pass cuts records
+// from the queue into a window that has too, so neither allocates.
 func TestSendAllocatesNothing(t *testing.T) {
 	ep := &sinkEnd{recv: make(chan netback.Packet, 1)}
 	tr, err := New(ep, Config{MaxPacket: 4096, RetransmitInterval: time.Hour}, nil)
@@ -93,36 +83,37 @@ func TestSendAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	small, big := make([]byte, 100), make([]byte, 10_000) // one record, and three
+	ps, pass := handDriven(tr)
+	small, big := make([]byte, 100), make([]byte, 10_000) // one record, and three or four
 	send := func() {
 		if tr.Send(2, small) != nil || tr.Send(2, big) != nil || tr.Send(2, nil) != nil {
 			t.Fatal("Send failed")
 		}
 	}
-	// Grow the window to what the measured runs will queue, then acknowledge
-	// all of it: the window empties and keeps its capacity.
+	// Grow the queue and the window to what the measured runs will hold, then
+	// send and acknowledge all of it: both empty and keep their capacity.
 	const runs = 100
 	for i := 0; i <= runs; i++ {
 		send()
 	}
-	waitUntil(t, "the flusher to catch up", func() bool {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return tr.sends[2].sentUpTo+1 == tr.sends[2].nextSeq
-	})
-	ack := []byte{kindAck, 16: 0}
-	tr.mu.Lock()
-	binary.BigEndian.PutUint64(ack[1:9], tr.sends[2].epoch)
-	binary.BigEndian.PutUint64(ack[9:17], tr.sends[2].sentUpTo)
-	tr.mu.Unlock()
-	ep.recv <- netback.Packet{From: 2, To: 1, Payload: ack}
-	waitUntil(t, "the ack to retire the window", func() bool { return tr.Unacked() == 0 })
+	pass()
+	tr.applyAck(2, ps.epoch, ps.nextSeq-1)
+	if n := tr.Unacked(); n != 0 {
+		t.Fatalf("Unacked = %d after the covering ack, want 0", n)
+	}
 
 	if n := testing.AllocsPerRun(runs, send); n != 0 {
 		t.Errorf("three steady-state Sends allocate %.0f times, want 0", n)
 	}
-	if got, want := tr.Unacked(), 5*(runs+1); got != want {
-		t.Errorf("%d records outstanding, want %d", got, want)
+	if got, want := tr.Unacked(), 3*(runs+1); got != want {
+		t.Errorf("%d messages queued, want %d", got, want)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	pass()
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Errorf("a pass over %d queued messages allocates %d times, want 0", 3*(runs+1), n)
 	}
 }
 
@@ -148,8 +139,9 @@ func TestTwoFragmentMessageIsAssembledInOneAllocation(t *testing.T) {
 	}
 }
 
-// reassemblyCost sends messages of the given size, which take frags frames
-// each, and returns the allocations and bytes a receiver spends on one. It
+// reassemblyCost sends messages of the given size, each in a flusher pass of
+// its own so that it starts a frame and takes frags frames, and returns the
+// allocations and bytes a receiver spends on one. It
 // counts only the feed: MemStats counts every goroutine, and the receiver's
 // background loops (the retransmission ticker, the flusher the first frame
 // opens) make their one-time allocations whenever the scheduler first runs
@@ -165,6 +157,7 @@ func reassemblyCost(t *testing.T, size, frags int) (allocs, bytes float64) {
 		t.Fatal(err)
 	}
 	defer ta.Close()
+	_, pass := handDriven(ta)
 	const warm, n, windows = 10, 200, 3
 	msg := make([]byte, size)
 	for i := range msg {
@@ -174,8 +167,9 @@ func reassemblyCost(t *testing.T, size, frags int) (allocs, bytes float64) {
 		if err := ta.Send(2, msg); err != nil {
 			t.Fatal(err)
 		}
+		pass()
 	}
-	frames := a.takeRecords(t, frags*(warm+windows*n))
+	frames := a.dataFrames()
 	if len(frames) != frags*(warm+windows*n) {
 		t.Fatalf("%d frames for %d messages, want %d a message", len(frames), warm+windows*n, frags)
 	}

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/netback"
 	"repro/internal/simnet"
 )
 
@@ -39,6 +42,93 @@ func TestCoalescingUnderLoad(t *testing.T) {
 	}
 	if st.FramesSent >= st.FragmentsSent {
 		t.Errorf("FramesSent = %d not smaller than FragmentsSent = %d", st.FramesSent, st.FragmentsSent)
+	}
+}
+
+// TestMessageFillsTheFrameItStartsIn drives one flusher pass by hand over
+// queued messages and reads its frames at the pipe: a message longer than a
+// frame is cut so that its head fills the room left in the frame it starts
+// in, and the rest goes on in the next; a message that fits an empty frame is
+// never cut; and under DisableBatching every frame carries one record, cut at
+// MaxPacket-38. A receiver reassembles what the pass sent. Four state blocks
+// (4 096 bytes behind a 27-byte header) took 8 frames when every message was
+// cut at MaxPacket-38 before the flusher saw it, 4 of them 65-byte tails.
+func TestMessageFillsTheFrameItStartsIn(t *testing.T) {
+	const maxPacket = 4096
+	msgs := func(sizes ...int) [][]byte {
+		out := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			out[i] = make([]byte, n)
+			for j := range out[i] {
+				out[i][j] = byte(i*31 + j)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name      string
+		unbatched bool
+		msgs      [][]byte
+		records   [][]int // payload lengths of each frame's records
+		full      bool    // every frame but the last is MaxPacket bytes
+	}{
+		{"state blocks", false, msgs(4123, 4123, 4123, 4123),
+			[][]int{{4058}, {65, 3980}, {143, 3902}, {221, 3824}, {299}}, true},
+		{"1 100-byte messages", false, msgs(2000, 1100, 1100, 1100),
+			[][]int{{2000, 1100}, {1100, 1100}}, false},
+		{"state blocks unbatched", true, msgs(4123, 4123, 4123, 4123),
+			[][]int{{4058}, {65}, {4058}, {65}, {4058}, {65}, {4058}, {65}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, _ := newPipe()
+			a.drop = true
+			cfg := Config{MaxPacket: maxPacket, RetransmitInterval: time.Hour, DisableBatching: c.unbatched}
+			tr, err := New(a, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			_, pass := handDriven(tr)
+			for _, m := range c.msgs {
+				if err := tr.Send(2, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass()
+			frames := a.dataFrames()
+			var got [][]int
+			for i, f := range frames {
+				var lens []int
+				for _, r := range records([][]byte{f}) {
+					lens = append(lens, len(r)-subHeaderSize)
+				}
+				got = append(got, lens)
+				if c.full && i < len(frames)-1 && len(f) != maxPacket {
+					t.Errorf("frame %d of %d is %d bytes, want %d", i+1, len(frames), len(f), maxPacket)
+				}
+			}
+			if !slices.EqualFunc(got, c.records, slices.Equal[[]int]) {
+				t.Fatalf("frames carry records of %v bytes, want %v", got, c.records)
+			}
+			if st := tr.Stats(); st.FramesSent != uint64(len(c.records)) {
+				t.Errorf("FramesSent = %d, want %d", st.FramesSent, len(c.records))
+			}
+
+			var delivered [][]byte
+			rx, err := New(&sinkEnd{recv: make(chan netback.Packet)}, cfg, func(_ SiteID, data []byte) {
+				delivered = append(delivered, data)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			for _, f := range frames {
+				rx.handlePacket(netback.Packet{From: 2, To: 1, Payload: f})
+			}
+			if !slices.EqualFunc(delivered, c.msgs, bytes.Equal) {
+				t.Errorf("the receiver reassembled %d messages, not the %d sent", len(delivered), len(c.msgs))
+			}
+		})
 	}
 }
 

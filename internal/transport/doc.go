@@ -9,19 +9,19 @@
 // per-destination sequence numbers, cumulative acknowledgements,
 // timer-driven retransmission, and fragmentation of large messages into
 // MaxPacket-sized packets (the paper's 4 KB fragmentation, responsible for
-// the latency knee between 1 KB and 10 KB messages in Figure 2).
+// the latency knee between 1 KB and 10 KB messages in Figure 2). The flusher
+// cuts only a message longer than a frame: its head fills the room left in
+// the frame it starts in, and the rest goes on in the next.
 //
 // Two hot-path optimisations keep protocol overhead off the wire, in the
 // spirit of the piggybacking and buffering tricks Section 7 credits for
 // ISIS running near raw-datagram speed:
 //
-//   - Packet coalescing: fragments queued for the same destination site are
-//     batched into a single simnet frame (up to MaxPacket) by a per-peer
-//     flusher goroutine. Under backpressure — while one frame is being
-//     transmitted, more Sends arrive — subsequent fragments share frames,
-//     amortising the per-packet send cost without adding latency when the
-//     link is idle. Config.DisableBatching (one fragment per frame) is the
-//     ablation baseline.
+//   - Packet coalescing: Send queues whole messages, and the destination's
+//     flusher goroutine batches them into frames of up to MaxPacket. While a
+//     frame is on the wire, more Sends arrive and share the next one; an idle
+//     link adds no latency. Config.DisableBatching (one record per frame) is
+//     the ablation baseline.
 //
 //   - Piggybacked acks: every outgoing data frame carries the cumulative
 //     acknowledgement for the reverse direction, so bidirectional traffic
@@ -35,9 +35,11 @@
 // path never sends — a receive loop that blocked on its full reverse link
 // while the peer's blocked on the opposite one would be a distributed buffer
 // deadlock. A pass of the flusher sends, one frame per lock hold, the records
-// whose ack is overdue, then the records queued since, then a dedicated ack if
-// one is owed that no frame carried and its delay is up (at once under
-// Config.DisableBatching), or if Poll asked for a keepalive. A peer that only
+// whose ack is overdue, then records cut from the messages queued since, then
+// a dedicated ack if one is owed that no frame carried and its delay is up (at
+// once under Config.DisableBatching), or if Poll asked for a keepalive. A
+// record is numbered as it first goes into a frame, so the send window is
+// exactly the records sent and not yet acknowledged. A peer that only
 // receives gets a flusher too, for its acks.
 //
 // Liveness rides on the streams and adds nothing to them: any frame from a
@@ -49,16 +51,13 @@
 // costs neither memory nor retransmissions.
 //
 // The data path copies a message once on each side of the wire. Send keeps
-// the caller's bytes by reference, in a sequence-indexed send window, until
-// their ack arrives (an ack retires a prefix of the window and touches nothing
-// else); a fan-out is one buffer in N windows. Sub-headers are written as
-// records are copied into a frame, built in the flusher's one reusable
-// buffer — the backend is done with it when Send returns — and a received
-// single-fragment message reaches the handler as a sub-slice of the frame it
-// arrived in, which the backend handed to the receiver; only fragmented
-// messages are copied together. Each window record remembers when it was last
-// transmitted, and the flusher resends only records whose ack is at least
-// RetransmitInterval overdue.
+// the caller's bytes by reference, in the peer's queue and then in its send
+// window, until an ack retires them; a fan-out is one buffer in N queues.
+// Sub-headers are written as records are copied into a frame, built in the
+// flusher's one reusable buffer (the backend is done with it when Send
+// returns), and a single-record message reaches the handler as a sub-slice of
+// the frame it arrived in; only fragmented messages are copied together. The
+// flusher resends only records whose ack is RetransmitInterval overdue.
 //
 // Sequence numbers are qualified by a stream epoch so that a site restart
 // (new incarnation, sequence numbers starting over at 1) is not mistaken
@@ -66,10 +65,11 @@
 // cannot retire records of the current one. An epoch's high 32 bits carry
 // the sending site's incarnation and the low 32 bits a per-peer reset
 // counter, making epochs monotonic across restarts and stream resets: a
-// frame with a higher epoch than previously seen starts a fresh stream (the
-// old receive state is discarded — whatever was in flight died with the
-// crashed incarnation, exactly the loss model of a site crash), and a frame
-// with a lower epoch is a straggler from a dead incarnation and is dropped.
+// frame with a higher epoch than previously seen starts a fresh stream (what
+// was in flight died with the old one, as in a site crash), and a frame with
+// a lower epoch is a straggler from a dead incarnation and is dropped. A
+// receiver that adopts a stream in flight drops the records it starts with
+// that continue a message, up to the message's last: its head is lost.
 //
 // Wire format (all integers big endian). A simnet packet is one frame:
 //
@@ -86,7 +86,7 @@
 //	    bytes 17-24 piggybacked cumulative ack (0: nothing received yet)
 //	    repeated sub-packet record:
 //	        bytes 0-7    sequence number
-//	        byte  8      flags (bit0: last fragment of its message)
+//	        byte  8      flags (bit0: last of its message; bit1: not its first)
 //	        bytes 9-12   fragment length
 //	        bytes 13..   fragment payload
 package transport

@@ -22,9 +22,9 @@ type Handler func(from SiteID, data []byte)
 
 // Config holds transport parameters.
 type Config struct {
-	// MaxPacket is the largest backend payload; messages are fragmented so
-	// that a frame holding one fragment fits within it, and queued fragments
-	// are coalesced into frames up to this size. Defaults to the network's
+	// MaxPacket is the largest backend payload: queued messages are
+	// coalesced into frames up to this size, and one too long for any frame
+	// is cut to fill the frame it starts in. Defaults to the network's
 	// MaxPacket, or 4096 when the network imposes no limit.
 	MaxPacket int
 	// RetransmitInterval is how often unacknowledged packets are resent.
@@ -39,13 +39,12 @@ type Config struct {
 	// duplicates. It must increase across restarts; the protocols daemon
 	// derives it from the site incarnation. Zero selects 1.
 	Epoch uint64
-	// DisableBatching caps every frame at one fragment and owes each received
+	// DisableBatching caps every frame at one record and owes each received
 	// frame's ack at once, with no AckDelay: the unbatched baseline the
-	// benchmark ablation compares against. The immediate ack still rides the
-	// first data frame the peer's flusher sends back, if one is queued, and
-	// goes as a dedicated ack only when none is. The flusher does all the
-	// sending in both modes, so neither Send nor the receive path blocks on
-	// the link.
+	// benchmark ablation compares against. The immediate ack still rides a
+	// data frame the peer's flusher sends back, if one is queued. The flusher
+	// does all the sending in both modes, so neither Send nor the receive
+	// path blocks on the link.
 	DisableBatching bool
 }
 
@@ -67,9 +66,9 @@ func DefaultConfig(p netback.Profile) Config {
 type Stats struct {
 	MessagesSent      uint64
 	MessagesDelivered uint64
-	FragmentsSent     uint64
+	FragmentsSent     uint64 // records cut from queued messages, one for a message that fits a frame
 	FramesSent        uint64 // simnet frames carrying data (batches count once)
-	Coalesced         uint64 // fragments that shared a frame with an earlier one
+	Coalesced         uint64 // records that shared a frame with an earlier one
 	Retransmissions   uint64
 	DuplicatesDropped uint64
 	AcksSent          uint64 // dedicated ack frames
@@ -90,7 +89,11 @@ const (
 	ackSize         = 17
 )
 
-const flagLastFragment = 0x01
+// Record flags.
+const (
+	flagLastFragment = 0x01 // the record ends its message
+	flagContinues    = 0x02 // the record is not its message's first
+)
 
 // Errors.
 var (
@@ -102,26 +105,25 @@ var (
 // written as the record is copied into a frame.
 type sendRec struct {
 	frag   []byte    // a sub-slice of the bytes Send was given; never written
-	flags  byte      // flagLastFragment on a message's final fragment
-	sentAt time.Time // last transmission; zero until the flusher first sends it
+	flags  byte      // flagLastFragment and flagContinues
+	sentAt time.Time // last transmission
 }
 
-// size is the record's length in a frame.
-func (r *sendRec) size() int { return subHeaderSize + len(r.frag) }
-
-// peerSend tracks the sending half of a connection to one peer site. The
-// window holds every record not yet acknowledged, indexed by sequence:
-// window[head+i] carries sequence base+i. Records up to sentUpTo have been on
-// the wire and wait for their ack (or a retransmission); the rest await their
-// first transmission by the flusher.
+// peerSend tracks the sending half of a connection to one peer site. Send
+// queues whole messages, unnumbered; the flusher cuts records from them as it
+// fills frames and numbers each as it first goes into one. The window holds
+// exactly the records sent and not yet acknowledged, indexed by sequence:
+// window[head+i] carries sequence base+i.
 type peerSend struct {
-	epoch    uint64 // stream epoch stamped on outgoing frames
-	nextSeq  uint64
-	window   []sendRec
-	head     int           // index of the lowest unacknowledged record
-	base     uint64        // its sequence number (nextSeq when the window is empty)
-	sentUpTo uint64        // highest sequence handed to a frame so far
-	kick     chan struct{} // wakes the per-peer flusher
+	epoch   uint64 // stream epoch stamped on outgoing frames
+	nextSeq uint64 // the number of the next record cut
+	window  []sendRec
+	head    int      // index of the lowest unacknowledged record
+	base    uint64   // its sequence number (nextSeq when the window is empty)
+	queue   [][]byte // messages not yet all in records, from queue[qhead] on
+	qhead   int
+	cont    bool          // queue[qhead] is the rest of a message whose head was cut
+	kick    chan struct{} // wakes the per-peer flusher
 
 	// Liveness, read and cleared by Poll: heard is set by any frame from the
 	// peer, sent by any frame to it but a keepalive, and keepalive is a bare
@@ -129,16 +131,16 @@ type peerSend struct {
 	heard, sent, keepalive bool
 }
 
-// outstanding returns the number of records awaiting an ack.
-func (ps *peerSend) outstanding() int { return len(ps.window) - ps.head }
+// outstanding counts the records awaiting an ack and the messages awaiting a frame.
+func (ps *peerSend) outstanding() int { return len(ps.window) - ps.head + len(ps.queue) - ps.qhead }
 
-// reset drops the window and renumbers the stream from 1 under a bumped
-// epoch, so the peer starts a fresh receive stream and no frame of the old
-// numbering can be confused with the new one.
+// reset drops the window and the queue and renumbers the stream from 1 under a
+// bumped epoch, so the peer starts a fresh receive stream and no frame of the
+// old numbering can be confused with the new one.
 func (ps *peerSend) reset() {
 	ps.epoch++
-	ps.nextSeq, ps.base, ps.sentUpTo = 1, 1, 0
-	ps.window, ps.head = nil, 0
+	ps.nextSeq, ps.base, ps.head, ps.qhead, ps.cont = 1, 1, 0, 0, false
+	ps.window, ps.queue = nil, nil
 }
 
 // wake nudges the peer's flusher into a pass; it never blocks.
@@ -149,25 +151,23 @@ func (ps *peerSend) wake() {
 	}
 }
 
-// at returns the window record carrying sequence seq, which must lie in
-// [base, nextSeq).
+// at returns the window record carrying sequence seq, in [base, nextSeq).
 func (ps *peerSend) at(seq uint64) *sendRec { return &ps.window[ps.head+int(seq-ps.base)] }
 
-// retire drops the n lowest records from the window.
-func (ps *peerSend) retire(n int) {
-	clear(ps.window[ps.head : ps.head+n])
-	ps.head += n
-	ps.base += uint64(n)
+// dropFront clears s[*head:*head+n] and moves *head past it; it empties s,
+// or compacts it once half is dead so a standing backlog cannot grow it.
+func dropFront[T any](s []T, head *int, n int) []T {
+	clear(s[*head : *head+n])
+	*head += n
 	switch {
-	case ps.head == len(ps.window):
-		ps.window, ps.head = ps.window[:0], 0
-	case ps.head >= 64 && ps.head >= len(ps.window)/2:
-		// Keep the dead prefix from growing without bound under a standing
-		// backlog.
-		n := copy(ps.window, ps.window[ps.head:])
-		clear(ps.window[n:])
-		ps.window, ps.head = ps.window[:n], 0
+	case *head == len(s):
+		s, *head = s[:0], 0
+	case *head >= 64 && *head >= len(s)/2:
+		n := copy(s, s[*head:])
+		clear(s[n:])
+		s, *head = s[:n], 0
 	}
+	return s
 }
 
 // peerRecv is the receive-side bookkeeping for one peer.
@@ -251,9 +251,9 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-// Unacked returns the number of transmitted packets not yet acknowledged by
-// their destinations, across all peers. The protocols process uses it to
-// implement the flush primitive.
+// Unacked returns the number of records sent and not yet acknowledged plus
+// the messages queued and not yet all cut into records, across all peers: 0
+// means all Send was given has arrived. The protocols' flush waits on it.
 func (t *Transport) Unacked() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -313,12 +313,11 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
-// Send reliably transmits data to the destination site, fragmenting as
-// needed. The fragments are queued for the destination's flusher, which
-// coalesces whatever has accumulated into MaxPacket-sized frames; delivery
-// is asynchronous and guaranteed (unless either site crashes). The window
-// refers to data until the peer acknowledges it, so data is the transport's
-// from here on — the caller never writes it again — and Send allocates nothing.
+// Send reliably transmits data to the destination site: it queues the whole
+// message, unnumbered, for the destination's flusher (see buildFrameLocked).
+// Delivery is asynchronous and guaranteed unless either site crashes. The
+// queue and then the window refer to data until the peer acknowledges it, so
+// data is the transport's from here on and Send allocates nothing.
 func (t *Transport) Send(to SiteID, data []byte) error {
 	t.mu.Lock()
 	if t.closed {
@@ -326,27 +325,8 @@ func (t *Transport) Send(to SiteID, data []byte) error {
 		return ErrClosed
 	}
 	ps := t.peerSendLocked(to)
-	maxFrag := t.cfg.MaxPacket - frameHeaderSize - subHeaderSize
-	// Queue all records under the lock so their sequence numbers are
-	// contiguous even with concurrent senders.
-	remaining := data
-	n := 0
-	for first := true; first || len(remaining) > 0; first = false {
-		frag := remaining
-		if len(frag) > maxFrag {
-			frag = frag[:maxFrag]
-		}
-		remaining = remaining[len(frag):]
-		flags := byte(0)
-		if len(remaining) == 0 {
-			flags = flagLastFragment
-		}
-		ps.window = append(ps.window, sendRec{frag: frag, flags: flags})
-		ps.nextSeq++
-		n++
-	}
+	ps.queue = append(ps.queue, data)
 	t.stats.MessagesSent++
-	t.stats.FragmentsSent += uint64(n)
 	t.mu.Unlock()
 	ps.wake()
 	return nil
@@ -369,10 +349,10 @@ func (t *Transport) peerSendLocked(to SiteID) *peerSend {
 }
 
 // runFlusher runs a pass each time Send, the retransmission ticker, the ack
-// timer or Poll wakes it. While a frame is on the wire, newly queued records
-// accumulate and share the next frame — batching emerges under load with no
-// idle-path latency cost. Every frame is built in the flusher's one buffer:
-// the backend is done with it when Send returns.
+// timer or Poll wakes it. While a frame is on the wire, newly queued messages
+// accumulate and share the next frame: batching with no idle-path latency.
+// Every frame is built in the flusher's one buffer: the backend is done with
+// it when Send returns.
 func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 	defer t.wg.Done()
 	frame := make([]byte, 0, t.cfg.MaxPacket)
@@ -390,7 +370,7 @@ func (t *Transport) runFlusher(to SiteID, ps *peerSend) {
 // on the peer's link. One frame per lock hold — the network send must not
 // run under t.mu — it sends, in order: the run of records, from the lowest
 // outstanding one, whose ack is at least RetransmitInterval overdue; the
-// records queued since; and a dedicated ack if one is owed and due, or a
+// messages queued since; and a dedicated ack if one is owed and due, or a
 // keepalive if Poll asked for one and no frame went since.
 func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 	// next never moves back within a stream, so a pass resends a record at
@@ -400,9 +380,9 @@ func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 		t.mu.Lock()
 		next = max(next, ps.base) // acks (or a stream reset) moved the window on
 		if !t.overdueLocked(ps, next, now) {
-			next = ps.sentUpTo + 1
+			next = ps.nextSeq
 		}
-		if next < ps.nextSeq {
+		if next < ps.nextSeq || ps.qhead < len(ps.queue) {
 			frame, next = t.buildFrameLocked(to, ps, frame[:0], next, now)
 		} else if frame = t.appendAckLocked(to, ps, frame[:0]); len(frame) == 0 {
 			t.mu.Unlock()
@@ -414,12 +394,12 @@ func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 }
 
 // buildFrameLocked appends to frame (which is empty) one data frame of at
-// most MaxPacket bytes carrying window records from sequence first on, as
-// long as each is overdue or not yet sent (and only one under
-// DisableBatching: one wire packet per fragment). It stamps the piggybacked
-// ack and the records' transmission time, counts the frame, and returns it
-// with the sequence after its last record. Caller holds t.mu and guarantees
-// base <= first < nextSeq.
+// most MaxPacket bytes carrying records from sequence first on: window records
+// while each is overdue and fits, then records cut from the queue (one record
+// in all under DisableBatching). It stamps the piggybacked ack and the
+// records' transmission time, counts the frame, and returns it with the
+// sequence after its last record. Caller holds t.mu and guarantees that first
+// is overdue, or is nextSeq with a message queued.
 func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, first uint64, now time.Time) ([]byte, uint64) {
 	// Receivers may adopt a mid-flight stream only at a frame that leads with
 	// the sender's lowest outstanding sequence (see handleFrame).
@@ -433,26 +413,56 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 	frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
 	frame = binary.BigEndian.AppendUint64(frame, ackCum)
 	seq := first
-	for ; seq < ps.nextSeq; seq++ {
-		r := ps.at(seq)
-		resend := seq <= ps.sentUpTo
-		if seq > first && (len(frame)+r.size() > t.cfg.MaxPacket || t.cfg.DisableBatching || resend && !t.overdueLocked(ps, seq, now)) {
+	for ; seq == first || !t.cfg.DisableBatching; seq++ {
+		room := t.cfg.MaxPacket - len(frame) - subHeaderSize
+		if seq < ps.nextSeq {
+			if !t.overdueLocked(ps, seq, now) || len(ps.at(seq).frag) > room {
+				break
+			}
+			t.stats.Retransmissions++
+		} else if !t.cutLocked(ps, room) {
 			break
 		}
-		if resend {
-			t.stats.Retransmissions++
-		}
+		r := ps.at(seq)
 		frame = binary.BigEndian.AppendUint64(frame, seq)
 		frame = append(frame, r.flags)
 		frame = binary.BigEndian.AppendUint32(frame, uint32(len(r.frag)))
 		frame = append(frame, r.frag...)
 		r.sentAt = now
 	}
-	ps.sentUpTo = max(ps.sentUpTo, seq-1)
 	ps.sent, ps.keepalive = true, false
 	t.stats.FramesSent++
 	t.stats.Coalesced += seq - first - 1
 	return frame, seq
+}
+
+// cutLocked appends to the window, numbered nextSeq, a record of the first
+// queued message: all that is left of it if that fits in room bytes, else its
+// first room bytes if it is too long for an empty frame, and else nothing —
+// so only a message longer than a frame is reassembled by the receiver. It
+// reports whether it cut a record. Caller holds t.mu.
+func (t *Transport) cutLocked(ps *peerSend, room int) bool {
+	if ps.qhead == len(ps.queue) {
+		return false
+	}
+	msg := ps.queue[ps.qhead]
+	if len(msg) > room && (room <= 0 || len(msg) <= t.cfg.MaxPacket-frameHeaderSize-subHeaderSize) {
+		return false
+	}
+	r := sendRec{frag: msg[:min(len(msg), room)]}
+	if ps.cont {
+		r.flags = flagContinues
+	}
+	if ps.cont = len(r.frag) < len(msg); ps.cont {
+		ps.queue[ps.qhead] = msg[len(r.frag):]
+	} else {
+		r.flags |= flagLastFragment
+		ps.queue = dropFront(ps.queue, &ps.qhead, 1)
+	}
+	ps.window = append(ps.window, r)
+	ps.nextSeq++
+	t.stats.FragmentsSent++
+	return true
 }
 
 // takeAckLocked returns the epoch-qualified cumulative ack to piggyback on a
@@ -530,11 +540,11 @@ func (t *Transport) retransmitLoop() {
 	}
 }
 
-// overdueLocked reports whether sequence seq has been transmitted, is still
-// unacknowledged, and was last sent at least RetransmitInterval before now.
+// overdueLocked reports whether sequence seq is in the window (sent and not
+// yet acknowledged) and was last sent at least RetransmitInterval before now.
 // Caller holds t.mu.
 func (t *Transport) overdueLocked(ps *peerSend, seq uint64, now time.Time) bool {
-	return seq >= ps.base && seq <= ps.sentUpTo && now.Sub(ps.at(seq).sentAt) >= t.cfg.RetransmitInterval
+	return seq >= ps.base && seq < ps.nextSeq && now.Sub(ps.at(seq).sentAt) >= t.cfg.RetransmitInterval
 }
 
 func (t *Transport) handlePacket(pkt netback.Packet) {
@@ -572,11 +582,12 @@ func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 	if ps.epoch != ackEpoch {
 		return
 	}
-	if cumSeq > ps.sentUpTo {
-		cumSeq = ps.sentUpTo // only what has been on the wire can have arrived
+	if cumSeq >= ps.nextSeq {
+		cumSeq = ps.nextSeq - 1 // only what has been on the wire can have arrived
 	}
 	if cumSeq >= ps.base {
-		ps.retire(int(cumSeq - ps.base + 1))
+		ps.window = dropFront(ps.window, &ps.head, int(cumSeq-ps.base+1))
+		ps.base = cumSeq + 1
 	}
 }
 
@@ -612,34 +623,24 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		// us: begin a fresh receive stream. Anything buffered belongs to the
 		// dead numbering and is discarded, as when a site crashes.
 		restarted := senderEpoch>>32 > pr.epoch>>32
-		pr.epoch = senderEpoch
-		pr.nextExpected = 1
-		pr.buffered = nil
-		pr.frags = nil
-		pr.delivered = false
+		pr.epoch, pr.nextExpected, pr.buffered, pr.frags, pr.delivered = senderEpoch, 1, nil, nil, false
 		if restarted {
-			// The restarted peer's receive state for our stream is gone
-			// too: renumber our stream from 1 under a bumped epoch so the
-			// fresh peer accepts it, so stale frames of the old numbering
-			// can never be confused with the new stream. Unacked records
-			// died with the crash.
+			// The restarted peer lost its receive state for our stream too:
+			// renumber ours from 1 under a bumped epoch, which it accepts.
+			// What it had not acked died with the crash.
 			ps.reset()
 		}
 	}
 	progress := false
 	if raw[0] == kindFrameLow && !pr.delivered && len(body) >= subHeaderSize {
 		// Contact with a stream already in flight: this side has no receive
-		// state for the numbering (it restarted, or lost the state), but the
-		// sender is mid-stream. Records below the frame's first sequence were
-		// retired against our predecessor and will never be retransmitted —
-		// waiting for them would wedge the stream forever — so adopt the
-		// stream at its current position. Adoption is trusted only on frames
-		// the sender marked as leading with its lowest outstanding sequence:
-		// a fresh frame can outrace the retransmission of an older backlog
-		// (the flusher does not wait for the retransmit tick), and adopting
-		// at such a frame would silently discard the backlog. Once anything
-		// of this epoch has been delivered the stream is established and the
-		// gap-fill machinery owns ordering.
+		// state for the numbering (it restarted, or lost the state). Records
+		// below the frame's first sequence were retired against our
+		// predecessor and will never be resent, so adopt the stream here —
+		// but only at a frame the sender marked as leading with its lowest
+		// outstanding sequence: a fresh frame can outrace the resending of an
+		// older backlog, which adopting at it would discard. Once anything of
+		// this epoch has been delivered the gap-fill machinery owns ordering.
 		if first := binary.BigEndian.Uint64(body[0:8]); first > pr.nextExpected {
 			pr.nextExpected = first
 			// Records beyond the new expectation may already sit in the buffer
@@ -659,14 +660,15 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	complete := completeArr[:0]
 	// accept consumes the record carrying nextExpected. A single-fragment
 	// message is handed on as the sub-slice of the received frame it arrived
-	// in — the backend gave the frame to the receiver (netback contract) —
-	// and only a fragmented one is copied together: its earlier fragments
-	// stay in their frames until the last arrives, and then one buffer of the
-	// message's exact length takes them all.
+	// in (netback gave the frame to the receiver); a fragmented one waits in
+	// its frames until the last fragment, and one exact-size buffer takes it.
+	// A continuation with no head before it starts an adopted stream: its
+	// message lost the head with the earlier numbering, as in a crash.
 	accept := func(flags byte, payload []byte) {
 		pr.nextExpected++
 		pr.delivered = true
 		switch {
+		case flags&flagContinues != 0 && len(pr.frags) == 0: // headless: dropped
 		case flags&flagLastFragment == 0:
 			pr.frags = append(pr.frags, payload)
 		case len(pr.frags) == 0:
@@ -729,11 +731,9 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	t.stats.MessagesDelivered += uint64(len(complete))
 
 	// Ack policy: the flusher sends it, at once in the unbatched ablation,
-	// otherwise when a short timer is up unless a reverse-direction data frame
-	// beats it (piggybacking). The receive path never sends: with per-fragment
-	// framing under flood, a receive loop blocked on its full reverse link
-	// while the peer's waits on the opposite pair is a distributed buffer
-	// deadlock.
+	// otherwise when a short timer is up unless a reverse data frame beats it.
+	// The receive path never sends: a receive loop blocked on its full reverse
+	// link while the peer's waits on the opposite one is a buffer deadlock.
 	if pr.ackOwed {
 		if t.cfg.DisableBatching {
 			ps.wake()

@@ -49,6 +49,15 @@ func (e *pipeEnd) Send(to SiteID, payload []byte) error {
 	return nil
 }
 
+// sinkEnd is an endpoint that allocates nothing: what is sent vanishes, and
+// only the test feeds its receive channel.
+type sinkEnd struct{ recv chan netback.Packet }
+
+func (e *sinkEnd) Site() SiteID                { return 1 }
+func (e *sinkEnd) Recv() <-chan netback.Packet { return e.recv }
+func (e *sinkEnd) Close()                      {}
+func (e *sinkEnd) Send(SiteID, []byte) error   { return nil }
+
 // dataFrames returns the data frames sent so far and forgets them.
 func (e *pipeEnd) dataFrames() [][]byte {
 	e.mu.Lock()
@@ -94,6 +103,18 @@ func (e *pipeEnd) takeRecords(t *testing.T, n int) [][]byte {
 		return len(records(frames)) >= n
 	})
 	return frames
+}
+
+// handDriven opens tr's stream to peer 2 without its flusher goroutine, so
+// that only pass — one flusher pass, run by hand — sends to it, and messages
+// sent before a pass are all queued when it starts.
+func handDriven(tr *Transport) (ps *peerSend, pass func()) {
+	ps = &peerSend{epoch: tr.epochBase, nextSeq: 1, base: 1, kick: make(chan struct{}, 1)}
+	tr.mu.Lock()
+	tr.sends[2] = ps
+	tr.mu.Unlock()
+	var frame []byte
+	return ps, func() { frame = tr.flush(2, ps, frame) }
 }
 
 // tick does for peer 2 what a retransmission tick does: it wakes the flusher,
@@ -183,6 +204,82 @@ func TestRetransmitOnlyOverdueRecords(t *testing.T) {
 	tr.applyAck(2, tr.epochBase, 99)
 	if n := tr.Unacked(); n != 0 {
 		t.Fatalf("Unacked = %d after a covering ack, want 0", n)
+	}
+}
+
+// TestUnackedCountsQueuedMessages: a message Send has queued counts before
+// any frame carries it, so a flush that waits for Unacked to reach zero
+// cannot return while the message waits for the flusher.
+func TestUnackedCountsQueuedMessages(t *testing.T) {
+	a, _ := newPipe()
+	a.drop = true
+	tr, err := New(a, Config{MaxPacket: 4096, RetransmitInterval: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	_, pass := handDriven(tr)
+	if err := tr.Send(2, make([]byte, 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Unacked(); n != 1 {
+		t.Fatalf("Unacked = %d with a 10 KB message queued and no pass run, want 1", n)
+	}
+	pass()
+	if n := tr.Unacked(); n != 3 {
+		t.Fatalf("Unacked = %d once the pass has cut the message, want its 3 records", n)
+	}
+}
+
+// TestAdoptedStreamDropsAHeadlessMessage feeds a fresh receiver hand-built
+// frames of a stream in flight. Records that continue a message whose head
+// it never had are dropped, up to and including that message's last
+// fragment; the message's lost head died with the stream's earlier numbering,
+// as in a crash. A fresh receiver used to hand such a tail to its handler as
+// a whole message.
+func TestAdoptedStreamDropsAHeadlessMessage(t *testing.T) {
+	type rec struct {
+		seq     uint64
+		flags   byte
+		payload string
+	}
+	frame := func(kind byte, recs ...rec) []byte {
+		f := binary.BigEndian.AppendUint64([]byte{kind}, 7<<32)
+		f = append(f, make([]byte, 16)...) // no piggybacked ack
+		for _, r := range recs {
+			f = binary.BigEndian.AppendUint64(f, r.seq)
+			f = append(f, r.flags)
+			f = binary.BigEndian.AppendUint32(f, uint32(len(r.payload)))
+			f = append(f, r.payload...)
+		}
+		return f
+	}
+	const last, cont = flagLastFragment, flagContinues
+	for _, c := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"a last fragment", [][]byte{frame(kindFrameLow, rec{5, cont | last, "tail"}, rec{6, last, "whole"})}},
+		{"a middle and a last fragment", [][]byte{
+			frame(kindFrameLow, rec{5, cont, "middle"}),
+			frame(kindFrame, rec{6, cont | last, "tail"}, rec{7, last, "whole"}),
+		}},
+		{"a message's head is kept", [][]byte{frame(kindFrameLow, rec{5, 0, "who"}, rec{6, cont | last, "le"})}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := &collector{}
+			tr, err := New(&sinkEnd{recv: make(chan netback.Packet)}, Config{MaxPacket: 4096, RetransmitInterval: time.Hour}, got.handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			for _, f := range c.frames {
+				tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: f})
+			}
+			if msgs := got.snapshot(); !slices.Equal(msgs, []string{"whole"}) {
+				t.Errorf("delivered %q, want only \"whole\"", msgs)
+			}
+		})
 	}
 }
 
