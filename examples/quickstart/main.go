@@ -126,7 +126,7 @@ func main() {
 	// The GBCAST marker is ordered with respect to every other broadcast:
 	// the set of messages delivered before it must be identical at every
 	// member. This is a pinned invariant, not a demo — while the group is
-	// wedged the holder numbers no ABCAST, and the flush delivers at every
+	// wedged the holder stamps no ABCAST, and the flush delivers at every
 	// member what any member delivered before it, so a concurrent ABCAST can
 	// never land on different sides of the marker at different sites (CI
 	// runs this program and fails on a violation).

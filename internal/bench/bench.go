@@ -424,7 +424,7 @@ func FormatFigure2(points []Fig2Point) string {
 // Fig3Breakdown decomposes the latency of one ABCAST to a remote
 // destination, as Figure 3 of the paper does. There the dominant component is
 // the three inter-site packet traversals of the two-phase protocol; here the
-// sender's site numbers the cast (it hosts the view's oldest member), so one
+// sender's site stamps the cast (it hosts the view's oldest member), so one
 // traversal precedes the remote delivery.
 type Fig3Breakdown struct {
 	TotalMs          float64
@@ -472,7 +472,7 @@ func RunFigure3(netCfg simnet.Config, iters int) (Fig3Breakdown, error) {
 	}
 	interPerCast := inter / iters
 	// The sender's site is the view's holder, so the latency-critical path to
-	// the remote delivery is the numbered data packet alone (the paper's
+	// the remote delivery is the stamped data packet alone (the paper's
 	// two-phase path is data -> propose -> commit, 3 traversals); the remote
 	// member's reply and the acks follow it.
 	critical := 1

@@ -10,7 +10,8 @@ import (
 // identifier, the rank in the view the message was sent in of the member that
 // stamped it (the sender, or for a non-member's cast the member that relayed
 // it), that member's vector timestamp, and the opaque payload the protocols
-// process will eventually hand to the application.
+// process will eventually hand to the application. Rank -1 is a message no
+// member has stamped yet: its timestamp is what must be delivered before it.
 type CausalIncoming struct {
 	ID         MsgID
 	SenderRank int
@@ -49,26 +50,32 @@ func NewCausalQueue(selfRank, viewSize int) *CausalQueue {
 // Clock returns a copy of the queue's current vector clock.
 func (q *CausalQueue) Clock() vclock.VC { return q.vc.Clone() }
 
-// Stamp advances the clock entry of the member at the given rank and returns
-// the vector timestamp to stamp on its outgoing CBCAST. The caller must
-// deliver the message locally right away (a sender always sees its own
-// multicast immediately; this is what makes asynchronous use safe — Section
-// 3.4).
-func (q *CausalQueue) Stamp(rank int) vclock.VC {
-	q.vc.Tick(rank)
-	return q.vc.Clone()
+// Stamp advances the clock entry of the member at the given rank and writes
+// the vector timestamp to stamp on its outgoing CBCAST into dst's storage,
+// which it returns. The caller must deliver the message locally right away (a
+// sender always sees its own multicast immediately; this is what makes
+// asynchronous use safe — Section 3.4). Rank -1 advances nothing: the
+// timestamp is the clock as released, what a message nobody stamps yet waits
+// for (Receive).
+func (q *CausalQueue) Stamp(rank int, dst vclock.VC) vclock.VC {
+	if rank >= 0 {
+		q.vc.Tick(rank)
+	}
+	return append(dst[:0], q.vc...)
 }
 
-// PrepareSend is Stamp for the queue's own member.
-func (q *CausalQueue) PrepareSend() vclock.VC { return q.Stamp(q.selfRank) }
+// PrepareSend is Stamp for the queue's own member, into a clock of its own.
+func (q *CausalQueue) PrepareSend() vclock.VC { return q.Stamp(q.selfRank, nil) }
 
 // Receive buffers an incoming CBCAST and returns every message (including
 // possibly this one) that has now become deliverable, in causal order, in a
 // buffer the queue owns: it is valid until the next Receive. A second copy is
 // turned away: of a message the clock already covers — one delivered, or
 // stamped here and so delivered at send time — and of one already waiting.
+// A message of rank -1 is released once the clock dominates its timestamp,
+// and never moves the clock; only a second copy waiting is turned away.
 func (q *CausalQueue) Receive(in CausalIncoming) []CausalIncoming {
-	if in.VT.Get(in.SenderRank) <= q.vc.Get(in.SenderRank) {
+	if in.SenderRank >= 0 && in.VT.Get(in.SenderRank) <= q.vc.Get(in.SenderRank) {
 		return nil
 	}
 	for i := range q.pending {
@@ -98,7 +105,9 @@ func (q *CausalQueue) drain() []CausalIncoming {
 		}
 		m := q.pending[idx]
 		q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
-		q.vc.Merge(m.VT)
+		if m.SenderRank >= 0 {
+			q.vc.Merge(m.VT)
+		}
 		q.out = append(q.out, m)
 	}
 }

@@ -139,14 +139,59 @@ func TestSecondCopyIsTurnedAway(t *testing.T) {
 // them sends: only that member's entry moves.
 func TestStampTicksTheGivenRankOnly(t *testing.T) {
 	q := NewCausalQueue(-1, 3)
-	if vt := q.Stamp(2); !vt.Equal(vclock.VC{0, 0, 1}) {
+	if vt := q.Stamp(2, nil); !vt.Equal(vclock.VC{0, 0, 1}) {
 		t.Errorf("Stamp(2) = %v", vt)
 	}
-	if vt := q.Stamp(0); !vt.Equal(vclock.VC{1, 0, 1}) {
+	if vt := q.Stamp(0, nil); !vt.Equal(vclock.VC{1, 0, 1}) {
 		t.Errorf("Stamp(0) after Stamp(2) = %v", vt)
 	}
-	if vt := q.Stamp(2); !vt.Equal(vclock.VC{1, 0, 2}) || !q.Clock().Equal(vt) {
-		t.Errorf("second Stamp(2) = %v, clock %v", vt, q.Clock())
+	var buf [4]uint64
+	if vt := q.Stamp(2, buf[:0]); !vt.Equal(vclock.VC{1, 0, 2}) || !q.Clock().Equal(vt) || &vt[0] != &buf[0] {
+		t.Errorf("second Stamp(2) = %v, clock %v, in the storage passed: %v", vt, q.Clock(), &vt[0] == &buf[0])
+	}
+	if vt := q.Stamp(-1, nil); !vt.Equal(vclock.VC{1, 0, 2}) || !q.Clock().Equal(vt) {
+		t.Errorf("Stamp(-1) = %v, clock %v: it must tick nothing", vt, q.Clock())
+	}
+}
+
+// A message of rank -1 — one nobody has stamped yet, an ABCAST submitted to
+// the site that will — waits until the clock dominates its timestamp, is
+// turned away by id while it waits, never moves the clock, and is handed
+// back by InstallView like any other waiting message.
+func TestUnstampedEntryWaitsForDominance(t *testing.T) {
+	q := NewCausalQueue(-1, 3)
+	sub := CausalIncoming{ID: mkID(2, 1), SenderRank: -1, VT: vclock.VC{0, 1, 0}, Payload: "sub"}
+	if out := q.Receive(sub); len(out) != 0 {
+		t.Fatalf("released %v before the clock dominates its timestamp", out)
+	}
+	if out := q.Receive(sub); len(out) != 0 || q.PendingCount() != 1 {
+		t.Errorf("a second copy released %v, %d waiting, want nothing and 1", out, q.PendingCount())
+	}
+	// An unrelated message moves the clock, but not past the timestamp.
+	if out := q.Receive(CausalIncoming{ID: mkID(0, 1), SenderRank: 0, VT: vclock.VC{1, 0, 0}, Payload: "a"}); len(out) != 1 {
+		t.Fatalf("the next of rank 0 released %v, want it alone", out)
+	}
+	out := q.Receive(CausalIncoming{ID: mkID(1, 1), SenderRank: 1, VT: vclock.VC{0, 1, 0}, Payload: "b"})
+	if len(out) != 2 || out[0].Payload != "b" || out[1].Payload != "sub" {
+		t.Fatalf("the predecessor released %v, want b then sub", out)
+	}
+	if !q.Clock().Equal(vclock.VC{1, 1, 0}) {
+		t.Errorf("clock %v after the release, want [1 1 0]: rank -1 must not move it", q.Clock())
+	}
+	// Dominated on arrival: released at once, and the clock stays.
+	if out := q.Receive(CausalIncoming{ID: mkID(2, 2), SenderRank: -1, VT: vclock.VC{1, 0, 0}, Payload: "now"}); len(out) != 1 {
+		t.Errorf("a dominated timestamp released %v, want it alone", out)
+	}
+	if out := q.Receive(CausalIncoming{ID: mkID(2, 3), SenderRank: -1, Payload: "none"}); len(out) != 1 {
+		t.Errorf("no timestamp released %v, want it alone", out)
+	}
+	if !q.Clock().Equal(vclock.VC{1, 1, 0}) {
+		t.Errorf("clock %v, want [1 1 0]", q.Clock())
+	}
+	late := CausalIncoming{ID: mkID(2, 4), SenderRank: -1, VT: vclock.VC{0, 0, 5}, Payload: "late"}
+	q.Receive(late)
+	if dropped := q.InstallView(-1, 2); len(dropped) != 1 || dropped[0].Payload != "late" {
+		t.Errorf("InstallView handed back %v, want the waiting entry", dropped)
 	}
 }
 

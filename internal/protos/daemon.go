@@ -136,21 +136,18 @@ type groupState struct {
 	prevView core.View                     // the view this site held before the current one
 	members  map[addr.Address]*memberState // local members only
 
-	// The copy's one ordering state. The site runs CBCAST and ABCAST once on
-	// behalf of every member it hosts and hands each released message to all
-	// of them (deliverDataLocked): they see the same inputs under one lock and
-	// a view installs for all of them at once, so a queue each would only
-	// repeat this one. Re-disseminated messages go in the same way.
+	// The copy's one ordering state. The site runs CBCAST once on behalf of
+	// every member it hosts and hands each released message to all of them
+	// (releaseLocked): they see the same inputs under one lock and a view
+	// installs for all of them at once, so a queue each would only repeat
+	// this one. Re-disseminated messages go in the same way.
 	//
-	// ABCAST needs no queue: the view's holder (its oldest member's site)
-	// numbers every ABCAST of the view and the transport's FIFO stream brings
-	// them in that order. abView and abSeq are the place in that order of the
-	// last one delivered here (at the holder, the last it numbered): a packet
-	// at or before it is a second copy. submitted holds this site's casts the
-	// holder has not yet sent back numbered, by id.
+	// An ABCAST is a CBCAST of rank 0, stamped by the view's holder (its
+	// oldest member's site), so this queue orders ABCASTs too; at the holder
+	// it also holds the submissions its clock does not yet dominate.
+	// submitted holds this site's casts the holder has not yet sent back
+	// stamped, by id.
 	causal    *core.CausalQueue
-	abView    core.ViewID
-	abSeq     uint64
 	submitted map[core.MsgID]*dataPacket
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
@@ -166,7 +163,7 @@ type groupState struct {
 
 	// recent holds the last delivered data packets, which a flush
 	// re-disseminates to members that missed them.
-	recent core.BoundedLog[core.MsgID, recentEntry]
+	recent core.BoundedLog[core.MsgID, []byte]
 
 	// pendingXfer is the set of joiners whose requested state transfer has
 	// not been confirmed complete (by their site's ptStateAck). Every member
@@ -185,14 +182,6 @@ type groupState struct {
 	marks requestMarks
 }
 
-// recentEntry is one delivered data packet, as the bytes it travelled as, and
-// for an ABCAST the holder's number for it (0 otherwise), which a flush report
-// carries so re-dissemination can deliver in the holder's order.
-type recentEntry struct {
-	raw []byte
-	seq uint64
-}
-
 const recentLimit = 256
 
 // newGroupState makes a group copy. It stamps for whichever local member
@@ -204,7 +193,7 @@ func newGroupState(view core.View) *groupState {
 		members:   make(map[addr.Address]*memberState),
 		causal:    core.NewCausalQueue(-1, view.Size()),
 		submitted: make(map[core.MsgID]*dataPacket),
-		recent:    core.NewBoundedLog[core.MsgID, recentEntry](recentLimit),
+		recent:    core.NewBoundedLog[core.MsgID, []byte](recentLimit),
 		marks:     newRequestMarks(),
 	}
 }
@@ -618,13 +607,17 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 }
 
 // call sends a GBCAST request or prepare to a site with its call id and waits
-// for the answer (of the type after pt) or the call's end; a suspected site is
-// sent nothing. A request this site makes of itself (it is never asked a
-// prepare) goes to the handler a peer's goes to, by reference, in one hold of
-// d.mu, and is answered there as a peer's is (answerLocked): one call table
-// and one wait for both.
+// for the answer (a done, or a prepare's ack) or the call's end; a suspected
+// site is sent nothing. A request this site makes of itself (it is never
+// asked a prepare) goes to the handler a peer's goes to, by reference, in one
+// hold of d.mu, and is answered there as a peer's is (answerLocked): one call
+// table and one wait for both.
 func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) {
-	id, c := d.newCall(to, pt+1)
+	want := ptGbDone
+	if pt == ptGbPrepare {
+		want = ptGbAck
+	}
+	id, c := d.newCall(to, want)
 	defer d.dropCall(id)
 	req.call = id
 	var err error

@@ -146,11 +146,10 @@ func anyContained(v core.View, ps []addr.Address) bool {
 // reconcile merges the member sites' reports into what the commit
 // re-disseminates: every message delivered at some reporting site but not at
 // all of them, so that every survivor delivers it before the GBCAST point. An
-// ABCAST travels with the holder's number for it, and the sites that missed it
-// deliver it in that place (applyRebcastLocked). Nothing else is decided: a
-// numbered ABCAST some site holds was delivered there on arrival, and a
-// submission no site delivered is still its submitter's, which sends it to the
-// holder of the view the commit installs.
+// ABCAST travels with the holder's stamp for it, and the sites that missed it
+// deliver it in that place of the causal order (applyRebcastLocked). Nothing
+// else is decided: a submission no site delivered is still its submitter's,
+// which sends it again to the holder of the view the commit installs.
 func reconcile(reports map[addr.SiteID]pendingReport) pendingReport {
 	count := make(map[core.MsgID]int)
 	first := make(map[core.MsgID]recentWire)

@@ -1,12 +1,12 @@
 package protos
 
-// Scenario suite for ABCAST as the holder's FIFO stream: the view's oldest
-// member site numbers every ABCAST of the view in its data packet, and a
-// GBCAST flush only re-disseminates what some member delivered. So an ABCAST
-// in flight across a wedge is delivered at every member site on the same side
-// of the GBCAST — the "shifted marker" of examples/quickstart cannot occur —
-// and a cast the holder never numbered is numbered after the flush, under the
-// holder of the view the flush installed.
+// Scenario suite for ABCAST as the holder's CBCAST: the view's oldest member
+// site stamps every ABCAST of the view as a CBCAST of rank 0, and a GBCAST
+// flush only re-disseminates what some member delivered. So an ABCAST in
+// flight across a wedge is delivered at every member site on the same side of
+// the GBCAST — the "shifted marker" of examples/quickstart cannot occur — and
+// a cast the holder never stamped is stamped after the flush, under the holder
+// of the view the flush installed.
 
 import (
 	"encoding/binary"
@@ -22,6 +22,7 @@ import (
 	"repro/internal/fdetect"
 	"repro/internal/netback"
 	"repro/internal/simnet"
+	"repro/internal/vclock"
 )
 
 // quietDetector is a failure-detector configuration that never suspects a
@@ -81,11 +82,13 @@ func parkedAt(d *Daemon, gid addr.Address) int {
 	return len(d.groups[gid].parked)
 }
 
-// numbered builds the data packet the holder sends an ABCAST on as, the seq-th
-// of its view.
-func numbered(t *testing.T, gid addr.Address, view core.ViewID, id core.MsgID, seq uint64, text string) *dataPacket {
+// stamped builds the data packet the holder sends an ABCAST on as, the seq-th
+// of its view, and nothing else its site had delivered before it.
+func stamped(t *testing.T, view core.View, id core.MsgID, seq uint64, text string) *dataPacket {
 	t.Helper()
-	p := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: gid, view: view, id: id, rank: 0, seq: seq, payload: body(text)}
+	vt := vclock.New(view.Size())
+	vt[0] = seq
+	p := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: view.Group, view: view.ID, id: id, rank: 0, vt: vt, payload: body(text)}
 	if err := p.encode(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestScenarioFlushDrivesFullySeenAbcast(t *testing.T) {
 	gid := groupOf(t, tc, procs[0], "drive")
 	view, _ := tc.daemons[1].CurrentView(gid)
 
-	a := numbered(t, gid, view.ID, core.MsgID{Sender: procs[1].addr, Seq: 400}, 1, "seen")
+	a := stamped(t, view, core.MsgID{Sender: procs[1].addr, Seq: 400}, 1, "seen")
 	for _, s := range []addr.SiteID{1, 2, 3} {
 		tc.daemons[s].handleTransport(1, a.raw)
 	}
@@ -219,8 +222,8 @@ func TestScenarioFlushCompletesDeliveredStraggler(t *testing.T) {
 	gid := groupOf(t, tc, procs[0], "limbo")
 	view, _ := tc.daemons[1].CurrentView(gid)
 
-	a := numbered(t, gid, view.ID, core.MsgID{Sender: procs[1].addr, Seq: 77}, 1, "limbo-a")
-	b := numbered(t, gid, view.ID, core.MsgID{Sender: procs[2].addr, Seq: 78}, 2, "limbo-b")
+	a := stamped(t, view, core.MsgID{Sender: procs[1].addr, Seq: 77}, 1, "limbo-a")
+	b := stamped(t, view, core.MsgID{Sender: procs[2].addr, Seq: 78}, 2, "limbo-b")
 	for _, s := range []addr.SiteID{1, 2} {
 		tc.daemons[s].handleTransport(1, a.raw)
 		tc.daemons[s].handleTransport(1, b.raw)
@@ -464,7 +467,7 @@ func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 			switch {
 			case pkt[1] != ptData:
 				kind = fmt.Sprintf("type %d", pkt[1])
-			case pkt[2]&dataHasSeq != 0:
+			case int16(binary.BigEndian.Uint16(pkt[envelopeBytes+3:])) >= 0: // stamped at a rank
 				kind = "data"
 			}
 			e.n.sent[shapeKey{e.Site(), to, seq}] = kind

@@ -5,6 +5,7 @@ package protos
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -17,7 +18,10 @@ func TestReconcile(t *testing.T) {
 	id := func(seq uint64) core.MsgID { return core.MsgID{Sender: sender, Seq: seq} }
 	pkt := []byte("the packet, as encoded")
 	cb := func(seq uint64) recentWire { return recentWire{ID: id(seq), Packet: pkt} }
-	ab := func(seq, n uint64) recentWire { return recentWire{ID: id(seq), Packet: pkt, Seq: n} }
+	// An ABCAST goes as the packet the holder stamped, n-th at rank 0.
+	ab := func(seq, n uint64) recentWire {
+		return recentWire{ID: id(seq), Packet: fmt.Appendf(nil, "the holder's packet, rank 0 at %d", n)}
+	}
 
 	for _, tc := range []struct {
 		name    string
@@ -72,7 +76,7 @@ func TestReconcile(t *testing.T) {
 			out := reconcile(tc.reports)
 			slices.SortFunc(out, func(x, y recentWire) int { return int(x.ID.Seq) - int(y.ID.Seq) })
 			if !slices.EqualFunc(out, tc.want, func(x, y recentWire) bool {
-				return x.ID == y.ID && x.Seq == y.Seq && bytes.Equal(x.Packet, y.Packet)
+				return x.ID == y.ID && bytes.Equal(x.Packet, y.Packet)
 			}) {
 				t.Errorf("re-disseminated %+v, want %+v", out, tc.want)
 			}

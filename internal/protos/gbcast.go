@@ -1,7 +1,6 @@
 package protos
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -273,8 +272,8 @@ func (d *Daemon) buildReportLocked(gs *groupState) pendingReport {
 	keys := gs.recent.Keys()
 	rep := make(pendingReport, len(keys))
 	for i, id := range keys {
-		e, _ := gs.recent.Get(id)
-		rep[i] = recentWire{ID: id, Packet: e.raw, Seq: e.seq}
+		raw, _ := gs.recent.Get(id)
+		rep[i] = recentWire{ID: id, Packet: raw}
 	}
 	return rep
 }
@@ -384,7 +383,6 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 	d.applyRebcastLocked(gs, p.report)
 
 	// Step 2: apply the membership change or deliver the user payload.
-	prev := gs.view
 	var wrong []wrongRemoval
 	switch kind {
 	case gbUser:
@@ -402,18 +400,19 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 		}
 	}
 
-	// Step 3: the flush is over. This site's submissions the flush did not
-	// deliver go to the holder the view names if it is another, and what the
-	// flush held back is taken up again. A site left with no members drops the
-	// group state entirely first, so what it held back finds no copy (its
-	// submissions go with it, as a failed sender's would); its flush ends as
-	// the commit's all the same.
+	// Step 3: the flush is over, and what it held back is taken up again.
+	// Then this site's submissions the flush did not deliver go to the holder
+	// the view names, once more: the commit may have released one there while
+	// the holder could stamp nothing, or dropped one its view left waiting. A
+	// site left with no members drops the group state entirely first, so what
+	// it held back finds no copy (its submissions go with it, as a failed
+	// sender's would); its flush ends as the commit's all the same.
 	if len(gs.members) == 0 {
 		d.dropGroupLocked(gid, inCommit)
 		d.remoteViews[gid] = newView.Clone()
 	} else {
-		d.resubmitLocked(gs, prev)
 		d.step(gs, inCommit)
+		d.resubmitLocked(gs)
 	}
 
 	d.removeGhostsLocked(gid, ghosts)
@@ -425,39 +424,28 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 }
 
 // applyRebcastLocked delivers what a commit re-disseminates that this site
-// missed, each packet the way its protocol takes into delivery, skipping
-// anything already delivered here. A packet travels in the commit as the bytes
-// it was sent as and is decoded here, to be delivered. The list comes in no
-// useful order — reconcile builds it by ranging over a map — so the ABCASTs,
-// always a suffix of the holder's stream this site did not get, are delivered
-// in the holder's order (view, then number); a CBCAST of the installed view
-// waits in the causal queue for its predecessors, which the list also holds
-// (one whose predecessor has left every site's recent log waits until the view
-// goes). Only a CBCAST of another view — closed, or one a lagging copy never
+// missed, skipping anything already delivered here. A packet travels in the
+// commit as the bytes it was sent as and is decoded here, to be delivered. The
+// list comes in no useful order — reconcile builds it by ranging over a map —
+// so a packet of the installed view, a CBCAST or an ABCAST alike, waits in the
+// causal queue for its predecessors, which the list also holds (one whose
+// predecessor has left every site's recent log waits until the view goes).
+// Only a packet of another view — closed, or one a lagging copy never
 // installed — is handed straight over: its timestamp means nothing to this
 // view's clock, and handleDataLocked turns such a packet away from now on.
 // Caller holds d.mu.
 func (d *Daemon) applyRebcastLocked(gs *groupState, rec pendingReport) {
-	var abcasts []*dataPacket
 	for _, rc := range rec {
 		if _, have := gs.recent.Get(rc.ID); have {
 			continue
 		}
-		pkt, ok := parseDataPacket(rc.Packet)
-		switch {
+		switch pkt, ok := parseDataPacket(rc.Packet); {
 		case !ok:
-		case pkt.proto == ABCAST:
-			abcasts = append(abcasts, pkt)
 		case pkt.view == gs.view.ID:
 			d.processCbcastLocked(gs, pkt)
 		default:
-			d.recordRecentLocked(gs, rc.ID, pkt.raw, 0)
-			d.deliverDataLocked(gs, pkt)
+			d.releaseLocked(gs, pkt)
 		}
-	}
-	slices.SortFunc(abcasts, func(a, b *dataPacket) int { return cmp.Or(cmp.Compare(a.view, b.view), cmp.Compare(a.seq, b.seq)) })
-	for _, pkt := range abcasts {
-		d.deliverAbcastLocked(gs, pkt)
 	}
 }
 

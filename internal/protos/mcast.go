@@ -27,11 +27,15 @@ var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
 // selected primitive (Section 3.2 "bc_mcast"). The destination list may
 // contain one group address and any number of process addresses. CBCAST and
 // ABCAST are asynchronous: the call returns as soon as the message has been
-// handed to the network. An ABCAST cast at the site of the view's oldest member
-// (its holder) is numbered there and delivered at once, as a CBCAST is; one cast
-// anywhere else is submitted to the holder and delivered when the holder sends
-// it back numbered (Flush waits for that). GBCAST is synchronous: it returns
-// once the globally-ordered delivery has been committed at the group.
+// handed to the network. An ABCAST is a CBCAST of the view's oldest member, and
+// that member's site (the holder) stamps it: one cast there is stamped and
+// delivered at once; one cast anywhere else is submitted to the holder with the
+// clock of what its site had delivered, stamped once the holder has delivered
+// all of that, and delivered here when it comes back stamped (Flush waits for
+// that). So an ABCAST follows everything its sender had delivered, and a CBCAST
+// the sender casts after its Flush follows the ABCAST. GBCAST is synchronous:
+// it returns once the globally-ordered delivery has been committed at the
+// group.
 //
 // The daemon takes ownership of payload: it is marshalled into the wire packet
 // once and then handed, itself, to the last local destination (the others get
@@ -228,11 +232,11 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 		return d.relayExternalMulticast(sender, lp, proto, gid, id, entry, payload)
 	}
 	defer d.mu.Unlock()
-	pkt := &dataPacket{proto: proto, entry: entry, group: gid, view: gs.view.ID, id: id, rank: gs.view.RankOf(sender), payload: payload}
+	pkt := &dataPacket{proto: proto, entry: entry, group: gid, view: gs.view.ID, id: id, payload: payload}
 	switch proto {
 	case CBCAST:
 		d.counters.CBCASTs++
-		_, err = d.sendMemberCbcastLocked(gs, ms, pkt)
+		_, err = d.sendMemberCbcastLocked(gs, gs.view.RankOf(ms.proc.addr), pkt)
 	case ABCAST:
 		d.counters.ABCASTs++
 		err = d.castAbcastLocked(gs, pkt)
@@ -242,27 +246,27 @@ func (d *Daemon) sendGroupMulticast(sender addr.Address, lp *localProc, proto Pr
 	return err
 }
 
-// sendMemberCbcastLocked performs a CBCAST send by the local member ms of pkt,
-// its own cast or the request of a non-member whose cast it relays (which a
-// flush then reconciles and a joiner understands like any other CBCAST of the
-// member): the packet is put under the copy's view and its vector timestamp
-// ticked for the member, encoded — once, before anybody is handed its payload —,
-// shipped to every other member site and delivered to every local member at
-// once (the sender never waits). Returns the stamp the cast went out with.
-// Caller holds d.mu, so a member's casts enter each peer's transport window in
-// the order the copy stamped them.
-func (d *Daemon) sendMemberCbcastLocked(gs *groupState, ms *memberState, pkt *dataPacket) (relayStamp, error) {
-	pkt.group, pkt.view, pkt.rank = gs.view.Group, gs.view.ID, gs.view.RankOf(ms.proc.addr)
-	pkt.vt, pkt.call = gs.causal.Stamp(pkt.rank), 0
+// sendMemberCbcastLocked performs a CBCAST send by the local member of the
+// given rank of pkt: its own cast, the request of a non-member whose cast it
+// relays (which a flush then reconciles and a joiner understands like any
+// other CBCAST of the member), or at rank 0 an ABCAST the holder stamps. The
+// packet is put under the copy's view and its vector timestamp ticked for the
+// member, encoded — once, before anybody is handed its payload —, shipped to
+// every other member site and delivered to every local member at once (the
+// sender never waits). Returns the stamp the cast went out with. Caller holds
+// d.mu, so a member's casts enter each peer's transport window in the order
+// the copy stamped them.
+func (d *Daemon) sendMemberCbcastLocked(gs *groupState, rank int, pkt *dataPacket) (relayStamp, error) {
+	pkt.group, pkt.view, pkt.rank = gs.view.Group, gs.view.ID, int16(rank)
+	pkt.vt, pkt.call = gs.causal.Stamp(rank, pkt.vtBuf[:0]), 0
 	if err := pkt.encode(); err != nil {
 		return relayStamp{}, err
 	}
-	d.recordRecentLocked(gs, pkt.id, pkt.raw, 0)
 	d.fanoutRaw(gs.view.SitesOf(), pkt.raw)
 	// To the stamping member and the members beside it alike: the clock just
 	// stamped covers exactly what the copy has released, to all of them.
-	d.deliverDataLocked(gs, pkt)
-	return relayStamp{view: pkt.view, rank: pkt.rank, seq: pkt.vt.Get(pkt.rank)}, nil
+	d.releaseLocked(gs, pkt)
+	return relayStamp{view: pkt.view, rank: rank, seq: pkt.vt.Get(rank)}, nil
 }
 
 // relayExternalMulticast handles a group multicast whose sender is not a
@@ -380,8 +384,8 @@ func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayS
 		return d.relayCbcastLocked(gs, pkt)
 	case ABCAST:
 		// Cast as a member's here would be, under this site's view whatever view
-		// the sender had cached: the member sites turn away a numbered packet
-		// of a view they have closed.
+		// the sender had cached: the member sites turn away a packet of a view
+		// they have closed.
 		d.counters.ABCASTs++
 		return relayStamp{}, d.castAbcastLocked(gs, pkt)
 	}
@@ -407,73 +411,57 @@ func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp,
 			return relayStamp{}, errRelayEarly
 		}
 		d.counters.CBCASTs++ // at the site that sends it, like a relayed ABCAST
-		return d.sendMemberCbcastLocked(gs, ms, pkt)
+		return d.sendMemberCbcastLocked(gs, gs.view.RankOf(m), pkt)
 	}
 	return relayStamp{}, ErrUnknownGroup
 }
 
 // ---------------------------------------------------------------------------
-// ABCAST: the holder's FIFO stream
+// ABCAST: the holder's CBCAST
 
-// holder is the site that numbers the ABCASTs of a view, its oldest member's:
-// the order of its FIFO stream to every member site is the total order.
+// holder is the site that stamps the ABCASTs of a view, as CBCASTs of rank 0:
+// its oldest member's, whose causal order chains them into one total order.
 func holder(v core.View) addr.SiteID { return v.Coordinator().Site }
 
 // castAbcastLocked sends an ABCAST of the copy gs, a member's cast or one this
-// site relays for a non-member. The holder numbers it at once; any other site
-// keeps it among the copy's submissions and sends it to the holder alone,
-// which sends it back numbered with everybody else's. Caller holds d.mu.
+// site relays for a non-member. The holder stamps it at once; any other site
+// keeps it among the copy's submissions and sends it to the holder alone with
+// the copy's clock as released, which the holder's must dominate before it
+// stamps it and sends it back with everybody else's. Caller holds d.mu.
 func (d *Daemon) castAbcastLocked(gs *groupState, pkt *dataPacket) error {
-	pkt.view, pkt.call = gs.view.ID, 0 // a relay's new header, no longer a request
-	if h := holder(gs.view); h != d.site {
-		if err := pkt.encode(); err != nil {
-			return err
-		}
-		gs.submitted[pkt.id] = pkt
-		return d.sendRaw(h, pkt.raw)
+	h := holder(gs.view)
+	if h == d.site {
+		return d.stampAbcastLocked(gs, pkt)
 	}
-	return d.sequenceLocked(gs, pkt)
-}
-
-// sequenceLocked is the holder's step for an ABCAST of the copy gs, its own or
-// a submission: it numbers the packet next in the view (from 1 in each view,
-// so no count crosses a flush), encodes it once, fans it out to every other
-// member site, the submitter's included, and delivers it here, all in one
-// hold. Caller holds d.mu.
-func (d *Daemon) sequenceLocked(gs *groupState, pkt *dataPacket) error {
-	pkt.view, pkt.seq = gs.view.ID, 1
-	if gs.abView == gs.view.ID {
-		pkt.seq = gs.abSeq + 1
-	}
+	pkt.view, pkt.rank, pkt.call = gs.view.ID, -1, 0 // a relay's new header, no longer a request
+	pkt.vt = gs.causal.Stamp(-1, pkt.vtBuf[:0])
 	if err := pkt.encode(); err != nil {
 		return err
 	}
-	d.fanoutRaw(gs.view.SitesOf(), pkt.raw)
-	d.deliverAbcastLocked(gs, pkt)
-	return nil
+	gs.submitted[pkt.id] = pkt
+	return d.sendRaw(h, pkt.raw)
 }
 
-// deliverAbcastLocked delivers a numbered ABCAST that comes after the last one
-// the copy delivered, and drops a second copy. What the holder numbered is
-// delivered as it arrives: its stream brings every packet of a view in order,
-// and a flush re-disseminates a missing suffix of it in order too. Caller
-// holds d.mu.
-func (d *Daemon) deliverAbcastLocked(gs *groupState, pkt *dataPacket) {
-	if pkt.view < gs.abView || pkt.view == gs.abView && pkt.seq <= gs.abSeq {
-		return
+// stampAbcastLocked is the holder's step for an ABCAST of the copy gs, its own
+// or a submission its clock now dominates: it casts it as rank 0's CBCAST,
+// fanned out and delivered here in one hold, so the next one it stamps follows
+// it. It refuses one delivered here already, and one whose sender is known to
+// have failed (Section 2.2, applied where the order is decided). Caller holds
+// d.mu.
+func (d *Daemon) stampAbcastLocked(gs *groupState, pkt *dataPacket) error {
+	if _, done := gs.recent.Get(pkt.id); done || d.failedProcs[pkt.id.Sender.Base()] {
+		return nil
 	}
-	gs.abView, gs.abSeq = pkt.view, pkt.seq
-	delete(gs.submitted, pkt.id)
-	d.recordRecentLocked(gs, pkt.id, pkt.raw, pkt.seq)
-	d.deliverDataLocked(gs, pkt)
+	_, err := d.sendMemberCbcastLocked(gs, 0, pkt)
+	return err
 }
 
-// resubmitLocked follows a view change at the copy gs: its submissions went to
-// the holder of prev, and when the view installed now names another holder
-// they go to it, in the order they were cast (this site numbers them itself
-// when it is the holder now). A submission of a process since observed to fail
-// is dropped, as the holder would refuse it. Caller holds d.mu.
-func (d *Daemon) resubmitLocked(gs *groupState, prev core.View) {
+// resubmitLocked follows a commit at the copy gs: each of its submissions goes
+// again, in the order they were cast, to the holder the view names (this site
+// stamps them itself when it is the holder now), which turns away one it has
+// stamped or still holds. A submission of a process since observed to fail is
+// dropped, as the holder would refuse it. Caller holds d.mu.
+func (d *Daemon) resubmitLocked(gs *groupState) {
 	if len(gs.submitted) == 0 {
 		return
 	}
@@ -485,11 +473,10 @@ func (d *Daemon) resubmitLocked(gs *groupState, prev core.View) {
 		switch pkt := gs.submitted[id]; {
 		case d.failedProcs[id.Sender.Base()]:
 			delete(gs.submitted, id)
-		case h == holder(prev):
 		case h != d.site:
 			_ = d.sendRaw(h, pkt.raw)
 		default:
-			_ = d.sequenceLocked(gs, pkt) // re-headed, nothing is marshalled
+			_ = d.stampAbcastLocked(gs, pkt) // re-headed, nothing is marshalled
 		}
 	}
 }
@@ -565,7 +552,7 @@ func (d *Daemon) scanTick() {
 // Receive path
 
 // handleDataLocked processes a ptData packet — a point-to-point message, a
-// relayed external multicast, a CBCAST, or an ABCAST, numbered or a submission
+// relayed external multicast, a CBCAST, or an ABCAST, stamped or a submission
 // — just arrived or re-fed by the flush that parked it. Caller holds d.mu.
 func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	if pkt.group.IsNil() {
@@ -588,55 +575,64 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	if !ok {
 		return
 	}
-	submission := pkt.proto == ABCAST && pkt.seq == 0
-	if sender := pkt.id.Sender; d.failedProcs[sender.Base()] && (submission || pkt.proto == CBCAST && gs.view.Contains(sender)) {
+	if sender := pkt.id.Sender; pkt.proto == CBCAST && d.failedProcs[sender.Base()] && gs.view.Contains(sender) {
 		// A failure that has already been observed: messages from the failed
-		// process must never be delivered afterwards (Section 2.2). The rule is
-		// applied where the order is decided: the holder refuses a submission,
-		// and an ABCAST it numbered goes in wherever it arrives. A CBCAST
+		// process must never be delivered afterwards (Section 2.2). A CBCAST
 		// relayed for it goes in all the same: it holds a slot in the relaying
-		// member's clock, and processCbcastLocked withholds the callback.
+		// member's clock, and processCbcastLocked withholds the callback. For
+		// an ABCAST the rule is applied where the order is decided: the holder
+		// refuses a submission when it would stamp it, and an ABCAST it
+		// stamped goes in wherever it arrives.
 		return
 	}
 	switch {
 	case gs.phase == phaseFlushing:
 		gs.parked = append(gs.parked, heldPacket{from: from, pkt: pkt})
-	case submission:
-		// Numbered under the holder's view, whatever view its submitter had. A
-		// site that is not the holder (any more) drops it, and its submitter
-		// sends it to the holder the view change named; the holder drops one
-		// it has delivered, and a minority copy writes nothing.
-		if _, done := gs.recent.Get(pkt.id); !done && gs.phase == phaseNormal && holder(gs.view) == d.site {
-			_ = d.sequenceLocked(gs, pkt) // re-headed, nothing is marshalled
+	case pkt.proto == ABCAST && pkt.rank < 0: // a submission
+		// Stamped under the holder's view, whatever view its submitter had: a
+		// timestamp of another view waits on nothing, as the flush that closed
+		// it delivered everywhere what any member had. A site that is not the
+		// holder (any more) drops it, and its submitter sends it to the holder
+		// the commit named; a minority copy writes nothing.
+		if gs.phase == phaseNormal && holder(gs.view) == d.site {
+			if pkt.view != gs.view.ID {
+				pkt.vt = nil
+			}
+			d.processCbcastLocked(gs, pkt)
 		}
 	case pkt.view < gs.view.ID:
 		// A packet of a view this copy has closed — parked by the flush, or
 		// still in the transport at the commit — was settled by that flush,
-		// which carried it wherever any member had delivered it. A CBCAST fed
-		// to the new view's clock could read as its member's next message, and
-		// the real one would then never be delivered; a numbered ABCAST would
-		// be delivered after the view change here and nowhere else.
-	case pkt.proto == CBCAST:
-		d.processCbcastLocked(gs, pkt)
+		// which carried it wherever any member had delivered it. Fed to the
+		// new view's clock it could read as its member's next message, and the
+		// real one would then never be delivered.
 	default:
-		d.deliverAbcastLocked(gs, pkt)
+		d.processCbcastLocked(gs, pkt)
 	}
 }
 
-// processCbcastLocked feeds a CBCAST into the copy's causal queue and
-// delivers whatever becomes deliverable. One whose timestamp is not the size
-// of the view it names is malformed, and dropped. Caller holds d.mu.
+// processCbcastLocked feeds a CBCAST, a stamped ABCAST or a submission into
+// the copy's causal queue and delivers whatever becomes deliverable. One whose
+// timestamp is not the size of the view it names is malformed, and dropped.
+// A submission released is stamped after everything released with it, which
+// its stamp covers, has been delivered; while the copy flushes it is not, and
+// its submitter sends it again after the commit. Caller holds d.mu.
 func (d *Daemon) processCbcastLocked(gs *groupState, pkt *dataPacket) {
 	if pkt.view == gs.view.ID && len(pkt.vt) != gs.view.Size() {
 		return
 	}
-	in := core.CausalIncoming{ID: pkt.id, SenderRank: pkt.rank, VT: pkt.vt, Payload: pkt}
-	for _, out := range gs.causal.Receive(in) {
-		// Relayed for a process since observed to fail, it is as if dropped at
-		// the door, but for the clock Receive has advanced.
-		if opkt := out.Payload.(*dataPacket); !d.failedProcs[opkt.id.Sender.Base()] {
-			d.recordRecentLocked(gs, out.ID, opkt.raw, 0)
-			d.deliverDataLocked(gs, opkt)
+	out := gs.causal.Receive(core.CausalIncoming{ID: pkt.id, SenderRank: int(pkt.rank), VT: pkt.vt, Payload: pkt})
+	for _, o := range out {
+		// A CBCAST relayed for a process since observed to fail is as if
+		// dropped at the door, but for the clock Receive has advanced; an
+		// ABCAST the holder stamped is delivered all the same.
+		if opkt := o.Payload.(*dataPacket); opkt.rank >= 0 && (opkt.proto == ABCAST || !d.failedProcs[opkt.id.Sender.Base()]) {
+			d.releaseLocked(gs, opkt)
+		}
+	}
+	for _, o := range out {
+		if opkt := o.Payload.(*dataPacket); opkt.rank < 0 && gs.phase == phaseNormal {
+			_ = d.stampAbcastLocked(gs, opkt)
 		}
 	}
 }
@@ -673,10 +669,17 @@ func (d *Daemon) deliveryLocked(pkt *dataPacket, last bool) queued {
 	return queued{entry: pkt.entry, m: d.buildDelivery(pkt.payload, pkt.id.Sender, pkt.group, pkt.view, pkt.proto)}
 }
 
-// deliverDataLocked delivers a group data packet the copy's ordering has
-// released to each local member that was in the group when it was sent; one
-// that joined later is skipped (memberState.joinedView). Caller holds d.mu.
-func (d *Daemon) deliverDataLocked(gs *groupState, pkt *dataPacket) {
+// releaseLocked is the one way a group data packet the copy's order has
+// released goes to delivery: it is remembered, as its bytes, so a GBCAST flush
+// can re-disseminate it to members that missed it, no longer counts as this
+// site's submission, and is delivered to each local member that was in the
+// group when it was sent; one that joined later is skipped
+// (memberState.joinedView). Caller holds d.mu.
+func (d *Daemon) releaseLocked(gs *groupState, pkt *dataPacket) {
+	if _, ok := gs.recent.Get(pkt.id); !ok {
+		gs.recent.Put(pkt.id, pkt.raw)
+	}
+	delete(gs.submitted, pkt.id)
 	var last *memberState
 	for _, ms := range gs.members {
 		if pkt.view == 0 || pkt.view >= ms.joinedView {
@@ -701,24 +704,14 @@ func (d *Daemon) enqueueMember(ms *memberState, q queued) {
 	d.enqueue(ms.proc, q)
 }
 
-// recordRecentLocked remembers a delivered data packet, as its bytes, so a
-// GBCAST flush can re-disseminate it to members that missed it. For an ABCAST,
-// seq is the holder's number for it (0 for CBCAST and point-to-point). Caller
-// holds d.mu.
-func (d *Daemon) recordRecentLocked(gs *groupState, id core.MsgID, raw []byte, seq uint64) {
-	if _, ok := gs.recent.Get(id); !ok {
-		gs.recent.Put(id, recentEntry{raw: raw, seq: seq})
-	}
-}
-
 // Flush blocks until the sender's outstanding asynchronous multicasts have
 // been transmitted and ordered (Section 3.2, footnote 3: flush is invoked
 // before interacting with the external world or writing stable storage), or
 // for CallTimeout (ErrTimeout). Its ABCASTs are outstanding while any copy at
-// this site holds one as a submission the holder has not sent back numbered,
-// a relay through a copy here included. Transmitted is site-wide: it polls
-// until all this site sent, whoever cast it, is acknowledged, so beside a
-// steady sender it may time out.
+// this site holds one as a submission the holder has not sent back stamped, a
+// relay through a copy here included: a CBCAST cast after Flush returns
+// follows them. Transmitted is site-wide: it polls until all this site sent,
+// whoever cast it, is acknowledged, so beside a steady sender it may time out.
 func (d *Daemon) Flush(sender addr.Address) error {
 	deadline := time.Now().Add(d.cfg.CallTimeout)
 	for {

@@ -139,18 +139,12 @@ func TestFlushRedisseminatesCbcastInSenderOrder(t *testing.T) {
 }
 
 // TestAbcastOrderIdenticalAcrossJoinFlush has three members stream ABCASTs
-// and a process join at site 1, the coordinator's, with the streams caught in
-// the state the race of a join against them leaves behind: delivered at some
-// sites, pending at another. Link pauses hold it still. First sites 2 and 3
-// cannot hear each other, so no round of theirs completes while site 1
-// proposes for all of them (and completes its own: a round cut off from a
-// proposal would end at its deadline without it, which no order survives);
-// then what they send to site 1 is held instead, so
-// their rounds commit and deliver at both with site 1's copy of every commit
-// on the wire, where it stays until site 1 has wedged for the join. The flush
-// finds the messages delivered at sites 2 and 3 and pending at site 1, which
-// must deliver them out of its priority queue, each in its place, as the
-// others did — not in the order the commit happens to list them.
+// and a process join at site 1, the holder's, with links paused around the
+// flush. First sites 2 and 3 cannot hear each other, so each casts into the
+// total order through the holder alone, whose stamps chain every cast after
+// the one before; then what they send to site 1 is held until site 1 has
+// wedged for the join, so the flush opens with their acknowledgements still on
+// the wire. Every member must deliver the ABCASTs in one sequence, each once.
 func TestAbcastOrderIdenticalAcrossJoinFlush(t *testing.T) {
 	const n = 40
 	for _, sites := range [][]addr.SiteID{{1, 2, 3}, {1, 1, 2, 2, 3}} {

@@ -21,7 +21,7 @@ import (
 // TestFlushCountsTheSendersOpenRounds pins where Flush finds a sender's
 // outstanding ABCASTs: among the submissions of the copies at its site. A
 // submission held by hand keeps its sender's Flush waiting until the call
-// times out, and nobody else's; once the holder's numbered copy retires it
+// times out, and nobody else's; once the holder's stamped copy retires it
 // ("retire"), or the copy is dropped with it ("drop"), the sender's Flush
 // returns at once.
 func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
@@ -46,11 +46,8 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 				t.Errorf("another process's Flush: %v, want nil", err)
 			}
 			if end == "retire" {
-				numbered := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: id, seq: 1, payload: body("open")}
-				if err := numbered.encode(); err != nil {
-					t.Fatal(err)
-				}
-				d.handleTransport(2, numbered.raw)
+				view, _ := d.CurrentView(fx.gid)
+				d.handleTransport(2, stamped(t, view, id, 1, "open").raw)
 			} else {
 				d.mu.Lock()
 				d.dropGroupLocked(fx.gid, inDrop)
@@ -182,13 +179,13 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 			for _, s := range []addr.SiteID{1, 2} {
 				d := tc.daemons[s]
 				d.mu.Lock()
-				e, _ := d.groups[gid.Base()].recent.Get(id)
+				raw, _ := d.groups[gid.Base()].recent.Get(id)
 				d.mu.Unlock()
-				pkt, ok := parseDataPacket(e.raw)
+				pkt, ok := parseDataPacket(raw)
 				if !ok {
-					t.Fatalf("site %d kept no recent record (%x)", s, e.raw)
+					t.Fatalf("site %d kept no recent record (%x)", s, raw)
 				}
-				if !bytes.Equal(e.raw[pkt.body:], want) {
+				if !bytes.Equal(raw[pkt.body:], want) {
 					t.Errorf("site %d would re-disseminate %s", s, pkt.payload.Format())
 				}
 			}

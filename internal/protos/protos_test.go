@@ -205,7 +205,7 @@ func body(s string) *msg.Message { return msg.New().PutString("body", s) }
 // bytes to handleTransport, once per site, or the packet itself to a handler.
 func dataPkt(tb testing.TB, proto Protocol, gid addr.Address, view core.ViewID, id core.MsgID, rank int, payload *msg.Message) *dataPacket {
 	tb.Helper()
-	p := &dataPacket{proto: proto, entry: addr.EntryUserBase, group: gid, view: view, id: id, rank: rank, payload: payload}
+	p := &dataPacket{proto: proto, entry: addr.EntryUserBase, group: gid, view: view, id: id, rank: int16(rank), payload: payload}
 	if err := p.encode(); err != nil {
 		tb.Fatal(err)
 	}

@@ -482,14 +482,14 @@ func TestFlushRedeliveryDoesNotDuplicateAbcast(t *testing.T) {
 	if !ok {
 		t.Fatal("no view at site 2")
 	}
-	// The first ABCAST the holder (site 1) numbered in the view, delivered
+	// The first ABCAST the holder (site 1) stamped in the view, delivered
 	// there.
-	pkt := numbered(t, gid, v.ID, core.MsgID{Sender: procs[0].addr, Seq: 77}, 1, "exactly-once")
+	pkt := stamped(t, v, core.MsgID{Sender: procs[0].addr, Seq: 77}, 1, "exactly-once")
 	tc.daemons[1].handleTransport(1, pkt.raw)
 
 	// The flush re-disseminates it because some member site delivered it
 	// before the flush point, so the commit's report lists it.
-	rec := pendingReport{{ID: pkt.id, Packet: pkt.raw, Seq: pkt.seq}}
+	rec := pendingReport{{ID: pkt.id, Packet: pkt.raw}}
 	d2.handleTransport(1, encoded(t, ptGbCommit, gbPacket{group: gid, kind: gbUser, report: rec}))
 	waitFor(t, "flush re-dissemination", 2*time.Second, func() bool {
 		return procs[1].got("exactly-once")

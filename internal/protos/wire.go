@@ -66,24 +66,22 @@ const (
 	replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 25, 51, 11, 25
 
 	// The data header, then the sections its flags byte selects: with the
-	// envelope 47 bytes lead a sequenced ABCAST's payload and 65 a CBCAST's in
-	// a view of three (the message-built wrapper they replace spent 180 and
-	// 213).
+	// envelope 65 bytes lead the payload of a CBCAST or a stamped ABCAST in a
+	// view of three (the message-built wrapper they replace spent 213).
 	dataHeaderBytes, dataRelayBytes = 37, 26
 )
 
 // The optional sections of a data packet, in the order they follow the header.
 const (
-	dataHasVT    = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST)
-	dataHasSeq               // the holder's number for the ABCAST in its view, 8 bytes (0, a submission, is left off)
+	dataHasVT    = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST, an ABCAST)
+	_                        // 2: the holder's number for an ABCAST under type 33; a packet setting it is malformed
 	dataIsRelay              // relay stamp (view 8, rank 2, seq 8) and call id 8: a request to the relay site
 	dataHasDests             // destination processes: uint16 count, count × 8 bytes (point-to-point)
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
-// envelope. A retired number belonged to a packet with a message-built body;
-// it is never reused, and the type that replaced it is appended. An answer's
-// type follows its question's.
+// envelope. A retired number belonged to a packet whose layout has changed
+// since; it is never reused, and the type that replaced it is appended.
 const (
 	_            = byte(iota + 1) // 1: data packet, now ptData
 	_                             // 2: ABCAST proposal, then 17
@@ -109,15 +107,18 @@ const (
 	ptGbRequest                   // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
 	ptGbDone                      // the coordinator's answer to a request (gbPacket)
 	ptGbPrepare                   // GBCAST phase 1: wedge and report pending state (gbPacket)
-	ptGbAck                       // a member site's answer to a prepare (gbPacket)
-	ptGbCommit                    // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
+	_                             // 25: prepare ack whose report entries carried an ABCAST number, now ptGbAck
+	_                             // 26: commit whose report entries carried an ABCAST number, now ptGbCommit
 	ptLookup                      // group lookup by name or id (lookupPacket)
 	ptLookupResp                  // a site's answer to a lookup (lookupPacket)
 	ptStateBlock                  // state transfer block: stateHeader, then the block to the end
 	ptStateAck                    // a joiner's state transfer completed (stateHeader alone)
 	ptError                       // negative answer to a call: call id 8, then the error text
 	ptRelayAck                    // positive answer to a relay request: relay stamp and call id
-	ptData                        // CBCAST / ABCAST, sequenced or submitted / point-to-point / relay request (dataPacket)
+	_                             // 33: data packet whose flag 2 was the holder's ABCAST number, now ptData
+	ptData                        // CBCAST / ABCAST, stamped or submitted / point-to-point / relay request (dataPacket)
+	ptGbAck                       // a member site's answer to a prepare (gbPacket)
+	ptGbCommit                    // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
 )
 
 // GB request kinds carried in the GBCAST family's kind byte.
@@ -161,22 +162,25 @@ func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
 	return h, body, cerr == nil && rerr == nil && berr == nil
 }
 
-// dataPacket is a ptData packet — a CBCAST, an ABCAST (sequenced by its view's
-// holder, or submitted to it), a point-to-point message, or a non-member's
-// request to the relay site — as a value over the bytes it travels as. raw is the packet's record: what the send
-// windows and a received frame already hold, what recent keeps and a flush
-// report nests. payload is its one decode (at the sender, what was marshalled
-// into raw) and belongs to whoever the packet is delivered to: nothing reads it
-// after delivery. The id's sender is the sender the application sees.
+// dataPacket is a ptData packet — a CBCAST, an ABCAST (stamped by its view's
+// holder at rank 0, or submitted to it), a point-to-point message, or a
+// non-member's request to the relay site — as a value over the bytes it
+// travels as. raw is the packet's record: what the send windows and a received
+// frame already hold, what recent keeps and a flush report nests. payload is
+// its one decode (at the sender, what was marshalled into raw) and belongs to
+// whoever the packet is delivered to: nothing reads it after delivery. The
+// id's sender is the sender the application sees. vt lives in vtBuf in a view
+// of up to three, every benchmark workload's, so stamping or decoding it
+// allocates nothing; the struct is then 192 bytes, an allocation size class.
 type dataPacket struct {
 	proto   Protocol
 	entry   addr.EntryID
+	rank    int16        // in view, of the member that stamped the packet (-1: none, a submission or a relay request)
 	group   addr.Address // nil: point-to-point, to dests
 	view    core.ViewID
 	id      core.MsgID
-	rank    int        // in view, of the member that stamped the packet (-1: none, a relay request)
-	seq     uint64     // ABCAST: the holder's number for it in view (0: a submission to the holder)
-	vt      vclock.VC  // CBCAST: the stamping member's timestamp
+	vt      vclock.VC // the stamping member's timestamp; a submission's: its copy's clock as released
+	vtBuf   [3]uint64
 	after   relayStamp // relay request: the stamp of the sender's previous CBCAST
 	call    int64      // relay request (non-zero): the call the relay site acknowledges
 	dests   addr.List
@@ -189,7 +193,7 @@ type dataPacket struct {
 // and the sections the packet has (built in scratch, on the stack up to a view
 // of ten, each setting its flag), then the payload — marshalled here, once, or,
 // for a packet sent on under a new header (a relayed cast under the relay site's
-// view, a submission the holder sequences), the payload bytes it came with.
+// view, a submission the holder stamps), the payload bytes it came with.
 func (p *dataPacket) encode() (err error) {
 	var scratch [128]byte
 	be, h := binary.BigEndian, append(scratch[:0], wireVersion, ptData, 0, byte(p.proto), byte(p.entry))
@@ -198,10 +202,6 @@ func (p *dataPacket) encode() (err error) {
 	if len(p.vt) > 0 {
 		h[envelopeBytes] |= dataHasVT
 		h = p.vt.AppendEncode(be.AppendUint16(h, uint16(len(p.vt))))
-	}
-	if p.seq != 0 {
-		h[envelopeBytes] |= dataHasSeq
-		h = be.AppendUint64(h, p.seq)
 	}
 	if p.call != 0 {
 		h[envelopeBytes] |= dataIsRelay
@@ -223,11 +223,11 @@ func (p *dataPacket) encode() (err error) {
 // parseHeader reads the fixed part of a ptData body into p and returns the
 // flags and what follows the header. It allocates nothing.
 func (p *dataPacket) parseHeader(b []byte) (flags byte, rest []byte, ok bool) {
-	if len(b) < dataHeaderBytes || b[0] >= dataHasDests<<1 { // short, or a flags bit no section defines
+	if len(b) < dataHeaderBytes || b[0]&^(dataHasVT|dataIsRelay|dataHasDests) != 0 { // short, or a flags bit no section defines
 		return 0, nil, false
 	}
 	var gerr, serr error
-	p.proto, p.entry, p.rank = Protocol(b[1]), addr.EntryID(b[2]), int(int16(binary.BigEndian.Uint16(b[3:])))
+	p.proto, p.entry, p.rank = Protocol(b[1]), addr.EntryID(b[2]), int16(binary.BigEndian.Uint16(b[3:]))
 	p.group, gerr = addr.Decode(b[5:])
 	p.id.Sender, serr = addr.Decode(b[21:])
 	p.view, p.id.Seq = core.ViewID(binary.BigEndian.Uint64(b[13:])), binary.BigEndian.Uint64(b[29:])
@@ -280,17 +280,12 @@ func parseDataPacket(raw []byte) (*dataPacket, bool) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion || raw[1] != ptData {
 		return nil, false
 	}
-	p, be := &dataPacket{raw: raw}, binary.BigEndian
+	p := &dataPacket{raw: raw}
 	flags, b, ok := p.parseHeader(raw[envelopeBytes:])
 	var s []byte
 	if ok && flags&dataHasVT != 0 {
 		if s, b, ok = cutList(b); ok {
-			p.vt, _ = vclock.Decode(s)
-		}
-	}
-	if ok && flags&dataHasSeq != 0 {
-		if s, b, ok = cut(b, 8); ok {
-			p.seq = be.Uint64(s)
+			p.vt, _ = vclock.DecodeInto(p.vtBuf[:0], s)
 		}
 	}
 	if ok && flags&dataIsRelay != 0 {
@@ -338,25 +333,23 @@ func readRelay(s []byte) (relayStamp, int64) {
 // pendingReport is one member site's contribution to a GBCAST flush, its
 // recent deliveries, so the coordinator can re-disseminate what some members
 // missed; on the commit, the same list carries back what to re-disseminate.
-// Nothing undelivered is reported: a submission the holder has not sequenced
-// stays with its submitter, and a sequenced ABCAST is delivered on arrival.
+// Nothing undelivered is reported: a submission the holder has not stamped
+// stays with its submitter.
 type pendingReport []recentWire
 
-// recentWire is one recently delivered message in a flush report: its id, the
-// data packet as it travelled, and for an ABCAST the holder's sequence number
-// in the packet's view (0 for a CBCAST), by which re-dissemination orders it.
+// recentWire is one recently delivered message in a flush report: its id and
+// the data packet as it travelled, whose timestamp orders it again.
 type recentWire struct {
 	ID     core.MsgID
 	Packet []byte
-	Seq    uint64
 }
 
 // A report travels as a uint16 count of entries, each the message id (sender
-// 8, sequence 8), the ABCAST sequence number 8, a flags byte that is always 4
-// (the tag of the recent list in the reports that also listed undelivered and
-// fenced ABCASTs; any other value is malformed) and a uint32 length, followed
-// by that many bytes of the nested packet as it travelled.
-const reportEntryBytes, reportRecent = 29, 1 << 2
+// 8, sequence 8), a flags byte that is always 4 (the tag of the recent list in
+// the reports that also listed undelivered and fenced ABCASTs; any other value
+// is malformed) and a uint32 length, followed by that many bytes of the nested
+// packet as it travelled.
+const reportEntryBytes, reportRecent = 21, 1 << 2
 
 // size is the report's length on the wire.
 func (r pendingReport) size() int {
@@ -371,7 +364,7 @@ func (r pendingReport) appendTo(b []byte) []byte {
 	be := binary.BigEndian
 	b = be.AppendUint16(b, uint16(len(r)))
 	for _, rc := range r {
-		b = append(be.AppendUint64(be.AppendUint64(rc.ID.Sender.AppendEncoded(b), rc.ID.Seq), rc.Seq), reportRecent)
+		b = append(be.AppendUint64(rc.ID.Sender.AppendEncoded(b), rc.ID.Seq), reportRecent)
 		b = append(be.AppendUint32(b, uint32(len(rc.Packet))), rc.Packet...)
 	}
 	return b
@@ -386,10 +379,10 @@ func readReport(b []byte) (r pendingReport, rest []byte, ok bool) {
 		if e, b, ok = cut(b, reportEntryBytes); !ok {
 			break
 		}
-		pkt, b, ok = cut(b, int(be.Uint32(e[25:])))
-		rc := recentWire{ID: core.MsgID{Seq: be.Uint64(e[8:])}, Packet: pkt, Seq: be.Uint64(e[16:])}
+		pkt, b, ok = cut(b, int(be.Uint32(e[17:])))
+		rc := recentWire{ID: core.MsgID{Seq: be.Uint64(e[8:])}, Packet: pkt}
 		var err error
-		if rc.ID.Sender, err = addr.Decode(e); !ok || err != nil || e[24] != reportRecent {
+		if rc.ID.Sender, err = addr.Decode(e); !ok || err != nil || e[16] != reportRecent {
 			return r, nil, false
 		}
 		r = append(r, rc)

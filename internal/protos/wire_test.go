@@ -60,14 +60,14 @@ func newWireFixture(tb testing.TB) *wireFixture {
 }
 
 // state renders everything a control or data packet could move: the copy's
-// submissions, its place in the holder's order, its causal queue and its recent
-// record, the counters and the member's deliveries.
+// submissions, its causal queue and clock and its recent record, the counters
+// and the member's deliveries.
 func (fx *wireFixture) state() string {
 	fx.d.mu.Lock()
 	defer fx.d.mu.Unlock()
 	gs := fx.d.groups[fx.gid]
-	s := fmt.Sprintf("submitted=%d ordered=%d/%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.submitted),
-		gs.abView, gs.abSeq, gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
+	s := fmt.Sprintf("submitted=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.submitted),
+		gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
 	// The lifecycle, the views, the state transfer, the calls waiting and the
 	// packets sent (a request or a lookup accepted is answered).
 	answered := 0
@@ -92,7 +92,7 @@ func (fx *wireFixture) reply(tb testing.TB, kind uint8, body *msg.Message) []byt
 
 // TestMalformedControlPacketsAreDropped feeds handleTransport every way a
 // fixed-layout packet can be wrong, at a daemon where the well-formed packet
-// would act (a submission waiting for its numbered copy, a live caller, the
+// would act (a submission waiting for its stamped copy, a live caller, the
 // holder of the group's view): nothing moves. The well-formed packets then do
 // act, so the check has teeth.
 func TestMalformedControlPacketsAreDropped(t *testing.T) {
@@ -100,7 +100,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d := fx.d
 	remote := addr.NewProcess(2, 0, 9)
 
-	// B: the member's cast, held as a submission until its numbered copy comes.
+	// B: the member's cast, held as a submission until its stamped copy comes.
 	idB := core.MsgID{Sender: fx.member, Seq: 1}
 	d.mu.Lock()
 	gs := d.groups[fx.gid]
@@ -122,14 +122,15 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		}
 	}
 	// The data packets: a CBCAST that is the next of rank 0 (the view has one
-	// member), B numbered by the holder, a remote member's submission to this
-	// site (the holder), a direct message.
+	// member), B stamped by the holder after it, a remote member's submission
+	// to this site (the holder) that follows both, a direct message.
 	idC := core.MsgID{Sender: remote, Seq: 7}
 	cb := &dataPacket{proto: CBCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idC, vt: vclock.VC{1}, payload: body("c")}
 	p2p := &dataPacket{proto: CBCAST, id: idC, dests: addr.List{fx.member}, payload: body("d")}
-	ab := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idB, seq: 1, payload: body("b")}
-	sub := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 8}, -1, body("e"))
-	for _, p := range []*dataPacket{cb, p2p, ab} {
+	ab := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: idB, vt: vclock.VC{2}, payload: body("b")}
+	sub := &dataPacket{proto: ABCAST, entry: addr.EntryUserBase, group: fx.gid, view: fx.view, id: core.MsgID{Sender: remote, Seq: 8}, rank: -1,
+		vt: vclock.VC{2}, payload: body("e")}
+	for _, p := range []*dataPacket{cb, p2p, ab, sub} {
 		if err := p.encode(); err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +149,8 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		bad[name+" section flagged but absent"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= dataIsRelay })
 		bad[name+" retired type 1"] = clone(p.raw, func(k []byte) { k[1] = 1 })
 		bad[name+" retired type 21"] = clone(p.raw, func(k []byte) { k[1] = 21 })
+		bad[name+" retired type 33"] = clone(p.raw, func(k []byte) { k[1] = 33 })
+		bad[name+" flag 2, the holder's number under type 33"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= 2 })
 		for _, off := range []int{5 + 3, 21 + 3} { // the kind bytes of the group and the sender
 			bad[fmt.Sprintf("%s kind at %d", name, off)] = clone(p.raw, func(k []byte) { k[envelopeBytes+off] = byte(addr.KindGroup) + 1 })
 		}
@@ -195,8 +198,8 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	d.handleTransport(2, sub.raw)
 	waitFor(t, "the two replies, the CBCAST, the direct message, B and the submission at the member", 2*time.Second, func() bool { return fx.got.Load() == 6 })
 	d.mu.Lock()
-	if n := len(gs.submitted); n != 0 || gs.abView != fx.view || gs.abSeq != 2 {
-		t.Errorf("after the well-formed packets: %d submissions open, last ABCAST delivered %d/%d, want none and %d/2", n, gs.abView, gs.abSeq, fx.view)
+	if n, clock := len(gs.submitted), gs.causal.Clock(); n != 0 || !clock.Equal(vclock.VC{3}) {
+		t.Errorf("after the well-formed packets: %d submissions open, clock %v, want none and [3] (B and the submission stamped at rank 0)", n, clock)
 	}
 	if _, kept := d.groups[fx.gid].recent.Get(idC); !kept || d.counters.Delivered != 6 {
 		t.Errorf("Delivered = %d (CBCAST recorded: %v), want 6", d.counters.Delivered, kept)
@@ -230,7 +233,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		call[want], _ = d.newCall(site, want)
 	}
 	nested := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 99}, -1, body("n")).raw
-	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested, Seq: 4}}
+	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested}}
 	gb := map[string]struct {
 		pt byte
 		p  gbPacket
@@ -365,7 +368,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		bad[fmt.Sprintf("retired %d, old body", pt)] = edit(body, 1, pt)
 	}
 	replaced := map[byte]string{4: "request", 5: "prepare", 6: "ack", 7: "commit", 8: "done", 9: "lookup", 10: "lookupresp",
-		12: "stateblock", 13: "error", 14: "stateack", 16: "relayack"}
+		12: "stateblock", 13: "error", 14: "stateack", 16: "relayack", 25: "ack", 26: "commit"}
 	for pt, name := range replaced {
 		bad[fmt.Sprintf("retired %d, today's body", pt)] = edit(good[name], 1, pt)
 	}
@@ -431,7 +434,7 @@ func FuzzControlPacket(f *testing.F) {
 		f.Add(byte(8), raw[envelopeBytes:])
 	}
 	types := []byte{17, 18, 19, ptReply, 2, 3, 15, ptData, 1, 21,
-		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, ptStateAck, ptError, ptRelayAck, 4, 7, 12, 13, 16}
+		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, ptStateAck, ptError, ptRelayAck, 4, 7, 12, 13, 16, 25, 26, 33}
 	for _, h := range append(slices.Collect(maps.Values(goldenRetired)), slices.Collect(maps.Values(goldenWire))...) {
 		raw, _ := hex.DecodeString(h)
 		if i := slices.Index(types, raw[1]); i >= 0 {

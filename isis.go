@@ -114,7 +114,10 @@ const (
 	// CBCAST delivers potentially causally related messages in the order
 	// they were sent; it is asynchronous and cheap.
 	CBCAST = protos.CBCAST
-	// ABCAST delivers messages atomically and in the same order everywhere.
+	// ABCAST delivers messages atomically and in the same order everywhere,
+	// each after everything its sender's site had delivered when it was cast.
+	// A CBCAST its sender casts next is ordered after it only once the
+	// sender's Flush has returned.
 	ABCAST = protos.ABCAST
 	// GBCAST is ordered relative to every other multicast and to membership
 	// changes.

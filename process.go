@@ -294,10 +294,10 @@ func (p *Process) GroupPrimary(gid Address) bool {
 }
 
 // Flush blocks until the process's asynchronous multicasts are ordered (an
-// ABCAST cast away from the holder of its group's view has come back
-// numbered) and all its site has sent is acknowledged (a steady sender there
-// can time it out); the log and stable-storage tools call it (Section 3.2,
-// footnote 3).
+// ABCAST cast away from the holder of its group's view has come back stamped
+// and been delivered, so a CBCAST cast after Flush follows it everywhere) and
+// all its site has sent is acknowledged (a steady sender there can time it
+// out); the log and stable-storage tools call it (Section 3.2, footnote 3).
 func (p *Process) Flush() error {
 	if !p.Alive() {
 		return ErrProcessKilled
