@@ -26,13 +26,13 @@ func TestControlCodecAllocations(t *testing.T) {
 			}
 		}
 	}
-	raw := stateHeader{group: addr.NewGroup(1, 0, 3), joiner: addr.NewProcess(3, 2, 1), xferID: 6}.encode(ptStateBlock, make([]byte, 4096))
+	raw := stateHeader{group: addr.NewGroup(1, 0, 3), joiner: addr.NewProcess(3, 2, 1), xferID: 6}.encode(make([]byte, 4096))
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = parseState(raw[envelopeBytes:]) }); n != 0 {
 		t.Errorf("parsing a state block allocates %.0f times, want 0", n)
 	}
 	gid := addr.NewGroup(1, 0, 3)
 	members := addr.List{addr.NewProcess(1, 0, 1), addr.NewProcess(2, 0, 1), addr.NewProcess(3, 0, 1), addr.NewProcess(4, 0, 1)}
-	commit := gbPacket{group: gid, seq: 9, kind: gbJoin, procs: members[3:], view: core.View{Group: gid, Name: "bench", ID: 8, Members: members},
+	commit := gbPacket{group: gid, kind: gbJoin, procs: members[3:], view: core.View{Group: gid, Name: "bench", ID: 8, Members: members},
 		reqID: 77<<32 | 1, wantState: true}
 	raw, _ = commit.encode(ptGbCommit)
 	var back gbPacket

@@ -165,15 +165,8 @@ type groupState struct {
 	// re-disseminates to members that missed them.
 	recent core.BoundedLog[core.MsgID, []byte]
 
-	// pendingXfer is the set of joiners whose requested state transfer has
-	// not been confirmed complete (by their site's ptStateAck). Every member
-	// site tracks it so that whichever site finds itself hosting the new
-	// oldest member after a failure can re-trigger the transfer.
-	pendingXfer map[addr.Address]bool
-
 	// Coordinator-side state (only used while this site hosts the acting
 	// coordinator).
-	gbSeq   uint64
 	gbBusy  bool
 	gbQueue []gbWork
 
@@ -682,7 +675,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		ok = g.parse(body)
 	case ptLookup:
 		lk, ok = parseLookup(body)
-	case ptStateBlock, ptStateAck:
+	case ptStateBlock:
 		sh, block, ok = parseState(body)
 	case ptGbDone, ptGbAck, ptLookupResp, ptError, ptRelayAck:
 		call, a, ok = parseAnswer(pt, body)
@@ -707,8 +700,6 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		d.handleLookupLocked(from, lk)
 	case ptStateBlock:
 		d.handleStateBlockLocked(sh, block)
-	case ptStateAck:
-		d.handleStateAckLocked(sh)
 	default: // an answer, decoded to what its caller keeps
 		d.respondLocked(call, pt, a)
 	}

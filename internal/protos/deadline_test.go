@@ -78,7 +78,7 @@ func TestCallEndsAtItsTickDeadline(t *testing.T) {
 	d := tc.daemons[1]
 	tc.net.PauseLink(1, 2)
 	start := time.Now()
-	_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1), seq: 1})
+	_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1)})
 	took := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("the unanswered call returned %v, want ErrTimeout", err)
@@ -100,7 +100,7 @@ func TestSiteFailureEndsACallOnce(t *testing.T) {
 	tc.net.PauseLink(1, 2)
 	ended := make(chan error, 1)
 	go func() {
-		_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1), seq: 1})
+		_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1)})
 		ended <- err
 	}()
 	var id int64
@@ -220,7 +220,7 @@ func TestScanReleasesCommitlessFlush(t *testing.T) {
 	}
 
 	start := time.Now()
-	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, call: 4242}))
 	if ev := next(); ev.Kind != events.FlushBegin {
 		t.Fatalf("the prepare published %v, want FlushBegin", ev)
 	}

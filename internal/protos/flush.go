@@ -9,7 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// prepareAck is one member site's answer to a flush prepare. It travels in a
+// prepareAck is one member site's answer to a flush prepare, but for the
+// members it reports awaiting state (flushRound.xfers). It travels in a
 // ptGbAck; the coordinator's own is produced by the same prepareLocalLocked call.
 type prepareAck struct {
 	report pendingReport
@@ -25,6 +26,7 @@ type flushRound struct {
 	view  core.View                  // the coordinator's view when the round began
 	self  addr.SiteID                // the coordinator's site
 	acks  map[addr.SiteID]prepareAck // every site that answered, self included
+	xfers addr.List                  // the members the answering sites report awaiting state
 }
 
 // flushDecision is what phase 2 must carry out.
@@ -35,6 +37,7 @@ type flushDecision struct {
 	newView    core.View
 	rebcast    pendingReport // what to re-disseminate before the GBCAST point
 	outcome    int64         // gbSeal verdict: voteCommitted or voteAborted
+	xfers      addr.List     // who a new oldest member ships the state to
 }
 
 // decideFlush turns a collected phase 1 into the commit's content.
@@ -90,10 +93,18 @@ func decideFlush(r flushRound) flushDecision {
 	// scenarios) stays available; the cost is that an exactly-even split is
 	// resolved in favour of availability on both sides — deploy odd
 	// replication degrees where strict primary-partition semantics matter.
+	//
+	// A state transfer may be pending for a member that reported awaiting it,
+	// or one at a site that did not answer: nobody can tell for that site's
+	// members, so they are listed too, and a member not awaiting state drops
+	// what a new oldest member ships it.
 	votes := 0
+	dec.xfers = r.xfers
 	for _, m := range dec.base.Members {
 		if _, reached := r.acks[m.Site]; reached {
 			votes++
+		} else {
+			dec.xfers = append(dec.xfers, m)
 		}
 	}
 	if votes*2 < len(dec.base.Members) {

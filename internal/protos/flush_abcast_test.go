@@ -72,7 +72,7 @@ func assertSameSideOfMarker(t *testing.T, procs []*testProc, body, marker string
 // of the group flushes, and parks what arrives until a real flush commits.
 func wedge(t *testing.T, d *Daemon, gid addr.Address) {
 	t.Helper()
-	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+	d.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, call: 4242}))
 }
 
 // parkedAt counts the packets a site's copy of the group holds back.
@@ -430,8 +430,9 @@ func TestScenarioSubmissionToCrashedHolder(t *testing.T) {
 }
 
 // shapeNet is a fabric that records, by sending site, receiving site and
-// transport sequence, what type of daemon packet every record a frame carries
-// is: retransmissions count once.
+// transport sequence, what type of daemon packet every message a frame starts
+// is: retransmissions count once, and the records that carry the rest of a
+// long message not at all.
 type shapeNet struct {
 	netback.Network
 	mu   sync.Mutex
@@ -455,22 +456,27 @@ func (n *shapeNet) Attach(id netback.SiteID, epoch uint64) (netback.Endpoint, er
 
 // Send reads a data frame of the transport (kind 3 or 4: a 25-byte head, then
 // records of sequence 8, flags 1, length 4 and the bytes) before sending it.
+// Flag 2 marks a record that is not its message's first.
 func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 	if len(frame) >= 25 && (frame[0] == 3 || frame[0] == 4) {
 		e.n.mu.Lock()
 		for b := frame[25:]; len(b) >= 13; {
 			seq, size := binary.BigEndian.Uint64(b), int(binary.BigEndian.Uint32(b[9:]))
-			if len(b) < 13+size || size < envelopeBytes+1 {
+			if len(b) < 13+size {
 				break
 			}
 			pkt, kind := b[13:13+size], "submission"
 			switch {
+			case b[8]&2 != 0 || size < envelopeBytes+1:
+				kind = ""
 			case pkt[1] != ptData:
 				kind = fmt.Sprintf("type %d", pkt[1])
 			case int16(binary.BigEndian.Uint16(pkt[envelopeBytes+3:])) >= 0: // stamped at a rank
 				kind = "data"
 			}
-			e.n.sent[shapeKey{e.Site(), to, seq}] = kind
+			if kind != "" {
+				e.n.sent[shapeKey{e.Site(), to, seq}] = kind
+			}
 			b = b[13+size:]
 		}
 		e.n.mu.Unlock()

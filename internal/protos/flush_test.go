@@ -205,6 +205,26 @@ func TestDecideFlush(t *testing.T) {
 			t.Fatalf("outcome = %d, want committed", dec.outcome)
 		}
 	})
+	t.Run("the commit lists the reported joiners and every member of a silent site", func(t *testing.T) {
+		for _, c := range []struct {
+			name  string
+			acks  map[addr.SiteID]prepareAck
+			xfers addr.List
+			want  addr.List
+		}{
+			{"a reported joiner", answered(1, 2, 3, 4), addr.List{p4}, addr.List{p4}},
+			{"a member at a site that did not answer", answered(1, 2, 3), nil, addr.List{p4}},
+			{"none", answered(1, 2, 3, 4), nil, nil},
+		} {
+			dec := decideFlush(flushRound{
+				kind: gbLeave, procs: []addr.Address{p1}, view: view(5, p1, p2, p3, p4),
+				self: 1, acks: c.acks, xfers: c.xfers,
+			})
+			if !slices.Equal(dec.xfers, c.want) {
+				t.Errorf("%s: xfers = %v, want %v", c.name, dec.xfers, c.want)
+			}
+		}
+	})
 	t.Run("the rebroadcast set is the reconciliation of the acks' reports", func(t *testing.T) {
 		id := core.MsgID{Sender: p1, Seq: 1}
 		pkt := []byte{wireVersion, ptData}

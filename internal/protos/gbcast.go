@@ -101,10 +101,7 @@ func (d *Daemon) executeGb(w *gbWork) {
 	// the full protocol precisely because other members may not have seen
 	// the commit that made it a no-op here.
 	answered := w.reqID != 0 && gs.marks.Committed(w.reqID)
-	var seq uint64
 	if !answered {
-		gs.gbSeq++
-		seq = gs.gbSeq
 		d.counters.GBCASTs++
 		switch {
 		case w.force:
@@ -120,9 +117,9 @@ func (d *Daemon) executeGb(w *gbWork) {
 		return
 	}
 
-	acks := d.collectAcks(w, seq, oldView)
+	acks, xfers := d.collectAcks(w, oldView)
 	dec := decideFlush(flushRound{
-		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks,
+		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks, xfers: xfers,
 	})
 	if dec.nonPrimary {
 		// The copy goes read-only, and so do those of the member sites whose
@@ -135,8 +132,8 @@ func (d *Daemon) executeGb(w *gbWork) {
 
 	// Phase 2: commit at every member site of old, base, and new views. A
 	// seal's commit and answer carry the verdict.
-	commit := &gbPacket{group: w.group, seq: seq, kind: w.kind, procs: dec.procs, view: dec.newView,
-		report: dec.rebcast, reqID: w.reqID, wantState: w.wantState, entry: w.entry, sender: w.sender, payload: w.payload}
+	commit := &gbPacket{group: w.group, kind: w.kind, procs: dec.procs, view: dec.newView, report: dec.rebcast,
+		xfers: dec.xfers, reqID: w.reqID, wantState: w.wantState, entry: w.entry, sender: w.sender, payload: w.payload}
 	done := &gbPacket{view: dec.newView}
 	if w.kind == gbSeal && w.sealTarget != 0 {
 		commit.sealTarget, commit.outcome, done.outcome = w.sealTarget, dec.outcome, dec.outcome
@@ -182,35 +179,35 @@ func unionSites(views ...core.View) (sites []addr.SiteID) {
 	return sites
 }
 
-// collectAcks runs phase 1: it wedges every member site of the view and
-// collects their answers — each site's pending-state report and current
-// view, its word on the removal targets it hosts, and its vote in an
-// outcome-settling flush. A site missing from the result did not answer.
-func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.SiteID]prepareAck {
+// collectAcks runs phase 1: it wedges every member site of the view, this one
+// (the coordinator's, a member site by the acting rule) first, and collects
+// their answers — each site's pending-state report and current view, its word
+// on the removal targets it hosts, and its vote in an outcome-settling flush —
+// and the members the answering sites report still awaiting a state
+// transfer. A site missing from the map did not answer.
+func (d *Daemon) collectAcks(w *gbWork, view core.View) (map[addr.SiteID]prepareAck, addr.List) {
 	// Outcome settlement names the request id each member site reports its
 	// first-hand knowledge of in its ack. Failure removals name their targets,
 	// so each member site can corroborate (or dispute) the claimed deaths of
 	// the processes it hosts.
-	prepare := gbPacket{group: w.group, seq: seq, viewID: view.ID, sealTarget: w.sealTarget}
+	prepare := gbPacket{group: w.group, sealTarget: w.sealTarget}
 	if w.kind == gbFail {
 		prepare.procs = w.procs
 	}
+	d.mu.Lock()
+	own := d.prepareLocalLocked(w.group, prepare.procs, prepare.sealTarget, true)
+	d.mu.Unlock()
 
-	acks := make(map[addr.SiteID]prepareAck)
-	var ackMu sync.Mutex
+	// Each peer's answer in its own slot: nothing else is shared.
+	sites := view.SitesOf()
+	resps := make([]*gbPacket, len(sites))
 	var wg sync.WaitGroup
-	for _, site := range view.SitesOf() {
+	for i, site := range sites {
 		if site == d.site {
-			d.mu.Lock()
-			own := d.prepareLocalLocked(w.group, prepare.procs, prepare.sealTarget, true)
-			d.mu.Unlock()
-			ackMu.Lock()
-			acks[d.site] = own
-			ackMu.Unlock()
 			continue
 		}
 		wg.Add(1)
-		go func(site addr.SiteID) {
+		go func(i int, site addr.SiteID) {
 			defer wg.Done()
 			// Retry a failed prepare: silently treating a transient call
 			// failure as a site death would let this coordinator mint a view id
@@ -220,29 +217,37 @@ func (d *Daemon) collectAcks(w *gbWork, seq uint64, view core.View) map[addr.Sit
 			// retries end with the suspicion, and its members are removed later.
 			for attempt := 0; attempt < 3; attempt++ {
 				// By value: d.call stamps a per-exchange call id into its copy.
-				resp, err := d.call(site, ptGbPrepare, prepare)
-				if err == nil {
-					ackMu.Lock()
-					acks[site] = prepareAck{report: resp.report, view: resp.view, dead: resp.dead, vote: resp.outcome}
-					ackMu.Unlock()
+				if resp, err := d.call(site, ptGbPrepare, prepare); err == nil {
+					resps[i] = resp
 					return
 				}
 			}
-		}(site)
+		}(i, site)
 	}
 	wg.Wait()
-	return acks
+
+	acks := make(map[addr.SiteID]prepareAck, len(sites))
+	xfers := own.xfers
+	acks[d.site] = prepareAck{report: own.report, view: own.view, dead: own.dead, vote: own.outcome}
+	for i, ack := range resps {
+		if ack != nil {
+			acks[sites[i]] = prepareAck{report: ack.report, view: ack.view, dead: ack.dead, vote: ack.outcome}
+			xfers = append(xfers, ack.xfers...)
+		}
+	}
+	return acks, xfers
 }
 
 // prepareLocalLocked is phase 1 at this site: it feeds the prepare to the group
-// copy's lifecycle (a primary copy wedges) and returns the site's answer.
-// targets are the failure removal's processes and sealTarget the request id
-// an outcome-settling flush asks about (zero values when the flush is
-// neither). A member site vouches only for the targets it hosts; the
-// coordinator (own) also counts every process it has recorded as failed.
-// Caller holds d.mu.
-func (d *Daemon) prepareLocalLocked(gid addr.Address, targets []addr.Address, sealTarget int64, own bool) prepareAck {
-	var ack prepareAck
+// copy's lifecycle (a primary copy wedges) and returns the site's answer, the
+// ack it sends. targets are the failure removal's processes and sealTarget the
+// request id an outcome-settling flush asks about (zero values when the flush
+// is neither). A member site vouches only for the targets it hosts; the
+// coordinator (own) also counts every process it has recorded as failed. The
+// ack lists the site's members still awaiting their state, the one record of a
+// pending transfer. Caller holds d.mu.
+func (d *Daemon) prepareLocalLocked(gid addr.Address, targets []addr.Address, sealTarget int64, own bool) gbPacket {
+	var ack gbPacket
 	for _, pr := range targets {
 		if pr.Site == d.site {
 			if lp, ok := d.procs[pr.Base()]; ok && lp.alive && !d.failedProcs[pr.Base()] {
@@ -260,7 +265,12 @@ func (d *Daemon) prepareLocalLocked(gid addr.Address, targets []addr.Address, se
 	d.step(gs, inPrepare)
 	ack.report, ack.view = d.buildReportLocked(gs), gs.view.Clone()
 	if sealTarget != 0 {
-		ack.vote = gs.marks.Vote(sealTarget)
+		ack.outcome = gs.marks.Vote(sealTarget)
+	}
+	for m, ms := range gs.members {
+		if ms.awaitingState {
+			ack.xfers = append(ack.xfers, m)
+		}
 	}
 	return ack
 }
@@ -291,8 +301,7 @@ func (d *Daemon) handleGbPrepareLocked(from addr.SiteID, p *gbPacket) {
 		return
 	}
 	ack := d.prepareLocalLocked(p.group.Base(), p.procs, p.sealTarget, false)
-	resp := &gbPacket{report: ack.report, view: ack.view, dead: ack.dead, outcome: ack.vote}
-	d.answerLocked(from, p.call, ptGbAck, answer{gb: resp})
+	d.answerLocked(from, p.call, ptGbAck, answer{gb: &ack})
 }
 
 // applyGbCommitLocked installs the effect of a GBCAST at this site:
@@ -393,7 +402,7 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 			}
 		}
 	case gbJoin, gbLeave, gbFail, 0:
-		wrong = d.applyViewChangeLocked(gs, newView, kind, p.procs, p.wantState)
+		wrong = d.applyViewChangeLocked(gs, newView, kind, p.procs, p.wantState, p.xfers)
 	case gbSeal:
 		if p.sealTarget != 0 {
 			gs.marks.Seal(p.sealTarget, p.outcome == voteCommitted)
@@ -487,8 +496,9 @@ type wrongRemoval struct {
 
 // applyViewChangeLocked installs a new membership view and returns any
 // local, live members the change wrongly removed (the caller rejoins them
-// outside the lock). Caller holds d.mu.
-func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind int64, procs []addr.Address, wantState bool) []wrongRemoval {
+// outside the lock). xfers are the members the flush found possibly awaiting
+// a state transfer. Caller holds d.mu.
+func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind int64, procs []addr.Address, wantState bool, xfers addr.List) []wrongRemoval {
 	if gs.view.ID != 0 && newView.ID <= gs.view.ID {
 		// Stale or duplicate commit: a view with this id (or a later one)
 		// is already installed. Re-applying it would re-clone the view and
@@ -534,25 +544,6 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		delete(d.failedProcs, m.Base())
 	}
 
-	// Track joiners awaiting a state transfer — at every member site, not
-	// just the provider's, so whichever site hosts the new oldest member
-	// after a failure can take the transfer over.
-	if kind == gbJoin && wantState {
-		if gs.pendingXfer == nil {
-			gs.pendingXfer = make(map[addr.Address]bool)
-		}
-		for _, p := range procs {
-			if newView.Contains(p) && !old.Contains(p) {
-				gs.pendingXfer[p.Base()] = true
-			}
-		}
-	}
-	for j := range gs.pendingXfer {
-		if !newView.Contains(j) {
-			delete(gs.pendingXfer, j)
-		}
-	}
-
 	// Drop members no longer in the view.
 	for a := range gs.members {
 		if !newView.Contains(a) {
@@ -582,7 +573,9 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 			delete(d.pendingJoin, key)
 		}
 		if wantState && !old.Contains(m) && contains(procs, m) {
-			ms.awaitingState = true
+			// Its provider ships under this view's id; a block of an
+			// earlier attempt is a straggler from before the join.
+			ms.awaitingState, ms.xferID = true, uint64(newView.ID)
 		}
 		gs.members[m.Base()] = ms
 	}
@@ -605,22 +598,27 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 
 	// State transfer: the oldest member ships the state to the joiners that
 	// asked for it. Provider fail-over: if instead this change replaced the
-	// group's oldest member (the provider) while transfers were still
-	// pending, the new oldest member re-ships the state from the beginning;
-	// the joiner discards any partial transfer from the dead provider (the
-	// blocks carry the attempt id) so it never assembles a mixed state.
+	// group's oldest member (the provider), the new oldest member re-ships the
+	// state from the beginning to the members the flush found possibly
+	// awaiting it, each site's word on its own; the joiner discards any
+	// partial transfer from the dead provider (the blocks carry the attempt
+	// id) so it never assembles a mixed state, and a member that is not
+	// awaiting state drops the blocks.
 	switch {
 	case kind == gbJoin && wantState:
 		if !contains(procs, newView.Coordinator()) {
 			d.shipStateLocked(gs, procs)
 		}
-	case kind != gbJoin && len(gs.pendingXfer) > 0 && old.Size() > 0 &&
-		old.Coordinator().Base() != newView.Coordinator().Base():
-		joiners := make([]addr.Address, 0, len(gs.pendingXfer))
-		for j := range gs.pendingXfer {
-			joiners = append(joiners, j)
+	case kind != gbJoin && old.Size() > 0 && old.Coordinator().Base() != newView.Coordinator().Base():
+		var joiners []addr.Address
+		for _, j := range xfers {
+			if newView.Contains(j) {
+				joiners = append(joiners, j)
+			}
 		}
-		d.shipStateLocked(gs, joiners)
+		if len(joiners) > 0 {
+			d.shipStateLocked(gs, joiners)
+		}
 	}
 	return wrong
 }
@@ -662,18 +660,18 @@ func (d *Daemon) sendStateBlocks(gid addr.Address, joiners []addr.Address, provi
 	for _, j := range joiners {
 		for i, b := range blocks {
 			h := stateHeader{group: gid, joiner: j, xferID: xferID, last: i == len(blocks)-1}
-			_ = d.sendRaw(j.Site, h.encode(ptStateBlock, b))
+			_ = d.sendRaw(j.Site, h.encode(b))
 		}
 	}
 }
 
 // handleStateBlockLocked buffers a state-transfer block for a joining member
-// and, on the final block, delivers the complete state to the receiver,
-// releases the deliveries held while the transfer was in progress, and
-// announces the completion so no site re-triggers the transfer. Buffering
-// until the final block (rather than streaming) is what makes provider
-// fail-over safe: a transfer restarted by the new oldest member simply
-// discards the dead provider's partial buffer instead of handing the
+// and, on the final block, delivers the complete state to the receiver and
+// releases the deliveries held while the transfer was in progress. Nothing is
+// announced: a member no longer awaiting state is the record the next flush
+// asks for. Buffering until the final block (rather than streaming) is what
+// makes provider fail-over safe: a transfer restarted by the new oldest member
+// simply discards the dead provider's partial buffer instead of handing the
 // application a mix of two providers' blocks. data is the block as it
 // arrived, a capped range of the frame nothing else refers to: it is filed
 // and handed to the StateReceiver, which may write it, as it is. Caller holds
@@ -724,21 +722,6 @@ func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
 	}
 	for _, q := range held {
 		d.enqueue(ms.proc, q)
-	}
-	delete(gs.pendingXfer, target.Base())
-
-	// Tell every member site the transfer completed, so a later coordinator
-	// change does not re-trigger it.
-	ack := stateHeader{group: gid.Base(), joiner: target.Base(), xferID: xid, last: true}
-	d.fanoutRaw(gs.view.SitesOf(), ack.encode(ptStateAck, nil))
-}
-
-// handleStateAckLocked records that a joiner's state transfer completed, so
-// this site will not re-trigger it if it later hosts the new oldest member.
-// Caller holds d.mu.
-func (d *Daemon) handleStateAckLocked(h stateHeader) {
-	if gs, ok := d.groups[h.group.Base()]; ok {
-		delete(gs.pendingXfer, h.joiner.Base())
 	}
 }
 

@@ -15,19 +15,19 @@ import (
 
 // goldenWire holds the control packets that left the message codec in PR 26,
 // each in its fixed layout: the GBCAST family (one gbPacket layout: envelope,
-// call id, group, kind, gbcast sequence, view id, request id, seal target,
-// outcome, flags, then the sections the flags select), a lookup and its answer
-// (call id, site, primary, then a view), a state block and its ack (group,
-// joiner, transfer id, last, then the block), an error (call id, then the text)
-// and a relay's acknowledgement (stamp, call id). They replace the
-// message-built "view", "report" and "relayack" this map held before (PR 14,
-// commit 84d0f7f; PR 19; PR 24): a view and a flush report are now sections of
-// "ack" and "commit", and type numbers 4-10 and 12-16 are retired. A report
-// entry is the id, the list tag and the nested packet's length: "ack" and
-// "commit" took types 35 and 36 when the entry lost the ABCAST number it
-// carried under 25 and 26.
+// call id, group, kind, request id, seal target, outcome, flags, then the
+// sections the flags select), a lookup and its answer (call id, site, primary,
+// then a view), a state block (group, joiner, transfer id, last, then the
+// block), an error (call id, then the text) and a relay's acknowledgement
+// (stamp, call id). They replace the message-built "view", "report" and
+// "relayack" this map held before: a view and a flush report are now sections
+// of "ack" and "commit", and type numbers 4-10 and 12-16 are retired. A report entry is the id, the list tag
+// and the nested packet's length. The GBCAST family took types 37-41 when its
+// head lost the GBCAST sequence and view id nothing read (under 22-24, 35 and
+// 36), and an ack or a commit gained the members awaiting state (flag 128,
+// after the dead).
 var goldenWire = map[string]string{
-	"ack": "0123" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "02" + "38" +
+	"ack": "0128" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "02" + "b8" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
 		"ef00020002010100000007000000000000002a0400000086012201011000010001000200000003000000000000000500" +
 		"02010100000007000000000000002a000300000000000000030000000000000000000000000000000900040840736573" +
@@ -35,17 +35,17 @@ var goldenWire = map[string]string{
 		"726c64017302000000047465787400020101000000070000000000000029040000008601220102100000000100020000" +
 		"000300000000000000050002010100000007000000000000002a00030000000000000004000000000000000000000000" +
 		"000000090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000" +
-		"000c68656c6c6f2c20776f726c64017302000000047465787400010002010100000007",
-	"commit": "0124" + "0000000000000000" + "0001000200000003" + "03" + "0000000000000009" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "1e" +
-		"00010003020100abcdef00010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"000c68656c6c6f2c20776f726c6401730200000004746578740001000201010000000700010003020100abcdef",
+	"commit": "0129" + "0000000000000000" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "9e" +
+		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
 		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
 		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
 		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
 		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
 		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
 		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
-		"00000030390170010000000c68656c6c6f2c20776f726c640173020000000474657874",
-	"done": "0117" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "01" + "08" +
+		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010003020100abcdef",
+	"done": "0126" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "01" + "08" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
 		"ef",
 	"error": "011f" + "000000000000001f" + "70726f746f733a2067726f757020697320696e2061206e6f6e2d7072696d61727920706172746974696f6e2028726561642d6f6e6c7929",
@@ -54,18 +54,17 @@ var goldenWire = map[string]string{
 	"lookupresp": "011c" + "000000000000001f" + "0002" + "01" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
 		"ef",
-	"nonprimary": "0124" + "0000000000000000" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "00" + "00",
-	"prepare": "0118" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000009" + "0000000000000006" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
+	"nonprimary": "0129" + "0000000000000000" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "00" + "00",
+	"prepare": "0127" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
 		"00010002010100000007",
 	"relayack": "0120" + "0000000000000005" + "0001" + "0000000000000009" + "000000000000001f",
-	"request": "0116" + "000000000000001f" + "0001000200000003" + "01" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
+	"request": "0125" + "000000000000001f" + "0001000200000003" + "01" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
 		"00010003020100abcdef",
-	"resume": "0124" + "0000000000000000" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "00" + "08" +
+	"resume": "0129" + "0000000000000000" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "00" + "08" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
 		"ef",
-	"stateack":   "011e" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "01",
 	"stateblock": "011d" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "00" + "726f772d31",
-	"usergb": "0116" + "000000000000001f" + "0001000200000003" + "04" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "40" +
+	"usergb": "0125" + "000000000000001f" + "0001000200000003" + "04" + "0000004d00000001" + "0000000000000000" + "00" + "40" +
 		"10000201010000000700010173020000000474657874",
 }
 
@@ -103,13 +102,16 @@ var goldenData = map[string]string{
 		"6c6c6f2c20776f726c640173020000000474657874",
 }
 
-// goldenRetired holds the last encodings the retired numbers 17, 18, 19, 21,
-// 25, 26 and 33 had: the proposal, commit and re-solicitation of the two-phase
+// goldenRetired holds the last encodings the retired numbers 17-19, 21-26, 30,
+// 33, 35 and 36 had: the proposal, commit and re-solicitation of the two-phase
 // ABCAST (each a 40-byte record: group, message id, priority, attempt), a data
 // packet whose flag 2 section is a fenced ABCAST's attempt, a data packet
 // whose flag 2 section is the holder's number for an ABCAST and one that
-// submits it unnumbered, and a prepare ack and a commit whose report entries
-// carry that number. A site drops each of them unread.
+// submits it unnumbered, a prepare ack and a commit whose report entries
+// carry that number, the GBCAST family's request, done, prepare, ack and
+// commit with the 51-byte head (GBCAST sequence 17-24, view id 25-32), and a
+// joiner's state ack (a state block's header alone). A site drops each of them
+// unread.
 var goldenRetired = map[string]string{
 	"propose":   "0111" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000002",
 	"commit":    "0112" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000000",
@@ -143,6 +145,32 @@ var goldenRetired = map[string]string{
 		"0000000000000002" +
 		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
 		"6c6c6f2c20776f726c640173020000000474657874",
+	"head ack": "0123" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "02" + "38" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef00020002010100000007000000000000002a0400000086012201011000010001000200000003000000000000000500" +
+		"02010100000007000000000000002a000300000000000000030000000000000000000000000000000900040840736573" +
+		"73696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f" +
+		"726c64017302000000047465787400020101000000070000000000000029040000008601220102100000000100020000" +
+		"000300000000000000050002010100000007000000000000002a00030000000000000004000000000000000000000000" +
+		"000000090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000" +
+		"000c68656c6c6f2c20776f726c64017302000000047465787400010002010100000007",
+	"head commit": "0124" + "0000000000000000" + "0001000200000003" + "03" + "0000000000000009" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "1e" +
+		"00010003020100abcdef00010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
+		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
+		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
+		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
+		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
+		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
+		"00000030390170010000000c68656c6c6f2c20776f726c640173020000000474657874",
+	"head done": "0117" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "01" + "08" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"head prepare": "0118" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000009" + "0000000000000006" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
+		"00010002010100000007",
+	"head request": "0116" + "000000000000001f" + "0001000200000003" + "01" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
+		"00010003020100abcdef",
+	"stateack": "011e" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "01",
 }
 
 // goldenDataPackets rebuilds the packets of goldenData.
@@ -207,21 +235,21 @@ func goldenWireValues(t *testing.T) (map[string]any, map[string]byte) {
 			"request": gbPacket{call: 31, group: gid, kind: gbJoin, reqID: rid, wantState: true, procs: addr.List{joiner}},
 			"usergb": gbPacket{call: 31, group: gid, kind: gbUser, reqID: rid, entry: addr.EntryUserBase, sender: sender,
 				payload: msg.New().PutString("s", "text")},
-			"done":       gbPacket{call: 31, view: view, outcome: voteCommitted},
-			"prepare":    gbPacket{call: 31, group: gid, seq: 9, viewID: 6, procs: addr.List{sender}, sealTarget: rid},
-			"ack":        gbPacket{call: 31, view: view, report: report, dead: addr.List{sender}, outcome: voteAborted},
-			"commit":     gbPacket{group: gid, seq: 9, kind: gbFail, procs: addr.List{joiner}, view: view, report: report, reqID: rid, force: true},
+			"done":    gbPacket{call: 31, view: view, outcome: voteCommitted},
+			"prepare": gbPacket{call: 31, group: gid, procs: addr.List{sender}, sealTarget: rid},
+			"ack":     gbPacket{call: 31, view: view, report: report, dead: addr.List{sender}, xfers: addr.List{joiner}, outcome: voteAborted},
+			"commit": gbPacket{group: gid, kind: gbFail, procs: addr.List{sender}, view: view, report: report, xfers: addr.List{joiner},
+				reqID: rid, force: true},
 			"nonprimary": gbPacket{group: gid, kind: gbNonPrimary},
 			"resume":     gbPacket{group: gid, kind: gbResume, view: view},
 			"lookup":     lookupPacket{call: 31, view: core.View{Group: gid, Name: "bench"}},
 			"lookupresp": lookupPacket{call: 31, site: 2, primary: true, view: view},
 			"stateblock": goldenBlock{stateHeader{group: gid, joiner: joiner, xferID: 6}, []byte("row-1")},
-			"stateack":   stateHeader{group: gid, joiner: joiner, xferID: 6, last: true},
 			"error":      goldenAnswer{answer{err: ErrNonPrimary}, 31},
 			"relayack":   goldenAnswer{answer{stamp: relayStamp{view: 5, rank: 1, seq: 9}}, 31},
 		}, map[string]byte{"request": ptGbRequest, "usergb": ptGbRequest, "done": ptGbDone, "prepare": ptGbPrepare,
 			"ack": ptGbAck, "commit": ptGbCommit, "nonprimary": ptGbCommit, "resume": ptGbCommit, "lookup": ptLookup,
-			"lookupresp": ptLookupResp, "stateblock": ptStateBlock, "stateack": ptStateAck, "error": ptError, "relayack": ptRelayAck}
+			"lookupresp": ptLookupResp, "stateblock": ptStateBlock, "error": ptError, "relayack": ptRelayAck}
 }
 
 // TestWireEncodingMatchesGolden checks the control packets' layouts both ways:
@@ -258,14 +286,10 @@ func TestWireEncodingMatchesGolden(t *testing.T) {
 			var l lookupPacket
 			l, ok = parseLookup(body)
 			again, back = l.encode(pt), l
-		case stateHeader:
-			got = v.encode(pt, nil)
-			h, block, sok := parseState(body)
-			again, back, ok = h.encode(pt, block), h, sok && len(block) == 0
 		case goldenBlock:
-			got = v.encode(pt, v.block)
+			got = v.encode(v.block)
 			h, block, sok := parseState(body)
-			again, back, ok = h.encode(pt, block), goldenBlock{h, block}, sok
+			again, back, ok = h.encode(block), goldenBlock{h, block}, sok
 		case goldenAnswer:
 			got = v.a.encode(pt, v.call)
 			var b goldenAnswer
@@ -369,7 +393,7 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 	if len(replies) != len(goldenFixed) {
 		t.Errorf("%d cases for %d golden encodings", len(replies), len(goldenFixed))
 	}
-	live := []byte{ptReply, ptGbRequest, ptGbDone, ptGbPrepare, ptLookup, ptLookupResp, ptStateBlock, ptStateAck, ptError, ptRelayAck,
+	live := []byte{ptReply, ptGbRequest, ptGbDone, ptGbPrepare, ptLookup, ptLookupResp, ptStateBlock, ptError, ptRelayAck,
 		ptData, ptGbAck, ptGbCommit}
 	for name, h := range goldenRetired {
 		raw, _ := hex.DecodeString(h)
@@ -377,7 +401,7 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 			t.Errorf("%s: type %d is not retired", name, raw[1])
 		}
 	}
-	if wireVersion != 1 || ptReply != 20 || ptGbRequest != 22 || ptRelayAck != 32 || ptData != 34 || ptGbAck != 35 || ptGbCommit != 36 {
+	if wireVersion != 1 || ptReply != 20 || ptLookup != 27 || ptRelayAck != 32 || ptData != 34 || ptGbRequest != 37 || ptGbCommit != 41 {
 		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

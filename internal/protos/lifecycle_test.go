@@ -321,10 +321,12 @@ func TestOneLockHoldPerStep(t *testing.T) {
 	}
 
 	// handleTransport holds d.mu once for every packet, by defer, and
-	// dispatches only to handlers that are handed the lock.
+	// dispatches only to handlers that are handed the lock: one a packet type,
+	// and respondLocked for every answer.
 	handlers := daemonCalls(funcs["handleTransport"])
-	if len(handlers) < 9 {
-		t.Fatalf("found only %v: the check is not looking at handleTransport's dispatch", handlers)
+	if want := []string{"deliverReplyLocked", "handleDataLocked", "handleGbRequestLocked", "handleGbPrepareLocked",
+		"applyGbCommitLocked", "handleLookupLocked", "handleStateBlockLocked", "respondLocked"}; !slices.Equal(handlers, want) {
+		t.Fatalf("handleTransport dispatches to %v, want %v", handlers, want)
 	}
 	for _, name := range handlers {
 		if !strings.HasSuffix(name, "Locked") {

@@ -202,7 +202,7 @@ func TestStaleCommitAfterMergeDropIsIgnored(t *testing.T) {
 		return core.View{Group: gid, Name: "bank", ID: id, Members: members}
 	}
 	commit := func(v core.View, kind int64, procs ...addr.Address) gbPacket {
-		return gbPacket{group: gid, seq: uint64(v.ID), kind: kind, procs: procs, view: v}
+		return gbPacket{group: gid, kind: kind, procs: procs, view: v}
 	}
 	hosted := func() bool {
 		d.mu.Lock()

@@ -154,7 +154,7 @@ func TestHandlerMutationDoesNotReachRecentBuffer(t *testing.T) {
 				// The cast reaches site 3 from the holder, site 1, on the link
 				// the join's flush needs too: site 3 is wedged by hand instead,
 				// so it parks the cast, which its report then lacks.
-				tc.daemons[3].handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+				tc.daemons[3].handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, call: 4242}))
 			} else {
 				tc.net.PauseLink(2, 3)
 			}

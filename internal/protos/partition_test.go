@@ -282,7 +282,7 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 	delete(d3.suspected, 1)
 	d3.mu.Unlock()
 	begun := d3.EventStats().ByKind[events.FlushBegin]
-	d3.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, seq: 99, call: 4242}))
+	d3.handleTransport(1, encoded(t, ptGbPrepare, gbPacket{group: gid, call: 4242}))
 	if now := d3.EventStats().ByKind[events.FlushBegin]; now != begun {
 		t.Errorf("the prepare opened a flush at the non-primary copy (%d FlushBegin, then %d)", begun, now)
 	}

@@ -231,7 +231,7 @@ func TestScenarioCoordinatorCrashAfterPartialCommitDedupes(t *testing.T) {
 
 	// The successor must have executed exactly one GBCAST protocol run: the
 	// forced takeover flush. The re-submitted join was answered from the
-	// commit record (gbSeq/gbDone dedupe), not executed a second time.
+	// commit record (its request id's mark), not executed a second time.
 	if got := tc.daemons[2].Counters().GBCASTs; got != 1 {
 		t.Errorf("successor executed %d GBCAST protocol runs, want 1 (takeover flush only)", got)
 	}
@@ -451,7 +451,7 @@ func TestDuplicateGbCommitReplayIsStale(t *testing.T) {
 	if !ok {
 		t.Fatal("no current view at site 2")
 	}
-	commit := gbPacket{group: gid, seq: 99, kind: gbJoin, procs: addr.List{procs[1].addr}, view: v}
+	commit := gbPacket{group: gid, kind: gbJoin, procs: addr.List{procs[1].addr}, view: v}
 	d2.handleTransport(1, encoded(t, ptGbCommit, commit))
 	time.Sleep(100 * time.Millisecond)
 	if got := procs[1].numViews(); got != before {

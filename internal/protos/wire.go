@@ -63,7 +63,7 @@ const (
 	envelopeBytes = 2
 
 	// The fixed heads; ARCHITECTURE.md has each byte by byte.
-	replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 25, 51, 11, 25
+	replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 25, 35, 11, 25
 
 	// The data header, then the sections its flags byte selects: with the
 	// envelope 65 bytes lead the payload of a CBCAST or a stamped ABCAST in a
@@ -96,7 +96,7 @@ const (
 	_                             // 11: heartbeat, now any transport frame (internal/fdetect)
 	_                             // 12: state block, now ptStateBlock
 	_                             // 13: error, now ptError
-	_                             // 14: state ack, now ptStateAck
+	_                             // 14: state ack, then 30
 	_                             // 15: re-solicitation, then 19
 	_                             // 16: relay ack, now ptRelayAck
 	_                             // 17: ABCAST proposal, gone with the two-phase ABCAST
@@ -104,19 +104,24 @@ const (
 	_                             // 19: ABCAST re-solicitation, gone with the two-phase ABCAST
 	ptReply                       // a reply on its way to the caller's process (reply header + body)
 	_                             // 21: data packet whose flag 2 was a fenced ABCAST's attempt, now ptData
-	ptGbRequest                   // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
-	ptGbDone                      // the coordinator's answer to a request (gbPacket)
-	ptGbPrepare                   // GBCAST phase 1: wedge and report pending state (gbPacket)
-	_                             // 25: prepare ack whose report entries carried an ABCAST number, now ptGbAck
-	_                             // 26: commit whose report entries carried an ABCAST number, now ptGbCommit
+	_                             // 22: request whose head carried a GBCAST sequence and view id, now ptGbRequest
+	_                             // 23: done of that head, now ptGbDone
+	_                             // 24: prepare of that head, now ptGbPrepare
+	_                             // 25: prepare ack whose report entries carried an ABCAST number, then 35
+	_                             // 26: commit whose report entries carried an ABCAST number, then 36
 	ptLookup                      // group lookup by name or id (lookupPacket)
 	ptLookupResp                  // a site's answer to a lookup (lookupPacket)
 	ptStateBlock                  // state transfer block: stateHeader, then the block to the end
-	ptStateAck                    // a joiner's state transfer completed (stateHeader alone)
+	_                             // 30: a joiner's state transfer completed, gone: the flush asks for a pending one
 	ptError                       // negative answer to a call: call id 8, then the error text
 	ptRelayAck                    // positive answer to a relay request: relay stamp and call id
 	_                             // 33: data packet whose flag 2 was the holder's ABCAST number, now ptData
 	ptData                        // CBCAST / ABCAST, stamped or submitted / point-to-point / relay request (dataPacket)
+	_                             // 35: prepare ack of the 51-byte head, now ptGbAck
+	_                             // 36: commit of the 51-byte head, now ptGbCommit
+	ptGbRequest                   // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
+	ptGbDone                      // the coordinator's answer to a request (gbPacket)
+	ptGbPrepare                   // GBCAST phase 1: wedge and report pending state (gbPacket)
 	ptGbAck                       // a member site's answer to a prepare (gbPacket)
 	ptGbCommit                    // GBCAST phase 2, or a gbNonPrimary / gbResume notice (gbPacket)
 )
@@ -417,29 +422,30 @@ func readView(b []byte) (v core.View, rest []byte, ok bool) {
 // gbPacket is every packet of the GBCAST family: a request and its done, a
 // prepare and its ack, a commit (or a gbNonPrimary or gbResume notice). What a
 // type does not use stays zero, and a section off the wire. Its head: call id
-// 0-7, group 8-15, kind 16, gbcast sequence 17-24, view id 25-32, request id
-// 33-40, seal target 41-48, outcome 49, flags 50; then the flagged sections.
+// 0-7, group 8-15, kind 16, request id 17-24, seal target 25-32, outcome 33,
+// flags 34; then the flagged sections. The fields are in the order that keeps
+// the struct at 240 bytes, an allocation size class.
 type gbPacket struct {
 	call       int64        // request, prepare: the call the done or ack answers
 	group      addr.Address // the group (none on a done or an ack)
+	sender     addr.Address // user GBCAST: who cast it
 	kind       int64        // gbJoin ... gbSeal
-	seq        uint64       // prepare, commit: the coordinator's GBCAST sequence
-	viewID     core.ViewID  // prepare: the coordinator's view id
 	reqID      int64        // stable request id; survives coordinator fail-over
 	sealTarget int64        // gbSeal: the request id whose outcome is being settled
 	outcome    int64        // ack: the site's vote on sealTarget; commit and done of a seal: the verdict
 	wantState  bool         // a join wants a state transfer
 	force      bool         // run the full wedge/flush even if the change is a no-op
-	procs      addr.List    // the processes a change names; a prepare's removal targets
-	view       core.View    // commit: the new view; ack: the site's; done: the request's
-	report     pendingReport
-	dead       addr.List // ack: removal targets the site confirms dead
 	entry      addr.EntryID
-	sender     addr.Address
+	procs      addr.List // the processes a change names; a prepare's removal targets
+	view       core.View // commit: the new view; ack: the site's; done: the request's
+	report     pendingReport
+	dead       addr.List    // ack: removal targets the site confirms dead
+	xfers      addr.List    // ack: the site's members awaiting state; commit: the joiners a new oldest member ships to
 	payload    *msg.Message // user GBCAST: delivered at entry, from sender
 }
 
 // The flags byte of a gbPacket: two request flags, then the sections present.
+// They follow the head in the order procs, view, report, dead, xfers, payload.
 const (
 	gbWantState  = 1 << iota // a join wants a state transfer
 	gbForce                  // run the full wedge/flush even for a no-op change
@@ -448,22 +454,22 @@ const (
 	gbHasReport              // report (appendTo)
 	gbHasDead                // dead (appendAddrs)
 	gbHasPayload             // entry 1, sender 8, then the marshalled payload to the end
+	gbHasXfers               // xfers (appendAddrs), before the payload
 )
 
 // encode builds the packet of type pt in one buffer. Only a payload can fail.
 func (p *gbPacket) encode(pt byte) ([]byte, error) {
 	flags := bit(p.wantState)*gbWantState | bit(p.force)*gbForce | bit(len(p.procs) > 0)*gbHasProcs |
 		bit(!p.view.Group.IsNil())*gbHasView | bit(len(p.report) > 0)*gbHasReport |
-		bit(len(p.dead) > 0)*gbHasDead | bit(p.payload != nil)*gbHasPayload
+		bit(len(p.dead) > 0)*gbHasDead | bit(p.payload != nil)*gbHasPayload | bit(len(p.xfers) > 0)*gbHasXfers
 	// Room for every section, present or not: a few bytes too many, one allocation.
-	size := envelopeBytes + gbHeadBytes + 13 + addr.EncodedSize*(len(p.procs)+len(p.dead)) + viewBytes(p.view) + p.report.size()
+	size := envelopeBytes + gbHeadBytes + 15 + addr.EncodedSize*(len(p.procs)+len(p.dead)+len(p.xfers)) + viewBytes(p.view) + p.report.size()
 	if p.payload != nil {
 		size += p.payload.MarshaledSize()
 	}
 	be := binary.BigEndian
 	b := be.AppendUint64(append(make([]byte, 0, size), wireVersion, pt), uint64(p.call))
-	b = be.AppendUint64(append(p.group.AppendEncoded(b), byte(p.kind)), p.seq)
-	b = be.AppendUint64(be.AppendUint64(be.AppendUint64(b, uint64(p.viewID)), uint64(p.reqID)), uint64(p.sealTarget))
+	b = be.AppendUint64(be.AppendUint64(append(p.group.AppendEncoded(b), byte(p.kind)), uint64(p.reqID)), uint64(p.sealTarget))
 	b = append(b, byte(p.outcome), flags)
 	if flags&gbHasProcs != 0 {
 		b = appendAddrs(b, p.procs)
@@ -477,6 +483,9 @@ func (p *gbPacket) encode(pt byte) ([]byte, error) {
 	if flags&gbHasDead != 0 {
 		b = appendAddrs(b, p.dead)
 	}
+	if flags&gbHasXfers != 0 {
+		b = appendAddrs(b, p.xfers)
+	}
 	if flags&gbHasPayload == 0 {
 		return b, nil
 	}
@@ -486,15 +495,14 @@ func (p *gbPacket) encode(pt byte) ([]byte, error) {
 // parse reads a body into p (a zero value), each section within exact bounds
 // and the payload decoded in place. The report's packets are views of b.
 func (p *gbPacket) parse(b []byte) bool {
-	if len(b) < gbHeadBytes || b[16] > byte(gbSeal) || b[50] >= gbHasPayload<<1 {
+	if len(b) < gbHeadBytes || b[16] > byte(gbSeal) {
 		return false
 	}
-	be, flags := binary.BigEndian, b[50]
+	be, flags := binary.BigEndian, b[34]
 	var err error
-	p.call, p.kind, p.seq = int64(be.Uint64(b)), int64(b[16]), be.Uint64(b[17:])
+	p.call, p.kind, p.reqID, p.sealTarget = int64(be.Uint64(b)), int64(b[16]), int64(be.Uint64(b[17:])), int64(be.Uint64(b[25:]))
 	p.group, err = addr.Decode(b[8:])
-	p.viewID, p.reqID, p.sealTarget = core.ViewID(be.Uint64(b[25:])), int64(be.Uint64(b[33:])), int64(be.Uint64(b[41:]))
-	p.outcome, p.wantState, p.force = int64(b[49]), flags&gbWantState != 0, flags&gbForce != 0
+	p.outcome, p.wantState, p.force = int64(b[33]), flags&gbWantState != 0, flags&gbForce != 0
 	ok, b := err == nil, b[gbHeadBytes:]
 	if ok && flags&gbHasProcs != 0 {
 		p.procs, b, ok = readAddrs(b)
@@ -507,6 +515,9 @@ func (p *gbPacket) parse(b []byte) bool {
 	}
 	if ok && flags&gbHasDead != 0 {
 		p.dead, b, ok = readAddrs(b)
+	}
+	if ok && flags&gbHasXfers != 0 {
+		p.xfers, b, ok = readAddrs(b)
 	}
 	if !ok || flags&gbHasPayload == 0 || len(b) < 9 {
 		return ok && len(b) == 0 && flags&gbHasPayload == 0
@@ -544,8 +555,8 @@ func parseLookup(b []byte) (l lookupPacket, ok bool) {
 	return l, ok && len(b) == 0
 }
 
-// stateHeader leads a state block (ptStateBlock; the block follows to the end)
-// and is all of a state ack: group 0-7, joiner 8-15, transfer id 16-23, last 24.
+// stateHeader leads a state block (ptStateBlock; the block follows to the end):
+// group 0-7, joiner 8-15, transfer id 16-23, last 24.
 type stateHeader struct {
 	group, joiner addr.Address
 	xferID        uint64 // the view id the provider shipped under
@@ -554,8 +565,8 @@ type stateHeader struct {
 
 // encode builds the packet, writing the block into it: the one copy the
 // provider's bytes take on their way to the wire.
-func (h stateHeader) encode(pt byte, block []byte) []byte {
-	b := append(make([]byte, 0, envelopeBytes+stateHeaderBytes+len(block)), wireVersion, pt)
+func (h stateHeader) encode(block []byte) []byte {
+	b := append(make([]byte, 0, envelopeBytes+stateHeaderBytes+len(block)), wireVersion, ptStateBlock)
 	b = binary.BigEndian.AppendUint64(h.joiner.AppendEncoded(h.group.AppendEncoded(b)), h.xferID)
 	return append(append(b, bit(h.last)), block...)
 }

@@ -75,8 +75,8 @@ func (fx *wireFixture) state() string {
 		answered += len(c.ch)
 	}
 	ms := gs.members[fx.member]
-	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v pendingXfer=%v awaiting=%v xfer=%d/%d gbQueue=%d answered=%d sent=%d",
-		gs.phase, gs.view, fx.d.remoteViews, fx.d.nameCache, gs.pendingXfer, ms.awaitingState, ms.xferID, len(ms.xferBuf),
+	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v awaiting=%v xfer=%d/%d gbQueue=%d answered=%d sent=%d",
+		gs.phase, gs.view, fx.d.remoteViews, fx.d.nameCache, ms.awaitingState, ms.xferID, len(ms.xferBuf),
 		len(gs.gbQueue), answered, fx.d.tr.Stats().MessagesSent)
 }
 
@@ -211,17 +211,15 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 // malformedGbcastFamily is TestMalformedControlPacketsAreDropped for the packets
 // that left the message codec in PR 26 — the GBCAST family, lookups, state
 // transfer, errors and relay acknowledgements — at the fixture's daemon with its
-// member awaiting a state transfer (one of two pending) and a call waiting for
-// each kind of answer: truncated in the head, in each section and in a report's
-// nested packet, a flag no section defines, an address of no kind, a count that
-// overruns the packet, and the retired numbers with the bodies old sites send.
+// member awaiting a state transfer and a call waiting for each kind of answer:
+// truncated in the head, in each section and in a report's nested packet, a
+// section flagged but absent, an address of no kind, a count that overruns the
+// packet, and the retired numbers with the bodies old sites send.
 func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	d, remote := fx.d, addr.NewProcess(2, 0, 9)
-	other := addr.NewProcess(2, 0, 7)
 	d.mu.Lock()
 	gs := d.groups[fx.gid]
 	gs.members[fx.member].awaitingState, gs.members[fx.member].xferID = true, 5
-	gs.pendingXfer = map[addr.Address]bool{fx.member: true, other: true}
 	view := gs.view.Clone()
 	d.mu.Unlock()
 	call := map[byte]int64{}
@@ -240,16 +238,16 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	}{
 		"request": {ptGbRequest, gbPacket{call: 1, group: addr.NewGroup(2, 0, 9), kind: gbJoin, procs: addr.List{remote}, wantState: true}},
 		"done":    {ptGbDone, gbPacket{call: call[ptGbDone], view: view, outcome: voteCommitted}},
-		"prepare": {ptGbPrepare, gbPacket{call: 2, group: fx.gid, seq: 1, viewID: view.ID, procs: addr.List{remote}, sealTarget: 9}},
-		"ack":     {ptGbAck, gbPacket{call: call[ptGbAck], view: view, report: report, dead: addr.List{remote}, outcome: voteAborted}},
-		"commit": {ptGbCommit, gbPacket{group: fx.gid, seq: 1, kind: gbUser, procs: addr.List{remote}, view: view, reqID: 7,
+		"prepare": {ptGbPrepare, gbPacket{call: 2, group: fx.gid, procs: addr.List{remote}, sealTarget: 9}},
+		"ack": {ptGbAck, gbPacket{call: call[ptGbAck], view: view, report: report, dead: addr.List{remote}, xfers: addr.List{remote},
+			outcome: voteAborted}},
+		"commit": {ptGbCommit, gbPacket{group: fx.gid, kind: gbUser, procs: addr.List{remote}, view: view, reqID: 7,
 			entry: addr.EntryUserBase, sender: remote, payload: body("g")}},
 	}
 	good := map[string][]byte{
 		"lookup":     lookupPacket{call: 3, view: core.View{Group: fx.gid, Name: "wire"}}.encode(ptLookup),
 		"lookupresp": lookupPacket{call: call[ptLookupResp], site: 2, primary: true, view: view}.encode(ptLookupResp),
-		"stateblock": stateHeader{group: fx.gid, joiner: fx.member, xferID: 5}.encode(ptStateBlock, []byte("block")),
-		"stateack":   stateHeader{group: fx.gid, joiner: other, xferID: 5, last: true}.encode(ptStateAck, nil),
+		"stateblock": stateHeader{group: fx.gid, joiner: fx.member, xferID: 5}.encode([]byte("block")),
 		"error":      answer{err: ErrNonPrimary}.encode(ptError, call[ptError]),
 		"relayack":   answer{stamp: relayStamp{view: view.ID, seq: 1}}.encode(ptRelayAck, call[ptRelayAck]),
 	}
@@ -265,7 +263,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		good[name] = raw
 		head := envelopeBytes + gbHeadBytes
 		bad[name+" cut in the head"] = raw[:head-1]
-		bad[name+" undefined flag"] = edit(raw, head-1, raw[head-1]|0x80)
+		if len(c.p.xfers) == 0 { // flag 128 on a packet without the section: none follows, or the payload's head reads as an overrunning one
+			bad[name+" xfers flagged but absent"] = edit(raw, head-1, raw[head-1]|gbHasXfers)
+		}
 		bad[name+" kind no request has"] = edit(raw, envelopeBytes+16, byte(gbSeal)+1)
 		bad[name+" group of no kind"] = edit(raw, envelopeBytes+8+3, kind)
 		if c.p.payload == nil {
@@ -275,7 +275,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		// the end of the first n sections.
 		prefix := func(n int) int {
 			q := gbPacket{payload: c.p.payload}
-			q.procs, q.view, q.report, q.dead = c.p.procs, c.p.view, c.p.report, c.p.dead
+			q.procs, q.view, q.report, q.dead, q.xfers = c.p.procs, c.p.view, c.p.report, c.p.dead, c.p.xfers
 			switch n {
 			case 0:
 				q.procs = nil
@@ -290,18 +290,21 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 				q.dead = nil
 				fallthrough
 			case 4:
+				q.xfers = nil
+				fallthrough
+			case 5:
 				q.payload = nil
 			}
 			return len(encoded(t, c.pt, q))
 		}
-		for n, section := range []string{"procs", "view", "report", "dead", "payload"} {
+		for n, section := range []string{"procs", "view", "report", "dead", "xfers", "payload"} {
 			from, to := prefix(n), prefix(n+1)
 			if to == from {
 				continue
 			}
 			bad[fmt.Sprintf("%s cut inside its %s", name, section)] = raw[:(from+to)/2]
 			switch section {
-			case "procs", "dead":
+			case "procs", "dead", "xfers":
 				bad[fmt.Sprintf("%s %s member of no kind", name, section)] = edit(raw, from+2+3, kind)
 				fallthrough
 			case "report":
@@ -328,13 +331,11 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		bad[name+" extended"] = append(edit(raw, 0), 0)
 	}
 	bad["lookupresp members overrun"] = edit(good["lookupresp"], envelopeBytes+lookupHeadBytes+18+len(view.Name), 0xff, 0xff)
-	for _, name := range []string{"stateblock", "stateack"} {
-		raw := good[name]
-		bad[name+" cut in the head"] = raw[:envelopeBytes+stateHeaderBytes-1]
-		bad[name+" undefined last"] = edit(raw, envelopeBytes+24, 2)
-		bad[name+" group of no kind"] = edit(raw, envelopeBytes+3, kind)
-		bad[name+" joiner of no kind"] = edit(raw, envelopeBytes+8+3, kind)
-	}
+	raw := good["stateblock"]
+	bad["stateblock cut in the head"] = raw[:envelopeBytes+stateHeaderBytes-1]
+	bad["stateblock undefined last"] = edit(raw, envelopeBytes+24, 2)
+	bad["stateblock group of no kind"] = edit(raw, envelopeBytes+3, kind)
+	bad["stateblock joiner of no kind"] = edit(raw, envelopeBytes+8+3, kind)
 	bad["error cut in the call id"] = good["error"][:envelopeBytes+7]
 	bad["relayack cut"] = good["relayack"][:len(good["relayack"])-1]
 	bad["relayack extended"] = append(edit(good["relayack"], 0), 0)
@@ -362,15 +363,21 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 			m.PutAddress("&sender", fx.member).PutBytes("&sdata", []byte("b")).PutInt("&slast", 1)
 		}),
 		13: old(func(m *msg.Message) { m.PutString("&err", ErrNonPrimary.Error()) }),
-		14: old(func(m *msg.Message) { m.PutAddress("&sender", other) }),
+		14: old(func(m *msg.Message) { m.PutAddress("&sender", fx.member) }),
 		16: old(func(m *msg.Message) { m.PutInt("&sview", int64(view.ID)).PutInt("&srank", 0).PutInt("&sseq", 1) }),
 	} {
 		bad[fmt.Sprintf("retired %d, old body", pt)] = edit(body, 1, pt)
 	}
 	replaced := map[byte]string{4: "request", 5: "prepare", 6: "ack", 7: "commit", 8: "done", 9: "lookup", 10: "lookupresp",
-		12: "stateblock", 13: "error", 14: "stateack", 16: "relayack", 25: "ack", 26: "commit"}
+		12: "stateblock", 13: "error", 16: "relayack", 22: "request", 23: "done", 24: "prepare", 25: "ack", 26: "commit",
+		35: "ack", 36: "commit"}
 	for pt, name := range replaced {
 		bad[fmt.Sprintf("retired %d, today's body", pt)] = edit(good[name], 1, pt)
+	}
+	// A state ack would complete the member's transfer if it were read as the
+	// final block it looks like.
+	for _, pt := range []byte{14, 30} {
+		bad[fmt.Sprintf("retired %d, a state ack", pt)] = edit(stateHeader{group: fx.gid, joiner: fx.member, xferID: 5, last: true}.encode(nil), 1, pt)
 	}
 
 	before := fx.state()
@@ -382,9 +389,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	}
 
 	// The well-formed packets act: every call is answered, a prepare wedges the
-	// copy and the commit ends the flush (its payload held for the member), the
-	// state ack settles the other joiner and the block the member's transfer
-	// (the held payload with it); the request and the lookup are answered.
+	// copy and the commit ends the flush (its payload held for the member), and
+	// the blocks complete the member's transfer (the held payload with it); the
+	// request and the lookup are answered.
 	sent := d.tr.Stats().MessagesSent
 	for _, name := range []string{"done", "ack", "lookupresp", "error", "relayack", "request", "lookup", "prepare"} {
 		d.handleTransport(2, good[name])
@@ -392,10 +399,10 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	d.mu.Lock()
 	flushing := gs.phase == phaseFlushing
 	d.mu.Unlock()
-	for _, name := range []string{"commit", "stateack", "stateblock"} {
+	for _, name := range []string{"commit", "stateblock"} {
 		d.handleTransport(2, good[name])
 	}
-	d.handleTransport(2, stateHeader{group: fx.gid, joiner: fx.member, xferID: 5, last: true}.encode(ptStateBlock, nil))
+	d.handleTransport(2, stateHeader{group: fx.gid, joiner: fx.member, xferID: 5, last: true}.encode(nil))
 	waitFor(t, "the commit's payload at the member", 2*time.Second, func() bool { return fx.got.Load() == 7 })
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -403,9 +410,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	for _, c := range d.calls {
 		answered += len(c.ch)
 	}
-	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || len(gs.pendingXfer) != 0 || answered != 5 {
-		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, pendingXfer %v, %d of 5 calls answered",
-			flushing, gs.phase, ms.awaitingState, gs.pendingXfer, answered)
+	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 5 {
+		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 5 calls answered",
+			flushing, gs.phase, ms.awaitingState, answered)
 	}
 	if now := d.tr.Stats().MessagesSent; now < sent+3 {
 		t.Errorf("%d packets sent for the request, the lookup and the prepare, want their 3 answers", now-sent)
@@ -434,7 +441,8 @@ func FuzzControlPacket(f *testing.F) {
 		f.Add(byte(8), raw[envelopeBytes:])
 	}
 	types := []byte{17, 18, 19, ptReply, 2, 3, 15, ptData, 1, 21,
-		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, ptStateAck, ptError, ptRelayAck, 4, 7, 12, 13, 16, 25, 26, 33}
+		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, 30, ptError, ptRelayAck, 4, 7, 12, 13, 16, 25, 26, 33,
+		22, 23, 24, 35, 36}
 	for _, h := range append(slices.Collect(maps.Values(goldenRetired)), slices.Collect(maps.Values(goldenWire))...) {
 		raw, _ := hex.DecodeString(h)
 		if i := slices.Index(types, raw[1]); i >= 0 {
