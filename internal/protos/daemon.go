@@ -166,9 +166,9 @@ type groupState struct {
 	recent core.BoundedLog[core.MsgID, []byte]
 
 	// Coordinator-side state (only used while this site hosts the acting
-	// coordinator).
-	gbBusy  bool
+	// coordinator): the requests waiting and the round open (gbcast.go).
 	gbQueue []gbWork
+	round   *gbRound
 
 	// marks is the site's record of which GBCAST request ids have been
 	// settled here (requestmarks.go).
@@ -501,7 +501,7 @@ func (d *Daemon) fanoutRaw(sites []addr.SiteID, raw []byte) {
 // answer is what a call is answered with: what its answer packet decoded to (or
 // the handler built, for a site's request of itself), or the error it carries.
 type answer struct {
-	gb    *gbPacket     // ptGbDone, ptGbAck
+	gb    *gbPacket     // ptGbDone; a ptGbAck sent
 	look  *lookupPacket // ptLookupResp
 	stamp relayStamp    // ptRelayAck
 	err   error         // ptError, restored to its sentinel
@@ -599,18 +599,13 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 	}
 }
 
-// call sends a GBCAST request or prepare to a site with its call id and waits
-// for the answer (a done, or a prepare's ack) or the call's end; a suspected
-// site is sent nothing. A request this site makes of itself (it is never
-// asked a prepare) goes to the handler a peer's goes to, by reference, in one
-// hold of d.mu, and is answered there as a peer's is (answerLocked): one call
-// table and one wait for both.
-func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) {
-	want := ptGbDone
-	if pt == ptGbPrepare {
-		want = ptGbAck
-	}
-	id, c := d.newCall(to, want)
+// call sends a GBCAST request to a site with its call id and waits for the
+// answer (a done) or the call's end; a suspected site is sent nothing. A
+// request this site makes of itself goes to the handler a peer's goes to, by
+// reference, in one hold of d.mu, and is answered there as a peer's is
+// (answerLocked): one call table and one wait for both.
+func (d *Daemon) call(to addr.SiteID, req gbPacket) (*gbPacket, error) {
+	id, c := d.newCall(to, ptGbDone)
 	defer d.dropCall(id)
 	req.call = id
 	var err error
@@ -622,7 +617,7 @@ func (d *Daemon) call(to addr.SiteID, pt byte, req gbPacket) (*gbPacket, error) 
 		d.handleGbRequestLocked(to, &req)
 	default:
 		var raw []byte
-		if raw, err = req.encode(pt); err == nil {
+		if raw, err = req.encode(ptGbRequest); err == nil {
 			err = d.sendRaw(to, raw)
 		}
 	}
@@ -671,13 +666,13 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		h, p, ok = parseReply(body)
 	case ptData:
 		pkt, ok = parseDataPacket(raw)
-	case ptGbRequest, ptGbPrepare, ptGbCommit:
+	case ptGbRequest, ptGbPrepare, ptGbAck, ptGbCommit:
 		ok = g.parse(body)
 	case ptLookup:
 		lk, ok = parseLookup(body)
 	case ptStateBlock:
 		sh, block, ok = parseState(body)
-	case ptGbDone, ptGbAck, ptLookupResp, ptError, ptRelayAck:
+	case ptGbDone, ptLookupResp, ptError, ptRelayAck:
 		call, a, ok = parseAnswer(pt, body)
 	}
 	if !ok {
@@ -694,6 +689,8 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 		d.handleGbRequestLocked(from, &g)
 	case ptGbPrepare:
 		d.handleGbPrepareLocked(from, &g)
+	case ptGbAck:
+		d.handleGbAckLocked(from, &g)
 	case ptGbCommit:
 		d.applyGbCommitLocked(&g)
 	case ptLookup:

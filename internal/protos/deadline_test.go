@@ -68,8 +68,8 @@ func TestClockReadOnScanTickAlone(t *testing.T) {
 	}
 }
 
-// TestCallEndsAtItsTickDeadline asks a site whose link is paused for a prepare
-// ack. The call must end with ErrTimeout at its tick deadline: no sooner than
+// TestCallEndsAtItsTickDeadline asks a site whose link is paused to answer a
+// GBCAST request. The call must end with ErrTimeout at its tick deadline: no sooner than
 // CallTimeout, and within CallTimeout and two scan periods; and it must leave
 // the call table.
 func TestCallEndsAtItsTickDeadline(t *testing.T) {
@@ -78,7 +78,7 @@ func TestCallEndsAtItsTickDeadline(t *testing.T) {
 	d := tc.daemons[1]
 	tc.net.PauseLink(1, 2)
 	start := time.Now()
-	_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1)})
+	_, err := d.call(2, gbPacket{group: addr.NewGroup(2, 0, 1)})
 	took := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("the unanswered call returned %v, want ErrTimeout", err)
@@ -100,7 +100,7 @@ func TestSiteFailureEndsACallOnce(t *testing.T) {
 	tc.net.PauseLink(1, 2)
 	ended := make(chan error, 1)
 	go func() {
-		_, err := d.call(2, ptGbPrepare, gbPacket{group: addr.NewGroup(2, 0, 1)})
+		_, err := d.call(2, gbPacket{group: addr.NewGroup(2, 0, 1)})
 		ended <- err
 	}()
 	var id int64
@@ -122,7 +122,7 @@ func TestSiteFailureEndsACallOnce(t *testing.T) {
 		t.Fatal("the site failure did not end the call")
 	}
 	d.onDetectorEvent(failed)
-	d.handleTransport(2, answer{gb: &gbPacket{}}.encode(ptGbAck, id))
+	d.handleTransport(2, answer{gb: &gbPacket{}}.encode(ptGbDone, id))
 	if n := pendingCalls(d); n != 0 {
 		t.Errorf("%d calls left in the table after the only one ended", n)
 	}

@@ -1,8 +1,8 @@
 package protos
 
 // The decisions of a GBCAST flush, as pure functions of what phase 1
-// collected: no daemon, no lock, no network. executeGb collects (I/O), calls
-// decideFlush, and commits (I/O); the rules live here.
+// collected: no daemon, no lock, no network. A coordinator's round (gbRound)
+// collects, decideRoundLocked calls decideFlush and commits; the rules live here.
 
 import (
 	"repro/internal/addr"
@@ -19,7 +19,7 @@ type prepareAck struct {
 	vote   int64     // gbSeal: the site's first-hand knowledge of the target id
 }
 
-// flushRound is what a coordinator knows once phase 1 has been collected.
+// flushRound is what a coordinator's round (gbRound) has collected of phase 1.
 type flushRound struct {
 	kind  int64
 	procs []addr.Address             // the processes the change names

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -20,9 +19,21 @@ type gbWork struct {
 	replyTo  addr.SiteID // requester site (this one for its own request)
 }
 
+// gbRound is the GBCAST a coordinator's group copy is running (groupState.round):
+// phase 1 as the member sites answer, and what it takes to ask the silent ones again.
+type gbRound struct {
+	flushRound               // what decideFlush is handed: the acks and xfers so far
+	req        gbWork        // the request the round runs
+	call       int64         // the prepare's call id, which every ack carries back
+	prepare    []byte        // the prepare, encoded once
+	silent     []addr.SiteID // the member sites asked that have not answered
+	tries      int           // the prepares sent to the silent sites
+	deadline   uint64        // the scan tick at which they are asked again
+}
+
 // handleGbRequestLocked queues a request addressed to this site, a peer's or
-// its own, in its role as the group's (acting) coordinator, and starts the
-// group's worker if it is not already running. Caller holds d.mu.
+// its own, in its role as the group's (acting) coordinator, and runs the
+// group's rounds. Caller holds d.mu.
 func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *gbPacket) {
 	w := gbWork{gbPacket: *p, replyTo: from}
 	w.group = p.group.Base()
@@ -34,49 +45,49 @@ func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *gbPacket) {
 		d.answerLocked(from, p.call, ptError, answer{err: ErrUnknownGroup})
 	default:
 		gs.gbQueue = append(gs.gbQueue, w)
-		if !gs.gbBusy {
-			gs.gbBusy = true
-			go d.runGbWorker(w.group)
-		}
+		d.runRoundsLocked(gs)
 	}
 }
 
-// runGbWorker drains one group's GBCAST queue.
-func (d *Daemon) runGbWorker(gid addr.Address) {
-	for {
-		d.mu.Lock()
-		gs, ok := d.groups[gid]
-		if !ok || len(gs.gbQueue) == 0 {
-			if ok {
-				gs.gbBusy = false
-			}
-			d.mu.Unlock()
+// runRoundsLocked moves a copy's GBCAST rounds as far as they go now; nothing
+// else moves one. It admits the head of the queue, sends the silent sites the
+// prepare at each passed deadline, three tries a CallTimeout apart (a lost
+// exchange read as a site death could mint a view id an unreached member
+// already holds with other contents), then decides the round and takes up the
+// next. A commit that drops the copy drops its queue, as a crashed
+// coordinator's, and the requesters fail over. Caller holds d.mu.
+func (d *Daemon) runRoundsLocked(gs *groupState) {
+	for d.groups[gs.view.Group.Base()] == gs {
+		switch r := gs.round; {
+		case r == nil && len(gs.gbQueue) == 0:
 			return
+		case r == nil:
+			gs.round, gs.gbQueue = d.openRoundLocked(gs, gs.gbQueue[0]), gs.gbQueue[1:]
+		case len(r.silent) > 0 && d.tick < r.deadline:
+			return
+		case len(r.silent) > 0 && r.tries < 3:
+			r.tries, r.deadline = r.tries+1, d.deadlineLocked(d.cfg.CallTimeout)
+			d.fanoutRaw(r.silent, r.prepare)
+			return
+		default:
+			gs.round = nil
+			d.decideRoundLocked(r)
 		}
-		w := gs.gbQueue[0]
-		gs.gbQueue = gs.gbQueue[1:]
-		d.mu.Unlock()
-		d.executeGb(&w)
 	}
 }
 
-// executeGb runs the two-phase GBCAST protocol for one unit of work: admit,
-// collect phase 1, decide (decideFlush — the rules), commit.
-func (d *Daemon) executeGb(w *gbWork) {
-	d.mu.Lock()
-	gs, ok := d.groups[w.group]
-	if !ok {
-		d.mu.Unlock()
-		d.gbReply(w, ptError, answer{err: ErrUnknownGroup})
-		return
-	}
+// openRoundLocked admits a request and opens its round: it prepares this
+// site's copy first (the coordinator's, a member site by the acting rule) and
+// lists the other unsuspected member sites of the view to be sent the prepare.
+// A request it need not run is answered at once, and opens no round (nil).
+// Caller holds d.mu.
+func (d *Daemon) openRoundLocked(gs *groupState, w gbWork) *gbRound {
 	if !gs.phase.primary() {
 		// This copy of the group is stranded in a minority partition: no
 		// view may be installed and no GBCAST committed until the merge
 		// protocol rejoins the primary.
-		d.mu.Unlock()
-		d.gbReply(w, ptError, answer{err: ErrNonPrimary})
-		return
+		d.answerLocked(w.replyTo, w.call, ptError, answer{err: ErrNonPrimary})
+		return nil
 	}
 	// Only the acting coordinator by this site's view and suspicions runs a
 	// request; a requester is the authority on the failures of its own processes.
@@ -87,11 +98,9 @@ func (d *Daemon) executeGb(w *gbWork) {
 		}
 	}
 	if d.actingCoordinator(acting).Site != d.site {
-		d.mu.Unlock()
-		d.gbReply(w, ptError, answer{err: errNotCoordinator})
-		return
+		d.answerLocked(w.replyTo, w.call, ptError, answer{err: errNotCoordinator})
+		return nil
 	}
-	oldView := gs.view.Clone()
 	// Answer with the current view, instead of executing the protocol, a
 	// request that already committed — typically under a previous
 	// coordinator that died after sending its commit but before answering
@@ -106,27 +115,78 @@ func (d *Daemon) executeGb(w *gbWork) {
 		switch {
 		case w.force:
 		case w.kind == gbFail, w.kind == gbLeave:
-			answered = !anyContained(oldView, w.procs)
+			answered = !anyContained(gs.view, w.procs)
 		case w.kind == gbJoin:
-			answered = allContained(oldView, w.procs)
+			answered = allContained(gs.view, w.procs)
 		}
 	}
-	d.mu.Unlock()
 	if answered {
-		d.gbReply(w, ptGbDone, answer{gb: &gbPacket{view: oldView}})
-		return
+		d.answerLocked(w.replyTo, w.call, ptGbDone, answer{gb: &gbPacket{view: gs.view.Clone()}})
+		return nil
 	}
 
-	acks, xfers := d.collectAcks(w, oldView)
-	dec := decideFlush(flushRound{
-		kind: w.kind, procs: w.procs, view: oldView, self: d.site, acks: acks, xfers: xfers,
-	})
+	// A seal's prepare names the request id each member site votes on from its
+	// first-hand knowledge, a failure removal its targets, whose claimed deaths
+	// each member site corroborates or disputes for the processes it hosts.
+	d.nextCall++
+	prepare := gbPacket{call: d.nextCall, group: w.group, sealTarget: w.sealTarget}
+	if w.kind == gbFail {
+		prepare.procs = w.procs
+	}
+	r := &gbRound{req: w, call: prepare.call}
+	r.prepare, _ = prepare.encode(ptGbPrepare) // no payload: it cannot fail
+	r.kind, r.procs, r.view, r.self = w.kind, w.procs, gs.view.Clone(), d.site
+	own := d.prepareLocalLocked(w.group, prepare.procs, prepare.sealTarget, true)
+	r.acks, r.silent = make(map[addr.SiteID]prepareAck), []addr.SiteID{d.site}
+	r.hear(d.site, &own) // filed as a peer's ack is
+	for _, s := range r.view.SitesOf() {
+		if s != d.site && !d.suspected[s] {
+			r.silent = append(r.silent, s)
+		}
+	}
+	return r
+}
+
+// handleGbAckLocked files a member site's answer to a prepare with the round
+// that sent it, found by the prepare's call id, and runs the round on. An ack
+// from a site the round did not ask or has heard from, or of a round since
+// decided, changes nothing; an answer to an earlier try counts, as the site is
+// wedged still (its watchdog outlasts the tries). Caller holds d.mu.
+func (d *Daemon) handleGbAckLocked(from addr.SiteID, ack *gbPacket) {
+	for _, gs := range d.groups {
+		if r := gs.round; r != nil && r.call == ack.call && r.hear(from, ack) {
+			d.runRoundsLocked(gs)
+		}
+	}
+}
+
+// hear takes a site off the round's silent list, and files its ack (nil when
+// the site is counted out), if the round was waiting for it.
+func (r *gbRound) hear(site addr.SiteID, ack *gbPacket) bool {
+	i := slices.Index(r.silent, site)
+	if i < 0 {
+		return false
+	}
+	r.silent = slices.Delete(r.silent, i, i+1)
+	if ack != nil {
+		r.acks[site] = prepareAck{report: ack.report, view: ack.view, dead: ack.dead, vote: ack.outcome}
+		r.xfers = append(r.xfers, ack.xfers...)
+	}
+	return true
+}
+
+// decideRoundLocked ends a round whose member sites have answered or are
+// counted out: decideFlush (the rules) turns what it collected into the
+// commit, which is committed and its requester answered. Caller holds d.mu.
+func (d *Daemon) decideRoundLocked(r *gbRound) {
+	w := &r.req
+	dec := decideFlush(r.flushRound)
 	if dec.nonPrimary {
 		// The copy goes read-only, and so do those of the member sites whose
 		// acks it holds: the gbNonPrimary notice ends the flush (held reads
 		// drain) without installing a view.
-		d.commitGb(slices.Collect(maps.Keys(acks)), &gbPacket{group: w.group, kind: gbNonPrimary})
-		d.gbReply(w, ptError, answer{err: ErrNonPrimary})
+		d.commitGbLocked(slices.Collect(maps.Keys(r.acks)), &gbPacket{group: w.group, kind: gbNonPrimary})
+		d.answerLocked(w.replyTo, w.call, ptError, answer{err: ErrNonPrimary})
 		return
 	}
 
@@ -138,31 +198,22 @@ func (d *Daemon) executeGb(w *gbWork) {
 	if w.kind == gbSeal && w.sealTarget != 0 {
 		commit.sealTarget, commit.outcome, done.outcome = w.sealTarget, dec.outcome, dec.outcome
 	}
-	d.commitGb(unionSites(dec.newView, dec.base, oldView), commit)
+	d.commitGbLocked(unionSites(dec.newView, dec.base, r.view), commit)
 
-	if dec.newView.ID > oldView.ID {
+	if dec.newView.ID > r.view.ID {
 		d.bus.Publish(events.Event{Kind: events.ViewCommitted, Group: w.group, View: dec.newView.ID})
 	}
-	d.gbReply(w, ptGbDone, answer{gb: done})
+	d.answerLocked(w.replyTo, w.call, ptGbDone, answer{gb: done})
 }
 
-// commitGb commits a GBCAST (or a notice) on this site's own account: encoded
-// once, fanned out to the listed member sites and applied here, in one hold.
-func (d *Daemon) commitGb(sites []addr.SiteID, commit *gbPacket) {
-	raw, err := commit.encode(ptGbCommit)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err == nil {
+// commitGbLocked commits a GBCAST (or a notice) on this site's own account:
+// encoded once, fanned out to the listed member sites and applied here.
+// Caller holds d.mu.
+func (d *Daemon) commitGbLocked(sites []addr.SiteID, commit *gbPacket) {
+	if raw, err := commit.encode(ptGbCommit); err == nil {
 		d.fanoutRaw(sites, raw)
 	}
 	d.applyGbCommitLocked(commit)
-}
-
-// gbReply answers whoever asked for the GBCAST: a peer, or this site itself.
-func (d *Daemon) gbReply(w *gbWork, pt byte, a answer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.answerLocked(w.replyTo, w.call, pt, a)
 }
 
 // unionSites lists each member site of the given views once, in the order the
@@ -177,65 +228,6 @@ func unionSites(views ...core.View) (sites []addr.SiteID) {
 		}
 	}
 	return sites
-}
-
-// collectAcks runs phase 1: it wedges every member site of the view, this one
-// (the coordinator's, a member site by the acting rule) first, and collects
-// their answers — each site's pending-state report and current view, its word
-// on the removal targets it hosts, and its vote in an outcome-settling flush —
-// and the members the answering sites report still awaiting a state
-// transfer. A site missing from the map did not answer.
-func (d *Daemon) collectAcks(w *gbWork, view core.View) (map[addr.SiteID]prepareAck, addr.List) {
-	// Outcome settlement names the request id each member site reports its
-	// first-hand knowledge of in its ack. Failure removals name their targets,
-	// so each member site can corroborate (or dispute) the claimed deaths of
-	// the processes it hosts.
-	prepare := gbPacket{group: w.group, sealTarget: w.sealTarget}
-	if w.kind == gbFail {
-		prepare.procs = w.procs
-	}
-	d.mu.Lock()
-	own := d.prepareLocalLocked(w.group, prepare.procs, prepare.sealTarget, true)
-	d.mu.Unlock()
-
-	// Each peer's answer in its own slot: nothing else is shared.
-	sites := view.SitesOf()
-	resps := make([]*gbPacket, len(sites))
-	var wg sync.WaitGroup
-	for i, site := range sites {
-		if site == d.site {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, site addr.SiteID) {
-			defer wg.Done()
-			// Retry a failed prepare: silently treating a transient call
-			// failure as a site death would let this coordinator mint a view id
-			// the unreached member may already hold with different contents (it
-			// would then drop the commit as stale and diverge). A site the
-			// detector declares dead fails its calls at once (call), so the
-			// retries end with the suspicion, and its members are removed later.
-			for attempt := 0; attempt < 3; attempt++ {
-				// By value: d.call stamps a per-exchange call id into its copy.
-				if resp, err := d.call(site, ptGbPrepare, prepare); err == nil {
-					resps[i] = resp
-					return
-				}
-			}
-		}(i, site)
-	}
-	wg.Wait()
-
-	acks := make(map[addr.SiteID]prepareAck, len(sites))
-	xfers := own.xfers
-	acks[d.site] = prepareAck{report: own.report, view: own.view, dead: own.dead, vote: own.outcome}
-	for i, ack := range resps {
-		if ack != nil {
-			acks[sites[i]] = prepareAck{report: ack.report, view: ack.view, dead: ack.dead, vote: ack.outcome}
-			xfers = append(xfers, ack.xfers...)
-		}
-	}
-	return acks, xfers
 }
 
 // prepareLocalLocked is phase 1 at this site: it feeds the prepare to the group
@@ -572,7 +564,7 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 			ms.stateRecv = pj.stateRecv
 			delete(d.pendingJoin, key)
 		}
-		if wantState && !old.Contains(m) && contains(procs, m) {
+		if wantState && !old.Contains(m) && addr.List(procs).Contains(m) {
 			// Its provider ships under this view's id; a block of an
 			// earlier attempt is a straggler from before the join.
 			ms.awaitingState, ms.xferID = true, uint64(newView.ID)
@@ -606,7 +598,7 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 	// awaiting state drops the blocks.
 	switch {
 	case kind == gbJoin && wantState:
-		if !contains(procs, newView.Coordinator()) {
+		if !addr.List(procs).Contains(newView.Coordinator()) {
 			d.shipStateLocked(gs, procs)
 		}
 	case kind != gbJoin && old.Size() > 0 && old.Coordinator().Base() != newView.Coordinator().Base():
@@ -621,15 +613,6 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 	}
 	return wrong
-}
-
-func contains(list []addr.Address, a addr.Address) bool {
-	for _, x := range list {
-		if x.Base() == a.Base() {
-			return true
-		}
-	}
-	return false
 }
 
 // shipStateLocked has the group's oldest member, if this site hosts it, send
@@ -727,7 +710,8 @@ func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
 
 // handleSiteFailure reacts to the failure detector declaring a site dead. Calls
 // in flight to it are ended first (endCallsLocked), so their callers re-route
-// to a successor instead of waiting out the call timeout. If this daemon hosts
+// to a successor instead of waiting out the call timeout, and a round waiting
+// for its answer counts it out last. If this daemon hosts
 // the acting coordinator of a group with members at the dead site, it requests
 // their removal, whose flush carries to every survivor what any of them
 // delivered. When the dead site hosted the group's previous acting coordinator, the
@@ -780,4 +764,9 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 		d.requestRemoval(gid, atSite, gbFail, force)
 	}
 	d.suspected[s] = true
+	for _, gs := range d.groups {
+		if r := gs.round; r != nil && r.hear(s, nil) {
+			d.runRoundsLocked(gs)
+		}
+	}
 }

@@ -315,7 +315,7 @@ func (d *Daemon) liveProcLocked(a addr.Address) (*localProc, error) {
 
 // actingCoordinator returns the oldest member of the view whose site is not
 // suspected and that is not known to have failed, the one that runs GBCAST
-// requests (executeGb). Caller holds d.mu.
+// requests (openRoundLocked). Caller holds d.mu.
 func (d *Daemon) actingCoordinator(v core.View) addr.Address {
 	for _, m := range v.Members {
 		if d.suspected[m.Site] {
@@ -403,7 +403,7 @@ func (d *Daemon) askCoordinator(gid addr.Address, req *gbPacket) (*gbPacket, err
 	if coord.IsNil() {
 		return nil, ErrGroupVanished
 	}
-	resp, err := d.call(coord.Site, ptGbRequest, *req)
+	resp, err := d.call(coord.Site, *req)
 	if err != nil {
 		d.mu.Lock()
 		delete(d.remoteViews, gid.Base())

@@ -142,8 +142,7 @@ func (d *Daemon) step(gs *groupState, in input) {
 		// A flush whose commit never arrives — a prepare retransmitted long
 		// after its coordinator's round ended, e.g. across a partition heal —
 		// would freeze the group forever. 4x the call timeout comfortably
-		// exceeds the longest legitimate flush (concurrent prepares retry up
-		// to 3 calls before the commit follows). The scan tick (scanTick)
+		// exceeds the longest legitimate flush (a round's 3 tries, then the commit). The scan tick (scanTick)
 		// feeds inWatchdog once the deadline has passed.
 		gs.flushDeadline = d.deadlineLocked(4 * d.cfg.CallTimeout)
 	}

@@ -520,9 +520,10 @@ func (d *Daemon) nextTick() (uint64, error) {
 
 // scanTick is one tick of runScan: it counts the tick and wakes what waits for
 // it, ends the calls whose deadline has come, feeds inWatchdog to a copy whose
-// flush has been open to flushDeadline, and has the transport forget a
-// suspected site that no copy's view lists: what waits for its ack never gets
-// one, and resending it is all a dead site would cost.
+// flush has been open to flushDeadline, runs each copy's GBCAST round on, and
+// has the transport forget a suspected site that no copy's view lists: what
+// waits for its ack never gets one, and resending it is all a dead site would
+// cost.
 func (d *Daemon) scanTick() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -545,6 +546,7 @@ func (d *Daemon) scanTick() {
 		if gs.phase == phaseFlushing && d.tick >= gs.flushDeadline {
 			d.step(gs, inWatchdog)
 		}
+		d.runRoundsLocked(gs)
 	}
 }
 

@@ -3,7 +3,7 @@ package protos
 // Partition merge. The paper's fault model is crash-only: a network
 // partition is outside it, and the original recovery is to restart the
 // minority sites. The primary-partition extension implemented here keeps the
-// minority alive instead: executeGb's majority rule stops it from installing
+// minority alive instead: decideFlush's majority rule stops it from installing
 // split-brain views (the group copy wedges into read-only "non-primary"
 // mode), and once the partition heals this file's merge protocol discovers
 // the primary partition's copy of the group, discards the minority's stale
@@ -356,7 +356,9 @@ func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[
 		}
 	}
 
-	d.commitGb(slices.Collect(maps.Keys(wedged)), &gbPacket{group: gid, kind: gbResume, view: staleView})
+	d.mu.Lock()
+	d.commitGbLocked(slices.Collect(maps.Keys(wedged)), &gbPacket{group: gid, kind: gbResume, view: staleView})
+	d.mu.Unlock()
 
 	var unreached []addr.Address
 	for _, m := range staleView.Members {

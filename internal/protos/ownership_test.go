@@ -294,7 +294,7 @@ func TestStateBlockIsTheReceiversToWrite(t *testing.T) {
 			}
 			joined := make(chan error, 1)
 			go func() {
-				_, err := tc.daemons[3].call(1, ptGbRequest, gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiners[0].addr, joiners[1].addr}, wantState: true})
+				_, err := tc.daemons[3].call(1, gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiners[0].addr, joiners[1].addr}, wantState: true})
 				joined <- err
 			}()
 			select {

@@ -129,7 +129,7 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	}
 
 	first := int64(77)<<32 | 1
-	if _, err := d1.call(d1.site, ptGbRequest, mkReq(first, "hw-once")); err != nil {
+	if _, err := d1.call(d1.site, mkReq(first, "hw-once")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "first GBCAST delivery", 5*time.Second, func() bool {
@@ -140,13 +140,13 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	// history — land in between.
 	for k := 0; k < 300; k++ {
 		id := int64(100+k)<<32 | 1
-		if _, err := d1.call(d1.site, ptGbRequest, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
+		if _, err := d1.call(d1.site, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
 			t.Fatalf("filler %d: %v", k, err)
 		}
 	}
 
 	// The slow retrier re-submits the committed request.
-	if _, err := d1.call(d1.site, ptGbRequest, mkReq(first, "hw-once")); err != nil {
+	if _, err := d1.call(d1.site, mkReq(first, "hw-once")); err != nil {
 		t.Fatalf("re-submission: %v", err)
 	}
 	time.Sleep(200 * time.Millisecond)

@@ -34,19 +34,24 @@ func scenarioDetector() fdetect.Config {
 
 // newFaultCluster is newTestCluster with the network, call timeout, and
 // detector under the test's control. The zero detector is one the test steps:
-// heartbeats are off and nobody is suspected until crash says so.
-func newFaultCluster(t *testing.T, sites int, netCfg simnet.Config, callTimeout time.Duration, det fdetect.Config) *testCluster {
+// heartbeats are off and nobody is suspected until crash says so. Each tweak
+// edits every site's configuration before its daemon starts.
+func newFaultCluster(t *testing.T, sites int, netCfg simnet.Config, callTimeout time.Duration, det fdetect.Config, tweaks ...func(*Config)) *testCluster {
 	t.Helper()
 	net := simnet.New(netCfg)
 	tc := &testCluster{t: t, net: net, daemons: make(map[addr.SiteID]*Daemon)}
 	for i := 1; i <= sites; i++ {
-		d, err := New(Config{
+		cfg := Config{
 			Site:              addr.SiteID(i),
 			Network:           net,
 			CallTimeout:       callTimeout,
 			Detector:          det,
 			DisableHeartbeats: det == fdetect.Config{},
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,12 +143,8 @@ func coordinatorCrashMidFlushJoinCompletes(t *testing.T) *testCluster {
 		d := tc.daemons[1]
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		for _, c := range d.calls {
-			if c.site == 2 {
-				return true
-			}
-		}
-		return false
+		r := d.groups[gid].round
+		return r != nil && slices.Contains(r.silent, 2)
 	})
 	tc.crash(1)
 	tc.net.ResumeAll()

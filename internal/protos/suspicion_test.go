@@ -124,7 +124,7 @@ func TestStaleTakeoverRequestRemovesNobody(t *testing.T) {
 	d3 := tc.daemons[3]
 
 	req := gbPacket{kind: gbFail, group: gid, procs: addr.List{procs[0].addr}, force: true, reqID: d3.newReqID()}
-	resp, err := d3.call(2, ptGbRequest, req)
+	resp, err := d3.call(2, req)
 	switch {
 	case err == nil && !resp.view.Contains(procs[0].addr):
 		t.Errorf("the stale request removed the coordinator's member: %v", resp.view)

@@ -608,7 +608,7 @@ func (a answer) encode(pt byte, call int64) []byte {
 // coordinator must surface as ErrNonPrimary, not as opaque text).
 func parseAnswer(pt byte, b []byte) (call int64, a answer, ok bool) {
 	switch pt {
-	case ptGbDone, ptGbAck:
+	case ptGbDone:
 		a.gb = new(gbPacket)
 		ok = a.gb.parse(b)
 		return a.gb.call, a, ok

@@ -68,16 +68,21 @@ func (fx *wireFixture) state() string {
 	gs := fx.d.groups[fx.gid]
 	s := fmt.Sprintf("submitted=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.submitted),
 		gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
-	// The lifecycle, the views, the state transfer, the calls waiting and the
-	// packets sent (a request or a lookup accepted is answered).
+	// The lifecycle, the views, the state transfer, the GBCAST round open, the
+	// calls waiting and the packets sent (a request or a lookup accepted is
+	// answered).
 	answered := 0
 	for _, c := range fx.d.calls {
 		answered += len(c.ch)
 	}
+	round := "none"
+	if r := gs.round; r != nil {
+		round = fmt.Sprintf("silent %v tries %d", r.silent, r.tries)
+	}
 	ms := gs.members[fx.member]
-	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v awaiting=%v xfer=%d/%d gbQueue=%d answered=%d sent=%d",
+	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v awaiting=%v xfer=%d/%d gbQueue=%d round=%s answered=%d sent=%d",
 		gs.phase, gs.view, fx.d.remoteViews, fx.d.nameCache, ms.awaitingState, ms.xferID, len(ms.xferBuf),
-		len(gs.gbQueue), answered, fx.d.tr.Stats().MessagesSent)
+		len(gs.gbQueue), round, answered, fx.d.tr.Stats().MessagesSent)
 }
 
 // reply builds a ptReply packet for the fixture's member from a responder at
@@ -211,7 +216,8 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 // malformedGbcastFamily is TestMalformedControlPacketsAreDropped for the packets
 // that left the message codec in PR 26 — the GBCAST family, lookups, state
 // transfer, errors and relay acknowledgements — at the fixture's daemon with its
-// member awaiting a state transfer and a call waiting for each kind of answer:
+// member awaiting a state transfer, a call waiting for each kind of answer and
+// a GBCAST round waiting for site 2's ack:
 // truncated in the head, in each section and in a report's nested packet, a
 // section flagged but absent, an address of no kind, a count that overruns the
 // packet, and the retired numbers with the bodies old sites send.
@@ -223,7 +229,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	view := gs.view.Clone()
 	d.mu.Unlock()
 	call := map[byte]int64{}
-	for _, want := range []byte{ptGbDone, ptGbAck, ptLookupResp, ptRelayAck, ptError} {
+	for _, want := range []byte{ptGbDone, ptLookupResp, ptRelayAck, ptError} {
 		site := addr.SiteID(2)
 		if want == ptLookupResp {
 			site = 0
@@ -232,6 +238,18 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	}
 	nested := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 99}, -1, body("n")).raw
 	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested}}
+	// A round this site opened for a user GBCAST of its own, waiting for site
+	// 2's ack after one prepare; built by hand, so the copy is not wedged. Its
+	// own report holds what site 2's does: the commit re-disseminates and
+	// delivers nothing.
+	d.mu.Lock()
+	d.nextCall++
+	r := &gbRound{req: gbWork{gbPacket: gbPacket{group: fx.gid, kind: gbUser}, replyTo: 1}, call: d.nextCall,
+		silent: []addr.SiteID{2}, tries: 1, deadline: d.deadlineLocked(time.Hour)}
+	r.kind, r.view, r.self = gbUser, view, 1
+	r.acks = map[addr.SiteID]prepareAck{1: {report: report, view: view}}
+	gs.round, call[ptGbAck] = r, r.call
+	d.mu.Unlock()
 	gb := map[string]struct {
 		pt byte
 		p  gbPacket
@@ -388,10 +406,11 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		}
 	}
 
-	// The well-formed packets act: every call is answered, a prepare wedges the
-	// copy and the commit ends the flush (its payload held for the member), and
-	// the blocks complete the member's transfer (the held payload with it); the
-	// request and the lookup are answered.
+	// The well-formed packets act: every call is answered, the ack decides the
+	// round, a prepare wedges the copy and the commit ends the flush (its
+	// payload held for the member), and the blocks complete the member's
+	// transfer (the held payload with it); the request and the lookup are
+	// answered.
 	sent := d.tr.Stats().MessagesSent
 	for _, name := range []string{"done", "ack", "lookupresp", "error", "relayack", "request", "lookup", "prepare"} {
 		d.handleTransport(2, good[name])
@@ -410,9 +429,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	for _, c := range d.calls {
 		answered += len(c.ch)
 	}
-	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 5 {
-		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 5 calls answered",
-			flushing, gs.phase, ms.awaitingState, answered)
+	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 4 || gs.round != nil {
+		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 4 calls answered, round %v left",
+			flushing, gs.phase, ms.awaitingState, answered, gs.round)
 	}
 	if now := d.tr.Stats().MessagesSent; now < sent+3 {
 		t.Errorf("%d packets sent for the request, the lookup and the prepare, want their 3 answers", now-sent)
@@ -424,9 +443,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 // may panic; a body that does not parse must not count as a delivery (a commit
 // that parses may release some); and the
 // daemon must still deliver a well-formed reply afterwards. A GBCAST request
-// and a prepare are left out: a well-formed one runs a flush on the copy in the
-// background, whose deliveries would land in a later input's window. Their
-// layout is the other GBCAST-family packets'.
+// and a prepare are left out: a well-formed request runs a round on the copy
+// and a prepare wedges it, whose deliveries would land in a later input's
+// window. Their layout is the other GBCAST-family packets'.
 func FuzzControlPacket(f *testing.F) {
 	for _, h := range goldenFixed {
 		raw, _ := hex.DecodeString(h)
