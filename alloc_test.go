@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/simnet"
 )
 
 // Allocation budgets of the two data paths the benchmark measures, taken the
@@ -135,54 +133,14 @@ func TestCbcastAllocBudget(t *testing.T) {
 func TestJoinLeaveAllocBudget(t *testing.T) {
 	const maxAllocs, maxBytes = 221, 81700 // measured 196.9 and 73.3 KB
 	const maxFrames = 24                   // measured 22.5
-	c, err := NewCluster(ClusterConfig{Sites: 4, CallTimeout: 5 * time.Second, DisableHeartbeats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	state := make([][]byte, 4)
-	for i := range state {
-		state[i] = make([]byte, 4096)
-	}
-	var gid Address
-	for s := SiteID(1); s <= 3; s++ {
-		p := spawn(t, c, s)
-		if s == 1 {
-			v, err := p.CreateGroup("churn")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gid = v.Group
-		} else if _, err := p.Join(gid, JoinOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SetStateProvider(gid, func() [][]byte { return state }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	joiner := spawn(t, c, 4)
-	done := make(chan int, 1)
-	net := c.Fabric().(*simnet.Network)
+	net, joinLeave := churnGroup(t, 0)
 	const warm, n = 20, 200
 	var frames0 uint64
 	allocs, bytes := perOp(warm, n, func(i int) {
 		if i == warm {
 			frames0 = net.Stats().PacketsSent
 		}
-		got := 0
-		if _, err := joiner.Join(gid, JoinOptions{StateReceiver: func(block []byte, last bool) {
-			if got += len(block); last {
-				done <- got
-			}
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		if n := <-done; n != 4*4096 {
-			t.Fatalf("the joiner received %d bytes of state, want %d", n, 4*4096)
-		}
-		if err := joiner.Leave(gid); err != nil {
-			t.Fatal(err)
-		}
+		joinLeave()
 	})
 	frames := float64(net.Stats().PacketsSent-frames0) / n
 	t.Logf("join with 16 KB of state, then leave: %.1f allocs, %.0f bytes, %.1f frames per op", allocs, bytes, frames)

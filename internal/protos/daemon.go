@@ -279,6 +279,9 @@ func New(cfg Config) (*Daemon, error) {
 	if trCfg.RetransmitInterval == 0 {
 		trCfg.RetransmitInterval = trDef.RetransmitInterval
 	}
+	if trCfg.AckDelay == 0 {
+		trCfg.AckDelay = trDef.AckDelay
+	}
 	if trCfg.Epoch == 0 {
 		// Stream epochs derive from the incarnation so peers distinguish a
 		// restarted site's fresh numbering from duplicate traffic.

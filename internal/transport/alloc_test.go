@@ -108,10 +108,14 @@ func TestSendAllocatesNothing(t *testing.T) {
 	if got, want := tr.Unacked(), 3*(runs+1); got != want {
 		t.Errorf("%d messages queued, want %d", got, want)
 	}
+	// MemStats counts every goroutine; as AllocsPerRun does, run the measured
+	// pass on one P so that no background loop allocates beside it.
 	var m0, m1 runtime.MemStats
+	procs := runtime.GOMAXPROCS(1)
 	runtime.ReadMemStats(&m0)
 	pass()
 	runtime.ReadMemStats(&m1)
+	runtime.GOMAXPROCS(procs)
 	if n := m1.Mallocs - m0.Mallocs; n != 0 {
 		t.Errorf("a pass over %d queued messages allocates %d times, want 0", 3*(runs+1), n)
 	}

@@ -25,8 +25,12 @@
 //
 //   - Piggybacked acks: every outgoing data frame carries the cumulative
 //     acknowledgement for the reverse direction, so bidirectional traffic
-//     needs no dedicated ack packets. A short ack timer (Config.AckDelay)
-//     has a pure ack sent only when no reverse traffic shows up in time.
+//     needs no dedicated ack packets. An ack that falls due waits
+//     Config.AckDelay (by default a quarter of RetransmitInterval) for a
+//     reverse frame to carry it, and goes as a pure ack only after that; the
+//     wait starts afresh for each ack owed after a frame carried the last.
+//     A held ack still reaches the sender before the record it acknowledges
+//     is RetransmitInterval old, on any link of up to RI/4 one way.
 //
 // One sender per peer: the peer's flusher goroutine is the only code that
 // hands the backend a frame for that peer, so frames to one peer leave in the
@@ -36,7 +40,7 @@
 // while the peer's blocked on the opposite one would be a distributed buffer
 // deadlock. A pass of the flusher sends, one frame per lock hold, the records
 // whose ack is overdue, then records cut from the messages queued since, then
-// a dedicated ack if one is owed that no frame carried and its delay is up (at
+// a dedicated ack if one is owed that no frame carried and it is due (at
 // once under Config.DisableBatching), or if Poll asked for a keepalive. A
 // record is numbered as it first goes into a frame, so the send window is
 // exactly the records sent and not yet acknowledged. A peer that only

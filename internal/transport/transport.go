@@ -29,9 +29,12 @@ type Config struct {
 	MaxPacket int
 	// RetransmitInterval is how often unacknowledged packets are resent.
 	RetransmitInterval time.Duration
-	// AckDelay is how long the receiver may wait before sending a dedicated
-	// ack packet, giving reverse-direction data frames a chance to carry the
-	// ack for free. Zero (or less) selects the default of 1ms.
+	// AckDelay is how long the receiver may hold an ack it owes before
+	// sending it in a dedicated packet, giving reverse-direction data frames a
+	// chance to carry it for free; the delay starts when the ack falls due,
+	// afresh after a frame has carried the last one. Zero (or less) selects
+	// RetransmitInterval/4, which lets an ack held its full delay reach the
+	// sender within 3/4 of the interval on any link of up to RI/4 one way.
 	AckDelay time.Duration
 	// Epoch distinguishes restarts of the same site: it seeds the high bits
 	// of every outgoing stream's epoch, so peers recognise a restarted
@@ -59,7 +62,7 @@ func DefaultConfig(p netback.Profile) Config {
 	if rto < 20*time.Millisecond {
 		rto = 20 * time.Millisecond
 	}
-	return Config{MaxPacket: maxPkt, RetransmitInterval: rto}
+	return Config{MaxPacket: maxPkt, RetransmitInterval: rto, AckDelay: rto / 4}
 }
 
 // Stats counts transport-level activity.
@@ -178,8 +181,8 @@ type peerRecv struct {
 	frags        [][]byte          // earlier fragments of the message being reassembled, in received frames
 	delivered    bool              // any record of this epoch delivered in order
 	ackOwed      bool              // a (re-)ack must reach the peer
-	ackTimerSet  bool              // the owed ack's delay is not up yet
-	ackTimer     *time.Timer       // the ack-delay timer, re-armed for every cycle
+	ackDue       time.Time         // when an owed ack goes bare, set as it falls due
+	ackTimer     *time.Timer       // wakes the flusher at ackDue, re-armed for every obligation
 }
 
 type subRec struct {
@@ -219,8 +222,11 @@ func New(ep netback.Endpoint, cfg Config, handler Handler) (*Transport, error) {
 	if cfg.RetransmitInterval <= 0 {
 		cfg.RetransmitInterval = 20 * time.Millisecond
 	}
-	if cfg.AckDelay <= 0 {
-		cfg.AckDelay = time.Millisecond
+	switch {
+	case cfg.DisableBatching:
+		cfg.AckDelay = 0 // an ack is due as soon as it is owed
+	case cfg.AckDelay <= 0:
+		cfg.AckDelay = cfg.RetransmitInterval / 4
 	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
@@ -384,7 +390,7 @@ func (t *Transport) flush(to SiteID, ps *peerSend, frame []byte) []byte {
 		}
 		if next < ps.nextSeq || ps.qhead < len(ps.queue) {
 			frame, next = t.buildFrameLocked(to, ps, frame[:0], next, now)
-		} else if frame = t.appendAckLocked(to, ps, frame[:0]); len(frame) == 0 {
+		} else if frame = t.appendAckLocked(to, ps, frame[:0], now); len(frame) == 0 {
 			t.mu.Unlock()
 			return frame
 		}
@@ -481,12 +487,12 @@ func (t *Transport) takeAckLocked(to SiteID) (epoch, cum uint64) {
 }
 
 // appendAckLocked appends to frame (which is empty) a dedicated ack frame,
-// if one is owed that no data frame has carried and its delay is up, or if
+// if one is owed that no data frame has carried and it was due by now, or if
 // Poll asked for a keepalive, and clears both. A peer nothing came from yet
 // is acked epoch 0, which retires nothing. Caller holds t.mu.
-func (t *Transport) appendAckLocked(to SiteID, ps *peerSend, frame []byte) []byte {
+func (t *Transport) appendAckLocked(to SiteID, ps *peerSend, frame []byte, now time.Time) []byte {
 	pr := t.recvs[to]
-	owed := pr != nil && pr.ackOwed && !pr.ackTimerSet
+	owed := pr != nil && pr.ackOwed && !now.Before(pr.ackDue)
 	if !owed && !ps.keepalive {
 		return frame
 	}
@@ -631,7 +637,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 			ps.reset()
 		}
 	}
-	progress := false
+	progress, wasOwed := false, pr.ackOwed
 	if raw[0] == kindFrameLow && !pr.delivered && len(body) >= subHeaderSize {
 		// Contact with a stream already in flight: this side has no receive
 		// state for the numbering (it restarted, or lost the state). Records
@@ -731,19 +737,18 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	t.stats.MessagesDelivered += uint64(len(complete))
 
 	// Ack policy: the flusher sends it, at once in the unbatched ablation,
-	// otherwise when a short timer is up unless a reverse data frame beats it.
-	// The receive path never sends: a receive loop blocked on its full reverse
-	// link while the peer's waits on the opposite one is a buffer deadlock.
-	if pr.ackOwed {
+	// otherwise AckDelay after it fell due unless a reverse data frame beats
+	// it. The receive path never sends: a receive loop blocked on its full
+	// reverse link while the peer's waits on the opposite one is a buffer
+	// deadlock.
+	if pr.ackOwed && !wasOwed {
+		pr.ackDue = time.Now().Add(t.cfg.AckDelay)
 		if t.cfg.DisableBatching {
 			ps.wake()
-		} else if !pr.ackTimerSet {
-			pr.ackTimerSet = true
-			if pr.ackTimer == nil {
-				pr.ackTimer = time.AfterFunc(t.cfg.AckDelay, func() { t.ackTimerFire(from) })
-			} else {
-				pr.ackTimer.Reset(t.cfg.AckDelay)
-			}
+		} else if pr.ackTimer == nil {
+			pr.ackTimer = time.AfterFunc(t.cfg.AckDelay, func() { t.ackTimerFire(from) })
+		} else {
+			pr.ackTimer.Reset(t.cfg.AckDelay)
 		}
 	}
 	handler := t.handler
@@ -756,14 +761,13 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 	}
 }
 
-// ackTimerFire ends an owed ack's delay: the peer's flusher sends the
-// dedicated ack unless a data frame has carried it meanwhile.
+// ackTimerFire wakes the peer's flusher, which sends the dedicated ack if one
+// is still owed and due: a data frame may have carried it meanwhile, and a
+// wake from an earlier obligation's timer finds the present one not due.
 func (t *Transport) ackTimerFire(from SiteID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pr := t.recvs[from]
-	pr.ackTimerSet = false
-	if pr.ackOwed {
+	if t.recvs[from].ackOwed {
 		t.sends[from].wake()
 	}
 }

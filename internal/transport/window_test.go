@@ -13,6 +13,26 @@ import (
 	"repro/internal/simnet"
 )
 
+// rec is one record of a hand-built frame.
+type rec struct {
+	seq     uint64
+	flags   byte
+	payload string
+}
+
+// peerFrame builds a data frame of stream epoch 7<<32 that carries no ack.
+func peerFrame(kind byte, recs ...rec) []byte {
+	f := binary.BigEndian.AppendUint64([]byte{kind}, 7<<32)
+	f = append(f, make([]byte, 16)...) // no piggybacked ack
+	for _, r := range recs {
+		f = binary.BigEndian.AppendUint64(f, r.seq)
+		f = append(f, r.flags)
+		f = binary.BigEndian.AppendUint32(f, uint32(len(r.payload)))
+		f = append(f, r.payload...)
+	}
+	return f
+}
+
 // pipeEnd is a minimal in-memory netback.Endpoint: Send copies the frame
 // (the caller may reuse its buffer) and hands the copy to the peer, unless
 // the test has asked for frames to be held back.
@@ -238,33 +258,17 @@ func TestUnackedCountsQueuedMessages(t *testing.T) {
 // as in a crash. A fresh receiver used to hand such a tail to its handler as
 // a whole message.
 func TestAdoptedStreamDropsAHeadlessMessage(t *testing.T) {
-	type rec struct {
-		seq     uint64
-		flags   byte
-		payload string
-	}
-	frame := func(kind byte, recs ...rec) []byte {
-		f := binary.BigEndian.AppendUint64([]byte{kind}, 7<<32)
-		f = append(f, make([]byte, 16)...) // no piggybacked ack
-		for _, r := range recs {
-			f = binary.BigEndian.AppendUint64(f, r.seq)
-			f = append(f, r.flags)
-			f = binary.BigEndian.AppendUint32(f, uint32(len(r.payload)))
-			f = append(f, r.payload...)
-		}
-		return f
-	}
 	const last, cont = flagLastFragment, flagContinues
 	for _, c := range []struct {
 		name   string
 		frames [][]byte
 	}{
-		{"a last fragment", [][]byte{frame(kindFrameLow, rec{5, cont | last, "tail"}, rec{6, last, "whole"})}},
+		{"a last fragment", [][]byte{peerFrame(kindFrameLow, rec{5, cont | last, "tail"}, rec{6, last, "whole"})}},
 		{"a middle and a last fragment", [][]byte{
-			frame(kindFrameLow, rec{5, cont, "middle"}),
-			frame(kindFrame, rec{6, cont | last, "tail"}, rec{7, last, "whole"}),
+			peerFrame(kindFrameLow, rec{5, cont, "middle"}),
+			peerFrame(kindFrame, rec{6, cont | last, "tail"}, rec{7, last, "whole"}),
 		}},
-		{"a message's head is kept", [][]byte{frame(kindFrameLow, rec{5, 0, "who"}, rec{6, cont | last, "le"})}},
+		{"a message's head is kept", [][]byte{peerFrame(kindFrameLow, rec{5, 0, "who"}, rec{6, cont | last, "le"})}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := &collector{}
@@ -280,6 +284,72 @@ func TestAdoptedStreamDropsAHeadlessMessage(t *testing.T) {
 				t.Errorf("delivered %q, want only \"whole\"", msgs)
 			}
 		})
+	}
+}
+
+// TestAckDelayRestartsForEachObligation drives the ack path by hand, with an
+// AckDelay no timer reaches: an ack falls due AckDelay after it becomes owed,
+// afresh after a data frame has carried the last one. The delay used to run
+// from the first obligation of a cycle that a carried ack did not end, so a
+// wake of its timer sent the next record's ack bare at once.
+func TestAckDelayRestartsForEachObligation(t *testing.T) {
+	a, _ := newPipe()
+	a.drop = true
+	tr, err := New(a, Config{MaxPacket: 4096, RetransmitInterval: time.Hour, AckDelay: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	_, pass := handDriven(tr)
+	sent := func() [][]byte {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		s := a.sent
+		a.sent = nil
+		return s
+	}
+	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrameLow, rec{1, flagLastFragment, "one"})})
+	if err := tr.Send(2, []byte("reply")); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	if f := sent(); len(f) != 1 || f[0][0] == kindAck || binary.BigEndian.Uint64(f[0][17:25]) != 1 {
+		t.Fatalf("the pass after frame 1 sent %d frames, want one data frame carrying ack 1", len(f))
+	}
+
+	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrame, rec{2, flagLastFragment, "two"})})
+	tr.ackTimerFire(2) // a stale wake: frame 2's ack is due an hour from now
+	pass()
+	if f := sent(); len(f) != 0 {
+		t.Fatalf("a wake before frame 2's ack was due sent %d frames, want none", len(f))
+	}
+
+	tr.mu.Lock()
+	tr.recvs[2].ackDue = tr.recvs[2].ackDue.Add(-2 * time.Hour)
+	tr.mu.Unlock()
+	tr.ackTimerFire(2)
+	pass()
+	if f := sent(); len(f) != 1 || len(f[0]) != ackSize || f[0][0] != kindAck || binary.BigEndian.Uint64(f[0][9:17]) != 2 {
+		t.Fatalf("the pass once frame 2's ack was due sent %d frames, want one %d-byte ack of 2", len(f), ackSize)
+	}
+	if st := tr.Stats(); st.AcksSent != 1 || st.AcksPiggybacked != 1 {
+		t.Errorf("%d acks sent bare and %d piggybacked, want 1 and 1", st.AcksSent, st.AcksPiggybacked)
+	}
+}
+
+// TestDefaultAckDelayBoundedByRetransmitInterval: on every profile the
+// default ack delay is a quarter of the retransmission interval, so a record
+// sent at t is acked by t + 2·delay + AckDelay, before the interval is up and
+// the record would be resent.
+func TestDefaultAckDelayBoundedByRetransmitInterval(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond} {
+		cfg := DefaultConfig(netback.Profile{Delay: d})
+		if cfg.AckDelay != cfg.RetransmitInterval/4 {
+			t.Errorf("delay %v: AckDelay %v, want RetransmitInterval/4 = %v", d, cfg.AckDelay, cfg.RetransmitInterval/4)
+		}
+		if 2*d+cfg.AckDelay >= cfg.RetransmitInterval {
+			t.Errorf("delay %v: a held ack arrives %v after its record left, not before RetransmitInterval %v", d, 2*d+cfg.AckDelay, cfg.RetransmitInterval)
+		}
 	}
 }
 
