@@ -154,12 +154,12 @@ type groupState struct {
 	// alone; parked is what the open flush holds back, which step feeds back
 	// in when the flush ends; flushDeadline is the
 	// scan tick at which the flush now open counts as stale (the tick then
-	// feeds the copy inWatchdog); mergeAttempt counts the merge attempts
-	// begun, so each can tell whether it is still the latest.
+	// feeds the copy inWatchdog); survey is the merge attempt's, while the
+	// copy is merging (merge.go).
 	phase         phase
 	parked        []heldPacket
 	flushDeadline uint64
-	mergeAttempt  uint64
+	survey        *survey
 
 	// recent holds the last delivered data packets, which a flush
 	// re-disseminates to members that missed them.
@@ -191,13 +191,6 @@ func newGroupState(view core.View) *groupState {
 	}
 }
 
-// pendingJoin remembers the state-transfer receiver callback registered when
-// a local process asked to join a group, so it can be attached to the member
-// state once the view change that adds it is installed.
-type pendingJoin struct {
-	stateRecv func(block []byte, last bool)
-}
-
 // Daemon is the protocols process of one site.
 type Daemon struct {
 	cfg  Config
@@ -218,8 +211,12 @@ type Daemon struct {
 	calls       map[int64]*pendingCall
 	nextCall    int64
 	nextReqID   int64
-	pendingJoin map[joinKey]pendingJoin
-	reqSerial   map[addr.Address]*sync.Mutex
+	// pendingJoin holds the state receiver a local process asked to join a
+	// group with, until the view change that adds it is installed.
+	pendingJoin map[joinKey]func(block []byte, last bool)
+
+	// requests queues this daemon's GBCAST requests per group (groups.go).
+	requests map[addr.Address][]*request
 
 	// bus carries the operational event stream for this site; emitters
 	// publish from protocol paths (often with d.mu held — the bus has its
@@ -233,15 +230,16 @@ type Daemon struct {
 	// ids, settles the outcome with a gbSeal round.
 	reqLog core.BoundedLog[int64, reqRecord]
 
-	// parked is the set of members whose rejoin failed after their group copy
-	// was discarded (merge.go): each has one goroutine retrying it every tick.
-	parked map[joinKey]bool
+	// parked holds the members whose rejoin failed after their group copy was
+	// discarded (merge.go): the scan tick files each one's retry, one at a time.
+	parked map[joinKey]*rejoin
 
 	// tick counts the scan ticks, the daemon's one clock, every scanInterval
 	// (CallTimeout/4, 1–50 ms): every deadline it keeps
 	// is a value of tick. wake (on mu) is broadcast by every tick, when a
-	// copy's flush ends and on Close: senders blocked by a flush
-	// (settledGroupLocked) and retries (nextTick) wait on it.
+	// copy's flush, a request or a merge attempt ends and on Close: senders
+	// blocked by a flush (settledGroupLocked), a request's or an attempt's
+	// caller (ask, MergeGroup) and a relay's retries (nextTick) wait on it.
 	tick         uint64
 	scanInterval time.Duration
 	wake         sync.Cond
@@ -304,9 +302,9 @@ func New(cfg Config) (*Daemon, error) {
 		failedProcs: make(map[addr.Address]bool),
 		suspected:   make(map[addr.SiteID]bool),
 		calls:       make(map[int64]*pendingCall),
-		pendingJoin: make(map[joinKey]pendingJoin),
-		parked:      make(map[joinKey]bool),
-		reqSerial:   make(map[addr.Address]*sync.Mutex),
+		pendingJoin: make(map[joinKey]func(block []byte, last bool)),
+		requests:    make(map[addr.Address][]*request),
+		parked:      make(map[joinKey]*rejoin),
 		bus:         events.NewBus(cfg.Site),
 		reqLog:      core.NewBoundedLog[int64, reqRecord](reqLogLimit),
 		stopScan:    make(chan struct{}),
@@ -387,11 +385,18 @@ func (d *Daemon) Close() {
 	d.det.Stop()
 	d.tr.Close()
 	d.ep.Close()
-	// Only now, with the site off the network, do the calls still waiting end:
-	// whatever their callers do next cannot reach a peer as this site's dying
-	// words (a crashed coordinator answers nobody; its requesters fail over).
+	// Only now, with the site off the network, do the calls and requests still
+	// waiting end, each once, and the parked members unpark: whatever callers
+	// do next cannot reach a peer as this site's dying words.
 	d.mu.Lock()
 	d.endCallsLocked(ErrClosed, func(*pendingCall) bool { return true })
+	for gid, q := range d.requests {
+		for ; len(q) > 0; q = d.requests[gid] {
+			d.endLocked(gid, q[0], nil, ErrClosed)
+		}
+	}
+	clear(d.requests)
+	clear(d.parked)
 	d.mu.Unlock()
 	close(d.stopScan)
 	d.wg.Wait()
@@ -448,18 +453,13 @@ func (d *Daemon) KillProcess(p addr.Address) error {
 	}
 	lp.alive = false
 	d.failedProcs[p.Base()] = true
-	// Collect the groups the process belongs to.
-	var affected []addr.Address
 	for gid, gs := range d.groups {
 		if _, isMember := gs.members[p.Base()]; isMember {
-			affected = append(affected, gid)
+			d.requestRemovalLocked(gid, []addr.Address{p.Base()}, false)
 		}
 	}
+	d.driveLocked()
 	d.mu.Unlock()
-
-	for _, gid := range affected {
-		d.requestRemoval(gid, []addr.Address{p.Base()}, gbFail, false)
-	}
 	return nil
 }
 
@@ -510,30 +510,59 @@ type answer struct {
 	err   error         // ptError, restored to its sentinel
 }
 
-// pendingCall is one exchange awaiting its answer: where it is delivered, the
-// type it comes as, the site asked and the scan tick it times out at.
+// pendingCall is one exchange awaiting its answer: the waiter it is filed
+// with, the type it comes as, the site asked and the tick it times out at.
 type pendingCall struct {
-	ch       chan answer
+	val      filer
 	want     byte
 	site     addr.SiteID // 0: a broadcast question, answered by whoever can
 	deadline uint64
-	err      error // why endCallsLocked ended the call, once ch is closed
 }
 
-// newCall registers an exchange with a site, answered by a packet of type want
-// (or ptError), and returns its id and the call, born ended on a closed daemon.
-func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, *pendingCall) {
+// filer is a call's waiter (a request, a merge survey, a blocked caller),
+// filed each answer and the call's end, an answer carrying why, in their hold.
+type filer interface {
+	fileLocked(d *Daemon, call int64, a answer)
+}
+
+// caller is a blocked caller's waiter: answers queue for await, one finding
+// the buffer full dropped as a lost packet would be, and the call's end closes
+// the channel, why recorded first, so await returns it after those queued.
+type caller struct {
+	ch       chan answer
+	err      error
+	deadline uint64 // the call's
+}
+
+func (c *caller) fileLocked(d *Daemon, call int64, a answer) {
+	if _, live := d.calls[call]; live {
+		select {
+		case c.ch <- a:
+		default:
+		}
+		return
+	}
+	c.err = a.err
+	close(c.ch)
+}
+
+// newCallLocked registers an exchange with a site, answered by a packet of
+// type want (or ptError) filed with val, and returns its id. Caller holds d.mu.
+func (d *Daemon) newCallLocked(to addr.SiteID, want byte, val filer) int64 {
+	d.nextCall++
+	d.calls[d.nextCall] = &pendingCall{val: val, want: want, site: to, deadline: d.deadlineLocked(d.cfg.CallTimeout)}
+	return d.nextCall
+}
+
+// newCall registers an exchange a caller blocks on, ended on a closed daemon;
+// a broadcast question (a lookup) queues an answer from each site.
+func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, *caller) {
+	c := &caller{ch: make(chan answer, 1+7*int(bit(to == 0)))}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.nextCall++
-	id := d.nextCall
-	// A call gets one answer; a broadcast question (a lookup) gets one from
-	// each site, queued while the asker works through them. One that finds the
-	// buffer full is dropped, as a lost packet would be.
-	c := &pendingCall{ch: make(chan answer, 1+7*int(bit(to == 0))), want: want, site: to, deadline: d.deadlineLocked(d.cfg.CallTimeout)}
-	d.calls[id] = c
-	if d.closed {
-		d.endCallsLocked(ErrClosed, func(o *pendingCall) bool { return o == c })
+	id := d.newCallLocked(to, want, c)
+	if c.deadline = d.calls[id].deadline; d.closed {
+		d.endCallsLocked(ErrClosed, func(o *pendingCall) bool { return o.val == c })
 	}
 	return id, c
 }
@@ -545,16 +574,15 @@ func (d *Daemon) dropCall(id int64) {
 	delete(d.calls, id)
 }
 
-// endCallsLocked ends the matching calls with err, recorded on the call before
-// its channel closes and its entry goes, so a late answer finds none and await
-// returns err after the answers queued before: the scan tick's ErrTimeout, the
-// failure handler's errSiteFailed and Close's ErrClosed. Caller holds d.mu.
+// endCallsLocked ends the matching calls with err: the scan tick's ErrTimeout,
+// the failure handler's errSiteFailed and Close's ErrClosed. A call leaves the
+// table before its waiter is filed the end, so a late answer finds none.
+// Caller holds d.mu.
 func (d *Daemon) endCallsLocked(err error, match func(*pendingCall) bool) {
 	for id, c := range d.calls {
 		if match(c) {
-			c.err = err
-			close(c.ch)
 			delete(d.calls, id)
+			c.val.fileLocked(d, id, answer{err: err})
 		}
 	}
 }
@@ -566,28 +594,24 @@ func (d *Daemon) endCallsLocked(err error, match func(*pendingCall) bool) {
 // that a restarted site's fresh counter can never collide with ids its
 // previous incarnation already committed (a collision would make the
 // commit-record dedupe swallow the restarted site's first requests).
-func (d *Daemon) newReqID() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *Daemon) newReqIDLocked() int64 {
 	d.nextReqID++
 	return (int64(d.site)<<16|int64(d.cfg.Incarnation)&0xffff)<<32 | d.nextReqID&0xffffffff
 }
 
-// errSiteFailed fails a call to a site the failure detector declared dead,
-// ended in flight (handleSiteFailure) or refused at once (call).
+// errSiteFailed ends a call in flight to a site the failure detector declared
+// dead (handleSiteFailure).
 var errSiteFailed = errors.New("protos: site failed")
 
 // errNotCoordinator refuses a GBCAST request at a site not acting as coordinator.
 var errNotCoordinator = errors.New("protos: not the group's acting coordinator")
 
-// respondLocked hands an answer, come as a packet of type pt, to a pending
-// call, if it still exists and asked for that type. Caller holds d.mu.
+// respondLocked files an answer, come as a packet of type pt, with a pending
+// call's waiter, if the call still exists and asked for that type. Caller
+// holds d.mu.
 func (d *Daemon) respondLocked(callID int64, pt byte, a answer) {
 	if c, ok := d.calls[callID]; ok && (pt == c.want || pt == ptError) {
-		select {
-		case c.ch <- a:
-		default:
-		}
+		c.val.fileLocked(d, callID, a)
 	}
 }
 
@@ -602,40 +626,10 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 	}
 }
 
-// call sends a GBCAST request to a site with its call id and waits for the
-// answer (a done) or the call's end; a suspected site is sent nothing. A
-// request this site makes of itself goes to the handler a peer's goes to, by
-// reference, in one hold of d.mu, and is answered there as a peer's is
-// (answerLocked): one call table and one wait for both.
-func (d *Daemon) call(to addr.SiteID, req gbPacket) (*gbPacket, error) {
-	id, c := d.newCall(to, ptGbDone)
-	defer d.dropCall(id)
-	req.call = id
-	var err error
-	d.mu.Lock()
-	switch {
-	case d.suspected[to]:
-		err = errSiteFailed
-	case to == d.site:
-		d.handleGbRequestLocked(to, &req)
-	default:
-		var raw []byte
-		if raw, err = req.encode(ptGbRequest); err == nil {
-			err = d.sendRaw(to, raw)
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	a, err := c.await()
-	return a.gb, err
-}
-
-// await waits for a registered call's next answer; it is the one reader of a
-// call's channel. An answer that carries an error returns it, and a call that
-// has ended returns why, once the answers queued before its end are read.
-func (c *pendingCall) await() (answer, error) {
+// await waits for a blocked caller's next answer; it is the one reader of the
+// channel. An answer that carries an error returns it, and a call that has
+// ended returns why, once the answers queued before its end are read.
+func (c *caller) await() (answer, error) {
 	if a, ok := <-c.ch; ok {
 		return a, a.err
 	}
@@ -644,7 +638,8 @@ func (c *pendingCall) await() (answer, error) {
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks
 // the envelope, decodes the body's fixed layout outside the lock and hands it
-// to its handler in one hold of d.mu. What a body decodes to lives on this
+// to its handler in one hold of d.mu, at whose tail this site's requests move
+// on what the packet answered or filed. What a body decodes to lives on this
 // stack unless a handler or a call keeps it; a data packet, a payload and a
 // state block keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
@@ -703,6 +698,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	default: // an answer, decoded to what its caller keeps
 		d.respondLocked(call, pt, a)
 	}
+	d.driveLocked()
 }
 
 // onDetectorEvent reacts to site failures and recoveries.
@@ -712,12 +708,15 @@ func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
 		d.handleSiteFailure(ev.Site)
 	case fdetect.SiteRecovered:
 		d.mu.Lock()
+		defer d.mu.Unlock()
 		delete(d.suspected, ev.Site)
-		d.mu.Unlock()
 		d.bus.Publish(events.Event{Kind: events.SiteUp, Peer: ev.Site})
-		// A healed partition: any group copy stranded in a non-primary
-		// partition can now try to find the primary and merge back.
-		d.mergeNonPrimaryGroups()
+		// A healed partition: every group copy stranded in a non-primary
+		// partition starts a merge attempt, to find the primary and merge back.
+		for _, gs := range d.groups {
+			d.mergeLocked(gs)
+		}
+		d.driveLocked()
 	}
 }
 

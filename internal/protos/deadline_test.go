@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/fdetect"
 	"repro/internal/simnet"
@@ -68,70 +69,114 @@ func TestClockReadOnScanTickAlone(t *testing.T) {
 	}
 }
 
-// TestCallEndsAtItsTickDeadline asks a site whose link is paused to answer a
-// GBCAST request. The call must end with ErrTimeout at its tick deadline: no sooner than
-// CallTimeout, and within CallTimeout and two scan periods; and it must leave
-// the call table.
+// heldRequest files a leave at site 1 from a group whose view lists one member,
+// at site 2, whose link from site 1 is paused: its first try asks site 2 and is
+// never answered. It returns the request and the call id of that try.
+func heldRequest(t *testing.T, tc *testCluster) (*request, int64) {
+	t.Helper()
+	d, gid, member := tc.daemons[1], addr.NewGroup(2, 0, 1), addr.NewProcess(2, 0, 1)
+	tc.net.PauseLink(1, 2)
+	d.mu.Lock()
+	d.remoteViews[gid] = core.View{Group: gid, ID: 1, Members: []addr.Address{member}}
+	d.mu.Unlock()
+	e := fileRequest(d, gbPacket{kind: gbLeave, group: gid, procs: addr.List{member}})
+	first, _ := tryOf(d, e)
+	if first == 0 {
+		t.Fatal("the request's first try is not in flight")
+	}
+	return e, first
+}
+
+// fileRequest files a request, as ask does, and returns it without waiting
+// for its end.
+func fileRequest(d *Daemon, req gbPacket) *request {
+	e := &request{gbPacket: req}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.queueLocked(e)
+	d.driveLocked()
+	return e
+}
+
+// awaitRequest waits for a filed request's end, as ask does.
+func awaitRequest(d *Daemon, e *request) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !e.done {
+		d.wake.Wait()
+	}
+	return e.err
+}
+
+// tryOf returns the call id of a request's try in flight (0 between tries) and
+// the tries counted.
+func tryOf(d *Daemon, e *request) (int64, int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return e.call, e.tries
+}
+
+// TestCallEndsAtItsTickDeadline holds the first try of a GBCAST request on a
+// paused link. The try must end at its tick deadline: no sooner than
+// CallTimeout, and within CallTimeout and two scan periods; it must leave the
+// call table, so its answer, come late, ends nothing; and the request, its
+// tries all unanswered, must end with ErrTimeout.
 func TestCallEndsAtItsTickDeadline(t *testing.T) {
 	const callTimeout = 200 * time.Millisecond
 	tc := newFaultCluster(t, 2, simnet.FastConfig(), callTimeout, fdetect.Config{})
 	d := tc.daemons[1]
-	tc.net.PauseLink(1, 2)
 	start := time.Now()
-	_, err := d.call(2, gbPacket{group: addr.NewGroup(2, 0, 1)})
+	e, first := heldRequest(t, tc)
+	waitFor(t, "the first try to end", 5*time.Second, func() bool { call, _ := tryOf(d, e); return call != first })
 	took := time.Since(start)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("the unanswered call returned %v, want ErrTimeout", err)
-	}
 	if limit := callTimeout + 2*d.scanInterval; took < callTimeout || took > limit {
-		t.Errorf("the call timed out after %v, want between %v and %v", took, callTimeout, limit)
+		t.Errorf("the try timed out after %v, want between %v and %v", took, callTimeout, limit)
+	}
+	d.mu.Lock()
+	_, listed := d.calls[first]
+	d.mu.Unlock()
+	if listed {
+		t.Error("the timed-out try is still in the call table")
+	}
+	d.handleTransport(2, answer{gb: &gbPacket{}}.encode(ptGbDone, first))
+	if err := awaitRequest(d, e); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("the unanswered request returned %v, want ErrTimeout", err)
 	}
 	if n := pendingCalls(d); n != 0 {
-		t.Errorf("%d calls left in the table after the only one timed out", n)
+		t.Errorf("%d calls left in the table after the only request ended", n)
 	}
 }
 
-// TestSiteFailureEndsACallOnce holds a call to a site whose link is paused and
-// declares the site failed by hand. The call must end with errSiteFailed; a
-// second failure event and a late answer then find nothing to end or answer.
+// TestSiteFailureEndsACallOnce holds the first try of a GBCAST request on a
+// paused link and declares the site asked failed by hand. The try must end at
+// once, in the failure handler's hold, and leave the call table; a second
+// failure event and a late answer then find nothing to end or answer.
 func TestSiteFailureEndsACallOnce(t *testing.T) {
 	tc := newFaultCluster(t, 2, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	d := tc.daemons[1]
-	tc.net.PauseLink(1, 2)
-	ended := make(chan error, 1)
-	go func() {
-		_, err := d.call(2, gbPacket{group: addr.NewGroup(2, 0, 1)})
-		ended <- err
-	}()
-	var id int64
-	waitFor(t, "the call to be registered", 5*time.Second, func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for id = range d.calls {
-		}
-		return id != 0
-	})
+	e, first := heldRequest(t, tc)
 	failed := fdetect.Event{Site: 2, Kind: fdetect.SiteFailed}
 	d.onDetectorEvent(failed)
-	select {
-	case err := <-ended:
-		if !errors.Is(err, errSiteFailed) {
-			t.Fatalf("the call to the failed site returned %v, want errSiteFailed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the site failure did not end the call")
+	if call, tries := tryOf(d, e); call == first || tries != 2 {
+		t.Fatalf("after the failure the request is at call %d (the first was %d), %d tries; want the first ended and counted", call, first, tries)
 	}
 	d.onDetectorEvent(failed)
-	d.handleTransport(2, answer{gb: &gbPacket{}}.encode(ptGbDone, id))
-	if n := pendingCalls(d); n != 0 {
-		t.Errorf("%d calls left in the table after the only one ended", n)
+	d.handleTransport(2, answer{gb: &gbPacket{}}.encode(ptGbDone, first))
+	d.mu.Lock()
+	_, listed := d.calls[first]
+	ended := e.done
+	d.mu.Unlock()
+	if _, tries := tryOf(d, e); listed || ended || tries != 2 {
+		t.Errorf("after a second failure and a late answer: call listed %v, request ended %v, %d tries; want the try ended once", listed, ended, tries)
 	}
 }
 
 // TestCloseEndsALookupWithAFullChannel closes a daemon while a lookup, with
 // sites still to hear from, holds a channel full of answers. The lookup must
 // return ErrClosed, and not hang: the cause reaches the waiter though no
-// answer can be queued behind those it has.
+// answer can be queued behind those it has. Three Joins whose requests are
+// held beside it, in one queue (the first's lookup of the group unanswered),
+// must each return ErrClosed too.
 func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
 	tc := newFaultCluster(t, 1, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	d := tc.daemons[1]
@@ -141,18 +186,19 @@ func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
 	gate := make(chan struct{})
 	ended := make(chan error, 1)
 	go func() {
-		_, err := d.lookupAll("nobody", addr.Nil, func(*lookupPacket) bool {
+		err := d.lookupAll("nobody", addr.Nil, func(*lookupPacket) bool {
 			<-gate
 			return false
 		})
 		ended <- err
 	}()
 	var id int64
-	var c *pendingCall
+	var c *caller
 	waitFor(t, "the lookup to be registered", 5*time.Second, func() bool {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		for id, c = range d.calls {
+		for i, pc := range d.calls {
+			id, c = i, pc.val.(*caller)
 		}
 		return c != nil
 	})
@@ -166,6 +212,20 @@ func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
 	for range cap(c.ch) + 1 { // the last one finds the channel full
 		feed()
 	}
+	gid := addr.NewGroup(2, 0, 1)
+	joined := make(chan error, 3)
+	for range 3 {
+		go func() {
+			_, err := d.Join(tc.newProc(1).addr, gid, JoinOptions{})
+			joined <- err
+		}()
+	}
+	waitFor(t, "the joins' requests held", 5*time.Second, func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		q := d.requests[gid]
+		return len(q) == 3 && q[0].call != 0
+	})
 	d.Close()
 	close(gate)
 	select {
@@ -176,6 +236,39 @@ func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the lookup hung after Close")
 	}
+	for range 3 {
+		select {
+		case err := <-joined:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("a join ended by Close returned %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a join hung after Close")
+		}
+	}
+}
+
+// askSite is one try of a GBCAST request at the site a test names, acting
+// coordinator or not: the request goes under a call of its own, to the site's
+// handler as a peer's or this site's own, and the answer is awaited.
+func askSite(d *Daemon, to addr.SiteID, req gbPacket) (*gbPacket, error) {
+	id, c := d.newCall(to, ptGbDone)
+	defer d.dropCall(id)
+	req.call = id
+	var raw []byte
+	var err error
+	d.mu.Lock()
+	if to == d.site {
+		d.handleGbRequestLocked(to, &req)
+	} else if raw, err = req.encode(ptGbRequest); err == nil {
+		err = d.sendRaw(to, raw)
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	a, err := c.await()
+	return a.gb, err
 }
 
 // pendingCalls counts the calls in a daemon's table.

@@ -327,8 +327,8 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 		// partition (typically a pre-partition packet retransmitted across
 		// the heal). It must not be applied piecemeal — this copy's state is
 		// speculative and will be discarded wholesale — but its arrival
-		// proves the primary is reachable again, so it triggers the merge.
-		go d.mergeGroup(gid)
+		// proves the primary is reachable again, so it starts a merge attempt.
+		d.mergeLocked(gs)
 		return
 	}
 	hostsNewMember := false
@@ -420,7 +420,7 @@ func (d *Daemon) applyGbCommitLocked(p *gbPacket) {
 	for _, w := range wrong {
 		// The member rejoins through the ordinary join machinery, pulling
 		// fresh state if it has a receiver.
-		go d.rejoinOrPark(gid, w.proc, w.recv, false)
+		d.rejoinLocked(gid, w.proc, &rejoin{recv: w.recv})
 	}
 }
 
@@ -466,8 +466,8 @@ func (d *Daemon) ghostMembersLocked(v core.View) []addr.Address {
 	return ghosts
 }
 
-// removeGhostsLocked asks the group coordinator to remove dead
-// previous-incarnation members hosted at this site. Caller holds d.mu.
+// removeGhostsLocked files the removal of dead previous-incarnation members
+// hosted at this site. Caller holds d.mu.
 func (d *Daemon) removeGhostsLocked(gid addr.Address, ghosts []addr.Address) {
 	if len(ghosts) == 0 {
 		return
@@ -475,11 +475,11 @@ func (d *Daemon) removeGhostsLocked(gid addr.Address, ghosts []addr.Address) {
 	for _, g := range ghosts {
 		d.failedProcs[g] = true
 	}
-	d.requestRemoval(gid, ghosts, gbFail, false)
+	d.requestRemovalLocked(gid, ghosts, false)
 }
 
 // wrongRemoval records a local, live member that a failure view removed —
-// evidence of a stale suspicion — so the caller can rejoin it once the
+// evidence of a stale suspicion — so the caller can file its rejoin once the
 // commit has been applied.
 type wrongRemoval struct {
 	proc addr.Address
@@ -487,8 +487,8 @@ type wrongRemoval struct {
 }
 
 // applyViewChangeLocked installs a new membership view and returns any
-// local, live members the change wrongly removed (the caller rejoins them
-// outside the lock). xfers are the members the flush found possibly awaiting
+// local, live members the change wrongly removed (the caller files their
+// rejoins). xfers are the members the flush found possibly awaiting
 // a state transfer. Caller holds d.mu.
 func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind int64, procs []addr.Address, wantState bool, xfers addr.List) []wrongRemoval {
 	if gs.view.ID != 0 && newView.ID <= gs.view.ID {
@@ -560,8 +560,8 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 		// Was this an explicit join from this site with a state request?
 		key := joinKey{gs.view.Group, m.Base()}
-		if pj, ok := d.pendingJoin[key]; ok {
-			ms.stateRecv = pj.stateRecv
+		if recv, ok := d.pendingJoin[key]; ok {
+			ms.stateRecv = recv
 			delete(d.pendingJoin, key)
 		}
 		if wantState && !old.Contains(m) && addr.List(procs).Contains(m) {
@@ -711,17 +711,18 @@ func (d *Daemon) handleStateBlockLocked(h stateHeader, data []byte) {
 // handleSiteFailure reacts to the failure detector declaring a site dead. Calls
 // in flight to it are ended first (endCallsLocked), so their callers re-route
 // to a successor instead of waiting out the call timeout, and a round waiting
-// for its answer counts it out last. If this daemon hosts
-// the acting coordinator of a group with members at the dead site, it requests
-// their removal, whose flush carries to every survivor what any of them
-// delivered. When the dead site hosted the group's previous acting coordinator, the
-// removal is forced: the old coordinator may have died mid-flush — members
-// wedged by its prepare, its commit delivered to only some of them, its gbQueue
-// lost — so the successor must re-run the full wedge/flush even if the
-// membership change itself turns out to be a no-op at this site. Requests
-// orphaned at the dead coordinator are re-submitted by their requesters
-// (coordinatorCall retries with a stable request id once the in-flight exchange
-// has ended), and the commit-time dedupe keeps re-execution idempotent.
+// for its answer counts it out last. If this daemon hosts the acting
+// coordinator of a group with members at the dead site, it files their
+// removal, whose flush carries to every survivor what any of them delivered,
+// driven once the site is suspected. When the dead site hosted the group's
+// previous acting coordinator, the removal is forced: the old coordinator may
+// have died mid-flush — members wedged by its prepare, its commit delivered to
+// only some of them, its gbQueue lost — so the successor must re-run the full
+// wedge/flush even if the membership change itself turns out to be a no-op at
+// this site. Requests orphaned at the dead coordinator are re-submitted by
+// their requesters (a request's next try carries its stable id once the
+// in-flight exchange has ended), and the commit-time dedupe keeps re-execution
+// idempotent.
 func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -761,7 +762,7 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 			// dead coordinator's work.
 			d.bus.Publish(events.Event{Kind: events.Takeover, Group: gid, Peer: s})
 		}
-		d.requestRemoval(gid, atSite, gbFail, force)
+		d.requestRemovalLocked(gid, atSite, force)
 	}
 	d.suspected[s] = true
 	for _, gs := range d.groups {
@@ -769,4 +770,5 @@ func (d *Daemon) handleSiteFailure(s addr.SiteID) {
 			d.runRoundsLocked(gs)
 		}
 	}
+	d.driveLocked()
 }

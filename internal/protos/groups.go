@@ -3,7 +3,6 @@ package protos
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -121,58 +120,50 @@ func (d *Daemon) RefreshGroupView(gid addr.Address) (core.View, error) {
 
 // lookupRemote queries every other attached site for a group, by name or by
 // group id, and caches the first positive answer.
-func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) {
-	var view core.View
-	found := false
-	_, err := d.lookupAll(name, gid, func(resp *lookupPacket) bool {
-		view, found = resp.view, !resp.view.Group.IsNil()
-		return found
+func (d *Daemon) lookupRemote(name string, gid addr.Address) (view core.View, err error) {
+	err = d.lookupAll(name, gid, func(resp *lookupPacket) bool {
+		view = resp.view
+		return !view.Group.IsNil()
 	})
 	switch {
-	case found:
+	case !view.Group.IsNil():
 		d.mu.Lock()
 		d.cacheRemoteViewLocked(view)
 		d.mu.Unlock()
 		return view, nil
 	case err != nil:
-		return core.View{}, fmt.Errorf("%w: lookup %q", err, name)
-	default: // nobody to ask, or nobody knows it
-		return core.View{}, fmt.Errorf("%w: %q", ErrUnknownGroup, name)
+		return view, fmt.Errorf("%w: lookup %q", err, name)
 	}
+	return view, fmt.Errorf("%w: %q", ErrUnknownGroup, name) // nobody to ask, or nobody knows it
 }
 
 // lookupAll broadcasts one ptLookup — by name, by group id, or both — to
 // every other attached site and feeds the answers to each, as they arrive,
 // until each reports it has seen enough, every site asked has answered, or
-// CallTimeout passes (ErrTimeout: the caller decides whether what arrived
-// is enough) or the daemon closes. It also returns how many sites it could
-// ask.
-func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookupPacket) (done bool)) (asked int, err error) {
+// CallTimeout passes (ErrTimeout) or the daemon closes.
+func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookupPacket) (done bool)) error {
 	callID, c := d.newCall(0, ptLookupResp)
 	defer d.dropCall(callID)
-
-	// One request serves every queried site: it is encoded once and the same
-	// bytes are broadcast.
-	req := lookupPacket{call: callID, view: core.View{Group: gid, Name: name}}
-	raw := req.encode(ptLookup)
-	for _, s := range d.net.Sites() {
-		if s == d.site {
-			continue
+	for asked := d.broadcastLookup(callID, gid, name); asked > 0; asked-- {
+		a, err := c.await()
+		if err != nil || each(a.look) {
+			return err
 		}
-		if err := d.sendRaw(s, raw); err == nil {
+	}
+	return nil
+}
+
+// broadcastLookup sends one ptLookup under a call id — by group id, name or
+// both, encoded once — to every other attached site, and returns how many it
+// could ask.
+func (d *Daemon) broadcastLookup(call int64, gid addr.Address, name string) (asked int) {
+	raw := lookupPacket{call: call, view: core.View{Group: gid, Name: name}}.encode(ptLookup)
+	for _, s := range d.net.Sites() {
+		if s != d.site && d.sendRaw(s, raw) == nil {
 			asked++
 		}
 	}
-	for answers := 0; answers < asked; answers++ {
-		a, err := c.await()
-		if err != nil {
-			return asked, err
-		}
-		if each(a.look) {
-			return asked, nil
-		}
-	}
-	return asked, nil
+	return asked
 }
 
 // cacheRemoteViewLocked stores a view learned from another site. Caller holds d.mu.
@@ -234,24 +225,19 @@ func (d *Daemon) Join(joiner addr.Address, gid addr.Address, opts JoinOptions) (
 		return core.View{}, err
 	}
 	if opts.WantState || opts.StateReceiver != nil {
-		d.pendingJoin[joinKey{gid.Base(), joiner.Base()}] = pendingJoin{stateRecv: opts.StateReceiver}
+		d.pendingJoin[joinKey{gid.Base(), joiner.Base()}] = opts.StateReceiver
 	}
 	d.mu.Unlock()
-
-	resp, err := d.coordinatorCall(gid, &gbPacket{kind: gbJoin, group: gid.Base(), procs: addr.List{joiner.Base()}, wantState: opts.WantState})
-	if err != nil {
-		d.mu.Lock()
-		delete(d.pendingJoin, joinKey{gid.Base(), joiner.Base()})
-		d.mu.Unlock()
-		return core.View{}, err
+	e := d.ask(gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiner.Base()}, wantState: opts.WantState})
+	if e.err != nil {
+		return core.View{}, e.err
 	}
-	return resp.view, nil
+	return e.resp.view, nil
 }
 
 // Leave removes a local process from a group voluntarily (pg_leave).
 func (d *Daemon) Leave(member addr.Address, gid addr.Address) error {
-	_, err := d.coordinatorCall(gid, &gbPacket{kind: gbLeave, group: gid.Base(), procs: addr.List{member.Base()}})
-	return err
+	return d.ask(gbPacket{kind: gbLeave, group: gid, procs: addr.List{member.Base()}}).err
 }
 
 // SetStateProvider registers the routine the oldest member uses to encode
@@ -329,97 +315,182 @@ func (d *Daemon) actingCoordinator(v core.View) addr.Address {
 	return addr.Nil
 }
 
-// groupReqMu returns the mutex serializing this daemon's GBCAST request
-// submissions for one group.
-func (d *Daemon) groupReqMu(gid addr.Address) *sync.Mutex {
+// request is a GBCAST this daemon asks of a group's acting coordinator: an
+// entry of the group's queue, d.requests[gid], which runs one entry at a time
+// in the order they were filed and their ids minted, so a requester's commits
+// happen in id order (requestMarks rests on that). A try asks by the view the
+// daemon has, or looks it up. A failed try drops the cached view and goes
+// again at the next scan tick, four tries in all; a refusal (errNotCoordinator)
+// is not counted for one CallTimeout; ErrNonPrimary is final. The next try of
+// one a dead coordinator committed is answered from the commit record.
+type request struct {
+	gbPacket             // the request; its call is the try's in flight, 0 between tries
+	site     addr.SiteID // the site the try asks; 0 while it looks the view up
+	answered bool        // the try has its answer, or its end, in resp and err
+	done     bool        // the request has ended, with resp or err
+	asked    int         // the sites the try's lookup asked that have not answered
+	tries    int         // the tries made, a refusal before refusals not counted
+	refusals uint64      // the scan tick from which a refusal counts as a try
+	deadline uint64      // the scan tick the next try waits for, after a failed one
+	resp     *gbPacket   // the try's answer; at the end, the request's
+	err      error       // why the try failed; at the end, why the request did
+	rejoin   *rejoin     // a rejoin's (merge.go), or nil
+}
+
+// ask files a caller's request, its id minted unless it has one, and waits
+// for its end on d.wake, which endLocked broadcasts.
+func (d *Daemon) ask(req gbPacket) *request {
+	e := &request{gbPacket: req}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	mu, ok := d.reqSerial[gid.Base()]
-	if !ok {
-		mu = &sync.Mutex{}
-		d.reqSerial[gid.Base()] = mu
+	d.queueLocked(e)
+	d.driveLocked()
+	for !e.done {
+		d.wake.Wait()
 	}
-	return mu
+	return e
 }
 
-// coordinatorCall routes a GBCAST request to the group's acting coordinator and
-// waits for its ptGbDone answer. A failed try (the coordinator may have failed)
-// is tried again at the next scan tick, four tries in all; a refusal
-// (errNotCoordinator) is re-resolved at every tick for one CallTimeout, not
-// counted; ErrNonPrimary is final, as a wedged partition stays so until the
-// merge. The request carries a stable id minted once here: when a coordinator
-// dies after committing but before answering, the re-submission reaches the
-// successor with the same id and is answered from the commit record instead of
-// being executed twice.
-//
-// Submissions are serialized per group: a daemon has at most one GBCAST
-// request for a given group in flight at a time, and ids are minted under
-// the same lock, so a requester's commits happen in request-id order — the
-// property the per-requester high-water dedupe (requestMarks) rests on.
-func (d *Daemon) coordinatorCall(gid addr.Address, req *gbPacket) (*gbPacket, error) {
-	mu := d.groupReqMu(gid)
-	mu.Lock()
-	defer mu.Unlock()
-	if req.reqID == 0 {
-		req.reqID = d.newReqID()
-	}
-	d.noteRequest(req.reqID, gid, reqPending)
-	d.mu.Lock()
-	refusals := d.deadlineLocked(d.cfg.CallTimeout) // the tick that starts counting refusals as tries
-	d.mu.Unlock()
-	resp, err := d.askCoordinator(gid, req)
-	for tries := 1; err != nil && tries < 4 && !errors.Is(err, ErrNonPrimary); {
-		refused := errors.Is(err, errNotCoordinator)
-		tick, werr := d.nextTick()
-		if werr != nil {
-			err = werr
-			break
-		}
-		tries += int(bit(!refused || tick >= refusals))
-		resp, err = d.askCoordinator(gid, req)
-	}
-	if err != nil {
-		d.noteRequest(req.reqID, gid, reqGaveUp)
-		return nil, err
-	}
-	d.noteRequest(req.reqID, gid, reqCommitted)
-	return resp, nil
+// requestRemovalLocked files a failure removal; a forced one runs the full
+// flush even if the members are gone, finishing a dead coordinator's protocol.
+func (d *Daemon) requestRemovalLocked(gid addr.Address, procs []addr.Address, force bool) {
+	d.queueLocked(&request{gbPacket: gbPacket{kind: gbFail, group: gid, procs: procs, force: force}})
 }
 
-// askCoordinator is one try of coordinatorCall; a failed call drops the cached
-// view, so the next try looks the group up again.
-func (d *Daemon) askCoordinator(gid addr.Address, req *gbPacket) (*gbPacket, error) {
-	view, ok := d.CurrentView(gid)
-	if !ok || view.Size() == 0 {
-		v, err := d.RefreshGroupView(gid)
-		if err != nil {
-			return nil, err
-		}
-		view = v
+// queueLocked queues a request, minting its id (not a rejoin's purge's, an
+// idempotent leave that may not run), or ends it on a closed daemon.
+func (d *Daemon) queueLocked(e *request) {
+	e.group = e.group.Base()
+	if e.reqID == 0 && (e.rejoin == nil || e.kind == gbJoin) {
+		e.reqID = d.newReqIDLocked()
 	}
-	d.mu.Lock()
+	if d.closed {
+		d.endLocked(e.group, e, nil, ErrClosed)
+		return
+	}
+	d.noteRequestLocked(e.reqID, e.group, reqPending)
+	d.requests[e.group] = append(d.requests[e.group], e)
+}
+
+// driveLocked moves every queue's head as far as it goes: a try answered or
+// ended is taken up, and the next starts once due. It runs at the tail of each
+// hold that may answer, end or file a request (handleTransport's, the scan
+// tick's, the failure handler's, the filing one's), so what the hold decided
+// is final: a site it suspects is not asked, and no try runs inside a round or
+// a commit.
+func (d *Daemon) driveLocked() {
+	for moved := true; moved && !d.closed; {
+		moved = false
+		for gid, q := range d.requests {
+			if len(q) == 0 {
+				continue
+			}
+			switch e := q[0]; {
+			case e.answered:
+				e.answered = false
+				d.tookLocked(gid, e)
+			case e.call != 0 || d.tick < e.deadline:
+				continue
+			default:
+				d.tryLocked(gid, e)
+			}
+			moved = true
+		}
+	}
+}
+
+// tryLocked starts a head's try. A request this site makes of itself goes to
+// the handler a peer's goes to, and is answered as a peer's is (answerLocked).
+func (d *Daemon) tryLocked(gid addr.Address, e *request) {
+	if e.tries == 0 {
+		e.tries, e.refusals = 1, d.deadlineLocked(d.cfg.CallTimeout)
+	}
+	view := d.remoteViews[gid]
+	if gs := d.groups[gid]; gs != nil {
+		view = gs.view
+	}
+	if r := e.rejoin; r != nil {
+		if lp := d.procs[e.procs[0]]; r.err == nil && (lp == nil || !lp.alive) {
+			r.err = ErrDeadProcess
+		}
+		if r.err != nil || e.kind == gbLeave && view.Size() > 0 && !view.Contains(e.procs[0]) {
+			d.endLocked(gid, e, nil, r.err) // a purge not needed, or a rejoin failed
+			return
+		}
+	}
+	if view.Size() == 0 {
+		e.call = d.newCallLocked(0, ptLookupResp, e)
+		if e.asked = d.broadcastLookup(e.call, gid, ""); e.asked == 0 {
+			d.endCallsLocked(ErrUnknownGroup, func(c *pendingCall) bool { return c.val == e })
+		}
+		return
+	}
 	coord := d.actingCoordinator(view)
-	d.mu.Unlock()
-	if coord.IsNil() {
-		return nil, ErrGroupVanished
+	e.call, e.site = d.newCallLocked(coord.Site, ptGbDone, e), coord.Site
+	var raw []byte
+	err := ErrGroupVanished
+	switch {
+	case coord.IsNil():
+	case coord.Site == d.site:
+		err = nil
+		d.handleGbRequestLocked(d.site, &e.gbPacket)
+	default:
+		if raw, err = e.encode(ptGbRequest); err == nil {
+			err = d.sendRaw(coord.Site, raw)
+		}
 	}
-	resp, err := d.call(coord.Site, *req)
 	if err != nil {
-		d.mu.Lock()
-		delete(d.remoteViews, gid.Base())
-		d.mu.Unlock()
+		d.endCallsLocked(err, func(c *pendingCall) bool { return c.val == e })
 	}
-	return resp, err
 }
 
-// requestRemoval initiates removal of members (voluntarily or by failure)
-// from a group. It is asynchronous; the resulting view change propagates
-// through the normal GBCAST path. A forced removal runs the full
-// wedge/flush even when the members are already gone from the view — the
-// takeover path uses it to finish a dead coordinator's partially completed
-// protocol.
-func (d *Daemon) requestRemoval(gid addr.Address, procs []addr.Address, kind int64, force bool) {
-	go d.coordinatorCall(gid, &gbPacket{kind: kind, group: gid.Base(), procs: procs, force: force})
+// fileLocked files a try's answer or end. A lookup's answer that knows the
+// group is cached, for the try to go on by; the last that does not fails it.
+func (e *request) fileLocked(d *Daemon, call int64, a answer) {
+	if l := a.look; l != nil && l.view.Group.IsNil() {
+		if e.asked--; e.asked > 0 {
+			return
+		}
+		a.err = ErrUnknownGroup
+	} else if l != nil {
+		d.cacheRemoteViewLocked(l.view)
+	}
+	delete(d.calls, call)
+	e.resp, e.err, e.answered = a.gb, a.err, true
+}
+
+// tookLocked takes up the end of a head's try.
+func (d *Daemon) tookLocked(gid addr.Address, e *request) {
+	e.call, e.site = 0, 0
+	switch {
+	case e.err == nil && e.resp == nil: // the lookup found the view to ask by
+	case e.err == nil:
+		d.endLocked(gid, e, e.resp, nil)
+	case e.tries >= 4 || errors.Is(e.err, ErrNonPrimary):
+		delete(d.remoteViews, gid)
+		d.endLocked(gid, e, nil, e.err)
+	default:
+		delete(d.remoteViews, gid)
+		e.tries += int(bit(!errors.Is(e.err, errNotCoordinator) || d.tick+1 >= e.refusals))
+		e.deadline = d.tick + 1
+	}
+}
+
+// endLocked ends a request, the head taken off its queue: its outcome noted,
+// a failed join's receiver forgotten, a rejoin's end taken up, its caller woken.
+func (d *Daemon) endLocked(gid addr.Address, e *request, resp *gbPacket, err error) {
+	if q := d.requests[gid]; len(q) > 0 && q[0] == e {
+		d.requests[gid] = q[:copy(q, q[1:])] // an empty queue keeps its array
+	}
+	d.noteRequestLocked(e.reqID, gid, reqCommitted+reqState(bit(err != nil))) // or reqGaveUp
+	if err != nil && e.kind == gbJoin {
+		delete(d.pendingJoin, joinKey{gid, e.procs[0]})
+	}
+	if e.rejoin != nil {
+		d.rejoinedLocked(gid, e, err)
+	}
+	e.resp, e.err, e.done = resp, err, true
+	d.wake.Broadcast()
 }
 
 // dropGroupLocked forgets a group this site no longer hosts, and with the copy

@@ -25,13 +25,10 @@ const (
 	// phaseNonPrimary: stranded in a minority partition, read-only. Writes
 	// are refused at once; what arrives is still delivered.
 	phaseNonPrimary
-	// phaseMerging: non-primary, with the copy's one merge attempt running.
-	// A resume notice can end the phase while the attempt's goroutine is
-	// still out surveying, so attempts are numbered (groupState.mergeAttempt)
-	// and one that is no longer the copy's latest feeds it no more inputs.
+	// phaseMerging: non-primary, with the copy's one merge attempt surveying
+	// the sites (groupState.survey), which ends with the phase.
 	phaseMerging
-	// phaseDropped: this site no longer hosts the copy. Terminal: a goroutine
-	// still holding the pointer (a merge) can do it no harm.
+	// phaseDropped: this site no longer hosts the copy. Terminal.
 	phaseDropped
 	numPhases
 )
@@ -66,7 +63,7 @@ const (
 	fxEndFlush                           // publish FlushComplete, release what the flush parked, wake blocked senders
 	fxPrimaryLost                        // publish PartitionWedge and PrimaryLost
 	fxPrimaryResumed                     // publish PrimaryResumed
-	fxMergeStart                         // publish MergeStart, number the attempt
+	fxMergeStart                         // publish MergeStart
 )
 
 // next is the lifecycle: the phase a copy moves to on an input, and what the
@@ -129,8 +126,8 @@ type heldPacket struct {
 
 // step feeds one input to a group copy's lifecycle and performs the effects
 // of the transition, all of them before it returns: what an ending flush had
-// parked has been taken up again by then. It is the only writer of
-// groupState.phase. Caller holds d.mu.
+// parked has been taken up again by then, and a survey of a phase that ended
+// has ended. It is the only writer of groupState.phase. Caller holds d.mu.
 func (d *Daemon) step(gs *groupState, in input) {
 	to, fx := next(gs.phase, in)
 	gs.phase = to
@@ -158,8 +155,12 @@ func (d *Daemon) step(gs *groupState, in input) {
 		d.notifyPrimary(gid, true)
 	}
 	if fx&fxMergeStart != 0 {
-		gs.mergeAttempt++
 		d.bus.Publish(events.Event{Kind: events.MergeStart, Group: gid, View: gs.view.ID})
+	}
+	if sv := gs.survey; sv != nil && to != phaseMerging {
+		gs.survey, sv.done = nil, true // a resume notice ended the phase, and the attempt
+		delete(d.calls, sv.call)
+		d.wake.Broadcast()
 	}
 	if fx&fxEndFlush != 0 {
 		d.refeedLocked(gs)

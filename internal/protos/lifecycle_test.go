@@ -218,10 +218,9 @@ func TestPhaseHasOneWriter(t *testing.T) {
 // whatever they decide they send, deliver and publish before any other step
 // runs; everything a packet is dispatched to is handed the lock, and nothing
 // that is handed the lock gives it up or waits out a flush; a call's answer is
-// read in one place; the send path, the lifecycle and the GBCAST rounds start
-// no goroutine (a commit may start a merge or a rejoin); and what a flush
-// parked is taken up again by the transition that ends the flush, nowhere
-// else.
+// read in one place; the send path, the lifecycle, the GBCAST rounds, the
+// requests and the merge start no goroutine; and what a flush parked is taken
+// up again by the transition that ends the flush, nowhere else.
 func TestOneLockHoldPerStep(t *testing.T) {
 	fset, files := parsePackage(t)
 	// muCall reports whether n is the call d.mu.<method>().
@@ -277,11 +276,9 @@ func TestOneLockHoldPerStep(t *testing.T) {
 		return names
 	}
 
-	// The send path, the lifecycle and the GBCAST rounds start no goroutine:
-	// a commit applied here may start a merge or a wrongly removed member's
-	// rejoin (applyGbCommitLocked), and nothing else.
-	noGo := []string{"mcast.go", "lifecycle.go", "gbcast.go"}
-	spawns := map[string]string{"mergeGroup": "applyGbCommitLocked", "rejoinOrPark": "applyGbCommitLocked"}
+	// The send path, the lifecycle, the GBCAST rounds, the requests and the
+	// merge start no goroutine: each is a value a step moves.
+	noGo := []string{"mcast.go", "lifecycle.go", "gbcast.go", "groups.go", "merge.go"}
 	funcs := make(map[string]*ast.FuncDecl)
 	for name, f := range files {
 		for _, decl := range f.Decls {
@@ -292,19 +289,13 @@ func TestOneLockHoldPerStep(t *testing.T) {
 			funcs[fn.Name.Name] = fn
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok && slices.Contains(noGo, name) {
-					callee := ""
-					if sel, ok := g.Call.Fun.(*ast.SelectorExpr); ok {
-						callee = sel.Sel.Name
-					}
-					if spawns[callee] != fn.Name.Name {
-						t.Errorf("%s: %s starts a goroutine; the send path, the lifecycle and the GBCAST rounds start none", fset.Position(g.Pos()), fn.Name.Name)
-					}
+					t.Errorf("%s: %s starts a goroutine; the send path, the lifecycle, the GBCAST rounds, the requests and the merge start none", fset.Position(g.Pos()), fn.Name.Name)
 				}
 				return true
 			})
-			// A call's answer is read by await alone: elsewhere the only channels
-			// received from are the scan loop's stop signal and ticker, and New's
-			// start gate.
+			// A call's answer, a request's end and a merge attempt's end are
+			// read by an await alone: elsewhere the only channels received from
+			// are the scan loop's stop signal and ticker, and New's start gate.
 			receives := map[string]string{"d.stopScan": "runScan", "t.C": "runScan", "whole": "New"}
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW && fn.Name.Name != "await" {
@@ -334,10 +325,10 @@ func TestOneLockHoldPerStep(t *testing.T) {
 
 	// handleTransport holds d.mu once for every packet, by defer, and
 	// dispatches only to handlers that are handed the lock: one a packet type,
-	// and respondLocked for every answer.
+	// and respondLocked for every answer; then it moves the requests on.
 	handlers := daemonCalls(funcs["handleTransport"])
 	if want := []string{"deliverReplyLocked", "handleDataLocked", "handleGbRequestLocked", "handleGbPrepareLocked",
-		"handleGbAckLocked", "applyGbCommitLocked", "handleLookupLocked", "handleStateBlockLocked", "respondLocked"}; !slices.Equal(handlers, want) {
+		"handleGbAckLocked", "applyGbCommitLocked", "handleLookupLocked", "handleStateBlockLocked", "respondLocked", "driveLocked"}; !slices.Equal(handlers, want) {
 		t.Fatalf("handleTransport dispatches to %v, want %v", handlers, want)
 	}
 	for _, name := range handlers {

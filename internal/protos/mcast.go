@@ -113,9 +113,8 @@ func (d *Daemon) MulticastRequest(sender addr.Address, proto Protocol, dests add
 // It returns the stable request id minted for the call — even on error, so
 // the caller can later query the request's outcome.
 func (d *Daemon) sendUserGbcast(sender, gid addr.Address, entry addr.EntryID, payload *msg.Message) (int64, error) {
-	req := &gbPacket{kind: gbUser, group: gid, sender: sender.Base(), entry: entry, payload: payload}
-	_, err := d.coordinatorCall(gid, req)
-	return req.reqID, err
+	e := d.ask(gbPacket{kind: gbUser, group: gid, sender: sender.Base(), entry: entry, payload: payload})
+	return e.reqID, e.err
 }
 
 // sendPointToPoint delivers a message directly to a list of processes: a cast
@@ -482,7 +481,7 @@ func (d *Daemon) resubmitLocked(gs *groupState) {
 }
 
 // runScan ticks the daemon's one clock: every deadline is a count of its ticks
-// (deadlineLocked), and every retry waits for the next one (nextTick).
+// (deadlineLocked), and every retry waits for the next one.
 func (d *Daemon) runScan() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.scanInterval)
@@ -504,8 +503,8 @@ func (d *Daemon) deadlineLocked(dur time.Duration) uint64 {
 	return d.tick + uint64((dur+d.scanInterval-1)/d.scanInterval) + 1
 }
 
-// nextTick is how a retry waits: for the scan tick after the current one,
-// whose count it returns, or for Close (ErrClosed).
+// nextTick is how a relay's retry waits: for the scan tick after the current
+// one, whose count it returns, or for Close (ErrClosed).
 func (d *Daemon) nextTick() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -520,10 +519,11 @@ func (d *Daemon) nextTick() (uint64, error) {
 
 // scanTick is one tick of runScan: it counts the tick and wakes what waits for
 // it, ends the calls whose deadline has come, feeds inWatchdog to a copy whose
-// flush has been open to flushDeadline, runs each copy's GBCAST round on, and
-// has the transport forget a suspected site that no copy's view lists: what
-// waits for its ack never gets one, and resending it is all a dead site would
-// cost.
+// flush has been open to flushDeadline, runs each copy's GBCAST round on,
+// files the retry of each parked member that has none in flight, moves the
+// requests on, and has the transport forget a suspected site that no copy's
+// view lists: what waits for its ack never gets one, and resending it is all a
+// dead site would cost.
 func (d *Daemon) scanTick() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -548,6 +548,8 @@ func (d *Daemon) scanTick() {
 		}
 		d.runRoundsLocked(gs)
 	}
+	d.retryParkedLocked()
+	d.driveLocked()
 }
 
 // ---------------------------------------------------------------------------

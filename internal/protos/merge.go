@@ -11,6 +11,8 @@ package protos
 // join + state-transfer machinery — no process restart, no lost addresses.
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -42,173 +44,192 @@ func (d *Daemon) notifyPrimary(gid addr.Address, primary bool) {
 }
 
 // MergeGroup merges this site's non-primary copy of a group back into the
-// primary partition. The daemon does so by itself when the failure detector
-// observes the partition healing; an application may ask earlier. Merging a
-// group that is not in non-primary mode is a no-op.
+// primary partition and waits for the attempt's end; the daemon starts one by
+// itself on a healing partition. At a copy not non-primary it is a no-op.
 func (d *Daemon) MergeGroup(gid addr.Address) error {
-	return d.mergeGroup(gid.Base())
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sv := d.mergeLocked(d.groups[gid.Base()])
+	d.driveLocked()
+	for sv != nil && !sv.done {
+		d.wake.Wait()
+	}
+	if sv == nil {
+		return nil
+	}
+	return sv.err
 }
 
-// mergeNonPrimaryGroups starts a merge attempt for every group copy stranded
-// in non-primary mode. Called on failure-detector recovery events.
-func (d *Daemon) mergeNonPrimaryGroups() {
-	d.mu.Lock()
-	var gids []addr.Address
-	for gid, gs := range d.groups {
-		if gs.phase == phaseNonPrimary {
-			gids = append(gids, gid)
-		}
-	}
-	d.mu.Unlock()
-	for _, gid := range gids {
-		go func() { _ = d.mergeGroup(gid) }()
-	}
+// survey is a merge attempt: its poll of the sites for the group, on the copy
+// while it is merging, then the rejoins it files. A wedged copy answers
+// primary=0, so a minority cannot masquerade as the primary.
+type survey struct {
+	gs      *groupState
+	call    int64                     // the lookup's, which ends at its tick deadline
+	asked   int                       // the sites asked that have not answered
+	primary *core.View                // a primary copy's view, once one answered
+	wedged  map[addr.SiteID]core.View // the wedged copies' views, by site
+	rejoins int                       // the rejoins filed that have not ended
+	err     error                     // why the attempt failed
+	done    bool                      // the attempt has ended (d.wake is broadcast)
 }
 
-// mergeGroup runs the merge protocol for one group: find the primary
-// partition's current view, and either resume in place (the primary never
-// moved past the view this copy already holds, so nothing diverged) or
-// discard the local copy and rejoin every live local member with a state
-// transfer.
-func (d *Daemon) mergeGroup(gid addr.Address) error {
-	d.mu.Lock()
-	gs, ok := d.groups[gid]
-	if !ok || gs.phase != phaseNonPrimary || d.closed {
-		// Primary, or this copy's one merge attempt is already running.
-		d.mu.Unlock()
+// mergeLocked starts a merge attempt at a non-primary copy, and returns it (nil
+// at any other). Caller holds d.mu.
+func (d *Daemon) mergeLocked(gs *groupState) *survey {
+	if gs == nil || gs.phase != phaseNonPrimary || d.closed {
 		return nil
 	}
 	d.step(gs, inMergeStart)
-	attempt := gs.mergeAttempt
-	staleView := gs.view.Clone()
-	d.mu.Unlock()
-	defer func() {
-		// An attempt that neither resumed the copy nor discarded it leaves it
-		// non-primary for the next recovery event; after either, the input
-		// changes nothing. One the copy has outlived (see below) must not
-		// abandon its successor's merge.
-		d.mu.Lock()
-		if gs.mergeAttempt == attempt {
-			d.step(gs, inMergeAbandon)
-		}
-		d.mu.Unlock()
-	}()
+	sv := &survey{gs: gs, wedged: make(map[addr.SiteID]core.View)}
+	gs.survey, sv.call = sv, d.newCallLocked(0, ptLookupResp, sv)
+	if sv.asked = d.broadcastLookup(sv.call, gs.view.Group, gs.view.Name); sv.asked == 0 {
+		sv.err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
+		d.decideLocked(sv)
+	}
+	return sv
+}
 
-	sv, err := d.surveyGroup(gid, staleView.Name)
-	if err != nil {
-		return err
+// fileLocked files a site's answer to the survey, or its end: a primary's
+// answer, the last and the deadline decide it. Caller holds d.mu.
+func (sv *survey) fileLocked(d *Daemon, _ int64, a answer) {
+	switch l := a.look; {
+	case errors.Is(a.err, ErrClosed):
+		sv.err = a.err
+	case a.err != nil:
+	case l.primary:
+		sv.primary = &l.view
+	case l.site != 0 && !l.view.Group.IsNil():
+		sv.wedged[l.site] = l.view
 	}
-	if sv.primary == nil {
-		// No partition anywhere holds a primary copy (e.g. a three-way
-		// split wedged every side). If the reachable wedged copies agree,
-		// resume the last agreed view in place.
-		return d.resumeWedged(gid, staleView, sv.wedged)
+	if sv.asked--; sv.asked <= 0 || a.err != nil || sv.primary != nil {
+		d.decideLocked(sv)
 	}
-	primView := *sv.primary
+}
 
-	d.mu.Lock()
-	if gs.phase != phaseMerging || gs.mergeAttempt != attempt {
-		// A gbResume notice resumed the copy while the survey ran. If it has
-		// gone non-primary again since, a later attempt owns it now; this
-		// one's view of it is stale either way.
-		d.mu.Unlock()
-		return nil
-	}
-	if primView.ID == staleView.ID {
-		// The partition healed before the primary handled any failure: both
-		// sides still hold the same agreed view, nothing was committed past
-		// it here (writes were refused), and anything committed there is
-		// retransmitted by the reliable transport. Resume in place.
+// decideLocked ends the survey and decides the attempt. With no primary copy
+// anywhere the wedged copies may resume in place (resumeWedgedLocked); with the
+// primary still at this copy's view, nothing diverged and the copy resumes in
+// place. Otherwise the copy is discarded and each live local member rejoins,
+// with a state transfer that replaces the speculative state. An attempt that
+// does neither leaves the copy non-primary. Caller holds d.mu.
+func (d *Daemon) decideLocked(sv *survey) {
+	gs := sv.gs
+	gs.survey = nil
+	delete(d.calls, sv.call)
+	switch p := sv.primary; {
+	case sv.err != nil:
+	case p == nil:
+		sv.err = d.resumeWedgedLocked(gs, sv.wedged)
+	case p.ID == gs.view.ID:
 		d.step(gs, inMergeResume)
-		d.mu.Unlock()
-		return nil
-	}
-
-	// Full merge: snapshot the live local members and their state
-	// receivers, discard the stale group copy wholesale, and rejoin each
-	// member from scratch. The join commit rebuilds the member state with
-	// fresh ordering queues, and the state transfer replaces the
-	// application's speculative state with the primary's.
-	type rejoin struct {
-		proc      addr.Address
-		recv      func(block []byte, last bool)
-		inPrimary bool
-	}
-	var rejoins []rejoin
-	for a, ms := range gs.members {
-		if !ms.proc.alive {
-			continue
+	default:
+		gid := gs.view.Group
+		d.dropGroupLocked(gid, inDrop)
+		d.remoteViews[gid] = p.Clone()
+		if p.Name != "" {
+			d.nameCache[p.Name] = gid
 		}
-		rejoins = append(rejoins, rejoin{a, ms.stateRecv, primView.Contains(a)})
-	}
-	d.dropGroupLocked(gid, inDrop)
-	d.remoteViews[gid] = primView.Clone()
-	if primView.Name != "" {
-		d.nameCache[primView.Name] = gid
-	}
-	d.mu.Unlock()
-
-	var firstErr error
-	for _, r := range rejoins {
-		if err := d.rejoinOrPark(gid, r.proc, r.recv, r.inPrimary); err != nil && firstErr == nil {
-			firstErr = err
+		for a, ms := range gs.members {
+			if ms.proc.alive {
+				sv.rejoins++
+				d.rejoinLocked(gid, a, &rejoin{recv: ms.stateRecv, merge: sv})
+			}
+		}
+		if sv.rejoins > 0 {
+			return
 		}
 	}
-	if firstErr == nil {
-		d.bus.Publish(events.Event{Kind: events.MergeLand, Group: gid, View: primView.ID})
+	d.landLocked(sv)
+}
+
+// landLocked ends an attempt whose rejoins have ended. Caller holds d.mu.
+func (d *Daemon) landLocked(sv *survey) {
+	if gid := sv.gs.view.Group; sv.gs.phase == phaseDropped && sv.err == nil {
+		d.bus.Publish(events.Event{Kind: events.MergeLand, Group: gid, View: sv.primary.ID})
 		d.notifyPrimary(gid, true)
 	}
-	return firstErr
+	d.step(sv.gs, inMergeAbandon)
+	sv.done = true
+	d.wake.Broadcast()
 }
 
-// rejoinMember runs the rejoin protocol for one member of a discarded group
-// copy: when the primary still lists the member (the partition healed before
-// the removal committed) the stale entry is purged first, so the rejoin runs
-// the full join protocol — rebuilding the member's ordering state everywhere
-// — instead of no-opping against the existing membership.
-func (d *Daemon) rejoinMember(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
-	if listed {
-		if err := d.Leave(proc, gid); err != nil {
-			return fmt.Errorf("protos: merge purge of %v: %w", proc, err)
+// rejoin is a live member's rejoin of a group whose copy here is gone (a merge
+// discarded it, or a failure view wrongly removed the member): a purge, the
+// leave run if the view its try resolves still lists the member, so the join
+// rebuilds its ordering state instead of no-opping; then the join, with a
+// state transfer to recv. A failed rejoin parks the member (d.parked).
+type rejoin struct {
+	recv  func(block []byte, last bool)
+	merge *survey // the merge attempt that filed it, until it ends
+	busy  bool    // its entries are filed and have not ended
+	err   error   // why the purge failed, which ends the join at once
+}
+
+// rejoinLocked files a member's rejoin. Caller holds d.mu.
+func (d *Daemon) rejoinLocked(gid, proc addr.Address, r *rejoin) {
+	r.busy, r.err = true, nil
+	d.queueLocked(&request{gbPacket: gbPacket{kind: gbLeave, group: gid, procs: addr.List{proc}}, rejoin: r})
+	d.queueLocked(&request{gbPacket: gbPacket{kind: gbJoin, group: gid, procs: addr.List{proc}, wantState: r.recv != nil}, rejoin: r})
+}
+
+// rejoinedLocked takes up the end of a rejoin's entry: a purge's registers the
+// receiver or fails the join. A failed rejoin parks the member unless it is
+// parked (single-flight); a parked member's retry that succeeds unparks it and,
+// in the same hold, reports the merge whole if no other member of the group is
+// parked. Caller holds d.mu.
+func (d *Daemon) rejoinedLocked(gid addr.Address, e *request, err error) {
+	r, k := e.rejoin, joinKey{gid, e.procs[0]}
+	if e.kind == gbLeave {
+		switch {
+		case err != nil:
+			r.err = fmt.Errorf("protos: merge purge of %v: %w", k.joiner, err)
+		case r.recv != nil:
+			d.pendingJoin[k] = r.recv
+		}
+		return
+	}
+	if err != nil && r.err == nil {
+		err = fmt.Errorf("protos: merge rejoin of %v: %w", k.joiner, err)
+	}
+	m, parked := r.merge, d.parked[k] == r
+	r.busy, r.merge = false, nil
+	switch {
+	case err == nil && parked:
+		delete(d.parked, k)
+		if !slices.ContainsFunc(slices.Collect(maps.Keys(d.parked)), func(o joinKey) bool { return o.gid == gid }) {
+			d.notifyPrimary(gid, true) // withheld by the merge while the rejoin failed
+		}
+	case err != nil && !parked:
+		d.bus.Publish(events.Event{Kind: events.MergePark, Group: gid, Detail: k.joiner.String()})
+		if d.parked[k] == nil {
+			d.parked[k] = r
 		}
 	}
-	if _, err := d.Join(proc, gid, JoinOptions{WantState: recv != nil, StateReceiver: recv}); err != nil {
-		return fmt.Errorf("protos: merge rejoin of %v: %w", proc, err)
+	if m != nil {
+		m.err = cmp.Or(m.err, err)
+		if m.rejoins--; m.rejoins == 0 {
+			d.landLocked(m)
+		}
 	}
-	return nil
 }
 
-// rejoinOrPark rejoins one member and, if the rejoin fails, parks it at once:
-// the local copy is gone (a merge discarded it, or a failure view wrongly
-// removed the member), so without parking this live process would stay
-// unhosted until an application-level intervention. A member parked anew gets
-// one goroutine, which retries the rejoin at every scan tick until it is done
-// or moot, or the daemon closes; whichever ends it unparks the member in the
-// hold that decides it.
-func (d *Daemon) rejoinOrPark(gid, proc addr.Address, recv func(block []byte, last bool), listed bool) error {
-	err := d.rejoinMember(gid, proc, recv, listed)
-	if err == nil {
-		return nil
-	}
-	k := joinKey{gid.Base(), proc.Base()}
-	d.bus.Publish(events.Event{Kind: events.MergePark, Group: k.gid, Detail: k.joiner.String()})
-	d.mu.Lock()
-	filed := d.parked[k]
-	d.parked[k] = true
-	d.mu.Unlock()
-	if !filed {
-		go func() {
-			for _, err := d.nextTick(); err == nil; _, err = d.nextTick() {
-				if d.retryRejoin(k, recv) {
-					return
-				}
-			}
-			d.mu.Lock() // Close ended the loop
+// retryParkedLocked files a retry for each parked member with none in flight,
+// which looks the view up afresh (the removal pending at park time may have
+// committed), or unparks one that died or is hosted again. Caller holds d.mu.
+func (d *Daemon) retryParkedLocked() {
+	for k, r := range d.parked {
+		if r.busy {
+			continue
+		}
+		d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: k.gid, Detail: k.joiner.String()})
+		if lp, gs := d.procs[k.joiner], d.groups[k.gid]; lp == nil || !lp.alive || gs != nil && gs.members[k.joiner] != nil {
 			delete(d.parked, k)
-			d.mu.Unlock()
-		}()
+			continue
+		}
+		delete(d.remoteViews, k.gid)
+		d.rejoinLocked(k.gid, k.joiner, r)
 	}
-	return err
 }
 
 // PendingMerges returns the groups with members parked after a failed merge
@@ -225,149 +246,38 @@ func (d *Daemon) PendingMerges() []addr.Address {
 	return gids
 }
 
-// retryRejoin is one retry of a parked rejoin. It reports whether the member
-// left the parked set — rejoined, already hosted, or moot — and unparks it
-// then.
-func (d *Daemon) retryRejoin(k joinKey, recv func(block []byte, last bool)) (done bool) {
-	gid, proc := k.gid, k.joiner
-	d.bus.Publish(events.Event{Kind: events.MergeRetry, Group: gid, Detail: proc.String()})
-	d.mu.Lock()
-	if lp, ok := d.procs[proc]; !ok || !lp.alive {
-		// The process died while parked; its membership died with it.
-		delete(d.parked, k)
-		d.mu.Unlock()
-		return true
-	}
-	if gs, ok := d.groups[gid]; ok {
-		if _, member := gs.members[proc]; member {
-			// Hosted again — an earlier retry or an application-level join
-			// got there first.
-			delete(d.parked, k)
-			d.mu.Unlock()
-			return true
+// resumeWedgedLocked handles total wedge: no partition anywhere retained half
+// of the last agreed view (a multi-way split), so every copy is non-primary
+// and there is no primary to merge into. Nothing can have committed past that
+// view then, so if the reachable wedged copies all still hold it and together
+// cover at least half of its members, the group may resume in place. The site
+// hosting the oldest reachable member is the one initiator: it clears the
+// reachable copies with a gbResume notice, then files a corroborated removal of
+// the members still unreachable (the flush's corroboration protects any that
+// turn out to be alive). Caller holds d.mu.
+func (d *Daemon) resumeWedgedLocked(gs *groupState, wedged map[addr.SiteID]core.View) error {
+	v, reachable := gs.view, map[addr.SiteID]bool{d.site: true}
+	for s, w := range wedged {
+		if w.ID != v.ID {
+			return fmt.Errorf("%w: wedged copies disagree (view %d vs %d); waiting for a primary", ErrNonPrimary, w.ID, v.ID)
 		}
-	}
-	d.mu.Unlock()
-
-	// The membership listing must be re-evaluated against the primary's
-	// current view: the removal that was pending at park time may have
-	// committed (or not) since.
-	view, err := d.RefreshGroupView(gid)
-	if err != nil {
-		return false
-	}
-	if err := d.rejoinMember(gid, proc, recv, view.Contains(proc)); err != nil {
-		return false
-	}
-	// Unpark and look for the group's other parked members in one hold: two
-	// of them rejoining together must not each find the other still parked.
-	d.mu.Lock()
-	delete(d.parked, k)
-	last := true
-	for o := range d.parked {
-		last = last && o.gid != gid
-	}
-	d.mu.Unlock()
-	if last {
-		// The group's merge is finally whole: deliver the primary-status
-		// transition the original merge withheld while rejoins failed.
-		d.notifyPrimary(gid, true)
-	}
-	return true
-}
-
-// groupSurvey is the outcome of polling every attached site for a group: a
-// primary copy's view if any site holds one, and the views of the wedged
-// (non-primary) copies that answered, by site.
-type groupSurvey struct {
-	primary *core.View
-	wedged  map[addr.SiteID]core.View
-}
-
-// surveyGroup polls every attached site for its copy of a group. It returns
-// as soon as a primary copy answers; otherwise it collects the wedged
-// copies' views until every queried site has answered or the call times
-// out. Answers from fellow minority sites report primary=0, so a minority
-// cannot masquerade as the primary.
-func (d *Daemon) surveyGroup(gid addr.Address, name string) (groupSurvey, error) {
-	sv := groupSurvey{wedged: make(map[addr.SiteID]core.View)}
-	asked, err := d.lookupAll(name, gid, func(resp *lookupPacket) bool {
-		switch v := resp.view; {
-		case v.Group.IsNil():
-		case resp.primary:
-			sv.primary = &v
-			return true
-		case resp.site != 0:
-			sv.wedged[resp.site] = v
-		}
-		return false
-	})
-	if asked == 0 {
-		if err == nil {
-			err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
-		}
-		return sv, err
-	}
-	// Partial answers after a timeout: the caller decides whether what
-	// arrived is enough (the resume path requires half the membership).
-	return sv, nil
-}
-
-// resumeWedged handles total wedge: no partition anywhere retained half of
-// the last agreed view (a multi-way split), so every copy is non-primary
-// and there is no primary to merge into. Nothing can have committed past
-// the last agreed view in that state, so if the reachable wedged copies all
-// still hold that same view and together cover at least half of its
-// members, the group is allowed to resume in place. The site hosting the
-// oldest reachable member acts as the single initiator; it clears the
-// reachable copies with a gbResume notice and then asks for a corroborated
-// removal of the members that are still unreachable (the corroboration in
-// the flush protects any that turn out to be alive).
-func (d *Daemon) resumeWedged(gid addr.Address, staleView core.View, wedged map[addr.SiteID]core.View) error {
-	for _, v := range wedged {
-		if v.ID != staleView.ID {
-			return fmt.Errorf("%w: wedged copies disagree (view %d vs %d); waiting for a primary",
-				ErrNonPrimary, v.ID, staleView.ID)
-		}
-	}
-	reachable := map[addr.SiteID]bool{d.site: true}
-	for s := range wedged {
 		reachable[s] = true
 	}
-	votes := 0
-	for _, m := range staleView.Members {
-		if reachable[m.Site] {
-			votes++
-		}
-	}
-	if votes*2 < staleView.Size() {
-		return fmt.Errorf("%w: reachable wedged copies cover only %d of %d members",
-			ErrNonPrimary, votes, staleView.Size())
-	}
-	for _, m := range staleView.Members {
-		if reachable[m.Site] {
-			if m.Site != d.site {
-				// Another reachable site hosts an older member: its own
-				// merge attempt initiates the resume, keeping the initiator
-				// unique.
-				return nil
-			}
-			break
-		}
-	}
-
-	d.mu.Lock()
-	d.commitGbLocked(slices.Collect(maps.Keys(wedged)), &gbPacket{group: gid, kind: gbResume, view: staleView})
-	d.mu.Unlock()
-
 	var unreached []addr.Address
-	for _, m := range staleView.Members {
+	for _, m := range v.Members {
 		if !reachable[m.Site] {
 			unreached = append(unreached, m.Base())
 		}
 	}
+	if 2*len(unreached) > v.Size() {
+		return fmt.Errorf("%w: reachable wedged copies cover only %d of %d members", ErrNonPrimary, v.Size()-len(unreached), v.Size())
+	}
+	if i := slices.IndexFunc(v.Members, func(m addr.Address) bool { return reachable[m.Site] }); v.Members[i].Site != d.site {
+		return nil // another site's attempt initiates the resume, keeping the initiator unique
+	}
+	d.commitGbLocked(slices.Collect(maps.Keys(wedged)), &gbPacket{group: v.Group, kind: gbResume, view: v})
 	if len(unreached) > 0 {
-		d.requestRemoval(gid, unreached, gbFail, false)
+		d.requestRemovalLocked(v.Group, unreached, false)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ package protos
 // itself once a recovery event or scan tick finds the primary again.
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,52 +80,62 @@ func TestMergeRejoinExhaustionParksAndRetries(t *testing.T) {
 	})
 }
 
-// TestParkedRejoinHasOneRetrierThatStopsAtClose parks members at once — their
-// group is hosted nowhere, so every rejoin fails — and watches the parked set.
-// A member parked twice at the same moment gets one retrier: its process is
-// dead, so the first retry finds the parking moot (one MergeRetry) and unparks
-// it. A live member is retried until the daemon closes; then its retrier stops
-// and unparks it too.
+// TestParkedRejoinHasOneRetrierThatStopsAtClose files the rejoins of a dead
+// member, twice, and of 20 live members of a group hosted nowhere, so every
+// rejoin fails and parks its member. A member parked twice at the same moment
+// is retried once: its process is dead, so the first retry finds the parking
+// moot (one MergeRetry) and unparks it. A live member is retried by the scan
+// tick, one rejoin in flight at a time, until the daemon closes; no goroutine
+// is added for any of them, and Close unparks them all.
 func TestParkedRejoinHasOneRetrierThatStopsAtClose(t *testing.T) {
-	tc := newFaultCluster(t, 1, simnet.FastConfig(), time.Second, fdetect.Config{})
+	tc := newFaultCluster(t, 1, simnet.FastConfig(), 40*time.Millisecond, fdetect.Config{})
 	d := tc.daemons[1]
 	gid := addr.NewGroup(9, 0, 1)
-	dead, live := tc.newProc(1), tc.newProc(1)
+	dead := tc.newProc(1)
+	live := make([]addr.Address, 20)
+	for i := range live {
+		live[i] = tc.newProc(1).addr
+	}
 	retries, cancel := d.Events(events.Filter{Kinds: []events.Kind{events.MergeRetry}}, 0)
 	defer cancel()
 	if err := d.KillProcess(dead.addr); err != nil {
 		t.Fatal(err)
 	}
-	// The dead member's two rejoins fail at once (Join refuses a dead
-	// process), well inside the 50 ms scan period its first retry waits out;
-	// the live member's fails after coordinatorCall's four tries.
-	var wg sync.WaitGroup
-	for _, p := range []addr.Address{dead.addr, dead.addr, live.addr} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := d.rejoinOrPark(gid, p, nil, false); err == nil {
-				t.Errorf("%v rejoined a group nobody hosts", p)
-			}
-		}()
+	before := fewestGoroutines()
+	d.mu.Lock()
+	for _, p := range append([]addr.Address{dead.addr, dead.addr}, live...) {
+		d.rejoinLocked(gid, p, &rejoin{})
 	}
-	wg.Wait()
+	d.driveLocked()
+	d.mu.Unlock()
+	parked := func(p addr.Address) bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.parked[joinKey{gid, p}] != nil
+	}
+	waitFor(t, "every live member parked", 10*time.Second, func() bool {
+		return !slices.ContainsFunc(live, func(p addr.Address) bool { return !parked(p) })
+	})
 	if got := d.PendingMerges(); len(got) != 1 || got[0] != gid {
-		t.Fatalf("PendingMerges = %v with the live member parked, want [%v]", got, gid)
+		t.Fatalf("PendingMerges = %v with the live members parked, want [%v]", got, gid)
 	}
-	parked := func(p addr.Address) func() bool {
-		return func() bool {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.parked[joinKey{gid, p}]
-		}
+	waitFor(t, "the dead member's moot parking to end", 5*time.Second, func() bool { return !parked(dead.addr) })
+	if n := fewestGoroutines(); n > before {
+		t.Errorf("%d goroutines with 20 members parked, %d before: the retries run on goroutines", n, before)
 	}
-	waitFor(t, "the dead member's moot parking to end", 5*time.Second, func() bool { return !parked(dead.addr)() })
-	if !parked(live.addr)() {
-		t.Fatal("the live member left the parked set with its rejoin still failing")
+	d.mu.Lock()
+	inFlight := 0
+	for _, e := range d.requests[gid] {
+		inFlight += int(bit(e.kind == gbJoin))
+	}
+	d.mu.Unlock()
+	if inFlight > len(live) {
+		t.Errorf("%d rejoins filed for %d parked members: more than one each", inFlight, len(live))
 	}
 	d.Close()
-	waitFor(t, "the live member's retrier to stop at Close", 5*time.Second, func() bool { return len(d.PendingMerges()) == 0 })
+	if got := d.PendingMerges(); len(got) != 0 {
+		t.Errorf("PendingMerges = %v after Close, want none", got)
+	}
 	n := 0
 	for ev := range retries { // Close closed the stream
 		if ev.Detail == dead.addr.String() {
@@ -133,16 +143,16 @@ func TestParkedRejoinHasOneRetrierThatStopsAtClose(t *testing.T) {
 		}
 	}
 	if n != 1 {
-		t.Errorf("the member parked twice was retried %d times, want once by one retrier", n)
+		t.Errorf("the member parked twice was retried %d times, want once", n)
 	}
 }
 
 // TestParkedMembersRejoiningTogetherReportOnce parks two live members of one
-// group and retries both at once, as two retriers parked at the same moment
-// do on the same tick. Both rejoins succeed; the group's merge is whole once,
-// so exactly one PrimaryResumed is published. Each retry used to look for the
-// group's other parked members before its retrier unparked its own, so two
-// finishing together each found the other and neither reported it.
+// group and has the scan tick retry both. Both rejoins succeed; the group's
+// merge is whole once, so exactly one PrimaryResumed is published. Each retry
+// used to look for the group's other parked members before its retrier
+// unparked its own, so two finishing together each found the other and
+// neither reported it.
 func TestParkedMembersRejoiningTogetherReportOnce(t *testing.T) {
 	tc := newFaultCluster(t, 2, simnet.FastConfig(), time.Second, fdetect.Config{})
 	creator := tc.newProc(1)
@@ -157,23 +167,13 @@ func TestParkedMembersRejoiningTogetherReportOnce(t *testing.T) {
 	defer cancel()
 	d.mu.Lock()
 	for _, p := range members {
-		d.parked[joinKey{gid, p}] = true
+		d.parked[joinKey{gid, p}] = &rejoin{}
 	}
 	d.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for _, p := range members {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !d.retryRejoin(joinKey{gid, p}, nil) {
-				t.Errorf("the retry of %v did not rejoin it", p)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := d.PendingMerges(); len(got) != 0 {
-		t.Fatalf("PendingMerges = %v after both rejoins, want none", got)
+	waitFor(t, "both parked members rejoined", 10*time.Second, func() bool { return len(d.PendingMerges()) == 0 })
+	if v, _ := tc.daemons[1].CurrentView(gid); !v.Contains(members[0]) || !v.Contains(members[1]) {
+		t.Fatalf("the group's view %v lacks a rejoined member", v)
 	}
 	d.Close()
 	n := 0

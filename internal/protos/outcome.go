@@ -46,9 +46,9 @@ var ErrUnknownRequest = errors.New("protos: unknown request id")
 type reqState uint8
 
 const (
-	reqPending   reqState = iota + 1 // coordinatorCall still running
-	reqCommitted                     // the call returned success
-	reqGaveUp                        // the call failed with the outcome unresolved
+	reqPending   reqState = iota + 1 // filed, and not yet ended (groups.go)
+	reqCommitted                     // the request ended answered
+	reqGaveUp                        // the request failed with the outcome unresolved
 	reqAborted                       // a seal round settled the request as aborted
 )
 
@@ -62,13 +62,12 @@ type reqRecord struct {
 // reqLogLimit bounds the requester-side request log.
 const reqLogLimit = 4096
 
-// noteRequest records (or updates) the requester-side state of a request id.
-func (d *Daemon) noteRequest(rid int64, gid addr.Address, st reqState) {
+// noteRequestLocked records (or updates) the requester-side state of a
+// request id. Caller holds d.mu.
+func (d *Daemon) noteRequestLocked(rid int64, gid addr.Address, st reqState) {
 	if rid == 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if prev, ok := d.reqLog.Get(rid); ok {
 		// Committed and aborted are terminal; pending advances to anything;
 		// gave-up advances only to a settled state. A late note must never
@@ -122,34 +121,36 @@ func (d *Daemon) RequestOutcome(rid int64) (Outcome, error) {
 	// Given up. Fast path: this site may host a (primary) copy of the group
 	// with first-hand knowledge of the id.
 	if gs, hosted := d.groups[rec.gid]; hosted && gs.phase.primary() {
-		switch gs.marks.Vote(rid) {
-		case voteCommitted:
-			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqCommitted})
+		if out := d.settleLocked(rid, rec.gid, gs.marks.Vote(rid)); out != OutcomeUnknown {
 			d.mu.Unlock()
-			return OutcomeCommitted, nil
-		case voteAborted:
-			d.reqLog.Put(rid, reqRecord{gid: rec.gid, state: reqAborted})
-			d.mu.Unlock()
-			return OutcomeAborted, nil
+			return out, nil
 		}
 	}
 	d.mu.Unlock()
 
-	// Settle remotely with a gbSeal round.
-	resp, err := d.coordinatorCall(rec.gid, &gbPacket{kind: gbSeal, group: rec.gid, sealTarget: rid})
-	if err != nil {
-		return OutcomeUnknown, err
+	// Settle remotely with a gbSeal round. One answered from a dedupe record (a
+	// re-submission after the first seal round committed) carries no outcome;
+	// the caller can simply ask again — by now the local fast path or a fresh
+	// seal settles.
+	e := d.ask(gbPacket{kind: gbSeal, group: rec.gid, sealTarget: rid})
+	if e.err != nil {
+		return OutcomeUnknown, e.err
 	}
-	switch resp.outcome {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.settleLocked(rid, rec.gid, e.resp.outcome), nil
+}
+
+// settleLocked records what a first-hand vote settles of a request, and
+// returns it. Caller holds d.mu.
+func (d *Daemon) settleLocked(rid int64, gid addr.Address, vote int64) Outcome {
+	switch vote {
 	case voteCommitted:
-		d.noteRequest(rid, rec.gid, reqCommitted)
-		return OutcomeCommitted, nil
+		d.noteRequestLocked(rid, gid, reqCommitted)
+		return OutcomeCommitted
 	case voteAborted:
-		d.noteRequest(rid, rec.gid, reqAborted)
-		return OutcomeAborted, nil
+		d.noteRequestLocked(rid, gid, reqAborted)
+		return OutcomeAborted
 	}
-	// The seal was answered from a dedupe record (a re-submission after the
-	// first seal round committed) and carries no outcome; the caller can
-	// simply ask again — by now the local fast path or a fresh seal settles.
-	return OutcomeUnknown, nil
+	return OutcomeUnknown
 }

@@ -279,7 +279,7 @@ func TestStateBlockIsTheReceiversToWrite(t *testing.T) {
 			for i, j := range joiners {
 				r, scribble := got[i], i == 0
 				j.d.mu.Lock()
-				j.d.pendingJoin[joinKey{gid, j.addr}] = pendingJoin{stateRecv: func(b []byte, last bool) {
+				j.d.pendingJoin[joinKey{gid, j.addr}] = func(b []byte, last bool) {
 					r.Lock()
 					defer r.Unlock()
 					r.blocks, r.done = append(r.blocks, bytes.Clone(b)), last
@@ -289,12 +289,12 @@ func TestStateBlockIsTheReceiversToWrite(t *testing.T) {
 						}
 						_ = append(b, bytes.Repeat([]byte{'Y'}, 64)...) // more than the next record's headers
 					}
-				}}
+				}
 				j.d.mu.Unlock()
 			}
 			joined := make(chan error, 1)
 			go func() {
-				_, err := tc.daemons[3].call(1, gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiners[0].addr, joiners[1].addr}, wantState: true})
+				_, err := askSite(tc.daemons[3], 1, gbPacket{kind: gbJoin, group: gid, procs: addr.List{joiners[0].addr, joiners[1].addr}, wantState: true})
 				joined <- err
 			}()
 			select {

@@ -129,7 +129,7 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	}
 
 	first := int64(77)<<32 | 1
-	if _, err := d1.call(d1.site, mkReq(first, "hw-once")); err != nil {
+	if _, err := askSite(d1, d1.site, mkReq(first, "hw-once")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "first GBCAST delivery", 5*time.Second, func() bool {
@@ -140,13 +140,13 @@ func TestGbDedupeSurvivesLongHistory(t *testing.T) {
 	// history — land in between.
 	for k := 0; k < 300; k++ {
 		id := int64(100+k)<<32 | 1
-		if _, err := d1.call(d1.site, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
+		if _, err := askSite(d1, d1.site, mkReq(id, fmt.Sprintf("filler-%03d", k))); err != nil {
 			t.Fatalf("filler %d: %v", k, err)
 		}
 	}
 
 	// The slow retrier re-submits the committed request.
-	if _, err := d1.call(d1.site, mkReq(first, "hw-once")); err != nil {
+	if _, err := askSite(d1, d1.site, mkReq(first, "hw-once")); err != nil {
 		t.Fatalf("re-submission: %v", err)
 	}
 	time.Sleep(200 * time.Millisecond)
@@ -300,11 +300,13 @@ func TestWriteToNonPrimaryCopyNeverWaitsOnWedge(t *testing.T) {
 }
 
 // TestLifecycleResumeDuringMergeRetiresTheAttempt pins what the merging phase
-// alone cannot say: that a merge goroutine may still be running after the
-// phase has ended. A resume notice reaches a copy whose merge attempt is out
-// surveying; the copy goes non-primary again and a second attempt starts
-// before the first comes back. The first must then leave the copy alone — its
-// abandon would otherwise cancel the second's merge mid-run.
+// alone cannot say: that a merge attempt's survey may still be waiting for
+// answers when the phase ends. A resume notice reaches a copy whose survey is
+// out; the copy goes non-primary again and a second attempt starts. The first
+// survey ends with the phase: its late answer — a primary's, which would drop
+// the copy — finds no call and changes nothing, and the second attempt's
+// survey runs to its own deadline. No goroutine is added while a survey is
+// held.
 func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
 	const callTimeout = time.Second
 	tc := newFaultCluster(t, 3, simnet.FastConfig(), callTimeout, scenarioDetector())
@@ -322,30 +324,59 @@ func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
 		view, _ := d3.CurrentView(gid)
 		d3.handleTransport(1, encoded(t, ptGbCommit, gbPacket{group: gid, kind: kind, view: view}))
 	}
+	merge := func() *survey {
+		d3.mu.Lock()
+		defer d3.mu.Unlock()
+		return d3.mergeLocked(d3.groups[gid])
+	}
 
 	// The partition holds throughout: every survey reaches nobody, lasts
 	// CallTimeout and ends in an abandoned attempt.
 	tc.net.Partition(3, 1)
 	tc.net.Partition(3, 2)
 	waitFor(t, "minority goes non-primary", 10*time.Second, phaseIs(phaseNonPrimary))
+	before := fewestGoroutines()
 
-	firstDone := make(chan struct{})
-	go func() { _ = d3.mergeGroup(gid); close(firstDone) }()
-	waitFor(t, "first attempt surveying", time.Second, phaseIs(phaseMerging))
+	first := merge()
+	if first == nil || !phaseIs(phaseMerging)() {
+		t.Fatal("the first attempt did not start surveying")
+	}
+	if n := fewestGoroutines(); n > before {
+		t.Errorf("%d goroutines while the survey is held, %d before it", n, before)
+	}
 	notice(gbResume)
 	if !phaseIs(phaseNormal)() {
 		t.Fatal("the resume notice did not resume the merging copy")
 	}
-	notice(gbNonPrimary)
-	time.Sleep(callTimeout / 4) // the second attempt outlasts the first by this much
-	go d3.mergeGroup(gid)
-	waitFor(t, "second attempt surveying", time.Second, phaseIs(phaseMerging))
-
-	<-firstDone
-	if !phaseIs(phaseMerging)() {
-		t.Error("the first attempt, back from its survey, ended the second attempt's merging phase")
+	if ended, err := attemptEnd(d3, first); !ended || err != nil {
+		t.Errorf("the attempt the resume notice ended: ended %v, error %v", ended, err)
 	}
-	waitFor(t, "second attempt abandons its own merge", 2*callTimeout, phaseIs(phaseNonPrimary))
+	notice(gbNonPrimary)
+	second := merge()
+	if second == nil || !phaseIs(phaseMerging)() {
+		t.Fatal("the second attempt did not start surveying")
+	}
+
+	primary := procs[0].lastView()
+	d3.handleTransport(1, answer{look: &lookupPacket{site: 1, primary: true, view: primary}}.encode(ptLookupResp, first.call))
+	d3.mu.Lock()
+	gs, hosted := d3.groups[gid]
+	held := hosted && gs.phase == phaseMerging && gs.survey == second
+	d3.mu.Unlock()
+	if !held {
+		t.Fatal("the first survey's late answer moved the second attempt")
+	}
+	waitFor(t, "the second attempt to end at its deadline", 2*callTimeout, func() bool { ended, _ := attemptEnd(d3, second); return ended })
+	if _, err := attemptEnd(d3, second); err == nil || !phaseIs(phaseNonPrimary)() {
+		t.Errorf("the second attempt ended with %v, want it to abandon its own merge", err)
+	}
+}
+
+// attemptEnd reports whether a merge attempt has ended, and why it failed.
+func attemptEnd(d *Daemon, sv *survey) (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return sv.done, sv.err
 }
 
 // TestEveryFlushBeginIsClosed runs the partition and takeover scenarios and

@@ -11,7 +11,8 @@ import "repro/internal/core"
 // The record is a high-water mark per requester (the site|incarnation high
 // word of the id) rather than a bounded history of ids, so a slow retrier
 // can never slip past it no matter how many GBCASTs intervene. That is sound
-// because coordinatorCall serializes a requester's submissions per group: a
+// because a requester's requests for a group are one queue (d.requests), run
+// one at a time in the order they were filed and their ids minted: a
 // requester's commits happen in id order, so an id at or below the mark has
 // either committed or was abandoned by its requester before the marked id
 // was minted — and the abandoned ones are remembered individually (skipped),

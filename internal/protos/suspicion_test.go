@@ -123,8 +123,10 @@ func TestStaleTakeoverRequestRemovesNobody(t *testing.T) {
 	gid := groupOf(t, tc, procs[0], "stale")
 	d3 := tc.daemons[3]
 
-	req := gbPacket{kind: gbFail, group: gid, procs: addr.List{procs[0].addr}, force: true, reqID: d3.newReqID()}
-	resp, err := d3.call(2, req)
+	d3.mu.Lock()
+	req := gbPacket{kind: gbFail, group: gid, procs: addr.List{procs[0].addr}, force: true, reqID: d3.newReqIDLocked()}
+	d3.mu.Unlock()
+	resp, err := askSite(d3, 2, req)
 	switch {
 	case err == nil && !resp.view.Contains(procs[0].addr):
 		t.Errorf("the stale request removed the coordinator's member: %v", resp.view)

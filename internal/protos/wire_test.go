@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,10 +72,7 @@ func (fx *wireFixture) state() string {
 	// The lifecycle, the views, the state transfer, the GBCAST round open, the
 	// calls waiting and the packets sent (a request or a lookup accepted is
 	// answered).
-	answered := 0
-	for _, c := range fx.d.calls {
-		answered += len(c.ch)
-	}
+	answered := answeredCalls(fx.d)
 	round := "none"
 	if r := gs.round; r != nil {
 		round = fmt.Sprintf("silent %v tries %d", r.silent, r.tries)
@@ -82,7 +80,49 @@ func (fx *wireFixture) state() string {
 	ms := gs.members[fx.member]
 	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v awaiting=%v xfer=%d/%d gbQueue=%d round=%s answered=%d sent=%d",
 		gs.phase, gs.view, fx.d.remoteViews, fx.d.nameCache, ms.awaitingState, ms.xferID, len(ms.xferBuf),
-		len(gs.gbQueue), round, answered, fx.d.tr.Stats().MessagesSent)
+		len(gs.gbQueue), round, answered, fx.d.tr.Stats().MessagesSent) + requestState(fx.d)
+}
+
+// callDeadline is the tick a call in the table ends at, or else the given one.
+// Caller holds d.mu.
+func callDeadline(d *Daemon, call int64, otherwise uint64) uint64 {
+	if c := d.calls[call]; c != nil {
+		return c.deadline
+	}
+	return otherwise
+}
+
+// answeredCalls counts the answers queued for a daemon's blocked callers.
+// Caller holds d.mu.
+func answeredCalls(d *Daemon) (n int) {
+	for _, c := range d.calls {
+		if w, ok := c.val.(*caller); ok {
+			n += len(w.ch)
+		}
+	}
+	return n
+}
+
+// requestState renders the heads of a daemon's request queues — the group,
+// kind, id, the site the try in flight asks, the tries and the tick the try
+// ends or the next goes at — and its copies' open merge surveys, so a held
+// test that fails shows where its requests wait. Caller holds d.mu.
+func requestState(d *Daemon) string {
+	var b strings.Builder
+	for _, gid := range slices.SortedFunc(maps.Keys(d.requests), addr.Address.Compare) {
+		q := d.requests[gid]
+		if len(q) == 0 {
+			continue
+		}
+		e := q[0]
+		fmt.Fprintf(&b, " request[%v]=kind %d id %#x site %d tries %d deadline %d (+%d queued)", gid, e.kind, e.reqID, e.site, e.tries, callDeadline(d, e.call, e.deadline), len(q)-1)
+	}
+	for _, gid := range slices.SortedFunc(maps.Keys(d.groups), addr.Address.Compare) {
+		if sv := d.groups[gid].survey; sv != nil {
+			fmt.Fprintf(&b, " survey[%v]=asked %d wedged %d primary %v deadline %d", gid, sv.asked, len(sv.wedged), sv.primary != nil, callDeadline(d, sv.call, 0))
+		}
+	}
+	return b.String()
 }
 
 // reply builds a ptReply packet for the fixture's member from a responder at
@@ -425,10 +465,7 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	waitFor(t, "the commit's payload at the member", 2*time.Second, func() bool { return fx.got.Load() == 7 })
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	answered := 0
-	for _, c := range d.calls {
-		answered += len(c.ch)
-	}
+	answered := answeredCalls(d)
 	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 4 || gs.round != nil {
 		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 4 calls answered, round %v left",
 			flushing, gs.phase, ms.awaitingState, answered, gs.round)
