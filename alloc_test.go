@@ -128,11 +128,13 @@ func TestCbcastAllocBudget(t *testing.T) {
 // fragmented message was reassembled at its exact length, 257.3 and 89.8 KB.
 // The frames it puts on the wire are budgeted too: 28.8 when every message
 // was cut at MaxPacket-38 bytes before the flusher saw it, which sent each
-// state block's 65-byte tail in a frame of its own, and 24.9 when the joiner's
-// site announced a finished transfer to every member site.
+// state block's 65-byte tail in a frame of its own, 24.9 when the joiner's
+// site announced a finished transfer to every member site, and 22.0 when the
+// leave's coordinator sent the leaver's site a prepare its request could
+// have answered.
 func TestJoinLeaveAllocBudget(t *testing.T) {
-	const maxAllocs, maxBytes = 221, 81700 // measured 196.9 and 73.3 KB
-	const maxFrames = 24                   // measured 22.5
+	const maxAllocs, maxBytes = 221, 81700 // measured 157.8 and 70.4 KB
+	const maxFrames = 22                   // measured 20.0
 	net, joinLeave := churnGroup(t, 0)
 	const warm, n = 20, 200
 	var frames0 uint64

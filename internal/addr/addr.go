@@ -50,7 +50,6 @@ type EntryID uint8
 // should start at EntryUserBase.
 const (
 	EntryDefault       EntryID = 0  // default delivery entry
-	EntryJoin          EntryID = 1  // group join requests
 	EntryMembership    EntryID = 2  // membership change notifications
 	EntryStateTransfer EntryID = 3  // state transfer blocks
 	EntryGenericCCRply EntryID = 4  // GENERIC_CC_REPLY used by coordinator-cohort

@@ -54,13 +54,10 @@ func (t FieldType) String() string {
 const (
 	FSender   = "@sender"   // address of the sending process (set by protos)
 	FSession  = "@session"  // session id matching a reply to its pending call
-	FDests    = "@dests"    // destination list of the broadcast
 	FProtocol = "@protocol" // which multicast primitive carried the message
-	FEntry    = "@entry"    // destination entry point
 	FViewID   = "@viewid"   // view in which the message was sent
 	FGroup    = "@group"    // group address the message was sent to
 	FReply    = "@reply"    // set on reply messages: 1 normal, 2 null
-	FMsgID    = "@msgid"    // unique broadcast identifier assigned by protos
 )
 
 // SystemPrefix is the first byte of every reserved field name.

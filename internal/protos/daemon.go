@@ -154,11 +154,14 @@ type groupState struct {
 	// alone; parked is what the open flush holds back, which step feeds back
 	// in when the flush ends; flushDeadline is the
 	// scan tick at which the flush now open counts as stale (the tick then
-	// feeds the copy inWatchdog); survey is the merge attempt's, while the
+	// feeds the copy inWatchdog); carried is the call id of this site's
+	// request try that carried the open flush's ack (tryLocked), 0 once any
+	// other input reaches the copy; survey is the merge attempt's, while the
 	// copy is merging (merge.go).
 	phase         phase
 	parked        []heldPacket
 	flushDeadline uint64
+	carried       int64
 	survey        *survey
 
 	// recent holds the last delivered data packets, which a flush

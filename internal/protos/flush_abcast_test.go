@@ -488,12 +488,17 @@ func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 // three members at three sites puts on the wire. The holder's own cast is a
 // data packet to each other site and nothing else; another member's is one
 // submission to the holder and the holder's data packet to each other site,
-// the submitter's included.
+// the submitter's included. Nothing is counted before every site's packets
+// are acknowledged: the answer to buildGroup's lookup that came second may
+// still be on its way.
 func TestAbcastPacketShape(t *testing.T) {
 	fab := &shapeNet{Network: simnet.New(simnet.FastConfig()), sent: make(map[shapeKey]string)}
 	tc := newTestClusterOn(t, fab, 3)
 	procs := buildGroup(t, tc, "shape", 1, 2, 3)
 	gid := groupOf(t, tc, procs[0], "shape")
+	waitFor(t, "every site's packets acknowledged", 5*time.Second, func() bool {
+		return !slices.ContainsFunc(procs, func(p *testProc) bool { return p.d.tr.Unacked() != 0 })
+	})
 
 	for i, c := range []struct {
 		from int

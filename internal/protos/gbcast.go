@@ -44,6 +44,9 @@ func (d *Daemon) handleGbRequestLocked(from addr.SiteID, p *gbPacket) {
 	case !ok:
 		d.answerLocked(from, p.call, ptError, answer{err: ErrUnknownGroup})
 	default:
+		if gs.round != nil || len(gs.gbQueue) > 0 {
+			w.view = core.View{} // an ack it carries counts only in a round this hold opens
+		}
 		gs.gbQueue = append(gs.gbQueue, w)
 		d.runRoundsLocked(gs)
 	}
@@ -143,6 +146,9 @@ func (d *Daemon) openRoundLocked(gs *groupState, w gbWork) *gbRound {
 		if s != d.site && !d.suspected[s] {
 			r.silent = append(r.silent, s)
 		}
+	}
+	if w.view.ID == r.view.ID { // a request that carries no ack has view 0
+		r.hear(w.replyTo, &w.gbPacket) // the requester's site's ack, if it is still asked
 	}
 	return r
 }

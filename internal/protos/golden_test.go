@@ -25,7 +25,9 @@ import (
 // and the nested packet's length. The GBCAST family took types 37-41 when its
 // head lost the GBCAST sequence and view id nothing read (under 22-24, 35 and
 // 36), and an ack or a commit gained the members awaiting state (flag 128,
-// after the dead).
+// after the dead). "carried" is a request from a member site that carries the
+// site's answer to the prepare: the request's head and processes, then the
+// sections an ack has, in the same layout.
 var goldenWire = map[string]string{
 	"ack": "0128" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "02" + "b8" +
 		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
@@ -36,6 +38,16 @@ var goldenWire = map[string]string{
 		"000300000000000000050002010100000007000000000000002a00030000000000000004000000000000000000000000" +
 		"000000090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000" +
 		"000c68656c6c6f2c20776f726c6401730200000004746578740001000201010000000700010003020100abcdef",
+	"carried": "0125" + "000000000000001f" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "bc" +
+		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
+		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
+		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
+		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
+		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
+		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
+		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010002010100000007000100" +
+		"03020100abcdef",
 	"commit": "0129" + "0000000000000000" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "9e" +
 		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
 		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
@@ -238,6 +250,8 @@ func goldenWireValues(t *testing.T) (map[string]any, map[string]byte) {
 			"done":    gbPacket{call: 31, view: view, outcome: voteCommitted},
 			"prepare": gbPacket{call: 31, group: gid, procs: addr.List{sender}, sealTarget: rid},
 			"ack":     gbPacket{call: 31, view: view, report: report, dead: addr.List{sender}, xfers: addr.List{joiner}, outcome: voteAborted},
+			"carried": gbPacket{call: 31, group: gid, kind: gbFail, reqID: rid, procs: addr.List{sender},
+				view: view, report: report, dead: addr.List{sender}, xfers: addr.List{joiner}},
 			"commit": gbPacket{group: gid, kind: gbFail, procs: addr.List{sender}, view: view, report: report, xfers: addr.List{joiner},
 				reqID: rid, force: true},
 			"nonprimary": gbPacket{group: gid, kind: gbNonPrimary},
@@ -247,7 +261,7 @@ func goldenWireValues(t *testing.T) (map[string]any, map[string]byte) {
 			"stateblock": goldenBlock{stateHeader{group: gid, joiner: joiner, xferID: 6}, []byte("row-1")},
 			"error":      goldenAnswer{answer{err: ErrNonPrimary}, 31},
 			"relayack":   goldenAnswer{answer{stamp: relayStamp{view: 5, rank: 1, seq: 9}}, 31},
-		}, map[string]byte{"request": ptGbRequest, "usergb": ptGbRequest, "done": ptGbDone, "prepare": ptGbPrepare,
+		}, map[string]byte{"request": ptGbRequest, "usergb": ptGbRequest, "carried": ptGbRequest, "done": ptGbDone, "prepare": ptGbPrepare,
 			"ack": ptGbAck, "commit": ptGbCommit, "nonprimary": ptGbCommit, "resume": ptGbCommit, "lookup": ptLookup,
 			"lookupresp": ptLookupResp, "stateblock": ptStateBlock, "error": ptError, "relayack": ptRelayAck}
 }

@@ -435,7 +435,8 @@ func (d *Daemon) tryLocked(gid addr.Address, e *request) {
 		err = nil
 		d.handleGbRequestLocked(d.site, &e.gbPacket)
 	default:
-		if raw, err = e.encode(ptGbRequest); err == nil {
+		req := d.carryAckLocked(gid, e.gbPacket)
+		if raw, err = req.encode(ptGbRequest); err == nil {
 			err = d.sendRaw(coord.Site, raw)
 		}
 	}
@@ -444,9 +445,35 @@ func (d *Daemon) tryLocked(gid addr.Address, e *request) {
 	}
 }
 
+// carryAckLocked returns the request a try sends a remote coordinator: when
+// this site's copy is primary and open, with the copy's answer to the round's
+// prepare in the sections a request leaves empty, built as a prepare's is, so
+// the copy wedges and records the try (the coordinator prepares only the other
+// sites, openRoundLocked). A copy already flushing carries nothing.
+func (d *Daemon) carryAckLocked(gid addr.Address, req gbPacket) gbPacket {
+	gs := d.groups[gid]
+	if gs == nil || gs.phase != phaseNormal {
+		return req
+	}
+	var targets addr.List
+	if req.kind == gbFail {
+		targets = req.procs
+	}
+	ack := d.prepareLocalLocked(gid, targets, req.sealTarget, false)
+	req.view, req.report, req.dead, req.xfers, req.outcome = ack.view, ack.report, ack.dead, ack.xfers, ack.outcome
+	gs.carried = req.call
+	return req
+}
+
 // fileLocked files a try's answer or end. A lookup's answer that knows the
 // group is cached, for the try to go on by; the last that does not fails it.
+// The coordinator's answer to a try that carried the copy's ack (a call still
+// in the table: an end has left it) ends the flush the try opened, if still
+// open: a commit that used the ack came ahead of the answer.
 func (e *request) fileLocked(d *Daemon, call int64, a answer) {
+	if gs := d.groups[e.group]; gs != nil && gs.carried == call && d.calls[call] != nil {
+		d.step(gs, inAnswer)
+	}
 	if l := a.look; l != nil && l.view.Group.IsNil() {
 		if e.asked--; e.asked > 0 {
 			return

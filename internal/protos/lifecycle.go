@@ -18,9 +18,10 @@ type phase uint8
 const (
 	// phaseNormal: primary and open; multicasts are sent and delivered.
 	phaseNormal phase = iota
-	// phaseFlushing: wedged by a GBCAST prepare. Senders block and incoming
-	// data packets are parked, until the commit (or a notice, or the watchdog)
-	// ends the flush.
+	// phaseFlushing: wedged by a GBCAST prepare, or by this site's request
+	// carrying its answer to one. Senders block and incoming data packets are
+	// parked, until the commit (or a notice, the watchdog, or the answer to
+	// that request) ends the flush.
 	phaseFlushing
 	// phaseNonPrimary: stranded in a minority partition, read-only. Writes
 	// are refused at once; what arrives is still delivered.
@@ -50,6 +51,7 @@ const (
 	inMergeResume               // the merge found the primary still at this copy's view
 	inMergeAbandon              // the merge attempt ended without resuming or dropping the copy
 	inDrop                      // the last local member left, or a merge discards the copy
+	inAnswer                    // the coordinator answered the request try that carried the flush's ack
 	numInputs
 )
 
@@ -87,7 +89,7 @@ func next(p phase, in input) (phase, effects) {
 			// A takeover's prepare finds the dead coordinator's flush still
 			// open: the same flush goes on, with a fresh clock.
 			return phaseFlushing, fxArmWatchdog
-		case inCommit, inWatchdog:
+		case inCommit, inWatchdog, inAnswer:
 			return phaseNormal, fxEndFlush
 		case inNonPrimary:
 			return phaseNonPrimary, fxEndFlush | fxPrimaryLost
@@ -130,7 +132,7 @@ type heldPacket struct {
 // has ended. It is the only writer of groupState.phase. Caller holds d.mu.
 func (d *Daemon) step(gs *groupState, in input) {
 	to, fx := next(gs.phase, in)
-	gs.phase = to
+	gs.phase, gs.carried = to, 0
 	gid := gs.view.Group
 	if fx&fxFlushBegin != 0 {
 		d.bus.Publish(events.Event{Kind: events.FlushBegin, Group: gid, View: gs.view.ID})
@@ -171,6 +173,7 @@ func (d *Daemon) step(gs *groupState, in input) {
 // a flush from the commit's.
 var flushEndDetail = [numInputs]string{
 	inWatchdog:   "released by watchdog",
+	inAnswer:     "request answered",
 	inNonPrimary: "non-primary",
 	inDrop:       "group dropped",
 }

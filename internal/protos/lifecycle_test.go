@@ -20,7 +20,7 @@ import (
 // The names the table is printed with, in ARCHITECTURE.md and in failures.
 var (
 	phaseNames  = [numPhases]string{"normal", "flushing", "non-primary", "merging", "dropped"}
-	inputNames  = [numInputs]string{"prepare", "commit", "non-primary notice", "resume notice", "watchdog", "merge start", "merge resume", "merge abandon", "drop"}
+	inputNames  = [numInputs]string{"prepare", "commit", "non-primary notice", "resume notice", "watchdog", "merge start", "merge resume", "merge abandon", "drop", "request answered"}
 	effectNames = []string{"flush-begin", "arm-watchdog", "end-flush", "primary-lost", "primary-resumed", "merge-start"}
 )
 
@@ -43,6 +43,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			inPrepare:    {phaseFlushing, fxArmWatchdog},
 			inCommit:     {phaseNormal, fxEndFlush},
 			inWatchdog:   {phaseNormal, fxEndFlush},
+			inAnswer:     {phaseNormal, fxEndFlush},
 			inNonPrimary: {phaseNonPrimary, fxEndFlush | fxPrimaryLost},
 			inDrop:       {phaseDropped, fxEndFlush},
 		},

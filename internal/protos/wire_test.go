@@ -482,7 +482,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 // daemon must still deliver a well-formed reply afterwards. A GBCAST request
 // and a prepare are left out: a well-formed request runs a round on the copy
 // and a prepare wedges it, whose deliveries would land in a later input's
-// window. Their layout is the other GBCAST-family packets'.
+// window. Their layout is the other GBCAST-family packets': a request that
+// carries its site's ack, every section but the payload present, is a seed
+// under the ack's type.
 func FuzzControlPacket(f *testing.F) {
 	for _, h := range goldenFixed {
 		raw, _ := hex.DecodeString(h)
@@ -506,6 +508,8 @@ func FuzzControlPacket(f *testing.F) {
 			f.Add(byte(i), raw[envelopeBytes:len(raw)-1])
 		}
 	}
+	carried, _ := hex.DecodeString(goldenWire["carried"])
+	f.Add(byte(slices.Index(types, ptGbAck)), carried[envelopeBytes:])
 	fx := newWireFixture(f)
 	delivered := func() uint64 { return fx.d.Counters().Delivered }
 	f.Fuzz(func(t *testing.T, pt byte, data []byte) {

@@ -90,9 +90,8 @@ type Packet = netback.Packet
 
 // Errors returned by Send.
 var (
-	ErrUnknownSite = errors.New("simnet: destination site not attached")
-	ErrTooLarge    = errors.New("simnet: payload exceeds MaxPacket")
-	ErrClosed      = errors.New("simnet: endpoint closed")
+	ErrTooLarge = errors.New("simnet: payload exceeds MaxPacket")
+	ErrClosed   = errors.New("simnet: endpoint closed")
 )
 
 // Stats aggregates network activity counters. All byte counts refer to

@@ -70,9 +70,8 @@ const (
 
 // Errors returned by the backend.
 var (
-	ErrClosed      = errors.New("tcpnet: endpoint closed")
-	ErrUnknownSite = errors.New("tcpnet: destination site not attached")
-	ErrTooLarge    = errors.New("tcpnet: payload exceeds MaxPacket")
+	ErrClosed   = errors.New("tcpnet: endpoint closed")
+	ErrTooLarge = errors.New("tcpnet: payload exceeds MaxPacket")
 )
 
 // Stats counts backend activity across all endpoints of a fabric.
