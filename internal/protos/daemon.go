@@ -151,15 +151,16 @@ type groupState struct {
 	submitted map[core.MsgID]*dataPacket
 
 	// The copy's lifecycle (lifecycle.go). phase is written by Daemon.step
-	// alone; parked is what the open flush holds back, which step feeds back
-	// in when the flush ends; flushDeadline is the
+	// alone; parked is what the open flush holds back, and the relays that
+	// wait for a flush (relayMulticastLocked), which step feeds back in when
+	// the flush ends; flushDeadline is the
 	// scan tick at which the flush now open counts as stale (the tick then
 	// feeds the copy inWatchdog); carried is the call id of this site's
 	// request try that carried the open flush's ack (tryLocked), 0 once any
 	// other input reaches the copy; survey is the merge attempt's, while the
 	// copy is merging (merge.go).
 	phase         phase
-	parked        []heldPacket
+	parked        []*dataPacket
 	flushDeadline uint64
 	carried       int64
 	survey        *survey
@@ -239,10 +240,10 @@ type Daemon struct {
 
 	// tick counts the scan ticks, the daemon's one clock, every scanInterval
 	// (CallTimeout/4, 1–50 ms): every deadline it keeps
-	// is a value of tick. wake (on mu) is broadcast by every tick, when a
-	// copy's flush, a request or a merge attempt ends and on Close: senders
-	// blocked by a flush (settledGroupLocked), a request's or an attempt's
-	// caller (ask, MergeGroup) and a relay's retries (nextTick) wait on it.
+	// is a value of tick. wake (on mu) is broadcast when a copy's flush, a
+	// request or a merge attempt ends and on Close: senders blocked by a
+	// flush (settledGroupLocked) and a request's or an attempt's caller (ask,
+	// MergeGroup) wait on it.
 	tick         uint64
 	scanInterval time.Duration
 	wake         sync.Cond
@@ -619,9 +620,13 @@ func (d *Daemon) respondLocked(callID int64, pt byte, a answer) {
 }
 
 // answerLocked answers the request numbered call that site to made of this
-// one: the answer is sent back as a packet of type pt or, when this site
-// asked itself, handed to the waiting caller as it is. Caller holds d.mu.
+// one: the answer is sent back as a packet of type pt, or ptError when it
+// carries an error, or, when this site asked itself, handed to the waiting
+// caller as it is. Caller holds d.mu.
 func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
+	if a.err != nil {
+		pt = ptError
+	}
 	if to == d.site {
 		d.respondLocked(call, pt, a)
 	} else {
@@ -666,7 +671,9 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	case ptReply:
 		h, p, ok = parseReply(body)
 	case ptData:
+		// A relay is answered at its sender's site, so only that site may ask.
 		pkt, ok = parseDataPacket(raw)
+		ok = ok && (pkt.call == 0 || pkt.id.Sender.Site == from)
 	case ptGbRequest, ptGbPrepare, ptGbAck, ptGbCommit:
 		ok = g.parse(body)
 	case ptLookup:
@@ -685,7 +692,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	case ptReply:
 		d.deliverReplyLocked(h, p)
 	case ptData:
-		d.handleDataLocked(from, pkt)
+		d.handleDataLocked(pkt)
 	case ptGbRequest:
 		d.handleGbRequestLocked(from, &g)
 	case ptGbPrepare:

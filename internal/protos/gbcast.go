@@ -577,10 +577,17 @@ func (d *Daemon) applyViewChangeLocked(gs *groupState, newView core.View, kind i
 		}
 		gs.members[m.Base()] = ms
 	}
-	// Reset the per-view ordering state to the new view's size. A copy left
-	// with no members is about to be dropped and is spared the new clock.
-	if len(gs.members) > 0 {
-		gs.causal.InstallView(-1, newView.Size())
+	// Reset the per-view ordering state to the new view's size; a copy left
+	// with no members, about to be dropped, is spared the new clock unless its
+	// queue holds something. The relays it held wait for the flush's end, which
+	// stamps them under the new view or refuses them as a dropped copy's
+	// (refeedLocked).
+	if len(gs.members) > 0 || gs.causal.PendingCount() > 0 {
+		for _, o := range gs.causal.InstallView(-1, newView.Size()) {
+			if pkt := o.Payload.(*dataPacket); pkt.call != 0 {
+				gs.parked = append(gs.parked, pkt)
+			}
+		}
 	}
 
 	// Notify every local member of the new view, in order relative to

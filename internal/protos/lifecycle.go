@@ -118,14 +118,6 @@ func next(p phase, in input) (phase, effects) {
 	return p, 0
 }
 
-// heldPacket is a data packet whose processing is deferred while the group is
-// flushing (a packet handler finishes in one hold of d.mu and may not wait),
-// and the site it came from; a relay this site asked of itself is one.
-type heldPacket struct {
-	from addr.SiteID
-	pkt  *dataPacket
-}
-
 // step feeds one input to a group copy's lifecycle and performs the effects
 // of the transition, all of them before it returns: what an ending flush had
 // parked has been taken up again by then, and a survey of a phase that ended
@@ -186,8 +178,8 @@ var flushEndDetail = [numInputs]string{
 func (d *Daemon) refeedLocked(gs *groupState) {
 	rel := gs.parked
 	gs.parked = nil
-	for _, h := range rel {
-		d.handleDataLocked(h.from, h.pkt)
+	for _, pkt := range rel {
+		d.handleDataLocked(pkt)
 	}
 }
 

@@ -343,3 +343,53 @@ func TestOneLockHoldPerStep(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyPinnedFunctionsWait parses the package and pins where a goroutine
+// of the daemon's callers waits: on d.wake in ask, MergeGroup and
+// settledGroupLocked alone (a request's caller, a merge attempt's, a sender a
+// flush holds back), and for a call's answer in lookupAll and relayCall alone.
+// relayCall has no loop: a relay is one request and one answer, and a relay
+// site that cannot send it yet holds it.
+func TestOnlyPinnedFunctionsWait(t *testing.T) {
+	_, files := parsePackage(t)
+	waiters := map[string][]string{}
+	loops := -1 // relayCall's, once it is found
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn.Name.Name == "relayCall" {
+				loops = 0
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "await" || sel.Sel.Name == "Wait" && strings.HasSuffix(types.ExprString(sel.X), "wake")) {
+						waiters[types.ExprString(n.Fun)] = append(waiters[types.ExprString(n.Fun)], fn.Name.Name)
+					}
+				case *ast.ForStmt, *ast.RangeStmt:
+					loops += int(bit(fn.Name.Name == "relayCall"))
+				}
+				return true
+			})
+		}
+	}
+	for call, fns := range waiters {
+		slices.Sort(fns)
+		want := map[string][]string{"d.wake.Wait": {"MergeGroup", "ask", "settledGroupLocked"}, "c.await": {"lookupAll", "relayCall"}}[call]
+		if !slices.Equal(fns, want) {
+			t.Errorf("%s is called in %v, want %v", call, fns, want)
+		}
+	}
+	if len(waiters) != 2 {
+		t.Errorf("the waits found are %v, want d.wake.Wait and c.await", waiters)
+	}
+	switch {
+	case loops < 0:
+		t.Error("there is no relayCall")
+	case loops > 0:
+		t.Errorf("relayCall has %d loops, want none: a relay is one request and one answer", loops)
+	}
+}

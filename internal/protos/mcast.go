@@ -11,17 +11,8 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/vclock"
 )
-
-// errRelayHeld reports that a relayed multicast was parked while its group is
-// flushing; it is re-fed (and acknowledged) when the flush ends, so no
-// acknowledgement is sent yet.
-var errRelayHeld = errors.New("protos: relay held during flush")
-
-// errRelayEarly refuses a relayed CBCAST that would not yet be ordered after
-// its sender's previous one (relayCbcastLocked); the sender's daemon asks
-// again at the next scan tick.
-var errRelayEarly = errors.New("protos: relay ahead of its predecessor")
 
 // Multicast sends an application message to a destination list using the
 // selected primitive (Section 3.2 "bc_mcast"). The destination list may
@@ -277,7 +268,7 @@ func (d *Daemon) sendMemberCbcastLocked(gs *groupState, rank int, pkt *dataPacke
 // silently dropped; a stale cached view is refreshed and the relay retried
 // once. A relayed CBCAST is sent as the relaying member's own; the order of
 // one sender's CBCASTs across relay sites is kept by naming, in each relay,
-// the stamp the previous one was acknowledged with (relayCbcastLocked).
+// the stamp the previous one was acknowledged with (relayMulticastLocked).
 func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, proto Protocol, gid addr.Address, id core.MsgID, entry addr.EntryID, payload *msg.Message) error {
 	view, ok := d.CurrentView(gid)
 	if !ok {
@@ -289,7 +280,7 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 	}
 	if proto == CBCAST {
 		// Serialize this sender's relays across the acknowledged exchange:
-		// each names the stamp of the one before it.
+		// each names the stamp of the one before it, which its answer carries.
 		lp.relayMu.Lock()
 		defer lp.relayMu.Unlock()
 	}
@@ -326,93 +317,91 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 
 // relayCall ships a relayed multicast to the coordinator site — or, when that
 // is this site, hands it to the same handler a peer's goes to — and waits for
-// its acknowledgement, which for a CBCAST carries the stamp it was sent with.
-// A relay parked by a flush is acknowledged when the flush re-feeds it, so the
-// caller learns the post-flush outcome, a refusal by a copy the flush left
-// non-primary included. A relay refused as early is asked again, in the same
-// call, at every scan tick until the call's deadline.
+// its one answer, which for a CBCAST carries the stamp it was sent with. A
+// relay the relay site holds (behind its predecessor, or parked by a flush) is
+// answered when it is sent, so the caller learns the outcome, a refusal by a
+// copy the flush dropped included.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
 	id, c := d.newCall(site, ptRelayAck)
 	defer d.dropCall(id)
 	pkt.call = id
-	for {
-		var err error
-		if site == d.site {
-			d.mu.Lock()
-			d.handleDataLocked(site, pkt)
-			d.mu.Unlock()
-		} else if err = pkt.encode(); err == nil {
-			err = d.sendRaw(site, pkt.raw)
-		}
-		var a answer
-		if err == nil {
-			a, err = c.await()
-		}
-		if !errors.Is(err, errRelayEarly) {
-			return a.stamp, err
-		}
-		if tick, err := d.nextTick(); err != nil || tick >= c.deadline {
-			return relayStamp{}, cmp.Or(err, ErrTimeout)
-		}
+	var err error
+	if site == d.site {
+		d.mu.Lock()
+		d.handleDataLocked(pkt)
+		d.mu.Unlock()
+	} else if err = pkt.encode(); err == nil {
+		err = d.sendRaw(site, pkt.raw)
 	}
+	if err != nil {
+		return relayStamp{}, err
+	}
+	a, err := c.await()
+	return a.stamp, err
 }
 
-// relayMulticastLocked runs at the coordinator site: it fans an external sender's
-// multicast out to the group using the current view. A refusal is returned
-// (and acknowledged back to the sending daemon by handleDataLocked) instead of
-// silently dropping the message: ErrUnknownGroup when this site does not host
-// the group — the sender's cached view was stale — and ErrNonPrimary when this
-// copy is stranded read-only in a minority partition and must not fan anything
-// out under its stale (possibly split-brain) view. While the group is
-// flushing, the relay is parked to be re-fed after the flush and errRelayHeld
-// returned: its acknowledgement is deferred with the packet. A CBCAST's stamp
-// is returned for the acknowledgement. Caller holds d.mu.
-func (d *Daemon) relayMulticastLocked(from addr.SiteID, pkt *dataPacket) (relayStamp, error) {
-	gs := d.groups[pkt.group.Base()]
-	switch {
+// relayMulticastLocked runs at the coordinator site, for an external sender's
+// multicast, and answers it at the sender's site unless it holds it: with
+// ErrUnknownGroup when this site does not host the group — the sender's cached
+// view was stale — and ErrNonPrimary when this copy is stranded read-only in a
+// minority partition and must not fan anything out under its stale (possibly
+// split-brain) view. While the group is flushing, the relay is parked to be
+// re-fed after the flush. A CBCAST waits in the copy's causal queue, a rank −1
+// entry whose timestamp is the stamp of the sender's previous relayed cast
+// (pkt.after) as a one-entry clock, until the clock dominates it: every
+// timestamp the relaying member issues from then on orders the new cast after
+// that one (relayCbcastLocked). A stamp from a view already closed holds
+// nothing back — the flush that closed the view delivered the cast wherever it
+// will ever be —, one from a view this copy has yet to install waits for the
+// copy's next flush to end, and one that names a clock entry the view does not
+// have is refused with ErrBadProtocol. Caller holds d.mu.
+func (d *Daemon) relayMulticastLocked(pkt *dataPacket) {
+	gs, call, err := d.groups[pkt.group.Base()], pkt.call, error(ErrBadProtocol)
+	switch after, cb := pkt.after, pkt.proto == CBCAST; {
 	case gs == nil:
-		return relayStamp{}, ErrUnknownGroup
+		err = ErrUnknownGroup
 	case gs.phase == phaseFlushing:
-		gs.parked = append(gs.parked, heldPacket{from: from, pkt: pkt})
-		return relayStamp{}, errRelayHeld
+		gs.parked = append(gs.parked, pkt)
+		return
 	case !gs.phase.primary():
-		return relayStamp{}, ErrNonPrimary
-	}
-	switch pkt.proto {
-	case CBCAST:
-		return d.relayCbcastLocked(gs, pkt)
-	case ABCAST:
+		err = ErrNonPrimary
+	case cb && after.view > gs.view.ID:
+		gs.parked = append(gs.parked, pkt)
+		return
+	case cb && after.view == gs.view.ID && after.seq > 0 && (after.rank < 0 || after.rank >= gs.view.Size()):
+		// A clock entry the view does not have.
+	case cb:
+		pkt.view, pkt.vt = gs.view.ID, vclock.New(gs.view.Size())
+		if after.view == gs.view.ID && after.seq > 0 {
+			pkt.vt[after.rank] = after.seq
+		}
+		d.processCbcastLocked(gs, pkt)
+		return
+	case pkt.proto == ABCAST:
 		// Cast as a member's here would be, under this site's view whatever view
 		// the sender had cached: the member sites turn away a packet of a view
 		// they have closed.
 		d.counters.ABCASTs++
-		return relayStamp{}, d.castAbcastLocked(gs, pkt)
+		err = d.castAbcastLocked(gs, pkt)
 	}
-	return relayStamp{}, ErrBadProtocol
+	d.answerLocked(pkt.id.Sender.Site, call, ptRelayAck, answer{err: err})
 }
 
-// relayCbcastLocked sends an external sender's CBCAST as a CBCAST of the
-// oldest live member hosted here, so two relays through one member are
-// ordered by its clock. Across relay sites the request names the stamp of the
-// sender's previous acknowledged cast, and the relay is refused as early until
-// that cast has been delivered to the member: every timestamp the member
-// issues from then on orders the new cast after it. A stamp from a view
-// already closed holds nothing back — the flush that closed the view delivered
-// the cast wherever it will ever be. Caller holds d.mu.
-func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) (relayStamp, error) {
+// relayCbcastLocked sends an external sender's CBCAST the copy's queue has
+// released as a CBCAST of the oldest live member hosted here, so two relays
+// through one member are ordered by its clock, and answers the relay with the
+// stamp it went out with, or with ErrUnknownGroup when no member is left.
+// Caller holds d.mu.
+func (d *Daemon) relayCbcastLocked(gs *groupState, pkt *dataPacket) {
+	call, a := pkt.call, answer{err: ErrUnknownGroup}
 	for _, m := range gs.view.Members {
-		ms := gs.members[m.Base()]
-		if ms == nil || !ms.proc.alive {
-			continue
+		if ms := gs.members[m.Base()]; ms != nil && ms.proc.alive {
+			d.counters.CBCASTs++ // at the site that sends it, like a relayed ABCAST
+			a.stamp, a.err = d.sendMemberCbcastLocked(gs, gs.view.RankOf(m), pkt)
+			break
 		}
-		if after := pkt.after; after.view > gs.view.ID ||
-			after.view == gs.view.ID && gs.causal.Clock().Get(after.rank) < after.seq {
-			return relayStamp{}, errRelayEarly
-		}
-		d.counters.CBCASTs++ // at the site that sends it, like a relayed ABCAST
-		return d.sendMemberCbcastLocked(gs, gs.view.RankOf(m), pkt)
 	}
-	return relayStamp{}, ErrUnknownGroup
+	d.answerLocked(pkt.id.Sender.Site, call, ptRelayAck, a)
 }
 
 // ---------------------------------------------------------------------------
@@ -503,27 +492,12 @@ func (d *Daemon) deadlineLocked(dur time.Duration) uint64 {
 	return d.tick + uint64((dur+d.scanInterval-1)/d.scanInterval) + 1
 }
 
-// nextTick is how a relay's retry waits: for the scan tick after the current
-// one, whose count it returns, or for Close (ErrClosed).
-func (d *Daemon) nextTick() (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for t := d.tick; d.tick == t && !d.closed; {
-		d.wake.Wait()
-	}
-	if d.closed {
-		return 0, ErrClosed
-	}
-	return d.tick, nil
-}
-
-// scanTick is one tick of runScan: it counts the tick and wakes what waits for
-// it, ends the calls whose deadline has come, feeds inWatchdog to a copy whose
-// flush has been open to flushDeadline, runs each copy's GBCAST round on,
-// files the retry of each parked member that has none in flight, moves the
-// requests on, and has the transport forget a suspected site that no copy's
-// view lists: what waits for its ack never gets one, and resending it is all a
-// dead site would cost.
+// scanTick is one tick of runScan: it counts the tick, ends the calls whose
+// deadline has come, feeds inWatchdog to a copy whose flush has been open to
+// flushDeadline, runs each copy's GBCAST round on, files the retry of each
+// parked member that has none in flight, moves the requests on, and has the
+// transport forget a suspected site that no copy's view lists: what waits for
+// its ack never gets one, and resending it is all a dead site would cost.
 func (d *Daemon) scanTick() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -531,7 +505,6 @@ func (d *Daemon) scanTick() {
 		return
 	}
 	d.tick++
-	d.wake.Broadcast()
 	d.endCallsLocked(ErrTimeout, func(c *pendingCall) bool { return d.tick >= c.deadline })
 	for s := range d.suspected {
 		listed := false
@@ -558,21 +531,13 @@ func (d *Daemon) scanTick() {
 // handleDataLocked processes a ptData packet — a point-to-point message, a
 // relayed external multicast, a CBCAST, or an ABCAST, stamped or a submission
 // — just arrived or re-fed by the flush that parked it. Caller holds d.mu.
-func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
-	if pkt.group.IsNil() {
+func (d *Daemon) handleDataLocked(pkt *dataPacket) {
+	switch {
+	case pkt.group.IsNil():
 		d.deliverPointToPointLocked(pkt)
 		return
-	}
-	if callID := pkt.call; callID != 0 {
-		// Acknowledge the relay (it clears pkt.call) so the sender's daemon learns
-		// its fate; a held relay is acknowledged when the flush re-feeds it.
-		switch stamp, err := d.relayMulticastLocked(from, pkt); {
-		case errors.Is(err, errRelayHeld):
-		case err != nil:
-			d.answerLocked(from, callID, ptError, answer{err: err})
-		default:
-			d.answerLocked(from, callID, ptRelayAck, answer{stamp: stamp})
-		}
+	case pkt.call != 0:
+		d.relayMulticastLocked(pkt)
 		return
 	}
 	gs, ok := d.groups[pkt.group.Base()]
@@ -591,7 +556,7 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	}
 	switch {
 	case gs.phase == phaseFlushing:
-		gs.parked = append(gs.parked, heldPacket{from: from, pkt: pkt})
+		gs.parked = append(gs.parked, pkt)
 	case pkt.proto == ABCAST && pkt.rank < 0: // a submission
 		// Stamped under the holder's view, whatever view its submitter had: a
 		// timestamp of another view waits on nothing, as the flush that closed
@@ -615,12 +580,13 @@ func (d *Daemon) handleDataLocked(from addr.SiteID, pkt *dataPacket) {
 	}
 }
 
-// processCbcastLocked feeds a CBCAST, a stamped ABCAST or a submission into
-// the copy's causal queue and delivers whatever becomes deliverable. One whose
-// timestamp is not the size of the view it names is malformed, and dropped.
-// A submission released is stamped after everything released with it, which
-// its stamp covers, has been delivered; while the copy flushes it is not, and
-// its submitter sends it again after the commit. Caller holds d.mu.
+// processCbcastLocked feeds a CBCAST, a stamped ABCAST, a submission or a
+// held relay into the copy's causal queue and delivers whatever becomes
+// deliverable. One whose timestamp is not the size of the view it names is
+// malformed, and dropped. A submission or a relay released is stamped after
+// everything released with it, which its timestamp covers, has been
+// delivered. A copy that is not normal stamps neither: its submitter sends a
+// submission again after the commit, and a relay is parked. Caller holds d.mu.
 func (d *Daemon) processCbcastLocked(gs *groupState, pkt *dataPacket) {
 	if pkt.view == gs.view.ID && len(pkt.vt) != gs.view.Size() {
 		return
@@ -635,7 +601,13 @@ func (d *Daemon) processCbcastLocked(gs *groupState, pkt *dataPacket) {
 		}
 	}
 	for _, o := range out {
-		if opkt := o.Payload.(*dataPacket); opkt.rank < 0 && gs.phase == phaseNormal {
+		switch opkt := o.Payload.(*dataPacket); {
+		case opkt.rank >= 0:
+		case opkt.call != 0 && gs.phase != phaseNormal:
+			gs.parked = append(gs.parked, opkt) // a relay, taken up again when the flush ends
+		case opkt.call != 0:
+			d.relayCbcastLocked(gs, opkt)
+		case gs.phase == phaseNormal:
 			_ = d.stampAbcastLocked(gs, opkt)
 		}
 	}

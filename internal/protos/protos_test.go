@@ -61,6 +61,7 @@ func newTestClusterOn(t *testing.T, fab netback.Network, sites int) *testCluster
 	for i := 1; i <= sites; i++ {
 		tc.addSite(addr.SiteID(i))
 	}
+	tc.register(t)
 	t.Cleanup(func() {
 		for _, d := range tc.daemons {
 			d.Close()
@@ -195,7 +196,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("timed out waiting for %s%s", what, dumps(t))
 }
 
 func body(s string) *msg.Message { return msg.New().PutString("body", s) }
@@ -779,9 +780,10 @@ func TestViewSynchronyIdenticalViewSequences(t *testing.T) {
 	if _, err := tc.daemons[3].Join(late.addr, gid, JoinOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// The view before the leave has three members too: only the one with
+	// late in it says a member has seen the leave and the join.
 	waitFor(t, "final 3-member view", 5*time.Second, func() bool {
-		return procs[0].lastView().Size() == 3 && procs[1].lastView().Size() == 3 &&
-			procs[0].lastView().Contains(late.addr)
+		return procs[0].lastView().Contains(late.addr) && procs[1].lastView().Contains(late.addr)
 	})
 	a := procs[0]
 	b := procs[1]

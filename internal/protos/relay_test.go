@@ -227,7 +227,7 @@ func TestRelaySiteCrashDoesNotStallSender(t *testing.T) {
 // cast must not be fanned out — by a member whose clock has not seen the
 // first — until it has, and every member then delivers the two in the order
 // sent. This is the rule that replaces the per-sender sequence and its repair
-// protocol; without the predecessor check in relayCbcastLocked it fails.
+// protocol; without the hold in relayMulticastLocked it fails.
 func TestRelaySiteSwitchKeepsSenderOrder(t *testing.T) {
 	tc := newFaultCluster(t, 4, simnet.FastConfig(), 3*time.Second, slowDetector())
 	procs := buildGroup(t, tc, "switch", 1, 2, 3)
@@ -306,38 +306,189 @@ func TestRelayFromKilledClientKeepsMemberClock(t *testing.T) {
 }
 
 // TestRelayMalformedPredecessorStamp feeds a relay site predecessor stamps no
-// daemon would send. One that names the current view is a claim about a clock
-// entry and is refused until the clock says so — an entry that does not exist
-// never will; one from no view at all holds nothing back. Neither may panic.
+// daemon would send. One that names an entry the current view's clock does not
+// have is refused at once; one of a view the copy has yet to install waits for
+// the copy's next flush, which never comes here, so its call times out; one
+// with sequence 0, or from no view at all, holds nothing back. A relay whose
+// sender is not at the site it comes from is dropped unanswered. None may
+// panic.
 func TestRelayMalformedPredecessorStamp(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	procs := buildGroup(t, tc, "stamp", 1)
 	gid := groupOf(t, tc, procs[0], "stamp")
 	d := tc.daemons[1]
 	view, _ := d.CurrentView(gid)
-	client := addr.NewProcess(9, 0, 1)
-	for i, tt := range []struct {
+	rows := []struct {
+		site  addr.SiteID // the client's
 		after relayStamp
 		want  error
 	}{
-		{relayStamp{view: view.ID, rank: 99, seq: 1}, errRelayEarly},
-		{relayStamp{view: view.ID, rank: -3, seq: 1}, errRelayEarly},
-		{relayStamp{view: view.ID + 7, rank: 0, seq: 0}, errRelayEarly},
-		{relayStamp{view: view.ID, rank: 99, seq: 0}, nil},
-		{relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
-	} {
-		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: client, Seq: uint64(i + 1)}, -1, body("m"))
-		id, ch := d.newCall(d.site, ptRelayAck)
-		pkt.call, pkt.after = id, tt.after
+		{1, relayStamp{view: view.ID, rank: 99, seq: 1}, ErrBadProtocol},
+		{1, relayStamp{view: view.ID, rank: -3, seq: 1}, ErrBadProtocol},
+		{1, relayStamp{view: view.ID + 7, rank: 0, seq: 0}, ErrTimeout},
+		{1, relayStamp{view: view.ID, rank: 99, seq: 0}, nil},
+		{1, relayStamp{view: 0, rank: -1, seq: 1 << 40}, nil},
+		{9, relayStamp{}, ErrTimeout},
+	}
+	// Every relay is in before any answer is read, so the two timeouts run
+	// out together.
+	calls := make([]*caller, len(rows))
+	for i, tt := range rows {
+		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: addr.NewProcess(tt.site, 0, 1), Seq: uint64(i + 1)}, -1, body("m"))
+		id, c := d.newCall(d.site, ptRelayAck)
+		defer d.dropCall(id)
+		pkt.call, pkt.after, calls[i] = id, tt.after, c
 		if err := pkt.encode(); err != nil {
 			t.Fatal(err)
 		}
-		d.handleTransport(d.site, pkt.raw) // answered as a request of this site's own
-		_, err := ch.await()
-		d.dropCall(id)
-		if !errors.Is(err, tt.want) {
-			t.Errorf("stamp %+v: relay returned %v, want %v", tt.after, err, tt.want)
+		d.handleTransport(d.site, pkt.raw) // from site 1's link, answered at the client's site
+	}
+	for i, c := range calls {
+		if _, err := c.await(); !errors.Is(err, rows[i].want) {
+			t.Errorf("stamp %+v from site %d: relay returned %v, want %v", rows[i].after, rows[i].site, err, rows[i].want)
 		}
 	}
 	waitFor(t, "the two relays that were let through", 2*time.Second, func() bool { return procs[0].numMsgs() == 2 })
+}
+
+// heldRelay builds a group of members at sites 1 to 3 and a client at site 4,
+// with no timer that fires within a test and no detector but the test's
+// (tc.crash). The client relays a through site 1, whose links to the paused
+// sites are held, and comes to suspect site 1; it relays b through site 2,
+// whose copy holds b until it has delivered a. heldRelay returns once b's
+// request has reached site 2, with b's Multicast waiting for its answer, and
+// a recorder that has seen every frame since b was cast.
+func heldRelay(t *testing.T, paused ...addr.SiteID) (*testCluster, *simnet.Recorder, []*testProc, addr.Address, <-chan error) {
+	t.Helper()
+	tc := newFaultCluster(t, 4, simnet.FastConfig(), time.Minute, fdetect.Config{}, func(c *Config) {
+		c.Transport.RetransmitInterval = time.Minute
+	})
+	procs := buildGroup(t, tc, "held", 1, 2, 3)
+	gid := groupOf(t, tc, procs[0], "held")
+	client := tc.newProc(4)
+	if _, err := tc.daemons[4].Lookup("held"); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range paused {
+		tc.net.PauseLink(1, s)
+	}
+	answered(t, "a", relayed(tc, client, gid, "a"))
+	d4 := tc.daemons[4]
+	d4.mu.Lock()
+	d4.suspected[1] = true
+	d4.mu.Unlock()
+	rec := simnet.NewRecorder()
+	tc.net.SetTracer(rec)
+	sent := relayed(tc, client, gid, "b")
+	waitFor(t, "b's request at site 2", 5*time.Second, func() bool {
+		return slices.ContainsFunc(rec.Events(), func(e simnet.Event) bool {
+			return e.Kind == simnet.EventDeliver && e.From == 4 && e.To == 2 && e.Size > 17
+		})
+	})
+	return tc, rec, procs, gid, sent
+}
+
+// heldAt2 waits until site 2's copy holds b.
+func heldAt2(t *testing.T, tc *testCluster, gid addr.Address) {
+	t.Helper()
+	d2 := tc.daemons[2]
+	waitFor(t, "b held at site 2", 5*time.Second, func() bool {
+		d2.mu.Lock()
+		defer d2.mu.Unlock()
+		return d2.groups[gid].causal.PendingCount() == 1
+	})
+}
+
+// relayed relays one CBCAST from the client, as relay does, and returns
+// where its Multicast's error will come.
+func relayed(tc *testCluster, client *testProc, gid addr.Address, b string) <-chan error {
+	sent := make(chan error, 1)
+	go func() { sent <- relay(tc, client, gid, b) }()
+	return sent
+}
+
+// answered waits for the relay of b's Multicast to return, and fails unless it
+// succeeded.
+func answered(t *testing.T, b string, sent <-chan error) {
+	t.Helper()
+	var err error
+	waitFor(t, "the answer to the relay of "+b, 5*time.Second, func() bool {
+		select {
+		case err = <-sent:
+			return true
+		default:
+			return false
+		}
+	})
+	if err != nil {
+		t.Fatalf("relay %s: %v", b, err)
+	}
+}
+
+// framesSent counts the frames the recorder saw one site send another that
+// carry a packet: longer than a bare ack's 17 bytes.
+func framesSent(rec *simnet.Recorder, from, to addr.SiteID) (n int) {
+	for _, e := range rec.Events() {
+		n += int(bit(e.Kind == simnet.EventSend && e.From == from && e.To == to && e.Size > 17))
+	}
+	return n
+}
+
+// TestHeldRelayIsOneRequestAndOneAnswer holds b at site 2 for ten of its scan
+// ticks: the client's site sends the request once and site 2 answers nothing
+// while it holds b, where a relay site that refused b as early and a client
+// that asked again at every tick would send ten of each. Once a arrives, b
+// goes out after it and is answered once.
+func TestHeldRelayIsOneRequestAndOneAnswer(t *testing.T) {
+	tc, rec, procs, _, sent := heldRelay(t, 2)
+	d2 := tc.daemons[2]
+	tick := func() uint64 {
+		d2.mu.Lock()
+		defer d2.mu.Unlock()
+		return d2.tick
+	}
+	from := tick()
+	waitFor(t, "ten of site 2's scan ticks", 5*time.Second, func() bool { return tick() >= from+10 })
+	if req, ans := framesSent(rec, 4, 2), framesSent(rec, 2, 4); req != 1 || ans != 0 {
+		t.Errorf("while b was held: %d data frames 4→2 and %d answer frames 2→4, want 1 and 0", req, ans)
+	}
+	tc.net.ResumeAll()
+	answered(t, "b", sent)
+	assertDelivered(t, procs, "a", "b")
+	if ans := framesSent(rec, 2, 4); ans != 1 {
+		t.Errorf("%d answer frames 2→4, want 1", ans)
+	}
+}
+
+// TestHeldRelayDroppedByTheInstall crashes site 1, the only site that
+// delivered a, while site 2 holds b. The failure flush finds a nowhere, and
+// the install of the view without site 1 hands b back from the causal queue:
+// the flush's end stamps it under the new view, whose clock a closed view's
+// stamp holds nothing back in. b is answered, and delivered once at sites 2
+// and 3, and a at neither.
+func TestHeldRelayDroppedByTheInstall(t *testing.T) {
+	tc, _, procs, gid, sent := heldRelay(t, 2, 3)
+	heldAt2(t, tc, gid)
+	tc.crash(1)
+	answered(t, "b", sent)
+	if err := cast(procs[1], CBCAST, gid, "c"); err != nil { // behind a second copy of b, if any
+		t.Fatal(err)
+	}
+	assertDelivered(t, procs[1:], "b", "c")
+}
+
+// TestHeldRelayReleasedByTheFlush crashes site 1 while site 2 holds b, with a
+// delivered at site 3 too: site 3's report re-disseminates a, which releases
+// b at site 2 inside the flush; it is parked there and stamped when the
+// flush ends. Sites 2 and 3 deliver a, then b, each once.
+func TestHeldRelayReleasedByTheFlush(t *testing.T) {
+	tc, _, procs, gid, sent := heldRelay(t, 2)
+	heldAt2(t, tc, gid)
+	waitFor(t, "a at site 3", 5*time.Second, func() bool { return procs[2].got("a") })
+	tc.crash(1)
+	answered(t, "b", sent)
+	if err := cast(procs[1], CBCAST, gid, "c"); err != nil {
+		t.Fatal(err)
+	}
+	assertDelivered(t, procs[1:], "a", "b", "c")
 }

@@ -34,23 +34,22 @@ func buildGroups(t *testing.T, tc *testCluster, prefix string, n int, sites ...a
 }
 
 // heldHeads checks that a daemon's request queues hold one entry for each of
-// the groups, with its try in flight, and renders them for a failure.
+// the groups, with its try in flight, and shows the daemon for a failure.
 func heldHeads(t *testing.T, d *Daemon, gids []addr.Address) {
 	t.Helper()
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, gid := range gids {
-		if q := d.requests[gid]; len(q) != 1 || q[0].call == 0 {
-			t.Errorf("the requests of group %v are not one entry in flight:%s", gid, requestState(d))
-			return
-		}
-	}
-	queued := 0
+	queued, inFlight := 0, 0
 	for _, q := range d.requests {
 		queued += len(q)
 	}
-	if queued != len(gids) {
-		t.Errorf("%d requests queued, want one for each of %d groups:%s", queued, len(gids), requestState(d))
+	for _, gid := range gids {
+		if q := d.requests[gid]; len(q) == 1 && q[0].call != 0 {
+			inFlight++
+		}
+	}
+	d.mu.Unlock()
+	if queued != len(gids) || inFlight != len(gids) {
+		t.Errorf("%d requests queued, %d of them alone in their queue and in flight, want one for each of %d groups:\n%s", queued, inFlight, len(gids), dump(d))
 	}
 }
 

@@ -57,6 +57,7 @@ func newFaultCluster(t *testing.T, sites int, netCfg simnet.Config, callTimeout 
 		}
 		tc.daemons[addr.SiteID(i)] = d
 	}
+	tc.register(t)
 	t.Cleanup(func() {
 		for _, d := range tc.daemons {
 			d.Close()

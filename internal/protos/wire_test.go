@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,71 +57,6 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	}
 	fx.gid, fx.view = v.Group, v.ID
 	return fx
-}
-
-// state renders everything a control or data packet could move: the copy's
-// submissions, its causal queue and clock and its recent record, the counters
-// and the member's deliveries.
-func (fx *wireFixture) state() string {
-	fx.d.mu.Lock()
-	defer fx.d.mu.Unlock()
-	gs := fx.d.groups[fx.gid]
-	s := fmt.Sprintf("submitted=%d causal=%d clock=%v recent=%d counters=%+v got=%d", len(gs.submitted),
-		gs.causal.PendingCount(), gs.causal.Clock(), len(gs.recent.Keys()), fx.d.counters, fx.got.Load())
-	// The lifecycle, the views, the state transfer, the GBCAST round open, the
-	// calls waiting and the packets sent (a request or a lookup accepted is
-	// answered).
-	answered := answeredCalls(fx.d)
-	round := "none"
-	if r := gs.round; r != nil {
-		round = fmt.Sprintf("silent %v tries %d", r.silent, r.tries)
-	}
-	ms := gs.members[fx.member]
-	return s + fmt.Sprintf(" phase=%d view=%v remote=%v names=%v awaiting=%v xfer=%d/%d gbQueue=%d round=%s answered=%d sent=%d",
-		gs.phase, gs.view, fx.d.remoteViews, fx.d.nameCache, ms.awaitingState, ms.xferID, len(ms.xferBuf),
-		len(gs.gbQueue), round, answered, fx.d.tr.Stats().MessagesSent) + requestState(fx.d)
-}
-
-// callDeadline is the tick a call in the table ends at, or else the given one.
-// Caller holds d.mu.
-func callDeadline(d *Daemon, call int64, otherwise uint64) uint64 {
-	if c := d.calls[call]; c != nil {
-		return c.deadline
-	}
-	return otherwise
-}
-
-// answeredCalls counts the answers queued for a daemon's blocked callers.
-// Caller holds d.mu.
-func answeredCalls(d *Daemon) (n int) {
-	for _, c := range d.calls {
-		if w, ok := c.val.(*caller); ok {
-			n += len(w.ch)
-		}
-	}
-	return n
-}
-
-// requestState renders the heads of a daemon's request queues — the group,
-// kind, id, the site the try in flight asks, the tries and the tick the try
-// ends or the next goes at — and its copies' open merge surveys, so a held
-// test that fails shows where its requests wait. Caller holds d.mu.
-func requestState(d *Daemon) string {
-	var b strings.Builder
-	for _, gid := range slices.SortedFunc(maps.Keys(d.requests), addr.Address.Compare) {
-		q := d.requests[gid]
-		if len(q) == 0 {
-			continue
-		}
-		e := q[0]
-		fmt.Fprintf(&b, " request[%v]=kind %d id %#x site %d tries %d deadline %d (+%d queued)", gid, e.kind, e.reqID, e.site, e.tries, callDeadline(d, e.call, e.deadline), len(q)-1)
-	}
-	for _, gid := range slices.SortedFunc(maps.Keys(d.groups), addr.Address.Compare) {
-		if sv := d.groups[gid].survey; sv != nil {
-			fmt.Fprintf(&b, " survey[%v]=asked %d wedged %d primary %v deadline %d", gid, sv.asked, len(sv.wedged), sv.primary != nil, callDeadline(d, sv.call, 0))
-		}
-	}
-	return b.String()
 }
 
 // reply builds a ptReply packet for the fixture's member from a responder at
@@ -227,10 +161,10 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		}
 	}
 
-	before := fx.state()
+	before := dump(d)
 	for name, raw := range bad {
 		d.handleTransport(2, raw)
-		if after := fx.state(); after != before {
+		if after := dump(d); after != before {
 			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
 		}
 	}
@@ -268,13 +202,14 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	gs.members[fx.member].awaitingState, gs.members[fx.member].xferID = true, 5
 	view := gs.view.Clone()
 	d.mu.Unlock()
-	call := map[byte]int64{}
+	call, callers := map[byte]int64{}, []*caller{}
 	for _, want := range []byte{ptGbDone, ptLookupResp, ptRelayAck, ptError} {
 		site := addr.SiteID(2)
 		if want == ptLookupResp {
 			site = 0
 		}
-		call[want], _ = d.newCall(site, want)
+		id, c := d.newCall(site, want)
+		call[want], callers = id, append(callers, c)
 	}
 	nested := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 99}, -1, body("n")).raw
 	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested}}
@@ -438,10 +373,10 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		bad[fmt.Sprintf("retired %d, a state ack", pt)] = edit(stateHeader{group: fx.gid, joiner: fx.member, xferID: 5, last: true}.encode(nil), 1, pt)
 	}
 
-	before := fx.state()
+	before := dump(d)
 	for name, raw := range bad {
 		d.handleTransport(2, raw)
-		if after := fx.state(); after != before {
+		if after := dump(d); after != before {
 			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
 		}
 	}
@@ -465,7 +400,10 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	waitFor(t, "the commit's payload at the member", 2*time.Second, func() bool { return fx.got.Load() == 7 })
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	answered := answeredCalls(d)
+	answered := 0
+	for _, c := range callers {
+		answered += len(c.ch)
+	}
 	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 4 || gs.round != nil {
 		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 4 calls answered, round %v left",
 			flushing, gs.phase, ms.awaitingState, answered, gs.round)
