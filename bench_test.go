@@ -4,7 +4,9 @@ package isis_test
 // batching, ordering strength, execution style) on a zero-delay network.
 // They are plain, ungated benchmarks for use while working. The repository's
 // yardstick is `go run ./bench` (BENCHMARK.json), and the paper's tables and
-// figures are regenerated by cmd/isis-bench; EXPERIMENTS.md records both.
+// figures are the tests of paper_test.go, which print them on the
+// paper-calibrated network under `go test -run Paper -v . -paper`;
+// EXPERIMENTS.md records both.
 
 import (
 	"testing"
@@ -16,27 +18,35 @@ import (
 )
 
 func primitiveCluster(b *testing.B, sites int) (*isis.Cluster, []*isis.Process, isis.Address) {
-	return primitiveClusterTr(b, sites, transport.Config{})
+	return primitiveClusterTr(b, sites, isis.ClusterConfig{})
 }
 
-func primitiveClusterTr(b *testing.B, sites int, trCfg transport.Config) (*isis.Cluster, []*isis.Process, isis.Address) {
-	b.Helper()
+// primitiveClusterTr forms the group "micro" of one member at each of the
+// first members sites of a cluster cfg describes (cfg.Sites, when larger,
+// leaves sites free for clients), each member replying to a request at
+// EntryUserBase with an empty message. Unset timeouts are generous.
+func primitiveClusterTr(tb testing.TB, members int, cfg isis.ClusterConfig) (*isis.Cluster, []*isis.Process, isis.Address) {
+	tb.Helper()
+	cfg.Sites = max(cfg.Sites, members)
+	if cfg.CallTimeout == 0 {
+		cfg.CallTimeout, cfg.ReplyTimeout = 5*time.Second, 10*time.Second
+	}
 	// Heartbeats are disabled: at benchmark rates (tens of thousands of
 	// multicasts per second on one machine) the aggressive test-grade
 	// failure-detector timeouts produce false suspicions, which is not what
-	// these micro-benchmarks measure.
-	c, err := isis.NewCluster(isis.ClusterConfig{Sites: sites, CallTimeout: 5 * time.Second,
-		ReplyTimeout: 10 * time.Second, DisableHeartbeats: true, Transport: trCfg})
+	// these micro-benchmarks measure, and the measured links stay quiet.
+	cfg.DisableHeartbeats = true
+	c, err := isis.NewCluster(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(c.Close)
-	procs := make([]*isis.Process, sites)
+	tb.Cleanup(c.Close)
+	procs := make([]*isis.Process, members)
 	var gid isis.Address
-	for i := 0; i < sites; i++ {
+	for i := 0; i < members; i++ {
 		p, err := c.Site(isis.SiteID(i + 1)).Spawn()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		p.BindEntry(isis.EntryUserBase, func(m *isis.Message) {
 			if m.Has("@session") {
@@ -47,11 +57,11 @@ func primitiveClusterTr(b *testing.B, sites int, trCfg transport.Config) (*isis.
 		if i == 0 {
 			v, err := p.CreateGroup("micro")
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			gid = v.Group
 		} else if _, err := p.JoinByName("micro", isis.JoinOptions{}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -68,7 +78,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 		unbatched bool
 	}{{"batched", false}, {"unbatched", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, procs, gid := primitiveClusterTr(b, 3, transport.Config{DisableBatching: mode.unbatched})
+			_, procs, gid := primitiveClusterTr(b, 3, isis.ClusterConfig{Transport: transport.Config{DisableBatching: mode.unbatched}})
 			payload := isis.Text("x")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,6 +41,7 @@ func newBackendCluster(t *testing.T, backend string, sites int) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	watchCluster(t, c)
 	return c
 }
 

@@ -206,13 +206,17 @@ func matchField(field, op, value string) bool {
 	}
 }
 
-// ask sends one query and prints the collected answers.
+// ask sends one query and prints the collected answers. A failed query or
+// fewer answers than asked for ends the program: the service must answer
+// every query, across the update and the failure too.
 func ask(client *isis.Process, gid isis.Address, q string, want int) {
 	m := isis.NewMessage().PutString("q", q)
 	replies, err := client.Cast(isis.CBCAST, []isis.Address{gid}, entryQuery, m, isis.Replies(want))
-	if err != nil && len(replies) == 0 {
-		fmt.Printf("query %-18q -> error: %v\n", q, err)
-		return
+	if err != nil {
+		log.Fatalf("query %q: %v", q, err)
+	}
+	if len(replies) < want {
+		log.Fatalf("query %q: %d answers, want %d", q, len(replies), want)
 	}
 	parts := make([]string, 0, len(replies))
 	for _, r := range replies {

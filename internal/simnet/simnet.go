@@ -163,8 +163,8 @@ func New(cfg Config) *Network {
 	}
 }
 
-// SetTracer installs an event tracer (may be nil). Used by the Figure 3
-// breakdown harness.
+// SetTracer installs an event tracer (may be nil). Tests read frames off the
+// wire with it, Figure 3's critical path among them.
 func (n *Network) SetTracer(t Tracer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

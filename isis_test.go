@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,7 @@ func newTestCluster(t *testing.T, sites int) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	watchCluster(t, c)
 	return c
 }
 
@@ -36,6 +38,8 @@ func spawn(t *testing.T, c *Cluster, site SiteID) *Process {
 	return p
 }
 
+// waitUntil polls pred until it holds, and fails the test when timeout runs
+// out first, with the state of every cluster the test's helpers built.
 func waitUntil(t *testing.T, what string, timeout time.Duration, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -45,7 +49,81 @@ func waitUntil(t *testing.T, what string, timeout time.Duration, pred func() boo
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("timed out waiting for %s%s", what, dumpWatched(t.Name()))
+}
+
+// watched holds the clusters the helpers built, each with the test that built
+// it and the tail of its event stream.
+var watched = struct {
+	sync.Mutex
+	clusters map[*Cluster]*clusterWatch
+}{clusters: make(map[*Cluster]*clusterWatch)}
+
+type clusterWatch struct {
+	test string
+	mu   sync.Mutex
+	tail [64]Event // a ring of the last events, the nth at n%64
+	n    int
+}
+
+// watchCluster registers c for t. Until c closes, one goroutine keeps the
+// last 64 events of its stream; a waitUntil of t or of its subtests that
+// times out prints them with the state of c's live sites and processes.
+func watchCluster(t *testing.T, c *Cluster) {
+	w := &clusterWatch{test: t.Name()}
+	events, _ := c.Events(EventFilter{}) // closed when the cluster closes
+	go func() {
+		for e := range events {
+			w.mu.Lock()
+			w.tail[w.n%len(w.tail)] = e
+			w.n++
+			w.mu.Unlock()
+		}
+	}()
+	watched.Lock()
+	watched.clusters[c] = w
+	watched.Unlock()
+	t.Cleanup(func() {
+		watched.Lock()
+		delete(watched.clusters, c)
+		watched.Unlock()
+	})
+}
+
+// dumpWatched renders every watched cluster of the named test or of a test
+// it is a subtest of: each live site's counters, suspicions, pending merges
+// and event statistics, each live process's views, and the event tail.
+func dumpWatched(test string) string {
+	var b strings.Builder
+	watched.Lock()
+	defer watched.Unlock()
+	for c, w := range watched.clusters {
+		if test != w.test && !strings.HasPrefix(test, w.test+"/") {
+			continue
+		}
+		fmt.Fprintf(&b, "\n== cluster of %s ==", w.test)
+		for _, s := range c.Sites() {
+			d := s.daemon
+			fmt.Fprintf(&b, "\nsite %d: counters %+v\n  suspected %v, pending merges %v, events %+v",
+				s.id, d.Counters(), d.SuspectedSites(), d.PendingMerges(), d.EventStats())
+			s.mu.Lock()
+			for p := range s.procs {
+				p.mu.Lock()
+				for _, v := range p.lastViews {
+					fmt.Fprintf(&b, "\n  process %v: %v", p.addr, v)
+				}
+				p.mu.Unlock()
+			}
+			s.mu.Unlock()
+		}
+		w.mu.Lock()
+		fmt.Fprintf(&b, "\nlast %d events:", min(w.n, len(w.tail)))
+		for i := max(0, w.n-len(w.tail)); i < w.n; i++ {
+			fmt.Fprintf(&b, "\n  %v", w.tail[i%len(w.tail)])
+		}
+		w.mu.Unlock()
+	}
+	return b.String()
 }
 
 // echoService builds an n-member group named name whose members reply to
