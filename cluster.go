@@ -265,12 +265,13 @@ func (c *Cluster) EventStats() EventStats {
 	return total
 }
 
-// Close shuts down every site and the network.
+// Close shuts down the network and every site. The network goes first, so
+// what the sites still have queued is dropped, not drained at link speed.
 func (c *Cluster) Close() {
+	c.fabric.Close()
 	for _, s := range c.Sites() {
 		s.close()
 	}
-	c.fabric.Close()
 }
 
 // Site is one computing site of the cluster.

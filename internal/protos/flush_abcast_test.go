@@ -454,20 +454,33 @@ func (n *shapeNet) Attach(id netback.SiteID, epoch uint64) (netback.Endpoint, er
 	return shapeEndpoint{ep, n}, err
 }
 
-// Send reads a data frame of the transport (kind 3 or 4: a 25-byte head, then
-// records of sequence 8, flags 1, length 4 and the bytes) before sending it.
-// Flag 2 marks a record that is not its message's first.
+// Send reads a data frame of the transport (kind 5 or 6) before sending it:
+// a head of six uvarints (the epoch's and the ack epoch's halves, the ack and
+// the first record's sequence), then records, each a uvarint of its length
+// shifted left by two over its flags, and the bytes. A record's sequence is
+// the first's plus its index. Flag 2 marks a record that is not its
+// message's first.
 func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
-	if len(frame) >= 25 && (frame[0] == 3 || frame[0] == 4) {
+	if len(frame) > 0 && (frame[0] == 5 || frame[0] == 6) {
+		var seq uint64
+		b := frame[1:]
+		for range 6 {
+			v, n := binary.Uvarint(b)
+			if n <= 0 {
+				panic(fmt.Sprintf("frame %x: malformed head", frame))
+			}
+			seq, b = v, b[n:]
+		}
 		e.n.mu.Lock()
-		for b := frame[25:]; len(b) >= 13; {
-			seq, size := binary.BigEndian.Uint64(b), int(binary.BigEndian.Uint32(b[9:]))
-			if len(b) < 13+size {
+		for ; len(b) > 0; seq++ {
+			word, n := binary.Uvarint(b)
+			if n <= 0 || word>>2 > uint64(len(b)-n) {
 				break
 			}
-			pkt, kind := b[13:13+size], "submission"
+			size := int(word >> 2)
+			pkt, kind := b[n:n+size], "submission"
 			switch {
-			case b[8]&2 != 0 || size < envelopeBytes+1:
+			case word&2 != 0 || size < envelopeBytes+1:
 				kind = ""
 			case pkt[1] != ptData:
 				kind = fmt.Sprintf("type %d", pkt[1])
@@ -477,7 +490,7 @@ func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 			if kind != "" {
 				e.n.sent[shapeKey{e.Site(), to, seq}] = kind
 			}
-			b = b[13+size:]
+			b = b[n+size:]
 		}
 		e.n.mu.Unlock()
 	}

@@ -342,8 +342,9 @@ func (n *Network) delayFor(from, to SiteID, size int) time.Duration {
 	return d
 }
 
-// send performs the actual transmission for an endpoint.
-func (n *Network) send(from SiteID, to SiteID, payload []byte) error {
+// send performs the actual transmission for an endpoint; a send blocked on a
+// full link gives up when the network or the sending endpoint (detached) closes.
+func (n *Network) send(from SiteID, to SiteID, payload []byte, detached <-chan struct{}) error {
 	if n.cfg.MaxPacket > 0 && len(payload) > n.cfg.MaxPacket {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), n.cfg.MaxPacket)
 	}
@@ -409,6 +410,8 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte) error {
 	case lk.ch <- s:
 		return nil
 	case <-n.done:
+		return ErrClosed
+	case <-detached:
 		return ErrClosed
 	}
 }
@@ -499,7 +502,8 @@ func (e *Endpoint) Recv() <-chan Packet { return e.recv }
 // Send transmits payload to the destination site. Send spends the
 // configured per-packet CPU cost on the caller's goroutine, which is how the
 // simulator models sender-side processing load (Section 7's CPU-utilisation
-// observations).
+// observations). A Send blocked on a full link returns ErrClosed once the
+// endpoint detaches.
 func (e *Endpoint) Send(to SiteID, payload []byte) error {
 	if e.isClosed() {
 		return ErrClosed
@@ -507,7 +511,7 @@ func (e *Endpoint) Send(to SiteID, payload []byte) error {
 	if cpu := e.net.cfg.SendCPU; cpu > 0 {
 		time.Sleep(cpu)
 	}
-	return e.net.send(e.id, to, payload)
+	return e.net.send(e.id, to, payload, e.done)
 }
 
 // Close detaches the endpoint from the network. Only this endpoint is

@@ -441,6 +441,43 @@ func TestDetachUnblocksOverflowedDelivery(t *testing.T) {
 	t.Fatalf("blocked deliveries not released by detach: %+v", n.Stats())
 }
 
+// TestDetachReleasesABlockedSend: a Send waiting for room on a full link (a
+// paused one) returns ErrClosed once its endpoint detaches. It used to wait
+// for the network to close, so a site whose transport waited for its sender
+// before detaching waited for the whole cluster.
+func TestDetachReleasesABlockedSend(t *testing.T) {
+	n := New(FastConfig())
+	defer n.Close()
+	a := n.AddSite(1)
+	n.AddSite(2)
+	n.PauseLink(1, 2)
+	failed := make(chan error, 1)
+	go func() {
+		for {
+			if err := a.Send(2, []byte{1}); err != nil {
+				failed <- err
+				return
+			}
+		}
+	}()
+	// The link queues 4 096 packets behind the one its goroutine holds, so
+	// the 4 098th Send waits.
+	for deadline := time.Now().Add(5 * time.Second); n.Stats().PacketsSent < 4098; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d packets sent, want a Send blocked behind 4 097", n.Stats().PacketsSent)
+		}
+	}
+	a.Close()
+	select {
+	case err := <-failed:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("the blocked Send returned %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a Send blocked on a full link outlived its endpoint's detaching")
+	}
+}
+
 func TestPartitionBlocksUntilHealed(t *testing.T) {
 	n := New(FastConfig())
 	defer n.Close()

@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	isis "repro"
 	"repro/internal/stable"
@@ -23,6 +24,8 @@ const (
 
 // UpdateFunc applies one update to the local copy. It must be
 // deterministic: every member applies the same updates in the same order.
+// The item runs it and ReadFunc one at a time, under its lock, so neither may
+// call the item's ReadLocal or Read.
 type UpdateFunc func(args *isis.Message)
 
 // ReadFunc answers a read-only query against the local copy.
@@ -73,8 +76,8 @@ type Item struct {
 	read   ReadFunc
 	opts   Options
 
-	mu      sync.Mutex
-	applied uint64
+	mu      sync.Mutex    // held while the update or the read routine runs
+	applied atomic.Uint64 // updates applied to the local copy
 }
 
 // Manage attaches a group member as a manager of the named replicated item.
@@ -103,11 +106,7 @@ func Manage(p *isis.Process, gid isis.Address, name string, update UpdateFunc, r
 }
 
 // Applied returns the number of updates applied to the local copy.
-func (it *Item) Applied() uint64 {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.applied
-}
+func (it *Item) Applied() uint64 { return it.applied.Load() }
 
 // protocol returns the multicast primitive matching the item's mode.
 func (it *Item) protocol() isis.Protocol {
@@ -128,11 +127,14 @@ func (it *Item) Update(args *isis.Message) error {
 }
 
 // ReadLocal answers a read-only query from the local copy with no
-// communication (permitted for the item's managers).
+// communication (permitted for the item's managers). It never sees an update
+// half applied: the item runs its read and update routines one at a time.
 func (it *Item) ReadLocal(args *isis.Message) (*isis.Message, error) {
 	if it.read == nil {
 		return nil, ErrNoRead
 	}
+	it.mu.Lock()
+	defer it.mu.Unlock()
 	return it.read(args), nil
 }
 
@@ -151,19 +153,24 @@ func (it *Item) onMessage(m *isis.Message) {
 	case fUpd:
 		it.applyUpdate(m)
 	case fRead:
-		if it.read == nil {
+		if r, err := it.ReadLocal(m); err == nil {
+			_ = it.p.Reply(m, r)
+		} else {
 			_ = it.p.NullReply(m)
-			return
 		}
-		_ = it.p.Reply(m, it.read(m))
 	}
 }
 
-func (it *Item) applyUpdate(m *isis.Message) {
-	it.update(m)
+// apply runs the update routine on the local copy.
+func (it *Item) apply(m *isis.Message) {
 	it.mu.Lock()
-	it.applied++
-	it.mu.Unlock()
+	defer it.mu.Unlock()
+	it.update(m)
+	it.applied.Add(1)
+}
+
+func (it *Item) applyUpdate(m *isis.Message) {
+	it.apply(m)
 	if it.opts.Log != nil {
 		it.logUpdate(m)
 	}
@@ -222,10 +229,7 @@ func (it *Item) Recover(install func(blocks [][]byte)) error {
 		if err != nil {
 			continue
 		}
-		it.update(m)
-		it.mu.Lock()
-		it.applied++
-		it.mu.Unlock()
+		it.apply(m)
 	}
 	return nil
 }

@@ -184,6 +184,45 @@ func TestLocalReadNoCost(t *testing.T) {
 	}
 }
 
+// TestReadLocalDuringUpdates reads a manager's copy while a stream of
+// updates is applied to it. The copy is a plain int with no lock of its own,
+// so under -race a read that is not kept apart from the update routine is a
+// reported race; and every read sees a whole number of updates.
+func TestReadLocalDuringUpdates(t *testing.T) {
+	c := cluster(t, 1)
+	p, err := c.Site(1).Spawn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.CreateGroup("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := 0
+	it := Manage(p, v.Group, "plain",
+		func(*isis.Message) { value += 2 },
+		func(*isis.Message) *isis.Message { return isis.NewMessage().PutInt("value", int64(value)) },
+		Options{})
+	const updates = 200
+	for range updates {
+		if err := it.Update(isis.NewMessage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); it.Applied() < updates; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d updates applied", it.Applied(), updates)
+		}
+		r, err := it.ReadLocal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.GetInt("value", -1); n%2 != 0 || n > 2*updates {
+			t.Fatalf("a local read saw %d", n)
+		}
+	}
+}
+
 func TestClientReadAndUpdate(t *testing.T) {
 	c := cluster(t, 3)
 	_, copies, _, gid := buildReplicated(t, c, 2, Causal, nil, nil)

@@ -50,7 +50,8 @@ func TestCoalescingUnderLoad(t *testing.T) {
 // frame is cut so that its head fills the room left in the frame it starts
 // in, and the rest goes on in the next; a message that fits an empty frame is
 // never cut; and under DisableBatching every frame carries one record, cut at
-// MaxPacket-38. A receiver reassembles what the pass sent. Four state blocks
+// MaxPacket-9 (a 7-byte frame head, a 2-byte length word). A receiver
+// reassembles what the pass sent. Four state blocks
 // (4 096 bytes behind a 27-byte header) took 8 frames when every message was
 // cut at MaxPacket-38 before the flusher saw it, 4 of them 65-byte tails.
 func TestMessageFillsTheFrameItStartsIn(t *testing.T) {
@@ -73,11 +74,11 @@ func TestMessageFillsTheFrameItStartsIn(t *testing.T) {
 		full      bool    // every frame but the last is MaxPacket bytes
 	}{
 		{"state blocks", false, msgs(4123, 4123, 4123, 4123),
-			[][]int{{4058}, {65, 3980}, {143, 3902}, {221, 3824}, {299}}, true},
+			[][]int{{4087}, {36, 4049}, {74, 4011}, {112, 3973}, {150}}, true},
 		{"1 100-byte messages", false, msgs(2000, 1100, 1100, 1100),
 			[][]int{{2000, 1100}, {1100, 1100}}, false},
 		{"state blocks unbatched", true, msgs(4123, 4123, 4123, 4123),
-			[][]int{{4058}, {65}, {4058}, {65}, {4058}, {65}, {4058}, {65}}, false},
+			[][]int{{4087}, {36}, {4087}, {36}, {4087}, {36}, {4087}, {36}}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			a, _ := newPipe()
@@ -100,7 +101,7 @@ func TestMessageFillsTheFrameItStartsIn(t *testing.T) {
 			for i, f := range frames {
 				var lens []int
 				for _, r := range records([][]byte{f}) {
-					lens = append(lens, len(r)-subHeaderSize)
+					lens = append(lens, len(r.payload()))
 				}
 				got = append(got, lens)
 				if c.full && i < len(frames)-1 && len(f) != maxPacket {

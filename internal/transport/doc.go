@@ -57,7 +57,7 @@
 // The data path copies a message once on each side of the wire. Send keeps
 // the caller's bytes by reference, in the peer's queue and then in its send
 // window, until an ack retires them; a fan-out is one buffer in N queues.
-// Sub-headers are written as records are copied into a frame, built in the
+// Record heads are written as records are copied into a frame, built in the
 // flusher's one reusable buffer (the backend is done with it when Send
 // returns), and a single-record message reaches the handler as a sub-slice of
 // the frame it arrived in; only fragmented messages are copied together. The
@@ -75,22 +75,28 @@
 // receiver that adopts a stream in flight drops the records it starts with
 // that continue a message, up to the message's last: its head is lost.
 //
-// Wire format (all integers big endian). A simnet packet is one frame:
+// Wire format. A backend packet is one frame, and golden_test.go pins both
+// kinds byte for byte:
 //
-//	pure ack frame:
-//	    byte 0      kindAck
+//	pure ack frame (fixed 17 bytes, integers big endian):
+//	    byte 0      kindAck (2)
 //	    bytes 1-8   epoch of the data stream being acknowledged
 //	    bytes 9-16  cumulative ack: highest sequence delivered in order
 //
-//	data frame:
-//	    byte 0      kindFrame, or kindFrameLow when the first record is the
-//	                sender's lowest outstanding sequence
-//	    bytes 1-8   sender's stream epoch for this link
-//	    bytes 9-16  piggybacked ack: epoch of the reverse data stream
-//	    bytes 17-24 piggybacked cumulative ack (0: nothing received yet)
-//	    repeated sub-packet record:
-//	        bytes 0-7    sequence number
-//	        byte  8      flags (bit0: last of its message; bit1: not its first)
-//	        bytes 9-12   fragment length
-//	        bytes 13..   fragment payload
+//	data frame (every integer a uvarint):
+//	    kind byte   kindFrame (5), or kindFrameLow (6) when the first record
+//	                is the sender's lowest outstanding sequence
+//	    incarnation and reset count: the sender's stream epoch for this link
+//	    incarnation and reset count: the piggybacked ack's epoch, that of
+//	                the reverse data stream
+//	    piggybacked cumulative ack (0: nothing received yet)
+//	    first       the sequence number of the frame's first record
+//	    repeated record:
+//	        length<<2 | flags (bit0: last of its message; bit1: not its first)
+//	        the fragment's bytes
+//
+// Record i of a frame carries sequence first+i: the flusher numbers records
+// consecutively as it fills a frame. A record is sized against the head a
+// frame led by it with no ack would have, so it can always be resent, its
+// ack left to a later frame. Kinds 3 and 4, an earlier layout, are dropped.
 package transport

@@ -7,15 +7,14 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"time"
 
 	"repro/internal/netback"
 )
 
-// ownershipMessages are the shapes the window holds: one record, an exact
-// fragment's worth, a message of several fragments, and none at all.
+// ownershipMessages are the shapes the window holds: one record, the longest
+// message that is never cut, a message of several fragments, and none at all.
 func ownershipMessages(maxPacket int) [][]byte {
 	pattern := func(n int) []byte {
 		b := make([]byte, n)
@@ -26,22 +25,19 @@ func ownershipMessages(maxPacket int) [][]byte {
 	}
 	return [][]byte{
 		[]byte("small"),
-		pattern(maxPacket - frameHeaderSize - subHeaderSize),
+		pattern(maxPacket - maxHead),
 		pattern(10_000),
 		nil,
 		[]byte("after the empty one"),
 	}
 }
 
-// records returns the sub-packet records of the data frames, in order.
-func records(frames [][]byte) [][]byte {
-	var recs [][]byte
+// records returns the records of the data frames, in order.
+func records(frames [][]byte) []record {
+	var recs []record
 	for _, f := range frames {
-		for body := f[frameHeaderSize:]; len(body) >= subHeaderSize; {
-			n := subHeaderSize + int(binary.BigEndian.Uint32(body[9:13]))
-			recs = append(recs, body[:n])
-			body = body[n:]
-		}
+		_, r := readFrame(f)
+		recs = append(recs, r...)
 	}
 	return recs
 }
@@ -76,7 +72,7 @@ func TestRetransmissionRepeatsRecordBytes(t *testing.T) {
 	}
 	var joined []byte
 	for _, r := range first {
-		joined = append(joined, r[subHeaderSize:]...)
+		joined = append(joined, r.payload()...)
 	}
 	if !bytes.Equal(joined, bytes.Join(msgs, nil)) {
 		t.Fatal("the first transmission does not carry the messages")
@@ -90,7 +86,7 @@ func TestRetransmissionRepeatsRecordBytes(t *testing.T) {
 			t.Fatalf("pass %d resent %d records, want %d", round, len(again), want)
 		}
 		for i := range again {
-			if !bytes.Equal(again[i], first[i]) {
+			if again[i].seq != first[i].seq || !bytes.Equal(again[i].bytes, first[i].bytes) {
 				t.Errorf("pass %d: record %d differs from its first transmission", round, i+1)
 			}
 		}

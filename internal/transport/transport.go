@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -78,21 +80,23 @@ type Stats struct {
 	AcksPiggybacked   uint64 // acks carried by data frames instead
 }
 
-// frame kinds.
+// frame kinds. 3 and 4, the data frames of an earlier layout, are retired:
+// handlePacket drops them.
 const (
 	kindAck      = 2 // pure cumulative ack
-	kindFrame    = 3 // batch of sub-packet records with piggybacked ack
-	kindFrameLow = 4 // kindFrame whose first record is the sender's lowest outstanding sequence
+	kindFrame    = 5 // batch of records with piggybacked ack
+	kindFrameLow = 6 // kindFrame whose first record is the sender's lowest outstanding sequence
 )
 
-// Header sizes of the wire format above.
+// Sizes of the wire format above.
 const (
-	frameHeaderSize = 25
-	subHeaderSize   = 13
-	ackSize         = 17
+	ackSize = 17
+	// maxHead bounds a data frame's head (a kind byte, four 32-bit epoch
+	// halves, the ack and the first sequence) and one record's length word.
+	maxHead = 1 + 4*binary.MaxVarintLen32 + 3*binary.MaxVarintLen64
 )
 
-// Record flags.
+// Record flags, the low two bits of a record's length word.
 const (
 	flagLastFragment = 0x01 // the record ends its message
 	flagContinues    = 0x02 // the record is not its message's first
@@ -104,8 +108,8 @@ var (
 	ErrTooSmall = errors.New("transport: MaxPacket too small for header")
 )
 
-// sendRec is one sub-packet record in a peer's send window. Its sub-header is
-// written as the record is copied into a frame.
+// sendRec is one record in a peer's send window. Its head is written as the
+// record is copied into a frame.
 type sendRec struct {
 	frag   []byte    // a sub-slice of the bytes Send was given; never written
 	flags  byte      // flagLastFragment and flagContinues
@@ -216,7 +220,7 @@ type Transport struct {
 // receive and retransmission loops. The handler is invoked for every
 // reassembled message; it must not block indefinitely.
 func New(ep netback.Endpoint, cfg Config, handler Handler) (*Transport, error) {
-	if cfg.MaxPacket <= frameHeaderSize+subHeaderSize {
+	if cfg.MaxPacket <= maxHead {
 		return nil, fmt.Errorf("%w: MaxPacket=%d", ErrTooSmall, cfg.MaxPacket)
 	}
 	if cfg.RetransmitInterval <= 0 {
@@ -413,14 +417,26 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 	if first == ps.base {
 		kind = kindFrameLow
 	}
-	frame = append(frame, kind)
-	frame = binary.BigEndian.AppendUint64(frame, ps.epoch)
-	ackEpoch, ackCum := t.takeAckLocked(to)
-	frame = binary.BigEndian.AppendUint64(frame, ackEpoch)
-	frame = binary.BigEndian.AppendUint64(frame, ackCum)
+	var ackEpoch, ackCum uint64
+	pr := t.recvs[to]
+	if pr != nil {
+		ackEpoch, ackCum = pr.epoch, pr.nextExpected-1
+	}
+	frame = appendHead(frame, kind, ps.epoch, ackEpoch, ackCum, first)
+	if first < ps.nextSeq && len(ps.at(first).frag) > fit(t.cfg.MaxPacket-len(frame)) {
+		// The resent record was sized against a shorter ack: with none, the
+		// head is no longer than the one it was sized against (see room).
+		pr, frame = nil, appendHead(frame[:0], kind, ps.epoch, 0, 0, first)
+	}
+	if pr != nil && pr.ackOwed {
+		pr.ackOwed = false
+		t.stats.AcksPiggybacked++
+	}
 	seq := first
 	for ; seq == first || !t.cfg.DisableBatching; seq++ {
-		room := t.cfg.MaxPacket - len(frame) - subHeaderSize
+		// The room a frame led by seq, with no ack, would leave: a record is
+		// always resent, if need be at the head of a frame of its own.
+		room := fit(t.cfg.MaxPacket - len(frame) + uvarintLen(first) - uvarintLen(seq))
 		if seq < ps.nextSeq {
 			if !t.overdueLocked(ps, seq, now) || len(ps.at(seq).frag) > room {
 				break
@@ -430,9 +446,7 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 			break
 		}
 		r := ps.at(seq)
-		frame = binary.BigEndian.AppendUint64(frame, seq)
-		frame = append(frame, r.flags)
-		frame = binary.BigEndian.AppendUint32(frame, uint32(len(r.frag)))
+		frame = binary.AppendUvarint(frame, uint64(len(r.frag))<<2|uint64(r.flags))
 		frame = append(frame, r.frag...)
 		r.sentAt = now
 	}
@@ -441,6 +455,25 @@ func (t *Transport) buildFrameLocked(to SiteID, ps *peerSend, frame []byte, firs
 	t.stats.Coalesced += seq - first - 1
 	return frame, seq
 }
+
+// appendHead appends a data frame's head: the kind, the stream epoch and the
+// piggybacked ack's epoch, each as its incarnation and reset count, the
+// cumulative ack and the first record's sequence, all uvarints.
+func appendHead(b []byte, kind byte, epoch, ackEpoch, ackCum, first uint64) []byte {
+	b = append(b, kind)
+	for _, v := range [...]uint64{epoch >> 32, epoch & math.MaxUint32, ackEpoch >> 32, ackEpoch & math.MaxUint32, ackCum, first} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// fit returns the length of a payload whose record, length word included,
+// fits in n bytes: the longest, or one byte less where the word's length
+// steps up; below 0 when not even an empty record fits.
+func fit(n int) int { return n - uvarintLen(uint64(max(n, 0))<<2) }
 
 // cutLocked appends to the window, numbered nextSeq, a record of the first
 // queued message: all that is left of it if that fits in room bytes, else its
@@ -452,7 +485,7 @@ func (t *Transport) cutLocked(ps *peerSend, room int) bool {
 		return false
 	}
 	msg := ps.queue[ps.qhead]
-	if len(msg) > room && (room <= 0 || len(msg) <= t.cfg.MaxPacket-frameHeaderSize-subHeaderSize) {
+	if len(msg) > room && (room <= 0 || len(msg) <= t.cfg.MaxPacket-maxHead) {
 		return false
 	}
 	r := sendRec{frag: msg[:min(len(msg), room)]}
@@ -469,21 +502,6 @@ func (t *Transport) cutLocked(ps *peerSend, room int) bool {
 	ps.nextSeq++
 	t.stats.FragmentsSent++
 	return true
-}
-
-// takeAckLocked returns the epoch-qualified cumulative ack to piggyback on a
-// frame to the given peer and clears the pending dedicated-ack obligation.
-// Caller holds t.mu.
-func (t *Transport) takeAckLocked(to SiteID) (epoch, cum uint64) {
-	pr, ok := t.recvs[to]
-	if !ok {
-		return 0, 0
-	}
-	if pr.ackOwed {
-		pr.ackOwed = false
-		t.stats.AcksPiggybacked++
-	}
-	return pr.epoch, pr.nextExpected - 1
 }
 
 // appendAckLocked appends to frame (which is empty) a dedicated ack frame,
@@ -564,9 +582,6 @@ func (t *Transport) handlePacket(pkt netback.Packet) {
 		}
 		t.applyAck(pkt.From, binary.BigEndian.Uint64(pkt.Payload[1:9]), binary.BigEndian.Uint64(pkt.Payload[9:17]))
 	case kindFrame, kindFrameLow:
-		if len(pkt.Payload) < frameHeaderSize {
-			return
-		}
 		t.handleFrame(pkt.From, pkt.Payload)
 	}
 }
@@ -598,12 +613,21 @@ func (t *Transport) applyAck(from SiteID, ackEpoch, cumSeq uint64) {
 }
 
 // handleFrame processes one data frame: applies its piggybacked ack, feeds
-// each sub-packet record through the sequencing machinery, delivers every
-// message completed by in-order records, and schedules the ack.
+// each record, numbered from the head's first sequence, through the
+// sequencing machinery, delivers every message completed by in-order records,
+// and schedules the ack. A frame whose head does not parse is dropped.
 func (t *Transport) handleFrame(from SiteID, raw []byte) {
-	senderEpoch := binary.BigEndian.Uint64(raw[1:9])
-	t.applyAck(from, binary.BigEndian.Uint64(raw[9:17]), binary.BigEndian.Uint64(raw[17:25]))
-	body := raw[frameHeaderSize:]
+	var head [6]uint64 // the epoch's and the ack epoch's halves, the ack, the first sequence
+	body := raw[1:]
+	for i := range head {
+		v, n := binary.Uvarint(body)
+		if n <= 0 || i < 4 && v > math.MaxUint32 {
+			return
+		}
+		head[i], body = v, body[n:]
+	}
+	senderEpoch, first := head[0]<<32|head[1], head[5]
+	t.applyAck(from, head[2]<<32|head[3], head[4])
 
 	t.mu.Lock()
 	if t.closed {
@@ -638,7 +662,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		}
 	}
 	progress, wasOwed := false, pr.ackOwed
-	if raw[0] == kindFrameLow && !pr.delivered && len(body) >= subHeaderSize {
+	if raw[0] == kindFrameLow && !pr.delivered && len(body) > 0 {
 		// Contact with a stream already in flight: this side has no receive
 		// state for the numbering (it restarted, or lost the state). Records
 		// below the frame's first sequence were retired against our
@@ -647,7 +671,7 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 		// outstanding sequence: a fresh frame can outrace the resending of an
 		// older backlog, which adopting at it would discard. Once anything of
 		// this epoch has been delivered the gap-fill machinery owns ordering.
-		if first := binary.BigEndian.Uint64(body[0:8]); first > pr.nextExpected {
+		if first > pr.nextExpected {
 			pr.nextExpected = first
 			// Records beyond the new expectation may already sit in the buffer
 			// (from unflagged frames that arrived first); count the adoption as
@@ -686,15 +710,14 @@ func (t *Transport) handleFrame(from SiteID, raw []byte) {
 			pr.frags = pr.frags[:0]
 		}
 	}
-	for len(body) >= subHeaderSize {
-		seq := binary.BigEndian.Uint64(body[0:8])
-		flags := body[8]
-		payloadLen := int(binary.BigEndian.Uint32(body[9:13]))
-		if len(body) < subHeaderSize+payloadLen {
+	for seq := first; len(body) > 0; seq++ {
+		word, n := binary.Uvarint(body)
+		if n <= 0 || word>>2 > uint64(len(body)-n) {
 			break // corrupt tail; drop the rest of the frame
 		}
-		payload := body[subHeaderSize : subHeaderSize+payloadLen]
-		body = body[subHeaderSize+payloadLen:]
+		end := n + int(word>>2)
+		flags, payload := byte(word&3), body[n:end]
+		body = body[end:]
 
 		switch {
 		case seq < pr.nextExpected:

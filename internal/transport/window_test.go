@@ -15,22 +15,55 @@ import (
 
 // rec is one record of a hand-built frame.
 type rec struct {
-	seq     uint64
 	flags   byte
 	payload string
 }
 
-// peerFrame builds a data frame of stream epoch 7<<32 that carries no ack.
-func peerFrame(kind byte, recs ...rec) []byte {
-	f := binary.BigEndian.AppendUint64([]byte{kind}, 7<<32)
-	f = append(f, make([]byte, 16)...) // no piggybacked ack
+// peerFrame builds a data frame of stream epoch 7<<32 that carries no ack,
+// its records numbered from first.
+func peerFrame(kind byte, first uint64, recs ...rec) []byte {
+	f := appendHead(nil, kind, 7<<32, 0, 0, first)
 	for _, r := range recs {
-		f = binary.BigEndian.AppendUint64(f, r.seq)
-		f = append(f, r.flags)
-		f = binary.BigEndian.AppendUint32(f, uint32(len(r.payload)))
+		f = binary.AppendUvarint(f, uint64(len(r.payload))<<2|uint64(r.flags))
 		f = append(f, r.payload...)
 	}
 	return f
+}
+
+// readFrame reads a data frame by hand: the six uvarints of its head (the
+// epoch's halves, the ack epoch's halves, the ack and the first sequence)
+// and its records, each with its sequence, implied by the first.
+func readFrame(f []byte) (head [6]uint64, recs []record) {
+	b := f[1:]
+	for i := range head {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			panic(fmt.Sprintf("frame %x: malformed head", f))
+		}
+		head[i], b = v, b[n:]
+	}
+	for seq := head[5]; len(b) > 0; seq++ {
+		word, n := binary.Uvarint(b)
+		if n <= 0 || word>>2 > uint64(len(b)-n) {
+			panic(fmt.Sprintf("frame %x: malformed record", f))
+		}
+		end := n + int(word>>2)
+		recs, b = append(recs, record{seq, b[:end]}), b[end:]
+	}
+	return head, recs
+}
+
+// record is one record read off a data frame: its sequence and its bytes,
+// length word included.
+type record struct {
+	seq   uint64
+	bytes []byte
+}
+
+// payload is the record's bytes after its length word.
+func (r record) payload() []byte {
+	_, n := binary.Uvarint(r.bytes)
+	return r.bytes[n:]
 }
 
 // pipeEnd is a minimal in-memory netback.Endpoint: Send copies the frame
@@ -95,9 +128,8 @@ func (e *pipeEnd) dataFrames() [][]byte {
 // frameSeqs lists the sequence numbers of the records in a data frame.
 func frameSeqs(frame []byte) []uint64 {
 	var seqs []uint64
-	for body := frame[frameHeaderSize:]; len(body) >= subHeaderSize; {
-		seqs = append(seqs, binary.BigEndian.Uint64(body[0:8]))
-		body = body[subHeaderSize+int(binary.BigEndian.Uint32(body[9:13])):]
+	for _, r := range records([][]byte{frame}) {
+		seqs = append(seqs, r.seq)
 	}
 	return seqs
 }
@@ -263,12 +295,12 @@ func TestAdoptedStreamDropsAHeadlessMessage(t *testing.T) {
 		name   string
 		frames [][]byte
 	}{
-		{"a last fragment", [][]byte{peerFrame(kindFrameLow, rec{5, cont | last, "tail"}, rec{6, last, "whole"})}},
+		{"a last fragment", [][]byte{peerFrame(kindFrameLow, 5, rec{cont | last, "tail"}, rec{last, "whole"})}},
 		{"a middle and a last fragment", [][]byte{
-			peerFrame(kindFrameLow, rec{5, cont, "middle"}),
-			peerFrame(kindFrame, rec{6, cont | last, "tail"}, rec{7, last, "whole"}),
+			peerFrame(kindFrameLow, 5, rec{cont, "middle"}),
+			peerFrame(kindFrame, 6, rec{cont | last, "tail"}, rec{last, "whole"}),
 		}},
-		{"a message's head is kept", [][]byte{peerFrame(kindFrameLow, rec{5, 0, "who"}, rec{6, cont | last, "le"})}},
+		{"a message's head is kept", [][]byte{peerFrame(kindFrameLow, 5, rec{0, "who"}, rec{cont | last, "le"})}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := &collector{}
@@ -308,16 +340,20 @@ func TestAckDelayRestartsForEachObligation(t *testing.T) {
 		a.sent = nil
 		return s
 	}
-	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrameLow, rec{1, flagLastFragment, "one"})})
+	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrameLow, 1, rec{flagLastFragment, "one"})})
 	if err := tr.Send(2, []byte("reply")); err != nil {
 		t.Fatal(err)
 	}
 	pass()
-	if f := sent(); len(f) != 1 || f[0][0] == kindAck || binary.BigEndian.Uint64(f[0][17:25]) != 1 {
+	f := sent()
+	if len(f) != 1 || f[0][0] == kindAck {
 		t.Fatalf("the pass after frame 1 sent %d frames, want one data frame carrying ack 1", len(f))
 	}
+	if head, _ := readFrame(f[0]); head[4] != 1 {
+		t.Fatalf("the pass after frame 1 sent a data frame carrying ack %d, want 1", head[4])
+	}
 
-	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrame, rec{2, flagLastFragment, "two"})})
+	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrame, 2, rec{flagLastFragment, "two"})})
 	tr.ackTimerFire(2) // a stale wake: frame 2's ack is due an hour from now
 	pass()
 	if f := sent(); len(f) != 0 {
@@ -350,6 +386,52 @@ func TestDefaultAckDelayBoundedByRetransmitInterval(t *testing.T) {
 		if 2*d+cfg.AckDelay >= cfg.RetransmitInterval {
 			t.Errorf("delay %v: a held ack arrives %v after its record left, not before RetransmitInterval %v", d, 2*d+cfg.AckDelay, cfg.RetransmitInterval)
 		}
+	}
+}
+
+// TestResentRecordOutgrownByItsAck cuts a message to fill a frame whose
+// piggybacked ack took 3 bytes, then has the ack grow to 4 (sequence 200 from
+// the peer) before the record is resent. The record no longer fits a frame
+// that carries the ack, so its frame goes without one, and the next frame of
+// the pass carries it. A pass that found its lead record too long for any
+// frame it could build would send empty frames forever.
+func TestResentRecordOutgrownByItsAck(t *testing.T) {
+	a, _ := newPipe()
+	a.drop = true
+	tr, err := New(a, Config{MaxPacket: 64, RetransmitInterval: time.Hour, AckDelay: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	_, pass := handDriven(tr)
+	if err := tr.Send(2, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	if recs := records(a.dataFrames()); len(recs) != 2 || len(recs[0].payload()) != 55 {
+		t.Fatalf("a 100-byte message was cut into %d records, want 2, the first of 55 bytes", len(recs))
+	}
+	tr.handlePacket(netback.Packet{From: 2, To: 1, Payload: peerFrame(kindFrameLow, 199, rec{flagLastFragment, "p"}, rec{flagLastFragment, "q"})})
+	ageAll(tr, 1, 2)
+	done := make(chan struct{})
+	go func() { pass(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the resending pass did not end")
+	}
+	frames := a.dataFrames()
+	if len(frames) != 2 {
+		t.Fatalf("the resending pass sent %d frames, want 2", len(frames))
+	}
+	for i, want := range [][2]uint64{{0, 1}, {200, 2}} {
+		head, recs := readFrame(frames[i])
+		if len(frames[i]) > 64 || head[4] != want[0] || len(recs) != 1 || recs[0].seq != want[1] {
+			t.Errorf("frame %d: %d bytes, ack %d, %d records from %d; want at most 64 bytes, ack %d, record %d alone", i+1, len(frames[i]), head[4], len(recs), head[5], want[0], want[1])
+		}
+	}
+	if st := tr.Stats(); st.AcksPiggybacked != 1 || st.Retransmissions != 2 {
+		t.Errorf("%d acks piggybacked and %d records resent, want 1 and 2", st.AcksPiggybacked, st.Retransmissions)
 	}
 }
 
@@ -423,7 +505,7 @@ func TestOutOfOrderFramesReassemble(t *testing.T) {
 	}
 	defer tb.Close()
 
-	long := make([]byte, 60) // three fragments at this MaxPacket
+	long := make([]byte, 120) // three fragments at this MaxPacket
 	for i := range long {
 		long[i] = byte('a' + i%26)
 	}

@@ -765,6 +765,44 @@ func TestClusterCloseStopsEverything(t *testing.T) {
 	}
 }
 
+// TestClusterCloseDropsALinkBacklog floods the paper's slow network with
+// 300 ms of 10 KB async CBCASTs (4 000 at most, about 12 000 frames), far
+// more than its links carry in that time, and closes the cluster. Close used
+// to wait for the backlog to drain at link speed: a site's transport waited
+// for its flusher, which went on sending, each frame at the network's cost,
+// and the network closed only after every site.
+func TestClusterCloseDropsALinkBacklog(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Sites: 2, Net: PaperNetConfig(), DisableHeartbeats: true, CallTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := spawn(t, c, 1), spawn(t, c, 2)
+	v, err := p1.CreateGroup("flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.Join(v.Group, JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	payload := NewMessage().PutBytes("data", make([]byte, 10_000))
+	casts := 0
+	for start := time.Now(); time.Since(start) < 300*time.Millisecond && casts < 4000; casts++ {
+		if _, err := p1.Cast(CBCAST, []Address{v.Group}, EntryUserBase, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Close did not return within 2 s of a %d-cast flood", casts)
+	}
+}
+
 // A site keeps track of its processes only to stop their task managers when
 // it closes; a killed process has stopped its own and must not stay pinned.
 func TestSiteForgetsKilledProcesses(t *testing.T) {
