@@ -6,44 +6,44 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/addr"
 )
 
-// Wire format (all integers big endian):
+// Wire format: every integer is a minimal varint (encoding/binary's
+// uvarint, or its zigzag varint for an int) and every length word a uvarint.
 //
-//	uint16  field count
+//	uvarint  field count
 //	repeated field, in ascending order of field name:
-//	    uint8   name length      (names are limited to 255 bytes)
-//	    bytes   name
-//	    uint8   field type
-//	    uint32  payload length
-//	    bytes   payload
+//	    uvarint  name length    (names are limited to 255 bytes)
+//	    bytes    name
+//	    uint8    field type
+//	    payload, by type:
+//	        bytes / string:  uvarint length, the raw bytes
+//	        int:             zigzag varint
+//	        address:         addr.EncodedSize bytes
+//	        address list:    uvarint length, the addr.EncodedSize-byte addresses
+//	        message:         uvarint length, a nested marshalled message
 //
-// Payload encodings:
-//
-//	bytes / string:  raw bytes
-//	int:             8 bytes, two's complement
-//	address:         addr.EncodedSize bytes
-//	address list:    concatenation of addr.EncodedSize-byte addresses
-//	message:         a nested marshalled message
-//
-// The format is self-describing enough for the paper's needs (nested
-// messages, inspection by filters) while staying compact; a 10-byte user
-// payload marshals to a few tens of bytes, matching the small-message regime
-// of Figure 2.
+// Beside its name, a field spends three bytes on its head (name length,
+// type, length word) for a name and a payload under 128 bytes; an int has no
+// length word, and under 64 in magnitude takes three bytes with its value. A
+// 10-byte user payload marshals to a few tens of bytes, the small-message
+// regime of Figure 2.
 //
 // Encoding is deterministic: fields are written in sorted name order (the
-// in-memory representation already keeps them sorted), so two structurally
-// equal messages produce byte-identical encodings. Several tests and the
-// stable-storage log rely on this, and it is what makes one encoding
-// sharable across destinations: the daemon marshals a multicast data packet
-// exactly once (straight into its enveloped buffer) and hands the same
-// []byte to the transport for every destination site.
+// in-memory representation already keeps them sorted) and every varint is
+// minimal, so two structurally equal messages produce byte-identical
+// encodings. Several tests and the stable-storage log rely on this, and it is
+// what makes one encoding sharable across destinations: the daemon marshals a
+// multicast data packet exactly once (straight into its enveloped buffer) and
+// hands the same []byte to the transport for every destination site.
 //
-// Decoders accept fields in any order (defensively re-sorting), but only the
-// sorted form is ever produced. A decode keeps the packet it is given and
+// Decoders accept fields in any order (defensively re-sorting) and varints
+// that are longer than they need be, but only the sorted, minimal form is
+// ever produced. A decode keeps the packet it is given and
 // points every field name and variable-length value into it, so it allocates
 // the message and its exact-size field table (the count is on the wire) —
 // plus a message and table per nested message. Unmarshal, for callers that
@@ -95,27 +95,23 @@ func (m *Message) appendTo(dst []byte) ([]byte, error) {
 	if len(m.fields) > maxFields {
 		return nil, ErrTooManyFlds
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.fields)))
+	dst = binary.AppendUvarint(dst, uint64(len(m.fields)))
 	for i := range m.fields {
 		f := &m.fields[i]
 		if len(f.name) > math.MaxUint8 {
 			return nil, fmt.Errorf("%w: %q", ErrNameTooLong, f.name)
 		}
-		dst = append(dst, byte(len(f.name)))
-		dst = append(dst, f.name...)
+		dst = append(binary.AppendUvarint(dst, uint64(len(f.name))), f.name...)
 		dst = append(dst, byte(f.typ))
 		switch f.typ {
 		case TypeBytes, TypeString, TypeAddressList:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.ref)))
-			dst = append(dst, f.ref...)
+			dst = append(binary.AppendUvarint(dst, uint64(len(f.ref))), f.ref...)
 		case TypeInt:
-			dst = binary.BigEndian.AppendUint32(dst, 8)
-			dst = binary.BigEndian.AppendUint64(dst, f.num)
+			dst = binary.AppendVarint(dst, int64(f.num))
 		case TypeAddress:
-			dst = binary.BigEndian.AppendUint32(dst, addr.EncodedSize)
 			dst = f.address().AppendEncoded(dst)
 		case TypeMessage:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(f.sub.MarshaledSize()))
+			dst = binary.AppendUvarint(dst, uint64(f.sub.MarshaledSize()))
 			var err error
 			dst, err = f.sub.appendTo(dst)
 			if err != nil {
@@ -163,19 +159,13 @@ func (m *Message) unmarshal(s string, room int) error {
 }
 
 // minFieldBytes is the shortest encoding of one field: an empty name, the
-// type, and the length of an empty payload.
-const minFieldBytes = 1 + 1 + 4
+// type, and an int's one-byte varint.
+const minFieldBytes = 1 + 1 + 1
 
 // The decoder reads a string — the packet it owns — so that names and values
 // can be kept as substrings of it.
 
 func beUint16(s string) uint16 { return uint16(s[0])<<8 | uint16(s[1]) }
-
-func beUint32(s string) uint32 {
-	return uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
-}
-
-func beUint64(s string) uint64 { return uint64(beUint32(s))<<32 | uint64(beUint32(s[4:])) }
 
 // decodeAddress reads an address from the first addr.EncodedSize bytes of s,
 // without checking its kind.
@@ -194,100 +184,101 @@ func decodeAddress(s string) addr.Address {
 // incoming names ascend and also handles adversarial inputs whose fields are
 // unsorted or duplicated.
 func (m *Message) unmarshalPrefix(s string, room int) (string, error) {
-	if len(s) < 2 {
+	n, k := binary.Uvarint(view(s)) // k <= 0: cut short, or past 64 bits
+	if k <= 0 {
 		return "", fmt.Errorf("%w: missing field count", ErrCorrupt)
 	}
-	n := int(beUint16(s))
-	s = s[2:]
-	if n*minFieldBytes > len(s) {
-		// Checked before the table is sized: two bytes of input must not
-		// command a 65535-slot allocation.
+	if s = s[k:]; n > maxFields || n*minFieldBytes > uint64(len(s)) {
+		// Checked before the table is sized: a few bytes of input must not
+		// command a large allocation.
 		return "", fmt.Errorf("%w: %d fields in %d bytes", ErrCorrupt, n, len(s))
 	}
-	m.fields = make([]field, 0, n+room)
-	for i := 0; i < n; i++ {
-		if len(s) < 1 {
-			return "", fmt.Errorf("%w: truncated field name length", ErrCorrupt)
-		}
-		nameLen := int(s[0])
-		s = s[1:]
-		if len(s) < nameLen+1+4 {
+	m.fields = make([]field, 0, int(n)+room)
+	for i := uint64(0); i < n; i++ {
+		nameLen, k := binary.Uvarint(view(s))
+		if k <= 0 || nameLen > math.MaxUint8 || nameLen >= uint64(len(s)-k) {
 			return "", fmt.Errorf("%w: truncated field header", ErrCorrupt)
 		}
-		name := s[:nameLen]
-		typ := FieldType(s[nameLen])
-		payloadLen := int(beUint32(s[nameLen+1:]))
-		s = s[nameLen+5:]
-		if len(s) < payloadLen {
-			return "", fmt.Errorf("%w: truncated field payload", ErrCorrupt)
-		}
-		payload := s[:payloadLen]
-		s = s[payloadLen:]
-
-		if err := decodePayload(m.slot(name, typ), payload); err != nil {
+		name, typ := s[k:k+int(nameLen)], FieldType(s[k+int(nameLen)])
+		var err error
+		if s, err = decodePayload(m.slot(name, typ), s[k+int(nameLen)+1:]); err != nil {
 			return "", err
 		}
 	}
 	return s, nil
 }
 
-// decodePayload fills one field from its wire payload, a substring of the
-// decoder's packet.
-func decodePayload(f *field, payload string) error {
+// decodePayload fills one field from the front of s, the rest of the
+// decoder's packet, and returns what follows the field.
+func decodePayload(f *field, s string) (string, error) {
+	switch f.typ {
+	case TypeInt:
+		v, n := binary.Varint(view(s))
+		if n <= 0 {
+			return "", fmt.Errorf("%w: int field %q is not a varint", ErrCorrupt, f.name)
+		}
+		f.num = uint64(v)
+		return s[n:], nil
+	case TypeAddress:
+		if len(s) < addr.EncodedSize {
+			return "", fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrShortAddress)
+		}
+		a := decodeAddress(s)
+		if a.Kind > addr.KindGroup {
+			return "", fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
+		}
+		f.kind, f.num = a.Kind, packAddress(a)
+		return s[addr.EncodedSize:], nil
+	}
+	size, k := binary.Uvarint(view(s))
+	if k <= 0 || size > uint64(len(s)-k) {
+		return "", fmt.Errorf("%w: truncated field payload", ErrCorrupt)
+	}
+	payload, rest := s[k:k+int(size)], s[k+int(size):]
 	switch f.typ {
 	case TypeBytes, TypeString:
 		f.ref = payload
-	case TypeInt:
-		if len(payload) != 8 {
-			return fmt.Errorf("%w: int field %q has %d bytes", ErrCorrupt, f.name, len(payload))
-		}
-		f.num = beUint64(payload)
-	case TypeAddress:
-		if len(payload) < addr.EncodedSize {
-			return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrShortAddress)
-		}
-		a := decodeAddress(payload)
-		if a.Kind > addr.KindGroup {
-			return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
-		}
-		f.kind, f.num = a.Kind, packAddress(a)
 	case TypeAddressList:
 		if len(payload)%addr.EncodedSize != 0 {
-			return fmt.Errorf("%w: address list field %q has %d bytes", ErrCorrupt, f.name, len(payload))
+			return "", fmt.Errorf("%w: address list field %q has %d bytes", ErrCorrupt, f.name, len(payload))
 		}
 		for off := 3; off < len(payload); off += addr.EncodedSize {
 			if addr.Kind(payload[off]) > addr.KindGroup {
-				return fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
+				return "", fmt.Errorf("%w: %v", ErrCorrupt, addr.ErrBadKind)
 			}
 		}
 		f.ref = payload
 	case TypeMessage:
 		f.sub = New()
-		return f.sub.unmarshal(payload, 0)
+		return rest, f.sub.unmarshal(payload, 0)
 	default:
-		return fmt.Errorf("%w: unknown field type %d", ErrCorrupt, f.typ)
+		return "", fmt.Errorf("%w: unknown field type %d", ErrCorrupt, f.typ)
 	}
-	return nil
+	return rest, nil
 }
 
 // MarshaledSize returns the number of bytes Marshal would produce. It is
 // used by the simulated network to charge bandwidth without re-encoding, and
 // by the encoder itself to pre-size buffers and nested payload lengths.
 func (m *Message) MarshaledSize() int {
-	size := 2
+	size := uvarintLen(uint64(len(m.fields)))
 	for i := range m.fields {
 		f := &m.fields[i]
-		size += 1 + len(f.name) + 1 + 4
+		size += uvarintLen(uint64(len(f.name))) + len(f.name) + 1
 		switch f.typ {
 		case TypeBytes, TypeString, TypeAddressList:
-			size += len(f.ref)
+			size += uvarintLen(uint64(len(f.ref))) + len(f.ref)
 		case TypeInt:
-			size += 8
+			size += uvarintLen(uint64(int64(f.num)<<1 ^ int64(f.num)>>63))
 		case TypeAddress:
 			size += addr.EncodedSize
 		case TypeMessage:
-			size += f.sub.MarshaledSize()
+			n := f.sub.MarshaledSize()
+			size += uvarintLen(uint64(n)) + n
 		}
 	}
 	return size
 }
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

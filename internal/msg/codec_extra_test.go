@@ -22,23 +22,22 @@ func sampleMessage() *Message {
 		PutMessage("&payload", payload)
 }
 
-// appendRawField hand-encodes one field, for crafting non-canonical inputs.
+// appendRawField hand-encodes one field, for crafting non-canonical inputs: an
+// int's or an address's payload as given (a varint, 8 bytes), any other after
+// its uvarint length.
 func appendRawField(dst []byte, name string, typ FieldType, payload []byte) []byte {
-	dst = append(dst, byte(len(name)))
-	dst = append(dst, name...)
+	dst = append(binary.AppendUvarint(dst, uint64(len(name))), name...)
 	dst = append(dst, byte(typ))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	if typ != TypeInt && typ != TypeAddress {
+		dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	}
 	return append(dst, payload...)
 }
 
 func TestUnmarshalUnsortedAndDuplicateFields(t *testing.T) {
-	intPayload := func(v int64) []byte {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v))
-		return b[:]
-	}
+	intPayload := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	// Fields out of order: decoders must accept and re-sort.
-	raw := binary.BigEndian.AppendUint16(nil, 2)
+	raw := binary.AppendUvarint(nil, 2)
 	raw = appendRawField(raw, "zz", TypeInt, intPayload(1))
 	raw = appendRawField(raw, "aa", TypeInt, intPayload(2))
 	m, err := Unmarshal(raw)
@@ -54,7 +53,7 @@ func TestUnmarshalUnsortedAndDuplicateFields(t *testing.T) {
 	}
 
 	// Duplicate names: last value wins, like the historical map behaviour.
-	raw = binary.BigEndian.AppendUint16(nil, 2)
+	raw = binary.AppendUvarint(nil, 2)
 	raw = appendRawField(raw, "x", TypeInt, intPayload(1))
 	raw = appendRawField(raw, "x", TypeInt, intPayload(7))
 	m, err = Unmarshal(raw)

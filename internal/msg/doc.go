@@ -13,6 +13,9 @@
 // packets have at most a dozen fields, so this is also faster than hashing in
 // practice.
 //
+// On the wire (codec.go) every integer is a minimal varint, every length a
+// uvarint and an address 8 bytes: a field's head is 3 bytes beside its name.
+//
 // Ownership: a message's table is its own, but variable-length values
 // (bytes, strings, address lists) are immutable once stored and may be shared
 // — by Clone, by the per-member deliveries the protocols process builds from

@@ -33,29 +33,32 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		PutAddressList("l", addr.List{addr.NewGroup(1, 0, 5), addr.NewProcess(2, 0, 8)}).
 		PutMessage("sub", New().PutMessage("subsub", New().PutInt("deep", 9))))
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 1, 'a', 99, 0, 0, 0, 0})
+	f.Add([]byte{1, 1, 'a', 99, 0})
 	// Non-canonical inputs the encoder never produces: fields out of order,
-	// a name repeated (in the top-level and in a nested message), and the
-	// reserved names every packet repeats.
-	i64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
-	raw := binary.BigEndian.AppendUint16(nil, 3)
+	// a name repeated (in the top-level and in a nested message), the
+	// reserved names every packet repeats, and varints longer than they need be.
+	i64 := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	raw := binary.AppendUvarint(nil, 3)
 	raw = appendRawField(raw, "zz", TypeInt, i64(1))
 	raw = appendRawField(raw, "aa", TypeBytes, []byte{1, 2, 3})
 	raw = appendRawField(raw, "mm", TypeString, []byte("s"))
 	f.Add(raw)
-	dup := binary.BigEndian.AppendUint16(nil, 3)
+	dup := binary.AppendUvarint(nil, 3)
 	dup = appendRawField(dup, "x", TypeInt, i64(1))
 	dup = appendRawField(dup, "x", TypeBytes, []byte("later wins"))
 	dup = appendRawField(dup, "a", TypeInt, i64(2))
 	f.Add(dup)
-	nested := binary.BigEndian.AppendUint16(nil, 2)
+	nested := binary.AppendUvarint(nil, 2)
 	nested = appendRawField(nested, "sub", TypeMessage, dup)
 	nested = appendRawField(nested, "sub", TypeMessage, raw)
 	f.Add(nested)
 	seed(New().PutAddress(FSender, addr.NewProcess(1, 0, 0xffffff)).PutInt(FSession, 7).
 		PutAddress(FGroup, addr.NewGroup(2, 3, 4)).PutInt(FViewID, 9).PutInt(FProtocol, 2).PutInt(FReply, 1).
 		PutMessage("&payload", New().PutInt(FSession, 7)))
-	f.Add(binary.BigEndian.AppendUint16(nil, 0xffff)) // a count the input cannot hold
+	f.Add(binary.AppendUvarint(nil, 0xffff)) // a count the input cannot hold
+	// Two fields, the count, the name length, the int and the bytes' length
+	// each padded with a continuation byte: a decode re-marshals them minimal.
+	f.Add([]byte{0x82, 0, 0x81, 0, 'n', byte(TypeInt), 0x82, 0, 0x81, 0, 's', byte(TypeBytes), 0x81, 0, 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)

@@ -262,13 +262,16 @@ func TestMarshaledSizeMatches(t *testing.T) {
 
 func TestUnmarshalErrors(t *testing.T) {
 	cases := [][]byte{
-		{},                             // missing count
-		{0, 1},                         // one field promised, nothing present
-		{0, 1, 3, 'a'},                 // truncated name
-		{0, 1, 1, 'a', 99, 0, 0, 0, 0}, // unknown type
-		{0, 1, 1, 'a', byte(TypeInt), 0, 0, 0, 2, 1, 2},            // int with wrong length
-		{0, 1, 1, 'a', byte(TypeAddress), 0, 0, 0, 3, 1, 2, 3},     // short address
-		{0, 1, 1, 'a', byte(TypeAddressList), 0, 0, 0, 3, 1, 2, 3}, // bad list length
+		{},                                   // missing count
+		{1},                                  // one field promised, nothing present
+		{1, 3, 'a'},                          // truncated name
+		{1, 1, 'a', 99, 0},                   // unknown type
+		{1, 1, 'a', byte(TypeInt), 0x80},     // int cut inside its varint
+		{1, 1, 'a', byte(TypeAddress), 1, 2}, // short address
+		{1, 1, 'a', byte(TypeAddressList), 3, 1, 2, 3},                                            // bad list length
+		{1, 1, 'a', byte(TypeBytes), 4, 1, 2, 3},                                                  // payload past the end
+		{1, 1, 'a', byte(TypeInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0}, // 11-byte varint
+		append([]byte{1, 0x80, 2}, append(bytes.Repeat([]byte{'a'}, 256), byte(TypeInt), 0)...),   // a name too long to marshal
 	}
 	for i, b := range cases {
 		if _, err := Unmarshal(b); err == nil {

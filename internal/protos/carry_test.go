@@ -77,7 +77,7 @@ func TestMemberLeaveSendsItsSiteNoPrepare(t *testing.T) {
 	waitFor(t, "the leave's view at sites 1 and 2", 5*time.Second, func() bool {
 		return procs[0].lastView().Size() == 2 && procs[1].lastView().Size() == 2
 	})
-	want := []string{"1>2 type 39", "1>2 type 41", "1>3 type 38", "1>3 type 41", "2>1 type 40", "3>1 type 37"}
+	want := []string{"1>2 type 51", "1>2 type 53", "1>3 type 50", "1>3 type 53", "2>1 type 52", "3>1 type 49"}
 	if got := fab.since(before); !slices.Equal(got, want) {
 		t.Errorf("a member's leave sent\n%s\nwant\n%s", strings.Join(got, ", "), strings.Join(want, ", "))
 	}

@@ -645,7 +645,7 @@ func (c *caller) await() (answer, error) {
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks
-// the envelope, decodes the body's fixed layout outside the lock and hands it
+// the envelope, decodes the body's fields outside the lock and hands it
 // to its handler in one hold of d.mu, at whose tail this site's requests move
 // on what the packet answered or filed. What a body decodes to lives on this
 // stack unless a handler or a call keeps it; a data packet, a payload and a

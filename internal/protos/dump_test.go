@@ -40,20 +40,20 @@ func dumps(t *testing.T) string {
 }
 
 // dump renders what a daemon holds that a step could be waiting on: its
-// counters, sends and unacknowledged records, views and names; its calls, each
-// with the answers queued for a blocked caller; the heads of its request
-// queues and its parked rejoins; and for each copy the view, phase and
-// released clock, the causal queue (a held relay with the stamp it waits for,
-// a submission with its clock), the submissions, the carried ack, the dedupe
-// marks, what the flush parked, the members' state transfer, the GBCAST
-// queue and round, and the merge survey. The current tick is not in it, so
-// two dumps are equal when no step moved the daemon.
+// counters, sends, each peer's unacknowledged records and queued messages,
+// views and names; its calls, each with the answers queued for a blocked
+// caller; the heads of its request queues and its parked rejoins; and for each
+// copy the view, phase and released clock, the causal queue (a held relay with
+// the stamp it waits for, a submission with its clock), the submissions, the
+// carried ack, the dedupe marks, what the flush parked, the members' state
+// transfer, the GBCAST queue and round, and the merge survey. The current tick
+// is not in it, so two dumps are equal when no step moved the daemon.
 func dump(d *Daemon) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "counters %+v sent %d unacked %d suspected %v remote %v names %v\n", d.counters,
-		d.tr.Stats().MessagesSent, d.tr.Unacked(), slices.Sorted(maps.Keys(d.suspected)), d.remoteViews, d.nameCache)
+	fmt.Fprintf(&b, "counters %+v sent %d windows %v suspected %v remote %v names %v\n", d.counters,
+		d.tr.Stats().MessagesSent, d.tr.Windows(), slices.Sorted(maps.Keys(d.suspected)), d.remoteViews, d.nameCache)
 	for _, id := range slices.Sorted(maps.Keys(d.calls)) {
 		c, queued := d.calls[id], 0
 		if w, ok := c.val.(*caller); ok {

@@ -484,7 +484,7 @@ func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 				kind = ""
 			case pkt[1] != ptData:
 				kind = fmt.Sprintf("type %d", pkt[1])
-			case int16(binary.BigEndian.Uint16(pkt[envelopeBytes+3:])) >= 0: // stamped at a rank
+			case stampedAtARank(pkt):
 				kind = "data"
 			}
 			if kind != "" {
@@ -495,6 +495,15 @@ func (e shapeEndpoint) Send(to netback.SiteID, frame []byte) error {
 		e.n.mu.Unlock()
 	}
 	return e.Endpoint.Send(to, frame)
+}
+
+// stampedAtARank reports whether a data packet's header names the rank that
+// stamped it: a submission's is -1.
+func stampedAtARank(pkt []byte) bool {
+	var p dataPacket
+	r := reader{b: pkt[envelopeBytes:]}
+	p.parseHeader(&r)
+	return p.rank >= 0
 }
 
 // TestAbcastPacketShape counts the daemon packets one ABCAST to a group of

@@ -13,117 +13,90 @@ import (
 	"repro/internal/vclock"
 )
 
-// goldenWire holds the control packets that left the message codec in PR 26,
-// each in its fixed layout: the GBCAST family (one gbPacket layout: envelope,
-// call id, group, kind, request id, seal target, outcome, flags, then the
-// sections the flags select), a lookup and its answer (call id, site, primary,
-// then a view), a state block (group, joiner, transfer id, last, then the
-// block), an error (call id, then the text) and a relay's acknowledgement
-// (stamp, call id). They replace the message-built "view", "report" and
-// "relayack" this map held before: a view and a flush report are now sections
-// of "ack" and "commit", and type numbers 4-10 and 12-16 are retired. A report entry is the id, the list tag
-// and the nested packet's length. The GBCAST family took types 37-41 when its
-// head lost the GBCAST sequence and view id nothing read (under 22-24, 35 and
-// 36), and an ack or a commit gained the members awaiting state (flag 128,
-// after the dead). "carried" is a request from a member site that carries the
-// site's answer to the prepare: the request's head and processes, then the
-// sections an ack has, in the same layout.
+// goldenWire holds the control packets, each in its fixed order of fields
+// under the one encoding rule (an integer a minimal uvarint or, a rank, a
+// zigzag varint; a count or a length a uvarint; an address and a GBCAST
+// request id 8 bytes): the GBCAST family (one gbPacket layout: envelope, call
+// id, group, kind, request id, seal target, outcome, flags, then the sections
+// the flags select), a lookup and its answer (call id, site, primary, then a
+// view), a state block (group, joiner, transfer id, last, then the block), an
+// error (call id, then the text) and a relay's acknowledgement (stamp, call
+// id). A view is its group, id, name and members; a report entry is the id,
+// the list tag and the nested packet's length. "carried" is a request from a
+// member site that carries the site's answer to the prepare: the request's
+// head and processes, then the sections an ack has, in the same layout. Types
+// 43-47 and 49-53 are these layouts; the fixed-width ones they replace are in
+// goldenRetired.
 var goldenWire = map[string]string{
-	"ack": "0128" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "02" + "b8" +
-		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
-		"ef00020002010100000007000000000000002a0400000086012201011000010001000200000003000000000000000500" +
-		"02010100000007000000000000002a000300000000000000030000000000000000000000000000000900040840736573" +
-		"73696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f" +
-		"726c64017302000000047465787400020101000000070000000000000029040000008601220102100000000100020000" +
-		"000300000000000000050002010100000007000000000000002a00030000000000000004000000000000000000000000" +
-		"000000090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000" +
-		"000c68656c6c6f2c20776f726c6401730200000004746578740001000201010000000700010003020100abcdef",
-	"carried": "0125" + "000000000000001f" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "bc" +
-		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
-		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
-		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
-		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
-		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
-		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
-		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
-		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010002010100000007000100" +
-		"03020100abcdef",
-	"commit": "0129" + "0000000000000000" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "9e" +
-		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
-		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
-		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
-		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
-		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
-		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
-		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
-		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010003020100abcdef",
-	"done": "0126" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "01" + "08" +
-		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
-		"ef",
-	"error": "011f" + "000000000000001f" + "70726f746f733a2067726f757020697320696e2061206e6f6e2d7072696d61727920706172746974696f6e2028726561642d6f6e6c7929",
-	"lookup": "011b" + "000000000000001f" + "0000" + "00" +
-		"00010002000000030000000000000000000562656e63680000",
-	"lookupresp": "011c" + "000000000000001f" + "0002" + "01" +
-		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
-		"ef",
-	"nonprimary": "0129" + "0000000000000000" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "00" + "00",
-	"prepare": "0127" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
-		"00010002010100000007",
-	"relayack": "0120" + "0000000000000005" + "0001" + "0000000000000009" + "000000000000001f",
-	"request": "0125" + "000000000000001f" + "0001000200000003" + "01" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
-		"00010003020100abcdef",
-	"resume": "0129" + "0000000000000000" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "00" + "08" +
-		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
-		"ef",
-	"stateblock": "011d" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "00" + "726f772d31",
-	"usergb": "0125" + "000000000000001f" + "0001000200000003" + "04" + "0000004d00000001" + "0000000000000000" + "00" + "40" +
-		"10000201010000000700010173020000000474657874",
+	"ack": "0134" + "1f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "02" + "b8" +
+		"0001000200000003060562656e636803000201010000000700010001000000010003020100abcdef0200020101000000" +
+		"072a044601300101100200010002000000030500020101000000072a0303000904084073657373696f6e0312016e03f2" +
+		"c0010170010c68656c6c6f2c20776f726c64017302047465787400020101000000072904460130010210000001000200" +
+		"0000030500020101000000072a0304000904084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f" +
+		"726c640173020474657874010002010100000007010003020100abcdef",
+	"carried": "0131" + "1f" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "bc" +
+		"0100020101000000070001000200000003060562656e636803000201010000000700010001000000010003020100abcd" +
+		"ef0200020101000000072a044601300101100200010002000000030500020101000000072a0303000904084073657373" +
+		"696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c64017302047465787400020101000000072904460130" +
+		"0102100000010002000000030500020101000000072a0304000904084073657373696f6e0312016e03f2c0010170010c" +
+		"68656c6c6f2c20776f726c640173020474657874010002010100000007010003020100abcdef",
+	"commit": "0135" + "00" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "9e" +
+		"0100020101000000070001000200000003060562656e636803000201010000000700010001000000010003020100abcd" +
+		"ef0200020101000000072a044601300101100200010002000000030500020101000000072a0303000904084073657373" +
+		"696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c64017302047465787400020101000000072904460130" +
+		"0102100000010002000000030500020101000000072a0304000904084073657373696f6e0312016e03f2c0010170010c" +
+		"68656c6c6f2c20776f726c640173020474657874010003020100abcdef",
+	"done": "0132" + "1f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "01" + "08" +
+		"0001000200000003060562656e636803000201010000000700010001000000010003020100abcdef",
+	"error": "012e" + "1f" +
+		"70726f746f733a2067726f757020697320696e2061206e6f6e2d7072696d61727920706172746974696f6e2028726561" +
+		"642d6f6e6c7929",
+	"lookup": "012b" + "1f" + "00" + "00" + "0001000200000003000562656e636800",
+	"lookupresp": "012c" + "1f" + "02" + "01" +
+		"0001000200000003060562656e636803000201010000000700010001000000010003020100abcdef",
+	"nonprimary": "0135" + "00" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "00" + "00",
+	"prepare":    "0133" + "1f" + "0001000200000003" + "00" + "0000000000000000" + "0000004d00000001" + "00" + "04" + "010002010100000007",
+	"relayack":   "012f" + "05" + "02" + "09" + "1f",
+	"request":    "0131" + "1f" + "0001000200000003" + "01" + "0000004d00000001" + "0000000000000000" + "00" + "05" + "010003020100abcdef",
+	"resume": "0135" + "00" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "00" + "08" +
+		"0001000200000003060562656e636803000201010000000700010001000000010003020100abcdef",
+	"stateblock": "012d" + "0001000200000003" + "0003020100abcdef" + "06" + "00" + "726f772d31",
+	"usergb":     "0131" + "1f" + "0001000200000003" + "04" + "0000004d00000001" + "0000000000000000" + "00" + "40" + "100002010100000007010173020474657874",
 }
 
-// goldenData holds the ptData packets in their fixed layout (PR 24): envelope,
-// flags, protocol, entry, rank, group, view, id, the sections the flags select,
-// then the payload as it is marshalled. They replace the message-built "data",
-// "cbcast", "p2p" and "relay" of goldenWire, whose type number 1 is retired,
-// and the same layouts under types 21 and 33, whose flag 2 section was a fenced
-// ABCAST's attempt and then the holder's number for it: under type 34 an
-// ABCAST carries a timestamp instead, its site's clock in a submission and
-// rank 0's stamp once the holder sends it on.
+// goldenData holds the ptData packets (type 48): envelope, flags, protocol,
+// entry, rank, group, view, id, the sections the flags select, then the
+// payload as it is marshalled. An ABCAST carries a timestamp, its site's clock
+// in a submission and rank 0's stamp once the holder sends it on. 28 bytes
+// lead the payload of a CBCAST or a stamped ABCAST in a view of three.
 var goldenData = map[string]string{
-	"submission": "0122" + "010210" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
-		"0003000000000000000300000000000000000000000000000009" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
-	"stamped": "0122" + "010210" + "0000" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
-		"0003000000000000000400000000000000000000000000000009" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
-	"cbcast": "0122" + "010110" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
-		"0003000000000000000300000000000000000000000000000009" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
-	"p2p": "0122" + "080100" + "0000" + "0000000000000000" + "0000000000000000" + "0002010100000007" + "000000000000002a" +
-		"00010001000100000001" +
-		"000206407265706c7903000000080000000000000001084073657373696f6e03000000080000000000000009",
-	"relay": "0122" + "040110" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
-		"000000000000000500010000000000000008000000000000001f" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
-	"abrelay": "0122" + "040210" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
-		"0000000000000000" + "0000" + "0000000000000000" + "000000000000001f" +
-		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
-		"6c6c6f2c20776f726c640173020000000474657874",
+	"abrelay": "0130" + "040210" + "01" + "0001000200000003" + "05" + "0002010100000007" + "2a" + "0000001f" +
+		"04084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c640173020474657874",
+	"cbcast": "0130" + "010110" + "02" + "0001000200000003" + "05" + "0002010100000007" + "2a" + "03030009" +
+		"04084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c640173020474657874",
+	"p2p": "0130" + "080100" + "00" + "0000000000000000" + "00" + "0002010100000007" + "2a" + "010001000100000001" +
+		"0206407265706c790302084073657373696f6e0312",
+	"relay": "0130" + "040110" + "01" + "0001000200000003" + "05" + "0002010100000007" + "2a" + "0502081f" +
+		"04084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c640173020474657874",
+	"stamped": "0130" + "010210" + "00" + "0001000200000003" + "05" + "0002010100000007" + "2a" + "03040009" +
+		"04084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c640173020474657874",
+	"submission": "0130" + "010210" + "01" + "0001000200000003" + "05" + "0002010100000007" + "2a" + "03030009" +
+		"04084073657373696f6e0312016e03f2c0010170010c68656c6c6f2c20776f726c640173020474657874",
 }
 
-// goldenRetired holds the last encodings the retired numbers 17-19, 21-26, 30,
-// 33, 35 and 36 had: the proposal, commit and re-solicitation of the two-phase
-// ABCAST (each a 40-byte record: group, message id, priority, attempt), a data
-// packet whose flag 2 section is a fenced ABCAST's attempt, a data packet
-// whose flag 2 section is the holder's number for an ABCAST and one that
-// submits it unnumbered, a prepare ack and a commit whose report entries
-// carry that number, the GBCAST family's request, done, prepare, ack and
-// commit with the 51-byte head (GBCAST sequence 17-24, view id 25-32), and a
-// joiner's state ack (a state block's header alone). A site drops each of them
-// unread.
+// goldenRetired holds the last encodings the retired numbers had: the
+// proposal, commit and re-solicitation of the two-phase ABCAST (17-19, each a
+// 40-byte record: group, message id, priority, attempt), a data packet whose
+// flag 2 section is a fenced ABCAST's attempt (21), a data packet whose flag 2
+// section is the holder's number for an ABCAST and one that submits it
+// unnumbered (33), a prepare ack and a commit whose report entries carry that
+// number (25, 26), the GBCAST family's request, done, prepare, ack and commit
+// with the 51-byte head (22-24, 35, 36: GBCAST sequence 17-24, view id
+// 25-32), a joiner's state ack (30: a state block's header alone), and every
+// packet of the fixed-width layout, whose integers took 2 or 8 bytes big
+// endian and whose messages were marshalled with 6-byte field heads (20,
+// 27-29, 31, 32, 34, 37-41: the "fixed-width" names). A site drops each of
+// them unread.
 var goldenRetired = map[string]string{
 	"propose":   "0111" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000002",
 	"commit":    "0112" + "0001000200000003" + "0002010100000007" + "000000000000002a" + "000000000000004d" + "0000000000000000",
@@ -183,6 +156,80 @@ var goldenRetired = map[string]string{
 	"head request": "0116" + "000000000000001f" + "0001000200000003" + "01" + "0000000000000000" + "0000000000000000" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
 		"00010003020100abcdef",
 	"stateack": "011e" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "01",
+	"fixed-width ack": "0128" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "02" + "b8" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef00020002010100000007000000000000002a0400000086012201011000010001000200000003000000000000000500" +
+		"02010100000007000000000000002a000300000000000000030000000000000000000000000000000900040840736573" +
+		"73696f6e03000000080000000000000009016e030000000800000000000030390170010000000c68656c6c6f2c20776f" +
+		"726c64017302000000047465787400020101000000070000000000000029040000008601220102100000000100020000" +
+		"000300000000000000050002010100000007000000000000002a00030000000000000004000000000000000000000000" +
+		"000000090004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000" +
+		"000c68656c6c6f2c20776f726c6401730200000004746578740001000201010000000700010003020100abcdef",
+	"fixed-width carried": "0125" + "000000000000001f" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "bc" +
+		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
+		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
+		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
+		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
+		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
+		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
+		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010002010100000007000100" +
+		"03020100abcdef",
+	"fixed-width commit": "0129" + "0000000000000000" + "0001000200000003" + "03" + "0000004d00000001" + "0000000000000000" + "00" + "9e" +
+		"0001000201010000000700010002000000030000000000000006000562656e6368000300020101000000070001000100" +
+		"0000010003020100abcdef00020002010100000007000000000000002a04000000860122010110000100010002000000" +
+		"0300000000000000050002010100000007000000000000002a0003000000000000000300000000000000000000000000" +
+		"0000090004084073657373696f6e03000000080000000000000009016e03000000080000000000003039017001000000" +
+		"0c68656c6c6f2c20776f726c640173020000000474657874000201010000000700000000000000290400000086012201" +
+		"02100000000100020000000300000000000000050002010100000007000000000000002a000300000000000000040000" +
+		"00000000000000000000000000090004084073657373696f6e03000000080000000000000009016e0300000008000000" +
+		"00000030390170010000000c68656c6c6f2c20776f726c64017302000000047465787400010003020100abcdef",
+	"fixed-width done": "0126" + "000000000000001f" + "0000000000000000" + "00" + "0000000000000000" + "0000000000000000" + "01" + "08" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"fixed-width error": "011f" + "000000000000001f" + "70726f746f733a2067726f757020697320696e2061206e6f6e2d7072696d61727920706172746974696f6e2028726561642d6f6e6c7929",
+	"fixed-width lookup": "011b" + "000000000000001f" + "0000" + "00" +
+		"00010002000000030000000000000000000562656e63680000",
+	"fixed-width lookupresp": "011c" + "000000000000001f" + "0002" + "01" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"fixed-width nonprimary": "0129" + "0000000000000000" + "0001000200000003" + "06" + "0000000000000000" + "0000000000000000" + "00" + "00",
+	"fixed-width prepare": "0127" + "000000000000001f" + "0001000200000003" + "00" + "0000000000000000" + "0000004d00000001" + "00" + "04" +
+		"00010002010100000007",
+	"fixed-width relayack": "0120" + "0000000000000005" + "0001" + "0000000000000009" + "000000000000001f",
+	"fixed-width request": "0125" + "000000000000001f" + "0001000200000003" + "01" + "0000004d00000001" + "0000000000000000" + "00" + "05" +
+		"00010003020100abcdef",
+	"fixed-width resume": "0129" + "0000000000000000" + "0001000200000003" + "07" + "0000000000000000" + "0000000000000000" + "00" + "08" +
+		"00010002000000030000000000000006000562656e63680003000201010000000700010001000000010003020100abcd" +
+		"ef",
+	"fixed-width stateblock": "011d" + "0001000200000003" + "0003020100abcdef" + "0000000000000006" + "00" + "726f772d31",
+	"fixed-width usergb": "0125" + "000000000000001f" + "0001000200000003" + "04" + "0000004d00000001" + "0000000000000000" + "00" + "40" +
+		"10000201010000000700010173020000000474657874",
+	"fixed-width submission": "0122" + "010210" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0003000000000000000300000000000000000000000000000009" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"fixed-width stamped": "0122" + "010210" + "0000" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0003000000000000000400000000000000000000000000000009" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"fixed-width cbcast": "0122" + "010110" + "0001" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0003000000000000000300000000000000000000000000000009" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"fixed-width p2p": "0122" + "080100" + "0000" + "0000000000000000" + "0000000000000000" + "0002010100000007" + "000000000000002a" +
+		"00010001000100000001" +
+		"000206407265706c7903000000080000000000000001084073657373696f6e03000000080000000000000009",
+	"fixed-width relay": "0122" + "040110" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"000000000000000500010000000000000008000000000000001f" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"fixed-width abrelay": "0122" + "040210" + "ffff" + "0001000200000003" + "0000000000000005" + "0002010100000007" + "000000000000002a" +
+		"0000000000000000" + "0000" + "0000000000000000" + "000000000000001f" +
+		"0004084073657373696f6e03000000080000000000000009016e030000000800000000000030390170010000000c6865" +
+		"6c6c6f2c20776f726c640173020000000474657874",
+	"fixed-width reply":     "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "01" + "00010173020000000474657874",
+	"fixed-width nullreply": "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "02" + "0000",
 }
 
 // goldenDataPackets rebuilds the packets of goldenData.
@@ -361,16 +408,17 @@ func TestDataPacketMatchesGolden(t *testing.T) {
 			t.Errorf("%s: parse and re-marshal moved the bytes\n got %x\nwant %s", name, back.raw, want)
 		}
 	}
-	if dataHeaderBytes != 37 || envelopeBytes+dataHeaderBytes+2+3*8 != 65 {
-		t.Error("the data header moved: 65 bytes lead the payload of a CBCAST or an ABCAST in a view of three")
+	if p := packets["cbcast"]; p.body != 28 {
+		t.Errorf("the data header moved: %d bytes lead the payload of a CBCAST in a view of three, want 28", p.body)
 	}
 }
 
-// goldenFixed holds the reply, the one packet with a fixed header before a
-// marshalled body that is not a data packet.
+// goldenFixed holds the reply (type 42), the one packet with a head before a
+// marshalled body that is not a data packet: caller, responder, session,
+// kind, then the body.
 var goldenFixed = map[string]string{
-	"reply":     "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "01" + "00010173020000000474657874",
-	"nullreply": "0114" + "0001000100000001" + "0002010100000007" + "0000000000000009" + "02" + "0000",
+	"nullreply": "012a" + "0001000100000001" + "0002010100000007" + "09" + "02" + "00",
+	"reply":     "012a" + "0001000100000001" + "0002010100000007" + "09" + "01" + "010173020474657874",
 }
 
 // TestFixedLayoutMatchesGolden checks the reply's layout both ways: today's
@@ -415,7 +463,7 @@ func TestFixedLayoutMatchesGolden(t *testing.T) {
 			t.Errorf("%s: type %d is not retired", name, raw[1])
 		}
 	}
-	if wireVersion != 1 || ptReply != 20 || ptLookup != 27 || ptRelayAck != 32 || ptData != 34 || ptGbRequest != 37 || ptGbCommit != 41 {
+	if wireVersion != 1 || ptReply != 42 || ptLookup != 43 || ptRelayAck != 47 || ptData != 48 || ptGbRequest != 49 || ptGbCommit != 53 {
 		t.Error("a packet type moved: retired numbers stay retired, new layouts are appended, wireVersion stays 1")
 	}
 }

@@ -3,6 +3,7 @@ package protos
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -41,12 +42,18 @@ func (p Protocol) String() string {
 	}
 }
 
-// Daemon wire envelope. Every daemon-to-daemon packet begins with a small
-// fixed-offset header followed by the fixed layout of its type:
+// Daemon wire envelope. Every daemon-to-daemon packet begins with a two-byte
+// envelope followed by the fields of its type in a fixed order:
 //
 //	byte 0   wireVersion
 //	byte 1   packet type (one of the pt* constants below)
-//	bytes 2+ the type's layout, big endian
+//	bytes 2+ the type's fields
+//
+// One encoding rule holds for every field: an integer is a minimal uvarint,
+// or a zigzag varint where it can be negative (a rank), and a length or a
+// count is a uvarint. An address keeps its 8 bytes, and a GBCAST request id
+// 8 bytes big endian: it packs a site and an incarnation into its high 32
+// bits. Flags, kinds and other enumerations are one byte each.
 //
 // Keeping the packet type at a fixed offset lets handleTransport dispatch
 // without decoding the body, and lets a multicast fan-out share one encoded
@@ -61,22 +68,14 @@ func (p Protocol) String() string {
 const (
 	wireVersion   = 1
 	envelopeBytes = 2
-
-	// The fixed heads; ARCHITECTURE.md has each byte by byte.
-	replyHeaderBytes, gbHeadBytes, lookupHeadBytes, stateHeaderBytes = 25, 35, 11, 25
-
-	// The data header, then the sections its flags byte selects: with the
-	// envelope 65 bytes lead the payload of a CBCAST or a stamped ABCAST in a
-	// view of three (the message-built wrapper they replace spent 213).
-	dataHeaderBytes, dataRelayBytes = 37, 26
 )
 
 // The optional sections of a data packet, in the order they follow the header.
 const (
-	dataHasVT    = 1 << iota // vector timestamp: uint16 count, count × 8 bytes (a CBCAST, an ABCAST)
+	dataHasVT    = 1 << iota // vector timestamp: count, then each entry (vclock's AppendEncode; a CBCAST, an ABCAST)
 	_                        // 2: the holder's number for an ABCAST under type 33; a packet setting it is malformed
-	dataIsRelay              // relay stamp (view 8, rank 2, seq 8) and call id 8: a request to the relay site
-	dataHasDests             // destination processes: uint16 count, count × 8 bytes (point-to-point)
+	dataIsRelay              // relay stamp (view, rank, seq) and call id: a request to the relay site
+	dataHasDests             // destination processes: count, count × 8 bytes (point-to-point)
 )
 
 // Packet types exchanged between daemons, carried in byte 1 of the wire
@@ -102,23 +101,35 @@ const (
 	_                             // 17: ABCAST proposal, gone with the two-phase ABCAST
 	_                             // 18: ABCAST commit, gone with the two-phase ABCAST
 	_                             // 19: ABCAST re-solicitation, gone with the two-phase ABCAST
-	ptReply                       // a reply on its way to the caller's process (reply header + body)
+	_                             // 20: reply of the fixed-width layout, now ptReply
 	_                             // 21: data packet whose flag 2 was a fenced ABCAST's attempt, now ptData
 	_                             // 22: request whose head carried a GBCAST sequence and view id, now ptGbRequest
 	_                             // 23: done of that head, now ptGbDone
 	_                             // 24: prepare of that head, now ptGbPrepare
 	_                             // 25: prepare ack whose report entries carried an ABCAST number, then 35
 	_                             // 26: commit whose report entries carried an ABCAST number, then 36
+	_                             // 27: lookup of the fixed-width layout, now ptLookup
+	_                             // 28: lookup response of the fixed-width layout, now ptLookupResp
+	_                             // 29: state block of the fixed-width layout, now ptStateBlock
+	_                             // 30: a joiner's state transfer completed, gone: the flush asks for a pending one
+	_                             // 31: error of the fixed-width layout, now ptError
+	_                             // 32: relay ack of the fixed-width layout, now ptRelayAck
+	_                             // 33: data packet whose flag 2 was the holder's ABCAST number, now ptData
+	_                             // 34: data packet of the fixed-width layout, now ptData
+	_                             // 35: prepare ack of the 51-byte head, now ptGbAck
+	_                             // 36: commit of the 51-byte head, now ptGbCommit
+	_                             // 37: GBCAST request of the fixed-width layout, now ptGbRequest
+	_                             // 38: GBCAST done of the fixed-width layout, now ptGbDone
+	_                             // 39: GBCAST prepare of the fixed-width layout, now ptGbPrepare
+	_                             // 40: GBCAST ack of the fixed-width layout, now ptGbAck
+	_                             // 41: GBCAST commit of the fixed-width layout, now ptGbCommit
+	ptReply                       // a reply on its way to the caller's process (reply header + body)
 	ptLookup                      // group lookup by name or id (lookupPacket)
 	ptLookupResp                  // a site's answer to a lookup (lookupPacket)
 	ptStateBlock                  // state transfer block: stateHeader, then the block to the end
-	_                             // 30: a joiner's state transfer completed, gone: the flush asks for a pending one
-	ptError                       // negative answer to a call: call id 8, then the error text
+	ptError                       // negative answer to a call: call id, then the error text
 	ptRelayAck                    // positive answer to a relay request: relay stamp and call id
-	_                             // 33: data packet whose flag 2 was the holder's ABCAST number, now ptData
 	ptData                        // CBCAST / ABCAST, stamped or submitted / point-to-point / relay request (dataPacket)
-	_                             // 35: prepare ack of the 51-byte head, now ptGbAck
-	_                             // 36: commit of the 51-byte head, now ptGbCommit
 	ptGbRequest                   // request to the group coordinator: join/leave/fail/user gbcast/seal (gbPacket)
 	ptGbDone                      // the coordinator's answer to a request (gbPacket)
 	ptGbPrepare                   // GBCAST phase 1: wedge and report pending state (gbPacket)
@@ -138,9 +149,9 @@ const (
 	gbSeal                         // settle the outcome of an earlier request id (commit or abort it)
 )
 
-// replyHeader leads ptReply's body, before the marshalled reply, big endian
-// (ARCHITECTURE.md has every layout as a table): caller (0-7), responder
-// (8-15), session (16-23), kind (24).
+// replyHeader leads ptReply's body, before the marshalled reply
+// (ARCHITECTURE.md has every layout as a table): caller 8, responder 8,
+// session, kind.
 type replyHeader struct {
 	caller, responder addr.Address
 	session           int64
@@ -149,22 +160,74 @@ type replyHeader struct {
 
 // encodeReply builds the wire bytes of a ptReply packet.
 func encodeReply(h replyHeader, body *msg.Message) ([]byte, error) {
-	raw := append(make([]byte, 0, envelopeBytes+replyHeaderBytes+body.MarshaledSize()), wireVersion, ptReply)
-	raw = binary.BigEndian.AppendUint64(h.responder.AppendEncoded(h.caller.AppendEncoded(raw)), uint64(h.session))
+	raw := append(make([]byte, 0, envelopeBytes+2*addr.EncodedSize+uvarintLen(uint64(h.session))+1+body.MarshaledSize()), wireVersion, ptReply)
+	raw = binary.AppendUvarint(h.responder.AppendEncoded(h.caller.AppendEncoded(raw)), uint64(h.session))
 	return body.AppendMarshal(append(raw, h.kind))
 }
 
 // parseReply reads a ptReply body: the header, and the reply decoded once.
 func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
-	if len(b) < replyHeaderBytes {
+	r := reader{b: b}
+	h.caller, h.responder, h.session, h.kind = r.addr(), r.addr(), int64(r.uvarint()), r.byte()
+	if r.bad {
 		return h, nil, false
 	}
-	var cerr, rerr, berr error
-	h.caller, cerr = addr.Decode(b)
-	h.responder, rerr = addr.Decode(b[8:])
-	h.session, h.kind = int64(binary.BigEndian.Uint64(b[16:])), b[24]
-	body, berr = msg.UnmarshalOwned(b[replyHeaderBytes:], 4) // room for deliverReplyLocked's system fields
-	return h, body, cerr == nil && rerr == nil && berr == nil
+	body, err := msg.UnmarshalOwned(r.b, 4) // room for deliverReplyLocked's system fields
+	return h, body, err == nil
+}
+
+// reader reads a packet's fields in their order. The first field that is
+// short or malformed sets bad and empties b, so every later read fails too
+// and a parser checks bad once, at its end. Only a failed read allocates.
+type reader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *reader) fail() { r.b, r.bad = nil, true }
+
+// bytes reads the next n bytes, a view of the packet (zeros, up to 8, past its end).
+func (r *reader) bytes(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return make([]byte, min(n, 8))
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 { // cut short, or longer than 64 bits
+		r.fail()
+	}
+	r.b = r.b[max(n, 0):]
+	return v
+}
+
+func (r *reader) varint() int64 { u := r.uvarint(); return int64(u>>1) ^ -int64(u&1) } // zigzag
+
+func (r *reader) byte() byte { return r.bytes(1)[0] }
+
+// flag reads a byte that must be 0 or 1.
+func (r *reader) flag() bool {
+	v := r.byte()
+	if v > 1 {
+		r.fail()
+	}
+	return v == 1
+}
+
+// fixed64 reads 8 bytes big endian: a GBCAST request id.
+func (r *reader) fixed64() uint64 { return binary.BigEndian.Uint64(r.bytes(8)) }
+
+func (r *reader) addr() addr.Address {
+	a, err := addr.Decode(r.bytes(addr.EncodedSize))
+	if err != nil {
+		r.fail()
+	}
+	return a
 }
 
 // dataPacket is a ptData packet — a CBCAST, an ABCAST (stamped by its view's
@@ -195,18 +258,20 @@ type dataPacket struct {
 }
 
 // encode writes the packet's bytes into one exactly sized buffer: the header
-// and the sections the packet has (built in scratch, on the stack up to a view
-// of ten, each setting its flag), then the payload — marshalled here, once, or,
-// for a packet sent on under a new header (a relayed cast under the relay site's
-// view, a submission the holder stamps), the payload bytes it came with.
+// (flags, protocol, entry, rank, group, view, sender, sequence) and the
+// sections the packet has (built in scratch, on the stack up to a view of
+// twenty or so, each setting its flag), then the payload — marshalled here,
+// once, or, for a packet sent on under a new header (a relayed cast under the
+// relay site's view, a submission the holder stamps), the payload bytes it
+// came with.
 func (p *dataPacket) encode() (err error) {
 	var scratch [128]byte
-	be, h := binary.BigEndian, append(scratch[:0], wireVersion, ptData, 0, byte(p.proto), byte(p.entry))
-	h = be.AppendUint64(p.group.AppendEncoded(be.AppendUint16(h, uint16(p.rank))), uint64(p.view))
-	h = be.AppendUint64(p.id.Sender.AppendEncoded(h), p.id.Seq)
+	h := binary.AppendVarint(append(scratch[:0], wireVersion, ptData, 0, byte(p.proto), byte(p.entry)), int64(p.rank))
+	h = binary.AppendUvarint(p.group.AppendEncoded(h), uint64(p.view))
+	h = binary.AppendUvarint(p.id.Sender.AppendEncoded(h), p.id.Seq)
 	if len(p.vt) > 0 {
 		h[envelopeBytes] |= dataHasVT
-		h = p.vt.AppendEncode(be.AppendUint16(h, uint16(len(p.vt))))
+		h = p.vt.AppendEncode(h)
 	}
 	if p.call != 0 {
 		h[envelopeBytes] |= dataIsRelay
@@ -225,56 +290,38 @@ func (p *dataPacket) encode() (err error) {
 	return err
 }
 
-// parseHeader reads the fixed part of a ptData body into p and returns the
-// flags and what follows the header. It allocates nothing.
-func (p *dataPacket) parseHeader(b []byte) (flags byte, rest []byte, ok bool) {
-	if len(b) < dataHeaderBytes || b[0]&^(dataHasVT|dataIsRelay|dataHasDests) != 0 { // short, or a flags bit no section defines
-		return 0, nil, false
+// parseHeader reads the header of a ptData body into p and returns its flags.
+// It allocates nothing.
+func (p *dataPacket) parseHeader(r *reader) (flags byte) {
+	if flags = r.byte(); flags&^(dataHasVT|dataIsRelay|dataHasDests) != 0 { // a flags bit no section defines
+		r.fail()
 	}
-	var gerr, serr error
-	p.proto, p.entry, p.rank = Protocol(b[1]), addr.EntryID(b[2]), int16(binary.BigEndian.Uint16(b[3:]))
-	p.group, gerr = addr.Decode(b[5:])
-	p.id.Sender, serr = addr.Decode(b[21:])
-	p.view, p.id.Seq = core.ViewID(binary.BigEndian.Uint64(b[13:])), binary.BigEndian.Uint64(b[29:])
-	return b[0], b[dataHeaderBytes:], gerr == nil && serr == nil
+	p.proto, p.entry, p.rank = Protocol(r.byte()), addr.EntryID(r.byte()), int16(r.varint())
+	p.group, p.view = r.addr(), core.ViewID(r.uvarint())
+	p.id.Sender, p.id.Seq = r.addr(), r.uvarint()
+	return flags
 }
 
-// cut splits the first n bytes off b, and cutList a uint16 count and as many
-// 8-byte entries (returning the entries); ok is false when b is too short.
-func cut(b []byte, n int) (s, rest []byte, ok bool) {
-	if len(b) < n {
-		return nil, nil, false
-	}
-	return b[:n], b[n:], true
-}
-
-func cutList(b []byte) (list, rest []byte, ok bool) {
-	if len(b) < 2 {
-		return nil, nil, false
-	}
-	return cut(b[2:], 8*int(binary.BigEndian.Uint16(b)))
-}
-
-// appendAddrs writes an address list as a uint16 count and 8 bytes each;
-// readAddrs reads one back into a list of its own (nil when empty).
+// appendAddrs writes an address list as a count and 8 bytes each; addrs reads
+// one back into a list of its own (nil when empty).
 func appendAddrs(b []byte, l addr.List) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(l)))
+	b = binary.AppendUvarint(b, uint64(len(l)))
 	for _, a := range l {
 		b = a.AppendEncoded(b)
 	}
 	return b
 }
 
-func readAddrs(b []byte) (l addr.List, rest []byte, ok bool) {
-	s, rest, ok := cutList(b)
-	if ok && len(s) > 0 {
-		l = make(addr.List, 0, len(s)/addr.EncodedSize)
+func (r *reader) addrs() (l addr.List) {
+	if n := r.uvarint(); n > uint64(len(r.b)/addr.EncodedSize) {
+		r.fail()
+	} else if n > 0 {
+		l = make(addr.List, n)
 	}
-	for ; ok && len(s) > 0; s = s[addr.EncodedSize:] {
-		a, err := addr.Decode(s)
-		l, ok = append(l, a), err == nil
+	for i := range l {
+		l[i] = r.addr()
 	}
-	return l, rest, ok
+	return l
 }
 
 // parseDataPacket reads a whole ptData packet, which it keeps (a frame the
@@ -286,27 +333,25 @@ func parseDataPacket(raw []byte) (*dataPacket, bool) {
 		return nil, false
 	}
 	p := &dataPacket{raw: raw}
-	flags, b, ok := p.parseHeader(raw[envelopeBytes:])
-	var s []byte
-	if ok && flags&dataHasVT != 0 {
-		if s, b, ok = cutList(b); ok {
-			p.vt, _ = vclock.DecodeInto(p.vtBuf[:0], s)
+	r := reader{b: raw[envelopeBytes:]}
+	flags := p.parseHeader(&r)
+	var err error
+	if flags&dataHasVT != 0 {
+		if p.vt, r.b, err = vclock.DecodePrefix(p.vtBuf[:0], r.b); err != nil {
+			r.fail()
 		}
 	}
-	if ok && flags&dataIsRelay != 0 {
-		if s, b, ok = cut(b, dataRelayBytes); ok {
-			p.after, p.call = readRelay(s)
-		}
+	if flags&dataIsRelay != 0 {
+		p.after, p.call = r.relay()
 	}
-	if ok && flags&dataHasDests != 0 {
-		p.dests, b, ok = readAddrs(b)
+	if flags&dataHasDests != 0 {
+		p.dests = r.addrs()
 	}
-	if !ok {
+	if r.bad {
 		return nil, false
 	}
-	var err error
-	p.body = len(raw) - len(b)
-	p.payload, err = msg.UnmarshalOwned(b, 4)
+	p.body = len(raw) - len(r.b)
+	p.payload, err = msg.UnmarshalOwned(r.b, 4)
 	return p, err == nil
 }
 
@@ -321,18 +366,17 @@ type relayStamp struct {
 	seq  uint64
 }
 
-// appendRelay writes a relay stamp and the call it goes with (view 8, rank 2,
-// seq 8, call 8): a relay request's section, and the whole of its ptRelayAck.
+// appendRelay writes a relay stamp and the call it goes with (view, rank,
+// seq, call): a relay request's section, and the whole of its ptRelayAck.
 func appendRelay(b []byte, s relayStamp, call int64) []byte {
-	be := binary.BigEndian
-	b = be.AppendUint16(be.AppendUint64(b, uint64(s.view)), uint16(s.rank))
-	return be.AppendUint64(be.AppendUint64(b, s.seq), uint64(call))
+	b = binary.AppendVarint(binary.AppendUvarint(b, uint64(s.view)), int64(s.rank))
+	return binary.AppendUvarint(binary.AppendUvarint(b, s.seq), uint64(call))
 }
 
-// readRelay reads what appendRelay wrote, from dataRelayBytes bytes.
-func readRelay(s []byte) (relayStamp, int64) {
-	be := binary.BigEndian
-	return relayStamp{view: core.ViewID(be.Uint64(s)), rank: int(int16(be.Uint16(s[8:]))), seq: be.Uint64(s[10:])}, int64(be.Uint64(s[18:]))
+// relay reads what appendRelay wrote.
+func (r *reader) relay() (relayStamp, int64) {
+	s := relayStamp{view: core.ViewID(r.uvarint()), rank: int(r.varint()), seq: r.uvarint()}
+	return s, int64(r.uvarint())
 }
 
 // pendingReport is one member site's contribution to a GBCAST flush, its
@@ -349,81 +393,71 @@ type recentWire struct {
 	Packet []byte
 }
 
-// A report travels as a uint16 count of entries, each the message id (sender
-// 8, sequence 8), a flags byte that is always 4 (the tag of the recent list in
-// the reports that also listed undelivered and fenced ABCASTs; any other value
-// is malformed) and a uint32 length, followed by that many bytes of the nested
-// packet as it travelled.
-const reportEntryBytes, reportRecent = 21, 1 << 2
+// A report travels as a count of entries, each the message id (sender 8,
+// sequence), a flags byte that is always 4 (the tag of the recent list in the
+// reports that also listed undelivered and fenced ABCASTs; any other value is
+// malformed) and a length, followed by that many bytes of the nested packet as
+// it travelled.
+const reportRecent = 1 << 2
 
 // size is the report's length on the wire.
 func (r pendingReport) size() int {
-	n := 2 + len(r)*reportEntryBytes
+	n := uvarintLen(uint64(len(r)))
 	for _, rc := range r {
-		n += len(rc.Packet)
+		n += addr.EncodedSize + uvarintLen(rc.ID.Seq) + 1 + uvarintLen(uint64(len(rc.Packet))) + len(rc.Packet)
 	}
 	return n
 }
 
 func (r pendingReport) appendTo(b []byte) []byte {
-	be := binary.BigEndian
-	b = be.AppendUint16(b, uint16(len(r)))
+	b = binary.AppendUvarint(b, uint64(len(r)))
 	for _, rc := range r {
-		b = append(be.AppendUint64(rc.ID.Sender.AppendEncoded(b), rc.ID.Seq), reportRecent)
-		b = append(be.AppendUint32(b, uint32(len(rc.Packet))), rc.Packet...)
+		b = append(binary.AppendUvarint(rc.ID.Sender.AppendEncoded(b), rc.ID.Seq), reportRecent)
+		b = append(binary.AppendUvarint(b, uint64(len(rc.Packet))), rc.Packet...)
 	}
 	return b
 }
 
-// readReport reads a report back; its packets are views of b.
-func readReport(b []byte) (r pendingReport, rest []byte, ok bool) {
-	be := binary.BigEndian
-	n, b, ok := cut(b, 2)
-	for i := 0; ok && i < int(be.Uint16(n)); i++ {
-		var e, pkt []byte
-		if e, b, ok = cut(b, reportEntryBytes); !ok {
-			break
+// report reads a report back; its packets are views of the packet read.
+func (r *reader) report() (rep pendingReport) {
+	for n := r.uvarint(); n > 0 && !r.bad; n-- {
+		rc := recentWire{ID: core.MsgID{Sender: r.addr(), Seq: r.uvarint()}}
+		if r.byte() != reportRecent {
+			r.fail()
 		}
-		pkt, b, ok = cut(b, int(be.Uint32(e[17:])))
-		rc := recentWire{ID: core.MsgID{Seq: be.Uint64(e[8:])}, Packet: pkt}
-		var err error
-		if rc.ID.Sender, err = addr.Decode(e); !ok || err != nil || e[16] != reportRecent {
-			return r, nil, false
-		}
-		r = append(r, rc)
+		rc.Packet = r.bytes(r.uvarint())
+		rep = append(rep, rc)
 	}
-	return r, b, ok
+	return rep
 }
 
-// appendView writes a view: group 8, id 8, name (uint16 length, the bytes),
-// members (appendAddrs). viewBytes is its length, readView reads it back.
+// appendView writes a view: group 8, id, name (length, the bytes), members
+// (appendAddrs). viewBytes is its length, view reads it back.
 func appendView(b []byte, v core.View) []byte {
-	b = binary.BigEndian.AppendUint64(v.Group.AppendEncoded(b), uint64(v.ID))
-	return appendAddrs(append(binary.BigEndian.AppendUint16(b, uint16(len(v.Name))), v.Name...), v.Members)
+	b = binary.AppendUvarint(v.Group.AppendEncoded(b), uint64(v.ID))
+	return appendAddrs(append(binary.AppendUvarint(b, uint64(len(v.Name))), v.Name...), v.Members)
 }
 
-func viewBytes(v core.View) int { return 20 + len(v.Name) + addr.EncodedSize*len(v.Members) }
+func viewBytes(v core.View) int {
+	return addr.EncodedSize + uvarintLen(uint64(v.ID)) + uvarintLen(uint64(len(v.Name))) + len(v.Name) + addrsBytes(v.Members)
+}
 
-func readView(b []byte) (v core.View, rest []byte, ok bool) {
-	if len(b) < 18 {
-		return v, nil, false
-	}
-	var err error
-	v.Group, err = addr.Decode(b)
-	v.ID = core.ViewID(binary.BigEndian.Uint64(b[8:]))
-	name, rest, ok := cut(b[18:], int(binary.BigEndian.Uint16(b[16:])))
-	if ok {
-		v.Name = string(name)
-		v.Members, rest, ok = readAddrs(rest)
-	}
-	return v, rest, ok && err == nil
+// addrsBytes is the length of appendAddrs' list, and uvarintLen of x as a uvarint.
+func addrsBytes(l addr.List) int { return uvarintLen(uint64(len(l))) + addr.EncodedSize*len(l) }
+func uvarintLen(x uint64) int    { return (bits.Len64(x|1) + 6) / 7 }
+
+func (r *reader) view() (v core.View) {
+	v.Group, v.ID = r.addr(), core.ViewID(r.uvarint())
+	v.Name = string(r.bytes(r.uvarint()))
+	v.Members = r.addrs()
+	return v
 }
 
 // gbPacket is every packet of the GBCAST family: a request and its done, a
 // prepare and its ack, a commit (or a gbNonPrimary or gbResume notice). What a
-// type does not use stays zero, and a section off the wire. Its head: call id
-// 0-7, group 8-15, kind 16, request id 17-24, seal target 25-32, outcome 33,
-// flags 34; then the flagged sections. The fields are in the order that keeps
+// type does not use stays zero, and a section off the wire. Its head: call id,
+// group 8, kind 1, request id 8, seal target 8 (a request id too), outcome 1,
+// flags 1; then the flagged sections. The fields are in the order that keeps
 // the struct at 240 bytes, an allocation size class.
 type gbPacket struct {
 	call       int64        // request, prepare: the call the done or ack answers
@@ -463,12 +497,13 @@ func (p *gbPacket) encode(pt byte) ([]byte, error) {
 		bit(!p.view.Group.IsNil())*gbHasView | bit(len(p.report) > 0)*gbHasReport |
 		bit(len(p.dead) > 0)*gbHasDead | bit(p.payload != nil)*gbHasPayload | bit(len(p.xfers) > 0)*gbHasXfers
 	// Room for every section, present or not: a few bytes too many, one allocation.
-	size := envelopeBytes + gbHeadBytes + 15 + addr.EncodedSize*(len(p.procs)+len(p.dead)+len(p.xfers)) + viewBytes(p.view) + p.report.size()
+	size := envelopeBytes + uvarintLen(uint64(p.call)) + 2*addr.EncodedSize + 2*8 + 4 + addrsBytes(p.procs) +
+		addrsBytes(p.dead) + addrsBytes(p.xfers) + viewBytes(p.view) + p.report.size()
 	if p.payload != nil {
 		size += p.payload.MarshaledSize()
 	}
 	be := binary.BigEndian
-	b := be.AppendUint64(append(make([]byte, 0, size), wireVersion, pt), uint64(p.call))
+	b := binary.AppendUvarint(append(make([]byte, 0, size), wireVersion, pt), uint64(p.call))
 	b = be.AppendUint64(be.AppendUint64(append(p.group.AppendEncoded(b), byte(p.kind)), uint64(p.reqID)), uint64(p.sealTarget))
 	b = append(b, byte(p.outcome), flags)
 	if flags&gbHasProcs != 0 {
@@ -495,44 +530,45 @@ func (p *gbPacket) encode(pt byte) ([]byte, error) {
 // parse reads a body into p (a zero value), each section within exact bounds
 // and the payload decoded in place. The report's packets are views of b.
 func (p *gbPacket) parse(b []byte) bool {
-	if len(b) < gbHeadBytes || b[16] > byte(gbSeal) {
+	r := reader{b: b}
+	p.call, p.group, p.kind = int64(r.uvarint()), r.addr(), int64(r.byte())
+	p.reqID, p.sealTarget, p.outcome = int64(r.fixed64()), int64(r.fixed64()), int64(r.byte())
+	flags := r.byte()
+	p.wantState, p.force = flags&gbWantState != 0, flags&gbForce != 0
+	if p.kind > gbSeal {
+		r.fail()
+	}
+	if flags&gbHasProcs != 0 {
+		p.procs = r.addrs()
+	}
+	if flags&gbHasView != 0 {
+		p.view = r.view()
+	}
+	if flags&gbHasReport != 0 {
+		p.report = r.report()
+	}
+	if flags&gbHasDead != 0 {
+		p.dead = r.addrs()
+	}
+	if flags&gbHasXfers != 0 {
+		p.xfers = r.addrs()
+	}
+	if flags&gbHasPayload == 0 {
+		return !r.bad && len(r.b) == 0
+	}
+	p.entry, p.sender = addr.EntryID(r.byte()), r.addr()
+	if r.bad {
 		return false
 	}
-	be, flags := binary.BigEndian, b[34]
 	var err error
-	p.call, p.kind, p.reqID, p.sealTarget = int64(be.Uint64(b)), int64(b[16]), int64(be.Uint64(b[17:])), int64(be.Uint64(b[25:]))
-	p.group, err = addr.Decode(b[8:])
-	p.outcome, p.wantState, p.force = int64(b[33]), flags&gbWantState != 0, flags&gbForce != 0
-	ok, b := err == nil, b[gbHeadBytes:]
-	if ok && flags&gbHasProcs != 0 {
-		p.procs, b, ok = readAddrs(b)
-	}
-	if ok && flags&gbHasView != 0 {
-		p.view, b, ok = readView(b)
-	}
-	if ok && flags&gbHasReport != 0 {
-		p.report, b, ok = readReport(b)
-	}
-	if ok && flags&gbHasDead != 0 {
-		p.dead, b, ok = readAddrs(b)
-	}
-	if ok && flags&gbHasXfers != 0 {
-		p.xfers, b, ok = readAddrs(b)
-	}
-	if !ok || flags&gbHasPayload == 0 || len(b) < 9 {
-		return ok && len(b) == 0 && flags&gbHasPayload == 0
-	}
-	p.entry = addr.EntryID(b[0])
-	if p.sender, err = addr.Decode(b[1:]); err == nil {
-		p.payload, err = msg.UnmarshalOwned(b[9:], 0)
-	}
+	p.payload, err = msg.UnmarshalOwned(r.b, 0)
 	return err == nil
 }
 
 // lookupPacket is both a lookup (ptLookup: by its view's group or name, or
 // both) and a site's answer (ptLookupResp: the answering site, whether its copy
-// is primary, and the view it holds, the zero view for none). Layout: call id
-// 0-7, site 8-9, primary 10, then the view.
+// is primary, and the view it holds, the zero view for none). Layout: call id,
+// site, primary 1, then the view.
 type lookupPacket struct {
 	call    int64
 	site    addr.SiteID
@@ -541,22 +577,19 @@ type lookupPacket struct {
 }
 
 func (l lookupPacket) encode(pt byte) []byte {
-	b := append(make([]byte, 0, envelopeBytes+lookupHeadBytes+viewBytes(l.view)), wireVersion, pt)
-	b = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64(b, uint64(l.call)), uint16(l.site))
+	b := append(make([]byte, 0, envelopeBytes+uvarintLen(uint64(l.call))+uvarintLen(uint64(l.site))+1+viewBytes(l.view)), wireVersion, pt)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(l.call)), uint64(l.site))
 	return appendView(append(b, bit(l.primary)), l.view)
 }
 
 func parseLookup(b []byte) (l lookupPacket, ok bool) {
-	if len(b) < lookupHeadBytes || b[10] > 1 {
-		return l, false
-	}
-	l.call, l.site, l.primary = int64(binary.BigEndian.Uint64(b)), addr.SiteID(binary.BigEndian.Uint16(b[8:])), b[10] == 1
-	l.view, b, ok = readView(b[lookupHeadBytes:])
-	return l, ok && len(b) == 0
+	r := reader{b: b}
+	l.call, l.site, l.primary, l.view = int64(r.uvarint()), addr.SiteID(r.uvarint()), r.flag(), r.view()
+	return l, !r.bad && len(r.b) == 0
 }
 
 // stateHeader leads a state block (ptStateBlock; the block follows to the end):
-// group 0-7, joiner 8-15, transfer id 16-23, last 24.
+// group 8, joiner 8, transfer id, last 1.
 type stateHeader struct {
 	group, joiner addr.Address
 	xferID        uint64 // the view id the provider shipped under
@@ -566,8 +599,8 @@ type stateHeader struct {
 // encode builds the packet, writing the block into it: the one copy the
 // provider's bytes take on their way to the wire.
 func (h stateHeader) encode(block []byte) []byte {
-	b := append(make([]byte, 0, envelopeBytes+stateHeaderBytes+len(block)), wireVersion, ptStateBlock)
-	b = binary.BigEndian.AppendUint64(h.joiner.AppendEncoded(h.group.AppendEncoded(b)), h.xferID)
+	b := append(make([]byte, 0, envelopeBytes+2*addr.EncodedSize+uvarintLen(h.xferID)+1+len(block)), wireVersion, ptStateBlock)
+	b = binary.AppendUvarint(h.joiner.AppendEncoded(h.group.AppendEncoded(b)), h.xferID)
 	return append(append(b, bit(h.last)), block...)
 }
 
@@ -575,14 +608,9 @@ func (h stateHeader) encode(block []byte) []byte {
 // sub-slice of b: the receiver's to keep and write, nothing grows into what
 // follows it in the frame.
 func parseState(b []byte) (h stateHeader, block []byte, ok bool) {
-	if len(b) < stateHeaderBytes || b[24] > 1 {
-		return h, nil, false
-	}
-	var gerr, jerr error
-	h.group, gerr = addr.Decode(b)
-	h.joiner, jerr = addr.Decode(b[8:])
-	h.xferID, h.last = binary.BigEndian.Uint64(b[16:]), b[24] == 1
-	return h, b[stateHeaderBytes:len(b):len(b)], gerr == nil && jerr == nil
+	r := reader{b: b}
+	h.group, h.joiner, h.xferID, h.last = r.addr(), r.addr(), r.uvarint(), r.flag()
+	return h, r.b[:len(r.b):len(r.b)], !r.bad
 }
 
 // encode builds the packet of type pt an answer to call travels as: an error is
@@ -590,7 +618,7 @@ func parseState(b []byte) (h stateHeader, block []byte, ok bool) {
 func (a answer) encode(pt byte, call int64) []byte {
 	switch pt {
 	case ptError:
-		return append(binary.BigEndian.AppendUint64([]byte{wireVersion, ptError}, uint64(call)), a.err.Error()...)
+		return append(binary.AppendUvarint([]byte{wireVersion, ptError}, uint64(call)), a.err.Error()...)
 	case ptRelayAck:
 		return appendRelay([]byte{wireVersion, ptRelayAck}, a.stamp, call)
 	case ptLookupResp:
@@ -615,24 +643,24 @@ func parseAnswer(pt byte, b []byte) (call int64, a answer, ok bool) {
 	case ptLookupResp:
 		l, ok := parseLookup(b)
 		return l.call, answer{look: &l}, ok
-	case ptRelayAck:
-		if len(b) != dataRelayBytes {
-			return 0, a, false
-		}
-		a.stamp, call = readRelay(b)
-		return call, a, true
 	}
-	if len(b) < 8 {
+	r := reader{b: b}
+	if pt == ptRelayAck {
+		a.stamp, call = r.relay()
+		return call, a, !r.bad && len(r.b) == 0
+	}
+	call = int64(r.uvarint())
+	if r.bad {
 		return 0, a, false
 	}
-	text := string(b[8:])
+	text := string(r.b)
 	a.err = fmt.Errorf("protos: remote error: %s", text)
 	for _, sentinel := range []error{ErrNonPrimary, ErrUnknownGroup, ErrNotMember, ErrUnknownProc, ErrDeadProcess, ErrClosed, errNotCoordinator} {
 		if text == sentinel.Error() {
 			a.err = sentinel
 		}
 	}
-	return int64(binary.BigEndian.Uint64(b)), a, true
+	return call, a, true
 }
 
 // bit is 1 for true.

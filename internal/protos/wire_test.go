@@ -2,6 +2,7 @@ package protos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"maps"
@@ -70,7 +71,7 @@ func (fx *wireFixture) reply(tb testing.TB, kind uint8, body *msg.Message) []byt
 }
 
 // TestMalformedControlPacketsAreDropped feeds handleTransport every way a
-// fixed-layout packet can be wrong, at a daemon where the well-formed packet
+// packet can be wrong, at a daemon where the well-formed packet
 // would act (a submission waiting for its stamped copy, a live caller, the
 // holder of the group's view): nothing moves. The well-formed packets then do
 // act, so the check has teeth.
@@ -99,6 +100,7 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 			k[envelopeBytes+off] = byte(addr.KindGroup) + 1
 			bad[fmt.Sprintf("%s kind at %d", name, off)] = k
 		}
+		bad[name+" retired type 20"] = append([]byte{wireVersion, 20}, raw[envelopeBytes:]...)
 	}
 	// The data packets: a CBCAST that is the next of rank 0 (the view has one
 	// member), B stamped by the holder after it, a remote member's submission
@@ -119,8 +121,14 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		edit(k)
 		return k
 	}
+	// headerEnd is where a packet's sections start.
+	headerEnd := func(p *dataPacket) int {
+		r := reader{b: p.raw[envelopeBytes:]}
+		new(dataPacket).parseHeader(&r)
+		return len(p.raw) - len(r.b)
+	}
 	for name, p := range map[string]*dataPacket{"cbcast": cb, "abcast": ab, "submission": sub, "p2p": p2p} {
-		bad[name+" cut inside the header"] = p.raw[:envelopeBytes+dataHeaderBytes-1]
+		bad[name+" cut inside the header"] = p.raw[:headerEnd(p)-1]
 		bad[name+" cut inside the sections"] = p.raw[:p.body-1]
 		bad[name+" cut inside the payload"] = p.raw[:len(p.raw)-1]
 		bad[name+" extended"] = append(clone(p.raw, func([]byte) {}), 0)
@@ -129,15 +137,16 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 		bad[name+" retired type 1"] = clone(p.raw, func(k []byte) { k[1] = 1 })
 		bad[name+" retired type 21"] = clone(p.raw, func(k []byte) { k[1] = 21 })
 		bad[name+" retired type 33"] = clone(p.raw, func(k []byte) { k[1] = 33 })
+		bad[name+" retired type 34"] = clone(p.raw, func(k []byte) { k[1] = 34 })
 		bad[name+" flag 2, the holder's number under type 33"] = clone(p.raw, func(k []byte) { k[envelopeBytes] |= 2 })
-		for _, off := range []int{5 + 3, 21 + 3} { // the kind bytes of the group and the sender
+		for _, off := range []int{4 + 3, 13 + 3} { // the kind bytes of the group and the sender, after a one-byte rank and view
 			bad[fmt.Sprintf("%s kind at %d", name, off)] = clone(p.raw, func(k []byte) { k[envelopeBytes+off] = byte(addr.KindGroup) + 1 })
 		}
 	}
-	count := envelopeBytes + dataHeaderBytes // of the timestamp, of the destination list
-	bad["cbcast timestamp overruns the packet"] = clone(cb.raw, func(k []byte) { k[count], k[count+1] = 0xff, 0xff })
-	bad["p2p destinations overrun the packet"] = clone(p2p.raw, func(k []byte) { k[count+1] = 200 })
-	bad["p2p destination of no kind"] = clone(p2p.raw, func(k []byte) { k[count+2+3] = byte(addr.KindGroup) + 1 })
+	count := headerEnd(cb) // of the timestamp, of the destination list
+	bad["cbcast timestamp overruns the packet"] = clone(cb.raw, func(k []byte) { k[count] = 0x7f })
+	bad["p2p destinations overrun the packet"] = clone(p2p.raw, func(k []byte) { k[count] = 100 })
+	bad["p2p destination of no kind"] = clone(p2p.raw, func(k []byte) { k[count+1+3] = byte(addr.KindGroup) + 1 })
 	wide := *cb
 	wide.vt, wide.raw = vclock.VC{1, 0}, nil
 	if err := wide.encode(); err != nil {
@@ -146,8 +155,9 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	bad["cbcast timestamp of another view's size"] = wide.raw
 	old, _ := hex.DecodeString("0101000106266465737473050000000800010001000000010")
 	bad["retired type 1, message body"] = old
-	bad["reply header alone"] = good["reply"][:envelopeBytes+replyHeaderBytes]
-	bad["reply corrupt body"] = append(append([]byte{}, good["reply"][:envelopeBytes+replyHeaderBytes]...), 0, 1, 3, 'x')
+	replyHead := envelopeBytes + 2*addr.EncodedSize + 2 // the session (4) and the kind, a byte each
+	bad["reply header alone"] = good["reply"][:replyHead]
+	bad["reply corrupt body"] = append(append([]byte{}, good["reply"][:replyHead]...), 1, 3, 'x')
 	// The retired numbers: with the body an old site would send (the golden
 	// commit of the message-built layout), and with the last layouts they had.
 	oldCommit, _ := hex.DecodeString("01030004062667726f75700400000008000100020000000306266d736769640400000008000201010000000707266d73" +
@@ -250,17 +260,18 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 		copy(k[off:], b)
 		return k
 	}
+	overrun := []byte{0xff, 0xff, 0x7f} // a count or a length of 2^21-1, over what it overwrites
 	kind := byte(addr.KindGroup) + 1
 	for name, c := range gb {
 		raw := encoded(t, c.pt, c.p)
 		good[name] = raw
-		head := envelopeBytes + gbHeadBytes
+		head := envelopeBytes + 1 + addr.EncodedSize + 1 + 8 + 8 + 2 // a call id under 128
 		bad[name+" cut in the head"] = raw[:head-1]
 		if len(c.p.xfers) == 0 { // flag 128 on a packet without the section: none follows, or the payload's head reads as an overrunning one
 			bad[name+" xfers flagged but absent"] = edit(raw, head-1, raw[head-1]|gbHasXfers)
 		}
-		bad[name+" kind no request has"] = edit(raw, envelopeBytes+16, byte(gbSeal)+1)
-		bad[name+" group of no kind"] = edit(raw, envelopeBytes+8+3, kind)
+		bad[name+" kind no request has"] = edit(raw, envelopeBytes+1+8, byte(gbSeal)+1)
+		bad[name+" group of no kind"] = edit(raw, envelopeBytes+1+3, kind)
 		if c.p.payload == nil {
 			bad[name+" extended"] = append(edit(raw, 0), 0)
 		}
@@ -298,38 +309,40 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 			bad[fmt.Sprintf("%s cut inside its %s", name, section)] = raw[:(from+to)/2]
 			switch section {
 			case "procs", "dead", "xfers":
-				bad[fmt.Sprintf("%s %s member of no kind", name, section)] = edit(raw, from+2+3, kind)
+				bad[fmt.Sprintf("%s %s member of no kind", name, section)] = edit(raw, from+1+3, kind)
 				fallthrough
 			case "report":
-				bad[fmt.Sprintf("%s %s count overruns", name, section)] = edit(raw, from, 0xff, 0xff)
-			case "view":
+				bad[fmt.Sprintf("%s %s count overruns", name, section)] = edit(raw, from, overrun...)
+			case "view": // group 8, a one-byte id, the name's length, the name, the members' count
 				bad[name+" view of no kind"] = edit(raw, from+3, kind)
-				bad[name+" view name overruns"] = edit(raw, from+16, 0xff, 0xff)
-				bad[name+" view members overrun"] = edit(raw, from+18+len(view.Name), 0xff, 0xff)
+				bad[name+" view name overruns"] = edit(raw, from+9, overrun...)
+				bad[name+" view members overrun"] = edit(raw, from+10+len(view.Name), overrun...)
 			}
 		}
-		if i := bytes.Index(raw, nested); i > 0 {
+		if i := bytes.Index(raw, nested); i > 0 { // after its tag and a one-byte length
 			bad[name+" cut inside a nested packet"] = raw[:i+len(nested)/2]
-			bad[name+" nested packet overruns"] = edit(raw, i-4, 0xff, 0xff)
-			bad[name+" report entry of no list"] = edit(raw, i-5, 3<<2)
-			bad[name+" report entry of a retired list"] = edit(raw, i-5, 0)
+			bad[name+" nested packet overruns"] = edit(raw, i-1, overrun...)
+			bad[name+" report entry of no list"] = edit(raw, i-2, 3<<2)
+			bad[name+" report entry of a retired list"] = edit(raw, i-2, 0)
 		}
 	}
+	lookupHead := envelopeBytes + 3 // a call id, a site and primary, a byte each
 	for _, name := range []string{"lookup", "lookupresp"} {
 		raw := good[name]
-		bad[name+" cut in the head"] = raw[:envelopeBytes+lookupHeadBytes-1]
+		bad[name+" cut in the head"] = raw[:lookupHead-1]
 		bad[name+" cut inside its view"] = raw[:len(raw)-3]
-		bad[name+" undefined primary"] = edit(raw, envelopeBytes+10, 2)
-		bad[name+" view of no kind"] = edit(raw, envelopeBytes+lookupHeadBytes+3, kind)
+		bad[name+" undefined primary"] = edit(raw, lookupHead-1, 2)
+		bad[name+" view of no kind"] = edit(raw, lookupHead+3, kind)
 		bad[name+" extended"] = append(edit(raw, 0), 0)
 	}
-	bad["lookupresp members overrun"] = edit(good["lookupresp"], envelopeBytes+lookupHeadBytes+18+len(view.Name), 0xff, 0xff)
+	bad["lookupresp members overrun"] = edit(good["lookupresp"], lookupHead+10+len(view.Name), overrun...)
 	raw := good["stateblock"]
-	bad["stateblock cut in the head"] = raw[:envelopeBytes+stateHeaderBytes-1]
-	bad["stateblock undefined last"] = edit(raw, envelopeBytes+24, 2)
+	stateHead := envelopeBytes + 2*addr.EncodedSize + 2 // a transfer id under 128 and last
+	bad["stateblock cut in the head"] = raw[:stateHead-1]
+	bad["stateblock undefined last"] = edit(raw, stateHead-1, 2)
 	bad["stateblock group of no kind"] = edit(raw, envelopeBytes+3, kind)
 	bad["stateblock joiner of no kind"] = edit(raw, envelopeBytes+8+3, kind)
-	bad["error cut in the call id"] = good["error"][:envelopeBytes+7]
+	bad["error without its call id"] = good["error"][:envelopeBytes]
 	bad["relayack cut"] = good["relayack"][:len(good["relayack"])-1]
 	bad["relayack extended"] = append(edit(good["relayack"], 0), 0)
 	// The retired numbers: each with the body its old site sends (a message of
@@ -363,7 +376,8 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	}
 	replaced := map[byte]string{4: "request", 5: "prepare", 6: "ack", 7: "commit", 8: "done", 9: "lookup", 10: "lookupresp",
 		12: "stateblock", 13: "error", 16: "relayack", 22: "request", 23: "done", 24: "prepare", 25: "ack", 26: "commit",
-		35: "ack", 36: "commit"}
+		27: "lookup", 28: "lookupresp", 29: "stateblock", 31: "error", 32: "relayack", 35: "ack", 36: "commit",
+		37: "request", 38: "done", 39: "prepare", 40: "ack", 41: "commit"}
 	for pt, name := range replaced {
 		bad[fmt.Sprintf("retired %d, today's body", pt)] = edit(good[name], 1, pt)
 	}
@@ -413,8 +427,116 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	}
 }
 
+// TestMalformedVarintsAreRefused feeds the parser of every live packet type
+// its golden cut short at every byte, with a varint stretched to 11 bytes,
+// with a count or a length past the end of the packet, and (a timestamp's) a
+// count unequal to its entries: each is refused, and the daemon that handles
+// it moves not at all. A golden's tail that runs to its end (a state block's
+// block, an error's text) is the one cut a parser cannot tell from a shorter
+// packet, and is left uncut.
+func TestMalformedVarintsAreRefused(t *testing.T) {
+	fx := newWireFixture(t)
+	// Each golden with the offsets of one of its varints and of one of its
+	// counts or lengths (-1: it has none), and the length of its open tail.
+	const gbHead = envelopeBytes + 28 // a call id under 128, the group, kind, request id, seal target, outcome, flags
+	goldens := []struct {
+		hex                  string
+		varint, length, tail int
+	}{
+		{goldenFixed["reply"], 18, 24, 0},     // the session; the body's string's length
+		{goldenFixed["nullreply"], 18, 20, 0}, // the session; the body's field count
+		{goldenData["cbcast"], 5, 24, 0},      // the rank; the timestamp's count
+		{goldenData["stamped"], 5, 24, 0},
+		{goldenData["submission"], 5, 24, 0},
+		{goldenData["p2p"], 5, 24, 0},         // the rank; the destinations' count
+		{goldenData["relay"], 24, 28, 0},      // the relay stamp's view; the payload's field count
+		{goldenData["abrelay"], 5, 28, 0},     // the rank; the payload's field count
+		{goldenWire["ack"], 2, gbHead + 9, 0}, // the call id; the view's name length
+		{goldenWire["carried"], 2, gbHead, 0}, // the call id; the processes' count
+		{goldenWire["commit"], 2, gbHead, 0},
+		{goldenWire["done"], 2, gbHead + 9, 0},
+		{goldenWire["nonprimary"], 2, -1, 0},
+		{goldenWire["prepare"], 2, gbHead, 0},
+		{goldenWire["request"], 2, gbHead, 0},
+		{goldenWire["resume"], 2, gbHead + 9, 0},
+		{goldenWire["usergb"], 2, gbHead + 9, 0}, // the call id; the payload's field count
+		{goldenWire["lookup"], 2, envelopeBytes + 3 + 9, 0},
+		{goldenWire["lookupresp"], 3, envelopeBytes + 3 + 9, 0}, // the site; the view's name length
+		{goldenWire["stateblock"], 18, -1, len("row-1")},        // the transfer id
+		{goldenWire["error"], 2, -1, len(ErrNonPrimary.Error())},
+		{goldenWire["relayack"], 4, -1, 0}, // the stamp's sequence
+	}
+	splice := func(raw []byte, off int, word ...byte) []byte {
+		_, n := binary.Uvarint(raw[off:])
+		return slices.Concat(raw[:off], word, raw[off+n:])
+	}
+	stretched := func(v uint64) []byte { // v in 11 bytes, one more than a varint may have
+		b := make([]byte, 11)
+		for i := range 10 {
+			b[i], v = byte(v)|0x80, v>>7
+		}
+		return b
+	}
+	bad := map[string][]byte{}
+	live := map[byte]bool{}
+	for _, g := range goldens {
+		raw, _ := hex.DecodeString(g.hex)
+		live[raw[1]] = true
+		if !parsed(raw) {
+			t.Fatalf("golden %x does not parse", raw)
+		}
+		name := fmt.Sprintf("type %d golden %x", raw[1], raw[:min(len(raw), 12)])
+		for n := envelopeBytes; n < len(raw)-g.tail; n++ {
+			bad[fmt.Sprintf("%s cut at %d", name, n)] = raw[:n]
+		}
+		v, _ := binary.Uvarint(raw[g.varint:])
+		bad[name+" an 11-byte varint"] = splice(raw, g.varint, stretched(v)...)
+		if g.length >= 0 {
+			bad[name+" a length past the end"] = splice(raw, g.length, 0xff, 0xff, 0x7f)
+		}
+		if raw[1] == ptData && raw[envelopeBytes]&dataHasVT != 0 {
+			bad[name+" a timestamp of 2 counted 3"] = splice(raw, g.length, 2)
+			bad[name+" a timestamp of 4 counted 3"] = splice(raw, g.length, 4)
+		}
+	}
+	if len(live) != 12 {
+		t.Fatalf("%d packet types have goldens here, want all 12 live ones", len(live))
+	}
+	before := dump(fx.d)
+	for name, raw := range bad {
+		if parsed(raw) {
+			t.Errorf("%s (%x) parses", name, raw)
+		}
+		fx.d.handleTransport(2, raw)
+		if after := dump(fx.d); after != before {
+			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
+		}
+	}
+}
+
+// parsed reports whether the parser handleTransport runs for a packet's type
+// accepts it.
+func parsed(raw []byte) (ok bool) {
+	body := raw[envelopeBytes:]
+	switch raw[1] {
+	case ptReply:
+		_, _, ok = parseReply(body)
+	case ptData:
+		_, ok = parseDataPacket(raw)
+	case ptGbRequest, ptGbPrepare, ptGbAck, ptGbCommit, ptGbDone:
+		ok = new(gbPacket).parse(body)
+	case ptLookup, ptLookupResp:
+		_, ok = parseLookup(body)
+	case ptStateBlock:
+		_, _, ok = parseState(body)
+	case ptError, ptRelayAck:
+		_, _, ok = parseAnswer(raw[1], body)
+	}
+	return ok
+}
+
 // FuzzControlPacket feeds arbitrary bytes to handleTransport as the body of a
-// fixed-layout (or retired) packet type at a daemon hosting one group. Nothing
+// live (or retired) packet type at a daemon hosting one group. Nothing
 // may panic; a body that does not parse must not count as a delivery (a commit
 // that parses may release some); and the
 // daemon must still deliver a well-formed reply afterwards. A GBCAST request
@@ -438,7 +560,7 @@ func FuzzControlPacket(f *testing.F) {
 	}
 	types := []byte{17, 18, 19, ptReply, 2, 3, 15, ptData, 1, 21,
 		ptGbDone, ptGbAck, ptGbCommit, ptLookup, ptLookupResp, ptStateBlock, 30, ptError, ptRelayAck, 4, 7, 12, 13, 16, 25, 26, 33,
-		22, 23, 24, 35, 36}
+		22, 23, 24, 35, 36, 20, 27, 28, 29, 31, 32, 34, 37, 38, 39, 40, 41}
 	for _, h := range append(slices.Collect(maps.Values(goldenRetired)), slices.Collect(maps.Values(goldenWire))...) {
 		raw, _ := hex.DecodeString(h)
 		if i := slices.Index(types, raw[1]); i >= 0 {

@@ -274,6 +274,21 @@ func (t *Transport) Unacked() int {
 	return n
 }
 
+// Window is one peer's share of Unacked: the records sent to it and not yet
+// acknowledged, and the messages queued for it and not yet all cut into records.
+type Window struct{ Unacked, Queued int }
+
+// Windows returns the Window of each peer the transport has a stream with.
+func (t *Transport) Windows() map[SiteID]Window {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := make(map[SiteID]Window, len(t.sends))
+	for site, ps := range t.sends {
+		w[site] = Window{Unacked: len(ps.window) - ps.head, Queued: len(ps.queue) - ps.qhead}
+	}
+	return w
+}
+
 // Poll reports each peer the transport has a stream with, and whether any
 // frame (data or a bare ack) came from it since the last poll, and has each
 // peer that was sent nothing since then sent a bare ack: a keepalive,

@@ -261,7 +261,8 @@ func TestRetransmitOnlyOverdueRecords(t *testing.T) {
 
 // TestUnackedCountsQueuedMessages: a message Send has queued counts before
 // any frame carries it, so a flush that waits for Unacked to reach zero
-// cannot return while the message waits for the flusher.
+// cannot return while the message waits for the flusher. The peer's Window
+// splits the count into the queued message and then its records.
 func TestUnackedCountsQueuedMessages(t *testing.T) {
 	a, _ := newPipe()
 	a.drop = true
@@ -274,12 +275,12 @@ func TestUnackedCountsQueuedMessages(t *testing.T) {
 	if err := tr.Send(2, make([]byte, 10_000)); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Unacked(); n != 1 {
-		t.Fatalf("Unacked = %d with a 10 KB message queued and no pass run, want 1", n)
+	if n, w := tr.Unacked(), tr.Windows()[2]; n != 1 || w != (Window{Queued: 1}) {
+		t.Fatalf("Unacked = %d, peer 2's window %+v with a 10 KB message queued and no pass run, want 1, one queued", n, w)
 	}
 	pass()
-	if n := tr.Unacked(); n != 3 {
-		t.Fatalf("Unacked = %d once the pass has cut the message, want its 3 records", n)
+	if n, w := tr.Unacked(), tr.Windows()[2]; n != 3 || w != (Window{Unacked: 3}) {
+		t.Fatalf("Unacked = %d, peer 2's window %+v once the pass has cut the message, want its 3 records unacked", n, w)
 	}
 }
 

@@ -1,7 +1,10 @@
 package vclock
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -141,43 +144,57 @@ func (v VC) String() string {
 
 // Encode flattens the clock for inclusion in a message field.
 func (v VC) Encode() []byte {
-	return v.AppendEncode(make([]byte, 0, len(v)*8))
+	return v.AppendEncode(make([]byte, 0, binary.MaxVarintLen64*(len(v)+1)))
 }
 
-// AppendEncode appends the wire form of v to dst and returns the extended
-// slice. Given sufficient capacity it does not allocate, which is what the
-// multicast hot path relies on when stamping packets from pooled scratch.
+// AppendEncode appends the wire form of v to dst, the entry count and then
+// each entry as uvarints, and returns the extended slice. Given sufficient
+// capacity it does not allocate, which is what the multicast hot path relies
+// on when stamping packets from pooled scratch.
 func (v VC) AppendEncode(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, x := range v {
-		dst = append(dst,
-			byte(x>>56), byte(x>>48), byte(x>>40), byte(x>>32),
-			byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
+		dst = binary.AppendUvarint(dst, x)
 	}
 	return dst
 }
 
-// Decode parses a clock previously produced by Encode. Trailing partial
-// entries are an error.
+// Decode parses a clock previously produced by Encode. Bytes left over are an
+// error; an empty encoding is the empty clock.
 func Decode(b []byte) (VC, error) {
 	return DecodeInto(nil, b)
 }
 
-// DecodeInto parses a clock from b into dst's storage, growing dst only when
-// its capacity is insufficient, and returns the decoded clock. Decoding a
-// stream of same-width timestamps into a recycled clock does not allocate.
+// DecodeInto parses a clock from all of b into dst's storage, growing dst
+// only when its capacity is insufficient, and returns the decoded clock.
+// Decoding a stream of same-width timestamps into a recycled clock does not
+// allocate.
 func DecodeInto(dst VC, b []byte) (VC, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("vclock: encoding length %d is not a multiple of 8", len(b))
+	if len(b) == 0 {
+		return dst[:0], nil
 	}
-	n := len(b) / 8
-	if cap(dst) < n {
-		dst = make(VC, n)
+	v, rest, err := DecodePrefix(dst, b)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("vclock: %d bytes after the clock", len(rest))
 	}
-	dst = dst[:n]
-	for i := range dst {
-		off := i * 8
-		dst[i] = uint64(b[off])<<56 | uint64(b[off+1])<<48 | uint64(b[off+2])<<40 | uint64(b[off+3])<<32 |
-			uint64(b[off+4])<<24 | uint64(b[off+5])<<16 | uint64(b[off+6])<<8 | uint64(b[off+7])
-	}
-	return dst, nil
+	return v, err
 }
+
+// DecodePrefix is DecodeInto of the clock at the front of b, for a clock that
+// other fields follow; it returns what follows the clock.
+func DecodePrefix(dst VC, b []byte) (VC, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) { // every entry takes at least a byte
+		return nil, nil, errMalformed
+	}
+	dst, b = slices.Grow(dst[:0], int(n))[:n], b[k:]
+	for i := range dst {
+		if dst[i], k = binary.Uvarint(b); k <= 0 {
+			return nil, nil, errMalformed
+		}
+		b = b[k:]
+	}
+	return dst, b, nil
+}
+
+var errMalformed = errors.New("vclock: encoding cut short or malformed")

@@ -317,7 +317,7 @@ func TestPaperFigure2(t *testing.T) {
 							col[run-2] = append(col[run-2], float64(time.Since(start).Microseconds())/3000)
 						}
 					}
-					dropCluster(c) // a flood's backlog is dropped, not drained
+					c.Close() // the network first: a flood's backlog is dropped, not drained
 				}
 				for s, size := range sizes {
 					batched, unbatched := perMsg[0][s], perMsg[1][s]
@@ -369,7 +369,7 @@ func TestPaperSections5And7(t *testing.T) {
 	fmt.Printf("updates: %6.1f /s   (paper: ~5 /s)\n\n== Section 7: sender CPU utilisation ==\n", rate(time.Second, func(int) {
 		cast(t, client, isis.GBCAST, gid, isis.EntryUserBase+2, isis.NewMessage().PutString("row", "car gray suv 30000 Generic X"))
 	}))
-	dropCluster(c)
+	c.Close()
 	payload := isis.NewMessage().PutBytes("data", make([]byte, 1000))
 	for _, w := range []struct {
 		name    string
@@ -383,14 +383,7 @@ func TestPaperSections5And7(t *testing.T) {
 		rate(500*time.Millisecond, func(int) { cast(t, procs[0], w.proto, gid, isis.EntryUserBase, payload, isis.Replies(w.replies)) })
 		// Background transmissions still queued can over-account, hence the cap.
 		fmt.Printf("%-40s %5.0f%%\n", w.name, 100*min(1, float64(sim.BusyTime(1))/float64(time.Since(start))))
-		dropCluster(c)
+		c.Close()
 	}
 	fmt.Println("(paper: 96-98% for asynchronous/local multicasts, 30-35% when waiting on remote sites)")
-}
-
-// dropCluster closes c network first, so a flood's backlog on slow links is
-// dropped, not drained at link speed.
-func dropCluster(c *isis.Cluster) {
-	c.Fabric().Close()
-	c.Close()
 }
