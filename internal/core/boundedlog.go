@@ -4,13 +4,13 @@ import "slices"
 
 // BoundedLog is a map that remembers at most limit entries: putting a new
 // key into a full log forgets the oldest one. It is the stack's one
-// bounded-memory record — the total-order queue's delivered ids here, and in
-// internal/protos recent deliveries, ABCAST finals, request states, lost
-// relays and skipped request ids (where its table test lives, with the five
-// uses it was written for; the test of its two fields against each other is
-// beside it here), and in internal/tools/coordcohort the reply copies that
-// overtook their request. It has no lock of its own: whoever owns the state it
-// belongs to serializes access.
+// bounded-memory record — the total-order queue's delivered ids here; in
+// internal/protos a copy's recent deliveries, the requester's request states
+// and a copy's skipped request ids (where its table test lives; the test of
+// its two fields against each other is beside it here); and in
+// internal/tools/coordcohort the reply copies that overtook their request. It
+// has no lock of its own: whoever owns the state it belongs to serializes
+// access.
 type BoundedLog[K comparable, V any] struct {
 	limit int
 	vals  map[K]V // made by the first Put
@@ -45,8 +45,9 @@ func (l *BoundedLog[K, V]) Put(k K, v V) {
 	l.vals[k] = v
 }
 
-// Delete forgets k. The search runs from the young end: nearly every delete
-// is of a relay call answered in time, put a moment ago.
+// Delete forgets k: a skipped request id a seal finds committed, a reply copy
+// its request has come for. The search runs from the young end, where such a
+// key, put a moment ago, is likeliest.
 func (l *BoundedLog[K, V]) Delete(k K) {
 	if _, ok := l.vals[k]; !ok {
 		return

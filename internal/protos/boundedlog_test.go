@@ -8,7 +8,9 @@ import (
 )
 
 // TestBoundedLog pins core.BoundedLog, through its exported methods, from the
-// package that leans on it hardest: five of its six uses are the daemon's.
+// package that leans on it hardest: three of its five uses are the daemon's
+// (recent, reqLog and marks.skipped), beside the total-order queue's delivered
+// ids and coordcohort's early reply copies.
 func TestBoundedLog(t *testing.T) {
 	type op struct {
 		del bool

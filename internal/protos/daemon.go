@@ -241,9 +241,10 @@ type Daemon struct {
 	// tick counts the scan ticks, the daemon's one clock, every scanInterval
 	// (CallTimeout/4, 1–50 ms): every deadline it keeps
 	// is a value of tick. wake (on mu) is broadcast when a copy's flush, a
-	// request or a merge attempt ends and on Close: senders blocked by a
-	// flush (settledGroupLocked) and a request's or an attempt's caller (ask,
-	// MergeGroup) wait on it.
+	// request, a merge attempt or a blocked caller's call ends and on Close:
+	// senders blocked by a flush (settledGroupLocked) and the callers of a
+	// request, an attempt, a lookup and a relay (ask, MergeGroup,
+	// lookupRemote, relayCall) wait on it.
 	tick         uint64
 	scanInterval time.Duration
 	wake         sync.Cond
@@ -523,31 +524,23 @@ type pendingCall struct {
 	deadline uint64
 }
 
-// filer is a call's waiter (a request, a merge survey, a blocked caller),
+// filer is a call's waiter (a request, a lookup, a survey, a blocked caller),
 // filed each answer and the call's end, an answer carrying why, in their hold.
 type filer interface {
 	fileLocked(d *Daemon, call int64, a answer)
 }
 
-// caller is a blocked caller's waiter: answers queue for await, one finding
-// the buffer full dropped as a lost packet would be, and the call's end closes
-// the channel, why recorded first, so await returns it after those queued.
-type caller struct {
-	ch       chan answer
-	err      error
-	deadline uint64 // the call's
+// waiter is a blocked caller's: its call's answer, or its end, filed for the
+// caller, which waits on d.wake until it is done.
+type waiter struct {
+	answer
+	done bool
 }
 
-func (c *caller) fileLocked(d *Daemon, call int64, a answer) {
-	if _, live := d.calls[call]; live {
-		select {
-		case c.ch <- a:
-		default:
-		}
-		return
-	}
-	c.err = a.err
-	close(c.ch)
+func (w *waiter) fileLocked(d *Daemon, call int64, a answer) {
+	delete(d.calls, call)
+	w.answer, w.done = a, true
+	d.wake.Broadcast()
 }
 
 // newCallLocked registers an exchange with a site, answered by a packet of
@@ -556,26 +549,6 @@ func (d *Daemon) newCallLocked(to addr.SiteID, want byte, val filer) int64 {
 	d.nextCall++
 	d.calls[d.nextCall] = &pendingCall{val: val, want: want, site: to, deadline: d.deadlineLocked(d.cfg.CallTimeout)}
 	return d.nextCall
-}
-
-// newCall registers an exchange a caller blocks on, ended on a closed daemon;
-// a broadcast question (a lookup) queues an answer from each site.
-func (d *Daemon) newCall(to addr.SiteID, want byte) (int64, *caller) {
-	c := &caller{ch: make(chan answer, 1+7*int(bit(to == 0)))}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id := d.newCallLocked(to, want, c)
-	if c.deadline = d.calls[id].deadline; d.closed {
-		d.endCallsLocked(ErrClosed, func(o *pendingCall) bool { return o.val == c })
-	}
-	return id, c
-}
-
-// dropCall removes a pending call.
-func (d *Daemon) dropCall(id int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.calls, id)
 }
 
 // endCallsLocked ends the matching calls with err: the scan tick's ErrTimeout,
@@ -632,16 +605,6 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 	} else {
 		_ = d.sendRaw(to, a.encode(pt, call))
 	}
-}
-
-// await waits for a blocked caller's next answer; it is the one reader of the
-// channel. An answer that carries an error returns it, and a call that has
-// ended returns why, once the answers queued before its end are read.
-func (c *caller) await() (answer, error) {
-	if a, ok := <-c.ch; ok {
-		return a, a.err
-	}
-	return answer{}, c.err
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks

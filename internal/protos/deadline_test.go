@@ -171,47 +171,31 @@ func TestSiteFailureEndsACallOnce(t *testing.T) {
 	}
 }
 
-// TestCloseEndsALookupWithAFullChannel closes a daemon while a lookup, with
-// sites still to hear from, holds a channel full of answers. The lookup must
-// return ErrClosed, and not hang: the cause reaches the waiter though no
-// answer can be queued behind those it has. Three Joins whose requests are
-// held beside it, in one queue (the first's lookup of the group unanswered),
-// must each return ErrClosed too.
-func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
+// TestCloseEndsALookup closes a daemon while a lookup waits for ten sites that
+// never answer, beside three Joins whose requests are held in one queue (the
+// first's lookup of the group unanswered). The lookup and each Join must
+// return ErrClosed, and not hang.
+func TestCloseEndsALookup(t *testing.T) {
 	tc := newFaultCluster(t, 1, simnet.FastConfig(), 5*time.Second, fdetect.Config{})
 	d := tc.daemons[1]
 	for s := addr.SiteID(2); s <= 11; s++ {
 		tc.net.AddSite(s) // attached and silent: ten sites asked, none answering
 	}
-	gate := make(chan struct{})
 	ended := make(chan error, 1)
 	go func() {
-		err := d.lookupAll("nobody", addr.Nil, func(*lookupPacket) bool {
-			<-gate
-			return false
-		})
+		_, err := d.Lookup("nobody")
 		ended <- err
 	}()
-	var id int64
-	var c *caller
-	waitFor(t, "the lookup to be registered", 5*time.Second, func() bool {
+	waitFor(t, "the lookup to ask the ten sites", 5*time.Second, func() bool {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		for i, pc := range d.calls {
-			id, c = i, pc.val.(*caller)
+		for _, pc := range d.calls {
+			if lk, ok := pc.val.(*lookup); ok && lk.asked == 10 {
+				return true
+			}
 		}
-		return c != nil
+		return false
 	})
-	feed := func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.respondLocked(id, ptLookupResp, answer{look: &lookupPacket{}})
-	}
-	feed()
-	waitFor(t, "the lookup to take the first answer", 5*time.Second, func() bool { return len(c.ch) == 0 })
-	for range cap(c.ch) + 1 { // the last one finds the channel full
-		feed()
-	}
 	gid := addr.NewGroup(2, 0, 1)
 	joined := make(chan error, 3)
 	for range 3 {
@@ -227,48 +211,46 @@ func TestCloseEndsALookupWithAFullChannel(t *testing.T) {
 		return len(q) == 3 && q[0].call != 0
 	})
 	d.Close()
-	close(gate)
-	select {
-	case err := <-ended:
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("the lookup ended by Close returned %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the lookup hung after Close")
-	}
-	for range 3 {
+	for range 4 {
 		select {
+		case err := <-ended:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("the lookup ended by Close returned %v, want ErrClosed", err)
+			}
 		case err := <-joined:
 			if !errors.Is(err, ErrClosed) {
 				t.Errorf("a join ended by Close returned %v, want ErrClosed", err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("a join hung after Close")
+			t.Fatal("the lookup or a join hung after Close")
 		}
 	}
 }
 
 // askSite is one try of a GBCAST request at the site a test names, acting
 // coordinator or not: the request goes under a call of its own, to the site's
-// handler as a peer's or this site's own, and the answer is awaited.
+// handler as a peer's or this site's own, and the answer is waited for on
+// d.wake.
 func askSite(d *Daemon, to addr.SiteID, req gbPacket) (*gbPacket, error) {
-	id, c := d.newCall(to, ptGbDone)
-	defer d.dropCall(id)
-	req.call = id
+	w := &waiter{}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	req.call = d.newCallLocked(to, ptGbDone, w)
 	var raw []byte
 	var err error
-	d.mu.Lock()
 	if to == d.site {
 		d.handleGbRequestLocked(to, &req)
 	} else if raw, err = req.encode(ptGbRequest); err == nil {
 		err = d.sendRaw(to, raw)
 	}
-	d.mu.Unlock()
 	if err != nil {
+		delete(d.calls, req.call)
 		return nil, err
 	}
-	a, err := c.await()
-	return a.gb, err
+	for !w.done {
+		d.wake.Wait()
+	}
+	return w.gb, w.err
 }
 
 // pendingCalls counts the calls in a daemon's table.

@@ -41,9 +41,8 @@ func dumps(t *testing.T) string {
 
 // dump renders what a daemon holds that a step could be waiting on: its
 // counters, sends, each peer's unacknowledged records and queued messages,
-// views and names; its calls, each with the answers queued for a blocked
-// caller; the heads of its request queues and its parked rejoins; and for each
-// copy the view, phase and released clock, the causal queue (a held relay with
+// views and names; its calls, a lookup's with the sites still to answer; the
+// heads of its request queues and its parked rejoins; and for each copy the view, phase and released clock, the causal queue (a held relay with
 // the stamp it waits for, a submission with its clock), the submissions, the
 // carried ack, the dedupe marks, what the flush parked, the members' state
 // transfer, the GBCAST queue and round, and the merge survey. The current tick
@@ -55,11 +54,11 @@ func dump(d *Daemon) string {
 	fmt.Fprintf(&b, "counters %+v sent %d windows %v suspected %v remote %v names %v\n", d.counters,
 		d.tr.Stats().MessagesSent, d.tr.Windows(), slices.Sorted(maps.Keys(d.suspected)), d.remoteViews, d.nameCache)
 	for _, id := range slices.Sorted(maps.Keys(d.calls)) {
-		c, queued := d.calls[id], 0
-		if w, ok := c.val.(*caller); ok {
-			queued = len(w.ch)
+		c, toAnswer := d.calls[id], 0
+		if lk, ok := c.val.(*lookup); ok {
+			toAnswer = lk.asked - lk.heard
 		}
-		fmt.Fprintf(&b, "call %d: %T wants type %d of site %d by tick %d, %d answers queued\n", id, c.val, c.want, c.site, c.deadline, queued)
+		fmt.Fprintf(&b, "call %d: %T wants type %d of site %d by tick %d, %d sites to answer\n", id, c.val, c.want, c.site, c.deadline, toAnswer)
 	}
 	for _, gid := range slices.SortedFunc(maps.Keys(d.requests), addr.Address.Compare) {
 		if q := d.requests[gid]; len(q) > 0 {
@@ -111,7 +110,8 @@ func dump(d *Daemon) string {
 				r.req.kind, r.call, r.silent, r.tries, r.deadline, slices.Sorted(maps.Keys(r.acks)))
 		}
 		if sv := gs.survey; sv != nil {
-			fmt.Fprintf(&b, "  survey: call %d asked %d wedged %d primary %v rejoins %d\n", sv.call, sv.asked, len(sv.wedged), sv.primary != nil, sv.rejoins)
+			fmt.Fprintf(&b, "  survey: call %d to answer %d wedged %d primary %v rejoins %d\n", sv.look.call, sv.look.asked-sv.look.heard,
+				len(sv.look.wedged), !sv.look.view.Group.IsNil(), sv.rejoins)
 		}
 	}
 	return b.String()

@@ -118,52 +118,78 @@ func (d *Daemon) RefreshGroupView(gid addr.Address) (core.View, error) {
 	return d.lookupRemote("", gid)
 }
 
-// lookupRemote queries every other attached site for a group, by name or by
-// group id, and caches the first positive answer.
-func (d *Daemon) lookupRemote(name string, gid addr.Address) (view core.View, err error) {
-	err = d.lookupAll(name, gid, func(resp *lookupPacket) bool {
-		view = resp.view
-		return !view.Group.IsNil()
-	})
-	switch {
-	case !view.Group.IsNil():
-		d.mu.Lock()
-		d.cacheRemoteViewLocked(view)
-		d.mu.Unlock()
-		return view, nil
-	case err != nil:
-		return view, fmt.Errorf("%w: lookup %q", err, name)
+// lookupRemote asks every other attached site for a group, by name or by
+// group id, and waits for its lookup to end: with the view of the first copy
+// that knows the group, cached, or with why not.
+func (d *Daemon) lookupRemote(name string, gid addr.Address) (core.View, error) {
+	w := &waiter{}
+	lk := &lookup{owner: w}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return core.View{}, fmt.Errorf("%w: lookup %q", ErrClosed, name)
 	}
-	return view, fmt.Errorf("%w: %q", ErrUnknownGroup, name) // nobody to ask, or nobody knows it
+	d.lookLocked(lk, gid, name)
+	for !w.done {
+		d.wake.Wait()
+	}
+	if w.err != nil {
+		return core.View{}, fmt.Errorf("%w: lookup %q", w.err, name)
+	}
+	return lk.view, nil
 }
 
-// lookupAll broadcasts one ptLookup — by name, by group id, or both — to
-// every other attached site and feeds the answers to each, as they arrive,
-// until each reports it has seen enough, every site asked has answered, or
-// CallTimeout passes (ErrTimeout) or the daemon closes.
-func (d *Daemon) lookupAll(name string, gid addr.Address, each func(resp *lookupPacket) (done bool)) error {
-	callID, c := d.newCall(0, ptLookupResp)
-	defer d.dropCall(callID)
-	for asked := d.broadcastLookup(callID, gid, name); asked > 0; asked-- {
-		a, err := c.await()
-		if err != nil || each(a.look) {
-			return err
-		}
-	}
-	return nil
+// lookup is one broadcast ptLookup, by group id, name or both: the call's
+// waiter, which counts the sites' answers under d.mu and caches each view it
+// hears. It ends at the first answer from a primary copy or, unless it is a
+// merge survey's, from any copy that knows the group; at the last answer
+// (ErrUnknownGroup); or at the call's end; and then tells its owner.
+type lookup struct {
+	owner  filer // told the end: a blocked caller's waiter, a request, a survey
+	call   int64
+	asked  int                       // the sites asked
+	heard  int                       // the sites that have answered
+	view   core.View                 // the view it found, the zero view for none
+	wedged map[addr.SiteID]core.View // a survey's: the other copies that know the group, by site; nil for others
 }
 
-// broadcastLookup sends one ptLookup under a call id — by group id, name or
-// both, encoded once — to every other attached site, and returns how many it
-// could ask.
-func (d *Daemon) broadcastLookup(call int64, gid addr.Address, name string) (asked int) {
-	raw := lookupPacket{call: call, view: core.View{Group: gid, Name: name}}.encode(ptLookup)
+// lookLocked starts a lookup, and returns its call: one ptLookup, encoded
+// once, to every other attached site. With nobody to ask it ends at once, with
+// ErrUnknownGroup. Caller holds d.mu.
+func (d *Daemon) lookLocked(lk *lookup, gid addr.Address, name string) int64 {
+	lk.call = d.newCallLocked(0, ptLookupResp, lk)
+	raw := lookupPacket{call: lk.call, view: core.View{Group: gid, Name: name}}.encode(ptLookup)
 	for _, s := range d.net.Sites() {
 		if s != d.site && d.sendRaw(s, raw) == nil {
-			asked++
+			lk.asked++
 		}
 	}
-	return asked
+	if lk.asked == 0 {
+		lk.fileLocked(d, lk.call, answer{err: ErrUnknownGroup})
+	}
+	return lk.call
+}
+
+// fileLocked files a site's answer to the lookup, or the call's end. Caller
+// holds d.mu.
+func (lk *lookup) fileLocked(d *Daemon, call int64, a answer) {
+	if l := a.look; a.err == nil {
+		d.cacheRemoteViewLocked(l.view)
+		switch known := !l.view.Group.IsNil(); {
+		case l.primary || known && lk.wedged == nil:
+			lk.view = l.view
+		case known && l.site != 0:
+			lk.wedged[l.site] = l.view
+		}
+		if lk.heard++; lk.view.Group.IsNil() {
+			if lk.heard < lk.asked {
+				return
+			}
+			a.err = ErrUnknownGroup
+		}
+	}
+	delete(d.calls, call)
+	lk.owner.fileLocked(d, call, answer{err: a.err})
 }
 
 // cacheRemoteViewLocked stores a view learned from another site. Caller holds d.mu.
@@ -328,7 +354,6 @@ type request struct {
 	site     addr.SiteID // the site the try asks; 0 while it looks the view up
 	answered bool        // the try has its answer, or its end, in resp and err
 	done     bool        // the request has ended, with resp or err
-	asked    int         // the sites the try's lookup asked that have not answered
 	tries    int         // the tries made, a refusal before refusals not counted
 	refusals uint64      // the scan tick from which a refusal counts as a try
 	deadline uint64      // the scan tick the next try waits for, after a failed one
@@ -419,10 +444,7 @@ func (d *Daemon) tryLocked(gid addr.Address, e *request) {
 		}
 	}
 	if view.Size() == 0 {
-		e.call = d.newCallLocked(0, ptLookupResp, e)
-		if e.asked = d.broadcastLookup(e.call, gid, ""); e.asked == 0 {
-			d.endCallsLocked(ErrUnknownGroup, func(c *pendingCall) bool { return c.val == e })
-		}
+		e.call = d.lookLocked(&lookup{owner: e}, gid, "")
 		return
 	}
 	coord := d.actingCoordinator(view)
@@ -465,22 +487,14 @@ func (d *Daemon) carryAckLocked(gid addr.Address, req gbPacket) gbPacket {
 	return req
 }
 
-// fileLocked files a try's answer or end. A lookup's answer that knows the
-// group is cached, for the try to go on by; the last that does not fails it.
-// The coordinator's answer to a try that carried the copy's ack (a call still
-// in the table: an end has left it) ends the flush the try opened, if still
-// open: a commit that used the ack came ahead of the answer.
+// fileLocked files a try's answer or end; a lookup's end with no error found
+// the view, cached for the try to go on by. The coordinator's answer to a try
+// that carried the copy's ack (a call still in the table: an end has left it)
+// ends the flush the try opened, if still open: a commit that used the ack
+// came ahead of the answer.
 func (e *request) fileLocked(d *Daemon, call int64, a answer) {
 	if gs := d.groups[e.group]; gs != nil && gs.carried == call && d.calls[call] != nil {
 		d.step(gs, inAnswer)
-	}
-	if l := a.look; l != nil && l.view.Group.IsNil() {
-		if e.asked--; e.asked > 0 {
-			return
-		}
-		a.err = ErrUnknownGroup
-	} else if l != nil {
-		d.cacheRemoteViewLocked(l.view)
 	}
 	delete(d.calls, call)
 	e.resp, e.err, e.answered = a.gb, a.err, true

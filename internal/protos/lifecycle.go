@@ -153,7 +153,7 @@ func (d *Daemon) step(gs *groupState, in input) {
 	}
 	if sv := gs.survey; sv != nil && to != phaseMerging {
 		gs.survey, sv.done = nil, true // a resume notice ended the phase, and the attempt
-		delete(d.calls, sv.call)
+		delete(d.calls, sv.look.call)
 		d.wake.Broadcast()
 	}
 	if fx&fxEndFlush != 0 {

@@ -218,8 +218,8 @@ func TestPhaseHasOneWriter(t *testing.T) {
 // only by returning, and so do the scan tick and the failure handler, so
 // whatever they decide they send, deliver and publish before any other step
 // runs; everything a packet is dispatched to is handed the lock, and nothing
-// that is handed the lock gives it up or waits out a flush; a call's answer is
-// read in one place; the send path, the lifecycle, the GBCAST rounds, the
+// that is handed the lock gives it up or waits out a flush; no channel but
+// the scan loop's and New's start gate is received from; the send path, the lifecycle, the GBCAST rounds, the
 // requests and the merge start no goroutine; and what a flush parked is taken
 // up again by the transition that ends the flush, nowhere else.
 func TestOneLockHoldPerStep(t *testing.T) {
@@ -294,14 +294,14 @@ func TestOneLockHoldPerStep(t *testing.T) {
 				}
 				return true
 			})
-			// A call's answer, a request's end and a merge attempt's end are
-			// read by an await alone: elsewhere the only channels received from
-			// are the scan loop's stop signal and ticker, and New's start gate.
+			// A call's answer and every end a caller waits for are values
+			// read under d.mu: the only channels received from are the scan
+			// loop's stop signal and ticker, and New's start gate.
 			receives := map[string]string{"d.stopScan": "runScan", "t.C": "runScan", "whole": "New"}
 			ast.Inspect(fn, func(n ast.Node) bool {
-				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW && fn.Name.Name != "await" {
+				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 					if ch := types.ExprString(u.X); receives[ch] != fn.Name.Name {
-						t.Errorf("%s: %s receives from %s; only await reads a call's answer", fset.Position(u.Pos()), fn.Name.Name, ch)
+						t.Errorf("%s: %s receives from %s; an answer is a value read under d.mu", fset.Position(u.Pos()), fn.Name.Name, ch)
 					}
 				}
 				return true
@@ -345,14 +345,24 @@ func TestOneLockHoldPerStep(t *testing.T) {
 }
 
 // TestOnlyPinnedFunctionsWait parses the package and pins where a goroutine
-// of the daemon's callers waits: on d.wake in ask, MergeGroup and
-// settledGroupLocked alone (a request's caller, a merge attempt's, a sender a
-// flush holds back), and for a call's answer in lookupAll and relayCall alone.
-// relayCall has no loop: a relay is one request and one answer, and a relay
-// site that cannot send it yet holds it.
+// of the daemon's callers waits: on d.wake alone, in ask, MergeGroup,
+// settledGroupLocked, lookupRemote and relayCall (a request's caller, a merge
+// attempt's, a sender a flush holds back, a lookup's and a relay's caller),
+// for what a step files under d.mu; Close alone waits for the daemon's
+// goroutines to stop. relayCall has no loop but its wait: a relay is one
+// request and one answer, and a relay site that cannot send it yet holds it.
 func TestOnlyPinnedFunctionsWait(t *testing.T) {
 	_, files := parsePackage(t)
 	waiters := map[string][]string{}
+	// waitLoop reports whether n is a loop whose body is d.wake.Wait() alone.
+	waitLoop := func(n ast.Node) bool {
+		f, ok := n.(*ast.ForStmt)
+		if !ok || len(f.Body.List) != 1 {
+			return false
+		}
+		s, ok := f.Body.List[0].(*ast.ExprStmt)
+		return ok && types.ExprString(s.X) == "d.wake.Wait()"
+	}
 	loops := -1 // relayCall's, once it is found
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -366,30 +376,30 @@ func TestOnlyPinnedFunctionsWait(t *testing.T) {
 			ast.Inspect(fn, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "await" || sel.Sel.Name == "Wait" && strings.HasSuffix(types.ExprString(sel.X), "wake")) {
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 						waiters[types.ExprString(n.Fun)] = append(waiters[types.ExprString(n.Fun)], fn.Name.Name)
 					}
 				case *ast.ForStmt, *ast.RangeStmt:
-					loops += int(bit(fn.Name.Name == "relayCall"))
+					loops += int(bit(fn.Name.Name == "relayCall" && !waitLoop(n)))
 				}
 				return true
 			})
 		}
 	}
+	want := map[string][]string{"d.wake.Wait": {"MergeGroup", "ask", "lookupRemote", "relayCall", "settledGroupLocked"}, "d.wg.Wait": {"Close"}}
 	for call, fns := range waiters {
 		slices.Sort(fns)
-		want := map[string][]string{"d.wake.Wait": {"MergeGroup", "ask", "settledGroupLocked"}, "c.await": {"lookupAll", "relayCall"}}[call]
-		if !slices.Equal(fns, want) {
-			t.Errorf("%s is called in %v, want %v", call, fns, want)
+		if !slices.Equal(fns, want[call]) {
+			t.Errorf("%s is called in %v, want %v", call, fns, want[call])
 		}
 	}
-	if len(waiters) != 2 {
-		t.Errorf("the waits found are %v, want d.wake.Wait and c.await", waiters)
+	if len(waiters) != len(want) {
+		t.Errorf("the waits found are %v, want d.wake.Wait and Close's d.wg.Wait", waiters)
 	}
 	switch {
 	case loops < 0:
 		t.Error("there is no relayCall")
 	case loops > 0:
-		t.Errorf("relayCall has %d loops, want none: a relay is one request and one answer", loops)
+		t.Errorf("relayCall has %d loops besides its wait, want none: a relay is one request and one answer", loops)
 	}
 }

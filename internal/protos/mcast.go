@@ -322,22 +322,27 @@ func (d *Daemon) relayExternalMulticast(sender addr.Address, lp *localProc, prot
 // answered when it is sent, so the caller learns the outcome, a refusal by a
 // copy the flush dropped included.
 func (d *Daemon) relayCall(site addr.SiteID, pkt *dataPacket) (relayStamp, error) {
-	id, c := d.newCall(site, ptRelayAck)
-	defer d.dropCall(id)
-	pkt.call = id
+	w := &waiter{}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return relayStamp{}, ErrClosed
+	}
+	pkt.call = d.newCallLocked(site, ptRelayAck, w)
 	var err error
 	if site == d.site {
-		d.mu.Lock()
 		d.handleDataLocked(pkt)
-		d.mu.Unlock()
 	} else if err = pkt.encode(); err == nil {
 		err = d.sendRaw(site, pkt.raw)
 	}
 	if err != nil {
+		delete(d.calls, pkt.call)
 		return relayStamp{}, err
 	}
-	a, err := c.await()
-	return a.stamp, err
+	for !w.done {
+		d.wake.Wait()
+	}
+	return w.stamp, w.err
 }
 
 // relayMulticastLocked runs at the coordinator site, for an external sender's

@@ -60,18 +60,15 @@ func (d *Daemon) MergeGroup(gid addr.Address) error {
 	return sv.err
 }
 
-// survey is a merge attempt: its poll of the sites for the group, on the copy
-// while it is merging, then the rejoins it files. A wedged copy answers
-// primary=0, so a minority cannot masquerade as the primary.
+// survey is a merge attempt: its lookup of the group, on the copy while it is
+// merging, then the rejoins it files. A wedged copy answers primary=0, so a
+// minority cannot masquerade as the primary.
 type survey struct {
 	gs      *groupState
-	call    int64                     // the lookup's, which ends at its tick deadline
-	asked   int                       // the sites asked that have not answered
-	primary *core.View                // a primary copy's view, once one answered
-	wedged  map[addr.SiteID]core.View // the wedged copies' views, by site
-	rejoins int                       // the rejoins filed that have not ended
-	err     error                     // why the attempt failed
-	done    bool                      // the attempt has ended (d.wake is broadcast)
+	look    lookup // a primary copy's view in look.view, once one answered
+	rejoins int    // the rejoins filed that have not ended
+	err     error  // why the attempt failed
+	done    bool   // the attempt has ended (d.wake is broadcast)
 }
 
 // mergeLocked starts a merge attempt at a non-primary copy, and returns it (nil
@@ -81,30 +78,23 @@ func (d *Daemon) mergeLocked(gs *groupState) *survey {
 		return nil
 	}
 	d.step(gs, inMergeStart)
-	sv := &survey{gs: gs, wedged: make(map[addr.SiteID]core.View)}
-	gs.survey, sv.call = sv, d.newCallLocked(0, ptLookupResp, sv)
-	if sv.asked = d.broadcastLookup(sv.call, gs.view.Group, gs.view.Name); sv.asked == 0 {
-		sv.err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
-		d.decideLocked(sv)
-	}
+	sv := &survey{gs: gs}
+	gs.survey, sv.look = sv, lookup{owner: sv, wedged: make(map[addr.SiteID]core.View)}
+	d.lookLocked(&sv.look, gs.view.Group, gs.view.Name)
 	return sv
 }
 
-// fileLocked files a site's answer to the survey, or its end: a primary's
-// answer, the last and the deadline decide it. Caller holds d.mu.
+// fileLocked decides the attempt at its lookup's end: a primary's answer, the
+// last and the deadline. Close fails it, and so does a lookup that could ask
+// nobody. Caller holds d.mu.
 func (sv *survey) fileLocked(d *Daemon, _ int64, a answer) {
-	switch l := a.look; {
+	switch {
 	case errors.Is(a.err, ErrClosed):
 		sv.err = a.err
-	case a.err != nil:
-	case l.primary:
-		sv.primary = &l.view
-	case l.site != 0 && !l.view.Group.IsNil():
-		sv.wedged[l.site] = l.view
+	case sv.look.asked == 0:
+		sv.err = fmt.Errorf("%w: no reachable sites", ErrNonPrimary)
 	}
-	if sv.asked--; sv.asked <= 0 || a.err != nil || sv.primary != nil {
-		d.decideLocked(sv)
-	}
+	d.decideLocked(sv)
 }
 
 // decideLocked ends the survey and decides the attempt. With no primary copy
@@ -116,11 +106,10 @@ func (sv *survey) fileLocked(d *Daemon, _ int64, a answer) {
 func (d *Daemon) decideLocked(sv *survey) {
 	gs := sv.gs
 	gs.survey = nil
-	delete(d.calls, sv.call)
-	switch p := sv.primary; {
+	switch p := &sv.look.view; {
 	case sv.err != nil:
-	case p == nil:
-		sv.err = d.resumeWedgedLocked(gs, sv.wedged)
+	case p.Group.IsNil():
+		sv.err = d.resumeWedgedLocked(gs, sv.look.wedged)
 	case p.ID == gs.view.ID:
 		d.step(gs, inMergeResume)
 	default:
@@ -146,7 +135,7 @@ func (d *Daemon) decideLocked(sv *survey) {
 // landLocked ends an attempt whose rejoins have ended. Caller holds d.mu.
 func (d *Daemon) landLocked(sv *survey) {
 	if gid := sv.gs.view.Group; sv.gs.phase == phaseDropped && sv.err == nil {
-		d.bus.Publish(events.Event{Kind: events.MergeLand, Group: gid, View: sv.primary.ID})
+		d.bus.Publish(events.Event{Kind: events.MergeLand, Group: gid, View: sv.look.view.ID})
 		d.notifyPrimary(gid, true)
 	}
 	d.step(sv.gs, inMergeAbandon)

@@ -358,7 +358,7 @@ func TestLifecycleResumeDuringMergeRetiresTheAttempt(t *testing.T) {
 	}
 
 	primary := procs[0].lastView()
-	d3.handleTransport(1, answer{look: &lookupPacket{site: 1, primary: true, view: primary}}.encode(ptLookupResp, first.call))
+	d3.handleTransport(1, answer{look: &lookupPacket{site: 1, primary: true, view: primary}}.encode(ptLookupResp, first.look.call))
 	d3.mu.Lock()
 	gs, hosted := d3.groups[gid]
 	held := hosted && gs.phase == phaseMerging && gs.survey == second

@@ -199,6 +199,11 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 	t.Fatalf("timed out waiting for %s%s", what, dumps(t))
 }
 
+// dataFrame reports whether a traced frame carries packets: a transport data
+// frame is kind 5 or 6, a bare ack kind 2 (the transport's golden frames pin
+// the kinds), whatever their sizes.
+func dataFrame(e simnet.Event) bool { return e.First == 5 || e.First == 6 }
+
 func body(s string) *msg.Message { return msg.New().PutString("body", s) }
 
 // dataPkt builds a group data packet by hand, encoded as a member's send (or,
@@ -299,6 +304,42 @@ func TestCreateLookupAndCurrentView(t *testing.T) {
 	// Unknown names fail.
 	if _, err := tc.daemons[2].Lookup("no-such-group"); err == nil {
 		t.Error("lookup of unknown name succeeded")
+	}
+}
+
+// TestLookupHearsEverySite looks groups up on 24 sites, more answers than a
+// lookup's waiter once had room for. A lookup of an unknown name must hear
+// every site and return ErrUnknownGroup well inside CallTimeout, not time out
+// for an answer it dropped; a lookup of a group hosted at the last site alone,
+// from a site with no name or view cached, must find its view whichever answer
+// comes last.
+func TestLookupHearsEverySite(t *testing.T) {
+	const sites, callTimeout = 24, 2 * time.Second
+	tc := newFaultCluster(t, sites, simnet.FastConfig(), callTimeout, fdetect.Config{})
+	for i := range 20 {
+		d := tc.daemons[addr.SiteID(1+i%sites)]
+		start := time.Now()
+		if _, err := d.Lookup("nobody"); !errors.Is(err, ErrUnknownGroup) || time.Since(start) > callTimeout/2 {
+			t.Errorf("lookup %d of an unknown name at site %d returned %v after %v, want ErrUnknownGroup within %v",
+				i, d.site, err, time.Since(start), callTimeout/2)
+		}
+	}
+	view, err := tc.daemons[sites].CreateGroup(tc.newProc(sites).addr, "far")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 30 {
+		d := tc.daemons[addr.SiteID(1+i%(sites-1))]
+		d.mu.Lock()
+		clear(d.nameCache)
+		clear(d.remoteViews)
+		d.mu.Unlock()
+		if gid, err := d.Lookup("far"); err != nil || gid != view.Group {
+			t.Errorf("lookup %d of the group at site %d alone, from site %d, returned %v, %v; want %v", i, sites, d.site, gid, err, view.Group)
+		}
+		if v, ok := d.CurrentView(view.Group); !ok || v.ID != view.ID {
+			t.Errorf("lookup %d left view %v (cached %v) at site %d, want view %d cached", i, v, ok, d.site, view.ID)
+		}
 	}
 }
 

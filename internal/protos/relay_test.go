@@ -332,22 +332,28 @@ func TestRelayMalformedPredecessorStamp(t *testing.T) {
 	}
 	// Every relay is in before any answer is read, so the two timeouts run
 	// out together.
-	calls := make([]*caller, len(rows))
+	calls := make([]*waiter, len(rows))
 	for i, tt := range rows {
 		pkt := dataPkt(t, CBCAST, gid, view.ID, core.MsgID{Sender: addr.NewProcess(tt.site, 0, 1), Seq: uint64(i + 1)}, -1, body("m"))
-		id, c := d.newCall(d.site, ptRelayAck)
-		defer d.dropCall(id)
-		pkt.call, pkt.after, calls[i] = id, tt.after, c
+		d.mu.Lock()
+		calls[i] = &waiter{}
+		pkt.call, pkt.after = d.newCallLocked(d.site, ptRelayAck, calls[i]), tt.after
+		d.mu.Unlock()
 		if err := pkt.encode(); err != nil {
 			t.Fatal(err)
 		}
 		d.handleTransport(d.site, pkt.raw) // from site 1's link, answered at the client's site
 	}
-	for i, c := range calls {
-		if _, err := c.await(); !errors.Is(err, rows[i].want) {
-			t.Errorf("stamp %+v from site %d: relay returned %v, want %v", rows[i].after, rows[i].site, err, rows[i].want)
+	d.mu.Lock()
+	for i, w := range calls {
+		for !w.done {
+			d.wake.Wait()
+		}
+		if !errors.Is(w.err, rows[i].want) {
+			t.Errorf("stamp %+v from site %d: relay returned %v, want %v", rows[i].after, rows[i].site, w.err, rows[i].want)
 		}
 	}
+	d.mu.Unlock()
 	waitFor(t, "the two relays that were let through", 2*time.Second, func() bool { return procs[0].numMsgs() == 2 })
 }
 
@@ -382,7 +388,7 @@ func heldRelay(t *testing.T, paused ...addr.SiteID) (*testCluster, *simnet.Recor
 	sent := relayed(tc, client, gid, "b")
 	waitFor(t, "b's request at site 2", 5*time.Second, func() bool {
 		return slices.ContainsFunc(rec.Events(), func(e simnet.Event) bool {
-			return e.Kind == simnet.EventDeliver && e.From == 4 && e.To == 2 && e.Size > 17
+			return e.Kind == simnet.EventDeliver && e.From == 4 && e.To == 2 && dataFrame(e)
 		})
 	})
 	return tc, rec, procs, gid, sent
@@ -426,11 +432,10 @@ func answered(t *testing.T, b string, sent <-chan error) {
 }
 
 // framesSent counts the frames the recorder saw one site send another that
-// carry a packet: not a bare ack's 17 bytes. A frame of a relay's
-// acknowledgement, a 6-byte packet, is shorter than that.
+// carry a packet, a relay's short acknowledgement included.
 func framesSent(rec *simnet.Recorder, from, to addr.SiteID) (n int) {
 	for _, e := range rec.Events() {
-		n += int(bit(e.Kind == simnet.EventSend && e.From == from && e.To == to && e.Size != 17))
+		n += int(bit(e.Kind == simnet.EventSend && e.From == from && e.To == to && dataFrame(e)))
 	}
 	return n
 }

@@ -152,7 +152,7 @@ func TestRequestsFromOneSiteRunInOrder(t *testing.T) {
 	tc.net.SetTracer(rec)
 	requests := func() (sent []simnet.Event) {
 		for _, e := range rec.Events() {
-			if e.Kind == simnet.EventSend && e.From == 2 && e.To == 1 && e.Size > 17 {
+			if e.Kind == simnet.EventSend && e.From == 2 && e.To == 1 && dataFrame(e) {
 				sent = append(sent, e)
 			}
 		}
@@ -193,7 +193,7 @@ func TestRequestsFromOneSiteRunInOrder(t *testing.T) {
 	}
 	evs := rec.Events()
 	answered := slices.IndexFunc(evs, func(e simnet.Event) bool {
-		return e.Kind == simnet.EventDeliver && e.From == 1 && e.To == 2 && e.Size > 17
+		return e.Kind == simnet.EventDeliver && e.From == 1 && e.To == 2 && dataFrame(e)
 	})
 	if answered < 0 || sent[1].When.Before(evs[answered].When) {
 		t.Error("site 2 sent the second request before the first was answered")

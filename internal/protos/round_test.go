@@ -84,11 +84,11 @@ func (h *heldRound) wait(t *testing.T) {
 }
 
 // sends lists the frames site 1 has sent the site since the join began that
-// carry a packet (longer than the transport's 17-byte bare ack).
+// carry a packet.
 func (h *heldRound) sends(to addr.SiteID) []simnet.Event {
 	var out []simnet.Event
 	for _, e := range h.rec.Events() {
-		if e.Kind == simnet.EventSend && e.From == 1 && e.To == to && e.Size > 17 {
+		if e.Kind == simnet.EventSend && e.From == 1 && e.To == to && dataFrame(e) {
 			out = append(out, e)
 		}
 	}

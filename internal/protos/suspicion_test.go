@@ -57,16 +57,16 @@ func TestOnlyTheActingCoordinatorRunsARequest(t *testing.T) {
 	gid := groupOf(t, tc, procs[0], "onecoord")
 	joiner := tc.newProc(3)
 
-	// Frames site 2 sent site 3 that carry a packet (longer than the
-	// transport's 17-byte pure ack), counted from a point where everything
-	// site 2 had sent was acknowledged and so cannot be sent again.
+	// Frames site 2 sent site 3 that carry a packet, counted from a point
+	// where everything site 2 had sent was acknowledged and so cannot be
+	// sent again.
 	acked := func() bool { return tc.daemons[2].tr.Unacked() == 0 }
 	waitFor(t, "site 2's packets acknowledged", 5*time.Second, acked)
 	rec.Reset()
 	from2to3 := func(kind simnet.EventKind) int {
 		n := 0
 		for _, e := range rec.Events() {
-			if e.Kind == kind && e.From == 2 && e.To == 3 && e.Size > 17 {
+			if e.Kind == kind && e.From == 2 && e.To == 3 && dataFrame(e) {
 				n++
 			}
 		}

@@ -197,6 +197,13 @@ func TestMalformedControlPacketsAreDropped(t *testing.T) {
 	malformedGbcastFamily(t, fx)
 }
 
+// answerCount is a call's waiter that counts the answers filed with it, and
+// keeps the call in the table, so an answer a malformed packet forged counts
+// beside the well-formed one.
+type answerCount int
+
+func (n *answerCount) fileLocked(*Daemon, int64, answer) { *n++ }
+
 // malformedGbcastFamily is TestMalformedControlPacketsAreDropped for the packets
 // that left the message codec in PR 26 — the GBCAST family, lookups, state
 // transfer, errors and relay acknowledgements — at the fixture's daemon with its
@@ -212,15 +219,16 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	gs.members[fx.member].awaitingState, gs.members[fx.member].xferID = true, 5
 	view := gs.view.Clone()
 	d.mu.Unlock()
-	call, callers := map[byte]int64{}, []*caller{}
-	for _, want := range []byte{ptGbDone, ptLookupResp, ptRelayAck, ptError} {
+	call, filed := map[byte]int64{}, make([]answerCount, 4)
+	d.mu.Lock()
+	for i, want := range []byte{ptGbDone, ptLookupResp, ptRelayAck, ptError} {
 		site := addr.SiteID(2)
 		if want == ptLookupResp {
 			site = 0
 		}
-		id, c := d.newCall(site, want)
-		call[want], callers = id, append(callers, c)
+		call[want] = d.newCallLocked(site, want, &filed[i])
 	}
+	d.mu.Unlock()
 	nested := dataPkt(t, ABCAST, fx.gid, fx.view, core.MsgID{Sender: remote, Seq: 99}, -1, body("n")).raw
 	report := pendingReport{{ID: core.MsgID{Sender: remote, Seq: 99}, Packet: nested}}
 	// A round this site opened for a user GBCAST of its own, waiting for site
@@ -414,13 +422,9 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 	waitFor(t, "the commit's payload at the member", 2*time.Second, func() bool { return fx.got.Load() == 7 })
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	answered := 0
-	for _, c := range callers {
-		answered += len(c.ch)
-	}
-	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || answered != 4 || gs.round != nil {
-		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, %d of 4 calls answered, round %v left",
-			flushing, gs.phase, ms.awaitingState, answered, gs.round)
+	if ms := gs.members[fx.member]; !flushing || gs.phase != phaseNormal || ms.awaitingState || !slices.Equal(filed, []answerCount{1, 1, 1, 1}) || gs.round != nil {
+		t.Errorf("after the well-formed packets: flushing %v then phase %d, awaiting %v, answers %v filed with the 4 calls (want one each), round %v left",
+			flushing, gs.phase, ms.awaitingState, filed, gs.round)
 	}
 	if now := d.tr.Stats().MessagesSent; now < sent+3 {
 		t.Errorf("%d packets sent for the request, the lookup and the prepare, want their 3 answers", now-sent)

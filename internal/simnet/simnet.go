@@ -371,7 +371,7 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte, detached <-chan s
 		n.stats.PacketsBlocked++
 		tr := n.tracer
 		n.mu.Unlock()
-		trace(tr, Event{Kind: EventDrop, From: from, To: to, Size: len(payload), When: time.Now()})
+		trace(tr, Event{Kind: EventDrop, From: from, To: to, When: time.Now()}, payload)
 		return nil
 	}
 
@@ -380,7 +380,7 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte, detached <-chan s
 		n.stats.PacketsDropped++
 		tr := n.tracer
 		n.mu.Unlock()
-		trace(tr, Event{Kind: EventDrop, From: from, To: to, Size: len(payload), When: time.Now()})
+		trace(tr, Event{Kind: EventDrop, From: from, To: to, When: time.Now()}, payload)
 		return nil
 	}
 
@@ -398,7 +398,7 @@ func (n *Network) send(from SiteID, to SiteID, payload []byte, detached <-chan s
 	cp := n.slab.Take(len(payload))
 	n.mu.Unlock()
 
-	trace(tr, Event{Kind: EventSend, From: from, To: to, Size: len(payload), When: now, Latency: delay})
+	trace(tr, Event{Kind: EventSend, From: from, To: to, When: now, Latency: delay}, payload)
 
 	// Copy the payload so callers may reuse their buffer.
 	copy(cp, payload)
@@ -449,7 +449,7 @@ func (n *Network) deliver(pkt Packet) {
 		n.stats.PacketsDiscarded++
 		tr := n.tracer
 		n.mu.Unlock()
-		trace(tr, Event{Kind: EventDiscard, From: pkt.From, To: pkt.To, Size: len(pkt.Payload), When: time.Now()})
+		trace(tr, Event{Kind: EventDiscard, From: pkt.From, To: pkt.To, When: time.Now()}, pkt.Payload)
 		return
 	}
 	n.stats.PacketsDelivered++
@@ -458,7 +458,7 @@ func (n *Network) deliver(pkt Packet) {
 	tr := n.tracer
 	n.mu.Unlock()
 
-	trace(tr, Event{Kind: EventDeliver, From: pkt.From, To: pkt.To, Size: len(pkt.Payload), When: time.Now()})
+	trace(tr, Event{Kind: EventDeliver, From: pkt.From, To: pkt.To, When: time.Now()}, pkt.Payload)
 
 	// Block rather than drop if the receiver is slow: the reliable
 	// transport above depends on eventual delivery of non-lost packets.

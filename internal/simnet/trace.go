@@ -47,6 +47,7 @@ type Event struct {
 	Kind    EventKind
 	From    SiteID
 	To      SiteID
+	First   byte // the packet's first byte; 0 for an empty packet or an EventPhase
 	Size    int
 	When    time.Time
 	Latency time.Duration // link delay assigned (EventSend only)
@@ -59,9 +60,12 @@ type Tracer interface {
 	Trace(Event)
 }
 
-// trace is a nil-safe helper.
-func trace(t Tracer, e Event) {
+// trace is a nil-safe helper that records the packet's size and first byte.
+func trace(t Tracer, e Event, payload []byte) {
 	if t != nil {
+		if e.Size = len(payload); e.Size > 0 {
+			e.First = payload[0]
+		}
 		t.Trace(e)
 	}
 }

@@ -243,8 +243,8 @@ func TestPaperFigure3(t *testing.T) {
 }
 
 // dataFrames counts the frames with records c's backend puts between sites
-// from now on: on simnet all but the 17-byte bare acks, read off a recorder;
-// on TCP, which counts no frame by its size, every frame.
+// from now on: on simnet all but the bare acks (transport frame kind 2), read
+// off a recorder; on TCP, which tells no frame by its kind, every frame.
 func dataFrames(c *isis.Cluster) func() int {
 	if tcp, ok := c.Fabric().(*tcpnet.Network); ok {
 		return func() int { return int(tcp.Stats().FramesSent) }
@@ -253,7 +253,7 @@ func dataFrames(c *isis.Cluster) func() int {
 	c.Fabric().(*simnet.Network).SetTracer(rec)
 	return func() (n int) {
 		for _, e := range rec.Events() {
-			if e.Kind == simnet.EventSend && e.From != e.To && e.Size != 17 {
+			if e.Kind == simnet.EventSend && e.From != e.To && e.First != 2 {
 				n++
 			}
 		}

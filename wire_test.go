@@ -65,7 +65,7 @@ func churnGroup(t *testing.T, delay time.Duration) (*simnet.Network, func()) {
 }
 
 // TestLANJoinLeaveAcksRideFrames counts the frames a join+leave puts on a
-// LAN of 1 ms links, and the bare 17-byte acks among them. A member site's
+// LAN of 1 ms links, and the bare acks (frame kind 2) among them. A member site's
 // ack of a commit waits for the next round's prepare ack, which leaves 2-4 ms
 // later, within the transport's ack delay (RetransmitInterval/4, 5 ms here).
 // With a 1 ms delay that ran from the first record of a cycle, a join+leave
@@ -88,7 +88,7 @@ func TestLANJoinLeaveAcksRideFrames(t *testing.T) {
 	for _, e := range rec.Events() {
 		if e.Kind == simnet.EventSend {
 			frames++
-			if e.Size == 17 { // a transport frame with no record: a bare ack
+			if e.First == 2 { // the transport's bare ack, a frame with no record
 				bare++
 			}
 		}
