@@ -20,8 +20,7 @@ import (
 // included, leaving out the system fields the toolkit adds (which differ per
 // delivery).
 func userFields(m *Message) string {
-	c := m.Clone()
-	c.StripSystemFields()
+	c := m.CloneStripped(0)
 	enc, _ := c.Marshal()
 	return fmt.Sprintf("%s %q", c.Format(), enc)
 }

@@ -75,13 +75,10 @@ func (p *Process) Cast(proto Protocol, dests []Address, entry EntryID, m *Messag
 	if m == nil {
 		m = NewMessage()
 	}
-	// The one copy on the send side: the daemon takes ownership of this
-	// stripped clone, and the caller keeps its message.
-	payload := m.Clone()
-	payload.StripSystemFields()
-
+	// The one copy on the send side: the daemon owns a stripped clone with room
+	// for a local delivery's four system fields (and @session if Cast waits).
 	if o.want == 0 {
-		_, rid, err := p.site.daemon.MulticastRequest(p.addr, proto, addr.List(dests), entry, payload)
+		_, rid, err := p.site.daemon.MulticastRequest(p.addr, proto, addr.List(dests), entry, m.CloneStripped(4))
 		if o.track != nil {
 			*o.track = RequestID(rid)
 		}
@@ -91,16 +88,20 @@ func (p *Process) Cast(proto Protocol, dests []Address, entry EntryID, m *Messag
 	// Register the pending call before sending so replies cannot race past.
 	p.mu.Lock()
 	p.session++
-	session := p.session
-	call := &pendingCall{wake: make(chan struct{}, 1)}
+	session, call := p.session, p.spare
+	if p.spare = nil; call == nil {
+		call = &pendingCall{wake: make(chan struct{}, 1), timer: time.NewTimer(recheckEvery)}
+	}
+	call.want = o.want
 	p.pending[session] = call
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
 		delete(p.pending, session)
+		call.replies, call.responded, p.spare = nil, call.responded[:0], call
 		p.mu.Unlock()
 	}()
-	payload.PutInt(msg.FSession, session)
+	payload := m.CloneStripped(5).PutInt(msg.FSession, session)
 
 	_, rid, err := p.site.daemon.MulticastRequest(p.addr, proto, addr.List(dests), entry, payload)
 	if o.track != nil {
@@ -138,8 +139,8 @@ const recheckEvery = 5 * time.Millisecond
 // replies), or the reply timeout expires. Replies are recorded by onDeliver;
 // this side sleeps until a reply or a view change wakes it.
 func (p *Process) collectReplies(call *pendingCall, dests []Address, want int, timeout time.Duration) ([]*Message, error) {
-	deadline := time.Now().Add(timeout)
-	timer := time.NewTimer(min(timeout, recheckEvery))
+	deadline, timer := time.Now().Add(timeout), call.timer
+	timer.Reset(min(timeout, recheckEvery))
 	defer timer.Stop()
 	expected := p.expectedResponders(dests)
 	for rechecks := 1; ; {
@@ -228,14 +229,11 @@ func (p *Process) replyInternal(req, reply *Message, kind uint8, copies []Addres
 		return ErrNotARequest
 	}
 	session := req.Session()
-	out := reply.Clone()
-	out.StripSystemFields()
-	if err := p.site.daemon.Reply(p.addr, req.Sender(), session, kind, out); err != nil {
+	if err := p.site.daemon.Reply(p.addr, req.Sender(), session, kind, reply); err != nil {
 		return err
 	}
 	if len(copies) > 0 {
-		cp := reply.Clone()
-		cp.StripSystemFields()
+		cp := reply.CloneStripped(5) // a delivery's four system fields, and this one
 		cp.PutInt("cc-origin-session", session)
 		if _, err := p.site.daemon.Multicast(p.addr, CBCAST, addr.List(copies), copyEntry, cp); err != nil {
 			return err

@@ -325,6 +325,10 @@ func (s *Site) GroupPrimary(gid Address) bool { return s.daemon.GroupPrimary(gid
 // is not in non-primary mode at this site.
 func (s *Site) MergeGroup(gid Address) error { return s.daemon.MergeGroup(gid) }
 
+// Snapshot reads what the site's protocols process holds that a step could be
+// waiting on: its counters, peers, calls, requests and group copies.
+func (s *Site) Snapshot() Snapshot { return s.daemon.Snapshot() }
+
 // Spawn creates a new client process at this site.
 func (s *Site) Spawn() (*Process, error) {
 	p := &Process{
@@ -334,7 +338,7 @@ func (s *Site) Spawn() (*Process, error) {
 		pending:      make(map[int64]*pendingCall),
 		tasks:        task.NewManager(),
 	}
-	a, err := s.daemon.RegisterProcess(p.onDeliver, p.tasks.Call, p.onView)
+	a, err := s.daemon.RegisterProcess(p.onDeliver, p.tasks.Call, p.onView, p.wantsReply)
 	if err != nil {
 		return nil, err
 	}

@@ -149,7 +149,7 @@ func TestPrimaryPartitionMajorityCommitsMinorityMerges(t *testing.T) {
 	// heal (the usual timeout ambiguity — committed in the primary, so not
 	// split-brain, but not the refusal this assertion is about).
 	waitUntil(t, "site 5 suspects the majority", 10*time.Second, func() bool {
-		return len(c.Site(5).daemon.SuspectedSites()) >= 3
+		return len(c.Site(5).Snapshot().Suspected) >= 3
 	})
 	if _, err := members[4].Cast(GBCAST, []Address{gid}, EntryUserBase, Text("gb-forbidden")); !errors.Is(err, ErrNonPrimary) {
 		t.Errorf("minority GBCAST err = %v, want ErrNonPrimary", err)

@@ -422,39 +422,41 @@ func (m *Message) Session() int64 { return m.GetInt(FSession, 0) }
 // it was a point-to-point send).
 func (m *Message) Group() addr.Address { return m.GetAddress(FGroup) }
 
-// StripSystemFields removes every reserved '@' field. The protection tool
-// applies this to messages submitted by clients so system fields can only be
-// set by the toolkit itself.
-func (m *Message) StripSystemFields() {
-	kept := m.fields[:0]
-	for i := range m.fields {
-		if !IsSystemField(m.fields[i].name) {
-			kept = append(kept, m.fields[i])
-		}
-	}
-	clear(m.fields[len(kept):])
-	m.fields = kept
-}
-
 // Clone returns a copy of the message that shares nothing mutable with it:
 // the field table is copied (with headroom for a few more fields), nested
 // messages are cloned, and variable-length values — immutable once stored —
 // are shared.
-func (m *Message) Clone() *Message { return m.clone(firstFields) }
+func (m *Message) Clone() *Message { return m.clone(firstFields, 0, 0) }
 
-func (m *Message) clone(room int) *Message {
+// CloneStripped is a Clone without the system fields, whose table has room
+// for room more fields.
+func (m *Message) CloneStripped(room int) *Message {
+	lo, hi := m.system()
+	return m.clone(room, lo, hi)
+}
+
+// clone copies every field but those in [lo, hi) into a table with room more.
+func (m *Message) clone(room, lo, hi int) *Message {
 	out := &Message{}
-	if len(m.fields)+room == 0 {
+	n := len(m.fields) - (hi - lo)
+	if n+room == 0 {
 		return out
 	}
-	out.fields = make([]field, len(m.fields), len(m.fields)+room)
-	copy(out.fields, m.fields)
+	out.fields = append(append(make([]field, 0, n+room), m.fields[:lo]...), m.fields[hi:]...)
 	for i := range out.fields {
 		if f := &out.fields[i]; f.sub != nil {
-			f.sub = f.sub.clone(0)
+			f.sub = f.sub.clone(0, 0, 0)
 		}
 	}
 	return out
+}
+
+// system returns the bounds of the system fields in the sorted table: every
+// name from "@" up to "A", the byte after SystemPrefix.
+func (m *Message) system() (lo, hi int) {
+	lo, _ = m.find("@")
+	hi, _ = m.find("A")
+	return lo, hi
 }
 
 // Format renders a human-readable dump of the message, with fields in sorted

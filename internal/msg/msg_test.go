@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,12 +148,19 @@ func TestSystemFieldsAndStrip(t *testing.T) {
 	if m.Sender() != a || m.Session() != 77 || m.Group().IsNil() {
 		t.Error("system accessors wrong")
 	}
-	m.StripSystemFields()
-	if m.Has(FSender) || m.Has(FSession) || m.Has(FGroup) {
-		t.Error("StripSystemFields left reserved fields")
+	// A name that sorts before '@' keeps its place ahead of the system fields.
+	m.PutInt("!first", 1)
+	c := m.CloneStripped(2)
+	if c.Has(FSender) || c.Has(FSession) || c.Has(FGroup) || !m.Has(FSender) {
+		t.Error("CloneStripped kept reserved fields, or took them from the original")
 	}
-	if !m.Has("user") {
-		t.Error("StripSystemFields removed a user field")
+	if !slices.Equal(c.Names(), []string{"!first", "user"}) || cap(c.fields) != 4 {
+		t.Errorf("CloneStripped(2) holds %v in a table of %d", c.Names(), cap(c.fields))
+	}
+	want, _ := c.Marshal()
+	got, err := m.AppendMarshalStripped([]byte{9})
+	if err != nil || !bytes.Equal(got[1:], want) || got[0] != 9 || m.MarshaledSizeStripped() != len(want) {
+		t.Errorf("the stripped encoding is %x (err %v) in %d bytes, its clone's %x", got, err, m.MarshaledSizeStripped(), want)
 	}
 }
 
@@ -339,7 +347,6 @@ func TestCloneSharesNothingMutable(t *testing.T) {
 	c = orig.Clone()
 	cwant, _ := c.Marshal()
 	orig.PutBytes("b", []byte("xx")).GetMessage("sub").PutBytes("b", nil)
-	orig.StripSystemFields()
 	orig.Delete("l")
 	if got, _ := c.Marshal(); !bytes.Equal(got, cwant) {
 		t.Errorf("mutating the original changed its clone: %s", c.Format())

@@ -3,6 +3,7 @@
 package protos
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -107,5 +108,34 @@ func TestRemoteReplyReceiveAllocations(t *testing.T) {
 	}
 	if got := fx.d.Counters().Delivered; got != 202 {
 		t.Errorf("Delivered = %d, want 202", got)
+	}
+}
+
+// TestReplyCodecAllocations pins what a reply costs: encoding a request
+// answered with itself allocates once (the packet), its system fields skipped
+// in place, to the bytes of its stripped clone; and a reply whose Cast will
+// not read it is dropped at its header with nothing allocated.
+func TestReplyCodecAllocations(t *testing.T) {
+	req := systemFields(body("q").PutInt("n", 7), addr.NewProcess(1, 0, 1), addr.NewGroup(1, 0, 3), 4, CBCAST).PutInt(msg.FSession, 9)
+	h := replyHeader{caller: addr.NewProcess(1, 0, 1), responder: addr.NewProcess(2, 0, 9), session: 9, kind: 1}
+	want, _ := encodeReply(h, req.CloneStripped(0))
+	var got []byte
+	if n := testing.AllocsPerRun(100, func() { got, _ = encodeReply(h, req) }); n != 1 {
+		t.Errorf("encoding a reply allocates %.0f times, want 1", n)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the reply encodes to %x, its stripped clone to %x", got, want)
+	}
+	fx := newWireFixture(t)
+	asked := 0
+	caller, err := fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { t.Error("an unread reply was handed over") }, func(func()) {}, nil,
+		func(int64, addr.Address, uint8) bool { asked++; return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.caller = caller
+	raw, _ := encodeReply(h, req)
+	if n := testing.AllocsPerRun(100, func() { fx.d.handleTransport(2, raw) }); n != 0 || asked != 101 {
+		t.Errorf("dropping an unread reply allocates %.0f times (asked %d times)", n, asked)
 	}
 }

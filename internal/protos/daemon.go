@@ -3,8 +3,6 @@ package protos
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -83,6 +81,7 @@ type localProc struct {
 	deliver     DeliverFunc
 	call        CallFunc
 	deliverView ViewFunc
+	wants       func(session int64, responder addr.Address, kind uint8) bool
 	alive       bool
 	nextSeq     uint64 // multicast sequence (msg ids)
 
@@ -409,8 +408,10 @@ func (d *Daemon) Close() {
 
 // RegisterProcess creates a new local process, handed its messages by deliver
 // and its calls by call, and returns its address. The view callback (which may
-// be nil) receives membership changes of the groups the process joins.
-func (d *Daemon) RegisterProcess(deliver DeliverFunc, call CallFunc, view ViewFunc) (addr.Address, error) {
+// be nil) receives membership changes of the groups the process joins. wants,
+// called as deliver is, files from its header a reply whose Cast will not read
+// it and returns false, and its body is dropped; nil reads every reply.
+func (d *Daemon) RegisterProcess(deliver DeliverFunc, call CallFunc, view ViewFunc, wants func(session int64, responder addr.Address, kind uint8) bool) (addr.Address, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -422,6 +423,7 @@ func (d *Daemon) RegisterProcess(deliver DeliverFunc, call CallFunc, view ViewFu
 		deliver:     deliver,
 		call:        call,
 		deliverView: view,
+		wants:       wants,
 		alive:       true,
 		relayed:     make(map[addr.Address]relayStamp),
 	}
@@ -610,9 +612,10 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 // handleTransport is the one way a peer's packet enters the daemon. It checks
 // the envelope, decodes the body's fields outside the lock and hands it
 // to its handler in one hold of d.mu, at whose tail this site's requests move
-// on what the packet answered or filed. What a body decodes to lives on this
-// stack unless a handler or a call keeps it; a data packet, a payload and a
-// state block keep raw, a frame the receiver owns.
+// on what the packet answered or filed; a reply's body is decoded there, and
+// only if its caller reads it. What a body decodes to lives on this stack
+// unless a handler or a call keeps it; a data packet, a payload, a reply and
+// a state block keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return
@@ -620,11 +623,11 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	pt, body := raw[1], raw[envelopeBytes:]
 	var (
 		h     replyHeader
+		reply []byte
 		g     gbPacket
 		lk    lookupPacket
 		sh    stateHeader
 		pkt   *dataPacket
-		p     *msg.Message
 		block []byte
 		call  int64
 		a     answer
@@ -632,7 +635,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	)
 	switch pt {
 	case ptReply:
-		h, p, ok = parseReply(body)
+		h, reply, ok = parseReplyHeader(body)
 	case ptData:
 		// A relay is answered at its sender's site, so only that site may ask.
 		pkt, ok = parseDataPacket(raw)
@@ -653,7 +656,7 @@ func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	defer d.mu.Unlock()
 	switch pt {
 	case ptReply:
-		d.deliverReplyLocked(h, p)
+		d.deliverReplyLocked(h, nil, reply)
 	case ptData:
 		d.handleDataLocked(pkt)
 	case ptGbRequest:
@@ -691,11 +694,4 @@ func (d *Daemon) onDetectorEvent(ev fdetect.Event) {
 		}
 		d.driveLocked()
 	}
-}
-
-// SuspectedSites returns the sites currently believed failed, in ascending order.
-func (d *Daemon) SuspectedSites() []addr.SiteID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return slices.Sorted(maps.Keys(d.suspected))
 }

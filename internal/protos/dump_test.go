@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/addr"
 )
 
 // clusters holds each running test's cluster, so a wait that times out can
@@ -40,78 +38,80 @@ func dumps(t *testing.T) string {
 }
 
 // dump renders what a daemon holds that a step could be waiting on: its
-// counters, sends, each peer's unacknowledged records and queued messages,
-// views and names; its calls, a lookup's with the sites still to answer; the
-// heads of its request queues and its parked rejoins; and for each copy the view, phase and released clock, the causal queue (a held relay with
-// the stamp it waits for, a submission with its clock), the submissions, the
-// carried ack, the dedupe marks, what the flush parked, the members' state
-// transfer, the GBCAST queue and round, and the merge survey. The current tick
-// is not in it, so two dumps are equal when no step moved the daemon.
+// snapshot (counters, sends, each peer's unacknowledged records and queued
+// messages, suspicions; its calls, a lookup's with the sites still to answer;
+// the heads of its request queues and its parked rejoins; and for each copy
+// the view, phase and released clock, the causal queue (a held relay with the
+// stamp it waits for, a submission with its clock), the submissions, what the
+// flush parked, the members' state transfer, the GBCAST queue and round, and
+// the merge survey), then, in a second hold of d.mu, what the snapshot leaves
+// out: the transport's sends, the cached views and names, and each copy's
+// carried ack, dedupe marks, recent log and flush deadline. The current tick is not in it, so two dumps
+// are equal when no step moved the daemon.
 func dump(d *Daemon) string {
+	s := d.Snapshot()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "counters %+v sent %d windows %v suspected %v remote %v names %v\n", d.counters,
-		d.tr.Stats().MessagesSent, d.tr.Windows(), slices.Sorted(maps.Keys(d.suspected)), d.remoteViews, d.nameCache)
-	for _, id := range slices.Sorted(maps.Keys(d.calls)) {
-		c, toAnswer := d.calls[id], 0
-		if lk, ok := c.val.(*lookup); ok {
-			toAnswer = lk.asked - lk.heard
-		}
-		fmt.Fprintf(&b, "call %d: %T wants type %d of site %d by tick %d, %d sites to answer\n", id, c.val, c.want, c.site, c.deadline, toAnswer)
+	fmt.Fprintf(&b, "counters %+v sent %d windows %v suspected %v remote %v names %v\n", s.Counters,
+		d.tr.Stats().MessagesSent, s.Windows, s.Suspected, d.remoteViews, d.nameCache)
+	for _, c := range s.Calls {
+		fmt.Fprintf(&b, "call %d: %s wants type %d of site %d by tick %d, %d sites to answer\n", c.ID, c.Waiter, c.Want, c.Site, c.Deadline, c.ToAnswer)
 	}
-	for _, gid := range slices.SortedFunc(maps.Keys(d.requests), addr.Address.Compare) {
-		if q := d.requests[gid]; len(q) > 0 {
-			e := q[0]
-			fmt.Fprintf(&b, "request %v: kind %d id %#x call %d site %d tries %d next try at tick %d (+%d queued)\n",
-				gid, e.kind, e.reqID, e.call, e.site, e.tries, e.deadline, len(q)-1)
-		}
+	slices.SortFunc(s.Requests, func(a, b RequestSnapshot) int { return a.Group.Compare(b.Group) })
+	for _, e := range s.Requests {
+		fmt.Fprintf(&b, "request %v: kind %d id %#x call %d site %d tries %d next try at tick %d (+%d queued)\n",
+			e.Group, e.Kind, e.ID, e.Call, e.Site, e.Tries, e.Deadline, e.Queued)
 	}
 	var rejoins []string
-	for k, r := range d.parked {
-		rejoins = append(rejoins, fmt.Sprintf("parked rejoin %v of %v: busy %v err %v\n", k.joiner, k.gid, r.busy, r.err))
+	for _, r := range s.Rejoins {
+		rejoins = append(rejoins, fmt.Sprintf("parked rejoin %v of %v: busy %v err %v\n", r.Joiner, r.Group, r.Busy, r.Err))
 	}
 	slices.Sort(rejoins)
 	b.WriteString(strings.Join(rejoins, ""))
-	for _, gid := range slices.SortedFunc(maps.Keys(d.groups), addr.Address.Compare) {
-		gs := d.groups[gid]
-		fmt.Fprintf(&b, "group %v: view %v phase %v clock %v carried %d recent %d marks %v skipped %d flush deadline %d\n", gid, gs.view,
-			gs.phase, gs.causal.Clock(), gs.carried, len(gs.recent.Keys()), gs.marks.ranges, len(gs.marks.skipped.Keys()), gs.flushDeadline)
-		for _, a := range slices.SortedFunc(maps.Keys(gs.members), addr.Address.Compare) {
-			ms := gs.members[a]
-			fmt.Fprintf(&b, "  member %v: joined %d awaiting state %v xfer %d/%d held %d\n", a, ms.joinedView, ms.awaitingState, ms.xferID, len(ms.xferBuf), len(ms.held))
+	for _, g := range s.Groups {
+		var carried int64
+		var recent, skipped int
+		var marks map[int64]markRange
+		var flushDeadline uint64
+		if gs := d.groups[g.View.Group]; gs != nil {
+			carried, recent, marks, skipped, flushDeadline = gs.carried, len(gs.recent.Keys()), gs.marks.ranges, len(gs.marks.skipped.Keys()), gs.flushDeadline
 		}
-		for _, o := range gs.causal.Pending() {
-			switch pkt := o.Payload.(*dataPacket); {
-			case pkt.call != 0:
-				fmt.Fprintf(&b, "  held relay %v (call %d of site %d) waits for %+v: vt %v\n", pkt.id, pkt.call, pkt.id.Sender.Site, pkt.after, pkt.vt)
-			case pkt.rank < 0:
-				fmt.Fprintf(&b, "  held submission %v waits for vt %v\n", pkt.id, pkt.vt)
+		fmt.Fprintf(&b, "group %v: view %v phase %v clock %v carried %d recent %d marks %v skipped %d flush deadline %d\n", g.View.Group, g.View,
+			g.Phase, g.Clock, carried, recent, marks, skipped, flushDeadline)
+		slices.SortFunc(g.Members, func(a, b MemberSnapshot) int { return a.Proc.Compare(b.Proc) })
+		for _, ms := range g.Members {
+			fmt.Fprintf(&b, "  member %v: joined %d awaiting state %v xfer %d/%d held %d\n", ms.Proc, ms.Joined, ms.AwaitingState, ms.XferID, ms.Blocks, ms.Held)
+		}
+		for _, pkt := range g.Pending {
+			switch {
+			case pkt.Call != 0:
+				fmt.Fprintf(&b, "  held relay %v (call %d of site %d) waits for %+v: vt %v\n", pkt.ID, pkt.Call, pkt.ID.Sender.Site, pkt.After, pkt.VT)
+			case pkt.Rank < 0:
+				fmt.Fprintf(&b, "  held submission %v waits for vt %v\n", pkt.ID, pkt.VT)
 			default:
-				fmt.Fprintf(&b, "  pending %v %v of view %d rank %d vt %v\n", pkt.proto, pkt.id, pkt.view, pkt.rank, pkt.vt)
+				fmt.Fprintf(&b, "  pending %v %v of view %d rank %d vt %v\n", pkt.Proto, pkt.ID, pkt.View, pkt.Rank, pkt.VT)
 			}
 		}
-		if len(gs.submitted) > 0 {
+		if len(g.Submitted) > 0 {
 			var ids []string
-			for id := range gs.submitted {
+			for _, id := range g.Submitted {
 				ids = append(ids, id.String())
 			}
 			slices.Sort(ids)
 			fmt.Fprintf(&b, "  submitted %v\n", ids)
 		}
-		for _, pkt := range gs.parked {
-			fmt.Fprintf(&b, "  parked %v %v of view %d (relay call %d, after %+v)\n", pkt.proto, pkt.id, pkt.view, pkt.call, pkt.after)
+		for _, pkt := range g.Parked {
+			fmt.Fprintf(&b, "  parked %v %v of view %d (relay call %d, after %+v)\n", pkt.Proto, pkt.ID, pkt.View, pkt.Call, pkt.After)
 		}
-		if len(gs.gbQueue) > 0 {
-			fmt.Fprintf(&b, "  GBCAST queue %d, head kind %d id %#x from site %d\n", len(gs.gbQueue), gs.gbQueue[0].kind, gs.gbQueue[0].reqID, gs.gbQueue[0].replyTo)
+		if len(g.Queue) > 0 {
+			fmt.Fprintf(&b, "  GBCAST queue %d, head kind %d id %#x from site %d\n", len(g.Queue), g.Queue[0].Kind, g.Queue[0].ID, g.Queue[0].Site)
 		}
-		if r := gs.round; r != nil {
-			fmt.Fprintf(&b, "  round: kind %d call %d silent %v tries %d deadline %d acks from %v\n",
-				r.req.kind, r.call, r.silent, r.tries, r.deadline, slices.Sorted(maps.Keys(r.acks)))
+		if r := g.Round; r != nil {
+			fmt.Fprintf(&b, "  round: kind %d call %d silent %v tries %d deadline %d acks from %v\n", r.Kind, r.Call, g.Silent, r.Tries, r.Deadline, g.Acked)
 		}
-		if sv := gs.survey; sv != nil {
-			fmt.Fprintf(&b, "  survey: call %d to answer %d wedged %d primary %v rejoins %d\n", sv.look.call, sv.look.asked-sv.look.heard,
-				len(sv.look.wedged), !sv.look.view.Group.IsNil(), sv.rejoins)
+		if sv := g.Survey; sv != nil {
+			fmt.Fprintf(&b, "  survey: call %d to answer %d wedged %d primary %v rejoins %d\n", sv.ID, sv.ToAnswer, g.Wedged, g.Primary, g.Rejoins)
 		}
 	}
 	return b.String()

@@ -158,8 +158,9 @@ func (d *Daemon) deliverPointToPointLocked(pkt *dataPacket) {
 
 // Reply sends a process's answer (kind: the @reply value) to the caller whose
 // Cast, numbered session there, it answers: Table 1's "one asynchronous CBCAST",
-// counted as a point-to-point send, that no flush holds. The daemon takes over
-// payload: a local caller is handed that very message, a remote one its decode.
+// counted as a point-to-point send, that no flush holds. The daemon only reads
+// payload, and never its system fields: a local caller is handed a stripped
+// clone, a remote one the decode of the stripped encoding.
 func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, payload *msg.Message) error {
 	h := replyHeader{caller: caller.Base(), responder: sender.Base(), session: session, kind: kind}
 	d.mu.Lock()
@@ -169,7 +170,7 @@ func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, p
 	}
 	d.counters.PointToPoints++
 	if h.caller.Site == d.site {
-		d.deliverReplyLocked(h, payload)
+		d.deliverReplyLocked(h, payload, nil)
 		return nil
 	}
 	raw, err := encodeReply(h, payload)
@@ -179,15 +180,29 @@ func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, p
 	return d.sendRaw(h.caller.Site, raw)
 }
 
-// deliverReplyLocked puts on a reply the system fields its header stands for
-// and hands it to the caller's process, which files it with the waiting Cast it
-// finds by session, ahead of anything queued there. Caller holds d.mu.
-func (d *Daemon) deliverReplyLocked(h replyHeader, m *msg.Message) {
-	if lp := d.procs[h.caller]; lp != nil && lp.alive {
-		systemFields(m, h.responder, addr.Nil, 0, CBCAST).PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))
-		d.counters.Delivered++
-		d.enqueue(lp, queued{m: m})
+// deliverReplyLocked hands a reply, a local replier's message src or the
+// bytes raw of a remote one, to the caller's process, which files it with the
+// waiting Cast it finds by session, ahead of anything queued there. Only a
+// reply that Cast reads (lp.wants) is copied or decoded and given the system
+// fields its header stands for. Caller holds d.mu.
+func (d *Daemon) deliverReplyLocked(h replyHeader, src *msg.Message, raw []byte) {
+	lp := d.procs[h.caller]
+	if lp == nil || !lp.alive {
+		return
 	}
+	if lp.wants != nil && !lp.wants(h.session, h.responder, h.kind) {
+		d.counters.Delivered++
+		return
+	}
+	m := src
+	if m != nil {
+		m = m.CloneStripped(4)
+	} else if m, _ = msg.UnmarshalOwned(raw, 4); m == nil { // room for the system fields below
+		return
+	}
+	systemFields(m, h.responder, addr.Nil, 0, CBCAST).PutInt(msg.FSession, h.session).PutInt(msg.FReply, int64(h.kind))
+	d.counters.Delivered++
+	d.enqueue(lp, queued{m: m})
 }
 
 // sendGroupMulticast runs the sender side of CBCAST or ABCAST for a group

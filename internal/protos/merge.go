@@ -221,20 +221,6 @@ func (d *Daemon) retryParkedLocked() {
 	}
 }
 
-// PendingMerges returns the groups with members parked after a failed merge
-// rejoin, awaiting the automatic retry.
-func (d *Daemon) PendingMerges() []addr.Address {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var gids []addr.Address
-	for k := range d.parked {
-		if !slices.Contains(gids, k.gid) {
-			gids = append(gids, k.gid)
-		}
-	}
-	return gids
-}
-
 // resumeWedgedLocked handles total wedge: no partition anywhere retained half
 // of the last agreed view (a multi-way split), so every copy is non-primary
 // and there is no primary to merge into. Nothing can have committed past that

@@ -29,7 +29,7 @@ func TestFlushCountsTheSendersOpenRounds(t *testing.T) {
 		t.Run(end, func(t *testing.T) {
 			fx := newWireFixture(t)
 			d := fx.d
-			other, err := d.RegisterProcess(func(addr.EntryID, *msg.Message) {}, func(func()) {}, nil)
+			other, err := d.RegisterProcess(func(addr.EntryID, *msg.Message) {}, func(func()) {}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,8 +124,7 @@ func scribbleDelivery(m *msg.Message) {
 
 // userBytes marshals a delivery without the system fields the toolkit added.
 func userBytes(m *msg.Message) []byte {
-	c := m.Clone()
-	c.StripSystemFields()
+	c := m.CloneStripped(0)
 	raw, _ := c.Marshal()
 	return raw
 }

@@ -132,6 +132,7 @@ func (tc *testCluster) newProc(site addr.SiteID) *testProc {
 			p.views = append(p.views, v)
 			p.trace = append(p.trace, fmt.Sprintf("view %d", v.ID))
 		},
+		nil,
 	)
 	if err != nil {
 		tc.t.Fatal(err)

@@ -68,7 +68,7 @@ func TestRelayRefusedByNonPrimaryCoordinator(t *testing.T) {
 	})
 	waitFor(t, "client suspects the majority sites", 10*time.Second, func() bool {
 		suspected := map[addr.SiteID]bool{}
-		for _, s := range tc.daemons[4].SuspectedSites() {
+		for _, s := range tc.daemons[4].Snapshot().Suspected {
 			suspected[s] = true
 		}
 		return suspected[1] && suspected[2]
@@ -211,7 +211,7 @@ func TestRelaySiteCrashDoesNotStallSender(t *testing.T) {
 		return procs[1].lastView().Size() == 2 && procs[2].lastView().Size() == 2
 	})
 	waitFor(t, "client suspects the crashed coordinator", 10*time.Second, func() bool {
-		return slices.Contains(tc.daemons[4].SuspectedSites(), 1)
+		return slices.Contains(tc.daemons[4].Snapshot().Suspected, 1)
 	})
 
 	if err := relay(tc, client, gid, "next"); err != nil {

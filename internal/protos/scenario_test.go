@@ -531,7 +531,7 @@ func TestFailedRelayDoesNotConsumeSequence(t *testing.T) {
 	}
 	tc.net.Heal(1, 2)
 	waitFor(t, "suspicion to clear after heal", 5*time.Second, func() bool {
-		return len(tc.daemons[2].SuspectedSites()) == 0
+		return len(tc.daemons[2].Snapshot().Suspected) == 0
 	})
 
 	for _, b := range []string{"first", "second"} {

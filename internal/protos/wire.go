@@ -158,22 +158,20 @@ type replyHeader struct {
 	kind              uint8
 }
 
-// encodeReply builds the wire bytes of a ptReply packet.
+// encodeReply builds the wire bytes of a ptReply packet, whose reply is body
+// without its system fields.
 func encodeReply(h replyHeader, body *msg.Message) ([]byte, error) {
-	raw := append(make([]byte, 0, envelopeBytes+2*addr.EncodedSize+uvarintLen(uint64(h.session))+1+body.MarshaledSize()), wireVersion, ptReply)
+	raw := append(make([]byte, 0, envelopeBytes+2*addr.EncodedSize+uvarintLen(uint64(h.session))+1+body.MarshaledSizeStripped()), wireVersion, ptReply)
 	raw = binary.AppendUvarint(h.responder.AppendEncoded(h.caller.AppendEncoded(raw)), uint64(h.session))
-	return body.AppendMarshal(append(raw, h.kind))
+	return body.AppendMarshalStripped(append(raw, h.kind))
 }
 
-// parseReply reads a ptReply body: the header, and the reply decoded once.
-func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
+// parseReplyHeader reads a ptReply body's header and returns the reply's
+// bytes, which deliverReplyLocked decodes if the caller reads them.
+func parseReplyHeader(b []byte) (h replyHeader, reply []byte, ok bool) {
 	r := reader{b: b}
 	h.caller, h.responder, h.session, h.kind = r.addr(), r.addr(), int64(r.uvarint()), r.byte()
-	if r.bad {
-		return h, nil, false
-	}
-	body, err := msg.UnmarshalOwned(r.b, 4) // room for deliverReplyLocked's system fields
-	return h, body, err == nil
+	return h, r.b, !r.bad
 }
 
 // reader reads a packet's fields in their order. The first field that is
@@ -197,7 +195,13 @@ func (r *reader) bytes(n uint64) []byte {
 	return s
 }
 
+// uvarint reads a uvarint; a byte below 0x80 is the value, read in place.
 func (r *reader) uvarint() uint64 {
+	if len(r.b) > 0 && r.b[0] < 0x80 {
+		v := uint64(r.b[0])
+		r.b = r.b[1:]
+		return v
+	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 { // cut short, or longer than 64 bits
 		r.fail()

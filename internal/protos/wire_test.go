@@ -49,7 +49,7 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	})
 	fx := &wireFixture{d: ds[0]}
 	var err error
-	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, func(func()) {}, nil); err != nil {
+	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, func(func()) {}, nil, nil); err != nil {
 		tb.Fatal(err)
 	}
 	v, err := fx.d.CreateGroup(fx.member, "wire")
@@ -516,6 +516,14 @@ func TestMalformedVarintsAreRefused(t *testing.T) {
 			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
 		}
 	}
+}
+
+// parseReply reads a ptReply body as handleTransport and deliverReplyLocked
+// do, when the caller reads the reply: the header, and the reply decoded once.
+func parseReply(b []byte) (h replyHeader, body *msg.Message, ok bool) {
+	h, b, ok = parseReplyHeader(b)
+	body, err := msg.UnmarshalOwned(b, 4)
+	return h, body, ok && err == nil
 }
 
 // parsed reports whether the parser handleTransport runs for a packet's type

@@ -91,8 +91,9 @@ func watchCluster(t *testing.T, c *Cluster) {
 }
 
 // dumpWatched renders every watched cluster of the named test or of a test
-// it is a subtest of: each live site's counters, suspicions, pending merges
-// and event statistics, each live process's views, and the event tail.
+// it is a subtest of: each live site's snapshot (counters, suspicions, calls,
+// requests, parked rejoins and group copies) and event statistics, each live
+// process's views, and the event tail.
 func dumpWatched(test string) string {
 	var b strings.Builder
 	watched.Lock()
@@ -103,9 +104,13 @@ func dumpWatched(test string) string {
 		}
 		fmt.Fprintf(&b, "\n== cluster of %s ==", w.test)
 		for _, s := range c.Sites() {
-			d := s.daemon
-			fmt.Fprintf(&b, "\nsite %d: counters %+v\n  suspected %v, pending merges %v, events %+v",
-				s.id, d.Counters(), d.SuspectedSites(), d.PendingMerges(), d.EventStats())
+			snap := s.Snapshot()
+			fmt.Fprintf(&b, "\nsite %d: counters %+v\n  suspected %v, windows %v, calls %+v, requests %+v, parked rejoins %+v, events %+v",
+				s.id, snap.Counters, snap.Suspected, snap.Windows, snap.Calls, snap.Requests, snap.Rejoins, s.daemon.EventStats())
+			for _, g := range snap.Groups {
+				fmt.Fprintf(&b, "\n  copy %v phase %d clock %v: pending %+v, submitted %v, parked %+v, GBCAST queue %+v, round %+v, survey %+v",
+					g.View, g.Phase, g.Clock, g.Pending, g.Submitted, g.Parked, g.Queue, g.Round, g.Survey)
+			}
 			s.mu.Lock()
 			for p := range s.procs {
 				p.mu.Lock()

@@ -35,18 +35,23 @@ type Process struct {
 	killed      bool
 	session     int64
 	pending     map[int64]*pendingCall
+	spare       *pendingCall // an ended call, for the next Cast to reuse
 	monitors    map[Address]map[int]func(View)
 	nextMonitor int
 	lastViews   map[Address]View
 }
 
 // pendingCall tracks one Cast waiting for replies. The process's mu guards
-// the two lists; wake nudges the waiting Cast after a reply was recorded or a
-// view installed.
+// want and the two lists; wake nudges the waiting Cast after a reply was
+// recorded or a view installed, and timer is its recheck. Once its Cast
+// returns the call is the process's spare, for the next Cast to reuse, all but
+// replies, which went to the caller (a stale wake costs that Cast a recheck).
 type pendingCall struct {
+	want      int
 	replies   []*Message // normal replies, in arrival order
 	responded []Address  // every destination heard from, normally or with a null reply
 	wake      chan struct{}
+	timer     *time.Timer
 }
 
 // nudge wakes the waiting Cast; one pending wake-up is enough.
@@ -55,21 +60,6 @@ func (c *pendingCall) nudge() {
 	case c.wake <- struct{}{}:
 	default:
 	}
-}
-
-// record files a reply under p.mu and reports whether it was the first from
-// its sender; duplicate replies are discarded silently. A null reply just
-// marks the destination as having responded.
-func (c *pendingCall) record(r *Message) bool {
-	sender := r.Sender()
-	if slices.Contains(c.responded, sender) {
-		return false
-	}
-	c.responded = append(c.responded, sender)
-	if r.GetInt(msg.FReply, replyNormal) == replyNormal {
-		c.replies = append(c.replies, r)
-	}
-	return true
 }
 
 // Address returns the process's ISIS address.
@@ -121,13 +111,33 @@ func (p *Process) Alive() bool {
 	return !p.killed
 }
 
+// wantsReply answers the daemon, under its lock, whether the Cast numbered
+// session reads the body of responder's reply: a normal reply it still needs,
+// which onDeliver then files. It drops a duplicate and a reply to a Cast that
+// returned, and files a null or surplus reply from this header alone.
+func (p *Process) wantsReply(session int64, responder Address, kind uint8) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	call := p.pending[session]
+	switch {
+	case call == nil || slices.Contains(call.responded, responder):
+		return false
+	case kind == replyNormal && (call.want == All || len(call.replies) < call.want):
+		return true
+	}
+	call.responded = append(call.responded, responder)
+	call.nudge()
+	return false
+}
+
 // onDeliver is the daemon's delivery hand-off, called under its lock: a reply
-// is filed with the Cast waiting for it, anything else is queued as a task at
-// the destination entry point.
+// wantsReply asked for is filed with its Cast, anything else is queued as a
+// task at the destination entry point.
 func (p *Process) onDeliver(entry EntryID, m *Message) {
 	if m.Has(msg.FReply) {
 		p.mu.Lock()
-		if call := p.pending[m.Session()]; call != nil && call.record(m) {
+		if call := p.pending[m.Session()]; call != nil {
+			call.responded, call.replies = append(call.responded, m.Sender()), append(call.replies, m)
 			call.nudge()
 		}
 		p.mu.Unlock()

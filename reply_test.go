@@ -2,10 +2,14 @@ package isis
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/task"
 )
 
 // The reply path, pinned from outside on both backends: a reply is one
@@ -240,5 +244,177 @@ func largeReplyArrivesIntact(t *testing.T, c *Cluster) {
 	}
 	if !bytes.Equal(reply.GetBytes("big"), big) || reply.GetString("s", "") != "tail" || reply.Sender() != server.Address() {
 		t.Errorf("10 KB reply arrived as %d bytes, s=%q, from %v", len(reply.GetBytes("big")), reply.GetString("s", ""), reply.Sender())
+	}
+}
+
+// spawnCounting is Spawn with a count, in handed, of the replies the daemon
+// hands the process decoded.
+func spawnCounting(t *testing.T, c *Cluster, site SiteID, handed *atomic.Int64) *Process {
+	t.Helper()
+	s := c.Site(site)
+	p := &Process{site: s, replyTimeout: 5 * time.Second, pending: make(map[int64]*pendingCall), tasks: task.NewManager()}
+	a, err := s.daemon.RegisterProcess(func(e EntryID, m *Message) {
+		if m.Has("@reply") {
+			handed.Add(1)
+		}
+		p.onDeliver(e, m)
+	}, p.tasks.Call, p.onView, p.wantsReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.addr = a
+	t.Cleanup(func() { _ = p.Kill() })
+	return p
+}
+
+// TestSurplusReplyIsNotDecoded: Replies(1) to three members returns on the
+// local member's reply. The two remote replies, held until then, reach the
+// caller's daemon and are dropped at their header: they are counted as
+// delivered and never handed to the caller decoded. While a Cast waits, a
+// normal reply past the count it wants and a null reply mark their responder
+// from the header alone.
+func TestSurplusReplyIsNotDecoded(t *testing.T) {
+	c := newBackendCluster(t, BackendSimnet, 3)
+	release, sent := make(chan struct{}), make(chan error, 2)
+	members, gid := replyGroup(t, c, "surplus", func(i int, p *Process, m *Message) {
+		if i == 0 {
+			_ = p.Reply(m, Text("first"))
+			return
+		}
+		<-release
+		sent <- p.Reply(m, Text("surplus"))
+	})
+	var handed atomic.Int64
+	caller := spawnCounting(t, c, 1, &handed)
+	d := c.Site(1).daemon
+	replies, err := caller.Cast(ABCAST, []Address{gid}, EntryUserBase, Text("q"), Replies(1))
+	if err != nil || len(replies) != 1 || replies[0].GetString("body", "") != "first" {
+		t.Fatalf("Replies(1) returned %v, err %v; want the local member's reply", replies, err)
+	}
+	delivered := d.Counters().Delivered
+	close(release)
+	for range 2 {
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "both surplus replies at the caller's daemon", 5*time.Second, func() bool {
+		return d.Counters().Delivered >= delivered+2
+	})
+	if n := handed.Load(); n != 1 {
+		t.Errorf("%d replies handed to the caller decoded, want 1: a reply to a Cast that returned is dropped at its header", n)
+	}
+
+	call := &pendingCall{want: 1, replies: []*Message{Text("kept")}, responded: []Address{members[0].Address()}, wake: make(chan struct{}, 1)}
+	caller.mu.Lock()
+	caller.pending[-1] = call
+	caller.mu.Unlock()
+	if caller.wantsReply(-1, members[1].Address(), replyNormal) || caller.wantsReply(-1, members[2].Address(), replyNull) ||
+		caller.wantsReply(-1, members[1].Address(), replyNormal) {
+		t.Error("a waiting Cast asked for the body of a surplus, a null or a duplicate reply")
+	}
+	if want := []Address{members[0].Address(), members[1].Address(), members[2].Address()}; !slices.Equal(call.responded, want) || len(call.replies) != 1 {
+		t.Errorf("heard from %v with %d replies, want %v with 1", call.responded, len(call.replies), want)
+	}
+}
+
+// TestRemoteReplyIsStrippedWithoutAClone: a member at another site answers a
+// group request with the request itself, Reply(m, m). The caller gets the
+// request's own fields and the reply's system fields only, and the replier's
+// message is as it was once Reply returns: the daemon encodes it without its
+// system fields and copies nothing (TestReplyCodecAllocations pins the
+// copy).
+func TestRemoteReplyIsStrippedWithoutAClone(t *testing.T) {
+	c := newBackendCluster(t, BackendSimnet, 3)
+	changed := make(chan string, 1)
+	members, gid := replyGroup(t, c, "strip", func(i int, p *Process, m *Message) {
+		if i != 1 {
+			_ = p.NullReply(m)
+			return
+		}
+		before := m.Format()
+		err := p.Reply(m, m)
+		if after := m.Format(); err != nil || after != before {
+			changed <- fmt.Sprintf("Reply returned %v and the request went from %s to %s", err, before, after)
+		}
+		close(changed)
+	})
+	client := spawn(t, c, 1)
+	reply, err := client.Query(CBCAST, []Address{gid}, EntryUserBase, Text("q").PutInt("n", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reply.Names(), []string{"@protocol", "@reply", "@sender", "@session", "body", "n"}; !slices.Equal(got, want) {
+		t.Errorf("the reply carries %v, want %v", got, want)
+	}
+	if reply.Sender() != members[1].Address() || reply.Session() != 1 || reply.GetInt("@reply", 0) != replyNormal ||
+		reply.GetInt("@protocol", 0) != int64(CBCAST) || reply.GetString("body", "") != "q" || reply.GetInt("n", 0) != 7 {
+		t.Errorf("the reply reads %s", reply.Format())
+	}
+	if msg, ok := <-changed; ok {
+		t.Error(msg)
+	}
+}
+
+// TestAllRepliesWithANullAndALateOne: Replies(All) to three members, of
+// which one declines and one answers only after the other two were filed,
+// and again once the Cast returned. The Cast returns the two normal replies in
+// arrival order with no error; the second answer is dropped, and the next
+// Cast leaves the slice the first returned as it was.
+func TestAllRepliesWithANullAndALateOne(t *testing.T) {
+	c := newBackendCluster(t, BackendSimnet, 3)
+	release, again, sent := make(chan struct{}), make(chan struct{}), make(chan error, 2)
+	_, gid := replyGroup(t, c, "null-late", func(i int, p *Process, m *Message) {
+		switch i {
+		case 0:
+			_ = p.Reply(m, Text("first"))
+		case 1:
+			_ = p.NullReply(m)
+		default:
+			<-release
+			_ = p.Reply(m, Text("late"))
+			<-again
+			sent <- p.Reply(m, Text("again"))
+		}
+	})
+	client := spawn(t, c, 1)
+	type result struct {
+		replies []*Message
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		replies, err := client.Cast(CBCAST, []Address{gid}, EntryUserBase, Text("q"), Replies(All))
+		done <- result{replies, err}
+	}()
+	waitUntil(t, "the reply and the null reply filed", 5*time.Second, func() bool {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return len(client.pending) == 1 && len(client.pending[1].responded) == 2
+	})
+	close(release)
+	r := <-done
+	bodies := func(ms []*Message) (out []string) {
+		for _, m := range ms {
+			out = append(out, m.GetString("body", ""))
+		}
+		return out
+	}
+	if got := bodies(r.replies); r.err != nil || !slices.Equal(got, []string{"first", "late"}) {
+		t.Fatalf("Replies(All) returned %v, err %v; want [first late] and no error", got, r.err)
+	}
+	d := c.Site(1).daemon
+	delivered := d.Counters().Delivered
+	close(again)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the second answer at the caller's daemon", 5*time.Second, func() bool { return d.Counters().Delivered > delivered })
+	first := slices.Clone(r.replies)
+	if next, err := client.Cast(CBCAST, []Address{gid}, EntryUserBase, Text("q2"), Replies(All)); err != nil || len(next) != 2 {
+		t.Fatalf("the next Cast returned %d replies, err %v; want 2", len(next), err)
+	}
+	if !slices.Equal(r.replies, first) || len(r.replies) != 2 || cap(r.replies) != 2 {
+		t.Errorf("the next Cast changed the first one's replies to %v", bodies(r.replies))
 	}
 }
