@@ -110,7 +110,7 @@ func (p *Process) Cast(proto Protocol, dests []Address, entry EntryID, m *Messag
 	if err != nil {
 		return nil, err
 	}
-	return p.collectReplies(call, dests, o.want, o.timeout)
+	return p.collectReplies(call, dests, o.timeout)
 }
 
 // Query is shorthand for a Cast that waits for exactly one reply and returns
@@ -134,12 +134,12 @@ func (p *Process) Query(proto Protocol, dests []Address, entry EntryID, m *Messa
 // groups this site does not host, so remote failures are noticed too.
 const recheckEvery = 5 * time.Millisecond
 
-// collectReplies waits until the desired number of normal replies has
+// collectReplies waits until the number of normal replies call wants has
 // arrived, or every remaining destination has failed or declined (null
 // replies), or the reply timeout expires. Replies are recorded by onDeliver;
 // this side sleeps until a reply or a view change wakes it.
-func (p *Process) collectReplies(call *pendingCall, dests []Address, want int, timeout time.Duration) ([]*Message, error) {
-	deadline, timer := time.Now().Add(timeout), call.timer
+func (p *Process) collectReplies(call *pendingCall, dests []Address, timeout time.Duration) ([]*Message, error) {
+	want, deadline, timer := call.want, time.Now().Add(timeout), call.timer
 	timer.Reset(min(timeout, recheckEvery))
 	defer timer.Stop()
 	expected := p.expectedResponders(dests)

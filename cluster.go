@@ -325,8 +325,7 @@ func (s *Site) GroupPrimary(gid Address) bool { return s.daemon.GroupPrimary(gid
 // is not in non-primary mode at this site.
 func (s *Site) MergeGroup(gid Address) error { return s.daemon.MergeGroup(gid) }
 
-// Snapshot reads what the site's protocols process holds that a step could be
-// waiting on: its counters, peers, calls, requests and group copies.
+// Snapshot is what the site's protocols process holds that a step could wait on.
 func (s *Site) Snapshot() Snapshot { return s.daemon.Snapshot() }
 
 // Spawn creates a new client process at this site.

@@ -80,16 +80,14 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	if dst == nil {
 		dst = make([]byte, 0, m.MarshaledSize())
 	}
-	return m.appendTo(dst, 0, 0)
+	return m.appendTo(dst)
 }
 
-// AppendMarshalStripped is AppendMarshal of m without its system fields: the
-// encoding of m.CloneStripped(0), made without the clone, in
-// MarshaledSizeStripped bytes.
+// AppendMarshalStripped is AppendMarshal of m without its system fields, in
+// MarshaledSizeStripped bytes: the encoding of m.CloneStripped(0).
 func (m *Message) AppendMarshalStripped(dst []byte) ([]byte, error) {
-	encodeCalls.Add(1)
-	lo, hi := m.system()
-	return m.appendTo(dst, lo, hi)
+	s := m.stripped()
+	return s.AppendMarshal(dst)
 }
 
 // CachedMarshal is Marshal. There is no encoding cache: the daemon marshals
@@ -97,18 +95,15 @@ func (m *Message) AppendMarshalStripped(dst []byte) ([]byte, error) {
 // because bench/layers.go compiles against it.
 func (m *Message) CachedMarshal() ([]byte, error) { return m.Marshal() }
 
-// appendTo is the recursive encoder, of every field but those in [lo, hi).
-// Payloads are appended directly (their sizes are known up front), so no
-// intermediate buffers are built even for nested messages.
-func (m *Message) appendTo(dst []byte, lo, hi int) ([]byte, error) {
+// appendTo is the recursive encoder. Payloads are appended directly (their
+// sizes are known up front), so no intermediate buffers are built even for
+// nested messages.
+func (m *Message) appendTo(dst []byte) ([]byte, error) {
 	if len(m.fields) > maxFields {
 		return nil, ErrTooManyFlds
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.fields)-(hi-lo)))
+	dst = binary.AppendUvarint(dst, uint64(len(m.fields)))
 	for i := range m.fields {
-		if lo <= i && i < hi {
-			continue
-		}
 		f := &m.fields[i]
 		if len(f.name) > math.MaxUint8 {
 			return nil, fmt.Errorf("%w: %q", ErrNameTooLong, f.name)
@@ -125,7 +120,7 @@ func (m *Message) appendTo(dst []byte, lo, hi int) ([]byte, error) {
 		case TypeMessage:
 			dst = binary.AppendUvarint(dst, uint64(f.sub.MarshaledSize()))
 			var err error
-			dst, err = f.sub.appendTo(dst, 0, 0)
+			dst, err = f.sub.appendTo(dst)
 			if err != nil {
 				return nil, err
 			}
@@ -196,7 +191,7 @@ func decodeAddress(s string) addr.Address {
 // incoming names ascend and also handles adversarial inputs whose fields are
 // unsorted or duplicated.
 func (m *Message) unmarshalPrefix(s string, room int) (string, error) {
-	n, k := uvarint(s) // k <= 0: cut short, or past 64 bits
+	n, k := binary.Uvarint(view(s)) // k <= 0: cut short, or past 64 bits
 	if k <= 0 {
 		return "", fmt.Errorf("%w: missing field count", ErrCorrupt)
 	}
@@ -207,7 +202,7 @@ func (m *Message) unmarshalPrefix(s string, room int) (string, error) {
 	}
 	m.fields = make([]field, 0, int(n)+room)
 	for i := uint64(0); i < n; i++ {
-		nameLen, k := uvarint(s)
+		nameLen, k := binary.Uvarint(view(s))
 		if k <= 0 || nameLen > math.MaxUint8 || nameLen >= uint64(len(s)-k) {
 			return "", fmt.Errorf("%w: truncated field header", ErrCorrupt)
 		}
@@ -225,11 +220,11 @@ func (m *Message) unmarshalPrefix(s string, room int) (string, error) {
 func decodePayload(f *field, s string) (string, error) {
 	switch f.typ {
 	case TypeInt:
-		u, n := uvarint(s)
+		v, n := binary.Varint(view(s))
 		if n <= 0 {
 			return "", fmt.Errorf("%w: int field %q is not a varint", ErrCorrupt, f.name)
 		}
-		f.num = u>>1 ^ -(u & 1) // zigzag
+		f.num = uint64(v)
 		return s[n:], nil
 	case TypeAddress:
 		if len(s) < addr.EncodedSize {
@@ -242,7 +237,7 @@ func decodePayload(f *field, s string) (string, error) {
 		f.kind, f.num = a.Kind, packAddress(a)
 		return s[addr.EncodedSize:], nil
 	}
-	size, k := uvarint(s)
+	size, k := binary.Uvarint(view(s))
 	if k <= 0 || size > uint64(len(s)-k) {
 		return "", fmt.Errorf("%w: truncated field payload", ErrCorrupt)
 	}
@@ -272,18 +267,9 @@ func decodePayload(f *field, s string) (string, error) {
 // MarshaledSize returns the number of bytes Marshal would produce. It is
 // used by the simulated network to charge bandwidth without re-encoding, and
 // by the encoder itself to pre-size buffers and nested payload lengths.
-func (m *Message) MarshaledSize() int { return m.size(0, 0) }
-
-// MarshaledSizeStripped is the length of AppendMarshalStripped's encoding.
-func (m *Message) MarshaledSizeStripped() int { return m.size(m.system()) }
-
-// size is the length of the encoding of every field but those in [lo, hi).
-func (m *Message) size(lo, hi int) int {
-	size := uvarintLen(uint64(len(m.fields) - (hi - lo)))
+func (m *Message) MarshaledSize() int {
+	size := uvarintLen(uint64(len(m.fields)))
 	for i := range m.fields {
-		if lo <= i && i < hi {
-			continue
-		}
 		f := &m.fields[i]
 		size += uvarintLen(uint64(len(f.name))) + len(f.name) + 1
 		switch f.typ {
@@ -301,12 +287,10 @@ func (m *Message) size(lo, hi int) int {
 	return size
 }
 
-// uvarint is binary.Uvarint of s; a byte below 0x80 is the value itself.
-func uvarint(s string) (uint64, int) {
-	if len(s) > 0 && s[0] < 0x80 {
-		return uint64(s[0]), 1
-	}
-	return binary.Uvarint(view(s))
+// MarshaledSizeStripped is the length of AppendMarshalStripped's encoding.
+func (m *Message) MarshaledSizeStripped() int {
+	s := m.stripped()
+	return s.MarshaledSize()
 }
 
 // uvarintLen is the length of x as a uvarint.

@@ -48,8 +48,8 @@ func (t FieldType) String() string {
 }
 
 // System field names. Fields whose names begin with '@' are reserved for the
-// toolkit and the protocols process; the protection tool strips them from
-// client-supplied messages so that a sender address can never be forged
+// toolkit and the protocols process; a cast strips them from client-supplied
+// messages (CloneStripped) so that a sender address can never be forged
 // (Section 3.10).
 const (
 	FSender   = "@sender"   // address of the sending process (set by protos)
@@ -62,11 +62,6 @@ const (
 
 // SystemPrefix is the first byte of every reserved field name.
 const SystemPrefix = '@'
-
-// IsSystemField reports whether name is reserved for the toolkit.
-func IsSystemField(name string) bool {
-	return len(name) > 0 && name[0] == SystemPrefix
-}
 
 // field is one entry of the symbol table, in a tagged compact form: one
 // scalar word, one string and the nested pointer, of which typ says which is
@@ -426,37 +421,40 @@ func (m *Message) Group() addr.Address { return m.GetAddress(FGroup) }
 // the field table is copied (with headroom for a few more fields), nested
 // messages are cloned, and variable-length values — immutable once stored —
 // are shared.
-func (m *Message) Clone() *Message { return m.clone(firstFields, 0, 0) }
+func (m *Message) Clone() *Message { return m.clone(firstFields) }
 
 // CloneStripped is a Clone without the system fields, whose table has room
 // for room more fields.
 func (m *Message) CloneStripped(room int) *Message {
-	lo, hi := m.system()
-	return m.clone(room, lo, hi)
+	s := m.stripped()
+	return s.clone(room)
 }
 
-// clone copies every field but those in [lo, hi) into a table with room more.
-func (m *Message) clone(room, lo, hi int) *Message {
+func (m *Message) clone(room int) *Message {
 	out := &Message{}
-	n := len(m.fields) - (hi - lo)
-	if n+room == 0 {
+	if len(m.fields)+room == 0 {
 		return out
 	}
-	out.fields = append(append(make([]field, 0, n+room), m.fields[:lo]...), m.fields[hi:]...)
+	out.fields = make([]field, len(m.fields), len(m.fields)+room)
+	copy(out.fields, m.fields)
 	for i := range out.fields {
 		if f := &out.fields[i]; f.sub != nil {
-			f.sub = f.sub.clone(0, 0, 0)
+			f.sub = f.sub.clone(0)
 		}
 	}
 	return out
 }
 
-// system returns the bounds of the system fields in the sorted table: every
-// name from "@" up to "A", the byte after SystemPrefix.
-func (m *Message) system() (lo, hi int) {
-	lo, _ = m.find("@")
-	hi, _ = m.find("A")
-	return lo, hi
+// stripped is m without its system fields, the names from SystemPrefix up to
+// the byte after it, to read: it shares m's table unless a name sorts before
+// them, when it copies the rest.
+func (m *Message) stripped() Message {
+	lo, _ := m.find(string(SystemPrefix))
+	hi, _ := m.find(string(SystemPrefix + 1))
+	if lo == 0 || lo == hi { // the system fields lead the table, or there are none
+		return Message{fields: m.fields[hi-lo:]}
+	}
+	return Message{fields: append(m.fields[:lo:lo], m.fields[hi:]...)}
 }
 
 // Format renders a human-readable dump of the message, with fields in sorted

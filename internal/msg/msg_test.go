@@ -136,8 +136,10 @@ func TestNestedMessage(t *testing.T) {
 }
 
 func TestSystemFieldsAndStrip(t *testing.T) {
-	if !IsSystemField(FSender) || IsSystemField("user") {
-		t.Error("IsSystemField wrong")
+	for _, name := range []string{FSender, FSession, FProtocol, FViewID, FGroup, FReply} {
+		if name[0] != SystemPrefix {
+			t.Errorf("system field %q does not start with %q", name, SystemPrefix)
+		}
 	}
 	a := addr.NewProcess(2, 0, 3)
 	m := New().
@@ -148,19 +150,28 @@ func TestSystemFieldsAndStrip(t *testing.T) {
 	if m.Sender() != a || m.Session() != 77 || m.Group().IsNil() {
 		t.Error("system accessors wrong")
 	}
-	// A name that sorts before '@' keeps its place ahead of the system fields.
-	m.PutInt("!first", 1)
-	c := m.CloneStripped(2)
-	if c.Has(FSender) || c.Has(FSession) || c.Has(FGroup) || !m.Has(FSender) {
+	// The system fields lead the table, follow a name that sorts before '@',
+	// or are absent: the stripped encoding and clone are the user fields'.
+	before := m.Clone().PutInt("!first", 1)
+	for _, tc := range []struct{ m, user *Message }{
+		{m, New().PutString("user", "keep me")},
+		{before, New().PutInt("!first", 1).PutString("user", "keep me")},
+		{New().PutInt("!first", 1), New().PutInt("!first", 1)},
+	} {
+		want, _ := tc.user.Marshal()
+		clone, _ := tc.m.CloneStripped(0).Marshal()
+		got, err := tc.m.AppendMarshalStripped([]byte{9})
+		if err != nil || !bytes.Equal(got[1:], want) || got[0] != 9 || tc.m.MarshaledSizeStripped() != len(want) || !bytes.Equal(clone, want) {
+			t.Errorf("%s: the stripped encoding is %x (err %v) in %d bytes, its clone's %x, want %x",
+				tc.m.Format(), got, err, tc.m.MarshaledSizeStripped(), clone, want)
+		}
+	}
+	c := before.CloneStripped(2)
+	if c.Has(FSender) || c.Has(FSession) || c.Has(FGroup) || !before.Has(FSender) || !m.Has(FSender) {
 		t.Error("CloneStripped kept reserved fields, or took them from the original")
 	}
 	if !slices.Equal(c.Names(), []string{"!first", "user"}) || cap(c.fields) != 4 {
 		t.Errorf("CloneStripped(2) holds %v in a table of %d", c.Names(), cap(c.fields))
-	}
-	want, _ := c.Marshal()
-	got, err := m.AppendMarshalStripped([]byte{9})
-	if err != nil || !bytes.Equal(got[1:], want) || got[0] != 9 || m.MarshaledSizeStripped() != len(want) {
-		t.Errorf("the stripped encoding is %x (err %v) in %d bytes, its clone's %x", got, err, m.MarshaledSizeStripped(), want)
 	}
 }
 

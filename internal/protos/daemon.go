@@ -408,9 +408,8 @@ func (d *Daemon) Close() {
 
 // RegisterProcess creates a new local process, handed its messages by deliver
 // and its calls by call, and returns its address. The view callback (which may
-// be nil) receives membership changes of the groups the process joins. wants,
-// called as deliver is, files from its header a reply whose Cast will not read
-// it and returns false, and its body is dropped; nil reads every reply.
+// be nil) receives membership changes of the groups the process joins; wants,
+// called as deliver is, says from a reply's header whether its body is read.
 func (d *Daemon) RegisterProcess(deliver DeliverFunc, call CallFunc, view ViewFunc, wants func(session int64, responder addr.Address, kind uint8) bool) (addr.Address, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -610,12 +609,11 @@ func (d *Daemon) answerLocked(to addr.SiteID, call int64, pt byte, a answer) {
 }
 
 // handleTransport is the one way a peer's packet enters the daemon. It checks
-// the envelope, decodes the body's fields outside the lock and hands it
-// to its handler in one hold of d.mu, at whose tail this site's requests move
-// on what the packet answered or filed; a reply's body is decoded there, and
-// only if its caller reads it. What a body decodes to lives on this stack
-// unless a handler or a call keeps it; a data packet, a payload, a reply and
-// a state block keep raw, a frame the receiver owns.
+// the envelope, decodes the body outside the lock (a reply's body, if read,
+// inside) and hands it to its handler in one hold of d.mu, at whose tail this
+// site's requests move on what the packet answered or filed. What a body
+// decodes to lives on this stack unless kept; a data packet, a payload, a
+// reply and a state block keep raw, a frame the receiver owns.
 func (d *Daemon) handleTransport(from addr.SiteID, raw []byte) {
 	if len(raw) < envelopeBytes || raw[0] != wireVersion {
 		return

@@ -159,8 +159,7 @@ func (d *Daemon) deliverPointToPointLocked(pkt *dataPacket) {
 // Reply sends a process's answer (kind: the @reply value) to the caller whose
 // Cast, numbered session there, it answers: Table 1's "one asynchronous CBCAST",
 // counted as a point-to-point send, that no flush holds. The daemon only reads
-// payload, and never its system fields: a local caller is handed a stripped
-// clone, a remote one the decode of the stripped encoding.
+// payload, never its system fields: a caller gets a stripped copy or encoding.
 func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, payload *msg.Message) error {
 	h := replyHeader{caller: caller.Base(), responder: sender.Base(), session: session, kind: kind}
 	d.mu.Lock()
@@ -180,17 +179,16 @@ func (d *Daemon) Reply(sender, caller addr.Address, session int64, kind uint8, p
 	return d.sendRaw(h.caller.Site, raw)
 }
 
-// deliverReplyLocked hands a reply, a local replier's message src or the
-// bytes raw of a remote one, to the caller's process, which files it with the
-// waiting Cast it finds by session, ahead of anything queued there. Only a
-// reply that Cast reads (lp.wants) is copied or decoded and given the system
-// fields its header stands for. Caller holds d.mu.
+// deliverReplyLocked hands a reply, a local replier's message src or a remote
+// one's bytes raw, to the caller's process, which files it with its waiting
+// Cast ahead of anything queued there. Only a reply the Cast reads (lp.wants)
+// is copied or decoded and given its header's system fields. Caller holds d.mu.
 func (d *Daemon) deliverReplyLocked(h replyHeader, src *msg.Message, raw []byte) {
 	lp := d.procs[h.caller]
 	if lp == nil || !lp.alive {
 		return
 	}
-	if lp.wants != nil && !lp.wants(h.session, h.responder, h.kind) {
+	if !lp.wants(h.session, h.responder, h.kind) {
 		d.counters.Delivered++
 		return
 	}

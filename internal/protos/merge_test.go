@@ -232,13 +232,11 @@ func TestStaleCommitAfterMergeDropIsIgnored(t *testing.T) {
 }
 
 // pendingMerges returns the groups with members parked after a failed merge
-// rejoin, read off the daemon's snapshot.
+// rejoin, read off the daemon's snapshot (its rejoins sorted by group).
 func pendingMerges(d *Daemon) []addr.Address {
 	var gids []addr.Address
 	for _, r := range d.Snapshot().Rejoins {
-		if !slices.Contains(gids, r.Group) {
-			gids = append(gids, r.Group)
-		}
+		gids = append(gids, r.Group)
 	}
-	return gids
+	return slices.Compact(gids)
 }

@@ -108,6 +108,9 @@ type testProc struct {
 	trace    []string // bodies and "view N" marks, in the one order the callbacks ran
 }
 
+// readsEvery is a process's reply filter that reads the body of every reply.
+func readsEvery(int64, addr.Address, uint8) bool { return true }
+
 func (tc *testCluster) newProc(site addr.SiteID) *testProc {
 	tc.t.Helper()
 	p := &testProc{d: tc.daemons[site], received: make(map[string]bool)}
@@ -132,7 +135,7 @@ func (tc *testCluster) newProc(site addr.SiteID) *testProc {
 			p.views = append(p.views, v)
 			p.trace = append(p.trace, fmt.Sprintf("view %d", v.ID))
 		},
-		nil,
+		readsEvery,
 	)
 	if err != nil {
 		tc.t.Fatal(err)

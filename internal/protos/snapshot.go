@@ -1,6 +1,7 @@
 package protos
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -11,34 +12,30 @@ import (
 	"repro/internal/vclock"
 )
 
-// Snapshot is what a daemon holds that a step could be waiting on, read in
-// one hold of its lock: the heads of its GBCAST request queues, its parked
-// rejoins, and its copies by group address. Slices made of a map are in no
-// order.
+// Snapshot is what a daemon holds that a step could be waiting on, read in one
+// hold of its lock. A slice made of a map is sorted, one of a queue in order.
 type Snapshot struct {
 	Counters  Counters
 	Windows   map[addr.SiteID]transport.Window
 	Suspected []addr.SiteID
 	Calls     []CallSnapshot
-	Requests  []RequestSnapshot
-	Rejoins   []RejoinSnapshot
+	Requests  []RequestSnapshot // the head of each group's request queue
+	Rejoins   []RejoinSnapshot  // parked after a failed merge
 	Groups    []GroupSnapshot
 }
 
-// CallSnapshot is a call waiting until scan tick Deadline for its answer, of
-// packet type Want, from Site (0: whoever can answer), filed with Waiter; a
-// lookup's has sites still ToAnswer.
+// CallSnapshot is a call waiting until scan tick Deadline for an answer of
+// packet type Want from Site (0: any); a lookup's has sites still ToAnswer.
 type CallSnapshot struct {
 	ID       int64
-	Waiter   string
 	Want     byte
 	Site     addr.SiteID
 	Deadline uint64
 	ToAnswer int
 }
 
-// RequestSnapshot is a GBCAST request or round: its call in flight to Site,
-// the tries made and the scan tick of the next, and the requests behind it.
+// RequestSnapshot is a GBCAST request or round: its call to Site (in a copy's
+// queue, the requester), its tries, the next one's scan tick, and the Queued.
 type RequestSnapshot struct {
 	Group          addr.Address
 	Kind, ID, Call int64
@@ -47,54 +44,44 @@ type RequestSnapshot struct {
 	Deadline       uint64
 }
 
-// RejoinSnapshot is a parked member's rejoin after a failed merge.
+// RejoinSnapshot is a member's rejoin, parked after a failed merge.
 type RejoinSnapshot struct {
-	Joiner, Group addr.Address
+	Group, Joiner addr.Address
 	Busy          bool
 	Err           error
 }
 
-// GroupSnapshot is a group copy and what waits in it: the causal queue's
-// packets (deliveries, held submissions and relays), this site's casts the
-// holder has not stamped, what the open flush parked, the coordinator's
-// GBCAST requests (Site: the requester) and round, with the sites still
-// Silent and those Acked, and the merge survey's lookup, with the other
-// copies it heard from, the rejoins not ended and whether a primary answered.
+// GroupSnapshot is a copy in Phase 0 (normal), 1 (flushing) or 2 (non-primary)
+// and what waits in it; Submitted are this site's casts not stamped yet.
 type GroupSnapshot struct {
 	View            core.View
-	Phase           phase
+	Phase           uint8
 	Clock           vclock.VC // as released
 	Members         []MemberSnapshot
 	Pending, Parked []PacketSnapshot
 	Submitted       []core.MsgID
 	Queue           []RequestSnapshot
 	Round           *RequestSnapshot
-	Silent, Acked   []addr.SiteID
 	Survey          *CallSnapshot
-	Wedged, Rejoins int
-	Primary         bool
 }
 
-// MemberSnapshot is a local member's state transfer: Blocks buffered of
-// transfer XferID, and deliveries Held until it ends.
+// MemberSnapshot is a member's state transfer: Blocks of XferID, Held deliveries.
 type MemberSnapshot struct {
 	Proc          addr.Address
-	Joined        core.ViewID
 	AwaitingState bool
 	XferID        uint64
 	Blocks, Held  int
 }
 
-// PacketSnapshot is a data packet a copy holds. Rank is -1 for a submission
-// or a relay, which waits for its sender's cast After and is answered by Call.
+// PacketSnapshot is a data packet a copy holds. Rank is -1 for a submission or
+// a relay, answered by Call, which waits for its sender's cast After.
 type PacketSnapshot struct {
 	Proto Protocol
 	ID    core.MsgID
-	View  core.ViewID
 	Rank  int16
 	VT    vclock.VC
 	Call  int64
-	After relayStamp
+	After string
 }
 
 // Snapshot returns what the daemon holds that a step could be waiting on.
@@ -102,47 +89,48 @@ func (d *Daemon) Snapshot() Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := Snapshot{Counters: d.counters, Windows: d.tr.Windows(), Suspected: slices.Sorted(maps.Keys(d.suspected))}
+	packet := func(p *dataPacket) PacketSnapshot {
+		return PacketSnapshot{p.proto, p.id, p.rank, p.vt.Clone(), p.call, fmt.Sprintf("%+v", p.after)}
+	}
 	for _, id := range slices.Sorted(maps.Keys(d.calls)) {
 		c, toAnswer := d.calls[id], 0
 		if lk, ok := c.val.(*lookup); ok {
 			toAnswer = lk.asked - lk.heard
 		}
-		s.Calls = append(s.Calls, CallSnapshot{id, fmt.Sprintf("%T", c.val), c.want, c.site, c.deadline, toAnswer})
+		s.Calls = append(s.Calls, CallSnapshot{id, c.want, c.site, c.deadline, toAnswer})
 	}
-	for gid, q := range d.requests {
-		if len(q) > 0 {
+	for _, gid := range slices.SortedFunc(maps.Keys(d.requests), addr.Address.Compare) {
+		if q := d.requests[gid]; len(q) > 0 {
 			s.Requests = append(s.Requests, RequestSnapshot{gid, q[0].kind, q[0].reqID, q[0].call, q[0].site, q[0].tries, len(q) - 1, q[0].deadline})
 		}
 	}
-	for k, r := range d.parked {
-		s.Rejoins = append(s.Rejoins, RejoinSnapshot{k.joiner, k.gid, r.busy, r.err})
+	for _, k := range slices.SortedFunc(maps.Keys(d.parked), func(a, b joinKey) int { return cmp.Or(a.gid.Compare(b.gid), a.joiner.Compare(b.joiner)) }) {
+		s.Rejoins = append(s.Rejoins, RejoinSnapshot{k.gid, k.joiner, d.parked[k].busy, d.parked[k].err})
 	}
 	for _, gid := range slices.SortedFunc(maps.Keys(d.groups), addr.Address.Compare) {
 		gs := d.groups[gid]
-		g := GroupSnapshot{View: gs.view.Clone(), Phase: gs.phase, Clock: gs.causal.Clock(), Submitted: slices.Collect(maps.Keys(gs.submitted))}
-		for a, ms := range gs.members {
-			g.Members = append(g.Members, MemberSnapshot{a, ms.joinedView, ms.awaitingState, ms.xferID, len(ms.xferBuf), len(ms.held)})
+		g := GroupSnapshot{View: gs.view.Clone(), Phase: uint8(gs.phase), Clock: gs.causal.Clock(),
+			Submitted: slices.SortedFunc(maps.Keys(gs.submitted), func(a, b core.MsgID) int { return cmp.Or(a.Sender.Compare(b.Sender), cmp.Compare(a.Seq, b.Seq)) })}
+		for _, a := range slices.SortedFunc(maps.Keys(gs.members), addr.Address.Compare) {
+			ms := gs.members[a]
+			g.Members = append(g.Members, MemberSnapshot{a, ms.awaitingState, ms.xferID, len(ms.xferBuf), len(ms.held)})
 		}
 		for _, o := range gs.causal.Pending() {
-			g.Pending = append(g.Pending, o.Payload.(*dataPacket).snapshot())
+			g.Pending = append(g.Pending, packet(o.Payload.(*dataPacket)))
 		}
 		for _, p := range gs.parked {
-			g.Parked = append(g.Parked, p.snapshot())
+			g.Parked = append(g.Parked, packet(p))
 		}
 		for _, w := range gs.gbQueue {
 			g.Queue = append(g.Queue, RequestSnapshot{Group: gid, Kind: w.kind, ID: w.reqID, Site: w.replyTo})
 		}
 		if r := gs.round; r != nil {
-			g.Round, g.Silent, g.Acked = &RequestSnapshot{Group: gid, Kind: r.req.kind, Call: r.call, Tries: r.tries, Deadline: r.deadline}, slices.Clone(r.silent), slices.Sorted(maps.Keys(r.acks))
+			g.Round = &RequestSnapshot{Group: gid, Kind: r.req.kind, Call: r.call, Tries: r.tries, Deadline: r.deadline}
 		}
 		if sv := gs.survey; sv != nil {
-			g.Survey, g.Wedged, g.Rejoins, g.Primary = &CallSnapshot{ID: sv.look.call, ToAnswer: sv.look.asked - sv.look.heard}, len(sv.look.wedged), sv.rejoins, !sv.look.view.Group.IsNil()
+			g.Survey = &CallSnapshot{ID: sv.look.call, ToAnswer: sv.look.asked - sv.look.heard}
 		}
 		s.Groups = append(s.Groups, g)
 	}
 	return s
-}
-
-func (p *dataPacket) snapshot() PacketSnapshot {
-	return PacketSnapshot{p.proto, p.id, p.view, p.rank, p.vt.Clone(), p.call, p.after}
 }

@@ -158,16 +158,14 @@ type replyHeader struct {
 	kind              uint8
 }
 
-// encodeReply builds the wire bytes of a ptReply packet, whose reply is body
-// without its system fields.
+// encodeReply builds the wire bytes of a ptReply packet: body, stripped.
 func encodeReply(h replyHeader, body *msg.Message) ([]byte, error) {
 	raw := append(make([]byte, 0, envelopeBytes+2*addr.EncodedSize+uvarintLen(uint64(h.session))+1+body.MarshaledSizeStripped()), wireVersion, ptReply)
 	raw = binary.AppendUvarint(h.responder.AppendEncoded(h.caller.AppendEncoded(raw)), uint64(h.session))
 	return body.AppendMarshalStripped(append(raw, h.kind))
 }
 
-// parseReplyHeader reads a ptReply body's header and returns the reply's
-// bytes, which deliverReplyLocked decodes if the caller reads them.
+// parseReplyHeader reads a ptReply body's header, and returns the reply's bytes.
 func parseReplyHeader(b []byte) (h replyHeader, reply []byte, ok bool) {
 	r := reader{b: b}
 	h.caller, h.responder, h.session, h.kind = r.addr(), r.addr(), int64(r.uvarint()), r.byte()
@@ -195,13 +193,7 @@ func (r *reader) bytes(n uint64) []byte {
 	return s
 }
 
-// uvarint reads a uvarint; a byte below 0x80 is the value, read in place.
 func (r *reader) uvarint() uint64 {
-	if len(r.b) > 0 && r.b[0] < 0x80 {
-		v := uint64(r.b[0])
-		r.b = r.b[1:]
-		return v
-	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 { // cut short, or longer than 64 bits
 		r.fail()

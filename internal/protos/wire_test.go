@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,6 +28,7 @@ type wireFixture struct {
 	view   core.ViewID
 	member addr.Address
 	got    atomic.Int64 // deliveries the member's callback has run
+	unread atomic.Bool  // the member reads no reply: each is filed from its header
 }
 
 func newWireFixture(tb testing.TB) *wireFixture {
@@ -49,7 +51,8 @@ func newWireFixture(tb testing.TB) *wireFixture {
 	})
 	fx := &wireFixture{d: ds[0]}
 	var err error
-	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, func(func()) {}, nil, nil); err != nil {
+	reads := func(int64, addr.Address, uint8) bool { return !fx.unread.Load() }
+	if fx.member, err = fx.d.RegisterProcess(func(addr.EntryID, *msg.Message) { fx.got.Add(1) }, func(func()) {}, nil, reads); err != nil {
 		tb.Fatal(err)
 	}
 	v, err := fx.d.CreateGroup(fx.member, "wire")
@@ -437,7 +440,10 @@ func malformedGbcastFamily(t *testing.T, fx *wireFixture) {
 // count unequal to its entries: each is refused, and the daemon that handles
 // it moves not at all. A golden's tail that runs to its end (a state block's
 // block, an error's text) is the one cut a parser cannot tell from a shorter
-// packet, and is left uncut.
+// packet, and is left uncut. A reply its caller does not read is filed from
+// its header with its body unread: the same packets are handled again at a
+// caller that reads no reply, and each reply whose header parses counts as
+// delivered there, handing the caller nothing, and moves nothing else.
 func TestMalformedVarintsAreRefused(t *testing.T) {
 	fx := newWireFixture(t)
 	// Each golden with the offsets of one of its varints and of one of its
@@ -516,6 +522,24 @@ func TestMalformedVarintsAreRefused(t *testing.T) {
 			t.Fatalf("%s (%x) moved the daemon\nbefore %s\nafter  %s", name, raw, before, after)
 		}
 	}
+	fx.unread.Store(true)
+	counters := fx.d.Counters()
+	want := counters
+	for name, raw := range bad {
+		_, _, header := parseReplyHeader(raw[envelopeBytes:])
+		if header = header && raw[1] == ptReply; header {
+			want.Delivered++
+		}
+		delivered := fx.d.Counters().Delivered
+		fx.d.handleTransport(2, raw)
+		if now := fx.d.Counters().Delivered; header && now != delivered+1 || !header && now != delivered {
+			t.Fatalf("%s (%x) at a caller that reads no reply: Delivered %d -> %d, header parses: %v", name, raw, delivered, now, header)
+		}
+	}
+	before = strings.Replace(before, fmt.Sprintf("%+v", counters), fmt.Sprintf("%+v", want), 1)
+	if after := dump(fx.d); fx.got.Load() != 0 || after != before {
+		t.Fatalf("%d replies handed over at a caller that reads none\nwant %s\ngot  %s", fx.got.Load(), before, after)
+	}
 }
 
 // parseReply reads a ptReply body as handleTransport and deliverReplyLocked
@@ -548,9 +572,11 @@ func parsed(raw []byte) (ok bool) {
 }
 
 // FuzzControlPacket feeds arbitrary bytes to handleTransport as the body of a
-// live (or retired) packet type at a daemon hosting one group. Nothing
+// live (or retired) packet type at a daemon hosting one group, whose member
+// reads every reply when the body's length is even and none when it is odd. Nothing
 // may panic; a body that does not parse must not count as a delivery (a commit
-// that parses may release some); and the
+// that parses may release some; a reply the member does not read counts once
+// its header parses, its body unread); and the
 // daemon must still deliver a well-formed reply afterwards. A GBCAST request
 // and a prepare are left out: a well-formed request runs a round on the copy
 // and a prepare wedges it, whose deliveries would land in a later input's
@@ -585,10 +611,14 @@ func FuzzControlPacket(f *testing.F) {
 	fx := newWireFixture(f)
 	delivered := func() uint64 { return fx.d.Counters().Delivered }
 	f.Fuzz(func(t *testing.T, pt byte, data []byte) {
+		fx.unread.Store(len(data)%2 == 1)
 		pt = types[int(pt)%len(types)]
 		before := delivered()
 		fx.d.handleTransport(2, append([]byte{wireVersion, pt}, data...))
 		_, _, isReply := parseReply(data)
+		if fx.unread.Load() {
+			_, _, isReply = parseReplyHeader(data)
+		}
 		_, isData := parseDataPacket(append([]byte{wireVersion, pt}, data...))
 		var g gbPacket
 		isCommit := pt == ptGbCommit && g.parse(data) // a commit may release deliveries

@@ -190,12 +190,11 @@ func DecodePrefix(dst VC, b []byte) (VC, []byte, error) {
 	dst, b = slices.Grow(dst[:0], int(n))[:n], b[k:]
 	for i := range dst {
 		if len(b) > 0 && b[0] < 0x80 { // the value itself
-			dst[i], b = uint64(b[0]), b[1:]
-		} else if dst[i], k = binary.Uvarint(b); k > 0 {
-			b = b[k:]
-		} else {
+			dst[i], k = uint64(b[0]), 1
+		} else if dst[i], k = binary.Uvarint(b); k <= 0 {
 			return nil, nil, errMalformed
 		}
+		b = b[k:]
 	}
 	return dst, b, nil
 }

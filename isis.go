@@ -68,8 +68,7 @@ type (
 	EventFilter = events.Filter
 	// EventStats reports publish and drop totals of an event bus.
 	EventStats = events.Stats
-	// Snapshot is what a site's protocols process holds that a step could be
-	// waiting on (Site.Snapshot).
+	// Snapshot is what a site holds that a step could wait on (Site.Snapshot).
 	Snapshot = protos.Snapshot
 	// Outcome is the fate of a tracked group request (Process.Outcome).
 	Outcome = protos.Outcome

@@ -108,8 +108,8 @@ func dumpWatched(test string) string {
 			fmt.Fprintf(&b, "\nsite %d: counters %+v\n  suspected %v, windows %v, calls %+v, requests %+v, parked rejoins %+v, events %+v",
 				s.id, snap.Counters, snap.Suspected, snap.Windows, snap.Calls, snap.Requests, snap.Rejoins, s.daemon.EventStats())
 			for _, g := range snap.Groups {
-				fmt.Fprintf(&b, "\n  copy %v phase %d clock %v: pending %+v, submitted %v, parked %+v, GBCAST queue %+v, round %+v, survey %+v",
-					g.View, g.Phase, g.Clock, g.Pending, g.Submitted, g.Parked, g.Queue, g.Round, g.Survey)
+				fmt.Fprintf(&b, "\n  copy %v phase %d clock %v: members %+v, pending %+v, submitted %v, parked %+v, GBCAST queue %+v, round %+v, survey %+v",
+					g.View, g.Phase, g.Clock, g.Members, g.Pending, g.Submitted, g.Parked, g.Queue, g.Round, g.Survey)
 			}
 			s.mu.Lock()
 			for p := range s.procs {

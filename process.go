@@ -41,11 +41,9 @@ type Process struct {
 	lastViews   map[Address]View
 }
 
-// pendingCall tracks one Cast waiting for replies. The process's mu guards
-// want and the two lists; wake nudges the waiting Cast after a reply was
-// recorded or a view installed, and timer is its recheck. Once its Cast
-// returns the call is the process's spare, for the next Cast to reuse, all but
-// replies, which went to the caller (a stale wake costs that Cast a recheck).
+// pendingCall is one Cast waiting for replies; p.mu guards want and the lists.
+// wake nudges the Cast after a reply or a view, and timer is its recheck. The
+// next Cast reuses it but for replies (a stale wake costs that Cast a recheck).
 type pendingCall struct {
 	want      int
 	replies   []*Message // normal replies, in arrival order
@@ -111,10 +109,9 @@ func (p *Process) Alive() bool {
 	return !p.killed
 }
 
-// wantsReply answers the daemon, under its lock, whether the Cast numbered
-// session reads the body of responder's reply: a normal reply it still needs,
-// which onDeliver then files. It drops a duplicate and a reply to a Cast that
-// returned, and files a null or surplus reply from this header alone.
+// wantsReply tells the daemon, under its lock, whether Cast number session
+// reads responder's reply: a normal one it still needs, filed by onDeliver. It
+// files a null or surplus reply from this header, and drops any other.
 func (p *Process) wantsReply(session int64, responder Address, kind uint8) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
